@@ -18,7 +18,10 @@
 //!   read (single-flight holds through the stage),
 //! * one corrupt page inside a coalesced batch fails only its own
 //!   request: neighbours publish, the bad key quarantines, and the two
-//!   states are never simultaneous.
+//!   states are never simultaneous,
+//! * a batched pin (`pin_many`: one classification pass, one multi-request
+//!   submit, one multi-slot ticket) is never stranded by a failed member —
+//!   the other members land, every schedule terminates — and leaks no pin.
 
 use payg_check::sync::{Condvar, Mutex};
 use payg_check::{thread, Checker};
@@ -40,6 +43,39 @@ enum PinOutcome {
     FailFast,
     /// This pin waited on a staged load that failed.
     WaitFailed,
+    /// This pin's own staged load (a member of its wave) failed.
+    LoadFailed,
+}
+
+/// `iostage::Ticket`: one slot per request of a submit, one wake-up when
+/// the last one resolves.
+struct Ticket {
+    /// Per slot: `None` = in flight, `Some(loaded)` once resolved.
+    slots: Mutex<Vec<Option<bool>>>,
+    cv: Condvar,
+}
+
+impl Ticket {
+    fn new(n: usize) -> Arc<Self> {
+        Arc::new(Ticket { slots: Mutex::new(vec![None; n]), cv: Condvar::new() })
+    }
+
+    fn resolve(&self, slot: usize, loaded: bool) {
+        let mut slots = self.slots.lock();
+        assert!(slots[slot].is_none(), "ticket slot resolved twice");
+        slots[slot] = Some(loaded);
+        if slots.iter().all(Option::is_some) {
+            self.cv.notify_all();
+        }
+    }
+
+    fn wait(&self) -> Vec<bool> {
+        let mut slots = self.slots.lock();
+        while slots.iter().any(Option::is_none) {
+            self.cv.wait(&mut slots);
+        }
+        slots.iter().map(|s| s.expect("resolved")).collect()
+    }
 }
 
 struct LoadState {
@@ -77,10 +113,16 @@ enum Slot {
 struct MapState {
     map: BTreeMap<u32, Slot>,
     quarantine: BTreeMap<u32, usize>,
+    /// Live pins per resident key (the resman pin count of its frame).
+    pins: BTreeMap<u32, usize>,
 }
 
+/// One queued fetch: the key, the single-flight slot it owns, and — for a
+/// batched pin's loads — the ticket slot its completion resolves.
+type Request = (u32, Arc<LoadState>, Option<(Arc<Ticket>, usize)>);
+
 struct QueueState {
-    pending: Vec<(u32, Arc<LoadState>)>,
+    pending: Vec<Request>,
     closed: bool,
 }
 
@@ -101,7 +143,11 @@ struct MiniStage {
 impl MiniStage {
     fn new(prefetch_cap: usize, corrupt: Vec<u32>) -> Self {
         MiniStage {
-            state: Mutex::new(MapState { map: BTreeMap::new(), quarantine: BTreeMap::new() }),
+            state: Mutex::new(MapState {
+                map: BTreeMap::new(),
+                quarantine: BTreeMap::new(),
+                pins: BTreeMap::new(),
+            }),
             queue: Mutex::new(QueueState { pending: Vec::new(), closed: false }),
             queue_cv: Condvar::new(),
             prefetch_cap,
@@ -134,9 +180,88 @@ impl MiniStage {
         if !urgent && q.pending.len() >= self.prefetch_cap {
             return false;
         }
-        q.pending.push((key, Arc::clone(ls)));
+        q.pending.push((key, Arc::clone(ls), None));
         self.queue_cv.notify_all();
         true
+    }
+
+    /// Live pins over all keys.
+    fn live_pins(&self) -> usize {
+        self.state.lock().pins.values().sum()
+    }
+
+    /// Drops one pin of `key` (a `PageGuard` going out of scope).
+    fn unpin(&self, key: u32) {
+        let mut st = self.state.lock();
+        let pins = st.pins.get_mut(&key).expect("unpin of an unpinned key");
+        assert!(*pins > 0, "pin count underflow");
+        *pins -= 1;
+    }
+
+    /// `BufferPool::pin_many`: one pass classifies every key — hits are
+    /// pinned on the spot, absent keys get this call's `Loading`
+    /// placeholder, keys already in flight are deferred — then ALL the
+    /// call's loads are enqueued under one queue-lock acquisition and the
+    /// caller parks once on a multi-slot ticket. A loaded member's pin
+    /// rides the ticket (the worker registers the frame pinned). Deferred
+    /// keys join through the single-key path once the wave is in.
+    fn pin_many(&self, keys: &[u32]) -> Vec<PinOutcome> {
+        let mut out: Vec<Option<PinOutcome>> = Vec::new();
+        let mut wave: Vec<(usize, u32, Arc<LoadState>)> = Vec::new();
+        for (i, &key) in keys.iter().enumerate() {
+            let mut st = self.state.lock();
+            if st.quarantine.contains_key(&key) {
+                let left = st.quarantine.get_mut(&key).unwrap();
+                *left -= 1;
+                if *left == 0 {
+                    st.quarantine.remove(&key);
+                }
+                out.push(Some(PinOutcome::FailFast));
+                continue;
+            }
+            let hit = match st.map.get(&key) {
+                Some(Slot::Resident(byte)) => Some(*byte),
+                Some(Slot::Loading(_)) => {
+                    out.push(None);
+                    continue;
+                }
+                None => None,
+            };
+            match hit {
+                Some(byte) => {
+                    *st.pins.entry(key).or_insert(0) += 1;
+                    out.push(Some(PinOutcome::Resident(byte)));
+                }
+                None => {
+                    let ls = LoadState::new();
+                    st.map.insert(key, Slot::Loading(Arc::clone(&ls)));
+                    wave.push((i, key, ls));
+                    out.push(None);
+                }
+            }
+        }
+        if !wave.is_empty() {
+            let ticket = Ticket::new(wave.len());
+            {
+                let mut q = self.queue.lock();
+                assert!(!q.closed, "submit after close");
+                for (slot, (_, key, ls)) in wave.iter().enumerate() {
+                    q.pending.push((*key, Arc::clone(ls), Some((Arc::clone(&ticket), slot))));
+                }
+                self.queue_cv.notify_all();
+            }
+            for ((i, key, _), loaded) in wave.iter().zip(ticket.wait()) {
+                out[*i] = Some(if loaded {
+                    PinOutcome::Resident(page_byte(*key))
+                } else {
+                    PinOutcome::LoadFailed
+                });
+            }
+        }
+        keys.iter()
+            .zip(out)
+            .map(|(&key, planned)| planned.unwrap_or_else(|| self.pin(key)))
+            .collect()
     }
 
     /// `BufferPool::prefetch_submit`'s protocol: install a placeholder,
@@ -188,7 +313,11 @@ impl MiniStage {
                     return PinOutcome::FailFast;
                 }
                 match st.map.get(&key) {
-                    Some(Slot::Resident(byte)) => return PinOutcome::Resident(*byte),
+                    Some(Slot::Resident(byte)) => {
+                        let byte = *byte;
+                        *st.pins.entry(key).or_insert(0) += 1;
+                        return PinOutcome::Resident(byte);
+                    }
                     Some(Slot::Loading(ls)) => Arc::clone(ls),
                     None => {
                         let ls = LoadState::new();
@@ -225,7 +354,7 @@ impl MiniStage {
                 }
             };
             *self.reads.lock() += 1;
-            for (key, ls) in batch {
+            for (key, ls, ticket) in batch {
                 let ok = !self.corrupt.contains(&key);
                 {
                     let mut st = self.state.lock();
@@ -237,6 +366,11 @@ impl MiniStage {
                         match st.map.get(&key) {
                             Some(Slot::Loading(cur)) if Arc::ptr_eq(cur, &ls) => {
                                 st.map.insert(key, Slot::Resident(page_byte(key)));
+                                // A ticketed load registers its frame
+                                // pinned: the pin rides the ticket.
+                                if ticket.is_some() {
+                                    *st.pins.entry(key).or_insert(0) += 1;
+                                }
                             }
                             _ => panic!("completing request's placeholder was stolen"),
                         }
@@ -252,6 +386,9 @@ impl MiniStage {
                     }
                 }
                 ls.settle(ok);
+                if let Some((ticket, slot)) = ticket {
+                    ticket.resolve(slot, ok);
+                }
             }
         }
     }
@@ -376,6 +513,55 @@ fn corrupt_page_in_a_coalesced_batch_fails_only_itself() {
         assert_eq!(stage.resident(KEY_BAD), None, "corrupt key must not be resident");
         assert!(stage.quarantined(KEY_BAD), "corrupt key quarantines");
         assert!(stage.reads() <= 2, "at most one read per popped batch");
+    });
+    assert!(report.failure.is_none(), "unexpected failure: {:?}", report.failure);
+    assert!(
+        report.iterations >= 500,
+        "expected >= 500 distinct interleavings, got {}",
+        report.iterations
+    );
+}
+
+#[test]
+fn batched_pin_is_never_stranded_by_a_failed_member_and_leaks_no_pin() {
+    // One batched pin over [good, corrupt, good] races a single pin of the
+    // second good key. Whichever of them installs that key's placeholder,
+    // and however the worker batches the requests, under every
+    // interleaving: the batched pin returns (the corrupt member resolves
+    // its ticket slot with a failure instead of leaving the latch short),
+    // both good keys are resident with the right bytes, the corrupt key
+    // quarantines without ever being resident, and once every returned
+    // guard is dropped no pin is left on any frame.
+    const KEY_A: u32 = 20;
+    const KEY_BAD: u32 = 21;
+    const KEY_B: u32 = 23;
+    let report = Checker::exhaustive().max_iterations(BOUND).check(|| {
+        let stage = Arc::new(MiniStage::new(8, vec![KEY_BAD]));
+        with_worker(&stage, || {
+            let batch = {
+                let s = Arc::clone(&stage);
+                thread::spawn(move || s.pin_many(&[KEY_A, KEY_BAD, KEY_B]))
+            };
+            let single = {
+                let s = Arc::clone(&stage);
+                thread::spawn(move || s.pin(KEY_B))
+            };
+            let outcomes = batch.join().expect("model thread");
+            assert_eq!(outcomes[0], PinOutcome::Resident(page_byte(KEY_A)));
+            assert_eq!(outcomes[1], PinOutcome::LoadFailed, "the corrupt member fails alone");
+            assert_eq!(outcomes[2], PinOutcome::Resident(page_byte(KEY_B)));
+            assert_eq!(single.join().expect("model thread"), PinOutcome::Resident(page_byte(KEY_B)));
+            assert_eq!(stage.live_pins(), 3, "one pin per returned guard");
+            stage.unpin(KEY_A);
+            stage.unpin(KEY_B);
+            stage.unpin(KEY_B);
+        });
+        assert_eq!(stage.live_pins(), 0, "no pin outlives its guard");
+        assert_eq!(stage.resident(KEY_A), Some(page_byte(KEY_A)));
+        assert_eq!(stage.resident(KEY_B), Some(page_byte(KEY_B)));
+        assert_eq!(stage.resident(KEY_BAD), None, "corrupt key must not be resident");
+        assert!(stage.quarantined(KEY_BAD), "corrupt key quarantines");
+        assert!(stage.reads() <= 2, "the wave is one burst: at most one more batch for the racer");
     });
     assert!(report.failure.is_none(), "unexpected failure: {:?}", report.failure);
     assert!(

@@ -14,11 +14,13 @@
 //! Both implement [`ColumnRead`]; the difference is invisible to queries.
 
 mod builder;
+mod materialize;
 mod paged;
 mod read;
 mod resident;
 
 pub use builder::{ColumnBuild, ColumnBuilder};
+pub use materialize::{materialize, WAVE_PAGES};
 pub use paged::{probe_shape, IndexMode, PagedColumn};
 pub use read::ColumnRead;
 pub use resident::ResidentColumn;

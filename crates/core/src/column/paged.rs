@@ -8,7 +8,6 @@ use crate::{CoreResult, DataType, PageConfig, Value, ValuePredicate};
 use payg_encoding::dispatch::{self, CodecKind, ProbeShape, ScanPath};
 use payg_encoding::VidSet;
 use payg_storage::BufferPool;
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// When (and whether) a column's inverted index exists (paper §8: the
@@ -376,25 +375,10 @@ impl ColumnRead for PagedColumn {
     }
 
     fn get_values(&self, rposs: &[u64]) -> CoreResult<Vec<Value>> {
-        // Late materialization: decode all vids first, then resolve the
-        // *distinct* vids in ascending order — vid order is dictionary-page
-        // order, so a batch touches each dictionary page once, front to
-        // back (the access pattern §3.2.3's handle cache is built for).
-        // `mget_at` visits row positions in sorted order internally, so the
-        // data-vector side also decodes each chunk once and pins each page
-        // once, whatever order the caller asked in.
-        let mut vids = Vec::with_capacity(rposs.len());
-        self.parts.data.iter().mget_at(rposs, &mut vids)?;
-        let mut distinct: Vec<u64> = vids.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let mut cache = self.cache();
-        let mut resolved: HashMap<u64, Value> = HashMap::with_capacity(distinct.len());
-        for vid in distinct {
-            let key = self.parts.dict.key_by_vid(vid, &mut cache)?;
-            resolved.insert(vid, Value::from_key(self.parts.data_type, &key)?);
-        }
-        Ok(vids.into_iter().map(|vid| resolved[&vid].clone()).collect())
+        // The one-column case of phased late materialization.
+        let mut columns =
+            super::materialize::materialize_paged(&self.parts.pool, &[&*self.parts], rposs)?;
+        Ok(columns.pop().unwrap_or_default())
     }
 
     fn get_vids(&self, from: u64, to: u64, out: &mut Vec<u64>) -> CoreResult<()> {

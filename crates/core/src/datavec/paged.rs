@@ -309,6 +309,39 @@ impl PagedDataVector {
         Ok(BitPackedVec::from_words(self.meta.width, self.meta.len, words)?)
     }
 
+    /// Batch point-decode against one pinned page: writes the identifier
+    /// at every position of `rows` — ascending, all on the logical page
+    /// whose bytes are `page` — into `out` (same length). Each chunk is
+    /// unpacked once; a chunk holding a single requested row decodes just
+    /// that slot. This is the data-vector step of phased late
+    /// materialization ([`crate::column::materialize`]): the caller plans
+    /// which pages the rows touch, pins them as a batch, and decodes from
+    /// the returned guards. Width-0 vectors have no pages and never get here.
+    pub(crate) fn decode_on_page(&self, page: &[u8], rows: &[u64], out: &mut [u64]) {
+        debug_assert_eq!(rows.len(), out.len());
+        let width = self.meta.width;
+        let n = width.bits() as usize;
+        let per_chunk = bytes_per_chunk(width);
+        let mut words = [0u64; 64];
+        let mut decoded = [0u64; CHUNK_LEN];
+        let mut k = 0;
+        while k < rows.len() {
+            let ci = chunk::chunk_of(rows[k]);
+            let run = rows[k..].iter().take_while(|&&r| chunk::chunk_of(r) == ci).count();
+            let base = (ci % self.meta.chunks_per_page) as usize * per_chunk;
+            payg_encoding::unaligned::fill_le_words(&page[base..base + per_chunk], &mut words[..n]);
+            if run == 1 {
+                out[k] = chunk::decode_slot(&words[..n], width, chunk::slot_of(rows[k]));
+            } else {
+                chunk::decode_chunk(&words[..n], width, &mut decoded);
+                for j in k..k + run {
+                    out[j] = decoded[chunk::slot_of(rows[j])];
+                }
+            }
+            k += run;
+        }
+    }
+
     fn check_range(&self, from: u64, to: u64) -> CoreResult<()> {
         if from > to || to > self.meta.len {
             return Err(CoreError::RowOutOfBounds { rpos: to, len: self.meta.len });
@@ -591,44 +624,6 @@ impl PagedDataVectorIterator<'_> {
         Ok(())
     }
 
-    /// Batch point-decode: materializes the identifier at every position in
-    /// `rows` (any order, duplicates allowed) into `out`, in `rows` order.
-    /// Positions are processed in sorted order internally, so each chunk is
-    /// decoded once and each page is pinned at most once per visit — the
-    /// batched-`mget` shape the paper's repositioning iterator serves.
-    pub fn mget_at(&mut self, rows: &[u64], out: &mut Vec<u64>) -> CoreResult<()> {
-        out.clear();
-        if rows.is_empty() {
-            return Ok(());
-        }
-        for &rpos in rows {
-            if rpos >= self.vec.meta.len {
-                return Err(CoreError::RowOutOfBounds { rpos, len: self.vec.meta.len });
-            }
-        }
-        out.resize(rows.len(), 0);
-        if self.vec.meta.width.bits() == 0 {
-            return Ok(());
-        }
-        // Visit rows in ascending order regardless of input order.
-        let mut order: Vec<u32> = (0..rows.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| rows[i as usize]);
-        let mut words = [0u64; 64];
-        let mut decoded = [0u64; CHUNK_LEN];
-        let mut cached_chunk = u64::MAX;
-        for &i in &order {
-            let rpos = rows[i as usize];
-            let ci = chunk::chunk_of(rpos);
-            if ci != cached_chunk {
-                let n = self.chunk_words(ci, &mut words)?;
-                chunk::decode_chunk(&words[..n], self.vec.meta.width, &mut decoded);
-                cached_chunk = ci;
-            }
-            out[i as usize] = decoded[chunk::slot_of(rpos)];
-        }
-        Ok(())
-    }
-
     /// `search(list-of-rows, set-of-vids)`: appends the subset of `rows`
     /// (ascending) whose identifier is in `set`. Only pages containing
     /// listed rows are loaded.
@@ -877,7 +872,7 @@ mod tests {
     }
 
     #[test]
-    fn count_and_mget_at_match_naive() {
+    fn count_matches_naive() {
         let values = sample(3000, 300, 10);
         let (_pool, paged, _) = build(&values);
         let mut it = paged.iter();
@@ -888,14 +883,6 @@ mod tests {
                 assert_eq!(it.count(from, to, &set).unwrap(), expect, "{set:?} {from}..{to}");
             }
         }
-        // mget_at returns values in input order, including duplicates and
-        // unsorted positions.
-        let rows = vec![2999u64, 0, 64, 63, 64, 1500, 2, 2];
-        let mut out = Vec::new();
-        it.mget_at(&rows, &mut out).unwrap();
-        let expect: Vec<u64> = rows.iter().map(|&r| values[r as usize]).collect();
-        assert_eq!(out, expect);
-        assert!(it.mget_at(&[3000], &mut out).is_err());
     }
 
     #[test]

@@ -6,11 +6,10 @@
 //! pages that will actually be read. Each worker drives its own stateful,
 //! repositioning iterator — holding a small bounded set of pinned pages via
 //! its guard cache, in the spirit of §3.1.2's single-pin iterator — plus
-//! asynchronous read-ahead for its upcoming surviving pages. When the pool's
-//! cold-path I/O stage is active, read-ahead is an adaptive window of
-//! prefetch submissions whose depth tracks completion latency versus
-//! consumption rate ([`StagedReadAhead`]); otherwise each worker falls back
-//! to one legacy read-ahead slot for its next surviving page.
+//! asynchronous read-ahead for its upcoming surviving pages: an adaptive
+//! window of prefetch submissions to the pool's cold-path I/O stage whose
+//! depth tracks completion latency versus consumption rate
+//! ([`StagedReadAhead`]). A stage-less pool does not read ahead.
 //! Per-segment results are concatenated in partition order, which makes the
 //! output bit-identical to the sequential scan.
 //!
@@ -24,7 +23,6 @@ use crate::{CoreError, CoreResult};
 use payg_encoding::chunk::CHUNK_LEN;
 use payg_encoding::{scan, BitPackedVec, VidSet};
 use payg_obs::{QueryCtx, ScanProfile, SpanKind};
-use payg_storage::Prefetcher;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
@@ -33,8 +31,8 @@ use std::time::Instant;
 pub struct ScanOptions {
     /// Maximum worker threads (1 = sequential on the calling thread).
     pub workers: usize,
-    /// Whether each worker runs an async read-ahead slot for its next page.
-    /// Only affects paged scans.
+    /// Whether each worker reads ahead of its cursor through the pool's
+    /// I/O stage. Only affects paged scans over a pool with a running stage.
     pub prefetch: bool,
 }
 
@@ -136,8 +134,8 @@ fn scan_abort(vec: &PagedDataVector, page_no: u64, source: CoreError) -> CoreErr
     CoreError::ScanAborted { chain: key.chain.0, page_no: key.page_no, source: Box::new(source) }
 }
 
-/// Deadline-aware read-ahead window for a scan worker when the pool's
-/// cold-path I/O stage is active. Instead of one blocking read-ahead slot,
+/// Deadline-aware read-ahead window for a scan worker over the pool's
+/// cold-path I/O stage:
 /// the worker keeps up to `depth` surviving pages submitted ahead of its
 /// cursor via [`payg_storage::BufferPool::prefetch_submit`] — adjacent
 /// submissions coalesce into ranged reads inside the stage. The depth
@@ -213,8 +211,8 @@ impl StagedReadAhead {
 }
 
 /// Scans one partition page by page with a private repositioning iterator
-/// (one pin) and, when enabled, a private read-ahead slot for the next
-/// surviving page. Before each page the worker polls the scan-wide `cancel`
+/// (one pin) and, when enabled, a private read-ahead window over the
+/// upcoming surviving pages. Before each page the worker polls the scan-wide `cancel`
 /// flag — first error wins: the worker that hits a bad page raises the flag
 /// and returns [`CoreError::ScanAborted`] naming it, and every other worker
 /// quits at its next page boundary instead of finishing doomed work.
@@ -238,14 +236,11 @@ fn scan_partition_worker(
         let (lo, hi) = vec.page_summary(p);
         set.overlaps(lo, hi)
     };
-    // Read-ahead strategy. With the cold-path I/O stage active the worker
-    // keeps an *adaptive window* of prefetch submissions ahead of its
-    // cursor (see `StagedReadAhead`); otherwise it falls back to the legacy
-    // single read-ahead slot, which spawns lazily so a warm scan (every
-    // page resident) never pays for the thread.
+    // Read-ahead: with the cold-path I/O stage active the worker keeps an
+    // *adaptive window* of prefetch submissions ahead of its cursor (see
+    // `StagedReadAhead`); a stage-less pool simply does not read ahead.
     let staged = prefetch && vec.pool().io_stage_active();
     let mut window = StagedReadAhead::new();
-    let mut slot: Option<Prefetcher> = None;
     let first = part.from / rpp;
     let last = (part.to - 1) / rpp;
     for page in first..=last {
@@ -265,13 +260,6 @@ fn scan_partition_worker(
         if staged {
             window.observe(vec.pool().is_resident(vec.page_key(page)));
             window.top_up(vec, page, last, &survives);
-        } else if prefetch {
-            if let Some(next) = (page + 1..=last).find(|&p| survives(p)) {
-                let key = vec.page_key(next);
-                if !vec.pool().is_resident(key) {
-                    slot.get_or_insert_with(|| vec.pool().prefetcher()).request(key);
-                }
-            }
         }
         let lo = part.from.max(page * rpp);
         let hi = part.to.min((page + 1) * rpp);
@@ -322,7 +310,7 @@ impl PagedDataVector {
     /// Parallel `search(range-of-rows, set-of-vids)`: identical results to
     /// [`crate::datavec::PagedDataVectorIterator::search`] over the same
     /// range, computed by up to `opts.workers` segment workers. Each worker
-    /// holds one pinned page (plus one read-ahead slot when enabled); pruned
+    /// holds one pinned page (plus its read-ahead window when enabled); pruned
     /// pages are skipped before partitioning. A failing page aborts the
     /// whole scan with [`CoreError::ScanAborted`] — see the module docs.
     pub fn par_search(

@@ -18,4 +18,5 @@ mod in_memory;
 mod paged;
 
 pub use in_memory::InMemoryDict;
+pub(crate) use paged::DictEntry;
 pub use paged::{DictLookup, HandleCache, PagedDictBuildStats, PagedDictionary};

@@ -76,6 +76,18 @@ impl HandleCache {
         Ok(g)
     }
 
+    /// Pins every page of `keys` not cached yet with one batched pin —
+    /// adjacent pages of a chain arrive in one ranged read — and caches the
+    /// handles.
+    pub fn pin_all(&mut self, keys: &[PageKey]) -> CoreResult<()> {
+        let missing: Vec<PageKey> =
+            keys.iter().copied().filter(|k| !self.map.contains_key(k)).collect();
+        for (key, guard) in missing.iter().zip(self.pool.pin_many(&missing)) {
+            self.map.insert(*key, guard.map_err(CoreError::Storage)?);
+        }
+        Ok(())
+    }
+
     /// Number of cached handles.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -123,6 +135,32 @@ impl PageTransient {
         }
         let heap = offsets.capacity() * 4;
         Ok((PageTransient { first_idx, offsets }, heap))
+    }
+}
+
+/// One dictionary entry read off its page: the on-page bytes of the
+/// (possibly compressed) key, and what is still missing of it.
+pub(crate) struct DictEntry {
+    bytes: Vec<u8>,
+    /// Off-page pieces not appended yet, in order.
+    pub(crate) overflow: Vec<OverflowRef>,
+    /// Length of the complete entry.
+    total: u64,
+}
+
+impl DictEntry {
+    /// Appends the off-page piece `r` from its pinned overflow page.
+    pub(crate) fn append_piece(&mut self, r: &OverflowRef, page: &[u8]) -> CoreResult<()> {
+        let piece = page.get(..r.len as usize).ok_or_else(|| {
+            CoreError::Storage(StorageError::corrupt(format!(
+                "overflow piece on page {} claims {} bytes of a {}-byte page",
+                r.page_no,
+                r.len,
+                page.len()
+            )))
+        })?;
+        self.bytes.extend_from_slice(piece);
+        Ok(())
     }
 }
 
@@ -473,14 +511,88 @@ impl PagedDictionary {
     }
 
     /// `findByValueID` (Alg. 3): materializes the key encoded by `vid`.
+    /// The single-lookup form; batches go through
+    /// [`crate::column::materialize`], which drives the same page-level
+    /// steps over batched pins.
     pub fn key_by_vid(&self, vid: u64, cache: &mut HandleCache) -> CoreResult<Vec<u8>> {
+        self.check_vid(vid)?;
+        self.preload_helpers(cache)?;
+        let hp = self.vid_helper_page(vid);
+        let helper = cache.pin(self.vid_helper_key(hp))?;
+        let dict_page = self.dict_page_on_helper(&helper, hp, vid);
+        let guard = cache.pin(self.dict_page_key(dict_page))?;
+        let mut entry = self.entry_on_page(&guard, dict_page, vid)?;
+        for r in std::mem::take(&mut entry.overflow) {
+            let piece = cache.pin(self.overflow_key(&r))?;
+            entry.append_piece(&r, &piece)?;
+        }
+        self.finish_key(entry)
+    }
+
+    /// Errors unless `vid` is a valid identifier of this dictionary.
+    pub(crate) fn check_vid(&self, vid: u64) -> CoreResult<()> {
         if vid >= self.meta.cardinality {
             return Err(CoreError::VidOutOfBounds { vid, cardinality: self.meta.cardinality });
         }
-        self.preload_helpers(cache)?;
-        let dict_page = self.dict_page_for_vid(vid, cache)?;
-        let guard = cache.pin(PageKey::new(self.meta.dict_chain.chain, dict_page))?;
-        let t = page_transient(&guard)?;
+        Ok(())
+    }
+
+    /// Routes a (bounds-checked) vid to the `ipDict_ValueId` helper page
+    /// holding its entry, from the in-memory residue alone.
+    pub(crate) fn vid_helper_page(&self, vid: u64) -> u64 {
+        let hp = self.meta.vid_helper_page_last.partition_point(|&last| last < vid);
+        debug_assert!(hp < self.meta.vid_helper_page_last.len(), "vid bounds checked by caller");
+        hp as u64
+    }
+
+    /// The store address of `ipDict_ValueId` helper page `hp`.
+    pub(crate) fn vid_helper_key(&self, hp: u64) -> PageKey {
+        PageKey::new(self.meta.vid_helper_chain.chain, hp)
+    }
+
+    /// Looks `vid` up on its pinned helper page `hp`: the number of the
+    /// dictionary page storing it.
+    pub(crate) fn dict_page_on_helper(&self, helper: &[u8], hp: u64, vid: u64) -> u64 {
+        let epp = self.meta.vid_helper_chain.page_size / 8;
+        let start = hp as usize * epp;
+        let count = (self.meta.dict_pages as usize - start).min(epp);
+        // Binary search the little-endian u64 array for the first last-vid
+        // >= vid.
+        let read = |i: usize| -> u64 { crate::util::le_u64(&helper[i * 8..i * 8 + 8]) };
+        let mut lo = 0usize;
+        let mut hi = count;
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if read(mid) < vid {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        debug_assert!(lo < count, "vid {vid} beyond the last dictionary page");
+        (start + lo) as u64
+    }
+
+    /// The store address of dictionary page `dict_page`.
+    pub(crate) fn dict_page_key(&self, dict_page: u64) -> PageKey {
+        PageKey::new(self.meta.dict_chain.chain, dict_page)
+    }
+
+    /// The store address of the overflow page `r` points at.
+    pub(crate) fn overflow_key(&self, r: &OverflowRef) -> PageKey {
+        PageKey::new(self.meta.overflow_chain.chain, r.page_no)
+    }
+
+    /// Reads `vid`'s entry off its pinned dictionary page: the on-page part
+    /// of the (possibly FSST-compressed) key plus the pointers to its
+    /// off-page pieces, which the caller fetches and appends in order.
+    pub(crate) fn entry_on_page(
+        &self,
+        guard: &PageGuard,
+        dict_page: u64,
+        vid: u64,
+    ) -> CoreResult<DictEntry> {
+        let t = page_transient(guard)?;
         if vid < t.first_idx {
             return Err(CoreError::Storage(StorageError::corrupt(format!(
                 "vid {vid} routed to dictionary page {dict_page} starting at {}",
@@ -495,17 +607,32 @@ impl PagedDictionary {
                 t.offsets.len()
             ))));
         }
-        let block = parse_block_view(&guard, t.offsets[block_no])?;
+        let block = parse_block_view(guard, t.offsets[block_no])?;
         if slot >= block.len() {
             return Err(CoreError::Storage(StorageError::corrupt(format!(
                 "vid {vid} maps to slot {slot} of a {}-entry block",
                 block.len()
             ))));
         }
-        let raw = self.with_overflow_fetch(cache, |fetch| block.materialize(slot, fetch))?;
+        let mut bytes = Vec::new();
+        let (overflow, total) = block.materialize_onpage_into(slot, &mut bytes)?;
+        Ok(DictEntry { bytes, overflow, total })
+    }
+
+    /// Turns a fully assembled entry into the raw key: checks its length
+    /// and decompresses it when the chain is FSST-coded.
+    pub(crate) fn finish_key(&self, entry: DictEntry) -> CoreResult<Vec<u8>> {
+        debug_assert!(entry.overflow.is_empty(), "off-page pieces are appended first");
+        if entry.bytes.len() as u64 != entry.total {
+            return Err(CoreError::Storage(StorageError::corrupt(format!(
+                "materialized {} bytes, expected {}",
+                entry.bytes.len(),
+                entry.total
+            ))));
+        }
         match &self.meta.fsst {
-            Some(table) => Ok(table.decode(&raw)?),
-            None => Ok(raw),
+            Some(table) => Ok(table.decode(&entry.bytes)?),
+            None => Ok(entry.bytes),
         }
     }
 
@@ -670,32 +797,6 @@ impl PagedDictionary {
         }
     }
 
-    /// Routes a vid to its dictionary page through the paged
-    /// `ipDict_ValueId` helper.
-    fn dict_page_for_vid(&self, vid: u64, cache: &mut HandleCache) -> CoreResult<u64> {
-        let hp = self.meta.vid_helper_page_last.partition_point(|&last| last < vid);
-        debug_assert!(hp < self.meta.vid_helper_page_last.len(), "vid bounds checked by caller");
-        let guard = cache.pin(PageKey::new(self.meta.vid_helper_chain.chain, hp as u64))?;
-        let epp = self.meta.vid_helper_chain.page_size / 8;
-        let start = hp * epp;
-        let count = (self.meta.dict_pages as usize - start).min(epp);
-        // Binary search the little-endian u64 array for the first last-vid
-        // >= vid.
-        let read = |i: usize| -> u64 { crate::util::le_u64(&guard[i * 8..i * 8 + 8]) };
-        let mut lo = 0usize;
-        let mut hi = count;
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if read(mid) < vid {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        debug_assert!(lo < count, "vid {vid} beyond the last dictionary page");
-        Ok((start + lo) as u64)
-    }
-
     /// Pins every page of both helper chains for the dictionary's lifetime
     /// — the "always loaded" helper-dictionary variant the paper's §6.2.2
     /// recommends after observing the Fig. 6 burst. Pinned pages are immune
@@ -724,20 +825,24 @@ impl PagedDictionary {
         !self.pinned_helpers.lock().is_empty()
     }
 
-    /// Pre-loads both helper chains on the first access (§3.2.3). The pages
-    /// become pool-resident (and individually evictable later); guards are
-    /// not retained.
+    /// Pre-loads both helper chains on the first access (§3.2.3) with one
+    /// batched pin — the pages of a chain are consecutive, so each chain
+    /// arrives in ranged reads. The pages become pool-resident (and
+    /// individually evictable once the cache lets go of them).
     fn preload_helpers(&self, cache: &mut HandleCache) -> CoreResult<()> {
+        cache.pin_all(&self.take_preload())
+    }
+
+    /// The pages to pre-load on the first access to this dictionary — every
+    /// page of both helper chains — and nothing on any later call.
+    pub(crate) fn take_preload(&self) -> Vec<PageKey> {
         if self.helpers_preloaded.swap(true, Ordering::Relaxed) {
-            return Ok(());
+            return Vec::new();
         }
-        for p in 0..self.meta.vid_helper_chain.pages {
-            cache.pin(PageKey::new(self.meta.vid_helper_chain.chain, p))?;
-        }
-        for p in 0..self.meta.value_helper_chain.pages {
-            cache.pin(PageKey::new(self.meta.value_helper_chain.chain, p))?;
-        }
-        Ok(())
+        [&self.meta.vid_helper_chain, &self.meta.value_helper_chain]
+            .into_iter()
+            .flat_map(|c| (0..c.pages).map(|p| PageKey::new(c.chain, p)))
+            .collect()
     }
 
     /// Runs `f` with an overflow-piece fetcher that pins pages through the

@@ -7,7 +7,7 @@ use payg_core::dict::{HandleCache, PagedDictionary};
 use payg_core::invidx::{InMemoryInvertedIndex, PagedInvertedIndex};
 use payg_core::{ColumnBuilder, DataType, LoadPolicy, PageConfig, Value, ValuePredicate};
 use payg_encoding::{BitPackedVec, VidSet};
-use payg_resman::ResourceManager;
+use payg_resman::{PoolLimits, ResourceManager};
 use payg_storage::{BufferPool, MemStore};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -343,6 +343,77 @@ proptest! {
             broken[0] ^= 0xFF;
             let _ = Column::open(&pool, &broken);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Phased late materialization over several columns at once ≡ each
+    /// paged column's own `get_values` ≡ the resident column ≡ the source
+    /// values, for arbitrary row lists (unsorted, duplicates) over columns
+    /// that cover the special shapes — a width-0 data vector, values large
+    /// enough to spill into overflow pages, FSST-compressed and plain
+    /// dictionaries — with the paged pool limited to less than one wave,
+    /// so the pages of a phase are evicted between (and during) waves.
+    #[test]
+    fn phased_projection_equals_per_column_and_resident(
+        n_rows in 1usize..260,
+        card in 1u64..200,
+        salt in any::<u64>(),
+        picks in prop::collection::vec(any::<u32>(), 0..150),
+        fsst in any::<bool>(),
+    ) {
+        let mix = |i: usize, k: u64| {
+            (salt ^ k).wrapping_add(i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17
+        };
+        let sources: Vec<(DataType, Vec<Value>)> = vec![
+            // One distinct value: width 0, no data-vector pages at all.
+            (DataType::Integer, vec![Value::Integer(salt as i64 >> 8); n_rows]),
+            (DataType::Integer, (0..n_rows).map(|i| Value::Integer((mix(i, 1) % card) as i64)).collect()),
+            // Every fifth distinct value is far larger than a dictionary
+            // page: its tail lives on the overflow chain.
+            (DataType::Varchar, (0..n_rows).map(|i| {
+                let v = mix(i, 2) % card;
+                let tail = if v % 5 == 0 { "/segment".repeat(30 + v as usize % 40) } else { String::new() };
+                Value::Varchar(format!("order-{v:05}{tail}"))
+            }).collect()),
+            (DataType::Varchar, (0..n_rows).map(|i| Value::Varchar(format!("customer-{:06}", mix(i, 3) % 100_000))).collect()),
+        ];
+        // Roomy enough for a 16-entry block of spilled entries; the wave is
+        // WAVE_PAGES pages, the pool limit a handful.
+        let config =
+            PageConfig { dict_page: 2048, overflow_page: 256, dict_fsst: fsst, ..PageConfig::tiny() };
+        let resman = ResourceManager::with_paged_limits(PoolLimits::new(1024, 4096));
+        prop_assert!(4096 < payg_core::column::WAVE_PAGES * config.datavec_page);
+        let pool = BufferPool::new(Arc::new(MemStore::new()), resman);
+        let build = |policy: LoadPolicy| -> Vec<payg_core::Column> {
+            sources
+                .iter()
+                .map(|(ty, values)| {
+                    ColumnBuilder::new(*ty).policy(policy).build(&pool, &config, values).unwrap().column
+                })
+                .collect()
+        };
+        let paged = build(LoadPolicy::PageLoadable);
+        let resident = build(LoadPolicy::FullyResident);
+        let rows: Vec<u64> = picks.iter().map(|&p| u64::from(p) % n_rows as u64).collect();
+
+        let mixed: Vec<&payg_core::Column> = paged.iter().chain(&resident).collect();
+        let phased = payg_core::column::materialize(&mixed, &rows).unwrap();
+        prop_assert_eq!(phased.len(), 2 * sources.len());
+        for (c, (_, values)) in sources.iter().enumerate() {
+            let expect: Vec<Value> = rows.iter().map(|&r| values[r as usize].clone()).collect();
+            prop_assert_eq!(&phased[c], &expect, "phased, paged column {}", c);
+            prop_assert_eq!(&phased[sources.len() + c], &expect, "phased, resident column {}", c);
+            prop_assert_eq!(&paged[c].get_values(&rows).unwrap(), &expect, "get_values, column {}", c);
+            prop_assert_eq!(&resident[c].get_values(&rows).unwrap(), &expect);
+        }
+        // Out-of-range rows are an error, not a panic, wherever they sit.
+        let mut bad = rows.clone();
+        bad.insert(bad.len() / 2, n_rows as u64);
+        prop_assert!(payg_core::column::materialize(&mixed[..sources.len()], &bad).is_err());
+        pool.assert_no_live_pins("phased projection quiesce");
     }
 }
 

@@ -387,6 +387,19 @@ impl ResourceManager {
         self.unload_paged_to(limits.lower_bytes, true)
     }
 
+    /// The proactive pass run **by a producer**: a caller that has just
+    /// grown the paged pool in a burst (a batched pin's wave of loads) runs
+    /// the pass itself if the pool is over its upper limit, instead of
+    /// leaving the overshoot to last until the asynchronous worker gets
+    /// scheduled. A no-op under manual limits, where passes are driven
+    /// explicitly. Returns the bytes freed.
+    pub fn assist_proactive(&self) -> usize {
+        if self.inner.proactive.lock().is_none() {
+            return 0;
+        }
+        self.proactive_unload()
+    }
+
     fn unload_paged_to(&self, target_bytes: usize, proactive: bool) -> usize {
         let victims = {
             let mut st = self.inner.state.lock();

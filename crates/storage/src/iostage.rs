@@ -4,11 +4,14 @@
 //! A pool miss no longer reads the store inline. Instead the pinning thread
 //! installs its single-flight `Loading` slot as before, then submits a
 //! [`FetchRequest`] to a bounded two-class queue and parks on a completion
-//! *ticket*. A small worker pool drains the queue in batches, sorts each
-//! batch by `(chain, page_no)`, and **coalesces adjacent page numbers into
-//! one ranged [`read_pages`](crate::PageStore::read_pages) call** — so a
+//! *ticket*. A worker pool drains the queue **one coalescible run at a
+//! time**: a worker pops the oldest request together with every queued
+//! request for an adjacent page of the same chain and issues **one ranged
+//! [`read_pages`](crate::PageStore::read_pages) call** for the run — so a
 //! cold sweep whose misses arrive from many scan workers pays one
-//! positioned read per run of consecutive pages instead of one per page.
+//! positioned read per run of consecutive pages instead of one per page,
+//! and a burst of unrelated misses (a batched pin's wave) spreads over as
+//! many workers as it has runs instead of serialising behind one.
 //!
 //! Every request still completes *individually*: per-page CRC verification
 //! happens inside the store's ranged read, a transient fault on one page of
@@ -24,6 +27,10 @@
 //! the submitter withdraws its `Loading` slot and publishes so any pin that
 //! joined in the meantime re-inspects and loads itself.
 //!
+//! A batched pin ([`BufferPool::pin_many`](crate::BufferPool::pin_many))
+//! submits all of a call's misses under one queue-lock acquisition and
+//! parks once on a multi-slot ticket; the submit wakes one worker per run.
+//!
 //! Lock ranks: the queue mutex is rank `IoQueue` (3), below every pool
 //! lock, and is never held across a store call; tickets are rank `IoTicket`
 //! (6) and are waited on with no other lock held. Under the `payg_check`
@@ -38,16 +45,26 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 
+/// Default I/O depth: worker threads, hence physical reads in flight.
+/// I/O workers block on the device, so they are sized by how many reads the
+/// store can overlap, not by CPU count. Chosen from the sweep recorded in
+/// DESIGN.md §11 ({2, 4, 8, 16} workers on `cold_pressure`: throughput
+/// rises up to 8 and is flat beyond).
+const DEFAULT_IO_WORKERS: usize = 8;
+
+/// Longest ranged read one worker issues. Bounds the bytes charged in
+/// flight per read and splits a long consecutive backlog (a scan's
+/// read-ahead window) over several workers.
+const MAX_RUN_PAGES: u64 = 16;
+
 /// Tuning for the cold-path I/O stage. [`Default`] matches
-/// [`PoolConfig::default`](crate::PoolConfig): two workers, 16-page
-/// batches, a 256-entry prefetch backlog.
+/// [`PoolConfig::default`](crate::PoolConfig): 8 workers (the measured
+/// I/O depth, `DEFAULT_IO_WORKERS`), a 256-entry prefetch backlog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoStageConfig {
     /// I/O worker threads draining the submission queue. `0` disables the
     /// stage (misses fetch inline, exactly the pre-stage pool).
     pub workers: usize,
-    /// Maximum requests popped (and thus coalesced) per worker wakeup.
-    pub max_batch: usize,
     /// Prefetch-class backlog bound; submissions beyond it are cancelled.
     /// Urgent requests are never dropped.
     pub queue_cap: usize,
@@ -55,34 +72,24 @@ pub struct IoStageConfig {
 
 impl Default for IoStageConfig {
     fn default() -> Self {
-        IoStageConfig { workers: 2, max_batch: 16, queue_cap: 256 }
+        IoStageConfig { workers: DEFAULT_IO_WORKERS, queue_cap: 256 }
     }
 }
 
-/// Urgency of one fetch request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DeadlineClass {
-    /// A pinning thread is parked on the completion; pops before any
-    /// prefetch and is never dropped.
-    Urgent,
-    /// Advisory read-ahead: droppable when the backlog is full, completes
-    /// by leaving the frame resident and unpinned.
-    Prefetch,
-}
-
-/// How a completed fetch is delivered.
+/// How a completed fetch is delivered — which is also its deadline class.
 pub(crate) enum Completion {
-    /// A pin is parked on this ticket; resolve it with the pinned frame or
-    /// the raw load error.
-    Ticket(Arc<Ticket>),
-    /// Advisory: leave the frame resident, release the registration pin.
+    /// Urgent: a pin is parked on this ticket; resolve the given slot of it
+    /// with the pinned frame or the raw load error. Pops before any
+    /// prefetch and is never dropped.
+    Ticket(Arc<Ticket>, usize),
+    /// Advisory read-ahead: droppable when the backlog is full, completes
+    /// by leaving the frame resident and releasing the registration pin.
     Advisory,
 }
 
 /// One queued cold-path fetch.
 pub(crate) struct FetchRequest {
     pub key: PageKey,
-    pub class: DeadlineClass,
     /// The single-flight slot this request owns; completion publishes or
     /// fails it (with the usual pointer-identity ABA guard).
     pub ls: Arc<LoadState>,
@@ -94,42 +101,58 @@ pub(crate) struct FetchRequest {
     pub span: u64,
 }
 
-enum TicketState {
-    Pending,
-    Done(StorageResult<Arc<Frame>>),
+struct TicketState {
+    /// One slot per request of the submit, filled as workers complete them.
+    slots: Vec<Option<StorageResult<Arc<Frame>>>>,
+    pending: usize,
 }
 
-/// Completion latch between a submitting pin and the worker resolving it.
-/// A resolved `Ok` carries the frame *with its registration pin still
-/// held*: the submitter turns it into a `PageGuard` without a pin/evict
-/// race, exactly like the inline load path.
+/// Completion latch between a submitting pin and the workers resolving its
+/// requests: one slot per request, one wake-up when the last one lands — a
+/// batched pin parks once per wave, not once per page. A resolved `Ok`
+/// carries the frame *with its registration pin still held*: the submitter
+/// turns it into a `PageGuard` without a pin/evict race, exactly like the
+/// inline load path.
 pub(crate) struct Ticket {
     state: Mutex<TicketState>,
     cv: Condvar,
 }
 
 impl Ticket {
-    pub fn new() -> Arc<Self> {
+    /// A ticket awaiting `n` completions.
+    pub fn new(n: usize) -> Arc<Self> {
         Arc::new(Ticket {
-            state: Mutex::with_rank(TicketState::Pending, LockRank::IoTicket),
+            state: Mutex::with_rank(
+                TicketState { slots: (0..n).map(|_| None).collect(), pending: n },
+                LockRank::IoTicket,
+            ),
             cv: Condvar::new(),
         })
     }
 
-    fn resolve(&self, result: StorageResult<Arc<Frame>>) {
-        *self.state.lock() = TicketState::Done(result);
-        self.cv.notify_all();
+    fn resolve(&self, slot: usize, result: StorageResult<Arc<Frame>>) {
+        let mut state = self.state.lock();
+        debug_assert!(state.slots[slot].is_none(), "ticket slot resolved twice");
+        state.slots[slot] = Some(result);
+        state.pending -= 1;
+        if state.pending == 0 {
+            self.cv.notify_all();
+        }
     }
 
-    /// Blocks until the worker resolves this ticket.
-    pub fn wait(&self) -> StorageResult<Arc<Frame>> {
+    /// Blocks until every slot is resolved; returns the results in slot
+    /// order. A failed member never holds the others back: each request
+    /// completes on its own.
+    pub fn wait(&self) -> Vec<StorageResult<Arc<Frame>>> {
         let mut state = self.state.lock();
-        loop {
-            match std::mem::replace(&mut *state, TicketState::Pending) {
-                TicketState::Pending => self.cv.wait(&mut state),
-                TicketState::Done(result) => return result,
-            }
+        while state.pending > 0 {
+            self.cv.wait(&mut state);
         }
+        std::mem::take(&mut state.slots)
+            .into_iter()
+            // lint: allow(unwrap) invariant: pending == 0 means every slot was resolved
+            .map(|slot| slot.expect("resolved slot"))
+            .collect()
     }
 }
 
@@ -144,10 +167,12 @@ struct IoQueue {
     state: Mutex<QueueState>,
     cv: Condvar,
     prefetch_cap: usize,
+    /// Worker threads draining this queue (how many a burst can wake).
+    workers: usize,
 }
 
 impl IoQueue {
-    fn new(prefetch_cap: usize) -> Arc<Self> {
+    fn new(prefetch_cap: usize, workers: usize) -> Arc<Self> {
         Arc::new(IoQueue {
             state: Mutex::with_rank(
                 QueueState { urgent: VecDeque::new(), prefetch: VecDeque::new(), closed: false },
@@ -155,16 +180,34 @@ impl IoQueue {
             ),
             cv: Condvar::new(),
             prefetch_cap,
+            workers,
         })
     }
 
-    /// Enqueues an urgent request (always accepted); returns the queue
-    /// depth after the push.
-    fn push_urgent(&self, req: FetchRequest) -> usize {
+    /// Enqueues a burst of urgent requests (always accepted) under one
+    /// lock acquisition and wakes one worker per coalescible run queued —
+    /// consecutive pages of one chain, in submission order, ride one read.
+    /// Returns the queue depth after the push.
+    fn push_urgent(&self, reqs: Vec<FetchRequest>) -> usize {
         let mut st = self.state.lock();
-        st.urgent.push_back(req);
+        let mut runs = 0usize;
+        let mut prev: Option<PageKey> = None;
+        for req in reqs {
+            let adjacent = prev.is_some_and(|p| {
+                p.chain == req.key.chain && p.page_no.wrapping_add(1) == req.key.page_no
+            });
+            runs += usize::from(!adjacent);
+            prev = Some(req.key);
+            st.urgent.push_back(req);
+        }
         let depth = st.urgent.len() + st.prefetch.len();
-        self.cv.notify_one();
+        if runs >= self.workers {
+            self.cv.notify_all();
+        } else {
+            for _ in 0..runs {
+                self.cv.notify_one();
+            }
+        }
         depth
     }
 
@@ -181,30 +224,49 @@ impl IoQueue {
         Ok(depth)
     }
 
-    /// Pops up to `max` requests, urgent class first. Blocks while the
-    /// queue is empty; returns `None` once closed *and* drained.
-    fn pop_batch(&self, max: usize) -> Option<Vec<FetchRequest>> {
+    /// Pops one coalescible run: the oldest request (urgent class first)
+    /// plus every queued request of either class whose page extends it into
+    /// a run of consecutive pages of the same chain, at most
+    /// [`MAX_RUN_PAGES`] long, sorted by page number. Everything else stays
+    /// queued for the sibling workers. Blocks while the queue is empty;
+    /// returns `None` once closed *and* drained.
+    fn pop_run(&self) -> Option<Vec<FetchRequest>> {
         let mut st = self.state.lock();
-        loop {
-            if st.urgent.is_empty() && st.prefetch.is_empty() {
-                if st.closed {
-                    return None;
-                }
-                self.cv.wait(&mut st);
-                continue;
+        let head = loop {
+            if let Some(r) = st.urgent.pop_front().or_else(|| st.prefetch.pop_front()) {
+                break r;
             }
-            let mut out = Vec::new();
-            while out.len() < max {
-                if let Some(r) = st.urgent.pop_front() {
-                    out.push(r);
-                } else if let Some(r) = st.prefetch.pop_front() {
-                    out.push(r);
-                } else {
-                    break;
-                }
+            if st.closed {
+                return None;
             }
-            return Some(out);
+            self.cv.wait(&mut st);
+        };
+        let chain = head.key.chain;
+        let (mut lo, mut hi) = (head.key.page_no, head.key.page_no);
+        let mut run = vec![head];
+        // Grow the run one neighbour at a time, upwards first. Taking the
+        // first queued request per page keeps the run one request per page
+        // even if a page were queued twice (the second stays behind).
+        while hi - lo + 1 < MAX_RUN_PAGES {
+            let st = &mut *st;
+            let mut take = |page: u64| {
+                [&mut st.urgent, &mut st.prefetch].into_iter().find_map(|queue| {
+                    let at = queue.iter().position(|r| r.key == PageKey::new(chain, page))?;
+                    queue.remove(at)
+                })
+            };
+            if let Some(r) = hi.checked_add(1).and_then(&mut take) {
+                hi += 1;
+                run.push(r);
+            } else if let Some(r) = lo.checked_sub(1).and_then(&mut take) {
+                lo -= 1;
+                run.push(r);
+            } else {
+                break;
+            }
         }
+        run.sort_unstable_by_key(|r| r.key.page_no);
+        Some(run)
     }
 
     fn close(&self) {
@@ -230,15 +292,14 @@ impl IoStage {
         if workers == 0 {
             return None;
         }
-        let queue = IoQueue::new(config.queue_cap.max(1));
-        let max_batch = config.max_batch.max(1);
+        let queue = IoQueue::new(config.queue_cap.max(1), workers);
         let handles = (0..workers)
             .map(|i| {
                 let queue = Arc::clone(&queue);
                 let pool = Weak::clone(pool);
                 std::thread::Builder::new()
                     .name(format!("payg-io-{i}"))
-                    .spawn(move || worker_loop(&pool, &queue, max_batch))
+                    .spawn(move || worker_loop(&pool, &queue))
                     // lint: allow(unwrap) invariant: thread spawn fails only on OS resource exhaustion
                     .expect("spawn io-stage worker")
             })
@@ -246,15 +307,17 @@ impl IoStage {
         Some(IoStage { queue, workers: handles })
     }
 
-    /// Submits a request, routed by its [`DeadlineClass`]: urgent requests
-    /// are always accepted, prefetch requests are handed back for
-    /// cancellation when the backlog is full. Returns the queue depth
-    /// after an accepted push.
-    pub fn submit(&self, req: FetchRequest) -> Result<usize, FetchRequest> {
-        match req.class {
-            DeadlineClass::Urgent => Ok(self.queue.push_urgent(req)),
-            DeadlineClass::Prefetch => self.queue.push_prefetch(req),
-        }
+    /// Submits the urgent (ticketed) requests of one pin call — always
+    /// accepted, one queue-lock acquisition, one worker woken per
+    /// coalescible run. Returns the queue depth after the push.
+    pub fn submit(&self, reqs: Vec<FetchRequest>) -> usize {
+        self.queue.push_urgent(reqs)
+    }
+
+    /// Submits an advisory prefetch, handed back for cancellation when the
+    /// backlog is full. Returns the queue depth after an accepted push.
+    pub fn submit_prefetch(&self, req: FetchRequest) -> Result<usize, FetchRequest> {
+        self.queue.push_prefetch(req)
     }
 }
 
@@ -274,39 +337,15 @@ impl Drop for IoStage {
     }
 }
 
-fn worker_loop(pool: &Weak<PoolInner>, queue: &Arc<IoQueue>, max_batch: usize) {
-    while let Some(batch) = queue.pop_batch(max_batch) {
+fn worker_loop(pool: &Weak<PoolInner>, queue: &Arc<IoQueue>) {
+    while let Some(run) = queue.pop_run() {
         let Some(pool) = pool.upgrade() else {
             // Pool destruction in progress: no ticket can exist (tickets
             // are only held by live pins), so leftover advisory requests
             // are simply dropped.
             continue;
         };
-        process_batch(&pool, batch);
-    }
-}
-
-/// Sorts a popped batch by `(chain, page_no)` and fetches each run of
-/// consecutive pages with one ranged read.
-fn process_batch(pool: &Arc<PoolInner>, mut batch: Vec<FetchRequest>) {
-    batch.sort_by_key(|r| (r.key.chain.0, r.key.page_no));
-    let mut runs: Vec<usize> = Vec::new();
-    let mut start = 0usize;
-    for i in 1..batch.len() {
-        let prev = batch[i - 1].key;
-        let cur = batch[i].key;
-        if cur.chain != prev.chain || cur.page_no != prev.page_no.wrapping_add(1) {
-            runs.push(i - start);
-            start = i;
-        }
-    }
-    if !batch.is_empty() {
-        runs.push(batch.len() - start);
-    }
-    let mut it = batch.into_iter();
-    for len in runs {
-        let run: Vec<FetchRequest> = it.by_ref().take(len).collect();
-        process_run(pool, run);
+        process_run(&pool, run);
     }
 }
 
@@ -452,7 +491,7 @@ fn complete(pool: &Arc<PoolInner>, req: FetchRequest, outcome: StorageResult<Box
             req.ls.publish();
             match req.completion {
                 // The registration pin rides the ticket to the submitter.
-                Completion::Ticket(ticket) => ticket.resolve(Ok(frame)),
+                Completion::Ticket(ticket, slot) => ticket.resolve(slot, Ok(frame)),
                 Completion::Advisory => pool.resman.unpin(frame.rid()),
             }
         }
@@ -486,7 +525,7 @@ fn complete(pool: &Arc<PoolInner>, req: FetchRequest, outcome: StorageResult<Box
             );
             req.ls.fail(shared);
             match req.completion {
-                Completion::Ticket(ticket) => ticket.resolve(Err(err)),
+                Completion::Ticket(ticket, slot) => ticket.resolve(slot, Err(err)),
                 Completion::Advisory => {}
             }
         }

@@ -32,11 +32,11 @@ pub mod sync;
 pub use chain::{ChainRef, ChainWriter};
 pub use checksum::{crc32, page_checksum, Crc32};
 pub use error::{FaultClass, StorageError, StorageResult};
-pub use iostage::{DeadlineClass, IoStageConfig};
+pub use iostage::IoStageConfig;
 pub use metrics::{PoolMetrics, ShardMetrics};
 pub use page::{ChainId, PageKey};
 pub use pool::{
-    BufferPool, PageGuard, PoolConfig, Prefetcher, RetryPolicy, DEFAULT_SHARD_COUNT,
+    BufferPool, PageGuard, PoolConfig, RetryPolicy, DEFAULT_SHARD_COUNT,
 };
 pub use store::{
     real_sleeper, FaultPlan, FaultyStore, FileStore, GateStore, IoProfile, LatencyStore, MemStore,

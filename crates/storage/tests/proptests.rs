@@ -191,4 +191,114 @@ proptest! {
             "coalescing never issues more reads than requests: {:?}", m);
         staged.assert_no_live_pins("staged proptest quiesce");
     }
+
+    /// `pin_many` ≡ pinning the same keys one after another: per key the
+    /// same bytes or the same typed error, the same `hits` / `misses` /
+    /// `loads`, and no pin outlives its guard — over arbitrary key lists
+    /// (duplicates, unsorted, two chains) against pages that are resident,
+    /// absent, in flight (an accepted prefetch) or quarantined, with
+    /// transient outages absorbed by the retry policy and corrupt pages
+    /// failing alone.
+    // Without stage threads `pin_many` *is* the sequential loop.
+    #[cfg(not(payg_check))]
+    #[test]
+    fn pin_many_equals_sequential_pins(
+        n_pages in 2u64..14,
+        picks in prop::collection::vec((any::<bool>(), any::<u8>()), 1..40),
+        warm in prop::collection::vec((any::<bool>(), any::<u8>()), 0..8),
+        inflight in prop::collection::vec((any::<bool>(), any::<u8>()), 0..6),
+        bad in prop::collection::vec((any::<bool>(), any::<u8>()), 1..4),
+        fault_mode in 0u8..3,
+        outage in (0u64..20, 1u64..3),
+    ) {
+        // Two identical worlds; `batched` is driven through pin_many,
+        // `sequential` through single pins.
+        let world = || {
+            let store = Arc::new(FaultyStore::new(MemStore::new(), FaultPlan::None));
+            let chains = [store.create_chain(48).unwrap(), store.create_chain(48).unwrap()];
+            for (c, chain) in chains.iter().enumerate() {
+                for p in 0..n_pages {
+                    store.append_page(*chain, &[(c as u8) << 6 | p as u8; 16]).unwrap();
+                }
+            }
+            let resman = ResourceManager::new();
+            resman.set_paged_limits_manual(Some(PoolLimits::new(0, usize::MAX)));
+            let pool = BufferPool::with_config(
+                Arc::clone(&store) as Arc<dyn PageStore>,
+                resman.clone(),
+                PoolConfig {
+                    retry: RetryPolicy { max_attempts: 4, ..RetryPolicy::default() },
+                    sleeper: Arc::new(|_| {}),
+                    ..PoolConfig::default()
+                },
+            );
+            (store, chains, resman, pool)
+        };
+        let (store_a, chains, resman_a, batched) = world();
+        let (store_b, chains_b, resman_b, sequential) = world();
+        prop_assert_eq!(chains, chains_b, "both stores number their chains alike");
+        let key = |&(second, sel): &(bool, u8)| {
+            PageKey::new(chains[usize::from(second)], u64::from(sel) % n_pages)
+        };
+        let corrupt: Vec<PageKey> =
+            if fault_mode == 1 { bad.iter().map(key).collect() } else { Vec::new() };
+        let keys: Vec<PageKey> = picks.iter().map(key).collect();
+        for (store, pool) in [(&store_a, &batched), (&store_b, &sequential)] {
+            // Resident pages, and (under the corrupt plan) quarantined ones.
+            for k in warm.iter().map(key).filter(|k| !corrupt.contains(k)) {
+                drop(pool.pin(k).unwrap());
+            }
+            match fault_mode {
+                1 => {
+                    store.set_plan(FaultPlan::CorruptPages(corrupt.clone()));
+                    prop_assert!(pool.pin(corrupt[0]).is_err());
+                    prop_assert!(pool.is_quarantined(corrupt[0]));
+                }
+                2 => store.set_plan(FaultPlan::Transient {
+                    after: store.reads() + outage.0,
+                    count: outage.1,
+                }),
+                _ => {}
+            }
+            // Loads in flight (or just landed) when the pins arrive.
+            for k in inflight.iter().map(key).filter(|k| !corrupt.contains(k)) {
+                pool.prefetch_submit(k);
+            }
+        }
+        let got = batched.pin_many(&keys);
+        let want: Vec<_> = keys.iter().map(|&k| sequential.pin(k)).collect();
+        prop_assert_eq!(got.len(), keys.len());
+        for ((k, a), b) in keys.iter().zip(&got).zip(&want) {
+            match (a, b) {
+                (Ok(a), Ok(b)) => {
+                    prop_assert_eq!(a.key(), *k);
+                    prop_assert_eq!(&a[..], &b[..], "bytes of {:?}", k);
+                }
+                (Err(a), Err(b)) => {
+                    prop_assert!(corrupt.contains(k), "only corrupt pages fail: {:?} {}", k, a);
+                    prop_assert_eq!(
+                        std::mem::discriminant(a), std::mem::discriminant(b),
+                        "typed error of {:?}: batched {} vs sequential {}", k, a, b
+                    );
+                }
+                (a, b) => prop_assert!(
+                    false, "{:?}: batched ok={} sequential ok={}", k, a.is_ok(), b.is_ok()
+                ),
+            }
+        }
+        let (a, b) = (batched.metrics(), sequential.metrics());
+        prop_assert_eq!((a.hits, a.misses, a.loads), (b.hits, b.misses, b.loads),
+            "batched {:?} vs sequential {:?}", a, b);
+        prop_assert_eq!(a.io_completions, a.io_submitted, "every request completes: {:?}", a);
+        // No pin survives its guard: with the guards gone every page is
+        // evictable again.
+        drop(got);
+        drop(want);
+        for (resman, pool) in [(&resman_a, &batched), (&resman_b, &sequential)] {
+            pool.assert_no_live_pins("pin_many proptest quiesce");
+            resman.quiesce();
+            resman.reactive_unload();
+            prop_assert_eq!(pool.resident_pages(), 0, "a leaked pin keeps its page resident");
+        }
+    }
 }

@@ -197,15 +197,20 @@ impl Snapshot<'_> {
                 Ok(QueryResult::RowIds(addrs.iter().map(|a| a.row_id()).collect()))
             }
             Projection::All => {
-                let names: Vec<String> =
-                    self.schema().columns().iter().map(|c| c.name.clone()).collect();
-                Ok(QueryResult::Rows(self.project(&addrs, &names)?))
+                let cols: Vec<usize> = (0..self.schema().arity()).collect();
+                Ok(QueryResult::Rows(self.project(&addrs, &cols)?))
             }
-            Projection::Columns(names) => Ok(QueryResult::Rows(self.project(&addrs, names)?)),
+            Projection::Columns(names) => {
+                let cols: Vec<usize> = names
+                    .iter()
+                    .map(|n| self.schema().column_index(n))
+                    .collect::<TableResult<_>>()?;
+                Ok(QueryResult::Rows(self.project(&addrs, &cols)?))
+            }
             Projection::Sum(name) => {
                 let col = self.schema().column_index(name)?;
                 let ty = self.schema().columns()[col].data_type;
-                let rows = self.project(&addrs, std::slice::from_ref(name))?;
+                let rows = self.project(&addrs, &[col])?;
                 let mut acc = SumAcc::new(ty)?;
                 for row in &rows {
                     acc.add(&row[0]);
@@ -213,7 +218,7 @@ impl Snapshot<'_> {
                 Ok(QueryResult::Sum(acc.finish()))
             }
             Projection::Distinct(name) => {
-                let rows = self.project(&addrs, std::slice::from_ref(name))?;
+                let rows = self.project(&addrs, &[self.schema().column_index(name)?])?;
                 let mut keys: Vec<(Vec<u8>, Value)> = rows
                     .into_iter()
                     .map(|mut r| {
@@ -227,7 +232,7 @@ impl Snapshot<'_> {
             }
             Projection::Min(name) | Projection::Max(name) => {
                 let want_max = matches!(&q.projection, Projection::Max(_));
-                let rows = self.project(&addrs, std::slice::from_ref(name))?;
+                let rows = self.project(&addrs, &[self.schema().column_index(name)?])?;
                 let best = rows
                     .into_iter()
                     .map(|mut r| r.remove(0))
@@ -391,34 +396,35 @@ impl Snapshot<'_> {
         Ok(addrs)
     }
 
-    /// Late materialization: per (partition, fragment) batch, decode row
-    /// positions then resolve values column by column.
-    fn project(&self, addrs: &[RowAddr], names: &[impl AsRef<str>]) -> TableResult<Vec<Row>> {
-        let cols: Vec<usize> = names
-            .iter()
-            .map(|n| self.schema().column_index(n.as_ref()))
-            .collect::<TableResult<_>>()?;
+    /// Late materialization of the columns `cols` (schema indices, resolved
+    /// once by the caller): each partition's main-fragment rows go through
+    /// one [`payg_core::column::materialize`] call covering *all* projected
+    /// columns, so their page accesses are planned and pinned phase by phase
+    /// rather than column by column; delta rows are read in place.
+    fn project(&self, addrs: &[RowAddr], cols: &[usize]) -> TableResult<Vec<Row>> {
         let mut rows: Vec<Row> = vec![Vec::with_capacity(cols.len()); addrs.len()];
-        // Group output slots by (partition, fragment) so each main column is
-        // materialized with one batched call.
-        for (pi, p) in self.partitions().iter().enumerate() {
-            let slots: Vec<usize> = (0..addrs.len())
-                .filter(|&i| addrs[i].partition == pi && !addrs[i].in_delta)
-                .collect();
-            if !slots.is_empty() {
-                let rposs: Vec<u64> = slots.iter().map(|&i| addrs[i].rpos).collect();
-                for &c in &cols {
-                    let values = p.main_frag().column(c).get_values(&rposs)?;
-                    for (&slot, v) in slots.iter().zip(values) {
-                        rows[slot].push(v);
-                    }
+        // One pass: the output slots of every partition's main fragment.
+        let mut main_slots: Vec<Vec<usize>> = vec![Vec::new(); self.partitions().len()];
+        for (i, addr) in addrs.iter().enumerate() {
+            if addr.in_delta {
+                let delta = self.partitions()[addr.partition].delta_view();
+                for &c in cols {
+                    rows[i].push(delta.value(addr.rpos, c, self.schema())?);
                 }
+            } else {
+                main_slots[addr.partition].push(i);
             }
-            for (i, addr) in addrs.iter().enumerate() {
-                if addr.partition == pi && addr.in_delta {
-                    for &c in &cols {
-                        rows[i].push(p.delta_view().value(addr.rpos, c, self.schema())?);
-                    }
+        }
+        for (p, slots) in self.partitions().iter().zip(&main_slots) {
+            if slots.is_empty() {
+                continue;
+            }
+            let rposs: Vec<u64> = slots.iter().map(|&i| addrs[i].rpos).collect();
+            let columns: Vec<&payg_core::Column> =
+                cols.iter().map(|&c| p.main_frag().column(c)).collect();
+            for values in payg_core::column::materialize(&columns, &rposs)? {
+                for (&slot, v) in slots.iter().zip(values) {
+                    rows[slot].push(v);
                 }
             }
         }

@@ -2,7 +2,7 @@
 //! provenance of real queries, reconciled against the registry.
 
 use payg_core::{DataType, LoadPolicy, PageConfig, ScanOptions, ScanPath, Value, ValuePredicate};
-use payg_obs::SpanKind;
+use payg_obs::{names, EventKind, SpanKind};
 use payg_resman::ResourceManager;
 use payg_storage::{BufferPool, MemStore};
 use payg_table::{ColumnSpec, PartitionSpec, Projection, Query, Schema, Table};
@@ -167,3 +167,69 @@ fn explain_restores_tracer_state_and_handles_errors() {
     let _ = t.explain_analyze(&q).unwrap();
     assert!(tracer.enabled(), "explicitly-enabled tracer left on");
 }
+
+#[test]
+fn cold_select_star_batches_its_page_loads() {
+    // Six paged columns, a 600-row range: the projection plans each phase's
+    // pages across all columns and pins them as a batch, so the misses
+    // reach the I/O stage together — consecutive data-vector and helper
+    // pages ride ranged reads, and the query parks once per wave instead of
+    // once per page.
+    let schema = Schema::new(
+        std::iter::once(ColumnSpec::indexed("id", DataType::Integer))
+            .chain((0..5).map(|c| ColumnSpec::new(format!("c{c}"), DataType::Varchar)))
+            .collect(),
+    )
+    .unwrap();
+    let pool = BufferPool::new(Arc::new(MemStore::new()), ResourceManager::new());
+    let t = Table::create(
+        pool,
+        PageConfig::tiny(),
+        schema,
+        vec![PartitionSpec::single(LoadPolicy::PageLoadable)],
+    )
+    .unwrap();
+    for i in 0..2000i64 {
+        let mut row = vec![Value::Integer(i)];
+        row.extend((0..5).map(|c| Value::Varchar(format!("v{c}-{:04}", (i * (c + 3)) % 700))));
+        t.insert(row).unwrap();
+    }
+    t.delta_merge_all().unwrap();
+    let q = Query::filtered(
+        "id",
+        ValuePredicate::Between(Value::Integer(100), Value::Integer(699)),
+        Projection::All,
+    );
+    let (result, cold) = t.explain_analyze(&q).unwrap();
+    let rows = result.into_rows();
+    assert_eq!(rows.len(), 600);
+    assert_eq!(rows[7], t.execute(&q).unwrap().into_rows()[7]);
+    cold.check_consistency().expect("batched loads reconcile event for event");
+    let loads = cold.delta.counter(names::POOL_LOADS);
+    assert!(loads > 0, "first run is cold: {:?}", cold.profile);
+    if t.pool().io_stage_active() {
+        let reads = cold.delta.counter(names::POOL_IO_PHYSICAL_READS);
+        assert!(reads < loads, "{reads} physical reads for {loads} loaded pages");
+        // Every load was requested under this query's span tree, and the
+        // query waited in waves: far fewer page-wait spans than pages.
+        let tree = cold.tree();
+        let submitted: Vec<_> =
+            cold.events.iter().filter(|e| e.kind == EventKind::IoSubmitted).collect();
+        assert_eq!(submitted.len() as u64, loads);
+        assert!(submitted.iter().all(|e| tree.contains(&e.span)), "loads carry the query's span");
+        let waves = cold.spans.iter().filter(|s| s.kind == SpanKind::PageWait).count() as u64;
+        assert!(waves > 0 && waves * 2 < loads, "{waves} waits for {loads} loads");
+        assert_eq!(cold.batches_joined, 0, "no concurrent query to join");
+    }
+    // Warm: no loads, no pin the cold run did not take (the cold run also
+    // preloaded each dictionary's value-helper chain), and the ledger
+    // still closes.
+    let (_, warm) = t.explain_analyze(&q).unwrap();
+    assert_eq!(warm.delta.counter(names::POOL_LOADS), 0);
+    let pins = |ea: &payg_table::ExplainAnalyze| {
+        ea.events.iter().filter(|e| e.kind == EventKind::PagePinned).count()
+    };
+    assert!(pins(&warm) <= pins(&cold), "warm {} > cold {}", pins(&warm), pins(&cold));
+    warm.check_consistency().expect("warm event log reconciles too");
+}
+

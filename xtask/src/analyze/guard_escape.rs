@@ -8,10 +8,12 @@
 //! can deadlock against eviction walking the same shard.
 //!
 //! The pass is deliberately direct-only (no call resolution): a `let`
-//! binding produced by `.pin(..)`, `get_or_pin(..)`, or `PageGuard::new(..)`
-//! in `crates/storage` / `crates/core` library code is tracked to the end
-//! of its block (or `drop(name)`); any blocking event inside that region is
-//! flagged. Architectural guard-holding (the scan guard cache) lives in
+//! binding produced by `.pin(..)`, `.pin_many(..)` (a wave: the binding
+//! holds every guard of the batch), `get_or_pin(..)`, or
+//! `PageGuard::new(..)` in `crates/storage` / `crates/core` library code is
+//! tracked to the end of its block (or `drop(name)`); any blocking event
+//! inside that region is flagged — so a phase that parks, locks or pins its
+//! *next* wave while the previous wave's guards are still bound is caught. Architectural guard-holding (the scan guard cache) lives in
 //! struct fields, not `let` bindings, and is not flagged.
 
 use super::lexer::{Tok, TokKind};
@@ -120,7 +122,7 @@ fn statement_pins(stmt: &[Tok]) -> bool {
                 && stmt.get(k + 1).is_some_and(|x| x.is_ident(name))
                 && stmt.get(k + 2).is_some_and(|x| x.is_punct('('))
         };
-        if dot_call("pin") || dot_call("get_or_pin") {
+        if dot_call("pin") || dot_call("pin_many") || dot_call("get_or_pin") {
             // Accounting pins are not guard producers: `resman.pin(rid)`
             // bumps a refcount and returns bool; `pins.pin(..)` registers
             // with the leak tracker. Only pool/cache pins yield guards.
@@ -232,6 +234,17 @@ mod tests {
         let src = "fn f(&self) {\n    let g = cache.get_or_pin(p, pin_fn)?;\n    let t = stage.submit(req);\n    ticket.wait();\n    touch(g, t);\n}\n";
         let got = run_src("crates/core/src/datavec/paged.rs", src);
         assert_eq!(got.len(), 2, "{got:?}");
+    }
+
+    #[test]
+    fn a_wave_of_guards_is_tracked_like_one() {
+        // Guards of one batched pin still bound while the next wave parks.
+        let src = "fn f(&self) {\n    let wave = self.pool.pin_many(&keys);\n    ticket.wait();\n    touch(wave);\n}\n";
+        let got = run_src("crates/core/src/column/materialize.rs", src);
+        assert_eq!(got, [("guard-escape".to_string(), 3)], "{got:?}");
+        // Released wave by wave (block scope): clean.
+        let src = "fn f(&self) {\n    for keys in waves {\n        let wave = self.pool.pin_many(keys);\n        decode(&wave);\n    }\n    self.state.lock();\n}\n";
+        assert!(run_src("crates/core/src/column/materialize.rs", src).is_empty());
     }
 
     #[test]

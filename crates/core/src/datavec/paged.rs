@@ -11,7 +11,7 @@
 use crate::datavec::guards::GuardCache;
 use crate::{CoreError, CoreResult, PageConfig};
 use payg_encoding::chunk::{self, bytes_per_chunk, CHUNK_LEN};
-use payg_encoding::kernels::{self, KernelPredicate};
+use payg_encoding::kernels::{boundary_mask, KernelPredicate, Packed};
 use payg_encoding::scan::{push_bitmap_positions, CompiledPredicate};
 use payg_encoding::{BitPackedVec, BitWidth, VidSet};
 use payg_obs::{names, Counter, Gauge, Histogram, Registry, ScanProfile};
@@ -193,7 +193,6 @@ impl PagedDataVector {
         PagedDataVectorIterator {
             vec: self,
             guards: GuardCache::new(),
-            scratch: Vec::new(),
             bitmaps: Vec::new(),
             profile: ScanProfile::default(),
         }
@@ -358,8 +357,6 @@ pub struct PagedDataVectorIterator<'a> {
     /// widened here to a small bounded guard cache so warm repositioning
     /// between nearby pages is pool-free).
     guards: GuardCache,
-    /// Reusable word buffer for fused per-page kernel calls.
-    scratch: Vec<u64>,
     /// Reusable per-page result-bitmap buffer (one word per chunk).
     bitmaps: Vec<u64>,
     /// Accumulated scan costs over this iterator's lifetime (guard-cache
@@ -398,29 +395,6 @@ impl PagedDataVectorIterator<'_> {
         let bytes = &guard[base..base + per_chunk];
         payg_encoding::unaligned::fill_le_words(bytes, &mut words[..n]);
         Ok(n)
-    }
-
-    /// Pins the page holding chunks `first_ci..=last_ci` once and copies
-    /// their packed words into the reusable scratch buffer, ready for one
-    /// fused kernel call. All chunks must live on the same page.
-    fn load_chunk_run(&mut self, page_no: u64, first_ci: u64, last_ci: u64) -> CoreResult<()> {
-        let per_chunk = bytes_per_chunk(self.vec.meta.width);
-        let cpp = self.vec.meta.chunks_per_page;
-        debug_assert!(first_ci / cpp == page_no && last_ci / cpp == page_no);
-        let base = (first_ci % cpp) as usize * per_chunk;
-        let len = (last_ci - first_ci + 1) as usize * per_chunk;
-        // Field-split borrows: the guard borrows `self.guards`, the copy
-        // target is the disjoint `self.scratch`.
-        let pool = &self.vec.pool;
-        let chain = self.vec.meta.chain.chain;
-        let guard = self
-            .guards
-            .get_or_pin(page_no, || pool.pin(PageKey::new(chain, page_no)))
-            .map_err(CoreError::Storage)?;
-        let bytes = &guard[base..base + len];
-        self.scratch.clear();
-        payg_encoding::unaligned::extend_le_words(bytes, &mut self.scratch);
-        Ok(())
     }
 
     /// Decodes the identifier at `rpos`.
@@ -465,9 +439,10 @@ impl PagedDataVectorIterator<'_> {
 
     /// `search(range-of-rows, set-of-vids)`: appends row positions in
     /// `from..to` whose identifier is in `set`. Pages outside the range are
-    /// never loaded; surviving pages are pinned once and evaluated with a
-    /// single bit-width-specialized kernel call each, producing per-chunk
-    /// result bitmaps that are materialized into positions late.
+    /// never loaded; surviving pages are pinned once and evaluated in place
+    /// — one bit-width-specialized kernel call over the pinned bytes each —
+    /// producing per-chunk result bitmaps that are materialized into
+    /// positions late.
     pub fn search(
         &mut self,
         from: u64,
@@ -492,17 +467,17 @@ impl PagedDataVectorIterator<'_> {
         }
         self.note_dispatch_width();
         let matched_from = out.len();
-        self.for_each_chunk_run(from, to, set, |it, first_ci, last_ci| {
-            it.bitmaps.clear();
-            pred.scan_chunks(&it.scratch, &mut it.bitmaps);
-            it.profile.chunks_scanned += it.bitmaps.len() as u64;
-            for (k, &bm) in it.bitmaps.iter().enumerate() {
+        let mut bitmaps = std::mem::take(&mut self.bitmaps);
+        self.for_each_chunk_run(from, to, set, |run, first_ci| {
+            bitmaps.clear();
+            pred.scan(Packed::Bytes(run), &mut bitmaps);
+            for (k, &bm) in bitmaps.iter().enumerate() {
                 if bm != 0 {
                     push_bitmap_positions(bm, (first_ci + k as u64) * CHUNK_LEN as u64, from, to, out);
                 }
             }
-            debug_assert_eq!(it.bitmaps.len() as u64, last_ci - first_ci + 1);
         })?;
+        self.bitmaps = bitmaps;
         self.profile.bitmap_matches += (out.len() - matched_from) as u64;
         Ok(())
     }
@@ -560,9 +535,9 @@ impl PagedDataVectorIterator<'_> {
     }
 
     /// Counts rows in `from..to` whose identifier is in `set` without
-    /// materializing positions: each page's chunk run is evaluated with one
-    /// fused kernel call and the result bitmaps are popcounted in place
-    /// (boundary chunks masked to the row range).
+    /// materializing positions: each page's chunk run is counted in place by
+    /// one kernel call that sums lane hits directly, building a bitmap only
+    /// for the run's two edge chunks (masked to the row range).
     pub fn count(&mut self, from: u64, to: u64, set: &VidSet) -> CoreResult<u64> {
         self.vec.check_range(from, to)?;
         self.vec.scan.scans.inc();
@@ -577,31 +552,29 @@ impl PagedDataVectorIterator<'_> {
             return Ok(if pred.always_matches() { to - from } else { 0 });
         }
         self.note_dispatch_width();
+        let per_chunk = bytes_per_chunk(self.vec.meta.width);
         let mut total = 0u64;
-        self.for_each_chunk_run(from, to, set, |it, first_ci, _last_ci| {
-            it.bitmaps.clear();
-            pred.scan_chunks(&it.scratch, &mut it.bitmaps);
-            it.profile.chunks_scanned += it.bitmaps.len() as u64;
-            for (k, &bm) in it.bitmaps.iter().enumerate() {
-                let masked = bm & kernels::boundary_mask(first_ci + k as u64, from, to);
-                total += u64::from(masked.count_ones());
-            }
+        self.for_each_chunk_run(from, to, set, |run, first_ci| {
+            let last_ci = first_ci + (run.len() / per_chunk) as u64 - 1;
+            let (head, tail) = (boundary_mask(first_ci, from, to), boundary_mask(last_ci, from, to));
+            total += pred.count(Packed::Bytes(run), head, tail);
         })?;
         self.profile.bitmap_matches += total;
         Ok(total)
     }
 
-    /// Applies `body` to every page-contiguous run of chunks overlapping
-    /// `from..to` that survives page-summary pruning. Each run's packed
-    /// words are loaded into `self.scratch` (one pin, one copy per page)
-    /// before `body(self, first_ci, last_ci)` runs.
+    /// Applies `body(run, first_ci)` to every page-contiguous run of chunks
+    /// overlapping `from..to` that survives page-summary pruning: `run` is
+    /// the run's packed bytes inside the pinned page — one pin per page, no
+    /// copy — starting at chunk `first_ci`.
     fn for_each_chunk_run(
         &mut self,
         from: u64,
         to: u64,
         set: &VidSet,
-        mut body: impl FnMut(&mut Self, u64, u64),
+        mut body: impl FnMut(&[u8], u64),
     ) -> CoreResult<()> {
+        let per_chunk = bytes_per_chunk(self.vec.meta.width);
         let cpp = self.vec.meta.chunks_per_page;
         let first = chunk::chunk_of(from);
         let last = chunk::chunk_of(to - 1);
@@ -617,8 +590,11 @@ impl PagedDataVectorIterator<'_> {
                 self.profile.pages_pruned += 1;
                 continue;
             }
-            self.load_chunk_run(page_no, ci, page_last)?;
-            body(self, ci, page_last);
+            let chunks = page_last - ci + 1;
+            let base = (ci % cpp) as usize * per_chunk;
+            let guard = self.reposition(page_no)?;
+            body(&guard[base..base + chunks as usize * per_chunk], ci);
+            self.profile.chunks_scanned += chunks;
             ci = page_last + 1;
         }
         Ok(())
@@ -881,6 +857,45 @@ mod tests {
                 let expect =
                     (from..to).filter(|&i| set.contains(values[i as usize])).count() as u64;
                 assert_eq!(it.count(from, to, &set).unwrap(), expect, "{set:?} {from}..{to}");
+            }
+        }
+    }
+
+    #[test]
+    fn count_equals_search_len_across_chunk_and_page_boundaries() {
+        // Every (from, to) built from positions around chunk and page edges,
+        // at widths on each side of the window geometry (8, 4 and 2 lanes,
+        // dividing and not) — the count kernel sums lane hits for interior
+        // chunks and masks a bitmap for the two edge chunks of every page.
+        for (card, seed) in [(7u64, 1u64), (100, 2), (5000, 3), (100_000, 4), (1 << 31, 5)] {
+            let values = sample(1500, card, seed);
+            let (_pool, paged, _) = build(&values);
+            let rpp = paged.rows_per_page();
+            let mut edges = vec![0, 1, 63, 64, 65, 1499, 1500];
+            for page in 1..=2 {
+                edges.extend([page * rpp - 1, page * rpp, page * rpp + 1, page * rpp + 64]);
+            }
+            edges.retain(|&e| e <= 1500);
+            edges.sort_unstable();
+            edges.dedup();
+            let third = card / 3;
+            for set in [
+                VidSet::Single(values[77]),
+                VidSet::range(third, 2 * third),
+                VidSet::from_vids(vec![values[5], values[900], third, card - 1]),
+            ] {
+                let mut it = paged.iter();
+                for &from in &edges {
+                    for &to in edges.iter().filter(|&&to| to >= from) {
+                        let expect =
+                            (from..to).filter(|&i| set.contains(values[i as usize])).count();
+                        let mut rows = Vec::new();
+                        it.search(from, to, &set, &mut rows).unwrap();
+                        assert_eq!(rows.len(), expect, "search card={card} {set:?} {from}..{to}");
+                        let n = it.count(from, to, &set).unwrap();
+                        assert_eq!(n, expect as u64, "count card={card} {set:?} {from}..{to}");
+                    }
+                }
             }
         }
     }

@@ -525,3 +525,71 @@ proptest! {
         prop_assert_eq!(intersect(&la, &lb).unwrap(), expect);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Paged `search` / `count` — pages scanned in place — ≡ the resident
+    /// kernels ≡ naive evaluation, over random widths (all 32 kernels),
+    /// lengths, page sizes and row ranges, with the paged pool limited to
+    /// less than the vector so pages are evicted and re-pinned mid-suite.
+    #[test]
+    fn paged_search_and_count_equal_resident_and_naive(
+        bits in 1u32..=32,
+        n in 1usize..2500,
+        seed in any::<u64>(),
+        page_chunks in 1usize..6,
+        set_kind in 0u8..5,
+        small_pool in any::<bool>(),
+    ) {
+        let width = payg_encoding::BitWidth::new(bits).unwrap();
+        let mask = width.mask();
+        let values: Vec<u64> = (0..n as u64)
+            .map(|i| {
+                seed.wrapping_add(i).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(23)
+                    & mask
+                    // Low-cardinality tail so IN lists and ranges hit often.
+                    & if i % 3 == 0 { 0x1F } else { u64::MAX }
+            })
+            .collect();
+        let packed = BitPackedVec::from_values_with_width(&values, width);
+        // Pages of 1..=5 chunks, plus odd slack no chunk fits into.
+        let config = PageConfig {
+            datavec_page: page_chunks * 8 * bits as usize + (seed % 8) as usize,
+            ..PageConfig::tiny()
+        };
+        let resman = ResourceManager::new();
+        let pool = BufferPool::new(Arc::new(MemStore::new()), resman.clone());
+        let paged = PagedDataVector::build(&pool, &config, &packed).unwrap();
+        if small_pool {
+            let page = config.datavec_page;
+            resman.set_paged_limits(Some(PoolLimits::new(page, 2 * page)));
+        }
+        let probe = values[seed as usize % n];
+        let set = match set_kind {
+            0 => VidSet::Single(probe),
+            1 => VidSet::range(probe / 2, probe.max(1)),
+            2 => VidSet::from_vids(vec![probe, probe ^ 1, mask / 2, 3]),
+            3 => VidSet::from_vids((0..16).map(|k| (probe + 3 * k) & mask).collect()),
+            _ => VidSet::from_vids((0..40).map(|k| (probe / 2 + 5 * k) & mask).collect()),
+        };
+        let from = (seed >> 3) % (n as u64 + 1);
+        let to = from + (seed >> 11) % (n as u64 - from + 1);
+        let naive: Vec<u64> =
+            (from..to).filter(|&i| set.contains(values[i as usize])).collect();
+        let mut it = paged.iter();
+        let mut got = Vec::new();
+        it.search(from, to, &set, &mut got).unwrap();
+        prop_assert_eq!(&got, &naive, "paged search {}..{} {:?}", from, to, &set);
+        prop_assert_eq!(it.count(from, to, &set).unwrap(), naive.len() as u64);
+        drop(it);
+        let mut resident = Vec::new();
+        payg_encoding::scan::search(&packed, from, to, &set, &mut resident);
+        prop_assert_eq!(&resident, &naive);
+        prop_assert_eq!(
+            payg_encoding::kernels::count_matches(&packed, from, to, &set),
+            naive.len() as u64
+        );
+        pool.assert_no_live_pins("after dropping the iterator");
+    }
+}

@@ -1,116 +1,169 @@
 //! Bit-width-specialized scan kernels (the warm-path `search` fast path).
 //!
-//! The generic kernels in [`crate::scan`] take the bit width as a runtime
-//! value, so every chunk pays runtime-width shifts, a 128-bit carry decode
-//! for non-word-aligned widths, and per-chunk predicate dispatch. Once pages
-//! are pool-resident the scan is CPU-bound and that overhead dominates —
-//! exactly the regime MorphStore's compression-specialized operator variants
-//! target. This module compiles one kernel *per bit width* with the width as
-//! a const generic:
+//! The paper's `search` (§3.1.3, Fig. 1) is a vectorized compare over n-bit
+//! packed identifiers that never decodes. This module compiles that compare
+//! once *per bit width* (a const generic, selected once per scan through a
+//! 32-entry table), in one formulation for every width `1..=32`:
 //!
-//! * `scan_eq::<N>` / `scan_range::<N>` / `scan_in_set::<N>` for `N` in
-//!   `1..=32`, selected once per scan through a dispatch table
-//!   ([`WidthKernels::for_width`]). Shift amounts, lane counts and masks are
-//!   compile-time constants; the per-slot loops fully unroll and
-//!   autovectorize.
-//! * Word-aligned widths (1, 2, 4, 8, 16, 32) evaluate equality *and
-//!   ranges* without decoding at all: exact SWAR lane-compares (equality
-//!   zero-test, per-lane unsigned less-than for the range bounds) produce a
-//!   per-lane match mask, and the byte-aligned widths (8/16/32) collapse it
-//!   to result bits with a single multiply (a portable `movemask`).
-//!   Non-dividing widths `>= 15` also skip the decode for equality: a
-//!   zero-byte screen over the XOR diff rejects whole words, and only
-//!   candidate lanes are verified. Small sorted sets run decode-free at
-//!   every width `>= 15` and every dividing width: an OR of fused SWAR
-//!   equality passes at aligned widths, an OR of zero-byte-screened passes
-//!   at non-dividing widths `>= 15`, and a decode plus branchless linear
-//!   membership test below that — never a per-slot binary search.
-//! * Every kernel emits **result bitmaps** — one `u64` per 64-value chunk,
-//!   bit `i` set ⇔ slot `i` matches — instead of pushing row ids. Bitmap
-//!   output costs O(1) per chunk regardless of selectivity; positions are
-//!   materialized late via [`materialize_positions`] / [`bitmap_select`].
+//! * **Windows.** A 64-value chunk is read as `64 / L` windows of `L` whole
+//!   lanes, `L` the largest power of two with `L * n <= 64`: `64 / n` where
+//!   `n` divides 64, else 16 for `n = 3`, 8 for `n <= 7` (8 lanes are
+//!   exactly `n` bytes, so those windows are byte-aligned), 4 for `n <= 15`,
+//!   2 above. A window is one 64-bit load plus a constant shift. Whatever
+//!   the loaded word holds above its `L` lanes is garbage the compares
+//!   never look at.
+//! * **Lane compares.** Equality is an exact per-lane zero test of
+//!   `window ^ probe`, a range is two per-lane unsigned less-thans
+//!   (`lane_lt`), a small `IN` list is the OR of its members' equality
+//!   tests in the same pass. All are full-word subtractions arranged so
+//!   that no lane borrows from its upper neighbour; a borrow out of the
+//!   garbage above the top lane only travels further up, away from every
+//!   lane. The result is one hit bit at the top of each matching lane.
+//! * **Gather or count.** `compact` moves a window's `L` hit bits to the
+//!   bottom of a word — one multiply where `n >= L`, `log2 L` shift-or-mask
+//!   steps below — and the windows' results concatenate into the chunk's
+//!   **result bitmap** (bit `i` set ⇔ slot `i` matches; positions are
+//!   materialized late, by [`crate::scan::push_bitmap_positions`]).
+//!   COUNT skips the gather: the hit bits of up to `n` windows interleave
+//!   into one word (each shifted down by its index) and are popcounted
+//!   together.
 //!
-//! Widths 0 and 33..=64 (cardinality 1 and > 2^32 — both rare) fall back to
-//! the generic chunk kernels; [`KernelPredicate`] hides the split.
+//! The same lane code serves both forms a data vector takes ([`Packed`]):
+//! the word slice of a resident [`BitPackedVec`] and the bytes of a pinned
+//! page, evaluated in place. One case stays outside it: sets larger than
+//! [`MAX_LINEAR_SET`] decode each slot and look it up. Widths 0 and 33..=64
+//! (cardinality 1 and > 2^32 — both rare) fall back to the generic chunk
+//! kernels. [`KernelPredicate`] hides all of it.
 
 use crate::chunk::{decode_chunk, CHUNK_LEN};
 use crate::scan::CompiledPredicate;
+use crate::unaligned::fill_le_words;
 use crate::{BitPackedVec, BitWidth, VidSet};
 
-/// One chunk's match bitmap for an equality predicate at const width `N`.
-///
-/// `chunk` must hold exactly `N` words; `vid` must fit in `N` bits.
-#[inline]
-pub fn chunk_eq<const N: u32>(chunk: &[u64], vid: u64) -> u64 {
-    if N == 1 {
-        // Lanes are single bits: the bitmap is the (possibly inverted) word.
-        return if vid == 0 { !chunk[0] } else { chunk[0] };
-    }
-    if 64 % N == 0 {
-        // SWAR path: no decode. XOR with the replicated probe, then an exact
-        // per-lane zero test (no cross-lane borrows: every lane of `x | msb`
-        // has its top bit set, so subtracting 1 per lane never underflows).
-        let lsb = lane_lsb::<N>();
-        let msb = lsb << (N - 1);
-        let pattern = vid.wrapping_mul(lsb);
-        let mut bm = 0u64;
-        for (wi, &word) in chunk[..N as usize].iter().enumerate() {
-            let x = word ^ pattern;
-            let hits = msb & !(x | ((x | msb).wrapping_sub(lsb)));
-            bm |= movemask::<N>(hits) << (wi * (64 / N as usize));
-        }
-        return bm;
-    }
-    if N >= 15 {
-        let pat = eq_pattern::<N>(vid);
-        return chunk_eq_screened::<N>(chunk, vid, &pat[..N as usize]);
-    }
-    let mut buf = [0u64; CHUNK_LEN];
-    decode_const::<N>(chunk, &mut buf);
-    let mut bm = 0u64;
-    for (i, &v) in buf.iter().enumerate() {
-        bm |= u64::from(v == vid) << i;
-    }
-    bm
+/// Sets up to this size are evaluated as a fused OR of lane equalities
+/// instead of a decode plus per-slot lookup (the cost is linear in the set
+/// size, so cap it).
+pub const MAX_LINEAR_SET: usize = 16;
+
+/// Whole lanes per window at width `n` (`1..=32`): the largest power of two
+/// that fits a 64-bit word, so a chunk is a whole number of windows.
+const fn window_lanes(n: u32) -> usize {
+    1 << (64 / n).ilog2()
 }
 
-/// One chunk's match bitmap for an inclusive range predicate at width `N`.
-///
-/// `lo <= hi` and `hi` must fit in `N` bits.
-#[inline]
-pub fn chunk_range<const N: u32>(chunk: &[u64], lo: u64, hi: u64) -> u64 {
-    if 64 % N == 0 {
-        // SWAR path: no decode. Two per-lane unsigned compares against the
-        // replicated bounds — `lo <= v <= hi` is `!(v < lo) & !(hi < v)`.
-        let lsb = lane_lsb::<N>();
-        let h = lsb << (N - 1);
-        let lo_rep = lo.wrapping_mul(lsb);
-        let hi_rep = hi.wrapping_mul(lsb);
-        let mut bm = 0u64;
-        for (wi, &word) in chunk[..N as usize].iter().enumerate() {
-            let hits = h & !lane_lt::<N>(word, lo_rep) & !lane_lt::<N>(hi_rep, word);
-            bm |= movemask::<N>(hits) << (wi * (64 / N as usize));
-        }
-        return bm;
+/// The low bit of every lane of a window at width `n`.
+const fn lane_lsb(n: u32) -> u64 {
+    let mut lsb = 0u64;
+    let mut lane = 0;
+    while lane < window_lanes(n) as u32 {
+        lsb |= 1 << (lane * n);
+        lane += 1;
     }
-    let mut buf = [0u64; CHUNK_LEN];
-    decode_const::<N>(chunk, &mut buf);
-    let mut bm = 0u64;
-    for (i, &v) in buf.iter().enumerate() {
-        bm |= u64::from(v.wrapping_sub(lo) <= hi - lo) << i;
-    }
-    bm
+    lsb
 }
 
-/// Sorted sets up to this size use the linear membership kernels instead of
-/// the per-slot binary search (branchless compares beat the search's
-/// mispredicted branches well past this point, but the cost is linear in the
-/// set size, so cap it).
-const MAX_LINEAR_SET: usize = 16;
+/// The window geometry of width `N`, as compile-time constants.
+struct Geo<const N: u32>;
 
-/// Per-lane unsigned `x < y` at a dividing width `N`: returns a mask with
-/// the *top* bit of every matching lane set (the same shape [`movemask`]
-/// consumes).
+impl<const N: u32> Geo<N> {
+    const LANES: usize = window_lanes(N);
+    const WINDOWS: usize = CHUNK_LEN / Self::LANES;
+    /// Bits of a window that hold lanes.
+    const BITS: usize = Self::LANES * N as usize;
+    const LSB: u64 = lane_lsb(N);
+    const MSB: u64 = Self::LSB << (N - 1);
+    /// Where `N >= LANES`: the multiplier moving bit `i * N` to bit
+    /// `64 - LANES + i` for every lane `i` at once (the byte-movemask
+    /// multiply, generalized). Term `j` is `2^(64 - LANES + j - j * N)`;
+    /// lane `i` times term `j != i` misses the target field by at least
+    /// `N - j` bits and no two products coincide, so nothing carries in.
+    const GATHER: u64 = {
+        let mut m = 0u64;
+        let mut j = 0;
+        while j < Self::LANES {
+            let up = 64 - Self::LANES + j;
+            if up >= j * N as usize {
+                m |= 1 << (up - j * N as usize);
+            }
+            j += 1;
+        }
+        m
+    };
+    /// Where `N < LANES`: step `s` of the log-step gather keeps groups of
+    /// `2^(s+1)` adjacent bits at stride `2^(s+1) * N`.
+    const GROUPS: [u64; 5] = {
+        let mut masks = [0u64; 5];
+        let mut s = 0;
+        while s < 5 {
+            let group = 2usize << s;
+            let mut at = 0;
+            while group < 64 && group <= Self::LANES && at < 64 {
+                masks[s] |= ((1u64 << group) - 1) << at;
+                at += group * N as usize;
+            }
+            s += 1;
+        }
+        masks
+    };
+}
+
+/// One chunk's packed bits, read as 64-bit windows.
+trait Chunk: Copy {
+    /// The word whose bit 0 is bit `bit` of the chunk. Its low `need` bits
+    /// are the chunk's; the rest are unspecified.
+    fn window(self, bit: usize, need: usize) -> u64;
+}
+
+/// Exactly the chunk's words.
+impl Chunk for &[u64] {
+    #[inline(always)]
+    fn window(self, bit: usize, need: usize) -> u64 {
+        let (wi, sh) = (bit >> 6, bit & 63);
+        if need == 64 {
+            // Widths that divide 64: the window is the word.
+            return self[wi];
+        }
+        // A funnel shift over the word and its successor. The last word has
+        // none and stands in for it: those bits land above `need`.
+        let next = self[(wi + 1).min(self.len() - 1)];
+        ((u128::from(next) << 64 | u128::from(self[wi])) >> sh) as u64
+    }
+}
+
+/// The chunk's bytes followed by 8 readable bytes of slack, so the last
+/// window's 8-byte load stays inside the slice.
+impl Chunk for &[u8] {
+    #[inline(always)]
+    fn window(self, bit: usize, need: usize) -> u64 {
+        let (at, sh) = (bit >> 3, bit & 7);
+        let mut word = [0u8; 8];
+        word.copy_from_slice(&self[at..at + 8]);
+        let low = u64::from_le_bytes(word) >> sh;
+        // Only width 31 (62-bit windows at shifts 4 and 6) wants a 9th byte.
+        if sh + need <= 64 {
+            low
+        } else {
+            low | u64::from(self[at + 8]) << (64 - sh)
+        }
+    }
+}
+
+/// Hit bit (the lane's top bit) of every lane of `w` equal to the probe
+/// replicated in `pattern`: an exact per-lane zero test of the XOR. Every
+/// lane of `x | MSB` has its top bit set, so subtracting 1 per lane never
+/// borrows across lanes.
+#[inline(always)]
+fn eq_hits<const N: u32>(w: u64, pattern: u64) -> u64 {
+    Geo::<N>::MSB & !lane_nonzero::<N>(w ^ pattern)
+}
+
+/// Top bit of every nonzero lane of `x` (other bits unspecified).
+#[inline(always)]
+fn lane_nonzero<const N: u32>(x: u64) -> u64 {
+    x | (x | Geo::<N>::MSB).wrapping_sub(Geo::<N>::LSB)
+}
+
+/// Per-lane unsigned `x < y`: the top bit of every such lane.
 ///
 /// `d`'s lanes hold `x_rest + 2^(N-1) - y_rest` where `*_rest` drops the
 /// lane's top bit; that value stays in `[1, 2^N - 1]`, so the full-word
@@ -118,369 +171,282 @@ const MAX_LINEAR_SET: usize = 16;
 /// set iff `x_rest >= y_rest`. Lanes where the top bits of `x` and `y`
 /// differ are decided by those bits alone (`~x & y`); equal-top-bit lanes
 /// defer to the rest compare (`~(x^y) & ~d`).
-#[inline]
+#[inline(always)]
 fn lane_lt<const N: u32>(x: u64, y: u64) -> u64 {
-    let h = lane_lsb::<N>() << (N - 1);
+    let h = Geo::<N>::MSB;
     let d = (x | h).wrapping_sub(y & !h);
     ((!x & y) | (!(x ^ y) & !d)) & h
 }
 
-/// One chunk's match bitmap for an arbitrary sorted-list / bitmap predicate
-/// at width `N` (single and range shapes are routed to the cheaper kernels
-/// by [`KernelPredicate::new`] before this is reached).
-#[inline]
-pub fn chunk_in_set<const N: u32>(chunk: &[u64], set: &VidSet) -> u64 {
-    if let VidSet::Sorted(vids) = set {
-        if vids.len() <= MAX_LINEAR_SET {
-            let mask = if N == 64 { u64::MAX } else { (1u64 << N) - 1 };
-            if N == 1 {
-                // Two possible probes at most; chunk_eq's width-1 special
-                // case is already a plain (inverted) word copy.
-                let mut bm = 0u64;
-                for &vid in vids {
-                    if vid <= mask {
-                        bm |= chunk_eq::<N>(chunk, vid);
-                    }
-                }
-                return bm;
-            }
-            if 64 % N == 0 {
-                // Fused OR of exact SWAR equality tests, one word pass — no
-                // decode. The per-lane masks of all probes are OR-combined
-                // *before* the movemask multiply (the expensive step), so a
-                // k-probe set costs k XOR/zero-tests but only one compaction
-                // per word, instead of k full chunk_eq passes. Probes beyond
-                // the width's domain can never match.
-                let lsb = lane_lsb::<N>();
-                let msb = lsb << (N - 1);
-                let mut patterns = [0u64; MAX_LINEAR_SET];
-                let mut probes = 0usize;
-                for &vid in vids {
-                    if vid <= mask {
-                        patterns[probes] = vid.wrapping_mul(lsb);
-                        probes += 1;
-                    }
-                }
-                let mut bm = 0u64;
-                for (wi, &word) in chunk[..N as usize].iter().enumerate() {
-                    let mut hits = 0u64;
-                    for &pattern in &patterns[..probes] {
-                        let x = word ^ pattern;
-                        hits |= msb & !(x | ((x | msb).wrapping_sub(lsb)));
-                    }
-                    bm |= movemask::<N>(hits) << (wi * (64 / N as usize));
-                }
-                return bm;
-            }
-            if N >= 15 {
-                // Non-dividing wide lanes: OR of zero-byte-screened equality
-                // passes, one per probe — each pass is ~N word ops with no
-                // decode, far cheaper than the 128-bit-carry generic decode
-                // these widths would otherwise pay.
-                let mut bm = 0u64;
-                for &vid in vids {
-                    if vid <= mask {
-                        let pat = eq_pattern::<N>(vid);
-                        bm |= chunk_eq_screened::<N>(chunk, vid, &pat[..N as usize]);
-                    }
-                }
-                return bm;
-            }
-            // Decode once, then a branchless linear membership test per
-            // slot — beats the per-slot binary search's mispredicts.
-            let mut buf = [0u64; CHUNK_LEN];
-            decode_const::<N>(chunk, &mut buf);
-            let mut bm = 0u64;
-            for (i, &v) in buf.iter().enumerate() {
-                let mut hit = false;
-                for &vid in vids.iter() {
-                    hit |= v == vid;
-                }
-                bm |= u64::from(hit) << i;
-            }
-            return bm;
-        }
+/// Hit bits of the lanes of `w` inside the replicated bounds:
+/// `lo <= v <= hi` is `!(v < lo) & !(hi < v)`.
+#[inline(always)]
+fn range_hits<const N: u32>(w: u64, lo: u64, hi: u64) -> u64 {
+    Geo::<N>::MSB & !lane_lt::<N>(w, lo) & !lane_lt::<N>(hi, w)
+}
+
+/// Hit bits of the lanes of `w` equal to any of the replicated probes.
+#[inline(always)]
+fn any_hits<const N: u32>(w: u64, patterns: &[u64]) -> u64 {
+    let mut miss = u64::MAX;
+    for &pattern in patterns {
+        miss &= lane_nonzero::<N>(w ^ pattern);
     }
-    let mut buf = [0u64; CHUNK_LEN];
-    decode_const::<N>(chunk, &mut buf);
-    match set {
-        VidSet::Bitmap(words) => {
-            let mut bm = 0u64;
-            for (i, &v) in buf.iter().enumerate() {
-                let wi = (v / 64) as usize;
-                let bit = wi < words.len() && (words[wi] >> (v % 64)) & 1 == 1;
-                bm |= u64::from(bit) << i;
-            }
-            bm
-        }
-        _ => {
-            let mut bm = 0u64;
-            for (i, &v) in buf.iter().enumerate() {
-                bm |= u64::from(set.contains(v)) << i;
-            }
-            bm
-        }
+    Geo::<N>::MSB & !miss
+}
+
+/// Gathers a window's hit bits (lane `i`'s at bit `i * N + N - 1`) into the
+/// low `LANES` bits, lane `i` → bit `i`.
+#[inline(always)]
+fn compact<const N: u32>(hits: u64) -> u64 {
+    let lanes = Geo::<N>::LANES;
+    if N == 1 {
+        return hits;
+    }
+    let mut x = hits >> (N - 1);
+    if N as usize >= lanes {
+        return x.wrapping_mul(Geo::<N>::GATHER) >> (64 - lanes);
+    }
+    // Pairs of `group`-bit runs close ranks: the upper run of each pair
+    // moves down next to the lower one, doubling the run length.
+    let (mut group, mut step) = (1, 0);
+    while group < lanes {
+        x = (x | (x >> (group * (N as usize - 1)))) & Geo::<N>::GROUPS[step];
+        group *= 2;
+        step += 1;
+    }
+    x
+}
+
+/// A predicate evaluated one chunk at a time.
+trait ChunkTest: Copy {
+    /// The chunk's result bitmap.
+    fn bitmap<const N: u32>(self, c: impl Chunk) -> u64;
+
+    /// The chunk's match count.
+    #[inline(always)]
+    fn count<const N: u32>(self, c: impl Chunk) -> u32 {
+        self.bitmap::<N>(c).count_ones()
     }
 }
 
-/// Appends one match bitmap per chunk of `words` (equality probe `vid`).
-///
-/// `words` must be an integral number of `N`-word chunks. This is the
-/// page-granular entry point: a caller pins a page once and hands all of its
-/// chunks to a single kernel call.
-pub fn scan_eq<const N: u32>(words: &[u64], vid: u64, out: &mut Vec<u64>) {
-    if 64 % N != 0 && N >= 15 {
-        // Screened path: hoist the replicated probe once for the whole slice.
-        let pat = eq_pattern::<N>(vid);
-        for chunk in words.chunks_exact(N as usize) {
-            out.push(chunk_eq_screened::<N>(chunk, vid, &pat[..N as usize]));
-        }
-        return;
-    }
-    for chunk in words.chunks_exact(N as usize) {
-        out.push(chunk_eq::<N>(chunk, vid));
-    }
-}
-
-/// `vid` packed at every one of the 64 lanes of one `N`-word chunk (only the
-/// first `N` words of the returned buffer are meaningful).
-#[inline]
-fn eq_pattern<const N: u32>(vid: u64) -> [u64; 32] {
-    let mut pat = [0u64; 32];
-    let n = N as usize;
-    for slot in 0..CHUNK_LEN {
-        let bit = slot * n;
-        let wi = bit >> 6;
-        let sh = (bit & 63) as u32;
-        pat[wi] |= vid << sh;
-        if sh + N > 64 {
-            pat[wi + 1] |= vid >> (64 - sh);
-        }
-    }
-    pat
-}
-
-/// Equality for non-dividing widths `N >= 15` without decoding: XOR the
-/// chunk against the replicated probe (`pat`), so a matching lane is a run
-/// of `N` zero bits in the diff stream. Any zero run of length >= 15 must
-/// fully contain an *aligned* zero byte (the first byte boundary inside the
-/// run is at most 7 bits in, leaving >= 8 zero bits after it), so a SWAR
-/// zero-byte test per diff word screens out non-matching words; only the
-/// rare lane that fully contains a zero byte is extracted and verified.
-///
-/// The screen is conservative — the borrow in the zero-byte trick can flag a
-/// nonzero byte, but only when a lower byte of the same word is itself zero,
-/// so no matching lane is ever missed; false positives just fail the exact
-/// compare.
-#[inline]
-fn chunk_eq_screened<const N: u32>(chunk: &[u64], vid: u64, pat: &[u64]) -> u64 {
-    debug_assert!(N >= 15 && 64 % N != 0);
-    let mask = (1u64 << N) - 1;
-    let mut bm = 0u64;
-    for (wi, (&cw, &pw)) in chunk.iter().zip(pat).enumerate() {
-        let d = cw ^ pw;
-        let mut zb = d.wrapping_sub(0x0101_0101_0101_0101) & !d & 0x8080_8080_8080_8080;
-        while zb != 0 {
-            // High bit of a (probable) zero byte -> the byte's base bit.
-            let byte_bit = 64 * wi as u64 + u64::from(zb.trailing_zeros() & !7);
-            zb &= zb - 1;
-            // At most one lane fully contains the byte: the one whose start
-            // is at or below the byte and whose end covers it.
-            let k = byte_bit / u64::from(N);
-            if k < 64 && byte_bit + 8 <= (k + 1) * u64::from(N) {
-                let bit = k * u64::from(N);
-                let lane_wi = (bit >> 6) as usize;
-                let sh = (bit & 63) as u32;
-                let mut v = chunk[lane_wi] >> sh;
-                if sh + N > 64 {
-                    v |= chunk[lane_wi + 1] << (64 - sh);
-                }
-                bm |= u64::from(v & mask == vid) << k;
-            }
-        }
-    }
-    bm
-}
-
-/// Appends one match bitmap per chunk of `words` (range probe `lo..=hi`).
-pub fn scan_range<const N: u32>(words: &[u64], lo: u64, hi: u64, out: &mut Vec<u64>) {
-    for chunk in words.chunks_exact(N as usize) {
-        out.push(chunk_range::<N>(chunk, lo, hi));
-    }
-}
-
-/// Appends one match bitmap per chunk of `words` (membership in `set`).
-pub fn scan_in_set<const N: u32>(words: &[u64], set: &VidSet, out: &mut Vec<u64>) {
-    if 64 % N != 0 && N >= 15 {
-        if let VidSet::Sorted(vids) = set {
-            if vids.len() <= MAX_LINEAR_SET {
-                // Screened multi-probe path with the replicated probe
-                // patterns hoisted once for the whole page slice.
-                let mask = if N == 64 { u64::MAX } else { (1u64 << N) - 1 };
-                let pats: Vec<(u64, [u64; 32])> = vids
-                    .iter()
-                    .filter(|&&vid| vid <= mask)
-                    .map(|&vid| (vid, eq_pattern::<N>(vid)))
-                    .collect();
-                for chunk in words.chunks_exact(N as usize) {
-                    let mut bm = 0u64;
-                    for (vid, pat) in &pats {
-                        bm |= chunk_eq_screened::<N>(chunk, *vid, &pat[..N as usize]);
-                    }
-                    out.push(bm);
-                }
-                return;
-            }
-        }
-    }
-    for chunk in words.chunks_exact(N as usize) {
-        out.push(chunk_in_set::<N>(chunk, set));
-    }
-}
-
-/// The low bit of every `N`-bit lane (`N` divides 64), as a compile-time
-/// constant.
-#[inline]
-fn lane_lsb<const N: u32>() -> u64 {
-    let mut p = 1u64;
-    let mut width = N;
-    while width < 64 {
-        p |= p << width;
-        width *= 2;
-    }
-    p
-}
-
-/// Collapses a per-lane mask (bit at each matching lane's *top* bit) into a
-/// dense `64 / N`-bit result, lane `i` → bit `i`. For byte-aligned lanes one
-/// multiply gathers every lane bit at once; other aligned widths use a
-/// fully-unrolled constant-shift loop.
-#[inline]
-fn movemask<const N: u32>(lane_msb_hits: u64) -> u64 {
-    // Move each lane's hit bit down to the lane's base position first.
-    let low = lane_msb_hits >> (N - 1);
-    match N {
-        1 => low,
-        32 => (low & 1) | ((low >> 31) & 2),
-        // Bits at 8i gather to 56+i via 0x0102_0408_1020_4080 (the classic
-        // byte-movemask multiply; cross terms never land in the top byte).
-        8 => low.wrapping_mul(0x0102_0408_1020_4080) >> 56,
-        // Bits at 16i gather to 48+i: constants 2^(48-15i).
-        16 => low.wrapping_mul(0x0001_0002_0004_0008) >> 48,
-        _ => {
-            let per_word = 64 / N as usize;
-            let mut bm = 0u64;
-            for lane in 0..per_word {
-                bm |= ((low >> (lane * N as usize)) & 1) << lane;
-            }
-            bm
-        }
-    }
-}
-
-/// Decodes one `N`-word chunk into 64 slots with compile-time shift
-/// geometry. With `N` const the loop fully unrolls: every word index and
-/// shift amount is a literal, and the straddle test disappears where it
-/// cannot apply.
-#[inline]
-pub fn decode_const<const N: u32>(chunk: &[u64], out: &mut [u64; CHUNK_LEN]) {
-    let n = N as usize;
-    let mask = if N == 64 { u64::MAX } else { (1u64 << N) - 1 };
-    let words = &chunk[..n];
-    for (slot, o) in out.iter_mut().enumerate() {
-        let bit = slot * n;
-        let wi = bit >> 6;
-        let sh = (bit & 63) as u32;
-        let mut v = words[wi] >> sh;
-        if sh + N > 64 {
-            v |= words[wi + 1] << (64 - sh);
-        }
-        *o = v & mask;
-    }
-}
-
-/// The kernel entry points compiled for one bit width: slice-granular
-/// (`eq`/`range`/`in_set` take a multi-chunk word slice and append one match
-/// bitmap per chunk — the fused per-page call) and chunk-granular
-/// (`chunk_*`, for isolated boundary chunks and point repositioning).
+/// A lane test — window in, hit bits out — applied to every window.
 #[derive(Clone, Copy)]
-pub struct WidthKernels {
-    /// Equality kernel: `(words, vid, out_bitmaps)`.
-    pub eq: fn(&[u64], u64, &mut Vec<u64>),
-    /// Inclusive-range kernel: `(words, lo, hi, out_bitmaps)`.
-    pub range: fn(&[u64], u64, u64, &mut Vec<u64>),
-    /// Set-membership kernel: `(words, set, out_bitmaps)`.
-    pub in_set: fn(&[u64], &VidSet, &mut Vec<u64>),
-    /// Single-chunk equality kernel: `(chunk, vid) -> bitmap`.
-    pub chunk_eq: fn(&[u64], u64) -> u64,
-    /// Single-chunk range kernel: `(chunk, lo, hi) -> bitmap`.
-    pub chunk_range: fn(&[u64], u64, u64) -> u64,
-    /// Single-chunk membership kernel: `(chunk, set) -> bitmap`.
-    pub chunk_in_set: fn(&[u64], &VidSet) -> u64,
+struct Lanes<H>(H);
+
+impl<H: Fn(u64) -> u64 + Copy> Lanes<H> {
+    /// The hit bits of every window of the chunk (the first `WINDOWS`
+    /// entries). Loading first and testing second keeps the test a plain
+    /// loop over an array — same operations, same constants in every
+    /// iteration — which is the shape the autovectorizer takes.
+    #[inline(always)]
+    fn hits<const N: u32>(self, c: impl Chunk) -> [u64; 32] {
+        let mut ws = [0u64; 32];
+        for (k, w) in ws[..Geo::<N>::WINDOWS].iter_mut().enumerate() {
+            *w = c.window(k * Geo::<N>::BITS, Geo::<N>::BITS);
+        }
+        for w in &mut ws[..Geo::<N>::WINDOWS] {
+            *w = self.0(*w);
+        }
+        ws
+    }
 }
 
-macro_rules! width_kernel_table {
-    ($($n:literal)*) => {
-        [$(WidthKernels {
-            eq: scan_eq::<$n>,
-            range: scan_range::<$n>,
-            in_set: scan_in_set::<$n>,
-            chunk_eq: chunk_eq::<$n>,
-            chunk_range: chunk_range::<$n>,
-            chunk_in_set: chunk_in_set::<$n>,
-        }),*]
-    };
+impl<H: Fn(u64) -> u64 + Copy> ChunkTest for Lanes<H> {
+    #[inline(always)]
+    fn bitmap<const N: u32>(self, c: impl Chunk) -> u64 {
+        let hits = self.hits::<N>(c);
+        let mut bm = 0u64;
+        for (k, &h) in hits[..Geo::<N>::WINDOWS].iter().enumerate() {
+            bm |= compact::<N>(h) << (k * Geo::<N>::LANES);
+        }
+        bm
+    }
+
+    /// Skips the gather: hit bits sit `N` apart, so `N` windows' worth
+    /// interleave into one word before each popcount.
+    #[inline(always)]
+    fn count<const N: u32>(self, c: impl Chunk) -> u32 {
+        let hits = self.hits::<N>(c);
+        let mut total = 0;
+        for group in hits[..Geo::<N>::WINDOWS].chunks(N as usize) {
+            let mut acc = 0u64;
+            for (j, &h) in group.iter().enumerate() {
+                acc |= h >> j;
+            }
+            total += acc.count_ones();
+        }
+        total
+    }
 }
 
-/// Kernels for widths 1..=32, indexed by `bits - 1`.
-static KERNELS: [WidthKernels; 32] = width_kernel_table!(
-    1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16
-    17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
-);
+/// A set too large for the lane tests: decode every slot, then look it up.
+impl ChunkTest for &VidSet {
+    #[inline(always)]
+    fn bitmap<const N: u32>(self, c: impl Chunk) -> u64 {
+        let mask = (1u64 << N) - 1;
+        let mut bm = 0u64;
+        for slot in 0..CHUNK_LEN {
+            let v = c.window(slot * N as usize, N as usize) & mask;
+            bm |= u64::from(self.contains(v)) << slot;
+        }
+        bm
+    }
+}
 
-impl WidthKernels {
-    /// The specialized kernel set for `w`, or `None` for widths 0 and
-    /// 33..=64 (callers fall back to the generic chunk kernels).
-    pub fn for_width(w: BitWidth) -> Option<&'static WidthKernels> {
-        let bits = w.bits();
-        if (1..=32).contains(&bits) {
-            Some(&KERNELS[(bits - 1) as usize])
-        } else {
-            None
+/// A run of whole chunks of one data vector, in either form it takes: the
+/// packed words of a resident [`BitPackedVec`], or the little-endian bytes
+/// of a pinned page — scanned where they lie.
+#[derive(Debug, Clone, Copy)]
+pub enum Packed<'a> {
+    /// `bits` words per chunk.
+    Words(&'a [u64]),
+    /// `8 * bits` bytes per chunk.
+    Bytes(&'a [u8]),
+}
+
+impl Packed<'_> {
+    fn chunks(&self, bits: usize) -> usize {
+        match self {
+            Packed::Words(w) => w.len().checked_div(bits).unwrap_or(0),
+            Packed::Bytes(b) => b.len().checked_div(8 * bits).unwrap_or(0),
         }
     }
 }
 
-/// The operation a [`KernelPredicate`] routes to.
+type Kernel<S> = fn(Packed<'_>, &Op<'_>, &mut S);
+
+macro_rules! kernel_table {
+    ($($n:literal)*) => { [$(kernel::<$n, Self>),*] };
+}
+
+/// What a kernel does with each chunk of a run.
+trait Sink: Sized {
+    /// Takes chunk `c`, the run's `first` and / or `last`, under test `t`.
+    fn chunk<const N: u32>(&mut self, t: impl ChunkTest, c: impl Chunk, first: bool, last: bool);
+
+    /// This sink's kernels for widths 1..=32, indexed by `bits - 1`.
+    const KERNELS: [Kernel<Self>; 32] = kernel_table!(
+        1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16
+        17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
+    );
+}
+
+/// One result bitmap per chunk, appended.
+impl Sink for Vec<u64> {
+    #[inline(always)]
+    fn chunk<const N: u32>(&mut self, t: impl ChunkTest, c: impl Chunk, _: bool, _: bool) {
+        self.push(t.bitmap::<N>(c));
+    }
+}
+
+/// The number of matches; the run's first chunk is masked by `head` and its
+/// last by `tail` — only those two are compacted to bitmaps.
+struct Count {
+    total: u64,
+    head: u64,
+    tail: u64,
+}
+
+impl Sink for Count {
+    #[inline(always)]
+    fn chunk<const N: u32>(&mut self, t: impl ChunkTest, c: impl Chunk, first: bool, last: bool) {
+        self.total += u64::from(if first || last {
+            let head = if first { self.head } else { u64::MAX };
+            let tail = if last { self.tail } else { u64::MAX };
+            (t.bitmap::<N>(c) & head & tail).count_ones()
+        } else {
+            t.count::<N>(c)
+        });
+    }
+}
+
+/// Hands every chunk of `src` to `sink`, in order. One function per
+/// (width, test, sink), so each chunk loop is optimized on its own.
+#[inline(never)]
+fn each_chunk<const N: u32>(src: Packed<'_>, test: impl ChunkTest, sink: &mut impl Sink) {
+    let n = N as usize;
+    let chunks = src.chunks(n);
+    match src {
+        Packed::Words(words) => {
+            for (i, c) in words.chunks_exact(n).enumerate() {
+                sink.chunk::<N>(test, c, i == 0, i + 1 == chunks);
+            }
+        }
+        Packed::Bytes(bytes) => {
+            // A window is an 8-byte load, so a chunk is read in place when 8
+            // more bytes follow it; the run's last chunk is read from a
+            // zero-padded copy instead — never past the slice.
+            let per = 8 * n;
+            let in_place = chunks.min(bytes.len().saturating_sub(8) / per);
+            let mut padded = [0u8; 8 * 32 + 8];
+            for i in 0..chunks {
+                let c = if i < in_place {
+                    &bytes[i * per..(i + 1) * per + 8]
+                } else {
+                    padded[..per].copy_from_slice(&bytes[i * per..(i + 1) * per]);
+                    &padded[..per + 8]
+                };
+                sink.chunk::<N>(test, c, i == 0, i + 1 == chunks);
+            }
+        }
+    }
+}
+
+/// The lane-level operation a [`KernelPredicate`] compiled to.
 enum Op<'a> {
-    /// Nothing matches (empty set, or the probe exceeds the width).
+    /// Nothing matches (empty set, or every probe exceeds the width).
     Never,
     /// Everything matches (width-0 vector whose single value is in the set,
     /// or a range covering the whole domain).
     Always,
+    /// Equality with the probe replicated into every lane of a window.
     Eq(u64),
+    /// Inclusive range, both bounds replicated.
     Range(u64, u64),
-    In(&'a VidSet),
+    /// Membership in up to [`MAX_LINEAR_SET`] replicated probes.
+    AnyOf([u64; MAX_LINEAR_SET], usize),
+    /// Membership in a larger set: decode + lookup.
+    Lookup(&'a VidSet),
 }
 
-/// A scan predicate compiled against a bit width: picks the specialized
-/// kernel for widths 1..=32 and the generic [`CompiledPredicate`] otherwise,
+/// The kernel of width `N` feeding sink `S`: one loop per operation and form,
+/// every choice made before the first chunk.
+fn kernel<const N: u32, S: Sink>(src: Packed<'_>, op: &Op<'_>, sink: &mut S) {
+    match *op {
+        Op::Eq(p) => each_chunk::<N>(src, Lanes(move |w| eq_hits::<N>(w, p)), sink),
+        Op::Range(lo, hi) => each_chunk::<N>(src, Lanes(move |w| range_hits::<N>(w, lo, hi)), sink),
+        Op::AnyOf(ref ps, k) => {
+            let ps = &ps[..k];
+            each_chunk::<N>(src, Lanes(move |w| any_hits::<N>(w, ps)), sink)
+        }
+        Op::Lookup(set) => each_chunk::<N>(src, set, sink),
+        Op::Never | Op::Always => unreachable!("trivial predicates never reach a kernel"),
+    }
+}
+
+/// A scan predicate compiled against a bit width: picks the windowed kernel
+/// for widths 1..=32 and the generic [`CompiledPredicate`] otherwise,
 /// normalizing degenerate shapes (out-of-domain probes, full-domain ranges)
-/// up front so the per-chunk path never re-checks them.
+/// and replicating the probes up front so the per-chunk path never
+/// re-derives them.
 pub struct KernelPredicate<'a> {
     width: BitWidth,
     op: Op<'a>,
-    kernels: Option<&'static WidthKernels>,
     fallback: Option<CompiledPredicate<'a>>,
 }
 
 impl<'a> KernelPredicate<'a> {
     /// Compiles `set` for scans at `width`.
     pub fn new(width: BitWidth, set: &'a VidSet) -> Self {
-        let max = width.max_value();
+        let (bits, max) = (width.bits(), width.max_value());
+        let windowed = (1..=32).contains(&bits);
+        // Replicates a probe into every lane of a window; off the kernel
+        // table the fallback evaluates `set` itself and probes stay as is.
+        let lsb = if windowed { lane_lsb(bits) } else { 1 };
         let op = if set.is_empty() {
             Op::Never
-        } else if width.bits() == 0 {
+        } else if bits == 0 {
             if set.contains(0) {
                 Op::Always
             } else {
@@ -489,26 +455,36 @@ impl<'a> KernelPredicate<'a> {
         } else {
             match set {
                 VidSet::Single(v) if *v > max => Op::Never,
-                VidSet::Single(v) => Op::Eq(*v),
+                VidSet::Single(v) => Op::Eq(v.wrapping_mul(lsb)),
                 VidSet::Range { lo, .. } if *lo > max => Op::Never,
                 VidSet::Range { lo, hi } if *lo == 0 && *hi >= max => Op::Always,
-                VidSet::Range { lo, hi } => Op::Range(*lo, (*hi).min(max)),
-                other => Op::In(other),
+                VidSet::Range { lo, hi } => {
+                    Op::Range(lo.wrapping_mul(lsb), (*hi).min(max).wrapping_mul(lsb))
+                }
+                // Route by member count, whichever representation
+                // `VidSet::from_vids` picked. Members beyond the width's
+                // domain can never match.
+                _ => {
+                    let mut patterns = [0u64; MAX_LINEAR_SET];
+                    let mut members = 0;
+                    for v in set.iter().filter(|&v| v <= max).take(MAX_LINEAR_SET + 1) {
+                        if let Some(pattern) = patterns.get_mut(members) {
+                            *pattern = v.wrapping_mul(lsb);
+                        }
+                        members += 1;
+                    }
+                    match members {
+                        0 => Op::Never,
+                        1 => Op::Eq(patterns[0]),
+                        k if k <= MAX_LINEAR_SET => Op::AnyOf(patterns, k),
+                        _ => Op::Lookup(set),
+                    }
+                }
             }
         };
-        let kernels = WidthKernels::for_width(width);
-        let fallback = match (&op, kernels) {
-            (Op::Eq(_) | Op::Range(..) | Op::In(_), None) => {
-                Some(CompiledPredicate::new(width, set))
-            }
-            _ => None,
-        };
-        KernelPredicate { width, op, kernels, fallback }
-    }
-
-    /// The compiled width.
-    pub fn width(&self) -> BitWidth {
-        self.width
+        let fallback = (!windowed && !matches!(op, Op::Never | Op::Always))
+            .then(|| CompiledPredicate::new(width, set));
+        KernelPredicate { width, op, fallback }
     }
 
     /// True when no slot can ever match.
@@ -522,43 +498,68 @@ impl<'a> KernelPredicate<'a> {
     }
 
     /// Appends one match bitmap per chunk of `words` (an integral number of
-    /// chunks at the compiled width) — the single fused call a caller makes
-    /// per pinned page.
+    /// chunks at the compiled width): [`Self::scan`] over resident words.
     pub fn scan_chunks(&self, words: &[u64], out: &mut Vec<u64>) {
-        let n = self.width.bits() as usize;
-        debug_assert!(n > 0 && words.len().is_multiple_of(n), "whole chunks required");
-        let chunks = words.len().checked_div(n).unwrap_or(0);
-        match (&self.op, self.kernels) {
-            (Op::Never, _) => out.extend(std::iter::repeat_n(0u64, chunks)),
-            (Op::Always, _) => out.extend(std::iter::repeat_n(u64::MAX, chunks)),
-            (Op::Eq(v), Some(k)) => (k.eq)(words, *v, out),
-            (Op::Range(lo, hi), Some(k)) => (k.range)(words, *lo, *hi, out),
-            (Op::In(set), Some(k)) => (k.in_set)(words, set, out),
-            // Widths 33..=64: generic per-chunk kernel.
-            (_, None) => match &self.fallback {
-                Some(pred) => {
-                    for chunk in words.chunks_exact(n) {
-                        out.push(pred.chunk_bitmap(chunk));
-                    }
-                }
-                None => unreachable!("fallback compiled for non-trivial ops"),
-            },
+        self.scan(Packed::Words(words), out);
+    }
+
+    /// Appends one match bitmap per chunk of `src` — the single fused call
+    /// a caller makes per pinned page or resident word run.
+    ///
+    /// A width-0 vector has no packed form to hand in: its predicate is
+    /// [`Self::never_matches`] or [`Self::always_matches`], which the caller
+    /// answers from the row count alone.
+    pub fn scan(&self, src: Packed<'_>, out: &mut Vec<u64>) {
+        let bits = self.width.bits();
+        debug_assert!(bits != 0, "width 0 has no chunks to scan");
+        let chunks = src.chunks(bits as usize);
+        match &self.op {
+            Op::Never => out.extend(std::iter::repeat_n(0, chunks)),
+            Op::Always => out.extend(std::iter::repeat_n(u64::MAX, chunks)),
+            op if bits <= 32 => Vec::KERNELS[(bits - 1) as usize](src, op, out),
+            _ => out.extend((0..chunks).map(|i| self.wide_bitmap(src, i))),
         }
     }
 
-    /// One chunk's match bitmap (used for isolated boundary chunks).
-    #[inline]
-    pub fn chunk_bitmap(&self, chunk: &[u64]) -> u64 {
-        match (&self.op, self.kernels) {
+    /// Number of matches in the chunks of `src`, counting only the slots in
+    /// `head` of its first chunk and in `tail` of its last (see
+    /// [`boundary_mask`]; a one-chunk run is masked by both). Interior
+    /// chunks are counted without building their bitmaps. Like
+    /// [`Self::scan`], not for width 0.
+    pub fn count(&self, src: Packed<'_>, head: u64, tail: u64) -> u64 {
+        let bits = self.width.bits();
+        debug_assert!(bits != 0, "width 0 has no chunks to count");
+        if bits <= 32 && !matches!(self.op, Op::Never | Op::Always) {
+            let mut count = Count { total: 0, head, tail };
+            Count::KERNELS[(bits - 1) as usize](src, &self.op, &mut count);
+            return count.total;
+        }
+        // Off the kernel table: mask and popcount chunk by chunk.
+        let chunks = src.chunks(bits as usize);
+        let edged = |i: usize, mut bm: u64| {
+            bm &= if i == 0 { head } else { u64::MAX };
+            bm &= if i + 1 == chunks { tail } else { u64::MAX };
+            u64::from(bm.count_ones())
+        };
+        (0..chunks).map(|i| edged(i, self.wide_bitmap(src, i))).sum()
+    }
+
+    /// Chunk `i`'s bitmap off the kernel table: trivial predicates, and the
+    /// generic per-chunk kernel at widths 33..=64.
+    fn wide_bitmap(&self, src: Packed<'_>, i: usize) -> u64 {
+        let n = self.width.bits() as usize;
+        match (&self.op, &self.fallback) {
             (Op::Never, _) => 0,
             (Op::Always, _) => u64::MAX,
-            (Op::Eq(v), Some(k)) => (k.chunk_eq)(chunk, *v),
-            (Op::Range(lo, hi), Some(k)) => (k.chunk_range)(chunk, *lo, *hi),
-            (Op::In(set), Some(k)) => (k.chunk_in_set)(chunk, set),
-            (_, None) => match &self.fallback {
-                Some(pred) => pred.chunk_bitmap(chunk),
-                None => unreachable!("fallback compiled for non-trivial ops"),
+            (_, Some(pred)) => match src {
+                Packed::Words(words) => pred.chunk_bitmap(&words[i * n..(i + 1) * n]),
+                Packed::Bytes(bytes) => {
+                    let mut words = [0u64; CHUNK_LEN];
+                    fill_le_words(&bytes[i * 8 * n..(i + 1) * 8 * n], &mut words[..n]);
+                    pred.chunk_bitmap(&words[..n])
+                }
             },
+            (_, None) => unreachable!("fallback compiled for non-trivial ops"),
         }
     }
 }
@@ -594,9 +595,8 @@ pub fn chunk_bitmap_generic(chunk_words: &[u64], w: BitWidth, set: &VidSet) -> u
     bm
 }
 
-/// Number of matches in `vec[from..to]` without materializing positions (or
-/// even per-chunk bitmaps): each chunk's bitmap is popcounted on the fly.
-/// This is the COUNT(*) kernel — output cost is one add per 64 rows.
+/// Number of matches in `vec[from..to]` without materializing positions or
+/// per-chunk bitmaps: the COUNT(*) kernel over a resident vector.
 pub fn count_matches(vec: &BitPackedVec, from: u64, to: u64, set: &VidSet) -> u64 {
     assert!(from <= to && to <= vec.len(), "count range {from}..{to} out of bounds");
     if from == to {
@@ -611,13 +611,9 @@ pub fn count_matches(vec: &BitPackedVec, from: u64, to: u64, set: &VidSet) -> u6
     }
     let first = from / CHUNK_LEN as u64;
     let last = (to - 1) / CHUNK_LEN as u64;
-    let mut n = 0u64;
-    for ci in first..=last {
-        let mut bm = pred.chunk_bitmap(vec.chunk_words(ci));
-        bm &= boundary_mask(ci, from, to);
-        n += u64::from(bm.count_ones());
-    }
-    n
+    let n = vec.width().bits() as usize;
+    let words = &vec.words()[first as usize * n..(last as usize + 1) * n];
+    pred.count(Packed::Words(words), boundary_mask(first, from, to), boundary_mask(last, from, to))
 }
 
 /// The mask of slots of chunk `ci` that fall inside `from..to`.
@@ -702,124 +698,242 @@ mod tests {
     use super::*;
     use crate::chunk::encode_chunk;
 
-    fn chunk_for(values: &[u64; CHUNK_LEN], bits: u32) -> (BitWidth, Vec<u64>) {
+    /// `chunks` chunks of pseudo-random values at `bits`, with 0 and the
+    /// width's maximum forced in, packed; returns (values, words).
+    fn packed(bits: u32, chunks: usize, seed: u64) -> (Vec<u64>, Vec<u64>) {
         let w = BitWidth::new(bits).unwrap();
-        let mut words = vec![0u64; bits as usize];
-        encode_chunk(values, w, &mut words);
-        (w, words)
+        let mut values: Vec<u64> = (0..chunks * CHUNK_LEN)
+            .map(|i| {
+                seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                    .wrapping_add(i as u64)
+                    .wrapping_mul(0xBF58_476D_1CE4_E5B9)
+                    .rotate_left(i as u32)
+                    & w.mask()
+            })
+            .collect();
+        values[3] = 0;
+        values[CHUNK_LEN - 1] = w.max_value();
+        let mut words = vec![0u64; chunks * bits as usize];
+        for (vals, out) in values.chunks(CHUNK_LEN).zip(words.chunks_mut(bits as usize)) {
+            encode_chunk(vals.try_into().unwrap(), w, out);
+        }
+        (values, words)
     }
 
-    fn pseudo_values(bits: u32, seed: u64) -> [u64; CHUNK_LEN] {
-        let mask = BitWidth::new(bits).unwrap().mask();
-        let mut values = [0u64; CHUNK_LEN];
-        for (i, v) in values.iter_mut().enumerate() {
-            *v = seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(i as u64)
-                .wrapping_mul(0xBF58_476D_1CE4_E5B9)
-                .rotate_left(i as u32)
-                & mask;
-        }
+    fn le_bytes(words: &[u64]) -> Vec<u8> {
+        words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    }
+
+    fn naive_bitmaps(values: &[u64], set: &VidSet) -> Vec<u64> {
         values
+            .chunks(CHUNK_LEN)
+            .map(|c| c.iter().enumerate().fold(0, |bm, (i, &v)| bm | u64::from(set.contains(v)) << i))
+            .collect()
     }
 
-    fn naive_bitmap(values: &[u64; CHUNK_LEN], pred: impl Fn(u64) -> bool) -> u64 {
-        let mut bm = 0u64;
-        for (i, &v) in values.iter().enumerate() {
-            bm |= u64::from(pred(v)) << i;
+    fn bitmap_set(members: &[u64]) -> VidSet {
+        let mut words = vec![0u64; (members.iter().max().unwrap() / 64 + 1) as usize];
+        for &v in members {
+            words[(v / 64) as usize] |= 1 << (v % 64);
         }
-        bm
+        VidSet::Bitmap(words)
+    }
+
+    /// Every predicate shape at width `bits`: equality, ranges and sets of
+    /// 2..=16 members (both representations) and beyond, with the edge
+    /// operands — 0, max, `lo == hi`, the full domain, out-of-domain probes.
+    fn shapes(bits: u32, values: &[u64]) -> Vec<VidSet> {
+        let max = BitWidth::new(bits).unwrap().max_value();
+        let mut sets = vec![
+            VidSet::Single(0),
+            VidSet::Single(max),
+            VidSet::Single(values[17]),
+            VidSet::Single(max / 3),
+            VidSet::Single(max + 1),
+            VidSet::Single(u64::MAX),
+            VidSet::Range { lo: 0, hi: max },
+            VidSet::Range { lo: 0, hi: u64::MAX },
+            VidSet::Range { lo: 0, hi: 0 },
+            VidSet::Range { lo: max, hi: max },
+            VidSet::Range { lo: max / 2, hi: max / 2 },
+            VidSet::Range { lo: 0, hi: max.saturating_sub(1) },
+            VidSet::Range { lo: 1.min(max), hi: max },
+            VidSet::Range { lo: max / 4, hi: max / 2 + 1 },
+            VidSet::Range { lo: max / 2, hi: max + 9 },
+            VidSet::Range { lo: max + 1, hi: max + 9 },
+        ];
+        for size in (2..=MAX_LINEAR_SET).chain([MAX_LINEAR_SET + 1, 40]) {
+            // The domain's ends, one probe beyond it, and present values.
+            let mut members = vec![0, max, max + 7];
+            members.truncate(size);
+            members.extend(values.iter().step_by(5).take(size - members.len()));
+            members.sort_unstable();
+            members.dedup();
+            sets.push(VidSet::Sorted(members.clone()));
+            // The dense form `VidSet::from_vids` picks for low identifiers.
+            let low: Vec<u64> = members.iter().map(|v| v % 200).collect();
+            sets.push(bitmap_set(&low));
+        }
+        sets
     }
 
     #[test]
-    fn specialized_eq_matches_naive_all_widths() {
+    fn windowed_generic_and_naive_agree_at_every_width_and_shape() {
         for bits in 1..=32u32 {
-            let values = pseudo_values(bits, u64::from(bits) * 7 + 1);
-            let (w, words) = chunk_for(&values, bits);
-            let k = WidthKernels::for_width(w).unwrap();
-            for vid in [values[0], values[63], 0, w.max_value()] {
-                let mut out = Vec::new();
-                (k.eq)(&words, vid, &mut out);
-                assert_eq!(out.len(), 1);
-                assert_eq!(out[0], naive_bitmap(&values, |v| v == vid), "bits={bits} vid={vid}");
+            let w = BitWidth::new(bits).unwrap();
+            let (values, words) = packed(bits, 3, u64::from(bits) * 7 + 1);
+            let bytes = le_bytes(&words);
+            for set in shapes(bits, &values) {
+                let naive = naive_bitmaps(&values, &set);
+                let generic: Vec<u64> = words
+                    .chunks(bits as usize)
+                    .map(|c| chunk_bitmap_generic(c, w, &set))
+                    .collect();
+                assert_eq!(generic, naive, "generic: bits={bits} {set:?}");
+                let pred = KernelPredicate::new(w, &set);
+                for src in [Packed::Words(&words), Packed::Bytes(&bytes)] {
+                    let mut got = Vec::new();
+                    pred.scan(src, &mut got);
+                    assert_eq!(got, naive, "windowed: bits={bits} {set:?} {src:?}");
+                }
             }
         }
     }
 
     #[test]
-    fn specialized_range_and_set_match_naive() {
+    fn small_sets_take_the_lane_path_in_either_representation() {
+        let w = BitWidth::new(4).unwrap();
+        let dense = VidSet::from_vids(vec![1, 5, 8, 14]);
+        assert!(matches!(dense, VidSet::Bitmap(_)), "low ids pick the bitmap form");
+        assert!(matches!(KernelPredicate::new(w, &dense).op, Op::AnyOf(_, 4)));
+        let sparse = VidSet::Sorted(vec![1, 5, 8, 14]);
+        assert!(matches!(KernelPredicate::new(w, &sparse).op, Op::AnyOf(_, 4)));
+        let big = VidSet::from_vids((0..40).step_by(2).collect());
+        assert!(matches!(KernelPredicate::new(BitWidth::new(6).unwrap(), &big).op, Op::Lookup(_)));
+        // Out-of-domain members drop out before the count is taken.
+        let beyond = VidSet::Sorted(vec![3, 99, 1000]);
+        assert!(matches!(KernelPredicate::new(w, &beyond).op, Op::Eq(_)));
+        assert!(KernelPredicate::new(w, &VidSet::Sorted(vec![99, 1000])).never_matches());
+    }
+
+    #[test]
+    fn count_equals_popcount_of_bitmaps_for_every_boundary() {
+        let edges = [0u64, 1, 63, 64, 65, 127, 128, 129, 191, 192, 250, 319, 320];
         for bits in 1..=32u32 {
-            let values = pseudo_values(bits, u64::from(bits) + 100);
-            let (w, words) = chunk_for(&values, bits);
-            let k = WidthKernels::for_width(w).unwrap();
+            let w = BitWidth::new(bits).unwrap();
+            let (values, words) = packed(bits, 5, u64::from(bits) + 100);
+            let bytes = le_bytes(&words);
             let max = w.max_value();
-            let (lo, hi) = (max / 4, max / 2 + 1);
-            let mut out = Vec::new();
-            (k.range)(&words, lo, hi, &mut out);
-            assert_eq!(out[0], naive_bitmap(&values, |v| v >= lo && v <= hi), "bits={bits}");
-            let set = VidSet::from_vids(values[..7].to_vec());
-            out.clear();
-            (k.in_set)(&words, &set, &mut out);
-            assert_eq!(out[0], naive_bitmap(&values, |v| set.contains(v)), "bits={bits}");
-        }
-    }
-
-    #[test]
-    fn swar_range_matches_naive_at_edge_bounds() {
-        // The SWAR less-than path (dividing widths) against every boundary
-        // shape: full domain, degenerate point ranges at 0 and max, and
-        // bounds adjacent to the lane extremes.
-        for bits in [1u32, 2, 4, 8, 16, 32] {
-            let values = pseudo_values(bits, u64::from(bits) * 31 + 3);
-            let (w, words) = chunk_for(&values, bits);
-            let k = WidthKernels::for_width(w).unwrap();
-            let max = w.max_value();
-            let mut bounds = vec![(0, max), (0, 0), (max, max), (max / 2, max / 2)];
-            if max > 0 {
-                bounds.push((0, max - 1));
-                bounds.push((1, max));
-                bounds.push((max / 3, 2 * (max / 3) + 1));
-            }
-            for (lo, hi) in bounds {
-                let got = (k.chunk_range)(&words, lo, hi);
-                let want = naive_bitmap(&values, |v| v >= lo && v <= hi);
-                assert_eq!(got, want, "bits={bits} lo={lo} hi={hi}");
+            let sets = [
+                VidSet::Single(values[9]),
+                VidSet::range(max / 4, max / 2 + 1),
+                VidSet::from_vids(vec![values[1], values[70], values[200]]),
+                VidSet::from_vids(values.iter().step_by(3).take(30).copied().collect()),
+            ];
+            for set in &sets {
+                let pred = KernelPredicate::new(w, set);
+                let bitmaps = naive_bitmaps(&values, set);
+                for &from in &edges {
+                    for &to in edges.iter().filter(|&&to| to > from) {
+                        let (first, last) = (from / 64, (to - 1) / 64);
+                        let expect: u64 = (first..=last)
+                            .map(|ci| bitmaps[ci as usize] & boundary_mask(ci, from, to))
+                            .map(|bm| u64::from(bm.count_ones()))
+                            .sum();
+                        let (head, tail) =
+                            (boundary_mask(first, from, to), boundary_mask(last, from, to));
+                        let n = bits as usize;
+                        let (a, b) = (first as usize, last as usize + 1);
+                        let got_words = pred.count(Packed::Words(&words[a * n..b * n]), head, tail);
+                        let got_bytes =
+                            pred.count(Packed::Bytes(&bytes[a * n * 8..b * n * 8]), head, tail);
+                        assert_eq!(got_words, expect, "bits={bits} {set:?} {from}..{to}");
+                        assert_eq!(got_bytes, expect, "bits={bits} {set:?} {from}..{to} (bytes)");
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn small_sorted_set_kernels_match_naive_all_widths() {
-        // Both linear-membership paths (SWAR OR-of-eq at aligned widths
-        // <= 16, decode + branchless compare elsewhere), including probes
-        // beyond the width's domain, which must never match.
+    fn byte_runs_never_read_past_their_slice() {
+        // A run that ends exactly at the end of its allocation (the last
+        // chunk of a page whose payload fills it), and a run followed by
+        // bytes that must not leak into the result.
         for bits in 1..=32u32 {
-            let values = pseudo_values(bits, u64::from(bits) * 13 + 5);
-            let (w, words) = chunk_for(&values, bits);
-            let k = WidthKernels::for_width(w).unwrap();
-            let mut vids: Vec<u64> = values.iter().take(6).copied().collect();
-            vids.push(w.max_value().saturating_add(7));
-            vids.sort_unstable();
-            vids.dedup();
-            let set = VidSet::Sorted(vids.clone());
-            let got = (k.chunk_in_set)(&words, &set);
-            let want = naive_bitmap(&values, |v| vids.binary_search(&v).is_ok());
-            assert_eq!(got, want, "bits={bits}");
+            let w = BitWidth::new(bits).unwrap();
+            let (values, words) = packed(bits, 2, u64::from(bits) * 3);
+            let exact = le_bytes(&words).into_boxed_slice();
+            let mut poisoned = exact.to_vec();
+            poisoned.extend([0xFF; 16]);
+            for set in [VidSet::Single(w.max_value()), VidSet::range(0, w.max_value() / 2)] {
+                let pred = KernelPredicate::new(w, &set);
+                let naive = naive_bitmaps(&values, &set);
+                for bytes in [&exact[..], &poisoned[..exact.len()]] {
+                    let mut got = Vec::new();
+                    pred.scan(Packed::Bytes(bytes), &mut got);
+                    assert_eq!(got, naive, "bits={bits} {set:?}");
+                    let total: u64 = naive.iter().map(|b| u64::from(b.count_ones())).sum();
+                    assert_eq!(pred.count(Packed::Bytes(bytes), u64::MAX, u64::MAX), total);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn window_loads_agree_between_words_and_bytes() {
+        // Every window the kernels read, both ways, against a bit-by-bit
+        // extraction (the byte form with exactly the 8 bytes of slack the
+        // kernel grants it).
+        for bits in 1..=32u32 {
+            let (_, words) = packed(bits, 1, u64::from(bits) * 11);
+            let mut bytes = le_bytes(&words);
+            bytes.extend([0u8; 8]);
+            let lanes = window_lanes(bits);
+            let need = lanes * bits as usize;
+            let bit_at = |b: usize| (words[b >> 6] >> (b & 63)) & 1;
+            for k in 0..CHUNK_LEN / lanes {
+                let expect = (0..need).fold(0u64, |acc, i| acc | bit_at(k * need + i) << i);
+                let mask = if need == 64 { u64::MAX } else { (1u64 << need) - 1 };
+                assert_eq!((&words[..]).window(k * need, need) & mask, expect, "bits={bits} k={k}");
+                assert_eq!((&bytes[..]).window(k * need, need) & mask, expect, "bits={bits} k={k}");
+            }
         }
     }
 
     #[test]
     fn generic_reference_matches_naive_all_widths() {
         for bits in [0u32, 1, 3, 8, 13, 17, 32, 33, 47, 64] {
-            let values = if bits == 0 { [0u64; CHUNK_LEN] } else { pseudo_values(bits, 5) };
-            let (w, words) = chunk_for(&values, bits);
+            let w = BitWidth::new(bits).unwrap();
+            let (values, words) =
+                if bits == 0 { (vec![0u64; CHUNK_LEN], Vec::new()) } else { packed(bits, 1, 5) };
             for set in [
                 VidSet::Single(values[10]),
                 VidSet::range(0, w.max_value() / 2),
                 VidSet::from_vids(values[..5].to_vec()),
             ] {
                 let bm = chunk_bitmap_generic(&words, w, &set);
-                assert_eq!(bm, naive_bitmap(&values, |v| set.contains(v)), "bits={bits} {set:?}");
+                assert_eq!(vec![bm], naive_bitmaps(&values, &set), "bits={bits} {set:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn wide_widths_fall_back_to_the_generic_kernel_in_both_forms() {
+        for bits in [33u32, 47, 64] {
+            let w = BitWidth::new(bits).unwrap();
+            let (values, words) = packed(bits, 2, u64::from(bits));
+            let bytes = le_bytes(&words);
+            for set in [VidSet::Single(values[5]), VidSet::range(0, w.max_value() / 2)] {
+                let pred = KernelPredicate::new(w, &set);
+                let naive = naive_bitmaps(&values, &set);
+                for src in [Packed::Words(&words), Packed::Bytes(&bytes)] {
+                    let mut got = Vec::new();
+                    pred.scan(src, &mut got);
+                    assert_eq!(got, naive, "bits={bits} {set:?} {src:?}");
+                    let total: u64 = naive.iter().map(|b| u64::from(b.count_ones())).sum();
+                    assert_eq!(pred.count(src, u64::MAX, u64::MAX), total);
+                }
             }
         }
     }
@@ -832,31 +946,17 @@ mod tests {
         assert!(KernelPredicate::new(w, &over).never_matches());
         // Full-domain range: always matches.
         let full = VidSet::range(0, u64::MAX);
-        assert!(KernelPredicate::new(w, &full).always_matches());
+        let always = KernelPredicate::new(w, &full);
+        assert!(always.always_matches());
+        let mut out = Vec::new();
+        always.scan_chunks(&[0; 12], &mut out);
+        assert_eq!(out, [u64::MAX; 2]);
+        assert_eq!(always.count(Packed::Words(&[0; 12]), u64::MAX << 60, 1), 5);
         // Width 0 with 0 in the set: always; without: never.
         let zero = VidSet::Single(0);
         assert!(KernelPredicate::new(BitWidth::ZERO, &zero).always_matches());
         let one = VidSet::Single(1);
         assert!(KernelPredicate::new(BitWidth::ZERO, &one).never_matches());
-    }
-
-    #[test]
-    fn scan_chunks_covers_multiple_chunks() {
-        let bits = 9u32;
-        let w = BitWidth::new(bits).unwrap();
-        let a = pseudo_values(bits, 1);
-        let b = pseudo_values(bits, 2);
-        let mut words = vec![0u64; 2 * bits as usize];
-        encode_chunk(&a, w, &mut words[..bits as usize]);
-        encode_chunk(&b, w, &mut words[bits as usize..]);
-        let set = VidSet::range(10, 300);
-        let pred = KernelPredicate::new(w, &set);
-        let mut out = Vec::new();
-        pred.scan_chunks(&words, &mut out);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0], naive_bitmap(&a, |v| set.contains(v)));
-        assert_eq!(out[1], naive_bitmap(&b, |v| set.contains(v)));
-        assert_eq!(pred.chunk_bitmap(&words[..bits as usize]), out[0]);
     }
 
     #[test]

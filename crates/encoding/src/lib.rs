@@ -44,7 +44,7 @@ pub mod vidset;
 pub use bitpack::{BitPackedBuilder, BitPackedVec};
 pub use bitwidth::BitWidth;
 pub use chunk::CHUNK_LEN;
-pub use kernels::{KernelPredicate, WidthKernels};
+pub use kernels::{KernelPredicate, Packed};
 pub use vidset::VidSet;
 
 /// Errors produced when decoding persisted encodings from (possibly

@@ -1,17 +1,22 @@
-//! Vectorized scan primitives over n-bit packed chunks.
+//! Scan entry points over resident packed vectors, and the generic chunk
+//! primitives.
 //!
-//! These are the paper's `search` primitives (§3.1.3): predicate evaluation
-//! over uniformly encoded chunks, producing one 64-bit *match bitmap* per
-//! chunk (bit `i` set ⇔ slot `i` matches). Implementation is portable SWAR:
+//! [`search`], [`search_bitmap`] and [`search_at_rows`] are the paper's
+//! `search` varieties (§3.1.3) over a [`BitPackedVec`]. The first two
+//! evaluate through [`KernelPredicate`] — the same width-specialized kernels
+//! the paged iterator hands its pinned pages to, so a paged/resident
+//! comparison compares page access, not kernels.
 //!
-//! * For widths that divide 64, a word-parallel zero-lane test rejects
-//!   non-matching words without decoding them (the common case on selective
-//!   scans — the paper notes `search` is memory-bandwidth bound, so skipping
-//!   the unpack of non-matching words is the win that matters).
-//! * Otherwise the chunk is decoded once into a stack buffer and the
-//!   predicate is evaluated with a branchless loop that autovectorizes.
+//! The runtime-width chunk primitives below ([`chunk_bitmap_eq`] /
+//! [`chunk_bitmap_range`] / [`chunk_bitmap_in`], [`CompiledPredicate`])
+//! produce the same 64-bit match bitmap per chunk (bit `i` set ⇔ slot `i`
+//! matches) without specialization: a SWAR zero-lane test at widths that
+//! divide 64, decode plus a branchless compare otherwise. They serve widths
+//! 33..=64, which the kernel table does not cover, and stand as the oracle
+//! the specialized kernels are tested against.
 
 use crate::chunk::{decode_chunk, CHUNK_LEN};
+use crate::kernels::KernelPredicate;
 use crate::{BitPackedVec, BitWidth, VidSet};
 
 /// Replicates an `n`-bit value across a 64-bit word (`n` must divide 64).
@@ -253,15 +258,20 @@ impl<'a> CompiledPredicate<'a> {
     }
 }
 
+/// Chunks evaluated per kernel call by [`search`]: bounds the transient
+/// result bitmaps (4 KiB) whatever the range.
+const SEARCH_BLOCK_CHUNKS: usize = 512;
+
 /// Scans `vec[from..to]` for positions whose value is in `set`, appending
-/// matches (ascending) to `out`. This is the resident-column `search`; the
-/// paged iterator applies the same chunk primitives page by page.
+/// matches (ascending) to `out`. This is the resident-column `search`; it
+/// evaluates through the same [`KernelPredicate`] the paged iterator hands
+/// its pinned pages to.
 pub fn search(vec: &BitPackedVec, from: u64, to: u64, set: &VidSet, out: &mut Vec<u64>) {
     assert!(from <= to && to <= vec.len(), "search range {from}..{to} out of bounds");
     if from == to || set.is_empty() {
         return;
     }
-    let pred = crate::kernels::KernelPredicate::new(vec.width(), set);
+    let pred = KernelPredicate::new(vec.width(), set);
     if pred.never_matches() {
         return;
     }
@@ -269,12 +279,19 @@ pub fn search(vec: &BitPackedVec, from: u64, to: u64, set: &VidSet, out: &mut Ve
         out.extend(from..to);
         return;
     }
-    let first = from / CHUNK_LEN as u64;
-    let last = (to - 1) / CHUNK_LEN as u64;
-    for ci in first..=last {
-        let bm = pred.chunk_bitmap(vec.chunk_words(ci));
-        if bm != 0 {
-            push_bitmap_positions(bm, ci * CHUNK_LEN as u64, from, to, out);
+    let n = vec.width().bits() as usize;
+    let first = (from / CHUNK_LEN as u64) as usize;
+    let last = ((to - 1) / CHUNK_LEN as u64) as usize;
+    let mut bitmaps = Vec::with_capacity(SEARCH_BLOCK_CHUNKS.min(last - first + 1));
+    let blocks = vec.words()[first * n..(last + 1) * n].chunks(SEARCH_BLOCK_CHUNKS * n);
+    for (bi, words) in blocks.enumerate() {
+        bitmaps.clear();
+        pred.scan_chunks(words, &mut bitmaps);
+        let base = first + bi * SEARCH_BLOCK_CHUNKS;
+        for (k, &bm) in bitmaps.iter().enumerate() {
+            if bm != 0 {
+                push_bitmap_positions(bm, ((base + k) * CHUNK_LEN) as u64, from, to, out);
+            }
         }
     }
 }
@@ -291,22 +308,20 @@ pub fn search_bitmap(vec: &BitPackedVec, from: u64, to: u64, set: &VidSet, out: 
         return;
     }
     assert!(from.is_multiple_of(CHUNK_LEN as u64), "bitmap search starts on a chunk boundary");
-    let pred = crate::kernels::KernelPredicate::new(vec.width(), set);
-    let first = from / CHUNK_LEN as u64;
-    let last = (to - 1) / CHUNK_LEN as u64;
-    out.reserve((last - first + 1) as usize);
-    if vec.width().bits() > 0 && !pred.never_matches() && !pred.always_matches() {
-        // Fused path: the packed words are contiguous, so the whole range is
-        // one kernel call.
-        let wpc = vec.width().bits() as usize;
-        let words = vec.words();
-        pred.scan_chunks(&words[first as usize * wpc..(last + 1) as usize * wpc], out);
+    let pred = KernelPredicate::new(vec.width(), set);
+    let first = (from / CHUNK_LEN as u64) as usize;
+    let last = ((to - 1) / CHUNK_LEN as u64) as usize;
+    out.reserve(last - first + 1);
+    let n = vec.width().bits() as usize;
+    if n == 0 {
+        // No words to scan: every slot holds 0.
+        let all = if pred.always_matches() { u64::MAX } else { 0 };
+        out.resize(last - first + 1, all);
     } else {
-        for ci in first..=last {
-            out.push(pred.chunk_bitmap(vec.chunk_words(ci)));
-        }
+        // The packed words are contiguous: the whole range is one kernel call.
+        pred.scan_chunks(&vec.words()[first * n..(last + 1) * n], out);
     }
-    let keep = to - last * CHUNK_LEN as u64;
+    let keep = to - (last * CHUNK_LEN) as u64;
     if keep < 64 {
         if let Some(bm) = out.last_mut() {
             *bm &= (1u64 << keep) - 1;

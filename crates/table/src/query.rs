@@ -209,33 +209,25 @@ impl Snapshot<'_> {
             }
             Projection::Sum(name) => {
                 let col = self.schema().column_index(name)?;
-                let ty = self.schema().columns()[col].data_type;
-                let rows = self.project(&addrs, &[col])?;
-                let mut acc = SumAcc::new(ty)?;
-                for row in &rows {
-                    acc.add(&row[0]);
+                let mut acc = SumAcc::new(self.schema().columns()[col].data_type)?;
+                for v in &self.column_values(&addrs, col)? {
+                    acc.add(v);
                 }
                 Ok(QueryResult::Sum(acc.finish()))
             }
             Projection::Distinct(name) => {
-                let rows = self.project(&addrs, &[self.schema().column_index(name)?])?;
-                let mut keys: Vec<(Vec<u8>, Value)> = rows
-                    .into_iter()
-                    .map(|mut r| {
-                        let v = r.remove(0);
-                        (v.to_key(), v)
-                    })
-                    .collect();
+                let values = self.column_values(&addrs, self.schema().column_index(name)?)?;
+                let mut keys: Vec<(Vec<u8>, Value)> =
+                    values.into_iter().map(|v| (v.to_key(), v)).collect();
                 keys.sort_by(|a, b| a.0.cmp(&b.0));
                 keys.dedup_by(|a, b| a.0 == b.0);
                 Ok(QueryResult::Rows(keys.into_iter().map(|(_, v)| vec![v]).collect()))
             }
             Projection::Min(name) | Projection::Max(name) => {
                 let want_max = matches!(&q.projection, Projection::Max(_));
-                let rows = self.project(&addrs, &[self.schema().column_index(name)?])?;
-                let best = rows
+                let best = self
+                    .column_values(&addrs, self.schema().column_index(name)?)?
                     .into_iter()
-                    .map(|mut r| r.remove(0))
                     .map(|v| (v.to_key(), v))
                     .reduce(|a, b| {
                         let pick_b = (b.0 > a.0) == want_max;
@@ -429,6 +421,30 @@ impl Snapshot<'_> {
             }
         }
         Ok(rows)
+    }
+
+    /// The values of column `col` at `addrs`, in `addrs` order — what an
+    /// aggregate folds over. The one-column [`Self::project`] without its
+    /// row vectors: every run of main-fragment rows of one partition (all
+    /// of them, as [`Self::matching_rows`] orders addresses) is one
+    /// `get_values` call — the one-column case of
+    /// [`payg_core::column::materialize`] — and delta rows are read in place.
+    fn column_values(&self, addrs: &[RowAddr], col: usize) -> TableResult<Vec<Value>> {
+        let mut out = Vec::with_capacity(addrs.len());
+        let mut rest = addrs;
+        while let Some(&a) = rest.first() {
+            let p = &self.partitions()[a.partition];
+            if a.in_delta {
+                out.push(p.delta_view().value(a.rpos, col, self.schema())?);
+                rest = &rest[1..];
+                continue;
+            }
+            let run = rest.iter().take_while(|b| !b.in_delta && b.partition == a.partition).count();
+            let rposs: Vec<u64> = rest[..run].iter().map(|b| b.rpos).collect();
+            out.append(&mut p.main_frag().column(col).get_values(&rposs)?);
+            rest = &rest[run..];
+        }
+        Ok(out)
     }
 }
 

@@ -267,7 +267,7 @@ pub fn run(rel: &Path, lexed: &Lexed, info: &FileInfo, sink: &Sink<'_>) {
                 toks[i + 1].line,
                 "pool pin inside a per-chunk loop: warm scans must pin \
                  each page once per run — hoist into a per-page helper \
-                 (guard cache / load_chunk_run) or suppress with a reason",
+                 (guard cache / reposition) or suppress with a reason",
             );
         }
     }

@@ -1,5 +1,5 @@
-//! `ablation/compression` — compressed-domain paging vs the plain format-1
-//! layout: FSST dictionary blocks and partitioned Elias-Fano postings.
+//! `ablation/compression` — compressed-domain paging vs the plain page
+//! layouts: FSST dictionary blocks and partitioned Elias-Fano postings.
 //!
 //! Four measurements, each against the same data built twice (compressed
 //! codecs on vs `dict_fsst: false, pef_postings: false`):

@@ -12,7 +12,7 @@ use crate::datavec::guards::GuardCache;
 use crate::{CoreError, CoreResult, PageConfig};
 use payg_encoding::chunk::{self, bytes_per_chunk, CHUNK_LEN};
 use payg_encoding::kernels::{boundary_mask, KernelPredicate, Packed};
-use payg_encoding::scan::{push_bitmap_positions, CompiledPredicate};
+use payg_encoding::scan::push_bitmap_positions;
 use payg_encoding::{BitPackedVec, BitWidth, VidSet};
 use payg_obs::{names, Counter, Gauge, Histogram, Registry, ScanProfile};
 use payg_storage::{BufferPool, ChainRef, PageKey, StorageError};
@@ -482,58 +482,6 @@ impl PagedDataVectorIterator<'_> {
         Ok(())
     }
 
-    /// The seed's unfused scan path: one runtime-width
-    /// [`CompiledPredicate`] evaluation per chunk, repositioning (through
-    /// the guard cache) for every chunk. Kept as the reference
-    /// implementation the fused kernels are benchmarked and
-    /// equivalence-tested against.
-    pub fn search_generic(
-        &mut self,
-        from: u64,
-        to: u64,
-        set: &VidSet,
-        out: &mut Vec<u64>,
-    ) -> CoreResult<()> {
-        self.vec.check_range(from, to)?;
-        self.vec.scan.scans.inc();
-        if from == to || set.is_empty() {
-            return Ok(());
-        }
-        if self.vec.meta.width.bits() == 0 {
-            if set.contains(0) {
-                out.extend(from..to);
-            }
-            return Ok(());
-        }
-        let pred = CompiledPredicate::new(self.vec.meta.width, set);
-        let matched_from = out.len();
-        let mut words = [0u64; 64];
-        let cpp = self.vec.meta.chunks_per_page;
-        let first = chunk::chunk_of(from);
-        let last = chunk::chunk_of(to - 1);
-        let mut ci = first;
-        while ci <= last {
-            // Page-summary pruning (§3.3): skip whole pages whose value
-            // range cannot match, without loading them.
-            let page_no = ci / cpp;
-            let (pmin, pmax) = self.vec.meta.summaries[page_no as usize];
-            if !set.overlaps(pmin, pmax) {
-                ci = (page_no + 1) * cpp;
-                self.profile.pages_pruned += 1;
-                continue;
-            }
-            let n = self.chunk_words(ci, &mut words)?;
-            let bm = pred.chunk_bitmap(&words[..n]);
-            self.profile.chunks_scanned += 1;
-            if bm != 0 {
-                push_bitmap_positions(bm, ci * CHUNK_LEN as u64, from, to, out);
-            }
-            ci += 1;
-        }
-        self.profile.bitmap_matches += (out.len() - matched_from) as u64;
-        Ok(())
-    }
-
     /// Counts rows in `from..to` whose identifier is in `set` without
     /// materializing positions: each page's chunk run is counted in place by
     /// one kernel call that sums lane hits directly, building a bitmap only
@@ -896,21 +844,6 @@ mod tests {
                         assert_eq!(n, expect as u64, "count card={card} {set:?} {from}..{to}");
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn search_generic_agrees_with_fused_search() {
-        let values = sample(2500, 97, 11);
-        let (_pool, paged, _) = build(&values);
-        for set in [VidSet::Single(13), VidSet::range(10, 40), VidSet::from_vids(vec![0, 50, 96])] {
-            for (from, to) in [(0u64, 2500u64), (63, 65), (1, 2499), (130, 130)] {
-                let mut fused = Vec::new();
-                paged.iter().search(from, to, &set, &mut fused).unwrap();
-                let mut generic = Vec::new();
-                paged.iter().search_generic(from, to, &set, &mut generic).unwrap();
-                assert_eq!(fused, generic, "{set:?} {from}..{to}");
             }
         }
     }

@@ -9,7 +9,7 @@
 //! asynchronous read-ahead for its upcoming surviving pages: an adaptive
 //! window of prefetch submissions to the pool's cold-path I/O stage whose
 //! depth tracks completion latency versus consumption rate
-//! ([`StagedReadAhead`]). A stage-less pool does not read ahead.
+//! ([`StagedReadAhead`]).
 //! Per-segment results are concatenated in partition order, which makes the
 //! output bit-identical to the sequential scan.
 //!
@@ -32,7 +32,7 @@ pub struct ScanOptions {
     /// Maximum worker threads (1 = sequential on the calling thread).
     pub workers: usize,
     /// Whether each worker reads ahead of its cursor through the pool's
-    /// I/O stage. Only affects paged scans over a pool with a running stage.
+    /// I/O stage. Only affects paged scans.
     pub prefetch: bool,
 }
 
@@ -236,10 +236,8 @@ fn scan_partition_worker(
         let (lo, hi) = vec.page_summary(p);
         set.overlaps(lo, hi)
     };
-    // Read-ahead: with the cold-path I/O stage active the worker keeps an
-    // *adaptive window* of prefetch submissions ahead of its cursor (see
-    // `StagedReadAhead`); a stage-less pool simply does not read ahead.
-    let staged = prefetch && vec.pool().io_stage_active();
+    // Read-ahead: the worker keeps an *adaptive window* of prefetch
+    // submissions to the I/O stage ahead of its cursor (`StagedReadAhead`).
     let mut window = StagedReadAhead::new();
     let first = part.from / rpp;
     let last = (part.to - 1) / rpp;
@@ -257,7 +255,7 @@ fn scan_partition_worker(
         // this one, so the store latency overlaps the predicate work. The
         // pool's single-flight load states make our later pin join that load
         // instead of duplicating it.
-        if staged {
+        if prefetch {
             window.observe(vec.pool().is_resident(vec.page_key(page)));
             window.top_up(vec, page, last, &survives);
         }

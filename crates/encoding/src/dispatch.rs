@@ -1,8 +1,8 @@
 //! The chain-codec / scan-dispatch seam.
 //!
-//! Every persisted chain now carries a [`ChainCodec`] descriptor (format-2
-//! chain metadata in `payg-storage`; legacy format-0/1 chains read as
-//! [`CodecKind::Plain`]). Readers consult [`choose`] once per probe to pick
+//! Every persisted chain carries a [`ChainCodec`] descriptor (the chain
+//! file's descriptor region in `payg-storage`; a chain that never had one
+//! set reads as [`CodecKind::Plain`]). Readers consult [`choose`] once per probe to pick
 //! between running the predicate **in the compressed domain** (compare
 //! FSST-compressed bytes, leapfrog Elias-Fano partitions) and the classic
 //! **decode-then-scan** path. Centralizing the decision here gives future
@@ -104,9 +104,8 @@ impl ChainCodec {
         out
     }
 
-    /// Parses a descriptor blob. An **empty** blob is the legacy encoding
-    /// of "no codec" — format-0/1 chains and format-2 chains that never set
-    /// a descriptor both read as [`CodecKind::Plain`].
+    /// Parses a descriptor blob. An **empty** blob means "no codec": a
+    /// chain that never set a descriptor reads as [`CodecKind::Plain`].
     pub fn deserialize(bytes: &[u8]) -> Result<Self> {
         if bytes.is_empty() {
             return Ok(ChainCodec::plain());

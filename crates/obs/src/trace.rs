@@ -48,8 +48,9 @@ pub enum EventKind {
     /// The I/O stage completed one fetch request (`bytes` is the page size
     /// on success, 0 on failure).
     IoCompleted,
-    /// A load attempt was re-issued after a transient store fault
-    /// (`bytes` is 1 when the retry ran inside the I/O stage, 0 inline).
+    /// A load attempt was re-issued after a transient store fault: one
+    /// solo re-read of the page by the I/O stage follows (`aux` is the id
+    /// of the batch whose slot failed).
     LoadRetried,
     /// A page entered per-shard quarantine after a permanent load failure.
     PageQuarantined,

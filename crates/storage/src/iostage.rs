@@ -1,8 +1,8 @@
 //! The cold-path I/O stage: request-coalescing asynchronous fetch between
 //! the buffer pool and the [`PageStore`](crate::PageStore).
 //!
-//! A pool miss no longer reads the store inline. Instead the pinning thread
-//! installs its single-flight `Loading` slot as before, then submits a
+//! A pool miss never reads the store itself. The pinning thread installs
+//! its single-flight `Loading` slot, then submits a
 //! [`FetchRequest`] to a bounded two-class queue and parks on a completion
 //! *ticket*. A worker pool drains the queue **one coalescible run at a
 //! time**: a worker pops the oldest request together with every queued
@@ -16,10 +16,10 @@
 //! Every request still completes *individually*: per-page CRC verification
 //! happens inside the store's ranged read, a transient fault on one page of
 //! a batch re-enters the pool's [`RetryPolicy`](crate::RetryPolicy) for
-//! that page alone, and a corrupt page quarantines only itself. The
-//! completion protocol is exactly the inline pool's publish sequence
-//! (insert `Resident`, publish the load state, then resolve the ticket), so
-//! single-flight waiters become completion subscribers without code changes.
+//! that page alone, and a corrupt page quarantines only itself. Completion
+//! is the pool's one publish sequence (insert `Resident`, publish the load
+//! state, then resolve the ticket), so single-flight waiters are completion
+//! subscribers.
 //!
 //! Two deadline classes order the queue: `Urgent` (a thread is parked on
 //! the ticket) always pops before `Prefetch` (advisory, droppable). The
@@ -33,13 +33,18 @@
 //!
 //! Lock ranks: the queue mutex is rank `IoQueue` (3), below every pool
 //! lock, and is never held across a store call; tickets are rank `IoTicket`
-//! (6) and are waited on with no other lock held. Under the `payg_check`
-//! model-check cfg the stage degrades to inline fetches (no unmanaged
-//! threads race the explored schedule).
+//! (6) and are waited on with no other lock held.
+//!
+//! With `workers: 0` — which every `payg_check` model-check build forces,
+//! so no unmanaged thread races the explored schedule — the stage is
+//! **caller-drained**: a submit queues its requests and then runs the same
+//! pop-a-run / ranged-read / per-request completion sequence on the
+//! submitting thread until the queue is empty. It is the one miss path with
+//! nobody to hand off to, not a second one.
 
 use crate::pool::{Frame, LoadState, PoolInner, Slot};
 use crate::sync::{Condvar, LockRank, Mutex};
-use crate::{FaultClass, PageKey, StorageResult};
+use crate::{FaultClass, PageKey, StorageError, StorageResult};
 use payg_obs::{EventKind, SpanKind};
 use std::collections::VecDeque;
 use std::sync::{Arc, Weak};
@@ -62,8 +67,9 @@ const MAX_RUN_PAGES: u64 = 16;
 /// I/O depth, `DEFAULT_IO_WORKERS`), a 256-entry prefetch backlog.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoStageConfig {
-    /// I/O worker threads draining the submission queue. `0` disables the
-    /// stage (misses fetch inline, exactly the pre-stage pool).
+    /// I/O worker threads draining the submission queue. `0` makes the
+    /// stage caller-drained: every submit runs the queue on its own thread
+    /// (what model-check builds use; nothing overlaps).
     pub workers: usize,
     /// Prefetch-class backlog bound; submissions beyond it are cancelled.
     /// Urgent requests are never dropped.
@@ -111,8 +117,7 @@ struct TicketState {
 /// requests: one slot per request, one wake-up when the last one lands — a
 /// batched pin parks once per wave, not once per page. A resolved `Ok`
 /// carries the frame *with its registration pin still held*: the submitter
-/// turns it into a `PageGuard` without a pin/evict race, exactly like the
-/// inline load path.
+/// turns it into a `PageGuard` without a pin/evict race.
 pub(crate) struct Ticket {
     state: Mutex<TicketState>,
     cv: Condvar,
@@ -228,15 +233,16 @@ impl IoQueue {
     /// plus every queued request of either class whose page extends it into
     /// a run of consecutive pages of the same chain, at most
     /// [`MAX_RUN_PAGES`] long, sorted by page number. Everything else stays
-    /// queued for the sibling workers. Blocks while the queue is empty;
-    /// returns `None` once closed *and* drained.
-    fn pop_run(&self) -> Option<Vec<FetchRequest>> {
+    /// queued for the sibling workers. On an empty queue a worker (`park`)
+    /// blocks until a push or the close, a draining caller gets `None` at
+    /// once; `None` also means closed *and* drained.
+    fn pop_run(&self, park: bool) -> Option<Vec<FetchRequest>> {
         let mut st = self.state.lock();
         let head = loop {
             if let Some(r) = st.urgent.pop_front().or_else(|| st.prefetch.pop_front()) {
                 break r;
             }
-            if st.closed {
+            if st.closed || !park {
                 return None;
             }
             self.cv.wait(&mut st);
@@ -275,23 +281,20 @@ impl IoQueue {
     }
 }
 
-/// A running I/O stage: the queue plus its worker threads. Owned by
-/// `PoolInner`; dropping it closes the queue and joins the workers.
+/// A running I/O stage: the queue plus its worker threads (none when
+/// caller-drained). Owned by `PoolInner`; dropping it closes the queue and
+/// joins the workers.
 pub(crate) struct IoStage {
     queue: Arc<IoQueue>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl IoStage {
-    /// Starts the stage, or returns `None` when it is configured off
-    /// (`workers == 0`) or the build is a `payg_check` model check — the
-    /// deterministic scheduler must not race unmanaged worker threads, so
-    /// model builds always fetch inline.
-    pub fn start(pool: &Weak<PoolInner>, config: IoStageConfig) -> Option<IoStage> {
+    /// Starts the stage with `config.workers` threads — none in a
+    /// `payg_check` model build, whose deterministic scheduler must not
+    /// race unmanaged threads.
+    pub fn start(pool: &Weak<PoolInner>, config: IoStageConfig) -> IoStage {
         let workers = if cfg!(payg_check) { 0 } else { config.workers };
-        if workers == 0 {
-            return None;
-        }
         let queue = IoQueue::new(config.queue_cap.max(1), workers);
         let handles = (0..workers)
             .map(|i| {
@@ -304,20 +307,40 @@ impl IoStage {
                     .expect("spawn io-stage worker")
             })
             .collect();
-        Some(IoStage { queue, workers: handles })
+        IoStage { queue, workers: handles }
     }
 
     /// Submits the urgent (ticketed) requests of one pin call — always
     /// accepted, one queue-lock acquisition, one worker woken per
     /// coalescible run. Returns the queue depth after the push.
-    pub fn submit(&self, reqs: Vec<FetchRequest>) -> usize {
-        self.queue.push_urgent(reqs)
+    pub fn submit(&self, pool: &Arc<PoolInner>, reqs: Vec<FetchRequest>) -> usize {
+        let depth = self.queue.push_urgent(reqs);
+        self.drain_unstaffed(pool);
+        depth
     }
 
     /// Submits an advisory prefetch, handed back for cancellation when the
     /// backlog is full. Returns the queue depth after an accepted push.
-    pub fn submit_prefetch(&self, req: FetchRequest) -> Result<usize, FetchRequest> {
-        self.queue.push_prefetch(req)
+    pub fn submit_prefetch(
+        &self,
+        pool: &Arc<PoolInner>,
+        req: FetchRequest,
+    ) -> Result<usize, FetchRequest> {
+        let depth = self.queue.push_prefetch(req)?;
+        self.drain_unstaffed(pool);
+        Ok(depth)
+    }
+
+    /// Caller-drained mode: with no workers the submitter, holding no lock
+    /// and no guard, runs the queue dry itself — its own requests and any a
+    /// concurrent submitter queued meanwhile (whose ticket wait then
+    /// returns as soon as this thread has completed them).
+    fn drain_unstaffed(&self, pool: &Arc<PoolInner>) {
+        if self.workers.is_empty() {
+            while let Some(run) = self.queue.pop_run(false) {
+                process_run(pool, run);
+            }
+        }
     }
 }
 
@@ -338,7 +361,7 @@ impl Drop for IoStage {
 }
 
 fn worker_loop(pool: &Weak<PoolInner>, queue: &Arc<IoQueue>) {
-    while let Some(run) = queue.pop_run() {
+    while let Some(run) = queue.pop_run(true) {
         let Some(pool) = pool.upgrade() else {
             // Pool destruction in progress: no ticket can exist (tickets
             // are only held by live pins), so leftover advisory requests
@@ -380,7 +403,6 @@ fn process_run(pool: &Arc<PoolInner>, run: Vec<FetchRequest>) {
     // on success the bytes transfer to the registered frame resources.
     let expected = pool.store.page_size(first.chain).unwrap_or(0) * n;
     pool.resman.begin_inflight(expected);
-    pool.io.apply_read();
     let results = pool.store.read_pages(first.chain, first.page_no, n);
     pool.resman.end_inflight(expected);
     // Close the read span before per-request completion so the plain emits
@@ -389,85 +411,50 @@ fn process_run(pool: &Arc<PoolInner>, run: Vec<FetchRequest>) {
     drop(batch_span);
     debug_assert_eq!(results.len(), n, "read_pages must return one result per page");
     for (req, result) in run.into_iter().zip(results) {
-        let outcome = match result {
-            Ok(data) => Ok(data),
-            Err(e) => {
-                // The ranged read was this page's attempt 1: count its
-                // fault, then continue the per-page retry loop if the
-                // policy has attempts left and the fault is transient.
-                pool.metrics.fault_counter(e.fault_class()).inc();
-                if e.is_transient() && pool.retry.max_attempts > 1 {
-                    pool.metrics.load_retries.inc();
-                    pool.tracer.emit_tagged(
-                        EventKind::LoadRetried,
-                        req.key.chain.0,
-                        req.key.page_no,
-                        1,
-                        req.span,
-                        batch_id,
-                    );
-                    let backoff = pool.retry.backoff_for(1);
-                    if !backoff.is_zero() {
-                        (pool.sleeper)(backoff);
-                    }
-                    fetch_with_retry(pool, req.key, 1, true, req.span)
-                } else {
-                    Err(e)
-                }
-            }
-        };
+        let outcome = result.or_else(|e| fetch_with_retry(pool, &req, e, batch_id));
         complete(pool, req, outcome, batch_id);
     }
 }
 
-/// The store-read loop with transient retry — the single place in the pool
-/// stack that calls [`read_page`](crate::PageStore::read_page). `attempt`
-/// is how many attempts already failed (0 for a fresh inline fetch);
-/// `staged` makes each read count as an I/O-stage physical read. `span` is
-/// the originating request's span, tagged onto retry events.
-pub(crate) fn fetch_with_retry(
+/// The per-page retry loop after `err` failed the page's attempt 1 (its
+/// slot of the ranged read) — the single place in the pool stack that calls
+/// [`read_page`](crate::PageStore::read_page). Counts every fault; a
+/// transient one re-reads the page alone, after the policy's backoff, while
+/// attempts are left.
+fn fetch_with_retry(
     pool: &PoolInner,
-    key: PageKey,
-    mut attempt: u32,
-    staged: bool,
-    span: u64,
+    req: &FetchRequest,
+    mut err: StorageError,
+    batch: u64,
 ) -> StorageResult<Box<[u8]>> {
+    let key = req.key;
+    let mut attempt = 1;
     loop {
-        attempt += 1;
-        if staged {
-            pool.metrics.io_physical_reads.inc();
+        pool.metrics.fault_counter(err.fault_class()).inc();
+        if !err.is_transient() || attempt >= pool.retry.max_attempts {
+            return Err(err);
         }
-        pool.io.apply_read();
+        pool.metrics.load_retries.inc();
+        pool.tracer
+            .emit_tagged(EventKind::LoadRetried, key.chain.0, key.page_no, 0, req.span, batch);
+        let backoff = pool.retry.backoff_for(attempt);
+        if !backoff.is_zero() {
+            (pool.sleeper)(backoff);
+        }
+        attempt += 1;
+        pool.metrics.io_physical_reads.inc();
         match pool.store.read_page(key) {
             Ok(data) => return Ok(data),
-            Err(e) => {
-                pool.metrics.fault_counter(e.fault_class()).inc();
-                if e.is_transient() && attempt < pool.retry.max_attempts {
-                    pool.metrics.load_retries.inc();
-                    pool.tracer.emit_tagged(
-                        EventKind::LoadRetried,
-                        key.chain.0,
-                        key.page_no,
-                        staged as u64,
-                        span,
-                        0,
-                    );
-                    let backoff = pool.retry.backoff_for(attempt);
-                    if !backoff.is_zero() {
-                        (pool.sleeper)(backoff);
-                    }
-                    continue;
-                }
-                return Err(e);
-            }
+            Err(e) => err = e,
         }
     }
 }
 
-/// Completes one request: the inline pool's exact publish/fail sequence,
-/// then ticket resolution or the advisory unpin. `batch` is the coalesced
-/// read's batch id, tagged onto the completion event so every beneficiary
-/// request records which physical read served it.
+/// Completes one request — the pool's one publish/fail sequence (insert
+/// `Resident` or withdraw the `Loading` slot and quarantine, then publish or
+/// fail the load state), then ticket resolution or the advisory unpin.
+/// `batch` is the coalesced read's batch id, tagged onto the completion
+/// event so every beneficiary request records which physical read served it.
 fn complete(pool: &Arc<PoolInner>, req: FetchRequest, outcome: StorageResult<Box<[u8]>>, batch: u64) {
     match outcome {
         Ok(data) => {

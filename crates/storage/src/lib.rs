@@ -12,9 +12,9 @@
 //! Two [`PageStore`] implementations are provided: a durable [`FileStore`]
 //! (one file per chain, reopenable for cold-restart experiments) and an
 //! in-memory [`MemStore`] for tests. [`FaultyStore`] wraps any store with
-//! fault injection. [`IoProfile`] adds an optional synthetic per-read
-//! latency so experiments can model slower cold storage than this machine's
-//! page-cached files (see DESIGN.md, substitutions).
+//! fault injection and [`LatencyStore`] with a synthetic latency per
+//! physical read, so experiments can model slower cold storage than this
+//! machine's page-cached files (see DESIGN.md, substitutions).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -39,6 +39,6 @@ pub use pool::{
     BufferPool, PageGuard, PoolConfig, RetryPolicy, DEFAULT_SHARD_COUNT,
 };
 pub use store::{
-    real_sleeper, FaultPlan, FaultyStore, FileStore, GateStore, IoProfile, LatencyStore, MemStore,
-    PageStore, Sleeper, TieredStore,
+    real_sleeper, FaultPlan, FaultyStore, FileStore, GateStore, LatencyStore, MemStore, PageStore,
+    Sleeper, TieredStore,
 };

@@ -1,12 +1,10 @@
 //! The buffer pool: load-on-miss page frames with RAII pin guards.
 
-use crate::iostage::{self, Completion, FetchRequest, IoStage, IoStageConfig, Ticket};
+use crate::iostage::{Completion, FetchRequest, IoStage, IoStageConfig, Ticket};
 use crate::metrics::{MetricCounters, ShardCounters, ShardMetrics};
 use crate::store::{real_sleeper, Sleeper};
 use crate::sync::{Condvar, LockRank, Mutex, MutexGuard, RwLock};
-use crate::{
-    ChainId, FaultClass, IoProfile, PageKey, PageStore, PoolMetrics, StorageError, StorageResult,
-};
+use crate::{ChainId, PageKey, PageStore, PoolMetrics, StorageError, StorageResult};
 use payg_check::PinTracker;
 use payg_obs::{EventKind, Registry, SpanKind, Tracer};
 use payg_resman::{Disposition, ResourceId, ResourceManager};
@@ -172,12 +170,10 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Construction-time pool tuning: I/O simulation, shard count, fault
-/// tolerance. [`Default`] matches `BufferPool::new`.
+/// Construction-time pool tuning: shard count, fault tolerance, I/O depth.
+/// [`Default`] matches `BufferPool::new`.
 #[derive(Clone)]
 pub struct PoolConfig {
-    /// Synthetic latency applied to every load attempt.
-    pub io: IoProfile,
     /// Number of lock stripes (clamped to at least 1).
     pub shards: usize,
     /// Bounded retry for transient load faults.
@@ -189,22 +185,20 @@ pub struct PoolConfig {
     pub quarantine_cap: usize,
     /// Where retry backoff is spent; tests inject a recording sleeper.
     pub sleeper: Sleeper,
-    /// The cold-path I/O stage (batched asynchronous fetch). `None` — or a
-    /// config with `workers == 0` — fetches misses inline on the pinning
-    /// thread, the pre-stage behavior.
-    pub io_stage: Option<IoStageConfig>,
+    /// The cold-path I/O stage (batched asynchronous fetch) every miss
+    /// goes through.
+    pub io_stage: IoStageConfig,
 }
 
 impl Default for PoolConfig {
     fn default() -> Self {
         PoolConfig {
-            io: IoProfile::NONE,
             shards: DEFAULT_SHARD_COUNT,
             retry: RetryPolicy::default(),
             quarantine_ttl: 8,
             quarantine_cap: 32,
             sleeper: real_sleeper(),
-            io_stage: Some(IoStageConfig::default()),
+            io_stage: IoStageConfig::default(),
         }
     }
 }
@@ -212,7 +206,6 @@ impl Default for PoolConfig {
 pub(crate) struct PoolInner {
     pub(crate) store: Arc<dyn PageStore>,
     pub(crate) resman: ResourceManager,
-    pub(crate) io: IoProfile,
     pub(crate) retry: RetryPolicy,
     quarantine_ttl: u32,
     quarantine_cap: usize,
@@ -230,9 +223,9 @@ pub(crate) struct PoolInner {
     pub(crate) tracer: Tracer,
     /// Pin-leak detector (`strict-invariants` only; zero-sized otherwise).
     pins: PinTracker,
-    /// The cold-path I/O stage; `None` fetches misses inline. Dropped with
-    /// the pool: closing the queue joins the workers.
-    stage: Option<IoStage>,
+    /// The cold-path I/O stage. Dropped with the pool: closing the queue
+    /// joins the workers.
+    stage: IoStage,
 }
 
 impl PoolInner {
@@ -356,27 +349,13 @@ pub struct BufferPool {
 impl BufferPool {
     /// Creates a pool over `store`, registering loads with `resman`.
     pub fn new(store: Arc<dyn PageStore>, resman: ResourceManager) -> Self {
-        Self::with_io_profile(store, resman, IoProfile::NONE)
-    }
-
-    /// Creates a pool that applies `io` latency on every page load.
-    pub fn with_io_profile(
-        store: Arc<dyn PageStore>,
-        resman: ResourceManager,
-        io: IoProfile,
-    ) -> Self {
-        Self::with_config(store, resman, PoolConfig { io, ..PoolConfig::default() })
+        Self::with_config(store, resman, PoolConfig::default())
     }
 
     /// Creates a pool with an explicit shard count (tests use `1` to force
     /// maximal contention).
-    pub fn with_shards(
-        store: Arc<dyn PageStore>,
-        resman: ResourceManager,
-        io: IoProfile,
-        shards: usize,
-    ) -> Self {
-        Self::with_config(store, resman, PoolConfig { io, shards, ..PoolConfig::default() })
+    pub fn with_shards(store: Arc<dyn PageStore>, resman: ResourceManager, shards: usize) -> Self {
+        Self::with_config(store, resman, PoolConfig { shards, ..PoolConfig::default() })
     }
 
     /// Creates a pool with full construction-time tuning — fault-tolerance
@@ -394,7 +373,6 @@ impl BufferPool {
         let inner = Arc::new_cyclic(|weak: &Weak<PoolInner>| PoolInner {
             store,
             resman,
-            io: config.io,
             retry: config.retry,
             quarantine_ttl: config.quarantine_ttl.max(1),
             quarantine_cap: config.quarantine_cap.max(1),
@@ -407,16 +385,9 @@ impl BufferPool {
             registry,
             label: pool_label,
             pins: PinTracker::new(),
-            stage: config.io_stage.and_then(|c| IoStage::start(weak, c)),
+            stage: IoStage::start(weak, config.io_stage),
         });
         BufferPool { inner }
-    }
-
-    /// True when the cold-path I/O stage is running (misses are fetched by
-    /// its workers; [`BufferPool::prefetch_submit`] is available). False
-    /// when configured off or in a `payg_check` model build.
-    pub fn io_stage_active(&self) -> bool {
-        self.inner.stage.is_some()
     }
 
     /// The metric registry this pool reports into (the resource manager's).
@@ -572,12 +543,11 @@ impl BufferPool {
     /// loads, so the caller bounds `keys.len()` (its wave budget) — the
     /// pool pins whatever it is asked to. Keys already in flight — another
     /// thread's load, or an earlier duplicate in `keys` — are joined through
-    /// the single-key path once the wave is in. Without a running stage
-    /// (`io_stage: None`, model-check builds) this is a loop over `pin`.
+    /// the single-key path once the wave is in.
     #[track_caller]
     pub fn pin_many(&self, keys: &[PageKey]) -> Vec<StorageResult<PageGuard>> {
         let caller = Location::caller();
-        if keys.len() < 2 || self.inner.stage.is_none() {
+        if keys.len() < 2 {
             return keys.iter().map(|&key| self.pin_at(key, caller)).collect();
         }
         let started = Instant::now();
@@ -647,36 +617,14 @@ impl BufferPool {
     /// Fetches the pages this call was elected to load (it installed their
     /// `Loading` slots) and returns the pinned frames — the registration
     /// pin rides along — or each page's raw load error, in `loads` order.
-    /// With the I/O stage running, the misses become one wave of urgent
-    /// [`FetchRequest`]s and this thread parks once on a multi-slot
-    /// completion ticket — the store reads happen on stage workers,
-    /// overlapped, and coalesced with neighboring misses. Without it, each
-    /// read happens inline (shard lock *not* held), publishing the frame
-    /// and signalling waiters exactly as the stage workers do.
+    /// The misses become one wave of urgent [`FetchRequest`]s and this
+    /// thread parks once on a multi-slot completion ticket — the store
+    /// reads happen in the I/O stage (shard lock *not* held), overlapped
+    /// and coalesced with neighboring misses.
     fn load_wave(&self, loads: Vec<(PageKey, Arc<LoadState>)>) -> Vec<StorageResult<Arc<Frame>>> {
         // The originating span rides the requests so completions on stage
         // worker threads stay attributable to this query (provenance).
         let span = self.inner.tracer.current_span();
-        let frames = match &self.inner.stage {
-            Some(stage) => self.load_staged(stage, loads, span),
-            None => loads.iter().map(|(key, ls)| self.load_inline(*key, ls, span)).collect(),
-        };
-        // The proactive unload is asynchronous (paper §5) and a wave grows
-        // the pool faster than its worker may get scheduled: if this wave
-        // left the paged pool over its upper limit, run the pass here, so
-        // the overshoot stays bounded by one wave instead of by how long
-        // the worker is starved. (The wave's own frames are still pinned.)
-        self.inner.resman.assist_proactive();
-        frames
-    }
-
-    /// The staged load of one wave: see [`BufferPool::load_wave`].
-    fn load_staged(
-        &self,
-        stage: &IoStage,
-        loads: Vec<(PageKey, Arc<LoadState>)>,
-        span: u64,
-    ) -> Vec<StorageResult<Arc<Frame>>> {
         let n = loads.len();
         let ticket = Ticket::new(n);
         let requests = loads
@@ -694,72 +642,37 @@ impl BufferPool {
                 }
             })
             .collect();
-        let depth = stage.submit(requests);
+        let depth = self.inner.stage.submit(&self.inner, requests);
         self.inner.metrics.io_submitted.add(n as u64);
         self.inner.metrics.io_queue_depth.record(depth as u64);
-        // The workers have already inserted the Resident slots, published
-        // the load states, and (on failure) quarantined — the ticket only
+        // The stage has already inserted the Resident slots, published the
+        // load states, and (on failure) quarantined — the ticket only
         // transfers the pinned frames or the raw errors. One span covers
         // the parked stretch of the whole wave.
-        let _wait_span = self.inner.tracer.span(SpanKind::PageWait, n as u64);
-        ticket.wait()
-    }
-
-    /// The stage-less load of one page on the pinning thread.
-    fn load_inline(
-        &self,
-        key: PageKey,
-        ls: &Arc<LoadState>,
-        span: u64,
-    ) -> StorageResult<Arc<Frame>> {
-        let shard = self.inner.shard(key);
-        match iostage::fetch_with_retry(&self.inner, key, 0, false, span) {
-            Ok(data) => {
-                let frame = self.inner.admit_frame(key, data);
-                shard.lock().slots.insert(key, Slot::Resident(Arc::clone(&frame)));
-                ls.publish();
-                Ok(frame)
-            }
-            Err(err) => {
-                let shared = err.to_shared();
-                {
-                    let mut state = shard.lock();
-                    // Remove our load state so later pins retry; a ptr check
-                    // guards against ABA with a newer load.
-                    if matches!(
-                        state.slots.get(&key),
-                        Some(Slot::Loading(cur)) if Arc::ptr_eq(cur, ls)
-                    ) {
-                        state.slots.remove(&key);
-                    }
-                    // Permanent corruption quarantines the key so repeated
-                    // pins fail fast instead of hammering the store.
-                    // Transient faults (retries already exhausted) and
-                    // logical errors do not: the store itself is healthy.
-                    if err.fault_class() == FaultClass::Corrupt {
-                        self.inner.quarantine(&mut state, key, Arc::clone(&shared));
-                    }
-                }
-                // Wake waiters with the actual error after the slot update
-                // so none of them can observe a stale Loading entry.
-                ls.fail(shared);
-                Err(err)
-            }
-        }
+        let frames = {
+            let _wait_span = self.inner.tracer.span(SpanKind::PageWait, n as u64);
+            ticket.wait()
+        };
+        // The proactive unload is asynchronous (paper §5) and a wave grows
+        // the pool faster than its worker may get scheduled: if this wave
+        // left the paged pool over its upper limit, run the pass here, so
+        // the overshoot stays bounded by one wave instead of by how long
+        // the worker is starved. (The wave's own frames are still pinned.)
+        self.inner.resman.assist_proactive();
+        frames
     }
 
     /// Submits an advisory prefetch for `key` to the I/O stage. Returns
     /// `true` when a fetch was queued; `false` when the page is already
-    /// resident, loading, or quarantined, when the stage is off, or when
-    /// the prefetch backlog is full (the request is then *cancelled*: the
-    /// just-installed load slot is withdrawn and published so pins that
-    /// joined it re-inspect and load themselves).
+    /// resident, loading, or quarantined, or when the prefetch backlog is
+    /// full (the request is then *cancelled*: the just-installed load slot
+    /// is withdrawn and published so pins that joined it re-inspect and
+    /// load themselves).
     ///
     /// Unlike a pin, an accepted prefetch holds nothing: the loaded frame
     /// is left resident and unpinned, and errors are dropped (a later pin
-    /// surfaces them). Never blocks on I/O.
+    /// surfaces them). Never blocks on I/O while the stage has workers.
     pub fn prefetch_submit(&self, key: PageKey) -> bool {
-        let Some(stage) = &self.inner.stage else { return false };
         let shard = self.inner.shard(key);
         let ls = {
             let mut state = shard.lock();
@@ -774,7 +687,7 @@ impl BufferPool {
         // for them, so explain_analyze sees who dragged in which page.
         let span = self.inner.tracer.current_span();
         let req = FetchRequest { key, ls, completion: Completion::Advisory, span };
-        match stage.submit_prefetch(req) {
+        match self.inner.stage.submit_prefetch(&self.inner, req) {
             Ok(depth) => {
                 self.inner.metrics.io_submitted.inc();
                 self.inner.metrics.prefetches.inc();
@@ -1471,12 +1384,7 @@ mod tests {
         for i in 0..16 {
             store.append_page(chain, &[i as u8]).unwrap();
         }
-        let pool = BufferPool::with_shards(
-            Arc::new(store),
-            ResourceManager::new(),
-            IoProfile::NONE,
-            4,
-        );
+        let pool = BufferPool::with_shards(Arc::new(store), ResourceManager::new(), 4);
         for i in 0..16 {
             drop(pool.pin(PageKey::new(chain, i)).unwrap());
             drop(pool.pin(PageKey::new(chain, i)).unwrap());

@@ -11,10 +11,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How latency-simulating stores ([`LatencyStore`], [`TieredStore`],
-/// [`IoProfile`]) spend their configured delay. The default performs a real
-/// `thread::sleep`; tests inject a recording sleeper so latency behavior is
-/// asserted on the *requested durations* instead of wall-clock time.
+/// How latency-simulating stores ([`LatencyStore`], [`TieredStore`]) spend
+/// their configured delay. The default performs a real `thread::sleep`;
+/// tests inject a recording sleeper so latency behavior is asserted on the
+/// *requested durations* instead of wall-clock time.
 pub type Sleeper = Arc<dyn Fn(Duration) + Send + Sync>;
 
 /// The real-time sleeper used when none is injected. This is the one
@@ -65,42 +65,10 @@ pub trait PageStore: Send + Sync {
     /// Attaches an opaque descriptor blob (codec metadata) to a chain,
     /// replacing any previous one. Durable stores persist it in a
     /// fixed-capacity header region reserved at create, so it can be set
-    /// after pages were appended. File chains recovered from descriptorless
-    /// formats (0/1) reject writes.
+    /// after pages were appended.
     fn set_chain_descriptor(&self, chain: ChainId, desc: &[u8]) -> StorageResult<()>;
-    /// The chain's descriptor: empty for chains that never had one set,
-    /// including files from the pre-descriptor formats 0 and 1.
+    /// The chain's descriptor: empty for chains that never had one set.
     fn chain_descriptor(&self, chain: ChainId) -> StorageResult<Vec<u8>>;
-}
-
-/// Synthetic I/O latency applied by the buffer pool on every page load.
-///
-/// On this reproduction's hardware the file store is served from the OS page
-/// cache, so the paper's load-cost ≫ memory-access-cost gap would vanish;
-/// experiments set a per-load latency to model cold storage. The default is
-/// zero (no simulation).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IoProfile {
-    /// Added to every page load (buffer-pool miss).
-    pub read_latency: Duration,
-}
-
-impl IoProfile {
-    /// No synthetic latency.
-    pub const NONE: IoProfile = IoProfile { read_latency: Duration::ZERO };
-
-    /// A profile with the given per-read latency.
-    pub fn with_read_latency(read_latency: Duration) -> Self {
-        IoProfile { read_latency }
-    }
-
-    /// Blocks for the configured read latency.
-    pub fn apply_read(&self) {
-        if !self.read_latency.is_zero() {
-            // lint: allow(sleep) IoProfile exists to simulate real I/O latency
-            std::thread::sleep(self.read_latency);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -206,16 +174,15 @@ impl PageStore for MemStore {
 // ---------------------------------------------------------------------------
 
 const FILE_MAGIC: &[u8; 8] = b"PAYGPG01";
-const HEADER_LEN: u64 = 16; // magic(8) + page_size(4) + format(4)
-const HEADER2_LEN: u64 = 24; // HEADER_LEN + desc_cap(4) + desc_len(4)
+const HEADER_LEN: u64 = 24; // magic(8) + page_size(4) + format(4) + desc_cap(4) + desc_len(4)
+/// End of the format field: the prefix that identifies any chain file of
+/// this magic, read first so a foreign format is named rather than guessed.
+const FORMAT_END: u64 = 16;
 
-/// Original layout: raw page slots, no per-page integrity.
-const FORMAT_LEGACY: u32 = 0;
-/// Checksummed layout: every page slot carries an 8-byte checksum trailer.
-const FORMAT_CHECKSUMMED: u32 = 1;
-/// Described layout: checksummed slots plus a fixed-capacity chain
-/// descriptor region (opaque codec metadata) between the header and slot 0.
-const FORMAT_DESCRIBED: u32 = 2;
+/// The one chain-file layout this build reads and writes: checksummed page
+/// slots behind a fixed-capacity chain descriptor region (opaque codec
+/// metadata) that sits between the header and slot 0.
+const FORMAT: u32 = 2;
 
 /// Descriptor capacity reserved in every new chain file. Fixed at create so
 /// the descriptor can be (re)written after pages were appended without
@@ -223,43 +190,30 @@ const FORMAT_DESCRIBED: u32 = 2;
 /// case) plus codec framing.
 const DESC_CAP: u32 = 4096;
 
-/// Per-page trailer in checksummed formats: CRC-32 of the little-endian
-/// page number + padded payload (4 bytes, LE), then 4 reserved zero bytes.
+/// Per-page trailer: CRC-32 of the little-endian page number + padded
+/// payload (4 bytes, LE), then 4 reserved zero bytes.
 const PAGE_TRAILER_LEN: usize = 8;
 
 struct ChainFile {
     file: File,
     page_size: usize,
     len: u64,
-    /// On-disk header format: [`FORMAT_LEGACY`], [`FORMAT_CHECKSUMMED`] or
-    /// [`FORMAT_DESCRIBED`].
-    format: u32,
-    /// Descriptor region capacity ([`FORMAT_DESCRIBED`] only, else 0).
+    /// Descriptor region capacity.
     desc_cap: u32,
     /// Bytes of the descriptor region currently in use.
     desc_len: u32,
 }
 
 impl ChainFile {
-    /// Files recovered from the pre-checksum layout read without
-    /// verification for backward compatibility.
-    fn checksummed(&self) -> bool {
-        self.format != FORMAT_LEGACY
-    }
-
-    /// On-disk bytes per page: payload plus trailer when checksummed.
+    /// On-disk bytes per page: payload plus checksum trailer.
     fn slot_len(&self) -> u64 {
-        self.page_size as u64 + if self.checksummed() { PAGE_TRAILER_LEN as u64 } else { 0 }
+        (self.page_size + PAGE_TRAILER_LEN) as u64
     }
 
-    /// File offset of page slot 0: past the header and, in described files,
-    /// the descriptor region.
+    /// File offset of page slot 0: past the header and the descriptor
+    /// region.
     fn data_start(&self) -> u64 {
-        if self.format == FORMAT_DESCRIBED {
-            HEADER2_LEN + self.desc_cap as u64
-        } else {
-            HEADER_LEN
-        }
+        HEADER_LEN + self.desc_cap as u64
     }
 }
 
@@ -295,7 +249,7 @@ impl FileStore {
             // byte offset of the bad field, in one format (StorageError::
             // CorruptFile), so operators can go straight from the message to
             // a hex dump.
-            if file_len < HEADER_LEN {
+            if file_len < FORMAT_END {
                 return Err(StorageError::corrupt_file(
                     &path,
                     0,
@@ -303,8 +257,11 @@ impl FileStore {
                 ));
             }
             let mut header = [0u8; HEADER_LEN as usize];
+            let field = |header: &[u8], at: usize| {
+                u32::from_le_bytes([header[at], header[at + 1], header[at + 2], header[at + 3]])
+            };
             file.seek(SeekFrom::Start(0))?;
-            file.read_exact(&mut header)?;
+            file.read_exact(&mut header[..FORMAT_END as usize])?;
             if &header[..8] != FILE_MAGIC {
                 return Err(StorageError::corrupt_file(
                     &path,
@@ -312,50 +269,41 @@ impl FileStore {
                     format!("bad magic {:02x?}, expected {FILE_MAGIC:02x?}", &header[..8]),
                 ));
             }
-            let page_size =
-                u32::from_le_bytes([header[8], header[9], header[10], header[11]]) as usize;
+            let page_size = field(&header, 8) as usize;
             if page_size == 0 {
                 return Err(StorageError::corrupt_file(&path, 8, "zero page size"));
             }
-            let format = u32::from_le_bytes([header[12], header[13], header[14], header[15]]);
-            let (desc_cap, desc_len) = match format {
-                FORMAT_LEGACY | FORMAT_CHECKSUMMED => (0u32, 0u32),
-                FORMAT_DESCRIBED => {
-                    if file_len < HEADER2_LEN {
-                        return Err(StorageError::corrupt_file(
-                            &path,
-                            HEADER_LEN,
-                            format!(
-                                "file of {file_len} bytes is shorter than the \
-                                 {HEADER2_LEN}-byte described header"
-                            ),
-                        ));
-                    }
-                    let mut ext = [0u8; 8];
-                    file.read_exact(&mut ext)?;
-                    let cap = u32::from_le_bytes([ext[0], ext[1], ext[2], ext[3]]);
-                    let used = u32::from_le_bytes([ext[4], ext[5], ext[6], ext[7]]);
-                    if used > cap {
-                        return Err(StorageError::corrupt_file(
-                            &path,
-                            20,
-                            format!("descriptor length {used} exceeds the {cap}-byte capacity"),
-                        ));
-                    }
-                    (cap, used)
-                }
-                other => {
-                    return Err(StorageError::corrupt_file(
-                        &path,
-                        12,
-                        format!(
-                            "unknown format {other}, expected {FORMAT_LEGACY} (legacy), \
-                             {FORMAT_CHECKSUMMED} (checksummed) or {FORMAT_DESCRIBED} (described)"
-                        ),
-                    ));
-                }
-            };
-            let c = ChainFile { file, page_size, len: 0, format, desc_cap, desc_len };
+            // The format gates everything behind it: a file whose pages this
+            // build could not verify is refused whole, never read.
+            let format = field(&header, 12);
+            if format != FORMAT {
+                return Err(StorageError::corrupt_file(
+                    &path,
+                    12,
+                    format!(
+                        "chain file is format {format}, this build reads only format {FORMAT} \
+                         (checksummed page slots behind a descriptor region): rewrite the \
+                         chain with a build that reads format {format}"
+                    ),
+                ));
+            }
+            if file_len < HEADER_LEN {
+                return Err(StorageError::corrupt_file(
+                    &path,
+                    FORMAT_END,
+                    format!("file of {file_len} bytes is shorter than the {HEADER_LEN}-byte header"),
+                ));
+            }
+            file.read_exact(&mut header[FORMAT_END as usize..])?;
+            let (desc_cap, desc_len) = (field(&header, 16), field(&header, 20));
+            if desc_len > desc_cap {
+                return Err(StorageError::corrupt_file(
+                    &path,
+                    20,
+                    format!("descriptor length {desc_len} exceeds the {desc_cap}-byte capacity"),
+                ));
+            }
+            let c = ChainFile { file, page_size, len: 0, desc_cap, desc_len };
             let data_start = c.data_start();
             if file_len < data_start {
                 return Err(StorageError::corrupt_file(
@@ -390,20 +338,18 @@ impl FileStore {
         self.dir.join(format!("chain_{id:016x}.pg"))
     }
 
-    /// Verifies and trims one raw slot (payload + optional trailer) as read
-    /// from disk into a page payload.
+    /// Verifies and trims one raw slot (payload + trailer) as read from
+    /// disk into a page payload.
     fn verify_slot(c: &ChainFile, key: PageKey, mut slot: Vec<u8>) -> StorageResult<Box<[u8]>> {
-        if c.checksummed() {
-            let stored = u32::from_le_bytes([
-                slot[c.page_size],
-                slot[c.page_size + 1],
-                slot[c.page_size + 2],
-                slot[c.page_size + 3],
-            ]);
-            let computed = page_checksum(key.page_no, &slot[..c.page_size]);
-            if stored != computed {
-                return Err(StorageError::ChecksumMismatch { key, stored, computed });
-            }
+        let stored = u32::from_le_bytes([
+            slot[c.page_size],
+            slot[c.page_size + 1],
+            slot[c.page_size + 2],
+            slot[c.page_size + 3],
+        ]);
+        let computed = page_checksum(key.page_no, &slot[..c.page_size]);
+        if stored != computed {
+            return Err(StorageError::ChecksumMismatch { key, stored, computed });
         }
         slot.truncate(c.page_size);
         Ok(slot.into_boxed_slice())
@@ -440,16 +386,15 @@ impl PageStore for FileStore {
         // Header plus a zeroed descriptor region reserved up front, so a
         // codec descriptor can be attached after pages exist without moving
         // any slot.
-        let mut header = vec![0u8; (HEADER2_LEN + DESC_CAP as u64) as usize];
+        let mut header = vec![0u8; (HEADER_LEN + DESC_CAP as u64) as usize];
         header[..8].copy_from_slice(FILE_MAGIC);
         header[8..12].copy_from_slice(&(page_size as u32).to_le_bytes());
-        header[12..16].copy_from_slice(&FORMAT_DESCRIBED.to_le_bytes());
+        header[12..16].copy_from_slice(&FORMAT.to_le_bytes());
         header[16..20].copy_from_slice(&DESC_CAP.to_le_bytes());
         file.write_all(&header)?;
-        self.chains.lock().insert(
-            id,
-            ChainFile { file, page_size, len: 0, format: FORMAT_DESCRIBED, desc_cap: DESC_CAP, desc_len: 0 },
-        );
+        self.chains
+            .lock()
+            .insert(id, ChainFile { file, page_size, len: 0, desc_cap: DESC_CAP, desc_len: 0 });
         Ok(ChainId(id))
     }
 
@@ -464,10 +409,8 @@ impl PageStore for FileStore {
         // on the next read.
         let mut slot = vec![0u8; c.slot_len() as usize];
         slot[..payload.len()].copy_from_slice(payload);
-        if c.checksummed() {
-            let crc = page_checksum(c.len, &slot[..c.page_size]);
-            slot[c.page_size..c.page_size + 4].copy_from_slice(&crc.to_le_bytes());
-        }
+        let crc = page_checksum(c.len, &slot[..c.page_size]);
+        slot[c.page_size..c.page_size + 4].copy_from_slice(&crc.to_le_bytes());
         let offset = c.data_start() + c.len * c.slot_len();
         c.file.seek(SeekFrom::Start(offset))?;
         c.file.write_all(&slot)?;
@@ -560,12 +503,6 @@ impl PageStore for FileStore {
     fn set_chain_descriptor(&self, chain: ChainId, desc: &[u8]) -> StorageResult<()> {
         let mut chains = self.chains.lock();
         let c = chains.get_mut(&chain.0).ok_or(StorageError::UnknownChain(chain.0))?;
-        if c.format != FORMAT_DESCRIBED {
-            return Err(StorageError::corrupt(format!(
-                "format-{} chain file has no descriptor region",
-                c.format
-            )));
-        }
         if desc.len() > c.desc_cap as usize {
             return Err(StorageError::corrupt(format!(
                 "chain descriptor of {} bytes exceeds the {}-byte capacity",
@@ -573,7 +510,7 @@ impl PageStore for FileStore {
                 c.desc_cap
             )));
         }
-        c.file.seek(SeekFrom::Start(HEADER2_LEN))?;
+        c.file.seek(SeekFrom::Start(HEADER_LEN))?;
         c.file.write_all(desc)?;
         c.file.seek(SeekFrom::Start(20))?;
         c.file.write_all(&(desc.len() as u32).to_le_bytes())?;
@@ -584,11 +521,11 @@ impl PageStore for FileStore {
     fn chain_descriptor(&self, chain: ChainId) -> StorageResult<Vec<u8>> {
         let mut chains = self.chains.lock();
         let c = chains.get_mut(&chain.0).ok_or(StorageError::UnknownChain(chain.0))?;
-        if c.format != FORMAT_DESCRIBED || c.desc_len == 0 {
+        if c.desc_len == 0 {
             return Ok(Vec::new());
         }
         let mut buf = vec![0u8; c.desc_len as usize];
-        c.file.seek(SeekFrom::Start(HEADER2_LEN))?;
+        c.file.seek(SeekFrom::Start(HEADER_LEN))?;
         c.file.read_exact(&mut buf)?;
         Ok(buf)
     }
@@ -1309,7 +1246,7 @@ mod tests {
         let mut good = Vec::new();
         good.extend_from_slice(FILE_MAGIC);
         good.extend_from_slice(&32u32.to_le_bytes());
-        good.extend_from_slice(&FORMAT_CHECKSUMMED.to_le_bytes());
+        good.extend_from_slice(&FORMAT.to_le_bytes());
 
         expect(b"PAYG", 0, "shorter than"); // truncated header
         expect(b"NOTMAGIC00000000", 0, "bad magic");
@@ -1318,28 +1255,22 @@ mod tests {
         expect(&zero_ps, 8, "zero page size");
         let mut bad_fmt = good.clone();
         bad_fmt[12..16].copy_from_slice(&9u32.to_le_bytes());
-        expect(&bad_fmt, 12, "unknown format");
-        let mut torn = good.clone();
-        torn.extend_from_slice(&[0u8; 17]); // not a multiple of the 40-byte slot
-        expect(&torn, HEADER_LEN, "not a multiple");
+        expect(&bad_fmt, 12, "is format 9, this build reads only format 2");
 
-        // Described-format (2) headers get the same treatment.
-        let mut described = good.clone();
-        described[12..16].copy_from_slice(&FORMAT_DESCRIBED.to_le_bytes());
-        expect(&described, 16, "shorter than"); // missing desc_cap/desc_len
-        let mut bad_desc_len = described.clone();
+        expect(&good, 16, "shorter than"); // missing desc_cap/desc_len
+        let mut bad_desc_len = good.clone();
         bad_desc_len.extend_from_slice(&8u32.to_le_bytes()); // desc_cap = 8
         bad_desc_len.extend_from_slice(&9u32.to_le_bytes()); // desc_len = 9 > cap
         expect(&bad_desc_len, 20, "exceeds");
-        let mut overrun = described.clone();
+        let mut overrun = good.clone();
         overrun.extend_from_slice(&64u32.to_le_bytes()); // desc_cap = 64...
         overrun.extend_from_slice(&0u32.to_le_bytes()); // ...but the file ends at 24
         expect(&overrun, 16, "overruns");
-        let mut torn2 = described.clone();
+        let mut torn2 = good.clone();
         torn2.extend_from_slice(&8u32.to_le_bytes());
         torn2.extend_from_slice(&0u32.to_le_bytes());
         torn2.extend_from_slice(&[0u8; 8 + 17]); // desc region + a torn slot
-        expect(&torn2, HEADER2_LEN + 8, "not a multiple");
+        expect(&torn2, HEADER_LEN + 8, "not a multiple");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1360,7 +1291,7 @@ mod tests {
         let path = store.chain_path(c.0);
         let mut bytes = std::fs::read(&path).unwrap();
         let slot = 32 + PAGE_TRAILER_LEN;
-        let data_start = (HEADER2_LEN + DESC_CAP as u64) as usize;
+        let data_start = (HEADER_LEN + DESC_CAP as u64) as usize;
         bytes[data_start + slot + 3] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
 
@@ -1383,36 +1314,32 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Files written before the checksum trailer existed (header format 0)
-    /// still open and read — without verification.
+    /// Chain files of the retired formats — 0 (raw slots) and 1 (checksummed,
+    /// no descriptor region) — are refused at open with the format found and
+    /// the one this build reads: no header field can switch CRC verification
+    /// off, so their bytes are never served.
     #[test]
-    fn file_store_reads_legacy_unchecksummed_format() {
-        let dir = std::env::temp_dir().join(format!("payg-legacy-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(FILE_MAGIC);
-        bytes.extend_from_slice(&16u32.to_le_bytes());
-        bytes.extend_from_slice(&FORMAT_LEGACY.to_le_bytes());
-        bytes.extend_from_slice(b"legacy page 0..."); // one raw 16-byte slot
-        std::fs::write(dir.join("chain_0000000000000005.pg"), &bytes).unwrap();
-
-        let store = FileStore::open(&dir).unwrap();
-        let c = ChainId(5);
-        assert_eq!(store.chain_len(c).unwrap(), 1);
-        let page = store.read_page(PageKey::new(c, 0)).unwrap();
-        assert_eq!(&page[..], b"legacy page 0...");
-        // Descriptorless formats read as "no descriptor" and reject writes —
-        // there is no reserved region to write into.
-        assert!(store.chain_descriptor(c).unwrap().is_empty());
-        assert!(matches!(
-            store.set_chain_descriptor(c, b"codec"),
-            Err(StorageError::Corrupt(d)) if d.contains("no descriptor region")
-        ));
-        // New chains created alongside are checksummed from birth.
-        let fresh = store.create_chain(16).unwrap();
-        store.append_page(fresh, b"fresh").unwrap();
-        assert!(store.read_page(PageKey::new(fresh, 0)).is_ok());
+    fn file_store_refuses_foreign_format_files() {
+        let dir = std::env::temp_dir().join(format!("payg-foreign-{}", std::process::id()));
+        for format in [0u32, 1] {
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(FILE_MAGIC);
+            bytes.extend_from_slice(&16u32.to_le_bytes());
+            bytes.extend_from_slice(&format.to_le_bytes());
+            bytes.extend_from_slice(&[0x5a; 24]); // one well-formed slot of either format
+            let path = dir.join("chain_0000000000000005.pg");
+            std::fs::write(&path, &bytes).unwrap();
+            match FileStore::open(&dir).map(|_| ()) {
+                Err(StorageError::CorruptFile { path: got, offset: 12, detail }) => {
+                    assert_eq!(got, path);
+                    assert!(detail.contains(&format!("is format {format}")), "{detail}");
+                    assert!(detail.contains("reads only format 2"), "{detail}");
+                }
+                other => panic!("format {format}: expected CorruptFile at offset 12, got {other:?}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1455,7 +1382,7 @@ mod tests {
         let path = store.chain_path(c.0);
         let mut bytes = std::fs::read(&path).unwrap();
         let slot = 32 + PAGE_TRAILER_LEN;
-        let data_start = (HEADER2_LEN + DESC_CAP as u64) as usize;
+        let data_start = (HEADER_LEN + DESC_CAP as u64) as usize;
         bytes[data_start + 2 * slot + 7] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
 

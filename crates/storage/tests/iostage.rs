@@ -12,10 +12,10 @@ use std::sync::Arc;
 
 /// A single-worker staged pool over a gate so tests can park the worker
 /// mid-read and control exactly what accumulates in the submission queue.
-/// Model-check builds (`--cfg payg_check`) run the stage inline with no
-/// worker threads, so the gate-driven tests are compiled out there (the
-/// submit/complete/cancel protocol is model-checked in
-/// `payg-check/tests/iostage_model.rs` instead).
+/// Model-check builds (`--cfg payg_check`) run the stage caller-drained —
+/// there is no worker to park — so the gate-driven tests are compiled out
+/// there (`tests/model.rs` drives the same submit/complete/cancel code
+/// through the deterministic scheduler instead).
 #[cfg(not(payg_check))]
 fn gated_pool(
     queue_cap: usize,
@@ -29,7 +29,7 @@ fn gated_pool(
         Arc::clone(&store) as Arc<dyn PageStore>,
         ResourceManager::new(),
         PoolConfig {
-            io_stage: Some(IoStageConfig { workers: 1, queue_cap }),
+            io_stage: IoStageConfig { workers: 1, queue_cap },
             ..PoolConfig::default()
         },
     );
@@ -111,7 +111,7 @@ fn burst_pool(
         Arc::clone(&store) as Arc<dyn PageStore>,
         ResourceManager::new(),
         PoolConfig {
-            io_stage: Some(IoStageConfig { workers, queue_cap: 256 }),
+            io_stage: IoStageConfig { workers, queue_cap: 256 },
             ..PoolConfig::default()
         },
     );

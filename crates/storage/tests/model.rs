@@ -3,16 +3,20 @@
 //! Built with `RUSTFLAGS="--cfg payg_check"`, every lock in
 //! `payg-storage` and `payg-resman` resolves to the modeled wrappers, so
 //! these tests drive the production pin/load/evict code — not a port —
-//! through a deterministic scheduler. State spaces here are far larger
-//! than the `MiniPool` models in `payg-check`, so every check is bounded;
-//! the bound is the knob CI turns.
+//! through a deterministic scheduler. The I/O stage spawns no threads in
+//! this build: it is caller-drained, so every miss runs the production
+//! submit → ranged read → complete sequence on a scheduled model thread.
+//! State spaces here are far larger than the `MiniPool` models in
+//! `payg-check`, so every check is bounded; the bound is the knob CI turns.
 //!
 //! Build/run: `RUSTFLAGS="--cfg payg_check" cargo test -p payg-storage --test model`
 #![cfg(payg_check)]
 
 use payg_check::{thread, Checker};
 use payg_resman::{PoolLimits, ResourceManager};
-use payg_storage::{BufferPool, MemStore, PageKey, PageStore};
+use payg_storage::{
+    BufferPool, FaultPlan, FaultyStore, IoStageConfig, MemStore, PageKey, PageStore, PoolConfig,
+};
 use std::sync::Arc;
 
 /// Schedules explored per check: real-pool paths have many yield points,
@@ -140,4 +144,106 @@ fn real_pool_clear_racing_pin_leaves_consistent_state() {
         pool.assert_no_live_pins("model quiesce");
     });
     assert!(report.failure.is_none(), "unexpected failure: {:?}", report.failure);
+}
+
+/// A DFS prefix plus seeded random schedules: the DFS bound only varies
+/// the tail of a three-thread run, the random half reaches the early
+/// orderings (who installs which `Loading` slot, who drains whose request).
+fn explore(f: impl Fn() + Send + Sync + 'static) {
+    let f = Arc::new(f);
+    let g = Arc::clone(&f);
+    let dfs = Checker::exhaustive().max_iterations(BOUND).check(move || g());
+    assert!(dfs.failure.is_none(), "unexpected failure: {:?}", dfs.failure);
+    let random = Checker::exhaustive().random(0x5eed, 500).check(move || f());
+    assert!(random.failure.is_none(), "unexpected failure: {:?}", random.failure);
+    assert!(dfs.iterations + random.iterations >= 500, "explored too few interleavings");
+}
+
+#[test]
+fn caller_drained_wave_with_a_corrupt_member_resolves_the_rest_and_leaks_no_pin() {
+    // `batched_pin_is_never_stranded…` of payg-check's iostage model, on
+    // the real pool: one batched pin over [good, corrupt, good] races a
+    // single pin of the second good key. Whoever installs that key's
+    // `Loading` slot and whoever drains whose request, the wave returns,
+    // the corrupt member fails alone and quarantines, and no pin outlives
+    // its guard.
+    explore(|| {
+        let store = Arc::new(FaultyStore::new(MemStore::new(), FaultPlan::None));
+        let chain = store.create_chain(32).expect("create chain");
+        for i in 0..4u8 {
+            store.append_page(chain, &[i; 8]).expect("append page");
+        }
+        let key = move |p: u64| PageKey::new(chain, p);
+        store.set_plan(FaultPlan::CorruptPages(vec![key(1)]));
+        let resman = ResourceManager::new();
+        resman.set_paged_limits_manual(Some(PoolLimits::new(0, usize::MAX)));
+        let pool = Arc::new(BufferPool::new(store as Arc<dyn PageStore>, resman.clone()));
+        let batch = {
+            let p = Arc::clone(&pool);
+            thread::spawn(move || {
+                let got = p.pin_many(&[key(0), key(1), key(3)]);
+                assert_eq!(got[0].as_ref().expect("good member")[0], 0);
+                assert!(got[1].is_err(), "the corrupt member fails alone");
+                assert_eq!(got[2].as_ref().expect("good member")[0], 3);
+            })
+        };
+        let single = {
+            let p = Arc::clone(&pool);
+            thread::spawn(move || assert_eq!(p.pin(key(3)).expect("pin")[0], 3))
+        };
+        batch.join().expect("model thread");
+        single.join().expect("model thread");
+        assert!(pool.is_quarantined(key(1)) && !pool.is_resident(key(1)));
+        let m = pool.metrics();
+        assert_eq!(m.loads, 2, "each good page read once: {m:?}");
+        assert_eq!((m.io_submitted, m.io_completions), (3, 3), "every request completes: {m:?}");
+        pool.assert_no_live_pins("model quiesce");
+        resman.reactive_unload();
+        assert_eq!(pool.resident_pages(), 0, "a leaked pin keeps its page resident");
+    });
+}
+
+#[test]
+fn caller_drained_prefetch_never_strands_a_concurrent_pin() {
+    // Backlog of one: prefetches of two pages race each other and a pin of
+    // the second page. A prefetch is accepted — and then completed by
+    // whichever submitter drains it — or shed with its `Loading` slot
+    // withdrawn and published; either way the pin returns the page.
+    explore(|| {
+        let store = MemStore::new();
+        let chain = store.create_chain(32).expect("create chain");
+        for i in 0..2u8 {
+            store.append_page(chain, &[i; 8]).expect("append page");
+        }
+        let key = move |p: u64| PageKey::new(chain, p);
+        let pool = Arc::new(BufferPool::with_config(
+            Arc::new(store),
+            ResourceManager::new(),
+            PoolConfig {
+                io_stage: IoStageConfig { workers: 0, queue_cap: 1 },
+                ..PoolConfig::default()
+            },
+        ));
+        let prefetchers: Vec<_> = (0..2u64)
+            .map(|i| {
+                let p = Arc::clone(&pool);
+                thread::spawn(move || p.prefetch_submit(key(i)))
+            })
+            .collect();
+        let pinner = {
+            let p = Arc::clone(&pool);
+            thread::spawn(move || assert_eq!(p.pin(key(1)).expect("pin never parks forever")[0], 1))
+        };
+        let accepted: Vec<bool> =
+            prefetchers.into_iter().map(|t| t.join().expect("model thread")).collect();
+        pinner.join().expect("model thread");
+        // Nobody else asks for page 0: resident iff its prefetch was kept.
+        assert_eq!(pool.is_resident(key(0)), accepted[0], "accepted ⇒ completed, shed ⇒ withdrawn");
+        assert!(pool.is_resident(key(1)));
+        let m = pool.metrics();
+        assert_eq!(m.loads, 1 + u64::from(accepted[0]), "single flight through the stage: {m:?}");
+        assert_eq!(m.io_submitted, m.io_completions, "every accepted request completes: {m:?}");
+        assert_eq!(m.prefetches, accepted.iter().filter(|&&a| a).count() as u64);
+        pool.assert_no_live_pins("model quiesce");
+    });
 }

@@ -160,21 +160,19 @@ fn pressure_eviction_sequence_is_reconstructable_from_events() {
         {
             assert!(e.bytes >= page_size as u64, "{e:?}");
         }
-        // Stage events bracket each cold load: submitted before the load,
-        // completed after, every time. Inline builds (model checks, or a
-        // pool configured with `io_stage: None`) fetch without the stage
-        // and emit no Io* events at all.
-        let per_load = usize::from(pool.io_stage_active());
-        let submits =
-            events.iter().filter(|e| e.page_no == p && e.kind == EventKind::IoSubmitted).count();
-        let completes =
-            events.iter().filter(|e| e.page_no == p && e.kind == EventKind::IoCompleted).count();
-        assert_eq!(
-            (submits, completes),
-            (2 * per_load, 2 * per_load),
-            "page {p}: one submit/complete per cold load"
-        );
+        // Stage events bracket each cold load — submitted, then the
+        // physical read it rode, then completed — every time, in that order
+        // (each page is loaded alone here, so its batch starts at it).
+        let io = [EventKind::IoSubmitted, EventKind::IoBatchIssued, EventKind::IoCompleted];
+        let staged: Vec<EventKind> = events
+            .iter()
+            .filter(|e| e.chain == chain.0 && e.page_no == p && io.contains(&e.kind))
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(staged, [io, io].concat(), "page {p}: submit → batch → complete per cold load");
     }
+    let m = pool.metrics();
+    assert_eq!((m.io_submitted, m.io_completions, m.loads), (2 * pages, 2 * pages, 2 * pages));
     // Events are globally ordered by sequence number, and timestamps are
     // monotone along that order per construction of the drain.
     for w in events.windows(2) {

@@ -3,8 +3,8 @@
 
 use payg_resman::{PoolLimits, ResourceManager};
 use payg_storage::{
-    BufferPool, ChainWriter, FaultPlan, FaultyStore, MemStore, PageKey, PageStore, PoolConfig,
-    RetryPolicy,
+    BufferPool, ChainWriter, FaultPlan, FaultyStore, IoStageConfig, MemStore, PageKey, PageStore,
+    PoolConfig, RetryPolicy,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -121,16 +121,14 @@ proptest! {
         pool.assert_no_live_pins("proptest quiesce");
     }
 
-    /// Batched/coalesced loads through the cold-path I/O stage are
-    /// equivalent to sequential loads through a stage-less pool: identical
-    /// bytes for every good page, identical per-page outcome when one page
-    /// is corrupt — the bad page (and only the bad page) fails and
-    /// quarantines, its neighbours in the same coalesced read publish.
-    // Model-check builds run the pool inline (no stage threads), so the
-    // staged side of the comparison does not exist there.
-    #[cfg(not(payg_check))]
+    /// Loads through eight stage workers ≡ loads through a caller-drained
+    /// stage (`workers: 0`, what model-check builds run) ≡ the bytes
+    /// appended to the store: identical bytes for every good page, identical
+    /// per-page outcome when one page is corrupt — the bad page (and only
+    /// the bad page) fails and quarantines, its neighbours in the same
+    /// coalesced read publish.
     #[test]
-    fn staged_coalesced_loads_match_sequential(
+    fn staged_loads_match_caller_drained_and_the_store(
         pages in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..32), 1..24),
         corrupt_sel in any::<u16>(),
         inject in any::<bool>(),
@@ -145,51 +143,57 @@ proptest! {
         if inject {
             store.set_plan(FaultPlan::CorruptPages(vec![PageKey::new(chain, bad)]));
         }
-        let staged = BufferPool::new(
+        let pool_with = |workers: usize| BufferPool::with_config(
             Arc::clone(&store) as Arc<dyn PageStore>,
             ResourceManager::new(),
+            PoolConfig {
+                io_stage: IoStageConfig { workers, ..IoStageConfig::default() },
+                ..PoolConfig::default()
+            },
         );
-        prop_assert!(staged.io_stage_active(), "stage is on by default");
-        let sequential = BufferPool::with_config(
-            Arc::clone(&store) as Arc<dyn PageStore>,
-            ResourceManager::new(),
-            PoolConfig { io_stage: None, ..PoolConfig::default() },
-        );
-        prop_assert!(!sequential.io_stage_active());
+        let (threaded, drained) = (pool_with(8), pool_with(0));
         // Flood the stage with adjacent submissions so completions ride
-        // coalesced ranged reads whenever the workers batch them up.
+        // coalesced ranged reads whenever the workers batch them up. A
+        // caller-drained submission has completed by the time it returns.
         for p in 0..n {
-            staged.prefetch_submit(PageKey::new(chain, p));
+            let key = PageKey::new(chain, p);
+            threaded.prefetch_submit(key);
+            prop_assert!(drained.prefetch_submit(key), "nothing queued ahead of it");
+            prop_assert_eq!(drained.is_resident(key), !(inject && p == bad));
         }
         for p in 0..n {
             let key = PageKey::new(chain, p);
-            let a = staged.pin(key).map(|g| g.to_vec());
-            let b = sequential.pin(key).map(|g| g.to_vec());
+            let a = threaded.pin(key).map(|g| g.to_vec());
+            let b = drained.pin(key).map(|g| g.to_vec());
             match (a, b) {
                 (Ok(x), Ok(y)) => {
                     prop_assert_eq!(&x, &y, "page {} bytes diverge", p);
-                    prop_assert_eq!(&x[..pages[p as usize].len()], pages[p as usize].as_slice());
+                    let want = &pages[p as usize];
+                    prop_assert_eq!(&x[..want.len()], want.as_slice());
+                    prop_assert!(x[want.len()..].iter().all(|&b| b == 0), "zero padding");
                 }
                 (Err(_), Err(_)) => {
                     prop_assert!(inject && p == bad, "only the corrupt page may fail");
                 }
                 (a, b) => prop_assert!(
                     false,
-                    "outcome diverges at page {}: staged ok={} sequential ok={}",
+                    "outcome diverges at page {}: 8 workers ok={} caller-drained ok={}",
                     p, a.is_ok(), b.is_ok()
                 ),
             }
         }
         let failed = u64::from(inject);
-        prop_assert_eq!(staged.quarantined_pages(), failed as usize,
-            "exactly the corrupt page quarantines");
-        let m = staged.metrics();
-        prop_assert_eq!(m.loads, n - failed, "every good page loaded exactly once");
-        prop_assert_eq!(m.io_completions, m.io_submitted,
-            "every accepted submission completes: {:?}", m);
-        prop_assert!(m.io_physical_reads <= m.io_completions,
-            "coalescing never issues more reads than requests: {:?}", m);
-        staged.assert_no_live_pins("staged proptest quiesce");
+        for pool in [&threaded, &drained] {
+            prop_assert_eq!(pool.quarantined_pages(), failed as usize,
+                "exactly the corrupt page quarantines");
+            let m = pool.metrics();
+            prop_assert_eq!(m.loads, n - failed, "every good page loaded exactly once");
+            prop_assert_eq!(m.io_completions, m.io_submitted,
+                "every accepted submission completes: {:?}", m);
+            prop_assert!(m.io_physical_reads <= m.io_completions,
+                "coalescing never issues more reads than requests: {:?}", m);
+            pool.assert_no_live_pins("staged proptest quiesce");
+        }
     }
 
     /// `pin_many` ≡ pinning the same keys one after another: per key the
@@ -199,8 +203,6 @@ proptest! {
     /// absent, in flight (an accepted prefetch) or quarantined, with
     /// transient outages absorbed by the retry policy and corrupt pages
     /// failing alone.
-    // Without stage threads `pin_many` *is* the sequential loop.
-    #[cfg(not(payg_check))]
     #[test]
     fn pin_many_equals_sequential_pins(
         n_pages in 2u64..14,

@@ -134,18 +134,18 @@ impl ExplainAnalyze {
     /// drove the pool during the measured window.
     pub fn check_consistency(&self) -> Result<(), String> {
         let count = |k: EventKind| self.events.iter().filter(|e| e.kind == k).count() as u64;
-        let staged_retries =
-            self.events.iter().filter(|e| e.kind == EventKind::LoadRetried && e.bytes == 1).count()
-                as u64;
         let checks = [
             (names::POOL_LOADS, count(EventKind::PageLoaded)),
             (names::POOL_LOAD_WAITS, count(EventKind::SingleFlightWait)),
             (names::POOL_LOAD_RETRIES, count(EventKind::LoadRetried)),
             (names::POOL_IO_SUBMITTED, count(EventKind::IoSubmitted)),
             (names::POOL_IO_COMPLETIONS, count(EventKind::IoCompleted)),
-            // Every physical read is either a coalesced batch or a staged
-            // retry's solo re-read.
-            (names::POOL_IO_PHYSICAL_READS, count(EventKind::IoBatchIssued) + staged_retries),
+            // Every physical read is either a coalesced batch or a retry's
+            // solo re-read.
+            (
+                names::POOL_IO_PHYSICAL_READS,
+                count(EventKind::IoBatchIssued) + count(EventKind::LoadRetried),
+            ),
             (names::POOL_QUARANTINE_INSERTS, count(EventKind::PageQuarantined)),
         ];
         for (name, traced) in checks {

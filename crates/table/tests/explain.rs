@@ -75,14 +75,16 @@ fn cold_parallel_scan_reports_plan_actuals_and_spans() {
     assert!(data.actuals.pins > 0, "data pages pinned: {:?}", data.actuals);
     assert!(data.actuals.cold_loads > 0, "data pages loaded cold: {:?}", data.actuals);
 
-    // Page provenance: with the cold-path I/O stage on, this query's tree
-    // initiated the coalesced batches that served it (nothing to join —
-    // the pool is otherwise idle).
-    if t.pool().io_stage_active() {
-        assert!(cold.batches_initiated > 0, "cold staged scan issues batches");
-        assert_eq!(cold.batches_joined, 0, "no concurrent query to join");
-        assert!(cold.profile.io_batches >= cold.batches_initiated);
-    }
+    // Page provenance: every load went through the I/O stage, and this
+    // query's tree initiated the coalesced batches that served it (nothing
+    // to join — the pool is otherwise idle).
+    let loads = cold.delta.counter(names::POOL_LOADS);
+    assert_eq!(cold.delta.counter(names::POOL_IO_SUBMITTED), loads);
+    assert_eq!(cold.delta.counter(names::POOL_IO_COMPLETIONS), loads);
+    assert!(cold.events.iter().any(|e| e.kind == EventKind::IoBatchIssued));
+    assert!(cold.batches_initiated > 0, "cold scan issues batches");
+    assert_eq!(cold.batches_joined, 0, "no concurrent query to join");
+    assert!(cold.profile.io_batches >= cold.batches_initiated);
 
     // Warm sequential re-run: same result, no cold loads, warm pins
     // instead — and the sequential iterator counts the pages the summary
@@ -207,20 +209,19 @@ fn cold_select_star_batches_its_page_loads() {
     cold.check_consistency().expect("batched loads reconcile event for event");
     let loads = cold.delta.counter(names::POOL_LOADS);
     assert!(loads > 0, "first run is cold: {:?}", cold.profile);
-    if t.pool().io_stage_active() {
-        let reads = cold.delta.counter(names::POOL_IO_PHYSICAL_READS);
-        assert!(reads < loads, "{reads} physical reads for {loads} loaded pages");
-        // Every load was requested under this query's span tree, and the
-        // query waited in waves: far fewer page-wait spans than pages.
-        let tree = cold.tree();
-        let submitted: Vec<_> =
-            cold.events.iter().filter(|e| e.kind == EventKind::IoSubmitted).collect();
-        assert_eq!(submitted.len() as u64, loads);
-        assert!(submitted.iter().all(|e| tree.contains(&e.span)), "loads carry the query's span");
-        let waves = cold.spans.iter().filter(|s| s.kind == SpanKind::PageWait).count() as u64;
-        assert!(waves > 0 && waves * 2 < loads, "{waves} waits for {loads} loads");
-        assert_eq!(cold.batches_joined, 0, "no concurrent query to join");
-    }
+    let reads = cold.delta.counter(names::POOL_IO_PHYSICAL_READS);
+    assert!(reads < loads, "{reads} physical reads for {loads} loaded pages");
+    assert_eq!(cold.delta.counter(names::POOL_IO_COMPLETIONS), loads);
+    // Every load was requested under this query's span tree, and the
+    // query waited in waves: far fewer page-wait spans than pages.
+    let tree = cold.tree();
+    let submitted: Vec<_> =
+        cold.events.iter().filter(|e| e.kind == EventKind::IoSubmitted).collect();
+    assert_eq!(submitted.len() as u64, loads);
+    assert!(submitted.iter().all(|e| tree.contains(&e.span)), "loads carry the query's span");
+    let waves = cold.spans.iter().filter(|s| s.kind == SpanKind::PageWait).count() as u64;
+    assert!(waves > 0 && waves * 2 < loads, "{waves} waits for {loads} loads");
+    assert_eq!(cold.batches_joined, 0, "no concurrent query to join");
     // Warm: no loads, no pin the cold run did not take (the cold run also
     // preloaded each dictionary's value-helper chain), and the ledger
     // still closes.

@@ -58,9 +58,7 @@ fn main() {
         cold.spans.iter().any(|s| s.kind == SpanKind::ScanPartition),
         "parallel scan records partition spans"
     );
-    if table.pool().io_stage_active() {
-        assert!(cold.batches_initiated > 0, "cold staged scan issues I/O batches");
-    }
+    assert!(cold.batches_initiated > 0, "cold scan issues I/O batches");
 
     // ---- Warm re-run: same plan, no cold loads ---------------------------
     let (result2, warm) = table.explain_analyze(&scan).unwrap();

@@ -210,8 +210,8 @@ pub fn run(rel: &Path, lexed: &Lexed, info: &FileInfo, sink: &Sink<'_>) {
                 "pool-read-page",
                 toks[i + 1].line,
                 "direct store read in pool shard code: route it through \
-                 iostage (fetch_with_retry or a staged fetch request) so \
-                 retry, fault, and physical-read accounting stay unified",
+                 iostage (a staged fetch request) so retry, fault, and \
+                 physical-read accounting stay unified",
             );
         }
 

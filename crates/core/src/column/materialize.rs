@@ -24,12 +24,26 @@
 //! them. A phase larger than [`WAVE_PAGES`] is split into waves so the pins
 //! a projection holds at once stay bounded whatever its width.
 //!
+//! The work is cut at its natural joint, and each half is an operation of
+//! its own:
+//!
+//! * **rows → identifiers** (phase (a)), reduced either to *(identifier,
+//!   count)* pairs ascending ([`ColumnRead::vid_counts`] — all an aggregate
+//!   needs: `SUM` is Σ value × count, `MIN` / `MAX` are the first / last
+//!   identifier because the dictionary preserves order) or to the distinct
+//!   identifiers plus the **rank** of each row's identifier among them
+//!   ([`distinct_ranks`], for a projection);
+//! * **sorted distinct identifiers → values** (phases (b) and (c),
+//!   [`ColumnRead::values_by_vid`]) — every distinct value is decoded once.
+//!
+//! A projection then fans the values out by rank, one `clone` per row.
 //! [`ColumnRead::get_values`] on a paged column is the one-column case of
-//! the same code.
+//! the same code, and the resident column runs the same two steps over its
+//! in-memory image.
 
 use super::paged::ColumnParts;
 use super::{Column, ColumnRead};
-use crate::dict::DictEntry;
+use crate::dict::append_piece;
 use crate::{CoreError, CoreResult, Value};
 use payg_encoding::prefix::OverflowRef;
 use payg_storage::{BufferPool, PageGuard, PageKey};
@@ -123,43 +137,65 @@ fn for_each_page<T>(
     Ok(())
 }
 
-/// One off-page piece of a large dictionary entry still to be appended.
-struct Piece {
-    col: usize,
-    /// Index of the entry among the column's distinct identifiers.
-    entry: usize,
-    at: OverflowRef,
+/// The rows in ascending order — page order within each chain — and, when
+/// that is not the caller's order, `order[k]`: the caller's index of the k-th
+/// smallest row.
+fn ascending(rposs: &[u64]) -> (Cow<'_, [u64]>, Option<Vec<u32>>) {
+    if rposs.is_sorted() {
+        return (Cow::Borrowed(rposs), None);
+    }
+    let mut order: Vec<u32> = (0..rposs.len() as u32).collect();
+    order.sort_unstable_by_key(|&i| rposs[i as usize]);
+    let sorted = order.iter().map(|&i| rposs[i as usize]).collect();
+    (Cow::Owned(sorted), Some(order))
 }
 
-/// The phased late materialization of paged columns sharing `pool`.
-pub(crate) fn materialize_paged(
+/// Identifiers → `(identifier, count)` pairs, ascending by identifier.
+pub(crate) fn count_runs(mut vids: Vec<u64>) -> Vec<(u64, u64)> {
+    vids.sort_unstable();
+    let mut runs: Vec<(u64, u64)> = Vec::new();
+    for vid in vids {
+        match runs.last_mut() {
+            Some((last, count)) if *last == vid => *count += 1,
+            _ => runs.push((vid, 1)),
+        }
+    }
+    runs
+}
+
+/// The distinct identifiers of `vids`, ascending, and for every position of
+/// `vids` the rank of its identifier among them — recorded while the
+/// distinct list is built, so fanning values out to rows is an array index
+/// per row, not a search.
+pub(crate) fn distinct_ranks(vids: &[u64]) -> (Vec<u64>, Vec<u32>) {
+    let mut by_vid: Vec<u32> = (0..vids.len() as u32).collect();
+    by_vid.sort_unstable_by_key(|&k| vids[k as usize]);
+    let mut distinct: Vec<u64> = Vec::new();
+    let mut rank = vec![0u32; vids.len()];
+    for k in by_vid {
+        let vid = vids[k as usize];
+        if distinct.last() != Some(&vid) {
+            distinct.push(vid);
+        }
+        rank[k as usize] = (distinct.len() - 1) as u32;
+    }
+    (distinct, rank)
+}
+
+/// Phase (a): data-vector pages → the identifier at every row of `sorted`
+/// (ascending, non-empty), per column. Width-0 vectors have no pages; their
+/// identifiers are all 0.
+fn decode_vids(
     pool: &BufferPool,
     cols: &[&ColumnParts],
-    rposs: &[u64],
-) -> CoreResult<Vec<Vec<Value>>> {
-    let n = rposs.len();
-    if n == 0 {
-        return Ok(cols.iter().map(|_| Vec::new()).collect());
-    }
-    // Everything below works in ascending-row order (page order within each
-    // chain); `order[k]` is the caller's index of the k-th smallest row.
-    let order: Option<Vec<u32>> = (!rposs.is_sorted()).then(|| {
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        order.sort_unstable_by_key(|&i| rposs[i as usize]);
-        order
-    });
-    let sorted: Cow<'_, [u64]> = match &order {
-        None => Cow::Borrowed(rposs),
-        Some(order) => Cow::Owned(order.iter().map(|&i| rposs[i as usize]).collect()),
-    };
+    sorted: &[u64],
+) -> CoreResult<Vec<Vec<u64>>> {
+    let n = sorted.len();
     for c in cols {
         if sorted[n - 1] >= c.len {
             return Err(CoreError::RowOutOfBounds { rpos: sorted[n - 1], len: c.len });
         }
     }
-
-    // Phase (a): data-vector pages → identifiers (width-0 vectors have no
-    // pages; their identifiers are all 0).
     let mut vids: Vec<Vec<u64>> = cols.iter().map(|_| vec![0u64; n]).collect();
     let mut tasks: Vec<PageTask> = Vec::new();
     for (ci, c) in cols.iter().enumerate() {
@@ -177,31 +213,60 @@ pub(crate) fn materialize_paged(
             Ok(())
         },
     )?;
+    Ok(vids)
+}
 
-    // Each distinct identifier is looked up once, in ascending order —
-    // which is helper-page and dictionary-page order.
-    let distinct: Vec<Vec<u64>> = vids
-        .iter()
-        .map(|v| {
-            let mut d = v.clone();
-            if n > 1 {
-                d.sort_unstable();
-                d.dedup();
-            }
-            d
-        })
-        .collect();
-    for (c, d) in cols.iter().zip(&distinct) {
-        c.dict.check_vid(d[d.len() - 1])?;
+/// [`ColumnRead::vid_counts`] of a paged column: phase (a), then the
+/// identifiers sorted and run-length counted.
+pub(crate) fn vid_counts_paged(c: &ColumnParts, rposs: &[u64]) -> CoreResult<Vec<(u64, u64)>> {
+    if rposs.is_empty() {
+        return Ok(Vec::new());
+    }
+    let (sorted, _) = ascending(rposs);
+    let vids = decode_vids(&c.pool, &[c], &sorted)?.pop().unwrap_or_default();
+    Ok(count_runs(vids))
+}
+
+/// A large dictionary entry whose off-page pieces are still to be appended.
+struct Large {
+    col: usize,
+    /// Index of the entry among the column's distinct identifiers.
+    entry: usize,
+    bytes: Vec<u8>,
+    /// Length of the complete entry.
+    total: u64,
+}
+
+/// One off-page piece of a large dictionary entry still to be appended.
+struct Piece {
+    col: usize,
+    /// Index into the phase's large entries.
+    large: usize,
+    at: OverflowRef,
+}
+
+/// Phases (b) and (c): the values of each column's `distinct` identifiers —
+/// ascending and duplicate-free, which is helper-page and dictionary-page
+/// order — one vector per column, in `distinct` order.
+pub(crate) fn values_by_vid_paged(
+    pool: &BufferPool,
+    cols: &[&ColumnParts],
+    distinct: &[&[u64]],
+) -> CoreResult<Vec<Vec<Value>>> {
+    for (c, d) in cols.iter().zip(distinct) {
+        debug_assert!(d.windows(2).all(|w| w[0] < w[1]), "identifiers ascend strictly");
+        if let Some(&last) = d.last() {
+            c.dict.check_vid(last)?;
+        }
     }
 
     // Phase (b): helper pages → dictionary page of every distinct
     // identifier. First touch of a dictionary preloads its helper chains
     // (§3.2.3) — except the pages the phase is about to pin anyway.
     let mut dict_pages: Vec<Vec<u64>> = distinct.iter().map(|d| vec![0u64; d.len()]).collect();
-    tasks.clear();
+    let mut tasks: Vec<PageTask> = Vec::new();
     for (ci, c) in cols.iter().enumerate() {
-        let d = &distinct[ci];
+        let d = distinct[ci];
         plan_pages(&mut tasks, ci, d.len(), |k| c.dict.vid_helper_page(d[k]));
     }
     let mut preload: Vec<PageKey> = cols.iter().flat_map(|c| c.dict.take_preload()).collect();
@@ -220,11 +285,16 @@ pub(crate) fn materialize_paged(
         },
     )?;
 
-    // Phase (c): dictionary pages → entries, then the off-page pieces of
-    // the large ones, appended in order.
-    let mut entries: Vec<Vec<DictEntry>> =
+    // Phase (c): dictionary pages → values. An entry that is whole on its
+    // page is decoded to its value straight from two scratch buffers (the
+    // entry's bytes, and their decompression when the chain is FSST-coded);
+    // a large one keeps its bytes until its off-page pieces are appended, in
+    // order.
+    let mut values: Vec<Vec<Value>> =
         distinct.iter().map(|d| Vec::with_capacity(d.len())).collect();
+    let mut large: Vec<Large> = Vec::new();
     let mut pieces: Vec<Piece> = Vec::new();
+    let (mut acc, mut raw): (Vec<u8>, Vec<u8>) = (Vec::new(), Vec::new());
     tasks.clear();
     for (ci, pages) in dict_pages.iter().enumerate() {
         plan_pages(&mut tasks, ci, pages.len(), |k| pages[k]);
@@ -234,14 +304,21 @@ pub(crate) fn materialize_paged(
         &tasks,
         |t| cols[t.col].dict.dict_page_key(t.page),
         |t, page| {
+            let c = cols[t.col];
+            let view = c.dict.page_view(page, t.page)?;
             for (k, &vid) in (t.lo..t.hi).zip(&distinct[t.col][t.lo..t.hi]) {
-                let mut entry = cols[t.col].dict.entry_on_page(page, t.page, vid)?;
-                pieces.extend(
-                    std::mem::take(&mut entry.overflow)
-                        .into_iter()
-                        .map(|at| Piece { col: t.col, entry: k, at }),
-                );
-                entries[t.col].push(entry);
+                let (overflow, total) = view.read(vid, &mut acc)?;
+                if overflow.is_empty() {
+                    c.dict.finish_key(&mut acc, total, &mut raw)?;
+                    values[t.col].push(Value::from_key(c.data_type, &acc)?);
+                } else {
+                    pieces.extend(
+                        overflow.into_iter().map(|at| Piece { col: t.col, large: large.len(), at }),
+                    );
+                    large.push(Large { col: t.col, entry: k, bytes: acc.clone(), total });
+                    // The slot is filled once the pieces are in.
+                    values[t.col].push(Value::Varchar(String::new()));
+                }
             }
             Ok(())
         },
@@ -250,33 +327,57 @@ pub(crate) fn materialize_paged(
         pool,
         &pieces,
         |p| cols[p.col].dict.overflow_key(&p.at),
-        |p, page| entries[p.col][p.entry].append_piece(&p.at, page),
+        |p, page| append_piece(&mut large[p.large].bytes, &p.at, page),
     )?;
+    for mut l in large {
+        let c = cols[l.col];
+        c.dict.finish_key(&mut l.bytes, l.total, &mut raw)?;
+        values[l.col][l.entry] = Value::from_key(c.data_type, &l.bytes)?;
+    }
+    Ok(values)
+}
 
-    // Back to the caller's row order.
-    let sorted_pos: Option<Vec<u32>> = order.map(|order| {
+/// The phased late materialization of paged columns sharing `pool`: rows →
+/// identifiers, distinct identifiers → values, values → rows by rank.
+pub(crate) fn materialize_paged(
+    pool: &BufferPool,
+    cols: &[&ColumnParts],
+    rposs: &[u64],
+) -> CoreResult<Vec<Vec<Value>>> {
+    let n = rposs.len();
+    if n == 0 {
+        return Ok(cols.iter().map(|_| Vec::new()).collect());
+    }
+    let (sorted, order) = ascending(rposs);
+    let vids = decode_vids(pool, cols, &sorted)?;
+    let (distinct, ranks): (Vec<Vec<u64>>, Vec<Vec<u32>>) =
+        vids.iter().map(|v| distinct_ranks(v)).unzip();
+    let distinct: Vec<&[u64]> = distinct.iter().map(Vec::as_slice).collect();
+    let values = values_by_vid_paged(pool, cols, &distinct)?;
+    if n == 1 {
+        return Ok(values);
+    }
+
+    // Back to the caller's row order: `pos[i]` is where the caller's i-th
+    // row sits in ascending order.
+    let pos: Option<Vec<u32>> = order.map(|order| {
         let mut pos = vec![0u32; n];
         for (k, &i) in order.iter().enumerate() {
             pos[i as usize] = k as u32;
         }
         pos
     });
-    cols.iter()
-        .zip(entries)
-        .zip(vids.iter().zip(&distinct))
-        .map(|((c, entries), (vids, distinct))| {
-            let values: Vec<Value> = entries
-                .into_iter()
-                .map(|e| Value::from_key(c.data_type, &c.dict.finish_key(e)?))
-                .collect::<CoreResult<_>>()?;
-            if n == 1 {
-                return Ok(values);
-            }
-            let value_at = |k: usize| values[distinct.partition_point(|&d| d < vids[k])].clone();
-            Ok(match &sorted_pos {
-                None => (0..n).map(value_at).collect(),
-                Some(pos) => pos.iter().map(|&k| value_at(k as usize)).collect(),
-            })
+    Ok(values
+        .iter()
+        .zip(&ranks)
+        .map(|(values, rank)| match &pos {
+            None => fan_out(values, rank.iter().copied()),
+            Some(pos) => fan_out(values, pos.iter().map(|&k| rank[k as usize])),
         })
-        .collect()
+        .collect())
+}
+
+/// One value per rank: `values[r]` cloned for every `r` of `ranks`.
+pub(crate) fn fan_out(values: &[Value], ranks: impl Iterator<Item = u32>) -> Vec<Value> {
+    ranks.map(|r| values[r as usize].clone()).collect()
 }

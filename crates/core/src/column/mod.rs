@@ -340,6 +340,20 @@ impl ColumnRead for Column {
         }
     }
 
+    fn vid_counts(&self, rposs: &[u64]) -> CoreResult<Vec<(u64, u64)>> {
+        match self {
+            Column::Resident(c) => c.vid_counts(rposs),
+            Column::Paged(c) => c.vid_counts(rposs),
+        }
+    }
+
+    fn values_by_vid(&self, vids: &[u64]) -> CoreResult<Vec<Value>> {
+        match self {
+            Column::Resident(c) => c.values_by_vid(vids),
+            Column::Paged(c) => c.values_by_vid(vids),
+        }
+    }
+
     fn get_vids(&self, from: u64, to: u64, out: &mut Vec<u64>) -> CoreResult<()> {
         match self {
             Column::Resident(c) => c.get_vids(from, to, out),

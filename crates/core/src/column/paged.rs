@@ -3,7 +3,7 @@
 use crate::column::read::ColumnRead;
 use crate::datavec::ScanOptions;
 use crate::dict::HandleCache;
-use crate::invidx::PagedInvertedIndex;
+use crate::invidx::{for_each_run, PagedInvertedIndex};
 use crate::{CoreResult, DataType, PageConfig, Value, ValuePredicate};
 use payg_encoding::dispatch::{self, CodecKind, ProbeShape, ScanPath};
 use payg_encoding::VidSet;
@@ -248,9 +248,9 @@ impl PagedColumn {
                     matches!(path, ScanPath::CompressedDomain) as u64,
                 );
                 let mut it = index.iter();
-                for vid in set.iter() {
-                    match path {
-                        ScanPath::CompressedDomain => {
+                match path {
+                    ScanPath::CompressedDomain => {
+                        for vid in set.iter() {
                             let mut cur = it.next_row_pos_geq(vid, from)?;
                             while let Some(rpos) = cur {
                                 if rpos >= to {
@@ -260,19 +260,18 @@ impl PagedColumn {
                                 cur = it.get_next_row_pos()?;
                             }
                         }
-                        ScanPath::DecodeThenScan => {
-                            if let Some(first) = it.get_first_row_pos(vid)? {
-                                if first >= from && first < to {
-                                    out.push(first);
-                                }
-                                while let Some(rpos) = it.get_next_row_pos()? {
-                                    if rpos >= from && rpos < to {
-                                        out.push(rpos);
-                                    }
-                                }
+                    }
+                    // A vid range is one posting run: two directory reads,
+                    // then one drain of the contiguous postinglist slice.
+                    ScanPath::DecodeThenScan => for_each_run(&set, |lo, hi| {
+                        it.position_run(lo, hi)?;
+                        while let Some(rpos) = it.get_next_row_pos()? {
+                            if rpos >= from && rpos < to {
+                                out.push(rpos);
                             }
                         }
-                    }
+                        Ok(())
+                    })?,
                 }
                 out.sort_unstable();
             }
@@ -378,6 +377,16 @@ impl ColumnRead for PagedColumn {
         // The one-column case of phased late materialization.
         let mut columns =
             super::materialize::materialize_paged(&self.parts.pool, &[&*self.parts], rposs)?;
+        Ok(columns.pop().unwrap_or_default())
+    }
+
+    fn vid_counts(&self, rposs: &[u64]) -> CoreResult<Vec<(u64, u64)>> {
+        super::materialize::vid_counts_paged(&self.parts, rposs)
+    }
+
+    fn values_by_vid(&self, vids: &[u64]) -> CoreResult<Vec<Value>> {
+        let mut columns =
+            super::materialize::values_by_vid_paged(&self.parts.pool, &[&*self.parts], &[vids])?;
         Ok(columns.pop().unwrap_or_default())
     }
 

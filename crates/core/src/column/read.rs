@@ -34,6 +34,28 @@ pub trait ColumnRead {
     /// decode vids first, then look each distinct vid up once).
     fn get_values(&self, rposs: &[u64]) -> CoreResult<Vec<Value>>;
 
+    /// The value identifiers at the given rows (any order, duplicates
+    /// allowed) as `(identifier, count)` pairs, ascending by identifier —
+    /// the first half of late materialization, and all an aggregate needs
+    /// of the rows: the dictionary preserves order, so the first / last
+    /// pair is the minimum / maximum and the pairs are the distinct set.
+    fn vid_counts(&self, rposs: &[u64]) -> CoreResult<Vec<(u64, u64)>>;
+
+    /// The values of `vids` — strictly ascending identifiers — in that
+    /// order: the second half of late materialization, each dictionary
+    /// entry decoded once.
+    fn values_by_vid(&self, vids: &[u64]) -> CoreResult<Vec<Value>>;
+
+    /// The distinct values at the given rows with their multiplicities,
+    /// ascending by value: [`ColumnRead::vid_counts`], then
+    /// [`ColumnRead::values_by_vid`] of the identifiers. What an aggregate
+    /// folds over — one decoded value per distinct identifier, never one
+    /// per row.
+    fn value_counts(&self, rposs: &[u64]) -> CoreResult<Vec<(Value, u64)>> {
+        let (vids, counts): (Vec<u64>, Vec<u64>) = self.vid_counts(rposs)?.into_iter().unzip();
+        Ok(self.values_by_vid(&vids)?.into_iter().zip(counts).collect())
+    }
+
     /// Decodes the value identifiers of a row range into `out`.
     fn get_vids(&self, from: u64, to: u64, out: &mut Vec<u64>) -> CoreResult<()>;
 

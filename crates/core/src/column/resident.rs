@@ -1,17 +1,17 @@
 //! The fully-resident (default) column.
 
+use crate::column::materialize::{count_runs, distinct_ranks, fan_out};
 use crate::column::paged::ColumnParts;
 use crate::column::read::ColumnRead;
 use crate::datavec::{par_search_resident, ScanOptions};
 use crate::dict::InMemoryDict;
-use crate::invidx::InMemoryInvertedIndex;
+use crate::invidx::{for_each_run, InMemoryInvertedIndex};
 use crate::sync::{LockRank, Mutex};
 use crate::{CoreError, CoreResult, DataType, Value, ValuePredicate};
 use payg_encoding::scan;
 use payg_encoding::{BitPackedVec, VidSet};
 use payg_obs::{names, Counter};
 use payg_resman::{Disposition, ResourceId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// The contiguous in-memory image of a loaded column.
@@ -125,6 +125,31 @@ impl ResidentColumn {
         self.load_count.get()
     }
 
+    /// The identifier at every row of `rposs`, in that order.
+    fn vids_at(&self, image: &Image, rposs: &[u64]) -> CoreResult<Vec<u64>> {
+        rposs
+            .iter()
+            .map(|&rpos| {
+                if rpos >= self.parts.len {
+                    return Err(CoreError::RowOutOfBounds { rpos, len: self.parts.len });
+                }
+                Ok(image.data.get(rpos))
+            })
+            .collect()
+    }
+
+    /// The value of every identifier of `vids`, in that order.
+    fn values_of(&self, image: &Image, vids: &[u64]) -> CoreResult<Vec<Value>> {
+        vids.iter()
+            .map(|&vid| {
+                if vid >= self.parts.cardinality {
+                    return Err(CoreError::VidOutOfBounds { vid, cardinality: self.parts.cardinality });
+                }
+                Value::from_key(self.parts.data_type, image.dict.key(vid))
+            })
+            .collect()
+    }
+
     fn vid_set_from_image(&self, image: &Image, pred: &ValuePredicate) -> CoreResult<VidSet> {
         Ok(match pred {
             ValuePredicate::Eq(v) => {
@@ -200,14 +225,15 @@ impl ResidentColumn {
             return Ok(out);
         }
         match &image.index {
+            // A vid range is one posting run: one decode of the contiguous
+            // postinglist slice.
             Some(index) => {
-                for vid in set.iter() {
-                    for rpos in index.postings(vid)? {
-                        if rpos >= from && rpos < to {
-                            out.push(rpos);
-                        }
-                    }
-                }
+                let mut run = Vec::new();
+                for_each_run(&set, |lo, hi| {
+                    index.posting_run(lo, hi, &mut run)?;
+                    out.extend(run.iter().copied().filter(|&rpos| rpos >= from && rpos < to));
+                    Ok(())
+                })?;
                 out.sort_unstable();
             }
             None if opts.workers > 1 => {
@@ -254,25 +280,22 @@ impl ColumnRead for ResidentColumn {
     }
 
     fn get_values(&self, rposs: &[u64]) -> CoreResult<Vec<Value>> {
+        // The paged column's steps over the resident image: rows →
+        // identifiers, distinct identifiers → values, values → rows by rank.
         let image = self.image()?;
-        let mut resolved: HashMap<u64, Value> = HashMap::new();
-        let mut out = Vec::with_capacity(rposs.len());
-        for &rpos in rposs {
-            if rpos >= self.parts.len {
-                return Err(CoreError::RowOutOfBounds { rpos, len: self.parts.len });
-            }
-            let vid = image.data.get(rpos);
-            let v = match resolved.get(&vid) {
-                Some(v) => v.clone(),
-                None => {
-                    let v = Value::from_key(self.parts.data_type, image.dict.key(vid))?;
-                    resolved.insert(vid, v.clone());
-                    v
-                }
-            };
-            out.push(v);
-        }
-        Ok(out)
+        let (distinct, rank) = distinct_ranks(&self.vids_at(&image, rposs)?);
+        let values = self.values_of(&image, &distinct)?;
+        Ok(fan_out(&values, rank.into_iter()))
+    }
+
+    fn vid_counts(&self, rposs: &[u64]) -> CoreResult<Vec<(u64, u64)>> {
+        let image = self.image()?;
+        Ok(count_runs(self.vids_at(&image, rposs)?))
+    }
+
+    fn values_by_vid(&self, vids: &[u64]) -> CoreResult<Vec<Value>> {
+        let image = self.image()?;
+        self.values_of(&image, vids)
     }
 
     fn get_vids(&self, from: u64, to: u64, out: &mut Vec<u64>) -> CoreResult<()> {

@@ -18,5 +18,5 @@ mod in_memory;
 mod paged;
 
 pub use in_memory::InMemoryDict;
-pub(crate) use paged::DictEntry;
+pub(crate) use paged::append_piece;
 pub use paged::{DictLookup, HandleCache, PagedDictBuildStats, PagedDictionary};

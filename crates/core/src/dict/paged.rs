@@ -138,30 +138,62 @@ impl PageTransient {
     }
 }
 
-/// One dictionary entry read off its page: the on-page bytes of the
-/// (possibly compressed) key, and what is still missing of it.
-pub(crate) struct DictEntry {
-    bytes: Vec<u8>,
-    /// Off-page pieces not appended yet, in order.
-    pub(crate) overflow: Vec<OverflowRef>,
-    /// Length of the complete entry.
-    total: u64,
+/// A pinned dictionary page opened for entry reads: the page's transient
+/// block-offset vector is looked up once — a lock, an `Arc` clone and a
+/// downcast — for however many entries are then read off the page.
+pub(crate) struct DictPageView<'a> {
+    guard: &'a PageGuard,
+    transient: Arc<PageTransient>,
+    dict_page: u64,
 }
 
-impl DictEntry {
-    /// Appends the off-page piece `r` from its pinned overflow page.
-    pub(crate) fn append_piece(&mut self, r: &OverflowRef, page: &[u8]) -> CoreResult<()> {
-        let piece = page.get(..r.len as usize).ok_or_else(|| {
-            CoreError::Storage(StorageError::corrupt(format!(
-                "overflow piece on page {} claims {} bytes of a {}-byte page",
-                r.page_no,
-                r.len,
-                page.len()
-            )))
-        })?;
-        self.bytes.extend_from_slice(piece);
-        Ok(())
+impl DictPageView<'_> {
+    /// Reads the on-page part of `vid`'s (possibly FSST-compressed) key
+    /// into `acc` (cleared first). Returns the pointers to the entry's
+    /// off-page pieces — which the caller fetches and appends in order with
+    /// [`append_piece`] — and the length of the complete entry, for
+    /// [`PagedDictionary::finish_key`].
+    pub(crate) fn read(&self, vid: u64, acc: &mut Vec<u8>) -> CoreResult<(Vec<OverflowRef>, u64)> {
+        let t = &self.transient;
+        if vid < t.first_idx {
+            return Err(CoreError::Storage(StorageError::corrupt(format!(
+                "vid {vid} routed to dictionary page {} starting at {}",
+                self.dict_page, t.first_idx
+            ))));
+        }
+        let idx = (vid - t.first_idx) as usize;
+        let (block_no, slot) = (idx / BLOCK_CAP, idx % BLOCK_CAP);
+        if block_no >= t.offsets.len() {
+            return Err(CoreError::Storage(StorageError::corrupt(format!(
+                "vid {vid} maps to block {block_no} of {} on page {}",
+                t.offsets.len(),
+                self.dict_page
+            ))));
+        }
+        let block = parse_block_view(self.guard, t.offsets[block_no])?;
+        if slot >= block.len() {
+            return Err(CoreError::Storage(StorageError::corrupt(format!(
+                "vid {vid} maps to slot {slot} of a {}-entry block",
+                block.len()
+            ))));
+        }
+        Ok(block.materialize_onpage_into(slot, acc)?)
     }
+}
+
+/// Appends the off-page piece `r` of a large entry from its pinned overflow
+/// page.
+pub(crate) fn append_piece(bytes: &mut Vec<u8>, r: &OverflowRef, page: &[u8]) -> CoreResult<()> {
+    let piece = page.get(..r.len as usize).ok_or_else(|| {
+        CoreError::Storage(StorageError::corrupt(format!(
+            "overflow piece on page {} claims {} bytes of a {}-byte page",
+            r.page_no,
+            r.len,
+            page.len()
+        )))
+    })?;
+    bytes.extend_from_slice(piece);
+    Ok(())
 }
 
 struct Meta {
@@ -521,12 +553,14 @@ impl PagedDictionary {
         let helper = cache.pin(self.vid_helper_key(hp))?;
         let dict_page = self.dict_page_on_helper(&helper, hp, vid);
         let guard = cache.pin(self.dict_page_key(dict_page))?;
-        let mut entry = self.entry_on_page(&guard, dict_page, vid)?;
-        for r in std::mem::take(&mut entry.overflow) {
+        let mut bytes = Vec::new();
+        let (overflow, total) = self.page_view(&guard, dict_page)?.read(vid, &mut bytes)?;
+        for r in overflow {
             let piece = cache.pin(self.overflow_key(&r))?;
-            entry.append_piece(&r, &piece)?;
+            append_piece(&mut bytes, &r, &piece)?;
         }
-        self.finish_key(entry)
+        self.finish_key(&mut bytes, total, &mut Vec::new())?;
+        Ok(bytes)
     }
 
     /// Errors unless `vid` is a valid identifier of this dictionary.
@@ -583,57 +617,37 @@ impl PagedDictionary {
         PageKey::new(self.meta.overflow_chain.chain, r.page_no)
     }
 
-    /// Reads `vid`'s entry off its pinned dictionary page: the on-page part
-    /// of the (possibly FSST-compressed) key plus the pointers to its
-    /// off-page pieces, which the caller fetches and appends in order.
-    pub(crate) fn entry_on_page(
+    /// Opens the pinned dictionary page `dict_page` for entry reads.
+    pub(crate) fn page_view<'a>(
         &self,
-        guard: &PageGuard,
+        guard: &'a PageGuard,
         dict_page: u64,
-        vid: u64,
-    ) -> CoreResult<DictEntry> {
-        let t = page_transient(guard)?;
-        if vid < t.first_idx {
-            return Err(CoreError::Storage(StorageError::corrupt(format!(
-                "vid {vid} routed to dictionary page {dict_page} starting at {}",
-                t.first_idx
-            ))));
-        }
-        let idx = (vid - t.first_idx) as usize;
-        let (block_no, slot) = (idx / BLOCK_CAP, idx % BLOCK_CAP);
-        if block_no >= t.offsets.len() {
-            return Err(CoreError::Storage(StorageError::corrupt(format!(
-                "vid {vid} maps to block {block_no} of {} on page {dict_page}",
-                t.offsets.len()
-            ))));
-        }
-        let block = parse_block_view(guard, t.offsets[block_no])?;
-        if slot >= block.len() {
-            return Err(CoreError::Storage(StorageError::corrupt(format!(
-                "vid {vid} maps to slot {slot} of a {}-entry block",
-                block.len()
-            ))));
-        }
-        let mut bytes = Vec::new();
-        let (overflow, total) = block.materialize_onpage_into(slot, &mut bytes)?;
-        Ok(DictEntry { bytes, overflow, total })
+    ) -> CoreResult<DictPageView<'a>> {
+        Ok(DictPageView { guard, transient: page_transient(guard)?, dict_page })
     }
 
-    /// Turns a fully assembled entry into the raw key: checks its length
-    /// and decompresses it when the chain is FSST-coded.
-    pub(crate) fn finish_key(&self, entry: DictEntry) -> CoreResult<Vec<u8>> {
-        debug_assert!(entry.overflow.is_empty(), "off-page pieces are appended first");
-        if entry.bytes.len() as u64 != entry.total {
+    /// Turns the fully assembled entry in `bytes` (of length `total`) into
+    /// the raw key, in place: checks the length, and when the chain is
+    /// FSST-coded decompresses into `scratch` and swaps the buffers — a
+    /// caller that reuses both allocates for neither codec.
+    pub(crate) fn finish_key(
+        &self,
+        bytes: &mut Vec<u8>,
+        total: u64,
+        scratch: &mut Vec<u8>,
+    ) -> CoreResult<()> {
+        if bytes.len() as u64 != total {
             return Err(CoreError::Storage(StorageError::corrupt(format!(
-                "materialized {} bytes, expected {}",
-                entry.bytes.len(),
-                entry.total
+                "materialized {} bytes, expected {total}",
+                bytes.len()
             ))));
         }
-        match &self.meta.fsst {
-            Some(table) => Ok(table.decode(&entry.bytes)?),
-            None => Ok(entry.bytes),
+        if let Some(table) = &self.meta.fsst {
+            scratch.clear();
+            table.decode_into(bytes, scratch)?;
+            std::mem::swap(bytes, scratch);
         }
+        Ok(())
     }
 
     /// `findByValue` (Alg. 2): finds the vid encoding `key`, or the

@@ -72,12 +72,25 @@ impl InMemoryInvertedIndex {
         })
     }
 
-    /// All row positions holding `vid`, ascending.
-    pub fn postings(&self, vid: u64) -> CoreResult<Vec<u64>> {
-        let (start, end) = self.posting_range(vid)?;
-        let mut out = Vec::new();
-        self.postinglist.mget(start, end, &mut out);
-        Ok(out)
+    /// Reads the **posting run** of the vids `lo..=hi` into `out` (cleared
+    /// first): postings are stored grouped by vid (§3.3), so the run is one
+    /// contiguous slice of the postinglist and one decode — vid-major, and
+    /// ascending within each vid. A single vid is the run `v..=v` (on a
+    /// unique index, one slot). An empty range (`lo > hi`) is an empty run.
+    pub fn posting_run(&self, lo: u64, hi: u64, out: &mut Vec<u64>) -> CoreResult<()> {
+        out.clear();
+        if lo > hi {
+            return Ok(());
+        }
+        if hi >= self.cardinality {
+            return Err(CoreError::VidOutOfBounds { vid: hi, cardinality: self.cardinality });
+        }
+        let (start, end) = match &self.directory {
+            None => (lo, hi + 1),
+            Some(dir) => (dir.get(lo), dir.get(hi + 1)),
+        };
+        self.postinglist.mget(start, end, out);
+        Ok(())
     }
 
     /// Number of postings of `vid` (directory lookup only).
@@ -108,19 +121,31 @@ impl InMemoryInvertedIndex {
 mod tests {
     use super::*;
 
+    fn run(idx: &InMemoryInvertedIndex, lo: u64, hi: u64) -> CoreResult<Vec<u64>> {
+        let mut out = vec![u64::MAX]; // stale content must be cleared
+        idx.posting_run(lo, hi, &mut out)?;
+        Ok(out)
+    }
+
     #[test]
-    fn postings_match_naive() {
+    fn posting_runs_match_naive() {
         let values = [2u64, 0, 1, 2, 2, 0, 3, 1];
         let idx = InMemoryInvertedIndex::build(&values, 4);
         assert!(!idx.is_unique());
-        for vid in 0..4u64 {
-            let expect: Vec<u64> = (0..values.len() as u64)
-                .filter(|&i| values[i as usize] == vid)
-                .collect();
-            assert_eq!(idx.postings(vid).unwrap(), expect, "vid {vid}");
-            assert_eq!(idx.first_posting(vid).unwrap(), expect.first().copied());
+        let naive = |vid: u64| -> Vec<u64> {
+            (0..values.len() as u64).filter(|&i| values[i as usize] == vid).collect()
+        };
+        for lo in 0..4u64 {
+            assert_eq!(idx.first_posting(lo).unwrap(), naive(lo).first().copied());
+            for hi in lo..4 {
+                // A run is the per-vid lists back to back, vid-major.
+                let expect: Vec<u64> = (lo..=hi).flat_map(naive).collect();
+                assert_eq!(run(&idx, lo, hi).unwrap(), expect, "run {lo}..={hi}");
+            }
         }
-        assert!(matches!(idx.postings(4), Err(CoreError::VidOutOfBounds { .. })));
+        assert_eq!(run(&idx, 3, 2).unwrap(), Vec::<u64>::new(), "lo > hi is the empty run");
+        assert!(matches!(run(&idx, 4, 4), Err(CoreError::VidOutOfBounds { vid: 4, .. })));
+        assert!(matches!(run(&idx, 1, 4), Err(CoreError::VidOutOfBounds { vid: 4, .. })));
     }
 
     #[test]
@@ -129,10 +154,12 @@ mod tests {
         let values = [3u64, 0, 2, 1, 4];
         let idx = InMemoryInvertedIndex::build(&values, 5);
         assert!(idx.is_unique());
+        let rpos_of = |vid: u64| values.iter().position(|&v| v == vid).unwrap() as u64;
         for vid in 0..5u64 {
-            let rpos = values.iter().position(|&v| v == vid).unwrap() as u64;
-            assert_eq!(idx.postings(vid).unwrap(), vec![rpos]);
+            assert_eq!(run(&idx, vid, vid).unwrap(), vec![rpos_of(vid)]);
         }
+        // A vid range on a unique index is the postinglist slice itself.
+        assert_eq!(run(&idx, 1, 3).unwrap(), (1..=3).map(rpos_of).collect::<Vec<_>>());
         // The unique index is postinglist-only.
         let non_unique = InMemoryInvertedIndex::build(&[0, 0, 1, 2, 2], 3);
         assert!(idx.heap_bytes() < non_unique.heap_bytes() * 2);
@@ -142,13 +169,13 @@ mod tests {
     fn single_value_column() {
         let values = [0u64; 100];
         let idx = InMemoryInvertedIndex::build(&values, 1);
-        assert_eq!(idx.postings(0).unwrap(), (0..100u64).collect::<Vec<_>>());
+        assert_eq!(run(&idx, 0, 0).unwrap(), (0..100u64).collect::<Vec<_>>());
     }
 
     #[test]
     fn empty_index() {
         let idx = InMemoryInvertedIndex::build(&[], 0);
         assert_eq!(idx.rows(), 0);
-        assert!(idx.postings(0).is_err());
+        assert!(run(&idx, 0, 0).is_err());
     }
 }

@@ -394,17 +394,18 @@ impl PagedInvertedIndex {
         }
     }
 
-    /// Convenience: all postings of `vid` via a fresh iterator.
-    pub fn postings(&self, vid: u64) -> CoreResult<Vec<u64>> {
-        let mut out = Vec::new();
+    /// Reads the posting run of the vids `lo..=hi` into `out` (cleared
+    /// first) via a fresh iterator: [`PagedIndexIterator::position_run`],
+    /// then a drain.
+    pub fn posting_run(&self, lo: u64, hi: u64, out: &mut Vec<u64>) -> CoreResult<()> {
+        out.clear();
         let mut it = self.iter();
-        if let Some(first) = it.get_first_row_pos(vid)? {
-            out.push(first);
-            while let Some(next) = it.get_next_row_pos()? {
-                out.push(next);
-            }
+        it.position_run(lo, hi)?;
+        out.reserve(it.remaining() as usize);
+        while let Some(rpos) = it.get_next_row_pos()? {
+            out.push(rpos);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Page number and byte offset of directory entry `e` — the paper's
@@ -440,7 +441,7 @@ impl PagedInvertedIndex {
 struct IterState {
     /// Next postinglist offset to read.
     cur: u64,
-    /// One past the last postinglist offset of the current vid.
+    /// One past the last postinglist offset of the positioned run.
     end: u64,
 }
 
@@ -549,29 +550,42 @@ impl PagedIndexIterator<'_> {
         Ok(buf[slot])
     }
 
-    /// Positions the iterator on `vid` and returns its first row position
-    /// (`None` when `vid` has no postings, which cannot happen for vids in
-    /// a merged main fragment but is handled defensively).
-    pub fn get_first_row_pos(&mut self, vid: u64) -> CoreResult<Option<u64>> {
+    /// Positions the iterator on the **posting run** of the vids `lo..=hi`:
+    /// postings are stored grouped by vid, so the run is the contiguous
+    /// postinglist slice `directory[lo]..directory[hi + 1]` — two directory
+    /// reads whatever the number of vids — which
+    /// [`PagedIndexIterator::get_next_row_pos`] then drains vid-major,
+    /// ascending within each vid. An empty range (`lo > hi`) positions on
+    /// the empty run.
+    pub fn position_run(&mut self, lo: u64, hi: u64) -> CoreResult<()> {
+        self.state = None;
+        if lo > hi {
+            return Ok(());
+        }
         let meta = &self.idx.meta;
-        if vid >= meta.cardinality {
-            return Err(CoreError::VidOutOfBounds { vid, cardinality: meta.cardinality });
+        if hi >= meta.cardinality {
+            return Err(CoreError::VidOutOfBounds { vid: hi, cardinality: meta.cardinality });
         }
-        let (start, end) = if meta.unique {
-            (vid, vid + 1)
+        let (cur, end) = if meta.unique {
+            (lo, hi + 1)
         } else {
-            (self.read_dir(vid)?, self.read_dir(vid + 1)?)
+            (self.read_dir(lo)?, self.read_dir(hi + 1)?)
         };
-        if start >= end {
-            self.state = None;
-            return Ok(None);
-        }
-        self.state = Some(IterState { cur: start + 1, end });
-        Ok(Some(self.read_post(start)?))
+        self.state = Some(IterState { cur, end });
+        Ok(())
     }
 
-    /// Returns the next row position of the current vid, or `None` when the
-    /// postinglist is exhausted (or no vid is positioned).
+    /// Positions the iterator on `vid` — the run `vid..=vid` — and returns
+    /// its first row position (`None` when `vid` has no postings, which
+    /// cannot happen for vids in a merged main fragment but is handled
+    /// defensively).
+    pub fn get_first_row_pos(&mut self, vid: u64) -> CoreResult<Option<u64>> {
+        self.position_run(vid, vid)?;
+        self.get_next_row_pos()
+    }
+
+    /// Returns the next row position of the positioned run, or `None` when
+    /// it is exhausted (or nothing is positioned).
     pub fn get_next_row_pos(&mut self) -> CoreResult<Option<u64>> {
         let Some(state) = self.state else { return Ok(None) };
         if state.cur >= state.end {
@@ -655,7 +669,7 @@ impl PagedIndexIterator<'_> {
         Ok(Some(v))
     }
 
-    /// Number of postings of the positioned vid that remain unread.
+    /// Number of postings of the positioned run that remain unread.
     pub fn remaining(&self) -> u64 {
         self.state.map_or(0, |s| s.end.saturating_sub(s.cur))
     }
@@ -703,7 +717,6 @@ fn eq1_page(b: u64, v_first: u64, vid: u64, v_page: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::invidx::InMemoryInvertedIndex;
     use payg_resman::ResourceManager;
     use payg_storage::MemStore;
 
@@ -741,19 +754,45 @@ mod tests {
         (pool, idx)
     }
 
+    /// The posting run `lo..=hi` through a fresh iterator.
+    fn run(idx: &PagedInvertedIndex, lo: u64, hi: u64) -> Vec<u64> {
+        let mut out = vec![u64::MAX]; // stale content must be cleared
+        idx.posting_run(lo, hi, &mut out).unwrap();
+        out
+    }
+
+    /// The oracle: row positions of the vids `lo..=hi` filtered from the
+    /// source, vid-major.
+    fn naive(values: &[u64], lo: u64, hi: u64) -> Vec<u64> {
+        (lo..=hi)
+            .flat_map(|vid| (0..values.len() as u64).filter(move |&r| values[r as usize] == vid))
+            .collect()
+    }
+
     /// The legacy bit-packed postinglist layout (mixed page, Eq. 1 layout).
     fn bitpacked() -> PageConfig {
         PageConfig { pef_postings: false, ..PageConfig::tiny() }
     }
 
     #[test]
-    fn postings_match_in_memory_reference() {
+    fn posting_runs_match_naive() {
         let values = sample(3000, 40, 1);
-        let (_pool, paged) = build(&values, 40);
-        let reference = InMemoryInvertedIndex::build(&values, 40);
-        assert!(paged.pages() > 3, "tiny pages must force a multi-page chain");
-        for vid in 0..40 {
-            assert_eq!(paged.postings(vid).unwrap(), reference.postings(vid).unwrap(), "vid {vid}");
+        for config in [PageConfig::tiny(), bitpacked()] {
+            let (_pool, paged) = build_with(&values, 40, &config);
+            assert!(paged.pages() > 3, "tiny pages must force a multi-page chain");
+            for vid in 0..40 {
+                assert_eq!(run(&paged, vid, vid), naive(&values, vid, vid), "vid {vid}");
+            }
+            // A vid range is one run: the per-vid lists back to back, read
+            // with two directory entries and drained across pages.
+            for (lo, hi) in [(0, 39), (3, 4), (17, 31)] {
+                assert_eq!(run(&paged, lo, hi), naive(&values, lo, hi), "run {lo}..={hi}");
+            }
+            assert_eq!(run(&paged, 5, 4), Vec::<u64>::new(), "lo > hi is the empty run");
+            assert!(matches!(
+                paged.posting_run(39, 40, &mut Vec::new()),
+                Err(CoreError::VidOutOfBounds { vid: 40, .. })
+            ));
         }
     }
 
@@ -770,6 +809,14 @@ mod tests {
         // Repositioning resets state.
         assert_eq!(it.get_first_row_pos(2).unwrap(), Some(4));
         assert_eq!(it.get_next_row_pos().unwrap(), None);
+        // A run positions without reading; the drain crosses vid boundaries.
+        it.position_run(0, 1).unwrap();
+        assert_eq!(it.remaining(), 5);
+        let mut drained = Vec::new();
+        while let Some(rpos) = it.get_next_row_pos().unwrap() {
+            drained.push(rpos);
+        }
+        assert_eq!(drained, vec![1, 5, 0, 2, 3]);
         // Unpositioned iterator.
         let mut fresh = paged.iter();
         assert_eq!(fresh.get_next_row_pos().unwrap(), None);
@@ -791,7 +838,7 @@ mod tests {
         assert_eq!(unique.pages(), post_only_pages);
         for vid in (0..rows).step_by(97) {
             let rpos = values.iter().position(|&v| v == vid).unwrap() as u64;
-            assert_eq!(unique.postings(vid).unwrap(), vec![rpos]);
+            assert_eq!(run(&unique, vid, vid), vec![rpos]);
         }
     }
 
@@ -802,10 +849,10 @@ mod tests {
         let (_pool, idx) = build_with(&values, 5, &bitpacked());
         assert!(idx.has_mixed_page());
         assert_eq!(idx.pages(), idx.meta.post_pages, "no pure directory pages");
-        let reference = InMemoryInvertedIndex::build(&values, 5);
         for vid in 0..5 {
-            assert_eq!(idx.postings(vid).unwrap(), reference.postings(vid).unwrap());
+            assert_eq!(run(&idx, vid, vid), naive(&values, vid, vid));
         }
+        assert_eq!(run(&idx, 0, 4), naive(&values, 0, 4));
     }
 
     #[test]
@@ -852,7 +899,7 @@ mod tests {
         assert_eq!(pef.codec_kind(), CodecKind::Pef);
         assert_eq!(packed.codec_kind(), CodecKind::Plain);
         for vid in 0..300 {
-            assert_eq!(pef.postings(vid).unwrap(), packed.postings(vid).unwrap(), "vid {vid}");
+            assert_eq!(run(&pef, vid, vid), run(&packed, vid, vid), "vid {vid}");
         }
         // The chain file self-describes the posting codec.
         let desc = pool.store().chain_descriptor(pef.meta.chain.chain).unwrap();
@@ -861,7 +908,7 @@ mod tests {
         let reopened = PagedInvertedIndex::open(&pool, &pef.meta_bytes()).unwrap();
         assert_eq!(reopened.codec_kind(), CodecKind::Pef);
         for vid in (0..300).step_by(37) {
-            assert_eq!(reopened.postings(vid).unwrap(), packed.postings(vid).unwrap());
+            assert_eq!(run(&reopened, vid, vid), run(&packed, vid, vid));
         }
     }
 
@@ -882,7 +929,7 @@ mod tests {
             packed.pages()
         );
         for vid in (0..card).step_by(7) {
-            assert_eq!(pef.postings(vid).unwrap(), packed.postings(vid).unwrap());
+            assert_eq!(run(&pef, vid, vid), run(&packed, vid, vid));
         }
     }
 
@@ -893,7 +940,7 @@ mod tests {
             let (_pool, idx) = build_with(&values, 80, &config);
             let mut it = idx.iter();
             for vid in (0..80).step_by(9) {
-                let posts = idx.postings(vid).unwrap();
+                let posts = run(&idx, vid, vid);
                 for target in [0, 1, posts[0], posts[posts.len() / 2], *posts.last().unwrap(), 2999, 5000] {
                     let naive = posts.iter().copied().find(|&p| p >= target);
                     assert_eq!(
@@ -934,15 +981,16 @@ mod tests {
     fn tiny_corpora() {
         // Single row.
         let (_p, idx) = build(&[0], 1);
-        assert_eq!(idx.postings(0).unwrap(), vec![0]);
+        assert_eq!(run(&idx, 0, 0), vec![0]);
         // Single distinct value over many rows.
         let values = vec![0u64; 300];
         let (_p, idx) = build(&values, 1);
-        assert_eq!(idx.postings(0).unwrap(), (0..300u64).collect::<Vec<_>>());
+        assert_eq!(run(&idx, 0, 0), (0..300u64).collect::<Vec<_>>());
         // Two rows, two values (unique).
         let (_p, idx) = build(&[1, 0], 2);
         assert!(idx.is_unique());
-        assert_eq!(idx.postings(0).unwrap(), vec![1]);
-        assert_eq!(idx.postings(1).unwrap(), vec![0]);
+        assert_eq!(run(&idx, 0, 0), vec![1]);
+        assert_eq!(run(&idx, 1, 1), vec![0]);
+        assert_eq!(run(&idx, 0, 1), vec![1, 0]);
     }
 }

@@ -61,26 +61,91 @@ proptest! {
         prop_assert_eq!(got, expect);
     }
 
-    /// The paged inverted index returns the same postings as the resident
-    /// one for every vid.
+    /// A posting run `lo..=hi` ≡ the per-vid lists back to back ≡ a naive
+    /// filter of the source, for the resident and the paged index, over vid
+    /// vectors that are unique (directory elided), two-valued (long lists)
+    /// and skewed, at both page sizes and under both posting codecs; and
+    /// `find_rows(BETWEEN)` through either index, clipped to a row window,
+    /// ≡ the data-vector scan of a twin column built without an index.
     #[test]
-    fn paged_index_equals_in_memory(
-        raw in prop::collection::vec(0u64..30, 1..300),
+    fn posting_run_equals_per_vid(
+        n in 1usize..700,
+        shape in 0u8..3,
+        seed in any::<u64>(),
+        default_pages in any::<bool>(),
+        pef in any::<bool>(),
     ) {
+        let hash = |i: usize| (seed ^ i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29);
+        let raw: Vec<u64> = match shape {
+            // Unique: a shuffled permutation of 0..n.
+            0 => {
+                let mut perm: Vec<u64> = (0..n as u64).collect();
+                for i in (1..n).rev() {
+                    perm.swap(i, (hash(i) % (i as u64 + 1)) as usize);
+                }
+                perm
+            }
+            1 => (0..n).map(|i| hash(i) & 1).collect(),
+            // Skewed: half the rows share one value, a quarter the next, …
+            _ => (0..n).map(|i| u64::from(hash(i).trailing_zeros())).collect(),
+        };
         // Re-map to a dense vid space (main-dictionary invariant).
         let mut distinct: Vec<u64> = raw.clone();
         distinct.sort_unstable();
         distinct.dedup();
-        let values: Vec<u64> = raw
-            .iter()
-            .map(|v| distinct.binary_search(v).unwrap() as u64)
-            .collect();
+        let values: Vec<u64> =
+            raw.iter().map(|v| distinct.binary_search(v).unwrap() as u64).collect();
         let card = distinct.len() as u64;
+        let pages = if default_pages { PageConfig::default() } else { PageConfig::tiny() };
+        let config = PageConfig { pef_postings: pef, ..pages };
         let pool = pool();
-        let paged = PagedInvertedIndex::build(&pool, &PageConfig::tiny(), &values, card).unwrap();
-        let reference = InMemoryInvertedIndex::build(&values, card);
-        for vid in 0..card {
-            prop_assert_eq!(paged.postings(vid).unwrap(), reference.postings(vid).unwrap());
+        let paged = PagedInvertedIndex::build(&pool, &config, &values, card).unwrap();
+        let resident = InMemoryInvertedIndex::build(&values, card);
+        prop_assert_eq!(resident.is_unique(), card == n as u64);
+        prop_assert!(shape != 0 || (resident.is_unique() && paged.is_unique()));
+
+        let lo = seed % card;
+        let hi = lo + (seed >> 17) % (card - lo);
+        let from = (seed >> 5) % (n as u64 + 1);
+        let to = from + (seed >> 23) % (n as u64 - from + 1);
+        let naive = |vid: u64| -> Vec<u64> {
+            (0..n as u64).filter(|&r| values[r as usize] == vid).collect()
+        };
+        let (mut got, mut per_vid) = (Vec::new(), Vec::new());
+        for vid in lo..=hi {
+            resident.posting_run(vid, vid, &mut got).unwrap();
+            prop_assert_eq!(&got, &naive(vid), "resident, vid {}", vid);
+            paged.posting_run(vid, vid, &mut got).unwrap();
+            prop_assert_eq!(&got, &naive(vid), "paged, vid {}", vid);
+            per_vid.extend_from_slice(&got);
+        }
+        resident.posting_run(lo, hi, &mut got).unwrap();
+        prop_assert_eq!(&got, &per_vid, "resident run {}..={}", lo, hi);
+        paged.posting_run(lo, hi, &mut got).unwrap();
+        prop_assert_eq!(&got, &per_vid, "paged run {}..={}", lo, hi);
+        prop_assert!(resident.posting_run(lo, card, &mut got).is_err());
+        prop_assert!(paged.posting_run(lo, card, &mut got).is_err());
+
+        // The run clipped to the row window, through the columns.
+        let mut clipped: Vec<u64> =
+            per_vid.iter().copied().filter(|&r| r >= from && r < to).collect();
+        clipped.sort_unstable();
+        let column_values: Vec<Value> = values.iter().map(|&v| Value::Integer(v as i64)).collect();
+        let pred = ValuePredicate::Between(Value::Integer(lo as i64), Value::Integer(hi as i64));
+        for policy in [LoadPolicy::FullyResident, LoadPolicy::PageLoadable] {
+            let build = |index: bool| {
+                ColumnBuilder::new(DataType::Integer)
+                    .policy(policy)
+                    .with_index(index)
+                    .build(&pool, &config, &column_values)
+                    .unwrap()
+                    .column
+            };
+            let (indexed, scanned) = (build(true), build(false));
+            prop_assert!(indexed.has_index() && !scanned.has_index());
+            let by_scan = scanned.find_rows(&pred, from, to).unwrap();
+            prop_assert_eq!(&by_scan, &clipped, "{:?} scan", policy);
+            prop_assert_eq!(&indexed.find_rows(&pred, from, to).unwrap(), &by_scan, "{:?}", policy);
         }
     }
 
@@ -364,22 +429,7 @@ proptest! {
         picks in prop::collection::vec(any::<u32>(), 0..150),
         fsst in any::<bool>(),
     ) {
-        let mix = |i: usize, k: u64| {
-            (salt ^ k).wrapping_add(i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17
-        };
-        let sources: Vec<(DataType, Vec<Value>)> = vec![
-            // One distinct value: width 0, no data-vector pages at all.
-            (DataType::Integer, vec![Value::Integer(salt as i64 >> 8); n_rows]),
-            (DataType::Integer, (0..n_rows).map(|i| Value::Integer((mix(i, 1) % card) as i64)).collect()),
-            // Every fifth distinct value is far larger than a dictionary
-            // page: its tail lives on the overflow chain.
-            (DataType::Varchar, (0..n_rows).map(|i| {
-                let v = mix(i, 2) % card;
-                let tail = if v % 5 == 0 { "/segment".repeat(30 + v as usize % 40) } else { String::new() };
-                Value::Varchar(format!("order-{v:05}{tail}"))
-            }).collect()),
-            (DataType::Varchar, (0..n_rows).map(|i| Value::Varchar(format!("customer-{:06}", mix(i, 3) % 100_000))).collect()),
-        ];
+        let sources = special_shape_columns(n_rows, card, salt);
         // Roomy enough for a 16-entry block of spilled entries; the wave is
         // WAVE_PAGES pages, the pool limit a handful.
         let config =
@@ -414,6 +464,84 @@ proptest! {
         bad.insert(bad.len() / 2, n_rows as u64);
         prop_assert!(payg_core::column::materialize(&mixed[..sources.len()], &bad).is_err());
         pool.assert_no_live_pins("phased projection quiesce");
+    }
+}
+
+/// Source columns covering the special shapes of late materialization: a
+/// width-0 data vector, a plain numeric column, strings large enough to
+/// spill into overflow pages, and a high-cardinality string column.
+fn special_shape_columns(n_rows: usize, card: u64, salt: u64) -> Vec<(DataType, Vec<Value>)> {
+    let mix = |i: usize, k: u64| {
+        (salt ^ k).wrapping_add(i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17
+    };
+    vec![
+        // One distinct value: width 0, no data-vector pages at all.
+        (DataType::Integer, vec![Value::Integer(salt as i64 >> 8); n_rows]),
+        (DataType::Integer, (0..n_rows).map(|i| Value::Integer((mix(i, 1) % card) as i64)).collect()),
+        // Every fifth distinct value is far larger than a dictionary
+        // page: its tail lives on the overflow chain.
+        (DataType::Varchar, (0..n_rows).map(|i| {
+            let v = mix(i, 2) % card;
+            let tail = if v.is_multiple_of(5) { "/segment".repeat(30 + v as usize % 40) } else { String::new() };
+            Value::Varchar(format!("order-{v:05}{tail}"))
+        }).collect()),
+        (DataType::Varchar, (0..n_rows).map(|i| Value::Varchar(format!("customer-{:06}", mix(i, 3) % 100_000))).collect()),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The aggregate half of late materialization: `value_counts` ≡ the
+    /// histogram of the source values at the rows ≡ the histogram of
+    /// `get_values`, ascending by value, for arbitrary row lists (unsorted,
+    /// duplicates, a single row, none) on paged and resident columns of
+    /// every special shape; `vid_counts` / `values_by_vid` are its two steps.
+    #[test]
+    fn value_counts_equal_histogram_of_get_values(
+        n_rows in 1usize..260,
+        card in 1u64..200,
+        salt in any::<u64>(),
+        picks in prop::collection::vec(any::<u32>(), 0..150),
+        fsst in any::<bool>(),
+    ) {
+        let sources = special_shape_columns(n_rows, card, salt);
+        let config =
+            PageConfig { dict_page: 2048, overflow_page: 256, dict_fsst: fsst, ..PageConfig::tiny() };
+        let pool = pool();
+        let rows: Vec<u64> = picks.iter().map(|&p| u64::from(p) % n_rows as u64).collect();
+        let histogram = |values: Vec<Value>| -> Vec<(Value, u64)> {
+            let mut keyed: Vec<(Vec<u8>, Value)> = values.into_iter().map(|v| (v.to_key(), v)).collect();
+            keyed.sort_by(|a, b| a.0.cmp(&b.0));
+            let mut out: Vec<(Value, u64)> = Vec::new();
+            for (_, v) in keyed {
+                match out.last_mut() {
+                    Some((last, count)) if *last == v => *count += 1,
+                    _ => out.push((v, 1)),
+                }
+            }
+            out
+        };
+        for (ty, values) in &sources {
+            for policy in [LoadPolicy::PageLoadable, LoadPolicy::FullyResident] {
+                let col = ColumnBuilder::new(*ty).policy(policy).build(&pool, &config, values).unwrap().column;
+                for rows in [&rows[..], &rows[..rows.len().min(1)], &[]] {
+                    let expect = histogram(rows.iter().map(|&r| values[r as usize].clone()).collect());
+                    prop_assert_eq!(&col.value_counts(rows).unwrap(), &expect, "{:?} {:?}", ty, policy);
+                    prop_assert_eq!(&histogram(col.get_values(rows).unwrap()), &expect);
+                    let vid_counts = col.vid_counts(rows).unwrap();
+                    prop_assert!(vid_counts.windows(2).all(|w| w[0].0 < w[1].0));
+                    prop_assert_eq!(vid_counts.iter().map(|p| p.1).sum::<u64>(), rows.len() as u64);
+                    let vids: Vec<u64> = vid_counts.iter().map(|p| p.0).collect();
+                    let distinct: Vec<Value> = expect.iter().map(|p| p.0.clone()).collect();
+                    prop_assert_eq!(&col.values_by_vid(&vids).unwrap(), &distinct);
+                }
+                // Out-of-range rows and identifiers are errors, not panics.
+                prop_assert!(col.vid_counts(&[0, n_rows as u64]).is_err());
+                prop_assert!(col.values_by_vid(&[col.cardinality()]).is_err());
+            }
+        }
+        pool.assert_no_live_pins("value counts quiesce");
     }
 }
 
@@ -470,8 +598,11 @@ proptest! {
         let pool = pool();
         let pef = PagedInvertedIndex::build(&pool, &PageConfig::tiny(), &values, card).unwrap();
         let plain = PagedInvertedIndex::build(&pool, &plain_config(), &values, card).unwrap();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
         for vid in 0..card {
-            prop_assert_eq!(pef.postings(vid).unwrap(), plain.postings(vid).unwrap());
+            pef.posting_run(vid, vid, &mut a).unwrap();
+            plain.posting_run(vid, vid, &mut b).unwrap();
+            prop_assert_eq!(&a, &b);
         }
         let mut it = pef.iter();
         for &t in &targets {

@@ -120,8 +120,10 @@ impl BitPackedVec {
 
     /// Decodes positions `from..to` into `out` (cleared first).
     ///
-    /// This is the resident-column `mget`: chunk-at-a-time decode, trimming
-    /// the first and last chunk to the requested range.
+    /// This is the resident-column `mget`: whole chunks decode
+    /// chunk-at-a-time; on the (at most two) chunks the range covers only in
+    /// part, just the requested slots are decoded — a one-value read costs
+    /// one slot, not a chunk.
     pub fn mget(&self, from: u64, to: u64, out: &mut Vec<u64>) {
         assert!(from <= to && to <= self.len, "mget range {from}..{to} out of bounds");
         out.clear();
@@ -133,10 +135,15 @@ impl BitPackedVec {
         let first = chunk::chunk_of(from);
         let last = chunk::chunk_of(to - 1);
         for ci in first..=last {
-            decode_chunk(self.chunk_words(ci), self.width, &mut buf);
+            let words = self.chunk_words(ci);
             let lo = if ci == first { chunk::slot_of(from) } else { 0 };
             let hi = if ci == last { chunk::slot_of(to - 1) + 1 } else { CHUNK_LEN };
-            out.extend_from_slice(&buf[lo..hi]);
+            if hi - lo == CHUNK_LEN {
+                decode_chunk(words, self.width, &mut buf);
+                out.extend_from_slice(&buf);
+            } else {
+                out.extend((lo..hi).map(|slot| decode_slot(words, self.width, slot)));
+            }
         }
     }
 
@@ -286,15 +293,27 @@ mod tests {
         }
     }
 
+    /// Every `from..to` of a 3-chunk vector (so every pair of edge slots,
+    /// with zero, one or two partial chunks around a whole one, and the empty
+    /// `from == to`) at every width the scan kernels serve, against `get` —
+    /// once with a full and once with a padded trailing chunk.
     #[test]
-    fn mget_subranges() {
-        let w = BitWidth::new(9).unwrap();
-        let values = sample(500, w);
-        let v = BitPackedVec::from_values_with_width(&values, w);
+    fn mget_equals_get_for_every_edge_slot_pair() {
         let mut out = Vec::new();
-        for (from, to) in [(0u64, 0u64), (0, 500), (3, 64), (64, 128), (63, 65), (100, 317)] {
-            v.mget(from, to, &mut out);
-            assert_eq!(out, &values[from as usize..to as usize], "{from}..{to}");
+        for bits in 0..=32u32 {
+            let w = BitWidth::new(bits).unwrap();
+            for len in [3 * CHUNK_LEN as u64, 2 * CHUNK_LEN as u64 + 37] {
+                let values = sample(len as usize, w);
+                let v = BitPackedVec::from_values_with_width(&values, w);
+                let by_get: Vec<u64> = (0..len).map(|p| v.get(p)).collect();
+                assert_eq!(by_get, values, "bits={bits}");
+                for from in 0..=len {
+                    for to in from..=len {
+                        v.mget(from, to, &mut out);
+                        assert_eq!(out, &by_get[from as usize..to as usize], "bits={bits} {from}..{to}");
+                    }
+                }
+            }
         }
     }
 

@@ -207,34 +207,48 @@ impl Snapshot<'_> {
                     .collect::<TableResult<_>>()?;
                 Ok(QueryResult::Rows(self.project(&addrs, &cols)?))
             }
+            // Aggregates fold over (value, count) pairs in the vid domain:
+            // each distinct value of a main fragment is decoded once, never
+            // one `Value` per row.
             Projection::Sum(name) => {
                 let col = self.schema().column_index(name)?;
                 let mut acc = SumAcc::new(self.schema().columns()[col].data_type)?;
-                for v in &self.column_values(&addrs, col)? {
-                    acc.add(v);
-                }
+                self.for_each_segment(&addrs, col, |segment| match segment {
+                    Segment::Main(column, rposs) => column
+                        .value_counts(rposs)?
+                        .iter()
+                        .try_for_each(|(v, count)| acc.add(v, *count)),
+                    Segment::Delta(v) => acc.add(&v, 1),
+                })?;
                 Ok(QueryResult::Sum(acc.finish()))
             }
             Projection::Distinct(name) => {
-                let values = self.column_values(&addrs, self.schema().column_index(name)?)?;
-                let mut keys: Vec<(Vec<u8>, Value)> =
-                    values.into_iter().map(|v| (v.to_key(), v)).collect();
+                let col = self.schema().column_index(name)?;
+                let mut keys: Vec<(Vec<u8>, Value)> = Vec::new();
+                self.for_each_segment(&addrs, col, |segment| {
+                    match segment {
+                        Segment::Main(column, rposs) => {
+                            keys.extend(main_distinct(column, rposs)?.into_iter().map(keyed))
+                        }
+                        Segment::Delta(v) => keys.push(keyed(v)),
+                    }
+                    Ok(())
+                })?;
                 keys.sort_by(|a, b| a.0.cmp(&b.0));
                 keys.dedup_by(|a, b| a.0 == b.0);
                 Ok(QueryResult::Rows(keys.into_iter().map(|(_, v)| vec![v]).collect()))
             }
             Projection::Min(name) | Projection::Max(name) => {
-                let want_max = matches!(&q.projection, Projection::Max(_));
-                let best = self
-                    .column_values(&addrs, self.schema().column_index(name)?)?
-                    .into_iter()
-                    .map(|v| (v.to_key(), v))
-                    .reduce(|a, b| {
-                        let pick_b = (b.0 > a.0) == want_max;
-                        if pick_b { b } else { a }
-                    })
-                    .map(|(_, v)| v);
-                Ok(QueryResult::Extreme(best))
+                let col = self.schema().column_index(name)?;
+                let mut best = Extreme::new(matches!(&q.projection, Projection::Max(_)));
+                self.for_each_segment(&addrs, col, |segment| {
+                    match segment {
+                        Segment::Main(column, rposs) => best.offer_main(column, rposs)?,
+                        Segment::Delta(v) => best.offer(v),
+                    }
+                    Ok(())
+                })?;
+                Ok(QueryResult::Extreme(best.finish()))
             }
         }
     }
@@ -244,42 +258,26 @@ impl Snapshot<'_> {
     /// first/last key is the fragment's extreme — plus a delta scan.
     fn extreme_unfiltered(&self, name: &str, want_max: bool) -> TableResult<Option<Value>> {
         let col = self.schema().column_index(name)?;
-        let ty = self.schema().columns()[col].data_type;
-        let mut best: Option<(Vec<u8>, Value)> = None;
-        let mut offer = |v: Value| {
-            let k = v.to_key();
-            let replace = match &best {
-                None => true,
-                Some((bk, _)) => (&k > bk) == want_max,
-            };
-            if replace {
-                best = Some((k, v));
-            }
-        };
+        let mut best = Extreme::new(want_max);
         for p in self.partitions() {
             let main = p.main_frag();
-            // Deleted rows may hide the extreme: fall back to a projection
-            // over visible rows (rare; only between a delete and its merge).
+            let c = main.column(col);
+            // Deleted rows may hide the extreme: fall back to the visible
+            // rows' identifiers (rare; only between a delete and its merge).
             if main.visible_rows() != main.rows() {
                 let vis: Vec<u64> = (0..main.rows()).filter(|&r| main.is_visible(r)).collect();
-                for v in main.column(col).get_values(&vis)? {
-                    offer(v);
-                }
+                best.offer_main(c, &vis)?;
             } else if main.rows() > 0 {
-                let c = main.column(col);
-                let card = payg_core::column::ColumnRead::cardinality(c);
-                let vid = if want_max { card - 1 } else { 0 };
-                let key = payg_core::column::ColumnRead::key_by_vid(c, vid)?;
-                offer(Value::from_key(ty, &key).map_err(TableError::Core)?);
+                best.offer_vid(c, if want_max { c.cardinality() - 1 } else { 0 })?;
             }
             let delta = p.delta_view();
             for rpos in 0..delta.rows() {
                 if delta.is_visible(rpos) {
-                    offer(delta.value(rpos, col, self.schema())?);
+                    best.offer(delta.value(rpos, col, self.schema())?);
                 }
             }
         }
-        Ok(best.map(|(_, v)| v))
+        Ok(best.finish())
     }
 
     /// Counts visible matching rows, using the index-directory shortcut
@@ -320,9 +318,10 @@ impl Snapshot<'_> {
         for p in self.partitions() {
             let main = p.main_frag();
             if main.visible_rows() != main.rows() {
-                // Deleted rows can orphan dictionary entries: project.
+                // Deleted rows can orphan dictionary entries: take the
+                // visible rows' distinct identifiers.
                 let vis: Vec<u64> = (0..main.rows()).filter(|&r| main.is_visible(r)).collect();
-                for v in main.column(col).get_values(&vis)? {
+                for v in main_distinct(main.column(col), &vis)? {
                     keys.push(v.to_key());
                 }
             } else {
@@ -423,28 +422,96 @@ impl Snapshot<'_> {
         Ok(rows)
     }
 
-    /// The values of column `col` at `addrs`, in `addrs` order — what an
-    /// aggregate folds over. The one-column [`Self::project`] without its
-    /// row vectors: every run of main-fragment rows of one partition (all
-    /// of them, as [`Self::matching_rows`] orders addresses) is one
-    /// `get_values` call — the one-column case of
-    /// [`payg_core::column::materialize`] — and delta rows are read in place.
-    fn column_values(&self, addrs: &[RowAddr], col: usize) -> TableResult<Vec<Value>> {
-        let mut out = Vec::with_capacity(addrs.len());
+    /// Walks `addrs` as what an aggregate over column `col` folds: every run
+    /// of main-fragment rows of one partition (all of them, as
+    /// [`Self::matching_rows`] orders addresses) is one [`Segment::Main`] —
+    /// the column and the run's row positions, to be reduced in the vid
+    /// domain — and every delta row is read in place as a
+    /// [`Segment::Delta`] value.
+    fn for_each_segment(
+        &self,
+        addrs: &[RowAddr],
+        col: usize,
+        mut f: impl FnMut(Segment<'_>) -> TableResult<()>,
+    ) -> TableResult<()> {
         let mut rest = addrs;
         while let Some(&a) = rest.first() {
             let p = &self.partitions()[a.partition];
             if a.in_delta {
-                out.push(p.delta_view().value(a.rpos, col, self.schema())?);
+                f(Segment::Delta(p.delta_view().value(a.rpos, col, self.schema())?))?;
                 rest = &rest[1..];
                 continue;
             }
             let run = rest.iter().take_while(|b| !b.in_delta && b.partition == a.partition).count();
             let rposs: Vec<u64> = rest[..run].iter().map(|b| b.rpos).collect();
-            out.append(&mut p.main_frag().column(col).get_values(&rposs)?);
+            f(Segment::Main(p.main_frag().column(col), &rposs))?;
             rest = &rest[run..];
         }
-        Ok(out)
+        Ok(())
+    }
+}
+
+/// One piece of an aggregate's input (see [`Snapshot::for_each_segment`]).
+enum Segment<'a> {
+    /// Rows of one main fragment's column.
+    Main(&'a payg_core::Column, &'a [u64]),
+    /// The value of one delta row.
+    Delta(Value),
+}
+
+/// The distinct values of `column` at `rposs`, ascending: the rows'
+/// distinct identifiers, each decoded once.
+fn main_distinct(column: &payg_core::Column, rposs: &[u64]) -> TableResult<Vec<Value>> {
+    let vids: Vec<u64> = column.vid_counts(rposs)?.into_iter().map(|(vid, _)| vid).collect();
+    Ok(column.values_by_vid(&vids)?)
+}
+
+/// A value with its order-preserving key, for comparing across fragments.
+fn keyed(v: Value) -> (Vec<u8>, Value) {
+    (v.to_key(), v)
+}
+
+/// `MIN` / `MAX` accumulator: the best value offered so far, by key order.
+struct Extreme {
+    want_max: bool,
+    best: Option<(Vec<u8>, Value)>,
+}
+
+impl Extreme {
+    fn new(want_max: bool) -> Self {
+        Extreme { want_max, best: None }
+    }
+
+    fn offer(&mut self, v: Value) {
+        let (k, v) = keyed(v);
+        let replace = match &self.best {
+            None => true,
+            Some((bk, _)) => (&k > bk) == self.want_max,
+        };
+        if replace {
+            self.best = Some((k, v));
+        }
+    }
+
+    /// Offers the extreme of `column` over `rposs`: the dictionary preserves
+    /// order, so it is the first / last distinct identifier of the rows, and
+    /// only that one is decoded.
+    fn offer_main(&mut self, column: &payg_core::Column, rposs: &[u64]) -> TableResult<()> {
+        let counts = column.vid_counts(rposs)?;
+        match if self.want_max { counts.last() } else { counts.first() } {
+            Some(&(vid, _)) => self.offer_vid(column, vid),
+            None => Ok(()),
+        }
+    }
+
+    /// Offers the one value `vid` encodes in `column`.
+    fn offer_vid(&mut self, column: &payg_core::Column, vid: u64) -> TableResult<()> {
+        self.offer(column.values_by_vid(&[vid])?.remove(0));
+        Ok(())
+    }
+
+    fn finish(self) -> Option<Value> {
+        self.best.map(|(_, v)| v)
     }
 }
 
@@ -467,13 +534,20 @@ impl SumAcc {
         })
     }
 
-    fn add(&mut self, v: &Value) {
+    /// Adds `count` occurrences of `v`.
+    fn add(&mut self, v: &Value, count: u64) -> TableResult<()> {
+        let exact = |acc: &i128, x: i128| {
+            x.checked_mul(i128::from(count))
+                .and_then(|product| acc.checked_add(product))
+                .ok_or_else(|| TableError::Invalid("SUM overflows its 128-bit accumulator".into()))
+        };
         match (self, v) {
-            (SumAcc::Int(a), Value::Integer(x)) => *a += i128::from(*x),
-            (SumAcc::Dec(a), Value::Decimal(x)) => *a += x,
-            (SumAcc::Dbl(a), Value::Double(x)) => *a += x,
+            (SumAcc::Int(a), Value::Integer(x)) => *a = exact(a, i128::from(*x))?,
+            (SumAcc::Dec(a), Value::Decimal(x)) => *a = exact(a, *x)?,
+            (SumAcc::Dbl(a), Value::Double(x)) => *a += x * count as f64,
             _ => unreachable!("sum accumulator type checked at construction"),
         }
+        Ok(())
     }
 
     fn finish(self) -> Value {
@@ -739,6 +813,35 @@ mod tests {
         // SUM over VARCHAR is rejected.
         let q = Query::full(Projection::Sum("region".into()));
         assert!(t.execute(&q).is_err());
+    }
+
+    #[test]
+    fn sum_overflow_is_a_typed_error() {
+        let schema = Schema::new(vec![
+            ColumnSpec::new("id", DataType::Integer),
+            ColumnSpec::new("amount", DataType::Decimal),
+        ])
+        .unwrap();
+        for policy in [LoadPolicy::FullyResident, LoadPolicy::PageLoadable] {
+            let pool = BufferPool::new(Arc::new(MemStore::new()), ResourceManager::new());
+            let t = Table::create(pool, PageConfig::tiny(), schema.clone(), vec![PartitionSpec::single(policy)])
+                .unwrap();
+            for i in 0..2 {
+                t.insert(vec![Value::Integer(i), Value::Decimal(i128::MAX / 2)]).unwrap();
+            }
+            let sum = Query::full(Projection::Sum("amount".into()));
+            // Twice fits, as one (value, count) pair in the main fragment …
+            t.delta_merge_all().unwrap();
+            assert_eq!(t.execute(&sum).unwrap(), QueryResult::Sum(Value::Decimal(i128::MAX - 1)));
+            // … a third occurrence, read from the delta, does not.
+            t.insert(vec![Value::Integer(2), Value::Decimal(i128::MAX / 2)]).unwrap();
+            let overflows = |r: TableResult<QueryResult>| {
+                matches!(r, Err(TableError::Invalid(m)) if m.starts_with("SUM overflows"))
+            };
+            assert!(overflows(t.execute(&sum)), "{policy:?}: product fits, sum does not");
+            t.delta_merge_all().unwrap();
+            assert!(overflows(t.execute(&sum)), "{policy:?}: value × 3 does not fit");
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ use payg_core::{DataType, LoadPolicy, PageConfig, Value, ValuePredicate};
 use payg_resman::ResourceManager;
 use payg_storage::{BufferPool, MemStore};
 use payg_table::{
-    ColumnSpec, PartitionRange, PartitionSpec, Projection, Query, Row, Schema, Table,
+    ColumnSpec, PartitionRange, PartitionSpec, Projection, Query, QueryResult, Row, Schema, Table,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -155,5 +155,82 @@ proptest! {
         let q = Query::filtered("temp", pred.clone(), Projection::Count);
         let expect = raw.iter().filter(|r| pred.matches(&r[2])).count() as u64;
         prop_assert_eq!(t.execute(&q).unwrap().count(), expect);
+    }
+
+    /// Filtered `SUM` / `MIN` / `MAX` / `DISTINCT` — folded in the vid domain
+    /// over each main fragment — ≡ the same fold over a plain `Vec<Row>`, on
+    /// a two-partition table holding merged main rows, main rows deleted by
+    /// an update, the updated rows live in the delta, and fresh delta rows;
+    /// with the filter on the partition column (pruning) and off it.
+    #[test]
+    fn filtered_aggregates_agree_with_row_fold(
+        seeds in prop::collection::vec((0u8..6, 0i64..200), 10..80),
+        updated in prop::collection::vec(any::<bool>(), 10..80),
+        fresh in prop::collection::vec((0u8..6, 0i64..200), 0..12),
+        lo in 0i64..200,
+        span in 0i64..120,
+        policy_paged in any::<bool>(),
+    ) {
+        let policy = if policy_paged { LoadPolicy::PageLoadable } else { LoadPolicy::FullyResident };
+        let t = table(policy);
+        let mut model: Vec<Row> = Vec::new();
+        for (i, &(tag, temp)) in seeds.iter().enumerate() {
+            model.push(row(i as i64, tag, temp));
+            t.insert(model[i].clone()).unwrap();
+        }
+        t.delta_merge_all().unwrap();
+        // An update deletes the main row and re-inserts it into the delta.
+        for (i, _) in updated.iter().enumerate().filter(|&(i, &u)| u && i < seeds.len()) {
+            let id = ValuePredicate::Eq(Value::Integer(i as i64));
+            let retagged = Value::Varchar("tag-updated".into());
+            prop_assert_eq!(t.update_rows("id", &id, "tag", &retagged).unwrap(), 1);
+            model[i][1] = retagged;
+        }
+        for (k, &(tag, temp)) in fresh.iter().enumerate() {
+            model.push(row((seeds.len() + k) as i64, tag, temp));
+            t.insert(model[seeds.len() + k].clone()).unwrap();
+        }
+
+        let by_key = |a: &&Value, b: &&Value| a.to_key().cmp(&b.to_key());
+        for (filter_col, ci) in [("temp", 2usize), ("id", 0)] {
+            let pred = ValuePredicate::Between(Value::Integer(lo), Value::Integer(lo + span));
+            let matching: Vec<&Row> = model.iter().filter(|r| pred.matches(&r[ci])).collect();
+            let run = |projection: Projection| {
+                t.execute(&Query::filtered(filter_col, pred.clone(), projection)).unwrap()
+            };
+            for (name, c) in [("id", 0usize), ("temp", 2)] {
+                let sum: i64 = matching
+                    .iter()
+                    .map(|r| match r[c] { Value::Integer(v) => v, _ => unreachable!() })
+                    .sum();
+                prop_assert_eq!(
+                    run(Projection::Sum(name.into())),
+                    QueryResult::Sum(Value::Integer(sum)),
+                    "SUM({}) WHERE {}", name, filter_col
+                );
+            }
+            for (name, c) in [("tag", 1usize), ("temp", 2)] {
+                let values = || matching.iter().map(|r| &r[c]);
+                prop_assert_eq!(
+                    run(Projection::Min(name.into())),
+                    QueryResult::Extreme(values().min_by(by_key).cloned()),
+                    "MIN({}) WHERE {}", name, filter_col
+                );
+                prop_assert_eq!(
+                    run(Projection::Max(name.into())),
+                    QueryResult::Extreme(values().max_by(by_key).cloned()),
+                    "MAX({}) WHERE {}", name, filter_col
+                );
+                let mut distinct: Vec<&Value> = values().collect();
+                distinct.sort_by(by_key);
+                distinct.dedup();
+                let distinct: Vec<Row> = distinct.into_iter().map(|v| vec![v.clone()]).collect();
+                prop_assert_eq!(
+                    run(Projection::Distinct(name.into())).into_rows(),
+                    distinct,
+                    "DISTINCT {} WHERE {}", name, filter_col
+                );
+            }
+        }
     }
 }

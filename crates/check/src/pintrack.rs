@@ -1,7 +1,9 @@
 //! Pin-leak detection for RAII guards (`strict-invariants` only).
 //!
 //! A [`PinTracker`] hands out numbered [`PinToken`]s tagged with an owner
-//! string (call site + thread). Dropping the guard returns the token;
+//! string (call site + thread). A token carries its own handle to the
+//! tracker's live set and returns itself when dropped, so the guard holding
+//! it needs no way back to the tracker's owner;
 //! [`PinTracker::assert_none_live`] panics listing every outstanding owner,
 //! which turns "a `PageGuard` leaked somewhere" into an actionable message.
 //! Outside `strict-invariants` builds everything is a zero-sized no-op.
@@ -10,21 +12,59 @@
 use crate::raw::RawMutex;
 #[cfg(feature = "strict-invariants")]
 use std::collections::BTreeMap;
+#[cfg(feature = "strict-invariants")]
+use std::sync::Arc;
+
+/// Next token id plus the owner tag of every live pin.
+#[cfg(feature = "strict-invariants")]
+type Live = Arc<RawMutex<(u64, BTreeMap<u64, String>)>>;
+#[cfg(not(feature = "strict-invariants"))]
+type Live = ();
 
 /// Registry of live pins. Embed one per pool and call
 /// [`assert_none_live`](Self::assert_none_live) at quiesce points
 /// (`clear()`, drop, end of test).
 #[derive(Default)]
 pub struct PinTracker {
-    #[cfg(feature = "strict-invariants")]
-    live: RawMutex<(u64, BTreeMap<u64, String>)>,
+    live: Live,
 }
 
-/// Token held by a guard for its lifetime; return via [`PinTracker::unpin`].
-#[derive(Debug)]
+/// Token held by a guard for its lifetime; dropping it releases the pin.
 pub struct PinToken {
     #[cfg(feature = "strict-invariants")]
     id: u64,
+    live: Live,
+}
+
+#[cfg(feature = "strict-invariants")]
+fn issue(live: &Live, owner: impl FnOnce() -> String) -> PinToken {
+    let mut g = live.lock();
+    g.0 += 1;
+    let id = g.0;
+    let tag = format!("{} [thread {}]", owner(), std::thread::current().name().unwrap_or("?"));
+    g.1.insert(id, tag);
+    PinToken { id, live: Arc::clone(live) }
+}
+
+/// No-op outside `strict-invariants` builds: the owner tag is never built.
+#[cfg(not(feature = "strict-invariants"))]
+fn issue(_live: &Live, _owner: impl FnOnce() -> String) -> PinToken {
+    PinToken { live: () }
+}
+
+impl PinToken {
+    /// Registers another live pin with the tracker that issued this token —
+    /// a guard cloning itself pins again without reaching its pool.
+    pub fn fork(&self, owner: impl FnOnce() -> String) -> PinToken {
+        issue(&self.live, owner)
+    }
+}
+
+#[cfg(feature = "strict-invariants")]
+impl Drop for PinToken {
+    fn drop(&mut self) {
+        self.live.lock().1.remove(&self.id);
+    }
 }
 
 impl PinTracker {
@@ -35,35 +75,9 @@ impl PinTracker {
 
     /// Registers a new live pin owned by `owner` (a human-readable tag:
     /// call site, page key, thread name).
-    #[cfg(feature = "strict-invariants")]
     pub fn pin(&self, owner: impl FnOnce() -> String) -> PinToken {
-        let mut g = self.live.lock();
-        g.0 += 1;
-        let id = g.0;
-        let tag = format!(
-            "{} [thread {}]",
-            owner(),
-            std::thread::current().name().unwrap_or("?")
-        );
-        g.1.insert(id, tag);
-        PinToken { id }
+        issue(&self.live, owner)
     }
-
-    /// No-op outside `strict-invariants` builds.
-    #[cfg(not(feature = "strict-invariants"))]
-    pub fn pin(&self, _owner: impl FnOnce() -> String) -> PinToken {
-        PinToken {}
-    }
-
-    /// Releases a pin.
-    #[cfg(feature = "strict-invariants")]
-    pub fn unpin(&self, token: &PinToken) {
-        self.live.lock().1.remove(&token.id);
-    }
-
-    /// No-op outside `strict-invariants` builds.
-    #[cfg(not(feature = "strict-invariants"))]
-    pub fn unpin(&self, _token: &PinToken) {}
 
     /// Number of currently live pins (always 0 without the feature).
     pub fn live_count(&self) -> usize {
@@ -109,8 +123,8 @@ mod tests {
         let a = t.pin(|| "page 1".to_string());
         let b = t.pin(|| "page 2".to_string());
         assert_eq!(t.live_count(), 2);
-        t.unpin(&a);
-        t.unpin(&b);
+        drop(a);
+        drop(b);
         t.assert_none_live("test");
     }
 

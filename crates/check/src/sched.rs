@@ -43,6 +43,17 @@ fn set_ctx(ctx: Option<(Arc<ExecInner>, usize)>) {
 /// (failure elsewhere or step-limit). Not itself a failure.
 pub(crate) struct AbortUnwind;
 
+/// Unwinds a model thread out of an aborting execution — unless it is
+/// unwinding already: a destructor (a guard's unpin, a lock release) that
+/// reaches a yield point during the abort just runs unscheduled, because a
+/// second panic inside a destructor would abort the process and lose the
+/// failing schedule.
+fn abort_unwind() {
+    if !std::thread::panicking() {
+        std::panic::panic_any(AbortUnwind);
+    }
+}
+
 /// How the next branching choice is produced.
 enum Strategy {
     /// DFS: beyond the replayed prefix, always take branch 0.
@@ -213,7 +224,7 @@ impl ExecInner {
         }
         if st.aborting && !matches!(st.threads[tid], Run::Finished) {
             drop(st);
-            std::panic::panic_any(AbortUnwind);
+            abort_unwind();
         }
     }
 
@@ -222,7 +233,7 @@ impl ExecInner {
         let mut st = self.lock();
         if st.aborting {
             drop(st);
-            std::panic::panic_any(AbortUnwind);
+            return abort_unwind();
         }
         self.schedule_next(&mut st);
         self.wait_scheduled(st, tid);

@@ -443,6 +443,7 @@ pub mod atomic {
     }
 
     atomic_wrapper!(AtomicUsize, std::sync::atomic::AtomicUsize, usize);
+    atomic_wrapper!(AtomicU32, std::sync::atomic::AtomicU32, u32);
     atomic_wrapper!(AtomicU64, std::sync::atomic::AtomicU64, u64);
 
     /// Model-checkable atomic boolean.

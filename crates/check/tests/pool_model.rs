@@ -2,24 +2,29 @@
 //!
 //! `MiniPool` is a faithful port of `payg-storage::pool`'s concurrency
 //! skeleton onto the modeled primitives: the same single-flight publish
-//! protocol (a `Loading` placeholder with a done-flag condvar), the same
-//! pin counting, and the same evict-unpinned-only rule. The checker
-//! exhaustively explores interleavings of these paths and proves the
-//! invariants the real pool relies on:
+//! protocol (a `Loading` placeholder with a done-flag condvar) and the same
+//! **pin protocol** — a frame's pin word is `n` pins, `0`, or `EVICTED`; a
+//! hit is a CAS-increment under the map lock that fails on `EVICTED`, an
+//! unpin and a guard clone touch the word with no lock at all, and an
+//! unload pass (under its own lock, *not* the map's) claims a victim with
+//! `0 → EVICTED` and skips it when the CAS fails. The checker explores
+//! interleavings of these paths and proves the invariants the real pool
+//! relies on:
 //!
 //! * a page is read from the store **at most once per residency**,
 //! * a pinned frame is **never** evicted,
 //! * guard bytes are stable under concurrent loads and evictions,
 //! * pool limits hold once all threads have quiesced.
 //!
-//! A deliberately broken variant (no `Loading` placeholder) shows the
-//! checker actually catches the double-load bug, and that the failing
-//! schedule it reports can be replayed verbatim.
+//! Two deliberately broken variants — no `Loading` placeholder, and an
+//! evictor that checks `load() == 0` instead of claiming — show the checker
+//! actually catches the double-load and the evicted-while-pinned bugs, and
+//! that the failing schedules it reports can be replayed verbatim.
 //!
 //! `BTreeMap` (not `HashMap`) keeps victim selection deterministic per
 //! schedule, which exhaustive exploration and replay both require.
 
-use payg_check::sync::atomic::{AtomicUsize, Ordering};
+use payg_check::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use payg_check::sync::{Condvar, Mutex};
 use payg_check::{replay, thread, Checker};
 use std::collections::BTreeMap;
@@ -32,9 +37,40 @@ struct LoadState {
     cv: Condvar,
 }
 
+/// Pin-word value of a frame an unload pass has claimed.
+const EVICTED: u32 = u32::MAX;
+
 struct Frame {
     byte: u8,
-    pins: AtomicUsize,
+    /// `n` pins, `0` (evictable), or `EVICTED` (terminal).
+    word: AtomicU32,
+}
+
+impl Frame {
+    /// A pin never resurrects a claimed word: CAS loop, `false` on `EVICTED`.
+    fn pin(&self) -> bool {
+        let mut seen = self.word.load(SC);
+        loop {
+            if seen == EVICTED {
+                return false;
+            }
+            match self.word.compare_exchange(seen, seen + 1, SC, SC) {
+                Ok(_) => return true,
+                Err(now) => seen = now,
+            }
+        }
+    }
+
+    /// The evictor's claim: one CAS decides pin-vs-evict.
+    fn claim(&self) -> bool {
+        self.word.compare_exchange(0, EVICTED, SC, SC).is_ok()
+    }
+
+    /// The broken claim: a check that a concurrent pin can invalidate
+    /// before the evictor acts on it.
+    fn looks_unpinned(&self) -> bool {
+        self.word.load(SC) == 0
+    }
 }
 
 enum Slot {
@@ -50,6 +86,9 @@ struct MiniPool {
     map: Mutex<BTreeMap<u32, Slot>>,
     /// Store reads per key (the store itself would count these).
     reads: Mutex<BTreeMap<u32, usize>>,
+    /// Serialises unload passes (the resource manager's state lock). Pins
+    /// never take it.
+    resman: Mutex<()>,
     used: AtomicUsize,
     evictions: AtomicUsize,
     limit: usize,
@@ -65,9 +104,17 @@ impl Guard {
     }
 }
 
+impl Clone for Guard {
+    /// Another pin, taken through the frame alone — no pool lock.
+    fn clone(&self) -> Self {
+        assert!(self.frame.pin(), "pinned frame cannot vanish");
+        Guard { frame: Arc::clone(&self.frame) }
+    }
+}
+
 impl Drop for Guard {
     fn drop(&mut self) {
-        self.frame.pins.fetch_sub(1, SC);
+        self.frame.word.fetch_sub(1, SC);
     }
 }
 
@@ -76,6 +123,7 @@ impl MiniPool {
         MiniPool {
             map: Mutex::new(BTreeMap::new()),
             reads: Mutex::new(BTreeMap::new()),
+            resman: Mutex::new(()),
             used: AtomicUsize::new(0),
             evictions: AtomicUsize::new(0),
             limit,
@@ -103,12 +151,13 @@ impl MiniPool {
             let action = {
                 let mut map = self.map.lock();
                 match map.get(&key) {
-                    Some(Slot::Resident(f)) => {
-                        f.pins.fetch_add(1, SC);
+                    Some(Slot::Resident(f)) if f.pin() => {
                         return Guard { frame: Arc::clone(f) };
                     }
                     Some(Slot::Loading(ls)) => Action::Wait(Arc::clone(ls)),
-                    None => {
+                    // Absent, or claimed by a pass that has not unlinked it
+                    // yet: replace the stale frame with a fresh load.
+                    Some(Slot::Resident(_)) | None => {
                         let ls =
                             Arc::new(LoadState { done: Mutex::new(false), cv: Condvar::new() });
                         map.insert(key, Slot::Loading(Arc::clone(&ls)));
@@ -119,7 +168,7 @@ impl MiniPool {
             match action {
                 Action::Load(ls) => {
                     let byte = self.read_store(key);
-                    let frame = Arc::new(Frame { byte, pins: AtomicUsize::new(1) });
+                    let frame = Arc::new(Frame { byte, word: AtomicU32::new(1) });
                     self.used.fetch_add(1, SC);
                     self.map.lock().insert(key, Slot::Resident(Arc::clone(&frame)));
                     *ls.done.lock() = true;
@@ -141,21 +190,45 @@ impl MiniPool {
     /// Evicts unpinned resident frames while over the limit — the rule the
     /// real pool applies via the resource manager's unload passes.
     fn maybe_evict(&self) {
-        let mut map = self.map.lock();
-        while self.used.load(SC) > self.limit {
-            let victim = map.iter().find_map(|(k, s)| match s {
-                Slot::Resident(f) if f.pins.load(SC) == 0 => Some(*k),
-                _ => None,
-            });
-            match victim {
-                Some(k) => {
-                    map.remove(&k);
-                    self.used.fetch_sub(1, SC);
-                    self.evictions.fetch_add(1, SC);
-                }
-                None => break, // everything pinned: transient overshoot
+        self.evict_with(Frame::claim);
+    }
+
+    /// One unload pass. As in the real system it holds the pass lock, not
+    /// the map lock, while it decides: victims are claimed on their pin
+    /// word, and only then unlinked (the eviction callback) — by pointer,
+    /// since a pin that lost to the claim may already have installed a
+    /// fresh load under the key.
+    fn evict_with(&self, claim: fn(&Frame) -> bool) {
+        let _pass = self.resman.lock();
+        // The manager's own entry list: every resident frame.
+        let candidates: Vec<(u32, Arc<Frame>)> = self
+            .map
+            .lock()
+            .iter()
+            .filter_map(|(k, s)| match s {
+                Slot::Resident(f) => Some((*k, Arc::clone(f))),
+                Slot::Loading(_) => None,
+            })
+            .collect();
+        for (key, frame) in candidates {
+            if self.used.load(SC) <= self.limit {
+                break;
+            }
+            if !claim(&frame) {
+                continue; // pinned: transient overshoot
+            }
+            self.used.fetch_sub(1, SC);
+            self.evictions.fetch_add(1, SC);
+            let mut map = self.map.lock();
+            if matches!(map.get(&key), Some(Slot::Resident(cur)) if Arc::ptr_eq(cur, &frame)) {
+                map.remove(&key);
             }
         }
+    }
+
+    /// True while `guard`'s frame is the one the map serves for `key`.
+    fn serves(&self, key: u32, guard: &Guard) -> bool {
+        matches!(self.map.lock().get(&key), Some(Slot::Resident(f)) if Arc::ptr_eq(f, &guard.frame))
     }
 
     fn resident(&self, key: u32) -> bool {
@@ -288,6 +361,68 @@ fn pin_vs_evict_race_with_reload_is_single_flight_per_residency() {
     );
 }
 
+/// A warm pin of key 1 — then a lock-free clone and drop of the guard —
+/// racing an unload pass on a limit-0 pool (evict everything unpinned).
+/// While any guard is held the map must keep serving *its* frame; after
+/// quiesce one more pass empties the pool and every residency was read once.
+fn pin_vs_claim_scenario(claim: fn(&Frame) -> bool) {
+    let pool = Arc::new(MiniPool::new(0));
+    drop(pool.pin(1));
+    let p = Arc::clone(&pool);
+    let pinner = thread::spawn(move || {
+        let g = p.pin(1);
+        assert_eq!(g.byte(), page_byte(1), "guard bytes must be stable");
+        assert!(p.serves(1, &g), "frame evicted while pinned");
+        let g2 = g.clone();
+        drop(g);
+        assert!(p.serves(1, &g2), "frame evicted while pinned through a clone");
+    });
+    let p = Arc::clone(&pool);
+    let evictor = thread::spawn(move || p.evict_with(claim));
+    pinner.join().expect("model thread");
+    evictor.join().expect("model thread");
+    pool.evict_with(claim);
+    assert_eq!(pool.used.load(SC), 0, "an unpinned pool unloads to its limit");
+    assert!(!pool.resident(1));
+    assert_eq!(
+        pool.reads_of(1),
+        pool.evictions.load(SC),
+        "every residency was read once and evicted once"
+    );
+}
+
+#[test]
+fn lock_free_pin_vs_claim_never_evicts_a_pinned_frame() {
+    let report = Checker::exhaustive()
+        .max_iterations(BOUND)
+        .check(|| pin_vs_claim_scenario(Frame::claim));
+    assert!(report.failure.is_none(), "unexpected failure: {:?}", report.failure);
+    assert!(
+        report.exhausted || report.iterations >= 1000,
+        "expected exhaustion or >= 1000 interleavings, got {}",
+        report.iterations
+    );
+}
+
+#[test]
+fn check_then_evict_without_a_claim_is_caught_and_replays() {
+    // The evictor reads `word == 0` and then unlinks — the re-check-free
+    // protocol minus its CAS. A pin landing between the read and the unlink
+    // holds a guard on a frame the map no longer serves.
+    let broken = || pin_vs_claim_scenario(Frame::looks_unpinned);
+    let report = Checker::exhaustive().check(broken);
+    let failure = report.failure.expect("the evicted-while-pinned race must be found");
+    assert!(
+        failure.message.contains("evicted while pinned"),
+        "unexpected failure message: {}",
+        failure.message
+    );
+    let replayed = replay(&failure.schedule, broken)
+        .failure
+        .expect("replaying the failing schedule must fail again");
+    assert_eq!(replayed.message, failure.message);
+}
+
 // ---------------------------------------------------------------------------
 // The broken pool: single-flight removed
 // ---------------------------------------------------------------------------
@@ -305,10 +440,7 @@ fn broken_double_load_scenario() {
                 let hit = {
                     let map = p.map.lock();
                     match map.get(&9) {
-                        Some(Slot::Resident(f)) => {
-                            f.pins.fetch_add(1, SC);
-                            Some(Arc::clone(f))
-                        }
+                        Some(Slot::Resident(f)) if f.pin() => Some(Arc::clone(f)),
                         _ => None,
                     }
                 };
@@ -317,7 +449,7 @@ fn broken_double_load_scenario() {
                     Some(frame) => Guard { frame },
                     None => {
                         let byte = p.read_store(9);
-                        let frame = Arc::new(Frame { byte, pins: AtomicUsize::new(1) });
+                        let frame = Arc::new(Frame { byte, word: AtomicU32::new(1) });
                         p.used.fetch_add(1, SC);
                         p.map.lock().insert(9, Slot::Resident(Arc::clone(&frame)));
                         Guard { frame }

@@ -11,7 +11,7 @@ use crate::{CoreError, CoreResult, DataType, Value, ValuePredicate};
 use payg_encoding::scan;
 use payg_encoding::{BitPackedVec, VidSet};
 use payg_obs::{names, Counter};
-use payg_resman::{Disposition, ResourceId};
+use payg_resman::{Disposition, ResourceHandle};
 use std::sync::Arc;
 
 /// The contiguous in-memory image of a loaded column.
@@ -31,7 +31,8 @@ impl Image {
 
 struct Loaded {
     image: Arc<Image>,
-    rid: ResourceId,
+    /// Touched on every access — an atomic store, no manager lock.
+    resource: ResourceHandle,
 }
 
 /// A default column: the entire column loads into memory on first access
@@ -64,10 +65,9 @@ impl ResidentColumn {
 
     /// Loads the column if not loaded; returns the resident image.
     fn image(&self) -> CoreResult<Arc<Image>> {
-        let resman = self.parts.pool.resource_manager().clone();
         let mut st = self.state.lock();
         if let Some(l) = st.as_ref() {
-            resman.touch(l.rid);
+            l.resource.touch();
             return Ok(Arc::clone(&l.image));
         }
         // Full column load: every structure is read in its entirety.
@@ -82,12 +82,13 @@ impl ResidentColumn {
         };
         let image = Arc::new(Image { data, dict, index });
         let state_weak = Arc::downgrade(&self.state);
-        let rid = resman.register(image.heap_bytes(), self.disposition, move || {
+        let resman = self.parts.pool.resource_manager();
+        let resource = resman.register(image.heap_bytes(), self.disposition, move || {
             if let Some(state) = state_weak.upgrade() {
                 *state.lock() = None;
             }
         });
-        *st = Some(Loaded { image: Arc::clone(&image), rid });
+        *st = Some(Loaded { image: Arc::clone(&image), resource });
         self.load_count.inc();
         self.full_loads.inc();
         Ok(image)
@@ -115,7 +116,7 @@ impl ResidentColumn {
     pub fn unload(&self) {
         let mut st = self.state.lock();
         if let Some(l) = st.take() {
-            self.parts.pool.resource_manager().deregister(l.rid);
+            self.parts.pool.resource_manager().deregister(&l.resource);
         }
     }
 

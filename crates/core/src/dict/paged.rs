@@ -42,8 +42,8 @@ use payg_encoding::fsst::SymbolTable;
 use payg_encoding::prefix::{OverflowRef, ValueBlock, ValueBlockBuilder, ValueBlockView, BLOCK_CAP};
 use payg_encoding::EncodingError;
 use payg_obs::names;
-use payg_storage::{BufferPool, ChainRef, PageGuard, PageKey, StorageError};
-use std::collections::HashMap;
+use payg_storage::{BufferPool, ChainRef, PageGuard, PageKey, PageMap, StorageError};
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -56,24 +56,25 @@ pub type DictLookup = Result<u64, u64>;
 /// the resource manager from unloading pages a batch lookup will revisit.
 pub struct HandleCache {
     pool: BufferPool,
-    map: HashMap<PageKey, PageGuard>,
+    map: PageMap<PageGuard>,
 }
 
 impl HandleCache {
     /// Creates an empty cache over `pool`.
     pub fn new(pool: BufferPool) -> Self {
-        HandleCache { pool, map: HashMap::new() }
+        HandleCache { pool, map: PageMap::default() }
     }
 
     /// Pins `key`, reusing a cached handle when present.
     pub fn pin(&mut self, key: PageKey) -> CoreResult<PageGuard> {
-        if let Some(g) = self.map.get(&key) {
-            g.touch();
-            return Ok(g.clone());
-        }
-        let g = self.pool.pin(key).map_err(CoreError::Storage)?;
-        self.map.insert(key, g.clone());
-        Ok(g)
+        // A clone is a pin of the frame's own pin word (and a touch): no
+        // pool lookup on a cached hit, one map probe either way.
+        Ok(match self.map.entry(key) {
+            Entry::Occupied(cached) => cached.get().clone(),
+            Entry::Vacant(slot) => {
+                slot.insert(self.pool.pin(key).map_err(CoreError::Storage)?).clone()
+            }
+        })
     }
 
     /// Pins every page of `keys` not cached yet with one batched pin —

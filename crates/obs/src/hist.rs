@@ -65,10 +65,16 @@ impl Histogram {
 
     /// Records one observation.
     pub fn record(&self, v: u64) {
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` observations of the same value — one add per cell
+    /// however large `n` is (a batch that measured one shared latency).
+    pub fn record_n(&self, v: u64, n: u64) {
         let i = bucket_of(v);
-        self.inner.buckets[i].fetch_add(1, Ordering::Relaxed);
-        self.inner.count.fetch_add(1, Ordering::Relaxed);
-        self.inner.sum.fetch_add(v, Ordering::Relaxed);
+        self.inner.buckets[i].fetch_add(n, Ordering::Relaxed);
+        self.inner.count.fetch_add(n, Ordering::Relaxed);
+        self.inner.sum.fetch_add(v.wrapping_mul(n), Ordering::Relaxed);
     }
 
     /// Number of observations recorded so far.
@@ -222,9 +228,10 @@ mod tests {
     #[test]
     fn record_and_percentiles() {
         let h = Histogram::new();
-        for v in [0u64, 1, 1, 7, 100, 1000] {
+        for v in [0u64, 7, 100, 1000] {
             h.record(v);
         }
+        h.record_n(1, 2);
         let s = h.snapshot();
         assert_eq!(s.count(), 6);
         assert_eq!(s.sum(), 1109);

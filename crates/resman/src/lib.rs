@@ -20,18 +20,23 @@
 //!   lower limit is reached. Because it is asynchronous, the pool may
 //!   transiently exceed the upper limit — loads are never blocked.
 //!
-//! Pinned resources (see [`ResourceManager::pin`]) are never evicted; page
-//! iterators hold pins for exactly as long as the paper prescribes.
+//! Pinned resources (see [`ResourceHandle::pin`]) are never evicted; page
+//! iterators hold pins for exactly as long as the paper prescribes. Pin,
+//! unpin and touch are lock-free operations on a per-resource pin word the
+//! handle shares with the manager; only registration, eviction passes and
+//! accounting take the manager's state lock.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 mod disposition;
+mod handle;
 mod manager;
 mod proactive;
 mod stats;
 pub mod sync;
 
 pub use disposition::Disposition;
-pub use manager::{PoolLimits, ResourceId, ResourceManager};
+pub use handle::ResourceHandle;
+pub use manager::{PoolLimits, ResourceManager};
 pub use stats::MemoryStats;

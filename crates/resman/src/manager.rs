@@ -1,5 +1,6 @@
 //! The resource manager proper.
 
+use crate::handle::{PinState, ResourceHandle};
 use crate::proactive::ProactiveWorker;
 use crate::sync::{LockRank, Mutex};
 use crate::{Disposition, MemoryStats};
@@ -7,10 +8,6 @@ use payg_obs::{names, Counter, EventKind, Gauge, Registry};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Identifies a registered resource.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct ResourceId(u64);
 
 /// Lower/upper watermarks for the paged-attribute pool (paper §5).
 ///
@@ -38,8 +35,8 @@ type EvictFn = Box<dyn Fn() + Send + Sync>;
 struct Entry {
     size: usize,
     disposition: Disposition,
-    last_touch: u64,
-    pins: u32,
+    /// Pin count and last-touch tick, shared with the owner's handle.
+    pin: Arc<PinState>,
     on_evict: EvictFn,
 }
 
@@ -109,8 +106,9 @@ impl Obs {
 pub(crate) struct Inner {
     state: Mutex<State>,
     limits: Mutex<Option<PoolLimits>>,
-    // lint: allow(raw-counter) logical LRU clock, not a metric
-    clock: AtomicU64,
+    /// Logical LRU clock, shared with every pin state so a touch ticks it
+    /// without reaching the manager.
+    clock: Arc<AtomicU64>,
     // lint: allow(raw-counter) resource id allocator, not a metric
     next_id: AtomicU64,
     obs: Obs,
@@ -145,7 +143,7 @@ impl ResourceManager {
             inner: Arc::new(Inner {
                 state: Mutex::with_rank(State::default(), LockRank::ResmanState),
                 limits: Mutex::with_rank(None, LockRank::ResmanLimits),
-                clock: AtomicU64::new(0),
+                clock: Arc::new(AtomicU64::new(0)),
                 next_id: AtomicU64::new(1),
                 obs: Obs::register(registry),
                 proactive: Mutex::with_rank(None, LockRank::ResmanProactive),
@@ -195,10 +193,6 @@ impl ResourceManager {
         *self.inner.limits.lock()
     }
 
-    fn tick(&self) -> u64 {
-        self.inner.clock.fetch_add(1, Ordering::Relaxed)
-    }
-
     /// Registers a resource of `size` bytes. `on_evict` is invoked (outside
     /// all manager locks) when the manager evicts the resource; it must
     /// release the owner's memory and must not call back into the manager
@@ -208,40 +202,32 @@ impl ResourceManager {
         size: usize,
         disposition: Disposition,
         on_evict: impl Fn() + Send + Sync + 'static,
-    ) -> ResourceId {
-        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let now = self.tick();
-        {
-            let mut st = self.inner.state.lock();
-            st.total_bytes += size;
-            if disposition.is_paged() {
-                st.paged_bytes += size;
-                st.paged_count += 1;
-            }
-            st.entries.insert(
-                id,
-                Entry { size, disposition, last_touch: now, pins: 0, on_evict: Box::new(on_evict) },
-            );
-            assert_accounting(&st);
-            self.inner.obs.sync(&st);
-        }
-        self.inner.obs.registrations.inc();
-        self.maybe_wake_proactive();
-        ResourceId(id)
+    ) -> ResourceHandle {
+        self.register_with_pins(0, size, disposition, Box::new(on_evict))
     }
 
     /// Like [`ResourceManager::register`], but the resource starts with one
     /// pin already held, so it cannot be evicted before the caller's first
-    /// [`ResourceManager::unpin`]. This closes the race between registering
+    /// [`ResourceHandle::unpin`]. This closes the race between registering
     /// a freshly loaded page and pinning it.
     pub fn register_pinned(
         &self,
         size: usize,
         disposition: Disposition,
         on_evict: impl Fn() + Send + Sync + 'static,
-    ) -> ResourceId {
+    ) -> ResourceHandle {
+        self.register_with_pins(1, size, disposition, Box::new(on_evict))
+    }
+
+    fn register_with_pins(
+        &self,
+        pins: u32,
+        size: usize,
+        disposition: Disposition,
+        on_evict: EvictFn,
+    ) -> ResourceHandle {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let now = self.tick();
+        let state = PinState::new(pins, &self.inner.clock);
         {
             let mut st = self.inner.state.lock();
             st.total_bytes += size;
@@ -249,41 +235,33 @@ impl ResourceManager {
                 st.paged_bytes += size;
                 st.paged_count += 1;
             }
-            st.entries.insert(
-                id,
-                Entry { size, disposition, last_touch: now, pins: 1, on_evict: Box::new(on_evict) },
-            );
+            st.entries
+                .insert(id, Entry { size, disposition, pin: Arc::clone(&state), on_evict });
             assert_accounting(&st);
             self.inner.obs.sync(&st);
         }
         self.inner.obs.registrations.inc();
         self.maybe_wake_proactive();
-        ResourceId(id)
+        ResourceHandle { id, state }
     }
 
-    /// Removes a resource without invoking its eviction callback (the owner
-    /// is releasing it voluntarily). Returns false if the resource was
-    /// already gone (e.g. just evicted).
-    pub fn deregister(&self, id: ResourceId) -> bool {
+    /// Removes an unpinned resource without invoking its eviction callback
+    /// (the owner is releasing it voluntarily). "Unpinned" is decided the
+    /// way eviction decides it — by claiming the pin word — so a later
+    /// [`ResourceHandle::pin`] fails. Returns false when the resource is
+    /// pinned (it stays registered) or was already gone (e.g. just evicted).
+    pub fn deregister(&self, handle: &ResourceHandle) -> bool {
         let mut st = self.inner.state.lock();
-        let removed = remove_entry(&mut st, id.0).is_some();
+        let removed = claim_entry(&mut st, handle.id).is_some();
         self.inner.obs.sync(&st);
         removed
     }
 
-    /// Marks a resource as recently used.
-    pub fn touch(&self, id: ResourceId) {
-        let now = self.tick();
-        if let Some(e) = self.inner.state.lock().entries.get_mut(&id.0) {
-            e.last_touch = now;
-        }
-    }
-
     /// Adjusts a resource's accounted size (e.g. a transient structure grew).
-    pub fn resize(&self, id: ResourceId, new_size: usize) {
+    pub fn resize(&self, handle: &ResourceHandle, new_size: usize) {
         {
             let mut st = self.inner.state.lock();
-            let Some(e) = st.entries.get_mut(&id.0) else { return };
+            let Some(e) = st.entries.get_mut(&handle.id) else { return };
             let old = e.size;
             let paged = e.disposition.is_paged();
             e.size = new_size;
@@ -295,29 +273,6 @@ impl ResourceManager {
             self.inner.obs.sync(&st);
         }
         self.maybe_wake_proactive();
-    }
-
-    /// Pins a resource, protecting it from eviction. Returns false when the
-    /// resource no longer exists (the caller must reload it). Also touches.
-    #[must_use]
-    pub fn pin(&self, id: ResourceId) -> bool {
-        let now = self.tick();
-        match self.inner.state.lock().entries.get_mut(&id.0) {
-            Some(e) => {
-                e.pins += 1;
-                e.last_touch = now;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Releases one pin.
-    pub fn unpin(&self, id: ResourceId) {
-        if let Some(e) = self.inner.state.lock().entries.get_mut(&id.0) {
-            debug_assert!(e.pins > 0, "unpin without pin");
-            e.pins = e.pins.saturating_sub(1);
-        }
     }
 
     /// Charges `bytes` of store reads about to be issued by the I/O stage.
@@ -407,26 +362,22 @@ impl ResourceManager {
                 return 0;
             }
             // Plain LRU over unpinned paged resources: ascending last_touch.
-            let mut candidates: Vec<(u64, u64, usize)> = st
+            let mut candidates: Vec<(u64, u64)> = st
                 .entries
                 .iter()
-                .filter(|(_, e)| e.disposition.is_paged() && e.pins == 0)
-                .map(|(&id, e)| (e.last_touch, id, e.size))
+                .filter(|(_, e)| e.disposition.is_paged() && e.pin.is_unpinned())
+                .map(|(&id, e)| (e.pin.last_touch(), id))
                 .collect();
             candidates.sort_unstable();
-            let mut picked = Vec::new();
-            let mut pool = st.paged_bytes;
-            for (_, id, size) in candidates {
-                if pool <= target_bytes {
+            let mut victims = Vec::new();
+            for (_, id) in candidates {
+                if st.paged_bytes <= target_bytes {
                     break;
                 }
-                pool -= size;
-                picked.push(id);
+                // A candidate pinned since the filter ran fails the claim
+                // and is skipped: the pass moves on to the next-oldest.
+                victims.extend(claim_entry(&mut st, id));
             }
-            let victims = picked
-                .into_iter()
-                .filter_map(|id| remove_entry(&mut st, id))
-                .collect::<Vec<_>>();
             self.inner.obs.sync(&st);
             victims
         };
@@ -460,29 +411,28 @@ impl ResourceManager {
         let now = self.inner.clock.load(Ordering::Relaxed);
         let victims = {
             let mut st = self.inner.state.lock();
-            let mut scored: Vec<(f64, u64, usize)> = st
+            let mut scored: Vec<(f64, u64)> = st
                 .entries
                 .iter()
-                .filter(|(_, e)| e.disposition.evictable() && e.pins == 0)
+                .filter(|(_, e)| e.disposition.evictable() && e.pin.is_unpinned())
                 .map(|(&id, e)| {
-                    let t = (now - e.last_touch) as f64;
-                    (t / e.disposition.weight(), id, e.size)
+                    // A touch racing this pass may carry a later tick.
+                    let t = now.saturating_sub(e.pin.last_touch()) as f64;
+                    (t / e.disposition.weight(), id)
                 })
                 .collect();
             scored.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
-            let mut picked = Vec::new();
+            let mut victims = Vec::new();
             let mut acc = freed;
-            for (_, id, size) in scored {
+            for (_, id) in scored {
                 if acc >= needed_bytes {
                     break;
                 }
-                acc += size;
-                picked.push(id);
+                if let Some(e) = claim_entry(&mut st, id) {
+                    acc += e.size;
+                    victims.push(e);
+                }
             }
-            let victims = picked
-                .into_iter()
-                .filter_map(|id| remove_entry(&mut st, id))
-                .collect::<Vec<_>>();
             self.inner.obs.sync(&st);
             victims
         };
@@ -523,7 +473,13 @@ impl ResourceManager {
     }
 }
 
-fn remove_entry(st: &mut State, id: u64) -> Option<Entry> {
+/// The one way a resource leaves the manager: claims `id`'s pin word
+/// (`0 → EVICTED`, failing while it is pinned) and removes the entry in the
+/// same critical section, so no later pin of the handle can succeed.
+fn claim_entry(st: &mut State, id: u64) -> Option<Entry> {
+    if !st.entries.get(&id)?.pin.claim() {
+        return None;
+    }
     let e = st.entries.remove(&id)?;
     st.total_bytes -= e.size;
     if e.disposition.is_paged() {
@@ -582,11 +538,12 @@ mod tests {
         assert_eq!(s.paged_bytes, 50);
         assert_eq!(s.resource_count, 2);
         assert_eq!(s.paged_count, 1);
-        m.resize(b, 80);
+        m.resize(&b, 80);
         assert_eq!(m.stats().paged_bytes, 80);
         assert_eq!(m.stats().total_bytes, 180);
-        assert!(m.deregister(a));
-        assert!(!m.deregister(a));
+        assert!(m.deregister(&a));
+        assert!(!m.deregister(&a));
+        assert!(!a.pin(), "a deregistered resource cannot be pinned");
         assert_eq!(m.stats().total_bytes, 80);
     }
 
@@ -601,7 +558,7 @@ mod tests {
             ids.push(m.register(60, Disposition::PagedAttribute, move || log.lock().push(i)));
         }
         // Touch resource 0 so it is the most recently used.
-        m.touch(ids[0]);
+        ids[0].touch();
         let freed = m.reactive_unload();
         // 300 bytes -> need to drop to <=100: evict LRU (1, 2, 3, 4 in order
         // of last touch) until pool <= 100. Evicting 1,2,3 leaves 120; also 4
@@ -619,17 +576,18 @@ mod tests {
         // Pin before limits exist: registering an unpinned resource over the
         // upper limit would race the async worker against our `pin` below.
         let id = m.register(100, Disposition::PagedAttribute, counter_evict(&hits));
-        assert!(m.pin(id));
+        assert!(id.pin());
         m.set_paged_limits(Some(PoolLimits::new(0, 10)));
         m.quiesce();
         assert_eq!(m.reactive_unload(), 0);
         assert_eq!(hits.load(Ordering::SeqCst), 0);
         assert_eq!(m.stats().paged_bytes, 100);
-        m.unpin(id);
+        assert!(!m.deregister(&id), "a pinned resource stays registered");
+        id.unpin();
         assert_eq!(m.reactive_unload(), 100);
         assert_eq!(hits.load(Ordering::SeqCst), 1);
         // The id is gone now; pin must fail so callers reload.
-        assert!(!m.pin(id));
+        assert!(!id.pin());
     }
 
     #[test]
@@ -674,8 +632,8 @@ mod tests {
         let _ns = m.register(10, Disposition::NonSwappable, log("nonswap"));
         // Make `long` ancient relative to the others by touching the rest.
         for _ in 0..1000 {
-            m.touch(_tmp);
-            m.touch(_short);
+            _tmp.touch();
+            _short.touch();
         }
         let _ = long;
         let freed = m.handle_low_memory(15);
@@ -698,7 +656,7 @@ mod tests {
         assert_eq!(freed, 100);
         // The mid-term resource survives because paged covered the need.
         assert_eq!(m.stats().total_bytes, 100);
-        assert!(m.pin(keep));
+        assert!(keep.pin());
     }
 
     #[test]

@@ -15,3 +15,13 @@ pub use payg_check::sync::{Mutex, MutexGuard};
 pub use payg_check::raw::{RawMutex as Mutex, RawMutexGuard as MutexGuard};
 
 pub use payg_check::LockRank;
+
+/// Atomics of the pin protocol: modeled (every operation a scheduler yield
+/// point) under `--cfg payg_check`, plain `std` otherwise.
+pub mod atomic {
+    #[cfg(payg_check)]
+    pub use payg_check::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+
+    #[cfg(not(payg_check))]
+    pub use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+}

@@ -1,7 +1,7 @@
 //! Model checks of the **real** `ResourceManager` under `--cfg payg_check`.
 //!
-//! These are regression proofs for the two races the seed's tests used to
-//! hit on wall-clock timing (patched in PR 1 by `register_pinned` and by
+//! The first two are regression proofs for the races the seed's tests used
+//! to hit on wall-clock timing (patched in PR 1 by `register_pinned` and by
 //! reordering registration before `set_paged_limits`):
 //!
 //! * the **old racy pattern** — register unpinned, then pin — is shown to
@@ -9,6 +9,11 @@
 //!   *finds* a failing schedule), and
 //! * the **fixed pattern** — `register_pinned` — is shown to hold under
 //!   every explored interleaving of the same unload pass.
+//!
+//! The third is the pin protocol itself: a pin is a lock-free CAS on the
+//! resource's pin word (modeled: every atomic operation is a yield point)
+//! racing an unload pass that claims victims with `0 → EVICTED` under the
+//! state lock. Exactly one side wins, in every interleaving.
 //!
 //! Limits are set via `set_paged_limits_manual` so no background worker
 //! thread exists: the unload pass runs as a modeled thread instead,
@@ -37,7 +42,7 @@ fn old_register_then_pin_pattern_loses_the_race() {
         // THEN pin. The unload pass can run in between and evict the
         // resource before the pin lands.
         let id = m.register(100, Disposition::PagedAttribute, || {});
-        assert!(m.pin(id), "resource evicted before pin — the race the seed test hit");
+        assert!(id.pin(), "resource evicted before pin — the race the seed test hit");
         unloader.join().expect("model thread");
     });
     let failure = report.failure.expect("the register-then-pin race must be found");
@@ -68,10 +73,49 @@ fn register_pinned_holds_under_all_explored_interleavings() {
         assert_eq!(evictions.load(Ordering::SeqCst), 0, "pinned resource was evicted");
         assert_eq!(m.stats().paged_bytes, 100);
         // Once unpinned, the next pass must evict it (limits still exceeded).
-        m.unpin(id);
+        id.unpin();
         m.proactive_unload();
         assert_eq!(evictions.load(Ordering::SeqCst), 1);
         assert_eq!(m.stats().paged_bytes, 0, "paged pool must respect limits after quiesce");
+    });
+    assert!(report.failure.is_none(), "unexpected failure: {:?}", report.failure);
+    assert!(report.exhausted, "this model should be small enough to exhaust");
+}
+
+#[test]
+fn lock_free_pin_and_unload_pass_have_exactly_one_winner() {
+    let report = Checker::exhaustive().max_iterations(BOUND).check(|| {
+        let evictions = Arc::new(AtomicUsize::new(0));
+        let m = ResourceManager::new();
+        m.set_paged_limits_manual(Some(PoolLimits::new(0, 10)));
+        let e = Arc::clone(&evictions);
+        let resource = m.register(100, Disposition::PagedAttribute, move || {
+            e.fetch_add(1, Ordering::SeqCst);
+        });
+        let m2 = m.clone();
+        let unloader = thread::spawn(move || {
+            m2.reactive_unload();
+        });
+        // No lock on this side: the pin is a CAS loop on the pin word.
+        let pinned = resource.pin();
+        if pinned {
+            // The pass may still be running: while the pin is held it must
+            // keep skipping the resource (its claim CAS fails).
+            assert_eq!(evictions.load(Ordering::SeqCst), 0, "evicted while pinned");
+        }
+        unloader.join().expect("model thread");
+        if pinned {
+            assert_eq!(evictions.load(Ordering::SeqCst), 0, "evicted while pinned");
+            assert_eq!(m.stats().paged_bytes, 100, "a pinned resource stays accounted");
+            // Unpin-then-pass evicts.
+            resource.unpin();
+            assert_eq!(m.reactive_unload(), 100);
+        } else {
+            assert_eq!(m.stats().paged_bytes, 0, "a failed pin means the claim won");
+        }
+        assert_eq!(evictions.load(Ordering::SeqCst), 1, "on_evict runs exactly once");
+        assert!(!resource.pin(), "EVICTED is terminal");
+        assert_eq!(m.stats().paged_bytes, 0);
     });
     assert!(report.failure.is_none(), "unexpected failure: {:?}", report.failure);
     assert!(report.exhausted, "this model should be small enough to exhaust");

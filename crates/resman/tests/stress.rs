@@ -23,7 +23,7 @@ fn racing_registrations_and_evictions_keep_accounting_exact() {
                     });
                     ids.push(id);
                     if i % 7 == t {
-                        m.touch(ids[ids.len() / 2]);
+                        ids[ids.len() / 2].touch();
                     }
                     if i % 13 == 0 {
                         m.reactive_unload();
@@ -72,8 +72,8 @@ fn pinned_resources_survive_concurrent_eviction_storm() {
     assert_eq!(m.stats().paged_count, 50, "all pinned resources survive");
     // Voluntary release never fires eviction callbacks.
     for id in pinned {
-        m.unpin(id);
-        assert!(m.deregister(id));
+        id.unpin();
+        assert!(m.deregister(&id));
     }
     assert_eq!(m.stats().paged_count, 0);
 }
@@ -104,6 +104,6 @@ fn unpinned_after_storm_can_be_evicted_without_callbacks_firing_twice() {
     assert_eq!(m.stats().paged_count, 0);
     // Deregistering evicted ids is a no-op, not a double free.
     for id in ids {
-        assert!(!m.deregister(id));
+        assert!(!m.deregister(&id));
     }
 }

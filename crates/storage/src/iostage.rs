@@ -451,8 +451,9 @@ fn fetch_with_retry(
 }
 
 /// Completes one request — the pool's one publish/fail sequence (insert
-/// `Resident` or withdraw the `Loading` slot and quarantine, then publish or
-/// fail the load state), then ticket resolution or the advisory unpin.
+/// `Resident` — releasing an advisory request's registration pin — or
+/// withdraw the `Loading` slot and quarantine, then publish or fail the load
+/// state), then ticket resolution.
 /// `batch` is the coalesced read's batch id, tagged onto the completion
 /// event so every beneficiary request records which physical read served it.
 fn complete(pool: &Arc<PoolInner>, req: FetchRequest, outcome: StorageResult<Box<[u8]>>, batch: u64) {
@@ -464,6 +465,14 @@ fn complete(pool: &Arc<PoolInner>, req: FetchRequest, outcome: StorageResult<Box
                 .lock()
                 .slots
                 .insert(req.key, Slot::Resident(Arc::clone(&frame)));
+            // An advisory frame is held by nobody: its registration pin goes
+            // before the completion becomes observable, so "every submitted
+            // request has completed" implies "the stage holds no pin". (A
+            // waiter that joined this load re-inspects after the publish and
+            // pins the frame itself — or reloads it, had it been evicted.)
+            if matches!(req.completion, Completion::Advisory) {
+                frame.resource.unpin();
+            }
             // Count the completion before publishing: the publish wakes the
             // submitter, which may read the metrics immediately.
             pool.metrics.io_completions.inc();
@@ -476,10 +485,9 @@ fn complete(pool: &Arc<PoolInner>, req: FetchRequest, outcome: StorageResult<Box
                 batch,
             );
             req.ls.publish();
-            match req.completion {
-                // The registration pin rides the ticket to the submitter.
-                Completion::Ticket(ticket, slot) => ticket.resolve(slot, Ok(frame)),
-                Completion::Advisory => pool.resman.unpin(frame.rid()),
+            // The registration pin rides the ticket to the submitter.
+            if let Completion::Ticket(ticket, slot) = req.completion {
+                ticket.resolve(slot, Ok(frame));
             }
         }
         Err(err) => {

@@ -34,7 +34,7 @@ pub use checksum::{crc32, page_checksum, Crc32};
 pub use error::{FaultClass, StorageError, StorageResult};
 pub use iostage::IoStageConfig;
 pub use metrics::{PoolMetrics, ShardMetrics};
-pub use page::{ChainId, PageKey};
+pub use page::{ChainId, PageKey, PageKeyHasher, PageMap};
 pub use pool::{
     BufferPool, PageGuard, PoolConfig, RetryPolicy, DEFAULT_SHARD_COUNT,
 };

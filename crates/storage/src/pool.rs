@@ -4,39 +4,42 @@ use crate::iostage::{Completion, FetchRequest, IoStage, IoStageConfig, Ticket};
 use crate::metrics::{MetricCounters, ShardCounters, ShardMetrics};
 use crate::store::{real_sleeper, Sleeper};
 use crate::sync::{Condvar, LockRank, Mutex, MutexGuard, RwLock};
-use crate::{ChainId, PageKey, PageStore, PoolMetrics, StorageError, StorageResult};
-use payg_check::PinTracker;
+use crate::{ChainId, PageKey, PageMap, PageStore, PoolMetrics, StorageError, StorageResult};
+use payg_check::{PinToken, PinTracker};
 use payg_obs::{EventKind, Registry, SpanKind, Tracer};
-use payg_resman::{Disposition, ResourceId, ResourceManager};
+use payg_resman::{Disposition, ResourceHandle, ResourceManager};
 use std::any::Any;
-use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::panic::Location;
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Default number of lock-striped shards (a power of two; plenty for the
 /// worker counts the scan experiments use).
 pub const DEFAULT_SHARD_COUNT: usize = 16;
 
+/// Warm hits are timed one in this many per shard (the shard's 1st, 65th,
+/// … hit): an unsampled hit reads no clock, because a clock pair costs as
+/// much as the rest of the hit. `pool_pin_ns` is that sample; the `hits`
+/// counters stay exact.
+const PIN_SAMPLE_EVERY: u64 = 64;
+
 /// One resident page. Page data is immutable after load (main fragments are
 /// read-only between delta merges), so frames can be shared freely.
 pub struct Frame {
     key: PageKey,
     data: Box<[u8]>,
-    rid: OnceLock<ResourceId>,
+    /// The frame's resource: its pin word is what guards pin and unpin, and
+    /// what eviction claims — no manager lock on either side of a hit.
+    pub(crate) resource: ResourceHandle,
+    /// For re-sizing the resource when a transient structure is built; a
+    /// guard reaches its manager through the frame, not through the pool.
+    resman: ResourceManager,
     /// Transient data rebuilt on every load and destroyed on eviction
     /// (paper §3.2.1: the dictionary's block-offset vector).
     transient: RwLock<Option<Arc<dyn Any + Send + Sync>>>,
     transient_bytes: AtomicUsize,
-}
-
-impl Frame {
-    pub(crate) fn rid(&self) -> ResourceId {
-        // lint: allow(unwrap) invariant: set by load_frame before the frame is published
-        *self.rid.get().expect("frame registered")
-    }
 }
 
 /// How one in-flight single-flight load ended.
@@ -104,8 +107,8 @@ struct QuarantineEntry {
 /// Everything a shard guards under its stripe lock: the frame/load slots
 /// plus the quarantine set for keys hashing to this stripe.
 pub(crate) struct ShardState {
-    pub(crate) slots: HashMap<PageKey, Slot>,
-    quarantine: HashMap<PageKey, QuarantineEntry>,
+    pub(crate) slots: PageMap<Slot>,
+    quarantine: PageMap<QuarantineEntry>,
 }
 
 pub(crate) struct Shard {
@@ -117,7 +120,7 @@ impl Shard {
     fn new(registry: &Registry, pool_label: &str, index: usize) -> Self {
         Shard {
             state: Mutex::with_rank(
-                ShardState { slots: HashMap::new(), quarantine: HashMap::new() },
+                ShardState { slots: PageMap::default(), quarantine: PageMap::default() },
                 LockRank::PoolShard,
             ),
             counters: ShardCounters::register(registry, pool_label, index),
@@ -230,12 +233,12 @@ pub(crate) struct PoolInner {
 
 impl PoolInner {
     pub(crate) fn shard(&self, key: PageKey) -> &Shard {
-        // Cheap multiplicative hash over (chain, page_no); the shard count
-        // need not be a power of two.
-        let mut h = key.chain.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= key.page_no.wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-        h ^= h >> 32;
-        &self.shards[(h % self.shards.len() as u64) as usize]
+        // The mix's low word scaled onto the shard count (multiply-shift:
+        // no division, any count). That reads the word's *top* bits; the
+        // shard maps bucket by its bottom bits and tag by the mix's top
+        // ones, so a stripe's keys still spread over its map.
+        let word = key.mix() & 0xFFFF_FFFF;
+        &self.shards[((word * self.shards.len() as u64) >> 32) as usize]
     }
 
     /// Inserts `key` into the shard's capped quarantine set.
@@ -266,57 +269,87 @@ impl PoolInner {
     /// Accounts a successfully read page and registers its frame (pinned)
     /// with the resource manager. The caller owns the registration pin: a
     /// demand load turns it into the `PageGuard`'s pin, an advisory
-    /// prefetch releases it after publishing.
+    /// prefetch releases it once the frame is in its slot.
     pub(crate) fn admit_frame(self: &Arc<Self>, key: PageKey, data: Box<[u8]>) -> Arc<Frame> {
         self.metrics.loads.inc();
         self.metrics.bytes_loaded.add(data.len() as u64);
         self.tracer
             .emit(EventKind::PageLoaded, key.chain.0, key.page_no, data.len() as u64);
-        let frame = Arc::new(Frame {
-            key,
-            data,
-            rid: OnceLock::new(),
-            transient: RwLock::with_rank(None, LockRank::FrameTransient),
-            transient_bytes: AtomicUsize::new(0),
-        });
+        let size = data.len();
         let pool_weak: Weak<PoolInner> = Arc::downgrade(self);
-        let frame_weak: Weak<Frame> = Arc::downgrade(&frame);
-        let rid = self.resman.register_pinned(
-            frame.data.len(),
-            Disposition::PagedAttribute,
-            move || {
-                let (Some(pool), Some(frame)) = (pool_weak.upgrade(), frame_weak.upgrade()) else {
-                    return;
-                };
-                {
-                    let shard = pool.shard(frame.key);
-                    let mut state = shard.lock();
-                    // Only remove the exact frame this resource backs; a newer
-                    // frame or an in-flight load may already occupy the key.
-                    if matches!(
-                        state.slots.get(&frame.key),
-                        Some(Slot::Resident(cur)) if Arc::ptr_eq(cur, &frame)
-                    ) {
-                        state.slots.remove(&frame.key);
+        // Cyclic: the eviction callback needs the frame, the frame needs the
+        // handle registration returns. The callback cannot run before the
+        // frame exists — the resource is registered pinned.
+        Arc::new_cyclic(|frame_weak: &Weak<Frame>| {
+            let frame_weak = Weak::clone(frame_weak);
+            let resource =
+                self.resman.register_pinned(size, Disposition::PagedAttribute, move || {
+                    if let (Some(pool), Some(frame)) = (pool_weak.upgrade(), frame_weak.upgrade()) {
+                        pool.unlink_evicted(&frame);
                     }
-                    *frame.transient.write() = None;
-                }
-                // Emitted after the shard lock drops; includes transient
-                // bytes so the event reflects the full reclaimed size.
-                let bytes =
-                    frame.data.len() + frame.transient_bytes.load(Ordering::Relaxed);
-                pool.tracer.emit(
-                    EventKind::PageEvicted,
-                    frame.key.chain.0,
-                    frame.key.page_no,
-                    bytes as u64,
-                );
-            },
-        );
-        // lint: allow(unwrap) invariant: the OnceLock is fresh, set exactly here
-        frame.rid.set(rid).expect("rid set once");
-        frame
+                });
+            Frame {
+                key,
+                data,
+                resource,
+                resman: self.resman.clone(),
+                transient: RwLock::with_rank(None, LockRank::FrameTransient),
+                transient_bytes: AtomicUsize::new(0),
+            }
+        })
     }
+
+    /// The eviction callback of `frame`'s resource: the manager has claimed
+    /// it, so unlink the slot and destroy the transient state.
+    fn unlink_evicted(&self, frame: &Arc<Frame>) {
+        {
+            let mut state = self.shard(frame.key).lock();
+            // Only remove the exact frame this resource backs; a newer
+            // frame or an in-flight load may already occupy the key.
+            if matches!(
+                state.slots.get(&frame.key),
+                Some(Slot::Resident(cur)) if Arc::ptr_eq(cur, frame)
+            ) {
+                state.slots.remove(&frame.key);
+            }
+            *frame.transient.write() = None;
+        }
+        // Emitted after the shard lock drops; includes transient bytes so
+        // the event reflects the full reclaimed size.
+        let bytes = frame.data.len() + frame.transient_bytes.load(Ordering::Relaxed);
+        self.tracer
+            .emit(EventKind::PageEvicted, frame.key.chain.0, frame.key.page_no, bytes as u64);
+    }
+
+    /// The guard for a frame whose pin the caller already holds (a hit's
+    /// pin-word increment, or a load's registration pin).
+    fn guard(&self, frame: Arc<Frame>, caller: &'static Location<'static>) -> PageGuard {
+        let pin_token = self.pins.pin(|| pin_owner(&frame, caller));
+        PageGuard { frame, pin_token }
+    }
+
+    /// Drops every resident frame of `state` that `select`s and nobody
+    /// pins, deregistering its resource and destroying its transient state.
+    /// "Unpinned" is the manager's definition: `deregister` claims the pin
+    /// word exactly as an eviction does, so a frame with a live guard — or
+    /// one a concurrent eviction already claimed, whose callback will remove
+    /// it — stays, whoever else happens to hold an `Arc` to it.
+    fn release_unpinned(&self, state: &mut ShardState, select: impl Fn(&PageKey) -> bool) {
+        state.slots.retain(|key, slot| {
+            let Slot::Resident(frame) = slot else {
+                return true;
+            };
+            if !select(key) || !self.resman.deregister(&frame.resource) {
+                return true;
+            }
+            *frame.transient.write() = None;
+            false
+        });
+    }
+}
+
+fn pin_owner(frame: &Frame, caller: &Location<'_>) -> String {
+    format!("page {:?} pinned at {caller}", frame.key)
 }
 
 /// What `pin` decided to do after inspecting the shard slot.
@@ -433,8 +466,9 @@ impl BufferPool {
     }
 
     /// Inspects `key`'s shard slot under the stripe lock and decides what a
-    /// pin of it must do. A hit takes its resman pin here; a miss installs
-    /// the single-flight `Loading` slot this pin now owns.
+    /// pin of it must do. A hit takes its pin here — one CAS on the frame's
+    /// pin word, no manager lock; a miss installs the single-flight
+    /// `Loading` slot this pin now owns.
     fn classify(&self, shard: &Shard, key: PageKey) -> PinAction {
         let mut state = shard.lock();
         // Quarantine gate: a permanently failed page serves fail-fast
@@ -453,13 +487,14 @@ impl BufferPool {
             return PinAction::FailFast(err);
         }
         match state.slots.get(&key) {
-            Some(Slot::Resident(frame)) if self.inner.resman.pin(frame.rid()) => {
+            Some(Slot::Resident(frame)) if frame.resource.pin() => {
                 // Counters and events happen outside the lock.
                 PinAction::Hit(Arc::clone(frame))
             }
             Some(Slot::Loading(ls)) => PinAction::Wait(Arc::clone(ls)),
-            // Absent — or evicted between the handler firing and us
-            // observing the map: replace the stale frame with a fresh load.
+            // Absent — or claimed by an eviction whose callback has not
+            // unlinked the slot yet (the pin saw `EVICTED`): replace the
+            // stale frame with a fresh load.
             Some(Slot::Resident(_)) | None => {
                 let ls = LoadState::new();
                 state.slots.insert(key, Slot::Loading(Arc::clone(&ls)));
@@ -469,8 +504,12 @@ impl BufferPool {
     }
 
     fn pin_at(&self, key: PageKey, caller: &'static Location<'static>) -> StorageResult<PageGuard> {
-        let started = Instant::now();
         let shard = self.inner.shard(key);
+        // An unsampled warm hit reads no clock; a cold pin starts timing
+        // when it learns it is cold (the classify before that is noise at
+        // load scale), so `load_ns` still holds every cold pin.
+        let mut started =
+            shard.counters.hits.get().is_multiple_of(PIN_SAMPLE_EVERY).then(Instant::now);
         // Whether this pin touched a cold path (started or joined a load):
         // cold pins record into `load_ns`, pure hits into `pin_ns`, so the
         // warm histogram stays readable at nanosecond scale.
@@ -479,18 +518,20 @@ impl BufferPool {
             match self.classify(shard, key) {
                 PinAction::Hit(frame) => {
                     shard.counters.hits.inc();
-                    break PageGuard::new(Arc::clone(&self.inner), frame, caller);
+                    break self.inner.guard(frame, caller);
                 }
                 PinAction::Load(ls) => {
                     cold = true;
+                    started.get_or_insert_with(Instant::now);
                     shard.counters.misses.inc();
                     let frame = self.load_wave(vec![(key, ls)]).pop().unwrap_or_else(|| {
                         unreachable!("one result per load")
                     })?;
-                    break PageGuard::new(Arc::clone(&self.inner), frame, caller);
+                    break self.inner.guard(frame, caller);
                 }
                 PinAction::Wait(ls) => {
                     cold = true;
+                    started.get_or_insert_with(Instant::now);
                     // Wait outside the shard lock. The loader publishes a
                     // resident frame (hit next round) or fails — in which
                     // case we surface its actual error instead of blindly
@@ -516,11 +557,13 @@ impl BufferPool {
                 }
             }
         };
-        let elapsed = started.elapsed().as_nanos() as u64;
-        if cold {
-            self.inner.metrics.load_ns.record(elapsed);
-        } else {
-            self.inner.metrics.pin_ns.record(elapsed);
+        if let Some(started) = started {
+            let elapsed = started.elapsed().as_nanos() as u64;
+            if cold {
+                self.inner.metrics.load_ns.record(elapsed);
+            } else {
+                self.inner.metrics.pin_ns.record(elapsed);
+            }
         }
         self.inner
             .tracer
@@ -557,13 +600,16 @@ impl BufferPool {
         let mut wave: Vec<(PageKey, Arc<LoadState>)> = Vec::new();
         let mut wave_at: Vec<usize> = Vec::new();
         let mut hits = 0u64;
+        // The warm pass is sampled like single pins: when one of its hits
+        // is a shard's 1st, 65th, … the whole pass records.
+        let mut sampled = false;
         for (i, &key) in keys.iter().enumerate() {
             let shard = self.inner.shard(key);
             out.push(match self.classify(shard, key) {
                 PinAction::Hit(frame) => {
-                    shard.counters.hits.inc();
+                    sampled |= (shard.counters.hits.add(1) - 1).is_multiple_of(PIN_SAMPLE_EVERY);
                     hits += 1;
-                    Some(Ok(PageGuard::new(Arc::clone(&self.inner), frame, caller)))
+                    Some(Ok(self.inner.guard(frame, caller)))
                 }
                 PinAction::Load(ls) => {
                     shard.counters.misses.inc();
@@ -579,19 +625,17 @@ impl BufferPool {
                 }
             });
         }
-        if hits > 0 {
+        if sampled {
             // One clock read for the pass: each hit records its share.
             let per_hit = started.elapsed().as_nanos() as u64 / keys.len() as u64;
-            for _ in 0..hits {
-                self.inner.metrics.pin_ns.record(per_hit);
-            }
+            self.inner.metrics.pin_ns.record_n(per_hit, hits);
         }
         if !wave.is_empty() {
             let frames = self.load_wave(wave);
             let waited = started.elapsed().as_nanos() as u64;
             for (i, frame) in wave_at.into_iter().zip(frames) {
                 self.inner.metrics.load_ns.record(waited);
-                out[i] = Some(frame.map(|f| PageGuard::new(Arc::clone(&self.inner), f, caller)));
+                out[i] = Some(frame.map(|f| self.inner.guard(f, caller)));
             }
         }
         keys.iter()
@@ -762,20 +806,7 @@ impl BufferPool {
     /// experiment runs.
     pub fn clear(&self) {
         for shard in self.inner.shards.iter() {
-            let mut state = shard.lock();
-            state.slots.retain(|_, slot| {
-                let Slot::Resident(frame) = slot else {
-                    return true;
-                };
-                // Strong count > 1 means live guards exist (the map holds one
-                // reference; eviction closures hold only weak ones).
-                if Arc::strong_count(frame) > 1 {
-                    return true;
-                }
-                self.inner.resman.deregister(frame.rid());
-                *frame.transient.write() = None;
-                false
-            });
+            self.inner.release_unpinned(&mut shard.lock(), |_| true);
         }
     }
 
@@ -792,20 +823,7 @@ impl BufferPool {
         for shard in self.inner.shards.iter() {
             let mut state = shard.lock();
             state.quarantine.retain(|key, _| key.chain != chain);
-            state.slots.retain(|key, slot| {
-                if key.chain != chain {
-                    return true;
-                }
-                let Slot::Resident(frame) = slot else {
-                    return true;
-                };
-                if Arc::strong_count(frame) > 1 {
-                    return true;
-                }
-                self.inner.resman.deregister(frame.rid());
-                *frame.transient.write() = None;
-                false
-            });
+            self.inner.release_unpinned(&mut state, |key| key.chain == chain);
         }
         // Best-effort on the store side: a chain another path already
         // dropped (or a store without the page ever written) is fine — the
@@ -876,24 +894,13 @@ impl BufferPool {
 /// resource manager when it is being read").
 pub struct PageGuard {
     frame: Arc<Frame>,
-    pool: Arc<PoolInner>,
     /// Pin-leak detector token (`strict-invariants` only; zero-sized
-    /// otherwise).
-    pin_token: payg_check::PinToken,
+    /// otherwise). Carries its own tracker handle, so a guard holds the
+    /// frame and nothing of the pool.
+    pin_token: PinToken,
 }
 
 impl PageGuard {
-    fn new(
-        pool: Arc<PoolInner>,
-        frame: Arc<Frame>,
-        caller: &'static Location<'static>,
-    ) -> Self {
-        let pin_token = pool
-            .pins
-            .pin(|| format!("page {:?} pinned at {caller}", frame.key));
-        PageGuard { frame, pool, pin_token }
-    }
-
     /// The page's address.
     pub fn key(&self) -> PageKey {
         self.frame.key
@@ -936,15 +943,13 @@ impl PageGuard {
         let arc: Arc<T> = Arc::new(value);
         *write = Some(arc.clone());
         self.frame.transient_bytes.store(bytes, Ordering::Relaxed);
-        self.pool
-            .resman
-            .resize(self.frame.rid(), self.frame.data.len() + bytes);
+        self.frame.resman.resize(&self.frame.resource, self.frame.data.len() + bytes);
         Ok(arc)
     }
 
     /// Marks the page as recently used without re-pinning.
     pub fn touch(&self) {
-        self.pool.resman.touch(self.frame.rid());
+        self.frame.resource.touch();
     }
 }
 
@@ -959,21 +964,20 @@ impl Deref for PageGuard {
 impl Clone for PageGuard {
     #[track_caller]
     fn clone(&self) -> Self {
-        // A clone is another pin; pin can only fail for evicted resources
-        // and a live guard prevents eviction.
-        assert!(self.pool.resman.pin(self.frame.rid()), "pinned frame cannot vanish");
-        PageGuard::new(
-            Arc::clone(&self.pool),
-            Arc::clone(&self.frame),
-            Location::caller(),
-        )
+        // A clone is another pin (and a touch); pin can only fail for
+        // evicted resources and a live guard prevents eviction.
+        assert!(self.frame.resource.pin(), "pinned frame cannot vanish");
+        let caller = Location::caller();
+        PageGuard {
+            frame: Arc::clone(&self.frame),
+            pin_token: self.pin_token.fork(|| pin_owner(&self.frame, caller)),
+        }
     }
 }
 
 impl Drop for PageGuard {
     fn drop(&mut self) {
-        self.pool.pins.unpin(&self.pin_token);
-        self.pool.resman.unpin(self.frame.rid());
+        self.frame.resource.unpin();
     }
 }
 
@@ -1100,6 +1104,81 @@ mod tests {
         pool.clear();
         assert_eq!(pool.resident_pages(), 0);
         assert_eq!(pool.resource_manager().stats().total_bytes, 0);
+    }
+
+    #[test]
+    fn clear_decides_pinned_by_the_pin_word_not_by_who_holds_the_frame() {
+        let (pool, chain) = pool_with_pages(2, 32);
+        let (held, guarded) = (PageKey::new(chain, 0), PageKey::new(chain, 1));
+        drop(pool.pin(held).unwrap());
+        // A transient holder that is not a guard (a stage completion, a
+        // resolved ticket): an extra `Arc<Frame>`, no pin.
+        let holder = match pool.inner.shard(held).lock().slots.get(&held) {
+            Some(Slot::Resident(frame)) => Arc::clone(frame),
+            _ => panic!("page 0 is resident"),
+        };
+        let guard = pool.pin(guarded).unwrap();
+        pool.clear();
+        assert!(!pool.is_resident(held), "an unpinned frame goes, whoever holds an Arc to it");
+        assert!(pool.is_resident(guarded), "a guarded frame survives");
+        assert_eq!(pool.resource_manager().stats().paged_count, 1);
+        assert!(!holder.resource.pin(), "the dropped frame's resource is gone for good");
+        assert_eq!(guard[0], 1);
+        // The same definition through discard_chain.
+        drop(pool.pin(held).unwrap());
+        pool.discard_chain(chain);
+        assert!(!pool.is_resident(held) && pool.is_resident(guarded));
+    }
+
+    #[test]
+    fn lock_free_pins_race_a_looping_unload_and_the_accounting_closes() {
+        let store = MemStore::new();
+        let chain = store.create_chain(64).unwrap();
+        for i in 0..4u8 {
+            store.append_page(chain, &[i; 8]).unwrap();
+        }
+        let resman = ResourceManager::new();
+        resman.set_paged_limits_manual(Some(PoolLimits::new(0, usize::MAX)));
+        let pool = BufferPool::with_shards(Arc::new(store), resman.clone(), 2);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let pinners: Vec<_> = (0..8u64)
+                .map(|t| {
+                    let pool = &pool;
+                    s.spawn(move || {
+                        for i in 0..10_000u64 {
+                            let page = (i + t) % 4;
+                            let g = pool.pin(PageKey::new(chain, page)).unwrap();
+                            assert_eq!(g[0], page as u8, "every guard reads its page's byte");
+                            if i % 3 == 0 {
+                                assert_eq!(g.clone()[7], page as u8);
+                            }
+                        }
+                    })
+                })
+                .collect();
+            // Evict everything unpinned, over and over, until the pinners
+            // are done: every hit races a claim.
+            let evictor = s.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    resman.reactive_unload();
+                }
+            });
+            for p in pinners {
+                p.join().unwrap();
+            }
+            done.store(true, Ordering::Release);
+            evictor.join().unwrap();
+        });
+        assert_eq!(pool.live_pins(), 0);
+        pool.assert_no_live_pins("pin/unload stress quiesce");
+        let m = pool.metrics();
+        assert_eq!(m.hits + m.misses, 80_000, "every pin is a hit or a miss");
+        let stats = resman.stats();
+        assert_eq!(stats.paged_bytes, pool.resident_pages() * 64, "paged bytes are the resident frames'");
+        assert_eq!(m.loads, stats.reactive_evictions + pool.resident_pages() as u64);
+        assert_eq!(resman.reactive_unload(), stats.paged_bytes, "nothing is left pinned");
+        assert_eq!(pool.resident_pages(), 0);
     }
 
     #[test]

@@ -173,10 +173,11 @@ fn a_burst_of_single_page_runs_spreads_over_the_workers() {
 }
 
 #[test]
-fn cold_pins_record_load_latency_warm_pins_record_pin_latency() {
-    // The warm/cold split: a cold pin (elected loader or single-flight
-    // waiter) lands in `pool_load_ns`, a warm pin in `pool_pin_ns` — the
-    // two histograms partition the successful pins.
+fn cold_pins_record_load_latency_warm_pins_sample_pin_latency() {
+    // The warm/cold split: every cold pin (elected loader or single-flight
+    // waiter) lands in `pool_load_ns`; warm pins are counted exactly in
+    // `hits` and *sampled* 1-in-64 per shard (first hit included) into
+    // `pool_pin_ns`, so the watch costs less than the hit it watches.
     let store = MemStore::new();
     let chain = store.create_chain(32).unwrap();
     for i in 0..4u64 {
@@ -191,14 +192,18 @@ fn cold_pins_record_load_latency_warm_pins_record_pin_latency() {
     }
     let snap = ObsSnapshot::collect(pool.registry());
     assert_eq!(snap.histogram("pool_load_ns").count(), 4, "one cold pin per page");
-    assert_eq!(snap.histogram("pool_pin_ns").count(), 3, "three warm re-pins");
-    // A batched pin keeps the partition: one sample per key, by how it was
-    // served.
+    assert_eq!(pool.metrics().hits, 3, "three warm re-pins");
+    let sampled = snap.histogram("pool_pin_ns").count();
+    assert!(0 < sampled && sampled <= 3, "the shard's first hit is sampled: {sampled}");
+    // A batched pin keeps the split: every cold member records, the warm
+    // pass records as one sample-or-not.
     pool.clear();
     let keys: Vec<PageKey> = (0..4u64).map(|p| PageKey::new(chain, p)).collect();
     drop(pool.pin(keys[1]).unwrap()); // one more cold pin: 5
-    drop(pool.pin_many(&keys)); // three cold (8), one warm (4)
+    drop(pool.pin_many(&keys)); // three cold (8), one warm
     let snap = ObsSnapshot::collect(pool.registry());
     assert_eq!(snap.histogram("pool_load_ns").count(), 8);
-    assert_eq!(snap.histogram("pool_pin_ns").count(), 4);
+    assert_eq!(pool.metrics().hits, 4);
+    let sampled = snap.histogram("pool_pin_ns").count();
+    assert!(0 < sampled && sampled <= 4, "samples never outnumber hits: {sampled}");
 }

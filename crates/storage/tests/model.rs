@@ -160,6 +160,60 @@ fn explore(f: impl Fn() + Send + Sync + 'static) {
 }
 
 #[test]
+fn lock_free_pin_drop_repin_races_unload_on_one_key() {
+    // The pin protocol on the real pool: two threads pin / read / drop /
+    // re-pin one key — each hit a CAS on the frame's pin word under the
+    // shard lock, each drop a bare `fetch_sub` — while a third runs the
+    // reactive unload (limits 0/MAX: evict everything unpinned), which
+    // claims victims `0 → EVICTED` under the resman lock. Whichever way a
+    // pin and a claim interleave, the guard reads the page's bytes, every
+    // pin is a hit or a miss, every load is a residency that is still
+    // there or was evicted once, and the accounting closes.
+    explore(|| {
+        let (pool, chain) = pool_with_pages(2);
+        let pool = Arc::new(pool);
+        let resman = pool.resource_manager().clone();
+        resman.set_paged_limits_manual(Some(PoolLimits::new(0, usize::MAX)));
+        let key = PageKey::new(chain, 1);
+        drop(pool.pin(key).expect("warm-up pin"));
+        let pinners: Vec<_> = (0..2)
+            .map(|_| {
+                let p = Arc::clone(&pool);
+                thread::spawn(move || {
+                    for _ in 0..2 {
+                        let g = p.pin(key).expect("pin");
+                        assert_eq!(g[0], 1, "guard bytes must be stable under an unload race");
+                    }
+                })
+            })
+            .collect();
+        let r = resman.clone();
+        let evictor = thread::spawn(move || {
+            r.reactive_unload();
+        });
+        for t in pinners {
+            t.join().expect("model thread");
+        }
+        evictor.join().expect("model thread");
+        let m = pool.metrics();
+        assert_eq!(m.hits + m.misses, 5, "every pin is a hit or a miss: {m:?}");
+        assert_eq!(m.loads, m.misses, "no failed loads here: {m:?}");
+        pool.assert_no_live_pins("model quiesce");
+        let stats = resman.stats();
+        let resident = pool.resident_pages();
+        assert_eq!(
+            m.loads,
+            stats.reactive_evictions + resident as u64,
+            "a load is a residency: still resident or evicted exactly once"
+        );
+        assert_eq!(stats.paged_bytes, resident * 32, "paged bytes are the resident frames'");
+        // Quiesced and unpinned: one more pass empties the pool.
+        resman.reactive_unload();
+        assert_eq!((pool.resident_pages(), resman.stats().paged_bytes), (0, 0));
+    });
+}
+
+#[test]
 fn caller_drained_wave_with_a_corrupt_member_resolves_the_rest_and_leaks_no_pin() {
     // `batched_pin_is_never_stranded…` of payg-check's iostage model, on
     // the real pool: one batched pin over [good, corrupt, good] races a

@@ -86,6 +86,10 @@ fn single_flight_wait_counts_and_emits_events() {
             });
         }
         store.wait_for_waiters(1);
+        // Hold the gate until a pin has provably joined the load.
+        while pool.metrics().load_waits < 1 {
+            std::thread::yield_now();
+        }
         store.open();
     });
     let m = pool.metrics();

@@ -96,16 +96,16 @@ fn main() {
         snap.gauge("resman_paged_bytes") <= (192 << 10),
         "quiesced pool is back under the upper limit"
     );
-    // Pin latency splits by temperature: warm hits record `pool_pin_ns`,
-    // cold pins (loads and single-flight waits) record `pool_load_ns` —
-    // together exactly one sample per successful pin.
+    // Pin latency splits by temperature: every cold pin (loads and
+    // single-flight waits) records `pool_load_ns`; warm hits are counted
+    // exactly and sampled 1-in-64 per shard into `pool_pin_ns`.
     let pin_ns = snap.histogram("pool_pin_ns");
     let load_ns = snap.histogram("pool_load_ns");
-    assert_eq!(pin_ns.count(), hits, "one warm-latency sample per hit");
-    assert_eq!(
-        pin_ns.count() + load_ns.count(),
-        hits + misses,
-        "one latency sample per pin across the warm/cold split"
+    assert_eq!(load_ns.count(), misses, "one cold-latency sample per miss");
+    assert!(
+        0 < pin_ns.count() && pin_ns.count() <= hits,
+        "warm latency is a sample of the hits: {} of {hits}",
+        pin_ns.count()
     );
     println!(
         "consistency: hits={hits} misses={misses} loads={loads} \

@@ -9,8 +9,8 @@
 //!
 //! The pass is deliberately direct-only (no call resolution): a `let`
 //! binding produced by `.pin(..)`, `.pin_many(..)` (a wave: the binding
-//! holds every guard of the batch), `get_or_pin(..)`, or
-//! `PageGuard::new(..)` in `crates/storage` / `crates/core` library code is
+//! holds every guard of the batch), `get_or_pin(..)`, or the pool's
+//! `.guard(..)` constructor in `crates/storage` / `crates/core` library code is
 //! tracked to the end of its block (or `drop(name)`); any blocking event
 //! inside that region is flagged — so a phase that parks, locks or pins its
 //! *next* wave while the previous wave's guards are still bound is caught. Architectural guard-holding (the scan guard cache) lives in
@@ -123,20 +123,18 @@ fn statement_pins(stmt: &[Tok]) -> bool {
                 && stmt.get(k + 2).is_some_and(|x| x.is_punct('('))
         };
         if dot_call("pin") || dot_call("pin_many") || dot_call("get_or_pin") {
-            // Accounting pins are not guard producers: `resman.pin(rid)`
-            // bumps a refcount and returns bool; `pins.pin(..)` registers
-            // with the leak tracker. Only pool/cache pins yield guards.
+            // Accounting pins are not guard producers: `resource.pin()`
+            // bumps a resource handle's pin word and returns bool;
+            // `pins.pin(..)` registers with the leak tracker. Only
+            // pool/cache pins yield guards.
             let receiver_is_accounting = k > 0
-                && (stmt[k - 1].is_ident("resman") || stmt[k - 1].is_ident("pins"));
+                && (stmt[k - 1].is_ident("resource") || stmt[k - 1].is_ident("pins"));
             if !receiver_is_accounting {
                 return true;
             }
         }
-        if t.is_ident("PageGuard")
-            && stmt.get(k + 1).is_some_and(|x| x.is_punct(':'))
-            && stmt.get(k + 2).is_some_and(|x| x.is_punct(':'))
-            && stmt.get(k + 3).is_some_and(|x| x.is_ident("new"))
-        {
+        // The pool's one guard constructor (`PoolInner::guard`).
+        if dot_call("guard") {
             return true;
         }
     }

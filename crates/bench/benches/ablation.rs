@@ -32,7 +32,6 @@ fn config() -> PageConfig {
         helper_page: 4096,
         index_page: 4096,
         inline_limit: 128,
-        ..PageConfig::default()
     }
 }
 

@@ -123,7 +123,6 @@ impl BenchConfig {
             helper_page: self.page_size,
             index_page: self.page_size,
             inline_limit: 128,
-            ..payg_core::PageConfig::default()
         }
     }
 }

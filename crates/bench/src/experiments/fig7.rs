@@ -2,8 +2,9 @@
 //!
 //! Workload `Q_num^count` — `SELECT COUNT(*) FROM T WHERE C_num = value` —
 //! on `T_p^i` vs `T_b^i` (every column indexed): the count is answered from
-//! the inverted index. Most generated columns are sparse, so each paged
-//! index is a mixed postinglist+directory page chain. Paper result: smaller
+//! the inverted index — from its directory pages alone (two entries per
+//! vid); the Elias-Fano posting pages and their skip table ahead of the
+//! directory in each chain are never touched. Paper result: smaller
 //! footprint for the paged index; each search needs at most two page
 //! accesses, so the overhead sits between the paged data vector (Fig. 4)
 //! and the paged dictionary search (Fig. 6).

@@ -21,7 +21,7 @@ mod resident;
 
 pub use builder::{ColumnBuild, ColumnBuilder};
 pub use materialize::{materialize, WAVE_PAGES};
-pub use paged::{probe_shape, IndexMode, PagedColumn};
+pub use paged::{IndexMode, PagedColumn};
 pub use read::ColumnRead;
 pub use resident::ResidentColumn;
 
@@ -110,7 +110,7 @@ impl Column {
 
     /// The strategy a row search for `pred` runs with. Resident columns
     /// always decode-then-scan — their image is already decompressed in
-    /// memory — so only page-loadable columns consult the dispatch seam.
+    /// memory — so only page-loadable columns ever seek compressed postings.
     pub fn scan_path(&self, pred: &ValuePredicate) -> ScanPath {
         match self {
             Column::Resident(_) => ScanPath::DecodeThenScan,
@@ -133,17 +133,7 @@ impl Column {
         w.u8(disposition_tag(disposition));
         w.u64(parts.len);
         w.u64(parts.cardinality);
-        for v in [
-            parts.config.datavec_page,
-            parts.config.dict_page,
-            parts.config.overflow_page,
-            parts.config.helper_page,
-            parts.config.index_page,
-            parts.config.inline_limit,
-        ] {
-            w.u64(v as u64);
-        }
-        w.u64((parts.config.dict_fsst as u64) | ((parts.config.pef_postings as u64) << 1));
+        parts.config.write_meta(&mut w);
         w.bytes(&parts.dict.meta_bytes());
         w.bytes(&parts.data.meta_bytes());
         match &parts.index {
@@ -175,21 +165,7 @@ impl Column {
         let disposition = disposition_from(r.u8()?)?;
         let len = r.u64()?;
         let cardinality = r.u64()?;
-        let mut cfg_vals = [0u64; 6];
-        for v in &mut cfg_vals {
-            *v = r.u64()?;
-        }
-        let cfg_flags = r.u64()?;
-        let config = PageConfig {
-            datavec_page: cfg_vals[0] as usize,
-            dict_page: cfg_vals[1] as usize,
-            overflow_page: cfg_vals[2] as usize,
-            helper_page: cfg_vals[3] as usize,
-            index_page: cfg_vals[4] as usize,
-            inline_limit: cfg_vals[5] as usize,
-            dict_fsst: cfg_flags & 1 != 0,
-            pef_postings: cfg_flags & 2 != 0,
-        };
+        let config = PageConfig::read_meta(&mut r)?;
         let dict = crate::dict::PagedDictionary::open(pool, &r.bytes()?)?;
         let data = crate::datavec::PagedDataVector::open(pool, &r.bytes()?)?;
         let index = match r.u8()? {

@@ -5,7 +5,7 @@ use crate::datavec::ScanOptions;
 use crate::dict::HandleCache;
 use crate::invidx::{for_each_run, PagedInvertedIndex};
 use crate::{CoreResult, DataType, PageConfig, Value, ValuePredicate};
-use payg_encoding::dispatch::{self, CodecKind, ProbeShape, ScanPath};
+use payg_encoding::dispatch::{CodecKind, ScanPath};
 use payg_encoding::VidSet;
 use payg_storage::BufferPool;
 use std::sync::{Arc, OnceLock};
@@ -28,14 +28,16 @@ pub enum IndexMode {
     },
 }
 
-/// Maps a value predicate to the probe shape the codec dispatch seam
-/// understands: equality is a point probe, `In` is a set probe, and the
-/// ordered predicates (`Between`, prefix) are range probes.
-pub fn probe_shape(pred: &ValuePredicate) -> ProbeShape {
+/// The index traversal for `pred`, picked from its shape alone: point and
+/// set probes (`Eq`, `In`) seek each vid's postings in the compressed
+/// domain — `next_row_pos_geq` leapfrogs every partition below the row
+/// range on its two-varint header — while the ordered predicates
+/// (`Between`, prefix) are one vid range, hence one posting run, decoded
+/// and drained whole.
+fn index_path(pred: &ValuePredicate) -> ScanPath {
     match pred {
-        ValuePredicate::Eq(_) => ProbeShape::Point,
-        ValuePredicate::In(_) => ProbeShape::Set,
-        ValuePredicate::Between(..) | ValuePredicate::StartsWith(_) => ProbeShape::Range,
+        ValuePredicate::Eq(_) | ValuePredicate::In(_) => ScanPath::CompressedDomain,
+        ValuePredicate::Between(..) | ValuePredicate::StartsWith(_) => ScanPath::DecodeThenScan,
     }
 }
 
@@ -148,14 +150,13 @@ impl PagedColumn {
         self.parts.index.current().map(|i| i.codec_kind())
     }
 
-    /// The strategy a row search for `pred` runs with: compressed-domain
-    /// when an index exists and [`dispatch::choose`] picks it for the
-    /// index's codec and the probe's shape, decode-then-scan otherwise.
-    /// (Dictionary probes decide independently: FSST equality probes always
-    /// compare compressed bytes inside `find`.)
+    /// The strategy a row search for `pred` runs with: the index traversal
+    /// its shape selects when an index exists, decode-then-scan (the data
+    /// vector kernels) otherwise. (Dictionary probes decide independently:
+    /// FSST equality probes always compare compressed bytes inside `find`.)
     pub fn scan_path(&self, pred: &ValuePredicate) -> ScanPath {
         match self.parts.index.current() {
-            Some(i) => dispatch::choose(i.codec_kind(), probe_shape(pred)),
+            Some(_) => index_path(pred),
             None => ScanPath::DecodeThenScan,
         }
     }
@@ -231,18 +232,12 @@ impl PagedColumn {
             return Ok(out);
         }
         match self.parts.index_for_search()? {
-            // Alg. 5: answer from the paged inverted index. The codec
-            // dispatch seam picks the traversal per postinglist: under PEF
-            // point/set probes seek in the compressed domain — `next_geq`
-            // leapfrogs every partition below `from` on its two-varint
-            // header alone — while plain bit-packed postings (and range
-            // shapes, where the whole list is emitted anyway) drain through
-            // the classic decode path.
+            // Alg. 5: answer from the paged inverted index.
             Some(index) => {
-                let path = dispatch::choose(index.codec_kind(), probe_shape(pred));
+                let path = index_path(pred);
                 // Flight recorder: one chunk-dispatch span covers the whole
-                // index traversal; `detail` records which path `choose`
-                // picked (1 = compressed-domain, 0 = decode-then-scan).
+                // index traversal; `detail` records which path it took
+                // (1 = compressed-domain, 0 = decode-then-scan).
                 let _span = self.parts.pool.registry().tracer().span(
                     payg_obs::SpanKind::ChunkDispatch,
                     matches!(path, ScanPath::CompressedDomain) as u64,

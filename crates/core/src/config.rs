@@ -1,11 +1,18 @@
 //! Page-size and layout configuration.
 
+use crate::meta::{MetaReader, MetaWriter};
+use crate::CoreResult;
+
 /// Page sizes (bytes) used when persisting column structures.
 ///
 /// The paper uses 1 MB dictionary pages on a 100 M-row, 256 GB testbed; this
 /// reproduction's default dataset is ~100× smaller, so default pages are
 /// scaled down proportionally to keep the page *count* per column — and with
 /// it the piecewise-loading behaviour — comparable. All sizes are tunable.
+///
+/// Sizes only: which codec a chain uses (FSST or plain front-coding for a
+/// dictionary, Elias-Fano postings) is decided by the builder from the data
+/// and recorded in the chain descriptor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PageConfig {
     /// Pages of the data vector chain.
@@ -21,13 +28,6 @@ pub struct PageConfig {
     /// Maximum on-page bytes per dictionary value; longer suffixes spill to
     /// the overflow chain (the paper's large-string split).
     pub inline_limit: usize,
-    /// Compress dictionary value blocks with a trained FSST symbol table
-    /// when it pays (sampled ratio < [`FSST_SKIP_RATIO`]). Point and set
-    /// probes then run on compressed bytes in place.
-    pub dict_fsst: bool,
-    /// Encode inverted-index posting lists as partitioned Elias-Fano
-    /// partitions instead of plain bit-packed arrays.
-    pub pef_postings: bool,
 }
 
 /// Sampled compression ratio (compressed ÷ raw) at or above which FSST is
@@ -44,8 +44,6 @@ impl Default for PageConfig {
             helper_page: 4 * 1024,
             index_page: 16 * 1024,
             inline_limit: 512,
-            dict_fsst: true,
-            pef_postings: true,
         }
     }
 }
@@ -61,9 +59,34 @@ impl PageConfig {
             helper_page: 512,
             index_page: 256,
             inline_limit: 24,
-            dict_fsst: true,
-            pef_postings: true,
         }
+    }
+
+    /// Appends the checkpoint encoding: the six sizes as `u64`s.
+    pub fn write_meta(&self, w: &mut MetaWriter) {
+        for v in [
+            self.datavec_page,
+            self.dict_page,
+            self.overflow_page,
+            self.helper_page,
+            self.index_page,
+            self.inline_limit,
+        ] {
+            w.u64(v as u64);
+        }
+    }
+
+    /// Reads back what [`PageConfig::write_meta`] wrote.
+    pub fn read_meta(r: &mut MetaReader<'_>) -> CoreResult<PageConfig> {
+        let mut size = || r.u64().map(|v| v as usize);
+        Ok(PageConfig {
+            datavec_page: size()?,
+            dict_page: size()?,
+            overflow_page: size()?,
+            helper_page: size()?,
+            index_page: size()?,
+            inline_limit: size()?,
+        })
     }
 
     /// Validates invariants the writers rely on.
@@ -103,6 +126,19 @@ mod tests {
     fn defaults_validate() {
         PageConfig::default().validate().unwrap();
         PageConfig::tiny().validate().unwrap();
+    }
+
+    #[test]
+    fn checkpoint_encoding_round_trips() {
+        for cfg in [PageConfig::default(), PageConfig::tiny()] {
+            let mut w = MetaWriter::new();
+            cfg.write_meta(&mut w);
+            let bytes = w.finish();
+            let mut r = MetaReader::new(&bytes);
+            assert_eq!(PageConfig::read_meta(&mut r).unwrap(), cfg);
+            r.expect_end().unwrap();
+            assert!(PageConfig::read_meta(&mut MetaReader::new(&bytes[..40])).is_err());
+        }
     }
 
     #[test]

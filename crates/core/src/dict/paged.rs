@@ -27,9 +27,10 @@
 //! — is built when a page is loaded, charged to the paged pool, and
 //! destroyed on eviction.
 //!
-//! When [`PageConfig::dict_fsst`] is on and a sampled compression ratio
-//! clears [`crate::config::FSST_SKIP_RATIO`], the dictionary chain's value
-//! blocks hold **FSST-compressed** keys: front-coding, overflow spill and
+//! When a sampled compression ratio clears
+//! [`crate::config::FSST_SKIP_RATIO`] — the builder's decision, taken from
+//! the keys — the dictionary chain's value blocks hold **FSST-compressed**
+//! keys: front-coding, overflow spill and
 //! equality probes all run on compressed bytes (deterministic encoding makes
 //! compressed equality ⇔ raw equality), and only ordering comparisons and
 //! materialization decompress. The trained symbol table travels in the
@@ -257,8 +258,7 @@ impl PagedDictionary {
         // Compressed-domain dictionary chain: train a symbol table on a key
         // sample and keep it only when it actually pays (the helper chains
         // always stay raw so routing comparisons never decode).
-        let (fsst, fsst_per_mille) =
-            if config.dict_fsst { train_dict_fsst(keys) } else { (None, 1000) };
+        let (fsst, fsst_per_mille) = train_dict_fsst(keys);
 
         // Off-page allocator: splits a byte tail into overflow-page-sized
         // pieces, one page each. Errors escape via the side channel because
@@ -391,11 +391,7 @@ impl PagedDictionary {
                 &[("pool", label), ("codec", CodecKind::Plain.label())],
             )
             .add((vid_helper_pages + value_helper_pages) * config.helper_page as u64);
-        if config.dict_fsst {
-            registry
-                .gauge_labeled(names::DICT_FSST_RATIO, &[("pool", label)])
-                .set(fsst_per_mille);
-        }
+        registry.gauge_labeled(names::DICT_FSST_RATIO, &[("pool", label)]).set(fsst_per_mille);
 
         let meta = Meta {
             cardinality: keys.len() as u64,
@@ -1272,33 +1268,49 @@ mod tests {
         assert_eq!(pool.resident_pages(), 0);
     }
 
+    /// High-entropy 16-byte keys: the sampled ratio misses
+    /// `FSST_SKIP_RATIO`, so the builder keeps the chain plain.
+    fn incompressible_keys(n: u64) -> Vec<Vec<u8>> {
+        let mut ks: Vec<Vec<u8>> = (0..n)
+            .map(|i| {
+                let mut x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                let mut k = Vec::with_capacity(16);
+                for _ in 0..2 {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    k.extend_from_slice(&x.to_be_bytes());
+                }
+                k
+            })
+            .collect();
+        ks.sort();
+        ks.dedup();
+        ks
+    }
+
     #[test]
-    fn fsst_matches_plain_and_shrinks_the_chain() {
-        let ks = keys(1200);
-        let (_p1, compressed, cstats) = build(&ks, &PageConfig::tiny());
-        let plain_cfg = PageConfig { dict_fsst: false, ..PageConfig::tiny() };
-        let (_p2, plain, pstats) = build(&ks, &plain_cfg);
-        assert_eq!(compressed.codec_kind(), CodecKind::Fsst);
-        assert_eq!(plain.codec_kind(), CodecKind::Plain);
-        assert!(
-            cstats.dict_pages < pstats.dict_pages,
-            "fsst chain ({} pages) must be smaller than plain ({} pages)",
-            cstats.dict_pages,
-            pstats.dict_pages
-        );
-        let mut itc = compressed.iter();
-        let mut itp = plain.iter();
-        for (vid, k) in ks.iter().enumerate() {
-            assert_eq!(itc.find(k).unwrap(), itp.find(k).unwrap(), "find {vid}");
-            assert_eq!(itc.find(k).unwrap(), Ok(vid as u64));
-            assert_eq!(itc.key_by_vid(vid as u64).unwrap(), *k);
+    fn both_data_selected_codecs_match_the_in_memory_dictionary() {
+        for (ks, codec) in
+            [(keys(1200), CodecKind::Fsst), (incompressible_keys(1200), CodecKind::Plain)]
+        {
+            let (_pool, paged, _) = build(&ks, &PageConfig::tiny());
+            assert_eq!(paged.codec_kind(), codec, "the keys select the codec");
+            let oracle = crate::dict::InMemoryDict::from_sorted_keys(ks.clone());
+            let mut it = paged.iter();
+            for (vid, k) in ks.iter().enumerate() {
+                assert_eq!(it.find(k).unwrap(), Ok(vid as u64), "find {vid}");
+                assert_eq!(it.key_by_vid(vid as u64).unwrap(), oracle.key(vid as u64));
+            }
+            // Misses agree on insertion points.
+            let mut between = ks[500].clone();
+            between.push(b'x');
+            for probe in [&between[..], b"aaa", b"zzz", b"customer-", &[0xFF; 20]] {
+                assert_eq!(it.find(probe).unwrap(), oracle.find(probe), "{codec:?} {probe:?}");
+            }
+            // Bulk materialization decodes back to the raw keys.
+            assert_eq!(paged.materialize_all_direct().unwrap(), ks);
         }
-        // Misses agree on insertion points.
-        for probe in [&b"customer-000500x"[..], b"aaa", b"zzz", b"customer-"] {
-            assert_eq!(itc.find(probe).unwrap(), itp.find(probe).unwrap());
-        }
-        // Bulk materialization decodes back to the raw keys.
-        assert_eq!(compressed.materialize_all_direct().unwrap(), ks);
     }
 
     #[test]
@@ -1324,23 +1336,7 @@ mod tests {
 
     #[test]
     fn incompressible_keys_skip_fsst() {
-        // High-entropy keys: the sampled ratio misses FSST_SKIP_RATIO, so
-        // the chain stays plain even with the knob on.
-        let mut ks: Vec<Vec<u8>> = (0..400u64)
-            .map(|i| {
-                let mut x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-                let mut k = Vec::with_capacity(16);
-                for _ in 0..2 {
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    k.extend_from_slice(&x.to_be_bytes());
-                }
-                k
-            })
-            .collect();
-        ks.sort();
-        ks.dedup();
+        let ks = incompressible_keys(400);
         let (pool, dict, _) = build(&ks, &PageConfig::tiny());
         assert_eq!(dict.codec_kind(), CodecKind::Plain);
         // The descriptor still resolves, to the plain codec.

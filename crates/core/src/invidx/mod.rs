@@ -7,14 +7,14 @@
 //!
 //! * [`InMemoryInvertedIndex`]: both vectors resident as packed vectors.
 //! * [`PagedInvertedIndex`]: both persisted in **one** chain of index pages —
-//!   postinglist pages, at most one *mixed* page, then directory pages
-//!   (Fig. 3) — with an iterator that computes the logical page number of
-//!   any directory or postinglist entry arithmetically (Eq. 1, Eq. 2) and
-//!   therefore loads at most two pages per lookup.
+//!   Elias-Fano postinglist pages, the skip table of their partitions, then
+//!   bit-packed directory pages (Fig. 3) — with an iterator that computes
+//!   the page of any directory entry arithmetically (Eq. 1, Eq. 2), finds a
+//!   posting partition through one skip-table entry, and therefore loads at
+//!   most three pages per lookup.
 //!
 //! For **unique** columns every value appears in exactly one row, the
 //! directory is the identity, and it is elided entirely.
-
 //!
 //! Because postings are grouped by vid and the dictionary is order
 //! preserving, a value range is one vid range is one contiguous postinglist

@@ -1,67 +1,113 @@
 //! The page-loadable inverted index (paper §3.3, Fig. 3).
 //!
-//! One chain persists both vectors: postinglist pages first, then at most
-//! one **mixed page** (trailing postinglist chunks followed by the first
-//! directory chunks), then pure directory pages. Both vectors are n-bit
-//! packed in 64-value chunks, so the logical page number and in-page offset
-//! of any entry are pure arithmetic — the paper's Eq. 1 and Eq. 2. A lookup
-//! therefore pins at most one directory page and one postinglist page.
+//! One chain persists both vectors: postinglist pages first, then the skip
+//! table, then directory pages.
 //!
-//! For unique columns the directory is the identity and is not stored; the
-//! chain contains only postinglist pages.
-//!
-//! When [`PageConfig::pef_postings`] is on (and the fragment has fewer than
-//! 2³² rows), the postinglist is stored as **partitioned Elias-Fano**
-//! instead of bit-packed chunks: the vid-grouped row positions are mapped
-//! through the monotone transform `vid · rows + rpos`, encoded 64 values
-//! per partition, and packed into pages without straddling. Partitions are
-//! variable-sized, so a plain-`u64` **skip table** (one chain offset per
-//! partition) sits between the posting pages and the directory pages; a
-//! lookup pins at most one skip page, one posting page and one directory
-//! page. Seeks run in the compressed domain via
+//! The postinglist is stored as **partitioned Elias-Fano**: the vid-grouped
+//! row positions are mapped through the monotone transform
+//! `vid · rows + rpos`, encoded 64 values per partition, and packed into
+//! pages without straddling. Partitions are variable-sized, so a
+//! plain-`u64` **skip table** (one chain offset per partition) follows the
+//! posting pages. Seeks run in the compressed domain via
 //! [`PagedIndexIterator::next_row_pos_geq`] — partition headers bound-skip
-//! and at most one Elias-Fano bucket is scanned. The directory stays
-//! bit-packed (it is random-accessed, not scanned), and there is no mixed
-//! page in this layout.
+//! and at most one Elias-Fano bucket is scanned. A fragment of at most one
+//! row has no posting pages: its only row position is 0.
+//!
+//! The directory is n-bit packed in 64-value chunks (it is random-accessed,
+//! not scanned), so the page number and in-page offset of any entry are
+//! pure arithmetic — the paper's Eq. 1 and Eq. 2. A lookup pins at most one
+//! directory page, one skip page and one posting page. For unique columns
+//! the directory is the identity and is not stored.
 
 use crate::{CoreError, CoreResult, PageConfig};
-use payg_encoding::chunk::{bytes_per_chunk, CHUNK_LEN};
-#[cfg(test)]
-use payg_encoding::chunk::chunk_count;
+use payg_encoding::chunk::{bytes_per_chunk, chunk_count, CHUNK_LEN};
 use payg_encoding::dispatch::{ChainCodec, CodecKind};
 use payg_encoding::pef::{PartitionRef, PARTITION_LEN};
 use payg_encoding::{BitPackedVec, BitWidth};
 use payg_obs::names;
-use payg_storage::{BufferPool, ChainRef, PageGuard, PageKey};
+use payg_storage::{BufferPool, ChainId, ChainRef, PageGuard, PageKey, StorageError};
 use std::sync::Arc;
 
+/// Rows a fragment may hold before the `vid · rows + rpos` transform could
+/// leave `u64`.
+const MAX_ROWS: u64 = 1 << 32;
+
+/// A `Corrupt` error naming the index chain it is about.
+fn corrupt(chain: ChainId, what: String) -> CoreError {
+    CoreError::Storage(StorageError::corrupt(format!("index chain {}: {what}", chain.0)))
+}
+
+#[derive(Debug, PartialEq)]
 struct Meta {
     chain: ChainRef,
     cardinality: u64,
     rows: u64,
-    /// Width of postinglist entries (row positions).
-    wp: BitWidth,
-    /// Width of directory entries (offsets, up to `rows` inclusive).
+    /// Width of directory entries (offsets, up to `rows` inclusive); zero
+    /// exactly when no directory is stored.
     wd: BitWidth,
     unique: bool,
-    /// Postinglist chunks per full page.
-    post_cpp: u64,
-    /// Directory chunks per full (pure directory) page.
+    /// Directory chunks per full directory page.
     dir_cpp: u64,
-    /// Pages holding postinglist chunks (the last may be the mixed page).
+    /// Pages holding Elias-Fano posting partitions.
     post_pages: u64,
-    /// Directory chunks co-located on the mixed page (0 = no mixed page).
-    mixed_dir_chunks: u64,
-    /// Bytes of postinglist data on the mixed page (offset of its first
-    /// directory chunk).
-    mixed_post_bytes: usize,
-    /// First pure directory page.
+    /// First directory page.
     dir_start_page: u64,
-    /// Postinglist codec: `Plain` = bit-packed chunks, `Pef` = partitioned
-    /// Elias-Fano over the `vid · rows + rpos` transform.
+    /// `Pef` when the chain has posting pages, `Plain` (the bit-packed
+    /// directory alone) when it has none.
     codec: CodecKind,
-    /// Skip-table pages (PEF only; they follow the posting pages).
+    /// Skip-table pages (they follow the posting pages).
     skip_pages: u64,
+}
+
+impl Meta {
+    /// The one layout `rows` postings over `cardinality` vids have on pages
+    /// of `page` bytes, given how many pages the variable-sized partitions
+    /// took. The builder records it; [`PagedInvertedIndex::open`] checks a
+    /// checkpointed blob against it.
+    fn layout(
+        chain: ChainId,
+        page: usize,
+        cardinality: u64,
+        rows: u64,
+        post_pages: u64,
+    ) -> CoreResult<Meta> {
+        let unique = cardinality == rows;
+        let has_dir = !unique && cardinality > 0;
+        let wd = if has_dir { BitWidth::for_max_value(rows) } else { BitWidth::ZERO };
+        let dir_cpp = page.checked_div(bytes_per_chunk(wd)).unwrap_or(0) as u64;
+        let partitions = if rows > 1 { rows.div_ceil(PARTITION_LEN as u64) } else { 0 };
+        let skip_pages = partitions.div_ceil(skip_entries_per_page(page));
+        let mut dir_pages = 0;
+        if has_dir {
+            if dir_cpp == 0 {
+                let what = format!("a {page}-byte page cannot hold one directory chunk at {wd}");
+                return Err(corrupt(chain, what));
+            }
+            dir_pages = chunk_count(cardinality.saturating_add(1)).div_ceil(dir_cpp);
+        }
+        if post_pages > partitions || (post_pages == 0) != (partitions == 0) {
+            let what = format!("{post_pages} posting pages for {partitions} partitions");
+            return Err(corrupt(chain, what));
+        }
+        let dir_start_page = post_pages + skip_pages;
+        Ok(Meta {
+            chain: ChainRef { chain, pages: dir_start_page + dir_pages, page_size: page },
+            cardinality,
+            rows,
+            wd,
+            unique,
+            dir_cpp,
+            post_pages,
+            dir_start_page,
+            codec: if post_pages > 0 { CodecKind::Pef } else { CodecKind::Plain },
+            skip_pages,
+        })
+    }
+}
+
+/// Skip-table entries (`u64` chain offsets) per page.
+fn skip_entries_per_page(page: usize) -> u64 {
+    (page / 8).max(1) as u64
 }
 
 /// The page-loadable inverted index.
@@ -76,7 +122,9 @@ impl PagedInvertedIndex {
     /// directory, elided) exactly when `cardinality == values.len()`.
     pub fn build(pool: &BufferPool, config: &PageConfig, values: &[u64], cardinality: u64) -> CoreResult<Self> {
         let rows = values.len() as u64;
-        let unique = cardinality == rows;
+        if rows >= MAX_ROWS {
+            return Err(CoreError::RowOutOfBounds { rpos: rows - 1, len: MAX_ROWS });
+        }
         let page = config.index_page;
         let store = Arc::clone(pool.store());
         let mut scratch = crate::scratch::ChainScratch::new(pool);
@@ -97,33 +145,12 @@ impl PagedInvertedIndex {
             cursors[v as usize] += 1;
         }
 
-        let wp = BitWidth::for_cardinality(rows);
-        let wd = BitWidth::for_max_value(rows);
-        let post = BitPackedVec::from_values_with_width(&postings, wp);
-        let dir = (!unique && cardinality > 0)
-            .then(|| BitPackedVec::from_values_with_width(&offsets, wd));
-
-        let bpc_p = bytes_per_chunk(wp);
-        let bpc_d = bytes_per_chunk(wd);
-        let post_cpp = page.checked_div(bpc_p).unwrap_or(0) as u64;
-        let dir_cpp = page.checked_div(bpc_d).unwrap_or(0) as u64;
-        // PEF needs the `vid · rows + rpos` transform to stay in u64, hence
-        // the row-count guard; trivial postinglists stay bit-packed.
-        let use_pef = config.pef_postings && wp.bits() > 0 && rows < (1u64 << 32);
-        if (!use_pef && wp.bits() > 0 && post_cpp == 0) || (dir.is_some() && dir_cpp == 0) {
-            return Err(CoreError::Storage(payg_storage::StorageError::corrupt(format!(
-                "index page of {page} bytes cannot hold one chunk at {wp}/{wd}"
-            ))));
-        }
-
         let mut buf: Vec<u8> = Vec::with_capacity(page);
         let mut post_pages = 0u64;
-        let mut skip_pages = 0u64;
-        let mut dir_pages = 0u64;
-        let mut mixed_dir_chunks = 0u64;
-        let mut mixed_post_bytes = 0usize;
         let mut pef_post_bytes = 0u64;
-        if use_pef {
+        let mut part_locs: Vec<u64> = Vec::new();
+        // A fragment of at most one row has no posting pages.
+        if rows > 1 {
             debug_assert_eq!(PARTITION_LEN, CHUNK_LEN);
             // Monotone transform: vid-grouped row positions become a single
             // non-decreasing sequence, so every 64-value run is a valid
@@ -136,8 +163,7 @@ impl PagedInvertedIndex {
             }
             // Encode partitions into pages without straddling, recording
             // each partition's chain byte offset for the skip table.
-            let mut part_locs: Vec<u64> =
-                Vec::with_capacity(transformed.len().div_ceil(PARTITION_LEN));
+            part_locs.reserve(transformed.len().div_ceil(PARTITION_LEN));
             let mut enc = Vec::new();
             for part in transformed.chunks(PARTITION_LEN) {
                 enc.clear();
@@ -148,12 +174,9 @@ impl PagedInvertedIndex {
                     buf.clear();
                 }
                 if enc.len() > page {
-                    return Err(CoreError::Storage(payg_storage::StorageError::corrupt(
-                        format!(
-                            "index page of {page} bytes cannot hold a {}-byte pef partition",
-                            enc.len()
-                        ),
-                    )));
+                    let what =
+                        format!("a {page}-byte page cannot hold a {}-byte pef partition", enc.len());
+                    return Err(corrupt(chain, what));
                 }
                 part_locs.push(post_pages * page as u64 + buf.len() as u64);
                 buf.extend_from_slice(&enc);
@@ -164,99 +187,50 @@ impl PagedInvertedIndex {
                 post_pages += 1;
                 buf.clear();
             }
-            // Skip table: plain little-endian u64 chain offsets, one per
-            // partition, on their own pages after the posting pages.
-            for group in part_locs.chunks((page / 8).max(1)) {
-                let mut bytes = Vec::with_capacity(group.len() * 8);
-                for &loc in group {
-                    bytes.extend_from_slice(&loc.to_le_bytes());
-                }
-                store.append_page(chain, &bytes)?;
-                skip_pages += 1;
+        }
+        let meta = Meta::layout(chain, page, cardinality, rows, post_pages)?;
+
+        // Skip table: plain little-endian u64 chain offsets, one per
+        // partition, on their own pages after the posting pages.
+        for group in part_locs.chunks(skip_entries_per_page(page) as usize) {
+            let mut bytes = Vec::with_capacity(group.len() * 8);
+            for &loc in group {
+                bytes.extend_from_slice(&loc.to_le_bytes());
             }
-            // Pure directory pages; the PEF layout has no mixed page.
-            if let Some(dir) = &dir {
-                for ci in 0..dir.chunk_count() {
-                    for &w in dir.chunk_words(ci) {
-                        buf.extend_from_slice(&w.to_le_bytes());
-                    }
-                    if buf.len() + bpc_d > page {
-                        store.append_page(chain, &buf)?;
-                        dir_pages += 1;
-                        buf.clear();
-                    }
+            store.append_page(chain, &bytes)?;
+        }
+        // Directory pages.
+        if meta.wd.bits() > 0 {
+            let dir = BitPackedVec::from_values_with_width(&offsets, meta.wd);
+            let bpc_d = bytes_per_chunk(meta.wd);
+            for ci in 0..dir.chunk_count() {
+                for &w in dir.chunk_words(ci) {
+                    buf.extend_from_slice(&w.to_le_bytes());
                 }
-                if !buf.is_empty() {
+                if buf.len() + bpc_d > page {
                     store.append_page(chain, &buf)?;
-                    dir_pages += 1;
                     buf.clear();
                 }
             }
-        } else {
-            // Bit-packed postinglist chunks, page by page.
-            if wp.bits() > 0 {
-                for ci in 0..post.chunk_count() {
-                    for &w in post.chunk_words(ci) {
-                        buf.extend_from_slice(&w.to_le_bytes());
-                    }
-                    if buf.len() + bpc_p > page {
-                        store.append_page(chain, &buf)?;
-                        post_pages += 1;
-                        buf.clear();
-                    }
-                }
-            }
-            // `buf` now holds the trailing partial posting page (possibly empty).
-            mixed_post_bytes = buf.len();
-            if let Some(dir) = &dir {
-                let dir_chunks = dir.chunk_count();
-                let mut next_chunk = 0u64;
-                if !buf.is_empty() {
-                    // Fill the tail posting page with directory chunks → mixed page.
-                    while next_chunk < dir_chunks && buf.len() + bpc_d <= page {
-                        for &w in dir.chunk_words(next_chunk) {
-                            buf.extend_from_slice(&w.to_le_bytes());
-                        }
-                        next_chunk += 1;
-                    }
-                    mixed_dir_chunks = next_chunk;
-                    store.append_page(chain, &buf)?;
-                    post_pages += 1;
-                    buf.clear();
-                }
-                // Pure directory pages.
-                while next_chunk < dir_chunks {
-                    for &w in dir.chunk_words(next_chunk) {
-                        buf.extend_from_slice(&w.to_le_bytes());
-                    }
-                    next_chunk += 1;
-                    if buf.len() + bpc_d > page {
-                        store.append_page(chain, &buf)?;
-                        dir_pages += 1;
-                        buf.clear();
-                    }
-                }
-                if !buf.is_empty() {
-                    store.append_page(chain, &buf)?;
-                    dir_pages += 1;
-                    buf.clear();
-                }
-            } else if !buf.is_empty() {
+            if !buf.is_empty() {
                 store.append_page(chain, &buf)?;
-                post_pages += 1;
-                buf.clear();
             }
         }
+        assert_eq!(store.chain_len(chain)?, meta.chain.pages, "layout ≠ pages written");
 
         // Self-describing chain + per-codec build metrics, mirroring the
         // paged dictionary.
-        let codec = if use_pef { CodecKind::Pef } else { CodecKind::Plain };
-        store.set_chain_descriptor(chain, &ChainCodec { kind: codec, params: Vec::new() }.serialize())?;
+        let descriptor = ChainCodec { kind: meta.codec, params: Vec::new() };
+        store.set_chain_descriptor(chain, &descriptor.serialize())?;
         let registry = pool.registry();
         let label = pool.metrics_label();
         registry
-            .counter_labeled(names::POOL_PAGE_BYTES, &[("pool", label), ("codec", codec.label())])
-            .add((post_pages + skip_pages) * page as u64);
+            .counter_labeled(
+                names::POOL_PAGE_BYTES,
+                &[("pool", label), ("codec", meta.codec.label())],
+            )
+            .add(meta.dir_start_page * page as u64);
+        let dir_pages = meta.chain.pages - meta.dir_start_page;
         if dir_pages > 0 {
             registry
                 .counter_labeled(
@@ -265,29 +239,13 @@ impl PagedInvertedIndex {
                 )
                 .add(dir_pages * page as u64);
         }
-        if use_pef && rows > 0 {
+        if post_pages > 0 {
             // Average Elias-Fano bits per posting, ×100.
             registry
                 .gauge_labeled(names::PEF_CHUNK_BITS, &[("pool", label)])
                 .set(pef_post_bytes * 8 * 100 / rows);
         }
 
-        let meta = Meta {
-            chain: ChainRef { chain, pages: post_pages + skip_pages + dir_pages, page_size: page },
-            cardinality,
-            rows,
-            wp,
-            wd: if dir.is_some() { wd } else { BitWidth::ZERO },
-            unique,
-            post_cpp,
-            dir_cpp,
-            post_pages,
-            mixed_dir_chunks,
-            mixed_post_bytes: if mixed_dir_chunks > 0 { mixed_post_bytes } else { 0 },
-            dir_start_page: post_pages + skip_pages,
-            codec,
-            skip_pages,
-        };
         scratch.commit();
         Ok(PagedInvertedIndex { pool: pool.clone(), meta: Arc::new(meta) })
     }
@@ -299,49 +257,50 @@ impl PagedInvertedIndex {
         crate::meta::write_chain(&mut w, &m.chain);
         w.u64(m.cardinality);
         w.u64(m.rows);
-        w.u8(m.wp.bits() as u8);
         w.u8(m.wd.bits() as u8);
         w.u8(u8::from(m.unique));
-        w.u64(m.post_cpp);
         w.u64(m.dir_cpp);
         w.u64(m.post_pages);
-        w.u64(m.mixed_dir_chunks);
-        w.u64(m.mixed_post_bytes as u64);
         w.u64(m.dir_start_page);
-        w.u8(match m.codec {
-            CodecKind::Plain => 0,
-            CodecKind::Fsst => 1,
-            CodecKind::Pef => 2,
-        });
+        w.u8(m.codec as u8);
         w.u64(m.skip_pages);
         w.finish()
     }
 
-    /// Reopens an index from checkpointed metadata over `pool`'s store.
+    /// Reopens an index from checkpointed metadata over `pool`'s store. The
+    /// blob is redundant on purpose: every field beyond the chain, the
+    /// counts and the posting pages must be what [`Meta::layout`] derives
+    /// from those, so a flipped codec byte or page counts that do not add up
+    /// are a typed error here, never a misread page later.
     pub fn open(pool: &BufferPool, bytes: &[u8]) -> CoreResult<Self> {
         let mut r = crate::meta::MetaReader::new(bytes);
         let chain = crate::meta::read_chain(&mut r)?;
+        let refuse = |what: String| corrupt(chain.chain, what);
         let meta = Meta {
             chain,
             cardinality: r.u64()?,
             rows: r.u64()?,
-            wp: BitWidth::new(u32::from(r.u8()?))?,
             wd: BitWidth::new(u32::from(r.u8()?))?,
             unique: r.u8()? != 0,
-            post_cpp: r.u64()?,
             dir_cpp: r.u64()?,
             post_pages: r.u64()?,
-            mixed_dir_chunks: r.u64()?,
-            mixed_post_bytes: r.u64()? as usize,
             dir_start_page: r.u64()?,
             codec: match r.u8()? {
+                0 => CodecKind::Plain,
                 2 => CodecKind::Pef,
-                1 => CodecKind::Fsst,
-                _ => CodecKind::Plain,
+                b => return Err(refuse(format!("codec byte {b} is not a posting codec"))),
             },
             skip_pages: r.u64()?,
         };
         r.expect_end()?;
+        if meta.rows >= MAX_ROWS {
+            return Err(refuse(format!("{} rows exceed the posting transform", meta.rows)));
+        }
+        let (page, cardinality, rows) = (chain.page_size, meta.cardinality, meta.rows);
+        let expect = Meta::layout(chain.chain, page, cardinality, rows, meta.post_pages)?;
+        if meta != expect {
+            return Err(refuse(format!("checkpointed layout {meta:?} should be {expect:?}")));
+        }
         Ok(PagedInvertedIndex { pool: pool.clone(), meta: Arc::new(meta) })
     }
 
@@ -365,12 +324,7 @@ impl PagedInvertedIndex {
         self.meta.chain.pages
     }
 
-    /// True when the chain contains a mixed postinglist+directory page.
-    pub fn has_mixed_page(&self) -> bool {
-        self.meta.mixed_dir_chunks > 0
-    }
-
-    /// The codec the postinglist is stored in.
+    /// The codec the builder recorded in the chain descriptor.
     pub fn codec_kind(&self) -> CodecKind {
         self.meta.codec
     }
@@ -410,30 +364,11 @@ impl PagedInvertedIndex {
 
     /// Page number and byte offset of directory entry `e` — the paper's
     /// Eq. 1 / Eq. 2 in chunk-granular form.
-    fn dir_location(&self, e: u64) -> (u64, usize, usize) {
+    fn dir_location(&self, e: u64) -> (u64, usize) {
         let di = e / CHUNK_LEN as u64;
-        let slot = (e % CHUNK_LEN as u64) as usize;
-        let bpc_d = bytes_per_chunk(self.meta.wd);
-        if di < self.meta.mixed_dir_chunks {
-            let page = self.meta.post_pages - 1; // the mixed page
-            let offset = self.meta.mixed_post_bytes + di as usize * bpc_d;
-            (page, offset, slot)
-        } else {
-            let rel = di - self.meta.mixed_dir_chunks;
-            let page = self.meta.dir_start_page + rel / self.meta.dir_cpp;
-            let offset = ((rel % self.meta.dir_cpp) as usize) * bpc_d;
-            (page, offset, slot)
-        }
-    }
-
-    /// Page number and byte offset of postinglist entry `k`.
-    fn post_location(&self, k: u64) -> (u64, usize, usize) {
-        let ci = k / CHUNK_LEN as u64;
-        let slot = (k % CHUNK_LEN as u64) as usize;
-        let bpc_p = bytes_per_chunk(self.meta.wp);
-        let page = ci / self.meta.post_cpp;
-        let offset = ((ci % self.meta.post_cpp) as usize) * bpc_p;
-        (page, offset, slot)
+        let page = self.meta.dir_start_page + di / self.meta.dir_cpp;
+        let offset = ((di % self.meta.dir_cpp) as usize) * bytes_per_chunk(self.meta.wd);
+        (page, offset)
     }
 }
 
@@ -486,7 +421,7 @@ impl PagedIndexIterator<'_> {
                 return Ok(buf[slot]);
             }
         }
-        let (page, offset, _) = self.idx.dir_location(e);
+        let (page, offset) = self.idx.dir_location(e);
         Self::pin(&self.idx.pool, &meta.chain, &mut self.dir_guard, page)?;
         let Some((_, guard)) = self.dir_guard.as_ref() else {
             unreachable!("pin above populated the guard slot")
@@ -500,7 +435,7 @@ impl PagedIndexIterator<'_> {
     /// Chain byte offset of PEF partition `p`, read from the skip table.
     fn read_skip(&mut self, p: u64) -> CoreResult<u64> {
         let meta = &self.idx.meta;
-        let epp = (meta.chain.page_size / 8).max(1) as u64;
+        let epp = skip_entries_per_page(meta.chain.page_size);
         let page = meta.post_pages + p / epp;
         Self::pin(&self.idx.pool, &meta.chain, &mut self.skip_guard, page)?;
         let Some((_, guard)) = self.skip_guard.as_ref() else {
@@ -512,7 +447,7 @@ impl PagedIndexIterator<'_> {
 
     fn read_post(&mut self, k: u64) -> CoreResult<u64> {
         let meta = &self.idx.meta;
-        if meta.wp.bits() == 0 {
+        if meta.post_pages == 0 {
             return Ok(0); // 0 or 1 rows: the only row position is 0
         }
         let chunk_no = k / CHUNK_LEN as u64;
@@ -523,28 +458,19 @@ impl PagedIndexIterator<'_> {
             }
         }
         let mut buf = [0u64; CHUNK_LEN];
-        if meta.codec == CodecKind::Pef {
-            let loc = self.read_skip(chunk_no)?;
-            let page_size = self.idx.meta.chain.page_size as u64;
-            let meta = &self.idx.meta;
-            Self::pin(&self.idx.pool, &meta.chain, &mut self.post_guard, loc / page_size)?;
-            let Some((_, guard)) = self.post_guard.as_ref() else {
-                unreachable!("pin above populated the guard slot")
-            };
-            let n = (meta.rows - chunk_no * CHUNK_LEN as u64).min(CHUNK_LEN as u64) as usize;
-            let part = PartitionRef::parse(&guard[..], (loc % page_size) as usize, n)?;
-            part.read_into(&mut buf)?;
-            // Undo the vid·rows+rpos transform once per cached chunk.
-            for v in &mut buf[..n] {
-                *v %= meta.rows;
-            }
-        } else {
-            let (page, offset, _) = self.idx.post_location(k);
-            Self::pin(&self.idx.pool, &meta.chain, &mut self.post_guard, page)?;
-            let Some((_, guard)) = self.post_guard.as_ref() else {
-                unreachable!("pin above populated the guard slot")
-            };
-            decode_packed_chunk(guard, offset, meta.wp, &mut buf);
+        let loc = self.read_skip(chunk_no)?;
+        let page_size = self.idx.meta.chain.page_size as u64;
+        let meta = &self.idx.meta;
+        Self::pin(&self.idx.pool, &meta.chain, &mut self.post_guard, loc / page_size)?;
+        let Some((_, guard)) = self.post_guard.as_ref() else {
+            unreachable!("pin above populated the guard slot")
+        };
+        let n = (meta.rows - chunk_no * CHUNK_LEN as u64).min(CHUNK_LEN as u64) as usize;
+        let part = PartitionRef::parse(&guard[..], (loc % page_size) as usize, n)?;
+        part.read_into(&mut buf)?;
+        // Undo the vid·rows+rpos transform once per cached chunk.
+        for v in &mut buf[..n] {
+            *v %= meta.rows;
         }
         self.post_chunk = Some((chunk_no, buf));
         Ok(buf[slot])
@@ -600,11 +526,10 @@ impl PagedIndexIterator<'_> {
     /// `>= rpos`, or `None` when the list has no such posting, positioning
     /// the iterator so `get_next_row_pos` continues after the match.
     ///
-    /// Under the PEF codec this is a compressed-domain seek: partitions
-    /// whose header bound lies below the target are skipped for the price
-    /// of two varints, and at most one Elias-Fano bucket of the landing
-    /// partition is scanned — nothing is bulk-decoded. Under the bit-packed
-    /// codec it binary-searches the sorted postinglist slice.
+    /// This is a compressed-domain seek: partitions whose header bound lies
+    /// below the target are skipped for the price of two varints, and at
+    /// most one Elias-Fano bucket of the landing partition is scanned —
+    /// nothing is bulk-decoded.
     pub fn next_row_pos_geq(&mut self, vid: u64, rpos: u64) -> CoreResult<Option<u64>> {
         let meta = &self.idx.meta;
         if vid >= meta.cardinality {
@@ -622,51 +547,37 @@ impl PagedIndexIterator<'_> {
         if start >= end {
             return Ok(None);
         }
-        if meta.codec == CodecKind::Pef {
-            let target = vid * meta.rows + rpos;
-            let vid_end = (vid + 1) * meta.rows;
-            let page_size = meta.chain.page_size as u64;
-            let first_p = start / PARTITION_LEN as u64;
-            let last_p = (end - 1) / PARTITION_LEN as u64;
-            for p in first_p..=last_p {
-                let loc = self.read_skip(p)?;
-                let meta = &self.idx.meta;
-                Self::pin(&self.idx.pool, &meta.chain, &mut self.post_guard, loc / page_size)?;
-                let Some((_, guard)) = self.post_guard.as_ref() else {
-                    unreachable!("pin above populated the guard slot")
-                };
-                let n = (meta.rows - p * PARTITION_LEN as u64).min(PARTITION_LEN as u64) as usize;
-                let part = PartitionRef::parse(&guard[..], (loc % page_size) as usize, n)?;
-                if part.last() < target {
-                    continue; // header-only skip: no value here can match
-                }
-                let Some((slot, v)) = part.next_geq(target)? else { continue };
-                let g = p * PARTITION_LEN as u64 + slot as u64;
-                if g >= end || v >= vid_end {
-                    return Ok(None); // first match belongs to a later vid
-                }
-                self.state = Some(IterState { cur: g + 1, end });
-                return Ok(Some(v - vid * meta.rows));
+        if meta.post_pages == 0 {
+            // One row: `rpos < rows` made the target row 0, its only posting.
+            self.state = Some(IterState { cur: start + 1, end });
+            return Ok(Some(0));
+        }
+        let target = vid * meta.rows + rpos;
+        let vid_end = (vid + 1) * meta.rows;
+        let page_size = meta.chain.page_size as u64;
+        let first_p = start / PARTITION_LEN as u64;
+        let last_p = (end - 1) / PARTITION_LEN as u64;
+        for p in first_p..=last_p {
+            let loc = self.read_skip(p)?;
+            let meta = &self.idx.meta;
+            Self::pin(&self.idx.pool, &meta.chain, &mut self.post_guard, loc / page_size)?;
+            let Some((_, guard)) = self.post_guard.as_ref() else {
+                unreachable!("pin above populated the guard slot")
+            };
+            let n = (meta.rows - p * PARTITION_LEN as u64).min(PARTITION_LEN as u64) as usize;
+            let part = PartitionRef::parse(&guard[..], (loc % page_size) as usize, n)?;
+            if part.last() < target {
+                continue; // header-only skip: no value here can match
             }
-            return Ok(None);
-        }
-        // Bit-packed: binary search the sorted slice through the chunk cache.
-        let mut lo = start;
-        let mut hi = end;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.read_post(mid)? < rpos {
-                lo = mid + 1;
-            } else {
-                hi = mid;
+            let Some((slot, v)) = part.next_geq(target)? else { continue };
+            let g = p * PARTITION_LEN as u64 + slot as u64;
+            if g >= end || v >= vid_end {
+                return Ok(None); // first match belongs to a later vid
             }
+            self.state = Some(IterState { cur: g + 1, end });
+            return Ok(Some(v - vid * meta.rows));
         }
-        if lo >= end {
-            return Ok(None);
-        }
-        let v = self.read_post(lo)?;
-        self.state = Some(IterState { cur: lo + 1, end });
-        Ok(Some(v))
+        Ok(None)
     }
 
     /// Number of postings of the positioned run that remain unread.
@@ -699,21 +610,6 @@ fn decode_packed_chunk(page: &PageGuard, offset: usize, w: BitWidth, out: &mut [
     payg_encoding::chunk::decode_chunk(&words[..n], w, out);
 }
 
-/// The paper's Eq. 1, kept verbatim for the equivalence test: logical page
-/// number of the directory page containing `vid`'s offset, where `b` is the
-/// mixed (or first directory) page, `v_first` the offsets on it and
-/// `v_page` the offsets per full directory page.
-#[cfg(test)]
-fn eq1_page(b: u64, v_first: u64, vid: u64, v_page: u64) -> u64 {
-    if vid < v_first {
-        b
-    } else {
-        // The paper's 1-based formulation maps to 0-based chunks here: skip
-        // past the `v_first` offsets on page b, then stride by `v_page`.
-        b + 1 + (vid - v_first) / v_page
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -741,16 +637,8 @@ mod tests {
     }
 
     fn build(values: &[u64], card: u64) -> (BufferPool, PagedInvertedIndex) {
-        build_with(values, card, &PageConfig::tiny())
-    }
-
-    fn build_with(
-        values: &[u64],
-        card: u64,
-        config: &PageConfig,
-    ) -> (BufferPool, PagedInvertedIndex) {
         let pool = pool();
-        let idx = PagedInvertedIndex::build(&pool, config, values, card).unwrap();
+        let idx = PagedInvertedIndex::build(&pool, &PageConfig::tiny(), values, card).unwrap();
         (pool, idx)
     }
 
@@ -769,31 +657,24 @@ mod tests {
             .collect()
     }
 
-    /// The legacy bit-packed postinglist layout (mixed page, Eq. 1 layout).
-    fn bitpacked() -> PageConfig {
-        PageConfig { pef_postings: false, ..PageConfig::tiny() }
-    }
-
     #[test]
     fn posting_runs_match_naive() {
         let values = sample(3000, 40, 1);
-        for config in [PageConfig::tiny(), bitpacked()] {
-            let (_pool, paged) = build_with(&values, 40, &config);
-            assert!(paged.pages() > 3, "tiny pages must force a multi-page chain");
-            for vid in 0..40 {
-                assert_eq!(run(&paged, vid, vid), naive(&values, vid, vid), "vid {vid}");
-            }
-            // A vid range is one run: the per-vid lists back to back, read
-            // with two directory entries and drained across pages.
-            for (lo, hi) in [(0, 39), (3, 4), (17, 31)] {
-                assert_eq!(run(&paged, lo, hi), naive(&values, lo, hi), "run {lo}..={hi}");
-            }
-            assert_eq!(run(&paged, 5, 4), Vec::<u64>::new(), "lo > hi is the empty run");
-            assert!(matches!(
-                paged.posting_run(39, 40, &mut Vec::new()),
-                Err(CoreError::VidOutOfBounds { vid: 40, .. })
-            ));
+        let (_pool, paged) = build(&values, 40);
+        assert!(paged.pages() > 3, "tiny pages must force a multi-page chain");
+        for vid in 0..40 {
+            assert_eq!(run(&paged, vid, vid), naive(&values, vid, vid), "vid {vid}");
         }
+        // A vid range is one run: the per-vid lists back to back, read
+        // with two directory entries and drained across pages.
+        for (lo, hi) in [(0, 39), (3, 4), (17, 31)] {
+            assert_eq!(run(&paged, lo, hi), naive(&values, lo, hi), "run {lo}..={hi}");
+        }
+        assert_eq!(run(&paged, 5, 4), Vec::<u64>::new(), "lo > hi is the empty run");
+        assert!(matches!(
+            paged.posting_run(39, 40, &mut Vec::new()),
+            Err(CoreError::VidOutOfBounds { vid: 40, .. })
+        ));
     }
 
     #[test]
@@ -827,15 +708,13 @@ mod tests {
     fn unique_index_has_no_directory_pages() {
         let rows = 2000u64;
         let values: Vec<u64> = (0..rows).map(|i| (i * 7) % rows).collect(); // permutation
-        let (_pool, unique) = build_with(&values, rows, &bitpacked());
+        let (_pool, unique) = build(&values, rows);
         assert!(unique.is_unique());
-        assert!(!unique.has_mixed_page());
-        let (_pool2, non_unique) = build_with(&sample(rows as usize, rows / 2, 2), rows / 2, &bitpacked());
+        let (_pool2, non_unique) = build(&sample(rows as usize, rows / 2, 2), rows / 2);
         assert!(!non_unique.is_unique());
-        // The unique chain stores only the postinglist.
-        let post_only_pages =
-            chunk_count(rows).div_ceil(unique.meta.post_cpp);
-        assert_eq!(unique.pages(), post_only_pages);
+        assert!(non_unique.pages() > non_unique.meta.dir_start_page);
+        // The unique chain stores only the postinglist and its skip table.
+        assert_eq!(unique.pages(), unique.meta.dir_start_page);
         for vid in (0..rows).step_by(97) {
             let rpos = values.iter().position(|&v| v == vid).unwrap() as u64;
             assert_eq!(run(&unique, vid, vid), vec![rpos]);
@@ -843,124 +722,114 @@ mod tests {
     }
 
     #[test]
-    fn sparse_column_uses_a_mixed_page() {
-        // Few rows + small cardinality: postings and directory share a page.
-        let values = sample(100, 5, 3);
-        let (_pool, idx) = build_with(&values, 5, &bitpacked());
-        assert!(idx.has_mixed_page());
-        assert_eq!(idx.pages(), idx.meta.post_pages, "no pure directory pages");
-        for vid in 0..5 {
-            assert_eq!(run(&idx, vid, vid), naive(&values, vid, vid));
-        }
-        assert_eq!(run(&idx, 0, 4), naive(&values, 0, 4));
-    }
-
-    #[test]
-    fn lookup_pins_at_most_two_pages() {
-        let values = sample(5000, 500, 4);
-        let (pool, idx) = build_with(&values, 500, &bitpacked());
-        let resman = pool.resource_manager().clone();
-        resman.set_paged_limits(Some(payg_resman::PoolLimits::new(0, usize::MAX)));
-        let mut it = idx.iter();
-        let _ = it.get_first_row_pos(250).unwrap();
-        // Everything except the iterator's (≤2) pinned pages is evictable.
-        resman.reactive_unload();
-        assert!(pool.resident_pages() <= 2);
-        // And a full lookup loads at most one directory + one posting page
-        // beyond what is already resident.
-        let loads_before = pool.metrics().loads;
-        let mut it2 = idx.iter();
-        let _ = it2.get_first_row_pos(251).unwrap();
-        assert!(pool.metrics().loads - loads_before <= 2);
-    }
-
-    #[test]
-    fn eq1_equivalence_with_chunk_arithmetic() {
-        // Build an index whose directory spans the mixed page and several
-        // pure pages, then check dir_location against the paper's Eq. 1.
-        let values = sample(2100, 1500, 5);
-        let (_pool, idx) = build_with(&values, 1500, &bitpacked());
-        assert!(idx.has_mixed_page());
-        let m = &idx.meta;
-        let b = m.post_pages - 1;
-        let v_first = m.mixed_dir_chunks * CHUNK_LEN as u64;
-        let v_page = m.dir_cpp * CHUNK_LEN as u64;
-        for e in 0..=m.cardinality {
-            let (page, _, _) = idx.dir_location(e);
-            assert_eq!(page, eq1_page(b, v_first, e, v_page), "entry {e}");
-        }
-    }
-
-    #[test]
-    fn pef_parity_with_bitpacked() {
+    fn chain_self_describes_and_reopens() {
         let values = sample(4000, 300, 11);
         let (pool, pef) = build(&values, 300);
-        let (_pool2, packed) = build_with(&values, 300, &bitpacked());
         assert_eq!(pef.codec_kind(), CodecKind::Pef);
-        assert_eq!(packed.codec_kind(), CodecKind::Plain);
-        for vid in 0..300 {
-            assert_eq!(run(&pef, vid, vid), run(&packed, vid, vid), "vid {vid}");
-        }
         // The chain file self-describes the posting codec.
         let desc = pool.store().chain_descriptor(pef.meta.chain.chain).unwrap();
         assert_eq!(ChainCodec::deserialize(&desc).unwrap().kind, CodecKind::Pef);
         // Checkpoint metadata round-trips the codec and skip-table layout.
         let reopened = PagedInvertedIndex::open(&pool, &pef.meta_bytes()).unwrap();
-        assert_eq!(reopened.codec_kind(), CodecKind::Pef);
+        assert_eq!(reopened.meta, pef.meta);
         for vid in (0..300).step_by(37) {
-            assert_eq!(run(&reopened, vid, vid), run(&packed, vid, vid));
+            assert_eq!(run(&reopened, vid, vid), naive(&values, vid, vid));
+        }
+    }
+
+    /// Asserts `open` refuses `bytes` with a `Corrupt` error naming the chain.
+    fn assert_refused(idx: &PagedInvertedIndex, bytes: &[u8], why: &str) {
+        match PagedInvertedIndex::open(&idx.pool, bytes) {
+            Err(CoreError::Storage(StorageError::Corrupt(what))) => {
+                assert!(what.contains(&format!("index chain {}", idx.chain_id())), "{why}: {what}")
+            }
+            other => panic!("{why}: expected Corrupt, got {:?}", other.map(|_| ())),
         }
     }
 
     #[test]
-    fn pef_clustered_postings_use_fewer_pages() {
+    fn open_refuses_a_flipped_codec_byte() {
+        let (_pool, idx) = build(&sample(4000, 300, 11), 300);
+        let good = idx.meta_bytes();
+        let codec_at = good.len() - 9; // `codec:u8 | skip_pages:u64` end the blob
+        assert_eq!(good[codec_at], CodecKind::Pef as u8);
+        for byte in [CodecKind::Plain as u8, CodecKind::Fsst as u8, 7] {
+            let mut bad = good.clone();
+            bad[codec_at] = byte;
+            assert_refused(&idx, &bad, "posting pages that are not PEF");
+        }
+        // And the other way: a chain without posting pages cannot claim PEF.
+        let (_pool, one_row) = build(&[0], 1);
+        let mut bad = one_row.meta_bytes();
+        assert_eq!(bad[codec_at], CodecKind::Plain as u8, "the blob is fixed-size");
+        bad[codec_at] = CodecKind::Pef as u8;
+        assert_refused(&one_row, &bad, "PEF without posting pages");
+    }
+
+    #[test]
+    fn open_refuses_page_counts_that_do_not_add_up() {
+        let (_pool, idx) = build(&sample(4000, 300, 11), 300);
+        let good = idx.meta_bytes();
+        assert!(idx.meta.skip_pages > 1, "tiny pages spread the skip table");
+        let put = |bytes: &mut Vec<u8>, from_end: usize, v: u64| {
+            let at = bytes.len() - from_end;
+            bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+        };
+        // A truncated skip table, alone and with the directory moved up to
+        // close the gap: both leave partitions without a skip entry.
+        let mut bad = good.clone();
+        put(&mut bad, 8, idx.meta.skip_pages - 1);
+        assert_refused(&idx, &bad, "skip table one page short");
+        put(&mut bad, 17, idx.meta.dir_start_page - 1);
+        assert_refused(&idx, &bad, "skip table short, directory moved up");
+        // Posting pages the chain does not have.
+        let mut bad = good.clone();
+        put(&mut bad, 25, idx.meta.post_pages + 1);
+        assert_refused(&idx, &bad, "one posting page too many");
+        assert!(PagedInvertedIndex::open(&idx.pool, &good).is_ok());
+    }
+
+    #[test]
+    fn clustered_postings_beat_the_bit_packed_width() {
         // Clustered rows: each vid's postings are one consecutive run, the
         // favorable case for Elias-Fano.
         let rows = 20_000u64;
         let values: Vec<u64> = (0..rows).map(|i| i / 200).collect();
         let card = rows / 200;
-        let (_p1, pef) = build(&values, card);
-        let (_p2, packed) = build_with(&values, card, &bitpacked());
-        assert_eq!(pef.codec_kind(), CodecKind::Pef);
+        let (_pool, idx) = build(&values, card);
+        let posting_bits = idx.meta.dir_start_page * idx.meta.chain.page_size as u64 * 8;
+        let packed_bits = rows * u64::from(BitWidth::for_cardinality(rows).bits());
         assert!(
-            pef.pages() < packed.pages(),
-            "pef chain ({} pages incl. skip table) must beat bit-packed ({} pages) on clustered rows",
-            pef.pages(),
-            packed.pages()
+            posting_bits < packed_bits,
+            "postings + skip table ({posting_bits} bits) must beat n-bit packing ({packed_bits})"
         );
         for vid in (0..card).step_by(7) {
-            assert_eq!(run(&pef, vid, vid), run(&packed, vid, vid));
+            assert_eq!(run(&idx, vid, vid), naive(&values, vid, vid));
         }
     }
 
     #[test]
-    fn next_row_pos_geq_matches_naive_under_both_codecs() {
+    fn next_row_pos_geq_matches_naive() {
         let values = sample(3000, 80, 13);
-        for config in [PageConfig::tiny(), bitpacked()] {
-            let (_pool, idx) = build_with(&values, 80, &config);
-            let mut it = idx.iter();
-            for vid in (0..80).step_by(9) {
-                let posts = run(&idx, vid, vid);
-                for target in [0, 1, posts[0], posts[posts.len() / 2], *posts.last().unwrap(), 2999, 5000] {
-                    let naive = posts.iter().copied().find(|&p| p >= target);
-                    assert_eq!(
-                        it.next_row_pos_geq(vid, target).unwrap(),
-                        naive,
-                        "vid {vid} target {target} codec {:?}",
-                        idx.codec_kind()
-                    );
-                    // The seek positions the iterator for continuation.
-                    if let Some(hit) = naive {
-                        let after = posts.iter().copied().find(|&p| p > hit);
-                        assert_eq!(it.get_next_row_pos().unwrap(), after);
-                    }
+        let (_pool, idx) = build(&values, 80);
+        let mut it = idx.iter();
+        for vid in (0..80).step_by(9) {
+            let posts = run(&idx, vid, vid);
+            for target in [0, 1, posts[0], posts[posts.len() / 2], *posts.last().unwrap(), 2999, 5000] {
+                let naive = posts.iter().copied().find(|&p| p >= target);
+                let got = it.next_row_pos_geq(vid, target).unwrap();
+                assert_eq!(got, naive, "vid {vid} target {target}");
+                // The seek positions the iterator for continuation.
+                if let Some(hit) = naive {
+                    let after = posts.iter().copied().find(|&p| p > hit);
+                    assert_eq!(it.get_next_row_pos().unwrap(), after);
                 }
             }
         }
     }
 
     #[test]
-    fn pef_lookup_pins_at_most_three_pages() {
+    fn lookup_pins_at_most_three_pages() {
         let values = sample(5000, 500, 4);
         let (pool, idx) = build(&values, 500);
         assert_eq!(idx.codec_kind(), CodecKind::Pef);
@@ -979,9 +848,18 @@ mod tests {
 
     #[test]
     fn tiny_corpora() {
-        // Single row.
+        // Single row: no posting pages, and a chain that says so.
         let (_p, idx) = build(&[0], 1);
+        assert_eq!((idx.pages(), idx.codec_kind()), (0, CodecKind::Plain));
         assert_eq!(run(&idx, 0, 0), vec![0]);
+        let mut it = idx.iter();
+        assert_eq!(it.next_row_pos_geq(0, 0).unwrap(), Some(0));
+        assert_eq!(it.get_next_row_pos().unwrap(), None);
+        assert_eq!(it.next_row_pos_geq(0, 1).unwrap(), None);
+        // No rows at all.
+        let (_p, idx) = build(&[], 0);
+        assert_eq!(idx.pages(), 0);
+        assert_eq!(PagedInvertedIndex::open(&idx.pool, &idx.meta_bytes()).unwrap().rows(), 0);
         // Single distinct value over many rows.
         let values = vec![0u64; 300];
         let (_p, idx) = build(&values, 1);

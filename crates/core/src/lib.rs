@@ -35,10 +35,10 @@ pub mod sync;
 mod util;
 pub mod value;
 
-pub use column::{probe_shape, Column, ColumnBuilder, ColumnRead, IndexMode, LoadPolicy};
+pub use column::{Column, ColumnBuilder, ColumnRead, IndexMode, LoadPolicy};
 pub use config::PageConfig;
 pub use datavec::{ScanOptions, ScanPartition};
 pub use error::{CoreError, CoreResult};
-pub use payg_encoding::dispatch::{ChainCodec, CodecKind, ProbeShape, ScanPath};
+pub use payg_encoding::dispatch::{ChainCodec, CodecKind, ScanPath};
 pub use scratch::ChainScratch;
 pub use value::{DataType, Value, ValuePredicate};

@@ -16,6 +16,19 @@ fn string_values(n: usize) -> Vec<Value> {
         .collect()
 }
 
+/// Distinct random printable strings: nothing for FSST to learn, so the
+/// builder keeps their dictionary chain plain front-coded.
+fn random_string_values(n: usize) -> Vec<Value> {
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut printable = || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        char::from(b' ' + ((x >> 33) % 95) as u8)
+    };
+    (0..n).map(|_| Value::Varchar((0..40).map(|_| printable()).collect())).collect()
+}
+
 fn int_values(n: usize) -> Vec<Value> {
     (0..n as i64).map(|i| Value::Integer((i * 37) % 101 - 50)).collect()
 }
@@ -95,11 +108,11 @@ fn equivalence_strings_without_index() {
     assert_equivalent(DataType::Varchar, &string_values(900), false);
 }
 
-/// The codec dispatch seam: point/set probes on a PEF index run in the
-/// compressed domain, ranges and plain structures decode-then-scan, and
-/// resident columns (already decoded in memory) never take the seam.
+/// Point/set probes on an index seek in the compressed domain, ranges and
+/// index-less columns decode-then-scan, resident columns (already decoded
+/// in memory) always do; the codecs are the ones the data selected.
 #[test]
-fn dispatch_seam_picks_compressed_domain_for_pef_point_probes() {
+fn index_point_probes_run_in_the_compressed_domain() {
     use payg_core::{CodecKind, ScanPath};
     let pool = pool();
     let values = string_values(900);
@@ -118,18 +131,18 @@ fn dispatch_seam_picks_compressed_domain_for_pef_point_probes() {
     assert_eq!(no_index.index_codec(), None);
     assert_eq!(no_index.scan_path(&point), ScanPath::DecodeThenScan);
 
-    // With the codecs disabled every chain reads back plain and the seam
-    // routes everything through the decode path.
-    let plain_cfg = PageConfig { dict_fsst: false, pef_postings: false, ..PageConfig::tiny() };
-    let plain = ColumnBuilder::new(DataType::Varchar)
-        .policy(LoadPolicy::PageLoadable)
-        .with_index(true)
-        .build(&pool, &plain_cfg, &values)
-        .unwrap()
-        .column;
-    assert_eq!(plain.index_codec(), Some(CodecKind::Plain));
-    assert_eq!(plain.dict_codec(), CodecKind::Plain);
-    assert_eq!(plain.scan_path(&point), ScanPath::DecodeThenScan);
+    // Incompressible keys keep the dictionary chain plain; the index and
+    // its traversal do not depend on that.
+    let random = random_string_values(900);
+    let plain_dict = build(&pool, DataType::Varchar, &random, LoadPolicy::PageLoadable, true);
+    assert_eq!(plain_dict.dict_codec(), CodecKind::Plain);
+    assert_eq!(plain_dict.index_codec(), Some(CodecKind::Pef));
+    assert_eq!(plain_dict.scan_path(&point), ScanPath::CompressedDomain);
+}
+
+#[test]
+fn equivalence_incompressible_strings_with_index() {
+    assert_equivalent(DataType::Varchar, &random_string_values(900), true);
 }
 
 #[test]

@@ -5,35 +5,72 @@ use payg_core::column::ColumnRead;
 use payg_core::datavec::PagedDataVector;
 use payg_core::dict::{HandleCache, PagedDictionary};
 use payg_core::invidx::{InMemoryInvertedIndex, PagedInvertedIndex};
-use payg_core::{ColumnBuilder, DataType, LoadPolicy, PageConfig, Value, ValuePredicate};
+use payg_core::{CodecKind, ColumnBuilder, DataType, LoadPolicy, PageConfig, Value, ValuePredicate};
 use payg_encoding::{BitPackedVec, VidSet};
 use payg_resman::{PoolLimits, ResourceManager};
 use payg_storage::{BufferPool, MemStore};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 fn pool() -> BufferPool {
     BufferPool::new(Arc::new(MemStore::new()), ResourceManager::new())
 }
 
+/// The dictionary codec is selected by the data, so a property covers both
+/// sides only if its cases' data does: each case records the codecs it
+/// built, and the test that runs the cases ends on [`assert_both_codecs`].
+/// (The case functions keep their names: the cases are seeded by them.)
+fn note_codec(seen: &AtomicU8, kind: CodecKind) {
+    seen.fetch_or(1 << kind as u8, Ordering::Relaxed);
+}
+
+fn assert_both_codecs(seen: &AtomicU8) {
+    let both = 1 << CodecKind::Plain as u8 | 1 << CodecKind::Fsst as u8;
+    assert_eq!(
+        seen.load(Ordering::Relaxed),
+        both,
+        "the cases must build an FSST and a plain dictionary chain"
+    );
+}
+
+static DICT_CODECS: AtomicU8 = AtomicU8::new(0);
+
+#[test]
+fn paged_dict_equals_sorted_vec_under_both_codecs() {
+    paged_dict_equals_sorted_vec();
+    assert_both_codecs(&DICT_CODECS);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The paged dictionary answers exactly like a sorted vector.
-    #[test]
+    /// The paged dictionary answers exactly like a sorted vector, whichever
+    /// codec its keys select: compressible `material-…` identifiers or
+    /// random bytes.
     fn paged_dict_equals_sorted_vec(
-        mut keys in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..40), 1..120),
+        raw in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..40), 1..120),
         probes in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..40), 1..20),
+        compressible in any::<bool>(),
     ) {
+        let mut keys = raw;
+        if compressible {
+            for k in &mut keys {
+                let fnv = |h: u64, &b: &u8| h.wrapping_mul(0x100_0000_01B3) ^ u64::from(b);
+                let id = k.iter().fold(k.len() as u64, fnv);
+                *k = format!("material-{:08}", id % 100_000_000).into_bytes();
+            }
+        }
         keys.sort();
         keys.dedup();
         let pool = pool();
         let (dict, _) = PagedDictionary::build(&pool, &PageConfig::tiny(), &keys).unwrap();
+        note_codec(&DICT_CODECS, dict.codec_kind());
         let mut cache = HandleCache::new(pool.clone());
         for (vid, k) in keys.iter().enumerate() {
             prop_assert_eq!(&dict.key_by_vid(vid as u64, &mut cache).unwrap(), k);
         }
-        for p in &probes {
+        for p in probes.iter().chain(&keys) {
             let got = dict.find(p, &mut cache).unwrap();
             let expect = keys.binary_search(p).map(|i| i as u64).map_err(|i| i as u64);
             prop_assert_eq!(got, expect);
@@ -64,16 +101,16 @@ proptest! {
     /// A posting run `lo..=hi` ≡ the per-vid lists back to back ≡ a naive
     /// filter of the source, for the resident and the paged index, over vid
     /// vectors that are unique (directory elided), two-valued (long lists)
-    /// and skewed, at both page sizes and under both posting codecs; and
-    /// `find_rows(BETWEEN)` through either index, clipped to a row window,
-    /// ≡ the data-vector scan of a twin column built without an index.
+    /// and skewed — down to a single row and to none — at both page sizes;
+    /// and `find_rows(BETWEEN)` through either index, clipped to a row
+    /// window, ≡ the data-vector scan of a twin column built without an
+    /// index.
     #[test]
     fn posting_run_equals_per_vid(
-        n in 1usize..700,
+        n in 0usize..700,
         shape in 0u8..3,
         seed in any::<u64>(),
         default_pages in any::<bool>(),
-        pef in any::<bool>(),
     ) {
         let hash = |i: usize| (seed ^ i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(29);
         let raw: Vec<u64> = match shape {
@@ -96,11 +133,17 @@ proptest! {
         let values: Vec<u64> =
             raw.iter().map(|v| distinct.binary_search(v).unwrap() as u64).collect();
         let card = distinct.len() as u64;
-        let pages = if default_pages { PageConfig::default() } else { PageConfig::tiny() };
-        let config = PageConfig { pef_postings: pef, ..pages };
+        let config = if default_pages { PageConfig::default() } else { PageConfig::tiny() };
         let pool = pool();
         let paged = PagedInvertedIndex::build(&pool, &config, &values, card).unwrap();
         let resident = InMemoryInvertedIndex::build(&values, card);
+        if n == 0 {
+            // The empty fragment: no pages, and no vid to ask for.
+            prop_assert_eq!(paged.pages(), 0);
+            prop_assert!(paged.posting_run(0, 0, &mut Vec::new()).is_err());
+            prop_assert!(resident.posting_run(0, 0, &mut Vec::new()).is_err());
+            return Ok(());
+        }
         prop_assert_eq!(resident.is_unique(), card == n as u64);
         prop_assert!(shape != 0 || (resident.is_unique() && paged.is_unique()));
 
@@ -210,7 +253,6 @@ proptest! {
             helper_page,
             index_page: 256,
             inline_limit,
-            ..PageConfig::tiny()
         };
         prop_assume!(config.validate().is_ok());
         let keys: Vec<Vec<u8>> = (0..n_keys)
@@ -411,6 +453,14 @@ proptest! {
     }
 }
 
+static PROJECTION_CODECS: AtomicU8 = AtomicU8::new(0);
+
+#[test]
+fn phased_projection_under_both_codecs() {
+    phased_projection_equals_per_column_and_resident();
+    assert_both_codecs(&PROJECTION_CODECS);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -421,19 +471,16 @@ proptest! {
     /// enough to spill into overflow pages, FSST-compressed and plain
     /// dictionaries — with the paged pool limited to less than one wave,
     /// so the pages of a phase are evicted between (and during) waves.
-    #[test]
     fn phased_projection_equals_per_column_and_resident(
         n_rows in 1usize..260,
         card in 1u64..200,
         salt in any::<u64>(),
         picks in prop::collection::vec(any::<u32>(), 0..150),
-        fsst in any::<bool>(),
     ) {
         let sources = special_shape_columns(n_rows, card, salt);
         // Roomy enough for a 16-entry block of spilled entries; the wave is
         // WAVE_PAGES pages, the pool limit a handful.
-        let config =
-            PageConfig { dict_page: 2048, overflow_page: 256, dict_fsst: fsst, ..PageConfig::tiny() };
+        let config = PageConfig { dict_page: 2048, overflow_page: 256, ..PageConfig::tiny() };
         let resman = ResourceManager::with_paged_limits(PoolLimits::new(1024, 4096));
         prop_assert!(4096 < payg_core::column::WAVE_PAGES * config.datavec_page);
         let pool = BufferPool::new(Arc::new(MemStore::new()), resman);
@@ -447,6 +494,9 @@ proptest! {
         };
         let paged = build(LoadPolicy::PageLoadable);
         let resident = build(LoadPolicy::FullyResident);
+        for col in &paged {
+            note_codec(&PROJECTION_CODECS, col.dict_codec());
+        }
         let rows: Vec<u64> = picks.iter().map(|&p| u64::from(p) % n_rows as u64).collect();
 
         let mixed: Vec<&payg_core::Column> = paged.iter().chain(&resident).collect();
@@ -469,7 +519,9 @@ proptest! {
 
 /// Source columns covering the special shapes of late materialization: a
 /// width-0 data vector, a plain numeric column, strings large enough to
-/// spill into overflow pages, and a high-cardinality string column.
+/// spill into overflow pages, a high-cardinality string column (whose keys
+/// FSST compresses) and one of long random strings (which, past some 150
+/// rows, it declines: the dictionary chain stays plain front-coded).
 fn special_shape_columns(n_rows: usize, card: u64, salt: u64) -> Vec<(DataType, Vec<Value>)> {
     let mix = |i: usize, k: u64| {
         (salt ^ k).wrapping_add(i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17
@@ -486,7 +538,25 @@ fn special_shape_columns(n_rows: usize, card: u64, salt: u64) -> Vec<(DataType, 
             Value::Varchar(format!("order-{v:05}{tail}"))
         }).collect()),
         (DataType::Varchar, (0..n_rows).map(|i| Value::Varchar(format!("customer-{:06}", mix(i, 3) % 100_000))).collect()),
+        (DataType::Varchar, (0..n_rows).map(|i| {
+            let mut x = mix(i, 4) << 1 | 1; // xorshift, one stream per row
+            let printable = |_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                char::from(b' ' + ((x >> 33) % 95) as u8)
+            };
+            Value::Varchar((0..160).map(printable).collect())
+        }).collect()),
     ]
+}
+
+static COUNTS_CODECS: AtomicU8 = AtomicU8::new(0);
+
+#[test]
+fn value_counts_under_both_codecs() {
+    value_counts_equal_histogram_of_get_values();
+    assert_both_codecs(&COUNTS_CODECS);
 }
 
 proptest! {
@@ -497,17 +567,14 @@ proptest! {
     /// `get_values`, ascending by value, for arbitrary row lists (unsorted,
     /// duplicates, a single row, none) on paged and resident columns of
     /// every special shape; `vid_counts` / `values_by_vid` are its two steps.
-    #[test]
     fn value_counts_equal_histogram_of_get_values(
         n_rows in 1usize..260,
         card in 1u64..200,
         salt in any::<u64>(),
         picks in prop::collection::vec(any::<u32>(), 0..150),
-        fsst in any::<bool>(),
     ) {
         let sources = special_shape_columns(n_rows, card, salt);
-        let config =
-            PageConfig { dict_page: 2048, overflow_page: 256, dict_fsst: fsst, ..PageConfig::tiny() };
+        let config = PageConfig { dict_page: 2048, overflow_page: 256, ..PageConfig::tiny() };
         let pool = pool();
         let rows: Vec<u64> = picks.iter().map(|&p| u64::from(p) % n_rows as u64).collect();
         let histogram = |values: Vec<Value>| -> Vec<(Value, u64)> {
@@ -525,6 +592,7 @@ proptest! {
         for (ty, values) in &sources {
             for policy in [LoadPolicy::PageLoadable, LoadPolicy::FullyResident] {
                 let col = ColumnBuilder::new(*ty).policy(policy).build(&pool, &config, values).unwrap().column;
+                note_codec(&COUNTS_CODECS, col.dict_codec());
                 for rows in [&rows[..], &rows[..rows.len().min(1)], &[]] {
                     let expect = histogram(rows.iter().map(|&r| values[r as usize].clone()).collect());
                     prop_assert_eq!(&col.value_counts(rows).unwrap(), &expect, "{:?} {:?}", ty, policy);
@@ -545,45 +613,13 @@ proptest! {
     }
 }
 
-/// `PageConfig::tiny()` compresses by default; this is the same geometry
-/// with both codecs off, for compressed ≡ plain parity checks.
-fn plain_config() -> PageConfig {
-    PageConfig { dict_fsst: false, pef_postings: false, ..PageConfig::tiny() }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// An FSST-compressed dictionary chain answers exactly like the plain
-    /// front-coded build: same vid↔key mapping, same hit and miss probes.
+    /// `next_row_pos_geq` plus the continuing drain agree with a naive
+    /// filter at arbitrary row targets, one past the last row included.
     #[test]
-    fn fsst_dict_equals_plain_dict(
-        mut keys in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..48), 1..150),
-        probes in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..48), 1..16),
-    ) {
-        keys.sort();
-        keys.dedup();
-        let pool = pool();
-        let (fsst, _) = PagedDictionary::build(&pool, &PageConfig::tiny(), &keys).unwrap();
-        let (plain, _) = PagedDictionary::build(&pool, &plain_config(), &keys).unwrap();
-        let mut fc = HandleCache::new(pool.clone());
-        let mut pc = HandleCache::new(pool.clone());
-        for vid in 0..keys.len() as u64 {
-            prop_assert_eq!(
-                fsst.key_by_vid(vid, &mut fc).unwrap(),
-                plain.key_by_vid(vid, &mut pc).unwrap()
-            );
-        }
-        for p in probes.iter().chain(keys.iter()) {
-            prop_assert_eq!(fsst.find(p, &mut fc).unwrap(), plain.find(p, &mut pc).unwrap());
-        }
-    }
-
-    /// A PEF posting chain returns the same postings as the bit-packed
-    /// build, and `next_row_pos_geq` plus the continuing drain agree with a
-    /// naive filter at arbitrary row targets.
-    #[test]
-    fn pef_index_equals_bitpacked_index(
+    fn index_seek_and_drain_equal_naive(
         raw in prop::collection::vec(0u64..30, 1..300),
         targets in prop::collection::vec(0u64..320, 1..6),
     ) {
@@ -596,15 +632,8 @@ proptest! {
             .collect();
         let card = distinct.len() as u64;
         let pool = pool();
-        let pef = PagedInvertedIndex::build(&pool, &PageConfig::tiny(), &values, card).unwrap();
-        let plain = PagedInvertedIndex::build(&pool, &plain_config(), &values, card).unwrap();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for vid in 0..card {
-            pef.posting_run(vid, vid, &mut a).unwrap();
-            plain.posting_run(vid, vid, &mut b).unwrap();
-            prop_assert_eq!(&a, &b);
-        }
-        let mut it = pef.iter();
+        let index = PagedInvertedIndex::build(&pool, &PageConfig::tiny(), &values, card).unwrap();
+        let mut it = index.iter();
         for &t in &targets {
             for vid in 0..card {
                 let mut got = Vec::new();

@@ -1,13 +1,12 @@
-//! The chain-codec / scan-dispatch seam.
+//! Chain codec descriptors and the scan-path report.
 //!
 //! Every persisted chain carries a [`ChainCodec`] descriptor (the chain
 //! file's descriptor region in `payg-storage`; a chain that never had one
-//! set reads as [`CodecKind::Plain`]). Readers consult [`choose`] once per probe to pick
-//! between running the predicate **in the compressed domain** (compare
-//! FSST-compressed bytes, leapfrog Elias-Fano partitions) and the classic
-//! **decode-then-scan** path. Centralizing the decision here gives future
-//! synopsis-aware and `std::simd` kernels one place to hang their own
-//! strategies instead of scattering per-call-site `if` chains.
+//! set reads as [`CodecKind::Plain`]): the codec is what the builder wrote,
+//! chosen from the data, never something a reader is asked for. [`ScanPath`]
+//! is how a reader reports which way it ran a probe — **in the compressed
+//! domain** (compare FSST-compressed bytes, leapfrog Elias-Fano partitions)
+//! or **decode-then-scan**.
 
 use crate::{EncodingError, Result};
 
@@ -33,17 +32,6 @@ impl CodecKind {
     }
 }
 
-/// The shape of the probe being dispatched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeShape {
-    /// Single-value equality (dictionary exact `find`, index point lookup).
-    Point,
-    /// Ordered range (`Between`, prefix ranges, `vid_range` probes).
-    Range,
-    /// Set membership / posting intersection (`In`).
-    Set,
-}
-
 /// The strategy a reader runs one probe with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanPath {
@@ -52,26 +40,6 @@ pub enum ScanPath {
     CompressedDomain,
     /// Decode the chunk/block, then run the plain kernel.
     DecodeThenScan,
-}
-
-/// Picks the scan strategy for one probe over one chain.
-///
-/// * `Plain` chains always decode-then-scan (the bit-packed SWAR kernels
-///   already are that path's fast form).
-/// * `Fsst` equality and set probes compare compressed bytes (deterministic
-///   encoding makes compressed equality ⇔ raw equality); ordered ranges
-///   need `memcmp` order, which FSST does not preserve, so they decompress
-///   along the comparison walk.
-/// * `Pef` point and set probes leapfrog compressed partitions via
-///   `next_geq`; full-range enumeration decodes partitions wholesale.
-pub fn choose(kind: CodecKind, shape: ProbeShape) -> ScanPath {
-    match (kind, shape) {
-        (CodecKind::Plain, _) => ScanPath::DecodeThenScan,
-        (CodecKind::Fsst, ProbeShape::Point | ProbeShape::Set) => ScanPath::CompressedDomain,
-        (CodecKind::Fsst, ProbeShape::Range) => ScanPath::DecodeThenScan,
-        (CodecKind::Pef, ProbeShape::Point | ProbeShape::Set) => ScanPath::CompressedDomain,
-        (CodecKind::Pef, ProbeShape::Range) => ScanPath::DecodeThenScan,
-    }
 }
 
 /// A persisted per-chain codec descriptor: the codec kind plus its
@@ -160,18 +128,5 @@ mod tests {
         assert!(ChainCodec::deserialize(&[9, 0, 0, 0, 0, 0]).is_err()); // version
         assert!(ChainCodec::deserialize(&[1, 7, 0, 0, 0, 0]).is_err()); // kind
         assert!(ChainCodec::deserialize(&[1, 1, 5, 0, 0, 0, 1]).is_err()); // len
-    }
-
-    #[test]
-    fn dispatch_rules() {
-        use CodecKind::*;
-        use ProbeShape::*;
-        use ScanPath::*;
-        assert_eq!(choose(Plain, Point), DecodeThenScan);
-        assert_eq!(choose(Fsst, Point), CompressedDomain);
-        assert_eq!(choose(Fsst, Set), CompressedDomain);
-        assert_eq!(choose(Fsst, Range), DecodeThenScan);
-        assert_eq!(choose(Pef, Point), CompressedDomain);
-        assert_eq!(choose(Pef, Set), CompressedDomain);
     }
 }

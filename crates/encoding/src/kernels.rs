@@ -32,11 +32,10 @@
 //! the word slice of a resident [`BitPackedVec`] and the bytes of a pinned
 //! page, evaluated in place. One case stays outside it: sets larger than
 //! [`MAX_LINEAR_SET`] decode each slot and look it up. Widths 0 and 33..=64
-//! (cardinality 1 and > 2^32 — both rare) fall back to the generic chunk
-//! kernels. [`KernelPredicate`] hides all of it.
+//! (cardinality 1 and > 2^32 — both rare) are answered from the row count
+//! and by [`chunk_bitmap_generic`]. [`KernelPredicate`] hides all of it.
 
 use crate::chunk::{decode_chunk, CHUNK_LEN};
-use crate::scan::CompiledPredicate;
 use crate::unaligned::fill_le_words;
 use crate::{BitPackedVec, BitWidth, VidSet};
 
@@ -426,14 +425,14 @@ fn kernel<const N: u32, S: Sink>(src: Packed<'_>, op: &Op<'_>, sink: &mut S) {
 }
 
 /// A scan predicate compiled against a bit width: picks the windowed kernel
-/// for widths 1..=32 and the generic [`CompiledPredicate`] otherwise,
+/// for widths 1..=32 and [`chunk_bitmap_generic`] otherwise,
 /// normalizing degenerate shapes (out-of-domain probes, full-domain ranges)
 /// and replicating the probes up front so the per-chunk path never
 /// re-derives them.
 pub struct KernelPredicate<'a> {
     width: BitWidth,
     op: Op<'a>,
-    fallback: Option<CompiledPredicate<'a>>,
+    set: &'a VidSet,
 }
 
 impl<'a> KernelPredicate<'a> {
@@ -442,7 +441,7 @@ impl<'a> KernelPredicate<'a> {
         let (bits, max) = (width.bits(), width.max_value());
         let windowed = (1..=32).contains(&bits);
         // Replicates a probe into every lane of a window; off the kernel
-        // table the fallback evaluates `set` itself and probes stay as is.
+        // table the generic kernel evaluates `set` itself and probes stay as is.
         let lsb = if windowed { lane_lsb(bits) } else { 1 };
         let op = if set.is_empty() {
             Op::Never
@@ -482,9 +481,7 @@ impl<'a> KernelPredicate<'a> {
                 }
             }
         };
-        let fallback = (!windowed && !matches!(op, Op::Never | Op::Always))
-            .then(|| CompiledPredicate::new(width, set));
-        KernelPredicate { width, op, fallback }
+        KernelPredicate { width, op, set }
     }
 
     /// True when no slot can ever match.
@@ -548,26 +545,25 @@ impl<'a> KernelPredicate<'a> {
     /// generic per-chunk kernel at widths 33..=64.
     fn wide_bitmap(&self, src: Packed<'_>, i: usize) -> u64 {
         let n = self.width.bits() as usize;
-        match (&self.op, &self.fallback) {
+        match (&self.op, src) {
             (Op::Never, _) => 0,
             (Op::Always, _) => u64::MAX,
-            (_, Some(pred)) => match src {
-                Packed::Words(words) => pred.chunk_bitmap(&words[i * n..(i + 1) * n]),
-                Packed::Bytes(bytes) => {
-                    let mut words = [0u64; CHUNK_LEN];
-                    fill_le_words(&bytes[i * 8 * n..(i + 1) * 8 * n], &mut words[..n]);
-                    pred.chunk_bitmap(&words[..n])
-                }
-            },
-            (_, None) => unreachable!("fallback compiled for non-trivial ops"),
+            (_, Packed::Words(words)) => {
+                chunk_bitmap_generic(&words[i * n..(i + 1) * n], self.width, self.set)
+            }
+            (_, Packed::Bytes(bytes)) => {
+                let mut words = [0u64; CHUNK_LEN];
+                fill_le_words(&bytes[i * 8 * n..(i + 1) * 8 * n], &mut words[..n]);
+                chunk_bitmap_generic(&words[..n], self.width, self.set)
+            }
         }
     }
 }
 
-/// The unspecialized reference kernel: runtime-width decode of the whole
-/// chunk followed by a branchless membership test. This is the "one generic
-/// kernel" baseline the specialized dispatch is measured against (and the
-/// middle term of the specialized ≡ generic ≡ naive equivalence tests).
+/// The one runtime-width kernel: decode of the whole chunk followed by a
+/// branchless membership test. It serves widths 33..=64, which the kernel
+/// table does not cover, and is the middle term of the specialized ≡
+/// generic ≡ naive equivalence tests.
 pub fn chunk_bitmap_generic(chunk_words: &[u64], w: BitWidth, set: &VidSet) -> u64 {
     if w.bits() == 0 {
         return if set.contains(0) { u64::MAX } else { 0 };
@@ -924,7 +920,11 @@ mod tests {
             let w = BitWidth::new(bits).unwrap();
             let (values, words) = packed(bits, 2, u64::from(bits));
             let bytes = le_bytes(&words);
-            for set in [VidSet::Single(values[5]), VidSet::range(0, w.max_value() / 2)] {
+            for set in [
+                VidSet::Single(values[5]),
+                VidSet::range(0, w.max_value() / 2),
+                VidSet::from_vids(vec![values[1], values[70], values[100], w.max_value()]),
+            ] {
                 let pred = KernelPredicate::new(w, &set);
                 let naive = naive_bitmaps(&values, &set);
                 for src in [Packed::Words(&words), Packed::Bytes(&bytes)] {

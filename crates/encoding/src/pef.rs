@@ -24,10 +24,8 @@
 //! * [`intersect`] leapfrogs two lists through `next_geq`, touching only
 //!   the partitions that can contain common values.
 //!
-//! The **only** sanctioned full decode is [`decode_partition`] /
-//! [`PartitionRef::read_into`]; `cargo xtask analyze` forbids calling
-//! `decode_partition` outside this module so posting readers keep going
-//! through the partition-aware accessors.
+//! The only full decode is [`PartitionRef::read_into`]: readers outside
+//! this module have the partition-aware accessors and nothing else.
 
 use crate::unaligned::le_u64_padded;
 use crate::{EncodingError, Result};
@@ -144,10 +142,8 @@ pub fn encode_partition(values: &[u64], out: &mut Vec<u8>) -> usize {
 
 /// Fully decodes one partition of `n` values starting at `bytes[pos..]`
 /// into `out[..n]`, returning the offset one past the partition.
-///
-/// This is the raw bulk decode — posting readers outside `payg_encoding`
-/// must use [`PartitionRef`] instead (enforced by `cargo xtask analyze`).
-pub fn decode_partition(bytes: &[u8], pos: usize, n: usize, out: &mut [u64]) -> Result<usize> {
+#[cfg(test)]
+fn decode_partition(bytes: &[u8], pos: usize, n: usize, out: &mut [u64]) -> Result<usize> {
     let part = PartitionRef::parse(bytes, pos, n)?;
     part.read_into(out)?;
     Ok(part.end)

@@ -1,140 +1,14 @@
-//! Scan entry points over resident packed vectors, and the generic chunk
-//! primitives.
+//! Scan entry points over resident packed vectors.
 //!
 //! [`search`], [`search_bitmap`] and [`search_at_rows`] are the paper's
 //! `search` varieties (§3.1.3) over a [`BitPackedVec`]. The first two
 //! evaluate through [`KernelPredicate`] — the same width-specialized kernels
 //! the paged iterator hands its pinned pages to, so a paged/resident
 //! comparison compares page access, not kernels.
-//!
-//! The runtime-width chunk primitives below ([`chunk_bitmap_eq`] /
-//! [`chunk_bitmap_range`] / [`chunk_bitmap_in`], [`CompiledPredicate`])
-//! produce the same 64-bit match bitmap per chunk (bit `i` set ⇔ slot `i`
-//! matches) without specialization: a SWAR zero-lane test at widths that
-//! divide 64, decode plus a branchless compare otherwise. They serve widths
-//! 33..=64, which the kernel table does not cover, and stand as the oracle
-//! the specialized kernels are tested against.
 
 use crate::chunk::{decode_chunk, CHUNK_LEN};
 use crate::kernels::KernelPredicate;
-use crate::{BitPackedVec, BitWidth, VidSet};
-
-/// Replicates an `n`-bit value across a 64-bit word (`n` must divide 64).
-#[inline]
-fn replicate(v: u64, n: u32) -> u64 {
-    let mut p = v;
-    let mut width = n;
-    while width < 64 {
-        p |= p << width;
-        width *= 2;
-    }
-    p
-}
-
-/// Low bit of every `n`-bit lane.
-#[inline]
-fn lane_lsb(n: u32) -> u64 {
-    replicate(1, n)
-}
-
-/// True when some `n`-bit lane of `x` is zero (`n` divides 64, `n < 64`).
-/// Exact test from Bit Twiddling Hacks generalized to lane width `n`.
-#[inline]
-fn has_zero_lane(x: u64, n: u32) -> bool {
-    let lsb = lane_lsb(n);
-    let msb = lsb << (n - 1);
-    (x.wrapping_sub(lsb) & !x & msb) != 0
-}
-
-/// Computes the match bitmap of `chunk_words` (one chunk at width `w`)
-/// against an equality predicate `vid`.
-pub fn chunk_bitmap_eq(chunk_words: &[u64], w: BitWidth, vid: u64) -> u64 {
-    let n = w.bits();
-    if n == 0 {
-        return if vid == 0 { u64::MAX } else { 0 };
-    }
-    if vid > w.max_value() {
-        return 0;
-    }
-    if n == 64 {
-        let mut bm = 0u64;
-        for (i, &word) in chunk_words.iter().enumerate() {
-            bm |= u64::from(word == vid) << i;
-        }
-        return bm;
-    }
-    if w.is_word_aligned() {
-        // SWAR path: XOR with the replicated pattern, then test lanes for
-        // zero; only extract lane positions for words that contain a match.
-        let pattern = replicate(vid, n);
-        let per_word = (64 / n) as usize;
-        let mut bm = 0u64;
-        if n == 1 {
-            // Lanes are single bits: the bitmap is the (possibly inverted)
-            // word itself.
-            let word = chunk_words[0];
-            return if vid == 1 { word } else { !word };
-        }
-        for (wi, &word) in chunk_words.iter().enumerate() {
-            let x = word ^ pattern;
-            if !has_zero_lane(x, n) {
-                continue;
-            }
-            let base = wi * per_word;
-            let mask = w.mask();
-            for lane in 0..per_word {
-                let v = (word >> (lane as u32 * n)) & mask;
-                bm |= u64::from(v == vid) << (base + lane);
-            }
-        }
-        return bm;
-    }
-    let mut buf = [0u64; CHUNK_LEN];
-    decode_chunk(chunk_words, w, &mut buf);
-    bitmap_from_decoded(&buf, |v| v == vid)
-}
-
-/// Computes the match bitmap against an inclusive range predicate
-/// `lo..=hi`.
-pub fn chunk_bitmap_range(chunk_words: &[u64], w: BitWidth, lo: u64, hi: u64) -> u64 {
-    if lo > hi {
-        return 0;
-    }
-    let n = w.bits();
-    if n == 0 {
-        return if lo == 0 { u64::MAX } else { 0 };
-    }
-    let mut buf = [0u64; CHUNK_LEN];
-    decode_chunk(chunk_words, w, &mut buf);
-    bitmap_from_decoded(&buf, |v| v >= lo && v <= hi)
-}
-
-/// Computes the match bitmap against an arbitrary [`VidSet`] predicate.
-pub fn chunk_bitmap_in(chunk_words: &[u64], w: BitWidth, set: &VidSet) -> u64 {
-    match set {
-        VidSet::Single(v) => chunk_bitmap_eq(chunk_words, w, *v),
-        VidSet::Range { lo, hi } => chunk_bitmap_range(chunk_words, w, *lo, *hi),
-        _ => {
-            let n = w.bits();
-            if n == 0 {
-                return if set.contains(0) { u64::MAX } else { 0 };
-            }
-            let mut buf = [0u64; CHUNK_LEN];
-            decode_chunk(chunk_words, w, &mut buf);
-            bitmap_from_decoded(&buf, |v| set.contains(v))
-        }
-    }
-}
-
-/// Branchless bitmap construction over a decoded chunk.
-#[inline]
-fn bitmap_from_decoded(buf: &[u64; CHUNK_LEN], pred: impl Fn(u64) -> bool) -> u64 {
-    let mut bm = 0u64;
-    for (i, &v) in buf.iter().enumerate() {
-        bm |= u64::from(pred(v)) << i;
-    }
-    bm
-}
+use crate::{BitPackedVec, VidSet};
 
 /// Pushes the row positions set in `bitmap` (relative to `base`) onto `out`,
 /// restricted to positions in `from..to`.
@@ -167,94 +41,6 @@ pub fn push_bitmap_positions(mut bitmap: u64, base: u64, from: u64, to: u64, out
         let slot = bitmap.trailing_zeros() as u64;
         out.push(base + slot);
         bitmap &= bitmap - 1;
-    }
-}
-
-/// A predicate compiled once per scan: replicated SWAR patterns and width
-/// metadata are hoisted out of the per-chunk loop (recomputing the pattern
-/// for every 64-value chunk dominates small-width scans otherwise).
-pub enum CompiledPredicate<'a> {
-    /// Equality at a word-aligned width: full SWAR with precomputed lanes.
-    SwarEq {
-        /// The probe value.
-        vid: u64,
-        /// `vid` replicated across the word.
-        pattern: u64,
-        /// Lane low bits.
-        lsb: u64,
-        /// Lane high bits.
-        msb: u64,
-        /// Lane width.
-        n: u32,
-        /// Value mask.
-        mask: u64,
-    },
-    /// Any other (width, set) combination: decode + branchless compare.
-    General {
-        /// The predicate.
-        set: &'a VidSet,
-        /// The width.
-        width: BitWidth,
-    },
-    /// Width-0 vectors: every slot holds 0.
-    Zero {
-        /// Whether 0 matches the predicate.
-        matches: bool,
-    },
-}
-
-impl<'a> CompiledPredicate<'a> {
-    /// Compiles `set` for scans at `width`.
-    pub fn new(width: BitWidth, set: &'a VidSet) -> Self {
-        let n = width.bits();
-        if n == 0 {
-            return CompiledPredicate::Zero { matches: set.contains(0) };
-        }
-        if let VidSet::Single(vid) = set {
-            if width.is_word_aligned() && n > 1 && n < 64 && *vid <= width.max_value() {
-                let lsb = lane_lsb(n);
-                return CompiledPredicate::SwarEq {
-                    vid: *vid,
-                    pattern: replicate(*vid, n),
-                    lsb,
-                    msb: lsb << (n - 1),
-                    n,
-                    mask: width.mask(),
-                };
-            }
-        }
-        CompiledPredicate::General { set, width }
-    }
-
-    /// Match bitmap of one chunk.
-    #[inline]
-    pub fn chunk_bitmap(&self, chunk_words: &[u64]) -> u64 {
-        match self {
-            CompiledPredicate::Zero { matches } => {
-                if *matches {
-                    u64::MAX
-                } else {
-                    0
-                }
-            }
-            CompiledPredicate::SwarEq { vid, pattern, lsb, msb, n, mask } => {
-                let per_word = (64 / n) as usize;
-                let mut bm = 0u64;
-                for (wi, &word) in chunk_words.iter().enumerate() {
-                    let x = word ^ pattern;
-                    if (x.wrapping_sub(*lsb) & !x & msb) == 0 {
-                        continue;
-                    }
-                    let base = wi * per_word;
-                    for lane in 0..per_word {
-                        let v = (word >> (lane as u32 * n)) & mask;
-                        bm |= u64::from(v == *vid) << (base + lane);
-                    }
-                }
-                bm
-            }
-            CompiledPredicate::General { set, width } => chunk_bitmap_in(chunk_words, *width, set),
-        }
     }
 }
 
@@ -354,7 +140,7 @@ pub fn search_at_rows(vec: &BitPackedVec, rows: &[u64], set: &VidSet, out: &mut 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BitPackedBuilder;
+    use crate::{BitPackedBuilder, BitWidth};
 
     fn sample_vec(len: usize, bits: u32, seed: u64) -> (Vec<u64>, BitPackedVec) {
         let w = BitWidth::new(bits).unwrap();
@@ -446,19 +232,6 @@ mod tests {
         got.clear();
         search(&vec, 10, 20, &VidSet::Single(1), &mut got);
         assert!(got.is_empty());
-    }
-
-    #[test]
-    fn swar_zero_lane_detection() {
-        // 8-bit lanes.
-        assert!(has_zero_lane(0x11_22_00_44_55_66_77_88, 8));
-        assert!(!has_zero_lane(0x11_22_33_44_55_66_77_88, 8));
-        // High-bit-set lanes must not be false positives.
-        assert!(!has_zero_lane(0x80_80_80_80_80_80_80_80, 8));
-        assert!(has_zero_lane(0x80_80_80_80_80_80_80_00, 8));
-        // 4-bit lanes.
-        assert!(has_zero_lane(0xFFFF_FFFF_FFFF_FF0F, 4));
-        assert!(!has_zero_lane(0x1111_1111_9999_FFFF, 4));
     }
 
     #[test]

@@ -195,45 +195,6 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The compiled SWAR equality fast path agrees bit-for-bit with the
-    /// general decode path on every chunk, at every word-aligned width.
-    #[test]
-    fn compiled_predicate_matches_general_path(
-        bits in prop::sample::select(vec![2u32, 4, 8, 16, 32]),
-        seed in any::<u64>(),
-        probe_raw in any::<u64>(),
-    ) {
-        use payg_encoding::chunk::{encode_chunk, words_per_chunk, CHUNK_LEN};
-        use payg_encoding::scan::{chunk_bitmap_in, CompiledPredicate};
-        let w = BitWidth::new(bits).unwrap();
-        let mut values = [0u64; CHUNK_LEN];
-        for (i, v) in values.iter_mut().enumerate() {
-            *v = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(i as u64 * 0xBF58_476D)
-                & w.mask();
-        }
-        let mut words = vec![0u64; words_per_chunk(w)];
-        encode_chunk(&values, w, &mut words);
-        // Probe both present values and arbitrary ones.
-        for probe in [probe_raw & w.mask(), values[7], values[63], 0, w.mask()] {
-            let set = VidSet::Single(probe);
-            let compiled = CompiledPredicate::new(w, &set);
-            let is_known_variant = matches!(
-                compiled,
-                CompiledPredicate::SwarEq { .. } | CompiledPredicate::General { .. }
-            );
-            prop_assert!(is_known_variant);
-            let got = compiled.chunk_bitmap(&words);
-            let expect = chunk_bitmap_in(&words, w, &set);
-            prop_assert_eq!(got, expect, "width {} probe {}", bits, probe);
-            // And both agree with a naive evaluation.
-            let mut naive = 0u64;
-            for (i, &v) in values.iter().enumerate() {
-                naive |= u64::from(v == probe) << i;
-            }
-            prop_assert_eq!(got, naive);
-        }
-    }
-
     /// search_bitmap and position-materializing search agree on arbitrary
     /// vectors and predicates.
     #[test]

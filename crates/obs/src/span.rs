@@ -2,7 +2,7 @@
 //!
 //! A [`Span`] is an RAII scope that records one timed region of a query:
 //! the query itself, one worker's scan partition, a pin blocked behind an
-//! in-flight load, one coalesced I/O batch, or a codec dispatch decision.
+//! in-flight load, one coalesced I/O batch, or one index traversal.
 //! Span ids are allocated from the tracer's existing global sequence, so
 //! ids, event sequence numbers, and I/O batch ids share one totally
 //! ordered namespace. Opening a span on a disabled tracer is one relaxed
@@ -44,8 +44,8 @@ pub enum SpanKind {
     /// covered). The span's id doubles as the batch id that
     /// `IoBatchIssued`/`IoCompleted` events carry in their `aux` field.
     IoBatch,
-    /// One codec dispatch decision in a paged reader (`detail` = 1 for
-    /// compressed-domain traversal, 0 for decode-then-scan).
+    /// One inverted-index traversal in a paged reader (`detail` = 1 for
+    /// compressed-domain seeks, 0 for a decoded posting run).
     ChunkDispatch,
     /// One online delta merge of a partition (`detail` = partition index).
     Merge,

@@ -11,8 +11,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How latency-simulating stores ([`LatencyStore`], [`TieredStore`]) spend
-/// their configured delay. The default performs a real `thread::sleep`;
+/// How the latency-simulating store ([`TieredStore`]) spends its
+/// configured delay. The default performs a real `thread::sleep`;
 /// tests inject a recording sleeper so latency behavior is asserted on the
 /// *requested durations* instead of wall-clock time.
 pub type Sleeper = Arc<dyn Fn(Duration) + Send + Sync>;
@@ -532,87 +532,20 @@ impl PageStore for FileStore {
 }
 
 // ---------------------------------------------------------------------------
-// Latency injection
+// Latency injection, in two tiers (cold storage and the SCM simulation)
 // ---------------------------------------------------------------------------
 
-/// A [`PageStore`] decorator that adds a fixed latency to every page read —
-/// the experiments' model of cold storage (this machine's files sit in the
-/// OS page cache, which would erase the paper's load-cost ≫ memory-access
-/// gap). Both piecewise page loads *and* full-column loads pay it, keeping
-/// the comparison fair.
-pub struct LatencyStore<S> {
-    inner: S,
-    read_latency: Duration,
-    sleeper: Sleeper,
-}
-
-impl<S: PageStore> LatencyStore<S> {
-    /// Wraps `inner`, delaying every read by `read_latency`.
-    pub fn new(inner: S, read_latency: Duration) -> Self {
-        Self::with_sleeper(inner, read_latency, real_sleeper())
-    }
-
-    /// Like [`new`](Self::new) but spending the delay through `sleeper` —
-    /// tests inject a recording sleeper for deterministic latency checks.
-    pub fn with_sleeper(inner: S, read_latency: Duration, sleeper: Sleeper) -> Self {
-        LatencyStore { inner, read_latency, sleeper }
-    }
-}
-
-impl<S: PageStore> PageStore for LatencyStore<S> {
-    fn create_chain(&self, page_size: usize) -> StorageResult<ChainId> {
-        self.inner.create_chain(page_size)
-    }
-    fn append_page(&self, chain: ChainId, payload: &[u8]) -> StorageResult<u64> {
-        self.inner.append_page(chain, payload)
-    }
-    fn read_page(&self, key: PageKey) -> StorageResult<Box<[u8]>> {
-        if !self.read_latency.is_zero() {
-            (self.sleeper)(self.read_latency);
-        }
-        self.inner.read_page(key)
-    }
-    fn read_pages(
-        &self,
-        chain: ChainId,
-        first_page: u64,
-        count: usize,
-    ) -> Vec<StorageResult<Box<[u8]>>> {
-        // One latency charge per physical read: adjacent pages ride the same
-        // seek, which is exactly the economy coalescing is meant to buy.
-        if count > 0 && !self.read_latency.is_zero() {
-            (self.sleeper)(self.read_latency);
-        }
-        self.inner.read_pages(chain, first_page, count)
-    }
-    fn chain_len(&self, chain: ChainId) -> StorageResult<u64> {
-        self.inner.chain_len(chain)
-    }
-    fn page_size(&self, chain: ChainId) -> StorageResult<usize> {
-        self.inner.page_size(chain)
-    }
-    fn drop_chain(&self, chain: ChainId) -> StorageResult<()> {
-        self.inner.drop_chain(chain)
-    }
-    fn chains(&self) -> Vec<ChainId> {
-        self.inner.chains()
-    }
-    fn set_chain_descriptor(&self, chain: ChainId, desc: &[u8]) -> StorageResult<()> {
-        self.inner.set_chain_descriptor(chain, desc)
-    }
-    fn chain_descriptor(&self, chain: ChainId) -> StorageResult<Vec<u8>> {
-        self.inner.chain_descriptor(chain)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Tiered storage (SCM simulation)
-// ---------------------------------------------------------------------------
-
-/// A two-tier [`PageStore`]: chains placed on the *fast* tier read with the
-/// fast latency, everything else with the slow latency.
+/// A [`PageStore`] decorator that adds a latency to every physical read:
+/// chains placed on the *fast* tier read with the fast latency, everything
+/// else with the slow latency.
 ///
-/// This simulates the paper's §8 Storage Class Memory direction: moving
+/// With nothing on the fast tier (`TieredStore::new(inner, d, d)`) this is
+/// the experiments' model of cold storage — this machine's files sit in the
+/// OS page cache, which would erase the paper's load-cost ≫ memory-access
+/// gap; both piecewise page loads *and* full-column loads pay it, keeping
+/// the comparison fair.
+///
+/// The tiers simulate the paper's §8 Storage Class Memory direction: moving
 /// latency-sensitive, rebuildable structures — the inverted indexes and the
 /// sparse helper dictionaries — onto byte-addressable persistent memory
 /// with near-DRAM read latency, while bulk data stays on slow storage.
@@ -684,8 +617,9 @@ impl<S: PageStore> PageStore for TieredStore<S> {
         first_page: u64,
         count: usize,
     ) -> Vec<StorageResult<Box<[u8]>>> {
-        // One tier-latency charge per batch (the shared seek), like
-        // [`LatencyStore`].
+        // One tier-latency charge per physical read: adjacent pages ride
+        // the same seek, which is exactly the economy coalescing is meant
+        // to buy.
         let latency = if self.is_fast(chain) { self.fast_latency } else { self.slow_latency };
         if count > 0 && !latency.is_zero() {
             (self.sleeper)(latency);
@@ -1411,13 +1345,14 @@ mod tests {
     }
 
     #[test]
-    fn latency_store_charges_one_delay_per_batch() {
+    fn tiered_store_charges_one_delay_per_batch() {
         let slept: Arc<std::sync::Mutex<Vec<Duration>>> = Arc::default();
         let recorder: Sleeper = {
             let slept = Arc::clone(&slept);
             Arc::new(move |d| slept.lock().unwrap().push(d))
         };
-        let store = LatencyStore::with_sleeper(MemStore::new(), Duration::from_micros(150), recorder);
+        let d = Duration::from_micros(150);
+        let store = TieredStore::with_sleeper(MemStore::new(), d, d, recorder);
         let c = store.create_chain(16).unwrap();
         for i in 0..6u8 {
             store.append_page(c, &[i; 16]).unwrap();

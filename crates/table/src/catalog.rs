@@ -24,7 +24,7 @@ use payg_core::meta::{MetaReader, MetaWriter};
 use payg_core::{CoreError, DataType, LoadPolicy, PageConfig, Value};
 use payg_storage::{BufferPool, ChainId, PageKey, StorageError};
 
-const CATALOG_MAGIC: &[u8; 8] = b"PAYGCAT1";
+const CATALOG_MAGIC: &[u8; 8] = b"PAYGCAT2";
 
 fn corrupt(what: &str) -> TableError {
     TableError::Core(CoreError::Storage(StorageError::corrupt(format!("catalog: {what}"))))
@@ -114,17 +114,7 @@ impl Table {
         }
         // Page configuration.
         let cfg = self.page_config();
-        for v in [
-            cfg.datavec_page,
-            cfg.dict_page,
-            cfg.overflow_page,
-            cfg.helper_page,
-            cfg.index_page,
-            cfg.inline_limit,
-        ] {
-            w.u64(v as u64);
-        }
-        w.u64((cfg.dict_fsst as u64) | ((cfg.pef_postings as u64) << 1));
+        cfg.write_meta(&mut w);
         // Partitions.
         w.u64(parts.len() as u64);
         for p in &parts {
@@ -226,21 +216,7 @@ impl Table {
             }
         }
         // Page configuration.
-        let mut cfg_vals = [0u64; 6];
-        for v in &mut cfg_vals {
-            *v = r.u64().map_err(TableError::Core)?;
-        }
-        let cfg_flags = r.u64().map_err(TableError::Core)?;
-        let config = PageConfig {
-            datavec_page: cfg_vals[0] as usize,
-            dict_page: cfg_vals[1] as usize,
-            overflow_page: cfg_vals[2] as usize,
-            helper_page: cfg_vals[3] as usize,
-            index_page: cfg_vals[4] as usize,
-            inline_limit: cfg_vals[5] as usize,
-            dict_fsst: cfg_flags & 1 != 0,
-            pef_postings: cfg_flags & 2 != 0,
-        };
+        let config = PageConfig::read_meta(&mut r).map_err(TableError::Core)?;
         // Partitions.
         let nparts = r.read_len().map_err(TableError::Core)?;
         let mut partitions = Vec::with_capacity(nparts);
@@ -377,6 +353,22 @@ mod tests {
         let junk = store.create_chain(4096).unwrap();
         store.append_page(junk, b"definitely not a catalog").unwrap();
         assert!(Table::open(pool.clone(), junk).is_err());
+        // A catalog in the previous format (`PAYGCAT1`: codec flags and the
+        // bit-packed index fields) is refused by its magic, never parsed.
+        let old = store.create_chain(store.page_size(catalog).unwrap()).unwrap();
+        for p in 0..store.chain_len(catalog).unwrap() {
+            let mut page = store.read_page(PageKey::new(catalog, p)).unwrap().to_vec();
+            if p == 0 {
+                page[..8].copy_from_slice(b"PAYGCAT1");
+            }
+            store.append_page(old, &page).unwrap();
+        }
+        match Table::open(pool.clone(), old) {
+            Err(TableError::Core(CoreError::Storage(StorageError::Corrupt(what)))) => {
+                assert_eq!(what, "catalog: bad magic")
+            }
+            other => panic!("expected the bad-magic error, got {:?}", other.map(|_| ())),
+        }
         // The good catalog still opens.
         assert!(Table::open(pool, catalog).is_ok());
     }

@@ -156,12 +156,12 @@ impl Table {
 
 impl Snapshot<'_> {
     /// The scan strategy `q`'s filter resolves to on each partition's main
-    /// fragment: [`ScanPath::CompressedDomain`] where the codec dispatch
-    /// seam will run the probe on compressed bytes (PEF `next_geq` over
-    /// posting partitions), [`ScanPath::DecodeThenScan`] otherwise
-    /// (resident columns, plain chains, range shapes, no filter). Purely
-    /// informational — [`Snapshot::execute`] consults the same seam per
-    /// postinglist; this surfaces the decision for tests and benches.
+    /// fragment: [`ScanPath::CompressedDomain`] where the index
+    /// probe seeks compressed postings (`next_geq` over Elias-Fano
+    /// partitions), [`ScanPath::DecodeThenScan`] otherwise (resident
+    /// columns, unindexed columns, range shapes, no filter). Purely
+    /// informational — [`Snapshot::execute`] takes the same path; this
+    /// surfaces it for tests and benches.
     pub fn scan_plan(&self, q: &Query) -> TableResult<Vec<ScanPath>> {
         let Some((name, pred)) = &q.filter else {
             return Ok(vec![ScanPath::DecodeThenScan; self.partitions().len()]);
@@ -739,20 +739,20 @@ mod tests {
 
     #[test]
     fn compressed_domain_execution_matches_decode_then_scan() {
-        // Same rows through a PEF-postings table and a bit-packed one:
-        // every query shape returns identical results, while the plans
-        // differ on point probes.
-        let build = |pef: bool| {
+        // Same rows through an indexed table and one that scans its data
+        // vector: every query shape returns identical results, while the
+        // plans differ on point probes.
+        let build = |indexed: bool| {
+            let id = if indexed { ColumnSpec::indexed } else { ColumnSpec::new };
             let schema = Schema::new(vec![
-                ColumnSpec::indexed("id", DataType::Integer),
+                id("id", DataType::Integer),
                 ColumnSpec::new("region", DataType::Varchar),
             ])
             .unwrap();
             let pool = BufferPool::new(Arc::new(MemStore::new()), ResourceManager::new());
-            let config = PageConfig { pef_postings: pef, ..PageConfig::tiny() };
             let t = Table::create(
                 pool,
-                config,
+                PageConfig::tiny(),
                 schema,
                 vec![PartitionSpec::single(LoadPolicy::PageLoadable)],
             )
@@ -764,7 +764,7 @@ mod tests {
             t.delta_merge_all().unwrap();
             t
         };
-        let (pef, plain) = (build(true), build(false));
+        let (seek, scan) = (build(true), build(false));
         let queries = [
             Query::filtered("id", ValuePredicate::Eq(Value::Integer(17)), Projection::All),
             Query::filtered(
@@ -778,10 +778,10 @@ mod tests {
                 Projection::Count,
             ),
         ];
-        assert_eq!(t_plan(&pef, &queries[0]), ScanPath::CompressedDomain);
-        assert_eq!(t_plan(&plain, &queries[0]), ScanPath::DecodeThenScan);
+        assert_eq!(t_plan(&seek, &queries[0]), ScanPath::CompressedDomain);
+        assert_eq!(t_plan(&scan, &queries[0]), ScanPath::DecodeThenScan);
         for q in &queries {
-            assert_eq!(pef.execute(q).unwrap(), plain.execute(q).unwrap());
+            assert_eq!(seek.execute(q).unwrap(), scan.execute(q).unwrap());
         }
     }
 

@@ -27,7 +27,3 @@ struct RawCounterViolation {
 fn stringly_error_violation(detail: String) -> StorageError {
     StorageError::Corrupt(detail) // stringly-error: use StorageError::corrupt()
 }
-
-fn pef_decode_violation(bytes: &[u8], out: &mut [u64]) -> usize {
-    decode_partition(bytes, 0, 64, out).unwrap() // pef-decode: stay compressed-domain
-}

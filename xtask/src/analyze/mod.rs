@@ -52,7 +52,6 @@ pub const KNOWN_RULES: &[&str] = &[
     "raw-counter",
     "stringly-error",
     "pool-read-page",
-    "pef-decode",
     "span-discipline",
     "snapshot-escape",
     "lock-rank",
@@ -455,26 +454,6 @@ mod tests {
         assert!(rules.contains(&"sleep"), "fixture must trip sleep: {rules:?}");
         assert!(rules.contains(&"raw-counter"), "fixture must trip raw-counter: {rules:?}");
         assert!(rules.contains(&"stringly-error"), "fixture must trip stringly-error: {rules:?}");
-        assert!(rules.contains(&"pef-decode"), "fixture must trip pef-decode: {rules:?}");
-    }
-
-    #[test]
-    fn decode_partition_flagged_outside_pef_module() {
-        let bad = "fn f(b: &[u8], out: &mut [u64]) { decode_partition(b, 0, 64, out); }\n";
-        let v = analyze_str("crates/core/src/invidx/paged.rs", bad);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert_eq!(v[0].rule, "pef-decode");
-        // The pef module itself is the sanctioned decode site.
-        assert!(analyze_str("crates/encoding/src/pef.rs", bad).is_empty());
-        // Compressed-domain accessors are not full decodes.
-        let ok = "fn f(p: &PartitionRef) { p.next_geq(9); p.read_into(buf); }\n";
-        assert!(analyze_str("crates/core/src/invidx/paged.rs", ok).is_empty());
-        // A `use` import alone is not a call.
-        let import = "use payg_encoding::pef::decode_partition;\n";
-        assert!(analyze_str("crates/core/src/invidx/paged.rs", import).is_empty());
-        // Suppression with a reason is honored.
-        let sup = "fn f(b: &[u8], out: &mut [u64]) {\n    // lint: allow(pef-decode) corruption-repair probe\n    decode_partition(b, 0, 64, out);\n}\n";
-        assert!(analyze_str("crates/core/src/invidx/paged.rs", sup).is_empty());
     }
 
     #[test]

@@ -21,7 +21,6 @@ pub struct Scope {
     pub raw_counter: bool,
     pub stringly_error: bool,
     pub pool_read_page: bool,
-    pub pef_decode: bool,
     pub span_discipline: bool,
     pub snapshot_escape: bool,
 }
@@ -43,7 +42,6 @@ impl Scope {
             || self.raw_counter
             || self.stringly_error
             || self.pool_read_page
-            || self.pef_decode
             || self.span_discipline
             || self.snapshot_escape
     }
@@ -73,10 +71,6 @@ pub fn scope_for(rel: &Path) -> Scope {
         stringly_error: in_crates_src && !is_error_taxonomy,
         // The cold-path I/O stage owns every store read the pool makes.
         pool_read_page: s == "crates/storage/src/pool.rs",
-        // The PEF module owns the only sanctioned full partition decode;
-        // readers elsewhere must stay in the compressed domain
-        // (PartitionRef::next_geq / read_into).
-        pef_decode: in_crates_src && s != "crates/encoding/src/pef.rs",
         // The pool and core crates emit I/O-path events on behalf of
         // queries; plain emits there lose the span/batch provenance.
         span_discipline: s.starts_with("crates/storage/src")
@@ -212,19 +206,6 @@ pub fn run(rel: &Path, lexed: &Lexed, info: &FileInfo, sink: &Sink<'_>) {
                 "direct store read in pool shard code: route it through \
                  iostage (a staged fetch request) so retry, fault, and \
                  physical-read accounting stay unified",
-            );
-        }
-
-        if scope.pef_decode
-            && toks[i].is_ident("decode_partition")
-            && toks.get(i + 1).is_some_and(|t| t.is_punct('('))
-        {
-            sink.emit(
-                "pef-decode",
-                line,
-                "raw decode_partition call outside the pef module: scan in \
-                 the compressed domain (PartitionRef::next_geq / read_into) \
-                 so posting probes never materialize whole partitions",
             );
         }
 

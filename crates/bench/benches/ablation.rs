@@ -42,7 +42,7 @@ fn bench_dict_handle_cache(c: &mut Criterion) {
     let keys: Vec<Vec<u8>> = (0..100_000u64)
         .map(|i| format!("material-{i:08}").into_bytes())
         .collect();
-    let (dict, _) = PagedDictionary::build(&pool, &config(), &keys).unwrap();
+    let (dict, _) = PagedDictionary::build(&pool, &config(), DataType::Varchar, &keys).unwrap();
     let probes: Vec<u64> = (0..100_000u64).step_by(97).collect();
     let mut g = c.benchmark_group("ablation/dict_handle_cache");
     g.throughput(Throughput::Elements(probes.len() as u64));
@@ -238,7 +238,7 @@ fn bench_scm_helper_placement(c: &mut Criterion) {
         let pool = BufferPool::new(store.clone() as Arc<dyn PageStore>, resman.clone());
         let keys: Vec<Vec<u8>> =
             (0..60_000u64).map(|i| format!("part-{i:08}").into_bytes()).collect();
-        let (dict, _) = PagedDictionary::build(&pool, &config(), &keys).unwrap();
+        let (dict, _) = PagedDictionary::build(&pool, &config(), DataType::Varchar, &keys).unwrap();
         if fast_helpers {
             // Helper chains were created after overflow+dict chains; find
             // them by placing the two smallest non-dict chains... simplest:

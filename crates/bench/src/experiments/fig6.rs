@@ -83,7 +83,7 @@ pub fn run(cfg: &BenchConfig, tables: &TableSet) -> ExperimentReport {
                 Arc::new(TieredStore::new(MemStore::new(), cfg.read_latency, cfg.read_latency)),
                 resman.clone(),
             );
-            let (dict, _) = PagedDictionary::build(&pool, &cfg.page_config(), &keys).unwrap();
+            let (dict, _) = PagedDictionary::build(&pool, &cfg.page_config(), payg_core::DataType::Varchar, &keys).unwrap();
             if pin {
                 dict.pin_helpers().unwrap();
             }

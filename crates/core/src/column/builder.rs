@@ -107,7 +107,7 @@ impl ColumnBuilder {
         // sub-build cleans up after its own failure; the scratch adopts the
         // ones that succeeded so a *later* failure reclaims them too.
         let mut scratch = crate::scratch::ChainScratch::new(pool);
-        let (dict, dict_stats) = PagedDictionary::build(pool, config, &keys)?;
+        let (dict, dict_stats) = PagedDictionary::build(pool, config, self.data_type, &keys)?;
         for (_, chain) in dict.chains() {
             scratch.adopt(ChainId(chain));
         }

@@ -11,12 +11,15 @@
 //! * **(a)** data-vector pages of the row set → value identifiers,
 //! * **(b)** `ipDict_ValueId` helper pages of the distinct identifiers →
 //!   dictionary page numbers (the helper chains of a dictionary touched for
-//!   the first time are preloaded here, §3.2.3),
-//! * **(c)** dictionary pages → keys, then the overflow pages of the large
-//!   ones → values.
+//!   the first time are preloaded here, §3.2.3) — for string dictionaries of
+//!   more than one page only: a numeric dictionary's page is arithmetic on
+//!   the identifier, a one-page dictionary's is page 0,
+//! * **(c)** dictionary pages → values: a numeric dictionary's slot is the
+//!   key; a string entry is decoded from its value block, then the overflow
+//!   pages of the large ones are appended.
 //!
 //! Each phase plans its pages, pins them with
-//! [`BufferPool::pin_many`] — the misses of a phase load as overlapped,
+//! [`BufferPool::pin_many_into`] — the misses of a phase load as overlapped,
 //! coalesced reads instead of serially — decodes straight from the returned
 //! guards, and releases them before the next phase. This is the paper's
 //! handle cache for batch lookups (§3.2.3) turned inside out: the pins of a
@@ -36,17 +39,22 @@
 //! * **sorted distinct identifiers → values** (phases (b) and (c),
 //!   [`ColumnRead::values_by_vid`]) — every distinct value is decoded once.
 //!
-//! A projection then fans the values out by rank, one `clone` per row.
+//! A projection then fans the values out by rank, one `clone` per row — or,
+//! of a single row, hands each column's one identifier to the second half as
+//! it is: nothing to sort, rank or fan out. Its plan lives in flat buffers:
+//! identifiers, distinct lists, ranks and dictionary pages are one
+//! `columns × rows` vector each, and one task list, one key vector and one
+//! guard vector ([`Scratch`]) serve every phase and wave.
 //! [`ColumnRead::get_values`] on a paged column is the one-column case of
 //! the same code, and the resident column runs the same two steps over its
 //! in-memory image.
 
 use super::paged::ColumnParts;
 use super::{Column, ColumnRead};
-use crate::dict::append_piece;
+use crate::dict::{append_piece, Layout};
 use crate::{CoreError, CoreResult, Value};
 use payg_encoding::prefix::OverflowRef;
-use payg_storage::{BufferPool, PageGuard, PageKey};
+use payg_storage::{BufferPool, PageGuard, PageKey, StorageResult};
 use std::borrow::Cow;
 
 /// Most pages one wave pins (and loads) at once. A constant, sized so that
@@ -89,17 +97,24 @@ pub fn materialize(columns: &[&Column], rposs: &[u64]) -> CoreResult<Vec<Vec<Val
 }
 
 /// One page of a phase's plan: items `lo..hi` of column `col`'s work list
-/// (rows in phase (a), distinct identifiers after) live on page `page`.
+/// (rows in phase (a), distinct identifiers after) live on page `key`.
 struct PageTask {
     col: usize,
-    page: u64,
+    key: PageKey,
     lo: usize,
     hi: usize,
 }
 
 /// Plans `col`'s pages for a phase: splits its `n` work items — whose page
-/// numbers `page_of` yields in nondecreasing order — into one task per page.
-fn plan_pages(tasks: &mut Vec<PageTask>, col: usize, n: usize, page_of: impl Fn(usize) -> u64) {
+/// numbers `page_of` yields in nondecreasing order — into one task per page,
+/// addressed by `key_of`.
+fn plan_pages(
+    tasks: &mut Vec<PageTask>,
+    col: usize,
+    n: usize,
+    page_of: impl Fn(usize) -> u64,
+    key_of: impl Fn(u64) -> PageKey,
+) {
     let mut lo = 0;
     while lo < n {
         let page = page_of(lo);
@@ -107,34 +122,53 @@ fn plan_pages(tasks: &mut Vec<PageTask>, col: usize, n: usize, page_of: impl Fn(
         while hi < n && page_of(hi) == page {
             hi += 1;
         }
-        tasks.push(PageTask { col, page, lo, hi });
+        tasks.push(PageTask { col, key: key_of(page), lo, hi });
         lo = hi;
     }
 }
 
-/// Runs one phase: pins the pages of `tasks` in near-equal waves of at most
-/// [`WAVE_PAGES`] and hands each pinned page to `step`. A wave's guards are
-/// released before the next wave is pinned.
-fn for_each_page<T>(
-    pool: &BufferPool,
-    tasks: &[T],
-    key: impl Fn(&T) -> PageKey,
-    mut step: impl FnMut(&T, &PageGuard) -> CoreResult<()>,
-) -> CoreResult<()> {
-    if tasks.is_empty() {
-        return Ok(());
-    }
-    let per_wave = tasks.len().div_ceil(tasks.len().div_ceil(WAVE_PAGES));
-    let mut keys = Vec::with_capacity(per_wave);
-    for wave in tasks.chunks(per_wave) {
-        keys.clear();
-        keys.extend(wave.iter().map(&key));
-        let guards = pool.pin_many(&keys);
-        for (task, guard) in wave.iter().zip(guards) {
-            step(task, &guard.map_err(CoreError::Storage)?)?;
+/// The buffers one projection plans and pins with, reused across its phases
+/// and waves: the page tasks of the phase being planned, and the keys and
+/// guards of the wave being pinned.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    tasks: Vec<PageTask>,
+    waves: Waves,
+}
+
+#[derive(Default)]
+struct Waves {
+    keys: Vec<PageKey>,
+    guards: Vec<StorageResult<PageGuard>>,
+}
+
+impl Waves {
+    /// Runs one phase: pins the pages of `tasks` in near-equal waves of at
+    /// most [`WAVE_PAGES`] and hands each pinned page to `step`. A wave's
+    /// guards are released before the next wave is pinned.
+    fn for_each_page<T>(
+        &mut self,
+        pool: &BufferPool,
+        tasks: &[T],
+        key: impl Fn(&T) -> PageKey,
+        mut step: impl FnMut(&T, &PageGuard) -> CoreResult<()>,
+    ) -> CoreResult<()> {
+        if tasks.is_empty() {
+            return Ok(());
         }
+        let per_wave = tasks.len().div_ceil(tasks.len().div_ceil(WAVE_PAGES));
+        for wave in tasks.chunks(per_wave) {
+            self.keys.clear();
+            self.keys.extend(wave.iter().map(&key));
+            pool.pin_many_into(&self.keys, &mut self.guards);
+            // The drain releases every guard of the wave — stepped or, after
+            // a failure, not — before the next wave is pinned.
+            wave.iter()
+                .zip(self.guards.drain(..))
+                .try_for_each(|(task, guard)| step(task, &guard.map_err(CoreError::Storage)?))?;
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// The rows in ascending order — page order within each chain — and, when
@@ -163,53 +197,64 @@ pub(crate) fn count_runs(mut vids: Vec<u64>) -> Vec<(u64, u64)> {
     runs
 }
 
-/// The distinct identifiers of `vids`, ascending, and for every position of
-/// `vids` the rank of its identifier among them — recorded while the
-/// distinct list is built, so fanning values out to rows is an array index
-/// per row, not a search.
-pub(crate) fn distinct_ranks(vids: &[u64]) -> (Vec<u64>, Vec<u32>) {
-    let mut by_vid: Vec<u32> = (0..vids.len() as u32).collect();
+/// Writes the distinct identifiers of `vids`, ascending, to the front of
+/// `distinct` and returns how many there are; `rank[k]` becomes the rank of
+/// `vids[k]` among them — recorded while the distinct list is built, so
+/// fanning values out to rows is an array index per row, not a search. All
+/// three slices have one length; `by_vid` is sorting room.
+pub(crate) fn distinct_ranks(
+    vids: &[u64],
+    by_vid: &mut Vec<u32>,
+    distinct: &mut [u64],
+    rank: &mut [u32],
+) -> usize {
+    by_vid.clear();
+    by_vid.extend(0..vids.len() as u32);
     by_vid.sort_unstable_by_key(|&k| vids[k as usize]);
-    let mut distinct: Vec<u64> = Vec::new();
-    let mut rank = vec![0u32; vids.len()];
-    for k in by_vid {
+    let mut len = 0;
+    for &k in by_vid.iter() {
         let vid = vids[k as usize];
-        if distinct.last() != Some(&vid) {
-            distinct.push(vid);
+        if len == 0 || distinct[len - 1] != vid {
+            distinct[len] = vid;
+            len += 1;
         }
-        rank[k as usize] = (distinct.len() - 1) as u32;
+        rank[k as usize] = (len - 1) as u32;
     }
-    (distinct, rank)
+    len
 }
 
 /// Phase (a): data-vector pages → the identifier at every row of `sorted`
-/// (ascending, non-empty), per column. Width-0 vectors have no pages; their
-/// identifiers are all 0.
+/// (ascending, non-empty), in one buffer: column `c`'s identifiers are
+/// `[c * n..(c + 1) * n]` for the `n` rows. Width-0 vectors have no pages;
+/// their identifiers are all 0.
 fn decode_vids(
     pool: &BufferPool,
     cols: &[&ColumnParts],
     sorted: &[u64],
-) -> CoreResult<Vec<Vec<u64>>> {
+    scratch: &mut Scratch,
+) -> CoreResult<Vec<u64>> {
     let n = sorted.len();
     for c in cols {
         if sorted[n - 1] >= c.len {
             return Err(CoreError::RowOutOfBounds { rpos: sorted[n - 1], len: c.len });
         }
     }
-    let mut vids: Vec<Vec<u64>> = cols.iter().map(|_| vec![0u64; n]).collect();
-    let mut tasks: Vec<PageTask> = Vec::new();
+    let mut vids = vec![0u64; cols.len() * n];
+    let Scratch { tasks, waves } = scratch;
+    tasks.clear();
     for (ci, c) in cols.iter().enumerate() {
         let rows_per_page = c.data.rows_per_page();
         if rows_per_page > 0 {
-            plan_pages(&mut tasks, ci, n, |k| sorted[k] / rows_per_page);
+            plan_pages(tasks, ci, n, |k| sorted[k] / rows_per_page, |page| c.data.page_key(page));
         }
     }
-    for_each_page(
+    waves.for_each_page(
         pool,
-        &tasks,
-        |t| cols[t.col].data.page_key(t.page),
+        tasks,
+        |t| t.key,
         |t, page| {
-            cols[t.col].data.decode_on_page(page, &sorted[t.lo..t.hi], &mut vids[t.col][t.lo..t.hi]);
+            let out = &mut vids[t.col * n..][t.lo..t.hi];
+            cols[t.col].data.decode_on_page(page, &sorted[t.lo..t.hi], out);
             Ok(())
         },
     )?;
@@ -223,8 +268,7 @@ pub(crate) fn vid_counts_paged(c: &ColumnParts, rposs: &[u64]) -> CoreResult<Vec
         return Ok(Vec::new());
     }
     let (sorted, _) = ascending(rposs);
-    let vids = decode_vids(&c.pool, &[c], &sorted)?.pop().unwrap_or_default();
-    Ok(count_runs(vids))
+    Ok(count_runs(decode_vids(&c.pool, &[c], &sorted, &mut Scratch::default())?))
 }
 
 /// A large dictionary entry whose off-page pieces are still to be appended.
@@ -239,10 +283,10 @@ struct Large {
 
 /// One off-page piece of a large dictionary entry still to be appended.
 struct Piece {
-    col: usize,
     /// Index into the phase's large entries.
     large: usize,
     at: OverflowRef,
+    key: PageKey,
 }
 
 /// Phases (b) and (c): the values of each column's `distinct` identifiers —
@@ -252,6 +296,7 @@ pub(crate) fn values_by_vid_paged(
     pool: &BufferPool,
     cols: &[&ColumnParts],
     distinct: &[&[u64]],
+    scratch: &mut Scratch,
 ) -> CoreResult<Vec<Vec<Value>>> {
     for (c, d) in cols.iter().zip(distinct) {
         debug_assert!(d.windows(2).all(|w| w[0] < w[1]), "identifiers ascend strictly");
@@ -259,34 +304,53 @@ pub(crate) fn values_by_vid_paged(
             c.dict.check_vid(last)?;
         }
     }
+    let Scratch { tasks, waves } = scratch;
 
     // Phase (b): helper pages → dictionary page of every distinct
-    // identifier. First touch of a dictionary preloads its helper chains
-    // (§3.2.3) — except the pages the phase is about to pin anyway.
-    let mut dict_pages: Vec<Vec<u64>> = distinct.iter().map(|d| vec![0u64; d.len()]).collect();
-    let mut tasks: Vec<PageTask> = Vec::new();
+    // identifier, for the dictionaries that route by helper — an array
+    // dictionary's page is arithmetic, a one-page dictionary's is page 0.
+    // First touch of a dictionary preloads its helper chains (§3.2.3) —
+    // except the pages the phase is about to pin anyway.
+    tasks.clear();
+    let mut preload: Vec<PageKey> = Vec::new();
     for (ci, c) in cols.iter().enumerate() {
         let d = distinct[ci];
-        plan_pages(&mut tasks, ci, d.len(), |k| c.dict.vid_helper_page(d[k]));
+        if let Layout::Blocks(b) = c.dict.layout() {
+            if b.routes_by_helper() && !d.is_empty() {
+                let (page_of, key_of) = (|k| b.vid_helper_page(d[k]), |hp| b.vid_helper_key(hp));
+                plan_pages(tasks, ci, d.len(), page_of, key_of);
+                preload.extend(b.preload_pages());
+            }
+        }
     }
-    let mut preload: Vec<PageKey> = cols.iter().flat_map(|c| c.dict.take_preload()).collect();
-    preload.retain(|key| !tasks.iter().any(|t| cols[t.col].dict.vid_helper_key(t.page) == *key));
-    for_each_page(pool, &preload, |key| *key, |_, _| Ok(()))?;
-    for_each_page(
+    // Column `c`'s dictionary pages are `[c * stride..][..distinct[c].len()]`.
+    let stride = distinct.iter().map(|d| d.len()).max().unwrap_or(0);
+    let mut dict_pages = vec![0u64; if tasks.is_empty() { 0 } else { cols.len() * stride }];
+    preload.retain(|key| !tasks.iter().any(|t| t.key == *key));
+    waves.for_each_page(pool, &preload, |key| *key, |_, _| Ok(()))?;
+    waves.for_each_page(
         pool,
-        &tasks,
-        |t| cols[t.col].dict.vid_helper_key(t.page),
+        tasks,
+        |t| t.key,
         |t, page| {
-            for k in t.lo..t.hi {
-                dict_pages[t.col][k] =
-                    cols[t.col].dict.dict_page_on_helper(page, t.page, distinct[t.col][k]);
+            if let Layout::Blocks(b) = cols[t.col].dict.layout() {
+                for k in t.lo..t.hi {
+                    dict_pages[t.col * stride + k] =
+                        b.dict_page_on_helper(page, t.key.page_no, distinct[t.col][k]);
+                }
             }
             Ok(())
         },
     )?;
+    for t in tasks.iter() {
+        if let Layout::Blocks(b) = cols[t.col].dict.layout() {
+            b.preload_landed();
+        }
+    }
 
-    // Phase (c): dictionary pages → values. An entry that is whole on its
-    // page is decoded to its value straight from two scratch buffers (the
+    // Phase (c): dictionary pages → values. An array slot is the key,
+    // decoded where it lies. A value-block entry that is whole on its page
+    // is decoded to its value straight from two scratch buffers (the
     // entry's bytes, and their decompression when the chain is FSST-coded);
     // a large one keeps its bytes until its off-page pieces are appended, in
     // order.
@@ -296,25 +360,47 @@ pub(crate) fn values_by_vid_paged(
     let mut pieces: Vec<Piece> = Vec::new();
     let (mut acc, mut raw): (Vec<u8>, Vec<u8>) = (Vec::new(), Vec::new());
     tasks.clear();
-    for (ci, pages) in dict_pages.iter().enumerate() {
-        plan_pages(&mut tasks, ci, pages.len(), |k| pages[k]);
+    for (ci, c) in cols.iter().enumerate() {
+        let d = distinct[ci];
+        match c.dict.layout() {
+            Layout::Array(a) => {
+                plan_pages(tasks, ci, d.len(), |k| a.page_of(d[k]), |page| a.page_key(page))
+            }
+            Layout::Blocks(b) => {
+                let page_of =
+                    |k: usize| if b.routes_by_helper() { dict_pages[ci * stride + k] } else { 0 };
+                plan_pages(tasks, ci, d.len(), page_of, |page| b.dict_page_key(page))
+            }
+        }
     }
-    for_each_page(
+    waves.for_each_page(
         pool,
-        &tasks,
-        |t| cols[t.col].dict.dict_page_key(t.page),
+        tasks,
+        |t| t.key,
         |t, page| {
             let c = cols[t.col];
-            let view = c.dict.page_view(page, t.page)?;
-            for (k, &vid) in (t.lo..t.hi).zip(&distinct[t.col][t.lo..t.hi]) {
+            let vids = &distinct[t.col][t.lo..t.hi];
+            let b = match c.dict.layout() {
+                Layout::Array(a) => {
+                    for &vid in vids {
+                        values[t.col].push(Value::from_key(c.data_type, a.slot(page, vid)?)?);
+                    }
+                    return Ok(());
+                }
+                Layout::Blocks(b) => b,
+            };
+            let view = b.page_view(page, t.key.page_no)?;
+            for (k, &vid) in (t.lo..t.hi).zip(vids) {
                 let (overflow, total) = view.read(vid, &mut acc)?;
                 if overflow.is_empty() {
-                    c.dict.finish_key(&mut acc, total, &mut raw)?;
+                    b.finish_key(&mut acc, total, &mut raw)?;
                     values[t.col].push(Value::from_key(c.data_type, &acc)?);
                 } else {
-                    pieces.extend(
-                        overflow.into_iter().map(|at| Piece { col: t.col, large: large.len(), at }),
-                    );
+                    pieces.extend(overflow.into_iter().map(|at| Piece {
+                        large: large.len(),
+                        key: b.overflow_key(&at),
+                        at,
+                    }));
                     large.push(Large { col: t.col, entry: k, bytes: acc.clone(), total });
                     // The slot is filled once the pieces are in.
                     values[t.col].push(Value::Varchar(String::new()));
@@ -323,15 +409,17 @@ pub(crate) fn values_by_vid_paged(
             Ok(())
         },
     )?;
-    for_each_page(
+    waves.for_each_page(
         pool,
         &pieces,
-        |p| cols[p.col].dict.overflow_key(&p.at),
+        |p| p.key,
         |p, page| append_piece(&mut large[p.large].bytes, &p.at, page),
     )?;
     for mut l in large {
         let c = cols[l.col];
-        c.dict.finish_key(&mut l.bytes, l.total, &mut raw)?;
+        if let Layout::Blocks(b) = c.dict.layout() {
+            b.finish_key(&mut l.bytes, l.total, &mut raw)?;
+        }
         values[l.col][l.entry] = Value::from_key(c.data_type, &l.bytes)?;
     }
     Ok(values)
@@ -348,15 +436,29 @@ pub(crate) fn materialize_paged(
     if n == 0 {
         return Ok(cols.iter().map(|_| Vec::new()).collect());
     }
+    let mut scratch = Scratch::default();
     let (sorted, order) = ascending(rposs);
-    let vids = decode_vids(pool, cols, &sorted)?;
-    let (distinct, ranks): (Vec<Vec<u64>>, Vec<Vec<u32>>) =
-        vids.iter().map(|v| distinct_ranks(v)).unzip();
-    let distinct: Vec<&[u64]> = distinct.iter().map(Vec::as_slice).collect();
-    let values = values_by_vid_paged(pool, cols, &distinct)?;
+    let vids = decode_vids(pool, cols, &sorted, &mut scratch)?;
     if n == 1 {
-        return Ok(values);
+        // One row: every column's identifier is its own distinct list and
+        // its value the column's answer — nothing to sort, rank or fan out.
+        let distinct: Vec<&[u64]> = vids.chunks(1).collect();
+        return values_by_vid_paged(pool, cols, &distinct, &mut scratch);
     }
+    // Column `c`'s distinct identifiers are the first `lens[c]` of its `n`
+    // slots of `distinct`; its rows' ranks are its `n` slots of `ranks`.
+    let mut distinct = vec![0u64; vids.len()];
+    let mut ranks = vec![0u32; vids.len()];
+    let mut by_vid = Vec::with_capacity(n);
+    let lens: Vec<usize> = vids
+        .chunks(n)
+        .zip(distinct.chunks_mut(n))
+        .zip(ranks.chunks_mut(n))
+        .map(|((vids, distinct), ranks)| distinct_ranks(vids, &mut by_vid, distinct, ranks))
+        .collect();
+    let distinct: Vec<&[u64]> =
+        distinct.chunks(n).zip(&lens).map(|(distinct, &len)| &distinct[..len]).collect();
+    let values = values_by_vid_paged(pool, cols, &distinct, &mut scratch)?;
 
     // Back to the caller's row order: `pos[i]` is where the caller's i-th
     // row sits in ascending order.
@@ -369,7 +471,7 @@ pub(crate) fn materialize_paged(
     });
     Ok(values
         .iter()
-        .zip(&ranks)
+        .zip(ranks.chunks(n))
         .map(|(values, rank)| match &pos {
             None => fan_out(values, rank.iter().copied()),
             Some(pos) => fan_out(values, pos.iter().map(|&k| rank[k as usize])),

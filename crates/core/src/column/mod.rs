@@ -79,7 +79,7 @@ impl Column {
         }
     }
 
-    /// The codec of the dictionary's persisted value-block chain. Both load
+    /// The codec of the dictionary's persisted chain. Both load
     /// modes share one persisted format, so this reports the on-disk codec
     /// even for resident columns (whose in-memory image is decoded).
     pub fn dict_codec(&self) -> CodecKind {
@@ -166,7 +166,7 @@ impl Column {
         let len = r.u64()?;
         let cardinality = r.u64()?;
         let config = PageConfig::read_meta(&mut r)?;
-        let dict = crate::dict::PagedDictionary::open(pool, &r.bytes()?)?;
+        let dict = crate::dict::PagedDictionary::open(pool, data_type, &r.bytes()?)?;
         let data = crate::datavec::PagedDataVector::open(pool, &r.bytes()?)?;
         let index = match r.u8()? {
             0 => paged::IndexSlot::None,

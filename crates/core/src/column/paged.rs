@@ -139,7 +139,7 @@ impl PagedColumn {
         self.parts.dict.meta_heap_bytes()
     }
 
-    /// The codec of the dictionary's value-block chain.
+    /// The codec of the dictionary chain.
     pub fn dict_codec(&self) -> CodecKind {
         self.parts.dict.codec_kind()
     }
@@ -380,8 +380,12 @@ impl ColumnRead for PagedColumn {
     }
 
     fn values_by_vid(&self, vids: &[u64]) -> CoreResult<Vec<Value>> {
-        let mut columns =
-            super::materialize::values_by_vid_paged(&self.parts.pool, &[&*self.parts], &[vids])?;
+        let mut columns = super::materialize::values_by_vid_paged(
+            &self.parts.pool,
+            &[&*self.parts],
+            &[vids],
+            &mut Default::default(),
+        )?;
         Ok(columns.pop().unwrap_or_default())
     }
 

@@ -284,8 +284,10 @@ impl ColumnRead for ResidentColumn {
         // The paged column's steps over the resident image: rows →
         // identifiers, distinct identifiers → values, values → rows by rank.
         let image = self.image()?;
-        let (distinct, rank) = distinct_ranks(&self.vids_at(&image, rposs)?);
-        let values = self.values_of(&image, &distinct)?;
+        let vids = self.vids_at(&image, rposs)?;
+        let (mut distinct, mut rank) = (vec![0u64; vids.len()], vec![0u32; vids.len()]);
+        let len = distinct_ranks(&vids, &mut Vec::new(), &mut distinct, &mut rank);
+        let values = self.values_of(&image, &distinct[..len])?;
         Ok(fan_out(&values, rank.into_iter()))
     }
 

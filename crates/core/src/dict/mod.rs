@@ -3,20 +3,24 @@
 //! Main-fragment dictionaries are created sorted during delta merge; value
 //! identifiers are assigned in key order, so `vid` comparisons are value
 //! comparisons. Keys are order-preserving byte strings (see
-//! [`crate::value::Value::to_key`]), which lets one layout serve all column
-//! types.
+//! [`crate::value::Value::to_key`]), so one ordering — `memcmp` — serves
+//! all column types.
 //!
 //! * [`InMemoryDict`] is the fully-resident baseline: a sorted key vector
 //!   with binary search.
-//! * [`PagedDictionary`] is the page-loadable form: a chain of dictionary
-//!   pages of prefix-encoded value blocks, an overflow chain for large
-//!   values, and the two sparse helper dictionaries — `ipDict_ValueId`
-//!   (last vid per page) and `ipDict_Value` (last value per page) — that
-//!   route a lookup to the single dictionary page it needs.
+//! * [`PagedDictionary`] is the page-loadable form, in the layout the
+//!   column's type picks. Strings: a chain of dictionary pages of
+//!   prefix-encoded value blocks, an overflow chain for large values, and
+//!   the two sparse helper dictionaries — `ipDict_ValueId` (last vid per
+//!   page) and `ipDict_Value` (last value per page) — that route a lookup to
+//!   the single dictionary page it needs. Numeric types, whose keys are
+//!   fixed-width: one chain of pages of sorted keys, addressed by
+//!   arithmetic.
 
+mod array;
 mod in_memory;
 mod paged;
 
 pub use in_memory::InMemoryDict;
-pub(crate) use paged::append_piece;
+pub(crate) use paged::{append_piece, Layout};
 pub use paged::{DictLookup, HandleCache, PagedDictBuildStats, PagedDictionary};

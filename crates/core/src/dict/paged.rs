@@ -1,6 +1,9 @@
 //! The page-loadable dictionary (paper §3.2).
 //!
-//! Physical layout:
+//! The column's type picks one of two physical layouts. Numeric columns —
+//! whose order-preserving keys are fixed-width — persist as pages of sorted
+//! keys (`array.rs`): one chain, identifier → key by arithmetic. Strings
+//! persist as the paper's structure, described here:
 //!
 //! * **Dictionary chain** — pages of prefix-encoded value blocks (16 values
 //!   per block). Page format:
@@ -37,13 +40,14 @@
 //! checkpoint metadata *and* as the chain's format-2 codec descriptor. The
 //! helper chains keep raw separators, so page routing is codec-blind.
 
-use crate::{CoreError, CoreResult, PageConfig};
+use super::array::ArrayPages;
+use crate::{CoreError, CoreResult, DataType, PageConfig};
 use payg_encoding::dispatch::{ChainCodec, CodecKind};
 use payg_encoding::fsst::SymbolTable;
 use payg_encoding::prefix::{OverflowRef, ValueBlock, ValueBlockBuilder, ValueBlockView, BLOCK_CAP};
 use payg_encoding::EncodingError;
 use payg_obs::names;
-use payg_storage::{BufferPool, ChainRef, PageGuard, PageKey, PageMap, StorageError};
+use payg_storage::{BufferPool, ChainRef, PageGuard, PageKey, PageMap, PageStore, StorageError};
 use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -154,7 +158,7 @@ impl DictPageView<'_> {
     /// into `acc` (cleared first). Returns the pointers to the entry's
     /// off-page pieces — which the caller fetches and appends in order with
     /// [`append_piece`] — and the length of the complete entry, for
-    /// [`PagedDictionary::finish_key`].
+    /// [`Blocks::finish_key`].
     pub(crate) fn read(&self, vid: u64, acc: &mut Vec<u8>) -> CoreResult<(Vec<OverflowRef>, u64)> {
         let t = &self.transient;
         if vid < t.first_idx {
@@ -198,7 +202,9 @@ pub(crate) fn append_piece(bytes: &mut Vec<u8>, r: &OverflowRef, page: &[u8]) ->
     Ok(())
 }
 
-struct Meta {
+/// The string layout (§3.2): value blocks, their overflow and the two helper
+/// dictionaries, with the in-memory residue that routes into the helpers.
+pub(crate) struct Blocks {
     cardinality: u64,
     dict_chain: ChainRef,
     overflow_chain: ChainRef,
@@ -212,9 +218,24 @@ struct Meta {
     dict_pages: u64,
     /// The symbol table when the dictionary chain is FSST-compressed.
     fsst: Option<Arc<SymbolTable>>,
+    /// Set once the §3.2.3 preload of the helper chains has landed.
+    helpers_preloaded: AtomicBool,
+    /// Guards held when the helper chains are pinned permanently
+    /// (§6.2.2's "more effective to have these auxiliary dictionaries
+    /// always loaded in memory").
+    pinned_helpers: crate::sync::Mutex<Vec<PageGuard>>,
 }
 
-/// Build statistics reported by [`PagedDictionary::build`].
+/// How a dictionary is persisted — chosen by the column's type.
+pub(crate) enum Layout {
+    /// Strings: the paper's value-block structure.
+    Blocks(Blocks),
+    /// Numeric types: pages of sorted fixed-width keys.
+    Array(ArrayPages),
+}
+
+/// Build statistics reported by [`PagedDictionary::build`]. An array
+/// dictionary has dictionary pages only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PagedDictBuildStats {
     /// Pages in the dictionary chain.
@@ -230,26 +251,16 @@ pub struct PagedDictBuildStats {
 /// The page-loadable, order-preserving dictionary.
 pub struct PagedDictionary {
     pool: BufferPool,
-    meta: Arc<Meta>,
-    helpers_preloaded: AtomicBool,
-    /// Guards held when the helper chains are pinned permanently
-    /// (§6.2.2's "more effective to have these auxiliary dictionaries
-    /// always loaded in memory").
-    pinned_helpers: crate::sync::Mutex<Vec<PageGuard>>,
+    layout: Layout,
 }
 
-impl PagedDictionary {
-    /// Persists `keys` (sorted, strictly increasing) as a paged dictionary
-    /// and returns the reader plus build statistics.
-    pub fn build(
+impl Blocks {
+    /// Persists `keys` (sorted, strictly increasing) in the string layout.
+    fn build(
         pool: &BufferPool,
         config: &PageConfig,
         keys: &[Vec<u8>],
     ) -> CoreResult<(Self, PagedDictBuildStats)> {
-        debug_assert!(
-            keys.windows(2).all(|w| w[0] < w[1]),
-            "dictionary keys must be strictly increasing"
-        );
         let store = Arc::clone(pool.store());
         let mut scratch = crate::scratch::ChainScratch::new(pool);
         let overflow_chain = scratch.create_chain(config.overflow_page)?;
@@ -393,7 +404,7 @@ impl PagedDictionary {
             .add((vid_helper_pages + value_helper_pages) * config.helper_page as u64);
         registry.gauge_labeled(names::DICT_FSST_RATIO, &[("pool", label)]).set(fsst_per_mille);
 
-        let meta = Meta {
+        let blocks = Blocks {
             cardinality: keys.len() as u64,
             dict_chain: ChainRef { chain: dict_chain, pages: dict_pages, page_size: config.dict_page },
             overflow_chain: ChainRef {
@@ -415,6 +426,8 @@ impl PagedDictionary {
             value_helper_page_last,
             dict_pages,
             fsst,
+            helpers_preloaded: AtomicBool::new(false),
+            pinned_helpers: crate::sync::Mutex::with_rank(Vec::new(), crate::sync::LockRank::CoreColumn),
         };
         let stats = PagedDictBuildStats {
             dict_pages,
@@ -423,48 +436,37 @@ impl PagedDictionary {
             value_helper_pages,
         };
         scratch.commit();
-        Ok((
-            PagedDictionary {
-                pool: pool.clone(),
-                meta: Arc::new(meta),
-                helpers_preloaded: AtomicBool::new(false),
-                pinned_helpers: crate::sync::Mutex::with_rank(Vec::new(), crate::sync::LockRank::CoreColumn),
-            },
-            stats,
-        ))
+        Ok((blocks, stats))
     }
 
-    /// Serializes the dictionary's metadata for a catalog checkpoint: the
-    /// chain references plus the always-resident helper residue.
-    pub fn meta_bytes(&self) -> Vec<u8> {
-        let m = &self.meta;
-        let mut w = crate::meta::MetaWriter::new();
-        w.u64(m.cardinality);
-        crate::meta::write_chain(&mut w, &m.dict_chain);
-        crate::meta::write_chain(&mut w, &m.overflow_chain);
-        crate::meta::write_chain(&mut w, &m.vid_helper_chain);
-        crate::meta::write_chain(&mut w, &m.value_helper_chain);
-        w.u64s(&m.vid_helper_page_last);
-        w.u64(m.value_helper_page_last.len() as u64);
-        for k in &m.value_helper_page_last {
+    /// Appends the checkpoint encoding (after the dictionary's layout tag):
+    /// the chain references plus the always-resident helper residue.
+    fn write_meta(&self, w: &mut crate::meta::MetaWriter) {
+        w.u64(self.cardinality);
+        crate::meta::write_chain(w, &self.dict_chain);
+        crate::meta::write_chain(w, &self.overflow_chain);
+        crate::meta::write_chain(w, &self.vid_helper_chain);
+        crate::meta::write_chain(w, &self.value_helper_chain);
+        w.u64s(&self.vid_helper_page_last);
+        w.u64(self.value_helper_page_last.len() as u64);
+        for k in &self.value_helper_page_last {
             w.bytes(k);
         }
-        w.u64(m.dict_pages);
-        match &m.fsst {
+        w.u64(self.dict_pages);
+        match &self.fsst {
             Some(table) => w.bytes(&table.serialize()),
             None => w.bytes(&[]),
         }
-        w.finish()
     }
 
-    /// Reopens a dictionary from checkpointed metadata over `pool`'s store.
-    pub fn open(pool: &BufferPool, bytes: &[u8]) -> CoreResult<Self> {
-        let mut r = crate::meta::MetaReader::new(bytes);
+    /// Reads back what [`Blocks::write_meta`] wrote under layout tag
+    /// `codec`; refuses a blob whose symbol table disagrees with the tag.
+    fn read_meta(r: &mut crate::meta::MetaReader<'_>, codec: CodecKind) -> CoreResult<Self> {
         let cardinality = r.u64()?;
-        let dict_chain = crate::meta::read_chain(&mut r)?;
-        let overflow_chain = crate::meta::read_chain(&mut r)?;
-        let vid_helper_chain = crate::meta::read_chain(&mut r)?;
-        let value_helper_chain = crate::meta::read_chain(&mut r)?;
+        let dict_chain = crate::meta::read_chain(r)?;
+        let overflow_chain = crate::meta::read_chain(r)?;
+        let vid_helper_chain = crate::meta::read_chain(r)?;
+        let value_helper_chain = crate::meta::read_chain(r)?;
         let vid_helper_page_last = r.u64s()?;
         let n = r.read_len()?;
         let mut value_helper_page_last = Vec::with_capacity(n.min(1 << 20));
@@ -473,82 +475,58 @@ impl PagedDictionary {
         }
         let dict_pages = r.u64()?;
         let fsst_bytes = r.bytes()?;
+        if fsst_bytes.is_empty() != (codec == CodecKind::Plain) {
+            return Err(CoreError::Storage(StorageError::corrupt(format!(
+                "dictionary chain {}: codec byte {codec:?} disagrees with its symbol table",
+                dict_chain.chain.0
+            ))));
+        }
         let fsst = if fsst_bytes.is_empty() {
             None
         } else {
             Some(Arc::new(SymbolTable::deserialize(&fsst_bytes)?))
         };
-        r.expect_end()?;
-        Ok(PagedDictionary {
-            pool: pool.clone(),
-            meta: Arc::new(Meta {
-                cardinality,
-                dict_chain,
-                overflow_chain,
-                vid_helper_chain,
-                value_helper_chain,
-                vid_helper_page_last,
-                value_helper_page_last,
-                dict_pages,
-                fsst,
-            }),
+        Ok(Blocks {
+            cardinality,
+            dict_chain,
+            overflow_chain,
+            vid_helper_chain,
+            value_helper_chain,
+            vid_helper_page_last,
+            value_helper_page_last,
+            dict_pages,
+            fsst,
             helpers_preloaded: AtomicBool::new(false),
             pinned_helpers: crate::sync::Mutex::with_rank(Vec::new(), crate::sync::LockRank::CoreColumn),
         })
     }
 
-    /// Number of distinct values.
-    pub fn cardinality(&self) -> u64 {
-        self.meta.cardinality
-    }
-
-    /// The store chain ids backing this dictionary, labeled by role — for
-    /// attributing traced page events back to the structure that owns them.
-    pub fn chains(&self) -> [(&'static str, u64); 4] {
-        [
-            ("dict", self.meta.dict_chain.chain.0),
-            ("dict-overflow", self.meta.overflow_chain.chain.0),
-            ("dict-vid-helper", self.meta.vid_helper_chain.chain.0),
-            ("dict-value-helper", self.meta.value_helper_chain.chain.0),
-        ]
-    }
-
-    /// The codec the dictionary chain's value blocks are stored in.
-    pub fn codec_kind(&self) -> CodecKind {
-        if self.meta.fsst.is_some() {
-            CodecKind::Fsst
-        } else {
-            CodecKind::Plain
-        }
-    }
-
-    /// Heap bytes of the always-resident metadata (the in-memory residue of
-    /// the hybrid representation).
-    pub fn meta_heap_bytes(&self) -> usize {
-        self.meta.vid_helper_page_last.len() * 8
+    fn heap_bytes(&self) -> usize {
+        self.vid_helper_page_last.len() * 8
             + self
-                .meta
                 .value_helper_page_last
                 .iter()
                 .map(|k| k.capacity() + std::mem::size_of::<Vec<u8>>())
                 .sum::<usize>()
     }
 
-    /// Creates a lookup iterator with its own page-handle cache.
-    pub fn iter(&self) -> PagedDictIterator<'_> {
-        PagedDictIterator { dict: self, cache: HandleCache::new(self.pool.clone()) }
+    /// True when finding `vid`'s dictionary page takes a look at an
+    /// `ipDict_ValueId` helper page. A one-page dictionary's page is page 0:
+    /// its helper chains hold one entry each and are never read.
+    pub(crate) fn routes_by_helper(&self) -> bool {
+        self.dict_pages > 1
     }
 
-    /// `findByValueID` (Alg. 3): materializes the key encoded by `vid`.
-    /// The single-lookup form; batches go through
-    /// [`crate::column::materialize`], which drives the same page-level
-    /// steps over batched pins.
-    pub fn key_by_vid(&self, vid: u64, cache: &mut HandleCache) -> CoreResult<Vec<u8>> {
-        self.check_vid(vid)?;
-        self.preload_helpers(cache)?;
-        let hp = self.vid_helper_page(vid);
-        let helper = cache.pin(self.vid_helper_key(hp))?;
-        let dict_page = self.dict_page_on_helper(&helper, hp, vid);
+    /// `findByValueID` (Alg. 3) for a bounds-checked `vid`.
+    fn key_by_vid(&self, vid: u64, cache: &mut HandleCache) -> CoreResult<Vec<u8>> {
+        let dict_page = if self.routes_by_helper() {
+            self.preload_helpers(cache)?;
+            let hp = self.vid_helper_page(vid);
+            let helper = cache.pin(self.vid_helper_key(hp))?;
+            self.dict_page_on_helper(&helper, hp, vid)
+        } else {
+            0
+        };
         let guard = cache.pin(self.dict_page_key(dict_page))?;
         let mut bytes = Vec::new();
         let (overflow, total) = self.page_view(&guard, dict_page)?.read(vid, &mut bytes)?;
@@ -560,33 +538,25 @@ impl PagedDictionary {
         Ok(bytes)
     }
 
-    /// Errors unless `vid` is a valid identifier of this dictionary.
-    pub(crate) fn check_vid(&self, vid: u64) -> CoreResult<()> {
-        if vid >= self.meta.cardinality {
-            return Err(CoreError::VidOutOfBounds { vid, cardinality: self.meta.cardinality });
-        }
-        Ok(())
-    }
-
     /// Routes a (bounds-checked) vid to the `ipDict_ValueId` helper page
     /// holding its entry, from the in-memory residue alone.
     pub(crate) fn vid_helper_page(&self, vid: u64) -> u64 {
-        let hp = self.meta.vid_helper_page_last.partition_point(|&last| last < vid);
-        debug_assert!(hp < self.meta.vid_helper_page_last.len(), "vid bounds checked by caller");
+        let hp = self.vid_helper_page_last.partition_point(|&last| last < vid);
+        debug_assert!(hp < self.vid_helper_page_last.len(), "vid bounds checked by caller");
         hp as u64
     }
 
     /// The store address of `ipDict_ValueId` helper page `hp`.
     pub(crate) fn vid_helper_key(&self, hp: u64) -> PageKey {
-        PageKey::new(self.meta.vid_helper_chain.chain, hp)
+        PageKey::new(self.vid_helper_chain.chain, hp)
     }
 
     /// Looks `vid` up on its pinned helper page `hp`: the number of the
     /// dictionary page storing it.
     pub(crate) fn dict_page_on_helper(&self, helper: &[u8], hp: u64, vid: u64) -> u64 {
-        let epp = self.meta.vid_helper_chain.page_size / 8;
+        let epp = self.vid_helper_chain.page_size / 8;
         let start = hp as usize * epp;
-        let count = (self.meta.dict_pages as usize - start).min(epp);
+        let count = (self.dict_pages as usize - start).min(epp);
         // Binary search the little-endian u64 array for the first last-vid
         // >= vid.
         let read = |i: usize| -> u64 { crate::util::le_u64(&helper[i * 8..i * 8 + 8]) };
@@ -606,12 +576,12 @@ impl PagedDictionary {
 
     /// The store address of dictionary page `dict_page`.
     pub(crate) fn dict_page_key(&self, dict_page: u64) -> PageKey {
-        PageKey::new(self.meta.dict_chain.chain, dict_page)
+        PageKey::new(self.dict_chain.chain, dict_page)
     }
 
     /// The store address of the overflow page `r` points at.
     pub(crate) fn overflow_key(&self, r: &OverflowRef) -> PageKey {
-        PageKey::new(self.meta.overflow_chain.chain, r.page_no)
+        PageKey::new(self.overflow_chain.chain, r.page_no)
     }
 
     /// Opens the pinned dictionary page `dict_page` for entry reads.
@@ -639,7 +609,7 @@ impl PagedDictionary {
                 bytes.len()
             ))));
         }
-        if let Some(table) = &self.meta.fsst {
+        if let Some(table) = &self.fsst {
             scratch.clear();
             table.decode_into(bytes, scratch)?;
             std::mem::swap(bytes, scratch);
@@ -647,38 +617,38 @@ impl PagedDictionary {
         Ok(())
     }
 
-    /// `findByValue` (Alg. 2): finds the vid encoding `key`, or the
-    /// insertion point on a miss.
-    pub fn find(&self, key: &[u8], cache: &mut HandleCache) -> CoreResult<DictLookup> {
-        if self.meta.cardinality == 0 {
+    /// `findByValue` (Alg. 2).
+    fn find(&self, key: &[u8], cache: &mut HandleCache) -> CoreResult<DictLookup> {
+        if self.cardinality == 0 {
             return Ok(Err(0));
         }
-        self.preload_helpers(cache)?;
         // Route to the value-helper page: first page whose last separator is
         // >= key (the in-memory residue has one entry per helper page).
-        let hp = self
-            .meta
-            .value_helper_page_last
-            .partition_point(|last| last.as_slice() < key);
-        if hp == self.meta.value_helper_page_last.len() {
+        let hp = self.value_helper_page_last.partition_point(|last| last.as_slice() < key);
+        if hp == self.value_helper_page_last.len() {
             // Greater than every separator, hence every dictionary value.
-            return Ok(Err(self.meta.cardinality));
+            return Ok(Err(self.cardinality));
         }
-        // Find the first separator >= key on that helper page; the
-        // separator's global index *is* the dictionary page number.
-        let guard = cache.pin(PageKey::new(self.meta.value_helper_chain.chain, hp as u64))?;
-        let t = page_transient(&guard)?;
-        // Helper separators are always raw, so this search is codec-blind.
-        let (block_no, pos) = self.lower_bound_on_page(&guard, &t, key, None, cache)?;
-        let dict_page = match pos {
-            Ok(i) | Err(i) => t.first_idx + (block_no * BLOCK_CAP + i) as u64,
+        let dict_page = if self.routes_by_helper() {
+            self.preload_helpers(cache)?;
+            // Find the first separator >= key on that helper page; the
+            // separator's global index *is* the dictionary page number.
+            let guard = cache.pin(PageKey::new(self.value_helper_chain.chain, hp as u64))?;
+            let t = page_transient(&guard)?;
+            // Helper separators are always raw, so this search is codec-blind.
+            let (block_no, pos) = self.lower_bound_on_page(&guard, &t, key, None, cache)?;
+            match pos {
+                Ok(i) | Err(i) => t.first_idx + (block_no * BLOCK_CAP + i) as u64,
+            }
+        } else {
+            0
         };
-        debug_assert!(dict_page < self.meta.dict_pages);
+        debug_assert!(dict_page < self.dict_pages);
         // Search the single dictionary page — in the compressed domain when
         // the chain carries FSST blocks (equality on compressed bytes,
         // ordering via decoded prefixes).
-        let enc_key = self.meta.fsst.as_ref().map(|table| table.encode(key));
-        let guard = cache.pin(PageKey::new(self.meta.dict_chain.chain, dict_page))?;
+        let enc_key = self.fsst.as_ref().map(|table| table.encode(key));
+        let guard = cache.pin(self.dict_page_key(dict_page))?;
         let t = page_transient(&guard)?;
         let (block_no, pos) =
             self.lower_bound_on_page(&guard, &t, key, enc_key.as_deref(), cache)?;
@@ -689,34 +659,13 @@ impl PagedDictionary {
         })
     }
 
-    /// Translates a value range (inclusive byte-key bounds) to the matching
-    /// vid range `lo..=hi`, or `None` when empty. Order preservation makes
-    /// this exactly two lookups.
-    pub fn vid_range(
-        &self,
-        lo_key: &[u8],
-        hi_key: &[u8],
-        cache: &mut HandleCache,
-    ) -> CoreResult<Option<(u64, u64)>> {
-        let lo = match self.find(lo_key, cache)? {
-            Ok(v) | Err(v) => v,
-        };
-        let hi = match self.find(hi_key, cache)? {
-            Ok(v) => v + 1,
-            Err(v) => v,
-        };
-        Ok(if lo < hi { Some((lo, hi - 1)) } else { None })
-    }
-
-    /// Reads the whole dictionary directly from the store — no buffer pool,
-    /// no paged resources — and materializes every key. This is the
-    /// full-column-load path of default (fully resident) columns.
-    pub fn materialize_all_direct(&self) -> CoreResult<Vec<Vec<u8>>> {
-        let store = self.pool.store();
-        let mut keys = Vec::with_capacity(self.meta.cardinality as usize);
-        let overflow = self.meta.overflow_chain.chain;
-        for p in 0..self.meta.dict_pages {
-            let page = store.read_page(PageKey::new(self.meta.dict_chain.chain, p))?;
+    /// Reads the whole dictionary chain directly from `store` and
+    /// materializes every key.
+    fn read_all(&self, store: &dyn PageStore) -> CoreResult<Vec<Vec<u8>>> {
+        let mut keys = Vec::with_capacity(self.cardinality as usize);
+        let overflow = self.overflow_chain.chain;
+        for p in 0..self.dict_pages {
+            let page = store.read_page(self.dict_page_key(p))?;
             let (t, _) = PageTransient::parse(&page)?;
             for &off in &t.offsets {
                 let (block, _) = ValueBlock::parse(&page[off as usize..])?;
@@ -734,7 +683,7 @@ impl PagedDictionary {
                         }
                     };
                     match block.materialize(i, &mut fetch) {
-                        Ok(k) => keys.push(match &self.meta.fsst {
+                        Ok(k) => keys.push(match &self.fsst {
                             Some(table) => table.decode(&k)?,
                             None => k,
                         }),
@@ -747,13 +696,6 @@ impl PagedDictionary {
                     }
                 }
             }
-        }
-        if keys.len() as u64 != self.meta.cardinality {
-            return Err(CoreError::Storage(StorageError::corrupt(format!(
-                "dictionary chain materialized {} keys, expected {}",
-                keys.len(),
-                self.meta.cardinality
-            ))));
         }
         Ok(keys)
     }
@@ -772,7 +714,7 @@ impl PagedDictionary {
         enc_key: Option<&[u8]>,
         cache: &mut HandleCache,
     ) -> CoreResult<(usize, Result<usize, usize>)> {
-        let table = self.meta.fsst.as_deref();
+        let table = self.fsst.as_deref();
         // Rightmost block whose first entry is <= key.
         let mut lo = 0usize;
         let mut hi = t.offsets.len(); // exclusive
@@ -808,32 +750,10 @@ impl PagedDictionary {
         }
     }
 
-    /// Pins every page of both helper chains for the dictionary's lifetime
-    /// — the "always loaded" helper-dictionary variant the paper's §6.2.2
-    /// recommends after observing the Fig. 6 burst. Pinned pages are immune
-    /// to eviction until [`PagedDictionary::unpin_helpers`] (or drop).
-    pub fn pin_helpers(&self) -> CoreResult<()> {
-        let mut pins = self.pinned_helpers.lock();
-        if !pins.is_empty() {
-            return Ok(());
-        }
-        for chain in [&self.meta.vid_helper_chain, &self.meta.value_helper_chain] {
-            for p in 0..chain.pages {
-                pins.push(self.pool.pin(PageKey::new(chain.chain, p)).map_err(CoreError::Storage)?);
-            }
-        }
-        self.helpers_preloaded.store(true, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Releases the permanent helper pins (pages become evictable again).
-    pub fn unpin_helpers(&self) {
-        self.pinned_helpers.lock().clear();
-    }
-
-    /// True when the helper chains are permanently pinned.
-    pub fn helpers_pinned(&self) -> bool {
-        !self.pinned_helpers.lock().is_empty()
+    fn helper_pages(&self) -> impl Iterator<Item = PageKey> + '_ {
+        [&self.vid_helper_chain, &self.value_helper_chain]
+            .into_iter()
+            .flat_map(|c| (0..c.pages).map(|p| PageKey::new(c.chain, p)))
     }
 
     /// Pre-loads both helper chains on the first access (§3.2.3) with one
@@ -841,19 +761,29 @@ impl PagedDictionary {
     /// arrives in ranged reads. The pages become pool-resident (and
     /// individually evictable once the cache lets go of them).
     fn preload_helpers(&self, cache: &mut HandleCache) -> CoreResult<()> {
-        cache.pin_all(&self.take_preload())
+        let pages = self.preload_pages();
+        if !pages.is_empty() {
+            cache.pin_all(&pages)?;
+            self.preload_landed();
+        }
+        Ok(())
     }
 
-    /// The pages to pre-load on the first access to this dictionary — every
-    /// page of both helper chains — and nothing on any later call.
-    pub(crate) fn take_preload(&self) -> Vec<PageKey> {
-        if self.helpers_preloaded.swap(true, Ordering::Relaxed) {
+    /// The pages to pre-load before this dictionary's helpers are first
+    /// read — every page of both helper chains — and nothing once a preload
+    /// has landed ([`Blocks::preload_landed`]) or when the helpers are never
+    /// read at all.
+    pub(crate) fn preload_pages(&self) -> Vec<PageKey> {
+        if self.helpers_preloaded.load(Ordering::Relaxed) {
             return Vec::new();
         }
-        [&self.meta.vid_helper_chain, &self.meta.value_helper_chain]
-            .into_iter()
-            .flat_map(|c| (0..c.pages).map(|p| PageKey::new(c.chain, p)))
-            .collect()
+        self.helper_pages().collect()
+    }
+
+    /// Records that the pages of [`Blocks::preload_pages`] were pinned. Only
+    /// then: a preload that failed is due again on the next access.
+    pub(crate) fn preload_landed(&self) {
+        self.helpers_preloaded.store(true, Ordering::Relaxed);
     }
 
     /// Runs `f` with an overflow-piece fetcher that pins pages through the
@@ -865,7 +795,7 @@ impl PagedDictionary {
             &mut dyn FnMut(&OverflowRef) -> payg_encoding::Result<Vec<u8>>,
         ) -> payg_encoding::Result<T>,
     ) -> CoreResult<T> {
-        let chain = self.meta.overflow_chain.chain;
+        let chain = self.overflow_chain.chain;
         let mut io_err: Option<CoreError> = None;
         let mut fetch = |r: &OverflowRef| -> payg_encoding::Result<Vec<u8>> {
             match cache.pin(PageKey::new(chain, r.page_no)) {
@@ -879,6 +809,238 @@ impl PagedDictionary {
         match f(&mut fetch) {
             Ok(v) => Ok(v),
             Err(e) => Err(io_err.take().unwrap_or(CoreError::Encoding(e))),
+        }
+    }
+}
+
+/// The layout tag a checkpoint leads a dictionary's metadata with: its
+/// chain's codec byte.
+fn codec_from_tag(tag: u8) -> Option<CodecKind> {
+    [CodecKind::Plain, CodecKind::Fsst, CodecKind::Array].into_iter().find(|&k| k as u8 == tag)
+}
+
+impl PagedDictionary {
+    /// Persists `keys` — the sorted, strictly increasing order-preserving
+    /// keys of a column of `data_type` — and returns the reader plus build
+    /// statistics. The type picks the layout: fixed-width (numeric) keys
+    /// become pages of sorted keys, strings the paper's value-block
+    /// structure.
+    pub fn build(
+        pool: &BufferPool,
+        config: &PageConfig,
+        data_type: DataType,
+        keys: &[Vec<u8>],
+    ) -> CoreResult<(Self, PagedDictBuildStats)> {
+        debug_assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "dictionary keys must be strictly increasing"
+        );
+        let (layout, stats) = match data_type.key_width() {
+            Some(width) => {
+                let array = ArrayPages::build(pool, config, width, keys)?;
+                let stats =
+                    PagedDictBuildStats { dict_pages: array.chain().pages, ..Default::default() };
+                (Layout::Array(array), stats)
+            }
+            None => {
+                let (blocks, stats) = Blocks::build(pool, config, keys)?;
+                (Layout::Blocks(blocks), stats)
+            }
+        };
+        Ok((PagedDictionary { pool: pool.clone(), layout }, stats))
+    }
+
+    /// Serializes the dictionary's metadata for a catalog checkpoint: the
+    /// layout tag (the chain's codec byte), then the layout's chain
+    /// references and always-resident residue.
+    pub fn meta_bytes(&self) -> Vec<u8> {
+        let mut w = crate::meta::MetaWriter::new();
+        w.u8(self.codec_kind() as u8);
+        match &self.layout {
+            Layout::Blocks(b) => b.write_meta(&mut w),
+            Layout::Array(a) => a.write_meta(&mut w),
+        }
+        w.finish()
+    }
+
+    /// Reopens the dictionary of a column of `data_type` from checkpointed
+    /// metadata over `pool`'s store. Refuses metadata in the layout of
+    /// another type.
+    pub fn open(pool: &BufferPool, data_type: DataType, bytes: &[u8]) -> CoreResult<Self> {
+        let mut r = crate::meta::MetaReader::new(bytes);
+        let tag = r.u8()?;
+        let layout = match (codec_from_tag(tag), data_type.key_width()) {
+            (Some(CodecKind::Array), Some(width)) => {
+                Layout::Array(ArrayPages::read_meta(&mut r, width)?)
+            }
+            (Some(codec @ (CodecKind::Plain | CodecKind::Fsst)), None) => {
+                Layout::Blocks(Blocks::read_meta(&mut r, codec)?)
+            }
+            _ => {
+                return Err(CoreError::Storage(StorageError::corrupt(format!(
+                    "catalog: dictionary codec byte {tag} on a {data_type:?} column"
+                ))))
+            }
+        };
+        r.expect_end()?;
+        Ok(PagedDictionary { pool: pool.clone(), layout })
+    }
+
+    pub(crate) fn layout(&self) -> &Layout {
+        &self.layout
+    }
+
+    /// Number of distinct values.
+    pub fn cardinality(&self) -> u64 {
+        match &self.layout {
+            Layout::Blocks(b) => b.cardinality,
+            Layout::Array(a) => a.cardinality(),
+        }
+    }
+
+    /// The store chain ids backing this dictionary, labeled by role — for
+    /// attributing traced page events back to the structure that owns them.
+    /// An array dictionary is its `dict` chain alone.
+    pub fn chains(&self) -> Vec<(&'static str, u64)> {
+        match &self.layout {
+            Layout::Blocks(b) => vec![
+                ("dict", b.dict_chain.chain.0),
+                ("dict-overflow", b.overflow_chain.chain.0),
+                ("dict-vid-helper", b.vid_helper_chain.chain.0),
+                ("dict-value-helper", b.value_helper_chain.chain.0),
+            ],
+            Layout::Array(a) => vec![("dict", a.chain().chain.0)],
+        }
+    }
+
+    /// The codec the dictionary chain is stored in.
+    pub fn codec_kind(&self) -> CodecKind {
+        match &self.layout {
+            Layout::Blocks(b) if b.fsst.is_some() => CodecKind::Fsst,
+            Layout::Blocks(_) => CodecKind::Plain,
+            Layout::Array(_) => CodecKind::Array,
+        }
+    }
+
+    /// Heap bytes of the always-resident metadata (the in-memory residue of
+    /// the hybrid representation).
+    pub fn meta_heap_bytes(&self) -> usize {
+        match &self.layout {
+            Layout::Blocks(b) => b.heap_bytes(),
+            Layout::Array(a) => a.heap_bytes(),
+        }
+    }
+
+    /// Creates a lookup iterator with its own page-handle cache.
+    pub fn iter(&self) -> PagedDictIterator<'_> {
+        PagedDictIterator { dict: self, cache: HandleCache::new(self.pool.clone()) }
+    }
+
+    /// `findByValueID` (Alg. 3): materializes the key encoded by `vid`.
+    /// The single-lookup form; batches go through
+    /// [`crate::column::materialize`], which drives the same page-level
+    /// steps over batched pins.
+    pub fn key_by_vid(&self, vid: u64, cache: &mut HandleCache) -> CoreResult<Vec<u8>> {
+        self.check_vid(vid)?;
+        match &self.layout {
+            Layout::Blocks(b) => b.key_by_vid(vid, cache),
+            Layout::Array(a) => {
+                let page = cache.pin(a.page_key(a.page_of(vid)))?;
+                Ok(a.slot(&page, vid)?.to_vec())
+            }
+        }
+    }
+
+    /// Errors unless `vid` is a valid identifier of this dictionary.
+    pub(crate) fn check_vid(&self, vid: u64) -> CoreResult<()> {
+        let cardinality = self.cardinality();
+        if vid >= cardinality {
+            return Err(CoreError::VidOutOfBounds { vid, cardinality });
+        }
+        Ok(())
+    }
+
+    /// `findByValue` (Alg. 2): finds the vid encoding `key`, or the
+    /// insertion point on a miss.
+    pub fn find(&self, key: &[u8], cache: &mut HandleCache) -> CoreResult<DictLookup> {
+        match &self.layout {
+            Layout::Blocks(b) => b.find(key, cache),
+            Layout::Array(a) => match a.route(key) {
+                Some(page) => a.find_on(&cache.pin(a.page_key(page))?, page, key),
+                // Above every key.
+                None => Ok(Err(a.cardinality())),
+            },
+        }
+    }
+
+    /// Translates a value range (inclusive byte-key bounds) to the matching
+    /// vid range `lo..=hi`, or `None` when empty. Order preservation makes
+    /// this exactly two lookups.
+    pub fn vid_range(
+        &self,
+        lo_key: &[u8],
+        hi_key: &[u8],
+        cache: &mut HandleCache,
+    ) -> CoreResult<Option<(u64, u64)>> {
+        let lo = match self.find(lo_key, cache)? {
+            Ok(v) | Err(v) => v,
+        };
+        let hi = match self.find(hi_key, cache)? {
+            Ok(v) => v + 1,
+            Err(v) => v,
+        };
+        Ok(if lo < hi { Some((lo, hi - 1)) } else { None })
+    }
+
+    /// Reads the whole dictionary directly from the store — no buffer pool,
+    /// no paged resources — and materializes every key. This is the
+    /// full-column-load path of default (fully resident) columns.
+    pub fn materialize_all_direct(&self) -> CoreResult<Vec<Vec<u8>>> {
+        let store = self.pool.store().as_ref();
+        let keys = match &self.layout {
+            Layout::Blocks(b) => b.read_all(store)?,
+            Layout::Array(a) => a.read_all(store)?,
+        };
+        if keys.len() as u64 != self.cardinality() {
+            return Err(CoreError::Storage(StorageError::corrupt(format!(
+                "dictionary chain materialized {} keys, expected {}",
+                keys.len(),
+                self.cardinality()
+            ))));
+        }
+        Ok(keys)
+    }
+
+    /// Pins every page of both helper chains for the dictionary's lifetime
+    /// — the "always loaded" helper-dictionary variant the paper's §6.2.2
+    /// recommends after observing the Fig. 6 burst. Pinned pages are immune
+    /// to eviction until [`PagedDictionary::unpin_helpers`] (or drop). An
+    /// array dictionary has no helpers: nothing is pinned.
+    pub fn pin_helpers(&self) -> CoreResult<()> {
+        let Layout::Blocks(b) = &self.layout else { return Ok(()) };
+        let mut pins = b.pinned_helpers.lock();
+        if !pins.is_empty() {
+            return Ok(());
+        }
+        for key in b.helper_pages() {
+            pins.push(self.pool.pin(key).map_err(CoreError::Storage)?);
+        }
+        b.preload_landed();
+        Ok(())
+    }
+
+    /// Releases the permanent helper pins (pages become evictable again).
+    pub fn unpin_helpers(&self) {
+        if let Layout::Blocks(b) = &self.layout {
+            b.pinned_helpers.lock().clear();
+        }
+    }
+
+    /// True when the helper chains are permanently pinned.
+    pub fn helpers_pinned(&self) -> bool {
+        match &self.layout {
+            Layout::Blocks(b) => !b.pinned_helpers.lock().is_empty(),
+            Layout::Array(_) => false,
         }
     }
 }
@@ -1085,7 +1247,7 @@ impl PageAssembler {
 mod tests {
     use super::*;
     use payg_resman::ResourceManager;
-    use payg_storage::MemStore;
+    use payg_storage::{ChainId, MemStore};
 
     fn pool() -> BufferPool {
         BufferPool::new(Arc::new(MemStore::new()), ResourceManager::new())
@@ -1097,7 +1259,7 @@ mod tests {
 
     fn build(keys: &[Vec<u8>], config: &PageConfig) -> (BufferPool, PagedDictionary, PagedDictBuildStats) {
         let pool = pool();
-        let (d, s) = PagedDictionary::build(&pool, config, keys).unwrap();
+        let (d, s) = PagedDictionary::build(&pool, config, DataType::Varchar, keys).unwrap();
         (pool, d, s)
     }
 
@@ -1249,7 +1411,8 @@ mod tests {
         let pool = pool();
         let resman = pool.resource_manager().clone();
         resman.set_paged_limits(Some(payg_resman::PoolLimits::new(0, usize::MAX)));
-        let (dict, stats) = PagedDictionary::build(&pool, &PageConfig::tiny(), &ks).unwrap();
+        let (dict, stats) =
+            PagedDictionary::build(&pool, &PageConfig::tiny(), DataType::Varchar, &ks).unwrap();
         dict.pin_helpers().unwrap();
         assert!(dict.helpers_pinned());
         // A full reactive unload cannot evict the pinned helper pages.
@@ -1319,13 +1482,14 @@ mod tests {
         let (pool, dict, _) = build(&ks, &PageConfig::tiny());
         assert_eq!(dict.codec_kind(), CodecKind::Fsst);
         // The chain file self-describes its codec.
-        let desc = pool.store().chain_descriptor(dict.meta.dict_chain.chain).unwrap();
+        let desc = pool.store().chain_descriptor(ChainId(dict.chains()[0].1)).unwrap();
         let codec = ChainCodec::deserialize(&desc).unwrap();
         assert_eq!(codec.kind, CodecKind::Fsst);
         let table = SymbolTable::deserialize(&codec.params).unwrap();
         assert_eq!(table.decode(&table.encode(&ks[7])).unwrap(), ks[7]);
         // Checkpoint metadata round-trips the symbol table.
-        let reopened = PagedDictionary::open(&pool, &dict.meta_bytes()).unwrap();
+        let reopened =
+            PagedDictionary::open(&pool, DataType::Varchar, &dict.meta_bytes()).unwrap();
         assert_eq!(reopened.codec_kind(), CodecKind::Fsst);
         let mut it = reopened.iter();
         for vid in (0..600u64).step_by(53) {
@@ -1340,7 +1504,7 @@ mod tests {
         let (pool, dict, _) = build(&ks, &PageConfig::tiny());
         assert_eq!(dict.codec_kind(), CodecKind::Plain);
         // The descriptor still resolves, to the plain codec.
-        let desc = pool.store().chain_descriptor(dict.meta.dict_chain.chain).unwrap();
+        let desc = pool.store().chain_descriptor(ChainId(dict.chains()[0].1)).unwrap();
         assert_eq!(ChainCodec::deserialize(&desc).unwrap().kind, CodecKind::Plain);
         let mut it = dict.iter();
         for (vid, k) in ks.iter().enumerate() {
@@ -1376,21 +1540,150 @@ mod tests {
         }
     }
 
+    fn int_keys(n: i64) -> Vec<Vec<u8>> {
+        (0..n).map(|i| payg_encoding::okey::encode_i64(i * 7 - 700).to_vec()).collect()
+    }
+
     #[test]
-    fn numeric_keys_roundtrip() {
-        // Fixed-width order-preserving integer keys exercise short binary keys.
-        let ks: Vec<Vec<u8>> =
-            (0..300i64).map(|i| payg_encoding::okey::encode_i64(i * 7).to_vec()).collect();
-        let (_pool, dict, _) = build(&ks, &PageConfig::tiny());
+    fn numeric_dictionary_is_one_chain_of_sorted_keys() {
+        // 768-byte pages hold 96 eight-byte keys: three full pages and a
+        // short one.
+        let ks = int_keys(300);
+        let pool = pool();
+        let (dict, stats) =
+            PagedDictionary::build(&pool, &PageConfig::tiny(), DataType::Integer, &ks).unwrap();
+        assert_eq!(stats, PagedDictBuildStats { dict_pages: 4, ..Default::default() });
+        assert_eq!(dict.codec_kind(), CodecKind::Array);
+        let chains = dict.chains();
+        assert_eq!(chains.len(), 1);
+        assert_eq!(chains[0].0, "dict");
+        assert_eq!(pool.store().chains(), vec![ChainId(chains[0].1)], "no other chain is built");
+        let desc = pool.store().chain_descriptor(ChainId(chains[0].1)).unwrap();
+        assert_eq!(
+            ChainCodec::deserialize(&desc).unwrap(),
+            ChainCodec { kind: CodecKind::Array, params: vec![8] }
+        );
+        assert_eq!(dict.meta_heap_bytes(), 4 * 8, "the residue is one key per page");
+        let built = pool.registry().counter_labeled(
+            names::POOL_PAGE_BYTES,
+            &[("pool", pool.metrics_label()), ("codec", "array")],
+        );
+        assert_eq!(built.get(), 4 * 768);
+
         let mut it = dict.iter();
         for (vid, k) in ks.iter().enumerate() {
             assert_eq!(it.find(k).unwrap(), Ok(vid as u64));
             assert_eq!(&it.key_by_vid(vid as u64).unwrap(), k);
         }
-        assert_eq!(
-            it.find(&payg_encoding::okey::encode_i64(8)).unwrap(),
-            Err(2),
-            "7 < 8 < 14 inserts at vid 2"
+        let probe = |v: i64| payg_encoding::okey::encode_i64(v);
+        assert_eq!(it.find(&probe(-699)).unwrap(), Err(1), "-700 < -699 < -693");
+        assert_eq!(it.find(&probe(i64::MIN)).unwrap(), Err(0));
+        assert_eq!(it.find(&probe(i64::MAX)).unwrap(), Err(300));
+        // Between the last key of page 0 (vid 95) and the first of page 1.
+        assert_eq!(it.find(&probe(95 * 7 - 700 + 1)).unwrap(), Err(96));
+        assert!(matches!(it.key_by_vid(300), Err(CoreError::VidOutOfBounds { vid: 300, .. })));
+        assert_eq!(pool.resident_pages(), 4, "every lookup pins dictionary pages only");
+        assert_eq!(dict.materialize_all_direct().unwrap(), ks);
+        dict.pin_helpers().unwrap();
+        assert!(!dict.helpers_pinned(), "there are no helpers to pin");
+
+        let reopened =
+            PagedDictionary::open(&pool, DataType::Integer, &dict.meta_bytes()).unwrap();
+        assert_eq!(reopened.chains(), chains);
+        let mut it = reopened.iter();
+        for vid in (0..300u64).step_by(41) {
+            assert_eq!(it.find(&ks[vid as usize]).unwrap(), Ok(vid));
+            assert_eq!(it.key_by_vid(vid).unwrap(), ks[vid as usize]);
+        }
+    }
+
+    #[test]
+    fn open_refuses_metadata_that_does_not_describe_the_column() {
+        let pool = pool();
+        let config = PageConfig::tiny();
+        let (ints, _) =
+            PagedDictionary::build(&pool, &config, DataType::Integer, &int_keys(300)).unwrap();
+        let meta = ints.meta_bytes();
+        let refused = |ty: DataType, bytes: &[u8]| match PagedDictionary::open(&pool, ty, bytes) {
+            Err(CoreError::Storage(StorageError::Corrupt { .. })) => true,
+            Err(other) => panic!("refused with {other:?}"),
+            Ok(_) => false,
+        };
+        assert!(!refused(DataType::Integer, &meta));
+        // Same layout, other width: 8-byte keys under a 16-byte type.
+        assert!(refused(DataType::Decimal, &meta));
+        assert!(refused(DataType::Varchar, &meta), "an array is not a string dictionary");
+        // The stored width itself (after tag, cardinality and chain ref).
+        let mut wide = meta.clone();
+        wide[1 + 8 + 24] = 16;
+        assert!(refused(DataType::Integer, &wide));
+        // Four pages of 96 keys do not hold 400 keys — nor 100.
+        for cardinality in [400u64, 100] {
+            let mut grown = meta.clone();
+            grown[1..9].copy_from_slice(&cardinality.to_le_bytes());
+            assert!(refused(DataType::Integer, &grown));
+        }
+        // The codec byte, flipped every way.
+        for tag in [CodecKind::Plain, CodecKind::Fsst, CodecKind::Pef] {
+            let mut flipped = meta.clone();
+            flipped[0] = tag as u8;
+            assert!(refused(DataType::Integer, &flipped), "{tag:?}");
+        }
+        let (strings, _) =
+            PagedDictionary::build(&pool, &config, DataType::Varchar, &keys(300)).unwrap();
+        assert_eq!(strings.codec_kind(), CodecKind::Fsst);
+        let meta = strings.meta_bytes();
+        assert!(!refused(DataType::Varchar, &meta));
+        assert!(refused(DataType::Integer, &meta));
+        for tag in [CodecKind::Plain, CodecKind::Array, CodecKind::Pef] {
+            let mut flipped = meta.clone();
+            flipped[0] = tag as u8;
+            assert!(refused(DataType::Varchar, &flipped), "{tag:?}");
+        }
+    }
+
+    #[test]
+    fn one_page_string_dictionary_pins_no_helper_page() {
+        let ks = keys(12);
+        let (pool, dict, stats) = build(&ks, &PageConfig::tiny());
+        assert_eq!(stats.dict_pages, 1);
+        assert_eq!((stats.vid_helper_pages, stats.value_helper_pages), (1, 1), "built as ever");
+        let mut it = dict.iter();
+        for (vid, k) in ks.iter().enumerate() {
+            assert_eq!(it.find(k).unwrap(), Ok(vid as u64));
+            assert_eq!(&it.key_by_vid(vid as u64).unwrap(), k);
+        }
+        assert_eq!(it.find(b"customer-000003x").unwrap(), Err(4));
+        assert_eq!(it.find(b"a").unwrap(), Err(0));
+        assert_eq!(it.find(b"z").unwrap(), Err(12));
+        assert_eq!(it.pinned_pages(), 1, "the dictionary page is page 0: no helper is read");
+        assert_eq!(pool.resident_pages(), 1, "nor preloaded");
+    }
+
+    #[test]
+    fn a_failed_helper_preload_is_due_again_on_the_next_lookup() {
+        use payg_storage::{FaultPlan, FaultyStore, PoolConfig, RetryPolicy};
+        let store = Arc::new(FaultyStore::new(MemStore::new(), FaultPlan::None));
+        let pool = BufferPool::with_config(
+            Arc::clone(&store) as Arc<dyn PageStore>,
+            ResourceManager::new(),
+            PoolConfig { retry: RetryPolicy::NONE, ..PoolConfig::default() },
         );
+        let ks = keys(1000);
+        let (dict, _) =
+            PagedDictionary::build(&pool, &PageConfig::tiny(), DataType::Varchar, &ks).unwrap();
+        // `find` reads no `ipDict_ValueId` page: only the preload pins it.
+        let vid_helper = PageKey::new(ChainId(dict.chains()[2].1), 0);
+        store.set_plan(FaultPlan::Pages(vec![vid_helper]));
+        assert!(matches!(dict.iter().find(&ks[500]), Err(CoreError::Storage(_))));
+        store.set_plan(FaultPlan::None);
+        pool.clear_quarantine();
+        pool.clear();
+        assert_eq!(dict.iter().find(&ks[500]).unwrap(), Ok(500));
+        assert!(pool.is_resident(vid_helper), "the lookup after a failed preload preloads again");
+        // And once it has landed, never again.
+        pool.clear();
+        assert_eq!(dict.iter().find(&ks[500]).unwrap(), Ok(500));
+        assert!(!pool.is_resident(vid_helper));
     }
 }

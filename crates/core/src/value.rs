@@ -18,6 +18,20 @@ pub enum DataType {
     Varchar,
 }
 
+impl DataType {
+    /// Bytes of the type's order-preserving key ([`Value::to_key`]) when
+    /// every value's key has the same length — the numeric types — and
+    /// `None` for strings. Fixed-width keys are what lets a dictionary be
+    /// pages of sorted keys instead of the string structure.
+    pub fn key_width(self) -> Option<usize> {
+        match self {
+            DataType::Integer | DataType::Double => Some(8),
+            DataType::Decimal => Some(16),
+            DataType::Varchar => None,
+        }
+    }
+}
+
 /// A typed value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {

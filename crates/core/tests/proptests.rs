@@ -28,9 +28,20 @@ fn note_codec(seen: &AtomicU8, kind: CodecKind) {
 fn assert_both_codecs(seen: &AtomicU8) {
     let both = 1 << CodecKind::Plain as u8 | 1 << CodecKind::Fsst as u8;
     assert_eq!(
-        seen.load(Ordering::Relaxed),
+        seen.load(Ordering::Relaxed) & both,
         both,
         "the cases must build an FSST and a plain dictionary chain"
+    );
+}
+
+/// [`assert_both_codecs`] for properties over columns of every type: their
+/// numeric columns must have built array dictionaries besides.
+fn assert_every_dict_codec(seen: &AtomicU8) {
+    assert_both_codecs(seen);
+    assert_ne!(
+        seen.load(Ordering::Relaxed) & 1 << CodecKind::Array as u8,
+        0,
+        "the cases must build an array dictionary chain"
     );
 }
 
@@ -64,7 +75,7 @@ proptest! {
         keys.sort();
         keys.dedup();
         let pool = pool();
-        let (dict, _) = PagedDictionary::build(&pool, &PageConfig::tiny(), &keys).unwrap();
+        let (dict, _) = PagedDictionary::build(&pool, &PageConfig::tiny(), DataType::Varchar, &keys).unwrap();
         note_codec(&DICT_CODECS, dict.codec_kind());
         let mut cache = HandleCache::new(pool.clone());
         for (vid, k) in keys.iter().enumerate() {
@@ -269,7 +280,7 @@ proptest! {
         // Some geometries are legitimately impossible (a 16-entry block of
         // heavily-spilled values cannot fit a small page with tiny overflow
         // pages); the builder rejects those with a clean, documented error.
-        let (dict, _) = match PagedDictionary::build(&pool, &config, &keys) {
+        let (dict, _) = match PagedDictionary::build(&pool, &config, DataType::Varchar, &keys) {
             Ok(d) => d,
             Err(e) => {
                 prop_assert!(matches!(
@@ -453,12 +464,131 @@ proptest! {
     }
 }
 
+/// The value a seed stands for in a column of `ty`: the type's extremes and
+/// special values (selectors 0–3), a narrow range where neighbours collide
+/// and sit one apart (4–7), or anything at all.
+fn numeric_value(ty: DataType, selector: u8, raw: u64) -> Value {
+    let near = (raw % 600) as i64 - 300;
+    match ty {
+        DataType::Integer => Value::Integer(match selector % 12 {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            2 => 0,
+            3 => -1,
+            4..=7 => near,
+            _ => raw as i64,
+        }),
+        DataType::Decimal => Value::Decimal(match selector % 12 {
+            0 => i128::MIN,
+            1 => i128::MAX,
+            2 => 0,
+            3 => -1,
+            4..=7 => i128::from(near),
+            _ => i128::from(raw as i64) * 1_000_000_007,
+        }),
+        _ => Value::Double(match selector % 12 {
+            0 => f64::NEG_INFINITY,
+            1 => f64::INFINITY,
+            2 => 0.0,
+            3 => -0.0,
+            4..=7 => near as f64 / 4.0,
+            _ => f64::from_bits(raw),
+        }),
+    }
+}
+
+/// The fixed-width key `delta` away from `key` in `memcmp` order (wrapping).
+fn key_offset(key: &[u8], delta: i128) -> Vec<u8> {
+    let mut wide = [0u8; 16];
+    wide[16 - key.len()..].copy_from_slice(key);
+    let moved = u128::from_be_bytes(wide).wrapping_add(delta as u128);
+    moved.to_be_bytes()[16 - key.len()..].to_vec()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A numeric (array) dictionary answers exactly like the sorted vector
+    /// of its keys — for each numeric type with its extremes and special
+    /// values, on pages from one key wide to a few dozen (so the chain is
+    /// empty, one page, two, or many with a short last page, and page sizes
+    /// are not multiples of the key width): `find` hits, misses and
+    /// insertion points (every key's two neighbours, so both sides of every
+    /// page edge), `vid_range` (empty, within a page, spanning pages, all),
+    /// `key_by_vid`, the out-of-range identifier, the full load, and the
+    /// same again after a checkpoint round trip.
+    #[test]
+    fn array_dict_equals_sorted_vec(
+        ty in prop::sample::select(vec![DataType::Integer, DataType::Decimal, DataType::Double]),
+        seeds in prop::collection::vec((any::<u8>(), any::<u64>()), 0..160),
+        dict_page in 16usize..200,
+        probes in prop::collection::vec((any::<u8>(), any::<u64>()), 1..24),
+    ) {
+        let mut keys: Vec<Vec<u8>> =
+            seeds.iter().map(|&(sel, raw)| numeric_value(ty, sel, raw).to_key()).collect();
+        keys.sort();
+        keys.dedup();
+        let n = keys.len() as u64;
+        let pool = pool();
+        let config = PageConfig { dict_page, ..PageConfig::tiny() };
+        let (dict, stats) = PagedDictionary::build(&pool, &config, ty, &keys).unwrap();
+        let width = ty.key_width().unwrap();
+        prop_assert_eq!(stats.dict_pages, n.div_ceil((dict_page / width) as u64));
+        prop_assert_eq!(
+            (stats.overflow_pages, stats.vid_helper_pages, stats.value_helper_pages),
+            (0, 0, 0)
+        );
+        prop_assert_eq!(dict.codec_kind(), CodecKind::Array);
+        prop_assert_eq!(dict.chains().len(), 1);
+        prop_assert_eq!(dict.materialize_all_direct().unwrap(), keys.clone());
+
+        let reopened = PagedDictionary::open(&pool, ty, &dict.meta_bytes()).unwrap();
+        let mut probe_keys: Vec<Vec<u8>> =
+            probes.iter().map(|&(sel, raw)| numeric_value(ty, sel, raw).to_key()).collect();
+        for k in &keys {
+            probe_keys.extend([k.clone(), key_offset(k, -1), key_offset(k, 1)]);
+        }
+        for dict in [&dict, &reopened] {
+            let mut cache = HandleCache::new(pool.clone());
+            prop_assert_eq!(dict.cardinality(), n);
+            for (vid, k) in keys.iter().enumerate() {
+                prop_assert_eq!(&dict.key_by_vid(vid as u64, &mut cache).unwrap(), k);
+            }
+            for vid in [n, n + 1, u64::MAX] {
+                prop_assert!(matches!(
+                    dict.key_by_vid(vid, &mut cache),
+                    Err(payg_core::CoreError::VidOutOfBounds { .. })
+                ));
+            }
+            for p in &probe_keys {
+                let expect = keys.binary_search(p).map(|i| i as u64).map_err(|i| i as u64);
+                prop_assert_eq!(dict.find(p, &mut cache).unwrap(), expect, "find {:?}", p);
+            }
+            // Ranges between every pair of a spread of probes: empty ones
+            // (reversed bounds, both bounds in one gap), one-page ones and
+            // ones that span pages, up to the whole domain.
+            let bounds: Vec<&Vec<u8>> = probe_keys.iter().step_by(probe_keys.len() / 12 + 1).collect();
+            for lo in &bounds {
+                for hi in &bounds {
+                    let first = keys.partition_point(|k| k < *lo) as u64;
+                    let end = keys.partition_point(|k| k <= *hi) as u64;
+                    let expect = (first < end).then(|| (first, end - 1));
+                    prop_assert_eq!(dict.vid_range(lo, hi, &mut cache).unwrap(), expect);
+                }
+            }
+            let all = dict.vid_range(&vec![0; width], &vec![0xFF; width], &mut cache).unwrap();
+            prop_assert_eq!(all, (n > 0).then(|| (0, n - 1)));
+        }
+        pool.assert_no_live_pins("array dictionary quiesce");
+    }
+}
+
 static PROJECTION_CODECS: AtomicU8 = AtomicU8::new(0);
 
 #[test]
 fn phased_projection_under_both_codecs() {
     phased_projection_equals_per_column_and_resident();
-    assert_both_codecs(&PROJECTION_CODECS);
+    assert_every_dict_codec(&PROJECTION_CODECS);
 }
 
 proptest! {
@@ -466,11 +596,13 @@ proptest! {
 
     /// Phased late materialization over several columns at once ≡ each
     /// paged column's own `get_values` ≡ the resident column ≡ the source
-    /// values, for arbitrary row lists (unsorted, duplicates) over columns
-    /// that cover the special shapes — a width-0 data vector, values large
-    /// enough to spill into overflow pages, FSST-compressed and plain
-    /// dictionaries — with the paged pool limited to less than one wave,
-    /// so the pages of a phase are evicted between (and during) waves.
+    /// values, for arbitrary row lists (unsorted, duplicates), a single row
+    /// (each identifier is its own distinct list) and one row several times
+    /// over, over columns that cover the special shapes — a width-0 data
+    /// vector, array dictionaries of both key widths, values large enough
+    /// to spill into overflow pages, FSST-compressed and plain dictionaries
+    /// — with the paged pool limited to less than one wave, so the pages of
+    /// a phase are evicted between (and during) waves.
     fn phased_projection_equals_per_column_and_resident(
         n_rows in 1usize..260,
         card in 1u64..200,
@@ -498,16 +630,19 @@ proptest! {
             note_codec(&PROJECTION_CODECS, col.dict_codec());
         }
         let rows: Vec<u64> = picks.iter().map(|&p| u64::from(p) % n_rows as u64).collect();
+        let thrice = vec![rows.last().copied().unwrap_or(0); 3];
 
         let mixed: Vec<&payg_core::Column> = paged.iter().chain(&resident).collect();
-        let phased = payg_core::column::materialize(&mixed, &rows).unwrap();
-        prop_assert_eq!(phased.len(), 2 * sources.len());
-        for (c, (_, values)) in sources.iter().enumerate() {
-            let expect: Vec<Value> = rows.iter().map(|&r| values[r as usize].clone()).collect();
-            prop_assert_eq!(&phased[c], &expect, "phased, paged column {}", c);
-            prop_assert_eq!(&phased[sources.len() + c], &expect, "phased, resident column {}", c);
-            prop_assert_eq!(&paged[c].get_values(&rows).unwrap(), &expect, "get_values, column {}", c);
-            prop_assert_eq!(&resident[c].get_values(&rows).unwrap(), &expect);
+        for rows in [&rows[..], &rows[..rows.len().min(1)], &thrice[..]] {
+            let phased = payg_core::column::materialize(&mixed, rows).unwrap();
+            prop_assert_eq!(phased.len(), 2 * sources.len());
+            for (c, (_, values)) in sources.iter().enumerate() {
+                let expect: Vec<Value> = rows.iter().map(|&r| values[r as usize].clone()).collect();
+                prop_assert_eq!(&phased[c], &expect, "phased, paged column {}", c);
+                prop_assert_eq!(&phased[sources.len() + c], &expect, "phased, resident column {}", c);
+                prop_assert_eq!(&paged[c].get_values(rows).unwrap(), &expect, "get_values, column {}", c);
+                prop_assert_eq!(&resident[c].get_values(rows).unwrap(), &expect);
+            }
         }
         // Out-of-range rows are an error, not a panic, wherever they sit.
         let mut bad = rows.clone();
@@ -518,10 +653,11 @@ proptest! {
 }
 
 /// Source columns covering the special shapes of late materialization: a
-/// width-0 data vector, a plain numeric column, strings large enough to
-/// spill into overflow pages, a high-cardinality string column (whose keys
-/// FSST compresses) and one of long random strings (which, past some 150
-/// rows, it declines: the dictionary chain stays plain front-coded).
+/// width-0 data vector, a numeric column of each type (array dictionaries
+/// of 8- and 16-byte keys, negative values included), strings large enough
+/// to spill into overflow pages, a high-cardinality string column (whose
+/// keys FSST compresses) and one of long random strings (which, past some
+/// 150 rows, it declines: the dictionary chain stays plain front-coded).
 fn special_shape_columns(n_rows: usize, card: u64, salt: u64) -> Vec<(DataType, Vec<Value>)> {
     let mix = |i: usize, k: u64| {
         (salt ^ k).wrapping_add(i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17
@@ -530,6 +666,12 @@ fn special_shape_columns(n_rows: usize, card: u64, salt: u64) -> Vec<(DataType, 
         // One distinct value: width 0, no data-vector pages at all.
         (DataType::Integer, vec![Value::Integer(salt as i64 >> 8); n_rows]),
         (DataType::Integer, (0..n_rows).map(|i| Value::Integer((mix(i, 1) % card) as i64)).collect()),
+        (DataType::Decimal, (0..n_rows).map(|i| {
+            Value::Decimal(i128::from(mix(i, 5) % card) * 1_000_003 - 50_000_000)
+        }).collect()),
+        (DataType::Double, (0..n_rows).map(|i| {
+            Value::Double((mix(i, 6) % card) as f64 * 0.75 - 40.0)
+        }).collect()),
         // Every fifth distinct value is far larger than a dictionary
         // page: its tail lives on the overflow chain.
         (DataType::Varchar, (0..n_rows).map(|i| {
@@ -556,7 +698,7 @@ static COUNTS_CODECS: AtomicU8 = AtomicU8::new(0);
 #[test]
 fn value_counts_under_both_codecs() {
     value_counts_equal_histogram_of_get_values();
-    assert_both_codecs(&COUNTS_CODECS);
+    assert_every_dict_codec(&COUNTS_CODECS);
 }
 
 proptest! {
@@ -565,8 +707,9 @@ proptest! {
     /// The aggregate half of late materialization: `value_counts` ≡ the
     /// histogram of the source values at the rows ≡ the histogram of
     /// `get_values`, ascending by value, for arbitrary row lists (unsorted,
-    /// duplicates, a single row, none) on paged and resident columns of
-    /// every special shape; `vid_counts` / `values_by_vid` are its two steps.
+    /// duplicates, a single row, one row several times over, none) on paged
+    /// and resident columns of every special shape; `vid_counts` /
+    /// `values_by_vid` are its two steps.
     fn value_counts_equal_histogram_of_get_values(
         n_rows in 1usize..260,
         card in 1u64..200,
@@ -593,7 +736,8 @@ proptest! {
             for policy in [LoadPolicy::PageLoadable, LoadPolicy::FullyResident] {
                 let col = ColumnBuilder::new(*ty).policy(policy).build(&pool, &config, values).unwrap().column;
                 note_codec(&COUNTS_CODECS, col.dict_codec());
-                for rows in [&rows[..], &rows[..rows.len().min(1)], &[]] {
+                let thrice = vec![rows.last().copied().unwrap_or(0); 3];
+                for rows in [&rows[..], &rows[..rows.len().min(1)], &thrice[..], &[]] {
                     let expect = histogram(rows.iter().map(|&r| values[r as usize].clone()).collect());
                     prop_assert_eq!(&col.value_counts(rows).unwrap(), &expect, "{:?} {:?}", ty, policy);
                     prop_assert_eq!(&histogram(col.get_values(rows).unwrap()), &expect);

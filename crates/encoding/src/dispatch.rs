@@ -19,6 +19,9 @@ pub enum CodecKind {
     Fsst = 1,
     /// Partitioned Elias-Fano posting partitions.
     Pef = 2,
+    /// Header-less pages of sorted fixed-width keys (numeric dictionaries);
+    /// the parameter blob is the key width, one byte.
+    Array = 3,
 }
 
 impl CodecKind {
@@ -28,6 +31,7 @@ impl CodecKind {
             CodecKind::Plain => "plain",
             CodecKind::Fsst => "fsst",
             CodecKind::Pef => "pef",
+            CodecKind::Array => "array",
         }
     }
 }
@@ -43,8 +47,8 @@ pub enum ScanPath {
 }
 
 /// A persisted per-chain codec descriptor: the codec kind plus its
-/// parameter blob (for FSST, the serialized symbol table; empty for the
-/// parameterless codecs).
+/// parameter blob (for FSST, the serialized symbol table; for `Array`, the
+/// key width; empty for the parameterless codecs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainCodec {
     /// The codec the chain's payload uses.
@@ -91,6 +95,7 @@ impl ChainCodec {
             0 => CodecKind::Plain,
             1 => CodecKind::Fsst,
             2 => CodecKind::Pef,
+            3 => CodecKind::Array,
             _ => return Err(corrupt("unknown codec kind")),
         };
         let len = u32::from_le_bytes([bytes[2], bytes[3], bytes[4], bytes[5]]) as usize;
@@ -111,6 +116,7 @@ mod tests {
             ChainCodec::plain(),
             ChainCodec { kind: CodecKind::Fsst, params: vec![1, 2, 3, 4] },
             ChainCodec { kind: CodecKind::Pef, params: Vec::new() },
+            ChainCodec { kind: CodecKind::Array, params: vec![16] },
         ] {
             let blob = desc.serialize();
             assert_eq!(ChainCodec::deserialize(&blob).unwrap(), desc);

@@ -153,7 +153,7 @@ declare_names! {
     COLUMN_FULL_LOADS = "column_full_loads", labels: [];
 
     /// Bytes persisted into page chains at build time, by chain codec
-    /// (labelled `pool`, `codec` ∈ plain/fsst/pef).
+    /// (labelled `pool`, `codec` ∈ plain/fsst/pef/array).
     POOL_PAGE_BYTES = "pool_page_bytes", labels: [pool, codec];
     /// FSST dictionary-chain compression ratio in per-mille — compressed ÷
     /// raw × 1000 on the training sample; 1000 when FSST was evaluated but

@@ -589,12 +589,22 @@ impl BufferPool {
     /// the single-key path once the wave is in.
     #[track_caller]
     pub fn pin_many(&self, keys: &[PageKey]) -> Vec<StorageResult<PageGuard>> {
+        let mut out = Vec::with_capacity(keys.len());
+        self.pin_many_into(keys, &mut out);
+        out
+    }
+
+    /// [`BufferPool::pin_many`] appending its per-key results to `out`: a
+    /// caller that pins wave after wave reuses one guard vector.
+    #[track_caller]
+    pub fn pin_many_into(&self, keys: &[PageKey], out: &mut Vec<StorageResult<PageGuard>>) {
         let caller = Location::caller();
         if keys.len() < 2 {
-            return keys.iter().map(|&key| self.pin_at(key, caller)).collect();
+            out.extend(keys.iter().map(|&key| self.pin_at(key, caller)));
+            return;
         }
         let started = Instant::now();
-        let mut out: Vec<Option<StorageResult<PageGuard>>> = Vec::with_capacity(keys.len());
+        let mut planned: Vec<Option<StorageResult<PageGuard>>> = Vec::with_capacity(keys.len());
         // The pages this call loads (it installed their `Loading` slots)
         // and, in step, each one's index into `keys`.
         let mut wave: Vec<(PageKey, Arc<LoadState>)> = Vec::new();
@@ -605,7 +615,7 @@ impl BufferPool {
         let mut sampled = false;
         for (i, &key) in keys.iter().enumerate() {
             let shard = self.inner.shard(key);
-            out.push(match self.classify(shard, key) {
+            planned.push(match self.classify(shard, key) {
                 PinAction::Hit(frame) => {
                     sampled |= (shard.counters.hits.add(1) - 1).is_multiple_of(PIN_SAMPLE_EVERY);
                     hits += 1;
@@ -635,27 +645,24 @@ impl BufferPool {
             let waited = started.elapsed().as_nanos() as u64;
             for (i, frame) in wave_at.into_iter().zip(frames) {
                 self.inner.metrics.load_ns.record(waited);
-                out[i] = Some(frame.map(|f| self.inner.guard(f, caller)));
+                planned[i] = Some(frame.map(|f| self.inner.guard(f, caller)));
             }
         }
-        keys.iter()
-            .zip(out)
-            .map(|(&key, planned)| match planned {
-                Some(Ok(guard)) => {
-                    self.inner.tracer.emit(
-                        EventKind::PagePinned,
-                        key.chain.0,
-                        key.page_no,
-                        guard.bytes().len() as u64,
-                    );
-                    Ok(guard)
-                }
-                Some(Err(err)) => Err(err),
-                // In flight when the pass saw it: join (or, if that load
-                // failed or was a duplicate of ours, re-inspect) now.
-                None => self.pin_at(key, caller),
-            })
-            .collect()
+        out.extend(keys.iter().zip(planned).map(|(&key, planned)| match planned {
+            Some(Ok(guard)) => {
+                self.inner.tracer.emit(
+                    EventKind::PagePinned,
+                    key.chain.0,
+                    key.page_no,
+                    guard.bytes().len() as u64,
+                );
+                Ok(guard)
+            }
+            Some(Err(err)) => Err(err),
+            // In flight when the pass saw it: join (or, if that load
+            // failed or was a duplicate of ours, re-inspect) now.
+            None => self.pin_at(key, caller),
+        }));
     }
 
     /// Fetches the pages this call was elected to load (it installed their

@@ -24,7 +24,7 @@ use payg_core::meta::{MetaReader, MetaWriter};
 use payg_core::{CoreError, DataType, LoadPolicy, PageConfig, Value};
 use payg_storage::{BufferPool, ChainId, PageKey, StorageError};
 
-const CATALOG_MAGIC: &[u8; 8] = b"PAYGCAT2";
+const CATALOG_MAGIC: &[u8; 8] = b"PAYGCAT3";
 
 fn corrupt(what: &str) -> TableError {
     TableError::Core(CoreError::Storage(StorageError::corrupt(format!("catalog: {what}"))))
@@ -353,13 +353,14 @@ mod tests {
         let junk = store.create_chain(4096).unwrap();
         store.append_page(junk, b"definitely not a catalog").unwrap();
         assert!(Table::open(pool.clone(), junk).is_err());
-        // A catalog in the previous format (`PAYGCAT1`: codec flags and the
-        // bit-packed index fields) is refused by its magic, never parsed.
+        // A catalog in the previous format (`PAYGCAT2`: dictionary metadata
+        // without a layout tag, numeric columns in the string structure) is
+        // refused by its magic, never parsed.
         let old = store.create_chain(store.page_size(catalog).unwrap()).unwrap();
         for p in 0..store.chain_len(catalog).unwrap() {
             let mut page = store.read_page(PageKey::new(catalog, p)).unwrap().to_vec();
             if p == 0 {
-                page[..8].copy_from_slice(b"PAYGCAT1");
+                page[..8].copy_from_slice(b"PAYGCAT2");
             }
             store.append_page(old, &page).unwrap();
         }

@@ -234,3 +234,53 @@ fn cold_select_star_batches_its_page_loads() {
     warm.check_consistency().expect("warm event log reconciles too");
 }
 
+
+#[test]
+fn traced_q_pk_num_attributes_its_two_pins_to_data_and_dict() {
+    // A numeric column is a data chain and one dictionary chain: the plan
+    // rows of a `Q_pk^num` must group by exactly those two roles — no
+    // helper or overflow row, active or idle.
+    let schema = Schema::new(vec![
+        ColumnSpec::indexed("id", DataType::Integer),
+        ColumnSpec::new("amount", DataType::Integer),
+        ColumnSpec::new("region", DataType::Varchar),
+    ])
+    .unwrap();
+    let pool = BufferPool::new(Arc::new(MemStore::new()), ResourceManager::new());
+    let t = Table::create(
+        pool,
+        PageConfig::tiny(),
+        schema,
+        vec![PartitionSpec::single(LoadPolicy::PageLoadable)],
+    )
+    .unwrap();
+    for i in 0..600i64 {
+        t.insert(vec![
+            Value::Integer(i),
+            Value::Integer(i * 7 % 500),
+            Value::Varchar(format!("region-{}", i % 5)),
+        ])
+        .unwrap();
+    }
+    t.delta_merge_all().unwrap();
+
+    let q = Query::filtered(
+        "id",
+        ValuePredicate::Eq(Value::Integer(321)),
+        Projection::Columns(vec!["amount".into()]),
+    );
+    let (result, report) = t.explain_analyze(&q).unwrap();
+    assert_eq!(result, payg_table::QueryResult::Rows(vec![vec![Value::Integer(321 * 7 % 500)]]));
+    report.check_consistency().expect("event log reconciles with the registry delta");
+    let chains = &report.partitions[0].chains;
+    let of = |column: &str| -> Vec<(&str, u64)> {
+        chains.iter().filter(|c| c.column == column).map(|c| (c.role, c.actuals.pins)).collect()
+    };
+    assert_eq!(of("amount"), [("data", 1), ("dict", 1)], "one pin each: {chains:?}");
+    // The filter column lists every chain it owns, idle ones included.
+    let id_roles: Vec<&str> = of("id").into_iter().map(|(role, _)| role).collect();
+    assert_eq!(id_roles, ["data", "dict", "index"]);
+    assert!(of("region").is_empty(), "an unprojected column is not touched");
+    let text = report.to_text();
+    assert!(text.contains("amount/data") && text.contains("amount/dict"), "{text}");
+}

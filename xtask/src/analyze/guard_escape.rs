@@ -13,8 +13,13 @@
 //! `.guard(..)` constructor in `crates/storage` / `crates/core` library code is
 //! tracked to the end of its block (or `drop(name)`); any blocking event
 //! inside that region is flagged — so a phase that parks, locks or pins its
-//! *next* wave while the previous wave's guards are still bound is caught. Architectural guard-holding (the scan guard cache) lives in
-//! struct fields, not `let` bindings, and is not flagged.
+//! *next* wave while the previous wave's guards are still bound is caught.
+//! `.pin_many_into(keys, &mut out)` fills a caller-owned vector instead of
+//! returning one: its `out` argument (a local or a field path, named by its
+//! last segment) is tracked the same way, from the call's statement to the
+//! end of the block the call sits in. Architectural guard-holding (the scan
+//! guard cache) lives in struct fields no pin call writes to directly, and
+//! is not flagged.
 
 use super::lexer::{Tok, TokKind};
 use super::report::Sink;
@@ -70,6 +75,17 @@ pub fn run(u: &FileUnit, sink: &Sink<'_>) {
             }
         }
 
+        // `….pin_many_into(keys, &mut out);` binds the wave to `out`.
+        if let Some((name, stmt_end)) = pin_many_into_out(toks, i) {
+            live.push((
+                name,
+                toks[i].line,
+                stmt_end,
+                enclosing_scope_end(toks, stmt_end),
+            ));
+            continue;
+        }
+
         let held: Vec<&(String, u32, usize, usize)> =
             live.iter().filter(|&&(_, _, from, _)| i > from).collect();
         let Some(&(name, line, _, _)) = held.last() else { continue };
@@ -112,6 +128,39 @@ fn let_binding(toks: &[Tok], i: usize) -> Option<(String, usize)> {
         }
     }
     None
+}
+
+/// Parses `.pin_many_into(…, &mut path.to.out)` with its `.` at `i`; returns
+/// the last segment of the out-argument and the token index where the
+/// call's statement ends (its `;`, or the closing `)` of a tail expression).
+fn pin_many_into_out(toks: &[Tok], i: usize) -> Option<(String, usize)> {
+    if !(toks[i].is_punct('.')
+        && toks.get(i + 1)?.is_ident("pin_many_into")
+        && toks.get(i + 2)?.is_punct('('))
+    {
+        return None;
+    }
+    let mut depth = 0i64;
+    let mut out = None;
+    let mut close = None;
+    for (k, t) in toks.iter().enumerate().skip(i + 2) {
+        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
+            depth += 1;
+        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
+            depth -= 1;
+            if depth < 0 {
+                break; // tail expression: the block ends before any `;`
+            }
+            if depth == 0 && close.is_none() {
+                close = Some(k);
+            }
+        } else if close.is_none() && t.kind == TokKind::Ident {
+            out = Some(t.text.clone());
+        } else if t.is_punct(';') && depth == 0 {
+            return Some((out?, k));
+        }
+    }
+    Some((out?, close?))
 }
 
 /// Does this statement's token span produce a page guard?
@@ -243,6 +292,24 @@ mod tests {
         // Released wave by wave (block scope): clean.
         let src = "fn f(&self) {\n    for keys in waves {\n        let wave = self.pool.pin_many(keys);\n        decode(&wave);\n    }\n    self.state.lock();\n}\n";
         assert!(run_src("crates/core/src/column/materialize.rs", src).is_empty());
+    }
+
+    #[test]
+    fn a_wave_pinned_into_a_caller_owned_vector_is_tracked_by_its_out_argument() {
+        // The wave sits in `self.guards` while the next one parks.
+        let src = "fn f(&mut self) {\n    for wave in waves {\n        pool.pin_many_into(&self.keys, &mut self.guards);\n        ticket.wait();\n        step(self.guards.drain(..));\n    }\n}\n";
+        let got = run_src("crates/core/src/column/materialize.rs", src);
+        assert_eq!(got, [("guard-escape".to_string(), 4)], "{got:?}");
+        // Drained within the block the call sits in, nothing blocking in between: clean,
+        // and the binding ends with that block.
+        let src = "fn f(&mut self) {\n    for wave in waves {\n        pool.pin_many_into(&self.keys, &mut self.guards);\n        step(self.guards.drain(..));\n    }\n    self.state.lock();\n}\n";
+        assert!(run_src("crates/core/src/column/materialize.rs", src).is_empty());
+        // A local out vector, dropped early.
+        let src = "fn f(&self) {\n    let mut out = Vec::new();\n    self.pool.pin_many_into(&keys, &mut out);\n    drop(out);\n    self.state.lock();\n}\n";
+        assert!(run_src("crates/storage/src/pool.rs", src).is_empty());
+        let src = "fn f(&self) {\n    let mut out = Vec::new();\n    self.pool.pin_many_into(&keys, &mut out);\n    self.state.lock();\n    touch(out);\n}\n";
+        let got = run_src("crates/storage/src/pool.rs", src);
+        assert_eq!(got, [("guard-escape".to_string(), 4)], "{got:?}");
     }
 
     #[test]

@@ -21,7 +21,6 @@ pub fn obs_json(snap: &ObsSnapshot, profile: Option<&ScanProfile>, indent: &str)
         format!("\"pool_hit_rate\": {hit_rate:.4}"),
         format!("\"pool_loads\": {}", snap.counter(names::POOL_LOADS)),
         format!("\"pool_load_waits\": {}", snap.counter(names::POOL_LOAD_WAITS)),
-        format!("\"pool_prefetches\": {}", snap.counter(names::POOL_PREFETCHES)),
         format!(
             "\"proactive_evictions\": {}",
             snap.counter(names::RESMAN_PROACTIVE_EVICTIONS)
@@ -43,7 +42,6 @@ pub fn obs_json(snap: &ObsSnapshot, profile: Option<&ScanProfile>, indent: &str)
         format!("\"io_coalesced\": {}", snap.counter(names::POOL_IO_COALESCED)),
         format!("\"io_completions\": {}", snap.counter(names::POOL_IO_COMPLETIONS)),
         format!("\"io_physical_reads\": {}", snap.counter(names::POOL_IO_PHYSICAL_READS)),
-        format!("\"io_sheds\": {}", snap.counter(names::POOL_IO_SHED)),
         format!("\"trace_dropped\": {}", snap.counter(names::TRACE_DROPPED)),
     ];
     if let Some(p) = profile {
@@ -78,7 +76,6 @@ mod tests {
         assert!(json.contains("\"pin_ns_p99\": 65535"), "{json}");
         assert!(json.contains("\"load_ns_p50\": 0"), "cold histogram empty here: {json}");
         assert!(json.contains("\"io_physical_reads\": 0"), "{json}");
-        assert!(json.contains("\"io_sheds\": 0"), "{json}");
         assert!(json.contains("\"trace_dropped\": 0"), "{json}");
         assert!(json.contains("\"scan_profile\": {\"pages_pinned\": 0"), "{json}");
         assert!(!json.contains(",\n  }"), "no trailing comma: {json}");

@@ -1,14 +1,13 @@
 //! Builds the paper's table variants (Table 2).
 
 use crate::BenchConfig;
-use parking_lot::Mutex;
 use payg_core::LoadPolicy;
 use payg_resman::ResourceManager;
 use payg_storage::{BufferPool, MemStore, TieredStore};
 use payg_table::{PartitionSpec, Table};
 use payg_workload::{gen, TableProfile};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The paper's table variants.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -90,8 +89,8 @@ impl ExperimentTable {
         let shards = self.table.pool().shard_metrics();
         let used = shards.iter().filter(|s| s.hits + s.misses > 0).count();
         format!(
-            "{:<6} loads {:<9} hits {:<10} load-waits {:<6} prefetches {:<6} lock contention {:<5} shards used {}/{}",
-            self.label, m.loads, m.hits, m.load_waits, m.prefetches, m.contended, used,
+            "{:<6} loads {:<9} hits {:<10} load-waits {:<6} lock contention {:<5} shards used {}/{}",
+            self.label, m.loads, m.hits, m.load_waits, m.contended, used,
             shards.len()
         )
     }
@@ -159,7 +158,7 @@ impl TableSet {
     /// Returns the variant, building it on first use. The returned table is
     /// cold-restarted, ready for a fresh experiment.
     pub fn get(&self, variant: Variant) -> Arc<ExperimentTable> {
-        let mut cells = self.cells.lock();
+        let mut cells = self.cells.lock().expect("a table build panicked under the lock");
         let t = cells
             .entry(variant)
             .or_insert_with(|| {
@@ -175,7 +174,7 @@ impl TableSet {
 
     /// Every variant built so far (label order), for end-of-run reporting.
     pub fn built(&self) -> Vec<Arc<ExperimentTable>> {
-        let cells = self.cells.lock();
+        let cells = self.cells.lock().expect("a table build panicked under the lock");
         let mut all: Vec<Arc<ExperimentTable>> = cells.values().cloned().collect();
         all.sort_by_key(|t| t.label);
         all

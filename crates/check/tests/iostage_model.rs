@@ -1,21 +1,12 @@
-//! Model checks of the cold-path I/O stage's submit/complete/cancel
-//! protocol.
+//! Model checks of the cold-path I/O stage's submit/complete protocol.
 //!
 //! `MiniStage` ports `payg-storage::iostage`'s request protocol onto the
 //! modeled primitives: pool misses install a single-flight `Loading`
-//! placeholder and submit a fetch request to a bounded queue, a worker
-//! drains the queue in batches (one physical read per batch — the
-//! coalescing step), and completes each request individually — publish on
-//! success, fail + quarantine on corruption. Prefetch submissions the
-//! queue sheds at capacity are *cancelled*: the submitter removes its own
-//! placeholder and broadcasts, so pins that joined it re-inspect the map
-//! instead of waiting forever. The checker explores interleavings and
-//! proves:
+//! placeholder and submit a fetch request to the queue, a worker drains the
+//! queue in batches (one physical read per batch — the coalescing step),
+//! and completes each request individually — publish on success, fail +
+//! quarantine on corruption. The checker explores interleavings and proves:
 //!
-//! * a shed prefetch never strands a joined waiter — every schedule
-//!   terminates and the page still loads, exactly once,
-//! * demand pins racing a staged prefetch coalesce onto one physical
-//!   read (single-flight holds through the stage),
 //! * one corrupt page inside a coalesced batch fails only its own
 //!   request: neighbours publish, the bad key quarantines, and the two
 //!   states are never simultaneous,
@@ -94,8 +85,8 @@ impl LoadState {
         self.cv.notify_all();
     }
 
-    /// Returns `true` when the load failed; `false` means published (or
-    /// cancelled — the caller re-inspects the map either way).
+    /// Returns `true` when the load failed; `false` means published (the
+    /// caller re-inspects the map).
     fn wait(&self) -> bool {
         let mut o = self.outcome.lock();
         while o.is_none() {
@@ -131,8 +122,6 @@ struct MiniStage {
     state: Mutex<MapState>,
     queue: Mutex<QueueState>,
     queue_cv: Condvar,
-    /// Prefetch submissions beyond this many pending requests are shed.
-    prefetch_cap: usize,
     /// Physical reads issued (one per popped batch — the coalescing step).
     reads: Mutex<usize>,
     /// Keys whose read returns corrupt instead of the page byte.
@@ -141,7 +130,7 @@ struct MiniStage {
 }
 
 impl MiniStage {
-    fn new(prefetch_cap: usize, corrupt: Vec<u32>) -> Self {
+    fn new(corrupt: Vec<u32>) -> Self {
         MiniStage {
             state: Mutex::new(MapState {
                 map: BTreeMap::new(),
@@ -150,7 +139,6 @@ impl MiniStage {
             }),
             queue: Mutex::new(QueueState { pending: Vec::new(), closed: false }),
             queue_cv: Condvar::new(),
-            prefetch_cap,
             reads: Mutex::new(0),
             corrupt,
             ttl: QUARANTINE_TTL,
@@ -172,17 +160,12 @@ impl MiniStage {
         self.state.lock().quarantine.contains_key(&key)
     }
 
-    /// Enqueue a request the worker must complete. Urgent submissions are
-    /// always accepted; prefetch submissions are shed at capacity.
-    fn enqueue(&self, key: u32, ls: &Arc<LoadState>, urgent: bool) -> bool {
+    /// Enqueue a request the worker must complete.
+    fn enqueue(&self, key: u32, ls: &Arc<LoadState>) {
         let mut q = self.queue.lock();
         assert!(!q.closed, "submit after close");
-        if !urgent && q.pending.len() >= self.prefetch_cap {
-            return false;
-        }
         q.pending.push((key, Arc::clone(ls), None));
         self.queue_cv.notify_all();
-        true
     }
 
     /// Live pins over all keys.
@@ -264,38 +247,9 @@ impl MiniStage {
             .collect()
     }
 
-    /// `BufferPool::prefetch_submit`'s protocol: install a placeholder,
-    /// submit, and on a shed submission *cancel* — remove our own
-    /// placeholder and broadcast so joined pins re-inspect.
-    fn prefetch_submit(&self, key: u32) -> bool {
-        let ls = {
-            let mut st = self.state.lock();
-            if st.quarantine.contains_key(&key) || st.map.contains_key(&key) {
-                return false;
-            }
-            let ls = LoadState::new();
-            st.map.insert(key, Slot::Loading(Arc::clone(&ls)));
-            ls
-        };
-        if self.enqueue(key, &ls, false) {
-            return true;
-        }
-        {
-            let mut st = self.state.lock();
-            match st.map.get(&key) {
-                Some(Slot::Loading(cur)) if Arc::ptr_eq(cur, &ls) => {
-                    st.map.remove(&key);
-                }
-                _ => panic!("cancelled prefetch's placeholder was stolen"),
-            }
-        }
-        ls.settle(true);
-        false
-    }
-
-    /// `BufferPool::pin` over the staged urgent path: quarantine gate,
-    /// then single-flight — loaders submit urgent and wait like any other
-    /// completion subscriber.
+    /// `BufferPool::pin` over the staged path: quarantine gate, then
+    /// single-flight — loaders submit and wait like any other completion
+    /// subscriber.
     fn pin(&self, key: u32) -> PinOutcome {
         loop {
             let ls = {
@@ -322,8 +276,7 @@ impl MiniStage {
                     None => {
                         let ls = LoadState::new();
                         st.map.insert(key, Slot::Loading(Arc::clone(&ls)));
-                        let accepted = self.enqueue(key, &ls, true);
-                        assert!(accepted, "urgent submissions are never shed");
+                        self.enqueue(key, &ls);
                         ls
                     }
                 }
@@ -331,9 +284,7 @@ impl MiniStage {
             if ls.wait() {
                 return PinOutcome::WaitFailed;
             }
-            // Published or cancelled: the loop re-inspects the map — a
-            // cancelled prefetch leaves it empty and this pin becomes the
-            // loader.
+            // Published: the loop re-inspects the map.
         }
     }
 
@@ -412,88 +363,17 @@ fn with_worker(stage: &Arc<MiniStage>, body: impl FnOnce()) {
 }
 
 #[test]
-fn shed_prefetch_never_strands_a_joined_waiter() {
-    // Capacity 0: every prefetch submission is shed and must cancel. A
-    // racing pin may join the doomed placeholder — the cancel broadcast
-    // must wake it, and it must become the loader itself. Every schedule
-    // terminates with the page resident after exactly one physical read.
-    const KEY: u32 = 3;
-    let report = Checker::exhaustive().max_iterations(BOUND).check(|| {
-        let stage = Arc::new(MiniStage::new(0, Vec::new()));
-        with_worker(&stage, || {
-            let prefetcher = {
-                let s = Arc::clone(&stage);
-                thread::spawn(move || s.prefetch_submit(KEY))
-            };
-            let pinner = {
-                let s = Arc::clone(&stage);
-                thread::spawn(move || s.pin(KEY))
-            };
-            let accepted = prefetcher.join().expect("model thread");
-            assert!(!accepted, "capacity 0 accepted a prefetch");
-            let outcome = pinner.join().expect("model thread");
-            assert_eq!(outcome, PinOutcome::Resident(page_byte(KEY)));
-        });
-        assert_eq!(stage.reads(), 1, "the demand pin loads the page exactly once");
-        assert_eq!(stage.resident(KEY), Some(page_byte(KEY)));
-    });
-    assert!(report.failure.is_none(), "unexpected failure: {:?}", report.failure);
-    assert!(
-        report.iterations >= 500,
-        "expected >= 500 distinct interleavings, got {}",
-        report.iterations
-    );
-}
-
-#[test]
-fn demand_pins_racing_a_prefetch_share_one_read() {
-    // Whoever installs the placeholder first (prefetcher or either pin),
-    // the others must subscribe to its completion: one queue entry, one
-    // physical read, identical bytes for both pins.
-    const KEY: u32 = 5;
-    let report = Checker::exhaustive().max_iterations(BOUND).check(|| {
-        let stage = Arc::new(MiniStage::new(8, Vec::new()));
-        with_worker(&stage, || {
-            let prefetcher = {
-                let s = Arc::clone(&stage);
-                thread::spawn(move || s.prefetch_submit(KEY))
-            };
-            let pins: Vec<_> = (0..2)
-                .map(|_| {
-                    let s = Arc::clone(&stage);
-                    thread::spawn(move || s.pin(KEY))
-                })
-                .collect();
-            prefetcher.join().expect("model thread");
-            for p in pins {
-                let outcome = p.join().expect("model thread");
-                assert_eq!(outcome, PinOutcome::Resident(page_byte(KEY)));
-            }
-        });
-        assert_eq!(stage.reads(), 1, "single-flight holds through the stage");
-    });
-    assert!(report.failure.is_none(), "unexpected failure: {:?}", report.failure);
-    assert!(
-        report.iterations >= 500,
-        "expected >= 500 distinct interleavings, got {}",
-        report.iterations
-    );
-}
-
-#[test]
 fn corrupt_page_in_a_coalesced_batch_fails_only_itself() {
-    // Two staged prefetches plus pins on both keys; KEY_BAD's read is
-    // corrupt. Under every interleaving (including both requests riding
+    // Pins on two keys race; KEY_BAD's read is corrupt. Under every
+    // interleaving (including both requests riding
     // one coalesced batch) the good key publishes, the bad key
     // quarantines without ever being resident, and the pin on the bad key
     // gets a typed failure — never a frame, never a hang.
     const KEY_OK: u32 = 10;
     const KEY_BAD: u32 = 11;
     let report = Checker::exhaustive().max_iterations(BOUND).check(|| {
-        let stage = Arc::new(MiniStage::new(8, vec![KEY_BAD]));
+        let stage = Arc::new(MiniStage::new(vec![KEY_BAD]));
         with_worker(&stage, || {
-            stage.prefetch_submit(KEY_OK);
-            stage.prefetch_submit(KEY_BAD);
             let good = {
                 let s = Arc::clone(&stage);
                 thread::spawn(move || s.pin(KEY_OK))
@@ -536,7 +416,7 @@ fn batched_pin_is_never_stranded_by_a_failed_member_and_leaks_no_pin() {
     const KEY_BAD: u32 = 21;
     const KEY_B: u32 = 23;
     let report = Checker::exhaustive().max_iterations(BOUND).check(|| {
-        let stage = Arc::new(MiniStage::new(8, vec![KEY_BAD]));
+        let stage = Arc::new(MiniStage::new(vec![KEY_BAD]));
         with_worker(&stage, || {
             let batch = {
                 let s = Arc::clone(&stage);

@@ -24,8 +24,9 @@
 //! guards, and releases them before the next phase. This is the paper's
 //! handle cache for batch lookups (§3.2.3) turned inside out: the pins of a
 //! batch are taken together and held exactly as long as the batch reads
-//! them. A phase larger than [`WAVE_PAGES`] is split into waves so the pins
-//! a projection holds at once stay bounded whatever its width.
+//! them. A phase larger than [`crate::waves::WAVE_PAGES`] is split into
+//! waves so the pins a projection holds at once stay bounded whatever its
+//! width — the wave driver the data-vector scan shares.
 //!
 //! The work is cut at its natural joint, and each half is an operation of
 //! its own:
@@ -52,18 +53,11 @@
 use super::paged::ColumnParts;
 use super::{Column, ColumnRead};
 use crate::dict::{append_piece, Layout};
+use crate::waves::Waves;
 use crate::{CoreError, CoreResult, Value};
 use payg_encoding::prefix::OverflowRef;
-use payg_storage::{BufferPool, PageGuard, PageKey, StorageResult};
+use payg_storage::{BufferPool, PageKey};
 use std::borrow::Cow;
-
-/// Most pages one wave pins (and loads) at once. A constant, sized so that
-/// at the default 4 KiB page a wave (128 KiB) is at most a quarter of a
-/// half-MiB paged-pool lower limit — the smallest pool the experiments run —
-/// while a whole phase of a point `SELECT *` over a few dozen columns still
-/// fits two waves. (24 was measured ~10 % slower on `cold_pressure`, with
-/// the same footprint peak.)
-pub const WAVE_PAGES: usize = 32;
 
 /// Materializes the values at `rposs` (any order, duplicates allowed) for
 /// every column of `columns` — the columns of one fragment, sharing the row
@@ -134,41 +128,6 @@ fn plan_pages(
 pub(crate) struct Scratch {
     tasks: Vec<PageTask>,
     waves: Waves,
-}
-
-#[derive(Default)]
-struct Waves {
-    keys: Vec<PageKey>,
-    guards: Vec<StorageResult<PageGuard>>,
-}
-
-impl Waves {
-    /// Runs one phase: pins the pages of `tasks` in near-equal waves of at
-    /// most [`WAVE_PAGES`] and hands each pinned page to `step`. A wave's
-    /// guards are released before the next wave is pinned.
-    fn for_each_page<T>(
-        &mut self,
-        pool: &BufferPool,
-        tasks: &[T],
-        key: impl Fn(&T) -> PageKey,
-        mut step: impl FnMut(&T, &PageGuard) -> CoreResult<()>,
-    ) -> CoreResult<()> {
-        if tasks.is_empty() {
-            return Ok(());
-        }
-        let per_wave = tasks.len().div_ceil(tasks.len().div_ceil(WAVE_PAGES));
-        for wave in tasks.chunks(per_wave) {
-            self.keys.clear();
-            self.keys.extend(wave.iter().map(&key));
-            pool.pin_many_into(&self.keys, &mut self.guards);
-            // The drain releases every guard of the wave — stepped or, after
-            // a failure, not — before the next wave is pinned.
-            wave.iter()
-                .zip(self.guards.drain(..))
-                .try_for_each(|(task, guard)| step(task, &guard.map_err(CoreError::Storage)?))?;
-        }
-        Ok(())
-    }
 }
 
 /// The rows in ascending order — page order within each chain — and, when

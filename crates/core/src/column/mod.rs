@@ -20,7 +20,8 @@ mod read;
 mod resident;
 
 pub use builder::{ColumnBuild, ColumnBuilder};
-pub use materialize::{materialize, WAVE_PAGES};
+pub use crate::waves::WAVE_PAGES;
+pub use materialize::materialize;
 pub use paged::{IndexMode, PagedColumn};
 pub use read::ColumnRead;
 pub use resident::ResidentColumn;

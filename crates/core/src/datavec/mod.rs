@@ -6,11 +6,9 @@
 //! 64-identifier chunks across a page chain and reads them through a
 //! stateful, repositioning iterator.
 
-mod guards;
 mod paged;
 mod parallel;
 
-pub use guards::{GuardCache, GUARD_CACHE_WAYS};
 pub use paged::{PagedDataVector, PagedDataVectorIterator};
 pub use parallel::{par_search_resident, scan_partitions, ScanOptions, ScanPartition};
 pub use payg_encoding::BitPackedVec;

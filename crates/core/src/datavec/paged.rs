@@ -8,16 +8,16 @@
 //! what lets the iterator load *only* the pages overlapping a requested row
 //! range (§3.1.2).
 
-use crate::datavec::guards::GuardCache;
+use crate::waves::{Waves, WAVE_PAGES};
 use crate::{CoreError, CoreResult, PageConfig};
 use payg_encoding::chunk::{self, bytes_per_chunk, CHUNK_LEN};
 use payg_encoding::kernels::{boundary_mask, KernelPredicate, Packed};
 use payg_encoding::scan::push_bitmap_positions;
 use payg_encoding::{BitPackedVec, BitWidth, VidSet};
-use payg_obs::{names, Counter, Gauge, Histogram, Registry, ScanProfile};
-use payg_storage::{BufferPool, ChainRef, PageKey, StorageError};
+use payg_obs::{names, Counter, Gauge, Registry, ScanProfile};
+use payg_storage::{BufferPool, ChainRef, PageGuard, PageKey, StorageError};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Registry handles for scan activity, shared by every vector reporting
 /// into the same registry (the `scan_*` names carry system-wide totals;
@@ -26,12 +26,10 @@ use std::time::Instant;
 pub(crate) struct ScanCounters {
     pub(crate) scans: Counter,
     pub(crate) chunks: Counter,
-    pub(crate) guard_hits: Counter,
     pub(crate) pages_pinned: Counter,
     pub(crate) matches: Counter,
     pub(crate) pruned: Counter,
     pub(crate) dispatch_width: Gauge,
-    pub(crate) scan_ns: Histogram,
 }
 
 impl ScanCounters {
@@ -39,12 +37,10 @@ impl ScanCounters {
         ScanCounters {
             scans: registry.counter(names::SCAN_SCANS),
             chunks: registry.counter(names::SCAN_CHUNKS_SCANNED),
-            guard_hits: registry.counter(names::SCAN_GUARD_CACHE_HITS),
             pages_pinned: registry.counter(names::SCAN_PAGES_PINNED),
             matches: registry.counter(names::SCAN_BITMAP_MATCHES),
             pruned: registry.counter(names::SCAN_PAGES_PRUNED),
             dispatch_width: registry.gauge(names::SCAN_DISPATCH_WIDTH),
-            scan_ns: registry.histogram(names::SCAN_NS),
         }
     }
 }
@@ -184,44 +180,32 @@ impl PagedDataVector {
         &self.pool
     }
 
-    /// Creates a stateful read iterator (§3.1.2). The iterator holds a small
-    /// bounded set of pinned pages (a [`GuardCache`]) and repositions —
-    /// pinning on first touch, releasing on way replacement — as accesses
-    /// cross page boundaries, so warm access patterns that revisit recent
-    /// pages pay no buffer-pool traffic.
+    /// Creates a stateful read iterator (§3.1.2). Point and list access
+    /// hold exactly one pinned page — the previous page is released before
+    /// the next is pinned, on reposition; a range scan pins the pages that
+    /// survive pruning a wave at a time and holds nothing in between.
     pub fn iter(&self) -> PagedDataVectorIterator<'_> {
         PagedDataVectorIterator {
             vec: self,
-            guards: GuardCache::new(),
+            current: None,
+            cancel: None,
             bitmaps: Vec::new(),
+            waves: Waves::default(),
             profile: ScanProfile::default(),
         }
     }
 
-    /// Like [`PagedDataVectorIterator::search`] over a fresh iterator, but
-    /// returns the scan's [`ScanProfile`] alongside the matches: pool
-    /// traffic (cold loads vs warm hits), guard-cache behaviour, kernel
-    /// work, and wall-clock time. The duration is also recorded in the
-    /// registry's `scan_ns` histogram.
-    pub fn search_profiled(
-        &self,
-        from: u64,
-        to: u64,
-        set: &VidSet,
-    ) -> CoreResult<(Vec<u64>, ScanProfile)> {
-        let before = self.pool.metrics();
-        let started = Instant::now();
-        let mut out = Vec::new();
+    /// An iterator for one worker of a segmented scan: it polls `cancel`
+    /// before every wave and stops early — with a partial, to-be-discarded
+    /// result — once a sibling has raised it, and raises it itself when one
+    /// of its own pages fails.
+    pub(crate) fn iter_cancellable<'a>(
+        &'a self,
+        cancel: &'a AtomicBool,
+    ) -> PagedDataVectorIterator<'a> {
         let mut it = self.iter();
-        it.search(from, to, set, &mut out)?;
-        let mut p = it.profile();
-        drop(it);
-        p.elapsed_ns = started.elapsed().as_nanos() as u64;
-        let after = self.pool.metrics();
-        p.cold_loads = after.loads - before.loads;
-        p.warm_hits = after.hits - before.hits;
-        self.scan.scan_ns.record(p.elapsed_ns);
-        Ok((out, p))
+        it.cancel = Some(cancel);
+        it
     }
 
     /// The (min, max) value summary of one page (§3.3's transient page
@@ -341,7 +325,7 @@ impl PagedDataVector {
         }
     }
 
-    fn check_range(&self, from: u64, to: u64) -> CoreResult<()> {
+    pub(super) fn check_range(&self, from: u64, to: u64) -> CoreResult<()> {
         if from > to || to > self.meta.len {
             return Err(CoreError::RowOutOfBounds { rpos: to, len: self.meta.len });
         }
@@ -352,30 +336,35 @@ impl PagedDataVector {
 /// Stateful iterator over a [`PagedDataVector`].
 pub struct PagedDataVectorIterator<'a> {
     vec: &'a PagedDataVector,
-    /// Iterator state: the pinned pages (paper: "it pins each new page after
-    /// releasing the handle to the previous page during page reposition" —
-    /// widened here to a small bounded guard cache so warm repositioning
-    /// between nearby pages is pool-free).
-    guards: GuardCache,
+    /// Iterator state: the one pinned page (paper: "it pins each new page
+    /// after releasing the handle to the previous page during page
+    /// reposition").
+    current: Option<(u64, PageGuard)>,
+    /// The scan-wide cancellation flag of a segmented scan's worker.
+    cancel: Option<&'a AtomicBool>,
     /// Reusable per-page result-bitmap buffer (one word per chunk).
     bitmaps: Vec<u64>,
-    /// Accumulated scan costs over this iterator's lifetime (guard-cache
-    /// figures live in `guards` and are folded in by
-    /// [`PagedDataVectorIterator::profile`]). Flushed to the registry's
-    /// `scan_*` counters on drop.
+    /// The buffers a scan pins its waves with.
+    waves: Waves,
+    /// Accumulated scan costs over this iterator's lifetime. Flushed to the
+    /// registry's `scan_*` counters on drop.
     profile: ScanProfile,
 }
 
 impl PagedDataVectorIterator<'_> {
-    /// Repositions onto `page_no`: a guard-cache hit is free, a miss pins
-    /// through the pool (replacing — and thereby releasing — that way's
-    /// previous occupant).
-    fn reposition(&mut self, page_no: u64) -> CoreResult<&payg_storage::PageGuard> {
-        let pool = &self.vec.pool;
-        let chain = self.vec.meta.chain.chain;
-        self.guards
-            .get_or_pin(page_no, || pool.pin(PageKey::new(chain, page_no)))
-            .map_err(CoreError::Storage)
+    /// Repositions onto `page_no`: the held page is served as is, any other
+    /// is pinned after the held one has been released.
+    fn reposition(&mut self, page_no: u64) -> CoreResult<&PageGuard> {
+        if !matches!(&self.current, Some((held, _)) if *held == page_no) {
+            self.current = None;
+            let guard = self.vec.pool.pin(self.vec.page_key(page_no))?;
+            self.profile.pages_pinned += 1;
+            self.current = Some((page_no, guard));
+        }
+        match &self.current {
+            Some((_, guard)) => Ok(guard),
+            None => unreachable!("the page was just pinned"),
+        }
     }
 
     /// Copies the words of chunk `chunk_no` into `words`, returning the word
@@ -439,10 +428,11 @@ impl PagedDataVectorIterator<'_> {
 
     /// `search(range-of-rows, set-of-vids)`: appends row positions in
     /// `from..to` whose identifier is in `set`. Pages outside the range are
-    /// never loaded; surviving pages are pinned once and evaluated in place
-    /// — one bit-width-specialized kernel call over the pinned bytes each —
-    /// producing per-chunk result bitmaps that are materialized into
-    /// positions late.
+    /// never loaded; surviving pages are pinned once, a wave at a time, and
+    /// evaluated in place — one bit-width-specialized kernel call over the
+    /// pinned bytes each — producing per-chunk result bitmaps that are
+    /// materialized into positions late. A page that fails to load ends the
+    /// scan with [`CoreError::ScanAborted`] naming it.
     pub fn search(
         &mut self,
         from: u64,
@@ -514,7 +504,11 @@ impl PagedDataVectorIterator<'_> {
     /// Applies `body(run, first_ci)` to every page-contiguous run of chunks
     /// overlapping `from..to` that survives page-summary pruning: `run` is
     /// the run's packed bytes inside the pinned page — one pin per page, no
-    /// copy — starting at chunk `first_ci`.
+    /// copy — starting at chunk `first_ci`. The page summaries name the
+    /// surviving pages before storage is touched, so they are pinned a wave
+    /// of at most [`WAVE_PAGES`] at a time: a cold scan's consecutive pages
+    /// arrive as coalesced ranged reads, and no guard — not the iterator's
+    /// own either — is held across a wave's submit-and-wait.
     fn for_each_chunk_run(
         &mut self,
         from: u64,
@@ -522,28 +516,59 @@ impl PagedDataVectorIterator<'_> {
         set: &VidSet,
         mut body: impl FnMut(&[u8], u64),
     ) -> CoreResult<()> {
-        let per_chunk = bytes_per_chunk(self.vec.meta.width);
-        let cpp = self.vec.meta.chunks_per_page;
+        let vec = self.vec;
+        let per_chunk = bytes_per_chunk(vec.meta.width);
+        let cpp = vec.meta.chunks_per_page;
         let first = chunk::chunk_of(from);
         let last = chunk::chunk_of(to - 1);
-        let mut ci = first;
-        while ci <= last {
+        let last_page = last / cpp;
+        self.current = None;
+        // The surviving pages of the wave being planned.
+        let mut pages = [0u64; WAVE_PAGES];
+        let mut page_no = first / cpp;
+        while page_no <= last_page && !self.cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
             // Page-summary pruning (§3.3): skip whole pages whose value
             // range cannot match, without loading them.
-            let page_no = ci / cpp;
-            let (pmin, pmax) = self.vec.meta.summaries[page_no as usize];
-            let page_last = ((page_no + 1) * cpp - 1).min(last);
-            if !set.overlaps(pmin, pmax) {
-                ci = page_last + 1;
-                self.profile.pages_pruned += 1;
-                continue;
+            let mut planned = 0;
+            while page_no <= last_page && planned < WAVE_PAGES {
+                let (pmin, pmax) = vec.meta.summaries[page_no as usize];
+                if set.overlaps(pmin, pmax) {
+                    pages[planned] = page_no;
+                    planned += 1;
+                } else {
+                    self.profile.pages_pruned += 1;
+                }
+                page_no += 1;
             }
-            let chunks = page_last - ci + 1;
-            let base = (ci % cpp) as usize * per_chunk;
-            let guard = self.reposition(page_no)?;
-            body(&guard[base..base + chunks as usize * per_chunk], ci);
-            self.profile.chunks_scanned += chunks;
-            ci = page_last + 1;
+            let mut scanned = 0;
+            let wave = self.waves.for_each_page(
+                &vec.pool,
+                &pages[..planned],
+                |&page| vec.page_key(page),
+                |&page, guard| {
+                    let ci = first.max(page * cpp);
+                    let chunks = last.min((page + 1) * cpp - 1) - ci + 1;
+                    let base = (ci % cpp) as usize * per_chunk;
+                    body(&guard[base..base + chunks as usize * per_chunk], ci);
+                    self.profile.chunks_scanned += chunks;
+                    scanned += 1;
+                    Ok(())
+                },
+            );
+            self.profile.pages_pinned += scanned as u64;
+            if let Err(source) = wave {
+                if let Some(cancel) = self.cancel {
+                    cancel.store(true, Ordering::Relaxed);
+                }
+                // Pages are stepped in plan order and scanning one cannot
+                // fail: the wave stopped at the page that did not pin.
+                let key = vec.page_key(pages[scanned]);
+                return Err(CoreError::ScanAborted {
+                    chain: key.chain.0,
+                    page_no: key.page_no,
+                    source: Box::new(source),
+                });
+            }
         }
         Ok(())
     }
@@ -586,16 +611,6 @@ impl PagedDataVectorIterator<'_> {
         Ok(())
     }
 
-    /// Credits one page pruned by an *outer* driver: the parallel scan
-    /// workers consult the same page summaries before asking this iterator
-    /// for a per-page range, so pages they skip never reach
-    /// [`Self::search`]. Folding them in here keeps `pages_pruned` (and the
-    /// registry's `scan_pages_pruned` counter, flushed on drop) identical
-    /// across sequential and parallel scans of the same range.
-    pub(crate) fn note_pruned(&mut self) {
-        self.profile.pages_pruned += 1;
-    }
-
     /// Records the bit width the specialized kernels dispatched on, in both
     /// this iterator's profile and the shared `scan_dispatch_width` gauge.
     fn note_dispatch_width(&mut self) {
@@ -604,16 +619,9 @@ impl PagedDataVectorIterator<'_> {
         self.vec.scan.dispatch_width.set(u64::from(bits));
     }
 
-    /// The scan costs accumulated by this iterator so far, with the
-    /// guard-cache figures folded in: cache hits become `guard_cache_hits`,
-    /// cache misses — each of which pinned a page through the pool — become
-    /// `pages_pinned`.
+    /// The scan costs accumulated by this iterator so far.
     pub fn profile(&self) -> ScanProfile {
-        let mut p = self.profile;
-        let (hits, misses) = self.guards.stats();
-        p.guard_cache_hits = hits;
-        p.pages_pinned = misses;
-        p
+        self.profile
     }
 }
 
@@ -622,11 +630,10 @@ impl Drop for PagedDataVectorIterator<'_> {
     /// `scan_*` counters so system-wide snapshots see per-scan costs without
     /// the callers having to thread profiles around.
     fn drop(&mut self) {
-        let p = self.profile();
+        let p = self.profile;
         let s = &self.vec.scan;
         for (counter, v) in [
             (&s.chunks, p.chunks_scanned),
-            (&s.guard_hits, p.guard_cache_hits),
             (&s.pages_pinned, p.pages_pinned),
             (&s.matches, p.bitmap_matches),
             (&s.pruned, p.pages_pruned),
@@ -744,31 +751,32 @@ mod tests {
     }
 
     #[test]
-    fn iterator_pins_are_bounded_by_the_guard_cache() {
+    fn iterator_holds_one_pinned_page() {
         let values = sample(3000, 1000, 6);
         let (pool, paged, _) = build(&values);
         let resman = pool.resource_manager().clone();
         let mut it = paged.iter();
         let _ = it.get(0).unwrap();
         let _ = it.get(2999).unwrap();
-        // Only the iterator's guard cache holds pins: everything else is
-        // evictable, and the pin count never exceeds the cache ways.
+        // Only the page the iterator stands on is pinned: the one it left
+        // was released on reposition, and everything else is evictable.
         resman.set_paged_limits(Some(payg_resman::PoolLimits::new(0, usize::MAX)));
         resman.reactive_unload();
-        let resident = pool.resident_pages();
-        assert!(
-            (1..=crate::datavec::GUARD_CACHE_WAYS).contains(&resident),
-            "iterator pins {resident} pages, beyond its guard cache"
-        );
-        // The pinned pages are still readable, with no reloads.
+        assert_eq!(pool.resident_pages(), 1, "the iterator pins exactly its current page");
+        // The pinned page is still readable, with no reload.
         let loads = pool.metrics().loads;
-        let _ = it.get(2999).unwrap();
-        let _ = it.get(0).unwrap();
-        assert_eq!(pool.metrics().loads, loads, "guard-cache hits reload nothing");
+        let _ = it.get(2998).unwrap();
+        assert_eq!(pool.metrics().loads, loads, "the held page reloads nothing");
+        // A range scan releases it: nothing is held across the scan's waves
+        // or after them.
+        let mut out = Vec::new();
+        it.search(0, 3000, &VidSet::Single(values[0]), &mut out).unwrap();
+        resman.reactive_unload();
+        assert_eq!(pool.resident_pages(), 0, "a scan leaves no page pinned");
     }
 
     #[test]
-    fn warm_search_pins_each_page_once() {
+    fn search_pins_each_page_once() {
         let values = sample(4000, 500, 9);
         let (pool, paged, _) = build(&values);
         let set = VidSet::range(0, 499);
@@ -780,19 +788,13 @@ mod tests {
         let mut out = Vec::new();
         it.search(0, 4000, &set, &mut out).unwrap();
         assert_eq!(out.len(), 4000);
-        let pins_cold = pins(&pool);
-        assert!(pins_cold <= paged.pages() + 1, "one pin per page on a full scan");
-        // A warm re-scan with the same iterator re-pins only the pages that
-        // fell out of the guard cache — never one pin per chunk.
+        assert_eq!(pins(&pool), paged.pages(), "one pin per page on a cold full scan");
+        // A warm re-scan pins every page once more — never one pin per chunk.
         out.clear();
         it.search(0, 4000, &set, &mut out).unwrap();
         assert_eq!(out.len(), 4000);
-        let pins_warm = pins(&pool) - pins_cold;
-        assert!(
-            pins_warm <= paged.pages() + 1,
-            "warm re-scan issued {pins_warm} pins for {} pages",
-            paged.pages()
-        );
+        assert_eq!(pins(&pool), 2 * paged.pages(), "one pin per page on the warm re-scan");
+        assert_eq!(it.profile().pages_pinned, 2 * paged.pages());
     }
 
     #[test]

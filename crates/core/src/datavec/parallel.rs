@@ -2,49 +2,43 @@
 //!
 //! A scan splits its row range into page-aligned [`ScanPartition`]s *after*
 //! page-summary pruning (§3.3): pages whose (min, max) summary cannot match
-//! the predicate are excluded before the split, so workers divide only the
-//! pages that will actually be read. Each worker drives its own stateful,
-//! repositioning iterator — holding a small bounded set of pinned pages via
-//! its guard cache, in the spirit of §3.1.2's single-pin iterator — plus
-//! asynchronous read-ahead for its upcoming surviving pages: an adaptive
-//! window of prefetch submissions to the pool's cold-path I/O stage whose
-//! depth tracks completion latency versus consumption rate
-//! ([`StagedReadAhead`]).
+//! the predicate are set aside before the split, so workers divide the pages
+//! that will actually be read. Each worker is the sequential scan over its
+//! partition — its own iterator, pinning the partition's surviving pages a
+//! wave at a time ([`crate::datavec::PagedDataVectorIterator`]) — so one
+//! worker or four overlap and coalesce their cold reads the same way.
 //! Per-segment results are concatenated in partition order, which makes the
 //! output bit-identical to the sequential scan.
 //!
-//! Faults abort cooperatively: workers poll a shared cancellation flag at
-//! every page boundary, the first failing worker raises it, and the scan
-//! surfaces one [`CoreError::ScanAborted`] naming the failing (chain, page)
+//! Faults abort cooperatively: workers poll a shared cancellation flag
+//! before every wave, the first failing worker raises it, and the scan
+//! surfaces one [`crate::CoreError::ScanAborted`] naming the failing (chain, page)
 //! while the remaining workers stop instead of finishing doomed partitions.
 
-use crate::datavec::PagedDataVector;
-use crate::{CoreError, CoreResult};
+use crate::datavec::{PagedDataVector, PagedDataVectorIterator};
+use crate::CoreResult;
 use payg_encoding::chunk::CHUNK_LEN;
 use payg_encoding::{scan, BitPackedVec, VidSet};
-use payg_obs::{QueryCtx, ScanProfile, SpanKind};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Instant;
+use payg_obs::{QueryCtx, SpanKind};
+use std::sync::atomic::AtomicBool;
+use std::sync::OnceLock;
 
 /// How a scan may parallelize.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanOptions {
     /// Maximum worker threads (1 = sequential on the calling thread).
     pub workers: usize,
-    /// Whether each worker reads ahead of its cursor through the pool's
-    /// I/O stage. Only affects paged scans.
-    pub prefetch: bool,
 }
 
 impl ScanOptions {
     /// Sequential scan on the calling thread (the default).
     pub const fn sequential() -> Self {
-        ScanOptions { workers: 1, prefetch: false }
+        ScanOptions { workers: 1 }
     }
 
-    /// Parallel scan with `workers` threads and read-ahead enabled.
+    /// Parallel scan with up to `workers` threads.
     pub fn with_workers(workers: usize) -> Self {
-        ScanOptions { workers: workers.max(1), prefetch: true }
+        ScanOptions { workers: workers.max(1) }
     }
 }
 
@@ -71,11 +65,21 @@ impl ScanPartition {
     }
 }
 
+/// The cores a scan may fan out over. Asked of the OS once: the answer costs
+/// ~16 µs (cgroup files) — more than half a warm 100 k-row scan.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Splits the scan range `from..to` over `vec`'s page chain into at most
-/// `workers` partitions. Pages whose summary does not overlap `set` are
-/// pruned *first*; the surviving pages are divided into contiguous groups of
-/// near-equal size, so workers are balanced by pages actually read, not by
-/// raw row count. Returns no partitions when every page is pruned.
+/// `workers` partitions that tile it. Pages whose summary does not overlap
+/// `set` are pruned *first*; the surviving pages are divided into contiguous
+/// groups of near-equal size, so workers are balanced by pages actually
+/// read, not by raw row count, and each partition runs from its group's
+/// first surviving page up to the next group's — a pruned page belongs to
+/// exactly one partition, whose worker skips it by its summary as the
+/// sequential scan does. One partition when nothing survives.
 pub fn scan_partitions(
     vec: &PagedDataVector,
     from: u64,
@@ -101,216 +105,69 @@ pub fn scan_partitions(
             })
         })
         .collect();
-    if surviving.is_empty() {
-        return Vec::new();
-    }
-    let w = workers.max(1).min(surviving.len());
+    let w = workers.clamp(1, surviving.len().max(1));
     let base = surviving.len() / w;
     let rem = surviving.len() % w;
     let mut parts = Vec::with_capacity(w);
+    let mut begin = from;
     let mut idx = 0;
     for i in 0..w {
-        let take = base + usize::from(i < rem);
-        let group = &surviving[idx..idx + take];
-        idx += take;
-        parts.push(ScanPartition {
-            from: from.max(group[0] * rpp),
-            to: to.min((group[group.len() - 1] + 1) * rpp),
-        });
+        idx += base + usize::from(i < rem);
+        let end = if i + 1 == w { to } else { surviving[idx] * rpp };
+        parts.push(ScanPartition { from: begin, to: end });
+        begin = end;
     }
     parts
 }
 
-/// Wraps a worker's failure in [`CoreError::ScanAborted`], naming the page
-/// the scan died on. Storage errors that carry their own page address
-/// (checksum mismatches, quarantine hits, failed single-flight loads) name
-/// it directly; anything else is attributed to the page the worker was
-/// scanning when the error surfaced.
-fn scan_abort(vec: &PagedDataVector, page_no: u64, source: CoreError) -> CoreError {
-    let key = match &source {
-        CoreError::Storage(e) => e.page_key().unwrap_or_else(|| vec.page_key(page_no)),
-        _ => vec.page_key(page_no),
-    };
-    CoreError::ScanAborted { chain: key.chain.0, page_no: key.page_no, source: Box::new(source) }
-}
-
-/// Deadline-aware read-ahead window for a scan worker over the pool's
-/// cold-path I/O stage:
-/// the worker keeps up to `depth` surviving pages submitted ahead of its
-/// cursor via [`payg_storage::BufferPool::prefetch_submit`] — adjacent
-/// submissions coalesce into ranged reads inside the stage. The depth
-/// adapts to completion latency versus consumption rate: arriving at a page
-/// that is *still not resident* means the stage is losing the race, so the
-/// window doubles (up to [`Self::MAX_DEPTH`]); a long streak of warm
-/// arrivals means the window is outrunning the scan, so it shrinks back.
-struct StagedReadAhead {
-    /// Surviving pages to keep submitted ahead of the scan cursor.
-    depth: u64,
-    /// First page number not yet considered for submission.
-    cursor: u64,
-    /// Consecutive pages found resident on arrival.
-    warm_streak: u32,
-}
-
-impl StagedReadAhead {
-    const INITIAL_DEPTH: u64 = 2;
-    const MAX_DEPTH: u64 = 32;
-    /// Warm arrivals in a row before the window halves.
-    const SHRINK_AFTER: u32 = 8;
-
-    fn new() -> Self {
-        StagedReadAhead { depth: Self::INITIAL_DEPTH, cursor: 0, warm_streak: 0 }
-    }
-
-    /// Feed the adaptation signal: was the page the worker just arrived at
-    /// already resident?
-    fn observe(&mut self, resident: bool) {
-        if resident {
-            self.warm_streak += 1;
-            if self.warm_streak >= Self::SHRINK_AFTER && self.depth > Self::INITIAL_DEPTH {
-                self.depth = (self.depth / 2).max(Self::INITIAL_DEPTH);
-                self.warm_streak = 0;
-            }
-        } else {
-            self.warm_streak = 0;
-            self.depth = (self.depth * 2).min(Self::MAX_DEPTH);
-        }
-    }
-
-    /// Submit prefetches so that up to `depth` surviving pages beyond
-    /// `page` (bounded by `last`) are in flight. Pages already considered
-    /// (below the cursor) are never re-submitted; a submission the stage
-    /// sheds under queue pressure is simply dropped — the demand pin will
-    /// load it.
-    fn top_up(
-        &mut self,
-        vec: &PagedDataVector,
-        page: u64,
-        last: u64,
-        survives: &impl Fn(u64) -> bool,
-    ) {
-        let mut ahead = 0u64;
-        for p in (page + 1)..=last {
-            if ahead == self.depth {
-                break;
-            }
-            if !survives(p) {
-                continue;
-            }
-            ahead += 1;
-            if p < self.cursor {
-                continue;
-            }
-            self.cursor = p + 1;
-            let key = vec.page_key(p);
-            if !vec.pool().is_resident(key) {
-                vec.pool().prefetch_submit(key);
-            }
-        }
-    }
-}
-
-/// Scans one partition page by page with a private repositioning iterator
-/// (one pin) and, when enabled, a private read-ahead window over the
-/// upcoming surviving pages. Before each page the worker polls the scan-wide `cancel`
-/// flag — first error wins: the worker that hits a bad page raises the flag
-/// and returns [`CoreError::ScanAborted`] naming it, and every other worker
-/// quits at its next page boundary instead of finishing doomed work.
-/// Returns the matches alongside the worker's own [`ScanProfile`].
-fn scan_partition_worker(
-    vec: &PagedDataVector,
-    part: ScanPartition,
-    set: &VidSet,
-    prefetch: bool,
-    cancel: &AtomicBool,
-) -> CoreResult<(Vec<u64>, ScanProfile)> {
-    let mut out = Vec::new();
-    let rpp = vec.rows_per_page();
-    let mut it = vec.iter();
-    if rpp == 0 {
-        // Width 0: no pages exist, the scan is pure arithmetic.
-        it.search(part.from, part.to, set, &mut out)?;
-        return Ok((out, it.profile()));
-    }
-    let survives = |p: u64| {
-        let (lo, hi) = vec.page_summary(p);
-        set.overlaps(lo, hi)
-    };
-    // Read-ahead: the worker keeps an *adaptive window* of prefetch
-    // submissions to the I/O stage ahead of its cursor (`StagedReadAhead`).
-    let mut window = StagedReadAhead::new();
-    let first = part.from / rpp;
-    let last = (part.to - 1) / rpp;
-    for page in first..=last {
-        if cancel.load(Ordering::Relaxed) {
-            break;
-        }
-        if !survives(page) {
-            // Credit the pruned page to the iterator so profiles (and the
-            // registry's scan counters) match the sequential scan's.
-            it.note_pruned();
-            continue;
-        }
-        // Read ahead: start loading upcoming surviving pages before scanning
-        // this one, so the store latency overlaps the predicate work. The
-        // pool's single-flight load states make our later pin join that load
-        // instead of duplicating it.
-        if prefetch {
-            window.observe(vec.pool().is_resident(vec.page_key(page)));
-            window.top_up(vec, page, last, &survives);
-        }
-        let lo = part.from.max(page * rpp);
-        let hi = part.to.min((page + 1) * rpp);
-        if let Err(e) = it.search(lo, hi, set, &mut out) {
-            cancel.store(true, Ordering::Relaxed);
-            return Err(scan_abort(vec, page, e));
-        }
-    }
-    Ok((out, it.profile()))
-}
-
-/// [`scan_partition_worker`]'s COUNT twin: popcounts one partition page by
-/// page, polling `cancel` at every page boundary. Page-summary pruning
-/// happens inside [`crate::datavec::PagedDataVectorIterator::count`], which
-/// sees each page's full chunk run.
-fn count_partition_worker(
-    vec: &PagedDataVector,
-    part: ScanPartition,
-    set: &VidSet,
-    cancel: &AtomicBool,
-) -> CoreResult<u64> {
-    let rpp = vec.rows_per_page();
-    let mut it = vec.iter();
-    if rpp == 0 {
-        return it.count(part.from, part.to, set);
-    }
-    let mut total = 0u64;
-    let first = part.from / rpp;
-    let last = (part.to - 1) / rpp;
-    for page in first..=last {
-        if cancel.load(Ordering::Relaxed) {
-            break;
-        }
-        let lo = part.from.max(page * rpp);
-        let hi = part.to.min((page + 1) * rpp);
-        match it.count(lo, hi, set) {
-            Ok(n) => total += n,
-            Err(e) => {
-                cancel.store(true, Ordering::Relaxed);
-                return Err(scan_abort(vec, page, e));
-            }
-        }
-    }
-    Ok(total)
-}
-
 impl PagedDataVector {
+    /// Runs `work` once per partition of `from..to` — each on its own
+    /// cancellable iterator, under its own scan-partition span — on up to
+    /// `opts.workers` threads, and returns the per-partition results in
+    /// partition order. The worker count is capped by the cores and by the
+    /// pages that survive pruning: a wave overlaps a worker's cold reads, so
+    /// threads beyond the cores add only scheduling overhead.
+    fn for_each_partition<T: Send>(
+        &self,
+        from: u64,
+        to: u64,
+        set: &VidSet,
+        opts: ScanOptions,
+        work: impl Fn(&mut PagedDataVectorIterator<'_>, ScanPartition) -> CoreResult<T> + Sync,
+    ) -> CoreResult<Vec<T>> {
+        self.check_range(from, to)?;
+        let parts = scan_partitions(self, from, to, Some(set), opts.workers.min(cores()));
+        // Flight recorder: each partition runs under its own scan-partition
+        // span, parented to whatever query span the caller has open. The
+        // context must be captured here — thread locals do not follow
+        // `std::thread::scope`.
+        let tracer = self.pool().registry().tracer();
+        let ctx = QueryCtx::current(tracer);
+        let cancel = AtomicBool::new(false);
+        let run = |part: ScanPartition| {
+            let _span = ctx.enter(tracer, SpanKind::ScanPartition, part.from);
+            work(&mut self.iter_cancellable(&cancel), part)
+        };
+        if let [only] = parts.as_slice() {
+            return Ok(vec![run(*only)?]);
+        }
+        std::thread::scope(|s| {
+            let run = &run;
+            let handles: Vec<_> = parts.iter().map(|&part| s.spawn(move || run(part))).collect();
+            // Joining in partition order keeps a concatenation ascending —
+            // bit-identical to the sequential scan.
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        })
+    }
+
     /// Parallel `search(range-of-rows, set-of-vids)`: identical results to
     /// [`crate::datavec::PagedDataVectorIterator::search`] over the same
-    /// range, computed by up to `opts.workers` segment workers. Each worker
-    /// holds one pinned page (plus its read-ahead window when enabled); pruned
-    /// pages are skipped before partitioning. A failing page aborts the
-    /// whole scan with [`CoreError::ScanAborted`] — see the module docs.
+    /// range, computed by up to `opts.workers` segment workers. A failing
+    /// page aborts the whole scan with [`crate::CoreError::ScanAborted`] — see the
+    /// module docs.
     pub fn par_search(
         &self,
         from: u64,
@@ -318,106 +175,17 @@ impl PagedDataVector {
         set: &VidSet,
         opts: ScanOptions,
     ) -> CoreResult<Vec<u64>> {
-        self.par_search_profiled(from, to, set, opts).map(|(out, _)| out)
-    }
-
-    /// [`PagedDataVector::par_search`] plus the merged [`ScanProfile`] of
-    /// every segment worker: per-worker kernel figures are summed
-    /// (`dispatch_width` and `elapsed_ns` take the maximum), the cold/warm
-    /// pool split is measured as this pool's metrics delta around the scan,
-    /// and the wall-clock duration is recorded in the registry's `scan_ns`
-    /// histogram.
-    pub fn par_search_profiled(
-        &self,
-        from: u64,
-        to: u64,
-        set: &VidSet,
-        opts: ScanOptions,
-    ) -> CoreResult<(Vec<u64>, ScanProfile)> {
-        if from > to || to > self.len() {
-            return Err(CoreError::RowOutOfBounds { rpos: to, len: self.len() });
-        }
-        let mut out = Vec::new();
-        let mut profile = ScanProfile::default();
-        if from == to || set.is_empty() {
-            return Ok((out, profile));
-        }
-        let before = self.pool().metrics();
-        // Flight recorder: each worker's partition runs under its own
-        // scan-partition span, parented to whatever query span the caller
-        // has open. The context must be captured here — thread locals do
-        // not follow `std::thread::scope`.
-        let tracer = self.pool().registry().tracer();
-        let ctx = QueryCtx::current(tracer);
-        let started = Instant::now();
-        if self.width().bits() == 0 {
-            let mut it = self.iter();
-            it.search(from, to, set, &mut out)?;
-            profile = it.profile();
-        } else {
-            // Cold scans are I/O-bound: more workers than cores still helps,
-            // because they overlap page-load latency. A fully-resident range
-            // is CPU-bound, so extra workers beyond the actual cores only add
-            // scheduling overhead — cap them.
-            let mut workers = opts.workers;
-            if workers > 1 {
-                let rpp = self.rows_per_page();
-                let all_resident = ((from / rpp)..=((to - 1) / rpp))
-                    .all(|p| self.pool().is_resident(self.page_key(p)));
-                if all_resident {
-                    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-                    workers = workers.min(cores);
-                }
-            }
-            let parts = scan_partitions(self, from, to, Some(set), workers);
-            let cancel = AtomicBool::new(false);
-            let cancel = &cancel;
-            match parts.as_slice() {
-                [] => {}
-                [only] => {
-                    let _span = ctx.enter(tracer, SpanKind::ScanPartition, only.from);
-                    let (segment, p) =
-                        scan_partition_worker(self, *only, set, opts.prefetch, cancel)?;
-                    out = segment;
-                    profile = p;
-                }
-                many => std::thread::scope(|s| -> CoreResult<()> {
-                    let handles: Vec<_> = many
-                        .iter()
-                        .map(|&part| {
-                            s.spawn(move || {
-                                let _span =
-                                    ctx.enter(tracer, SpanKind::ScanPartition, part.from);
-                                scan_partition_worker(self, part, set, opts.prefetch, cancel)
-                            })
-                        })
-                        .collect();
-                    // Joining in partition order keeps the concatenation
-                    // ascending — bit-identical to the sequential scan.
-                    for h in handles {
-                        let (segment, p) =
-                            h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))?;
-                        out.extend(segment);
-                        profile.merge(&p);
-                    }
-                    Ok(())
-                })?,
-            }
-        }
-        profile.elapsed_ns = started.elapsed().as_nanos() as u64;
-        let after = self.pool().metrics();
-        profile.cold_loads = after.loads - before.loads;
-        profile.warm_hits = after.hits - before.hits;
-        profile.io_batches = after.io_physical_reads - before.io_physical_reads;
-        profile.io_coalesced_pages = after.io_coalesced - before.io_coalesced;
-        profile.io_queue_sheds = after.io_shed - before.io_shed;
-        self.scan.scan_ns.record(profile.elapsed_ns);
-        Ok((out, profile))
+        let segments = self.for_each_partition(from, to, set, opts, |it, part| {
+            let mut out = Vec::new();
+            it.search(part.from, part.to, set, &mut out)?;
+            Ok(out)
+        })?;
+        Ok(segments.concat())
     }
 
     /// Parallel COUNT over `from..to`: identical to
     /// `par_search(..).len()` but positions are never materialized — each
-    /// worker popcounts its partition's result bitmaps in place
+    /// worker counts its partition in place
     /// ([`crate::datavec::PagedDataVectorIterator::count`]) and the
     /// per-partition counts are summed.
     pub fn par_count(
@@ -427,44 +195,9 @@ impl PagedDataVector {
         set: &VidSet,
         opts: ScanOptions,
     ) -> CoreResult<u64> {
-        if from > to || to > self.len() {
-            return Err(CoreError::RowOutOfBounds { rpos: to, len: self.len() });
-        }
-        if from == to || set.is_empty() {
-            return Ok(0);
-        }
-        if self.width().bits() == 0 {
-            return self.iter().count(from, to, set);
-        }
-        let workers = opts.workers.max(1);
-        let parts = scan_partitions(self, from, to, Some(set), workers);
-        let cancel = AtomicBool::new(false);
-        let cancel = &cancel;
-        let tracer = self.pool().registry().tracer();
-        let ctx = QueryCtx::current(tracer);
-        match parts.as_slice() {
-            [] => Ok(0),
-            [only] => {
-                let _span = ctx.enter(tracer, SpanKind::ScanPartition, only.from);
-                count_partition_worker(self, *only, set, cancel)
-            }
-            many => std::thread::scope(|s| {
-                let handles: Vec<_> = many
-                    .iter()
-                    .map(|&part| {
-                        s.spawn(move || {
-                            let _span = ctx.enter(tracer, SpanKind::ScanPartition, part.from);
-                            count_partition_worker(self, part, set, cancel)
-                        })
-                    })
-                    .collect();
-                let mut total = 0u64;
-                for h in handles {
-                    total += h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))?;
-                }
-                Ok(total)
-            }),
-        }
+        let counts = self
+            .for_each_partition(from, to, set, opts, |it, part| it.count(part.from, part.to, set))?;
+        Ok(counts.into_iter().sum())
     }
 }
 
@@ -487,8 +220,7 @@ pub fn par_search_resident(
     let chunks = last - first + 1;
     // Always CPU-bound (no I/O to overlap): workers beyond the actual cores
     // only add scheduling overhead.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let w = workers.max(1).min(cores).min(chunks as usize).min(u32::MAX as usize) as u64;
+    let w = workers.max(1).min(cores()).min(chunks as usize).min(u32::MAX as usize) as u64;
     if w <= 1 {
         scan::search(vec, from, to, set, &mut out);
         return out;
@@ -527,7 +259,8 @@ pub fn par_search_resident(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::PageConfig;
+    use crate::{CoreError, PageConfig};
+    use payg_obs::{names, ObsSnapshot};
     use payg_resman::ResourceManager;
     use payg_storage::{
         BufferPool, FaultPlan, FaultyStore, MemStore, PageKey, PageStore, PoolConfig, RetryPolicy,
@@ -571,16 +304,28 @@ mod tests {
     }
 
     #[test]
-    fn pruned_pages_are_excluded_before_partitioning() {
+    fn pruned_pages_are_set_aside_before_partitioning() {
         // Clustered values give disjoint page summaries.
         let values: Vec<u64> = (0..4096u64).map(|i| i / 16).collect();
         let (_pool, paged, _) = build(&values);
-        let set = VidSet::range(0, 10); // only the first pages survive
-        let parts = scan_partitions(&paged, 0, 4096, Some(&set), 4);
-        let covered: u64 = parts.iter().map(|p| p.rows()).sum();
-        assert!(covered < 4096, "pruning shrank the partitioned rows");
-        // A fully disjoint predicate yields no partitions at all.
-        assert!(scan_partitions(&paged, 0, 4096, Some(&VidSet::Single(9999)), 4).is_empty());
+        let rpp = paged.rows_per_page();
+        let set = VidSet::range(0, 40); // only the first pages survive
+        let survives = |p: u64| {
+            let (lo, hi) = paged.page_summary(p);
+            set.overlaps(lo, hi)
+        };
+        let surviving = (0..paged.pages()).filter(|&p| survives(p)).count();
+        assert!((2..8).contains(&surviving), "a few leading pages survive: {surviving}");
+        let parts = scan_partitions(&paged, 0, 4096, Some(&set), 8);
+        assert_eq!(parts.len(), surviving, "workers divide the surviving pages, not the rows");
+        assert_eq!((parts[0].from, parts[parts.len() - 1].to), (0, 4096), "the range is tiled");
+        for pair in parts.windows(2) {
+            assert_eq!(pair[0].to, pair[1].from);
+            assert!(survives(pair[1].from / rpp), "a partition starts on a surviving page");
+        }
+        // A fully disjoint predicate is one partition, pruned page by page.
+        let none = scan_partitions(&paged, 0, 4096, Some(&VidSet::Single(9999)), 4);
+        assert_eq!(none, [ScanPartition { from: 0, to: 4096 }]);
     }
 
     #[test]
@@ -592,12 +337,8 @@ mod tests {
                 let mut seq = Vec::new();
                 paged.iter().search(from, to, &set, &mut seq).unwrap();
                 for workers in [1, 2, 4, 7] {
-                    for prefetch in [false, true] {
-                        let par = paged
-                            .par_search(from, to, &set, ScanOptions { workers, prefetch })
-                            .unwrap();
-                        assert_eq!(par, seq, "workers={workers} prefetch={prefetch} {from}..{to}");
-                    }
+                    let par = paged.par_search(from, to, &set, ScanOptions { workers }).unwrap();
+                    assert_eq!(par, seq, "workers={workers} {from}..{to}");
                 }
             }
         }
@@ -635,9 +376,8 @@ mod tests {
                 let expect =
                     (from..to).filter(|&i| set.contains(values[i as usize])).count() as u64;
                 for workers in [1, 4] {
-                    let opts = ScanOptions { workers, prefetch: workers > 1 };
                     assert_eq!(
-                        paged.par_count(from, to, &set, opts).unwrap(),
+                        paged.par_count(from, to, &set, ScanOptions { workers }).unwrap(),
                         expect,
                         "workers={workers} {set:?} {from}..{to}"
                     );
@@ -668,16 +408,16 @@ mod tests {
         let bad = PageKey::new(paged.page_key(0).chain, 2);
         store.set_plan(FaultPlan::CorruptPages(vec![bad]));
         let set = VidSet::range(0, 499); // nothing prunes: every worker reads
-        for prefetch in [false, true] {
+        for workers in [1, 4] {
             pool.clear();
             pool.clear_quarantine();
             let err = paged
-                .par_search(0, 4000, &set, ScanOptions { workers: 4, prefetch })
+                .par_search(0, 4000, &set, ScanOptions { workers })
                 .map(|_| ())
                 .unwrap_err();
             match err {
                 CoreError::ScanAborted { chain, page_no, source } => {
-                    assert_eq!((chain, page_no), (bad.chain.0, bad.page_no), "prefetch={prefetch}");
+                    assert_eq!((chain, page_no), (bad.chain.0, bad.page_no), "workers={workers}");
                     assert!(
                         matches!(*source, CoreError::Storage(_)),
                         "abort wraps the storage failure: {source}"
@@ -702,28 +442,48 @@ mod tests {
         assert_eq!(par, seq);
     }
 
+    /// The registry's scan counters moved by one call of `scan`:
+    /// (`scan_scans`, `scan_pages_pruned`, `scan_chunks_scanned`,
+    /// `scan_bitmap_matches`).
+    fn scan_counters(pool: &BufferPool, scan: impl FnOnce()) -> (u64, [u64; 3]) {
+        let before = ObsSnapshot::collect(pool.registry());
+        scan();
+        let d = ObsSnapshot::delta(&ObsSnapshot::collect(pool.registry()), &before);
+        (
+            d.counter(names::SCAN_SCANS),
+            [names::SCAN_PAGES_PRUNED, names::SCAN_CHUNKS_SCANNED, names::SCAN_BITMAP_MATCHES]
+                .map(|name| d.counter(name)),
+        )
+    }
+
     #[test]
-    fn worker_side_pruning_is_credited_to_the_profile() {
-        // Clustered values: only the first and last pages survive a
-        // {0, max} predicate, so every interior page is pruned — by the
-        // iterator in a sequential scan, by the worker loop in a parallel
-        // one. Both must report the same pages_pruned.
-        let values: Vec<u64> = (0..4096u64).map(|i| i / 16).collect();
-        let (_pool, paged, _) = build(&values);
-        let set = VidSet::from_vids(vec![0, 255]);
+    fn scan_counters_count_scans_and_match_the_sequential_scan() {
+        // Clustered values in runs of 16 over 64 pages; the predicate keeps
+        // a run of pages at either end and a few in the middle, so pruned
+        // pages lie inside partitions and between them.
+        let values: Vec<u64> = (0..16_384u64).map(|i| i / 64).collect();
+        let (pool, paged, _) = build(&values);
+        assert!(paged.pages() >= 32, "a real fan-out: {} pages", paged.pages());
+        let set = VidSet::from_vids((0..40).chain(120..130).chain(200..256).collect());
         let mut seq = Vec::new();
-        let mut it = paged.iter();
-        it.search(0, 4096, &set, &mut seq).unwrap();
-        let seq_pruned = it.profile().pages_pruned;
-        drop(it);
-        assert!(seq_pruned > 0, "interior pages were pruned");
-        for prefetch in [false, true] {
-            let (out, profile) = paged
-                .par_search_profiled(0, 4096, &set, ScanOptions { workers: 1, prefetch })
-                .unwrap();
-            assert_eq!(out, seq, "prefetch={prefetch}");
-            assert_eq!(profile.pages_pruned, seq_pruned, "prefetch={prefetch}");
-        }
+        let (seq_scans, seq_work) = scan_counters(&pool, || {
+            paged.iter().search(0, 16_384, &set, &mut seq).unwrap();
+        });
+        assert_eq!(seq_scans, 1);
+        assert!(seq_work[0] > 0, "interior pages were pruned: {seq_work:?}");
+        let mut par = Vec::new();
+        let (par_scans, par_work) = scan_counters(&pool, || {
+            par = paged.par_search(0, 16_384, &set, ScanOptions::with_workers(4)).unwrap();
+        });
+        assert_eq!(par, seq);
+        assert!((1..=4).contains(&par_scans), "one scan per partition, not per page: {par_scans}");
+        assert_eq!(par_work, seq_work, "pruned / chunks / matches do not depend on the workers");
+        let (count_scans, count_work) = scan_counters(&pool, || {
+            let n = paged.par_count(0, 16_384, &set, ScanOptions::with_workers(4)).unwrap();
+            assert_eq!(n, seq.len() as u64);
+        });
+        assert!((1..=4).contains(&count_scans), "{count_scans}");
+        assert_eq!(count_work, seq_work);
     }
 
     #[test]

@@ -31,10 +31,10 @@ pub enum CoreError {
         /// The offered value's type.
         got: crate::DataType,
     },
-    /// A parallel scan stopped on its first failing page. The address names
-    /// the page whose load or read failed; the remaining workers observed
-    /// the shared cancellation flag and quit without finishing their
-    /// partitions, so no partial result is returned.
+    /// A data-vector scan stopped on its first failing page. The address
+    /// names the page whose load or read failed; the remaining workers of a
+    /// parallel scan observed the shared cancellation flag and quit without
+    /// finishing their partitions, so no partial result is returned.
     ScanAborted {
         /// The chain the failing page belongs to.
         chain: u64,

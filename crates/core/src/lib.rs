@@ -34,6 +34,7 @@ pub mod scratch;
 pub mod sync;
 mod util;
 pub mod value;
+mod waves;
 
 pub use column::{Column, ColumnBuilder, ColumnRead, IndexMode, LoadPolicy};
 pub use config::PageConfig;

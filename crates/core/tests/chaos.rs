@@ -78,10 +78,10 @@ fn seeded_scan_storms_land_in_the_trichotomy() {
 
     for seed in chaos_seeds() {
         store.set_plan(FaultPlan::Seeded { seed, p_read: 0.1, p_corrupt: 0.05, p_write: 0.0 });
-        for prefetch in [false, true] {
+        for workers in [1, 4] {
             pool.clear();
             pool.clear_quarantine();
-            let opts = ScanOptions { workers: 4, prefetch };
+            let opts = ScanOptions { workers };
             audit_search(
                 seed,
                 paged.par_search(0, ROWS as u64, &set, opts),
@@ -103,6 +103,52 @@ fn seeded_scan_storms_land_in_the_trichotomy() {
         let rows = paged.par_search(0, ROWS as u64, &set, ScanOptions::with_workers(4)).unwrap();
         assert_eq!(rows, expected, "seed {seed}: recovery scan");
         pool.assert_no_live_pins("chaos scan quiesce");
+    }
+}
+
+#[test]
+fn a_corrupt_page_mid_wave_aborts_naming_it_and_the_retry_succeeds() {
+    // Eight waves' worth of pages, the corrupt one well inside a wave: the
+    // scan — one worker or four, rows or count — stops on exactly that page,
+    // no pin of its wave outlives the abort, and once the medium is
+    // replaced the same scan completes.
+    let values = sample(70_000, CARD, 11);
+    let store = Arc::new(FaultyStore::new(MemStore::new(), FaultPlan::None));
+    let pool = BufferPool::with_config(
+        Arc::clone(&store) as Arc<dyn PageStore>,
+        ResourceManager::new(),
+        PoolConfig { sleeper: Arc::new(|_| {}), ..PoolConfig::default() },
+    );
+    let packed = BitPackedVec::from_values(&values);
+    let paged = PagedDataVector::build(&pool, &PageConfig::tiny(), &packed).unwrap();
+    let wave = payg_core::column::WAVE_PAGES as u64;
+    assert!(paged.pages() >= 8 * wave, "{} pages", paged.pages());
+    let bad = paged.page_key(2 * wave + wave / 2);
+    let rows = values.len() as u64;
+    let set = VidSet::range(10, 60);
+    let expected: Vec<u64> = (0..rows).filter(|&i| set.contains(values[i as usize])).collect();
+    for workers in [1, 4] {
+        let opts = ScanOptions { workers };
+        store.set_plan(FaultPlan::CorruptPages(vec![bad]));
+        pool.clear();
+        let scans = [
+            paged.par_search(0, rows, &set, opts).map(|_| ()),
+            paged.par_count(0, rows, &set, opts).map(|_| ()),
+        ];
+        for result in scans {
+            match result.unwrap_err() {
+                CoreError::ScanAborted { chain, page_no, source } => {
+                    assert_eq!((chain, page_no), (bad.chain.0, bad.page_no), "workers={workers}");
+                    assert!(corrupt_class(&source), "workers={workers}: {source}");
+                }
+                other => panic!("workers={workers}: expected ScanAborted, got {other}"),
+            }
+            pool.assert_no_live_pins("after an aborted wave");
+        }
+        store.set_plan(FaultPlan::None);
+        pool.clear_quarantine();
+        assert_eq!(paged.par_search(0, rows, &set, opts).unwrap(), expected, "workers={workers}");
+        assert_eq!(paged.par_count(0, rows, &set, opts).unwrap(), expected.len() as u64);
     }
 }
 

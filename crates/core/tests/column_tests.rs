@@ -1,10 +1,13 @@
 //! Column-level tests: both load policies must be observationally identical.
 
-use payg_core::column::{Column, ColumnRead};
-use payg_core::{ColumnBuilder, DataType, LoadPolicy, PageConfig, Value, ValuePredicate};
+use payg_core::column::{Column, ColumnRead, WAVE_PAGES};
+use payg_core::{
+    ColumnBuilder, DataType, LoadPolicy, PageConfig, ScanOptions, Value, ValuePredicate,
+};
 use payg_resman::{Disposition, PoolLimits, ResourceManager};
-use payg_storage::{BufferPool, MemStore};
-use std::sync::Arc;
+use payg_storage::{BufferPool, ChainId, MemStore, PageKey, PageStore, StorageResult};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 
 fn pool() -> BufferPool {
     BufferPool::new(Arc::new(MemStore::new()), ResourceManager::new())
@@ -315,4 +318,112 @@ fn empty_and_single_row_columns() {
             vec![0]
         );
     }
+}
+
+/// A [`MemStore`] that counts the read calls reaching it and samples, at
+/// each, how many page guards the pool it serves has live (the pin-leak
+/// detector's count: 0 unless built with `strict-invariants`).
+#[derive(Default)]
+struct CountingStore {
+    inner: MemStore,
+    read_calls: AtomicU64,
+    pool: Mutex<Option<BufferPool>>,
+    max_live_pins: AtomicUsize,
+}
+
+impl PageStore for CountingStore {
+    fn create_chain(&self, page_size: usize) -> StorageResult<ChainId> {
+        self.inner.create_chain(page_size)
+    }
+    fn append_page(&self, chain: ChainId, payload: &[u8]) -> StorageResult<u64> {
+        self.inner.append_page(chain, payload)
+    }
+    fn read_page(&self, key: PageKey) -> StorageResult<Box<[u8]>> {
+        self.read_pages(key.chain, key.page_no, 1).remove(0)
+    }
+    fn read_pages(&self, chain: ChainId, first: u64, count: usize) -> Vec<StorageResult<Box<[u8]>>> {
+        self.read_calls.fetch_add(1, Ordering::Relaxed);
+        if let Some(pool) = &*self.pool.lock().unwrap() {
+            self.max_live_pins.fetch_max(pool.live_pins(), Ordering::Relaxed);
+        }
+        self.inner.read_pages(chain, first, count)
+    }
+    fn chain_len(&self, chain: ChainId) -> StorageResult<u64> {
+        self.inner.chain_len(chain)
+    }
+    fn page_size(&self, chain: ChainId) -> StorageResult<usize> {
+        self.inner.page_size(chain)
+    }
+    fn drop_chain(&self, chain: ChainId) -> StorageResult<()> {
+        self.inner.drop_chain(chain)
+    }
+    fn chains(&self) -> Vec<ChainId> {
+        self.inner.chains()
+    }
+    fn set_chain_descriptor(&self, chain: ChainId, desc: &[u8]) -> StorageResult<()> {
+        self.inner.set_chain_descriptor(chain, desc)
+    }
+    fn chain_descriptor(&self, chain: ChainId) -> StorageResult<Vec<u8>> {
+        self.inner.chain_descriptor(chain)
+    }
+}
+
+/// The scan loop is the second client of the wave mechanism: a cold scan of
+/// consecutive data pages — rows or count, one worker or four — loads every
+/// page once, through a few coalesced ranged reads, with never more than
+/// one wave of pages pinned.
+#[test]
+fn cold_scans_coalesce_their_reads_and_pin_at_most_one_wave() {
+    let store = Arc::new(CountingStore::default());
+    let pool = BufferPool::new(Arc::clone(&store) as Arc<dyn PageStore>, ResourceManager::new());
+    *store.pool.lock().unwrap() = Some(pool.clone());
+    let values = int_values(24_000);
+    let col = build(&pool, DataType::Integer, &values, LoadPolicy::PageLoadable, false);
+    let rows = values.len() as u64;
+    let data = ChainId(col.chains().iter().find(|(role, _)| *role == "data").unwrap().1);
+    let pages = store.chain_len(data).unwrap();
+    assert!(pages >= 64, "{pages} data pages");
+    // Every page holds every value: nothing is pruned.
+    let pred = ValuePredicate::Eq(Value::Integer(7));
+    let expect: Vec<u64> = (0..rows).filter(|&i| pred.matches(&values[i as usize])).collect();
+
+    // Runs `scan` against cold data pages (the dictionary probe is warmed by
+    // an empty-range count first) and returns the pool and store traffic.
+    let cold = |scan: &dyn Fn()| {
+        pool.clear();
+        assert_eq!(col.count_rows(&pred, 0, 0).unwrap(), 0);
+        let (before, reads_before) = (pool.metrics(), store.read_calls.load(Ordering::Relaxed));
+        scan();
+        let m = pool.metrics().delta(&before);
+        assert_eq!(m.loads, pages, "every data page loads once: {m:?}");
+        assert!(m.io_physical_reads <= pages / 8, "the waves' reads coalesce: {m:?}");
+        assert_eq!(
+            store.read_calls.load(Ordering::Relaxed) - reads_before,
+            m.io_physical_reads,
+            "the store saw exactly the stage's ranged reads"
+        );
+        pool.assert_no_live_pins("after a cold scan");
+    };
+    let sequential = ScanOptions::sequential();
+    let four = ScanOptions::with_workers(4);
+    cold(&|| assert_eq!(col.count_rows(&pred, 0, rows).unwrap(), expect.len() as u64));
+    cold(&|| assert_eq!(col.find_rows(&pred, 0, rows).unwrap(), expect));
+    cold(&|| assert_eq!(col.count_rows_par(&pred, 0, rows, four).unwrap(), expect.len() as u64));
+    cold(&|| assert_eq!(col.find_rows_par(&pred, 0, rows, four).unwrap(), expect));
+
+    // Pins bounded by one wave: with every other page resident, the hits of
+    // a wave are held while its misses load — and nothing of the wave
+    // before it.
+    pool.clear();
+    for page in (1..pages).step_by(2) {
+        drop(pool.pin(PageKey::new(data, page)).unwrap());
+    }
+    store.max_live_pins.store(0, Ordering::Relaxed);
+    assert_eq!(col.find_rows_par(&pred, 0, rows, sequential).unwrap(), expect);
+    let held = store.max_live_pins.load(Ordering::Relaxed);
+    assert!(held <= WAVE_PAGES, "{held} pages pinned while a wave loaded");
+    if cfg!(feature = "strict-invariants") {
+        assert!(held > 0, "the pin tracker saw the wave's hits");
+    }
+    *store.pool.lock().unwrap() = None;
 }

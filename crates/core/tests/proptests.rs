@@ -330,14 +330,13 @@ proptest! {
 
     /// Parallel segmented scans are bit-identical to the sequential
     /// iterator at the data-vector level, across random bit widths, search
-    /// ranges, vid sets and partition counts, with and without read-ahead.
+    /// ranges, vid sets and partition counts.
     #[test]
     fn par_search_equals_sequential_datavec(
         bits in 1u32..16,
         n in 1usize..1500,
         seed in any::<u64>(),
         workers in 1usize..8,
-        prefetch in any::<bool>(),
         set_kind in 0u8..3,
     ) {
         let mask = (1u64 << bits) - 1;
@@ -360,7 +359,7 @@ proptest! {
         let mut seq = Vec::new();
         paged.iter().search(from, to, &set, &mut seq).unwrap();
         let par = paged
-            .par_search(from, to, &set, payg_core::ScanOptions { workers, prefetch })
+            .par_search(from, to, &set, payg_core::ScanOptions { workers })
             .unwrap();
         prop_assert_eq!(&par, &seq);
         // And the resident parallel scan agrees with the resident reference.
@@ -833,10 +832,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
-    /// Paged `search` / `count` — pages scanned in place — ≡ the resident
-    /// kernels ≡ naive evaluation, over random widths (all 32 kernels),
-    /// lengths, page sizes and row ranges, with the paged pool limited to
-    /// less than the vector so pages are evicted and re-pinned mid-suite.
+    /// Paged `search` / `count` — pages scanned in place, a wave at a time,
+    /// by one worker or several — ≡ the resident kernels ≡ naive evaluation,
+    /// over random widths (all 32 kernels), lengths, page sizes and row
+    /// ranges, with the paged pool limited to two pages — far below one wave
+    /// — so a wave overshoots it and pages are evicted and re-pinned
+    /// mid-suite.
     #[test]
     fn paged_search_and_count_equal_resident_and_naive(
         bits in 1u32..=32,
@@ -845,6 +846,7 @@ proptest! {
         page_chunks in 1usize..6,
         set_kind in 0u8..5,
         small_pool in any::<bool>(),
+        workers in 1usize..5,
     ) {
         let width = payg_encoding::BitWidth::new(bits).unwrap();
         let mask = width.mask();
@@ -887,6 +889,9 @@ proptest! {
         prop_assert_eq!(&got, &naive, "paged search {}..{} {:?}", from, to, &set);
         prop_assert_eq!(it.count(from, to, &set).unwrap(), naive.len() as u64);
         drop(it);
+        let opts = payg_core::ScanOptions { workers };
+        prop_assert_eq!(&paged.par_search(from, to, &set, opts).unwrap(), &naive);
+        prop_assert_eq!(paged.par_count(from, to, &set, opts).unwrap(), naive.len() as u64);
         let mut resident = Vec::new();
         payg_encoding::scan::search(&packed, from, to, &set, &mut resident);
         prop_assert_eq!(&resident, &naive);
@@ -894,6 +899,6 @@ proptest! {
             payg_encoding::kernels::count_matches(&packed, from, to, &set),
             naive.len() as u64
         );
-        pool.assert_no_live_pins("after dropping the iterator");
+        pool.assert_no_live_pins("after the scans");
     }
 }

@@ -24,10 +24,9 @@
 //!   parent across worker threads. Events emitted under an open span are
 //!   tagged with its id, which is how page provenance (who caused this
 //!   load?) is reconstructed.
-//! - [`ScanProfile`]: a plain per-scan cost breakdown (pages pinned,
-//!   guard-cache hits, chunks scanned, kernel dispatch width, match count,
-//!   cold/warm split, io-stage batching) filled in by scan iterators and
-//!   mergeable across parallel workers.
+//! - [`ScanProfile`]: a plain per-scan cost breakdown (pages pinned, chunks
+//!   scanned, kernel dispatch width, match count, cold/warm split, io-stage
+//!   batching) filled in by scan iterators or from a registry delta.
 //!
 //! Metric names used by the engine crates live in [`names`] so producers
 //! and consumers (benches, exporters, [`ScanProfile::from_delta`]) agree on

@@ -51,8 +51,6 @@ declare_names! {
     /// Times a `pin()` blocked on another thread's in-flight load of the
     /// same page (labelled `pool`).
     POOL_LOAD_WAITS = "pool_load_waits", labels: [pool];
-    /// Pages pulled in by the background prefetcher (labelled `pool`).
-    POOL_PREFETCHES = "pool_prefetches", labels: [pool];
     /// Warm pin-latency histogram in nanoseconds — pins served from a
     /// resident frame only; cold paths land in [`POOL_LOAD_NS`] (labelled
     /// `pool`).
@@ -83,8 +81,8 @@ declare_names! {
     /// (labelled `pool`).
     POOL_QUARANTINE_FAIL_FAST = "pool_quarantine_fail_fast", labels: [pool];
 
-    /// Fetch requests submitted to the cold-path I/O stage, urgent and
-    /// prefetch classes alike (labelled `pool`).
+    /// Fetch requests submitted to the cold-path I/O stage (labelled
+    /// `pool`).
     POOL_IO_SUBMITTED = "pool_io_submitted", labels: [pool];
     /// Requests whose page rode a multi-page coalesced read instead of its
     /// own positioned read (labelled `pool`).
@@ -100,10 +98,6 @@ declare_names! {
     POOL_IO_BATCH_PAGES = "pool_io_batch_pages", labels: [pool];
     /// Submission-queue depth sampled at each submit (labelled `pool`).
     POOL_IO_QUEUE_DEPTH = "pool_io_queue_depth", labels: [pool];
-    /// Prefetch submissions shed because the I/O stage's bounded queue was
-    /// at capacity or closed (labelled `pool`). Urgent submissions are
-    /// never shed.
-    POOL_IO_SHED = "pool_io_shed", labels: [pool];
 
     /// Bytes currently registered with the resource manager (gauge).
     RESMAN_TOTAL_BYTES = "resman_total_bytes", labels: [];
@@ -133,10 +127,7 @@ declare_names! {
     SCAN_SCANS = "scan_scans", labels: [];
     /// 64-value chunks decoded or kernel-scanned.
     SCAN_CHUNKS_SCANNED = "scan_chunks_scanned", labels: [];
-    /// Guard-cache hits — page touches served by an already-held pin.
-    SCAN_GUARD_CACHE_HITS = "scan_guard_cache_hits", labels: [];
-    /// Pages pinned through the pool by scan iterators (guard-cache
-    /// misses).
+    /// Pages pinned through the pool by scan iterators.
     SCAN_PAGES_PINNED = "scan_pages_pinned", labels: [];
     /// Bitmap match positions produced by scans.
     SCAN_BITMAP_MATCHES = "scan_bitmap_matches", labels: [];
@@ -145,9 +136,6 @@ declare_names! {
     /// Kernel dispatch width (bit width of the last dispatched kernel;
     /// gauge).
     SCAN_DISPATCH_WIDTH = "scan_dispatch_width", labels: [];
-    /// End-to-end scan latency histogram in nanoseconds (profiled scans
-    /// only).
-    SCAN_NS = "scan_ns", labels: [];
 
     /// Full-column loads performed by resident columns.
     COLUMN_FULL_LOADS = "column_full_loads", labels: [];
@@ -192,7 +180,7 @@ mod tests {
     #[test]
     fn table_matches_consts() {
         assert!(ALL.iter().any(|s| s.ident == "POOL_LOADS" && s.name == POOL_LOADS));
-        assert!(ALL.iter().any(|s| s.name == SCAN_NS && s.labels.is_empty()));
+        assert!(ALL.iter().any(|s| s.name == SCAN_SCANS && s.labels.is_empty()));
         let faults = ALL.iter().find(|s| s.name == POOL_LOAD_FAULTS).unwrap();
         assert_eq!(faults.labels, ["pool", "kind"]);
     }

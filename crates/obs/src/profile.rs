@@ -4,16 +4,14 @@ use crate::names;
 use crate::registry::ObsSnapshot;
 
 /// What one scan cost, broken down the way the paper's evaluation slices
-/// it: pool traffic (pages pinned, cold loads vs warm hits), guard-cache
-/// effectiveness, kernel work (chunks, dispatch width), and selectivity
-/// (bitmap matches). Plain data — filled in by scan iterators, merged
-/// across parallel workers with [`ScanProfile::merge`].
+/// it: pool traffic (pages pinned, cold loads vs warm hits), kernel work
+/// (chunks, dispatch width), and selectivity (bitmap matches). Plain data —
+/// filled in by a scan iterator for its own scan, or from a registry delta
+/// ([`ScanProfile::from_delta`]) for everything a query caused.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanProfile {
-    /// Pages pinned through the buffer pool (guard-cache misses).
+    /// Pages pinned through the buffer pool.
     pub pages_pinned: u64,
-    /// Page touches served by an already-held guard (no pool traffic).
-    pub guard_cache_hits: u64,
     /// Pages skipped entirely via page-summary pruning.
     pub pages_pruned: u64,
     /// 64-value chunks decoded or kernel-scanned.
@@ -35,33 +33,12 @@ pub struct ScanProfile {
     /// Requests whose page rode a multi-page coalesced read instead of
     /// its own positioned read (filled by the profiled entry points).
     pub io_coalesced_pages: u64,
-    /// Prefetch submissions shed by the I/O stage's bounded queue (filled
-    /// by the profiled entry points).
-    pub io_queue_sheds: u64,
     /// Wall-clock duration of the scan in nanoseconds (profiled entry
     /// points only).
     pub elapsed_ns: u64,
 }
 
 impl ScanProfile {
-    /// Folds another profile (e.g. a parallel worker's) into this one.
-    /// Counters add; `dispatch_width` keeps the widest dispatch seen;
-    /// `elapsed_ns` keeps the longer duration (workers overlap in time).
-    pub fn merge(&mut self, other: &ScanProfile) {
-        self.pages_pinned += other.pages_pinned;
-        self.guard_cache_hits += other.guard_cache_hits;
-        self.pages_pruned += other.pages_pruned;
-        self.chunks_scanned += other.chunks_scanned;
-        self.dispatch_width = self.dispatch_width.max(other.dispatch_width);
-        self.bitmap_matches += other.bitmap_matches;
-        self.cold_loads += other.cold_loads;
-        self.warm_hits += other.warm_hits;
-        self.io_batches += other.io_batches;
-        self.io_coalesced_pages += other.io_coalesced_pages;
-        self.io_queue_sheds += other.io_queue_sheds;
-        self.elapsed_ns = self.elapsed_ns.max(other.elapsed_ns);
-    }
-
     /// Builds a profile from a registry snapshot *delta* spanning the
     /// scan (see `ObsSnapshot::delta`): scan counters map onto the
     /// corresponding fields and pool counters fill the cold/warm split.
@@ -69,7 +46,6 @@ impl ScanProfile {
     pub fn from_delta(d: &ObsSnapshot) -> ScanProfile {
         ScanProfile {
             pages_pinned: d.counter(names::SCAN_PAGES_PINNED),
-            guard_cache_hits: d.counter(names::SCAN_GUARD_CACHE_HITS),
             pages_pruned: d.counter(names::SCAN_PAGES_PRUNED),
             chunks_scanned: d.counter(names::SCAN_CHUNKS_SCANNED),
             dispatch_width: d.gauge(names::SCAN_DISPATCH_WIDTH) as u32,
@@ -78,7 +54,6 @@ impl ScanProfile {
             warm_hits: d.counter(names::POOL_SHARD_HITS),
             io_batches: d.counter(names::POOL_IO_PHYSICAL_READS),
             io_coalesced_pages: d.counter(names::POOL_IO_COALESCED),
-            io_queue_sheds: d.counter(names::POOL_IO_SHED),
             elapsed_ns: 0,
         }
     }
@@ -86,12 +61,11 @@ impl ScanProfile {
     /// Renders as a JSON object (for embedding in bench reports).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"pages_pinned\": {}, \"guard_cache_hits\": {}, \"pages_pruned\": {}, \
+            "{{\"pages_pinned\": {}, \"pages_pruned\": {}, \
              \"chunks_scanned\": {}, \"dispatch_width\": {}, \"bitmap_matches\": {}, \
              \"cold_loads\": {}, \"warm_hits\": {}, \"io_batches\": {}, \
-             \"io_coalesced_pages\": {}, \"io_queue_sheds\": {}, \"elapsed_ns\": {}}}",
+             \"io_coalesced_pages\": {}, \"elapsed_ns\": {}}}",
             self.pages_pinned,
-            self.guard_cache_hits,
             self.pages_pruned,
             self.chunks_scanned,
             self.dispatch_width,
@@ -100,7 +74,6 @@ impl ScanProfile {
             self.warm_hits,
             self.io_batches,
             self.io_coalesced_pages,
-            self.io_queue_sheds,
             self.elapsed_ns,
         )
     }
@@ -112,45 +85,10 @@ mod tests {
     use crate::registry::Registry;
 
     #[test]
-    fn merge_adds_and_maxes() {
-        let mut a = ScanProfile {
-            pages_pinned: 1,
-            guard_cache_hits: 10,
-            chunks_scanned: 5,
-            dispatch_width: 8,
-            bitmap_matches: 3,
-            elapsed_ns: 100,
-            ..Default::default()
-        };
-        let b = ScanProfile {
-            pages_pinned: 2,
-            guard_cache_hits: 1,
-            chunks_scanned: 7,
-            dispatch_width: 17,
-            bitmap_matches: 4,
-            io_batches: 2,
-            io_coalesced_pages: 6,
-            io_queue_sheds: 1,
-            elapsed_ns: 60,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.pages_pinned, 3);
-        assert_eq!(a.guard_cache_hits, 11);
-        assert_eq!(a.chunks_scanned, 12);
-        assert_eq!(a.dispatch_width, 17);
-        assert_eq!(a.bitmap_matches, 7);
-        assert_eq!(a.io_batches, 2);
-        assert_eq!(a.io_coalesced_pages, 6);
-        assert_eq!(a.io_queue_sheds, 1);
-        assert_eq!(a.elapsed_ns, 100);
-    }
-
-    #[test]
     fn from_delta_reads_scan_and_pool_names() {
         let reg = Registry::new();
         reg.counter(crate::names::SCAN_PAGES_PINNED).add(4);
-        reg.counter(crate::names::SCAN_GUARD_CACHE_HITS).add(9);
+        reg.counter(crate::names::SCAN_PAGES_PRUNED).add(9);
         reg.counter(crate::names::SCAN_CHUNKS_SCANNED).add(64);
         reg.counter(crate::names::SCAN_BITMAP_MATCHES).add(2);
         reg.gauge(crate::names::SCAN_DISPATCH_WIDTH).set(17);
@@ -159,10 +97,9 @@ mod tests {
             .add(5);
         reg.counter_labeled(crate::names::POOL_IO_PHYSICAL_READS, &[("pool", "0")]).add(6);
         reg.counter_labeled(crate::names::POOL_IO_COALESCED, &[("pool", "0")]).add(11);
-        reg.counter_labeled(crate::names::POOL_IO_SHED, &[("pool", "0")]).add(2);
         let p = ScanProfile::from_delta(&reg.snapshot());
         assert_eq!(p.pages_pinned, 4);
-        assert_eq!(p.guard_cache_hits, 9);
+        assert_eq!(p.pages_pruned, 9);
         assert_eq!(p.chunks_scanned, 64);
         assert_eq!(p.bitmap_matches, 2);
         assert_eq!(p.dispatch_width, 17);
@@ -170,7 +107,6 @@ mod tests {
         assert_eq!(p.warm_hits, 5);
         assert_eq!(p.io_batches, 6);
         assert_eq!(p.io_coalesced_pages, 11);
-        assert_eq!(p.io_queue_sheds, 2);
         let json = p.to_json();
         assert!(json.contains("\"pages_pinned\": 4"), "{json}");
         assert!(json.contains("\"io_batches\": 6"), "{json}");

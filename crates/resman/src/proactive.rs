@@ -8,7 +8,7 @@
 //! that transient overshoot is intended and tested.
 
 use crate::manager::Inner;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Weak;
 use std::thread::JoinHandle;
 
@@ -26,7 +26,7 @@ pub(crate) struct ProactiveWorker {
 
 impl ProactiveWorker {
     pub(crate) fn spawn(inner: Weak<Inner>) -> Self {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let handle = std::thread::Builder::new()
             .name("payg-proactive-unload".into())
             .spawn(move || run(inner, rx))
@@ -36,13 +36,13 @@ impl ProactiveWorker {
     }
 
     pub(crate) fn wake(&self) {
-        // A full channel of pending wakes collapses into one pass anyway;
+        // A backlog of pending wakes collapses into one pass anyway;
         // failure means the worker is gone (manager dropped), which is fine.
         let _ = self.tx.send(Msg::Wake);
     }
 
     pub(crate) fn quiesce(&self) {
-        let (ack_tx, ack_rx) = unbounded();
+        let (ack_tx, ack_rx) = channel();
         if self.tx.send(Msg::Quiesce(ack_tx)).is_ok() {
             let _ = ack_rx.recv();
         }

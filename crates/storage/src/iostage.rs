@@ -3,7 +3,7 @@
 //!
 //! A pool miss never reads the store itself. The pinning thread installs
 //! its single-flight `Loading` slot, then submits a
-//! [`FetchRequest`] to a bounded two-class queue and parks on a completion
+//! [`FetchRequest`] to the submission queue and parks on a completion
 //! *ticket*. A worker pool drains the queue **one coalescible run at a
 //! time**: a worker pops the oldest request together with every queued
 //! request for an adjacent page of the same chain and issues **one ranged
@@ -21,11 +21,9 @@
 //! state, then resolve the ticket), so single-flight waiters are completion
 //! subscribers.
 //!
-//! Two deadline classes order the queue: `Urgent` (a thread is parked on
-//! the ticket) always pops before `Prefetch` (advisory, droppable). The
-//! prefetch side is bounded; a submission beyond the cap is *cancelled* —
-//! the submitter withdraws its `Loading` slot and publishes so any pin that
-//! joined in the meantime re-inspects and loads itself.
+//! Every request has a thread parked on its ticket, so the queue is one
+//! FIFO and nothing in it is ever dropped: its depth is bounded by the pins
+//! in flight, each of which bounds its own wave.
 //!
 //! A batched pin ([`BufferPool::pin_many`](crate::BufferPool::pin_many))
 //! submits all of a call's misses under one queue-lock acquisition and
@@ -50,48 +48,18 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 
-/// Default I/O depth: worker threads, hence physical reads in flight.
+/// Default I/O depth ([`PoolConfig::io_workers`](crate::PoolConfig)):
+/// worker threads, hence physical reads in flight.
 /// I/O workers block on the device, so they are sized by how many reads the
 /// store can overlap, not by CPU count. Chosen from the sweep recorded in
 /// DESIGN.md §11 ({2, 4, 8, 16} workers on `cold_pressure`: throughput
 /// rises up to 8 and is flat beyond).
-const DEFAULT_IO_WORKERS: usize = 8;
+pub(crate) const DEFAULT_IO_WORKERS: usize = 8;
 
 /// Longest ranged read one worker issues. Bounds the bytes charged in
-/// flight per read and splits a long consecutive backlog (a scan's
-/// read-ahead window) over several workers.
+/// flight per read and splits a long consecutive backlog (a scan's wave)
+/// over several workers.
 const MAX_RUN_PAGES: u64 = 16;
-
-/// Tuning for the cold-path I/O stage. [`Default`] matches
-/// [`PoolConfig::default`](crate::PoolConfig): 8 workers (the measured
-/// I/O depth, `DEFAULT_IO_WORKERS`), a 256-entry prefetch backlog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IoStageConfig {
-    /// I/O worker threads draining the submission queue. `0` makes the
-    /// stage caller-drained: every submit runs the queue on its own thread
-    /// (what model-check builds use; nothing overlaps).
-    pub workers: usize,
-    /// Prefetch-class backlog bound; submissions beyond it are cancelled.
-    /// Urgent requests are never dropped.
-    pub queue_cap: usize,
-}
-
-impl Default for IoStageConfig {
-    fn default() -> Self {
-        IoStageConfig { workers: DEFAULT_IO_WORKERS, queue_cap: 256 }
-    }
-}
-
-/// How a completed fetch is delivered — which is also its deadline class.
-pub(crate) enum Completion {
-    /// Urgent: a pin is parked on this ticket; resolve the given slot of it
-    /// with the pinned frame or the raw load error. Pops before any
-    /// prefetch and is never dropped.
-    Ticket(Arc<Ticket>, usize),
-    /// Advisory read-ahead: droppable when the backlog is full, completes
-    /// by leaving the frame resident and releasing the registration pin.
-    Advisory,
-}
 
 /// One queued cold-path fetch.
 pub(crate) struct FetchRequest {
@@ -99,11 +67,14 @@ pub(crate) struct FetchRequest {
     /// The single-flight slot this request owns; completion publishes or
     /// fails it (with the usual pointer-identity ABA guard).
     pub ls: Arc<LoadState>,
-    pub completion: Completion,
+    /// The submitting pin's completion latch and this request's slot of it:
+    /// resolved with the pinned frame or the raw load error.
+    pub ticket: Arc<Ticket>,
+    pub slot: usize,
     /// Originating span id (0 = none), captured at submit time on the
-    /// pinning/prefetching thread. Completions tag their events with it so
-    /// a coalesced batch records *every* beneficiary query, not just the
-    /// one whose miss triggered the physical read.
+    /// pinning thread. Completions tag their events with it so a coalesced
+    /// batch records *every* beneficiary query, not just the one whose miss
+    /// triggered the physical read.
     pub span: u64,
 }
 
@@ -162,38 +133,35 @@ impl Ticket {
 }
 
 struct QueueState {
-    urgent: VecDeque<FetchRequest>,
-    prefetch: VecDeque<FetchRequest>,
+    pending: VecDeque<FetchRequest>,
     closed: bool,
 }
 
-/// The two-class bounded submission queue.
+/// The submission queue.
 struct IoQueue {
     state: Mutex<QueueState>,
     cv: Condvar,
-    prefetch_cap: usize,
     /// Worker threads draining this queue (how many a burst can wake).
     workers: usize,
 }
 
 impl IoQueue {
-    fn new(prefetch_cap: usize, workers: usize) -> Arc<Self> {
+    fn new(workers: usize) -> Arc<Self> {
         Arc::new(IoQueue {
             state: Mutex::with_rank(
-                QueueState { urgent: VecDeque::new(), prefetch: VecDeque::new(), closed: false },
+                QueueState { pending: VecDeque::new(), closed: false },
                 LockRank::IoQueue,
             ),
             cv: Condvar::new(),
-            prefetch_cap,
             workers,
         })
     }
 
-    /// Enqueues a burst of urgent requests (always accepted) under one
-    /// lock acquisition and wakes one worker per coalescible run queued —
-    /// consecutive pages of one chain, in submission order, ride one read.
-    /// Returns the queue depth after the push.
-    fn push_urgent(&self, reqs: Vec<FetchRequest>) -> usize {
+    /// Enqueues the requests of one pin call under one lock acquisition and
+    /// wakes one worker per coalescible run queued — consecutive pages of
+    /// one chain, in submission order, ride one read. Returns the queue
+    /// depth after the push.
+    fn push(&self, reqs: Vec<FetchRequest>) -> usize {
         let mut st = self.state.lock();
         let mut runs = 0usize;
         let mut prev: Option<PageKey> = None;
@@ -203,9 +171,9 @@ impl IoQueue {
             });
             runs += usize::from(!adjacent);
             prev = Some(req.key);
-            st.urgent.push_back(req);
+            st.pending.push_back(req);
         }
-        let depth = st.urgent.len() + st.prefetch.len();
+        let depth = st.pending.len();
         if runs >= self.workers {
             self.cv.notify_all();
         } else {
@@ -216,30 +184,16 @@ impl IoQueue {
         depth
     }
 
-    /// Enqueues a prefetch request, or hands it back when the backlog is
-    /// full or the stage is shutting down (the caller cancels).
-    fn push_prefetch(&self, req: FetchRequest) -> Result<usize, FetchRequest> {
-        let mut st = self.state.lock();
-        if st.closed || st.prefetch.len() >= self.prefetch_cap {
-            return Err(req);
-        }
-        st.prefetch.push_back(req);
-        let depth = st.urgent.len() + st.prefetch.len();
-        self.cv.notify_one();
-        Ok(depth)
-    }
-
-    /// Pops one coalescible run: the oldest request (urgent class first)
-    /// plus every queued request of either class whose page extends it into
-    /// a run of consecutive pages of the same chain, at most
-    /// [`MAX_RUN_PAGES`] long, sorted by page number. Everything else stays
+    /// Pops one coalescible run: the oldest request plus every queued
+    /// request whose page extends it into a run of consecutive pages of the
+    /// same chain, at most [`MAX_RUN_PAGES`] long, sorted by page number. Everything else stays
     /// queued for the sibling workers. On an empty queue a worker (`park`)
     /// blocks until a push or the close, a draining caller gets `None` at
     /// once; `None` also means closed *and* drained.
     fn pop_run(&self, park: bool) -> Option<Vec<FetchRequest>> {
         let mut st = self.state.lock();
         let head = loop {
-            if let Some(r) = st.urgent.pop_front().or_else(|| st.prefetch.pop_front()) {
+            if let Some(r) = st.pending.pop_front() {
                 break r;
             }
             if st.closed || !park {
@@ -254,12 +208,9 @@ impl IoQueue {
         // first queued request per page keeps the run one request per page
         // even if a page were queued twice (the second stays behind).
         while hi - lo + 1 < MAX_RUN_PAGES {
-            let st = &mut *st;
             let mut take = |page: u64| {
-                [&mut st.urgent, &mut st.prefetch].into_iter().find_map(|queue| {
-                    let at = queue.iter().position(|r| r.key == PageKey::new(chain, page))?;
-                    queue.remove(at)
-                })
+                let at = st.pending.iter().position(|r| r.key == PageKey::new(chain, page))?;
+                st.pending.remove(at)
             };
             if let Some(r) = hi.checked_add(1).and_then(&mut take) {
                 hi += 1;
@@ -290,12 +241,12 @@ pub(crate) struct IoStage {
 }
 
 impl IoStage {
-    /// Starts the stage with `config.workers` threads — none in a
-    /// `payg_check` model build, whose deterministic scheduler must not
-    /// race unmanaged threads.
-    pub fn start(pool: &Weak<PoolInner>, config: IoStageConfig) -> IoStage {
-        let workers = if cfg!(payg_check) { 0 } else { config.workers };
-        let queue = IoQueue::new(config.queue_cap.max(1), workers);
+    /// Starts the stage with `workers` threads — none in a `payg_check`
+    /// model build, whose deterministic scheduler must not race unmanaged
+    /// threads.
+    pub fn start(pool: &Weak<PoolInner>, workers: usize) -> IoStage {
+        let workers = if cfg!(payg_check) { 0 } else { workers };
+        let queue = IoQueue::new(workers);
         let handles = (0..workers)
             .map(|i| {
                 let queue = Arc::clone(&queue);
@@ -310,37 +261,20 @@ impl IoStage {
         IoStage { queue, workers: handles }
     }
 
-    /// Submits the urgent (ticketed) requests of one pin call — always
-    /// accepted, one queue-lock acquisition, one worker woken per
-    /// coalescible run. Returns the queue depth after the push.
+    /// Submits the requests of one pin call — one queue-lock acquisition,
+    /// one worker woken per coalescible run. Returns the queue depth after
+    /// the push. With no workers (caller-drained) the submitter, holding no
+    /// lock and no guard, then runs the queue dry itself — its own requests
+    /// and any a concurrent submitter queued meanwhile (whose ticket wait
+    /// then returns as soon as this thread has completed them).
     pub fn submit(&self, pool: &Arc<PoolInner>, reqs: Vec<FetchRequest>) -> usize {
-        let depth = self.queue.push_urgent(reqs);
-        self.drain_unstaffed(pool);
-        depth
-    }
-
-    /// Submits an advisory prefetch, handed back for cancellation when the
-    /// backlog is full. Returns the queue depth after an accepted push.
-    pub fn submit_prefetch(
-        &self,
-        pool: &Arc<PoolInner>,
-        req: FetchRequest,
-    ) -> Result<usize, FetchRequest> {
-        let depth = self.queue.push_prefetch(req)?;
-        self.drain_unstaffed(pool);
-        Ok(depth)
-    }
-
-    /// Caller-drained mode: with no workers the submitter, holding no lock
-    /// and no guard, runs the queue dry itself — its own requests and any a
-    /// concurrent submitter queued meanwhile (whose ticket wait then
-    /// returns as soon as this thread has completed them).
-    fn drain_unstaffed(&self, pool: &Arc<PoolInner>) {
+        let depth = self.queue.push(reqs);
         if self.workers.is_empty() {
             while let Some(run) = self.queue.pop_run(false) {
                 process_run(pool, run);
             }
         }
+        depth
     }
 }
 
@@ -362,11 +296,10 @@ impl Drop for IoStage {
 
 fn worker_loop(pool: &Weak<PoolInner>, queue: &Arc<IoQueue>) {
     while let Some(run) = queue.pop_run(true) {
+        // Every queued request has a submitter parked on its ticket, and a
+        // submitter holds the pool.
         let Some(pool) = pool.upgrade() else {
-            // Pool destruction in progress: no ticket can exist (tickets
-            // are only held by live pins), so leftover advisory requests
-            // are simply dropped.
-            continue;
+            unreachable!("a request outlived the pool its submitter holds")
         };
         process_run(&pool, run);
     }
@@ -451,9 +384,8 @@ fn fetch_with_retry(
 }
 
 /// Completes one request — the pool's one publish/fail sequence (insert
-/// `Resident` — releasing an advisory request's registration pin — or
-/// withdraw the `Loading` slot and quarantine, then publish or fail the load
-/// state), then ticket resolution.
+/// `Resident`, or withdraw the `Loading` slot and quarantine, then publish
+/// or fail the load state), then ticket resolution.
 /// `batch` is the coalesced read's batch id, tagged onto the completion
 /// event so every beneficiary request records which physical read served it.
 fn complete(pool: &Arc<PoolInner>, req: FetchRequest, outcome: StorageResult<Box<[u8]>>, batch: u64) {
@@ -465,14 +397,6 @@ fn complete(pool: &Arc<PoolInner>, req: FetchRequest, outcome: StorageResult<Box
                 .lock()
                 .slots
                 .insert(req.key, Slot::Resident(Arc::clone(&frame)));
-            // An advisory frame is held by nobody: its registration pin goes
-            // before the completion becomes observable, so "every submitted
-            // request has completed" implies "the stage holds no pin". (A
-            // waiter that joined this load re-inspects after the publish and
-            // pins the frame itself — or reloads it, had it been evicted.)
-            if matches!(req.completion, Completion::Advisory) {
-                frame.resource.unpin();
-            }
             // Count the completion before publishing: the publish wakes the
             // submitter, which may read the metrics immediately.
             pool.metrics.io_completions.inc();
@@ -486,9 +410,7 @@ fn complete(pool: &Arc<PoolInner>, req: FetchRequest, outcome: StorageResult<Box
             );
             req.ls.publish();
             // The registration pin rides the ticket to the submitter.
-            if let Completion::Ticket(ticket, slot) = req.completion {
-                ticket.resolve(slot, Ok(frame));
-            }
+            req.ticket.resolve(req.slot, Ok(frame));
         }
         Err(err) => {
             let shared = err.to_shared();
@@ -519,10 +441,7 @@ fn complete(pool: &Arc<PoolInner>, req: FetchRequest, outcome: StorageResult<Box
                 batch,
             );
             req.ls.fail(shared);
-            match req.completion {
-                Completion::Ticket(ticket, slot) => ticket.resolve(slot, Err(err)),
-                Completion::Advisory => {}
-            }
+            req.ticket.resolve(req.slot, Err(err));
         }
     }
 }

@@ -32,7 +32,6 @@ pub mod sync;
 pub use chain::{ChainRef, ChainWriter};
 pub use checksum::{crc32, page_checksum, Crc32};
 pub use error::{FaultClass, StorageError, StorageResult};
-pub use iostage::IoStageConfig;
 pub use metrics::{PoolMetrics, ShardMetrics};
 pub use page::{ChainId, PageKey, PageKeyHasher, PageMap};
 pub use pool::{

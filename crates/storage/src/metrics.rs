@@ -16,7 +16,6 @@ pub(crate) struct MetricCounters {
     pub loads: Counter,
     pub bytes_loaded: Counter,
     pub load_waits: Counter,
-    pub prefetches: Counter,
     /// Load attempts re-issued after a transient fault.
     pub load_retries: Counter,
     /// Store faults by class — counted per *attempt* (a fault later absorbed
@@ -35,7 +34,7 @@ pub(crate) struct MetricCounters {
     pub pin_ns: Histogram,
     /// Cold pin latency in nanoseconds — pins that started or joined a load.
     pub load_ns: Histogram,
-    /// Fetch requests submitted to the I/O stage (urgent + prefetch).
+    /// Fetch requests submitted to the I/O stage.
     pub io_submitted: Counter,
     /// Requests served by a multi-page coalesced read.
     pub io_coalesced: Counter,
@@ -48,9 +47,6 @@ pub(crate) struct MetricCounters {
     pub io_batch_pages: Histogram,
     /// Submission-queue depth, sampled at each submit.
     pub io_queue_depth: Histogram,
-    /// Prefetch submissions shed by the bounded queue (urgent submissions
-    /// are never shed).
-    pub io_shed: Counter,
 }
 
 impl MetricCounters {
@@ -63,7 +59,6 @@ impl MetricCounters {
             loads: registry.counter_labeled(names::POOL_LOADS, l),
             bytes_loaded: registry.counter_labeled(names::POOL_BYTES_LOADED, l),
             load_waits: registry.counter_labeled(names::POOL_LOAD_WAITS, l),
-            prefetches: registry.counter_labeled(names::POOL_PREFETCHES, l),
             load_retries: registry.counter_labeled(names::POOL_LOAD_RETRIES, l),
             faults_transient: fault(FaultClass::Transient.label()),
             faults_corrupt: fault(FaultClass::Corrupt.label()),
@@ -78,7 +73,6 @@ impl MetricCounters {
             io_physical_reads: registry.counter_labeled(names::POOL_IO_PHYSICAL_READS, l),
             io_batch_pages: registry.histogram_labeled(names::POOL_IO_BATCH_PAGES, l),
             io_queue_depth: registry.histogram_labeled(names::POOL_IO_QUEUE_DEPTH, l),
-            io_shed: registry.counter_labeled(names::POOL_IO_SHED, l),
         }
     }
 
@@ -153,8 +147,6 @@ pub struct PoolMetrics {
     pub load_waits: u64,
     /// Shard-lock acquisitions that found the lock held, over all shards.
     pub contended: u64,
-    /// Pages pinned by prefetch workers.
-    pub prefetches: u64,
     /// Load attempts re-issued after a transient fault.
     pub load_retries: u64,
     /// Store faults observed across all classes, counted per attempt
@@ -164,8 +156,8 @@ pub struct PoolMetrics {
     pub quarantine_inserts: u64,
     /// Pins failed fast from quarantine without touching the store.
     pub quarantine_fail_fast: u64,
-    /// Fetch requests submitted to the cold-path I/O stage (urgent demand
-    /// loads plus accepted prefetches). 0 when the stage is disabled.
+    /// Fetch requests submitted to the cold-path I/O stage: one per page a
+    /// pin call was elected to load.
     pub io_submitted: u64,
     /// Requests whose page rode a multi-page coalesced read.
     pub io_coalesced: u64,
@@ -176,7 +168,9 @@ pub struct PoolMetrics {
     /// read counts once. `io_completions / io_physical_reads` is the
     /// stage's coalescing ratio (pages per physical read).
     pub io_physical_reads: u64,
-    /// Prefetch submissions shed by the stage's bounded queue.
+    /// Always 0: the stage sheds nothing (every request has a pin parked on
+    /// it). The field outlives its counter only because the benchmark reads
+    /// it (ROADMAP: drop `iostage.shed` and this field together).
     pub io_shed: u64,
 }
 
@@ -193,7 +187,6 @@ impl PoolMetrics {
             bytes_loaded: self.bytes_loaded.saturating_sub(earlier.bytes_loaded),
             load_waits: self.load_waits.saturating_sub(earlier.load_waits),
             contended: self.contended.saturating_sub(earlier.contended),
-            prefetches: self.prefetches.saturating_sub(earlier.prefetches),
             load_retries: self.load_retries.saturating_sub(earlier.load_retries),
             load_faults: self.load_faults.saturating_sub(earlier.load_faults),
             quarantine_inserts: self.quarantine_inserts.saturating_sub(earlier.quarantine_inserts),
@@ -204,7 +197,7 @@ impl PoolMetrics {
             io_coalesced: self.io_coalesced.saturating_sub(earlier.io_coalesced),
             io_completions: self.io_completions.saturating_sub(earlier.io_completions),
             io_physical_reads: self.io_physical_reads.saturating_sub(earlier.io_physical_reads),
-            io_shed: self.io_shed.saturating_sub(earlier.io_shed),
+            io_shed: 0,
         }
     }
 }

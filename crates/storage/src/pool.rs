@@ -1,6 +1,6 @@
 //! The buffer pool: load-on-miss page frames with RAII pin guards.
 
-use crate::iostage::{Completion, FetchRequest, IoStage, IoStageConfig, Ticket};
+use crate::iostage::{FetchRequest, IoStage, Ticket, DEFAULT_IO_WORKERS};
 use crate::metrics::{MetricCounters, ShardCounters, ShardMetrics};
 use crate::store::{real_sleeper, Sleeper};
 use crate::sync::{Condvar, LockRank, Mutex, MutexGuard, RwLock};
@@ -188,9 +188,11 @@ pub struct PoolConfig {
     pub quarantine_cap: usize,
     /// Where retry backoff is spent; tests inject a recording sleeper.
     pub sleeper: Sleeper,
-    /// The cold-path I/O stage (batched asynchronous fetch) every miss
-    /// goes through.
-    pub io_stage: IoStageConfig,
+    /// Worker threads of the cold-path I/O stage every miss goes through —
+    /// the physical reads in flight at once. `0` makes the stage
+    /// caller-drained: every submit runs the queue on its own thread (what
+    /// model-check builds use; nothing overlaps).
+    pub io_workers: usize,
 }
 
 impl Default for PoolConfig {
@@ -201,7 +203,7 @@ impl Default for PoolConfig {
             quarantine_ttl: 8,
             quarantine_cap: 32,
             sleeper: real_sleeper(),
-            io_stage: IoStageConfig::default(),
+            io_workers: DEFAULT_IO_WORKERS,
         }
     }
 }
@@ -267,9 +269,8 @@ impl PoolInner {
     }
 
     /// Accounts a successfully read page and registers its frame (pinned)
-    /// with the resource manager. The caller owns the registration pin: a
-    /// demand load turns it into the `PageGuard`'s pin, an advisory
-    /// prefetch releases it once the frame is in its slot.
+    /// with the resource manager. The caller owns the registration pin: it
+    /// rides the ticket to the submitter and becomes its `PageGuard`'s pin.
     pub(crate) fn admit_frame(self: &Arc<Self>, key: PageKey, data: Box<[u8]>) -> Arc<Frame> {
         self.metrics.loads.inc();
         self.metrics.bytes_loaded.add(data.len() as u64);
@@ -418,7 +419,7 @@ impl BufferPool {
             registry,
             label: pool_label,
             pins: PinTracker::new(),
-            stage: IoStage::start(weak, config.io_stage),
+            stage: IoStage::start(weak, config.io_workers),
         });
         BufferPool { inner }
     }
@@ -576,7 +577,7 @@ impl BufferPool {
     /// accounting as pinning the keys one after another (`hits + misses ==
     /// keys.len()`, one load per absent page), but the misses overlap: one
     /// pass classifies every key (hit / in flight / absent), all absent
-    /// pages go to the I/O stage as **one wave** of urgent requests under a
+    /// pages go to the I/O stage as **one wave** of requests under a
     /// single queue-lock acquisition, and the caller parks once until the
     /// wave has landed. N misses cost one hand-off and the slowest read
     /// instead of N hand-offs and the sum of the reads, and adjacent pages
@@ -668,7 +669,7 @@ impl BufferPool {
     /// Fetches the pages this call was elected to load (it installed their
     /// `Loading` slots) and returns the pinned frames — the registration
     /// pin rides along — or each page's raw load error, in `loads` order.
-    /// The misses become one wave of urgent [`FetchRequest`]s and this
+    /// The misses become one wave of [`FetchRequest`]s and this
     /// thread parks once on a multi-slot completion ticket — the store
     /// reads happen in the I/O stage (shard lock *not* held), overlapped
     /// and coalesced with neighboring misses.
@@ -685,12 +686,7 @@ impl BufferPool {
                 self.inner
                     .tracer
                     .emit_tagged(EventKind::IoSubmitted, key.chain.0, key.page_no, 0, span, 0);
-                FetchRequest {
-                    key,
-                    ls,
-                    completion: Completion::Ticket(Arc::clone(&ticket), slot),
-                    span,
-                }
+                FetchRequest { key, ls, ticket: Arc::clone(&ticket), slot, span }
             })
             .collect();
         let depth = self.inner.stage.submit(&self.inner, requests);
@@ -711,61 +707,6 @@ impl BufferPool {
         // the worker is starved. (The wave's own frames are still pinned.)
         self.inner.resman.assist_proactive();
         frames
-    }
-
-    /// Submits an advisory prefetch for `key` to the I/O stage. Returns
-    /// `true` when a fetch was queued; `false` when the page is already
-    /// resident, loading, or quarantined, or when the prefetch backlog is
-    /// full (the request is then *cancelled*: the just-installed load slot
-    /// is withdrawn and published so pins that joined it re-inspect and
-    /// load themselves).
-    ///
-    /// Unlike a pin, an accepted prefetch holds nothing: the loaded frame
-    /// is left resident and unpinned, and errors are dropped (a later pin
-    /// surfaces them). Never blocks on I/O while the stage has workers.
-    pub fn prefetch_submit(&self, key: PageKey) -> bool {
-        let shard = self.inner.shard(key);
-        let ls = {
-            let mut state = shard.lock();
-            if state.quarantine.contains_key(&key) || state.slots.contains_key(&key) {
-                return false;
-            }
-            let ls = LoadState::new();
-            state.slots.insert(key, Slot::Loading(Arc::clone(&ls)));
-            ls
-        };
-        // Prefetches are attributed to the scan-partition span that asked
-        // for them, so explain_analyze sees who dragged in which page.
-        let span = self.inner.tracer.current_span();
-        let req = FetchRequest { key, ls, completion: Completion::Advisory, span };
-        match self.inner.stage.submit_prefetch(&self.inner, req) {
-            Ok(depth) => {
-                self.inner.metrics.io_submitted.inc();
-                self.inner.metrics.prefetches.inc();
-                self.inner.metrics.io_queue_depth.record(depth as u64);
-                self.inner
-                    .tracer
-                    .emit_tagged(EventKind::IoSubmitted, key.chain.0, key.page_no, 0, span, 0);
-                true
-            }
-            Err(req) => {
-                self.inner.metrics.io_shed.inc();
-                // Cancelled: withdraw our Loading slot (pointer-checked
-                // against a newer load), then publish so any pin already
-                // parked on it re-inspects the empty slot and loads itself.
-                {
-                    let mut state = shard.lock();
-                    if matches!(
-                        state.slots.get(&key),
-                        Some(Slot::Loading(cur)) if Arc::ptr_eq(cur, &req.ls)
-                    ) {
-                        state.slots.remove(&key);
-                    }
-                }
-                req.ls.publish();
-                false
-            }
-        }
     }
 
     /// True when the page is currently resident (regardless of pins).
@@ -856,7 +797,6 @@ impl BufferPool {
             bytes_loaded: self.inner.metrics.bytes_loaded.get(),
             load_waits: self.inner.metrics.load_waits.get(),
             contended,
-            prefetches: self.inner.metrics.prefetches.get(),
             load_retries: self.inner.metrics.load_retries.get(),
             load_faults: self.inner.metrics.faults_transient.get()
                 + self.inner.metrics.faults_corrupt.get()
@@ -867,7 +807,7 @@ impl BufferPool {
             io_coalesced: self.inner.metrics.io_coalesced.get(),
             io_completions: self.inner.metrics.io_completions.get(),
             io_physical_reads: self.inner.metrics.io_physical_reads.get(),
-            io_shed: self.inner.metrics.io_shed.get(),
+            io_shed: 0,
         }
     }
 

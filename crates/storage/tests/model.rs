@@ -14,9 +14,7 @@
 
 use payg_check::{thread, Checker};
 use payg_resman::{PoolLimits, ResourceManager};
-use payg_storage::{
-    BufferPool, FaultPlan, FaultyStore, IoStageConfig, MemStore, PageKey, PageStore, PoolConfig,
-};
+use payg_storage::{BufferPool, FaultPlan, FaultyStore, MemStore, PageKey, PageStore};
 use std::sync::Arc;
 
 /// Schedules explored per check: real-pool paths have many yield points,
@@ -254,50 +252,5 @@ fn caller_drained_wave_with_a_corrupt_member_resolves_the_rest_and_leaks_no_pin(
         pool.assert_no_live_pins("model quiesce");
         resman.reactive_unload();
         assert_eq!(pool.resident_pages(), 0, "a leaked pin keeps its page resident");
-    });
-}
-
-#[test]
-fn caller_drained_prefetch_never_strands_a_concurrent_pin() {
-    // Backlog of one: prefetches of two pages race each other and a pin of
-    // the second page. A prefetch is accepted — and then completed by
-    // whichever submitter drains it — or shed with its `Loading` slot
-    // withdrawn and published; either way the pin returns the page.
-    explore(|| {
-        let store = MemStore::new();
-        let chain = store.create_chain(32).expect("create chain");
-        for i in 0..2u8 {
-            store.append_page(chain, &[i; 8]).expect("append page");
-        }
-        let key = move |p: u64| PageKey::new(chain, p);
-        let pool = Arc::new(BufferPool::with_config(
-            Arc::new(store),
-            ResourceManager::new(),
-            PoolConfig {
-                io_stage: IoStageConfig { workers: 0, queue_cap: 1 },
-                ..PoolConfig::default()
-            },
-        ));
-        let prefetchers: Vec<_> = (0..2u64)
-            .map(|i| {
-                let p = Arc::clone(&pool);
-                thread::spawn(move || p.prefetch_submit(key(i)))
-            })
-            .collect();
-        let pinner = {
-            let p = Arc::clone(&pool);
-            thread::spawn(move || assert_eq!(p.pin(key(1)).expect("pin never parks forever")[0], 1))
-        };
-        let accepted: Vec<bool> =
-            prefetchers.into_iter().map(|t| t.join().expect("model thread")).collect();
-        pinner.join().expect("model thread");
-        // Nobody else asks for page 0: resident iff its prefetch was kept.
-        assert_eq!(pool.is_resident(key(0)), accepted[0], "accepted ⇒ completed, shed ⇒ withdrawn");
-        assert!(pool.is_resident(key(1)));
-        let m = pool.metrics();
-        assert_eq!(m.loads, 1 + u64::from(accepted[0]), "single flight through the stage: {m:?}");
-        assert_eq!(m.io_submitted, m.io_completions, "every accepted request completes: {m:?}");
-        assert_eq!(m.prefetches, accepted.iter().filter(|&&a| a).count() as u64);
-        pool.assert_no_live_pins("model quiesce");
     });
 }

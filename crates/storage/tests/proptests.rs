@@ -3,7 +3,7 @@
 
 use payg_resman::{PoolLimits, ResourceManager};
 use payg_storage::{
-    BufferPool, ChainWriter, FaultPlan, FaultyStore, IoStageConfig, MemStore, PageKey, PageStore,
+    BufferPool, ChainWriter, FaultPlan, FaultyStore, MemStore, PageKey, PageStore,
     PoolConfig, RetryPolicy,
 };
 use proptest::prelude::*;
@@ -143,29 +143,19 @@ proptest! {
         if inject {
             store.set_plan(FaultPlan::CorruptPages(vec![PageKey::new(chain, bad)]));
         }
-        let pool_with = |workers: usize| BufferPool::with_config(
+        let pool_with = |io_workers: usize| BufferPool::with_config(
             Arc::clone(&store) as Arc<dyn PageStore>,
             ResourceManager::new(),
-            PoolConfig {
-                io_stage: IoStageConfig { workers, ..IoStageConfig::default() },
-                ..PoolConfig::default()
-            },
+            PoolConfig { io_workers, ..PoolConfig::default() },
         );
         let (threaded, drained) = (pool_with(8), pool_with(0));
-        // Flood the stage with adjacent submissions so completions ride
-        // coalesced ranged reads whenever the workers batch them up. A
-        // caller-drained submission has completed by the time it returns.
-        for p in 0..n {
-            let key = PageKey::new(chain, p);
-            threaded.prefetch_submit(key);
-            prop_assert!(drained.prefetch_submit(key), "nothing queued ahead of it");
-            prop_assert_eq!(drained.is_resident(key), !(inject && p == bad));
-        }
-        for p in 0..n {
-            let key = PageKey::new(chain, p);
-            let a = threaded.pin(key).map(|g| g.to_vec());
-            let b = drained.pin(key).map(|g| g.to_vec());
-            match (a, b) {
+        // One wave over the whole chain: adjacent submissions, so the
+        // completions ride coalesced ranged reads.
+        let keys: Vec<PageKey> = (0..n).map(|p| PageKey::new(chain, p)).collect();
+        let (a, b) = (threaded.pin_many(&keys), drained.pin_many(&keys));
+        for (p, (a, b)) in (0..n).zip(a.into_iter().zip(b)) {
+            prop_assert_eq!(drained.is_resident(keys[p as usize]), !(inject && p == bad));
+            match (a.map(|g| g.to_vec()), b.map(|g| g.to_vec())) {
                 (Ok(x), Ok(y)) => {
                     prop_assert_eq!(&x, &y, "page {} bytes diverge", p);
                     let want = &pages[p as usize];
@@ -189,7 +179,7 @@ proptest! {
             let m = pool.metrics();
             prop_assert_eq!(m.loads, n - failed, "every good page loaded exactly once");
             prop_assert_eq!(m.io_completions, m.io_submitted,
-                "every accepted submission completes: {:?}", m);
+                "every submission completes: {:?}", m);
             prop_assert!(m.io_physical_reads <= m.io_completions,
                 "coalescing never issues more reads than requests: {:?}", m);
             pool.assert_no_live_pins("staged proptest quiesce");
@@ -200,7 +190,7 @@ proptest! {
     /// same bytes or the same typed error, the same `hits` / `misses` /
     /// `loads`, and no pin outlives its guard — over arbitrary key lists
     /// (duplicates, unsorted, two chains) against pages that are resident,
-    /// absent, in flight (an accepted prefetch) or quarantined, with
+    /// absent, in flight (a concurrent wave) or quarantined, with
     /// transient outages absorbed by the retry policy and corrupt pages
     /// failing alone.
     #[test]
@@ -262,13 +252,21 @@ proptest! {
                 }),
                 _ => {}
             }
-            // Loads in flight (or just landed) when the pins arrive.
-            for k in inflight.iter().map(key).filter(|k| !corrupt.contains(k)) {
-                pool.prefetch_submit(k);
-            }
         }
-        let got = batched.pin_many(&keys);
-        let want: Vec<_> = keys.iter().map(|&k| sequential.pin(k)).collect();
+        // Loads in flight (or just landed) when the pins arrive: a second
+        // thread pins `inflight` the same way while this one pins `keys`.
+        let racing: Vec<PageKey> =
+            inflight.iter().map(key).filter(|k| !corrupt.contains(k)).collect();
+        let (got, want) = std::thread::scope(|s| {
+            let racer = s.spawn(|| {
+                drop(batched.pin_many(&racing));
+                racing.iter().for_each(|&k| drop(sequential.pin(k)));
+            });
+            let got = batched.pin_many(&keys);
+            let want: Vec<_> = keys.iter().map(|&k| sequential.pin(k)).collect();
+            racer.join().expect("racing pinner");
+            (got, want)
+        });
         prop_assert_eq!(got.len(), keys.len());
         for ((k, a), b) in keys.iter().zip(&got).zip(&want) {
             match (a, b) {
@@ -286,15 +284,6 @@ proptest! {
                 (a, b) => prop_assert!(
                     false, "{:?}: batched ok={} sequential ok={}", k, a.is_ok(), b.is_ok()
                 ),
-            }
-        }
-        // A prefetch of a page nobody pinned may still be in the stage: let
-        // both drain before comparing counters. (A completion is counted
-        // after the advisory pin is released, so drained also means the
-        // stage holds no pin.)
-        for pool in [&batched, &sequential] {
-            while pool.metrics().io_completions < pool.metrics().io_submitted {
-                std::thread::yield_now();
             }
         }
         let (a, b) = (batched.metrics(), sequential.metrics());

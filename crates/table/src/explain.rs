@@ -195,8 +195,8 @@ impl ExplainAnalyze {
             }
         }
         out.push_str(&format!(
-            "├─ io: batches initiated={} joined={} coalesced_pages={} queue_sheds={}\n",
-            self.batches_initiated, self.batches_joined, p.io_coalesced_pages, p.io_queue_sheds
+            "├─ io: batches initiated={} joined={} coalesced_pages={}\n",
+            self.batches_initiated, self.batches_joined, p.io_coalesced_pages
         ));
         out.push_str("└─ spans:\n");
         let mut children: BTreeMap<u64, Vec<&SpanRecord>> = BTreeMap::new();

@@ -9,7 +9,7 @@
 //!
 //! The pass is deliberately direct-only (no call resolution): a `let`
 //! binding produced by `.pin(..)`, `.pin_many(..)` (a wave: the binding
-//! holds every guard of the batch), `get_or_pin(..)`, or the pool's
+//! holds every guard of the batch), or the pool's
 //! `.guard(..)` constructor in `crates/storage` / `crates/core` library code is
 //! tracked to the end of its block (or `drop(name)`); any blocking event
 //! inside that region is flagged — so a phase that parks, locks or pins its
@@ -17,9 +17,9 @@
 //! `.pin_many_into(keys, &mut out)` fills a caller-owned vector instead of
 //! returning one: its `out` argument (a local or a field path, named by its
 //! last segment) is tracked the same way, from the call's statement to the
-//! end of the block the call sits in. Architectural guard-holding (the scan
-//! guard cache) lives in struct fields no pin call writes to directly, and
-//! is not flagged.
+//! end of the block the call sits in. Architectural guard-holding (the
+//! scan iterator's one current page) lives in a struct field assigned from
+//! such a binding, not by a pin call directly, and is not flagged.
 
 use super::lexer::{Tok, TokKind};
 use super::report::Sink;
@@ -171,11 +171,11 @@ fn statement_pins(stmt: &[Tok]) -> bool {
                 && stmt.get(k + 1).is_some_and(|x| x.is_ident(name))
                 && stmt.get(k + 2).is_some_and(|x| x.is_punct('('))
         };
-        if dot_call("pin") || dot_call("pin_many") || dot_call("get_or_pin") {
+        if dot_call("pin") || dot_call("pin_many") {
             // Accounting pins are not guard producers: `resource.pin()`
             // bumps a resource handle's pin word and returns bool;
-            // `pins.pin(..)` registers with the leak tracker. Only
-            // pool/cache pins yield guards.
+            // `pins.pin(..)` registers with the leak tracker. Only pool
+            // pins yield guards.
             let receiver_is_accounting = k > 0
                 && (stmt[k - 1].is_ident("resource") || stmt[k - 1].is_ident("pins"));
             if !receiver_is_accounting {
@@ -278,7 +278,7 @@ mod tests {
 
     #[test]
     fn wait_and_submit_are_events() {
-        let src = "fn f(&self) {\n    let g = cache.get_or_pin(p, pin_fn)?;\n    let t = stage.submit(req);\n    ticket.wait();\n    touch(g, t);\n}\n";
+        let src = "fn f(&self) {\n    let g = self.pool.pin(key)?;\n    let t = stage.submit(req);\n    ticket.wait();\n    touch(g, t);\n}\n";
         let got = run_src("crates/core/src/datavec/paged.rs", src);
         assert_eq!(got.len(), 2, "{got:?}");
     }

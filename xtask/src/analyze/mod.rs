@@ -468,9 +468,9 @@ mod tests {
         // A pin hoisted above the loop is the intended shape.
         let ok = "fn f() {\n    let g = pool.pin(key);\n    for c in g.chunks() {\n        use_chunk(c);\n    }\n}\n";
         assert!(analyze_str("crates/core/src/datavec/paged.rs", ok).is_empty());
-        // get_or_pin (the guard cache) is not a raw pool pin.
-        let cached = "fn f() {\n    for p in 0..n {\n        let g = self.guards.get_or_pin(p, pin_fn);\n    }\n}\n";
-        assert!(analyze_str("crates/core/src/datavec/paged.rs", cached).is_empty());
+        // A wave is not a per-page pool pin.
+        let waved = "fn f() {\n    for wave in waves {\n        pool.pin_many_into(&keys, &mut guards);\n    }\n}\n";
+        assert!(analyze_str("crates/core/src/datavec/paged.rs", waved).is_empty());
         // Suppression with a reason is honored.
         let sup = "fn f() {\n    for p in 0..n {\n        // lint: allow(pin-in-loop) boundary repin\n        let g = pool.pin(key);\n    }\n}\n";
         assert!(analyze_str("crates/core/src/datavec/paged.rs", sup).is_empty());

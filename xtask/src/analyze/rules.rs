@@ -246,9 +246,10 @@ pub fn run(rel: &Path, lexed: &Lexed, info: &FileInfo, sink: &Sink<'_>) {
             sink.emit(
                 "pin-in-loop",
                 toks[i + 1].line,
-                "pool pin inside a per-chunk loop: warm scans must pin \
-                 each page once per run — hoist into a per-page helper \
-                 (guard cache / reposition) or suppress with a reason",
+                "pool pin inside a per-chunk loop: scans must pin each \
+                 page once per run — hoist into a per-page helper \
+                 (reposition), pin the pages as a wave, or suppress with \
+                 a reason",
             );
         }
     }

@@ -72,7 +72,7 @@ impl ResidentColumn {
         }
         // Full column load: every structure is read in its entirety.
         let data = self.parts.data.decode_all_direct()?;
-        let dict = InMemoryDict::from_sorted_keys(self.parts.dict.materialize_all_direct()?);
+        let dict = self.parts.dict.materialize_all_direct()?;
         let index = if self.parts.index.current().is_some() {
             // Non-critical data: rebuilt from the critical structures (§8).
             let vids: Vec<u64> = data.iter().collect();
@@ -110,6 +110,13 @@ impl ResidentColumn {
     /// True when the column is currently memory resident.
     pub fn is_loaded(&self) -> bool {
         self.state.lock().is_some()
+    }
+
+    /// Heap bytes of the loaded image, summed now from its three structures
+    /// — the figure the load registered with the resource manager. `None`
+    /// while the column is not loaded.
+    pub fn loaded_bytes(&self) -> Option<usize> {
+        self.state.lock().as_ref().map(|l| l.image.heap_bytes())
     }
 
     /// Drops the resident image voluntarily (reloaded on next access).

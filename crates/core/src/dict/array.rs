@@ -10,7 +10,7 @@
 //! key of every page, `width` bytes each) routes to. No overflow chain, no
 //! helper chains, no per-page transient structure.
 
-use super::DictLookup;
+use super::{DictLookup, InMemoryDict};
 use crate::meta::{MetaReader, MetaWriter};
 use crate::{CoreError, CoreResult, PageConfig};
 use payg_encoding::dispatch::{ChainCodec, CodecKind};
@@ -185,15 +185,16 @@ impl ArrayPages {
             .map_err(|slot| first + slot as u64))
     }
 
-    /// Every key, read straight from the store (the resident column's full
-    /// load).
-    pub(crate) fn read_all(&self, store: &dyn PageStore) -> CoreResult<Vec<Vec<u8>>> {
-        let mut keys = Vec::with_capacity(self.cardinality as usize);
+    /// Appends every key to `keys`, read straight from the store (the
+    /// resident column's full load).
+    pub(crate) fn read_all(&self, store: &dyn PageStore, keys: &mut InMemoryDict) -> CoreResult<()> {
         for page in 0..self.chain.pages {
             let bytes = store.read_page(self.page_key(page))?;
-            keys.extend(self.slots(&bytes, page)?.chunks_exact(self.width).map(<[u8]>::to_vec));
+            for key in self.slots(&bytes, page)?.chunks_exact(self.width) {
+                keys.push(key)?;
+            }
         }
-        Ok(keys)
+        Ok(())
     }
 }
 

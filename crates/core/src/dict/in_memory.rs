@@ -1,38 +1,88 @@
 //! The fully-resident dictionary.
 
+use crate::{CoreError, CoreResult};
+
 /// A sorted, deduplicated, memory-resident dictionary: `vid` → key is an
 /// index access, key → `vid` a binary search. This is the baseline the
 /// paper's default columns use.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The keys are one byte arena in identifier order plus one `u32` end
+/// offset per key — 4 bytes of bookkeeping a key, no per-key allocation —
+/// so a probe touches the offsets it bisects and the bytes it compares, and
+/// [`InMemoryDict::heap_bytes`] is the two capacities.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct InMemoryDict {
-    keys: Vec<Vec<u8>>,
+    /// Every key's bytes, back to back.
+    bytes: Vec<u8>,
+    /// `ends[vid]`: where key `vid` ends in `bytes` (it starts where key
+    /// `vid - 1` ends).
+    ends: Vec<u32>,
+}
+
+/// Where a key of `len` bytes appended at `at` ends — a typed error when
+/// that is past what the `u32` offsets address.
+fn arena_end(at: usize, len: usize) -> CoreResult<u32> {
+    let end = at as u64 + len as u64;
+    u32::try_from(end).map_err(|_| CoreError::DictTooLarge { key_bytes: end })
 }
 
 impl InMemoryDict {
+    /// An empty dictionary with room for `keys` keys.
+    pub fn with_capacity(keys: usize) -> Self {
+        InMemoryDict { bytes: Vec::new(), ends: Vec::with_capacity(keys) }
+    }
+
+    /// Appends the next key in order. Fails, leaving the dictionary as it
+    /// was, when the keys together would reach 2³² bytes.
+    ///
+    /// # Panics
+    /// Debug-panics when `key` is not above the last key.
+    pub fn push(&mut self, key: &[u8]) -> CoreResult<()> {
+        debug_assert!(
+            self.is_empty() || self.key(self.cardinality() - 1) < key,
+            "keys must be strictly increasing"
+        );
+        let end = arena_end(self.bytes.len(), key.len())?;
+        self.bytes.extend_from_slice(key);
+        self.ends.push(end);
+        Ok(())
+    }
+
+    /// Gives back the arena's growth slack: afterwards the dictionary holds
+    /// the key bytes and four bytes per key, no more.
+    pub fn shrink_to_fit(&mut self) {
+        self.bytes.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+
     /// Builds from keys that are already sorted and deduplicated.
     ///
     /// # Panics
     /// Debug-panics when keys are not strictly increasing.
-    pub fn from_sorted_keys(keys: Vec<Vec<u8>>) -> Self {
-        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys must be strictly increasing");
-        InMemoryDict { keys }
+    pub fn from_sorted_keys<K: AsRef<[u8]>>(keys: &[K]) -> CoreResult<Self> {
+        let mut dict = InMemoryDict::with_capacity(keys.len());
+        dict.bytes.reserve_exact(keys.iter().map(|k| k.as_ref().len()).sum());
+        for key in keys {
+            dict.push(key.as_ref())?;
+        }
+        Ok(dict)
     }
 
     /// Builds from arbitrary keys (sorts and deduplicates).
-    pub fn from_keys(mut keys: Vec<Vec<u8>>) -> Self {
+    pub fn from_keys(mut keys: Vec<Vec<u8>>) -> CoreResult<Self> {
         keys.sort();
         keys.dedup();
-        InMemoryDict { keys }
+        Self::from_sorted_keys(&keys)
     }
 
     /// Number of distinct values.
     pub fn cardinality(&self) -> u64 {
-        self.keys.len() as u64
+        self.ends.len() as u64
     }
 
     /// True when the dictionary holds no values.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.ends.is_empty()
     }
 
     /// The key encoded by `vid`.
@@ -40,28 +90,38 @@ impl InMemoryDict {
     /// # Panics
     /// Panics when `vid` is out of bounds.
     pub fn key(&self, vid: u64) -> &[u8] {
-        &self.keys[vid as usize]
+        self.slot(vid as usize)
+    }
+
+    fn slot(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.bytes[start..self.ends[i] as usize]
     }
 
     /// Finds `key`: `Ok(vid)` on a hit, `Err(insertion_vid)` on a miss
     /// (the number of dictionary keys strictly below `key`).
     pub fn find(&self, key: &[u8]) -> Result<u64, u64> {
-        match self.keys.binary_search_by(|k| k.as_slice().cmp(key)) {
-            Ok(i) => Ok(i as u64),
-            Err(i) => Err(i as u64),
+        let (mut lo, mut hi) = (0, self.ends.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            match self.slot(mid).cmp(key) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Equal => return Ok(mid as u64),
+                std::cmp::Ordering::Greater => hi = mid,
+            }
         }
+        Err(lo as u64)
     }
 
     /// All keys in order.
     pub fn keys(&self) -> impl ExactSizeIterator<Item = &[u8]> {
-        self.keys.iter().map(|k| k.as_slice())
+        (0..self.ends.len()).map(|i| self.slot(i))
     }
 
     /// Heap footprint in bytes (what the resident column registers with the
     /// resource manager).
     pub fn heap_bytes(&self) -> usize {
-        self.keys.len() * std::mem::size_of::<Vec<u8>>()
-            + self.keys.iter().map(|k| k.capacity()).sum::<usize>()
+        self.bytes.capacity() + self.ends.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -77,6 +137,7 @@ mod tests {
             b"bravo".to_vec(),
             b"alpha".to_vec(), // duplicate
         ])
+        .unwrap()
     }
 
     #[test]
@@ -107,8 +168,19 @@ mod tests {
 
     #[test]
     fn empty_dict() {
-        let d = InMemoryDict::from_keys(vec![]);
+        let d = InMemoryDict::from_keys(vec![]).unwrap();
         assert!(d.is_empty());
         assert_eq!(d.find(b"x"), Err(0));
+        assert_eq!(d.heap_bytes(), 0);
+    }
+
+    #[test]
+    fn four_gib_of_keys_is_a_typed_error() {
+        assert_eq!(arena_end(10, 4).unwrap(), 14);
+        assert_eq!(arena_end(u32::MAX as usize - 4, 4).unwrap(), u32::MAX);
+        assert!(matches!(
+            arena_end(u32::MAX as usize - 3, 4),
+            Err(CoreError::DictTooLarge { key_bytes }) if key_bytes == 1 << 32
+        ));
     }
 }

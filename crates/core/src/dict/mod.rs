@@ -6,8 +6,8 @@
 //! [`crate::value::Value::to_key`]), so one ordering — `memcmp` — serves
 //! all column types.
 //!
-//! * [`InMemoryDict`] is the fully-resident baseline: a sorted key vector
-//!   with binary search.
+//! * [`InMemoryDict`] is the fully-resident baseline: the sorted keys in
+//!   one byte arena with an end offset per key, binary-searched.
 //! * [`PagedDictionary`] is the page-loadable form, in the layout the
 //!   column's type picks. Strings: a chain of dictionary pages of
 //!   prefix-encoded value blocks, an overflow chain for large values, and

@@ -33,14 +33,16 @@
 //! When a sampled compression ratio clears
 //! [`crate::config::FSST_SKIP_RATIO`] — the builder's decision, taken from
 //! the keys — the dictionary chain's value blocks hold **FSST-compressed**
-//! keys: front-coding, overflow spill and
-//! equality probes all run on compressed bytes (deterministic encoding makes
-//! compressed equality ⇔ raw equality), and only ordering comparisons and
-//! materialization decompress. The trained symbol table travels in the
-//! checkpoint metadata *and* as the chain's format-2 codec descriptor. The
-//! helper chains keep raw separators, so page routing is codec-blind.
+//! keys: front-coding and overflow spill run on compressed bytes, a lookup
+//! orders the raw probe against the compressed entries as they lie (the
+//! decoder is streamed against the probe: nothing is decoded into a buffer
+//! and the probe is never encoded), and only materialization decompresses.
+//! The trained symbol table travels in the checkpoint metadata *and* as the
+//! chain's format-2 codec descriptor. The helper chains keep raw
+//! separators: the same search runs on them without a table.
 
 use super::array::ArrayPages;
+use super::InMemoryDict;
 use crate::{CoreError, CoreResult, DataType, PageConfig};
 use payg_encoding::dispatch::{ChainCodec, CodecKind};
 use payg_encoding::fsst::SymbolTable;
@@ -48,7 +50,6 @@ use payg_encoding::prefix::{OverflowRef, ValueBlock, ValueBlockBuilder, ValueBlo
 use payg_encoding::EncodingError;
 use payg_obs::names;
 use payg_storage::{BufferPool, ChainRef, PageGuard, PageKey, PageMap, PageStore, StorageError};
-use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -56,30 +57,61 @@ use std::sync::Arc;
 /// number of dictionary keys strictly below the probe — on a miss.
 pub type DictLookup = Result<u64, u64>;
 
+/// Handles a [`HandleCache`] keeps without a heap allocation: a point lookup
+/// pins a helper page and a dictionary page (and, for a large value, its
+/// overflow pages).
+const INLINE_HANDLES: usize = 4;
+
 /// Per-iterator page-handle cache (paper §3.2.3): pinned pages are reused
 /// for the lifetime of the cache and released when it is dropped, keeping
 /// the resource manager from unloading pages a batch lookup will revisit.
+/// The first [`INLINE_HANDLES`] handles live in the cache itself; a batch
+/// that pins more spills into a map.
 pub struct HandleCache {
     pool: BufferPool,
-    map: PageMap<PageGuard>,
+    /// Filled front to back.
+    inline: [Option<(PageKey, PageGuard)>; INLINE_HANDLES],
+    spilled: PageMap<PageGuard>,
+    /// The value-block walk's accumulator, kept with the handles so the
+    /// lookups of one iterator share one buffer.
+    acc: Vec<u8>,
 }
 
 impl HandleCache {
     /// Creates an empty cache over `pool`.
     pub fn new(pool: BufferPool) -> Self {
-        HandleCache { pool, map: PageMap::default() }
+        HandleCache {
+            pool,
+            inline: std::array::from_fn(|_| None),
+            spilled: PageMap::default(),
+            acc: Vec::new(),
+        }
+    }
+
+    fn cached(&self, key: PageKey) -> Option<&PageGuard> {
+        let inline = self.inline.iter().map_while(Option::as_ref).find(|(k, _)| *k == key);
+        inline.map(|(_, guard)| guard).or_else(|| self.spilled.get(&key))
+    }
+
+    fn insert(&mut self, key: PageKey, guard: PageGuard) {
+        match self.inline.iter_mut().find(|slot| slot.is_none()) {
+            Some(slot) => *slot = Some((key, guard)),
+            None => {
+                self.spilled.insert(key, guard);
+            }
+        }
     }
 
     /// Pins `key`, reusing a cached handle when present.
     pub fn pin(&mut self, key: PageKey) -> CoreResult<PageGuard> {
         // A clone is a pin of the frame's own pin word (and a touch): no
-        // pool lookup on a cached hit, one map probe either way.
-        Ok(match self.map.entry(key) {
-            Entry::Occupied(cached) => cached.get().clone(),
-            Entry::Vacant(slot) => {
-                slot.insert(self.pool.pin(key).map_err(CoreError::Storage)?).clone()
-            }
-        })
+        // pool lookup on a cached hit.
+        if let Some(guard) = self.cached(key) {
+            return Ok(guard.clone());
+        }
+        let guard = self.pool.pin(key).map_err(CoreError::Storage)?;
+        self.insert(key, guard.clone());
+        Ok(guard)
     }
 
     /// Pins every page of `keys` not cached yet with one batched pin —
@@ -87,26 +119,21 @@ impl HandleCache {
     /// handles.
     pub fn pin_all(&mut self, keys: &[PageKey]) -> CoreResult<()> {
         let missing: Vec<PageKey> =
-            keys.iter().copied().filter(|k| !self.map.contains_key(k)).collect();
+            keys.iter().copied().filter(|&k| self.cached(k).is_none()).collect();
         for (key, guard) in missing.iter().zip(self.pool.pin_many(&missing)) {
-            self.map.insert(*key, guard.map_err(CoreError::Storage)?);
+            self.insert(*key, guard.map_err(CoreError::Storage)?);
         }
         Ok(())
     }
 
     /// Number of cached handles.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.inline.iter().flatten().count() + self.spilled.len()
     }
 
     /// True when no handles are cached.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Releases all cached handles.
-    pub fn clear(&mut self) {
-        self.map.clear();
+        self.len() == 0
     }
 }
 
@@ -176,7 +203,7 @@ impl DictPageView<'_> {
                 self.dict_page
             ))));
         }
-        let block = parse_block_view(self.guard, t.offsets[block_no])?;
+        let block = ValueBlockView::parse(&self.guard[t.offsets[block_no] as usize..])?;
         if slot >= block.len() {
             return Err(CoreError::Storage(StorageError::corrupt(format!(
                 "vid {vid} maps to slot {slot} of a {}-entry block",
@@ -635,7 +662,7 @@ impl Blocks {
             // separator's global index *is* the dictionary page number.
             let guard = cache.pin(PageKey::new(self.value_helper_chain.chain, hp as u64))?;
             let t = page_transient(&guard)?;
-            // Helper separators are always raw, so this search is codec-blind.
+            // Helper separators are always raw.
             let (block_no, pos) = self.lower_bound_on_page(&guard, &t, key, None, cache)?;
             match pos {
                 Ok(i) | Err(i) => t.first_idx + (block_no * BLOCK_CAP + i) as u64,
@@ -644,14 +671,13 @@ impl Blocks {
             0
         };
         debug_assert!(dict_page < self.dict_pages);
-        // Search the single dictionary page — in the compressed domain when
-        // the chain carries FSST blocks (equality on compressed bytes,
-        // ordering via decoded prefixes).
-        let enc_key = self.fsst.as_ref().map(|table| table.encode(key));
+        // Search the single dictionary page — the same search, told that the
+        // entries it orders the raw probe against are FSST-compressed when
+        // the chain carries a symbol table.
         let guard = cache.pin(self.dict_page_key(dict_page))?;
         let t = page_transient(&guard)?;
         let (block_no, pos) =
-            self.lower_bound_on_page(&guard, &t, key, enc_key.as_deref(), cache)?;
+            self.lower_bound_on_page(&guard, &t, key, self.fsst.as_deref(), cache)?;
         let global = |i: usize| t.first_idx + (block_no * BLOCK_CAP + i) as u64;
         Ok(match pos {
             Ok(i) => Ok(global(i)),
@@ -659,11 +685,11 @@ impl Blocks {
         })
     }
 
-    /// Reads the whole dictionary chain directly from `store` and
-    /// materializes every key.
-    fn read_all(&self, store: &dyn PageStore) -> CoreResult<Vec<Vec<u8>>> {
-        let mut keys = Vec::with_capacity(self.cardinality as usize);
+    /// Reads the whole dictionary chain directly from `store`, appending
+    /// every key to `keys` — the owning block decoder, entry by entry.
+    fn read_all(&self, store: &dyn PageStore, keys: &mut InMemoryDict) -> CoreResult<()> {
         let overflow = self.overflow_chain.chain;
+        let mut raw = Vec::new();
         for p in 0..self.dict_pages {
             let page = store.read_page(self.dict_page_key(p))?;
             let (t, _) = PageTransient::parse(&page)?;
@@ -682,72 +708,61 @@ impl Blocks {
                             }
                         }
                     };
-                    match block.materialize(i, &mut fetch) {
-                        Ok(k) => keys.push(match &self.fsst {
-                            Some(table) => table.decode(&k)?,
-                            None => k,
-                        }),
-                        Err(e) => {
-                            return Err(io_err
-                                .take()
-                                .map(CoreError::Storage)
-                                .unwrap_or(CoreError::Encoding(e)))
+                    let stored = block.materialize(i, &mut fetch).map_err(|e| {
+                        io_err.take().map(CoreError::Storage).unwrap_or(CoreError::Encoding(e))
+                    })?;
+                    match &self.fsst {
+                        Some(table) => {
+                            raw.clear();
+                            table.decode_into(&stored, &mut raw)?;
+                            keys.push(&raw)?;
                         }
+                        None => keys.push(&stored)?,
                     }
                 }
             }
         }
-        Ok(keys)
+        Ok(())
     }
 
     /// Finds the block and in-block position of the first entry `>= key` on
-    /// a page: binary search over blocks by their first entry, then a block
+    /// a page — helper page or dictionary page: binary search over blocks by
+    /// their first entry, compared where it lies, then the block's own
     /// search. Returns `(block_no, Ok(slot))` on an exact hit and
-    /// `(block_no, Err(slot))` for the insertion point. When `enc_key` is
-    /// given the page's blocks hold FSST-compressed entries and both phases
-    /// use the compressed-domain probes.
+    /// `(block_no, Err(slot))` for the insertion point. `table` is the
+    /// symbol table when the page's entries are FSST-compressed.
     fn lower_bound_on_page(
         &self,
         page: &PageGuard,
         t: &PageTransient,
         key: &[u8],
-        enc_key: Option<&[u8]>,
+        table: Option<&SymbolTable>,
         cache: &mut HandleCache,
     ) -> CoreResult<(usize, Result<usize, usize>)> {
-        let table = self.fsst.as_deref();
-        // Rightmost block whose first entry is <= key.
-        let mut lo = 0usize;
-        let mut hi = t.offsets.len(); // exclusive
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            let block = parse_block_view(page, t.offsets[mid])?;
-            let cmp = match (enc_key, table) {
-                (Some(_), Some(table)) => self.with_overflow_fetch(cache, |fetch| {
-                    block.compare_first_compressed(key, table, fetch)
-                })?,
-                _ => self.with_overflow_fetch(cache, |fetch| block.compare_first(key, fetch))?,
-            };
-            if cmp == std::cmp::Ordering::Greater {
-                hi = mid;
-            } else {
-                lo = mid;
+        let block_at = |no: usize| ValueBlockView::parse(&page[t.offsets[no] as usize..]);
+        let mut acc = std::mem::take(&mut cache.acc);
+        let found = self.with_overflow_fetch(cache, |fetch| {
+            // Rightmost block whose first entry is <= key.
+            let mut lo = 0usize;
+            let mut hi = t.offsets.len(); // exclusive
+            while hi - lo > 1 {
+                let mid = (lo + hi) / 2;
+                match block_at(mid)?.cmp_first(key, table, &mut acc, fetch)? {
+                    std::cmp::Ordering::Less => lo = mid,
+                    std::cmp::Ordering::Equal => return Ok((mid, Ok(0))),
+                    std::cmp::Ordering::Greater => hi = mid,
+                }
             }
-        }
-        let block = parse_block_view(page, t.offsets[lo])?;
-        let pos = match (enc_key, table) {
-            (Some(ek), Some(table)) => self.with_overflow_fetch(cache, |fetch| {
-                block.find_compressed(key, ek, table, fetch)
-            })?,
-            _ => self.with_overflow_fetch(cache, |fetch| block.find(key, fetch))?,
-        };
-        match pos {
-            Err(i) if i == block.len() && lo + 1 < t.offsets.len() => {
+            let block = block_at(lo)?;
+            Ok(match block.lower_bound(key, table, &mut acc, fetch)? {
                 // Key falls past this block: insertion is the next block's
                 // first slot.
-                Ok((lo + 1, Err(0)))
-            }
-            other => Ok((lo, other)),
-        }
+                Err(i) if i == block.len() && lo + 1 < t.offsets.len() => (lo + 1, Err(0)),
+                pos => (lo, pos),
+            })
+        });
+        cache.acc = acc;
+        found
     }
 
     fn helper_pages(&self) -> impl Iterator<Item = PageKey> + '_ {
@@ -993,21 +1008,24 @@ impl PagedDictionary {
     }
 
     /// Reads the whole dictionary directly from the store — no buffer pool,
-    /// no paged resources — and materializes every key. This is the
-    /// full-column-load path of default (fully resident) columns.
-    pub fn materialize_all_direct(&self) -> CoreResult<Vec<Vec<u8>>> {
+    /// no paged resources — into the resident form, key by key as the chain
+    /// yields them. This is the full-column-load path of default (fully
+    /// resident) columns.
+    pub fn materialize_all_direct(&self) -> CoreResult<InMemoryDict> {
         let store = self.pool.store().as_ref();
-        let keys = match &self.layout {
-            Layout::Blocks(b) => b.read_all(store)?,
-            Layout::Array(a) => a.read_all(store)?,
-        };
-        if keys.len() as u64 != self.cardinality() {
+        let mut keys = InMemoryDict::with_capacity(self.cardinality() as usize);
+        match &self.layout {
+            Layout::Blocks(b) => b.read_all(store, &mut keys)?,
+            Layout::Array(a) => a.read_all(store, &mut keys)?,
+        }
+        if keys.cardinality() != self.cardinality() {
             return Err(CoreError::Storage(StorageError::corrupt(format!(
                 "dictionary chain materialized {} keys, expected {}",
-                keys.len(),
+                keys.cardinality(),
                 self.cardinality()
             ))));
         }
+        keys.shrink_to_fit();
         Ok(keys)
     }
 
@@ -1076,10 +1094,6 @@ fn page_transient(guard: &PageGuard) -> CoreResult<Arc<PageTransient>> {
             Ok((t, heap))
         })
         .map_err(CoreError::Storage)
-}
-
-fn parse_block_view<'a>(page: &'a PageGuard, offset: u32) -> CoreResult<ValueBlockView<'a>> {
-    Ok(ValueBlockView::parse(&page[offset as usize..])?)
 }
 
 /// Trains an FSST symbol table on a sample of the (sorted) dictionary keys
@@ -1459,7 +1473,7 @@ mod tests {
         {
             let (_pool, paged, _) = build(&ks, &PageConfig::tiny());
             assert_eq!(paged.codec_kind(), codec, "the keys select the codec");
-            let oracle = crate::dict::InMemoryDict::from_sorted_keys(ks.clone());
+            let oracle = InMemoryDict::from_sorted_keys(&ks).unwrap();
             let mut it = paged.iter();
             for (vid, k) in ks.iter().enumerate() {
                 assert_eq!(it.find(k).unwrap(), Ok(vid as u64), "find {vid}");
@@ -1472,7 +1486,7 @@ mod tests {
                 assert_eq!(it.find(probe).unwrap(), oracle.find(probe), "{codec:?} {probe:?}");
             }
             // Bulk materialization decodes back to the raw keys.
-            assert_eq!(paged.materialize_all_direct().unwrap(), ks);
+            assert_eq!(paged.materialize_all_direct().unwrap(), oracle);
         }
     }
 
@@ -1583,7 +1597,7 @@ mod tests {
         assert_eq!(it.find(&probe(95 * 7 - 700 + 1)).unwrap(), Err(96));
         assert!(matches!(it.key_by_vid(300), Err(CoreError::VidOutOfBounds { vid: 300, .. })));
         assert_eq!(pool.resident_pages(), 4, "every lookup pins dictionary pages only");
-        assert_eq!(dict.materialize_all_direct().unwrap(), ks);
+        assert!(dict.materialize_all_direct().unwrap().keys().eq(ks.iter().map(Vec::as_slice)));
         dict.pin_helpers().unwrap();
         assert!(!dict.helpers_pinned(), "there are no helpers to pin");
 

@@ -31,6 +31,12 @@ pub enum CoreError {
         /// The offered value's type.
         got: crate::DataType,
     },
+    /// A dictionary whose keys together do not fit a resident image: its
+    /// key arena is addressed by `u32` offsets.
+    DictTooLarge {
+        /// Key bytes the load had reached when it gave up.
+        key_bytes: u64,
+    },
     /// A data-vector scan stopped on its first failing page. The address
     /// names the page whose load or read failed; the remaining workers of a
     /// parallel scan observed the shared cancellation flag and quit without
@@ -58,6 +64,9 @@ impl std::fmt::Display for CoreError {
             }
             CoreError::TypeMismatch { expected, got } => {
                 write!(f, "type mismatch: column is {expected:?}, value is {got:?}")
+            }
+            CoreError::DictTooLarge { key_bytes } => {
+                write!(f, "dictionary of {key_bytes} key bytes exceeds the 4 GiB a resident image holds")
             }
             CoreError::ScanAborted { chain, page_no, source } => {
                 write!(f, "scan aborted at chain {chain} page {page_no}: {source}")

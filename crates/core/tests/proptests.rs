@@ -3,7 +3,7 @@
 
 use payg_core::column::ColumnRead;
 use payg_core::datavec::PagedDataVector;
-use payg_core::dict::{HandleCache, PagedDictionary};
+use payg_core::dict::{HandleCache, InMemoryDict, PagedDictionary};
 use payg_core::invidx::{InMemoryInvertedIndex, PagedInvertedIndex};
 use payg_core::{CodecKind, ColumnBuilder, DataType, LoadPolicy, PageConfig, Value, ValuePredicate};
 use payg_encoding::{BitPackedVec, VidSet};
@@ -539,7 +539,7 @@ proptest! {
         );
         prop_assert_eq!(dict.codec_kind(), CodecKind::Array);
         prop_assert_eq!(dict.chains().len(), 1);
-        prop_assert_eq!(dict.materialize_all_direct().unwrap(), keys.clone());
+        prop_assert!(dict.materialize_all_direct().unwrap().keys().eq(keys.iter().map(Vec::as_slice)));
 
         let reopened = PagedDictionary::open(&pool, ty, &dict.meta_bytes()).unwrap();
         let mut probe_keys: Vec<Vec<u8>> =
@@ -579,6 +579,136 @@ proptest! {
             prop_assert_eq!(all, (n > 0).then(|| (0, n - 1)));
         }
         pool.assert_no_live_pins("array dictionary quiesce");
+    }
+}
+
+/// Keys a byte arena has to get right: empty, `0x00` / `0xFF` runs, and keys
+/// that are prefixes of each other.
+fn edgy_key() -> impl Strategy<Value = Vec<u8>> {
+    (prop::collection::vec(prop::sample::select(vec![0x00u8, 0x01, b'a', 0xFE, 0xFF]), 0..6), 0u8..4)
+        .prop_map(|(mut key, cut)| {
+            key.truncate(key.len().saturating_sub(cut as usize));
+            key
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The arena dictionary answers exactly like the sorted `Vec<Vec<u8>>`
+    /// it replaced — hits, insertion points, every key back by identifier,
+    /// the empty dictionary — and accounts for exactly its two buffers.
+    #[test]
+    fn arena_dict_equals_sorted_vec(
+        raw in prop::collection::vec(edgy_key(), 0..60),
+        probes in prop::collection::vec(edgy_key(), 1..30),
+    ) {
+        let mut keys = raw.clone();
+        keys.sort();
+        keys.dedup();
+        let dict = InMemoryDict::from_sorted_keys(&keys).unwrap();
+        prop_assert_eq!(&InMemoryDict::from_keys(raw).unwrap(), &dict);
+        prop_assert_eq!(dict.cardinality(), keys.len() as u64);
+        prop_assert_eq!(dict.is_empty(), keys.is_empty());
+        prop_assert!(dict.keys().eq(keys.iter().map(Vec::as_slice)));
+        for (vid, k) in keys.iter().enumerate() {
+            prop_assert_eq!(dict.key(vid as u64), k.as_slice());
+        }
+        for p in probes.iter().chain(&keys).chain([&Vec::new()]) {
+            let expect = keys.binary_search(p).map(|i| i as u64).map_err(|i| i as u64);
+            prop_assert_eq!(dict.find(p), expect);
+        }
+        // Built to size: the key bytes and four bytes a key, nothing else.
+        let key_bytes: usize = keys.iter().map(Vec::len).sum();
+        prop_assert_eq!(dict.heap_bytes(), key_bytes + 4 * keys.len());
+        // Grown key by key, then trimmed: the same dictionary.
+        let mut grown = InMemoryDict::default();
+        for k in &keys {
+            grown.push(k).unwrap();
+        }
+        prop_assert!(grown.heap_bytes() >= dict.heap_bytes());
+        grown.shrink_to_fit();
+        prop_assert_eq!(grown.heap_bytes(), dict.heap_bytes());
+        prop_assert_eq!(grown, dict);
+    }
+}
+
+static LOWER_BOUND_CODECS: [AtomicU8; 2] = [AtomicU8::new(0), AtomicU8::new(0)];
+
+#[test]
+fn block_lower_bound_equals_binary_search_under_both_codecs() {
+    block_lower_bound_equals_binary_search();
+    // Inline-only chains, then chains with spilled entries.
+    LOWER_BOUND_CODECS.iter().for_each(assert_both_codecs);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `findByValue` through the one block search ≡ binary search of the
+    /// sorted keys, on chains of either codec, with every entry inline and
+    /// with entries spilled off-page — on FSST chains some share their
+    /// whole on-page part, so that only the fetched tail orders them
+    /// against the probe.
+    fn block_lower_bound_equals_binary_search(
+        ids in prop::collection::vec((0u32..120, 0u8..6), 1..200),
+        compressible in any::<bool>(),
+        spill in any::<bool>(),
+    ) {
+        let key_of = |id: u32, tail: u8| {
+            // Incompressible keys share nothing (a repeated stem would make
+            // the builder choose FSST): the noise is seeded per key.
+            let mut x = (u64::from(id * 8 + u32::from(tail)) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut noise = || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x.to_be_bytes()
+            };
+            let mut k = if compressible {
+                format!("material-{id:08}").into_bytes()
+            } else {
+                noise().to_vec()
+            };
+            if spill && tail < 3 {
+                // A stem longer than the inline limit in either form; the
+                // compressible one is the same for every `tail` of an `id`.
+                for i in 0..if compressible { 40 } else { 12 } {
+                    k.extend(if compressible { *b"/segment" } else { noise() });
+                    k.push(b'a' + (id as u8 + i) % 23);
+                }
+                k.push(tail);
+            }
+            k
+        };
+        let mut keys: Vec<Vec<u8>> = ids.iter().map(|&(id, tail)| key_of(id, tail)).collect();
+        keys.sort();
+        keys.dedup();
+        let pool = pool();
+        // Sixteen spilled entries, one overflow pointer each, fit one block.
+        let config = PageConfig { dict_page: 1024, overflow_page: 512, ..PageConfig::tiny() };
+        let (dict, stats) = PagedDictionary::build(&pool, &config, DataType::Varchar, &keys).unwrap();
+        note_codec(&LOWER_BOUND_CODECS[usize::from(stats.overflow_pages > 0)], dict.codec_kind());
+        if spill && ids.iter().any(|&(_, tail)| tail < 3) {
+            prop_assert!(stats.overflow_pages > 0, "long keys must spill off-page");
+        } else {
+            prop_assert_eq!(stats.overflow_pages, 0);
+        }
+        let mut probes = Vec::new();
+        for k in &keys {
+            probes.extend([
+                k.clone(),
+                k[..k.len() - 1].to_vec(),
+                [k.as_slice(), &[0]].concat(),
+                [&k[..k.len() - 1], &[k[k.len() - 1].wrapping_add(1)]].concat(),
+            ]);
+        }
+        probes.extend([Vec::new(), vec![0xFF; 70]]);
+        let mut cache = HandleCache::new(pool.clone());
+        for p in &probes {
+            let expect = keys.binary_search(p).map(|i| i as u64).map_err(|i| i as u64);
+            prop_assert_eq!(dict.find(p, &mut cache).unwrap(), expect, "probe {:?}", p);
+        }
     }
 }
 

@@ -9,18 +9,18 @@
 //! Two properties matter to the callers in `payg-core`:
 //!
 //! * **Determinism.** Encoding is a pure greedy longest-match (ties broken
-//!   by lowest code), so equal inputs always produce equal outputs —
-//!   equality probes can compare *compressed* bytes without decompressing
-//!   either side.
+//!   by lowest code), so equal inputs always produce equal outputs: the
+//!   same keys always build the same chain bytes.
 //! * **Streaming prefix stability.** The greedy parse at position `i`
 //!   depends only on bytes `i..i+8`, so strings sharing a long prefix
 //!   compress to outputs sharing a long prefix (divergence backs up at most
 //!   7 bytes). Front coding therefore still finds most of its shared
 //!   prefixes in the compressed domain.
 //!
-//! Compressed bytes do **not** preserve `memcmp` order; ordering probes
-//! must decompress along the comparison path (see `prefix`'s compressed
-//! block walk).
+//! Compressed bytes do **not** preserve `memcmp` order; an ordering probe
+//! streams the decoder against the raw probe instead
+//! ([`SymbolTable::cmp_decoded`]: symbol by symbol, no output, early exit),
+//! which is how `prefix`'s block search orders compressed entries.
 //!
 //! The trainer is a simplified deterministic variant of the FSST
 //! construction (Boncz, Neumann, Leis: "FSST: Fast Random Access String
@@ -30,6 +30,7 @@
 //! `frequency × length` gain.
 
 use crate::{EncodingError, Result};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// The escape code: in compressed output this byte is followed by one
@@ -249,31 +250,92 @@ impl SymbolTable {
         Ok(out)
     }
 
-    /// Decodes a **prefix** of a compressed stream: like
-    /// [`SymbolTable::decode_into`], but a lone trailing [`ESCAPE`] byte
-    /// (whose literal lives in the truncated-away tail) is silently
-    /// dropped instead of erroring. Used to order-compare the on-page part
-    /// of a compressed front-coded entry whose tail is off-page. Returns
-    /// `true` when the stream ended cleanly (no dangling escape).
-    pub fn decode_prefix_into(&self, compressed: &[u8], out: &mut Vec<u8>) -> Result<bool> {
+    /// Orders the decompressed form of `compressed` against `key` without
+    /// producing it: each symbol is compared with the probe bytes it would
+    /// decode over, and the first difference decides. Nothing is written
+    /// anywhere, and the codes after the deciding one are not read — which
+    /// is what lets a search order FSST entries it never decodes
+    /// (compressed bytes themselves are not `memcmp`-ordered).
+    ///
+    /// Fails on a code past the table or a truncated escape, when the
+    /// comparison gets that far.
+    pub fn cmp_decoded(&self, compressed: &[u8], key: &[u8]) -> Result<Ordering> {
+        Ok(match self.cmp_stream(compressed, key, false)? {
+            Ok(ord) => ord,
+            Err(matched) if matched == key.len() => Ordering::Equal,
+            Err(_) => Ordering::Less,
+        })
+    }
+
+    /// [`SymbolTable::cmp_decoded`] for the leading part of a compressed
+    /// value whose tail — at least one more byte — is stored elsewhere: a
+    /// lone trailing [`ESCAPE`] has its literal in that tail and ends the
+    /// stream. `None` when what is here is a proper prefix of `key`, so
+    /// only the tail can decide.
+    pub fn cmp_decoded_prefix(&self, compressed: &[u8], key: &[u8]) -> Result<Option<Ordering>> {
+        Ok(match self.cmp_stream(compressed, key, true)? {
+            Ok(ord) => Some(ord),
+            Err(matched) if matched == key.len() => Some(Ordering::Greater),
+            Err(_) => None,
+        })
+    }
+
+    /// The ordering decided at the first decoded byte that differs from
+    /// `key` (or past `key`'s end), or — the stream exhausted first — the
+    /// number of `key` bytes it matched. `open_ended`: a lone trailing
+    /// escape ends the stream instead of failing.
+    fn cmp_stream(
+        &self,
+        compressed: &[u8],
+        key: &[u8],
+        open_ended: bool,
+    ) -> Result<std::result::Result<Ordering, usize>> {
+        let mut matched = 0usize;
         let mut pos = 0usize;
         while pos < compressed.len() {
             let code = compressed[pos];
             if code == ESCAPE {
                 let Some(&literal) = compressed.get(pos + 1) else {
-                    return Ok(false); // literal is in the truncated tail
+                    if open_ended {
+                        break;
+                    }
+                    return Err(corrupt("truncated escape at end of compressed data"));
                 };
-                out.push(literal);
+                match key.get(matched) {
+                    Some(&k) if k == literal => matched += 1,
+                    Some(k) => return Ok(Ok(literal.cmp(k))),
+                    None => return Ok(Ok(Ordering::Greater)),
+                }
                 pos += 2;
             } else {
                 let Some(&len) = self.dec_len.get(code as usize) else {
                     return Err(corrupt("symbol code past end of table"));
                 };
-                out.extend_from_slice(&self.dec_bytes[code as usize][..len as usize]);
+                let len = len as usize;
+                let symbol = &self.dec_bytes[code as usize];
+                let rest = &key[matched..];
+                if let Some(window) = rest.first_chunk::<MAX_SYMBOL_LEN>() {
+                    // Symbols are zero-padded to 8 bytes: one big-endian
+                    // word compare of the probe's next `len` bytes.
+                    let probe = u64::from_be_bytes(*window) & (!0u64 << (64 - 8 * len));
+                    let symbol = u64::from_be_bytes(*symbol);
+                    if symbol != probe {
+                        return Ok(Ok(symbol.cmp(&probe)));
+                    }
+                } else {
+                    let n = len.min(rest.len());
+                    match symbol[..n].cmp(&rest[..n]) {
+                        // The probe ends inside this symbol.
+                        Ordering::Equal if n < len => return Ok(Ok(Ordering::Greater)),
+                        Ordering::Equal => {}
+                        ord => return Ok(Ok(ord)),
+                    }
+                }
+                matched += len;
                 pos += 1;
             }
         }
-        Ok(true)
+        Ok(Err(matched))
     }
 
     /// Total compressed size of `samples`, divided by their total raw size

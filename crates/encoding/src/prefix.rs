@@ -34,12 +34,16 @@
 //!
 //! **Compressed blocks.** Blocks may hold FSST-compressed keys (the chain's
 //! codec descriptor says so; the block layout is byte-agnostic). Compressed
-//! bytes do not preserve `memcmp` order, so [`ValueBlockView::find_compressed`]
-//! compares compressed bytes for equality (deterministic encoding makes that
-//! exact) and decompresses the accumulator only to decide ordering.
+//! bytes do not preserve `memcmp` order, so the one block search,
+//! [`ValueBlockView::lower_bound`], takes the chain's symbol table and
+//! orders a compressed entry against the raw probe by streaming the decoder
+//! over it ([`SymbolTable::cmp_decoded`]): the probe is never encoded, no
+//! entry is decoded into a buffer, and a hit is that comparison returning
+//! `Equal`.
 
 use crate::fsst::SymbolTable;
 use crate::{EncodingError, Result};
+use std::cmp::Ordering;
 
 /// Maximum number of values per block.
 pub const BLOCK_CAP: usize = 16;
@@ -397,31 +401,10 @@ impl ValueBlock {
 
     /// Reconstructs the complete value of entry `idx`, fetching off-page
     /// pieces (of this one entry only) through `fetch`.
-    pub fn materialize(
-        &self,
-        idx: usize,
-        fetch: &mut dyn FnMut(&OverflowRef) -> Result<Vec<u8>>,
-    ) -> Result<Vec<u8>> {
+    pub fn materialize(&self, idx: usize, fetch: Fetch<'_>) -> Result<Vec<u8>> {
         let mut v = self.materialize_onpage(idx);
-        for r in &self.entries[idx].offpage {
-            let piece = fetch(r)?;
-            if piece.len() != r.len as usize {
-                return Err(corrupt(format!(
-                    "overflow piece on page {} has {} bytes, expected {}",
-                    r.page_no,
-                    piece.len(),
-                    r.len
-                )));
-            }
-            v.extend_from_slice(&piece);
-        }
-        if v.len() as u64 != self.entries[idx].total_len {
-            return Err(corrupt(format!(
-                "materialized {} bytes, expected {}",
-                v.len(),
-                self.entries[idx].total_len
-            )));
-        }
+        let e = &self.entries[idx];
+        append_pieces(&mut v, e.offpage.iter().copied(), e.total_len, fetch)?;
         Ok(v)
     }
 
@@ -432,7 +415,7 @@ impl ValueBlock {
     pub fn find(
         &self,
         key: &[u8],
-        fetch: &mut dyn FnMut(&OverflowRef) -> Result<Vec<u8>>,
+        fetch: Fetch<'_>,
     ) -> Result<std::result::Result<usize, usize>> {
         let mut acc: Vec<u8> = Vec::new();
         for (i, e) in self.entries.iter().enumerate() {
@@ -473,36 +456,30 @@ pub struct ValueBlockView<'a> {
 }
 
 /// One entry of a [`ValueBlockView`], borrowing from the page.
-pub struct EntryView<'a> {
+struct EntryView<'a> {
     /// Bytes shared with the predecessor's on-page-materializable part.
-    pub prefix_len: usize,
+    prefix_len: usize,
     /// The on-page piece of the suffix.
-    pub onpage: &'a [u8],
+    onpage: &'a [u8],
     /// Raw bytes of the off-page pointer array (12 bytes per pointer);
     /// empty for fully inline values.
     offpage_raw: &'a [u8],
     /// Total length of the full value.
-    pub total_len: u64,
+    total_len: u64,
 }
 
 impl EntryView<'_> {
-    /// Number of off-page pointers.
-    pub fn offpage_count(&self) -> usize {
-        self.offpage_raw.len() / 12
-    }
-
-    /// The `i`-th off-page pointer.
-    pub fn offpage(&self, i: usize) -> OverflowRef {
-        let b = &self.offpage_raw[i * 12..i * 12 + 12];
-        OverflowRef {
-            page_no: u64::from_le_bytes(b[0..8].try_into().unwrap()),
-            len: u32::from_le_bytes(b[8..12].try_into().unwrap()),
-        }
+    /// True when the value goes on off-page.
+    fn spilled(&self) -> bool {
+        !self.offpage_raw.is_empty()
     }
 
     /// Iterates the off-page pointers.
-    pub fn offpage_refs(&self) -> impl Iterator<Item = OverflowRef> + '_ {
-        (0..self.offpage_count()).map(|i| self.offpage(i))
+    fn offpage_refs(&self) -> impl Iterator<Item = OverflowRef> + '_ {
+        self.offpage_raw.chunks_exact(12).map(|b| OverflowRef {
+            page_no: u64::from_le_bytes(b[0..8].try_into().unwrap()),
+            len: u32::from_le_bytes(b[8..12].try_into().unwrap()),
+        })
     }
 }
 
@@ -565,380 +542,224 @@ impl<'a> ValueBlockView<'a> {
         self.count == 0
     }
 
-    /// Walks entries `0..=last`, calling `visit` for each. `visit` returns
-    /// `true` to continue.
-    pub fn walk(
-        &self,
-        last: usize,
-        visit: impl FnMut(usize, &EntryView<'a>) -> bool,
-    ) -> Result<()> {
-        self.walk_at(self.header_len(), 0, last, visit)
+    /// Decodes entry `i`, which starts at byte `pos`; returns it with the
+    /// position of entry `i + 1`. (Forced inline: left to the heuristic it
+    /// stays out of line for its cold `format!`, and an entry read off a
+    /// block — ~16 ns — then costs 31.)
+    #[inline(always)]
+    fn entry_at(&self, pos: usize, i: usize) -> Result<(EntryView<'a>, usize)> {
+        let bytes = self.bytes;
+        let truncated = || corrupt(format!("truncated block at entry {i}"));
+        let fixed = bytes.get(pos..pos + 7).ok_or_else(truncated)?;
+        let prefix_len = u16::from_le_bytes([fixed[0], fixed[1]]) as usize;
+        let onpage_len = u32::from_le_bytes([fixed[2], fixed[3], fixed[4], fixed[5]]) as usize;
+        let mut pos = pos + 7;
+        let onpage = bytes.get(pos..pos + onpage_len).ok_or_else(truncated)?;
+        pos += onpage_len;
+        let (offpage_raw, total_len) = if fixed[6] & 1 == 1 {
+            let nptr = bytes.get(pos..pos + 2).ok_or_else(truncated)?;
+            let nptr = u16::from_le_bytes([nptr[0], nptr[1]]) as usize;
+            pos += 2;
+            let tail = bytes.get(pos..pos + nptr * 12 + 8).ok_or_else(truncated)?;
+            pos += tail.len();
+            let (raw, total) = tail.split_at(nptr * 12);
+            (raw, u64::from_le_bytes(total.try_into().unwrap()))
+        } else {
+            (&bytes[0..0], (prefix_len + onpage_len) as u64)
+        };
+        Ok((EntryView { prefix_len, onpage, offpage_raw, total_len }, pos))
     }
 
-    /// Walks entries `first..=last` starting at byte position `pos` (the
-    /// start of entry `first`, which must be entry 0 or a restart point;
-    /// its zero prefix is validated on the way).
-    fn walk_at(
-        &self,
-        mut pos: usize,
-        first: usize,
-        last: usize,
-        mut visit: impl FnMut(usize, &EntryView<'a>) -> bool,
-    ) -> Result<()> {
-        debug_assert!(first <= last && last < self.count);
-        for i in first..=last {
-            let need = |n: usize, pos: usize| -> Result<()> {
-                if pos + n > self.bytes.len() {
-                    Err(corrupt(format!("truncated block at entry {i}")))
-                } else {
-                    Ok(())
-                }
-            };
-            need(7, pos)?;
-            let prefix_len =
-                u16::from_le_bytes(self.bytes[pos..pos + 2].try_into().unwrap()) as usize;
-            let onpage_len =
-                u32::from_le_bytes(self.bytes[pos + 2..pos + 6].try_into().unwrap()) as usize;
-            let flags = self.bytes[pos + 6];
-            pos += 7;
-            if i == first && first > 0 && prefix_len != 0 {
-                return Err(corrupt(format!("restart entry {i} has nonzero prefix")));
-            }
-            need(onpage_len, pos)?;
-            let onpage = &self.bytes[pos..pos + onpage_len];
-            pos += onpage_len;
-            let (offpage_raw, total_len) = if flags & 1 == 1 {
-                need(2, pos)?;
-                let nptr =
-                    u16::from_le_bytes(self.bytes[pos..pos + 2].try_into().unwrap()) as usize;
-                pos += 2;
-                need(nptr * 12 + 8, pos)?;
-                let raw = &self.bytes[pos..pos + nptr * 12];
-                pos += nptr * 12;
-                let total = u64::from_le_bytes(self.bytes[pos..pos + 8].try_into().unwrap());
-                pos += 8;
-                (raw, total)
-            } else {
-                (&self.bytes[0..0], (prefix_len + onpage_len) as u64)
-            };
-            let entry = EntryView { prefix_len, onpage, offpage_raw, total_len };
-            if !visit(i, &entry) {
-                break;
-            }
+    /// The head of restart group `g` — entry `g · RESTART_EVERY`, stored
+    /// with a zero prefix, so its on-page bytes are the value's leading
+    /// bytes where they lie — and the position of the entry after it.
+    #[inline(always)]
+    fn head(&self, g: usize) -> Result<(EntryView<'a>, usize)> {
+        let i = g * RESTART_EVERY;
+        let (head, next) = self.entry_at(self.group_pos(g), i)?;
+        if head.prefix_len != 0 {
+            return Err(corrupt(format!("restart entry {i} has nonzero prefix")));
         }
-        Ok(())
+        Ok((head, next))
     }
 
     /// Reconstructs the on-page-materializable part of entry `idx` into
-    /// `acc` (cleared first) and returns the entry's off-page raw pointer
-    /// bytes + total length, so the caller can fetch overflow pieces.
+    /// `acc` (cleared first), replaying the front coding from the nearest
+    /// restart point, and returns the entry's off-page pointers + total
+    /// length, so the caller can fetch overflow pieces.
     pub fn materialize_onpage_into(
         &self,
         idx: usize,
         acc: &mut Vec<u8>,
     ) -> Result<(Vec<OverflowRef>, u64)> {
-        acc.clear();
-        let mut offpage = Vec::new();
-        let mut total = 0u64;
+        assert!(idx < self.count);
         let g = (idx / RESTART_EVERY).min(self.groups());
-        self.walk_at(self.group_pos(g), g * RESTART_EVERY, idx, |i, e| {
-            acc.truncate(e.prefix_len);
-            acc.extend_from_slice(e.onpage);
-            if i == idx {
-                offpage = e.offpage_refs().collect();
-                total = e.total_len;
-            }
-            true
-        })?;
-        Ok((offpage, total))
+        let (mut entry, mut pos) = self.head(g)?;
+        acc.clear();
+        acc.extend_from_slice(entry.onpage);
+        for i in g * RESTART_EVERY + 1..=idx {
+            (entry, pos) = self.entry_at(pos, i)?;
+            acc.truncate(entry.prefix_len);
+            acc.extend_from_slice(entry.onpage);
+        }
+        // An empty `collect` is not free (~4 of this read's ~19 ns), and
+        // most entries are inline.
+        let offpage = if entry.spilled() { entry.offpage_refs().collect() } else { Vec::new() };
+        Ok((offpage, entry.total_len))
     }
 
     /// Reconstructs the complete value of entry `idx`, fetching off-page
     /// pieces of that one entry through `fetch`.
-    pub fn materialize(
-        &self,
-        idx: usize,
-        fetch: &mut dyn FnMut(&OverflowRef) -> Result<Vec<u8>>,
-    ) -> Result<Vec<u8>> {
+    pub fn materialize(&self, idx: usize, fetch: Fetch<'_>) -> Result<Vec<u8>> {
         let mut acc = Vec::new();
         let (offpage, total) = self.materialize_onpage_into(idx, &mut acc)?;
-        for r in &offpage {
-            let piece = fetch(r)?;
-            if piece.len() != r.len as usize {
-                return Err(corrupt(format!(
-                    "overflow piece on page {} has {} bytes, expected {}",
-                    r.page_no,
-                    piece.len(),
-                    r.len
-                )));
-            }
-            acc.extend_from_slice(&piece);
-        }
-        if acc.len() as u64 != total {
-            return Err(corrupt(format!("materialized {} bytes, expected {total}", acc.len())));
-        }
+        append_pieces(&mut acc, offpage.into_iter(), total, fetch)?;
         Ok(acc)
     }
 
-    /// Materializes entry 0's full value (block routing key) with overflow
-    /// fetch only when its on-page part is an inconclusive prefix of `key`;
-    /// returns its ordering versus `key`.
-    pub fn compare_first(
+    /// Orders the block's first value — its routing key — against the raw
+    /// probe `key`, on the page bytes where it lies. `table` says what the
+    /// entry bytes are: raw (`None`) or FSST-compressed. Off-page pieces are
+    /// fetched (into `acc`) only when the on-page part is a proper prefix of
+    /// the probe.
+    pub fn cmp_first(
         &self,
         key: &[u8],
-        fetch: &mut dyn FnMut(&OverflowRef) -> Result<Vec<u8>>,
-    ) -> Result<std::cmp::Ordering> {
-        let mut result = std::cmp::Ordering::Equal;
-        let mut needs_fetch = false;
-        self.walk(0, |_, e| {
-            let onpage = e.onpage; // entry 0 has prefix_len == 0
-            let cmp = onpage.cmp(&key[..key.len().min(onpage.len())]);
-            if e.offpage_count() == 0 {
-                result = onpage.cmp(key);
-            } else if cmp != std::cmp::Ordering::Equal {
-                result = cmp;
-            } else {
-                needs_fetch = true;
-            }
-            false
-        })?;
-        if needs_fetch {
-            let full = self.materialize(0, fetch)?;
-            return Ok(full.as_slice().cmp(key));
+        table: Option<&SymbolTable>,
+        acc: &mut Vec<u8>,
+        fetch: Fetch<'_>,
+    ) -> Result<Ordering> {
+        let (head, _) = self.head(0)?;
+        if let Some(ord) = cmp_onpage(head.onpage, head.spilled(), key, table)? {
+            return Ok(ord);
         }
-        Ok(result)
+        acc.clear();
+        acc.extend_from_slice(head.onpage);
+        append_pieces(acc, head.offpage_refs(), head.total_len, fetch)?;
+        cmp_value(acc, key, table)
     }
 
-    /// Searches the (sorted) block for `key` without allocating per entry;
-    /// semantics match [`ValueBlock::find`].
-    pub fn find(
+    /// Searches the block — sorted by raw value — for the raw probe `key`:
+    /// `Ok(slot)` on a hit, `Err(slot)` for the insertion point (as
+    /// `slice::binary_search`). `table` says what the entry bytes are: raw
+    /// (`None`) or FSST-compressed, which [`SymbolTable::cmp_decoded`]
+    /// orders without decoding them and without encoding the probe.
+    ///
+    /// Restart heads are searched first, in place; the front-coded entries
+    /// of the one group left are then replayed into `acc` (caller scratch)
+    /// and compared one by one. A hit is that comparison returning `Equal`.
+    /// Off-page pieces are fetched only for an entry whose on-page part is a
+    /// proper prefix of the probe.
+    pub fn lower_bound(
         &self,
         key: &[u8],
-        fetch: &mut dyn FnMut(&OverflowRef) -> Result<Vec<u8>>,
+        table: Option<&SymbolTable>,
+        acc: &mut Vec<u8>,
+        fetch: Fetch<'_>,
     ) -> Result<std::result::Result<usize, usize>> {
-        let start = self.seek_group(|onpage, has_offpage| {
-            // Conclusively Less than `key`? Restart entries have a zero
-            // prefix, so `onpage` is the leading bytes of the full value.
-            let cmp = onpage.cmp(&key[..key.len().min(onpage.len())]);
-            Ok(if has_offpage {
-                cmp == std::cmp::Ordering::Less
-            } else {
-                onpage.cmp(key) == std::cmp::Ordering::Less
-            })
-        })?;
-        let mut acc: Vec<u8> = Vec::new();
-        let mut outcome: std::result::Result<usize, usize> = Err(self.count);
-        let mut pending_fetch: Option<usize> = None;
-        self.walk_at(self.group_pos(start), start * RESTART_EVERY, self.count - 1, |i, e| {
-            acc.truncate(e.prefix_len);
-            acc.extend_from_slice(e.onpage);
-            let onpage_cmp = acc.as_slice().cmp(&key[..key.len().min(acc.len())]);
-            let ord = if e.offpage_count() == 0 {
-                acc.as_slice().cmp(key)
-            } else if onpage_cmp != std::cmp::Ordering::Equal {
-                onpage_cmp
-            } else {
-                // Must fetch this entry's overflow to decide; defer.
-                pending_fetch = Some(i);
-                return false;
-            };
-            match ord {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Equal => {
-                    outcome = Ok(i);
-                    false
-                }
-                std::cmp::Ordering::Greater => {
-                    outcome = Err(i);
-                    false
-                }
-            }
-        })?;
-        if let Some(i) = pending_fetch {
-            let full = self.materialize(i, fetch)?;
-            return Ok(match full.as_slice().cmp(key) {
-                std::cmp::Ordering::Equal => Ok(i),
-                std::cmp::Ordering::Greater => Err(i),
-                std::cmp::Ordering::Less => {
-                    // Continue the scan past i with a recursive tail on the
-                    // remaining entries: rare path (long shared prefixes of
-                    // large values), done via the owning decoder.
-                    let (block, _) = ValueBlock::parse(self.bytes)?;
-                    block.find(key, fetch)?
-                }
-            });
-        }
-        Ok(outcome)
-    }
-
-    /// Picks the deepest restart group whose leading entry `is_less` judges
-    /// *conclusively* below the probe. Every entry before that group is
-    /// then strictly below the probe too (the block is sorted), so searches
-    /// may start the front-coding walk at its restart point.
-    fn seek_group(
-        &self,
-        mut is_less: impl FnMut(&[u8], bool) -> Result<bool>,
-    ) -> Result<usize> {
-        let mut start = 0usize;
-        for g in 1..=self.groups() {
-            let mut verdict: Result<bool> = Ok(false);
-            self.walk_at(self.group_pos(g), g * RESTART_EVERY, g * RESTART_EVERY, |_, e| {
-                verdict = is_less(e.onpage, e.offpage_count() > 0);
-                false
-            })?;
-            if verdict? {
-                start = g;
-            } else {
-                break;
+        // The deepest group whose head is below the probe: everything
+        // before it is below the probe too. A head that only its off-page
+        // tail could order counts as not below.
+        let (mut lo, mut hi) = (0, self.groups() + 1);
+        while hi - lo > 1 {
+            let mid = (lo + hi) / 2;
+            let (head, _) = self.head(mid)?;
+            match cmp_onpage(head.onpage, head.spilled(), key, table)? {
+                Some(Ordering::Less) => lo = mid,
+                Some(Ordering::Equal) => return Ok(Ok(mid * RESTART_EVERY)),
+                Some(Ordering::Greater) | None => hi = mid,
             }
         }
-        Ok(start)
-    }
-
-    /// Orders one FSST-compressed entry (on-page part `acc`) against the
-    /// raw probe `key` without fetching overflow pieces. `None` means the
-    /// decoded on-page part is an inconclusive proper prefix of `key`.
-    fn cmp_compressed_nofetch(
-        &self,
-        acc: &[u8],
-        has_offpage: bool,
-        key: &[u8],
-        table: &SymbolTable,
-    ) -> Result<Option<std::cmp::Ordering>> {
-        use std::cmp::Ordering;
-        let mut raw = Vec::with_capacity(acc.len() * 2);
-        if !has_offpage {
-            table.decode_into(acc, &mut raw)?;
-            return Ok(Some(raw.as_slice().cmp(key)));
-        }
-        table.decode_prefix_into(acc, &mut raw)?;
-        let min = raw.len().min(key.len());
-        Ok(match raw[..min].cmp(&key[..min]) {
-            // The decoded on-page part already covers `key`, and the entry
-            // continues off-page with at least one more raw byte.
-            Ordering::Equal if raw.len() >= key.len() => Some(Ordering::Greater),
-            Ordering::Equal => None,
-            ord => Some(ord),
-        })
-    }
-
-    /// Materializes entry 0 of an FSST-compressed block and orders it
-    /// against the raw probe `key`, fetching overflow only when the on-page
-    /// part is an inconclusive prefix. Compressed counterpart of
-    /// [`ValueBlockView::compare_first`].
-    pub fn compare_first_compressed(
-        &self,
-        key: &[u8],
-        table: &SymbolTable,
-        fetch: &mut dyn FnMut(&OverflowRef) -> Result<Vec<u8>>,
-    ) -> Result<std::cmp::Ordering> {
-        let mut acc = Vec::new();
-        let mut has_offpage = false;
-        self.walk(0, |_, e| {
-            acc.extend_from_slice(e.onpage); // entry 0 has prefix_len == 0
-            has_offpage = e.offpage_count() > 0;
-            false
-        })?;
-        match self.cmp_compressed_nofetch(&acc, has_offpage, key, table)? {
-            Some(ord) => Ok(ord),
-            None => {
-                let full = table.decode(&self.materialize(0, fetch)?)?;
-                Ok(full.as_slice().cmp(key))
+        let first = lo * RESTART_EVERY;
+        let (mut entry, mut pos) = self.head(lo)?;
+        acc.clear();
+        for i in first..self.count {
+            if i > first {
+                (entry, pos) = self.entry_at(pos, i)?;
             }
-        }
-    }
-
-    /// Searches a block of FSST-compressed entries for the raw probe `key`,
-    /// whose deterministic encoding is `enc_key`. Equality is decided on
-    /// **compressed** bytes (no decoding on the hit path); ordering — which
-    /// compressed bytes do not preserve — decompresses the accumulated
-    /// on-page part. Result semantics match [`ValueBlockView::find`] over
-    /// the raw key order.
-    pub fn find_compressed(
-        &self,
-        key: &[u8],
-        enc_key: &[u8],
-        table: &SymbolTable,
-        fetch: &mut dyn FnMut(&OverflowRef) -> Result<Vec<u8>>,
-    ) -> Result<std::result::Result<usize, usize>> {
-        self.find_compressed_from(0, key, enc_key, table, fetch)
-    }
-
-    /// [`ValueBlockView::find_compressed`] restricted to entries `from..`;
-    /// the continuation used after an overflow fetch resolves to `Less`.
-    fn find_compressed_from(
-        &self,
-        from: usize,
-        key: &[u8],
-        enc_key: &[u8],
-        table: &SymbolTable,
-        fetch: &mut dyn FnMut(&OverflowRef) -> Result<Vec<u8>>,
-    ) -> Result<std::result::Result<usize, usize>> {
-        use std::cmp::Ordering;
-        if from >= self.count {
-            return Ok(Err(self.count));
-        }
-        let start = if from == 0 {
-            self.seek_group(|onpage, has_offpage| {
-                Ok(matches!(
-                    self.cmp_compressed_nofetch(onpage, has_offpage, key, table)?,
-                    Some(Ordering::Less)
-                ))
-            })?
-        } else {
-            (from / RESTART_EVERY).min(self.groups())
-        };
-        let mut acc: Vec<u8> = Vec::new();
-        let mut outcome: std::result::Result<usize, usize> = Err(self.count);
-        let mut pending_fetch: Option<usize> = None;
-        let mut decode_err: Option<EncodingError> = None;
-        self.walk_at(self.group_pos(start), start * RESTART_EVERY, self.count - 1, |i, e| {
-            acc.truncate(e.prefix_len);
-            acc.extend_from_slice(e.onpage);
-            if i < from {
-                return true;
+            acc.truncate(entry.prefix_len);
+            acc.extend_from_slice(entry.onpage);
+            if i == first && lo > 0 {
+                continue; // the head search found it below the probe
             }
-            let has_offpage = e.offpage_count() > 0;
-            if !has_offpage && acc.as_slice() == enc_key {
-                outcome = Ok(i);
-                return false;
-            }
-            let ord = match self.cmp_compressed_nofetch(&acc, has_offpage, key, table) {
-                Ok(Some(ord)) => ord,
-                Ok(None) => {
-                    pending_fetch = Some(i);
-                    return false;
-                }
-                Err(e2) => {
-                    decode_err = Some(e2);
-                    return false;
+            let ord = match cmp_onpage(acc, entry.spilled(), key, table)? {
+                Some(ord) => ord,
+                None => {
+                    // The next entry's prefix never reaches into these
+                    // pieces, so they can sit in `acc` until it truncates.
+                    append_pieces(acc, entry.offpage_refs(), entry.total_len, fetch)?;
+                    cmp_value(acc, key, table)?
                 }
             };
             match ord {
-                Ordering::Less => true,
-                Ordering::Equal => {
-                    outcome = Ok(i);
-                    false
-                }
-                Ordering::Greater => {
-                    outcome = Err(i);
-                    false
-                }
+                Ordering::Less => {}
+                Ordering::Equal => return Ok(Ok(i)),
+                Ordering::Greater => return Ok(Err(i)),
             }
-        })?;
-        if let Some(e) = decode_err {
-            return Err(e);
         }
-        if let Some(i) = pending_fetch {
-            let full = table.decode(&self.materialize(i, fetch)?)?;
-            return Ok(match full.as_slice().cmp(key) {
-                Ordering::Equal => Ok(i),
-                Ordering::Greater => Err(i),
-                Ordering::Less => self.find_compressed_from(i + 1, key, enc_key, table, fetch)?,
-            });
-        }
-        Ok(outcome)
+        Ok(Err(self.count))
     }
+}
+
+/// Fetches one off-page piece of a large value.
+pub type Fetch<'f> = &'f mut dyn FnMut(&OverflowRef) -> Result<Vec<u8>>;
+
+/// Appends the off-page `pieces` of a value to its on-page part in `acc`,
+/// checking every piece and the assembled value against the recorded
+/// lengths.
+fn append_pieces(
+    acc: &mut Vec<u8>,
+    pieces: impl Iterator<Item = OverflowRef>,
+    total_len: u64,
+    fetch: Fetch<'_>,
+) -> Result<()> {
+    for r in pieces {
+        let piece = fetch(&r)?;
+        if piece.len() != r.len as usize {
+            return Err(corrupt(format!(
+                "overflow piece on page {} has {} bytes, expected {}",
+                r.page_no,
+                piece.len(),
+                r.len
+            )));
+        }
+        acc.extend_from_slice(&piece);
+    }
+    if acc.len() as u64 != total_len {
+        return Err(corrupt(format!("materialized {} bytes, expected {total_len}", acc.len())));
+    }
+    Ok(())
+}
+
+/// Orders a complete stored value against the raw probe `key`.
+fn cmp_value(value: &[u8], key: &[u8], table: Option<&SymbolTable>) -> Result<Ordering> {
+    match table {
+        Some(table) => table.cmp_decoded(value, key),
+        None => Ok(value.cmp(key)),
+    }
+}
+
+/// Orders a value against the raw probe `key` by its on-page part alone.
+/// `None` when the value is `spilled` — it goes on off-page, by at least one
+/// byte — and what is on the page is a proper prefix of `key`.
+fn cmp_onpage(
+    onpage: &[u8],
+    spilled: bool,
+    key: &[u8],
+    table: Option<&SymbolTable>,
+) -> Result<Option<Ordering>> {
+    if !spilled {
+        return cmp_value(onpage, key, table).map(Some);
+    }
+    if let Some(table) = table {
+        return table.cmp_decoded_prefix(onpage, key);
+    }
+    let n = onpage.len().min(key.len());
+    Ok(match onpage[..n].cmp(&key[..n]) {
+        Ordering::Equal if n == key.len() => Some(Ordering::Greater),
+        Ordering::Equal => None,
+        ord => Some(ord),
+    })
 }
 
 fn corrupt(reason: String) -> EncodingError {
@@ -1189,10 +1010,11 @@ mod tests {
         let view = ValueBlockView::parse(&legacy).unwrap();
         let mut fetch = sim.fetch();
         let mut fetch2 = sim.fetch();
+        let mut acc = Vec::new();
         for (i, k) in keys.iter().enumerate() {
             assert_eq!(&block.materialize(i, &mut fetch).unwrap(), k);
             assert_eq!(&view.materialize(i, &mut fetch2).unwrap(), k);
-            assert_eq!(view.find(k, &mut fetch2).unwrap(), Ok(i));
+            assert_eq!(view.lower_bound(k, None, &mut acc, &mut fetch2).unwrap(), Ok(i));
         }
     }
 }
@@ -1250,31 +1072,26 @@ mod view_tests {
             );
         }
         // Probes: every key, plus misses around them.
+        let mut acc = Vec::new();
+        let mut probes: Vec<Vec<u8>> = vec![Vec::new(), b"zzzz".to_vec()];
         for k in &keys {
+            probes.push(k.clone());
+            probes.push([k.as_slice(), &[0]].concat());
+            probes.push(k[..k.len() - 1].to_vec());
+        }
+        for probe in &probes {
             assert_eq!(
-                owned.find(k, &mut fetch_o).unwrap(),
-                view.find(k, &mut fetch_v).unwrap()
-            );
-            let mut miss = k.clone();
-            miss.push(0);
-            assert_eq!(
-                owned.find(&miss, &mut fetch_o).unwrap(),
-                view.find(&miss, &mut fetch_v).unwrap()
+                owned.find(probe, &mut fetch_o).unwrap(),
+                view.lower_bound(probe, None, &mut acc, &mut fetch_v).unwrap(),
+                "probe {:?}",
+                String::from_utf8_lossy(probe)
             );
         }
-        assert_eq!(
-            owned.find(b"", &mut fetch_o).unwrap(),
-            view.find(b"", &mut fetch_v).unwrap()
-        );
-        assert_eq!(
-            owned.find(b"zzzz", &mut fetch_o).unwrap(),
-            view.find(b"zzzz", &mut fetch_v).unwrap()
-        );
-        // compare_first agrees with materializing entry 0.
+        // cmp_first agrees with materializing entry 0.
         let first = owned.materialize(0, &mut fetch_o).unwrap();
         for probe in [&keys[0], &keys[2], &b"a".to_vec()] {
             assert_eq!(
-                view.compare_first(probe, &mut fetch_v).unwrap(),
+                view.cmp_first(probe, None, &mut acc, &mut fetch_v).unwrap(),
                 first.as_slice().cmp(probe)
             );
         }
@@ -1287,7 +1104,8 @@ mod view_tests {
         assert!(ValueBlockView::parse(&[17]).is_err());
         // Truncated entry payload.
         let v = ValueBlockView::parse(&[1, 0, 0, 200, 0, 0, 0, 0]).unwrap();
-        assert!(v.walk(0, |_, _| true).is_err());
+        assert!(v.materialize_onpage_into(0, &mut Vec::new()).is_err());
+        assert!(v.lower_bound(b"k", None, &mut Vec::new(), &mut |_| Ok(Vec::new())).is_err());
         // Restart flag with a truncated offset array.
         assert!(ValueBlockView::parse(&[16 | 0x80, 9]).is_err());
     }
@@ -1315,7 +1133,7 @@ mod view_tests {
     }
 
     #[test]
-    fn compressed_blocks_probe_in_the_compressed_domain() {
+    fn compressed_blocks_are_searched_as_they_lie() {
         use crate::fsst::SymbolTable;
         let keys: Vec<Vec<u8>> = (0..BLOCK_CAP)
             .map(|i| format!("http://example.com/catalog/item/{i:02}?lang=en").into_bytes())
@@ -1341,12 +1159,11 @@ mod view_tests {
         let bytes = b.finish();
         let view = ValueBlockView::parse(&bytes).unwrap();
         let mut fetch = |r: &OverflowRef| Ok(pages[&r.page_no].clone());
+        let mut acc = Vec::new();
         for (i, k) in keys.iter().enumerate() {
-            // Hits compare compressed bytes; materialized values decompress.
-            assert_eq!(
-                view.find_compressed(k, &table.encode(k), &table, &mut fetch).unwrap(),
-                Ok(i)
-            );
+            // The raw probe is ordered against compressed entries as they
+            // lie; materialized values decompress.
+            assert_eq!(view.lower_bound(k, Some(&table), &mut acc, &mut fetch).unwrap(), Ok(i));
             let raw = table.decode(&view.materialize(i, &mut fetch).unwrap()).unwrap();
             assert_eq!(&raw, k);
         }
@@ -1359,13 +1176,13 @@ mod view_tests {
         ] {
             let expected = keys.partition_point(|k| k.as_slice() < probe.as_slice());
             assert_eq!(
-                view.find_compressed(&probe, &table.encode(&probe), &table, &mut fetch).unwrap(),
+                view.lower_bound(&probe, Some(&table), &mut acc, &mut fetch).unwrap(),
                 Err(expected),
                 "probe {:?}",
                 String::from_utf8_lossy(&probe)
             );
             assert_eq!(
-                view.compare_first_compressed(&probe, &table, &mut fetch).unwrap(),
+                view.cmp_first(&probe, Some(&table), &mut acc, &mut fetch).unwrap(),
                 keys[0].cmp(&probe),
             );
         }
@@ -1408,19 +1225,18 @@ mod view_tests {
                 fetched += 1;
                 Ok(pages[&r.page_no].clone())
             };
-            let probe = b"zzz".to_vec();
             assert_eq!(
-                view.find_compressed(&probe, &table.encode(&probe), &table, &mut counting)
-                    .unwrap(),
+                view.lower_bound(b"zzz", Some(&table), &mut Vec::new(), &mut counting).unwrap(),
                 Err(keys.len())
             );
         }
         assert_eq!(fetched, 0, "conclusive on-page divergence must not fetch overflow");
         // Exact hits still resolve (fetch allowed where needed).
         let mut fetch = |r: &OverflowRef| Ok(pages[&r.page_no].clone());
+        let mut acc = Vec::new();
         for (i, k) in keys.iter().enumerate() {
             assert_eq!(
-                view.find_compressed(k, &table.encode(k), &table, &mut fetch).unwrap(),
+                view.lower_bound(k, Some(&table), &mut acc, &mut fetch).unwrap(),
                 Ok(i),
                 "entry {i}"
             );

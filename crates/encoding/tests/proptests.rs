@@ -1,6 +1,7 @@
 //! Property-based tests for the encoding primitives.
 
-use payg_encoding::prefix::{OverflowRef, ValueBlock, ValueBlockBuilder};
+use payg_encoding::fsst::{SymbolTable, ESCAPE};
+use payg_encoding::prefix::{OverflowRef, ValueBlock, ValueBlockBuilder, ValueBlockView};
 use payg_encoding::scan::{search, search_at_rows};
 use payg_encoding::{okey, BitPackedVec, BitWidth, VidSet};
 use proptest::prelude::*;
@@ -189,6 +190,146 @@ proptest! {
         let got = block.find(&probe, &mut fetch).unwrap();
         let expect = keys.binary_search(&probe);
         prop_assert_eq!(got, expect);
+    }
+}
+
+/// Strings over a small alphabet with shared stems (what a trained table
+/// finds symbols in), the odd arbitrary byte mixed in (what it escapes).
+fn texty() -> impl Strategy<Value = Vec<u8>> {
+    const STEMS: [&[u8]; 6] = [b"order/", b"item-", b"00", b"x", b"/2016", b""];
+    prop::collection::vec((0usize..6, any::<u8>(), 0u8..8), 0..10).prop_map(|parts| {
+        let mut out = Vec::new();
+        for (stem, byte, roll) in parts {
+            out.extend_from_slice(STEMS[stem]);
+            if roll == 0 {
+                out.push(byte);
+            }
+        }
+        out
+    })
+}
+
+/// The three tables a chain can carry: trained on the strings it compresses,
+/// trained on nothing (every byte escapes), and trained on text that shares
+/// no byte with them (symbols exist, none ever matches).
+fn table_for(kind: u8, sample: &[Vec<u8>]) -> SymbolTable {
+    match kind {
+        0 => SymbolTable::train(sample),
+        1 => SymbolTable::train::<&[u8]>(&[]),
+        _ => SymbolTable::train(&[[0xF0u8, 0xF1, 0xF2, 0xF3].repeat(8)]),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Streaming the decoder against a probe orders exactly as decoding
+    /// first would — equal strings, strict prefixes and extensions
+    /// included — and the open-ended form says `None` exactly when the
+    /// bytes at hand are a proper prefix of the probe. A truncated trailing
+    /// escape the comparison reaches is corruption, not an ordering.
+    #[test]
+    fn fsst_streaming_compare_equals_decoded_order(
+        sample in prop::collection::vec(texty(), 0..12),
+        a in texty(),
+        b in texty(),
+        kind in 0u8..3,
+        cut in any::<usize>(),
+        tail in prop::collection::vec(any::<u8>(), 1..4),
+    ) {
+        let mut sample = sample;
+        sample.extend([a.clone(), b.clone()]);
+        if kind == 2 {
+            // Keep the probed strings clear of the foreign table's bytes.
+            prop_assume!(a.iter().chain(&b).all(|&x| !(0xF0..=0xF3).contains(&x)));
+        }
+        let table = table_for(kind, &sample);
+        let enc = table.encode(&a);
+        prop_assert_eq!(table.decode(&enc).unwrap(), a.clone());
+        let prefix = a[..cut % (a.len() + 1)].to_vec();
+        let extension = [a.as_slice(), &tail].concat();
+        for probe in [&b, &a, &prefix, &extension, &Vec::new()] {
+            prop_assert_eq!(table.cmp_decoded(&enc, probe).unwrap(), a.as_slice().cmp(probe));
+        }
+        // An escape whose literal is missing: reached (the probe goes on
+        // past `a`), it is an error; decided earlier, it is never read.
+        let dangling = [enc.as_slice(), &[ESCAPE]].concat();
+        for probe in [&b, &a, &prefix, &extension] {
+            let decided = (!probe.starts_with(&a)).then(|| a.as_slice().cmp(probe));
+            prop_assert_eq!(table.cmp_decoded(&dangling, probe).ok(), decided);
+        }
+        // The on-page part of a spilled value: a compressed prefix whose
+        // tail (≥ 1 byte, possibly the literal of a trailing escape) is
+        // elsewhere.
+        if !enc.is_empty() {
+            let here = &enc[..cut % enc.len()];
+            let decoded = table.decode(here).or_else(|_| table.decode(&here[..here.len() - 1])).unwrap();
+            for probe in [&b, &a, &prefix, &extension] {
+                let n = decoded.len().min(probe.len());
+                let expect = match decoded[..n].cmp(&probe[..n]) {
+                    std::cmp::Ordering::Equal if n == probe.len() => Some(std::cmp::Ordering::Greater),
+                    std::cmp::Ordering::Equal => None,
+                    ord => Some(ord),
+                };
+                prop_assert_eq!(table.cmp_decoded_prefix(here, probe).unwrap(), expect);
+            }
+        }
+    }
+
+    /// The view's one block search ≡ the owning decoder's `find` ≡ binary
+    /// search of the sorted keys, over raw and FSST-compressed blocks, with
+    /// entries inline and spilled.
+    #[test]
+    fn block_lower_bound_equals_owning_find(
+        keys in prop::collection::vec(texty(), 1..16),
+        probes in prop::collection::vec(texty(), 1..8),
+        kind in 0u8..4,
+        inline_limit in 1usize..40,
+    ) {
+        let mut keys = keys;
+        keys.sort();
+        keys.dedup();
+        // `kind == 3`: a raw block.
+        let table = (kind < 3).then(|| table_for(kind, &keys));
+        if kind == 2 {
+            prop_assume!(keys.iter().chain(&probes).flatten().all(|&x| !(0xF0..=0xF3).contains(&x)));
+        }
+        let mut pages: HashMap<u64, Vec<u8>> = HashMap::new();
+        let mut builder = ValueBlockBuilder::new();
+        for k in &keys {
+            let stored = table.as_ref().map_or(k.clone(), |t| t.encode(k));
+            builder.push_unordered(&stored, inline_limit, &mut |bytes: &[u8]| {
+                bytes
+                    .chunks(5)
+                    .map(|c| {
+                        let p = pages.len() as u64;
+                        pages.insert(p, c.to_vec());
+                        OverflowRef { page_no: p, len: c.len() as u32 }
+                    })
+                    .collect()
+            });
+        }
+        let bytes = builder.finish();
+        let view = ValueBlockView::parse(&bytes).unwrap();
+        let (owned, _) = ValueBlock::parse(&bytes).unwrap();
+        let mut fetch = |r: &OverflowRef| Ok(pages[&r.page_no].clone());
+        let mut acc = Vec::new();
+        let mut all = probes;
+        for k in &keys {
+            all.extend([k.clone(), k[..k.len() / 2].to_vec(), [k.as_slice(), &[0]].concat()]);
+        }
+        for probe in &all {
+            let expect = keys.binary_search(probe);
+            let got = view.lower_bound(probe, table.as_ref(), &mut acc, &mut fetch).unwrap();
+            prop_assert_eq!(got, expect, "probe {:?}", probe);
+            if table.is_none() {
+                prop_assert_eq!(owned.find(probe, &mut fetch).unwrap(), expect);
+            }
+            prop_assert_eq!(
+                view.cmp_first(probe, table.as_ref(), &mut acc, &mut fetch).unwrap(),
+                keys[0].as_slice().cmp(probe)
+            );
+        }
     }
 }
 

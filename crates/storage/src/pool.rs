@@ -473,8 +473,11 @@ impl BufferPool {
     fn classify(&self, shard: &Shard, key: PageKey) -> PinAction {
         let mut state = shard.lock();
         // Quarantine gate: a permanently failed page serves fail-fast
-        // errors (no store traffic) until its pin-count TTL drains.
-        if let Some(entry) = state.quarantine.get_mut(&key) {
+        // errors (no store traffic) until its pin-count TTL drains. A
+        // healthy shard's set is empty and costs no hash.
+        let quarantined =
+            if state.quarantine.is_empty() { None } else { state.quarantine.get_mut(&key) };
+        if let Some(entry) = quarantined {
             entry.pins_left -= 1;
             let err = StorageError::Quarantined {
                 key,
@@ -566,10 +569,7 @@ impl BufferPool {
                 self.inner.metrics.pin_ns.record(elapsed);
             }
         }
-        self.inner
-            .tracer
-            .emit(EventKind::PagePinned, key.chain.0, key.page_no, guard.bytes().len() as u64);
-        Ok(guard)
+        Ok(self.pinned(key, guard))
     }
 
     /// Pins every page of `keys` — the batched form of [`BufferPool::pin`],
@@ -605,34 +605,44 @@ impl BufferPool {
             return;
         }
         let started = Instant::now();
-        let mut planned: Vec<Option<StorageResult<PageGuard>>> = Vec::with_capacity(keys.len());
+        let base = out.len();
+        out.reserve(keys.len());
+        // A slot of `out` this call fills in after the pass — the caller
+        // never sees this value.
+        let pending = |key| Err(StorageError::PageOutOfBounds { key, chain_len: 0 });
         // The pages this call loads (it installed their `Loading` slots)
-        // and, in step, each one's index into `keys`.
+        // and, in step, each one's slot in `out`.
         let mut wave: Vec<(PageKey, Arc<LoadState>)> = Vec::new();
         let mut wave_at: Vec<usize> = Vec::new();
+        // Slots of the keys in flight when the pass saw them.
+        let mut joins: Vec<usize> = Vec::new();
         let mut hits = 0u64;
         // The warm pass is sampled like single pins: when one of its hits
         // is a shard's 1st, 65th, … the whole pass records.
         let mut sampled = false;
-        for (i, &key) in keys.iter().enumerate() {
+        for &key in keys {
             let shard = self.inner.shard(key);
-            planned.push(match self.classify(shard, key) {
+            // A hit's guard goes straight to its slot.
+            out.push(match self.classify(shard, key) {
                 PinAction::Hit(frame) => {
                     sampled |= (shard.counters.hits.add(1) - 1).is_multiple_of(PIN_SAMPLE_EVERY);
                     hits += 1;
-                    Some(Ok(self.inner.guard(frame, caller)))
+                    Ok(self.pinned(key, self.inner.guard(frame, caller)))
                 }
                 PinAction::Load(ls) => {
                     shard.counters.misses.inc();
                     wave.push((key, ls));
-                    wave_at.push(i);
-                    None
+                    wave_at.push(out.len());
+                    pending(key)
                 }
-                PinAction::Wait(_) => None,
+                PinAction::Wait(_) => {
+                    joins.push(out.len());
+                    pending(key)
+                }
                 PinAction::FailFast(err) => {
                     shard.counters.misses.inc();
                     self.inner.metrics.quarantine_fail_fast.inc();
-                    Some(Err(err))
+                    Err(err)
                 }
             });
         }
@@ -644,26 +654,25 @@ impl BufferPool {
         if !wave.is_empty() {
             let frames = self.load_wave(wave);
             let waited = started.elapsed().as_nanos() as u64;
-            for (i, frame) in wave_at.into_iter().zip(frames) {
+            for (at, frame) in wave_at.into_iter().zip(frames) {
                 self.inner.metrics.load_ns.record(waited);
-                planned[i] = Some(frame.map(|f| self.inner.guard(f, caller)));
+                let key = keys[at - base];
+                out[at] = frame.map(|f| self.pinned(key, self.inner.guard(f, caller)));
             }
         }
-        out.extend(keys.iter().zip(planned).map(|(&key, planned)| match planned {
-            Some(Ok(guard)) => {
-                self.inner.tracer.emit(
-                    EventKind::PagePinned,
-                    key.chain.0,
-                    key.page_no,
-                    guard.bytes().len() as u64,
-                );
-                Ok(guard)
-            }
-            Some(Err(err)) => Err(err),
-            // In flight when the pass saw it: join (or, if that load
-            // failed or was a duplicate of ours, re-inspect) now.
-            None => self.pin_at(key, caller),
-        }));
+        // In flight when the pass saw it: join (or, if that load failed or
+        // was a duplicate of ours, re-inspect) now that the wave is in.
+        for at in joins {
+            out[at] = self.pin_at(keys[at - base], caller);
+        }
+    }
+
+    /// Traces the pin `guard` of `key` and hands the guard back.
+    fn pinned(&self, key: PageKey, guard: PageGuard) -> PageGuard {
+        self.inner
+            .tracer
+            .emit(EventKind::PagePinned, key.chain.0, key.page_no, guard.bytes().len() as u64);
+        guard
     }
 
     /// Fetches the pages this call was elected to load (it installed their

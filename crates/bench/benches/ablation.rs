@@ -261,9 +261,10 @@ fn bench_scm_helper_placement(c: &mut Criterion) {
             b.iter(|| {
                 // Evict everything so each lookup pays the tier latency.
                 let _ = resman.reactive_unload();
-                let mut it = dict.iter();
+                let mut cache = HandleCache::new(pool.clone());
                 probe = (probe * 48271) % 60_000;
-                let _ = std::hint::black_box(it.find(&keys[probe as usize]).unwrap());
+                let found = dict.find(&keys[probe as usize], &mut cache).unwrap();
+                let _ = std::hint::black_box(found);
             })
         });
     }

@@ -1,7 +1,7 @@
 //! Column construction: one persisted format, two access modes.
 
-use crate::column::paged::{ColumnParts, IndexSlot};
-use crate::column::{Column, IndexMode, LoadPolicy, PagedColumn, ResidentColumn};
+use crate::column::paged::ColumnParts;
+use crate::column::{Column, LoadPolicy, PagedColumn, ResidentColumn};
 use crate::datavec::PagedDataVector;
 use crate::dict::{PagedDictBuildStats, PagedDictionary};
 use crate::invidx::PagedInvertedIndex;
@@ -17,7 +17,7 @@ use std::sync::Arc;
 pub struct ColumnBuilder {
     data_type: DataType,
     policy: LoadPolicy,
-    index_mode: IndexMode,
+    with_index: bool,
     resident_disposition: Disposition,
 }
 
@@ -40,7 +40,7 @@ impl ColumnBuilder {
         ColumnBuilder {
             data_type,
             policy: LoadPolicy::FullyResident,
-            index_mode: IndexMode::None,
+            with_index: false,
             resident_disposition: Disposition::MidTerm,
         }
     }
@@ -51,18 +51,10 @@ impl ColumnBuilder {
         self
     }
 
-    /// Requests an eagerly built inverted index (or none).
+    /// Requests an inverted index, built here with the data vector and the
+    /// dictionary (paper §3.3), or none. Fixed for the column's lifetime.
     pub fn with_index(mut self, with_index: bool) -> Self {
-        self.index_mode = if with_index { IndexMode::Eager } else { IndexMode::None };
-        self
-    }
-
-    /// Sets the full index policy, including the adaptive (workload-driven)
-    /// mode of the paper's §8. Adaptive mode applies to page-loadable
-    /// columns; a fully resident column treats it as eager (its image is
-    /// rebuilt wholesale on every load anyway).
-    pub fn index_mode(mut self, mode: IndexMode) -> Self {
-        self.index_mode = mode;
+        self.with_index = with_index;
         self
     }
 
@@ -113,32 +105,14 @@ impl ColumnBuilder {
         }
         let data = PagedDataVector::build(pool, config, &packed)?;
         scratch.adopt(ChainId(data.chain_id()));
-        let effective_mode = match (self.index_mode, self.policy) {
-            // Resident columns rebuild their whole image on load; adaptive
-            // building degenerates to eager there.
-            (IndexMode::Adaptive { .. }, LoadPolicy::FullyResident) => IndexMode::Eager,
-            (m, _) => m,
-        };
-        let index = match effective_mode {
-            IndexMode::None => IndexSlot::None,
-            IndexMode::Eager => IndexSlot::Eager(PagedInvertedIndex::build(
-                pool,
-                config,
-                &vids,
-                keys.len() as u64,
-            )?),
-            IndexMode::Adaptive { threshold } => IndexSlot::Adaptive {
-                threshold,
-                searches: Default::default(),
-                built: Default::default(),
-            },
+        let index = if self.with_index {
+            Some(PagedInvertedIndex::build(pool, config, &vids, keys.len() as u64)?)
+        } else {
+            None
         };
         scratch.commit();
         let datavec_pages = data.pages();
-        let index_pages = match &index {
-            IndexSlot::Eager(i) => i.pages(),
-            _ => 0,
-        };
+        let index_pages = index.as_ref().map_or(0, |i| i.pages());
 
         let parts = Arc::new(ColumnParts {
             data_type: self.data_type,

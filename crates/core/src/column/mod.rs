@@ -22,7 +22,7 @@ mod resident;
 pub use builder::{ColumnBuild, ColumnBuilder};
 pub use crate::waves::WAVE_PAGES;
 pub use materialize::materialize;
-pub use paged::{IndexMode, PagedColumn};
+pub use paged::PagedColumn;
 pub use read::ColumnRead;
 pub use resident::ResidentColumn;
 
@@ -54,6 +54,14 @@ pub enum Column {
 }
 
 impl Column {
+    /// The persisted parts, whichever mode reads them.
+    fn parts(&self) -> &paged::ColumnParts {
+        match self {
+            Column::Resident(c) => c.parts(),
+            Column::Paged(c) => c.parts(),
+        }
+    }
+
     /// The column's load policy.
     pub fn policy(&self) -> LoadPolicy {
         match self {
@@ -84,29 +92,20 @@ impl Column {
     /// modes share one persisted format, so this reports the on-disk codec
     /// even for resident columns (whose in-memory image is decoded).
     pub fn dict_codec(&self) -> CodecKind {
-        match self {
-            Column::Resident(c) => c.parts().dict.codec_kind(),
-            Column::Paged(c) => c.parts().dict.codec_kind(),
-        }
+        self.parts().dict.codec_kind()
     }
 
-    /// The codec of the persisted posting chain, if an index currently
-    /// exists.
+    /// The codec of the persisted posting chain, if the column has an
+    /// index.
     pub fn index_codec(&self) -> Option<CodecKind> {
-        match self {
-            Column::Resident(c) => c.parts().index.current().map(|i| i.codec_kind()),
-            Column::Paged(c) => c.parts().index.current().map(|i| i.codec_kind()),
-        }
+        self.parts().index.as_ref().map(|i| i.codec_kind())
     }
 
     /// The store chains backing this column, labeled by role (`data`,
     /// `dict*`, `index`). Both load modes persist the same chains, so
     /// EXPLAIN ANALYZE can attribute traced page events either way.
     pub fn chains(&self) -> Vec<(&'static str, u64)> {
-        match self {
-            Column::Resident(c) => c.parts().chains(),
-            Column::Paged(c) => c.parts().chains(),
-        }
+        self.parts().chains()
     }
 
     /// The strategy a row search for `pred` runs with. Resident columns
@@ -124,9 +123,10 @@ impl Column {
     /// policy, page geometry and the metadata of all three structures. The
     /// page chains themselves already live in the store.
     pub fn meta_bytes(&self) -> Vec<u8> {
-        let (parts, policy_tag, disposition) = match self {
-            Column::Resident(c) => (c.parts(), 0u8, c.disposition()),
-            Column::Paged(c) => (c.parts(), 1u8, Disposition::MidTerm),
+        let parts = self.parts();
+        let (policy_tag, disposition) = match self {
+            Column::Resident(c) => (0u8, c.disposition()),
+            Column::Paged(_) => (1u8, Disposition::MidTerm),
         };
         let mut w = MetaWriter::new();
         w.u8(data_type_tag(parts.data_type));
@@ -138,22 +138,11 @@ impl Column {
         w.bytes(&parts.dict.meta_bytes());
         w.bytes(&parts.data.meta_bytes());
         match &parts.index {
-            paged::IndexSlot::None => w.u8(0),
-            paged::IndexSlot::Eager(i) => {
+            None => w.u8(0),
+            Some(i) => {
                 w.u8(1);
                 w.bytes(&i.meta_bytes());
             }
-            paged::IndexSlot::Adaptive { threshold, built, .. } => match built.get() {
-                None => {
-                    w.u8(2);
-                    w.u64(*threshold);
-                }
-                Some(i) => {
-                    w.u8(3);
-                    w.u64(*threshold);
-                    w.bytes(&i.meta_bytes());
-                }
-            },
         }
         w.finish()
     }
@@ -170,24 +159,8 @@ impl Column {
         let dict = crate::dict::PagedDictionary::open(pool, data_type, &r.bytes()?)?;
         let data = crate::datavec::PagedDataVector::open(pool, &r.bytes()?)?;
         let index = match r.u8()? {
-            0 => paged::IndexSlot::None,
-            1 => paged::IndexSlot::Eager(crate::invidx::PagedInvertedIndex::open(
-                pool,
-                &r.bytes()?,
-            )?),
-            2 => paged::IndexSlot::Adaptive {
-                threshold: r.u64()?,
-                searches: Default::default(),
-                built: Default::default(),
-            },
-            3 => {
-                let threshold = r.u64()?;
-                let index = crate::invidx::PagedInvertedIndex::open(pool, &r.bytes()?)?;
-                let built = std::sync::OnceLock::new();
-                // A just-created OnceLock cannot already hold a value.
-                let _ = built.set(index);
-                paged::IndexSlot::Adaptive { threshold, searches: Default::default(), built }
-            }
+            0 => None,
+            1 => Some(crate::invidx::PagedInvertedIndex::open(pool, &r.bytes()?)?),
             t => {
                 return Err(CoreError::Storage(StorageError::corrupt(format!(
                     "catalog: unknown index tag {t}"
@@ -366,19 +339,6 @@ impl ColumnRead for Column {
         }
     }
 
-    fn find_rows_par(
-        &self,
-        pred: &ValuePredicate,
-        from: u64,
-        to: u64,
-        opts: ScanOptions,
-    ) -> CoreResult<Vec<u64>> {
-        match self {
-            Column::Resident(c) => c.find_rows_par(pred, from, to, opts),
-            Column::Paged(c) => c.find_rows_par(pred, from, to, opts),
-        }
-    }
-
     fn count_rows_par(
         &self,
         pred: &ValuePredicate,
@@ -387,7 +347,7 @@ impl ColumnRead for Column {
         opts: ScanOptions,
     ) -> CoreResult<u64> {
         match self {
-            Column::Resident(c) => c.count_rows_par(pred, from, to, opts),
+            Column::Resident(c) => c.count_rows(pred, from, to),
             Column::Paged(c) => c.count_rows_par(pred, from, to, opts),
         }
     }

@@ -2,31 +2,13 @@
 
 use crate::column::read::ColumnRead;
 use crate::datavec::ScanOptions;
-use crate::dict::HandleCache;
+use crate::dict::{DictLookup, HandleCache};
 use crate::invidx::{for_each_run, PagedInvertedIndex};
-use crate::{CoreResult, DataType, PageConfig, Value, ValuePredicate};
-use payg_encoding::dispatch::{CodecKind, ScanPath};
+use crate::{CoreError, CoreResult, DataType, PageConfig, Value, ValuePredicate};
+use payg_encoding::dispatch::ScanPath;
 use payg_encoding::VidSet;
 use payg_storage::BufferPool;
-use std::sync::{Arc, OnceLock};
-
-/// When (and whether) a column's inverted index exists (paper §8: the
-/// inverted index is *non-critical* data — recoverable from the data
-/// vector — so it can be built adaptively, driven by the workload, instead
-/// of eagerly at every delta merge).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IndexMode {
-    /// No inverted index; searches scan the data vector (Alg. 1).
-    None,
-    /// Built eagerly at delta merge (the paper's §3 default).
-    Eager,
-    /// Built lazily, from the paged data vector, once the column has served
-    /// `threshold` searches — the paper's future-work proposal.
-    Adaptive {
-        /// Searches before the index is built.
-        threshold: u64,
-    },
-}
+use std::sync::Arc;
 
 /// The index traversal for `pred`, picked from its shape alone: point and
 /// set probes (`Eq`, `In`) seek each vid's postings in the compressed
@@ -41,30 +23,6 @@ fn index_path(pred: &ValuePredicate) -> ScanPath {
     }
 }
 
-/// The index slot of a column under a given [`IndexMode`].
-pub(crate) enum IndexSlot {
-    None,
-    Eager(PagedInvertedIndex),
-    Adaptive {
-        threshold: u64,
-        /// Detached [`payg_obs::Counter`] (not a registry series): the count
-        /// drives the build decision, it is not exported.
-        searches: payg_obs::Counter,
-        built: OnceLock<PagedInvertedIndex>,
-    },
-}
-
-impl IndexSlot {
-    /// The index if it currently exists (never triggers a build).
-    pub(crate) fn current(&self) -> Option<&PagedInvertedIndex> {
-        match self {
-            IndexSlot::None => None,
-            IndexSlot::Eager(i) => Some(i),
-            IndexSlot::Adaptive { built, .. } => built.get(),
-        }
-    }
-}
-
 /// The persisted parts shared by both access modes.
 pub(crate) struct ColumnParts {
     pub data_type: DataType,
@@ -74,43 +32,86 @@ pub(crate) struct ColumnParts {
     pub config: PageConfig,
     pub data: crate::datavec::PagedDataVector,
     pub dict: crate::dict::PagedDictionary,
-    pub index: IndexSlot,
+    /// The inverted index the merge built, if it was asked for one; no read
+    /// path ever creates one.
+    pub index: Option<PagedInvertedIndex>,
 }
 
 impl ColumnParts {
-    /// The index for a search: counts the search, and builds the adaptive
-    /// index from the data vector (critical data) once the threshold is
-    /// crossed.
-    pub(crate) fn index_for_search(&self) -> CoreResult<Option<&PagedInvertedIndex>> {
-        match &self.index {
-            IndexSlot::None => Ok(None),
-            IndexSlot::Eager(i) => Ok(Some(i)),
-            IndexSlot::Adaptive { threshold, searches, built } => {
-                if let Some(i) = built.get() {
-                    return Ok(Some(i));
-                }
-                let n = searches.add(1);
-                if n < *threshold {
-                    return Ok(None);
-                }
-                // Rebuild non-critical data from critical data (§8): decode
-                // the whole data vector once and persist a fresh index chain.
-                let vids: Vec<u64> = self.data.decode_all_direct()?.iter().collect();
-                let index =
-                    PagedInvertedIndex::build(&self.pool, &self.config, &vids, self.cardinality)?;
-                Ok(Some(built.get_or_init(|| index)))
-            }
-        }
-    }
-
     /// The store chains backing this column, labeled by role.
     pub(crate) fn chains(&self) -> Vec<(&'static str, u64)> {
         let mut out = vec![("data", self.data.chain_id())];
         out.extend(self.dict.chains());
-        if let Some(i) = self.index.current() {
+        if let Some(i) = &self.index {
             out.push(("index", i.chain_id()));
         }
         out
+    }
+
+    /// A row search's range must lie inside the column — on every path of
+    /// both kinds: index postings, directory count and scan.
+    pub(crate) fn check_rows(&self, from: u64, to: u64) -> CoreResult<()> {
+        if from > to || to > self.len {
+            return Err(CoreError::RowOutOfBounds { rpos: to, len: self.len });
+        }
+        Ok(())
+    }
+
+    /// Translates `pred` to the identifiers it selects (order preservation
+    /// keeps ranges contiguous), probing the dictionary through `find` —
+    /// `findByValue` on whichever form of it the caller holds.
+    pub(crate) fn vid_set(
+        &self,
+        pred: &ValuePredicate,
+        mut find: impl FnMut(&[u8]) -> CoreResult<DictLookup>,
+    ) -> CoreResult<VidSet> {
+        // The first identifier whose key is not below the probe.
+        let mut lower = |key: &[u8]| find(key).map(|l| l.unwrap_or_else(|v| v));
+        let half_open = |lo: u64, hi: u64| {
+            if lo < hi {
+                VidSet::range(lo, hi - 1)
+            } else {
+                VidSet::from_vids(Vec::new())
+            }
+        };
+        Ok(match pred {
+            ValuePredicate::Eq(v) => {
+                v.check_type(self.data_type)?;
+                match find(&v.to_key())? {
+                    Ok(vid) => VidSet::Single(vid),
+                    Err(_) => VidSet::from_vids(Vec::new()),
+                }
+            }
+            ValuePredicate::Between(lo, hi) => {
+                lo.check_type(self.data_type)?;
+                hi.check_type(self.data_type)?;
+                let lo = lower(&lo.to_key())?;
+                let hi = match find(&hi.to_key())? {
+                    Ok(v) => v + 1,
+                    Err(v) => v,
+                };
+                half_open(lo, hi)
+            }
+            ValuePredicate::In(vs) => {
+                let mut vids = Vec::new();
+                for v in vs {
+                    v.check_type(self.data_type)?;
+                    if let Ok(vid) = find(&v.to_key())? {
+                        vids.push(vid);
+                    }
+                }
+                VidSet::from_vids(vids)
+            }
+            ValuePredicate::StartsWith(prefix) => {
+                Value::Varchar(String::new()).check_type(self.data_type)?;
+                let lo = lower(prefix.as_bytes())?;
+                let hi = match crate::value::prefix_successor(prefix.as_bytes()) {
+                    Some(succ) => lower(&succ)?,
+                    None => self.cardinality,
+                };
+                half_open(lo, hi)
+            }
+        })
     }
 }
 
@@ -134,213 +135,79 @@ impl PagedColumn {
         HandleCache::new(self.parts.pool.clone())
     }
 
-    /// Heap bytes of the always-resident metadata.
-    pub fn meta_heap_bytes(&self) -> usize {
-        self.parts.dict.meta_heap_bytes()
-    }
-
-    /// The codec of the dictionary chain.
-    pub fn dict_codec(&self) -> CodecKind {
-        self.parts.dict.codec_kind()
-    }
-
-    /// The codec of the inverted index's posting chain, if an index
-    /// currently exists (adaptive indexes report `None` until built).
-    pub fn index_codec(&self) -> Option<CodecKind> {
-        self.parts.index.current().map(|i| i.codec_kind())
-    }
-
     /// The strategy a row search for `pred` runs with: the index traversal
     /// its shape selects when an index exists, decode-then-scan (the data
     /// vector kernels) otherwise. (Dictionary probes decide independently:
     /// FSST equality probes always compare compressed bytes inside `find`.)
     pub fn scan_path(&self, pred: &ValuePredicate) -> ScanPath {
-        match self.parts.index.current() {
+        match self.parts.index {
             Some(_) => index_path(pred),
             None => ScanPath::DecodeThenScan,
         }
     }
 
-    /// The store chains backing this column, labeled by role (`data`,
-    /// `dict*`, `index`) — lets EXPLAIN ANALYZE group traced page events
-    /// back to the structure that owns the touched pages.
-    pub fn chains(&self) -> Vec<(&'static str, u64)> {
-        self.parts.chains()
-    }
-
+    /// Translates `pred` through the paged dictionary; the pages it pins stay
+    /// in `cache` for the caller's search.
     fn vid_set_cached(&self, pred: &ValuePredicate, cache: &mut HandleCache) -> CoreResult<VidSet> {
-        Ok(match pred {
-            ValuePredicate::Eq(v) => {
-                v.check_type(self.parts.data_type)?;
-                match self.parts.dict.find(&v.to_key(), cache)? {
-                    Ok(vid) => VidSet::Single(vid),
-                    Err(_) => VidSet::from_vids(Vec::new()),
-                }
-            }
-            ValuePredicate::Between(lo, hi) => {
-                lo.check_type(self.parts.data_type)?;
-                hi.check_type(self.parts.data_type)?;
-                match self.parts.dict.vid_range(&lo.to_key(), &hi.to_key(), cache)? {
-                    Some((lo, hi)) => VidSet::range(lo, hi),
-                    None => VidSet::from_vids(Vec::new()),
-                }
-            }
-            ValuePredicate::In(vs) => {
-                let mut vids = Vec::new();
-                for v in vs {
-                    v.check_type(self.parts.data_type)?;
-                    if let Ok(vid) = self.parts.dict.find(&v.to_key(), cache)? {
-                        vids.push(vid);
-                    }
-                }
-                VidSet::from_vids(vids)
-            }
-            ValuePredicate::StartsWith(prefix) => {
-                Value::Varchar(String::new()).check_type(self.parts.data_type)?;
-                let lo = match self.parts.dict.find(prefix.as_bytes(), cache)? {
-                    Ok(v) | Err(v) => v,
-                };
-                let hi = match crate::value::prefix_successor(prefix.as_bytes()) {
-                    Some(succ) => match self.parts.dict.find(&succ, cache)? {
-                        Ok(v) | Err(v) => v,
-                    },
-                    None => self.parts.cardinality,
-                };
-                if lo < hi {
-                    VidSet::range(lo, hi - 1)
-                } else {
-                    VidSet::from_vids(Vec::new())
-                }
-            }
-        })
+        self.parts.vid_set(pred, |key| self.parts.dict.find(key, cache))
     }
 
-    /// Shared body of `find_rows` / `find_rows_par`: translate the predicate,
-    /// then answer from the index (always sequential — postings are vid-major,
-    /// not row-major) or scan the data vector, segmented when `opts` allows.
-    fn find_rows_impl(
+    /// The rows in `from..to` (already checked) whose identifier is in `set`,
+    /// ascending: from the inverted index when there is one (Alg. 5), by a
+    /// scan of the paged data vector otherwise (Alg. 1).
+    fn rows_in(
         &self,
         pred: &ValuePredicate,
+        set: &VidSet,
         from: u64,
         to: u64,
-        opts: ScanOptions,
     ) -> CoreResult<Vec<u64>> {
-        let mut cache = self.cache();
-        let set = self.vid_set_cached(pred, &mut cache)?;
         let mut out = Vec::new();
         if set.is_empty() {
             return Ok(out);
         }
-        match self.parts.index_for_search()? {
-            // Alg. 5: answer from the paged inverted index.
-            Some(index) => {
-                let path = index_path(pred);
-                // Flight recorder: one chunk-dispatch span covers the whole
-                // index traversal; `detail` records which path it took
-                // (1 = compressed-domain, 0 = decode-then-scan).
-                let _span = self.parts.pool.registry().tracer().span(
-                    payg_obs::SpanKind::ChunkDispatch,
-                    matches!(path, ScanPath::CompressedDomain) as u64,
-                );
-                let mut it = index.iter();
-                match path {
-                    ScanPath::CompressedDomain => {
-                        for vid in set.iter() {
-                            let mut cur = it.next_row_pos_geq(vid, from)?;
-                            while let Some(rpos) = cur {
-                                if rpos >= to {
-                                    break;
-                                }
-                                out.push(rpos);
-                                cur = it.get_next_row_pos()?;
-                            }
-                        }
-                    }
-                    // A vid range is one posting run: two directory reads,
-                    // then one drain of the contiguous postinglist slice.
-                    ScanPath::DecodeThenScan => for_each_run(&set, |lo, hi| {
-                        it.position_run(lo, hi)?;
-                        while let Some(rpos) = it.get_next_row_pos()? {
-                            if rpos >= from && rpos < to {
-                                out.push(rpos);
-                            }
-                        }
-                        Ok(())
-                    })?,
-                }
-                out.sort_unstable();
-            }
-            // Alg. 1: scan the paged data vector, loading only the pages
-            // that overlap the row range — segmented across workers when
-            // `opts` allows.
-            None => {
-                let to = to.min(self.parts.len);
-                if opts.workers > 1 {
-                    out = self.parts.data.par_search(from, to, &set, opts)?;
-                } else {
-                    self.parts.data.iter().search(from, to, &set, &mut out)?;
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// COUNT body for the no-index case: translate the predicate, then run
-    /// the non-materializing count kernel over the data vector — positions
-    /// are never collected, each page contributes popcounts of its result
-    /// bitmaps. Falls back to an index-driven `find_rows` when an index
-    /// exists (postings are already positional).
-    fn count_rows_impl(
-        &self,
-        pred: &ValuePredicate,
-        from: u64,
-        to: u64,
-        opts: ScanOptions,
-    ) -> CoreResult<u64> {
-        if let Some(n) = self.count_from_directory(pred, from, to)? {
-            return Ok(n);
-        }
-        if self.parts.index_for_search()?.is_some() {
-            return Ok(self.find_rows_impl(pred, from, to, opts)?.len() as u64);
-        }
-        let mut cache = self.cache();
-        let set = self.vid_set_cached(pred, &mut cache)?;
-        if set.is_empty() {
-            return Ok(0);
-        }
-        let to = to.min(self.parts.len);
-        if from >= to {
-            return Ok(0);
-        }
-        if opts.workers > 1 {
-            self.parts.data.par_count(from, to, &set, opts)
-        } else {
-            self.parts.data.iter().count(from, to, &set)
-        }
-    }
-
-    /// Full-range counts with an inverted index come straight from the
-    /// directory — no postinglist pages load. `None` when the shortcut does
-    /// not apply.
-    fn count_from_directory(
-        &self,
-        pred: &ValuePredicate,
-        from: u64,
-        to: u64,
-    ) -> CoreResult<Option<u64>> {
-        if let Some(index) = self.parts.index_for_search()? {
-            if from == 0 && to >= self.parts.len {
-                let mut cache = self.cache();
-                let set = self.vid_set_cached(pred, &mut cache)?;
-                let mut it = index.iter();
-                let mut n = 0u64;
+        let Some(index) = &self.parts.index else {
+            // Loads only the pages that overlap the row range and survive
+            // page-summary pruning.
+            self.parts.data.iter().search(from, to, set, &mut out)?;
+            return Ok(out);
+        };
+        let path = index_path(pred);
+        // Flight recorder: one chunk-dispatch span covers the whole index
+        // traversal; `detail` records which path it took (1 =
+        // compressed-domain, 0 = decode-then-scan).
+        let _span = self.parts.pool.registry().tracer().span(
+            payg_obs::SpanKind::ChunkDispatch,
+            matches!(path, ScanPath::CompressedDomain) as u64,
+        );
+        let mut it = index.iter();
+        match path {
+            ScanPath::CompressedDomain => {
                 for vid in set.iter() {
-                    n += it.posting_count(vid)?;
+                    let mut cur = it.next_row_pos_geq(vid, from)?;
+                    while let Some(rpos) = cur {
+                        if rpos >= to {
+                            break;
+                        }
+                        out.push(rpos);
+                        cur = it.get_next_row_pos()?;
+                    }
                 }
-                return Ok(Some(n));
             }
+            // A vid range is one posting run: two directory reads, then one
+            // drain of the contiguous postinglist slice.
+            ScanPath::DecodeThenScan => for_each_run(set, |lo, hi| {
+                it.position_run(lo, hi)?;
+                while let Some(rpos) = it.get_next_row_pos()? {
+                    if rpos >= from && rpos < to {
+                        out.push(rpos);
+                    }
+                }
+                Ok(())
+            })?,
         }
-        Ok(None)
+        out.sort_unstable();
+        Ok(out)
     }
 }
 
@@ -358,7 +225,7 @@ impl ColumnRead for PagedColumn {
     }
 
     fn has_index(&self) -> bool {
-        self.parts.index.current().is_some()
+        self.parts.index.is_some()
     }
 
     fn get_value(&self, rpos: u64) -> CoreResult<Value> {
@@ -399,19 +266,33 @@ impl ColumnRead for PagedColumn {
     }
 
     fn find_rows(&self, pred: &ValuePredicate, from: u64, to: u64) -> CoreResult<Vec<u64>> {
-        self.find_rows_impl(pred, from, to, ScanOptions::sequential())
+        self.parts.check_rows(from, to)?;
+        let mut cache = self.cache();
+        let set = self.vid_set_cached(pred, &mut cache)?;
+        self.rows_in(pred, &set, from, to)
     }
 
-    fn find_rows_par(
-        &self,
-        pred: &ValuePredicate,
-        from: u64,
-        to: u64,
-        opts: ScanOptions,
-    ) -> CoreResult<Vec<u64>> {
-        self.find_rows_impl(pred, from, to, opts)
+    /// COUNT never materializes positions without an index: each page
+    /// contributes popcounts of its result bitmaps. With one, a full-range
+    /// count comes straight from the directory — no postinglist page loads.
+    fn count_rows(&self, pred: &ValuePredicate, from: u64, to: u64) -> CoreResult<u64> {
+        self.parts.check_rows(from, to)?;
+        let mut cache = self.cache();
+        let set = self.vid_set_cached(pred, &mut cache)?;
+        match &self.parts.index {
+            Some(index) if from == 0 && to == self.parts.len => {
+                let mut it = index.iter();
+                set.iter().map(|vid| it.posting_count(vid)).sum()
+            }
+            Some(_) => Ok(self.rows_in(pred, &set, from, to)?.len() as u64),
+            None if set.is_empty() => Ok(0),
+            None => self.parts.data.iter().count(from, to, &set),
+        }
     }
 
+    /// The probe behind `core.scan_ns_per_row_par2`: an index-less count
+    /// split over `opts.workers` threads; anything else is
+    /// [`ColumnRead::count_rows`].
     fn count_rows_par(
         &self,
         pred: &ValuePredicate,
@@ -419,15 +300,16 @@ impl ColumnRead for PagedColumn {
         to: u64,
         opts: ScanOptions,
     ) -> CoreResult<u64> {
-        self.count_rows_impl(pred, from, to, opts)
+        if opts.workers <= 1 || self.parts.index.is_some() {
+            return self.count_rows(pred, from, to);
+        }
+        self.parts.check_rows(from, to)?;
+        let set = self.vid_set_cached(pred, &mut self.cache())?;
+        self.parts.data.par_count(from, to, &set, opts)
     }
 
     fn key_by_vid(&self, vid: u64) -> CoreResult<Vec<u8>> {
         let mut cache = self.cache();
         self.parts.dict.key_by_vid(vid, &mut cache)
-    }
-
-    fn count_rows(&self, pred: &ValuePredicate, from: u64, to: u64) -> CoreResult<u64> {
-        self.count_rows_impl(pred, from, to, ScanOptions::sequential())
     }
 }

@@ -77,23 +77,10 @@ pub trait ColumnRead {
         Ok(self.find_rows(pred, from, to)?.len() as u64)
     }
 
-    /// [`ColumnRead::find_rows`] with an explicit parallelism budget. The
-    /// result is bit-identical to the sequential scan; implementations that
-    /// cannot parallelize fall back to it. Index-backed answers stay
-    /// sequential — segmenting pays off on data-vector scans, where each
-    /// partition touches disjoint pages.
-    fn find_rows_par(
-        &self,
-        pred: &ValuePredicate,
-        from: u64,
-        to: u64,
-        opts: ScanOptions,
-    ) -> CoreResult<Vec<u64>> {
-        let _ = opts;
-        self.find_rows(pred, from, to)
-    }
-
-    /// [`ColumnRead::count_rows`] with an explicit parallelism budget.
+    /// [`ColumnRead::count_rows`] split over up to `opts.workers` threads —
+    /// what `payg-perf` times as `core.scan_ns_per_row_par2`; queries never
+    /// call it. Only an index-less paged column splits; the rest count on
+    /// the calling thread.
     fn count_rows_par(
         &self,
         pred: &ValuePredicate,
@@ -101,6 +88,7 @@ pub trait ColumnRead {
         to: u64,
         opts: ScanOptions,
     ) -> CoreResult<u64> {
-        Ok(self.find_rows_par(pred, from, to, opts)?.len() as u64)
+        let _ = opts;
+        self.count_rows(pred, from, to)
     }
 }

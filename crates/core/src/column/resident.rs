@@ -3,7 +3,6 @@
 use crate::column::materialize::{count_runs, distinct_ranks, fan_out};
 use crate::column::paged::ColumnParts;
 use crate::column::read::ColumnRead;
-use crate::datavec::{par_search_resident, ScanOptions};
 use crate::dict::InMemoryDict;
 use crate::invidx::{for_each_run, InMemoryInvertedIndex};
 use crate::sync::{LockRank, Mutex};
@@ -73,7 +72,7 @@ impl ResidentColumn {
         // Full column load: every structure is read in its entirety.
         let data = self.parts.data.decode_all_direct()?;
         let dict = self.parts.dict.materialize_all_direct()?;
-        let index = if self.parts.index.current().is_some() {
+        let index = if self.parts.index.is_some() {
             // Non-critical data: rebuilt from the critical structures (§8).
             let vids: Vec<u64> = data.iter().collect();
             Some(InMemoryInvertedIndex::build(&vids, self.parts.cardinality))
@@ -159,95 +158,29 @@ impl ResidentColumn {
     }
 
     fn vid_set_from_image(&self, image: &Image, pred: &ValuePredicate) -> CoreResult<VidSet> {
-        Ok(match pred {
-            ValuePredicate::Eq(v) => {
-                v.check_type(self.parts.data_type)?;
-                match image.dict.find(&v.to_key()) {
-                    Ok(vid) => VidSet::Single(vid),
-                    Err(_) => VidSet::from_vids(Vec::new()),
-                }
-            }
-            ValuePredicate::Between(lo, hi) => {
-                lo.check_type(self.parts.data_type)?;
-                hi.check_type(self.parts.data_type)?;
-                let lo_vid = match image.dict.find(&lo.to_key()) {
-                    Ok(v) | Err(v) => v,
-                };
-                let hi_vid = match image.dict.find(&hi.to_key()) {
-                    Ok(v) => v + 1,
-                    Err(v) => v,
-                };
-                if lo_vid < hi_vid {
-                    VidSet::range(lo_vid, hi_vid - 1)
-                } else {
-                    VidSet::from_vids(Vec::new())
-                }
-            }
-            ValuePredicate::In(vs) => {
-                let mut vids = Vec::new();
-                for v in vs {
-                    v.check_type(self.parts.data_type)?;
-                    if let Ok(vid) = image.dict.find(&v.to_key()) {
-                        vids.push(vid);
-                    }
-                }
-                VidSet::from_vids(vids)
-            }
-            ValuePredicate::StartsWith(prefix) => {
-                Value::Varchar(String::new()).check_type(self.parts.data_type)?;
-                let lo = match image.dict.find(prefix.as_bytes()) {
-                    Ok(v) | Err(v) => v,
-                };
-                let hi = match crate::value::prefix_successor(prefix.as_bytes()) {
-                    Some(succ) => match image.dict.find(&succ) {
-                        Ok(v) | Err(v) => v,
-                    },
-                    None => self.parts.cardinality,
-                };
-                if lo < hi {
-                    VidSet::range(lo, hi - 1)
-                } else {
-                    VidSet::from_vids(Vec::new())
-                }
-            }
-        })
+        self.parts.vid_set(pred, |key| Ok(image.dict.find(key)))
     }
 
-    /// Shared body of `find_rows` / `find_rows_par`: index postings stay
-    /// sequential; the packed-vector scan segments across chunk-aligned
-    /// ranges when `opts` allows.
-    fn find_rows_impl(
-        &self,
-        pred: &ValuePredicate,
-        from: u64,
-        to: u64,
-        opts: ScanOptions,
-    ) -> CoreResult<Vec<u64>> {
-        let image = self.image()?;
-        if from > to || to > self.parts.len {
-            return Err(CoreError::RowOutOfBounds { rpos: to, len: self.parts.len });
-        }
-        let set = self.vid_set_from_image(&image, pred)?;
+    /// The rows in `from..to` (already checked) whose identifier is in `set`,
+    /// ascending: a vid range is one posting run of the index — one decode
+    /// of the contiguous postinglist slice — else the packed vector is
+    /// scanned.
+    fn rows_in(image: &Image, set: &VidSet, from: u64, to: u64) -> CoreResult<Vec<u64>> {
         let mut out = Vec::new();
         if set.is_empty() {
             return Ok(out);
         }
         match &image.index {
-            // A vid range is one posting run: one decode of the contiguous
-            // postinglist slice.
             Some(index) => {
                 let mut run = Vec::new();
-                for_each_run(&set, |lo, hi| {
+                for_each_run(set, |lo, hi| {
                     index.posting_run(lo, hi, &mut run)?;
                     out.extend(run.iter().copied().filter(|&rpos| rpos >= from && rpos < to));
                     Ok(())
                 })?;
                 out.sort_unstable();
             }
-            None if opts.workers > 1 => {
-                out = par_search_resident(&image.data, from, to, &set, opts.workers);
-            }
-            None => scan::search(&image.data, from, to, &set, &mut out),
+            None => scan::search(&image.data, from, to, set, &mut out),
         }
         Ok(out)
     }
@@ -275,7 +208,7 @@ impl ColumnRead for ResidentColumn {
     }
 
     fn has_index(&self) -> bool {
-        self.parts.index.current().is_some()
+        self.parts.index.is_some()
     }
 
     fn get_value(&self, rpos: u64) -> CoreResult<Value> {
@@ -309,10 +242,8 @@ impl ColumnRead for ResidentColumn {
     }
 
     fn get_vids(&self, from: u64, to: u64, out: &mut Vec<u64>) -> CoreResult<()> {
+        self.parts.check_rows(from, to)?;
         let image = self.image()?;
-        if from > to || to > self.parts.len {
-            return Err(CoreError::RowOutOfBounds { rpos: to, len: self.parts.len });
-        }
         image.data.mget(from, to, out);
         Ok(())
     }
@@ -323,17 +254,10 @@ impl ColumnRead for ResidentColumn {
     }
 
     fn find_rows(&self, pred: &ValuePredicate, from: u64, to: u64) -> CoreResult<Vec<u64>> {
-        self.find_rows_impl(pred, from, to, ScanOptions::sequential())
-    }
-
-    fn find_rows_par(
-        &self,
-        pred: &ValuePredicate,
-        from: u64,
-        to: u64,
-        opts: ScanOptions,
-    ) -> CoreResult<Vec<u64>> {
-        self.find_rows_impl(pred, from, to, opts)
+        self.parts.check_rows(from, to)?;
+        let image = self.image()?;
+        let set = self.vid_set_from_image(&image, pred)?;
+        Self::rows_in(&image, &set, from, to)
     }
 
     fn key_by_vid(&self, vid: u64) -> CoreResult<Vec<u8>> {
@@ -344,42 +268,19 @@ impl ColumnRead for ResidentColumn {
         Ok(image.dict.key(vid).to_vec())
     }
 
+    /// A full-range count with an index reads the directory; without one,
+    /// COUNT never materializes positions — the scan kernel popcounts
+    /// per-chunk result bitmaps in place.
     fn count_rows(&self, pred: &ValuePredicate, from: u64, to: u64) -> CoreResult<u64> {
+        self.parts.check_rows(from, to)?;
         let image = self.image()?;
-        if let Some(index) = &image.index {
-            if from == 0 && to >= self.parts.len {
-                let set = self.vid_set_from_image(&image, pred)?;
-                let mut n = 0u64;
-                for vid in set.iter() {
-                    n += index.posting_count(vid)?;
-                }
-                return Ok(n);
-            }
-            return Ok(self.find_rows(pred, from, to)?.len() as u64);
-        }
-        // No index: COUNT never materializes positions — the scan kernel
-        // popcounts per-chunk result bitmaps in place.
-        if from > to || to > self.parts.len {
-            return Err(CoreError::RowOutOfBounds { rpos: to, len: self.parts.len });
-        }
         let set = self.vid_set_from_image(&image, pred)?;
-        Ok(payg_encoding::kernels::count_matches(&image.data, from, to.min(self.parts.len), &set))
-    }
-
-    fn count_rows_par(
-        &self,
-        pred: &ValuePredicate,
-        from: u64,
-        to: u64,
-        opts: ScanOptions,
-    ) -> CoreResult<u64> {
-        let image = self.image()?;
-        if image.index.is_none() && from <= to && to <= self.parts.len {
-            let set = self.vid_set_from_image(&image, pred)?;
-            let _ = opts; // resident counts are CPU-trivial: stay sequential
-            return Ok(payg_encoding::kernels::count_matches(&image.data, from, to, &set));
+        match &image.index {
+            Some(index) if from == 0 && to == self.parts.len => {
+                set.iter().map(|vid| index.posting_count(vid)).sum()
+            }
+            Some(_) => Ok(Self::rows_in(&image, &set, from, to)?.len() as u64),
+            None => Ok(payg_encoding::kernels::count_matches(&image.data, from, to, &set)),
         }
-        drop(image);
-        self.count_rows(pred, from, to)
     }
 }

@@ -10,5 +10,5 @@ mod paged;
 mod parallel;
 
 pub use paged::{PagedDataVector, PagedDataVectorIterator};
-pub use parallel::{par_search_resident, scan_partitions, ScanOptions, ScanPartition};
+pub use parallel::{scan_partitions, ScanOptions, ScanPartition};
 pub use payg_encoding::BitPackedVec;

@@ -195,7 +195,7 @@ impl PagedDataVector {
         }
     }
 
-    /// An iterator for one worker of a segmented scan: it polls `cancel`
+    /// An iterator for one worker of `par_count`: it polls `cancel`
     /// before every wave and stops early — with a partial, to-be-discarded
     /// result — once a sibling has raised it, and raises it itself when one
     /// of its own pages fails.
@@ -212,14 +212,6 @@ impl PagedDataVector {
     /// summary).
     pub fn page_summary(&self, page_no: u64) -> (u64, u64) {
         self.meta.summaries[page_no as usize]
-    }
-
-    /// Alg. 1: full scan for every row position holding `vid`, loading one
-    /// page at a time.
-    pub fn find_by_vid(&self, vid: u64) -> CoreResult<Vec<u64>> {
-        let mut out = Vec::new();
-        self.iter().search(0, self.meta.len, &VidSet::Single(vid), &mut out)?;
-        Ok(out)
     }
 
     /// Serializes the vector's metadata for a catalog checkpoint. The page
@@ -340,7 +332,7 @@ pub struct PagedDataVectorIterator<'a> {
     /// after releasing the handle to the previous page during page
     /// reposition").
     current: Option<(u64, PageGuard)>,
-    /// The scan-wide cancellation flag of a segmented scan's worker.
+    /// The count-wide cancellation flag of a `par_count` worker.
     cancel: Option<&'a AtomicBool>,
     /// Reusable per-page result-bitmap buffer (one word per chunk).
     bitmaps: Vec<u64>,
@@ -736,18 +728,6 @@ mod tests {
             .filter(|&r| set.contains(values[r as usize]))
             .collect();
         assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn find_by_vid_full_scan() {
-        let values = sample(500, 10, 5);
-        let (_pool, paged, _) = build(&values);
-        for vid in 0..10 {
-            let got = paged.find_by_vid(vid).unwrap();
-            let expect: Vec<u64> =
-                (0..500).filter(|&i| values[i as usize] == vid).collect();
-            assert_eq!(got, expect, "vid {vid}");
-        }
     }
 
     #[test]

@@ -1,29 +1,29 @@
-//! Parallel segmented scans over data vectors.
+//! A segmented COUNT over a paged data vector — the probe `payg-perf` times
+//! as `core.scan_ns_per_row_par2`. No query runs it: a query searches and
+//! counts on its own thread (DESIGN §5c).
 //!
-//! A scan splits its row range into page-aligned [`ScanPartition`]s *after*
-//! page-summary pruning (§3.3): pages whose (min, max) summary cannot match
-//! the predicate are set aside before the split, so workers divide the pages
-//! that will actually be read. Each worker is the sequential scan over its
-//! partition — its own iterator, pinning the partition's surviving pages a
-//! wave at a time ([`crate::datavec::PagedDataVectorIterator`]) — so one
-//! worker or four overlap and coalesce their cold reads the same way.
-//! Per-segment results are concatenated in partition order, which makes the
-//! output bit-identical to the sequential scan.
+//! The count splits its row range into page-aligned [`ScanPartition`]s
+//! *after* page-summary pruning (§3.3): pages whose (min, max) summary cannot
+//! match the predicate are set aside before the split, so workers divide the
+//! pages that will actually be read. Each worker is the sequential count over
+//! its partition — its own iterator, pinning the partition's surviving pages
+//! a wave at a time ([`crate::datavec::PagedDataVectorIterator`]) — so one
+//! worker or four overlap and coalesce their cold reads the same way, and the
+//! per-partition counts sum to the sequential count.
 //!
 //! Faults abort cooperatively: workers poll a shared cancellation flag
-//! before every wave, the first failing worker raises it, and the scan
+//! before every wave, the first failing worker raises it, and the count
 //! surfaces one [`crate::CoreError::ScanAborted`] naming the failing (chain, page)
 //! while the remaining workers stop instead of finishing doomed partitions.
 
-use crate::datavec::{PagedDataVector, PagedDataVectorIterator};
+use crate::datavec::PagedDataVector;
 use crate::CoreResult;
-use payg_encoding::chunk::CHUNK_LEN;
-use payg_encoding::{scan, BitPackedVec, VidSet};
+use payg_encoding::VidSet;
 use payg_obs::{QueryCtx, SpanKind};
 use std::sync::atomic::AtomicBool;
 use std::sync::OnceLock;
 
-/// How a scan may parallelize.
+/// How many threads [`PagedDataVector::par_count`] may split over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanOptions {
     /// Maximum worker threads (1 = sequential on the calling thread).
@@ -31,12 +31,12 @@ pub struct ScanOptions {
 }
 
 impl ScanOptions {
-    /// Sequential scan on the calling thread (the default).
+    /// The calling thread only (the default).
     pub const fn sequential() -> Self {
         ScanOptions { workers: 1 }
     }
 
-    /// Parallel scan with up to `workers` threads.
+    /// Up to `workers` threads.
     pub fn with_workers(workers: usize) -> Self {
         ScanOptions { workers: workers.max(1) }
     }
@@ -48,8 +48,8 @@ impl Default for ScanOptions {
     }
 }
 
-/// One worker's share of a segmented scan: a row range whose interior
-/// boundaries fall on page (paged) or chunk (resident) boundaries.
+/// One worker's share of a segmented count: a row range whose interior
+/// boundaries fall on page boundaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScanPartition {
     /// First row (inclusive).
@@ -58,14 +58,7 @@ pub struct ScanPartition {
     pub to: u64,
 }
 
-impl ScanPartition {
-    /// Rows covered.
-    pub fn rows(&self) -> u64 {
-        self.to - self.from
-    }
-}
-
-/// The cores a scan may fan out over. Asked of the OS once: the answer costs
+/// The cores a count may fan out over. Asked of the OS once: the answer costs
 /// ~16 µs (cgroup files) — more than half a warm 100 k-row scan.
 fn cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
@@ -121,20 +114,20 @@ pub fn scan_partitions(
 }
 
 impl PagedDataVector {
-    /// Runs `work` once per partition of `from..to` — each on its own
-    /// cancellable iterator, under its own scan-partition span — on up to
-    /// `opts.workers` threads, and returns the per-partition results in
-    /// partition order. The worker count is capped by the cores and by the
-    /// pages that survive pruning: a wave overlaps a worker's cold reads, so
-    /// threads beyond the cores add only scheduling overhead.
-    fn for_each_partition<T: Send>(
+    /// COUNT over `from..to` split into [`scan_partitions`], each counted by
+    /// its own cancellable iterator under its own scan-partition span, on up
+    /// to `opts.workers` threads; identical to
+    /// [`crate::datavec::PagedDataVectorIterator::count`] over the same
+    /// range. The worker count is capped by the cores and by the pages that
+    /// survive pruning. A failing page aborts the whole count with
+    /// [`crate::CoreError::ScanAborted`] — see the module docs.
+    pub fn par_count(
         &self,
         from: u64,
         to: u64,
         set: &VidSet,
         opts: ScanOptions,
-        work: impl Fn(&mut PagedDataVectorIterator<'_>, ScanPartition) -> CoreResult<T> + Sync,
-    ) -> CoreResult<Vec<T>> {
+    ) -> CoreResult<u64> {
         self.check_range(from, to)?;
         let parts = scan_partitions(self, from, to, Some(set), opts.workers.min(cores()));
         // Flight recorder: each partition runs under its own scan-partition
@@ -146,120 +139,27 @@ impl PagedDataVector {
         let cancel = AtomicBool::new(false);
         let run = |part: ScanPartition| {
             let _span = ctx.enter(tracer, SpanKind::ScanPartition, part.from);
-            work(&mut self.iter_cancellable(&cancel), part)
+            self.iter_cancellable(&cancel).count(part.from, part.to, set)
         };
         if let [only] = parts.as_slice() {
-            return Ok(vec![run(*only)?]);
+            return run(*only);
         }
         std::thread::scope(|s| {
             let run = &run;
             let handles: Vec<_> = parts.iter().map(|&part| s.spawn(move || run(part))).collect();
-            // Joining in partition order keeps a concatenation ascending —
-            // bit-identical to the sequential scan.
             handles
                 .into_iter()
                 .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
+                .sum()
         })
     }
-
-    /// Parallel `search(range-of-rows, set-of-vids)`: identical results to
-    /// [`crate::datavec::PagedDataVectorIterator::search`] over the same
-    /// range, computed by up to `opts.workers` segment workers. A failing
-    /// page aborts the whole scan with [`crate::CoreError::ScanAborted`] — see the
-    /// module docs.
-    pub fn par_search(
-        &self,
-        from: u64,
-        to: u64,
-        set: &VidSet,
-        opts: ScanOptions,
-    ) -> CoreResult<Vec<u64>> {
-        let segments = self.for_each_partition(from, to, set, opts, |it, part| {
-            let mut out = Vec::new();
-            it.search(part.from, part.to, set, &mut out)?;
-            Ok(out)
-        })?;
-        Ok(segments.concat())
-    }
-
-    /// Parallel COUNT over `from..to`: identical to
-    /// `par_search(..).len()` but positions are never materialized — each
-    /// worker counts its partition in place
-    /// ([`crate::datavec::PagedDataVectorIterator::count`]) and the
-    /// per-partition counts are summed.
-    pub fn par_count(
-        &self,
-        from: u64,
-        to: u64,
-        set: &VidSet,
-        opts: ScanOptions,
-    ) -> CoreResult<u64> {
-        let counts = self
-            .for_each_partition(from, to, set, opts, |it, part| it.count(part.from, part.to, set))?;
-        Ok(counts.into_iter().sum())
-    }
-}
-
-/// Parallel scan over a fully-resident packed vector: identical results to
-/// [`scan::search`] over `from..to`, computed by up to `workers` threads on
-/// chunk-aligned segments.
-pub fn par_search_resident(
-    vec: &BitPackedVec,
-    from: u64,
-    to: u64,
-    set: &VidSet,
-    workers: usize,
-) -> Vec<u64> {
-    let mut out = Vec::new();
-    if from >= to || set.is_empty() {
-        return out;
-    }
-    let first = from / CHUNK_LEN as u64;
-    let last = (to - 1) / CHUNK_LEN as u64;
-    let chunks = last - first + 1;
-    // Always CPU-bound (no I/O to overlap): workers beyond the actual cores
-    // only add scheduling overhead.
-    let w = workers.max(1).min(cores()).min(chunks as usize).min(u32::MAX as usize) as u64;
-    if w <= 1 {
-        scan::search(vec, from, to, set, &mut out);
-        return out;
-    }
-    let base = chunks / w;
-    let rem = chunks % w;
-    let mut parts = Vec::with_capacity(w as usize);
-    let mut chunk = first;
-    for i in 0..w {
-        let take = base + u64::from(i < rem);
-        let begin = chunk;
-        chunk += take;
-        parts.push(ScanPartition {
-            from: from.max(begin * CHUNK_LEN as u64),
-            to: to.min(chunk * CHUNK_LEN as u64),
-        });
-    }
-    std::thread::scope(|s| {
-        let handles: Vec<_> = parts
-            .into_iter()
-            .map(|part| {
-                s.spawn(move || {
-                    let mut local = Vec::new();
-                    scan::search(vec, part.from, part.to, set, &mut local);
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            out.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
-        }
-    });
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{CoreError, PageConfig};
+    use payg_encoding::BitPackedVec;
     use payg_obs::{names, ObsSnapshot};
     use payg_resman::ResourceManager;
     use payg_storage::{
@@ -278,17 +178,17 @@ mod tests {
             .collect()
     }
 
-    fn build(values: &[u64]) -> (BufferPool, PagedDataVector, BitPackedVec) {
+    fn build(values: &[u64]) -> (BufferPool, PagedDataVector) {
         let pool = BufferPool::new(Arc::new(MemStore::new()), ResourceManager::new());
         let packed = BitPackedVec::from_values(values);
         let paged = PagedDataVector::build(&pool, &PageConfig::tiny(), &packed).unwrap();
-        (pool, paged, packed)
+        (pool, paged)
     }
 
     #[test]
     fn partitions_are_page_aligned_and_cover_the_range() {
         let values = sample(4000, 500, 11);
-        let (_pool, paged, _) = build(&values);
+        let (_pool, paged) = build(&values);
         let rpp = paged.rows_per_page();
         assert!(rpp > 0);
         for workers in [1, 2, 3, 4, 7] {
@@ -307,7 +207,7 @@ mod tests {
     fn pruned_pages_are_set_aside_before_partitioning() {
         // Clustered values give disjoint page summaries.
         let values: Vec<u64> = (0..4096u64).map(|i| i / 16).collect();
-        let (_pool, paged, _) = build(&values);
+        let (_pool, paged) = build(&values);
         let rpp = paged.rows_per_page();
         let set = VidSet::range(0, 40); // only the first pages survive
         let survives = |p: u64| {
@@ -329,53 +229,15 @@ mod tests {
     }
 
     #[test]
-    fn par_search_matches_sequential_paged() {
-        let values = sample(6000, 97, 12);
-        let (_pool, paged, _) = build(&values);
-        for set in [VidSet::Single(13), VidSet::range(20, 60), VidSet::from_vids(vec![0, 50, 96])] {
-            for (from, to) in [(0u64, 6000u64), (123, 5991), (64, 128), (0, 1)] {
-                let mut seq = Vec::new();
-                paged.iter().search(from, to, &set, &mut seq).unwrap();
-                for workers in [1, 2, 4, 7] {
-                    let par = paged.par_search(from, to, &set, ScanOptions { workers }).unwrap();
-                    assert_eq!(par, seq, "workers={workers} {from}..{to}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn par_search_matches_sequential_resident() {
-        let values = sample(5000, 250, 13);
-        let packed = BitPackedVec::from_values(&values);
-        let set = VidSet::range(10, 100);
-        for (from, to) in [(0u64, 5000u64), (77, 4800), (0, 63)] {
-            let mut seq = Vec::new();
-            scan::search(&packed, from, to, &set, &mut seq);
-            for workers in [1, 2, 4, 9] {
-                assert_eq!(par_search_resident(&packed, from, to, &set, workers), seq);
-            }
-        }
-    }
-
-    #[test]
-    fn par_search_zero_width_and_bounds() {
-        let values = vec![0u64; 1000];
-        let (_pool, paged, _) = build(&values);
-        let out = paged.par_search(10, 20, &VidSet::Single(0), ScanOptions::with_workers(4)).unwrap();
-        assert_eq!(out, (10..20).collect::<Vec<u64>>());
-        assert!(paged.par_search(0, 1001, &VidSet::Single(0), ScanOptions::with_workers(4)).is_err());
-    }
-
-    #[test]
-    fn par_count_matches_par_search_len() {
+    fn par_count_matches_the_sequential_count() {
         let values = sample(6000, 97, 15);
-        let (_pool, paged, _) = build(&values);
+        let (_pool, paged) = build(&values);
         for set in [VidSet::Single(13), VidSet::range(20, 60), VidSet::from_vids(vec![0, 50, 96])] {
             for (from, to) in [(0u64, 6000u64), (123, 5991), (64, 128), (0, 1), (50, 50)] {
                 let expect =
                     (from..to).filter(|&i| set.contains(values[i as usize])).count() as u64;
-                for workers in [1, 4] {
+                assert_eq!(paged.iter().count(from, to, &set).unwrap(), expect);
+                for workers in [1, 2, 4, 7] {
                     assert_eq!(
                         paged.par_count(from, to, &set, ScanOptions { workers }).unwrap(),
                         expect,
@@ -384,6 +246,16 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn par_count_zero_width_and_bounds() {
+        let values = vec![0u64; 1000];
+        let (_pool, paged) = build(&values);
+        let four = ScanOptions::with_workers(4);
+        assert_eq!(paged.par_count(10, 20, &VidSet::Single(0), four).unwrap(), 10);
+        assert!(paged.par_count(0, 1001, &VidSet::Single(0), four).is_err());
+        assert!(paged.par_count(20, 10, &VidSet::Single(0), four).is_err());
     }
 
     /// A paged vector over a [`FaultyStore`] with retries disabled, so one
@@ -401,7 +273,7 @@ mod tests {
     }
 
     #[test]
-    fn bad_page_aborts_the_parallel_scan_naming_its_address() {
+    fn bad_page_aborts_the_parallel_count_naming_its_address() {
         let values = sample(4000, 500, 21);
         let (store, pool, paged) = build_faulty(&values);
         assert!(paged.pages() > 4, "enough pages for a real fan-out");
@@ -411,10 +283,7 @@ mod tests {
         for workers in [1, 4] {
             pool.clear();
             pool.clear_quarantine();
-            let err = paged
-                .par_search(0, 4000, &set, ScanOptions { workers })
-                .map(|_| ())
-                .unwrap_err();
+            let err = paged.par_count(0, 4000, &set, ScanOptions { workers }).unwrap_err();
             match err {
                 CoreError::ScanAborted { chain, page_no, source } => {
                     assert_eq!((chain, page_no), (bad.chain.0, bad.page_no), "workers={workers}");
@@ -426,20 +295,13 @@ mod tests {
                 other => panic!("expected ScanAborted, got: {other}"),
             }
         }
-        let err = paged.par_count(0, 4000, &set, ScanOptions::with_workers(4)).unwrap_err();
-        assert!(
-            matches!(err, CoreError::ScanAborted { page_no: 2, .. }),
-            "count aborts the same way: {err}"
-        );
-        pool.assert_no_live_pins("after aborted parallel scans");
+        pool.assert_no_live_pins("after aborted parallel counts");
         // Recovery: with the fault cleared and the quarantine drained, the
-        // same scan completes and matches the sequential result.
+        // same count completes and matches the sequential one.
         store.set_plan(FaultPlan::None);
         pool.clear_quarantine();
-        let mut seq = Vec::new();
-        paged.iter().search(0, 4000, &set, &mut seq).unwrap();
-        let par = paged.par_search(0, 4000, &set, ScanOptions::with_workers(4)).unwrap();
-        assert_eq!(par, seq);
+        let seq = paged.iter().count(0, 4000, &set).unwrap();
+        assert_eq!(paged.par_count(0, 4000, &set, ScanOptions::with_workers(4)).unwrap(), seq);
     }
 
     /// The registry's scan counters moved by one call of `scan`:
@@ -462,37 +324,29 @@ mod tests {
         // a run of pages at either end and a few in the middle, so pruned
         // pages lie inside partitions and between them.
         let values: Vec<u64> = (0..16_384u64).map(|i| i / 64).collect();
-        let (pool, paged, _) = build(&values);
+        let (pool, paged) = build(&values);
         assert!(paged.pages() >= 32, "a real fan-out: {} pages", paged.pages());
         let set = VidSet::from_vids((0..40).chain(120..130).chain(200..256).collect());
-        let mut seq = Vec::new();
+        let mut seq = 0;
         let (seq_scans, seq_work) = scan_counters(&pool, || {
-            paged.iter().search(0, 16_384, &set, &mut seq).unwrap();
+            seq = paged.iter().count(0, 16_384, &set).unwrap();
         });
         assert_eq!(seq_scans, 1);
         assert!(seq_work[0] > 0, "interior pages were pruned: {seq_work:?}");
-        let mut par = Vec::new();
         let (par_scans, par_work) = scan_counters(&pool, || {
-            par = paged.par_search(0, 16_384, &set, ScanOptions::with_workers(4)).unwrap();
+            let n = paged.par_count(0, 16_384, &set, ScanOptions::with_workers(4)).unwrap();
+            assert_eq!(n, seq);
         });
-        assert_eq!(par, seq);
         assert!((1..=4).contains(&par_scans), "one scan per partition, not per page: {par_scans}");
         assert_eq!(par_work, seq_work, "pruned / chunks / matches do not depend on the workers");
-        let (count_scans, count_work) = scan_counters(&pool, || {
-            let n = paged.par_count(0, 16_384, &set, ScanOptions::with_workers(4)).unwrap();
-            assert_eq!(n, seq.len() as u64);
-        });
-        assert!((1..=4).contains(&count_scans), "{count_scans}");
-        assert_eq!(count_work, seq_work);
     }
 
     #[test]
     fn parallel_workers_load_disjoint_pages_once() {
         let values = sample(4000, 500, 14);
-        let (pool, paged, _) = build(&values);
+        let (pool, paged) = build(&values);
         let set = VidSet::range(0, 499); // nothing prunes: every page loads
-        let out = paged.par_search(0, 4000, &set, ScanOptions::with_workers(4)).unwrap();
-        assert_eq!(out.len(), 4000);
+        assert_eq!(paged.par_count(0, 4000, &set, ScanOptions::with_workers(4)).unwrap(), 4000);
         let m = pool.metrics();
         assert_eq!(m.loads, paged.pages(), "each page loaded exactly once across workers");
     }

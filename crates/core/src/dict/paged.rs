@@ -946,11 +946,6 @@ impl PagedDictionary {
         }
     }
 
-    /// Creates a lookup iterator with its own page-handle cache.
-    pub fn iter(&self) -> PagedDictIterator<'_> {
-        PagedDictIterator { dict: self, cache: HandleCache::new(self.pool.clone()) }
-    }
-
     /// `findByValueID` (Alg. 3): materializes the key encoded by `vid`.
     /// The single-lookup form; batches go through
     /// [`crate::column::materialize`], which drives the same page-level
@@ -1060,30 +1055,6 @@ impl PagedDictionary {
             Layout::Blocks(b) => !b.pinned_helpers.lock().is_empty(),
             Layout::Array(_) => false,
         }
-    }
-}
-
-/// A lookup iterator owning a handle cache (the paper's paged dictionary
-/// iterator): batch lookups reuse pinned pages for the iterator's lifetime.
-pub struct PagedDictIterator<'a> {
-    dict: &'a PagedDictionary,
-    cache: HandleCache,
-}
-
-impl PagedDictIterator<'_> {
-    /// `findByValue`.
-    pub fn find(&mut self, key: &[u8]) -> CoreResult<DictLookup> {
-        self.dict.find(key, &mut self.cache)
-    }
-
-    /// `findByValueID`.
-    pub fn key_by_vid(&mut self, vid: u64) -> CoreResult<Vec<u8>> {
-        self.dict.key_by_vid(vid, &mut self.cache)
-    }
-
-    /// Number of pages currently pinned by this iterator.
-    pub fn pinned_pages(&self) -> usize {
-        self.cache.len()
     }
 }
 
@@ -1280,27 +1251,27 @@ mod tests {
     #[test]
     fn roundtrip_small_pages_many_chains() {
         let ks = keys(500);
-        let (_pool, dict, stats) = build(&ks, &PageConfig::tiny());
+        let (pool, dict, stats) = build(&ks, &PageConfig::tiny());
         assert!(stats.dict_pages > 3, "tiny pages must force a multi-page chain");
         assert!(stats.vid_helper_pages >= 1);
         assert!(stats.value_helper_pages >= 1);
-        let mut it = dict.iter();
+        let mut cache = HandleCache::new(pool.clone());
         for (vid, k) in ks.iter().enumerate() {
-            assert_eq!(it.find(k).unwrap(), Ok(vid as u64), "find {vid}");
-            assert_eq!(&it.key_by_vid(vid as u64).unwrap(), k, "key_by_vid {vid}");
+            assert_eq!(dict.find(k, &mut cache).unwrap(), Ok(vid as u64), "find {vid}");
+            assert_eq!(&dict.key_by_vid(vid as u64, &mut cache).unwrap(), k, "key_by_vid {vid}");
         }
     }
 
     #[test]
     fn misses_report_insertion_points() {
         let ks = keys(100);
-        let (_pool, dict, _) = build(&ks, &PageConfig::tiny());
-        let mut it = dict.iter();
-        assert_eq!(it.find(b"customer-000050x").unwrap(), Err(51));
-        assert_eq!(it.find(b"aaa").unwrap(), Err(0));
-        assert_eq!(it.find(b"zzz").unwrap(), Err(100));
+        let (pool, dict, _) = build(&ks, &PageConfig::tiny());
+        let mut cache = HandleCache::new(pool.clone());
+        assert_eq!(dict.find(b"customer-000050x", &mut cache).unwrap(), Err(51));
+        assert_eq!(dict.find(b"aaa", &mut cache).unwrap(), Err(0));
+        assert_eq!(dict.find(b"zzz", &mut cache).unwrap(), Err(100));
         // Between two keys.
-        assert_eq!(it.find(b"customer-000000a").unwrap(), Err(1));
+        assert_eq!(dict.find(b"customer-000000a", &mut cache).unwrap(), Err(1));
     }
 
     #[test]
@@ -1347,12 +1318,12 @@ mod tests {
         // needs a roomier page than tiny()'s 256 bytes.
         let mut config = PageConfig::tiny();
         config.dict_page = 2048;
-        let (_pool, dict, stats) = build(&ks, &config);
+        let (pool, dict, stats) = build(&ks, &config);
         assert!(stats.overflow_pages > 0, "large values must spill off-page");
-        let mut it = dict.iter();
+        let mut cache = HandleCache::new(pool.clone());
         for (vid, k) in ks.iter().enumerate() {
-            assert_eq!(&it.key_by_vid(vid as u64).unwrap(), k);
-            assert_eq!(it.find(k).unwrap(), Ok(vid as u64));
+            assert_eq!(&dict.key_by_vid(vid as u64, &mut cache).unwrap(), k);
+            assert_eq!(dict.find(k, &mut cache).unwrap(), Ok(vid as u64));
         }
     }
 
@@ -1361,8 +1332,8 @@ mod tests {
         let ks = keys(2000);
         let (pool, dict, stats) = build(&ks, &PageConfig::tiny());
         // One lookup loads: helper preload + one dict page (+ overflow).
-        let mut it = dict.iter();
-        let _ = it.key_by_vid(0).unwrap();
+        let mut cache = HandleCache::new(pool.clone());
+        let _ = dict.key_by_vid(0, &mut cache).unwrap();
         let resident_after_one = pool.resident_pages() as u64;
         assert!(
             resident_after_one < stats.dict_pages / 2,
@@ -1375,13 +1346,13 @@ mod tests {
     fn iterator_handle_cache_reuses_pages() {
         let ks = keys(200);
         let (pool, dict, _) = build(&ks, &PageConfig::tiny());
-        let mut it = dict.iter();
-        let _ = it.key_by_vid(10).unwrap();
+        let mut cache = HandleCache::new(pool.clone());
+        let _ = dict.key_by_vid(10, &mut cache).unwrap();
         let loads_before = pool.metrics().loads;
         // Same page again: the handle cache answers without pool traffic.
-        let _ = it.key_by_vid(11).unwrap();
+        let _ = dict.key_by_vid(11, &mut cache).unwrap();
         assert_eq!(pool.metrics().loads, loads_before);
-        assert!(it.pinned_pages() > 0);
+        assert_ne!(cache.len(), 0, "the pages stay pinned in the cache");
     }
 
     #[test]
@@ -1389,8 +1360,8 @@ mod tests {
         let ks = keys(1000);
         let (pool, dict, stats) = build(&ks, &PageConfig::tiny());
         assert_eq!(pool.resident_pages(), 0);
-        let mut it = dict.iter();
-        let _ = it.find(&ks[500]).unwrap();
+        let mut cache = HandleCache::new(pool.clone());
+        let _ = dict.find(&ks[500], &mut cache).unwrap();
         let resident = pool.resident_pages() as u64;
         assert!(
             resident >= stats.vid_helper_pages + stats.value_helper_pages,
@@ -1400,23 +1371,23 @@ mod tests {
 
     #[test]
     fn empty_dictionary() {
-        let (_pool, dict, stats) = build(&[], &PageConfig::tiny());
+        let (pool, dict, stats) = build(&[], &PageConfig::tiny());
         assert_eq!(dict.cardinality(), 0);
         assert_eq!(stats.dict_pages, 0);
-        let mut it = dict.iter();
-        assert_eq!(it.find(b"anything").unwrap(), Err(0));
-        assert!(matches!(it.key_by_vid(0), Err(CoreError::VidOutOfBounds { .. })));
+        let mut cache = HandleCache::new(pool.clone());
+        assert_eq!(dict.find(b"anything", &mut cache).unwrap(), Err(0));
+        assert!(matches!(dict.key_by_vid(0, &mut cache), Err(CoreError::VidOutOfBounds { .. })));
     }
 
     #[test]
     fn single_key_dictionary() {
         let ks = vec![b"only".to_vec()];
-        let (_pool, dict, _) = build(&ks, &PageConfig::tiny());
-        let mut it = dict.iter();
-        assert_eq!(it.find(b"only").unwrap(), Ok(0));
-        assert_eq!(it.find(b"a").unwrap(), Err(0));
-        assert_eq!(it.find(b"z").unwrap(), Err(1));
-        assert_eq!(it.key_by_vid(0).unwrap(), b"only");
+        let (pool, dict, _) = build(&ks, &PageConfig::tiny());
+        let mut cache = HandleCache::new(pool.clone());
+        assert_eq!(dict.find(b"only", &mut cache).unwrap(), Ok(0));
+        assert_eq!(dict.find(b"a", &mut cache).unwrap(), Err(0));
+        assert_eq!(dict.find(b"z", &mut cache).unwrap(), Err(1));
+        assert_eq!(dict.key_by_vid(0, &mut cache).unwrap(), b"only");
     }
 
     #[test]
@@ -1436,11 +1407,11 @@ mod tests {
             "pinned helper pages survive eviction"
         );
         // Lookups after the purge work and reload only dictionary pages.
-        let mut it = dict.iter();
-        assert_eq!(it.find(&ks[700]).unwrap(), Ok(700));
+        let mut cache = HandleCache::new(pool.clone());
+        assert_eq!(dict.find(&ks[700], &mut cache).unwrap(), Ok(700));
         // Unpinning makes them evictable again.
         dict.unpin_helpers();
-        drop(it);
+        drop(cache);
         resman.reactive_unload();
         assert_eq!(pool.resident_pages(), 0);
     }
@@ -1471,19 +1442,21 @@ mod tests {
         for (ks, codec) in
             [(keys(1200), CodecKind::Fsst), (incompressible_keys(1200), CodecKind::Plain)]
         {
-            let (_pool, paged, _) = build(&ks, &PageConfig::tiny());
+            let (pool, paged, _) = build(&ks, &PageConfig::tiny());
             assert_eq!(paged.codec_kind(), codec, "the keys select the codec");
             let oracle = InMemoryDict::from_sorted_keys(&ks).unwrap();
-            let mut it = paged.iter();
+            let mut cache = HandleCache::new(pool.clone());
             for (vid, k) in ks.iter().enumerate() {
-                assert_eq!(it.find(k).unwrap(), Ok(vid as u64), "find {vid}");
-                assert_eq!(it.key_by_vid(vid as u64).unwrap(), oracle.key(vid as u64));
+                assert_eq!(paged.find(k, &mut cache).unwrap(), Ok(vid as u64), "find {vid}");
+                let key = paged.key_by_vid(vid as u64, &mut cache).unwrap();
+                assert_eq!(key, oracle.key(vid as u64));
             }
             // Misses agree on insertion points.
             let mut between = ks[500].clone();
             between.push(b'x');
             for probe in [&between[..], b"aaa", b"zzz", b"customer-", &[0xFF; 20]] {
-                assert_eq!(it.find(probe).unwrap(), oracle.find(probe), "{codec:?} {probe:?}");
+                let found = paged.find(probe, &mut cache).unwrap();
+                assert_eq!(found, oracle.find(probe), "{codec:?} {probe:?}");
             }
             // Bulk materialization decodes back to the raw keys.
             assert_eq!(paged.materialize_all_direct().unwrap(), oracle);
@@ -1505,10 +1478,10 @@ mod tests {
         let reopened =
             PagedDictionary::open(&pool, DataType::Varchar, &dict.meta_bytes()).unwrap();
         assert_eq!(reopened.codec_kind(), CodecKind::Fsst);
-        let mut it = reopened.iter();
+        let mut cache = HandleCache::new(pool.clone());
         for vid in (0..600u64).step_by(53) {
-            assert_eq!(it.find(&ks[vid as usize]).unwrap(), Ok(vid));
-            assert_eq!(it.key_by_vid(vid).unwrap(), ks[vid as usize]);
+            assert_eq!(reopened.find(&ks[vid as usize], &mut cache).unwrap(), Ok(vid));
+            assert_eq!(reopened.key_by_vid(vid, &mut cache).unwrap(), ks[vid as usize]);
         }
     }
 
@@ -1520,9 +1493,9 @@ mod tests {
         // The descriptor still resolves, to the plain codec.
         let desc = pool.store().chain_descriptor(ChainId(dict.chains()[0].1)).unwrap();
         assert_eq!(ChainCodec::deserialize(&desc).unwrap().kind, CodecKind::Plain);
-        let mut it = dict.iter();
+        let mut cache = HandleCache::new(pool.clone());
         for (vid, k) in ks.iter().enumerate() {
-            assert_eq!(it.find(k).unwrap(), Ok(vid as u64));
+            assert_eq!(dict.find(k, &mut cache).unwrap(), Ok(vid as u64));
         }
     }
 
@@ -1544,13 +1517,13 @@ mod tests {
         ks.dedup();
         let mut config = PageConfig::tiny();
         config.dict_page = 2048;
-        let (_pool, dict, stats) = build(&ks, &config);
+        let (pool, dict, stats) = build(&ks, &config);
         assert_eq!(dict.codec_kind(), CodecKind::Fsst);
         assert!(stats.overflow_pages > 0, "large values must still spill when compressed");
-        let mut it = dict.iter();
+        let mut cache = HandleCache::new(pool.clone());
         for (vid, k) in ks.iter().enumerate() {
-            assert_eq!(it.find(k).unwrap(), Ok(vid as u64));
-            assert_eq!(&it.key_by_vid(vid as u64).unwrap(), k);
+            assert_eq!(dict.find(k, &mut cache).unwrap(), Ok(vid as u64));
+            assert_eq!(&dict.key_by_vid(vid as u64, &mut cache).unwrap(), k);
         }
     }
 
@@ -1584,18 +1557,19 @@ mod tests {
         );
         assert_eq!(built.get(), 4 * 768);
 
-        let mut it = dict.iter();
+        let mut cache = HandleCache::new(pool.clone());
         for (vid, k) in ks.iter().enumerate() {
-            assert_eq!(it.find(k).unwrap(), Ok(vid as u64));
-            assert_eq!(&it.key_by_vid(vid as u64).unwrap(), k);
+            assert_eq!(dict.find(k, &mut cache).unwrap(), Ok(vid as u64));
+            assert_eq!(&dict.key_by_vid(vid as u64, &mut cache).unwrap(), k);
         }
         let probe = |v: i64| payg_encoding::okey::encode_i64(v);
-        assert_eq!(it.find(&probe(-699)).unwrap(), Err(1), "-700 < -699 < -693");
-        assert_eq!(it.find(&probe(i64::MIN)).unwrap(), Err(0));
-        assert_eq!(it.find(&probe(i64::MAX)).unwrap(), Err(300));
+        assert_eq!(dict.find(&probe(-699), &mut cache).unwrap(), Err(1), "-700 < -699 < -693");
+        assert_eq!(dict.find(&probe(i64::MIN), &mut cache).unwrap(), Err(0));
+        assert_eq!(dict.find(&probe(i64::MAX), &mut cache).unwrap(), Err(300));
         // Between the last key of page 0 (vid 95) and the first of page 1.
-        assert_eq!(it.find(&probe(95 * 7 - 700 + 1)).unwrap(), Err(96));
-        assert!(matches!(it.key_by_vid(300), Err(CoreError::VidOutOfBounds { vid: 300, .. })));
+        assert_eq!(dict.find(&probe(95 * 7 - 700 + 1), &mut cache).unwrap(), Err(96));
+        let past_end = dict.key_by_vid(300, &mut cache);
+        assert!(matches!(past_end, Err(CoreError::VidOutOfBounds { vid: 300, .. })));
         assert_eq!(pool.resident_pages(), 4, "every lookup pins dictionary pages only");
         assert!(dict.materialize_all_direct().unwrap().keys().eq(ks.iter().map(Vec::as_slice)));
         dict.pin_helpers().unwrap();
@@ -1604,10 +1578,10 @@ mod tests {
         let reopened =
             PagedDictionary::open(&pool, DataType::Integer, &dict.meta_bytes()).unwrap();
         assert_eq!(reopened.chains(), chains);
-        let mut it = reopened.iter();
+        let mut cache = HandleCache::new(pool.clone());
         for vid in (0..300u64).step_by(41) {
-            assert_eq!(it.find(&ks[vid as usize]).unwrap(), Ok(vid));
-            assert_eq!(it.key_by_vid(vid).unwrap(), ks[vid as usize]);
+            assert_eq!(reopened.find(&ks[vid as usize], &mut cache).unwrap(), Ok(vid));
+            assert_eq!(reopened.key_by_vid(vid, &mut cache).unwrap(), ks[vid as usize]);
         }
     }
 
@@ -1662,15 +1636,15 @@ mod tests {
         let (pool, dict, stats) = build(&ks, &PageConfig::tiny());
         assert_eq!(stats.dict_pages, 1);
         assert_eq!((stats.vid_helper_pages, stats.value_helper_pages), (1, 1), "built as ever");
-        let mut it = dict.iter();
+        let mut cache = HandleCache::new(pool.clone());
         for (vid, k) in ks.iter().enumerate() {
-            assert_eq!(it.find(k).unwrap(), Ok(vid as u64));
-            assert_eq!(&it.key_by_vid(vid as u64).unwrap(), k);
+            assert_eq!(dict.find(k, &mut cache).unwrap(), Ok(vid as u64));
+            assert_eq!(&dict.key_by_vid(vid as u64, &mut cache).unwrap(), k);
         }
-        assert_eq!(it.find(b"customer-000003x").unwrap(), Err(4));
-        assert_eq!(it.find(b"a").unwrap(), Err(0));
-        assert_eq!(it.find(b"z").unwrap(), Err(12));
-        assert_eq!(it.pinned_pages(), 1, "the dictionary page is page 0: no helper is read");
+        assert_eq!(dict.find(b"customer-000003x", &mut cache).unwrap(), Err(4));
+        assert_eq!(dict.find(b"a", &mut cache).unwrap(), Err(0));
+        assert_eq!(dict.find(b"z", &mut cache).unwrap(), Err(12));
+        assert_eq!(cache.len(), 1, "the dictionary page is page 0: no helper is read");
         assert_eq!(pool.resident_pages(), 1, "nor preloaded");
     }
 
@@ -1689,15 +1663,16 @@ mod tests {
         // `find` reads no `ipDict_ValueId` page: only the preload pins it.
         let vid_helper = PageKey::new(ChainId(dict.chains()[2].1), 0);
         store.set_plan(FaultPlan::Pages(vec![vid_helper]));
-        assert!(matches!(dict.iter().find(&ks[500]), Err(CoreError::Storage(_))));
+        let find = || dict.find(&ks[500], &mut HandleCache::new(pool.clone()));
+        assert!(matches!(find(), Err(CoreError::Storage(_))));
         store.set_plan(FaultPlan::None);
         pool.clear_quarantine();
         pool.clear();
-        assert_eq!(dict.iter().find(&ks[500]).unwrap(), Ok(500));
+        assert_eq!(find().unwrap(), Ok(500));
         assert!(pool.is_resident(vid_helper), "the lookup after a failed preload preloads again");
         // And once it has landed, never again.
         pool.clear();
-        assert_eq!(dict.iter().find(&ks[500]).unwrap(), Ok(500));
+        assert_eq!(find().unwrap(), Ok(500));
         assert!(!pool.is_resident(vid_helper));
     }
 }

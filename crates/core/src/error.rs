@@ -39,7 +39,7 @@ pub enum CoreError {
     },
     /// A data-vector scan stopped on its first failing page. The address
     /// names the page whose load or read failed; the remaining workers of a
-    /// parallel scan observed the shared cancellation flag and quit without
+    /// `par_count` observed the shared cancellation flag and quit without
     /// finishing their partitions, so no partial result is returned.
     ScanAborted {
         /// The chain the failing page belongs to.

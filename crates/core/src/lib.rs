@@ -36,9 +36,9 @@ mod util;
 pub mod value;
 mod waves;
 
-pub use column::{Column, ColumnBuilder, ColumnRead, IndexMode, LoadPolicy};
+pub use column::{Column, ColumnBuilder, ColumnRead, LoadPolicy};
 pub use config::PageConfig;
-pub use datavec::{ScanOptions, ScanPartition};
+pub use datavec::ScanOptions;
 pub use error::{CoreError, CoreResult};
 pub use payg_encoding::dispatch::{ChainCodec, CodecKind, ScanPath};
 pub use scratch::ChainScratch;

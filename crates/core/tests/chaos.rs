@@ -1,5 +1,6 @@
 //! Chaos scans: seeded fault storms through the full scan stack — paged
-//! vector → parallel workers → buffer pool → faulty store.
+//! vector → its iterator (or `par_count`'s workers) → buffer pool → faulty
+//! store.
 //!
 //! The trichotomy under test: a scan returns the *correct* rows, or one
 //! clean [`CoreError::ScanAborted`] naming the failing page — never a
@@ -8,7 +9,7 @@
 //! `PAYG_CHAOS_SEED=<seed> cargo test -p payg-core --test chaos`.
 
 use payg_core::datavec::{PagedDataVector, ScanOptions};
-use payg_core::{CoreError, PageConfig};
+use payg_core::{CoreError, CoreResult, PageConfig};
 use payg_encoding::{BitPackedVec, VidSet};
 use payg_resman::ResourceManager;
 use payg_storage::{
@@ -37,17 +38,36 @@ fn sample(len: usize, card: u64, seed: u64) -> Vec<u64> {
         .collect()
 }
 
-/// Either the exact expected rows, or one typed abort naming a page of the
-/// vector's chain — nothing else.
-fn audit_search(
+/// The sequential row search a query runs, over `from..to`.
+fn search(paged: &PagedDataVector, from: u64, to: u64, set: &VidSet) -> CoreResult<Vec<u64>> {
+    let mut out = Vec::new();
+    paged.iter().search(from, to, set, &mut out).map(|()| out)
+}
+
+type Scan = fn(&PagedDataVector, u64, &VidSet) -> CoreResult<u64>;
+
+/// The scans a chaos test drives over `0..rows`, each yielding its match
+/// count: rows and count on the calling thread — what a query runs — and
+/// `par_count` at four workers, the `payg-perf` probe.
+const SCANS: [(&str, Scan); 3] = [
+    ("search", |paged, rows, set| search(paged, 0, rows, set).map(|r| r.len() as u64)),
+    ("count", |paged, rows, set| paged.iter().count(0, rows, set)),
+    ("par_count(4)", |paged, rows, set| {
+        paged.par_count(0, rows, set, ScanOptions::with_workers(4))
+    }),
+];
+
+/// Either the exact expected answer, or one typed abort naming a page of
+/// the vector's chain — nothing else.
+fn audit<T: PartialEq + std::fmt::Debug>(
     seed: u64,
-    result: Result<Vec<u64>, CoreError>,
-    expected: &[u64],
+    result: CoreResult<T>,
+    expected: &T,
     chain: u64,
     pages: u64,
 ) {
     match result {
-        Ok(rows) => assert_eq!(rows, expected, "seed {seed}: an Ok scan must be exact"),
+        Ok(got) => assert_eq!(&got, expected, "seed {seed}: an Ok scan must be exact"),
         Err(CoreError::ScanAborted { chain: c, page_no, source }) => {
             assert_eq!(c, chain, "seed {seed}: abort names the scanned chain");
             assert!(page_no < pages, "seed {seed}: abort names a real page ({page_no})");
@@ -71,47 +91,40 @@ fn seeded_scan_storms_land_in_the_trichotomy() {
     );
     let packed = BitPackedVec::from_values(&values);
     let paged = PagedDataVector::build(&pool, &PageConfig::tiny(), &packed).unwrap();
-    let chain = paged.page_key(0).chain.0;
+    let (chain, pages, rows) = (paged.page_key(0).chain.0, paged.pages(), ROWS as u64);
     let set = VidSet::range(10, 60);
-    let expected: Vec<u64> =
-        (0..ROWS as u64).filter(|&i| set.contains(values[i as usize])).collect();
+    let expected: Vec<u64> = (0..rows).filter(|&i| set.contains(values[i as usize])).collect();
+    let count = expected.len() as u64;
 
     for seed in chaos_seeds() {
         store.set_plan(FaultPlan::Seeded { seed, p_read: 0.1, p_corrupt: 0.05, p_write: 0.0 });
-        for workers in [1, 4] {
-            pool.clear();
-            pool.clear_quarantine();
-            let opts = ScanOptions { workers };
-            audit_search(
-                seed,
-                paged.par_search(0, ROWS as u64, &set, opts),
-                &expected,
-                chain,
-                paged.pages(),
-            );
-            match paged.par_count(0, ROWS as u64, &set, opts) {
-                Ok(n) => assert_eq!(n, expected.len() as u64, "seed {seed}: Ok count is exact"),
-                Err(CoreError::ScanAborted { chain: c, .. }) => assert_eq!(c, chain),
-                Err(other) => panic!("seed {seed}: unexpected count error: {other}"),
-            }
-        }
-        // Recovery: faults lifted, quarantine drained — the same scan must
+        pool.clear();
+        pool.clear_quarantine();
+        audit(seed, search(&paged, 0, rows, &set), &expected, chain, pages);
+        audit(seed, paged.iter().count(0, rows, &set), &count, chain, pages);
+        pool.clear();
+        pool.clear_quarantine();
+        let par = paged.par_count(0, rows, &set, ScanOptions::with_workers(4));
+        audit(seed, par, &count, chain, pages);
+        // Recovery: faults lifted, quarantine drained — the same scans must
         // come back exact. Chaos must never wedge the stack.
         store.set_plan(FaultPlan::None);
         pool.clear();
         pool.clear_quarantine();
-        let rows = paged.par_search(0, ROWS as u64, &set, ScanOptions::with_workers(4)).unwrap();
-        assert_eq!(rows, expected, "seed {seed}: recovery scan");
+        assert_eq!(search(&paged, 0, rows, &set).unwrap(), expected, "seed {seed}: recovery");
+        for (what, scan) in SCANS {
+            assert_eq!(scan(&paged, rows, &set).unwrap(), count, "seed {seed}: recovery {what}");
+        }
         pool.assert_no_live_pins("chaos scan quiesce");
     }
 }
 
 #[test]
 fn a_corrupt_page_mid_wave_aborts_naming_it_and_the_retry_succeeds() {
-    // Eight waves' worth of pages, the corrupt one well inside a wave: the
-    // scan — one worker or four, rows or count — stops on exactly that page,
-    // no pin of its wave outlives the abort, and once the medium is
-    // replaced the same scan completes.
+    // Eight waves' worth of pages, the corrupt one well inside a wave: each
+    // scan — rows or count on one thread, or a four-worker count — stops on
+    // exactly that page, no pin of its wave outlives the abort, and once
+    // the medium is replaced the same scan completes.
     let values = sample(70_000, CARD, 11);
     let store = Arc::new(FaultyStore::new(MemStore::new(), FaultPlan::None));
     let pool = BufferPool::with_config(
@@ -127,29 +140,22 @@ fn a_corrupt_page_mid_wave_aborts_naming_it_and_the_retry_succeeds() {
     let rows = values.len() as u64;
     let set = VidSet::range(10, 60);
     let expected: Vec<u64> = (0..rows).filter(|&i| set.contains(values[i as usize])).collect();
-    for workers in [1, 4] {
-        let opts = ScanOptions { workers };
+    for (what, scan) in SCANS {
         store.set_plan(FaultPlan::CorruptPages(vec![bad]));
         pool.clear();
-        let scans = [
-            paged.par_search(0, rows, &set, opts).map(|_| ()),
-            paged.par_count(0, rows, &set, opts).map(|_| ()),
-        ];
-        for result in scans {
-            match result.unwrap_err() {
-                CoreError::ScanAborted { chain, page_no, source } => {
-                    assert_eq!((chain, page_no), (bad.chain.0, bad.page_no), "workers={workers}");
-                    assert!(corrupt_class(&source), "workers={workers}: {source}");
-                }
-                other => panic!("workers={workers}: expected ScanAborted, got {other}"),
+        match scan(&paged, rows, &set).unwrap_err() {
+            CoreError::ScanAborted { chain, page_no, source } => {
+                assert_eq!((chain, page_no), (bad.chain.0, bad.page_no), "{what}");
+                assert!(corrupt_class(&source), "{what}: {source}");
             }
-            pool.assert_no_live_pins("after an aborted wave");
+            other => panic!("{what}: expected ScanAborted, got {other}"),
         }
+        pool.assert_no_live_pins("after an aborted wave");
         store.set_plan(FaultPlan::None);
         pool.clear_quarantine();
-        assert_eq!(paged.par_search(0, rows, &set, opts).unwrap(), expected, "workers={workers}");
-        assert_eq!(paged.par_count(0, rows, &set, opts).unwrap(), expected.len() as u64);
+        assert_eq!(scan(&paged, rows, &set).unwrap(), expected.len() as u64, "{what}");
     }
+    assert_eq!(search(&paged, 0, rows, &set).unwrap(), expected);
 }
 
 #[test]
@@ -166,38 +172,27 @@ fn on_disk_bit_rot_surfaces_as_a_named_scan_abort() {
     let set = VidSet::range(0, 49); // matches every page: nothing pruned
     let expected: Vec<u64> =
         (0..4000u64).filter(|&i| set.contains(values[i as usize])).collect();
-    assert_eq!(
-        paged.par_search(0, 4000, &set, ScanOptions::with_workers(4)).unwrap(),
-        expected,
-        "clean disk scans exactly"
-    );
+    assert_eq!(search(&paged, 0, 4000, &set).unwrap(), expected, "clean disk scans exactly");
 
     // Flip one payload bit in the middle page's slot on disk, then force
-    // the next scan to re-read it.
+    // each scan to re-read it.
     let path = dir.join(format!("chain_{:016x}.pg", chain.0));
     let mut bytes = std::fs::read(&path).unwrap();
     let (data_start, slot_len) = store.chain_layout(chain).unwrap();
     let target = paged.pages() / 2;
     bytes[(data_start + slot_len * target) as usize + 3] ^= 0x10;
     std::fs::write(&path, &bytes).unwrap();
-    pool.clear();
 
-    let err = paged
-        .par_search(0, 4000, &set, ScanOptions::with_workers(4))
-        .map(|_| ())
-        .unwrap_err();
-    match err {
-        CoreError::ScanAborted { chain: c, page_no, source } => {
-            assert_eq!((c, page_no), (chain.0, target), "abort names the rotten page");
-            assert!(
-                matches!(
-                    &*source,
-                    CoreError::Storage(e) if e.fault_class() == payg_storage::FaultClass::Corrupt
-                ),
-                "bit rot is a corrupt-class fault: {source}"
-            );
+    for (what, scan) in SCANS {
+        pool.clear();
+        pool.clear_quarantine();
+        match scan(&paged, 4000, &set).unwrap_err() {
+            CoreError::ScanAborted { chain: c, page_no, source } => {
+                assert_eq!((c, page_no), (chain.0, target), "{what}: names the rotten page");
+                assert!(corrupt_class(&source), "{what}: bit rot is corrupt-class: {source}");
+            }
+            other => panic!("{what}: expected ScanAborted, got {other}"),
         }
-        other => panic!("expected ScanAborted, got {other}"),
     }
     pool.assert_no_live_pins("bit rot quiesce");
     std::fs::remove_dir_all(&dir).unwrap();

@@ -369,9 +369,9 @@ impl PageStore for CountingStore {
 }
 
 /// The scan loop is the second client of the wave mechanism: a cold scan of
-/// consecutive data pages — rows or count, one worker or four — loads every
-/// page once, through a few coalesced ranged reads, with never more than
-/// one wave of pages pinned.
+/// consecutive data pages — rows or count, and `payg-perf`'s four-worker
+/// count — loads every page once, through a few coalesced ranged reads, with
+/// never more than one wave of pages pinned.
 #[test]
 fn cold_scans_coalesce_their_reads_and_pin_at_most_one_wave() {
     let store = Arc::new(CountingStore::default());
@@ -404,12 +404,10 @@ fn cold_scans_coalesce_their_reads_and_pin_at_most_one_wave() {
         );
         pool.assert_no_live_pins("after a cold scan");
     };
-    let sequential = ScanOptions::sequential();
     let four = ScanOptions::with_workers(4);
     cold(&|| assert_eq!(col.count_rows(&pred, 0, rows).unwrap(), expect.len() as u64));
     cold(&|| assert_eq!(col.find_rows(&pred, 0, rows).unwrap(), expect));
     cold(&|| assert_eq!(col.count_rows_par(&pred, 0, rows, four).unwrap(), expect.len() as u64));
-    cold(&|| assert_eq!(col.find_rows_par(&pred, 0, rows, four).unwrap(), expect));
 
     // Pins bounded by one wave: with every other page resident, the hits of
     // a wave are held while its misses load — and nothing of the wave
@@ -419,7 +417,7 @@ fn cold_scans_coalesce_their_reads_and_pin_at_most_one_wave() {
         drop(pool.pin(PageKey::new(data, page)).unwrap());
     }
     store.max_live_pins.store(0, Ordering::Relaxed);
-    assert_eq!(col.find_rows_par(&pred, 0, rows, sequential).unwrap(), expect);
+    assert_eq!(col.find_rows(&pred, 0, rows).unwrap(), expect);
     let held = store.max_live_pins.load(Ordering::Relaxed);
     assert!(held <= WAVE_PAGES, "{held} pages pinned while a wave loaded");
     if cfg!(feature = "strict-invariants") {

@@ -5,7 +5,9 @@ use payg_core::column::ColumnRead;
 use payg_core::datavec::PagedDataVector;
 use payg_core::dict::{HandleCache, InMemoryDict, PagedDictionary};
 use payg_core::invidx::{InMemoryInvertedIndex, PagedInvertedIndex};
-use payg_core::{CodecKind, ColumnBuilder, DataType, LoadPolicy, PageConfig, Value, ValuePredicate};
+use payg_core::{
+    CodecKind, ColumnBuilder, CoreError, DataType, LoadPolicy, PageConfig, Value, ValuePredicate,
+};
 use payg_encoding::{BitPackedVec, VidSet};
 use payg_resman::{PoolLimits, ResourceManager};
 use payg_storage::{BufferPool, MemStore};
@@ -328,11 +330,11 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Parallel segmented scans are bit-identical to the sequential
-    /// iterator at the data-vector level, across random bit widths, search
-    /// ranges, vid sets and partition counts.
+    /// The segmented count `payg-perf` times is the sequential count and
+    /// the naive one, across random bit widths, ranges, vid sets and
+    /// partition counts.
     #[test]
-    fn par_search_equals_sequential_datavec(
+    fn par_count_equals_sequential_datavec(
         bits in 1u32..16,
         n in 1usize..1500,
         seed in any::<u64>(),
@@ -356,54 +358,78 @@ proptest! {
         };
         let from = seed % (n as u64 + 1);
         let to = from + (seed >> 7) % (n as u64 - from + 1);
-        let mut seq = Vec::new();
-        paged.iter().search(from, to, &set, &mut seq).unwrap();
-        let par = paged
-            .par_search(from, to, &set, payg_core::ScanOptions { workers })
-            .unwrap();
-        prop_assert_eq!(&par, &seq);
-        // And the resident parallel scan agrees with the resident reference.
-        let mut res_seq = Vec::new();
-        payg_encoding::scan::search(&packed, from, to, &set, &mut res_seq);
-        prop_assert_eq!(&res_seq, &seq);
-        let res_par =
-            payg_core::datavec::par_search_resident(&packed, from, to, &set, workers);
-        prop_assert_eq!(&res_par, &seq);
+        let naive = (from..to).filter(|&i| set.contains(values[i as usize])).count() as u64;
+        prop_assert_eq!(paged.iter().count(from, to, &set).unwrap(), naive);
+        let par = paged.par_count(from, to, &set, payg_core::ScanOptions { workers }).unwrap();
+        prop_assert_eq!(par, naive);
     }
 
-    /// `find_rows_par` ≡ `find_rows` ≡ direct evaluation for paged and
-    /// resident columns across random predicates and partition counts.
+    /// One row-range contract for both column kinds, with and without an
+    /// index: `find_rows` / `count_rows` (and `payg-perf`'s `count_rows_par`)
+    /// over `from..to` equal the naive filter when `from ≤ to ≤ len`, and
+    /// are `RowOutOfBounds` when `to` runs past the end or `from > to` — on
+    /// the index postings, the directory count and the scan alike.
     #[test]
-    fn find_rows_par_equals_sequential_columns(
+    fn row_search_is_one_contract_across_kinds_and_bounds(
         ints in prop::collection::vec(-60i64..60, 1..400),
         probe in -60i64..60,
         lo in -60i64..60,
         span in 0i64..50,
-        workers in 2usize..7,
+        bounds in 0u8..4,
+        at in any::<u64>(),
+        k in 1u64..5,
+        workers in 2usize..5,
     ) {
         let values: Vec<Value> = ints.iter().map(|&i| Value::Integer(i)).collect();
+        let len = values.len() as u64;
+        let (from, to) = match bounds {
+            0 => (0, len),
+            1 => {
+                let from = at % (len + 1);
+                (from, from + (at >> 20) % (len - from + 1))
+            }
+            2 => (at % (len + 1), len + k),
+            _ => {
+                let to = at % (len + 1);
+                (to + k, to)
+            }
+        };
+        let in_bounds = from <= to && to <= len;
         let pool = pool();
         let opts = payg_core::ScanOptions::with_workers(workers);
         for policy in [LoadPolicy::FullyResident, LoadPolicy::PageLoadable] {
-            let col = ColumnBuilder::new(DataType::Integer)
-                .policy(policy)
-                .build(&pool, &PageConfig::tiny(), &values)
-                .unwrap()
-                .column;
-            for pred in [
-                ValuePredicate::Eq(Value::Integer(probe)),
-                ValuePredicate::Between(Value::Integer(lo), Value::Integer(lo + span)),
-                ValuePredicate::In(vec![Value::Integer(probe), Value::Integer(lo)]),
-            ] {
-                let expect: Vec<u64> = (0..values.len() as u64)
-                    .filter(|&i| pred.matches(&values[i as usize]))
-                    .collect();
-                prop_assert_eq!(col.find_rows(&pred, 0, values.len() as u64).unwrap(), expect.clone());
-                prop_assert_eq!(col.find_rows_par(&pred, 0, values.len() as u64, opts).unwrap(), expect.clone());
-                prop_assert_eq!(
-                    col.count_rows_par(&pred, 0, values.len() as u64, opts).unwrap(),
-                    expect.len() as u64
-                );
+            for with_index in [false, true] {
+                let col = ColumnBuilder::new(DataType::Integer)
+                    .policy(policy)
+                    .with_index(with_index)
+                    .build(&pool, &PageConfig::tiny(), &values)
+                    .unwrap()
+                    .column;
+                for pred in [
+                    ValuePredicate::Eq(Value::Integer(probe)),
+                    ValuePredicate::Between(Value::Integer(lo), Value::Integer(lo + span)),
+                    ValuePredicate::In(vec![Value::Integer(probe), Value::Integer(lo)]),
+                ] {
+                    let what =
+                        format!("{policy:?} index={with_index} {from}..{to} of {len} {pred:?}");
+                    let rows = col.find_rows(&pred, from, to);
+                    let count = col.count_rows(&pred, from, to);
+                    let par = col.count_rows_par(&pred, from, to, opts);
+                    if in_bounds {
+                        let naive: Vec<u64> =
+                            (from..to).filter(|&i| pred.matches(&values[i as usize])).collect();
+                        prop_assert_eq!(count.unwrap(), naive.len() as u64, "{}", what);
+                        prop_assert_eq!(par.unwrap(), naive.len() as u64, "{}", what);
+                        prop_assert_eq!(rows.unwrap(), naive, "{}", what);
+                    } else {
+                        let oob = |r: &Result<_, CoreError>| {
+                            matches!(r, Err(CoreError::RowOutOfBounds { .. }))
+                        };
+                        prop_assert!(oob(&rows.map(|_| ())), "find_rows {}", what);
+                        prop_assert!(oob(&count.map(|_| ())), "count_rows {}", what);
+                        prop_assert!(oob(&par.map(|_| ())), "count_rows_par {}", what);
+                    }
+                }
             }
         }
     }
@@ -413,34 +439,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Checkpoint round-trip: a column reopened from its serialized
-    /// metadata is observationally identical, for both policies and all
-    /// index modes.
+    /// metadata is observationally identical, for both policies, with and
+    /// without an index.
     #[test]
     fn column_checkpoint_roundtrip(
         ints in prop::collection::vec(-40i64..40, 1..200),
         paged_policy in any::<bool>(),
-        index_mode in 0u8..3,
+        with_index in any::<bool>(),
     ) {
-        use payg_core::column::{Column, IndexMode};
+        use payg_core::column::Column;
         let values: Vec<Value> = ints.iter().map(|&i| Value::Integer(i)).collect();
         let pool = pool();
-        let mode = match index_mode {
-            0 => IndexMode::None,
-            1 => IndexMode::Eager,
-            _ => IndexMode::Adaptive { threshold: 2 },
-        };
         let policy = if paged_policy { LoadPolicy::PageLoadable } else { LoadPolicy::FullyResident };
         let col = ColumnBuilder::new(DataType::Integer)
             .policy(policy)
-            .index_mode(mode)
+            .with_index(with_index)
             .build(&pool, &PageConfig::tiny(), &values)
             .unwrap()
             .column;
-        // Exercise a few searches first (may build an adaptive index).
         let pred = ValuePredicate::Eq(Value::Integer(ints[0]));
-        for _ in 0..3 {
-            let _ = col.find_rows(&pred, 0, values.len() as u64).unwrap();
-        }
         let bytes = col.meta_bytes();
         let reopened = Column::open(&pool, &bytes).unwrap();
         prop_assert_eq!(reopened.policy(), col.policy());
@@ -459,6 +476,16 @@ proptest! {
         if !broken.is_empty() {
             broken[0] ^= 0xFF;
             let _ = Column::open(&pool, &broken);
+        }
+        // Index tags are 0 (none) and 1 (the merge's index); any other is
+        // refused.
+        if !with_index {
+            prop_assert_eq!(bytes.last(), Some(&0));
+            for tag in [2, 3, 4] {
+                let mut tagged = bytes.clone();
+                *tagged.last_mut().unwrap() = tag;
+                prop_assert!(Column::open(&pool, &tagged).is_err(), "index tag {}", tag);
+            }
         }
     }
 }
@@ -1020,7 +1047,6 @@ proptest! {
         prop_assert_eq!(it.count(from, to, &set).unwrap(), naive.len() as u64);
         drop(it);
         let opts = payg_core::ScanOptions { workers };
-        prop_assert_eq!(&paged.par_search(from, to, &set, opts).unwrap(), &naive);
         prop_assert_eq!(paged.par_count(from, to, &set, opts).unwrap(), naive.len() as u64);
         let mut resident = Vec::new();
         payg_encoding::scan::search(&packed, from, to, &set, &mut resident);

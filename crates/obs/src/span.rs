@@ -35,7 +35,8 @@ pub const SPAN_STORE_CAPACITY: usize = 65_536;
 pub enum SpanKind {
     /// One table query end to end.
     Query,
-    /// One worker's partition of a parallel scan (`detail` = first row).
+    /// One worker's partition of `par_count`, the split count behind
+    /// `count_rows_par` — no query opens one (`detail` = first row).
     ScanPartition,
     /// A pin blocked behind another thread's in-flight load of the same
     /// page (`detail` = page number).

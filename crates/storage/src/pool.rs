@@ -386,12 +386,6 @@ impl BufferPool {
         Self::with_config(store, resman, PoolConfig::default())
     }
 
-    /// Creates a pool with an explicit shard count (tests use `1` to force
-    /// maximal contention).
-    pub fn with_shards(store: Arc<dyn PageStore>, resman: ResourceManager, shards: usize) -> Self {
-        Self::with_config(store, resman, PoolConfig { shards, ..PoolConfig::default() })
-    }
-
     /// Creates a pool with full construction-time tuning — fault-tolerance
     /// tests use this to inject deterministic retry backoff and small
     /// quarantine TTLs.
@@ -451,11 +445,6 @@ impl BufferPool {
     /// The resource manager this pool registers loads with.
     pub fn resource_manager(&self) -> &ResourceManager {
         &self.inner.resman
-    }
-
-    /// Number of lock stripes.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
     }
 
     /// Pins a page, loading it on a miss. The returned guard keeps the page
@@ -1095,7 +1084,11 @@ mod tests {
         }
         let resman = ResourceManager::new();
         resman.set_paged_limits_manual(Some(PoolLimits::new(0, usize::MAX)));
-        let pool = BufferPool::with_shards(Arc::new(store), resman.clone(), 2);
+        let pool = BufferPool::with_config(
+            Arc::new(store),
+            resman.clone(),
+            PoolConfig { shards: 2, ..PoolConfig::default() },
+        );
         let done = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|s| {
             let pinners: Vec<_> = (0..8u64)
@@ -1419,7 +1412,11 @@ mod tests {
         for i in 0..16 {
             store.append_page(chain, &[i as u8]).unwrap();
         }
-        let pool = BufferPool::with_shards(Arc::new(store), ResourceManager::new(), 4);
+        let pool = BufferPool::with_config(
+            Arc::new(store),
+            ResourceManager::new(),
+            PoolConfig { shards: 4, ..PoolConfig::default() },
+        );
         for i in 0..16 {
             drop(pool.pin(PageKey::new(chain, i)).unwrap());
             drop(pool.pin(PageKey::new(chain, i)).unwrap());

@@ -8,8 +8,8 @@
 //! * the **static plan** — [`Table::scan_plan`] as it stood before execution
 //!   (per-partition [`ScanPath`]), annotated per store chain with the pins,
 //!   cold loads, waits, I/O traffic and retries the chain actually saw;
-//! * the **span tree** — query → scan-partition → page-wait / io-batch /
-//!   chunk-dispatch, each with wall-clock nanoseconds and a thread lane;
+//! * the **span tree** — query → page-wait / io-batch / chunk-dispatch, each
+//!   with wall-clock nanoseconds and a thread lane;
 //! * **page provenance** — which I/O batches this query *initiated* (the
 //!   `IoBatchIssued` event's span belongs to the query tree) versus merely
 //!   *joined* (its pages rode a coalesced read another query started).
@@ -345,8 +345,7 @@ impl Table {
         // the annotation all see the same pinned version even when a merge
         // publishes mid-run.
         let session = self.session()?;
-        // The plan as it stands *before* execution — an adaptive index
-        // built during the run is an actual, not part of the plan.
+        // The plan as it stands *before* execution.
         let plan = session.scan_plan(q)?;
         let tracer = self.registry().tracer().clone();
         let was_enabled = tracer.enabled();

@@ -15,7 +15,7 @@ use crate::bitmap::RowBitmap;
 use crate::schema::{Row, Schema};
 use crate::TableResult;
 use payg_core::column::{Column, ColumnRead};
-use payg_core::{ColumnBuilder, LoadPolicy, PageConfig, ScanOptions, Value, ValuePredicate};
+use payg_core::{ColumnBuilder, LoadPolicy, PageConfig, Value, ValuePredicate};
 use payg_resman::Disposition;
 use payg_storage::{BufferPool, ChainId};
 use std::sync::{RwLock, RwLockReadGuard};
@@ -132,19 +132,7 @@ impl MainFragment {
 
     /// Visible row positions matching `pred` on `col`, ascending.
     pub fn find_rows(&self, col: usize, pred: &ValuePredicate) -> TableResult<Vec<u64>> {
-        self.find_rows_par(col, pred, ScanOptions::sequential())
-    }
-
-    /// [`MainFragment::find_rows`] with an explicit parallelism budget: the
-    /// column scan segments across workers, then the deleted-row filter runs
-    /// on the merged (ascending) result.
-    pub fn find_rows_par(
-        &self,
-        col: usize,
-        pred: &ValuePredicate,
-        opts: ScanOptions,
-    ) -> TableResult<Vec<u64>> {
-        let mut rows = self.columns[col].find_rows_par(pred, 0, self.rows, opts)?;
+        let mut rows = self.columns[col].find_rows(pred, 0, self.rows)?;
         let deleted = self.deleted();
         if !deleted.is_empty() {
             rows.retain(|&r| !deleted.get(r));

@@ -130,7 +130,7 @@ impl Table {
         let before = payg_obs::ObsSnapshot::collect(self.registry());
         let started = std::time::Instant::now();
         // Flight recorder: the whole execution runs under one query span,
-        // so scan-partition / page-wait / io-batch children parent to it.
+        // so page-wait / io-batch / chunk-dispatch children parent to it.
         let span = self.registry().tracer().span(payg_obs::SpanKind::Query, 0);
         let result = session.execute(q)?;
         drop(span);
@@ -294,15 +294,9 @@ impl Snapshot<'_> {
             }
             let main = p.main_frag();
             if main.visible_rows() == main.rows() {
-                n += payg_core::column::ColumnRead::count_rows_par(
-                    main.column(col),
-                    pred,
-                    0,
-                    main.rows(),
-                    self.scan_options(),
-                )?;
+                n += main.column(col).count_rows(pred, 0, main.rows())?;
             } else {
-                n += main.find_rows_par(col, pred, self.scan_options())?.len() as u64;
+                n += main.find_rows(col, pred)?.len() as u64;
             }
             n += p.delta_view().find_rows(col, pred, self.schema())?.len() as u64;
         }
@@ -359,7 +353,7 @@ impl Snapshot<'_> {
                     if !p.spec().range.may_match_on(col, self.schema().partition_column(), pred) {
                         continue;
                     }
-                    for rpos in p.main_frag().find_rows_par(col, pred, self.scan_options())? {
+                    for rpos in p.main_frag().find_rows(col, pred)? {
                         addrs.push(RowAddr { partition: pi, in_delta: false, rpos });
                     }
                     for rpos in p.delta_view().find_rows(col, pred, self.schema())? {
@@ -848,39 +842,6 @@ mod tests {
     fn unfiltered_scan_sees_everything_visible() {
         let t = table(LoadPolicy::PageLoadable);
         assert_eq!(t.execute(&Query::full(Projection::Count)).unwrap().count(), 320);
-    }
-
-    #[test]
-    fn parallel_scan_options_do_not_change_results() {
-        for policy in [LoadPolicy::FullyResident, LoadPolicy::PageLoadable] {
-            let mut t = table(policy);
-            let queries = [
-                Query::filtered(
-                    "id",
-                    ValuePredicate::Between(Value::Integer(15), Value::Integer(280)),
-                    Projection::Count,
-                ),
-                Query::filtered(
-                    "region",
-                    ValuePredicate::Eq(Value::Varchar("region-4".into())),
-                    Projection::All,
-                ),
-                Query::filtered(
-                    "id",
-                    ValuePredicate::Between(Value::Integer(10), Value::Integer(200)),
-                    Projection::Sum("amount".into()),
-                ),
-                Query::full(Projection::Count),
-            ];
-            let sequential: Vec<QueryResult> =
-                queries.iter().map(|q| t.execute(q).unwrap()).collect();
-            for workers in [2, 4] {
-                t.set_scan_options(payg_core::ScanOptions::with_workers(workers));
-                for (q, expect) in queries.iter().zip(&sequential) {
-                    assert_eq!(&t.execute(q).unwrap(), expect, "workers={workers} {q:?}");
-                }
-            }
-        }
     }
 
     #[test]

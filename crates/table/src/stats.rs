@@ -20,8 +20,8 @@ pub struct ColumnStats {
     pub load_policy: LoadPolicy,
     /// Distinct values in the main fragment.
     pub cardinality: u64,
-    /// Whether an inverted index currently exists (an adaptive index
-    /// reports `false` until it is built).
+    /// Whether the column has an inverted index (fixed when its merge
+    /// built it).
     pub has_index: bool,
 }
 

@@ -18,7 +18,7 @@ use crate::version::{
     DeltaCell, MainHandle, Partition, PartitionVersion, TableVersion, VersionChain,
 };
 use crate::{TableError, TableResult};
-use payg_core::{PageConfig, ScanOptions, Value, ValuePredicate};
+use payg_core::{PageConfig, Value, ValuePredicate};
 use payg_obs::{names, Gauge, Histogram, SpanKind};
 use payg_storage::BufferPool;
 use std::sync::{Arc, Mutex};
@@ -34,7 +34,6 @@ pub struct Table {
     /// being taken by readers.
     merge_locks: Vec<Arc<Mutex<()>>>,
     admission: AdmissionController,
-    scan_options: ScanOptions,
     versions_live: Gauge,
     merge_ns: Histogram,
 }
@@ -68,11 +67,6 @@ impl Snapshot<'_> {
     /// The table's schema.
     pub fn schema(&self) -> &Schema {
         self.table.schema()
-    }
-
-    /// The scan parallelism the owning table was configured with.
-    pub fn scan_options(&self) -> ScanOptions {
-        self.table.scan_options()
     }
 
     /// The owning table's observability registry.
@@ -114,7 +108,6 @@ impl Table {
             config,
             merge_locks: Vec::new(),
             admission,
-            scan_options: ScanOptions::sequential(),
             versions_live,
             merge_ns,
         };
@@ -193,17 +186,6 @@ impl Table {
     /// coherent view should go through [`Table::session`].
     pub fn partitions(&self) -> Vec<Partition> {
         pin_parts(&self.chain.current())
-    }
-
-    /// How this table's queries scan main fragments (default: sequential).
-    pub fn scan_options(&self) -> ScanOptions {
-        self.scan_options
-    }
-
-    /// Sets the parallelism budget for this table's query scans. Results are
-    /// bit-identical to sequential execution; only the wall-clock changes.
-    pub fn set_scan_options(&mut self, opts: ScanOptions) {
-        self.scan_options = opts;
     }
 
     /// Visible rows across all partitions and fragments (current version).
@@ -582,7 +564,6 @@ impl Table {
             config,
             merge_locks,
             admission,
-            scan_options: ScanOptions::sequential(),
             versions_live,
             merge_ns,
         }

@@ -1,7 +1,7 @@
 //! EXPLAIN ANALYZE integration: the annotated plan, span tree, and page
 //! provenance of real queries, reconciled against the registry.
 
-use payg_core::{DataType, LoadPolicy, PageConfig, ScanOptions, ScanPath, Value, ValuePredicate};
+use payg_core::{DataType, LoadPolicy, PageConfig, ScanPath, Value, ValuePredicate};
 use payg_obs::{names, EventKind, SpanKind};
 use payg_resman::ResourceManager;
 use payg_storage::{BufferPool, MemStore};
@@ -32,11 +32,11 @@ fn paged_table(indexed: bool, rows: i64) -> Table {
 }
 
 #[test]
-fn cold_parallel_scan_reports_plan_actuals_and_spans() {
-    let mut t = paged_table(false, 600);
-    t.set_scan_options(ScanOptions::with_workers(4));
-    // Unindexed point filter: a parallel data-vector scan. `id` is inserted
-    // in order, so page summaries prune every non-overlapping page.
+fn cold_scan_reports_plan_actuals_and_spans() {
+    let t = paged_table(false, 600);
+    // Unindexed range filter: a data-vector scan on the query's thread. `id`
+    // is inserted in order, so page summaries prune every non-overlapping
+    // page.
     let q = Query::filtered(
         "id",
         ValuePredicate::Between(Value::Integer(100), Value::Integer(140)),
@@ -53,17 +53,17 @@ fn cold_parallel_scan_reports_plan_actuals_and_spans() {
     assert_eq!(cold.partitions[0].path, ScanPath::DecodeThenScan);
     assert!(cold.profile.cold_loads > 0, "first run loads pages: {:?}", cold.profile);
     assert!(cold.profile.dispatch_width > 0, "kernel dispatched: {:?}", cold.profile);
+    assert!(cold.profile.pages_pruned > 0, "sorted ids prune pages: {:?}", cold.profile);
     cold.check_consistency().expect("cold event log reconciles with the registry delta");
 
-    // The span tree: one query root, scan-partition children under it.
+    // The span tree: one query root, the scan's I/O batches under it.
     let root = cold.spans.iter().find(|s| s.id == cold.root).expect("root span recorded");
     assert_eq!(root.kind, SpanKind::Query);
     assert_eq!(root.parent, 0);
-    let parts: Vec<_> =
-        cold.spans.iter().filter(|s| s.kind == SpanKind::ScanPartition).collect();
-    assert!(!parts.is_empty(), "parallel scan opened partition spans");
+    let batches: Vec<_> = cold.spans.iter().filter(|s| s.kind == SpanKind::IoBatch).collect();
+    assert!(!batches.is_empty(), "the cold scan's reads opened batch spans");
     let tree = cold.tree();
-    assert!(parts.iter().all(|s| tree.contains(&s.id)), "partitions parent into the tree");
+    assert!(batches.iter().all(|s| tree.contains(&s.id)), "batches parent into the tree");
     assert!(cold.spans.iter().all(|s| s.end_ns >= s.start_ns));
 
     // The filter column's data chain is annotated with the cold traffic.
@@ -86,10 +86,8 @@ fn cold_parallel_scan_reports_plan_actuals_and_spans() {
     assert_eq!(cold.batches_joined, 0, "no concurrent query to join");
     assert!(cold.profile.io_batches >= cold.batches_initiated);
 
-    // Warm sequential re-run: same result, no cold loads, warm pins
-    // instead — and the sequential iterator counts the pages the summary
-    // pruned (the parallel planner skips them before workers ever look).
-    t.set_scan_options(ScanOptions::default());
+    // Warm re-run: same result, no cold loads, warm pins instead — and the
+    // same pages pruned.
     let (result2, warm) = t.explain_analyze(&q).unwrap();
     match result2 {
         payg_table::QueryResult::RowIds(ids) => assert_eq!(ids.len(), 41),
@@ -97,7 +95,7 @@ fn cold_parallel_scan_reports_plan_actuals_and_spans() {
     }
     assert_eq!(warm.profile.cold_loads, 0, "second run is warm: {:?}", warm.profile);
     assert!(warm.profile.warm_hits > 0);
-    assert!(warm.profile.pages_pruned > 0, "sorted ids prune pages: {:?}", warm.profile);
+    assert_eq!(warm.profile.pages_pruned, cold.profile.pages_pruned, "{:?}", warm.profile);
     warm.check_consistency().expect("warm event log reconciles too");
 
     // Renderings carry the load-bearing facts.
@@ -106,7 +104,7 @@ fn cold_parallel_scan_reports_plan_actuals_and_spans() {
     assert!(text.contains("partition 0: path=DecodeThenScan"), "{text}");
     assert!(text.contains("id/data"), "{text}");
     assert!(text.contains("query(0)"), "{text}");
-    assert!(text.contains("scan-partition"), "{text}");
+    assert!(text.contains("io-batch"), "{text}");
     let json = cold.to_json();
     assert!(json.contains("\"plan\""), "{json}");
     assert!(json.contains("\"spans\""), "{json}");
@@ -114,7 +112,7 @@ fn cold_parallel_scan_reports_plan_actuals_and_spans() {
     let trace = cold.to_chrome_trace();
     assert!(trace.starts_with('[') && trace.ends_with(']'), "{trace}");
     assert!(trace.contains("\"ph\": \"X\""), "{trace}");
-    assert!(trace.contains("\"name\": \"scan-partition\""), "{trace}");
+    assert!(trace.contains("\"name\": \"io-batch\""), "{trace}");
 }
 
 #[test]

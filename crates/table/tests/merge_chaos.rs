@@ -29,8 +29,7 @@ fn chaos_seeds() -> Vec<u64> {
 }
 
 fn orders_schema() -> Schema {
-    // No indexed columns: the adaptive index would build fresh chains
-    // during reads and break the chain-set leak accounting below.
+    // No indexed columns: every read scans a data vector.
     Schema::new(vec![
         ColumnSpec::new("id", payg_core::DataType::Integer),
         ColumnSpec::new("status", payg_core::DataType::Varchar),

@@ -1,5 +1,5 @@
-//! EXPLAIN ANALYZE walkthrough: run a cold 4-worker scan over a
-//! compressed page-loadable table, print the flight recorder's report —
+//! EXPLAIN ANALYZE walkthrough: run a cold scan over a compressed
+//! page-loadable table, print the flight recorder's report —
 //! the static plan annotated with per-chain actuals, the span tree, and
 //! the page-provenance summary — then re-run warm and check that plan and
 //! actuals stay consistent with the registry. Also writes the span tree as
@@ -7,9 +7,7 @@
 //!
 //! Run with: `cargo run --release --example explain`
 
-use page_as_you_go::core::{
-    DataType, LoadPolicy, PageConfig, ScanOptions, ScanPath, Value, ValuePredicate,
-};
+use page_as_you_go::core::{DataType, LoadPolicy, PageConfig, ScanPath, Value, ValuePredicate};
 use page_as_you_go::obs::SpanKind;
 use page_as_you_go::resman::ResourceManager;
 use page_as_you_go::storage::{BufferPool, MemStore};
@@ -24,7 +22,7 @@ fn main() {
     ])
     .unwrap();
     let pool = BufferPool::new(Arc::new(MemStore::new()), ResourceManager::new());
-    let mut table = Table::create(
+    let table = Table::create(
         pool,
         PageConfig::tiny(),
         schema,
@@ -41,24 +39,24 @@ fn main() {
             .unwrap();
     }
     table.delta_merge_all().unwrap();
-    table.set_scan_options(ScanOptions::with_workers(4));
 
-    // ---- Cold run: a parallel scan over an unindexed column --------------
+    // ---- Cold run: a scan over an unindexed column -----------------------
     let scan = Query::filtered(
         "region",
         ValuePredicate::Eq(Value::Varchar("region-3".into())),
         Projection::Count,
     );
     let (result, cold) = table.explain_analyze(&scan).unwrap();
-    println!("=== cold 4-worker scan (COUNT = {}) ===", result.count());
+    println!("=== cold scan (COUNT = {}) ===", result.count());
     println!("{}", cold.to_text());
     cold.check_consistency().expect("cold run reconciles with the registry delta");
     assert!(cold.profile.cold_loads > 0, "first run must load pages");
-    assert!(
-        cold.spans.iter().any(|s| s.kind == SpanKind::ScanPartition),
-        "parallel scan records partition spans"
-    );
     assert!(cold.batches_initiated > 0, "cold scan issues I/O batches");
+    assert!(cold.profile.io_coalesced_pages > 0, "consecutive cold pages share reads");
+    assert!(
+        cold.spans.iter().any(|s| s.kind == SpanKind::IoBatch),
+        "coalesced reads record batch spans"
+    );
 
     // ---- Warm re-run: same plan, no cold loads ---------------------------
     let (result2, warm) = table.explain_analyze(&scan).unwrap();

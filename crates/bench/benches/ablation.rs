@@ -163,8 +163,8 @@ fn bench_warm_point_reads(c: &mut Criterion) {
         .column;
     // Warm both.
     for rpos in (0..200_000).step_by(37) {
-        let _ = paged.get_value(rpos).unwrap();
-        let _ = resident.get_value(rpos).unwrap();
+        let _ = paged.get_values(&[rpos]).unwrap();
+        let _ = resident.get_values(&[rpos]).unwrap();
     }
     let probe = ValuePredicate::Eq(Value::Varchar("v-012345".into()));
     let mut g = c.benchmark_group("ablation/warm_point_read");
@@ -173,7 +173,7 @@ fn bench_warm_point_reads(c: &mut Criterion) {
             let mut rpos = 1u64;
             b.iter(|| {
                 rpos = (rpos * 48271) % 200_000;
-                std::hint::black_box(col.get_value(rpos).unwrap());
+                std::hint::black_box(col.get_values(&[rpos]).unwrap());
                 std::hint::black_box(col.find_rows(&probe, 0, 200_000).unwrap());
             })
         });

@@ -68,7 +68,7 @@ pub fn run(cfg: &BenchConfig, tables: &TableSet) -> ExperimentReport {
         resident.ensure_loaded().unwrap();
         let full_load = t0.elapsed();
         let t1 = Instant::now();
-        let _ = paged.get_value(values.len() as u64 / 2).unwrap();
+        let _ = paged.get_values(&[values.len() as u64 / 2]).unwrap();
         let piece_load = t1.elapsed();
         report.line(format!(
             "one-time load cost: full column {full_load:.1?} vs one piece {piece_load:.1?}              (paper: 43.5s vs 9.6s)"

@@ -47,7 +47,8 @@
 //! `columns × rows` vector each, and one task list, one key vector and one
 //! guard vector ([`Scratch`]) serve every phase and wave.
 //! [`ColumnRead::get_values`] on a paged column is the one-column case of
-//! the same code, and the resident column runs the same two steps over its
+//! the same code, and a point read its one-row case — there is no other
+//! value path; the resident column runs the same two steps over its
 //! in-memory image.
 
 use super::paged::ColumnParts;

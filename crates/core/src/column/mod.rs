@@ -276,13 +276,6 @@ impl ColumnRead for Column {
         }
     }
 
-    fn get_value(&self, rpos: u64) -> CoreResult<Value> {
-        match self {
-            Column::Resident(c) => c.get_value(rpos),
-            Column::Paged(c) => c.get_value(rpos),
-        }
-    }
-
     fn get_values(&self, rposs: &[u64]) -> CoreResult<Vec<Value>> {
         match self {
             Column::Resident(c) => c.get_values(rposs),
@@ -301,13 +294,6 @@ impl ColumnRead for Column {
         match self {
             Column::Resident(c) => c.values_by_vid(vids),
             Column::Paged(c) => c.values_by_vid(vids),
-        }
-    }
-
-    fn get_vids(&self, from: u64, to: u64, out: &mut Vec<u64>) -> CoreResult<()> {
-        match self {
-            Column::Resident(c) => c.get_vids(from, to, out),
-            Column::Paged(c) => c.get_vids(from, to, out),
         }
     }
 

@@ -228,13 +228,6 @@ impl ColumnRead for PagedColumn {
         self.parts.index.is_some()
     }
 
-    fn get_value(&self, rpos: u64) -> CoreResult<Value> {
-        let vid = self.parts.data.iter().get(rpos)?;
-        let mut cache = self.cache();
-        let key = self.parts.dict.key_by_vid(vid, &mut cache)?;
-        Value::from_key(self.parts.data_type, &key)
-    }
-
     fn get_values(&self, rposs: &[u64]) -> CoreResult<Vec<Value>> {
         // The one-column case of phased late materialization.
         let mut columns =
@@ -254,10 +247,6 @@ impl ColumnRead for PagedColumn {
             &mut Default::default(),
         )?;
         Ok(columns.pop().unwrap_or_default())
-    }
-
-    fn get_vids(&self, from: u64, to: u64, out: &mut Vec<u64>) -> CoreResult<()> {
-        self.parts.data.iter().mget(from, to, out)
     }
 
     fn vid_set_for(&self, pred: &ValuePredicate) -> CoreResult<VidSet> {

@@ -5,9 +5,9 @@ use crate::{CoreResult, DataType, Value, ValuePredicate};
 use payg_encoding::VidSet;
 
 /// Read operations every column supports regardless of load policy. Methods
-/// mirror the paper's logical accesses: point decode, batch decode (late
-/// materialization), predicate-to-vid translation via the dictionary, and
-/// row search via the data vector or the inverted index.
+/// mirror the paper's logical accesses: value decode (late materialization,
+/// a point read being its one-row case), predicate-to-vid translation via
+/// the dictionary, and row search via the data vector or the inverted index.
 pub trait ColumnRead {
     /// Number of rows.
     fn len(&self) -> u64;
@@ -26,12 +26,9 @@ pub trait ColumnRead {
     /// True when the column has an inverted index.
     fn has_index(&self) -> bool;
 
-    /// Materializes the value at one row (data vector get + dictionary
-    /// `findByValueID`).
-    fn get_value(&self, rpos: u64) -> CoreResult<Value>;
-
     /// Materializes the values at the given rows (late materialization:
-    /// decode vids first, then look each distinct vid up once).
+    /// decode vids first, then look each distinct vid up once). A point
+    /// read is `get_values(&[rpos])`.
     fn get_values(&self, rposs: &[u64]) -> CoreResult<Vec<Value>>;
 
     /// The value identifiers at the given rows (any order, duplicates
@@ -55,9 +52,6 @@ pub trait ColumnRead {
         let (vids, counts): (Vec<u64>, Vec<u64>) = self.vid_counts(rposs)?.into_iter().unzip();
         Ok(self.values_by_vid(&vids)?.into_iter().zip(counts).collect())
     }
-
-    /// Decodes the value identifiers of a row range into `out`.
-    fn get_vids(&self, from: u64, to: u64, out: &mut Vec<u64>) -> CoreResult<()>;
 
     /// Translates a value predicate to the matching identifier set via the
     /// dictionary (order preservation keeps ranges contiguous).

@@ -211,15 +211,6 @@ impl ColumnRead for ResidentColumn {
         self.parts.index.is_some()
     }
 
-    fn get_value(&self, rpos: u64) -> CoreResult<Value> {
-        let image = self.image()?;
-        if rpos >= self.parts.len {
-            return Err(CoreError::RowOutOfBounds { rpos, len: self.parts.len });
-        }
-        let vid = image.data.get(rpos);
-        Value::from_key(self.parts.data_type, image.dict.key(vid))
-    }
-
     fn get_values(&self, rposs: &[u64]) -> CoreResult<Vec<Value>> {
         // The paged column's steps over the resident image: rows →
         // identifiers, distinct identifiers → values, values → rows by rank.
@@ -239,13 +230,6 @@ impl ColumnRead for ResidentColumn {
     fn values_by_vid(&self, vids: &[u64]) -> CoreResult<Vec<Value>> {
         let image = self.image()?;
         self.values_of(&image, vids)
-    }
-
-    fn get_vids(&self, from: u64, to: u64, out: &mut Vec<u64>) -> CoreResult<()> {
-        self.parts.check_rows(from, to)?;
-        let image = self.image()?;
-        image.data.mget(from, to, out);
-        Ok(())
     }
 
     fn vid_set_for(&self, pred: &ValuePredicate) -> CoreResult<VidSet> {

@@ -5,8 +5,9 @@
 //! of chunks. No per-page header is needed — the whole geometry (width,
 //! length, chunks per page) lives in the in-memory metadata, so mapping a
 //! row position to a logical page number is pure arithmetic. That mapping is
-//! what lets the iterator load *only* the pages overlapping a requested row
-//! range (§3.1.2).
+//! what lets a scan load *only* the pages overlapping a requested row range
+//! (§3.1.2), and a point or list decode only the pages holding its rows
+//! ([`PagedDataVector::decode_on_page`], phase (a) of late materialization).
 
 use crate::waves::{Waves, WAVE_PAGES};
 use crate::{CoreError, CoreResult, PageConfig};
@@ -15,7 +16,7 @@ use payg_encoding::kernels::{boundary_mask, KernelPredicate, Packed};
 use payg_encoding::scan::push_bitmap_positions;
 use payg_encoding::{BitPackedVec, BitWidth, VidSet};
 use payg_obs::{names, Counter, Gauge, Registry, ScanProfile};
-use payg_storage::{BufferPool, ChainRef, PageGuard, PageKey, StorageError};
+use payg_storage::{BufferPool, ChainRef, PageKey, StorageError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -180,14 +181,11 @@ impl PagedDataVector {
         &self.pool
     }
 
-    /// Creates a stateful read iterator (§3.1.2). Point and list access
-    /// hold exactly one pinned page — the previous page is released before
-    /// the next is pinned, on reposition; a range scan pins the pages that
+    /// Creates a scan iterator (§3.1.2): a range scan pins the pages that
     /// survive pruning a wave at a time and holds nothing in between.
     pub fn iter(&self) -> PagedDataVectorIterator<'_> {
         PagedDataVectorIterator {
             vec: self,
-            current: None,
             cancel: None,
             bitmaps: Vec::new(),
             waves: Waves::default(),
@@ -325,13 +323,11 @@ impl PagedDataVector {
     }
 }
 
-/// Stateful iterator over a [`PagedDataVector`].
+/// Scan iterator over a [`PagedDataVector`]: `search` and `count` over row
+/// ranges, pinning a wave of pages at a time. Point and list decodes are
+/// not its business — they are phase (a) of late materialization.
 pub struct PagedDataVectorIterator<'a> {
     vec: &'a PagedDataVector,
-    /// Iterator state: the one pinned page (paper: "it pins each new page
-    /// after releasing the handle to the previous page during page
-    /// reposition").
-    current: Option<(u64, PageGuard)>,
     /// The count-wide cancellation flag of a `par_count` worker.
     cancel: Option<&'a AtomicBool>,
     /// Reusable per-page result-bitmap buffer (one word per chunk).
@@ -344,80 +340,6 @@ pub struct PagedDataVectorIterator<'a> {
 }
 
 impl PagedDataVectorIterator<'_> {
-    /// Repositions onto `page_no`: the held page is served as is, any other
-    /// is pinned after the held one has been released.
-    fn reposition(&mut self, page_no: u64) -> CoreResult<&PageGuard> {
-        if !matches!(&self.current, Some((held, _)) if *held == page_no) {
-            self.current = None;
-            let guard = self.vec.pool.pin(self.vec.page_key(page_no))?;
-            self.profile.pages_pinned += 1;
-            self.current = Some((page_no, guard));
-        }
-        match &self.current {
-            Some((_, guard)) => Ok(guard),
-            None => unreachable!("the page was just pinned"),
-        }
-    }
-
-    /// Copies the words of chunk `chunk_no` into `words`, returning the word
-    /// count (the bit width). Pins the owning page for the duration via the
-    /// iterator state.
-    fn chunk_words(&mut self, chunk_no: u64, words: &mut [u64; 64]) -> CoreResult<usize> {
-        let n = self.vec.meta.width.bits() as usize;
-        if n == 0 {
-            return Ok(0);
-        }
-        let cpp = self.vec.meta.chunks_per_page;
-        let page_no = chunk_no / cpp;
-        let in_page = (chunk_no % cpp) as usize;
-        let per_chunk = bytes_per_chunk(self.vec.meta.width);
-        let guard = self.reposition(page_no)?;
-        let base = in_page * per_chunk;
-        let bytes = &guard[base..base + per_chunk];
-        payg_encoding::unaligned::fill_le_words(bytes, &mut words[..n]);
-        Ok(n)
-    }
-
-    /// Decodes the identifier at `rpos`.
-    pub fn get(&mut self, rpos: u64) -> CoreResult<u64> {
-        if rpos >= self.vec.meta.len {
-            return Err(CoreError::RowOutOfBounds { rpos, len: self.vec.meta.len });
-        }
-        if self.vec.meta.width.bits() == 0 {
-            return Ok(0);
-        }
-        let mut words = [0u64; 64];
-        let n = self.chunk_words(chunk::chunk_of(rpos), &mut words)?;
-        Ok(chunk::decode_slot(&words[..n], self.vec.meta.width, chunk::slot_of(rpos)))
-    }
-
-    /// Decodes identifiers for the row range `from..to` into `out`
-    /// (cleared first), loading only the pages that overlap the range.
-    pub fn mget(&mut self, from: u64, to: u64, out: &mut Vec<u64>) -> CoreResult<()> {
-        self.vec.check_range(from, to)?;
-        out.clear();
-        if from == to {
-            return Ok(());
-        }
-        out.reserve((to - from) as usize);
-        if self.vec.meta.width.bits() == 0 {
-            out.resize((to - from) as usize, 0);
-            return Ok(());
-        }
-        let mut words = [0u64; 64];
-        let mut decoded = [0u64; CHUNK_LEN];
-        let first = chunk::chunk_of(from);
-        let last = chunk::chunk_of(to - 1);
-        for ci in first..=last {
-            let n = self.chunk_words(ci, &mut words)?;
-            chunk::decode_chunk(&words[..n], self.vec.meta.width, &mut decoded);
-            let lo = if ci == first { chunk::slot_of(from) } else { 0 };
-            let hi = if ci == last { chunk::slot_of(to - 1) + 1 } else { CHUNK_LEN };
-            out.extend_from_slice(&decoded[lo..hi]);
-        }
-        Ok(())
-    }
-
     /// `search(range-of-rows, set-of-vids)`: appends row positions in
     /// `from..to` whose identifier is in `set`. Pages outside the range are
     /// never loaded; surviving pages are pinned once, a wave at a time, and
@@ -499,8 +421,8 @@ impl PagedDataVectorIterator<'_> {
     /// copy — starting at chunk `first_ci`. The page summaries name the
     /// surviving pages before storage is touched, so they are pinned a wave
     /// of at most [`WAVE_PAGES`] at a time: a cold scan's consecutive pages
-    /// arrive as coalesced ranged reads, and no guard — not the iterator's
-    /// own either — is held across a wave's submit-and-wait.
+    /// arrive as coalesced ranged reads, and no guard is held across a
+    /// wave's submit-and-wait.
     fn for_each_chunk_run(
         &mut self,
         from: u64,
@@ -514,7 +436,6 @@ impl PagedDataVectorIterator<'_> {
         let first = chunk::chunk_of(from);
         let last = chunk::chunk_of(to - 1);
         let last_page = last / cpp;
-        self.current = None;
         // The surviving pages of the wave being planned.
         let mut pages = [0u64; WAVE_PAGES];
         let mut page_no = first / cpp;
@@ -560,44 +481,6 @@ impl PagedDataVectorIterator<'_> {
                     page_no: key.page_no,
                     source: Box::new(source),
                 });
-            }
-        }
-        Ok(())
-    }
-
-    /// `search(list-of-rows, set-of-vids)`: appends the subset of `rows`
-    /// (ascending) whose identifier is in `set`. Only pages containing
-    /// listed rows are loaded.
-    pub fn search_at_rows(
-        &mut self,
-        rows: &[u64],
-        set: &VidSet,
-        out: &mut Vec<u64>,
-    ) -> CoreResult<()> {
-        if rows.is_empty() || set.is_empty() {
-            return Ok(());
-        }
-        if self.vec.meta.width.bits() == 0 {
-            if set.contains(0) {
-                out.extend_from_slice(rows);
-            }
-            return Ok(());
-        }
-        let mut words = [0u64; 64];
-        let mut decoded = [0u64; CHUNK_LEN];
-        let mut cached_chunk = u64::MAX;
-        for &rpos in rows {
-            if rpos >= self.vec.meta.len {
-                return Err(CoreError::RowOutOfBounds { rpos, len: self.vec.meta.len });
-            }
-            let ci = chunk::chunk_of(rpos);
-            if ci != cached_chunk {
-                let n = self.chunk_words(ci, &mut words)?;
-                chunk::decode_chunk(&words[..n], self.vec.meta.width, &mut decoded);
-                cached_chunk = ci;
-            }
-            if set.contains(decoded[chunk::slot_of(rpos)]) {
-                out.push(rpos);
             }
         }
         Ok(())
@@ -665,27 +548,55 @@ mod tests {
         (pool, paged, packed)
     }
 
-    #[test]
-    fn get_matches_resident_across_pages() {
-        let values = sample(3000, 1000, 1);
-        let (_pool, paged, packed) = build(&values);
-        assert!(paged.pages() > 5, "tiny pages must force a multi-page chain");
-        let mut it = paged.iter();
-        for (i, &v) in values.iter().enumerate() {
-            assert_eq!(it.get(i as u64).unwrap(), v);
-            assert_eq!(packed.get(i as u64), v);
+    /// The identifiers at `rows` (ascending) read the way phase (a) of late
+    /// materialization reads them: each page the rows touch pinned once and
+    /// decoded in place. A width-0 vector has no pages; its rows are all 0.
+    fn decode(paged: &PagedDataVector, rows: &[u64]) -> Vec<u64> {
+        let mut out = vec![0u64; rows.len()];
+        let rpp = paged.rows_per_page();
+        let mut lo = 0;
+        while rpp > 0 && lo < rows.len() {
+            let page = rows[lo] / rpp;
+            let hi = lo + rows[lo..].iter().take_while(|&&r| r / rpp == page).count();
+            let guard = paged.pool().pin(paged.page_key(page)).unwrap();
+            paged.decode_on_page(&guard, &rows[lo..hi], &mut out[lo..hi]);
+            lo = hi;
         }
+        out
+    }
+
+    /// A page-loadable INTEGER column over `values`.
+    fn column(pool: &BufferPool, values: &[u64]) -> crate::Column {
+        let values: Vec<crate::Value> = values.iter().map(|&v| crate::Value::Integer(v as i64)).collect();
+        crate::ColumnBuilder::new(crate::DataType::Integer)
+            .policy(crate::LoadPolicy::PageLoadable)
+            .build(pool, &PageConfig::tiny(), &values)
+            .unwrap()
+            .column
     }
 
     #[test]
-    fn mget_matches_slice() {
+    fn decode_on_page_matches_packed_across_pages() {
+        let values = sample(3000, 1000, 1);
+        let (_pool, paged, packed) = build(&values);
+        assert!(paged.pages() > 5, "tiny pages must force a multi-page chain");
+        let rows: Vec<u64> = (0..values.len() as u64).collect();
+        let expect: Vec<u64> = rows.iter().map(|&r| packed.get(r)).collect();
+        assert_eq!(expect, values);
+        assert_eq!(decode(&paged, &rows), expect);
+        // Sparse rows: one slot of a chunk decodes alone.
+        let sparse: Vec<u64> = rows.iter().copied().step_by(97).collect();
+        let expect: Vec<u64> = sparse.iter().map(|&r| packed.get(r)).collect();
+        assert_eq!(decode(&paged, &sparse), expect);
+    }
+
+    #[test]
+    fn decoded_ranges_match_slice() {
         let values = sample(1000, 300, 2);
         let (_pool, paged, _) = build(&values);
-        let mut it = paged.iter();
-        let mut out = Vec::new();
         for (from, to) in [(0u64, 0u64), (0, 1000), (63, 65), (100, 500), (999, 1000)] {
-            it.mget(from, to, &mut out).unwrap();
-            assert_eq!(out, &values[from as usize..to as usize], "{from}..{to}");
+            let rows: Vec<u64> = (from..to).collect();
+            assert_eq!(decode(&paged, &rows), &values[from as usize..to as usize], "{from}..{to}");
         }
     }
 
@@ -715,42 +626,29 @@ mod tests {
     }
 
     #[test]
-    fn search_at_rows_matches_naive() {
-        let values = sample(2000, 128, 4);
-        let (_pool, paged, _) = build(&values);
-        let rows: Vec<u64> = (0..2000).step_by(13).collect();
-        let set = VidSet::from_vids(vec![1, 5, 40, 90, 127]);
-        let mut out = Vec::new();
-        paged.iter().search_at_rows(&rows, &set, &mut out).unwrap();
-        let expect: Vec<u64> = rows
-            .iter()
-            .copied()
-            .filter(|&r| set.contains(values[r as usize]))
-            .collect();
-        assert_eq!(out, expect);
-    }
-
-    #[test]
-    fn iterator_holds_one_pinned_page() {
+    fn one_row_read_loads_one_data_page_and_holds_none() {
+        use crate::column::ColumnRead;
         let values = sample(3000, 1000, 6);
-        let (pool, paged, _) = build(&values);
+        let pool = pool();
+        let col = column(&pool, &values);
+        let crate::Column::Paged(paged) = &col else { unreachable!("built page loadable") };
+        let data = &paged.parts().data;
+        assert!(data.pages() > 5, "tiny pages must force a multi-page chain");
+        let data_pages_resident =
+            || (0..data.pages()).filter(|&p| pool.is_resident(data.page_key(p))).count();
+        // A cold point read is a one-row late materialization: it loads the
+        // one data-vector page holding the row, and releases every pin.
+        let got = col.get_values(&[2999]).unwrap();
+        assert_eq!(got, vec![crate::Value::Integer(values[2999] as i64)]);
+        assert_eq!(data_pages_resident(), 1, "one data-vector page per one-row read");
+        assert_eq!(pool.live_pins(), 0);
         let resman = pool.resource_manager().clone();
-        let mut it = paged.iter();
-        let _ = it.get(0).unwrap();
-        let _ = it.get(2999).unwrap();
-        // Only the page the iterator stands on is pinned: the one it left
-        // was released on reposition, and everything else is evictable.
         resman.set_paged_limits(Some(payg_resman::PoolLimits::new(0, usize::MAX)));
         resman.reactive_unload();
-        assert_eq!(pool.resident_pages(), 1, "the iterator pins exactly its current page");
-        // The pinned page is still readable, with no reload.
-        let loads = pool.metrics().loads;
-        let _ = it.get(2998).unwrap();
-        assert_eq!(pool.metrics().loads, loads, "the held page reloads nothing");
-        // A range scan releases it: nothing is held across the scan's waves
-        // or after them.
+        assert_eq!(pool.resident_pages(), 0, "a point read leaves no page pinned");
+        // Nor is anything held across a scan's waves or after them.
         let mut out = Vec::new();
-        it.search(0, 3000, &VidSet::Single(values[0]), &mut out).unwrap();
+        data.iter().search(0, 3000, &VidSet::Single(0), &mut out).unwrap();
         resman.reactive_unload();
         assert_eq!(pool.resident_pages(), 0, "a scan leaves no page pinned");
     }
@@ -836,28 +734,37 @@ mod tests {
         let (_pool, paged, _) = build(&values);
         assert_eq!(paged.pages(), 0);
         assert_eq!(paged.width().bits(), 0);
+        assert_eq!(decode(&paged, &[5, 6, 7, 999]), vec![0; 4]);
         let mut it = paged.iter();
-        assert_eq!(it.get(999).unwrap(), 0);
         let mut out = Vec::new();
         it.search(10, 20, &VidSet::Single(0), &mut out).unwrap();
         assert_eq!(out, (10..20).collect::<Vec<u64>>());
         out.clear();
         it.search(10, 20, &VidSet::Single(1), &mut out).unwrap();
         assert!(out.is_empty());
-        it.mget(5, 8, &mut out).unwrap();
-        assert_eq!(out, vec![0, 0, 0]);
+        // A column over one distinct value reads it back from no page.
+        use crate::column::ColumnRead;
+        let pool = pool();
+        let col = column(&pool, &[42; 1000]);
+        let read = col.get_values(&[999, 5, 6, 7]).unwrap();
+        assert_eq!(read, vec![crate::Value::Integer(42); 4]);
+        assert_eq!(col.vid_counts(&[5, 6, 7]).unwrap(), vec![(0, 3)]);
+        assert_eq!(pool.metrics().loads, 1, "the one dictionary page, no data-vector page");
     }
 
     #[test]
     fn out_of_bounds_is_an_error() {
+        use crate::column::ColumnRead;
         let values = sample(100, 10, 7);
-        let (_pool, paged, _) = build(&values);
+        let (pool, paged, _) = build(&values);
         let mut it = paged.iter();
-        assert!(matches!(it.get(100), Err(CoreError::RowOutOfBounds { .. })));
         let mut out = Vec::new();
-        assert!(it.mget(50, 101, &mut out).is_err());
         assert!(it.search(0, 101, &VidSet::Single(0), &mut out).is_err());
-        assert!(it.search_at_rows(&[100], &VidSet::Single(0), &mut out).is_err());
+        assert!(it.count(50, 101, &VidSet::Single(0)).is_err());
+        let col = column(&pool, &values);
+        let oob = |r: CoreResult<Vec<crate::Value>>| matches!(r, Err(CoreError::RowOutOfBounds { .. }));
+        assert!(oob(col.get_values(&[100])));
+        assert!(oob(col.get_values(&[3, 100, 50])));
     }
 
     #[test]

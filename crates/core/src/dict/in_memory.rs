@@ -68,13 +68,6 @@ impl InMemoryDict {
         Ok(dict)
     }
 
-    /// Builds from arbitrary keys (sorts and deduplicates).
-    pub fn from_keys(mut keys: Vec<Vec<u8>>) -> CoreResult<Self> {
-        keys.sort();
-        keys.dedup();
-        Self::from_sorted_keys(&keys)
-    }
-
     /// Number of distinct values.
     pub fn cardinality(&self) -> u64 {
         self.ends.len() as u64
@@ -130,18 +123,11 @@ mod tests {
     use super::*;
 
     fn dict() -> InMemoryDict {
-        InMemoryDict::from_keys(vec![
-            b"delta".to_vec(),
-            b"alpha".to_vec(),
-            b"echo".to_vec(),
-            b"bravo".to_vec(),
-            b"alpha".to_vec(), // duplicate
-        ])
-        .unwrap()
+        InMemoryDict::from_sorted_keys(&[&b"alpha"[..], b"bravo", b"delta", b"echo"]).unwrap()
     }
 
     #[test]
-    fn sorted_and_deduplicated() {
+    fn keys_come_back_in_order() {
         let d = dict();
         assert_eq!(d.cardinality(), 4);
         let keys: Vec<&[u8]> = d.keys().collect();
@@ -168,7 +154,7 @@ mod tests {
 
     #[test]
     fn empty_dict() {
-        let d = InMemoryDict::from_keys(vec![]).unwrap();
+        let d = InMemoryDict::from_sorted_keys::<&[u8]>(&[]).unwrap();
         assert!(d.is_empty());
         assert_eq!(d.find(b"x"), Err(0));
         assert_eq!(d.heap_bytes(), 0);

@@ -983,25 +983,6 @@ impl PagedDictionary {
         }
     }
 
-    /// Translates a value range (inclusive byte-key bounds) to the matching
-    /// vid range `lo..=hi`, or `None` when empty. Order preservation makes
-    /// this exactly two lookups.
-    pub fn vid_range(
-        &self,
-        lo_key: &[u8],
-        hi_key: &[u8],
-        cache: &mut HandleCache,
-    ) -> CoreResult<Option<(u64, u64)>> {
-        let lo = match self.find(lo_key, cache)? {
-            Ok(v) | Err(v) => v,
-        };
-        let hi = match self.find(hi_key, cache)? {
-            Ok(v) => v + 1,
-            Err(v) => v,
-        };
-        Ok(if lo < hi { Some((lo, hi - 1)) } else { None })
-    }
-
     /// Reads the whole dictionary directly from the store — no buffer pool,
     /// no paged resources — into the resident form, key by key as the chain
     /// yields them. This is the full-column-load path of default (fully
@@ -1272,31 +1253,6 @@ mod tests {
         assert_eq!(dict.find(b"zzz", &mut cache).unwrap(), Err(100));
         // Between two keys.
         assert_eq!(dict.find(b"customer-000000a", &mut cache).unwrap(), Err(1));
-    }
-
-    #[test]
-    fn vid_range_translation() {
-        let ks = keys(100);
-        let (_pool, dict, _) = build(&ks, &PageConfig::tiny());
-        let mut cache = HandleCache::new(_pool.clone());
-        // Exact bounds.
-        assert_eq!(
-            dict.vid_range(b"customer-000010", b"customer-000020", &mut cache).unwrap(),
-            Some((10, 20))
-        );
-        // Non-existent bounds snap inward.
-        assert_eq!(
-            dict.vid_range(b"customer-000010a", b"customer-000020a", &mut cache).unwrap(),
-            Some((11, 20))
-        );
-        // Empty range.
-        assert_eq!(dict.vid_range(b"x", b"y", &mut cache).unwrap(), None);
-        assert_eq!(
-            dict.vid_range(b"customer-000099x", b"customer-1", &mut cache).unwrap(),
-            None
-        );
-        // Everything.
-        assert_eq!(dict.vid_range(b"a", b"z", &mut cache).unwrap(), Some((0, 99)));
     }
 
     #[test]

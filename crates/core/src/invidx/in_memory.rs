@@ -99,12 +99,6 @@ impl InMemoryInvertedIndex {
         Ok(end - start)
     }
 
-    /// The first row position holding `vid`, if any occur.
-    pub fn first_posting(&self, vid: u64) -> CoreResult<Option<u64>> {
-        let (start, end) = self.posting_range(vid)?;
-        Ok((start < end).then(|| self.postinglist.get(start)))
-    }
-
     /// Number of rows indexed.
     pub fn rows(&self) -> u64 {
         self.rows
@@ -136,7 +130,6 @@ mod tests {
             (0..values.len() as u64).filter(|&i| values[i as usize] == vid).collect()
         };
         for lo in 0..4u64 {
-            assert_eq!(idx.first_posting(lo).unwrap(), naive(lo).first().copied());
             for hi in lo..4 {
                 // A run is the per-vid lists back to back, vid-major.
                 let expect: Vec<u64> = (lo..=hi).flat_map(naive).collect();

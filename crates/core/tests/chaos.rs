@@ -264,7 +264,7 @@ fn compressed_page_rot_is_a_corrupt_class_fault() {
 
     let find_err = col.find_rows(&pred, 0, values.len() as u64).unwrap_err();
     assert!(corrupt_class(&find_err), "find over rotten pages: {find_err}");
-    let get_err = col.get_value(3).unwrap_err();
+    let get_err = col.get_values(&[3]).unwrap_err();
     assert!(corrupt_class(&get_err), "point read over rotten pages: {get_err}");
     pool.assert_no_live_pins("compressed rot quiesce");
     std::fs::remove_dir_all(&dir).unwrap();

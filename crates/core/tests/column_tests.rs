@@ -4,6 +4,7 @@ use payg_core::column::{Column, ColumnRead, WAVE_PAGES};
 use payg_core::{
     ColumnBuilder, DataType, LoadPolicy, PageConfig, ScanOptions, Value, ValuePredicate,
 };
+use payg_encoding::VidSet;
 use payg_resman::{Disposition, PoolLimits, ResourceManager};
 use payg_storage::{BufferPool, ChainId, MemStore, PageKey, PageStore, StorageResult};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -61,11 +62,11 @@ fn assert_equivalent(ty: DataType, values: &[Value], index: bool) {
     assert_eq!(paged.len(), values.len() as u64);
     assert_eq!(resident.cardinality(), paged.cardinality());
 
-    // Point reads.
+    // Point reads: one-row late materializations.
     for rpos in (0..values.len() as u64).step_by(7) {
-        let expect = &values[rpos as usize];
-        assert_eq!(&resident.get_value(rpos).unwrap(), expect, "resident get {rpos}");
-        assert_eq!(&paged.get_value(rpos).unwrap(), expect, "paged get {rpos}");
+        let expect = &values[rpos as usize..][..1];
+        assert_eq!(resident.get_values(&[rpos]).unwrap(), expect, "resident get {rpos}");
+        assert_eq!(paged.get_values(&[rpos]).unwrap(), expect, "paged get {rpos}");
     }
 
     // Batch reads.
@@ -173,6 +174,30 @@ fn equivalence_doubles_and_decimals() {
     assert_equivalent(DataType::Decimal, &decimals, false);
 }
 
+/// A value range is one identifier range — the dictionary preserves order —
+/// found with two `findByValue` probes: bounds that are keys map to their
+/// identifiers, bounds between keys snap inward, and a range between two
+/// neighbouring keys or outside them all is empty.
+#[test]
+fn between_translates_to_one_vid_range() {
+    let pool = pool();
+    let values: Vec<Value> =
+        (0..100).map(|i| Value::Varchar(format!("customer-{i:06}"))).collect();
+    let between = |lo: &str, hi: &str| {
+        ValuePredicate::Between(Value::Varchar(lo.into()), Value::Varchar(hi.into()))
+    };
+    for policy in [LoadPolicy::FullyResident, LoadPolicy::PageLoadable] {
+        let col = build(&pool, DataType::Varchar, &values, policy, false);
+        let set = |lo: &str, hi: &str| col.vid_set_for(&between(lo, hi)).unwrap();
+        assert_eq!(set("customer-000010", "customer-000020"), VidSet::range(10, 20));
+        assert_eq!(set("customer-000010a", "customer-000020a"), VidSet::range(11, 20));
+        assert!(set("x", "y").is_empty());
+        assert!(set("customer-000099x", "customer-1").is_empty());
+        assert!(set("customer-000030", "customer-000020").is_empty());
+        assert_eq!(set("a", "z"), VidSet::range(0, 99));
+    }
+}
+
 #[test]
 fn resident_column_loads_once_and_registers_one_resource() {
     let pool = pool();
@@ -180,13 +205,13 @@ fn resident_column_loads_once_and_registers_one_resource() {
     let values = string_values(500);
     let col = build(&pool, DataType::Varchar, &values, LoadPolicy::FullyResident, false);
     assert_eq!(resman.stats().resource_count, 0, "no load before first access");
-    let _ = col.get_value(17).unwrap();
+    let _ = col.get_values(&[17]).unwrap();
     let stats = resman.stats();
     assert_eq!(stats.resource_count, 1, "the whole column is one resource");
     assert_eq!(stats.paged_bytes, 0, "resident columns are not paged resources");
     assert!(stats.total_bytes > 0);
     // Further reads don't reload.
-    let _ = col.get_value(400).unwrap();
+    let _ = col.get_values(&[400]).unwrap();
     if let Column::Resident(r) = &col {
         assert_eq!(r.load_count(), 1);
     } else {
@@ -200,7 +225,7 @@ fn paged_column_loads_only_touched_pages() {
     let resman = pool.resource_manager().clone();
     let values = string_values(2000);
     let col = build(&pool, DataType::Varchar, &values, LoadPolicy::PageLoadable, false);
-    let _ = col.get_value(17).unwrap();
+    let _ = col.get_values(&[17]).unwrap();
     let stats = resman.stats();
     assert!(stats.paged_count > 0, "pages are individual paged resources");
     // A single point read must not pull in most of the column.
@@ -221,7 +246,7 @@ fn resident_eviction_and_reload() {
     let resman = pool.resource_manager().clone();
     let values = int_values(800);
     let col = build(&pool, DataType::Integer, &values, LoadPolicy::FullyResident, false);
-    let _ = col.get_value(0).unwrap();
+    let _ = col.get_values(&[0]).unwrap();
     // A global low-memory sweep evicts the whole column at once.
     let freed = resman.handle_low_memory(1);
     assert!(freed > 0);
@@ -230,7 +255,7 @@ fn resident_eviction_and_reload() {
         assert!(!r.is_loaded());
     }
     // Next access reloads (load_count == 2) and returns correct data.
-    assert_eq!(col.get_value(5).unwrap(), values[5]);
+    assert_eq!(col.get_values(&[5]).unwrap(), &values[5..6]);
     if let Column::Resident(r) = &col {
         assert_eq!(r.load_count(), 2);
     }
@@ -244,7 +269,7 @@ fn paged_eviction_is_piecewise_and_transparent() {
     let values = string_values(2000);
     let col = build(&pool, DataType::Varchar, &values, LoadPolicy::PageLoadable, false);
     for rpos in (0..2000).step_by(100) {
-        assert_eq!(col.get_value(rpos).unwrap(), values[rpos as usize]);
+        assert_eq!(col.get_values(&[rpos]).unwrap(), &values[rpos as usize..][..1]);
     }
     let before = resman.stats().paged_bytes;
     assert!(before > 0);
@@ -252,7 +277,7 @@ fn paged_eviction_is_piecewise_and_transparent() {
     resman.reactive_unload();
     assert_eq!(resman.stats().paged_bytes, 0);
     for rpos in (0..2000).step_by(250) {
-        assert_eq!(col.get_value(rpos).unwrap(), values[rpos as usize]);
+        assert_eq!(col.get_values(&[rpos]).unwrap(), &values[rpos as usize..][..1]);
     }
 }
 
@@ -312,7 +337,7 @@ fn empty_and_single_row_columns() {
             .unwrap()
             .is_empty());
         let single = build(&pool, DataType::Integer, &[Value::Integer(42)], policy, true);
-        assert_eq!(single.get_value(0).unwrap(), Value::Integer(42));
+        assert_eq!(single.get_values(&[0]).unwrap(), vec![Value::Integer(42)]);
         assert_eq!(
             single.find_rows(&ValuePredicate::Eq(Value::Integer(42)), 0, 1).unwrap(),
             vec![0]

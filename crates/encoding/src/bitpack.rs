@@ -7,8 +7,7 @@
 //! same chunks across a page chain.
 
 use crate::chunk::{
-    self, bytes_per_chunk, chunk_count, decode_chunk, decode_slot, encode_chunk, words_per_chunk,
-    CHUNK_LEN,
+    self, chunk_count, decode_chunk, decode_slot, encode_chunk, words_per_chunk, CHUNK_LEN,
 };
 use crate::BitWidth;
 
@@ -255,12 +254,6 @@ impl BitPackedBuilder {
     }
 }
 
-/// Bytes required to store `len` values at `width` (chunk-padded). Used by
-/// page-chain writers to size pages.
-pub fn packed_bytes(width: BitWidth, len: u64) -> usize {
-    chunk_count(len) as usize * bytes_per_chunk(width)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -340,14 +333,5 @@ mod tests {
     fn push_rejects_oversized_value() {
         let mut b = BitPackedBuilder::new(BitWidth::new(3).unwrap());
         b.push(8);
-    }
-
-    #[test]
-    fn packed_bytes_geometry() {
-        let w = BitWidth::new(10).unwrap();
-        assert_eq!(packed_bytes(w, 0), 0);
-        assert_eq!(packed_bytes(w, 1), 80);
-        assert_eq!(packed_bytes(w, 64), 80);
-        assert_eq!(packed_bytes(w, 65), 160);
     }
 }

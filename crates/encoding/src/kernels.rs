@@ -627,68 +627,6 @@ pub fn boundary_mask(ci: u64, from: u64, to: u64) -> u64 {
     mask
 }
 
-/// Number of set bits in `bitmaps[..]` strictly before bit position `pos`
-/// (positions count from bit 0 of the first word).
-pub fn bitmap_rank(bitmaps: &[u64], pos: u64) -> u64 {
-    let wi = (pos / 64) as usize;
-    let mut n = 0u64;
-    for &w in bitmaps.iter().take(wi.min(bitmaps.len())) {
-        n += u64::from(w.count_ones());
-    }
-    if wi < bitmaps.len() && !pos.is_multiple_of(64) {
-        n += u64::from((bitmaps[wi] & ((1u64 << (pos % 64)) - 1)).count_ones());
-    }
-    n
-}
-
-/// Position of the `k`-th (0-based) set bit across `bitmaps`, or `None` when
-/// fewer than `k + 1` bits are set. The inverse of [`bitmap_rank`]; together
-/// they let a caller materialize an arbitrary sub-range of match positions
-/// from a stored result bitmap without rescanning.
-pub fn bitmap_select(bitmaps: &[u64], k: u64) -> Option<u64> {
-    let mut remaining = k;
-    for (wi, &w) in bitmaps.iter().enumerate() {
-        let ones = u64::from(w.count_ones());
-        if remaining < ones {
-            return Some(wi as u64 * 64 + select_in_word(w, remaining as u32));
-        }
-        remaining -= ones;
-    }
-    None
-}
-
-/// Bit index of the `k`-th (0-based) set bit of `w`; `k < w.count_ones()`.
-#[inline]
-fn select_in_word(mut w: u64, k: u32) -> u64 {
-    for _ in 0..k {
-        w &= w - 1;
-    }
-    w.trailing_zeros() as u64
-}
-
-/// Late materialization: appends the positions of every set bit of
-/// `bitmaps` (bit `i` of word `wi` → `base + wi * 64 + i`) to `out`, with a
-/// fast path for saturated words (dense matches extend a whole run at once).
-pub fn materialize_positions(bitmaps: &[u64], base: u64, out: &mut Vec<u64>) {
-    for (wi, &w) in bitmaps.iter().enumerate() {
-        let start = base + wi as u64 * 64;
-        if w == u64::MAX {
-            out.extend(start..start + 64);
-            continue;
-        }
-        let mut w = w;
-        while w != 0 {
-            out.push(start + w.trailing_zeros() as u64);
-            w &= w - 1;
-        }
-    }
-}
-
-/// Total set bits across `bitmaps`.
-pub fn bitmap_count(bitmaps: &[u64]) -> u64 {
-    bitmaps.iter().map(|w| u64::from(w.count_ones())).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -957,20 +895,6 @@ mod tests {
         assert!(KernelPredicate::new(BitWidth::ZERO, &zero).always_matches());
         let one = VidSet::Single(1);
         assert!(KernelPredicate::new(BitWidth::ZERO, &one).never_matches());
-    }
-
-    #[test]
-    fn rank_select_materialize_roundtrip() {
-        let bitmaps = vec![0b1011u64, 0, u64::MAX, 1 << 63];
-        let mut positions = Vec::new();
-        materialize_positions(&bitmaps, 1000, &mut positions);
-        assert_eq!(positions.len() as u64, bitmap_count(&bitmaps));
-        for (k, &pos) in positions.iter().enumerate() {
-            assert_eq!(bitmap_select(&bitmaps, k as u64), Some(pos - 1000));
-            assert_eq!(bitmap_rank(&bitmaps, pos - 1000), k as u64);
-        }
-        assert_eq!(bitmap_select(&bitmaps, positions.len() as u64), None);
-        assert_eq!(bitmap_rank(&bitmaps, 256), bitmap_count(&bitmaps));
     }
 
     #[test]

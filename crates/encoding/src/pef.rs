@@ -15,17 +15,14 @@
 //! The high halves are the classic Elias-Fano unary bucket array: bit
 //! `((vᵢ − base) ≫ l) + i` is set for each value `i`.
 //!
-//! Two access paths never fully decode a partition:
-//!
-//! * [`PartitionRef::next_geq`] first compares the target against the
-//!   header bounds (two varints — a whole partition is skipped for the
-//!   price of a dozen byte reads), then finds the target's high bucket by
-//!   counting zero bits bytewise and scans at most one bucket's values.
-//! * [`intersect`] leapfrogs two lists through `next_geq`, touching only
-//!   the partitions that can contain common values.
-//!
-//! The only full decode is [`PartitionRef::read_into`]: readers outside
-//! this module have the partition-aware accessors and nothing else.
+//! [`PartitionRef::next_geq`] never fully decodes a partition: it first
+//! compares the target against the header bounds (two varints — a whole
+//! partition is skipped for the price of a dozen byte reads), then finds the
+//! target's high bucket by counting zero bits bytewise and scans at most one
+//! bucket's values. The only full decode is [`PartitionRef::read_into`]:
+//! readers outside this module have the partition-aware accessors and
+//! nothing else. The paged inverted index stores a posting list as
+//! consecutive partitions spread across pages, with a bit-packed skip table.
 
 use crate::unaligned::le_u64_padded;
 use crate::{EncodingError, Result};
@@ -302,119 +299,6 @@ impl<'a> PartitionRef<'a> {
     }
 }
 
-/// A whole posting list encoded as consecutive partitions — the in-memory
-/// shape used by tests, benches, and table-level intersection. The paged
-/// inverted index stores the same partition bytes spread across pages with
-/// a bit-packed skip table instead.
-pub struct PefList {
-    data: Vec<u8>,
-    /// Byte offset of each partition in `data`.
-    offsets: Vec<u32>,
-    len: u64,
-}
-
-impl PefList {
-    /// Encodes `values` (non-decreasing) into 64-value partitions.
-    pub fn encode(values: &[u64]) -> Self {
-        let mut data = Vec::with_capacity(values.len() * 2);
-        let mut offsets = Vec::with_capacity(values.len().div_ceil(PARTITION_LEN));
-        for part in values.chunks(PARTITION_LEN) {
-            offsets.push(data.len() as u32);
-            encode_partition(part, &mut data);
-        }
-        PefList { data, offsets, len: values.len() as u64 }
-    }
-
-    /// Number of encoded values.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// True when the list holds no values.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Total encoded bytes.
-    pub fn size_bytes(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Number of values in partition `p`.
-    fn part_len(&self, p: usize) -> usize {
-        let start = p as u64 * PARTITION_LEN as u64;
-        (self.len - start).min(PARTITION_LEN as u64) as usize
-    }
-
-    /// Parses partition `p`.
-    fn part(&self, p: usize) -> Result<PartitionRef<'_>> {
-        PartitionRef::parse(&self.data, self.offsets[p] as usize, self.part_len(p))
-    }
-
-    /// Decodes the whole list.
-    pub fn values(&self) -> Result<Vec<u64>> {
-        let mut out = vec![0u64; self.len as usize];
-        for p in 0..self.offsets.len() {
-            let part = self.part(p)?;
-            part.read_into(&mut out[p * PARTITION_LEN..])?;
-        }
-        Ok(out)
-    }
-
-    /// Smallest `(index, value)` with `value >= target` at or after global
-    /// index `from`, leapfrogging whole partitions via their header bounds.
-    pub fn next_geq(&self, from: u64, target: u64) -> Result<Option<(u64, u64)>> {
-        if from >= self.len {
-            return Ok(None);
-        }
-        let first_p = (from as usize) / PARTITION_LEN;
-        for p in first_p..self.offsets.len() {
-            let part = self.part(p)?;
-            if part.last() < target {
-                continue; // header-only skip: no value here can match
-            }
-            let Some((slot, v)) = part.next_geq(target)? else { continue };
-            let from_slot = if p == first_p { (from as usize) % PARTITION_LEN } else { 0 };
-            if slot >= from_slot {
-                return Ok(Some(((p * PARTITION_LEN + slot) as u64, v)));
-            }
-            // The first match sits before `from`; values are sorted, so the
-            // value at `from_slot` itself already satisfies the target.
-            let mut buf = [0u64; PARTITION_LEN];
-            part.read_into(&mut buf)?;
-            return Ok(Some(((p * PARTITION_LEN + from_slot) as u64, buf[from_slot])));
-        }
-        Ok(None)
-    }
-}
-
-/// Intersects two encoded lists by leapfrogging [`PefList::next_geq`]:
-/// partitions whose bounds cannot overlap are skipped without decoding.
-pub fn intersect(a: &PefList, b: &PefList) -> Result<Vec<u64>> {
-    let mut out = Vec::new();
-    if a.is_empty() || b.is_empty() {
-        return Ok(out);
-    }
-    let (mut ia, mut ib) = (0u64, 0u64);
-    let mut target = 0u64;
-    while let Some((na, va)) = a.next_geq(ia, target)? {
-        let Some((nb, vb)) = b.next_geq(ib, va)? else { break };
-        if va == vb {
-            out.push(va);
-            ia = na + 1;
-            ib = nb + 1;
-            let Some(next) = va.checked_add(1) else { break };
-            target = next;
-        } else {
-            // vb > va: chase vb from a's side next round.
-            ia = na + 1;
-            ib = nb;
-            target = vb;
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,47 +342,57 @@ mod tests {
         }
     }
 
+    /// `values` as consecutive partitions in one buffer — the bytes a
+    /// posting list occupies across the paged index's pages.
+    fn partitions(values: &[u64]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        for part in values.chunks(PARTITION_LEN) {
+            encode_partition(part, &mut buf);
+        }
+        buf
+    }
+
     #[test]
-    fn list_roundtrip_including_partial_trailing_partition() {
+    fn back_to_back_partitions_frame_themselves() {
         for n in [1usize, 63, 64, 65, 128, 1000, 4097] {
             let values = clustered(n, n as u64);
-            let list = PefList::encode(&values);
-            assert_eq!(list.len(), n as u64);
-            assert_eq!(list.values().unwrap(), values, "n={n}");
+            let buf = partitions(&values);
+            let mut out = vec![0u64; n];
+            let mut pos = 0;
+            for (p, part) in values.chunks(PARTITION_LEN).enumerate() {
+                pos = decode_partition(&buf, pos, part.len(), &mut out[p * PARTITION_LEN..]).unwrap();
+            }
+            assert_eq!(pos, buf.len(), "n={n}");
+            assert_eq!(out, values, "n={n}");
         }
     }
 
     #[test]
     fn clustered_lists_beat_bitpacking() {
         let values = clustered(10_000, 1);
-        let list = PefList::encode(&values);
+        let pef_bytes = partitions(&values).len();
         let max = *values.last().unwrap();
         let packed_bits = crate::BitWidth::for_max_value(max).bits() as usize;
         let packed_bytes = (values.len() * packed_bits).div_ceil(8);
-        assert!(
-            list.size_bytes() < packed_bytes,
-            "pef {} >= bitpacked {packed_bytes}",
-            list.size_bytes()
-        );
+        assert!(pef_bytes < packed_bytes, "pef {pef_bytes} >= bitpacked {packed_bytes}");
     }
 
     #[test]
     fn next_geq_matches_naive() {
         let values = clustered(700, 5);
-        let list = PefList::encode(&values);
-        let max = *values.last().unwrap();
-        for target in (0..=max + 2).step_by(7) {
-            let naive = values
-                .iter()
-                .enumerate()
-                .find(|&(_, &v)| v >= target)
-                .map(|(i, &v)| (i as u64, v));
-            assert_eq!(list.next_geq(0, target).unwrap(), naive, "target {target}");
+        let buf = partitions(&values);
+        let mut pos = 0;
+        for part_values in values.chunks(PARTITION_LEN) {
+            let part = PartitionRef::parse(&buf, pos, part_values.len()).unwrap();
+            assert_eq!((part.base, part.last()), (part_values[0], *part_values.last().unwrap()));
+            for target in (0..=part.last() + 2).step_by(7) {
+                let naive = part_values.iter().enumerate().find(|&(_, &v)| v >= target);
+                let got = part.next_geq(target).unwrap();
+                assert_eq!(got, naive.map(|(i, &v)| (i, v)), "target {target}");
+            }
+            pos = part.end;
         }
-        // `from` constrains the search window.
-        let got = list.next_geq(100, 0).unwrap();
-        assert_eq!(got, Some((100, values[100])));
-        assert_eq!(list.next_geq(values.len() as u64, 0).unwrap(), None);
+        assert_eq!(pos, buf.len());
     }
 
     #[test]
@@ -513,23 +407,6 @@ mod tests {
             assert_eq!(got, naive.map(|(i, &v)| (i, v)), "target {target}");
         }
         assert_eq!(part.next_geq(100 + 63 * 9 + 1).unwrap(), None);
-    }
-
-    #[test]
-    fn intersect_matches_naive() {
-        for (na, nb, sa, sb) in [(500, 700, 1, 2), (64, 64, 3, 3), (1, 1000, 4, 5), (0, 10, 6, 7)]
-        {
-            let a = clustered(na, sa);
-            let b = clustered(nb, sb);
-            let la = PefList::encode(&a);
-            let lb = PefList::encode(&b);
-            let mut naive: Vec<u64> =
-                a.iter().filter(|v| b.binary_search(v).is_ok()).copied().collect();
-            naive.dedup();
-            let mut got = intersect(&la, &lb).unwrap();
-            got.dedup();
-            assert_eq!(got, naive, "na={na} nb={nb}");
-        }
     }
 
     #[test]

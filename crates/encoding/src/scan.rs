@@ -1,12 +1,12 @@
 //! Scan entry points over resident packed vectors.
 //!
-//! [`search`], [`search_bitmap`] and [`search_at_rows`] are the paper's
-//! `search` varieties (§3.1.3) over a [`BitPackedVec`]. The first two
-//! evaluate through [`KernelPredicate`] — the same width-specialized kernels
-//! the paged iterator hands its pinned pages to, so a paged/resident
-//! comparison compares page access, not kernels.
+//! [`search`] and [`search_bitmap`] are the paper's range `search`
+//! (§3.1.3) over a [`BitPackedVec`], materializing positions or a result
+//! bitmap. Both evaluate through [`KernelPredicate`] — the same
+//! width-specialized kernels the paged iterator hands its pinned pages to,
+//! so a paged/resident comparison compares page access, not kernels.
 
-use crate::chunk::{decode_chunk, CHUNK_LEN};
+use crate::chunk::CHUNK_LEN;
 use crate::kernels::KernelPredicate;
 use crate::{BitPackedVec, VidSet};
 
@@ -115,28 +115,6 @@ pub fn search_bitmap(vec: &BitPackedVec, from: u64, to: u64, set: &VidSet, out: 
     }
 }
 
-/// Scans positions listed in `rows` (ascending) for values in `set`,
-/// appending matching positions to `out`. This is the paper's
-/// `search(bitmap-of-rows, set-of-vids)` variety.
-pub fn search_at_rows(vec: &BitPackedVec, rows: &[u64], set: &VidSet, out: &mut Vec<u64>) {
-    if rows.is_empty() || set.is_empty() {
-        return;
-    }
-    let mut buf = [0u64; CHUNK_LEN];
-    let mut cached_chunk = u64::MAX;
-    for &pos in rows {
-        assert!(pos < vec.len(), "row position {pos} out of bounds");
-        let ci = pos / CHUNK_LEN as u64;
-        if ci != cached_chunk {
-            decode_chunk(vec.chunk_words(ci), vec.width(), &mut buf);
-            cached_chunk = ci;
-        }
-        if set.contains(buf[(pos % CHUNK_LEN as u64) as usize]) {
-            out.push(pos);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,21 +184,6 @@ mod tests {
             search(&vec, from, to, &set, &mut got);
             assert_eq!(got, naive_search(&values, from, to, &set), "{from}..{to}");
         }
-    }
-
-    #[test]
-    fn search_at_rows_matches_naive() {
-        let (values, vec) = sample_vec(300, 8, 3);
-        let rows: Vec<u64> = (0..300).step_by(7).collect();
-        let set = VidSet::range(0, 100);
-        let mut got = Vec::new();
-        search_at_rows(&vec, &rows, &set, &mut got);
-        let expect: Vec<u64> = rows
-            .iter()
-            .copied()
-            .filter(|&r| set.contains(values[r as usize]))
-            .collect();
-        assert_eq!(got, expect);
     }
 
     #[test]

@@ -94,35 +94,6 @@ impl VidSet {
         }
     }
 
-    /// Smallest identifier in the set, if any. Used for page pruning.
-    pub fn min_vid(&self) -> Option<u64> {
-        match self {
-            VidSet::Single(v) => Some(*v),
-            VidSet::Range { lo, .. } => Some(*lo),
-            VidSet::Sorted(v) => v.first().copied(),
-            VidSet::Bitmap(w) => w
-                .iter()
-                .enumerate()
-                .find(|(_, &x)| x != 0)
-                .map(|(i, &x)| i as u64 * 64 + x.trailing_zeros() as u64),
-        }
-    }
-
-    /// Largest identifier in the set, if any. Used for page pruning.
-    pub fn max_vid(&self) -> Option<u64> {
-        match self {
-            VidSet::Single(v) => Some(*v),
-            VidSet::Range { hi, .. } => Some(*hi),
-            VidSet::Sorted(v) => v.last().copied(),
-            VidSet::Bitmap(w) => w
-                .iter()
-                .enumerate()
-                .rev()
-                .find(|(_, &x)| x != 0)
-                .map(|(i, &x)| i as u64 * 64 + 63 - x.leading_zeros() as u64),
-        }
-    }
-
     /// True when the set contains any identifier in `lo..=hi`. Used by
     /// page-summary pruning: a page whose value range does not overlap the
     /// predicate is never loaded.
@@ -214,7 +185,7 @@ mod tests {
     }
 
     #[test]
-    fn contains_and_bounds_agree_across_representations() {
+    fn contains_and_iter_agree_across_representations() {
         let ids = vec![2u64, 3, 9, 64, 65, 130];
         for set in [
             VidSet::from_vids(ids.clone()),
@@ -230,8 +201,6 @@ mod tests {
             for v in 0..200 {
                 assert_eq!(set.contains(v), ids.contains(&v), "{set:?} vid {v}");
             }
-            assert_eq!(set.min_vid(), Some(2));
-            assert_eq!(set.max_vid(), Some(130));
             let collected: Vec<u64> = set.iter().collect();
             assert_eq!(collected, ids);
         }
@@ -266,10 +235,9 @@ mod tests {
     }
 
     #[test]
-    fn empty_bounds() {
+    fn empty_set() {
         let e = VidSet::from_vids(vec![]);
         assert!(e.is_empty());
-        assert_eq!(e.min_vid(), None);
-        assert_eq!(e.max_vid(), None);
+        assert_eq!(e.iter().next(), None);
     }
 }

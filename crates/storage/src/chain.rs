@@ -1,14 +1,12 @@
-//! Chain writing helpers.
+//! The handle of a written page chain.
 //!
-//! Structure writers (data vector, dictionary, inverted index) build their
-//! page chains through a [`ChainWriter`]: bytes are staged into the current
-//! page and flushed when the writer decides a page is complete. The writer
-//! never splits a single `push` across pages — layouts keep their own units
+//! Structure writers (data vector, dictionary, inverted index) create a
+//! chain with [`crate::PageStore::create_chain`] and append whole pages with
+//! [`crate::PageStore::append_page`]; each layout keeps its own units
 //! (chunks, value blocks, index blocks) page-local, which is what guarantees
-//! iterators stable intra-page access.
+//! readers stable intra-page access.
 
-use crate::{ChainId, PageStore, StorageError, StorageResult};
-use std::sync::Arc;
+use crate::ChainId;
 
 /// A completed, immutable page chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,122 +17,4 @@ pub struct ChainRef {
     pub pages: u64,
     /// The chain's page size in bytes.
     pub page_size: usize,
-}
-
-/// Appends pages to a fresh chain.
-pub struct ChainWriter {
-    store: Arc<dyn PageStore>,
-    chain: ChainId,
-    page_size: usize,
-    cur: Vec<u8>,
-    pages: u64,
-}
-
-impl ChainWriter {
-    /// Creates a writer over a new chain with the given page size.
-    pub fn new(store: Arc<dyn PageStore>, page_size: usize) -> StorageResult<Self> {
-        let chain = store.create_chain(page_size)?;
-        Ok(ChainWriter { store, chain, page_size, cur: Vec::with_capacity(page_size), pages: 0 })
-    }
-
-    /// The chain being written.
-    pub fn chain(&self) -> ChainId {
-        self.chain
-    }
-
-    /// The page size.
-    pub fn page_size(&self) -> usize {
-        self.page_size
-    }
-
-    /// Bytes still free in the current page.
-    pub fn remaining(&self) -> usize {
-        self.page_size - self.cur.len()
-    }
-
-    /// Bytes used in the current page.
-    pub fn used(&self) -> usize {
-        self.cur.len()
-    }
-
-    /// Logical page number the *next* completed page will get, i.e. the page
-    /// currently being filled.
-    pub fn current_page_no(&self) -> u64 {
-        self.pages
-    }
-
-    /// Appends bytes to the current page.
-    ///
-    /// Fails with [`StorageError::PageTooLarge`] if the bytes do not fit the
-    /// remaining space — callers must check [`ChainWriter::remaining`] and
-    /// call [`ChainWriter::finish_page`] first.
-    pub fn push(&mut self, bytes: &[u8]) -> StorageResult<()> {
-        if bytes.len() > self.remaining() {
-            return Err(StorageError::PageTooLarge { got: bytes.len(), page_size: self.remaining() });
-        }
-        self.cur.extend_from_slice(bytes);
-        Ok(())
-    }
-
-    /// Flushes the current page (zero-padded) to the store. No-op when the
-    /// current page is empty.
-    pub fn finish_page(&mut self) -> StorageResult<()> {
-        if self.cur.is_empty() {
-            return Ok(());
-        }
-        self.store.append_page(self.chain, &self.cur)?;
-        self.cur.clear();
-        self.pages += 1;
-        Ok(())
-    }
-
-    /// Flushes the trailing page and returns the completed chain.
-    pub fn finish(mut self) -> StorageResult<ChainRef> {
-        self.finish_page()?;
-        Ok(ChainRef { chain: self.chain, pages: self.pages, page_size: self.page_size })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{MemStore, PageKey};
-
-    #[test]
-    fn writer_packs_pages_without_splitting_pushes() {
-        let store: Arc<dyn PageStore> = Arc::new(MemStore::new());
-        let mut w = ChainWriter::new(Arc::clone(&store), 16).unwrap();
-        w.push(&[1; 10]).unwrap();
-        assert_eq!(w.remaining(), 6);
-        assert!(w.push(&[2; 7]).is_err(), "no silent page split");
-        w.finish_page().unwrap();
-        assert_eq!(w.current_page_no(), 1);
-        w.push(&[2; 7]).unwrap();
-        let r = w.finish().unwrap();
-        assert_eq!(r.pages, 2);
-        assert_eq!(store.chain_len(r.chain).unwrap(), 2);
-        let p0 = store.read_page(PageKey::new(r.chain, 0)).unwrap();
-        assert_eq!(&p0[..10], &[1; 10]);
-        assert_eq!(&p0[10..], &[0; 6], "tail is zero-padded");
-        let p1 = store.read_page(PageKey::new(r.chain, 1)).unwrap();
-        assert_eq!(&p1[..7], &[2; 7]);
-    }
-
-    #[test]
-    fn empty_writer_produces_empty_chain() {
-        let store: Arc<dyn PageStore> = Arc::new(MemStore::new());
-        let r = ChainWriter::new(store, 16).unwrap().finish().unwrap();
-        assert_eq!(r.pages, 0);
-    }
-
-    #[test]
-    fn finish_page_on_empty_current_page_is_noop() {
-        let store: Arc<dyn PageStore> = Arc::new(MemStore::new());
-        let mut w = ChainWriter::new(Arc::clone(&store), 16).unwrap();
-        w.finish_page().unwrap();
-        w.finish_page().unwrap();
-        w.push(b"abc").unwrap();
-        let r = w.finish().unwrap();
-        assert_eq!(r.pages, 1);
-    }
 }

@@ -29,7 +29,7 @@ mod pool;
 mod store;
 pub mod sync;
 
-pub use chain::{ChainRef, ChainWriter};
+pub use chain::ChainRef;
 pub use checksum::{crc32, page_checksum, Crc32};
 pub use error::{FaultClass, StorageError, StorageResult};
 pub use metrics::{PoolMetrics, ShardMetrics};

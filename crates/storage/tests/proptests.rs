@@ -3,8 +3,7 @@
 
 use payg_resman::{PoolLimits, ResourceManager};
 use payg_storage::{
-    BufferPool, ChainWriter, FaultPlan, FaultyStore, MemStore, PageKey, PageStore,
-    PoolConfig, RetryPolicy,
+    BufferPool, FaultPlan, FaultyStore, MemStore, PageKey, PageStore, PoolConfig, RetryPolicy,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -12,8 +11,9 @@ use std::sync::Arc;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Whatever the writer pushed comes back byte-identical through the
-    /// pool, no matter how reads interleave with evictions.
+    /// Whatever was appended comes back byte-identical (and zero-padded to
+    /// the page size) through the pool, no matter how reads interleave with
+    /// evictions.
     #[test]
     fn chain_roundtrip_under_eviction(
         pages in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..64), 1..20),
@@ -21,19 +21,18 @@ proptest! {
         ops in prop::collection::vec((any::<u16>(), any::<bool>()), 1..60),
     ) {
         let store: Arc<dyn PageStore> = Arc::new(MemStore::new());
-        let mut w = ChainWriter::new(Arc::clone(&store), page_size).unwrap();
+        let chain = store.create_chain(page_size).unwrap();
         for p in &pages {
-            w.push(p).unwrap();
-            w.finish_page().unwrap();
+            store.append_page(chain, p).unwrap();
         }
-        let chain = w.finish().unwrap();
-        prop_assert_eq!(chain.pages, pages.len() as u64);
+        let n_pages = store.chain_len(chain).unwrap();
+        prop_assert_eq!(n_pages, pages.len() as u64);
         let resman = ResourceManager::new();
         resman.set_paged_limits(Some(PoolLimits::new(0, usize::MAX)));
         let pool = BufferPool::new(store, resman.clone());
         for (sel, evict) in ops {
-            let page_no = u64::from(sel) % chain.pages;
-            let guard = pool.pin(PageKey::new(chain.chain, page_no)).unwrap();
+            let page_no = u64::from(sel) % n_pages;
+            let guard = pool.pin(PageKey::new(chain, page_no)).unwrap();
             let expect = &pages[page_no as usize];
             prop_assert_eq!(&guard[..expect.len()], expect.as_slice());
             prop_assert!(guard[expect.len()..].iter().all(|&b| b == 0), "zero padding");

@@ -5,7 +5,7 @@
 //! limits hold once the pool quiesces.
 
 use payg_resman::{PoolLimits, ResourceManager};
-use payg_storage::{BufferPool, ChainWriter, MemStore, PageKey, PageStore};
+use payg_storage::{BufferPool, MemStore, PageKey, PageStore};
 use std::sync::Arc;
 
 const PAGE_SIZE: usize = 64;
@@ -20,12 +20,10 @@ fn fill_byte(page_no: u64) -> u8 {
 #[test]
 fn concurrent_pins_and_evictions_respect_limits() {
     let store: Arc<dyn PageStore> = Arc::new(MemStore::new());
-    let mut w = ChainWriter::new(Arc::clone(&store), PAGE_SIZE).unwrap();
+    let chain = store.create_chain(PAGE_SIZE).unwrap();
     for p in 0..PAGES {
-        w.push(&[fill_byte(p); 24]).unwrap();
-        w.finish_page().unwrap();
+        store.append_page(chain, &[fill_byte(p); 24]).unwrap();
     }
-    let chain = w.finish().unwrap();
 
     // Tight limits: at most 8 unpinned pages stay resident, and the async
     // proactive worker keeps evicting down to 4 while the threads run.
@@ -43,7 +41,7 @@ fn concurrent_pins_and_evictions_respect_limits() {
                 for i in 0..OPS_PER_THREAD {
                     x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                     let page_no = (x >> 33) % PAGES;
-                    let guard = pool.pin(PageKey::new(chain.chain, page_no)).unwrap();
+                    let guard = pool.pin(PageKey::new(chain, page_no)).unwrap();
                     assert_eq!(guard[0], fill_byte(page_no), "pinned frame holds its page");
                     assert_eq!(guard[23], fill_byte(page_no));
                     assert_eq!(guard[24], 0, "zero padding");
@@ -104,12 +102,10 @@ fn concurrent_pins_and_evictions_respect_limits() {
 #[test]
 fn clear_races_with_pins_without_losing_frames() {
     let store: Arc<dyn PageStore> = Arc::new(MemStore::new());
-    let mut w = ChainWriter::new(Arc::clone(&store), PAGE_SIZE).unwrap();
+    let chain = store.create_chain(PAGE_SIZE).unwrap();
     for p in 0..PAGES {
-        w.push(&[fill_byte(p); 24]).unwrap();
-        w.finish_page().unwrap();
+        store.append_page(chain, &[fill_byte(p); 24]).unwrap();
     }
-    let chain = w.finish().unwrap();
     let pool = BufferPool::new(store, ResourceManager::new());
 
     std::thread::scope(|s| {
@@ -118,7 +114,7 @@ fn clear_races_with_pins_without_losing_frames() {
             s.spawn(move || {
                 for i in 0..300u64 {
                     let page_no = (t * 131 + i * 7) % PAGES;
-                    let g = pool.pin(PageKey::new(chain.chain, page_no)).unwrap();
+                    let g = pool.pin(PageKey::new(chain, page_no)).unwrap();
                     assert_eq!(g[0], fill_byte(page_no));
                     if i % 31 == 0 {
                         pool.clear();

@@ -120,14 +120,24 @@ impl MainFragment {
         !self.deleted().get(rpos)
     }
 
-    /// The value at (`rpos`, `col`).
-    pub fn value(&self, rpos: u64, col: usize) -> TableResult<Value> {
-        Ok(self.columns[col].get_value(rpos)?)
+    /// Materializes the rows at `rposs` (any order), in that order: one
+    /// late materialization per column, a point read being the one-row
+    /// case. Column by column, so a caller reading every row (a merge)
+    /// holds one column's values besides the rows, not all of them.
+    pub fn rows_at(&self, rposs: &[u64]) -> TableResult<Vec<Row>> {
+        let mut rows: Vec<Row> = vec![Vec::with_capacity(self.columns.len()); rposs.len()];
+        for col in &self.columns {
+            for (row, v) in rows.iter_mut().zip(col.get_values(rposs)?) {
+                row.push(v);
+            }
+        }
+        Ok(rows)
     }
 
-    /// Materializes a whole row.
-    pub fn row(&self, rpos: u64) -> TableResult<Row> {
-        self.columns.iter().map(|c| Ok(c.get_value(rpos)?)).collect()
+    /// The visible row positions, ascending.
+    pub(crate) fn visible_positions(&self) -> Vec<u64> {
+        let deleted = self.deleted();
+        (0..self.rows).filter(|&r| !deleted.get(r)).collect()
     }
 
     /// Visible row positions matching `pred` on `col`, ascending.
@@ -142,19 +152,7 @@ impl MainFragment {
 
     /// Materializes every visible row (the delta-merge input path).
     pub fn visible_row_values(&self) -> TableResult<Vec<Row>> {
-        // Column-wise materialization: one pass per column.
-        let visible: Vec<u64> = {
-            let deleted = self.deleted();
-            (0..self.rows).filter(|&r| !deleted.get(r)).collect()
-        };
-        let mut rows: Vec<Row> = vec![Vec::with_capacity(self.columns.len()); visible.len()];
-        for col in &self.columns {
-            let values = col.get_values(&visible)?;
-            for (row, v) in rows.iter_mut().zip(values) {
-                row.push(v);
-            }
-        }
-        Ok(rows)
+        self.rows_at(&self.visible_positions())
     }
 
     /// Unloads all fully-resident columns (cold restart simulation).
@@ -206,12 +204,15 @@ mod tests {
         for policy in [LoadPolicy::FullyResident, LoadPolicy::PageLoadable] {
             let (_, main) = setup(policy);
             assert_eq!(main.rows(), 200);
-            assert_eq!(main.value(13, 0).unwrap(), Value::Integer(13));
-            assert_eq!(main.value(13, 1).unwrap(), Value::Varchar("grade-6".into()));
             assert_eq!(
-                main.row(7).unwrap(),
-                vec![Value::Integer(7), Value::Varchar("grade-0".into())]
+                main.rows_at(&[13, 7, 13]).unwrap(),
+                vec![
+                    vec![Value::Integer(13), Value::Varchar("grade-6".into())],
+                    vec![Value::Integer(7), Value::Varchar("grade-0".into())],
+                    vec![Value::Integer(13), Value::Varchar("grade-6".into())],
+                ]
             );
+            assert!(main.rows_at(&[]).unwrap().is_empty());
         }
     }
 

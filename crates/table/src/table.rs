@@ -18,6 +18,7 @@ use crate::version::{
     DeltaCell, MainHandle, Partition, PartitionVersion, TableVersion, VersionChain,
 };
 use crate::{TableError, TableResult};
+use payg_core::column::ColumnRead;
 use payg_core::{PageConfig, Value, ValuePredicate};
 use payg_obs::{names, Gauge, Histogram, SpanKind};
 use payg_storage::BufferPool;
@@ -382,6 +383,9 @@ impl Table {
     /// Runs under every partition's merge lock (it must not interleave
     /// with a merge's freeze/build window). Row visibility is read
     /// committed: an open snapshot observes the deletions as they land.
+    /// Every updated row is routed before the first one is deleted: when
+    /// no partition accepts one, the call fails with
+    /// [`TableError::NoPartitionForRow`] and the table is unchanged.
     pub fn update_rows(
         &self,
         filter_col: &str,
@@ -396,36 +400,30 @@ impl Table {
             .map_err(TableError::Core)?;
         let _guards = self.all_merge_locks();
         let version = self.chain.current();
-        let mut moved_rows: Vec<Row> = Vec::new();
+        let mut moves = Moves::default();
         for pv in &version.partitions {
             if !pv.spec.range.may_match_on(fcol, self.schema.partition_column(), pred) {
                 continue;
             }
-            // Main fragment matches.
+            // Main fragment matches, read in one go.
             let main = pv.main.frag();
-            for rpos in main.find_rows(fcol, pred)? {
-                let mut row = main.row(rpos)?;
-                row[scol] = new_value.clone();
-                main.delete(rpos);
-                moved_rows.push(row);
-            }
+            let rposs = main.find_rows(fcol, pred)?;
+            moves.rows.extend(main.rows_at(&rposs)?);
+            moves.main.push((main, rposs));
             // Delta matches: frozen cells (awaiting merge) and the active cell.
             for cell in pv.frozen.iter().chain(std::iter::once(&pv.active)) {
-                let mut st = cell.lock();
-                for rpos in st.frag.find_rows(fcol, pred, &self.schema)? {
-                    let mut row = st.frag.row(rpos, &self.schema)?;
-                    row[scol] = new_value.clone();
-                    st.frag.delete(rpos);
-                    moved_rows.push(row);
+                let st = cell.lock();
+                let rposs = st.frag.find_rows(fcol, pred, &self.schema)?;
+                for &rpos in &rposs {
+                    moves.rows.push(st.frag.row(rpos, &self.schema)?);
                 }
+                moves.delta.push((cell, rposs));
             }
         }
-        drop(version);
-        let n = moved_rows.len() as u64;
-        for row in moved_rows {
-            self.insert(row)?;
+        for row in &mut moves.rows {
+            row[scol] = new_value.clone();
         }
-        Ok(n)
+        self.apply_moves(&version, moves)
     }
 
     /// Changes a partition's accepted range (the periodic hot-boundary
@@ -445,45 +443,68 @@ impl Table {
     /// different partition (after a boundary shift or `ADD PARTITION`) into
     /// that partition's delta, exactly like the update-driven move of
     /// §4.2. Returns the number of rows moved. Runs under every partition's
-    /// merge lock, like [`Table::update_rows`].
+    /// merge lock and routes every row before deleting any, like
+    /// [`Table::update_rows`]: a row no partition accepts fails the call
+    /// and leaves the table unchanged.
     pub fn relocate_misplaced(&self) -> TableResult<u64> {
         let Some(tcol) = self.schema.partition_column() else { return Ok(0) };
         let _guards = self.all_merge_locks();
         let version = self.chain.current();
-        let mut moved: Vec<Row> = Vec::new();
+        let mut moves = Moves::default();
         for pv in &version.partitions {
-            // Main fragment.
+            // Main fragment: the partition column of every visible row in
+            // one read, then the misplaced rows in another.
             let main = pv.main.frag();
-            for rpos in 0..main.rows() {
-                if !main.is_visible(rpos) {
-                    continue;
-                }
-                let temp = main.value(rpos, tcol)?;
-                if !pv.spec.range.accepts(&temp) {
-                    let row = main.row(rpos)?;
-                    main.delete(rpos);
-                    moved.push(row);
-                }
-            }
+            let visible = main.visible_positions();
+            let temps = main.column(tcol).get_values(&visible)?;
+            let rposs: Vec<u64> = visible
+                .into_iter()
+                .zip(&temps)
+                .filter(|(_, temp)| !pv.spec.range.accepts(temp))
+                .map(|(rpos, _)| rpos)
+                .collect();
+            moves.rows.extend(main.rows_at(&rposs)?);
+            moves.main.push((main, rposs));
             // Delta cells.
             for cell in pv.frozen.iter().chain(std::iter::once(&pv.active)) {
-                let mut st = cell.lock();
+                let st = cell.lock();
+                let mut rposs = Vec::new();
                 for rpos in 0..st.frag.rows() {
-                    if !st.frag.is_visible(rpos) {
-                        continue;
-                    }
-                    let temp = st.frag.value(rpos, tcol, &self.schema)?;
-                    if !pv.spec.range.accepts(&temp) {
-                        let row = st.frag.row(rpos, &self.schema)?;
-                        st.frag.delete(rpos);
-                        moved.push(row);
+                    if st.frag.is_visible(rpos)
+                        && !pv.spec.range.accepts(&st.frag.value(rpos, tcol, &self.schema)?)
+                    {
+                        moves.rows.push(st.frag.row(rpos, &self.schema)?);
+                        rposs.push(rpos);
                     }
                 }
+                moves.delta.push((cell, rposs));
             }
         }
-        drop(version);
-        let n = moved.len() as u64;
-        for row in moved {
+        self.apply_moves(&version, moves)
+    }
+
+    /// Moves the rows of `moves` collected from `version` — the version
+    /// held under every merge lock, which nothing can replace meanwhile:
+    /// routes every new row first, then deletes the originals and inserts
+    /// the rows. A row no partition accepts fails the call before anything
+    /// is deleted. Returns the number of rows moved.
+    fn apply_moves(&self, version: &TableVersion, moves: Moves<'_>) -> TableResult<u64> {
+        for row in &moves.rows {
+            self.route_in(version, row)?;
+        }
+        for (main, rposs) in moves.main {
+            for rpos in rposs {
+                main.delete(rpos);
+            }
+        }
+        for (cell, rposs) in moves.delta {
+            let mut st = cell.lock();
+            for rpos in rposs {
+                st.frag.delete(rpos);
+            }
+        }
+        let n = moves.rows.len() as u64;
+        for row in moves.rows {
             self.insert(row)?;
         }
         Ok(n)
@@ -513,6 +534,15 @@ impl Table {
             })
             .collect()
     }
+}
+
+/// The rows an aging DML call moves between partitions: where each one is
+/// now — main-fragment and delta-cell positions — and what it becomes.
+#[derive(Default)]
+struct Moves<'v> {
+    main: Vec<(&'v MainFragment, Vec<u64>)>,
+    delta: Vec<(&'v DeltaCell, Vec<u64>)>,
+    rows: Vec<Row>,
 }
 
 /// Pins every partition of `version` at its current append watermark.
@@ -658,7 +688,7 @@ mod tests {
         assert_eq!(t.partitions()[0].main().visible_rows(), 50);
         // Values survive the merge, and the main dictionary is sorted, so
         // lookups work.
-        assert_eq!(t.partitions()[0].main().value(0, 0).unwrap(), Value::Integer(0));
+        assert_eq!(t.partitions()[0].main().rows_at(&[0]).unwrap()[0][0], Value::Integer(0));
         let rows = t.partitions()[0]
             .main()
             .find_rows(1, &ValuePredicate::Eq(Value::Varchar("open".into())))

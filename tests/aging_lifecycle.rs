@@ -7,6 +7,7 @@ use page_as_you_go::storage::{BufferPool, MemStore};
 use page_as_you_go::table::aging::AgingPolicy;
 use page_as_you_go::table::{
     ColumnSpec, PartitionId, PartitionRange, PartitionSpec, Projection, Query, Schema, Table,
+    TableError,
 };
 use std::sync::Arc;
 
@@ -165,4 +166,60 @@ fn aging_footprint_shifts_from_resident_to_paged() {
     let _ = t.execute(&q).unwrap();
     let stats2 = resman.stats();
     assert!(stats2.total_bytes > stats2.paged_bytes, "hot partitions load whole columns");
+}
+
+/// A row the aging DML cannot re-route fails the call before anything is
+/// deleted: an update to a temperature no partition accepts, and a
+/// relocation after a boundary shift that strands rows, each return
+/// `NoPartitionForRow` and leave every row where it was — in the delta and
+/// after a merge alike.
+#[test]
+fn aging_dml_that_cannot_route_a_row_leaves_the_table_unchanged() {
+    for merged in [false, true] {
+        let pool = BufferPool::new(Arc::new(MemStore::new()), ResourceManager::new());
+        let schema = Schema::new(vec![
+            ColumnSpec::new("id", DataType::Integer),
+            ColumnSpec::new("temp", DataType::Integer),
+        ])
+        .unwrap()
+        .with_partition_column("temp")
+        .unwrap();
+        let between = |lo, hi| PartitionRange::Between(Value::Integer(lo), Value::Integer(hi));
+        let mut t = Table::create(
+            pool,
+            PageConfig::tiny(),
+            schema,
+            vec![
+                PartitionSpec::hot("hot", PartitionRange::AtLeast(Value::Integer(100))),
+                PartitionSpec::cold("cold", between(50, 100)),
+            ],
+        )
+        .unwrap();
+        // Temperatures 60, 70, …, 150: four cold rows, six hot ones.
+        for i in 0..10i64 {
+            t.insert(vec![Value::Integer(i), Value::Integer(60 + 10 * i)]).unwrap();
+        }
+        if merged {
+            t.delta_merge_all().unwrap();
+        }
+        let all = Query::full(Projection::All);
+        let before = t.execute(&all).unwrap();
+        let unchanged = |t: &Table, what: &str| {
+            assert_eq!(t.visible_rows(), 10, "{what}, merged={merged}");
+            let per_partition: Vec<u64> = t.partitions().iter().map(|p| p.visible_rows()).collect();
+            assert_eq!(per_partition, vec![6, 4], "{what}, merged={merged}");
+            assert_eq!(t.execute(&all).unwrap(), before, "{what}, merged={merged}");
+        };
+
+        let ids = ValuePredicate::Between(Value::Integer(0), Value::Integer(9));
+        let err = t.update_rows("id", &ids, "temp", &Value::Integer(10)).unwrap_err();
+        assert!(matches!(err, TableError::NoPartitionForRow(_)), "{err}");
+        unchanged(&t, "update_rows");
+
+        // 60 and 70 fall out of the narrowed cold range and into none.
+        t.set_partition_range(PartitionId(1), between(80, 100));
+        let err = t.relocate_misplaced().unwrap_err();
+        assert!(matches!(err, TableError::NoPartitionForRow(_)), "{err}");
+        unchanged(&t, "relocate_misplaced");
+    }
 }

@@ -247,9 +247,8 @@ pub fn run(rel: &Path, lexed: &Lexed, info: &FileInfo, sink: &Sink<'_>) {
                 "pin-in-loop",
                 toks[i + 1].line,
                 "pool pin inside a per-chunk loop: scans must pin each \
-                 page once per run — hoist into a per-page helper \
-                 (reposition), pin the pages as a wave, or suppress with \
-                 a reason",
+                 page once per run — pin the pages as a wave, or suppress \
+                 with a reason",
             );
         }
     }

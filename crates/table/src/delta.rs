@@ -59,11 +59,15 @@ impl DeltaColumn {
         Ok(VidSet::from_vids(vids))
     }
 
-    /// Heap bytes (delta fragments are always fully resident).
+    /// Heap bytes (delta fragments are always fully resident): what the
+    /// column holds, not what it uses — vector and table capacities (a
+    /// `lookup` slot is its entry plus one control byte), and every
+    /// distinct key twice, once in `keys` and once as a `lookup` key.
     pub fn heap_bytes(&self) -> usize {
-        self.vids.len() * 8
-            + self.keys.iter().map(|k| k.capacity() + 48).sum::<usize>()
-            + self.lookup.len() * 48
+        self.vids.capacity() * std::mem::size_of::<u64>()
+            + self.keys.capacity() * std::mem::size_of::<Vec<u8>>()
+            + self.lookup.capacity() * (std::mem::size_of::<(Vec<u8>, u64)>() + 1)
+            + self.keys.iter().chain(self.lookup.keys()).map(Vec::capacity).sum::<usize>()
     }
 }
 
@@ -152,11 +156,12 @@ impl DeltaFragment {
             .collect())
     }
 
-    /// Materializes every visible row (for delta merge).
-    pub fn visible_row_values(&self, schema: &Schema) -> TableResult<Vec<Row>> {
+    /// Column `col`'s values of every visible row, in row order (the
+    /// delta-merge input path).
+    pub fn visible_values(&self, col: usize, schema: &Schema) -> TableResult<Vec<Value>> {
         (0..self.rows)
             .filter(|&r| !self.deleted.get(r))
-            .map(|r| self.row(r, schema))
+            .map(|r| self.value(r, col, schema))
             .collect()
     }
 
@@ -224,13 +229,14 @@ mod tests {
     }
 
     #[test]
-    fn visible_row_values_skips_deleted() {
+    fn visible_values_skip_deleted() {
         let (s, mut d) = populated();
         d.delete(0);
         d.delete(3);
-        let rows = d.visible_row_values(&s).unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0][0], Value::Integer(1));
-        assert_eq!(rows[1][0], Value::Integer(3));
+        assert_eq!(d.visible_values(0, &s).unwrap(), vec![Value::Integer(1), Value::Integer(3)]);
+        assert_eq!(
+            d.visible_values(1, &s).unwrap(),
+            vec![Value::Varchar("alpha".into()), Value::Varchar("alpha".into())]
+        );
     }
 }

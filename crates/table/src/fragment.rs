@@ -13,7 +13,7 @@
 
 use crate::bitmap::RowBitmap;
 use crate::schema::{Row, Schema};
-use crate::TableResult;
+use crate::{TableError, TableResult};
 use payg_core::column::{Column, ColumnRead};
 use payg_core::{ColumnBuilder, LoadPolicy, PageConfig, Value, ValuePredicate};
 use payg_resman::Disposition;
@@ -28,48 +28,55 @@ pub struct MainFragment {
 }
 
 impl MainFragment {
-    /// Builds a main fragment from materialized rows (the delta-merge
-    /// output path). Columns are persisted and constructed per `policy`.
+    /// Builds a main fragment of `rows` rows one column at a time (the
+    /// delta-merge output path): `values_of(c)` reads column `c`'s values in
+    /// row order, the column is persisted and constructed per `policy`, and
+    /// its values are dropped before the next column is read.
     ///
-    /// Crash-safe: when any column build fails (storage fault, budget,
-    /// corruption), the page chains of the columns already built are
-    /// discarded from the pool and the store before the error propagates —
-    /// an aborted merge leaves nothing behind.
+    /// Crash-safe: when reading or building any column fails (storage
+    /// fault, budget, corruption), the page chains of the columns already
+    /// built are discarded from the pool and the store before the error
+    /// propagates — an aborted merge leaves nothing behind.
     pub fn build(
         pool: &BufferPool,
         config: &PageConfig,
         schema: &Schema,
-        rows: &[Row],
+        rows: u64,
+        mut values_of: impl FnMut(usize) -> TableResult<Vec<Value>>,
         policy: LoadPolicy,
         disposition: Disposition,
     ) -> TableResult<Self> {
-        let mut columns = Vec::with_capacity(schema.arity());
+        let mut columns: Vec<Column> = Vec::with_capacity(schema.arity());
         for (c, spec) in schema.columns().iter().enumerate() {
-            let values: Vec<Value> = rows.iter().map(|r| r[c].clone()).collect();
-            let built = ColumnBuilder::new(spec.data_type)
-                .policy(spec.load_policy.unwrap_or(policy))
-                .with_index(spec.with_index)
-                .resident_disposition(disposition)
-                .build(pool, config, &values);
+            let built = values_of(c).and_then(|values| {
+                if values.len() as u64 != rows {
+                    return Err(TableError::Invalid(format!(
+                        "column {c}: {} values for {rows} rows",
+                        values.len()
+                    )));
+                }
+                Ok(ColumnBuilder::new(spec.data_type)
+                    .policy(spec.load_policy.unwrap_or(policy))
+                    .with_index(spec.with_index)
+                    .resident_disposition(disposition)
+                    .build(pool, config, &values)?)
+            });
             match built {
                 Ok(b) => columns.push(b.column),
                 Err(e) => {
-                    // Sibling columns of the failed build are side-built
-                    // state nothing references yet: reclaim their chains.
+                    // Sibling columns of the failed read or build are
+                    // side-built state nothing references yet: reclaim
+                    // their chains.
                     for col in &columns {
                         for (_, chain) in col.chains() {
                             pool.discard_chain(ChainId(chain));
                         }
                     }
-                    return Err(e.into());
+                    return Err(e);
                 }
             }
         }
-        Ok(MainFragment {
-            columns,
-            rows: rows.len() as u64,
-            deleted: RwLock::new(RowBitmap::new()),
-        })
+        Ok(MainFragment { columns, rows, deleted: RwLock::new(RowBitmap::new()) })
     }
 
     /// Reassembles a fragment from reopened columns (catalog restore).
@@ -121,13 +128,13 @@ impl MainFragment {
     }
 
     /// Materializes the rows at `rposs` (any order), in that order: one
-    /// late materialization per column, a point read being the one-row
-    /// case. Column by column, so a caller reading every row (a merge)
-    /// holds one column's values besides the rows, not all of them.
+    /// phased late materialization over every column, a point read being
+    /// the one-row case.
     pub fn rows_at(&self, rposs: &[u64]) -> TableResult<Vec<Row>> {
-        let mut rows: Vec<Row> = vec![Vec::with_capacity(self.columns.len()); rposs.len()];
-        for col in &self.columns {
-            for (row, v) in rows.iter_mut().zip(col.get_values(rposs)?) {
+        let columns: Vec<&Column> = self.columns.iter().collect();
+        let mut rows: Vec<Row> = vec![Vec::with_capacity(columns.len()); rposs.len()];
+        for values in payg_core::column::materialize(&columns, rposs)? {
+            for (row, v) in rows.iter_mut().zip(values) {
                 row.push(v);
             }
         }
@@ -150,11 +157,6 @@ impl MainFragment {
         Ok(rows)
     }
 
-    /// Materializes every visible row (the delta-merge input path).
-    pub fn visible_row_values(&self) -> TableResult<Vec<Row>> {
-        self.rows_at(&self.visible_positions())
-    }
-
     /// Unloads all fully-resident columns (cold restart simulation).
     pub fn unload(&self) {
         for c in &self.columns {
@@ -169,7 +171,7 @@ mod tests {
     use crate::schema::ColumnSpec;
     use payg_core::DataType;
     use payg_resman::ResourceManager;
-    use payg_storage::MemStore;
+    use payg_storage::{MemStore, PageStore};
     use std::sync::Arc;
 
     fn setup(policy: LoadPolicy) -> (Schema, MainFragment) {
@@ -191,7 +193,8 @@ mod tests {
             &pool,
             &PageConfig::tiny(),
             &schema,
-            &rows,
+            rows.len() as u64,
+            |c| Ok(rows.iter().map(|r| r[c].clone()).collect()),
             policy,
             Disposition::MidTerm,
         )
@@ -230,12 +233,45 @@ mod tests {
         assert!(!main.is_visible(3));
     }
 
+    /// A read of a later column that fails, or returns the wrong number of
+    /// values, reclaims the chains of the columns already built.
     #[test]
-    fn visible_row_values_roundtrip() {
+    fn a_failed_column_read_reclaims_the_columns_already_built() {
+        let schema = Schema::new(vec![
+            ColumnSpec::indexed("id", DataType::Integer),
+            ColumnSpec::new("grade", DataType::Varchar),
+        ])
+        .unwrap();
+        let second_reads: [fn() -> TableResult<Vec<Value>>; 2] = [
+            || Err(TableError::Invalid("read failed".into())),
+            || Ok(vec![Value::Varchar("short".into())]),
+        ];
+        for second in second_reads {
+            let store = Arc::new(MemStore::new());
+            let pool = BufferPool::new(store.clone(), ResourceManager::new());
+            let built = MainFragment::build(
+                &pool,
+                &PageConfig::tiny(),
+                &schema,
+                3,
+                |c| match c {
+                    0 => Ok((0..3).map(Value::Integer).collect()),
+                    _ => second(),
+                },
+                LoadPolicy::PageLoadable,
+                Disposition::MidTerm,
+            );
+            assert!(matches!(built, Err(TableError::Invalid(_))));
+            assert!(store.chains().is_empty(), "column 0's chains leaked");
+        }
+    }
+
+    #[test]
+    fn visible_positions_skip_deleted_rows() {
         let (_, main) = setup(LoadPolicy::FullyResident);
         main.delete(0);
         main.delete(199);
-        let rows = main.visible_row_values().unwrap();
+        let rows = main.rows_at(&main.visible_positions()).unwrap();
         assert_eq!(rows.len(), 198);
         assert_eq!(rows[0][0], Value::Integer(1));
         assert_eq!(rows[197][0], Value::Integer(198));

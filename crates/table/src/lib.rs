@@ -18,7 +18,6 @@
 #![forbid(unsafe_code)]
 
 pub mod admission;
-pub mod aging;
 pub mod bitmap;
 pub mod catalog;
 pub mod delta;
@@ -33,7 +32,6 @@ pub mod table;
 pub mod version;
 
 pub use admission::{AdmissionConfig, AdmissionController};
-pub use aging::AgingPolicy;
 pub use error::{TableError, TableResult};
 pub use explain::{ChainActuals, ChainExplain, ExplainAnalyze, PartitionExplain};
 pub use partition::{PartitionId, PartitionRange, PartitionSpec};

@@ -192,4 +192,24 @@ mod tests {
         assert!(text.contains("partition hot"));
         assert!(text.contains("[indexed]"));
     }
+
+    /// The delta holds every distinct key twice — in its key list and as
+    /// its lookup map's key — and the stats report both copies.
+    #[test]
+    fn delta_bytes_count_both_copies_of_every_key() {
+        let schema = Schema::new(vec![ColumnSpec::new("note", DataType::Varchar)]).unwrap();
+        let pool = BufferPool::new(Arc::new(MemStore::new()), ResourceManager::new());
+        let t = Table::create(
+            pool,
+            PageConfig::tiny(),
+            schema,
+            vec![PartitionSpec::single(LoadPolicy::FullyResident)],
+        )
+        .unwrap();
+        for i in 0..1_000 {
+            t.insert(vec![Value::Varchar(format!("{i:01000}"))]).unwrap();
+        }
+        let delta_bytes = t.table_stats().partitions[0].delta_bytes;
+        assert!(delta_bytes >= 2_000_000, "delta_bytes {delta_bytes}");
+    }
 }

@@ -125,7 +125,8 @@ impl Table {
             &self.pool,
             &self.config,
             &self.schema,
-            &[],
+            0,
+            |_| Ok(Vec::new()),
             spec.load_policy,
             spec.disposition,
         )?;
@@ -253,18 +254,19 @@ impl Table {
     ///    to the new cell.
     /// 2. **Side build** — the replacement main fragment (old main's
     ///    visible rows + every frozen cell's visible rows) is built into
-    ///    fresh page chains. Queries keep executing against the published
-    ///    version throughout.
+    ///    fresh page chains one column at a time: each column's values are
+    ///    read, built and dropped before the next column is read. Queries
+    ///    keep executing against the published version throughout.
     /// 3. **Publish** — the version with the new main (frozen list empty)
     ///    replaces the current one, and the old main fragment is flagged
     ///    for retirement: its page chains are discarded when the last
     ///    snapshot holding it drops.
     ///
-    /// A build failure (storage fault, budget, corruption) aborts between
-    /// steps 2 and 3: the frozen-delta version keeps serving — no rows are
-    /// lost, reads stay exact — the side-built chains are reclaimed by the
-    /// builders' cleanup guards, and a retried merge picks the frozen cells
-    /// up again.
+    /// A read or build failure (storage fault, budget, corruption) aborts
+    /// between steps 2 and 3: the frozen-delta version keeps serving — no
+    /// rows are lost, reads stay exact — the side-built chains are
+    /// reclaimed by the builders' cleanup guards, and a retried merge picks
+    /// the frozen cells up again.
     pub fn delta_merge(&self, pid: PartitionId) -> TableResult<()> {
         let lock = Arc::clone(&self.merge_locks[pid.0]);
         let _guard = match lock.lock() {
@@ -317,26 +319,29 @@ impl Table {
             TableVersion::new(cur.vno + 1, parts, live)
         });
 
-        // Step 2: side build. No table lock is held; faults abort here and
-        // the frozen version keeps serving.
+        // Step 2: side build. No table lock is held, and the fragments read
+        // here stay put: every delete takes this merge lock. Faults abort
+        // here and the frozen version keeps serving.
         let pv = &frozen_version.partitions[pid.0];
-        let build_input = (|| -> TableResult<Vec<Row>> {
-            let mut rows = pv.main.frag().visible_row_values()?;
-            for cell in &pv.frozen {
-                rows.extend(cell.lock().frag.visible_row_values(&self.schema)?);
-            }
-            Ok(rows)
-        })();
-        let built = build_input.and_then(|rows| {
-            MainFragment::build(
-                &self.pool,
-                &self.config,
-                &self.schema,
-                &rows,
-                pv.spec.load_policy,
-                pv.spec.disposition,
-            )
-        });
+        let main = pv.main.frag();
+        let visible = main.visible_positions();
+        let rows = visible.len() as u64
+            + pv.frozen.iter().map(|cell| cell.lock().frag.visible_rows()).sum::<u64>();
+        let built = MainFragment::build(
+            &self.pool,
+            &self.config,
+            &self.schema,
+            rows,
+            |c| {
+                let mut values = main.column(c).get_values(&visible)?;
+                for cell in &pv.frozen {
+                    values.extend(cell.lock().frag.visible_values(c, &self.schema)?);
+                }
+                Ok(values)
+            },
+            pv.spec.load_policy,
+            pv.spec.disposition,
+        );
         let new_main = match built {
             Ok(m) => m,
             Err(e) => {
@@ -609,6 +614,7 @@ impl Table {
 mod tests {
     use super::*;
     use crate::partition::PartitionRange;
+    use crate::query::{Projection, Query};
     use crate::schema::ColumnSpec;
     use payg_core::{DataType, LoadPolicy};
     use payg_resman::ResourceManager;
@@ -825,5 +831,117 @@ mod tests {
         assert!(gauge.get() >= baseline);
         drop(s);
         assert!(gauge.get() >= 1, "current version is always live");
+    }
+
+    /// Orders closed on `1990 + id`: before 2000 is cold, the rest hot.
+    fn dated_orders() -> Table {
+        let schema = Schema::new(vec![
+            ColumnSpec::new("id", DataType::Integer),
+            ColumnSpec::new("item", DataType::Varchar),
+            ColumnSpec::new("close_date", DataType::Integer),
+        ])
+        .unwrap()
+        .with_primary_key("id")
+        .unwrap()
+        .with_partition_column("close_date")
+        .unwrap();
+        let t = Table::create(
+            pool(),
+            PageConfig::tiny(),
+            schema,
+            vec![
+                PartitionSpec::hot("hot", PartitionRange::AtLeast(Value::Integer(2000))),
+                PartitionSpec::cold("cold", PartitionRange::Below(Value::Integer(2000))),
+            ],
+        )
+        .unwrap();
+        for i in 0..100i64 {
+            t.insert(vec![
+                Value::Integer(i),
+                Value::Varchar(format!("item-{}", i % 11)),
+                Value::Integer(1990 + i),
+            ])
+            .unwrap();
+        }
+        t.delta_merge_all().unwrap();
+        t
+    }
+
+    #[test]
+    fn closing_an_order_moves_it_to_cold() {
+        let t = dated_orders();
+        // The application closes order 50 (hot, date 2040 → closed 1995).
+        let moved = t
+            .update_rows(
+                "id",
+                &ValuePredicate::Eq(Value::Integer(50)),
+                "close_date",
+                &Value::Integer(1995),
+            )
+            .unwrap();
+        assert_eq!(moved, 1);
+        // It is now in the cold partition's delta…
+        assert_eq!(t.partitions()[1].delta().visible_rows(), 1);
+        // …and still found by a point query, with the new date.
+        let q = Query::filtered(
+            "id",
+            ValuePredicate::Eq(Value::Integer(50)),
+            Projection::Columns(vec!["close_date".into()]),
+        );
+        assert_eq!(
+            t.execute(&q).unwrap().into_rows(),
+            vec![vec![Value::Integer(1995)]]
+        );
+        // After the aging run (merge) it is page-loadable main data.
+        t.relocate_misplaced().unwrap();
+        t.delta_merge_all().unwrap();
+        assert_eq!(t.partitions()[1].delta().visible_rows(), 0);
+        assert_eq!(
+            t.partitions()[1].main().column(0).policy(),
+            LoadPolicy::PageLoadable
+        );
+        assert_eq!(t.execute(&Query::full(Projection::Count)).unwrap().count(), 100);
+    }
+
+    #[test]
+    fn boundary_shift_relocates_misplaced_rows() {
+        let mut t = dated_orders();
+        // Initially: dates 1990..1999 cold (10 rows), 2000..2089 hot (90).
+        assert_eq!(t.partitions()[0].visible_rows(), 90);
+        assert_eq!(t.partitions()[1].visible_rows(), 10);
+        // Shift the hot boundary: everything before 2050 is now cold.
+        t.set_partition_range(
+            PartitionId(0),
+            PartitionRange::AtLeast(Value::Integer(2050)),
+        );
+        t.set_partition_range(PartitionId(1), PartitionRange::Below(Value::Integer(2050)));
+        let rows_moved = t.relocate_misplaced().unwrap();
+        t.delta_merge_all().unwrap();
+        assert_eq!(rows_moved, 50, "dates 2000..2049 relocate to cold");
+        assert_eq!(t.partitions()[0].visible_rows(), 40);
+        assert_eq!(t.partitions()[1].visible_rows(), 60);
+        // Nothing is lost and a second run is a no-op.
+        assert_eq!(t.execute(&Query::full(Projection::Count)).unwrap().count(), 100);
+        assert_eq!(t.relocate_misplaced().unwrap(), 0);
+    }
+
+    #[test]
+    fn add_partition_then_relocate() {
+        let mut t = dated_orders();
+        // Narrow the cold partition and add a deep-cold one below 1995.
+        t.set_partition_range(
+            PartitionId(1),
+            PartitionRange::Between(Value::Integer(1995), Value::Integer(2000)),
+        );
+        t.add_partition(PartitionSpec::cold(
+            "deep-cold",
+            PartitionRange::Below(Value::Integer(1995)),
+        ))
+        .unwrap();
+        let rows_moved = t.relocate_misplaced().unwrap();
+        t.delta_merge_all().unwrap();
+        assert_eq!(rows_moved, 5, "dates 1990..1994 move to deep-cold");
+        assert_eq!(t.partitions()[2].visible_rows(), 5);
+        assert_eq!(t.execute(&Query::full(Projection::Count)).unwrap().count(), 100);
     }
 }

@@ -11,7 +11,7 @@
 //!   V      : main=M0, frozen=[],  active=D0   ← readers pinned here keep M0+D0
 //!   seal   : D0.sealed = true (in place — V's readers still see D0's rows)
 //!   V+1    : main=M0, frozen=[D0], active=D1  ← writers append to D1
-//!   build  : M1 := merge(M0.visible, D0.visible)   (off to the side)
+//!   build  : M1 := merge(M0.visible, D0.visible)   (off to the side, column by column)
 //!   V+2    : main=M1, frozen=[],  active=D1   ← M0 flagged for retirement
 //!   retire : when the last snapshot holding M0 drops, M0's page chains are
 //!            discarded from the pool and the backing store (never while a
@@ -32,7 +32,7 @@
 use crate::delta::DeltaFragment;
 use crate::fragment::MainFragment;
 use crate::partition::PartitionSpec;
-use crate::schema::{Row, Schema};
+use crate::schema::Schema;
 use crate::TableResult;
 use payg_core::{Value, ValuePredicate};
 use payg_obs::Gauge;
@@ -291,14 +291,6 @@ impl DeltaView {
         s.cell.lock().frag.value(local, col, schema)
     }
 
-    /// Materializes a whole row.
-    pub fn row(&self, rpos: u64, schema: &Schema) -> TableResult<Row> {
-        let (s, local) = self.locate(rpos).ok_or_else(|| {
-            crate::TableError::Invalid(format!("delta row {rpos} out of snapshot range"))
-        })?;
-        s.cell.lock().frag.row(local, schema)
-    }
-
     /// Visible row positions matching `pred` on `col`, ascending in the
     /// flattened space.
     pub fn find_rows(
@@ -313,20 +305,6 @@ impl DeltaView {
             for local in st.frag.find_rows(col, pred, schema)? {
                 if local < s.clip {
                     out.push(s.base + local);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Materializes every visible row in view.
-    pub fn visible_row_values(&self, schema: &Schema) -> TableResult<Vec<Row>> {
-        let mut out = Vec::new();
-        for s in &self.slices {
-            let st = s.cell.lock();
-            for r in 0..s.clip {
-                if st.frag.is_visible(r) {
-                    out.push(st.frag.row(r, schema)?);
                 }
             }
         }

@@ -115,35 +115,54 @@ fn assert_exact(t: &Table, rows: i64, context: &str) {
     }
 }
 
-/// Kills the merge deterministically at each write step in turn: every
-/// abort must leave the frozen version serving exact answers with the
-/// chain set untouched (the side build reclaimed itself), and the retried
-/// merge under a clean store must succeed and land at the steady-state
-/// chain count.
-#[test]
-fn a_merge_killed_at_every_write_step_aborts_cleanly() {
+/// An order closed before 100: it routes to the cold, page-loadable
+/// partition.
+fn cold_order(i: i64) -> Vec<Value> {
+    let mut row = order(i);
+    row[2] = Value::Integer(i % 100);
+    row
+}
+
+/// Kills the merge deterministically at each of `steps` in turn, with the
+/// fault plan `plan_at(store, step)` armed for the merge only. Every abort
+/// must leave the frozen version serving exact answers with the chain set
+/// untouched (the side build reclaimed itself), and the retried merge under
+/// a clean store must succeed and land at the steady-state chain count.
+/// With `cold`, every row is a [`cold_order`] and the pool is emptied
+/// before each merge, so the side build reads the old main from the store.
+/// Returns, per aborted merge, whether it had written pages before it died.
+fn kill_sweep(
+    cold: bool,
+    steps: std::ops::RangeInclusive<u64>,
+    plan_at: impl Fn(&FaultyStore<MemStore>, u64) -> FaultPlan,
+) -> Vec<bool> {
+    let row = if cold { cold_order } else { order };
     let (t, store, _resman) = faulty_table();
     let mut rows: i64 = 0;
     for i in 0..60 {
-        t.insert(order(i)).unwrap();
+        t.insert(row(i)).unwrap();
         rows += 1;
     }
     t.delta_merge_all().unwrap();
     let steady = store.chains().len();
 
-    let mut aborts = 0;
-    for step in 1..=10u64 {
+    let mut aborts = Vec::new();
+    for step in steps {
         // Dirty the partition so the merge has work to do.
-        t.insert(order(rows)).unwrap();
+        t.insert(row(rows)).unwrap();
         rows += 1;
+        if cold {
+            t.unload_all();
+        }
         let before = chain_set(&store);
+        let writes = store.writes();
 
-        store.set_plan(FaultPlan::EveryNthWrite(step));
+        store.set_plan(plan_at(&store, step));
         let merged = t.delta_merge_all();
         store.set_plan(FaultPlan::None);
 
         if merged.is_err() {
-            aborts += 1;
+            aborts.push(store.writes() > writes);
             // Aborted: the side build must have reclaimed every chain it
             // created, and the frozen version keeps answering exactly.
             assert_eq!(
@@ -165,7 +184,28 @@ fn a_merge_killed_at_every_write_step_aborts_cleanly() {
         assert_exact(&t, rows, &format!("step {step}: after merge"));
         t.pool().assert_no_live_pins("merge kill sweep");
     }
-    assert!(aborts >= 5, "the sweep must actually kill merges (got {aborts} aborts)");
+    aborts
+}
+
+/// The merge killed at its n-th page write, for n = 1..=10.
+#[test]
+fn a_merge_killed_at_every_write_step_aborts_cleanly() {
+    let aborts = kill_sweep(false, 1..=10, |_, step| FaultPlan::EveryNthWrite(step));
+    assert!(aborts.len() >= 5, "the sweep must actually kill merges (got {})", aborts.len());
+}
+
+/// The merge of a page-loadable partition read cold, killed by a read fault
+/// after its first `step` store reads: a fault in a later column's read
+/// must also reclaim the chains of the columns already written.
+#[test]
+fn a_merge_killed_at_every_read_step_aborts_cleanly() {
+    let aborts =
+        kill_sweep(true, 0..=16, |store, step| FaultPlan::AfterReads(store.reads() + step));
+    assert!(aborts.len() >= 5, "the sweep must actually kill merges (got {})", aborts.len());
+    assert!(
+        aborts.iter().any(|&wrote| wrote),
+        "no read fault landed after an earlier column was written"
+    );
 }
 
 /// Seeded read/corrupt/write storms while 4 reader threads execute the

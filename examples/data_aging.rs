@@ -6,7 +6,6 @@
 use page_as_you_go::core::{DataType, PageConfig, Value, ValuePredicate};
 use page_as_you_go::resman::ResourceManager;
 use page_as_you_go::storage::{BufferPool, MemStore};
-use page_as_you_go::table::aging::AgingPolicy;
 use page_as_you_go::table::{
     ColumnSpec, PartitionRange, PartitionSpec, Projection, Query, Schema, Table,
 };
@@ -33,7 +32,7 @@ fn main() {
 
     // Hot partition: default (fully resident) columns. Cold partition:
     // PAGE LOADABLE columns from the very beginning (§4.2).
-    let mut table = Table::create(
+    let table = Table::create(
         pool,
         PageConfig::default(),
         schema,
@@ -65,19 +64,21 @@ fn main() {
     // The application closes old orders: an ordinary UPDATE on the
     // temperature column. Because it is the partition column, the rows move
     // into the cold partition's delta — no downtime, nothing blocked.
-    let aging = AgingPolicy { temperature_column: "closed_on".into(), merge_after: true };
-    let closed = aging
-        .close_rows(
-            &mut table,
+    let closed = table
+        .update_rows(
             "order_id",
             &ValuePredicate::Between(Value::Integer(0), Value::Integer(29_999)),
+            "closed_on",
             &Value::Integer(202311),
         )
         .unwrap();
-    let stats = aging.run(&mut table).unwrap();
+    // The aging run: relocate rows a boundary shift left misplaced (none
+    // here), then merge so the moved rows become page-loadable main data.
+    let relocated = table.relocate_misplaced().unwrap();
+    table.delta_merge_all().unwrap();
     println!(
-        "closed {closed} orders (moved {} more during the run) -> hot {} rows, cold {} rows",
-        stats.rows_moved,
+        "closed {closed} orders (moved {relocated} more during the run) -> \
+         hot {} rows, cold {} rows",
         table.partitions()[0].visible_rows(),
         table.partitions()[1].visible_rows()
     );

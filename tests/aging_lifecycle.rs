@@ -4,7 +4,6 @@
 use page_as_you_go::core::{DataType, LoadPolicy, PageConfig, Value, ValuePredicate};
 use page_as_you_go::resman::ResourceManager;
 use page_as_you_go::storage::{BufferPool, MemStore};
-use page_as_you_go::table::aging::AgingPolicy;
 use page_as_you_go::table::{
     ColumnSpec, PartitionId, PartitionRange, PartitionSpec, Projection, Query, Schema, Table,
     TableError,
@@ -50,7 +49,6 @@ fn count(t: &Table, q: &Query) -> u64 {
 #[test]
 fn lifecycle_preserves_every_row_and_moves_storage() {
     let (mut t, _resman) = orders_table();
-    let policy = AgingPolicy { temperature_column: "closed_on".into(), merge_after: true };
     // Month 1: 600 open orders.
     for i in 0..600i64 {
         t.insert(vec![
@@ -70,11 +68,11 @@ fn lifecycle_preserves_every_row_and_moves_storage() {
             .iter()
             .enumerate()
     {
-        let moved = policy
-            .close_rows(
-                &mut t,
+        let moved = t
+            .update_rows(
                 "id",
                 &ValuePredicate::Between(Value::Integer(*lo), Value::Integer(*hi)),
+                "closed_on",
                 &Value::Integer(*date),
             )
             .unwrap();
@@ -82,8 +80,9 @@ fn lifecycle_preserves_every_row_and_moves_storage() {
         // Nothing lost mid-flight.
         assert_eq!(count(&t, &Query::full(Projection::Count)), 600);
     }
-    // Orders 500..599 stay open/hot.
-    policy.run(&mut t).unwrap();
+    // Orders 500..599 stay open/hot. The aging run: relocate, then merge.
+    t.relocate_misplaced().unwrap();
+    t.delta_merge_all().unwrap();
     assert_eq!(t.partitions()[0].visible_rows(), 100);
     assert_eq!(t.partitions()[1].visible_rows(), 500);
     // Cold main is page loadable; hot main resident.
@@ -118,8 +117,9 @@ fn lifecycle_preserves_every_row_and_moves_storage() {
         PartitionRange::Below(Value::Integer(20_230_901)),
     ))
     .unwrap();
-    let stats = policy.run(&mut t).unwrap();
-    assert_eq!(stats.rows_moved, 200, "march closures relocate");
+    let rows_moved = t.relocate_misplaced().unwrap();
+    t.delta_merge_all().unwrap();
+    assert_eq!(rows_moved, 200, "march closures relocate");
     assert_eq!(t.partitions()[2].visible_rows(), 200);
     assert_eq!(count(&t, &Query::full(Projection::Count)), 600);
 
@@ -134,7 +134,7 @@ fn lifecycle_preserves_every_row_and_moves_storage() {
 
 #[test]
 fn aging_footprint_shifts_from_resident_to_paged() {
-    let (mut t, resman) = orders_table();
+    let (t, resman) = orders_table();
     for i in 0..2_000i64 {
         t.insert(vec![
             Value::Integer(i),
@@ -145,16 +145,15 @@ fn aging_footprint_shifts_from_resident_to_paged() {
         .unwrap();
     }
     t.delta_merge_all().unwrap();
-    let policy = AgingPolicy { temperature_column: "closed_on".into(), merge_after: true };
-    policy
-        .close_rows(
-            &mut t,
-            "id",
-            &ValuePredicate::Between(Value::Integer(0), Value::Integer(1_799)),
-            &Value::Integer(20_200_101),
-        )
-        .unwrap();
-    policy.run(&mut t).unwrap();
+    t.update_rows(
+        "id",
+        &ValuePredicate::Between(Value::Integer(0), Value::Integer(1_799)),
+        "closed_on",
+        &Value::Integer(20_200_101),
+    )
+    .unwrap();
+    t.relocate_misplaced().unwrap();
+    t.delta_merge_all().unwrap();
     t.unload_all();
     // Touch one cold row: only paged resources appear.
     let q = Query::filtered("id", ValuePredicate::Eq(Value::Integer(7)), Projection::All);

@@ -151,14 +151,10 @@ declare_names! {
     /// recently built inverted index (gauge, labelled `pool`).
     PEF_CHUNK_BITS = "pef_chunk_bits", labels: [pool];
 
-    /// Reader sessions currently admitted to a table's serving layer
-    /// (gauge).
-    TABLE_SESSIONS_ACTIVE = "table_sessions_active", labels: [];
-    /// Sessions that had to queue behind the admission limit before being
-    /// granted.
-    TABLE_SESSIONS_QUEUED = "table_sessions_queued", labels: [];
-    /// Sessions rejected by admission control — queue full or wait timed
-    /// out.
+    /// Sessions refused at open (counter). Nothing increments it: opening a
+    /// session only pins the current version. `payg-perf` still reads it
+    /// until ROADMAP item 0(b) drops the probe; reading it through
+    /// `Registry::counter` creates it at 0.
     TABLE_SESSIONS_REJECTED = "table_sessions_rejected", labels: [];
     /// Online delta-merge duration histogram in nanoseconds (aborted
     /// merges record too, so abort latency is visible).

@@ -50,9 +50,6 @@ pub enum SpanKind {
     ChunkDispatch,
     /// One online delta merge of a partition (`detail` = partition index).
     Merge,
-    /// A session admission that had to queue behind the concurrency limit
-    /// (`detail` = queue depth observed on entry).
-    Admission,
 }
 
 impl SpanKind {
@@ -65,7 +62,6 @@ impl SpanKind {
             SpanKind::IoBatch => "io-batch",
             SpanKind::ChunkDispatch => "chunk-dispatch",
             SpanKind::Merge => "merge",
-            SpanKind::Admission => "admission",
         }
     }
 }

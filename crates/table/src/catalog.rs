@@ -169,8 +169,15 @@ impl Table {
         for p in 0..pages {
             raw.extend_from_slice(&store.read_page(PageKey::new(catalog, p)).map_err(CoreError::Storage)?);
         }
-        if raw.len() < 16 || &raw[..8] != CATALOG_MAGIC {
+        if raw.len() < 16 || raw[..7] != CATALOG_MAGIC[..7] {
             return Err(corrupt("bad magic"));
+        }
+        if raw[7] != CATALOG_MAGIC[7] {
+            let (found, ours) = (raw[7..8].escape_ascii(), CATALOG_MAGIC[7..].escape_ascii());
+            return Err(corrupt(&format!(
+                "checkpoint is version {found}, this build reads only version {ours}: open it \
+                 with a build that reads version {found}"
+            )));
         }
         let body_len = u64::from_le_bytes(raw[8..16].try_into().unwrap()) as usize;
         if raw.len() < 16 + body_len {
@@ -353,24 +360,40 @@ mod tests {
         let junk = store.create_chain(4096).unwrap();
         store.append_page(junk, b"definitely not a catalog").unwrap();
         assert!(Table::open(pool.clone(), junk).is_err());
-        // A catalog in the previous format (`PAYGCAT2`: dictionary metadata
-        // without a layout tag, numeric columns in the string structure) is
-        // refused by its magic, never parsed.
-        let old = store.create_chain(store.page_size(catalog).unwrap()).unwrap();
-        for p in 0..store.chain_len(catalog).unwrap() {
-            let mut page = store.read_page(PageKey::new(catalog, p)).unwrap().to_vec();
-            if p == 0 {
-                page[..8].copy_from_slice(b"PAYGCAT2");
-            }
-            store.append_page(old, &page).unwrap();
-        }
-        match Table::open(pool.clone(), old) {
-            Err(TableError::Core(CoreError::Storage(StorageError::Corrupt(what)))) => {
-                assert_eq!(what, "catalog: bad magic")
-            }
-            other => panic!("expected the bad-magic error, got {:?}", other.map(|_| ())),
-        }
         // The good catalog still opens.
+        assert!(Table::open(pool, catalog).is_ok());
+    }
+
+    #[test]
+    fn an_older_catalog_names_its_version_and_a_foreign_header_is_bad_magic() {
+        let pool = BufferPool::new(Arc::new(MemStore::new()), ResourceManager::new());
+        let catalog = aged_table(&pool).checkpoint().unwrap();
+        let store = pool.store();
+        // The previous format (`PAYGCAT2`: dictionary metadata without a
+        // layout tag) is refused by its version byte, never parsed.
+        for (header, expected) in [
+            (
+                b"PAYGCAT2",
+                "catalog: checkpoint is version 2, this build reads only version 3: open it \
+                 with a build that reads version 2",
+            ),
+            (b"NOTMAGIC", "catalog: bad magic"),
+        ] {
+            let copy = store.create_chain(store.page_size(catalog).unwrap()).unwrap();
+            for p in 0..store.chain_len(catalog).unwrap() {
+                let mut page = store.read_page(PageKey::new(catalog, p)).unwrap().to_vec();
+                if p == 0 {
+                    page[..8].copy_from_slice(header);
+                }
+                store.append_page(copy, &page).unwrap();
+            }
+            match Table::open(pool.clone(), copy) {
+                Err(TableError::Core(CoreError::Storage(StorageError::Corrupt(what)))) => {
+                    assert_eq!(what, expected)
+                }
+                other => panic!("expected a corrupt-catalog error, got {:?}", other.map(|_| ())),
+            }
+        }
         assert!(Table::open(pool, catalog).is_ok());
     }
 }

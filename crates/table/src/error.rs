@@ -20,9 +20,6 @@ pub enum TableError {
     NoPartitionForRow(String),
     /// A schema or partitioning misconfiguration.
     Invalid(String),
-    /// Admission control rejected the session: the table is saturated and
-    /// the bounded wait queue overflowed or the wait timed out.
-    Overloaded,
 }
 
 impl std::fmt::Display for TableError {
@@ -37,9 +34,6 @@ impl std::fmt::Display for TableError {
                 write!(f, "no partition accepts partition-column value {v}")
             }
             TableError::Invalid(msg) => write!(f, "invalid table configuration: {msg}"),
-            TableError::Overloaded => {
-                write!(f, "table overloaded: session admission queue full or wait timed out")
-            }
         }
     }
 }

@@ -17,7 +17,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod admission;
 pub mod bitmap;
 pub mod catalog;
 pub mod delta;
@@ -31,7 +30,6 @@ pub mod stats;
 pub mod table;
 pub mod version;
 
-pub use admission::{AdmissionConfig, AdmissionController};
 pub use error::{TableError, TableResult};
 pub use explain::{ChainActuals, ChainExplain, ExplainAnalyze, PartitionExplain};
 pub use partition::{PartitionId, PartitionRange, PartitionSpec};

@@ -13,7 +13,7 @@
 //! at entry and evaluates entirely against it, so an online delta merge
 //! publishing mid-query can never mix pre- and post-merge fragments into
 //! one answer. [`Table::execute`] is a convenience that opens a session
-//! (through admission control) per call.
+//! per call.
 
 use crate::schema::Row;
 use crate::table::{Snapshot, Table};
@@ -147,8 +147,7 @@ impl Table {
         self.session()?.scan_plan(q)
     }
 
-    /// Executes a query on a fresh snapshot (one coherent table version,
-    /// admission-controlled).
+    /// Executes a query on a fresh snapshot (one coherent table version).
     pub fn execute(&self, q: &Query) -> TableResult<QueryResult> {
         self.session()?.execute(q)
     }

@@ -9,7 +9,6 @@
 //! publishes the result without ever blocking a reader (§2, §8 — queries
 //! keep running during the merge).
 
-use crate::admission::{AdmissionConfig, AdmissionController, AdmissionPermit};
 use crate::delta::DeltaFragment;
 use crate::fragment::MainFragment;
 use crate::partition::{PartitionId, PartitionSpec};
@@ -34,7 +33,6 @@ pub struct Table {
     /// partition DML that must not interleave with them) without ever
     /// being taken by readers.
     merge_locks: Vec<Arc<Mutex<()>>>,
-    admission: AdmissionController,
     versions_live: Gauge,
     merge_ns: Histogram,
 }
@@ -44,14 +42,13 @@ pub struct Table {
 /// The snapshot observes the table exactly as it stood at session start:
 /// main fragments are pinned (a merge publishing a replacement does not
 /// retire this one's page chains while the snapshot lives), and the delta
-/// is clipped to the rows present at session time. Dropping the snapshot
-/// releases the admission slot and, when it was the last holder of a
-/// replaced version, triggers retirement of that version's page chains.
+/// is clipped to the rows present at session time. Dropping the snapshot,
+/// when it was the last holder of a replaced version, triggers retirement
+/// of that version's page chains.
 pub struct Snapshot<'a> {
     table: &'a Table,
     version: Arc<TableVersion>,
     parts: Vec<Partition>,
-    _permit: AdmissionPermit<'a>,
 }
 
 impl Snapshot<'_> {
@@ -101,14 +98,12 @@ impl Table {
         config.validate().map_err(TableError::Invalid)?;
         let versions_live = pool.registry().gauge(names::TABLE_VERSIONS_LIVE);
         let merge_ns = pool.registry().histogram(names::TABLE_MERGE_NS);
-        let admission = AdmissionController::new(AdmissionConfig::default(), pool.registry());
         let mut table = Table {
             chain: VersionChain::new(TableVersion::new(0, Vec::new(), versions_live.clone())),
             schema,
             pool,
             config,
             merge_locks: Vec::new(),
-            admission,
             versions_live,
             merge_ns,
         };
@@ -163,24 +158,13 @@ impl Table {
         self.pool.registry()
     }
 
-    /// Opens a read session: pins the current version under an admission
-    /// slot. `&self` — sessions never block on a running merge. Fails with
-    /// [`TableError::Overloaded`] when the admission queue is saturated.
+    /// Opens a read session: clones the current version and pins its
+    /// parts. `&self` — sessions never block on a running merge, and
+    /// opening one never fails.
     pub fn session(&self) -> TableResult<Snapshot<'_>> {
-        let permit = self.admission.acquire()?;
         let version = self.chain.current();
         let parts = pin_parts(&version);
-        Ok(Snapshot { table: self, version, parts, _permit: permit })
-    }
-
-    /// Replaces the admission policy (and resets its counters' handles).
-    pub fn set_admission(&mut self, config: AdmissionConfig) {
-        self.admission = AdmissionController::new(config, self.pool.registry());
-    }
-
-    /// The active admission policy.
-    pub fn admission_config(&self) -> AdmissionConfig {
-        self.admission.config()
+        Ok(Snapshot { table: self, version, parts })
     }
 
     /// The partitions of the *current* version, pinned. Point-in-time:
@@ -581,7 +565,6 @@ impl Table {
     ) -> Self {
         let versions_live = pool.registry().gauge(names::TABLE_VERSIONS_LIVE);
         let merge_ns = pool.registry().histogram(names::TABLE_MERGE_NS);
-        let admission = AdmissionController::new(AdmissionConfig::default(), pool.registry());
         let merge_locks = restored.iter().map(|_| Arc::new(Mutex::new(()))).collect();
         let partitions: Vec<PartitionVersion> = restored
             .into_iter()
@@ -598,7 +581,6 @@ impl Table {
             pool,
             config,
             merge_locks,
-            admission,
             versions_live,
             merge_ns,
         }

@@ -51,7 +51,7 @@ pub(crate) struct DeltaCellState {
 
 /// One delta fragment behind a lock, shared by every version that references
 /// it. Sealing happens *in place* so snapshots pinned before the seal keep
-/// reading the same cell (clipped to their admission watermark).
+/// reading the same cell (clipped to their session's row watermark).
 pub(crate) struct DeltaCell {
     state: Mutex<DeltaCellState>,
 }

@@ -5,7 +5,8 @@
 use page_as_you_go::core::{LoadPolicy, PageConfig};
 use page_as_you_go::resman::{PoolLimits, ResourceManager};
 use page_as_you_go::storage::{BufferPool, MemStore};
-use page_as_you_go::table::{PartitionSpec, Query, Table};
+use page_as_you_go::obs::names;
+use page_as_you_go::table::{PartitionSpec, Projection, Query, Table};
 use page_as_you_go::workload::{generate_rows, QueryGen, TableProfile};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -147,6 +148,31 @@ fn full_scans_race_with_proactive_unloader() {
         resman.stats().paged_bytes <= 8 * 1024,
         "pool back under the upper limit once drained"
     );
+}
+
+#[test]
+fn sessions_open_without_a_cap_and_the_last_drop_retires() {
+    let (t, _resman, profile) = build();
+    let rows = profile.rows;
+    let count = Query::full(Projection::Count);
+    // One thread holds all of them at once: opening a session never waits.
+    let held: Vec<_> = (0..200).map(|_| t.session().unwrap()).collect();
+    for (i, s) in held.iter().enumerate() {
+        assert_eq!(s.execute(&count).unwrap().count(), rows, "session {i}");
+    }
+    // A row lands and a merge publishes while every session pins the
+    // version before it.
+    let extra = generate_rows(&TableProfile::erp(rows + 1, 9, 41)).pop().unwrap();
+    t.insert(extra).unwrap();
+    t.delta_merge_all().unwrap();
+    let live = t.registry().gauge(names::TABLE_VERSIONS_LIVE);
+    assert!(live.get() > 1, "held sessions keep the replaced version live");
+    for (i, s) in held.iter().enumerate() {
+        assert_eq!(s.execute(&count).unwrap().count(), rows, "session {i} after the merge");
+    }
+    drop(held);
+    assert_eq!(live.get(), 1, "the last drop retires every replaced version");
+    assert_eq!(t.execute(&count).unwrap().count(), rows + 1);
 }
 
 #[test]

@@ -1,16 +1,136 @@
 //! Column construction: one persisted format, two access modes.
+//!
+//! A column is built from its rows in the encoded domain ([`EncodedRows`]:
+//! a sorted dictionary plus one identifier per row). Building from values
+//! is "encode, then that build"; a delta merge never leaves the encoded
+//! domain — it sorts each delta's dictionary, merges it with the old main's,
+//! and remaps identifiers (paper §2).
 
 use crate::column::paged::ColumnParts;
 use crate::column::{Column, LoadPolicy, PagedColumn, ResidentColumn};
 use crate::datavec::PagedDataVector;
-use crate::dict::{PagedDictBuildStats, PagedDictionary};
+use crate::dict::{InMemoryDict, PagedDictBuildStats, PagedDictionary};
 use crate::invidx::PagedInvertedIndex;
-use crate::{CoreResult, DataType, PageConfig, Value};
+use crate::{CoreError, CoreResult, DataType, PageConfig, Value};
 use payg_encoding::{BitPackedVec, BitWidth};
 use payg_resman::Disposition;
 use payg_storage::{BufferPool, ChainId};
 use std::collections::HashMap;
 use std::sync::Arc;
+
+/// A column's rows in the encoded domain: a sorted dictionary and every
+/// row's identifier in it (each below the dictionary's cardinality).
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct EncodedRows {
+    keys: InMemoryDict,
+    vids: Vec<u64>,
+}
+
+impl EncodedRows {
+    /// Rows over `keys`; fails when an identifier is not below its
+    /// cardinality.
+    pub(crate) fn new(keys: InMemoryDict, vids: Vec<u64>) -> CoreResult<Self> {
+        check_vids(keys.cardinality(), &vids)?;
+        Ok(EncodedRows { keys, vids })
+    }
+
+    /// Dictionary-encodes `values`, all of type `data_type`.
+    pub fn encode(data_type: DataType, values: &[Value]) -> CoreResult<Self> {
+        let mut keys: Vec<Vec<u8>> = Vec::new();
+        let mut lookup: HashMap<Vec<u8>, u64> = HashMap::new();
+        let mut vids = Vec::with_capacity(values.len());
+        for v in values {
+            v.check_type(data_type)?;
+            let next = keys.len() as u64;
+            vids.push(*lookup.entry(v.to_key()).or_insert_with_key(|key| {
+                keys.push(key.clone());
+                next
+            }));
+        }
+        Self::sort(&keys, vids)
+    }
+
+    /// Sorts an unsorted dictionary: `vids` index into `keys` (any order).
+    /// The result holds the keys some row uses, ascending, and the rows'
+    /// identifiers among them; equal keys become one.
+    pub fn sort<K: AsRef<[u8]>>(keys: &[K], mut vids: Vec<u64>) -> CoreResult<Self> {
+        check_vids(keys.len() as u64, &vids)?;
+        let used = used(keys.len(), &vids);
+        let entries =
+            keys.iter().enumerate().filter(|&(id, _)| used[id]).map(|(id, k)| (k.as_ref(), id));
+        let (keys, map) = dictionary_of(entries.collect(), keys.len())?;
+        for vid in &mut vids {
+            *vid = map[*vid as usize];
+        }
+        Ok(EncodedRows { keys, vids })
+    }
+
+    /// The rows of every run, in run order, over one dictionary: the keys
+    /// the runs' rows use, merged in key order, so a key no row uses is
+    /// dropped and every identifier is remapped.
+    pub fn merge(runs: &[EncodedRows]) -> CoreResult<Self> {
+        let mut entries: Vec<(&[u8], usize)> = Vec::new();
+        let mut bases = Vec::with_capacity(runs.len());
+        let mut ids = 0;
+        for run in runs {
+            bases.push(ids);
+            let used = used(run.keys.cardinality() as usize, &run.vids);
+            let keys = run.keys.keys().enumerate().filter(|&(vid, _)| used[vid]);
+            entries.extend(keys.map(|(vid, k)| (k, ids + vid)));
+            ids += run.keys.cardinality() as usize;
+        }
+        let (keys, map) = dictionary_of(entries, ids)?;
+        let vids = runs
+            .iter()
+            .zip(bases)
+            .flat_map(|(run, base)| run.vids.iter().map(move |&vid| base + vid as usize))
+            .map(|id| map[id])
+            .collect();
+        Ok(EncodedRows { keys, vids })
+    }
+
+    /// Every row's identifier.
+    pub fn vids(&self) -> &[u64] {
+        &self.vids
+    }
+}
+
+fn check_vids(cardinality: u64, vids: &[u64]) -> CoreResult<()> {
+    match vids.iter().find(|&&vid| vid >= cardinality) {
+        Some(&vid) => Err(CoreError::VidOutOfBounds { vid, cardinality }),
+        None => Ok(()),
+    }
+}
+
+/// Which of `ids` identifiers some row of `vids` (each below `ids`) uses.
+fn used(ids: usize, vids: &[u64]) -> Vec<bool> {
+    let mut used = vec![false; ids];
+    for &vid in vids {
+        used[vid as usize] = true;
+    }
+    used
+}
+
+/// Sorts `(key, id)` entries into one dictionary; returns it and, for each
+/// of `ids` input identifiers, the identifier of its key there (0 for an id
+/// no entry names). The sort is stable, so entries that arrive as sorted
+/// runs — an old main's dictionary, a sorted delta — merge in linear passes.
+fn dictionary_of(
+    mut entries: Vec<(&[u8], usize)>,
+    ids: usize,
+) -> CoreResult<(InMemoryDict, Vec<u64>)> {
+    entries.sort_by(|a, b| a.0.cmp(b.0));
+    let mut dict = InMemoryDict::with_capacity(entries.len());
+    let mut map = vec![0u64; ids];
+    for (key, id) in entries {
+        if dict.is_empty() || dict.key(dict.cardinality() - 1) != key {
+            dict.push(key)?;
+        }
+        map[id] = dict.cardinality() - 1;
+    }
+    dict.shrink_to_fit();
+    Ok((dict, map))
+}
 
 /// Configures and builds one column (this is the engine's equivalent of the
 /// `PAGE LOADABLE` clause at column creation).
@@ -79,21 +199,25 @@ impl ColumnBuilder {
         config: &PageConfig,
         values: &[Value],
     ) -> CoreResult<ColumnBuild> {
-        for v in values {
-            v.check_type(self.data_type)?;
-        }
-        // Dictionary-encode: sorted distinct keys, then per-row vids.
-        let mut keys: Vec<Vec<u8>> = values.iter().map(Value::to_key).collect();
-        keys.sort();
-        keys.dedup();
-        let vid_of: HashMap<&[u8], u64> = keys
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (k.as_slice(), i as u64))
-            .collect();
-        let width = BitWidth::for_cardinality(keys.len() as u64);
-        let vids: Vec<u64> = values.iter().map(|v| vid_of[v.to_key().as_slice()]).collect();
-        let packed = BitPackedVec::from_values_with_width(&vids, width);
+        let rows = EncodedRows::encode(self.data_type, values)?;
+        self.build_encoded(pool, config, &rows)
+    }
+
+    /// Persists and constructs the column from rows already encoded as keys
+    /// of the builder's data type. Every dictionary key is persisted, so the
+    /// main-fragment invariants hold when every key is used — as after
+    /// [`EncodedRows::encode`], [`EncodedRows::sort`] or
+    /// [`EncodedRows::merge`].
+    pub fn build_encoded(
+        self,
+        pool: &BufferPool,
+        config: &PageConfig,
+        rows: &EncodedRows,
+    ) -> CoreResult<ColumnBuild> {
+        let cardinality = rows.keys.cardinality();
+        let width = BitWidth::for_cardinality(cardinality);
+        let packed = BitPackedVec::from_values_with_width(&rows.vids, width);
+        let keys: Vec<&[u8]> = rows.keys.keys().collect();
 
         // Persist the three structures (shared by both access modes). Each
         // sub-build cleans up after its own failure; the scratch adopts the
@@ -106,7 +230,7 @@ impl ColumnBuilder {
         let data = PagedDataVector::build(pool, config, &packed)?;
         scratch.adopt(ChainId(data.chain_id()));
         let index = if self.with_index {
-            Some(PagedInvertedIndex::build(pool, config, &vids, keys.len() as u64)?)
+            Some(PagedInvertedIndex::build(pool, config, &rows.vids, cardinality)?)
         } else {
             None
         };
@@ -116,8 +240,8 @@ impl ColumnBuilder {
 
         let parts = Arc::new(ColumnParts {
             data_type: self.data_type,
-            len: values.len() as u64,
-            cardinality: keys.len() as u64,
+            len: rows.vids.len() as u64,
+            cardinality,
             pool: pool.clone(),
             config: *config,
             data,
@@ -131,5 +255,50 @@ impl ColumnBuilder {
             }
         };
         Ok(ColumnBuild { column, dict_stats, datavec_pages, index_pages })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn rows(values: &[i64]) -> EncodedRows {
+        let values: Vec<Value> = values.iter().map(|&v| Value::Integer(v)).collect();
+        EncodedRows::encode(DataType::Integer, &values).unwrap()
+    }
+
+    fn keys(rows: &EncodedRows) -> Vec<Vec<u8>> {
+        rows.keys.keys().map(<[u8]>::to_vec).collect()
+    }
+
+    #[test]
+    fn encode_sorts_and_dedups() {
+        let r = rows(&[5, -1, 5, 3]);
+        assert_eq!(keys(&r), keys(&rows(&[-1, 3, 5])));
+        assert_eq!(r.vids(), &[2, 0, 2, 1]);
+        assert!(EncodedRows::encode(DataType::Integer, &[Value::Double(1.0)]).is_err());
+    }
+
+    #[test]
+    fn sort_drops_unused_keys_and_rejects_stray_ids() {
+        let dict = [&b"echo"[..], b"alpha", b"unused", b"bravo"];
+        let r = EncodedRows::sort(&dict, vec![0, 3, 1, 0]).unwrap();
+        assert_eq!(keys(&r), vec![b"alpha".to_vec(), b"bravo".to_vec(), b"echo".to_vec()]);
+        assert_eq!(r.vids(), &[2, 1, 0, 2]);
+        assert!(matches!(
+            EncodedRows::sort(&[&b"a"[..]], vec![1]),
+            Err(CoreError::VidOutOfBounds { vid: 1, cardinality: 1 })
+        ));
+    }
+
+    /// A merge keeps run order, shares keys across runs, and drops a key
+    /// no row of any run uses.
+    #[test]
+    fn merge_remaps_runs_onto_one_dictionary() {
+        let main = EncodedRows::new(rows(&[1, 4, 9]).keys, vec![0, 2, 2]).unwrap();
+        let merged = EncodedRows::merge(&[main, rows(&[9, 2]), EncodedRows::default()]).unwrap();
+        assert_eq!(keys(&merged), keys(&rows(&[1, 2, 9])));
+        assert_eq!(merged.vids(), &[0, 2, 2, 2, 1]);
+        assert_eq!(keys(&EncodedRows::merge(&[]).unwrap()), Vec::<Vec<u8>>::new());
     }
 }

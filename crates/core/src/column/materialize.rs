@@ -52,7 +52,7 @@
 //! in-memory image.
 
 use super::paged::ColumnParts;
-use super::{Column, ColumnRead};
+use super::{Column, ColumnRead, EncodedRows};
 use crate::dict::{append_piece, Layout};
 use crate::waves::Waves;
 use crate::{CoreError, CoreResult, Value};
@@ -229,6 +229,21 @@ pub(crate) fn vid_counts_paged(c: &ColumnParts, rposs: &[u64]) -> CoreResult<Vec
     }
     let (sorted, _) = ascending(rposs);
     Ok(count_runs(decode_vids(&c.pool, &[c], &sorted, &mut Scratch::default())?))
+}
+
+/// [`Column::encoded_rows`] of a paged column: phase (a) in waves, back in
+/// the caller's row order, over the dictionary read in key order straight
+/// from the store (`rposs` is not empty).
+pub(crate) fn encoded_rows_paged(c: &ColumnParts, rposs: &[u64]) -> CoreResult<EncodedRows> {
+    let (sorted, order) = ascending(rposs);
+    let mut vids = decode_vids(&c.pool, &[c], &sorted, &mut Scratch::default())?;
+    if let Some(order) = order {
+        let ascending = std::mem::replace(&mut vids, vec![0; rposs.len()]);
+        for (&i, vid) in order.iter().zip(ascending) {
+            vids[i as usize] = vid;
+        }
+    }
+    EncodedRows::new(c.dict.materialize_all_direct()?, vids)
 }
 
 /// A large dictionary entry whose off-page pieces are still to be appended.

@@ -19,7 +19,7 @@ mod paged;
 mod read;
 mod resident;
 
-pub use builder::{ColumnBuild, ColumnBuilder};
+pub use builder::{ColumnBuild, ColumnBuilder, EncodedRows};
 pub use crate::waves::WAVE_PAGES;
 pub use materialize::materialize;
 pub use paged::PagedColumn;
@@ -85,6 +85,22 @@ impl Column {
     pub fn unload(&self) {
         if let Column::Resident(c) = self {
             c.unload();
+        }
+    }
+
+    /// The rows at `rposs` (any order) in the encoded domain — the column's
+    /// whole sorted dictionary and each row's identifier in it — as a delta
+    /// merge reads its old main: a resident column from its image, a paged
+    /// one by decoding its data-vector pages in waves and reading its
+    /// dictionary chain in key order straight from the store. No rows read
+    /// nothing.
+    pub fn encoded_rows(&self, rposs: &[u64]) -> CoreResult<EncodedRows> {
+        if rposs.is_empty() {
+            return Ok(EncodedRows::default());
+        }
+        match self {
+            Column::Resident(c) => c.encoded_rows(rposs),
+            Column::Paged(c) => materialize::encoded_rows_paged(c.parts(), rposs),
         }
     }
 

@@ -3,6 +3,7 @@
 use crate::column::materialize::{count_runs, distinct_ranks, fan_out};
 use crate::column::paged::ColumnParts;
 use crate::column::read::ColumnRead;
+use crate::column::EncodedRows;
 use crate::dict::InMemoryDict;
 use crate::invidx::{for_each_run, InMemoryInvertedIndex};
 use crate::sync::{LockRank, Mutex};
@@ -130,6 +131,13 @@ impl ResidentColumn {
     /// paper's expensive whole-column load.
     pub fn load_count(&self) -> u64 {
         self.load_count.get()
+    }
+
+    /// [`crate::Column::encoded_rows`] over the image: its dictionary and
+    /// the identifier at every row of `rposs`.
+    pub(crate) fn encoded_rows(&self, rposs: &[u64]) -> CoreResult<EncodedRows> {
+        let image = self.image()?;
+        EncodedRows::new(image.dict.clone(), self.vids_at(&image, rposs)?)
     }
 
     /// The identifier at every row of `rposs`, in that order.

@@ -37,11 +37,11 @@ fn corrupt(chain: &ChainRef, what: impl std::fmt::Display) -> CoreError {
 
 impl ArrayPages {
     /// Persists `keys` (sorted, strictly increasing, each `width` bytes).
-    pub(crate) fn build(
+    pub(crate) fn build<K: AsRef<[u8]>>(
         pool: &BufferPool,
         config: &PageConfig,
         width: usize,
-        keys: &[Vec<u8>],
+        keys: &[K],
     ) -> CoreResult<Self> {
         let page_size = config.dict_page;
         let per_page = page_size / width;
@@ -59,6 +59,7 @@ impl ArrayPages {
         for group in keys.chunks(per_page) {
             page.clear();
             for key in group {
+                let key = key.as_ref();
                 if key.len() != width {
                     return Err(CoreError::Storage(StorageError::corrupt(format!(
                         "numeric dictionary key of {} bytes, expected {width}",

@@ -283,10 +283,10 @@ pub struct PagedDictionary {
 
 impl Blocks {
     /// Persists `keys` (sorted, strictly increasing) in the string layout.
-    fn build(
+    fn build<K: AsRef<[u8]>>(
         pool: &BufferPool,
         config: &PageConfig,
-        keys: &[Vec<u8>],
+        keys: &[K],
     ) -> CoreResult<(Self, PagedDictBuildStats)> {
         let store = Arc::clone(pool.store());
         let mut scratch = crate::scratch::ChainScratch::new(pool);
@@ -330,6 +330,7 @@ impl Blocks {
         for group in keys.chunks(BLOCK_CAP) {
             let mut b = ValueBlockBuilder::new();
             for k in group {
+                let k = k.as_ref();
                 match &fsst {
                     Some(table) => {
                         enc.clear();
@@ -355,14 +356,14 @@ impl Blocks {
                 store.append_page(dict_chain, &bytes)?;
                 dict_pages += 1;
                 page_last_vids.push(first_idx + count - 1);
-                separators.push(keys[(first_idx + count - 1) as usize].clone());
+                separators.push(keys[(first_idx + count - 1) as usize].as_ref().to_vec());
             }
         }
         if let Some((bytes, first_idx, count)) = page_writer.flush()? {
             store.append_page(dict_chain, &bytes)?;
             dict_pages += 1;
             page_last_vids.push(first_idx + count - 1);
-            separators.push(keys[(first_idx + count - 1) as usize].clone());
+            separators.push(keys[(first_idx + count - 1) as usize].as_ref().to_vec());
         }
 
         // ipDict_ValueId: plain little-endian u64 arrays.
@@ -840,14 +841,14 @@ impl PagedDictionary {
     /// statistics. The type picks the layout: fixed-width (numeric) keys
     /// become pages of sorted keys, strings the paper's value-block
     /// structure.
-    pub fn build(
+    pub fn build<K: AsRef<[u8]>>(
         pool: &BufferPool,
         config: &PageConfig,
         data_type: DataType,
-        keys: &[Vec<u8>],
+        keys: &[K],
     ) -> CoreResult<(Self, PagedDictBuildStats)> {
         debug_assert!(
-            keys.windows(2).all(|w| w[0] < w[1]),
+            keys.windows(2).all(|w| w[0].as_ref() < w[1].as_ref()),
             "dictionary keys must be strictly increasing"
         );
         let (layout, stats) = match data_type.key_width() {
@@ -1052,14 +1053,14 @@ fn page_transient(guard: &PageGuard) -> CoreResult<Arc<PageTransient>> {
 /// and keeps it only when the sampled compression ratio clears
 /// [`crate::config::FSST_SKIP_RATIO`]. Returns the table (when kept) and the
 /// sampled ratio in per-mille, where 1000 means "evaluated but not applied".
-fn train_dict_fsst(keys: &[Vec<u8>]) -> (Option<Arc<SymbolTable>>, u64) {
+fn train_dict_fsst<K: AsRef<[u8]>>(keys: &[K]) -> (Option<Arc<SymbolTable>>, u64) {
     if keys.is_empty() {
         return (None, 1000);
     }
     // Up to ~1024 keys spread evenly over the sorted order, so the sample
     // sees every key region rather than one lexicographic neighborhood.
     let step = (keys.len() / 1024).max(1);
-    let sample: Vec<&[u8]> = keys.iter().step_by(step).map(|k| k.as_slice()).collect();
+    let sample: Vec<&[u8]> = keys.iter().step_by(step).map(|k| k.as_ref()).collect();
     let table = SymbolTable::train(&sample);
     let ratio = table.compression_ratio(&sample);
     if ratio < crate::config::FSST_SKIP_RATIO {

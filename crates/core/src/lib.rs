@@ -36,7 +36,7 @@ mod util;
 pub mod value;
 mod waves;
 
-pub use column::{Column, ColumnBuilder, ColumnRead, LoadPolicy};
+pub use column::{Column, ColumnBuilder, ColumnRead, EncodedRows, LoadPolicy};
 pub use config::PageConfig;
 pub use datavec::ScanOptions;
 pub use error::{CoreError, CoreResult};

@@ -50,6 +50,17 @@ pub enum SpanKind {
     ChunkDispatch,
     /// One online delta merge of a partition (`detail` = partition index).
     Merge,
+    /// A merge's freeze step: sealing the active delta and publishing the
+    /// frozen version (`detail` = partition index).
+    MergeFreeze,
+    /// One column of a merge's side build: reading its encoded inputs,
+    /// merging their dictionaries and writing its chains (`detail` = column
+    /// index).
+    MergeColumn,
+    /// A merge's publish step: installing the new main, scheduling the old
+    /// one's retirement and releasing the merged delta cells (`detail` =
+    /// partition index).
+    MergePublish,
 }
 
 impl SpanKind {
@@ -62,6 +73,9 @@ impl SpanKind {
             SpanKind::IoBatch => "io-batch",
             SpanKind::ChunkDispatch => "chunk-dispatch",
             SpanKind::Merge => "merge",
+            SpanKind::MergeFreeze => "merge-freeze",
+            SpanKind::MergeColumn => "merge-column",
+            SpanKind::MergePublish => "merge-publish",
         }
     }
 }

@@ -11,7 +11,7 @@
 use crate::bitmap::RowBitmap;
 use crate::schema::{Row, Schema};
 use crate::{TableError, TableResult};
-use payg_core::{Value, ValuePredicate};
+use payg_core::{EncodedRows, Value, ValuePredicate};
 use payg_encoding::VidSet;
 use std::collections::HashMap;
 
@@ -156,13 +156,16 @@ impl DeltaFragment {
             .collect())
     }
 
-    /// Column `col`'s values of every visible row, in row order (the
-    /// delta-merge input path).
-    pub fn visible_values(&self, col: usize, schema: &Schema) -> TableResult<Vec<Value>> {
-        (0..self.rows)
+    /// Column `col` of every visible row, in row order, in the encoded
+    /// domain (the delta-merge input path): the keys those rows use, sorted,
+    /// and each row's identifier among them.
+    pub fn encoded_rows(&self, col: usize) -> TableResult<EncodedRows> {
+        let column = &self.columns[col];
+        let vids = (0..self.rows)
             .filter(|&r| !self.deleted.get(r))
-            .map(|r| self.value(r, col, schema))
-            .collect()
+            .map(|r| column.vids[r as usize])
+            .collect();
+        Ok(EncodedRows::sort(&column.keys, vids)?)
     }
 
     /// Heap bytes.
@@ -228,15 +231,18 @@ mod tests {
         assert!(!d.is_visible(2));
     }
 
+    /// The merge input of a column holds the visible rows only, over a
+    /// sorted dictionary of the keys they use.
     #[test]
-    fn visible_values_skip_deleted() {
-        let (s, mut d) = populated();
+    fn encoded_rows_skip_deleted_and_sort_the_keys_they_use() {
+        let (_, mut d) = populated();
         d.delete(0);
         d.delete(3);
-        assert_eq!(d.visible_values(0, &s).unwrap(), vec![Value::Integer(1), Value::Integer(3)]);
-        assert_eq!(
-            d.visible_values(1, &s).unwrap(),
-            vec![Value::Varchar("alpha".into()), Value::Varchar("alpha".into())]
-        );
+        let encode = |ty, values: &[Value]| EncodedRows::encode(ty, values).unwrap();
+        let ids = encode(DataType::Integer, &[Value::Integer(1), Value::Integer(3)]);
+        assert_eq!(d.encoded_rows(0).unwrap(), ids);
+        // "echo" and "bravo" are only on deleted rows.
+        let alpha = Value::Varchar("alpha".into());
+        assert_eq!(d.encoded_rows(1).unwrap(), encode(DataType::Varchar, &[alpha.clone(), alpha]));
     }
 }

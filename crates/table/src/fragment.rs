@@ -15,7 +15,8 @@ use crate::bitmap::RowBitmap;
 use crate::schema::{Row, Schema};
 use crate::{TableError, TableResult};
 use payg_core::column::{Column, ColumnRead};
-use payg_core::{ColumnBuilder, LoadPolicy, PageConfig, Value, ValuePredicate};
+use payg_core::{ColumnBuilder, EncodedRows, LoadPolicy, PageConfig, ValuePredicate};
+use payg_obs::SpanKind;
 use payg_resman::Disposition;
 use payg_storage::{BufferPool, ChainId};
 use std::sync::{RwLock, RwLockReadGuard};
@@ -29,9 +30,11 @@ pub struct MainFragment {
 
 impl MainFragment {
     /// Builds a main fragment of `rows` rows one column at a time (the
-    /// delta-merge output path): `values_of(c)` reads column `c`'s values in
-    /// row order, the column is persisted and constructed per `policy`, and
-    /// its values are dropped before the next column is read.
+    /// delta-merge output path): `encoded_of(c)` reads column `c`'s rows in
+    /// row order in the encoded domain — a sorted dictionary of exactly the
+    /// keys they use, and one identifier per row — the column is persisted
+    /// and constructed per `policy`, and its rows are dropped before the
+    /// next column is read. Each column is one `merge-column` span.
     ///
     /// Crash-safe: when reading or building any column fails (storage
     /// fault, budget, corruption), the page chains of the columns already
@@ -42,24 +45,25 @@ impl MainFragment {
         config: &PageConfig,
         schema: &Schema,
         rows: u64,
-        mut values_of: impl FnMut(usize) -> TableResult<Vec<Value>>,
+        mut encoded_of: impl FnMut(usize) -> TableResult<EncodedRows>,
         policy: LoadPolicy,
         disposition: Disposition,
     ) -> TableResult<Self> {
         let mut columns: Vec<Column> = Vec::with_capacity(schema.arity());
         for (c, spec) in schema.columns().iter().enumerate() {
-            let built = values_of(c).and_then(|values| {
-                if values.len() as u64 != rows {
+            let _span = pool.registry().tracer().span(SpanKind::MergeColumn, c as u64);
+            let built = encoded_of(c).and_then(|encoded| {
+                if encoded.vids().len() as u64 != rows {
                     return Err(TableError::Invalid(format!(
                         "column {c}: {} values for {rows} rows",
-                        values.len()
+                        encoded.vids().len()
                     )));
                 }
                 Ok(ColumnBuilder::new(spec.data_type)
                     .policy(spec.load_policy.unwrap_or(policy))
                     .with_index(spec.with_index)
                     .resident_disposition(disposition)
-                    .build(pool, config, &values)?)
+                    .build_encoded(pool, config, &encoded)?)
             });
             match built {
                 Ok(b) => columns.push(b.column),
@@ -169,7 +173,7 @@ impl MainFragment {
 mod tests {
     use super::*;
     use crate::schema::ColumnSpec;
-    use payg_core::DataType;
+    use payg_core::{DataType, Value};
     use payg_resman::ResourceManager;
     use payg_storage::{MemStore, PageStore};
     use std::sync::Arc;
@@ -194,7 +198,10 @@ mod tests {
             &PageConfig::tiny(),
             &schema,
             rows.len() as u64,
-            |c| Ok(rows.iter().map(|r| r[c].clone()).collect()),
+            |c| {
+                let values: Vec<Value> = rows.iter().map(|r| r[c].clone()).collect();
+                Ok(EncodedRows::encode(schema.columns()[c].data_type, &values)?)
+            },
             policy,
             Disposition::MidTerm,
         )
@@ -234,7 +241,7 @@ mod tests {
     }
 
     /// A read of a later column that fails, or returns the wrong number of
-    /// values, reclaims the chains of the columns already built.
+    /// rows (`Invalid`), reclaims the chains of the columns already built.
     #[test]
     fn a_failed_column_read_reclaims_the_columns_already_built() {
         let schema = Schema::new(vec![
@@ -242,9 +249,9 @@ mod tests {
             ColumnSpec::new("grade", DataType::Varchar),
         ])
         .unwrap();
-        let second_reads: [fn() -> TableResult<Vec<Value>>; 2] = [
+        let second_reads: [fn() -> TableResult<EncodedRows>; 2] = [
             || Err(TableError::Invalid("read failed".into())),
-            || Ok(vec![Value::Varchar("short".into())]),
+            || Ok(EncodedRows::encode(DataType::Varchar, &[Value::Varchar("short".into())])?),
         ];
         for second in second_reads {
             let store = Arc::new(MemStore::new());
@@ -255,7 +262,10 @@ mod tests {
                 &schema,
                 3,
                 |c| match c {
-                    0 => Ok((0..3).map(Value::Integer).collect()),
+                    0 => {
+                        let ids: Vec<Value> = (0..3).map(Value::Integer).collect();
+                        Ok(EncodedRows::encode(DataType::Integer, &ids)?)
+                    }
                     _ => second(),
                 },
                 LoadPolicy::PageLoadable,

@@ -18,7 +18,7 @@ use crate::version::{
 };
 use crate::{TableError, TableResult};
 use payg_core::column::ColumnRead;
-use payg_core::{PageConfig, Value, ValuePredicate};
+use payg_core::{EncodedRows, PageConfig, Value, ValuePredicate};
 use payg_obs::{names, Gauge, Histogram, SpanKind};
 use payg_storage::BufferPool;
 use std::sync::{Arc, Mutex};
@@ -121,7 +121,7 @@ impl Table {
             &self.config,
             &self.schema,
             0,
-            |_| Ok(Vec::new()),
+            |_| Ok(EncodedRows::default()),
             spec.load_policy,
             spec.disposition,
         )?;
@@ -238,13 +238,19 @@ impl Table {
     ///    to the new cell.
     /// 2. **Side build** — the replacement main fragment (old main's
     ///    visible rows + every frozen cell's visible rows) is built into
-    ///    fresh page chains one column at a time: each column's values are
-    ///    read, built and dropped before the next column is read. Queries
-    ///    keep executing against the published version throughout.
+    ///    fresh page chains one column at a time, in the encoded domain:
+    ///    each frozen cell's dictionary is sorted, merged with the old
+    ///    main's (dropping keys no visible row uses), and every visible
+    ///    row's identifier is remapped — no value is decoded. A column's
+    ///    keys and identifiers are dropped before the next column is read.
+    ///    Queries keep executing against the published version throughout.
     /// 3. **Publish** — the version with the new main (frozen list empty)
     ///    replaces the current one, and the old main fragment is flagged
     ///    for retirement: its page chains are discarded when the last
     ///    snapshot holding it drops.
+    ///
+    /// The `merge` span holds one `merge-freeze`, one `merge-column` per
+    /// column and one `merge-publish` span.
     ///
     /// A read or build failure (storage fault, budget, corruption) aborts
     /// between steps 2 and 3: the frozen-delta version keeps serving — no
@@ -277,6 +283,7 @@ impl Table {
         // publish the frozen state. Sealing happens under the publish lock,
         // so a writer that observes `sealed` finds the successor version
         // as soon as it re-reads the chain.
+        let freeze_span = self.registry().tracer().span(SpanKind::MergeFreeze, pid.0 as u64);
         let live = self.versions_live.clone();
         let schema = &self.schema;
         let frozen_version = self.chain.publish(|cur| {
@@ -302,6 +309,7 @@ impl Table {
             };
             TableVersion::new(cur.vno + 1, parts, live)
         });
+        drop(freeze_span);
 
         // Step 2: side build. No table lock is held, and the fragments read
         // here stay put: every delete takes this merge lock. Faults abort
@@ -317,11 +325,12 @@ impl Table {
             &self.schema,
             rows,
             |c| {
-                let mut values = main.column(c).get_values(&visible)?;
+                let mut runs = Vec::with_capacity(1 + pv.frozen.len());
+                runs.push(main.column(c).encoded_rows(&visible)?);
                 for cell in &pv.frozen {
-                    values.extend(cell.lock().frag.visible_values(c, &self.schema)?);
+                    runs.push(cell.lock().frag.encoded_rows(c)?);
                 }
-                Ok(values)
+                Ok(EncodedRows::merge(&runs)?)
             },
             pv.spec.load_policy,
             pv.spec.disposition,
@@ -334,7 +343,10 @@ impl Table {
             }
         };
 
-        // Step 3: publish the merged version; retire the replaced main.
+        // Step 3: publish the merged version; retire the replaced main and
+        // release the merged cells (the frozen version is their last holder
+        // unless a snapshot still pins it).
+        let publish_span = self.registry().tracer().span(SpanKind::MergePublish, pid.0 as u64);
         let live = self.versions_live.clone();
         let pool = self.pool.clone();
         self.chain.publish(move |cur| {
@@ -350,6 +362,8 @@ impl Table {
             };
             TableVersion::new(cur.vno + 1, parts, live)
         });
+        drop(frozen_version);
+        drop(publish_span);
         self.merge_ns.record(started.elapsed().as_nanos() as u64);
         Ok(())
     }

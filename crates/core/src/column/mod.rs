@@ -140,13 +140,13 @@ impl Column {
     /// page chains themselves already live in the store.
     pub fn meta_bytes(&self) -> Vec<u8> {
         let parts = self.parts();
-        let (policy_tag, disposition) = match self {
-            Column::Resident(c) => (0u8, c.disposition()),
-            Column::Paged(_) => (1u8, Disposition::MidTerm),
+        let disposition = match self {
+            Column::Resident(c) => c.disposition(),
+            Column::Paged(_) => Disposition::MidTerm,
         };
         let mut w = MetaWriter::new();
         w.u8(data_type_tag(parts.data_type));
-        w.u8(policy_tag);
+        w.u8(policy_tag(self.policy()));
         w.u8(disposition_tag(disposition));
         w.u64(parts.len);
         w.u64(parts.cardinality);
@@ -167,7 +167,7 @@ impl Column {
     pub fn open(pool: &BufferPool, bytes: &[u8]) -> CoreResult<Column> {
         let mut r = MetaReader::new(bytes);
         let data_type = data_type_from(r.u8()?)?;
-        let policy_tag = r.u8()?;
+        let policy = policy_from(r.u8()?)?;
         let disposition = disposition_from(r.u8()?)?;
         let len = r.u64()?;
         let cardinality = r.u64()?;
@@ -199,19 +199,15 @@ impl Column {
             dict,
             index,
         });
-        Ok(match policy_tag {
-            1 => Column::Paged(PagedColumn::new(parts)),
-            0 => Column::Resident(ResidentColumn::new(parts, disposition)),
-            t => {
-                return Err(CoreError::Storage(StorageError::corrupt(format!(
-                    "catalog: unknown policy tag {t}"
-                ))))
-            }
+        Ok(match policy {
+            LoadPolicy::PageLoadable => Column::Paged(PagedColumn::new(parts)),
+            LoadPolicy::FullyResident => Column::Resident(ResidentColumn::new(parts, disposition)),
         })
     }
 }
 
-fn data_type_tag(t: DataType) -> u8 {
+/// Maps data types to stable catalog tags.
+pub fn data_type_tag(t: DataType) -> u8 {
     match t {
         DataType::Integer => 0,
         DataType::Decimal => 1,
@@ -220,7 +216,8 @@ fn data_type_tag(t: DataType) -> u8 {
     }
 }
 
-fn data_type_from(t: u8) -> CoreResult<DataType> {
+/// Inverse of [`data_type_tag`].
+pub fn data_type_from(t: u8) -> CoreResult<DataType> {
     Ok(match t {
         0 => DataType::Integer,
         1 => DataType::Decimal,
@@ -229,6 +226,27 @@ fn data_type_from(t: u8) -> CoreResult<DataType> {
         _ => {
             return Err(CoreError::Storage(StorageError::corrupt(format!(
                 "catalog: unknown data type tag {t}"
+            ))))
+        }
+    })
+}
+
+/// Maps load policies to stable catalog tags.
+pub fn policy_tag(p: LoadPolicy) -> u8 {
+    match p {
+        LoadPolicy::FullyResident => 0,
+        LoadPolicy::PageLoadable => 1,
+    }
+}
+
+/// Inverse of [`policy_tag`].
+pub fn policy_from(t: u8) -> CoreResult<LoadPolicy> {
+    Ok(match t {
+        0 => LoadPolicy::FullyResident,
+        1 => LoadPolicy::PageLoadable,
+        _ => {
+            return Err(CoreError::Storage(StorageError::corrupt(format!(
+                "catalog: unknown load policy tag {t}"
             ))))
         }
     })
@@ -324,13 +342,6 @@ impl ColumnRead for Column {
         match self {
             Column::Resident(c) => c.find_rows(pred, from, to),
             Column::Paged(c) => c.find_rows(pred, from, to),
-        }
-    }
-
-    fn key_by_vid(&self, vid: u64) -> CoreResult<Vec<u8>> {
-        match self {
-            Column::Resident(c) => c.key_by_vid(vid),
-            Column::Paged(c) => c.key_by_vid(vid),
         }
     }
 

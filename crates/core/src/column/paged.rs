@@ -296,9 +296,4 @@ impl ColumnRead for PagedColumn {
         let set = self.vid_set_cached(pred, &mut self.cache())?;
         self.parts.data.par_count(from, to, &set, opts)
     }
-
-    fn key_by_vid(&self, vid: u64) -> CoreResult<Vec<u8>> {
-        let mut cache = self.cache();
-        self.parts.dict.key_by_vid(vid, &mut cache)
-    }
 }

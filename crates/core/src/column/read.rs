@@ -62,9 +62,13 @@ pub trait ColumnRead {
     /// data-vector scan otherwise (Alg. 1).
     fn find_rows(&self, pred: &ValuePredicate, from: u64, to: u64) -> CoreResult<Vec<u64>>;
 
-    /// Materializes the dictionary key for `vid` (used by engines that
-    /// compare keys without decoding values).
-    fn key_by_vid(&self, vid: u64) -> CoreResult<Vec<u8>>;
+    /// The order-preserving key `vid` encodes: the one-identifier batch of
+    /// [`ColumnRead::values_by_vid`], re-keyed — lossless, since every key
+    /// codec round-trips its keys bit for bit. Kept for `payg-perf`'s
+    /// `core.dict_value_by_vid_us` probe; queries call `values_by_vid`.
+    fn key_by_vid(&self, vid: u64) -> CoreResult<Vec<u8>> {
+        Ok(self.values_by_vid(&[vid])?.remove(0).to_key())
+    }
 
     /// Counts rows in `from..to` matching `pred`.
     fn count_rows(&self, pred: &ValuePredicate, from: u64, to: u64) -> CoreResult<u64> {

@@ -252,14 +252,6 @@ impl ColumnRead for ResidentColumn {
         Self::rows_in(&image, &set, from, to)
     }
 
-    fn key_by_vid(&self, vid: u64) -> CoreResult<Vec<u8>> {
-        let image = self.image()?;
-        if vid >= self.parts.cardinality {
-            return Err(CoreError::VidOutOfBounds { vid, cardinality: self.parts.cardinality });
-        }
-        Ok(image.dict.key(vid).to_vec())
-    }
-
     /// A full-range count with an index reads the directory; without one,
     /// COUNT never materializes positions — the scan kernel popcounts
     /// per-chunk result bitmaps in place.

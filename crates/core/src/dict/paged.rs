@@ -57,16 +57,19 @@ use std::sync::Arc;
 /// number of dictionary keys strictly below the probe — on a miss.
 pub type DictLookup = Result<u64, u64>;
 
-/// Handles a [`HandleCache`] keeps without a heap allocation: a point lookup
-/// pins a helper page and a dictionary page (and, for a large value, its
-/// overflow pages).
+/// Handles a [`HandleCache`] keeps without a heap allocation: a
+/// `findByValue` pins a value-helper page and a dictionary page (and, for a
+/// large entry, its overflow pages).
 const INLINE_HANDLES: usize = 4;
 
-/// Per-iterator page-handle cache (paper §3.2.3): pinned pages are reused
-/// for the lifetime of the cache and released when it is dropped, keeping
-/// the resource manager from unloading pages a batch lookup will revisit.
-/// The first [`INLINE_HANDLES`] handles live in the cache itself; a batch
-/// that pins more spills into a map.
+/// Per-iterator page-handle cache (paper §3.2.3) of `findByValue`: pinned
+/// pages are reused for the lifetime of the cache and released when it is
+/// dropped, keeping the resource manager from unloading pages the next probe
+/// will revisit. The first [`INLINE_HANDLES`] handles live in the cache
+/// itself; a preload that pins more spills into a map. `findByValueID` takes
+/// no cache: an identifier's key is read by the batch of
+/// [`crate::column::ColumnRead::values_by_vid`], which pins a phase's pages
+/// together.
 pub struct HandleCache {
     pool: BufferPool,
     /// Filled front to back.
@@ -545,27 +548,6 @@ impl Blocks {
         self.dict_pages > 1
     }
 
-    /// `findByValueID` (Alg. 3) for a bounds-checked `vid`.
-    fn key_by_vid(&self, vid: u64, cache: &mut HandleCache) -> CoreResult<Vec<u8>> {
-        let dict_page = if self.routes_by_helper() {
-            self.preload_helpers(cache)?;
-            let hp = self.vid_helper_page(vid);
-            let helper = cache.pin(self.vid_helper_key(hp))?;
-            self.dict_page_on_helper(&helper, hp, vid)
-        } else {
-            0
-        };
-        let guard = cache.pin(self.dict_page_key(dict_page))?;
-        let mut bytes = Vec::new();
-        let (overflow, total) = self.page_view(&guard, dict_page)?.read(vid, &mut bytes)?;
-        for r in overflow {
-            let piece = cache.pin(self.overflow_key(&r))?;
-            append_piece(&mut bytes, &r, &piece)?;
-        }
-        self.finish_key(&mut bytes, total, &mut Vec::new())?;
-        Ok(bytes)
-    }
-
     /// Routes a (bounds-checked) vid to the `ipDict_ValueId` helper page
     /// holding its entry, from the in-memory residue alone.
     pub(crate) fn vid_helper_page(&self, vid: u64) -> u64 {
@@ -947,21 +929,6 @@ impl PagedDictionary {
         }
     }
 
-    /// `findByValueID` (Alg. 3): materializes the key encoded by `vid`.
-    /// The single-lookup form; batches go through
-    /// [`crate::column::materialize`], which drives the same page-level
-    /// steps over batched pins.
-    pub fn key_by_vid(&self, vid: u64, cache: &mut HandleCache) -> CoreResult<Vec<u8>> {
-        self.check_vid(vid)?;
-        match &self.layout {
-            Layout::Blocks(b) => b.key_by_vid(vid, cache),
-            Layout::Array(a) => {
-                let page = cache.pin(a.page_key(a.page_of(vid)))?;
-                Ok(a.slot(&page, vid)?.to_vec())
-            }
-        }
-    }
-
     /// Errors unless `vid` is a valid identifier of this dictionary.
     pub(crate) fn check_vid(&self, vid: u64) -> CoreResult<()> {
         let cardinality = self.cardinality();
@@ -1230,6 +1197,28 @@ mod tests {
         (pool, d, s)
     }
 
+    /// The dictionary's chain, read back entry by entry by the store-direct
+    /// decoder, is `ks`.
+    fn assert_reads_back(dict: &PagedDictionary, ks: &[Vec<u8>]) {
+        let keys = dict.materialize_all_direct().unwrap();
+        assert!(keys.keys().eq(ks.iter().map(Vec::as_slice)), "the chain reads back its keys");
+    }
+
+    /// A page-loadable string column with one row per key of `ks`, in key
+    /// order, on tiny pages over a fresh pool that holds none of its pages.
+    fn paged_column(ks: &[Vec<u8>]) -> (BufferPool, crate::Column) {
+        let pool = pool();
+        let values: Vec<crate::Value> =
+            ks.iter().map(|k| crate::Value::from_key(DataType::Varchar, k).unwrap()).collect();
+        let column = crate::ColumnBuilder::new(DataType::Varchar)
+            .policy(crate::LoadPolicy::PageLoadable)
+            .build(&pool, &PageConfig::tiny(), &values)
+            .unwrap()
+            .column;
+        assert_eq!(pool.resident_pages(), 0);
+        (pool, column)
+    }
+
     #[test]
     fn roundtrip_small_pages_many_chains() {
         let ks = keys(500);
@@ -1240,8 +1229,8 @@ mod tests {
         let mut cache = HandleCache::new(pool.clone());
         for (vid, k) in ks.iter().enumerate() {
             assert_eq!(dict.find(k, &mut cache).unwrap(), Ok(vid as u64), "find {vid}");
-            assert_eq!(&dict.key_by_vid(vid as u64, &mut cache).unwrap(), k, "key_by_vid {vid}");
         }
+        assert_reads_back(&dict, &ks);
     }
 
     #[test]
@@ -1279,9 +1268,9 @@ mod tests {
         assert!(stats.overflow_pages > 0, "large values must spill off-page");
         let mut cache = HandleCache::new(pool.clone());
         for (vid, k) in ks.iter().enumerate() {
-            assert_eq!(&dict.key_by_vid(vid as u64, &mut cache).unwrap(), k);
             assert_eq!(dict.find(k, &mut cache).unwrap(), Ok(vid as u64));
         }
+        assert_reads_back(&dict, &ks);
     }
 
     #[test]
@@ -1290,11 +1279,22 @@ mod tests {
         let (pool, dict, stats) = build(&ks, &PageConfig::tiny());
         // One lookup loads: helper preload + one dict page (+ overflow).
         let mut cache = HandleCache::new(pool.clone());
-        let _ = dict.key_by_vid(0, &mut cache).unwrap();
+        let _ = dict.find(&ks[0], &mut cache).unwrap();
         let resident_after_one = pool.resident_pages() as u64;
         assert!(
             resident_after_one < stats.dict_pages / 2,
             "one lookup must not load most of the chain ({resident_after_one} of {})",
+            stats.dict_pages
+        );
+        // So does a point read: one data page, the helper preload and one
+        // dictionary page.
+        let (pool, column) = paged_column(&ks);
+        let row = crate::column::ColumnRead::get_values(&column, &[1500]).unwrap();
+        assert_eq!(row, [crate::Value::Varchar("customer-001500".into())]);
+        let resident_after_one = pool.resident_pages() as u64;
+        assert!(
+            resident_after_one < stats.dict_pages / 2,
+            "a point read must not load most of the chain ({resident_after_one} of {})",
             stats.dict_pages
         );
     }
@@ -1304,10 +1304,10 @@ mod tests {
         let ks = keys(200);
         let (pool, dict, _) = build(&ks, &PageConfig::tiny());
         let mut cache = HandleCache::new(pool.clone());
-        let _ = dict.key_by_vid(10, &mut cache).unwrap();
+        let _ = dict.find(&ks[10], &mut cache).unwrap();
         let loads_before = pool.metrics().loads;
-        // Same page again: the handle cache answers without pool traffic.
-        let _ = dict.key_by_vid(11, &mut cache).unwrap();
+        // Same pages again: the handle cache answers without pool traffic.
+        let _ = dict.find(&ks[11], &mut cache).unwrap();
         assert_eq!(pool.metrics().loads, loads_before);
         assert_ne!(cache.len(), 0, "the pages stay pinned in the cache");
     }
@@ -1333,7 +1333,8 @@ mod tests {
         assert_eq!(stats.dict_pages, 0);
         let mut cache = HandleCache::new(pool.clone());
         assert_eq!(dict.find(b"anything", &mut cache).unwrap(), Err(0));
-        assert!(matches!(dict.key_by_vid(0, &mut cache), Err(CoreError::VidOutOfBounds { .. })));
+        assert!(matches!(dict.check_vid(0), Err(CoreError::VidOutOfBounds { .. })));
+        assert_reads_back(&dict, &[]);
     }
 
     #[test]
@@ -1344,7 +1345,7 @@ mod tests {
         assert_eq!(dict.find(b"only", &mut cache).unwrap(), Ok(0));
         assert_eq!(dict.find(b"a", &mut cache).unwrap(), Err(0));
         assert_eq!(dict.find(b"z", &mut cache).unwrap(), Err(1));
-        assert_eq!(dict.key_by_vid(0, &mut cache).unwrap(), b"only");
+        assert_reads_back(&dict, &ks);
     }
 
     #[test]
@@ -1405,8 +1406,6 @@ mod tests {
             let mut cache = HandleCache::new(pool.clone());
             for (vid, k) in ks.iter().enumerate() {
                 assert_eq!(paged.find(k, &mut cache).unwrap(), Ok(vid as u64), "find {vid}");
-                let key = paged.key_by_vid(vid as u64, &mut cache).unwrap();
-                assert_eq!(key, oracle.key(vid as u64));
             }
             // Misses agree on insertion points.
             let mut between = ks[500].clone();
@@ -1438,8 +1437,8 @@ mod tests {
         let mut cache = HandleCache::new(pool.clone());
         for vid in (0..600u64).step_by(53) {
             assert_eq!(reopened.find(&ks[vid as usize], &mut cache).unwrap(), Ok(vid));
-            assert_eq!(reopened.key_by_vid(vid, &mut cache).unwrap(), ks[vid as usize]);
         }
+        assert_reads_back(&reopened, &ks);
     }
 
     #[test]
@@ -1480,8 +1479,8 @@ mod tests {
         let mut cache = HandleCache::new(pool.clone());
         for (vid, k) in ks.iter().enumerate() {
             assert_eq!(dict.find(k, &mut cache).unwrap(), Ok(vid as u64));
-            assert_eq!(&dict.key_by_vid(vid as u64, &mut cache).unwrap(), k);
         }
+        assert_reads_back(&dict, &ks);
     }
 
     fn int_keys(n: i64) -> Vec<Vec<u8>> {
@@ -1517,7 +1516,6 @@ mod tests {
         let mut cache = HandleCache::new(pool.clone());
         for (vid, k) in ks.iter().enumerate() {
             assert_eq!(dict.find(k, &mut cache).unwrap(), Ok(vid as u64));
-            assert_eq!(&dict.key_by_vid(vid as u64, &mut cache).unwrap(), k);
         }
         let probe = |v: i64| payg_encoding::okey::encode_i64(v);
         assert_eq!(dict.find(&probe(-699), &mut cache).unwrap(), Err(1), "-700 < -699 < -693");
@@ -1525,10 +1523,9 @@ mod tests {
         assert_eq!(dict.find(&probe(i64::MAX), &mut cache).unwrap(), Err(300));
         // Between the last key of page 0 (vid 95) and the first of page 1.
         assert_eq!(dict.find(&probe(95 * 7 - 700 + 1), &mut cache).unwrap(), Err(96));
-        let past_end = dict.key_by_vid(300, &mut cache);
-        assert!(matches!(past_end, Err(CoreError::VidOutOfBounds { vid: 300, .. })));
+        assert!(matches!(dict.check_vid(300), Err(CoreError::VidOutOfBounds { vid: 300, .. })));
         assert_eq!(pool.resident_pages(), 4, "every lookup pins dictionary pages only");
-        assert!(dict.materialize_all_direct().unwrap().keys().eq(ks.iter().map(Vec::as_slice)));
+        assert_reads_back(&dict, &ks);
         dict.pin_helpers().unwrap();
         assert!(!dict.helpers_pinned(), "there are no helpers to pin");
 
@@ -1538,8 +1535,8 @@ mod tests {
         let mut cache = HandleCache::new(pool.clone());
         for vid in (0..300u64).step_by(41) {
             assert_eq!(reopened.find(&ks[vid as usize], &mut cache).unwrap(), Ok(vid));
-            assert_eq!(reopened.key_by_vid(vid, &mut cache).unwrap(), ks[vid as usize]);
         }
+        assert_reads_back(&reopened, &ks);
     }
 
     #[test]
@@ -1596,13 +1593,18 @@ mod tests {
         let mut cache = HandleCache::new(pool.clone());
         for (vid, k) in ks.iter().enumerate() {
             assert_eq!(dict.find(k, &mut cache).unwrap(), Ok(vid as u64));
-            assert_eq!(&dict.key_by_vid(vid as u64, &mut cache).unwrap(), k);
         }
         assert_eq!(dict.find(b"customer-000003x", &mut cache).unwrap(), Err(4));
         assert_eq!(dict.find(b"a", &mut cache).unwrap(), Err(0));
         assert_eq!(dict.find(b"z", &mut cache).unwrap(), Err(12));
         assert_eq!(cache.len(), 1, "the dictionary page is page 0: no helper is read");
         assert_eq!(pool.resident_pages(), 1, "nor preloaded");
+        assert_reads_back(&dict, &ks);
+        // A point read pins its data page and the dictionary page, no helper.
+        let (pool, column) = paged_column(&ks);
+        let row = crate::column::ColumnRead::get_values(&column, &[7]).unwrap();
+        assert_eq!(row, [crate::Value::Varchar("customer-000007".into())]);
+        assert_eq!(pool.resident_pages(), 2, "one data page and dictionary page 0");
     }
 
     #[test]

@@ -325,6 +325,57 @@ fn type_mismatch_is_an_error() {
         .is_err());
 }
 
+/// `key_by_vid` is the one-identifier batch of `values_by_vid`, re-keyed: on
+/// every dictionary shape — a multi-page plain string chain, an FSST one,
+/// one with entries spilled off-page, a one-page one (no helper routing)
+/// and a numeric array — and under both load policies, it returns the built
+/// key of every identifier and refuses the first identifier past the end.
+#[test]
+fn key_by_vid_is_the_one_vid_batch_for_every_dictionary_shape() {
+    use payg_core::CodecKind;
+    let tiny = PageConfig::tiny();
+    // Whole 40-byte entries: inline on a roomier page than tiny()'s.
+    let roomy = PageConfig { dict_page: 2048, helper_page: 2048, inline_limit: 48, ..tiny };
+    let material: Vec<Value> =
+        (0..400).map(|i| Value::Varchar(format!("material-{:05}", i * 7 % 331))).collect();
+    let shapes: [(&str, DataType, Vec<Value>, PageConfig, CodecKind); 5] = [
+        ("plain", DataType::Varchar, random_string_values(900), roomy, CodecKind::Plain),
+        ("fsst", DataType::Varchar, material, tiny, CodecKind::Fsst),
+        ("spilled", DataType::Varchar, random_string_values(200), tiny, CodecKind::Fsst),
+        ("one-page", DataType::Varchar, string_values(12), tiny, CodecKind::Fsst),
+        ("numeric", DataType::Integer, int_values(300), tiny, CodecKind::Array),
+    ];
+    for (shape, ty, values, config, codec) in shapes {
+        let mut keys: Vec<Vec<u8>> = values.iter().map(Value::to_key).collect();
+        keys.sort();
+        keys.dedup();
+        for policy in [LoadPolicy::FullyResident, LoadPolicy::PageLoadable] {
+            let pool = pool();
+            let built =
+                ColumnBuilder::new(ty).policy(policy).build(&pool, &config, &values).unwrap();
+            let stats = built.dict_stats;
+            match shape {
+                "one-page" => assert_eq!(stats.dict_pages, 1, "{shape}"),
+                _ => assert!(stats.dict_pages > 1, "{shape}: {stats:?}"),
+            }
+            assert_eq!(stats.overflow_pages > 0, shape == "spilled", "{shape}: {stats:?}");
+            let col = built.column;
+            assert_eq!(col.dict_codec(), codec, "{shape}");
+            assert_eq!(col.cardinality(), keys.len() as u64);
+            for (vid, key) in keys.iter().enumerate() {
+                assert_eq!(&col.key_by_vid(vid as u64).unwrap(), key, "{shape} {policy:?} {vid}");
+            }
+            let past_end = col.key_by_vid(keys.len() as u64);
+            assert!(
+                matches!(past_end, Err(payg_core::CoreError::VidOutOfBounds { vid, cardinality })
+                    if vid == keys.len() as u64 && cardinality == vid),
+                "{shape} {policy:?}: {past_end:?}"
+            );
+            pool.assert_no_live_pins("key_by_vid");
+        }
+    }
+}
+
 #[test]
 fn empty_and_single_row_columns() {
     let pool = pool();

@@ -112,10 +112,8 @@ proptest! {
         let pool = pool();
         let (dict, _) = PagedDictionary::build(&pool, &PageConfig::tiny(), DataType::Varchar, &keys).unwrap();
         note_codec(&DICT_CODECS, dict.codec_kind());
+        prop_assert!(dict.materialize_all_direct().unwrap().keys().eq(keys.iter().map(Vec::as_slice)));
         let mut cache = HandleCache::new(pool.clone());
-        for (vid, k) in keys.iter().enumerate() {
-            prop_assert_eq!(&dict.key_by_vid(vid as u64, &mut cache).unwrap(), k);
-        }
         for p in probes.iter().chain(&keys) {
             let got = dict.find(p, &mut cache).unwrap();
             let expect = keys.binary_search(p).map(|i| i as u64).map_err(|i| i as u64);
@@ -324,9 +322,9 @@ proptest! {
                 return Ok(());
             }
         };
+        prop_assert!(dict.materialize_all_direct().unwrap().keys().eq(keys.iter().map(Vec::as_slice)));
         let mut cache = HandleCache::new(pool.clone());
         for (vid, k) in keys.iter().enumerate().step_by(7) {
-            prop_assert_eq!(&dict.key_by_vid(vid as u64, &mut cache).unwrap(), k);
             prop_assert_eq!(dict.find(k, &mut cache).unwrap(), Ok(vid as u64));
         }
         prop_assert_eq!(dict.find(b"zzzz", &mut cache).unwrap(), Err(n_keys as u64));
@@ -570,10 +568,11 @@ proptest! {
     /// empty, one page, two, or many with a short last page, and page sizes
     /// are not multiples of the key width): `find` hits, misses and
     /// insertion points (every key's two neighbours, so both sides of every
-    /// page edge), `key_by_vid`, the out-of-range identifier, the full
-    /// load, range translation through a column built over the values
-    /// (`vid_set_for(Between)`: empty, within a page, spanning pages, all),
-    /// and the same again after a checkpoint round trip.
+    /// page edge), the full load, and — through a column built over the
+    /// values — every key by identifier, the out-of-range identifier and
+    /// range translation (`vid_set_for(Between)`: empty, within a page,
+    /// spanning pages, all), and the same again after a checkpoint round
+    /// trip.
     #[test]
     fn array_dict_equals_sorted_vec(
         ty in prop::sample::select(vec![DataType::Integer, DataType::Decimal, DataType::Double]),
@@ -608,15 +607,7 @@ proptest! {
         for dict in [&dict, &reopened] {
             let mut cache = HandleCache::new(pool.clone());
             prop_assert_eq!(dict.cardinality(), n);
-            for (vid, k) in keys.iter().enumerate() {
-                prop_assert_eq!(&dict.key_by_vid(vid as u64, &mut cache).unwrap(), k);
-            }
-            for vid in [n, n + 1, u64::MAX] {
-                prop_assert!(matches!(
-                    dict.key_by_vid(vid, &mut cache),
-                    Err(payg_core::CoreError::VidOutOfBounds { .. })
-                ));
-            }
+            prop_assert!(dict.materialize_all_direct().unwrap().keys().eq(keys.iter().map(Vec::as_slice)));
             for p in &probe_keys {
                 let expect = keys.binary_search(p).map(|i| i as u64).map_err(|i| i as u64);
                 prop_assert_eq!(dict.find(p, &mut cache).unwrap(), expect, "find {:?}", p);
@@ -643,6 +634,15 @@ proptest! {
             .column;
         let reopened = payg_core::column::Column::open(&pool, &col.meta_bytes()).unwrap();
         for col in [&col, &reopened] {
+            for (vid, k) in keys.iter().enumerate() {
+                prop_assert_eq!(&col.key_by_vid(vid as u64).unwrap(), k);
+            }
+            for vid in [n, n + 1, u64::MAX] {
+                prop_assert!(matches!(
+                    col.key_by_vid(vid),
+                    Err(payg_core::CoreError::VidOutOfBounds { .. })
+                ));
+            }
             for (lo, lo_v) in bounds.iter().zip(&bound_values) {
                 for (hi, hi_v) in bounds.iter().zip(&bound_values) {
                     let first = keys.partition_point(|k| k < *lo) as u64;

@@ -13,15 +13,17 @@
 //! and deltas replay from the redo log — a log is out of scope here, so the
 //! checkpoint is taken at a merge boundary.
 
-use crate::delta::DeltaFragment;
 use crate::fragment::MainFragment;
 use crate::partition::{PartitionRange, PartitionSpec};
 use crate::schema::{ColumnSpec, Schema};
 use crate::table::Table;
 use crate::{TableError, TableResult};
-use payg_core::column::{disposition_from, disposition_tag, Column};
+use payg_core::column::{
+    data_type_from, data_type_tag, disposition_from, disposition_tag, policy_from, policy_tag,
+    Column,
+};
 use payg_core::meta::{MetaReader, MetaWriter};
-use payg_core::{CoreError, DataType, LoadPolicy, PageConfig, Value};
+use payg_core::{CoreError, PageConfig, Value};
 use payg_storage::{BufferPool, ChainId, PageKey, StorageError};
 
 const CATALOG_MAGIC: &[u8; 8] = b"PAYGCAT3";
@@ -31,40 +33,14 @@ fn corrupt(what: &str) -> TableError {
 }
 
 fn write_value(w: &mut MetaWriter, v: &Value) {
-    w.u8(match v.data_type() {
-        DataType::Integer => 0,
-        DataType::Decimal => 1,
-        DataType::Double => 2,
-        DataType::Varchar => 3,
-    });
+    w.u8(data_type_tag(v.data_type()));
     w.bytes(&v.to_key());
 }
 
 fn read_value(r: &mut MetaReader) -> TableResult<Value> {
-    let ty = match r.u8().map_err(TableError::Core)? {
-        0 => DataType::Integer,
-        1 => DataType::Decimal,
-        2 => DataType::Double,
-        3 => DataType::Varchar,
-        t => return Err(corrupt(&format!("unknown value type tag {t}"))),
-    };
-    let key = r.bytes().map_err(TableError::Core)?;
-    Value::from_key(ty, &key).map_err(TableError::Core)
-}
-
-fn policy_tag(p: LoadPolicy) -> u8 {
-    match p {
-        LoadPolicy::FullyResident => 0,
-        LoadPolicy::PageLoadable => 1,
-    }
-}
-
-fn policy_from(t: u8) -> TableResult<LoadPolicy> {
-    Ok(match t {
-        0 => LoadPolicy::FullyResident,
-        1 => LoadPolicy::PageLoadable,
-        _ => return Err(corrupt(&format!("unknown load policy tag {t}"))),
-    })
+    let ty = data_type_from(r.u8()?)?;
+    let key = r.bytes()?;
+    Ok(Value::from_key(ty, &key)?)
 }
 
 impl Table {
@@ -91,12 +67,7 @@ impl Table {
         w.u64(schema.arity() as u64);
         for c in schema.columns() {
             w.str(&c.name);
-            w.u8(match c.data_type {
-                DataType::Integer => 0,
-                DataType::Decimal => 1,
-                DataType::Double => 2,
-                DataType::Varchar => 3,
-            });
+            w.u8(data_type_tag(c.data_type));
             w.u8(u8::from(c.with_index));
             w.u8(match c.load_policy {
                 None => 0,
@@ -191,13 +162,7 @@ impl Table {
         let mut cols = Vec::with_capacity(ncols);
         for _ in 0..ncols {
             let name = r.str().map_err(TableError::Core)?;
-            let data_type = match r.u8().map_err(TableError::Core)? {
-                0 => DataType::Integer,
-                1 => DataType::Decimal,
-                2 => DataType::Double,
-                3 => DataType::Varchar,
-                t => return Err(corrupt(&format!("unknown data type tag {t}"))),
-            };
+            let data_type = data_type_from(r.u8().map_err(TableError::Core)?)?;
             let with_index = r.u8().map_err(TableError::Core)? != 0;
             let load_policy = match r.u8().map_err(TableError::Core)? {
                 0 => None,
@@ -206,7 +171,7 @@ impl Table {
             cols.push(ColumnSpec { name, data_type, with_index, load_policy });
         }
         let mut schema = Schema::new(cols.clone())?;
-        for (which, setter) in [(0usize, true), (1, false)] {
+        for primary_key in [true, false] {
             let present = r.u8().map_err(TableError::Core)? != 0;
             if present {
                 let idx = r.u64().map_err(TableError::Core)? as usize;
@@ -214,12 +179,11 @@ impl Table {
                     return Err(corrupt("schema index out of range"));
                 }
                 let name = cols[idx].name.clone();
-                schema = if setter {
+                schema = if primary_key {
                     schema.with_primary_key(&name)?
                 } else {
                     schema.with_partition_column(&name)?
                 };
-                let _ = which;
             }
         }
         // Page configuration.
@@ -246,11 +210,7 @@ impl Table {
                 columns.push(Column::open(&pool, &frame).map_err(TableError::Core)?);
             }
             let spec = PartitionSpec { name, range, load_policy, disposition };
-            partitions.push((
-                spec,
-                MainFragment::from_columns(columns, rows),
-                DeltaFragment::new(&schema),
-            ));
+            partitions.push((spec, MainFragment::from_columns(columns, rows)));
         }
         r.expect_end().map_err(TableError::Core)?;
         Ok(Table::from_parts(schema, pool, config, partitions))
@@ -261,7 +221,7 @@ impl Table {
 mod tests {
     use super::*;
     use crate::query::{Projection, Query};
-    use payg_core::ValuePredicate;
+    use payg_core::{DataType, LoadPolicy, ValuePredicate};
     use payg_resman::ResourceManager;
     use payg_storage::MemStore;
     use std::sync::Arc;

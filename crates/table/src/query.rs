@@ -223,19 +223,17 @@ impl Snapshot<'_> {
             }
             Projection::Distinct(name) => {
                 let col = self.schema().column_index(name)?;
-                let mut keys: Vec<(Vec<u8>, Value)> = Vec::new();
+                let mut values: Vec<Value> = Vec::new();
                 self.for_each_segment(&addrs, col, |segment| {
                     match segment {
                         Segment::Main(column, rposs) => {
-                            keys.extend(main_distinct(column, rposs)?.into_iter().map(keyed))
+                            values.extend(main_distinct(column, rposs)?)
                         }
-                        Segment::Delta(v) => keys.push(keyed(v)),
+                        Segment::Delta(v) => values.push(v),
                     }
                     Ok(())
                 })?;
-                keys.sort_by(|a, b| a.0.cmp(&b.0));
-                keys.dedup_by(|a, b| a.0 == b.0);
-                Ok(QueryResult::Rows(keys.into_iter().map(|(_, v)| vec![v]).collect()))
+                Ok(QueryResult::Rows(distinct_rows(values)))
             }
             Projection::Min(name) | Projection::Max(name) => {
                 let col = self.schema().column_index(name)?;
@@ -303,38 +301,31 @@ impl Snapshot<'_> {
     }
 
     /// `SELECT DISTINCT col` without a filter: the union of the (merged)
-    /// dictionaries plus the delta's distinct values — no data-vector pages.
+    /// dictionaries, each read as one batch, plus the delta's values — no
+    /// data-vector pages.
     fn distinct_unfiltered(&self, name: &str) -> TableResult<Vec<Row>> {
         let col = self.schema().column_index(name)?;
-        let ty = self.schema().columns()[col].data_type;
-        let mut keys: Vec<Vec<u8>> = Vec::new();
+        let mut values: Vec<Value> = Vec::new();
         for p in self.partitions() {
             let main = p.main_frag();
+            let c = main.column(col);
             if main.visible_rows() != main.rows() {
                 // Deleted rows can orphan dictionary entries: take the
                 // visible rows' distinct identifiers.
                 let vis: Vec<u64> = (0..main.rows()).filter(|&r| main.is_visible(r)).collect();
-                for v in main_distinct(main.column(col), &vis)? {
-                    keys.push(v.to_key());
-                }
-            } else {
-                let c = main.column(col);
-                for vid in 0..payg_core::column::ColumnRead::cardinality(c) {
-                    keys.push(payg_core::column::ColumnRead::key_by_vid(c, vid)?);
-                }
+                values.extend(main_distinct(c, &vis)?);
+            } else if main.rows() > 0 {
+                let vids: Vec<u64> = (0..c.cardinality()).collect();
+                values.extend(c.values_by_vid(&vids)?);
             }
             let delta = p.delta_view();
             for rpos in 0..delta.rows() {
                 if delta.is_visible(rpos) {
-                    keys.push(delta.value(rpos, col, self.schema())?.to_key());
+                    values.push(delta.value(rpos, col, self.schema())?);
                 }
             }
         }
-        keys.sort();
-        keys.dedup();
-        keys.into_iter()
-            .map(|k| Ok(vec![Value::from_key(ty, &k).map_err(TableError::Core)?]))
-            .collect()
+        Ok(distinct_rows(values))
     }
 
     /// Addresses of visible rows matching the filter, partition by
@@ -457,6 +448,15 @@ enum Segment<'a> {
 fn main_distinct(column: &payg_core::Column, rposs: &[u64]) -> TableResult<Vec<Value>> {
     let vids: Vec<u64> = column.vid_counts(rposs)?.into_iter().map(|(vid, _)| vid).collect();
     Ok(column.values_by_vid(&vids)?)
+}
+
+/// `DISTINCT`'s answer from values collected across fragments: one row per
+/// distinct value, ascending in key order.
+fn distinct_rows(values: Vec<Value>) -> Vec<Row> {
+    let mut keyed: Vec<(Vec<u8>, Value)> = values.into_iter().map(keyed).collect();
+    keyed.sort_by(|a, b| a.0.cmp(&b.0));
+    keyed.dedup_by(|a, b| a.0 == b.0);
+    keyed.into_iter().map(|(_, v)| vec![v]).collect()
 }
 
 /// A value with its order-preserving key, for comparing across fragments.
@@ -990,6 +990,96 @@ mod minmax_tests {
         let mut sorted = filtered.clone();
         sorted.dedup();
         assert_eq!(sorted, filtered, "already deduplicated");
+
+        // A multi-page string dictionary, then main deletes and delta rows,
+        // under both load policies — against a plain fold over the rows.
+        for policy in [LoadPolicy::PageLoadable, LoadPolicy::FullyResident] {
+            let (t, mut rows) = distinct_table(policy);
+            let name = t.partitions()[0].main().column(1).chains();
+            let store = t.pool().store();
+            let dict_pages: u64 = name
+                .iter()
+                .filter(|(role, _)| role.starts_with("dict"))
+                .map(|&(_, chain)| store.chain_len(payg_storage::ChainId(chain)).unwrap())
+                .sum();
+            let dict_chain = name.iter().find(|(role, _)| *role == "dict").unwrap().1;
+            assert!(store.chain_len(payg_storage::ChainId(dict_chain)).unwrap() > 1, "multi-page");
+            assert!(dict_pages < 300, "more distinct values than dictionary pages");
+            // An unfiltered DISTINCT reads the dictionary as one batch: each
+            // of its pages at most once, not one pin per identifier.
+            if policy == LoadPolicy::PageLoadable {
+                let pins = || {
+                    let m = t.pool().metrics();
+                    m.hits + m.misses
+                };
+                let before = pins();
+                t.execute(&Query::full(Projection::Distinct("name".into()))).unwrap();
+                let pinned = pins() - before;
+                assert!(
+                    pinned > 0 && pinned <= dict_pages,
+                    "{pinned} pins for {dict_pages} dictionary pages"
+                );
+            }
+            assert_distinct_matches_fold(&t, &rows);
+
+            // Move every row of some names away (their dictionary entries
+            // are orphaned), and add fresh delta rows.
+            let moved = ValuePredicate::Between(Value::Integer(50), Value::Integer(120));
+            let n =
+                t.update_rows("id", &moved, "name", &Value::Varchar("zz-moved".into())).unwrap();
+            assert_eq!(n, 71);
+            for row in rows.iter_mut().filter(|r| moved.matches(&r[0])) {
+                row[1] = Value::Varchar("zz-moved".into());
+            }
+            for i in 400..410i64 {
+                let row = vec![Value::Integer(i), Value::Varchar(format!("a-fresh-{i}"))];
+                t.insert(row.clone()).unwrap();
+                rows.push(row);
+            }
+            assert_distinct_matches_fold(&t, &rows);
+            t.delta_merge_all().unwrap();
+            assert_distinct_matches_fold(&t, &rows);
+        }
+    }
+
+    /// 400 rows over 300 names that share a long prefix, on tiny pages: the
+    /// name dictionary spans many pages. Returns the table and its rows.
+    fn distinct_table(policy: LoadPolicy) -> (Table, Vec<Row>) {
+        let schema = Schema::new(vec![
+            ColumnSpec::new("id", DataType::Integer),
+            ColumnSpec::new("name", DataType::Varchar),
+        ])
+        .unwrap()
+        .with_primary_key("id")
+        .unwrap();
+        let pool = BufferPool::new(Arc::new(MemStore::new()), ResourceManager::new());
+        let t =
+            Table::create(pool, PageConfig::tiny(), schema, vec![PartitionSpec::single(policy)])
+                .unwrap();
+        let rows: Vec<Row> = (0..400i64)
+            .map(|i| {
+                vec![Value::Integer(i), Value::Varchar(format!("customer-{:05}", i * 7 % 300))]
+            })
+            .collect();
+        t.insert_all(rows.clone()).unwrap();
+        t.delta_merge_all().unwrap();
+        (t, rows)
+    }
+
+    /// Unfiltered and filtered `DISTINCT name` equal the distinct names of
+    /// `rows` (and of those matching the filter), ascending.
+    fn assert_distinct_matches_fold(t: &Table, rows: &[Row]) {
+        let fold = |keep: &dyn Fn(&Value) -> bool| {
+            let mut names: Vec<Value> = rows.iter().map(|r| r[1].clone()).filter(keep).collect();
+            names.sort_by_key(Value::to_key);
+            names.dedup();
+            names.into_iter().map(|v| vec![v]).collect::<Vec<Row>>()
+        };
+        let all = t.execute(&Query::full(Projection::Distinct("name".into()))).unwrap();
+        assert_eq!(all.into_rows(), fold(&|_| true));
+        let prefix = ValuePredicate::StartsWith("customer-001".into());
+        let q = Query::filtered("name", prefix.clone(), Projection::Distinct("name".into()));
+        assert_eq!(t.execute(&q).unwrap().into_rows(), fold(&|v| prefix.matches(v)));
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! publishes the result without ever blocking a reader (§2, §8 — queries
 //! keep running during the merge).
 
-use crate::delta::DeltaFragment;
 use crate::fragment::MainFragment;
 use crate::partition::{PartitionId, PartitionSpec};
 use crate::schema::{Row, Schema};
@@ -570,23 +569,24 @@ impl crate::partition::PartitionRange {
 }
 
 impl Table {
-    /// Reassembles a table from restored parts (catalog restore).
+    /// Reassembles a table from restored partitions (catalog restore): each
+    /// main fragment with an empty delta.
     pub(crate) fn from_parts(
         schema: Schema,
         pool: BufferPool,
         config: PageConfig,
-        restored: Vec<(PartitionSpec, MainFragment, DeltaFragment)>,
+        restored: Vec<(PartitionSpec, MainFragment)>,
     ) -> Self {
         let versions_live = pool.registry().gauge(names::TABLE_VERSIONS_LIVE);
         let merge_ns = pool.registry().histogram(names::TABLE_MERGE_NS);
         let merge_locks = restored.iter().map(|_| Arc::new(Mutex::new(()))).collect();
         let partitions: Vec<PartitionVersion> = restored
             .into_iter()
-            .map(|(spec, main, delta)| PartitionVersion {
+            .map(|(spec, main)| PartitionVersion {
                 spec,
                 main: MainHandle::new(main),
                 frozen: Vec::new(),
-                active: Arc::new(DeltaCell::from_fragment(delta)),
+                active: Arc::new(DeltaCell::new(&schema)),
             })
             .collect();
         Table {

@@ -63,11 +63,6 @@ impl DeltaCell {
         }
     }
 
-    /// Wraps a restored fragment (catalog restore) as an unsealed cell.
-    pub(crate) fn from_fragment(frag: DeltaFragment) -> Self {
-        DeltaCell { state: Mutex::new(DeltaCellState { frag, sealed: false }) }
-    }
-
     /// Locks the cell. Appends, seals, deletes, and snapshot reads all go
     /// through here; the critical sections are short (no I/O under the lock).
     pub(crate) fn lock(&self) -> MutexGuard<'_, DeltaCellState> {

@@ -16,18 +16,9 @@
 //! * `stale-suppression` — `lint: allow` tags that no longer suppress
 //!   anything ([`report`]).
 //!
-//! Findings carry stable IDs (`PAYG-<hash>`, line-independent), so a
-//! `--baseline` file can accept pre-existing debt without pinning line
-//! numbers. `--format json` emits machine-readable output;
-//! `--prune-suppressions` lists stale tags for removal.
-//!
-//! CLI (via `cargo xtask analyze`, with `lint` as a compatibility alias):
-//!
-//! ```text
-//! cargo xtask analyze [ROOT_DIR...] [--format text|json]
-//!                     [--baseline FILE] [--write-baseline FILE]
-//!                     [--prune-suppressions]
-//! ```
+//! `cargo xtask analyze` takes no arguments: it analyzes the workspace's
+//! library trees, prints every finding and a summary line, and fails on
+//! any finding — there is no baseline of accepted debt.
 
 pub mod guard_escape;
 pub mod lexer;
@@ -37,7 +28,7 @@ pub mod report;
 pub mod rules;
 pub mod scopes;
 
-use report::{assign_ids, Baseline, Finding, Sink};
+use report::{Finding, Sink};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -77,132 +68,33 @@ pub fn build_unit(rel: PathBuf, src: &str) -> FileUnit {
     FileUnit { rel, lexed, info }
 }
 
-/// Entry point for `cargo xtask analyze` / `cargo xtask lint`.
-pub fn run(args: &[String]) -> ExitCode {
-    let mut roots: Vec<PathBuf> = Vec::new();
-    let mut format_json = false;
-    let mut baseline: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
-    let mut prune = false;
-
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--format" => match it.next().map(String::as_str) {
-                Some("json") => format_json = true,
-                Some("text") => format_json = false,
-                other => {
-                    eprintln!("analyze: --format expects `text` or `json`, got {other:?}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--baseline" => match it.next() {
-                Some(p) => baseline = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("analyze: --baseline expects a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--write-baseline" => match it.next() {
-                Some(p) => write_baseline = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("analyze: --write-baseline expects a file path");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--prune-suppressions" => prune = true,
-            flag if flag.starts_with("--") => {
-                eprintln!("analyze: unknown flag {flag}");
-                return ExitCode::FAILURE;
-            }
-            root => roots.push(PathBuf::from(root)),
-        }
-    }
-
-    let workspace = workspace_root();
-    let roots = if roots.is_empty() { default_roots(&workspace) } else { roots };
-    for root in &roots {
-        if !root.is_dir() {
-            eprintln!("analyze: no such directory: {}", root.display());
-            return ExitCode::FAILURE;
-        }
-    }
-
-    let (checked, findings) = match analyze_tree(&workspace, &roots) {
+/// Entry point for `cargo xtask analyze`.
+pub fn run() -> ExitCode {
+    let (checked, findings) = match analyze_tree(&workspace_root()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("analyze: {e}");
             return ExitCode::FAILURE;
         }
     };
-
-    if let Some(path) = write_baseline {
-        let mut text = String::from("# payg-analyze baseline: accepted pre-existing findings.\n");
-        for f in &findings {
-            text.push_str(&format!("{}  # {}:{} [{}]\n", f.id, f.path.display(), f.line, f.rule));
-        }
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("analyze: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("analyze: wrote {} finding(s) to baseline {}", findings.len(), path.display());
-        return ExitCode::SUCCESS;
+    for f in &findings {
+        println!("{f}");
     }
-
-    if prune {
-        let stale: Vec<&Finding> =
-            findings.iter().filter(|f| f.rule == "stale-suppression").collect();
-        for f in &stale {
-            println!("{f}");
-        }
-        println!(
-            "analyze: {} stale suppression(s); remove each `lint: allow` tag listed above",
-            stale.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let (fresh, baselined, unmatched) = match &baseline {
-        Some(path) => match Baseline::load(path) {
-            Ok(bl) => bl.apply(findings),
-            Err(e) => {
-                eprintln!("analyze: cannot read baseline {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        },
-        None => (findings, Vec::new(), Vec::new()),
-    };
-
-    if format_json {
-        println!("{}", report::to_json(&fresh));
-    } else {
-        for f in &fresh {
-            println!("{f}");
-        }
-        let mut summary = format!("analyze: {} files checked, {} violation(s)", checked, fresh.len());
-        if !baselined.is_empty() {
-            summary.push_str(&format!(", {} baselined", baselined.len()));
-        }
-        println!("{summary}");
-        for id in &unmatched {
-            println!("analyze: baseline entry {id} matched nothing — prune it from the baseline");
-        }
-    }
-
-    if fresh.is_empty() {
+    println!("analyze: {} files checked, {} violation(s)", checked, findings.len());
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     }
 }
 
-/// Runs every pass over the tree; returns (files checked, sorted findings
-/// with assigned IDs).
-pub fn analyze_tree(workspace: &Path, roots: &[PathBuf]) -> Result<(usize, Vec<Finding>), String> {
-    // Analysis set: library code under the roots.
+/// Runs every pass over the workspace's library trees; returns (files
+/// checked, sorted findings).
+pub fn analyze_tree(workspace: &Path) -> Result<(usize, Vec<Finding>), String> {
+    // Analysis set: library code under the default roots.
     let mut files = Vec::new();
-    for root in roots {
-        collect_rs_files(root, false, &mut files);
+    for root in default_roots(workspace) {
+        collect_rs_files(&root, false, &mut files);
     }
     files.sort();
 
@@ -254,7 +146,6 @@ pub fn analyze_tree(workspace: &Path, roots: &[PathBuf]) -> Result<(usize, Vec<F
         sink.finish(KNOWN_RULES, &mut findings);
     }
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    assign_ids(&mut findings);
     Ok((units.len(), findings))
 }
 
@@ -736,7 +627,7 @@ mod tests {
     fn tree_is_clean() {
         // Run the full engine over the workspace: the repo must stay clean.
         let ws = workspace_root();
-        let (checked, findings) = analyze_tree(&ws, &default_roots(&ws)).unwrap();
+        let (checked, findings) = analyze_tree(&ws).unwrap();
         assert!(checked > 20, "expected to analyze the whole workspace, got {checked} files");
         let msgs: Vec<String> = findings.iter().map(|f| f.to_string()).collect();
         assert!(msgs.is_empty(), "analyze violations in tree:\n{}", msgs.join("\n"));

@@ -1,7 +1,6 @@
-//! Findings, suppressions, stable IDs, baselines, and output formats.
+//! Findings and suppressions.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -16,23 +15,11 @@ pub struct Finding {
     pub rule: &'static str,
     /// Human-readable description.
     pub message: String,
-    /// Stable ID for baselining: a hash of rule, path, and message —
-    /// deliberately *not* the line number, so unrelated edits above a
-    /// finding do not churn the baseline.
-    pub id: String,
 }
 
 impl fmt::Display for Finding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}:{}: [{}] {} ({})",
-            self.path.display(),
-            self.line,
-            self.rule,
-            self.message,
-            self.id
-        )
+        write!(f, "{}:{}: [{}] {}", self.path.display(), self.line, self.rule, self.message)
     }
 }
 
@@ -113,7 +100,6 @@ impl<'a> Sink<'a> {
             line,
             rule,
             message: message.into(),
-            id: String::new(),
         });
     }
 
@@ -135,112 +121,9 @@ impl<'a> Sink<'a> {
                 line: s.line,
                 rule: "stale-suppression",
                 message: format!("`lint: allow({})` {}", s.rule, hint),
-                id: String::new(),
             });
         }
     }
-}
-
-/// FNV-1a, the workspace's zero-dependency stable hash.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-/// Assigns every finding its stable ID: `PAYG-<16 hex>` hashed from
-/// (rule, path, message, occurrence index of that triple).
-pub fn assign_ids(findings: &mut [Finding]) {
-    let mut seen: HashMap<String, u32> = HashMap::new();
-    for f in findings.iter_mut() {
-        let key = format!("{}|{}|{}", f.rule, f.path.display(), f.message);
-        let occurrence = seen.entry(key.clone()).or_insert(0);
-        f.id = format!("PAYG-{:016x}", fnv1a(format!("{key}|{occurrence}").as_bytes()));
-        *occurrence += 1;
-    }
-}
-
-/// A baseline: finding IDs accepted as pre-existing debt. Line-oriented
-/// file, `#` comments allowed.
-#[derive(Debug, Default)]
-pub struct Baseline {
-    pub ids: Vec<String>,
-}
-
-impl Baseline {
-    pub fn load(path: &Path) -> std::io::Result<Baseline> {
-        let text = std::fs::read_to_string(path)?;
-        Ok(Baseline {
-            ids: text
-                .lines()
-                .map(|l| l.split('#').next().unwrap_or("").trim())
-                .filter(|l| !l.is_empty())
-                .map(str::to_string)
-                .collect(),
-        })
-    }
-
-    /// Splits findings into (new, baselined) and returns baseline entries
-    /// that matched nothing (candidates for pruning).
-    pub fn apply(&self, findings: Vec<Finding>) -> (Vec<Finding>, Vec<Finding>, Vec<String>) {
-        let mut fresh = Vec::new();
-        let mut old = Vec::new();
-        let mut matched: Vec<bool> = vec![false; self.ids.len()];
-        for f in findings {
-            match self.ids.iter().position(|id| *id == f.id) {
-                Some(i) => {
-                    matched[i] = true;
-                    old.push(f);
-                }
-                None => fresh.push(f),
-            }
-        }
-        let unmatched = self
-            .ids
-            .iter()
-            .zip(&matched)
-            .filter(|&(_, m)| !m)
-            .map(|(id, _)| id.clone())
-            .collect();
-        (fresh, old, unmatched)
-    }
-}
-
-/// Minimal JSON string escaping (the only JSON this tool emits).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders findings as a JSON array (one object per finding).
-pub fn to_json(findings: &[Finding]) -> String {
-    let mut out = String::from("[\n");
-    for (i, f) in findings.iter().enumerate() {
-        out.push_str(&format!(
-            "  {{\"id\": \"{}\", \"rule\": \"{}\", \"path\": \"{}\", \"line\": {}, \"message\": \"{}\"}}{}\n",
-            json_escape(&f.id),
-            json_escape(f.rule),
-            json_escape(&f.path.display().to_string()),
-            f.line,
-            json_escape(&f.message),
-            if i + 1 < findings.len() { "," } else { "" }
-        ));
-    }
-    out.push(']');
-    out
 }
 
 #[cfg(test)]
@@ -257,73 +140,5 @@ mod tests {
         assert_eq!(sup.len(), 2);
         assert!(sup[0].has_reason);
         assert!(!sup[1].has_reason);
-    }
-
-    #[test]
-    fn ids_are_stable_and_distinct_per_occurrence() {
-        let mk = || Finding {
-            path: PathBuf::from("a.rs"),
-            line: 1,
-            rule: "unwrap",
-            message: "m".into(),
-            id: String::new(),
-        };
-        let mut v = vec![mk(), mk()];
-        assign_ids(&mut v);
-        assert_ne!(v[0].id, v[1].id, "same triple, different occurrence");
-        let mut w = vec![mk()];
-        // Line drift must not change the ID.
-        w[0].line = 99;
-        assign_ids(&mut w);
-        assert_eq!(v[0].id, w[0].id);
-    }
-
-    #[test]
-    fn baseline_splits_and_reports_unmatched() {
-        let mut v = vec![Finding {
-            path: PathBuf::from("a.rs"),
-            line: 1,
-            rule: "unwrap",
-            message: "m".into(),
-            id: String::new(),
-        }];
-        assign_ids(&mut v);
-        let bl = Baseline { ids: vec![v[0].id.clone(), "PAYG-dead".into()] };
-        let (fresh, old, unmatched) = bl.apply(v);
-        assert!(fresh.is_empty());
-        assert_eq!(old.len(), 1);
-        assert_eq!(unmatched, ["PAYG-dead"]);
-    }
-
-    #[test]
-    fn baseline_load_strips_comments_and_blanks() {
-        let dir = std::env::temp_dir().join("payg-analyze-baseline-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let p = dir.join("base.txt");
-        std::fs::write(
-            &p,
-            "# payg-analyze baseline header\n\
-             PAYG-0011223344556677  # a.rs:2 [unwrap]\n\
-             \n\
-             PAYG-8899aabbccddeeff\n",
-        )
-        .unwrap();
-        let bl = Baseline::load(&p).unwrap();
-        std::fs::remove_file(&p).unwrap();
-        assert_eq!(bl.ids, ["PAYG-0011223344556677", "PAYG-8899aabbccddeeff"]);
-    }
-
-    #[test]
-    fn json_escapes() {
-        let mut v = vec![Finding {
-            path: PathBuf::from("a\"b.rs"),
-            line: 1,
-            rule: "unwrap",
-            message: "say \"hi\"\n".into(),
-            id: "PAYG-x".into(),
-        }];
-        assign_ids(&mut v);
-        let j = to_json(&v);
-        assert!(j.contains("say \\\"hi\\\"\\n"));
     }
 }

@@ -1,33 +1,21 @@
 //! `cargo xtask` — workspace automation without external dependencies.
 //!
-//! Subcommands:
-//!
-//! * `analyze` — the repo's static-analysis engine (see [`analyze`] module
-//!   docs): the eight legacy lint rules on a comment/string-aware lexer,
-//!   plus the lock-rank, guard-escape, and obs-vocabulary workspace
-//!   passes. Exits nonzero when any rule is violated.
-//! * `lint` — compatibility alias for `analyze`.
+//! One subcommand, `analyze`: the repo's static-analysis engine (see
+//! [`analyze`] module docs) — the legacy lint rules on a comment/string-aware
+//! lexer, plus the lock-rank, guard-escape, and obs-vocabulary workspace
+//! passes. It takes no arguments and exits nonzero when any rule is violated.
 
 mod analyze;
 
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: cargo xtask analyze [ROOT_DIR...] [--format text|json] \
-                     [--baseline FILE] [--write-baseline FILE] [--prune-suppressions]";
+const USAGE: &str = "usage: cargo xtask analyze";
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
-        Some("analyze") | Some("lint") => {
-            let rest: Vec<String> = args.collect();
-            analyze::run(&rest)
-        }
-        Some(other) => {
-            eprintln!("unknown xtask subcommand: {other}");
-            eprintln!("{USAGE}");
-            ExitCode::FAILURE
-        }
-        None => {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.as_slice() {
+        [cmd] if cmd == "analyze" => analyze::run(),
+        _ => {
             eprintln!("{USAGE}");
             ExitCode::FAILURE
         }

@@ -9,13 +9,12 @@
 use crate::column::paged::ColumnParts;
 use crate::column::{Column, LoadPolicy, PagedColumn, ResidentColumn};
 use crate::datavec::PagedDataVector;
-use crate::dict::{InMemoryDict, PagedDictBuildStats, PagedDictionary};
+use crate::dict::{InMemoryDict, PagedDictBuildStats, PagedDictionary, UnsortedDict};
 use crate::invidx::PagedInvertedIndex;
 use crate::{CoreError, CoreResult, DataType, PageConfig, Value};
 use payg_encoding::{BitPackedVec, BitWidth};
 use payg_resman::Disposition;
 use payg_storage::{BufferPool, ChainId};
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A column's rows in the encoded domain: a sorted dictionary and every
@@ -36,29 +35,26 @@ impl EncodedRows {
 
     /// Dictionary-encodes `values`, all of type `data_type`.
     pub fn encode(data_type: DataType, values: &[Value]) -> CoreResult<Self> {
-        let mut keys: Vec<Vec<u8>> = Vec::new();
-        let mut lookup: HashMap<Vec<u8>, u64> = HashMap::new();
-        let mut vids = Vec::with_capacity(values.len());
-        for v in values {
-            v.check_type(data_type)?;
-            let next = keys.len() as u64;
-            vids.push(*lookup.entry(v.to_key()).or_insert_with_key(|key| {
-                keys.push(key.clone());
-                next
-            }));
-        }
+        let mut keys = UnsortedDict::default();
+        let vids = values
+            .iter()
+            .map(|v| {
+                v.check_type(data_type)?;
+                keys.intern(v).map(u64::from)
+            })
+            .collect::<CoreResult<_>>()?;
         Self::sort(&keys, vids)
     }
 
-    /// Sorts an unsorted dictionary: `vids` index into `keys` (any order).
-    /// The result holds the keys some row uses, ascending, and the rows'
-    /// identifiers among them; equal keys become one.
-    pub fn sort<K: AsRef<[u8]>>(keys: &[K], mut vids: Vec<u64>) -> CoreResult<Self> {
-        check_vids(keys.len() as u64, &vids)?;
-        let used = used(keys.len(), &vids);
-        let entries =
-            keys.iter().enumerate().filter(|&(id, _)| used[id]).map(|(id, k)| (k.as_ref(), id));
-        let (keys, map) = dictionary_of(entries.collect(), keys.len())?;
+    /// Sorts an unsorted dictionary: `vids` index into `keys`. The result
+    /// holds the keys some row uses, ascending, and the rows' identifiers
+    /// among them.
+    pub fn sort(keys: &UnsortedDict, mut vids: Vec<u64>) -> CoreResult<Self> {
+        let ids = keys.cardinality() as usize;
+        check_vids(ids as u64, &vids)?;
+        let used = used(ids, &vids);
+        let entries = keys.keys().enumerate().filter(|&(id, _)| used[id]);
+        let (keys, map) = dictionary_of(entries.map(|(id, k)| (k, id)).collect(), ids)?;
         for vid in &mut vids {
             *vid = map[*vid as usize];
         }
@@ -281,13 +277,16 @@ mod tests {
 
     #[test]
     fn sort_drops_unused_keys_and_rejects_stray_ids() {
-        let dict = [&b"echo"[..], b"alpha", b"unused", b"bravo"];
+        let mut dict = UnsortedDict::default();
+        for s in ["echo", "alpha", "unused", "bravo"] {
+            dict.intern(&Value::from(s)).unwrap();
+        }
         let r = EncodedRows::sort(&dict, vec![0, 3, 1, 0]).unwrap();
         assert_eq!(keys(&r), vec![b"alpha".to_vec(), b"bravo".to_vec(), b"echo".to_vec()]);
         assert_eq!(r.vids(), &[2, 1, 0, 2]);
         assert!(matches!(
-            EncodedRows::sort(&[&b"a"[..]], vec![1]),
-            Err(CoreError::VidOutOfBounds { vid: 1, cardinality: 1 })
+            EncodedRows::sort(&dict, vec![4]),
+            Err(CoreError::VidOutOfBounds { vid: 4, cardinality: 4 })
         ));
     }
 

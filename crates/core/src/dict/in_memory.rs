@@ -2,20 +2,16 @@
 
 use crate::{CoreError, CoreResult};
 
-/// A sorted, deduplicated, memory-resident dictionary: `vid` → key is an
-/// index access, key → `vid` a binary search. This is the baseline the
-/// paper's default columns use.
-///
-/// The keys are one byte arena in identifier order plus one `u32` end
-/// offset per key — 4 bytes of bookkeeping a key, no per-key allocation —
-/// so a probe touches the offsets it bisects and the bytes it compares, and
-/// [`InMemoryDict::heap_bytes`] is the two capacities.
+/// Keys back to back in one byte arena plus one `u32` end offset per key —
+/// 4 bytes of bookkeeping a key, no per-key allocation. Both in-memory
+/// dictionaries store their keys so: the sorted [`InMemoryDict`] and the
+/// unsorted [`super::UnsortedDict`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct InMemoryDict {
+pub(crate) struct KeyArena {
     /// Every key's bytes, back to back.
     bytes: Vec<u8>,
-    /// `ends[vid]`: where key `vid` ends in `bytes` (it starts where key
-    /// `vid - 1` ends).
+    /// `ends[i]`: where key `i` ends in `bytes` (it starts where key
+    /// `i - 1` ends).
     ends: Vec<u32>,
 }
 
@@ -26,10 +22,62 @@ fn arena_end(at: usize, len: usize) -> CoreResult<u32> {
     u32::try_from(end).map_err(|_| CoreError::DictTooLarge { key_bytes: end })
 }
 
+impl KeyArena {
+    /// Number of keys.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Bytes of all keys together.
+    pub(crate) fn byte_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Key `i`.
+    ///
+    /// # Panics
+    /// Panics when `i` is out of bounds.
+    pub(crate) fn key(&self, i: usize) -> &[u8] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.bytes[start..self.ends[i] as usize]
+    }
+
+    /// All keys in order.
+    pub(crate) fn keys(&self) -> impl ExactSizeIterator<Item = &[u8]> {
+        (0..self.ends.len()).map(|i| self.key(i))
+    }
+
+    /// Appends `key`. Fails, leaving the arena as it was, when the keys
+    /// together would reach 2³² bytes.
+    pub(crate) fn push(&mut self, key: &[u8]) -> CoreResult<()> {
+        let end = arena_end(self.bytes.len(), key.len())?;
+        self.bytes.extend_from_slice(key);
+        self.ends.push(end);
+        Ok(())
+    }
+
+    /// Heap bytes: the two capacities.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.bytes.capacity() + self.ends.capacity() * std::mem::size_of::<u32>()
+    }
+}
+
+/// A sorted, deduplicated, memory-resident dictionary: `vid` → key is an
+/// index access, key → `vid` a binary search. This is the baseline the
+/// paper's default columns use.
+///
+/// The keys are one `KeyArena` in identifier order, so a probe touches
+/// the offsets it bisects and the bytes it compares, and
+/// [`InMemoryDict::heap_bytes`] is the arena's two capacities.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct InMemoryDict {
+    keys: KeyArena,
+}
+
 impl InMemoryDict {
     /// An empty dictionary with room for `keys` keys.
     pub fn with_capacity(keys: usize) -> Self {
-        InMemoryDict { bytes: Vec::new(), ends: Vec::with_capacity(keys) }
+        InMemoryDict { keys: KeyArena { bytes: Vec::new(), ends: Vec::with_capacity(keys) } }
     }
 
     /// Appends the next key in order. Fails, leaving the dictionary as it
@@ -42,17 +90,14 @@ impl InMemoryDict {
             self.is_empty() || self.key(self.cardinality() - 1) < key,
             "keys must be strictly increasing"
         );
-        let end = arena_end(self.bytes.len(), key.len())?;
-        self.bytes.extend_from_slice(key);
-        self.ends.push(end);
-        Ok(())
+        self.keys.push(key)
     }
 
     /// Gives back the arena's growth slack: afterwards the dictionary holds
     /// the key bytes and four bytes per key, no more.
     pub fn shrink_to_fit(&mut self) {
-        self.bytes.shrink_to_fit();
-        self.ends.shrink_to_fit();
+        self.keys.bytes.shrink_to_fit();
+        self.keys.ends.shrink_to_fit();
     }
 
     /// Builds from keys that are already sorted and deduplicated.
@@ -61,7 +106,7 @@ impl InMemoryDict {
     /// Debug-panics when keys are not strictly increasing.
     pub fn from_sorted_keys<K: AsRef<[u8]>>(keys: &[K]) -> CoreResult<Self> {
         let mut dict = InMemoryDict::with_capacity(keys.len());
-        dict.bytes.reserve_exact(keys.iter().map(|k| k.as_ref().len()).sum());
+        dict.keys.bytes.reserve_exact(keys.iter().map(|k| k.as_ref().len()).sum());
         for key in keys {
             dict.push(key.as_ref())?;
         }
@@ -70,12 +115,12 @@ impl InMemoryDict {
 
     /// Number of distinct values.
     pub fn cardinality(&self) -> u64 {
-        self.ends.len() as u64
+        self.keys.len() as u64
     }
 
     /// True when the dictionary holds no values.
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.keys.len() == 0
     }
 
     /// The key encoded by `vid`.
@@ -83,21 +128,16 @@ impl InMemoryDict {
     /// # Panics
     /// Panics when `vid` is out of bounds.
     pub fn key(&self, vid: u64) -> &[u8] {
-        self.slot(vid as usize)
-    }
-
-    fn slot(&self, i: usize) -> &[u8] {
-        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        &self.bytes[start..self.ends[i] as usize]
+        self.keys.key(vid as usize)
     }
 
     /// Finds `key`: `Ok(vid)` on a hit, `Err(insertion_vid)` on a miss
     /// (the number of dictionary keys strictly below `key`).
     pub fn find(&self, key: &[u8]) -> Result<u64, u64> {
-        let (mut lo, mut hi) = (0, self.ends.len());
+        let (mut lo, mut hi) = (0, self.keys.len());
         while lo < hi {
             let mid = (lo + hi) / 2;
-            match self.slot(mid).cmp(key) {
+            match self.keys.key(mid).cmp(key) {
                 std::cmp::Ordering::Less => lo = mid + 1,
                 std::cmp::Ordering::Equal => return Ok(mid as u64),
                 std::cmp::Ordering::Greater => hi = mid,
@@ -108,13 +148,13 @@ impl InMemoryDict {
 
     /// All keys in order.
     pub fn keys(&self) -> impl ExactSizeIterator<Item = &[u8]> {
-        (0..self.ends.len()).map(|i| self.slot(i))
+        self.keys.keys()
     }
 
     /// Heap footprint in bytes (what the resident column registers with the
     /// resource manager).
     pub fn heap_bytes(&self) -> usize {
-        self.bytes.capacity() + self.ends.capacity() * std::mem::size_of::<u32>()
+        self.keys.heap_bytes()
     }
 }
 

@@ -8,6 +8,9 @@
 //!
 //! * [`InMemoryDict`] is the fully-resident baseline: the sorted keys in
 //!   one byte arena with an end offset per key, binary-searched.
+//! * [`UnsortedDict`] assigns identifiers in arrival order — the delta's
+//!   dictionary, and the encoder of a column built from values — over the
+//!   same arena, with a hash table of identifiers.
 //! * [`PagedDictionary`] is the page-loadable form, in the layout the
 //!   column's type picks. Strings: a chain of dictionary pages of
 //!   prefix-encoded value blocks, an overflow chain for large values, and
@@ -20,7 +23,9 @@
 mod array;
 mod in_memory;
 mod paged;
+mod unsorted;
 
 pub use in_memory::InMemoryDict;
 pub(crate) use paged::{append_piece, Layout};
 pub use paged::{DictLookup, HandleCache, PagedDictBuildStats, PagedDictionary};
+pub use unsorted::UnsortedDict;

@@ -59,11 +59,19 @@ impl Value {
     /// Encodes the value as an order-preserving byte key (see
     /// [`payg_encoding::okey`]). Keys of one column compare like the values.
     pub fn to_key(&self) -> Vec<u8> {
+        let mut key = Vec::new();
+        self.write_key(&mut key);
+        key
+    }
+
+    /// Appends the value's key ([`Value::to_key`]) to `out`: no allocation
+    /// when `out` has room.
+    pub fn write_key(&self, out: &mut Vec<u8>) {
         match self {
-            Value::Integer(v) => okey::encode_i64(*v).to_vec(),
-            Value::Decimal(v) => okey::encode_i128(*v).to_vec(),
-            Value::Double(v) => okey::encode_f64(*v).to_vec(),
-            Value::Varchar(s) => okey::encode_str(s).to_vec(),
+            Value::Integer(v) => out.extend_from_slice(&okey::encode_i64(*v)),
+            Value::Decimal(v) => out.extend_from_slice(&okey::encode_i128(*v)),
+            Value::Double(v) => out.extend_from_slice(&okey::encode_f64(*v)),
+            Value::Varchar(s) => out.extend_from_slice(okey::encode_str(s)),
         }
     }
 

@@ -3,7 +3,7 @@
 
 use payg_core::column::ColumnRead;
 use payg_core::datavec::PagedDataVector;
-use payg_core::dict::{HandleCache, InMemoryDict, PagedDictionary};
+use payg_core::dict::{HandleCache, InMemoryDict, PagedDictionary, UnsortedDict};
 use payg_core::invidx::{InMemoryInvertedIndex, PagedInvertedIndex};
 use payg_core::{
     CodecKind, ColumnBuilder, CoreError, DataType, LoadPolicy, PageConfig, Value, ValuePredicate,
@@ -704,6 +704,45 @@ proptest! {
         grown.shrink_to_fit();
         prop_assert_eq!(grown.heap_bytes(), dict.heap_bytes());
         prop_assert_eq!(grown, dict);
+    }
+
+    /// The unsorted dictionary assigns identifiers exactly like the
+    /// `HashMap<Vec<u8>, u64>` plus key list it replaced — arrival order,
+    /// one identifier per distinct key, every key back by identifier — and
+    /// holds each distinct key once: its arena, four bytes a key and the
+    /// table of at most 3/4-full `u64` slots.
+    #[test]
+    fn unsorted_dict_equals_hash_map(
+        cells in prop::collection::vec(
+            (prop::collection::vec(prop::sample::select(vec!["", "a", "\0", "ÿ", "ab"]), 0..4),
+             -3i64..3, 0u8..3),
+            0..200,
+        ),
+    ) {
+        let values = cells.into_iter().map(|(parts, i, kind)| match kind {
+            0 => Value::Varchar(parts.concat()),
+            1 => Value::Integer(i),
+            _ => Value::Decimal(i128::from(i)),
+        });
+        let mut dict = UnsortedDict::default();
+        let mut lookup: std::collections::HashMap<Vec<u8>, u32> = Default::default();
+        let mut keys: Vec<Vec<u8>> = Vec::new();
+        for v in values {
+            let expect = *lookup.entry(v.to_key()).or_insert_with_key(|key| {
+                keys.push(key.clone());
+                keys.len() as u32 - 1
+            });
+            prop_assert_eq!(dict.intern(&v).unwrap(), expect);
+        }
+        prop_assert_eq!(dict.cardinality(), keys.len() as u64);
+        prop_assert!(dict.keys().eq(keys.iter().map(Vec::as_slice)));
+        for (vid, k) in keys.iter().enumerate() {
+            prop_assert_eq!(dict.key(vid as u32), k.as_slice());
+        }
+        let key_bytes: usize = keys.iter().map(Vec::len).sum();
+        let table = if keys.is_empty() { 0 } else { 8 * (4 * keys.len()).div_ceil(3) };
+        prop_assert!(dict.heap_bytes() >= key_bytes + 4 * keys.len() + table);
+        prop_assert!(dict.heap_bytes() <= 2 * (key_bytes + 4 * keys.len()) + 2 * table + 256);
     }
 }
 

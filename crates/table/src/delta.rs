@@ -11,46 +11,44 @@
 use crate::bitmap::RowBitmap;
 use crate::schema::{Row, Schema};
 use crate::{TableError, TableResult};
-use payg_core::{EncodedRows, Value, ValuePredicate};
+use payg_core::dict::UnsortedDict;
+use payg_core::{CoreError, EncodedRows, Value, ValuePredicate};
 use payg_encoding::VidSet;
-use std::collections::HashMap;
+
+/// Key bytes one delta column's dictionary holds at most: what its arena's
+/// `u32` offsets address. Unit tests lower the bound
+/// [`DeltaFragment::check_room`] enforces, so that a move can reach it.
+#[cfg(not(test))]
+const MAX_KEY_BYTES: u64 = u32::MAX as u64;
+#[cfg(test)]
+const MAX_KEY_BYTES: u64 = 1 << 20;
 
 /// One delta column: unsorted dictionary + append-order identifier vector.
+/// An append encodes the value into the dictionary's reused probe buffer
+/// and stores the key only when it is new: no cell allocates.
 #[derive(Debug, Default)]
 pub struct DeltaColumn {
-    /// Keys in identifier order (arrival order, NOT sorted).
-    keys: Vec<Vec<u8>>,
-    /// key → identifier.
-    lookup: HashMap<Vec<u8>, u64>,
+    dict: UnsortedDict,
     /// Per-row identifiers.
-    vids: Vec<u64>,
+    vids: Vec<u32>,
 }
 
 impl DeltaColumn {
-    fn append(&mut self, v: &Value) {
-        let key = v.to_key();
-        let vid = match self.lookup.get(&key) {
-            Some(&vid) => vid,
-            None => {
-                let vid = self.keys.len() as u64;
-                self.keys.push(key.clone());
-                self.lookup.insert(key, vid);
-                vid
-            }
-        };
-        self.vids.push(vid);
+    fn append(&mut self, v: &Value) -> TableResult<()> {
+        self.vids.push(self.dict.intern(v)?);
+        Ok(())
     }
 
     /// The value of row `rpos`.
     pub fn value(&self, rpos: u64, ty: payg_core::DataType) -> TableResult<Value> {
         let vid = self.vids[rpos as usize];
-        Value::from_key(ty, &self.keys[vid as usize]).map_err(TableError::Core)
+        Value::from_key(ty, self.dict.key(vid)).map_err(TableError::Core)
     }
 
     /// Identifiers matching a predicate, found by scanning the dictionary.
     fn matching_vids(&self, pred: &ValuePredicate, ty: payg_core::DataType) -> TableResult<VidSet> {
         let mut vids = Vec::new();
-        for (vid, key) in self.keys.iter().enumerate() {
+        for (vid, key) in self.dict.keys().enumerate() {
             let v = Value::from_key(ty, key).map_err(TableError::Core)?;
             if pred.matches(&v) {
                 vids.push(vid as u64);
@@ -60,14 +58,10 @@ impl DeltaColumn {
     }
 
     /// Heap bytes (delta fragments are always fully resident): what the
-    /// column holds, not what it uses — vector and table capacities (a
-    /// `lookup` slot is its entry plus one control byte), and every
-    /// distinct key twice, once in `keys` and once as a `lookup` key.
+    /// column holds, not what it uses — the dictionary's and the
+    /// identifier vector's capacities.
     pub fn heap_bytes(&self) -> usize {
-        self.vids.capacity() * std::mem::size_of::<u64>()
-            + self.keys.capacity() * std::mem::size_of::<Vec<u8>>()
-            + self.lookup.capacity() * (std::mem::size_of::<(Vec<u8>, u64)>() + 1)
-            + self.keys.iter().chain(self.lookup.keys()).map(Vec::capacity).sum::<usize>()
+        self.dict.heap_bytes() + self.vids.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -89,14 +83,41 @@ impl DeltaFragment {
         }
     }
 
-    /// Appends a validated row; returns its delta row position.
-    pub fn append(&mut self, row: &Row) -> u64 {
-        for (col, v) in self.columns.iter_mut().zip(row) {
-            col.append(v);
+    /// Appends a validated row; returns its delta row position. Fails when
+    /// a column's dictionary is full, appending no cell of the row (keys it
+    /// added to earlier columns' dictionaries stay unused; a merge drops
+    /// them).
+    pub fn append(&mut self, row: &Row) -> TableResult<u64> {
+        for (c, v) in row.iter().enumerate() {
+            if let Err(e) = self.columns[c].append(v) {
+                for col in &mut self.columns[..c] {
+                    col.vids.pop();
+                }
+                return Err(e);
+            }
         }
         let rpos = self.rows;
         self.rows += 1;
-        rpos
+        Ok(rpos)
+    }
+
+    /// Fails with [`CoreError::DictTooLarge`] when appending `rows` could
+    /// fill a column's dictionary, counting each of their keys as new. After
+    /// an `Ok`, appending them cannot fail unless other rows go in first.
+    pub fn check_room<'r>(&self, rows: impl Iterator<Item = &'r Row> + Clone) -> TableResult<()> {
+        let mut key = Vec::new();
+        for (c, col) in self.columns.iter().enumerate() {
+            let mut key_bytes = col.dict.key_bytes();
+            for row in rows.clone() {
+                key.clear();
+                row[c].write_key(&mut key);
+                key_bytes += key.len() as u64;
+            }
+            if key_bytes > MAX_KEY_BYTES {
+                return Err(TableError::Core(CoreError::DictTooLarge { key_bytes }));
+            }
+        }
+        Ok(())
     }
 
     /// Total rows ever appended (including deleted).
@@ -151,7 +172,7 @@ impl DeltaFragment {
             .vids
             .iter()
             .enumerate()
-            .filter(|&(rpos, vid)| set.contains(*vid) && !self.deleted.get(rpos as u64))
+            .filter(|&(rpos, &vid)| set.contains(u64::from(vid)) && !self.deleted.get(rpos as u64))
             .map(|(rpos, _)| rpos as u64)
             .collect())
     }
@@ -163,9 +184,9 @@ impl DeltaFragment {
         let column = &self.columns[col];
         let vids = (0..self.rows)
             .filter(|&r| !self.deleted.get(r))
-            .map(|r| column.vids[r as usize])
+            .map(|r| u64::from(column.vids[r as usize]))
             .collect();
-        Ok(EncodedRows::sort(&column.keys, vids)?)
+        Ok(EncodedRows::sort(&column.dict, vids)?)
     }
 
     /// Heap bytes.
@@ -192,7 +213,7 @@ mod tests {
         let s = schema();
         let mut d = DeltaFragment::new(&s);
         for (id, name) in [(5, "echo"), (1, "alpha"), (3, "alpha"), (2, "bravo")] {
-            d.append(&vec![Value::Integer(id), Value::Varchar(name.into())]);
+            d.append(&vec![Value::Integer(id), Value::Varchar(name.into())]).unwrap();
         }
         (s, d)
     }
@@ -213,9 +234,10 @@ mod tests {
     fn unsorted_dictionary_shares_duplicates() {
         let (_, d) = populated();
         // "alpha" appears twice but is stored once.
-        assert_eq!(d.columns[1].keys.len(), 3);
+        assert_eq!(d.columns[1].dict.cardinality(), 3);
         // Arrival order: echo, alpha, bravo.
-        assert_eq!(d.columns[1].keys[0], b"echo");
+        assert_eq!(d.columns[1].dict.key(0), b"echo");
+        assert_eq!(d.columns[1].vids, [0, 1, 1, 2]);
     }
 
     #[test]

@@ -193,10 +193,10 @@ mod tests {
         assert!(text.contains("[indexed]"));
     }
 
-    /// The delta holds every distinct key twice — in its key list and as
-    /// its lookup map's key — and the stats report both copies.
+    /// The delta holds every distinct key once, in its dictionary's arena,
+    /// and the stats report that copy plus bookkeeping and growth slack.
     #[test]
-    fn delta_bytes_count_both_copies_of_every_key() {
+    fn delta_bytes_count_every_key_once() {
         let schema = Schema::new(vec![ColumnSpec::new("note", DataType::Varchar)]).unwrap();
         let pool = BufferPool::new(Arc::new(MemStore::new()), ResourceManager::new());
         let t = Table::create(
@@ -210,6 +210,6 @@ mod tests {
             t.insert(vec![Value::Varchar(format!("{i:01000}"))]).unwrap();
         }
         let delta_bytes = t.table_stats().partitions[0].delta_bytes;
-        assert!(delta_bytes >= 2_000_000, "delta_bytes {delta_bytes}");
+        assert!((1_000_000..1_500_000).contains(&delta_bytes), "delta_bytes {delta_bytes}");
     }
 }

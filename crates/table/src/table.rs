@@ -13,14 +13,15 @@ use crate::fragment::MainFragment;
 use crate::partition::{PartitionId, PartitionSpec};
 use crate::schema::{Row, Schema};
 use crate::version::{
-    DeltaCell, MainHandle, Partition, PartitionVersion, TableVersion, VersionChain,
+    DeltaCell, DeltaCellState, MainHandle, Partition, PartitionVersion, TableVersion,
+    VersionChain,
 };
 use crate::{TableError, TableResult};
 use payg_core::column::ColumnRead;
 use payg_core::{EncodedRows, PageConfig, Value, ValuePredicate};
 use payg_obs::{names, Gauge, Histogram, SpanKind};
 use payg_storage::BufferPool;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A partitioned columnar table (paper §2, §4).
 pub struct Table {
@@ -214,7 +215,7 @@ impl Table {
                 // sees it immediately.
                 continue;
             }
-            cell.frag.append(&row);
+            cell.frag.append(&row)?;
             return Ok(());
         }
     }
@@ -486,13 +487,28 @@ impl Table {
     }
 
     /// Moves the rows of `moves` collected from `version` — the version
-    /// held under every merge lock, which nothing can replace meanwhile:
-    /// routes every new row first, then deletes the originals and inserts
-    /// the rows. A row no partition accepts fails the call before anything
-    /// is deleted. Returns the number of rows moved.
+    /// held under every merge lock, which nothing can replace meanwhile.
+    /// Before anything is deleted, every new row is validated and routed,
+    /// and the active cells the rows go to are locked, in partition order,
+    /// and checked for room; they stay locked until the rows are in. So a
+    /// row no partition accepts, or rows that could fill a delta column's
+    /// dictionary, fail the call with the table unchanged. Returns the
+    /// number of rows moved.
     fn apply_moves(&self, version: &TableVersion, moves: Moves<'_>) -> TableResult<u64> {
+        let mut targets = Vec::with_capacity(moves.rows.len());
         for row in &moves.rows {
-            self.route_in(version, row)?;
+            self.schema.check_row(row)?;
+            targets.push(self.route_in(version, row)?.0);
+        }
+        let mut held: Vec<Option<MutexGuard<'_, DeltaCellState>>> = (version.partitions.iter())
+            .enumerate()
+            .map(|(p, pv)| targets.contains(&p).then(|| pv.active.lock()))
+            .collect();
+        for (p, cell) in held.iter().enumerate() {
+            if let Some(cell) = cell {
+                let rows = moves.rows.iter().zip(&targets).filter(|&(_, &t)| t == p);
+                cell.frag.check_room(rows.map(|(row, _)| row))?;
+            }
         }
         for (main, rposs) in moves.main {
             for rpos in rposs {
@@ -500,16 +516,22 @@ impl Table {
             }
         }
         for (cell, rposs) in moves.delta {
-            let mut st = cell.lock();
+            let target = version.partitions.iter().position(|pv| std::ptr::eq(&*pv.active, cell));
+            let mut own = None;
+            let st = match target.and_then(|p| held[p].as_mut()) {
+                Some(st) => st,
+                None => own.insert(cell.lock()),
+            };
             for rpos in rposs {
                 st.frag.delete(rpos);
             }
         }
-        let n = moves.rows.len() as u64;
-        for row in moves.rows {
-            self.insert(row)?;
+        for (row, &p) in moves.rows.iter().zip(&targets) {
+            if let Some(cell) = held[p].as_mut() {
+                cell.frag.append(row)?;
+            }
         }
-        Ok(n)
+        Ok(moves.rows.len() as u64)
     }
 
     /// Unloads every resident column of the *current* version and drops all
@@ -612,7 +634,7 @@ mod tests {
     use crate::partition::PartitionRange;
     use crate::query::{Projection, Query};
     use crate::schema::ColumnSpec;
-    use payg_core::{DataType, LoadPolicy};
+    use payg_core::{CoreError, DataType, LoadPolicy};
     use payg_resman::ResourceManager;
     use payg_storage::MemStore;
     use std::sync::Arc;
@@ -726,6 +748,42 @@ mod tests {
         // And the next hot merge physically drops the deleted rows.
         t.delta_merge(PartitionId(0)).unwrap();
         assert_eq!(t.partitions()[0].main().rows(), 40);
+    }
+
+    /// Rows a move could not fit into the target delta column's dictionary
+    /// fail it with `DictTooLarge` before any row is deleted, from the hot
+    /// delta and after a merge alike; a move that fits still goes through.
+    /// Unit tests lower the dictionary bound to 1 MiB.
+    #[test]
+    fn a_move_that_could_fill_a_delta_dictionary_leaves_the_table_unchanged() {
+        for merged in [false, true] {
+            let t = aged_table();
+            // The cold delta's status column: 1 000 keys of 1 000 bytes.
+            for i in 0..1_000 {
+                let status = Value::Varchar(format!("{i:01000}"));
+                t.insert(vec![Value::Integer(1_000 + i), status, Value::Integer(5)]).unwrap();
+            }
+            // 600 hot rows whose statuses, 60 000 bytes, are more than the
+            // cold status column has left.
+            for i in 0..600 {
+                let status = Value::Varchar(format!("{i:0100}"));
+                t.insert(vec![Value::Integer(100 + i), status, Value::Integer(200)]).unwrap();
+            }
+            if merged {
+                t.delta_merge(PartitionId(0)).unwrap();
+            }
+            let all = Query::full(Projection::All);
+            let before = t.execute(&all).unwrap();
+            let ids = |lo, hi| ValuePredicate::Between(Value::Integer(lo), Value::Integer(hi));
+            let err = t.update_rows("id", &ids(100, 699), "close_date", &Value::Integer(1));
+            let err = err.unwrap_err();
+            assert!(matches!(err, TableError::Core(CoreError::DictTooLarge { .. })), "{err}");
+            assert_eq!(t.execute(&all).unwrap(), before, "merged={merged}");
+            let moved = t.update_rows("id", &ids(100, 109), "close_date", &Value::Integer(1));
+            assert_eq!(moved.unwrap(), 10);
+            assert_eq!(t.partitions()[0].visible_rows(), 640);
+            assert_eq!(t.partitions()[1].visible_rows(), 1_010);
+        }
     }
 
     #[test]

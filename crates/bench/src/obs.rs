@@ -1,21 +1,20 @@
 //! Embedding `payg-obs` registry snapshots into the `BENCH_*.json`
 //! reports: one `"obs"` object per report carrying the pool hit rate,
-//! eviction counters, pin-latency percentiles, and — when the bench ran a
-//! profiled scan — the per-scan cost profile.
+//! eviction counters and pin-latency percentiles.
 
-use payg_obs::{names, ObsSnapshot, ScanProfile};
+use payg_obs::{names, ObsSnapshot};
 
 /// Renders `snap` as the report's `"obs"` JSON object. `indent` is the
 /// whitespace prefix of the object's lines (the closing brace is not
 /// newline-terminated so the caller controls the trailing comma).
-pub fn obs_json(snap: &ObsSnapshot, profile: Option<&ScanProfile>, indent: &str) -> String {
+pub fn obs_json(snap: &ObsSnapshot, indent: &str) -> String {
     let hits = snap.counter(names::POOL_SHARD_HITS);
     let misses = snap.counter(names::POOL_SHARD_MISSES);
     let pins = hits + misses;
     let hit_rate = if pins == 0 { 0.0 } else { hits as f64 / pins as f64 };
     let pin_ns = snap.histogram(names::POOL_PIN_NS);
     let load_ns = snap.histogram(names::POOL_LOAD_NS);
-    let mut entries = vec![
+    let entries = [
         format!("\"pool_hits\": {hits}"),
         format!("\"pool_misses\": {misses}"),
         format!("\"pool_hit_rate\": {hit_rate:.4}"),
@@ -44,9 +43,6 @@ pub fn obs_json(snap: &ObsSnapshot, profile: Option<&ScanProfile>, indent: &str)
         format!("\"io_physical_reads\": {}", snap.counter(names::POOL_IO_PHYSICAL_READS)),
         format!("\"trace_dropped\": {}", snap.counter(names::TRACE_DROPPED)),
     ];
-    if let Some(p) = profile {
-        entries.push(format!("\"scan_profile\": {}", p.to_json()));
-    }
     let body = entries
         .iter()
         .map(|e| format!("{indent}  {e}"))
@@ -70,14 +66,13 @@ mod tests {
             h.record(v);
         }
         let snap = ObsSnapshot::collect(&r);
-        let json = obs_json(&snap, Some(&ScanProfile::default()), "  ");
+        let json = obs_json(&snap, "  ");
         assert!(json.contains("\"pool_hit_rate\": 0.7500"), "{json}");
         assert!(json.contains("\"pin_ns_p50\": 255"), "{json}");
         assert!(json.contains("\"pin_ns_p99\": 65535"), "{json}");
         assert!(json.contains("\"load_ns_p50\": 0"), "cold histogram empty here: {json}");
         assert!(json.contains("\"io_physical_reads\": 0"), "{json}");
         assert!(json.contains("\"trace_dropped\": 0"), "{json}");
-        assert!(json.contains("\"scan_profile\": {\"pages_pinned\": 0"), "{json}");
         assert!(!json.contains(",\n  }"), "no trailing comma: {json}");
     }
 }

@@ -15,36 +15,10 @@ use payg_encoding::chunk::{self, bytes_per_chunk, CHUNK_LEN};
 use payg_encoding::kernels::{boundary_mask, KernelPredicate, Packed};
 use payg_encoding::scan::push_bitmap_positions;
 use payg_encoding::{BitPackedVec, BitWidth, VidSet};
-use payg_obs::{names, Counter, Gauge, Registry, ScanProfile};
+use payg_obs::EventKind;
 use payg_storage::{BufferPool, ChainRef, PageKey, StorageError};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Registry handles for scan activity, shared by every vector reporting
-/// into the same registry (the `scan_*` names carry system-wide totals;
-/// per-scan exactness comes from the iterator's [`ScanProfile`], which is
-/// flushed into these on iterator drop).
-pub(crate) struct ScanCounters {
-    pub(crate) scans: Counter,
-    pub(crate) chunks: Counter,
-    pub(crate) pages_pinned: Counter,
-    pub(crate) matches: Counter,
-    pub(crate) pruned: Counter,
-    pub(crate) dispatch_width: Gauge,
-}
-
-impl ScanCounters {
-    fn register(registry: &Registry) -> Self {
-        ScanCounters {
-            scans: registry.counter(names::SCAN_SCANS),
-            chunks: registry.counter(names::SCAN_CHUNKS_SCANNED),
-            pages_pinned: registry.counter(names::SCAN_PAGES_PINNED),
-            matches: registry.counter(names::SCAN_BITMAP_MATCHES),
-            pruned: registry.counter(names::SCAN_PAGES_PRUNED),
-            dispatch_width: registry.gauge(names::SCAN_DISPATCH_WIDTH),
-        }
-    }
-}
 
 struct Meta {
     chain: ChainRef,
@@ -61,7 +35,6 @@ struct Meta {
 pub struct PagedDataVector {
     pool: BufferPool,
     meta: Arc<Meta>,
-    pub(crate) scan: ScanCounters,
 }
 
 impl PagedDataVector {
@@ -119,7 +92,6 @@ impl PagedDataVector {
         }
         scratch.commit();
         Ok(PagedDataVector {
-            scan: ScanCounters::register(pool.registry()),
             pool: pool.clone(),
             meta: Arc::new(Meta {
                 chain: ChainRef { chain, pages, page_size: config.datavec_page },
@@ -189,7 +161,6 @@ impl PagedDataVector {
             cancel: None,
             bitmaps: Vec::new(),
             waves: Waves::default(),
-            profile: ScanProfile::default(),
         }
     }
 
@@ -248,7 +219,6 @@ impl PagedDataVector {
             )));
         }
         Ok(PagedDataVector {
-            scan: ScanCounters::register(pool.registry()),
             pool: pool.clone(),
             meta: Arc::new(Meta { chain, width, len, chunks_per_page, summaries }),
         })
@@ -321,11 +291,24 @@ impl PagedDataVector {
         }
         Ok(())
     }
+
+    /// Emits the `DataScan` event of one `search` or `count` over this
+    /// vector, tagged with the calling thread's span — one relaxed load
+    /// while tracing is off.
+    fn trace_scan(&self, pruned: u64, chunks: u64, matches: u64) {
+        let tracer = self.pool.registry().tracer();
+        if tracer.enabled() {
+            let span = tracer.current_span();
+            tracer.emit_tagged(EventKind::DataScan, self.chain_id(), pruned, chunks, span, matches);
+        }
+    }
 }
 
 /// Scan iterator over a [`PagedDataVector`]: `search` and `count` over row
 /// ranges, pinning a wave of pages at a time. Point and list decodes are
-/// not its business — they are phase (a) of late materialization.
+/// not its business — they are phase (a) of late materialization. Each call
+/// that evaluates its predicate over the pages emits one
+/// [`EventKind::DataScan`] event: pages pruned, chunks scanned, matches.
 pub struct PagedDataVectorIterator<'a> {
     vec: &'a PagedDataVector,
     /// The count-wide cancellation flag of a `par_count` worker.
@@ -334,9 +317,6 @@ pub struct PagedDataVectorIterator<'a> {
     bitmaps: Vec<u64>,
     /// The buffers a scan pins its waves with.
     waves: Waves,
-    /// Accumulated scan costs over this iterator's lifetime. Flushed to the
-    /// registry's `scan_*` counters on drop.
-    profile: ScanProfile,
 }
 
 impl PagedDataVectorIterator<'_> {
@@ -355,7 +335,6 @@ impl PagedDataVectorIterator<'_> {
         out: &mut Vec<u64>,
     ) -> CoreResult<()> {
         self.vec.check_range(from, to)?;
-        self.vec.scan.scans.inc();
         if from == to || set.is_empty() {
             return Ok(());
         }
@@ -369,10 +348,9 @@ impl PagedDataVectorIterator<'_> {
             }
             return Ok(());
         }
-        self.note_dispatch_width();
         let matched_from = out.len();
         let mut bitmaps = std::mem::take(&mut self.bitmaps);
-        self.for_each_chunk_run(from, to, set, |run, first_ci| {
+        let (pruned, chunks) = self.for_each_chunk_run(from, to, set, |run, first_ci| {
             bitmaps.clear();
             pred.scan(Packed::Bytes(run), &mut bitmaps);
             for (k, &bm) in bitmaps.iter().enumerate() {
@@ -382,7 +360,7 @@ impl PagedDataVectorIterator<'_> {
             }
         })?;
         self.bitmaps = bitmaps;
-        self.profile.bitmap_matches += (out.len() - matched_from) as u64;
+        self.vec.trace_scan(pruned, chunks, (out.len() - matched_from) as u64);
         Ok(())
     }
 
@@ -392,7 +370,6 @@ impl PagedDataVectorIterator<'_> {
     /// for the run's two edge chunks (masked to the row range).
     pub fn count(&mut self, from: u64, to: u64, set: &VidSet) -> CoreResult<u64> {
         self.vec.check_range(from, to)?;
-        self.vec.scan.scans.inc();
         if from == to || set.is_empty() {
             return Ok(0);
         }
@@ -403,15 +380,14 @@ impl PagedDataVectorIterator<'_> {
         if self.vec.meta.width.bits() == 0 || pred.always_matches() {
             return Ok(if pred.always_matches() { to - from } else { 0 });
         }
-        self.note_dispatch_width();
         let per_chunk = bytes_per_chunk(self.vec.meta.width);
         let mut total = 0u64;
-        self.for_each_chunk_run(from, to, set, |run, first_ci| {
+        let (pruned, chunks) = self.for_each_chunk_run(from, to, set, |run, first_ci| {
             let last_ci = first_ci + (run.len() / per_chunk) as u64 - 1;
             let (head, tail) = (boundary_mask(first_ci, from, to), boundary_mask(last_ci, from, to));
             total += pred.count(Packed::Bytes(run), head, tail);
         })?;
-        self.profile.bitmap_matches += total;
+        self.vec.trace_scan(pruned, chunks, total);
         Ok(total)
     }
 
@@ -422,15 +398,17 @@ impl PagedDataVectorIterator<'_> {
     /// surviving pages before storage is touched, so they are pinned a wave
     /// of at most [`WAVE_PAGES`] at a time: a cold scan's consecutive pages
     /// arrive as coalesced ranged reads, and no guard is held across a
-    /// wave's submit-and-wait.
+    /// wave's submit-and-wait. Returns the pages pruned and the chunks
+    /// scanned.
     fn for_each_chunk_run(
         &mut self,
         from: u64,
         to: u64,
         set: &VidSet,
         mut body: impl FnMut(&[u8], u64),
-    ) -> CoreResult<()> {
+    ) -> CoreResult<(u64, u64)> {
         let vec = self.vec;
+        let (mut pruned, mut chunks_scanned) = (0u64, 0u64);
         let per_chunk = bytes_per_chunk(vec.meta.width);
         let cpp = vec.meta.chunks_per_page;
         let first = chunk::chunk_of(from);
@@ -449,7 +427,7 @@ impl PagedDataVectorIterator<'_> {
                     pages[planned] = page_no;
                     planned += 1;
                 } else {
-                    self.profile.pages_pruned += 1;
+                    pruned += 1;
                 }
                 page_no += 1;
             }
@@ -463,12 +441,11 @@ impl PagedDataVectorIterator<'_> {
                     let chunks = last.min((page + 1) * cpp - 1) - ci + 1;
                     let base = (ci % cpp) as usize * per_chunk;
                     body(&guard[base..base + chunks as usize * per_chunk], ci);
-                    self.profile.chunks_scanned += chunks;
+                    chunks_scanned += chunks;
                     scanned += 1;
                     Ok(())
                 },
             );
-            self.profile.pages_pinned += scanned as u64;
             if let Err(source) = wave {
                 if let Some(cancel) = self.cancel {
                     cancel.store(true, Ordering::Relaxed);
@@ -483,40 +460,7 @@ impl PagedDataVectorIterator<'_> {
                 });
             }
         }
-        Ok(())
-    }
-
-    /// Records the bit width the specialized kernels dispatched on, in both
-    /// this iterator's profile and the shared `scan_dispatch_width` gauge.
-    fn note_dispatch_width(&mut self) {
-        let bits = self.vec.meta.width.bits();
-        self.profile.dispatch_width = self.profile.dispatch_width.max(bits);
-        self.vec.scan.dispatch_width.set(u64::from(bits));
-    }
-
-    /// The scan costs accumulated by this iterator so far.
-    pub fn profile(&self) -> ScanProfile {
-        self.profile
-    }
-}
-
-impl Drop for PagedDataVectorIterator<'_> {
-    /// Flushes the iterator's accumulated profile into the registry's
-    /// `scan_*` counters so system-wide snapshots see per-scan costs without
-    /// the callers having to thread profiles around.
-    fn drop(&mut self) {
-        let p = self.profile;
-        let s = &self.vec.scan;
-        for (counter, v) in [
-            (&s.chunks, p.chunks_scanned),
-            (&s.pages_pinned, p.pages_pinned),
-            (&s.matches, p.bitmap_matches),
-            (&s.pruned, p.pages_pruned),
-        ] {
-            if v != 0 {
-                counter.add(v);
-            }
-        }
+        Ok((pruned, chunks_scanned))
     }
 }
 
@@ -672,7 +616,6 @@ mod tests {
         it.search(0, 4000, &set, &mut out).unwrap();
         assert_eq!(out.len(), 4000);
         assert_eq!(pins(&pool), 2 * paged.pages(), "one pin per page on the warm re-scan");
-        assert_eq!(it.profile().pages_pinned, 2 * paged.pages());
     }
 
     #[test]

@@ -160,7 +160,7 @@ mod tests {
     use super::*;
     use crate::{CoreError, PageConfig};
     use payg_encoding::BitPackedVec;
-    use payg_obs::{names, ObsSnapshot};
+    use payg_obs::{EventKind, PageEvent};
     use payg_resman::ResourceManager;
     use payg_storage::{
         BufferPool, FaultPlan, FaultyStore, MemStore, PageKey, PageStore, PoolConfig, RetryPolicy,
@@ -304,18 +304,17 @@ mod tests {
         assert_eq!(paged.par_count(0, 4000, &set, ScanOptions::with_workers(4)).unwrap(), seq);
     }
 
-    /// The registry's scan counters moved by one call of `scan`:
-    /// (`scan_scans`, `scan_pages_pruned`, `scan_chunks_scanned`,
-    /// `scan_bitmap_matches`).
-    fn scan_counters(pool: &BufferPool, scan: impl FnOnce()) -> (u64, [u64; 3]) {
-        let before = ObsSnapshot::collect(pool.registry());
+    /// The `DataScan` events one call of `scan` emits: how many, and their
+    /// summed pages pruned, chunks scanned and matches.
+    fn data_scans(pool: &BufferPool, scan: impl FnOnce()) -> (usize, [u64; 3]) {
+        let tracer = pool.registry().tracer();
+        tracer.enable();
         scan();
-        let d = ObsSnapshot::delta(&ObsSnapshot::collect(pool.registry()), &before);
-        (
-            d.counter(names::SCAN_SCANS),
-            [names::SCAN_PAGES_PRUNED, names::SCAN_CHUNKS_SCANNED, names::SCAN_BITMAP_MATCHES]
-                .map(|name| d.counter(name)),
-        )
+        tracer.disable();
+        let scans: Vec<PageEvent> =
+            tracer.drain().into_iter().filter(|e| e.kind == EventKind::DataScan).collect();
+        let sum = |field: fn(&PageEvent) -> u64| -> u64 { scans.iter().map(field).sum() };
+        (scans.len(), [sum(|e| e.page_no), sum(|e| e.bytes), sum(|e| e.aux)])
     }
 
     #[test]
@@ -328,12 +327,12 @@ mod tests {
         assert!(paged.pages() >= 32, "a real fan-out: {} pages", paged.pages());
         let set = VidSet::from_vids((0..40).chain(120..130).chain(200..256).collect());
         let mut seq = 0;
-        let (seq_scans, seq_work) = scan_counters(&pool, || {
+        let (seq_scans, seq_work) = data_scans(&pool, || {
             seq = paged.iter().count(0, 16_384, &set).unwrap();
         });
         assert_eq!(seq_scans, 1);
         assert!(seq_work[0] > 0, "interior pages were pruned: {seq_work:?}");
-        let (par_scans, par_work) = scan_counters(&pool, || {
+        let (par_scans, par_work) = data_scans(&pool, || {
             let n = paged.par_count(0, 16_384, &set, ScanOptions::with_workers(4)).unwrap();
             assert_eq!(n, seq);
         });

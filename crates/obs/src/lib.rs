@@ -23,20 +23,18 @@
 //!   a separate bounded side store, with a [`QueryCtx`] for carrying the
 //!   parent across worker threads. Events emitted under an open span are
 //!   tagged with its id, which is how page provenance (who caused this
-//!   load?) is reconstructed.
-//! - [`ScanProfile`]: a plain per-scan cost breakdown (pages pinned, chunks
-//!   scanned, kernel dispatch width, match count, cold/warm split, io-stage
-//!   batching) filled in by scan iterators or from a registry delta.
+//!   load?) is reconstructed. A [`Recording`] turns the tracer on for one
+//!   query, which then takes out its own span tree with
+//!   [`Tracer::take_tree`]: a query's cost report is that tree, exact
+//!   whatever else runs on the pool.
 //!
 //! Metric names used by the engine crates live in [`names`] so producers
-//! and consumers (benches, exporters, [`ScanProfile::from_delta`]) agree on
-//! one vocabulary.
+//! and consumers (benches, exporters) agree on one vocabulary.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod hist;
-mod profile;
 mod registry;
 mod span;
 mod trace;
@@ -44,7 +42,6 @@ mod trace;
 pub mod names;
 
 pub use hist::{Histogram, HistogramSnapshot, HIST_BUCKETS};
-pub use profile::ScanProfile;
 pub use registry::{Counter, Gauge, MetricValue, ObsSnapshot, Registry};
 pub use span::{QueryCtx, Span, SpanKind, SpanRecord, SPAN_STORE_CAPACITY};
-pub use trace::{EventKind, PageEvent, Tracer, TRACE_RING_CAPACITY};
+pub use trace::{EventKind, PageEvent, Recording, Tracer, TRACE_RING_CAPACITY};

@@ -1,8 +1,7 @@
 //! Canonical metric names.
 //!
-//! Producers (pool, resource manager, scan iterators) and consumers
-//! (exporters, benches, [`crate::ScanProfile::from_delta`]) share these
-//! constants so a rename cannot silently split a series. Instance-scoped
+//! Producers (pool, resource manager, tables) and consumers (exporters,
+//! benches, `ExplainAnalyze::check_consistency`) share these constants so a rename cannot silently split a series. Instance-scoped
 //! metrics (per pool, per shard) add labels on top of these base names;
 //! [`crate::ObsSnapshot::counter`] sums across labels.
 //!
@@ -123,20 +122,6 @@ declare_names! {
     /// Number of in-flight I/O-stage reads currently charged (gauge).
     RESMAN_INFLIGHT_COUNT = "resman_inflight_count", labels: [];
 
-    /// Scan calls (search/count) completed by paged data-vector iterators.
-    SCAN_SCANS = "scan_scans", labels: [];
-    /// 64-value chunks decoded or kernel-scanned.
-    SCAN_CHUNKS_SCANNED = "scan_chunks_scanned", labels: [];
-    /// Pages pinned through the pool by scan iterators.
-    SCAN_PAGES_PINNED = "scan_pages_pinned", labels: [];
-    /// Bitmap match positions produced by scans.
-    SCAN_BITMAP_MATCHES = "scan_bitmap_matches", labels: [];
-    /// Pages skipped via page-summary (min/max) pruning.
-    SCAN_PAGES_PRUNED = "scan_pages_pruned", labels: [];
-    /// Kernel dispatch width (bit width of the last dispatched kernel;
-    /// gauge).
-    SCAN_DISPATCH_WIDTH = "scan_dispatch_width", labels: [];
-
     /// Full-column loads performed by resident columns.
     COLUMN_FULL_LOADS = "column_full_loads", labels: [];
 
@@ -176,7 +161,7 @@ mod tests {
     #[test]
     fn table_matches_consts() {
         assert!(ALL.iter().any(|s| s.ident == "POOL_LOADS" && s.name == POOL_LOADS));
-        assert!(ALL.iter().any(|s| s.name == SCAN_SCANS && s.labels.is_empty()));
+        assert!(ALL.iter().any(|s| s.name == COLUMN_FULL_LOADS && s.labels.is_empty()));
         let faults = ALL.iter().find(|s| s.name == POOL_LOAD_FAULTS).unwrap();
         assert_eq!(faults.labels, ["pool", "kind"]);
     }

@@ -14,11 +14,18 @@
 //! sequence number, and empties the rings — giving the *exact* global
 //! order in which loads, pins, and evictions happened (the sequence is
 //! taken while the event happens, not when it is flushed).
+//!
+//! Two parties turn a tracer on, and it collects while either does: the
+//! user flag ([`Tracer::enable`] / [`Tracer::disable`]), whose owner drains
+//! everything, and any number of [`Recording`]s ([`Tracer::record`]), each
+//! of which takes out only its own span tree ([`Tracer::take_tree`]) and
+//! leaves the rest where it is. When the last recording ends with the user
+//! flag off, what was collected meanwhile is discarded: nobody asked for it.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::{HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use crate::span::{self, SpanRecord, SPAN_STORE_CAPACITY};
@@ -54,6 +61,10 @@ pub enum EventKind {
     LoadRetried,
     /// A page entered per-shard quarantine after a permanent load failure.
     PageQuarantined,
+    /// A paged data-vector `search` or `count` evaluated its predicate over
+    /// the chain (`page_no` carries the pages pruned by their summaries,
+    /// `bytes` the 64-value chunks scanned, `aux` the matches).
+    DataScan,
 }
 
 /// One traced page-lifecycle event.
@@ -95,12 +106,26 @@ struct SpanStore {
     dropped: u64,
 }
 
+/// Who has the tracer on (see the module docs).
+struct Wants {
+    /// The user flag.
+    user: bool,
+    /// Live [`Recording`]s.
+    recordings: usize,
+    /// The first sequence number collected for recordings alone (the user
+    /// flag off): what the last recording discards when it ends.
+    since: u64,
+}
+
 struct TracerInner {
     /// Unique across all tracers in the process: keys the thread-local
     /// ring lookup so a thread emitting into two tracers (or a recreated
     /// tracer at a reused address) never mixes rings.
     id: u64,
+    /// `user || recordings > 0` of [`Wants`], kept in step under its lock:
+    /// the one relaxed load of the emit check.
     enabled: AtomicBool,
+    wants: Mutex<Wants>,
     seq: AtomicU64,
     origin: Instant,
     capacity: usize,
@@ -146,6 +171,7 @@ impl Tracer {
             inner: Arc::new(TracerInner {
                 id: next_tracer_id(),
                 enabled: AtomicBool::new(false),
+                wants: Mutex::new(Wants { user: false, recordings: 0, since: 0 }),
                 seq: AtomicU64::new(0),
                 origin: Instant::now(),
                 capacity: capacity.max(1),
@@ -155,17 +181,45 @@ impl Tracer {
         }
     }
 
-    /// Turns event collection on.
+    /// Sets the user flag: events are collected until [`Tracer::disable`].
     pub fn enable(&self) {
+        let mut wants = self.wants();
+        wants.user = true;
         self.inner.enabled.store(true, Ordering::Release);
     }
 
-    /// Turns event collection off (already-buffered events stay drainable).
+    /// Clears the user flag (already-buffered events stay drainable). Live
+    /// recordings keep the tracer collecting; what it collects from here on
+    /// is theirs alone.
     pub fn disable(&self) {
-        self.inner.enabled.store(false, Ordering::Release);
+        let mut wants = self.wants();
+        wants.user = false;
+        if wants.recordings > 0 {
+            wants.since = self.inner.seq.load(Ordering::Relaxed);
+        }
+        self.inner.enabled.store(wants.recordings > 0, Ordering::Release);
     }
 
-    /// Whether events are being collected.
+    /// Starts a recording: the tracer collects until the returned guard
+    /// drops, whatever the user flag does meanwhile. The recorder takes out
+    /// what it wants with [`Tracer::take_tree`]; [`Recording`] says what
+    /// happens to the rest.
+    pub fn record(&self) -> Recording {
+        let mut wants = self.wants();
+        if !wants.user && wants.recordings == 0 {
+            wants.since = self.inner.seq.load(Ordering::Relaxed);
+        }
+        wants.recordings += 1;
+        self.inner.enabled.store(true, Ordering::Release);
+        Recording { tracer: self.clone() }
+    }
+
+    fn wants(&self) -> MutexGuard<'_, Wants> {
+        self.inner.wants.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Whether events are being collected (the user flag is set or a
+    /// recording is live).
     #[inline]
     pub fn enabled(&self) -> bool {
         self.inner.enabled.load(Ordering::Relaxed)
@@ -274,6 +328,53 @@ impl Tracer {
         self.inner.spans.lock().unwrap_or_else(|e| e.into_inner()).dropped
     }
 
+    /// Takes out the closed spans of the tree rooted at `root` — the root
+    /// and every span under it — and the events tagged with any of them,
+    /// leaving every other span and event buffered. Spans come back sorted
+    /// by id, events by sequence number. Call it once the root has closed:
+    /// a span still open is not in the store, and neither is its subtree.
+    pub fn take_tree(&self, root: u64) -> (Vec<PageEvent>, Vec<SpanRecord>) {
+        if root == 0 {
+            return (Vec::new(), Vec::new());
+        }
+        let mut store = self.inner.spans.lock().unwrap_or_else(|e| e.into_inner());
+        store.recs.sort_by_key(|s| s.id);
+        // A parent's id is allocated before its children's, so one forward
+        // pass over the id-sorted store resolves the whole tree.
+        let mut tree = HashSet::from([root]);
+        let (spans, rest): (Vec<SpanRecord>, Vec<SpanRecord>) =
+            std::mem::take(&mut store.recs).into_iter().partition(|s| {
+                let mine = s.id == root || tree.contains(&s.parent);
+                if mine {
+                    tree.insert(s.id);
+                }
+                mine
+            });
+        store.recs = rest;
+        drop(store);
+        let mut events = Vec::new();
+        for ring in self.inner.rings.lock().unwrap_or_else(|e| e.into_inner()).iter() {
+            let mut data = ring.data.lock().unwrap_or_else(|e| e.into_inner());
+            data.buf.retain(|e| {
+                let mine = tree.contains(&e.span);
+                if mine {
+                    events.push(*e);
+                }
+                !mine
+            });
+        }
+        events.sort_by_key(|e| e.seq);
+        (events, spans)
+    }
+
+    /// Discards the buffered events and spans numbered `since` or later.
+    fn discard_since(&self, since: u64) {
+        for ring in self.inner.rings.lock().unwrap_or_else(|e| e.into_inner()).iter() {
+            ring.data.lock().unwrap_or_else(|e| e.into_inner()).buf.retain(|e| e.seq < since);
+        }
+        self.inner.spans.lock().unwrap_or_else(|e| e.into_inner()).recs.retain(|s| s.id < since);
+    }
+
     /// This tracer's process-unique id (keys the span thread-local).
     pub(crate) fn tracer_id(&self) -> u64 {
         self.inner.id
@@ -306,6 +407,28 @@ impl std::fmt::Debug for Tracer {
         f.debug_struct("Tracer")
             .field("enabled", &self.enabled())
             .finish()
+    }
+}
+
+/// A live recording of a [`Tracer`] ([`Tracer::record`]). The tracer
+/// collects while any recording lives or the user flag is set. When the
+/// last recording drops with the user flag off, the tracer turns off and
+/// discards what it collected meanwhile: each recorder took out its own
+/// tree, and nobody asked for the rest.
+#[must_use = "the recording ends when the guard drops"]
+#[derive(Debug)]
+pub struct Recording {
+    tracer: Tracer,
+}
+
+impl Drop for Recording {
+    fn drop(&mut self) {
+        let mut wants = self.tracer.wants();
+        wants.recordings -= 1;
+        if wants.recordings == 0 && !wants.user {
+            self.tracer.inner.enabled.store(false, Ordering::Release);
+            self.tracer.discard_since(wants.since);
+        }
     }
 }
 
@@ -379,6 +502,58 @@ mod tests {
                 evs.iter().filter(|e| e.chain == tid).map(|e| e.page_no).collect();
             assert_eq!(pages, (0..100).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn recordings_count_next_to_the_user_flag_and_discard_what_nobody_asked_for() {
+        let t = Tracer::new();
+        t.enable();
+        t.emit(EventKind::PageLoaded, 1, 0, 0);
+        t.disable();
+        let (a, b) = (t.record(), t.record());
+        assert!(t.enabled(), "a recording turns the tracer on");
+        t.emit(EventKind::PagePinned, 2, 0, 0);
+        drop(t.span(crate::SpanKind::PageWait, 0));
+        drop(a);
+        assert!(t.enabled(), "the tracer stays on while another recording lives");
+        drop(b);
+        assert!(!t.enabled(), "the last recording turns it off");
+        let evs = t.drain();
+        assert_eq!(evs.len(), 1, "only the user's event is left: {evs:?}");
+        assert_eq!(evs[0].chain, 1);
+        assert!(t.drain_spans().is_empty(), "the recording-only span is discarded");
+        // Under the user flag a recording discards nothing, and the flag
+        // outlives it.
+        t.enable();
+        let r = t.record();
+        t.emit(EventKind::PagePinned, 3, 0, 0);
+        drop(r);
+        assert!(t.enabled());
+        assert_eq!(t.drain().len(), 1);
+    }
+
+    #[test]
+    fn take_tree_takes_one_query_and_leaves_the_rest() {
+        let t = Tracer::new();
+        t.enable();
+        let other = t.span(crate::SpanKind::Query, 0);
+        t.emit(EventKind::PagePinned, 9, 0, 0);
+        let q = t.span_with_parent(crate::SpanKind::Query, 0, 0);
+        let qid = q.id();
+        t.emit(EventKind::PagePinned, 1, 0, 0);
+        drop(t.span(crate::SpanKind::PageWait, 1));
+        drop(q);
+        // Work done elsewhere on the query's behalf.
+        t.emit_tagged(EventKind::IoCompleted, 1, 2, 0, qid, 0);
+        drop(other);
+        let (events, spans) = t.take_tree(qid);
+        assert_eq!(spans.len(), 2);
+        assert!(spans.iter().all(|s| s.id == qid || s.parent == qid));
+        assert_eq!(events.iter().map(|e| e.chain).collect::<Vec<_>>(), [1, 1]);
+        assert_eq!(t.drain().iter().map(|e| e.chain).collect::<Vec<_>>(), [9]);
+        assert_eq!(t.drain_spans().len(), 1, "the other query's span stays");
+        let (events, spans) = t.take_tree(0);
+        assert!(events.is_empty() && spans.is_empty());
     }
 
     #[test]

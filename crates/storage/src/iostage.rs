@@ -338,9 +338,9 @@ fn process_run(pool: &Arc<PoolInner>, run: Vec<FetchRequest>) {
     pool.resman.begin_inflight(expected);
     let results = pool.store.read_pages(first.chain, first.page_no, n);
     pool.resman.end_inflight(expected);
-    // Close the read span before per-request completion so the plain emits
-    // inside admit_frame do not adopt the batch span: per-request
-    // attribution belongs to each request's own originating span.
+    // Close the read span before per-request completion: it times the
+    // physical read, and each completion's events carry its own request's
+    // originating span.
     drop(batch_span);
     debug_assert_eq!(results.len(), n, "read_pages must return one result per page");
     for (req, result) in run.into_iter().zip(results) {
@@ -392,7 +392,7 @@ fn complete(pool: &Arc<PoolInner>, req: FetchRequest, outcome: StorageResult<Box
     match outcome {
         Ok(data) => {
             let bytes = data.len() as u64;
-            let frame = pool.admit_frame(req.key, data);
+            let frame = pool.admit_frame(req.key, req.span, data);
             pool.shard(req.key)
                 .lock()
                 .slots
@@ -425,7 +425,7 @@ fn complete(pool: &Arc<PoolInner>, req: FetchRequest, outcome: StorageResult<Box
                     state.slots.remove(&req.key);
                 }
                 if err.fault_class() == FaultClass::Corrupt {
-                    pool.quarantine(&mut state, req.key, Arc::clone(&shared));
+                    pool.quarantine(&mut state, req.key, req.span, Arc::clone(&shared));
                 }
             }
             // Count the completion, then wake waiters with the actual error

@@ -243,11 +243,13 @@ impl PoolInner {
         &self.shards[((word * self.shards.len() as u64) >> 32) as usize]
     }
 
-    /// Inserts `key` into the shard's capped quarantine set.
+    /// Inserts `key` into the shard's capped quarantine set. `span` is the
+    /// requesting pin's, which the `PageQuarantined` event carries.
     pub(crate) fn quarantine(
         &self,
         state: &mut ShardState,
         key: PageKey,
+        span: u64,
         error: Arc<StorageError>,
     ) {
         if state.quarantine.len() >= self.quarantine_cap && !state.quarantine.contains_key(&key) {
@@ -265,17 +267,24 @@ impl PoolInner {
             .quarantine
             .insert(key, QuarantineEntry { error, pins_left: self.quarantine_ttl });
         self.metrics.quarantine_inserts.inc();
-        self.tracer.emit(EventKind::PageQuarantined, key.chain.0, key.page_no, 0);
+        self.tracer.emit_tagged(EventKind::PageQuarantined, key.chain.0, key.page_no, 0, span, 0);
     }
 
     /// Accounts a successfully read page and registers its frame (pinned)
     /// with the resource manager. The caller owns the registration pin: it
     /// rides the ticket to the submitter and becomes its `PageGuard`'s pin.
-    pub(crate) fn admit_frame(self: &Arc<Self>, key: PageKey, data: Box<[u8]>) -> Arc<Frame> {
+    /// `span` is the requesting pin's, which the `PageLoaded` event carries:
+    /// the I/O stage admits frames on its own threads.
+    pub(crate) fn admit_frame(
+        self: &Arc<Self>,
+        key: PageKey,
+        span: u64,
+        data: Box<[u8]>,
+    ) -> Arc<Frame> {
         self.metrics.loads.inc();
         self.metrics.bytes_loaded.add(data.len() as u64);
-        self.tracer
-            .emit(EventKind::PageLoaded, key.chain.0, key.page_no, data.len() as u64);
+        let bytes = data.len() as u64;
+        self.tracer.emit_tagged(EventKind::PageLoaded, key.chain.0, key.page_no, bytes, span, 0);
         let size = data.len();
         let pool_weak: Weak<PoolInner> = Arc::downgrade(self);
         // Cyclic: the eviction callback needs the frame, the frame needs the

@@ -5,7 +5,7 @@
 //! enabled, a pressure-eviction run reconstructs the exact
 //! load → pin → evict sequence per page from the event buffers).
 
-use payg_obs::{EventKind, ObsSnapshot};
+use payg_obs::{EventKind, ObsSnapshot, SpanKind};
 use payg_resman::{PoolLimits, ResourceManager};
 use payg_storage::{
     BufferPool, FaultPlan, FaultyStore, GateStore, MemStore, PageKey, PageStore,
@@ -105,6 +105,32 @@ fn single_flight_wait_counts_and_emits_events() {
         .iter()
         .filter(|e| e.kind == EventKind::SingleFlightWait)
         .all(|e| e.chain == chain.0 && e.page_no == 0));
+}
+
+#[test]
+fn loads_and_quarantines_carry_the_requesting_span() {
+    // The I/O stage completes a load on its own thread after the batch span
+    // has closed: its PageLoaded and PageQuarantined events must carry the
+    // span of the pin that asked for the page, as IoCompleted does.
+    let store = Arc::new(FaultyStore::new(MemStore::new(), FaultPlan::None));
+    let chain = store.create_chain(16).unwrap();
+    for i in 0..3 {
+        store.append_page(chain, &[i as u8; 16]).unwrap();
+    }
+    store.set_plan(FaultPlan::CorruptPages(vec![PageKey::new(chain, 2)]));
+    let pool = BufferPool::new(Arc::clone(&store) as Arc<dyn PageStore>, ResourceManager::new());
+    let tracer = pool.registry().tracer().clone();
+    tracer.enable();
+    let query = tracer.span(SpanKind::Query, 0);
+    let qid = query.id();
+    let pins = pool.pin_many(&[0, 1, 2].map(|p| PageKey::new(chain, p)));
+    assert!(pins[0].is_ok() && pins[1].is_ok() && pins[2].is_err());
+    drop(pins);
+    drop(query);
+    let events = tracer.drain();
+    let spans_of = |kind| events.iter().filter(|e| e.kind == kind).map(|e| e.span).collect::<Vec<_>>();
+    assert_eq!(spans_of(EventKind::PageLoaded), [qid, qid]);
+    assert_eq!(spans_of(EventKind::PageQuarantined), [qid]);
 }
 
 #[test]

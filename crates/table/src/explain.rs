@@ -1,33 +1,42 @@
 //! EXPLAIN ANALYZE: the static scan plan annotated with what actually
-//! happened, reconstructed from the query flight recorder.
+//! happened, folded from the query's own span tree.
 //!
-//! [`Table::explain_analyze`] runs a query with the pool's [`payg_obs::Tracer`]
-//! enabled, under a fresh `query` span. Afterwards it drains the recorder and
-//! folds three sources into one report:
+//! [`Table::explain_analyze`] runs a query under a fresh `query` span while
+//! it holds a [`payg_obs::Recording`] on the pool's tracer. Afterwards it
+//! takes out that span's tree — the closed spans under the root and the
+//! events tagged with any of them ([`payg_obs::Tracer::take_tree`]) — and
+//! folds every number of the report from it:
 //!
 //! * the **static plan** — [`Table::scan_plan`] as it stood before execution
 //!   (per-partition [`ScanPath`]), annotated per store chain with the pins,
-//!   cold loads, waits, I/O traffic and retries the chain actually saw;
+//!   cold loads, waits, I/O traffic and retries the chain actually saw, and
+//!   with the bit width the scan kernel ran at;
+//! * the **scan work** — pages pruned by their summaries, chunks scanned
+//!   and matches, from the data-vector scans' `DataScan` events;
 //! * the **span tree** — query → page-wait / io-batch / chunk-dispatch, each
-//!   with wall-clock nanoseconds and a thread lane;
+//!   with wall-clock nanoseconds and a thread lane (the root's duration is
+//!   the report's wall time);
 //! * **page provenance** — which I/O batches this query *initiated* (the
 //!   `IoBatchIssued` event's span belongs to the query tree) versus merely
 //!   *joined* (its pages rode a coalesced read another query started).
 //!
+//! Nothing outside the tree enters the report and nothing outside it leaves
+//! the tracer, so the report is exact while other sessions drive the same
+//! pool, drain the tracer themselves or run their own `explain_analyze`.
+//! The recording ends when the call returns, success or error, and never
+//! touches the tracer's user flag.
+//!
 //! The report renders as a text tree ([`ExplainAnalyze::to_text`]), as JSON
 //! ([`ExplainAnalyze::to_json`]), and as a Chrome `trace_event` array
 //! ([`ExplainAnalyze::to_chrome_trace`]) loadable in `about://tracing`.
-//!
-//! The recorder is drained on entry and read back on exit, so the report is
-//! exact when nothing else drives the same pool concurrently — the same
-//! exclusivity [`Table::execute_profiled`] already assumes. The tracer's
-//! previous enabled state is restored on return, success or error.
 
 use crate::query::{Query, QueryResult};
 use crate::table::Table;
 use crate::TableResult;
+use payg_core::column::ColumnRead;
 use payg_core::ScanPath;
-use payg_obs::{names, EventKind, ObsSnapshot, PageEvent, ScanProfile, SpanKind, SpanRecord};
+use payg_encoding::BitWidth;
+use payg_obs::{names, EventKind, ObsSnapshot, PageEvent, SpanKind, SpanRecord};
 use std::collections::{BTreeMap, HashSet};
 
 /// What one store chain actually did during the measured execution.
@@ -56,18 +65,27 @@ impl ChainActuals {
         self.pins.saturating_sub(self.cold_loads + self.waits)
     }
 
+    /// Counts one event of `kind` (kinds that are not a chain's pool
+    /// traffic are ignored).
+    fn add(&mut self, kind: EventKind) {
+        match kind {
+            EventKind::PagePinned => self.pins += 1,
+            EventKind::PageLoaded => self.cold_loads += 1,
+            EventKind::SingleFlightWait => self.waits += 1,
+            EventKind::IoSubmitted => self.io_submitted += 1,
+            EventKind::IoCompleted => self.io_completed += 1,
+            EventKind::LoadRetried => self.retries += 1,
+            _ => {}
+        }
+    }
+
     fn is_zero(&self) -> bool {
-        self.pins == 0
-            && self.cold_loads == 0
-            && self.waits == 0
-            && self.io_submitted == 0
-            && self.io_completed == 0
-            && self.retries == 0
+        *self == ChainActuals { chain: self.chain, ..ChainActuals::default() }
     }
 }
 
 /// One chain of one column in the annotated plan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChainExplain {
     /// The column the chain belongs to.
     pub column: String,
@@ -84,6 +102,9 @@ pub struct PartitionExplain {
     pub partition: usize,
     /// The static scan path [`Table::scan_plan`] chose before execution.
     pub path: ScanPath,
+    /// Bit width the data-vector scan kernel ran at on this partition's
+    /// main fragment (0 = no kernel scan).
+    pub kernel_width: u32,
     /// Chains with observed activity (the filter column's chains are always
     /// listed, active or not, so a fully-pruned partition is visible).
     pub chains: Vec<ChainExplain>,
@@ -94,45 +115,46 @@ pub struct PartitionExplain {
 pub struct ExplainAnalyze {
     /// Static plan, one entry per partition, annotated with actuals.
     pub partitions: Vec<PartitionExplain>,
-    /// The registry-delta profile of the execution (pages pinned, pruned,
-    /// chunks, kernel dispatch width, cold/warm split, io-stage batching).
-    pub profile: ScanProfile,
-    /// Every span the recorder closed during execution, sorted by id.
+    /// The query's spans — the root and every span under it — sorted by id.
     pub spans: Vec<SpanRecord>,
     /// The root `query` span's id.
     pub root: u64,
-    /// Every page event the recorder captured during execution, in global
-    /// order.
+    /// The events tagged with a span of the tree, in global order.
     pub events: Vec<PageEvent>,
+    /// Wall-clock duration of the root span in nanoseconds.
+    pub wall_ns: u64,
+    /// Data-vector pages the scans skipped by their (min, max) summaries.
+    pub pages_pruned: u64,
+    /// 64-value chunks the scan kernels evaluated.
+    pub chunks_scanned: u64,
+    /// Rows the data-vector scans matched.
+    pub matches: u64,
     /// I/O batches whose physical read this query's tree initiated.
     pub batches_initiated: u64,
     /// Distinct I/O batches this query's pages rode without initiating
     /// (coalesced reads started on behalf of other work).
     pub batches_joined: u64,
-    /// The registry delta spanning the execution (for reconciliation).
-    pub delta: ObsSnapshot,
+    /// Pages covered by the multi-page reads this query's tree initiated.
+    pub coalesced_pages: u64,
 }
 
 impl ExplainAnalyze {
-    /// Span ids reachable from the root `query` span (the query's tree).
-    /// Spans are id-sorted and parents allocate before children, so one
-    /// forward pass resolves the whole tree.
-    pub fn tree(&self) -> HashSet<u64> {
-        let mut tree = HashSet::new();
-        tree.insert(self.root);
-        for s in &self.spans {
-            if s.parent != 0 && tree.contains(&s.parent) {
-                tree.insert(s.id);
-            }
+    /// The pool traffic of the whole tree, every chain summed (`chain` is
+    /// 0).
+    pub fn totals(&self) -> ChainActuals {
+        let mut t = ChainActuals::default();
+        for e in &self.events {
+            t.add(e.kind);
         }
-        tree
+        t
     }
 
-    /// Checks the drained events against the registry delta: every traced
-    /// occurrence must reconcile 1:1 with the counter that measures it.
-    /// Returns the first mismatch as `Err` — exact only when nothing else
-    /// drove the pool during the measured window.
-    pub fn check_consistency(&self) -> Result<(), String> {
+    /// Checks the tree's events against `delta`, the registry delta its
+    /// caller collected around a solo run: every traced occurrence must
+    /// reconcile 1:1 with the counter that measures it. Returns the first
+    /// mismatch as `Err`. The counters also count any other work on the
+    /// pool, so only a solo run can be checked.
+    pub fn check_consistency(&self, delta: &ObsSnapshot) -> Result<(), String> {
         let count = |k: EventKind| self.events.iter().filter(|e| e.kind == k).count() as u64;
         let checks = [
             (names::POOL_LOADS, count(EventKind::PageLoaded)),
@@ -146,12 +168,13 @@ impl ExplainAnalyze {
                 names::POOL_IO_PHYSICAL_READS,
                 count(EventKind::IoBatchIssued) + count(EventKind::LoadRetried),
             ),
+            (names::POOL_IO_COALESCED, self.coalesced_pages),
             (names::POOL_QUARANTINE_INSERTS, count(EventKind::PageQuarantined)),
         ];
         for (name, traced) in checks {
-            let counted = self.delta.counter(name);
+            let counted = delta.counter(name);
             if counted != traced {
-                return Err(format!("{name}: registry delta {counted} != {traced} traced events"));
+                return Err(format!("{name}: registry delta {counted} != {traced} traced"));
             }
         }
         Ok(())
@@ -160,20 +183,20 @@ impl ExplainAnalyze {
     /// Renders the report as a text tree (plan first, then the span tree).
     pub fn to_text(&self) -> String {
         let mut out = String::new();
-        let p = &self.profile;
+        let t = self.totals();
         out.push_str(&format!(
             "EXPLAIN ANALYZE  wall={}  cold={} warm={} pruned={} chunks={} matches={}\n",
-            fmt_ns(p.elapsed_ns),
-            p.cold_loads,
-            p.warm_hits,
-            p.pages_pruned,
-            p.chunks_scanned,
-            p.bitmap_matches
+            fmt_ns(self.wall_ns),
+            t.cold_loads,
+            t.warm_pins(),
+            self.pages_pruned,
+            self.chunks_scanned,
+            self.matches
         ));
         for part in &self.partitions {
             out.push_str(&format!(
                 "├─ partition {}: path={:?} kernel_width={}\n",
-                part.partition, part.path, self.profile.dispatch_width
+                part.partition, part.path, part.kernel_width
             ));
             for (i, c) in part.chains.iter().enumerate() {
                 let branch = if i + 1 == part.chains.len() { "└─" } else { "├─" };
@@ -196,20 +219,18 @@ impl ExplainAnalyze {
         }
         out.push_str(&format!(
             "├─ io: batches initiated={} joined={} coalesced_pages={}\n",
-            self.batches_initiated, self.batches_joined, p.io_coalesced_pages
+            self.batches_initiated, self.batches_joined, self.coalesced_pages
         ));
         out.push_str("└─ spans:\n");
         let mut children: BTreeMap<u64, Vec<&SpanRecord>> = BTreeMap::new();
         for s in &self.spans {
             children.entry(s.parent).or_default().push(s);
         }
-        if let Some(roots) = children.get(&self.root).cloned() {
-            if let Some(root) = self.spans.iter().find(|s| s.id == self.root) {
-                out.push_str(&format!("   └─ {}\n", fmt_span(root)));
-                render_spans(&mut out, &children, &roots, "      ");
-            }
-        } else if let Some(root) = self.spans.iter().find(|s| s.id == self.root) {
+        if let Some(root) = self.spans.iter().find(|s| s.id == self.root) {
             out.push_str(&format!("   └─ {}\n", fmt_span(root)));
+            if let Some(kids) = children.get(&self.root) {
+                render_spans(&mut out, &children, kids, "      ");
+            }
         }
         out
     }
@@ -241,9 +262,10 @@ impl ExplainAnalyze {
                 })
                 .collect();
             parts.push(format!(
-                "{{\"partition\": {}, \"path\": \"{:?}\", \"chains\": [{}]}}",
+                "{{\"partition\": {}, \"path\": \"{:?}\", \"kernel_width\": {}, \"chains\": [{}]}}",
                 part.partition,
                 part.path,
+                part.kernel_width,
                 chains.join(", ")
             ));
         }
@@ -264,14 +286,24 @@ impl ExplainAnalyze {
                 )
             })
             .collect();
+        let t = self.totals();
         format!(
-            "{{\"plan\": [{}], \"profile\": {}, \
-             \"io\": {{\"batches_initiated\": {}, \"batches_joined\": {}}}, \
+            "{{\"plan\": [{}], \
+             \"scan\": {{\"wall_ns\": {}, \"pins\": {}, \"cold_loads\": {}, \"warm_pins\": {}, \
+             \"pages_pruned\": {}, \"chunks_scanned\": {}, \"matches\": {}}}, \
+             \"io\": {{\"batches_initiated\": {}, \"batches_joined\": {}, \"coalesced_pages\": {}}}, \
              \"root\": {}, \"spans\": [{}]}}",
             parts.join(", "),
-            self.profile.to_json(),
+            self.wall_ns,
+            t.pins,
+            t.cold_loads,
+            t.warm_pins(),
+            self.pages_pruned,
+            self.chunks_scanned,
+            self.matches,
             self.batches_initiated,
             self.batches_joined,
+            self.coalesced_pages,
             self.root,
             spans.join(", ")
         )
@@ -335,11 +367,10 @@ fn render_spans(
 }
 
 impl Table {
-    /// Executes `q` with the flight recorder on and returns the result
-    /// alongside the full [`ExplainAnalyze`] report. The pool's tracer is
-    /// drained on entry (stale events from earlier work are discarded) and
-    /// its enabled state is restored on return. Exact when nothing else
-    /// drives the same pool concurrently.
+    /// Executes `q` under its own recording of the pool's tracer and
+    /// returns the result alongside the [`ExplainAnalyze`] report folded
+    /// from the query's span tree. Exact under concurrency: other sessions'
+    /// work never enters the report, and their trace stays in the tracer.
     pub fn explain_analyze(&self, q: &Query) -> TableResult<(QueryResult, ExplainAnalyze)> {
         // One snapshot for the whole report: the plan, the execution and
         // the annotation all see the same pinned version even when a merge
@@ -347,84 +378,65 @@ impl Table {
         let session = self.session()?;
         // The plan as it stands *before* execution.
         let plan = session.scan_plan(q)?;
-        let tracer = self.registry().tracer().clone();
-        let was_enabled = tracer.enabled();
-        tracer.drain();
-        tracer.drain_spans();
-        tracer.enable();
-
-        let before = ObsSnapshot::collect(self.registry());
-        let started = std::time::Instant::now();
+        let tracer = self.registry().tracer();
+        let _recording = tracer.record();
         let root_span = tracer.span(SpanKind::Query, 0);
         let root = root_span.id();
         let result = session.execute(q);
         drop(root_span);
-        let elapsed_ns = started.elapsed().as_nanos() as u64;
-        let after = ObsSnapshot::collect(self.registry());
-
-        if !was_enabled {
-            tracer.disable();
-        }
-        let events = tracer.drain();
-        let spans = tracer.drain_spans();
+        let (events, spans) = tracer.take_tree(root);
         let result = result?;
-
-        let delta = ObsSnapshot::delta(&after, &before);
-        let mut profile = ScanProfile::from_delta(&delta);
-        profile.elapsed_ns = elapsed_ns;
 
         let mut report = ExplainAnalyze {
             partitions: Vec::new(),
-            profile,
+            wall_ns: spans.iter().find(|s| s.id == root).map_or(0, SpanRecord::duration_ns),
             spans,
             root,
-            events,
+            events: Vec::new(),
+            pages_pruned: 0,
+            chunks_scanned: 0,
+            matches: 0,
             batches_initiated: 0,
             batches_joined: 0,
-            delta,
+            coalesced_pages: 0,
         };
 
-        // Provenance: a batch is *initiated* by this query when the
-        // IoBatchIssued event is tagged with a span in the query's tree,
-        // *joined* when our completions name a batch issued outside it.
-        let tree = report.tree();
-        let issued_here: HashSet<u64> = report
-            .events
+        // One pass over the tree's events: per-chain pool traffic, scan
+        // work, and the batches the tree issued (every event here belongs
+        // to the query, so each IoBatchIssued is a batch it *initiated*).
+        let mut by_chain: BTreeMap<u64, ChainActuals> = BTreeMap::new();
+        let mut scanned: HashSet<u64> = HashSet::new();
+        let mut issued: HashSet<u64> = HashSet::new();
+        for e in &events {
+            match e.kind {
+                EventKind::DataScan => {
+                    report.pages_pruned += e.page_no;
+                    report.chunks_scanned += e.bytes;
+                    report.matches += e.aux;
+                    scanned.insert(e.chain);
+                }
+                EventKind::IoBatchIssued => {
+                    issued.insert(e.aux);
+                    if e.bytes > 1 {
+                        report.coalesced_pages += e.bytes;
+                    }
+                }
+                kind => by_chain
+                    .entry(e.chain)
+                    .or_insert(ChainActuals { chain: e.chain, ..ChainActuals::default() })
+                    .add(kind),
+            }
+        }
+        report.batches_initiated = issued.len() as u64;
+        // Joined: completions of the tree's requests naming a batch issued
+        // outside it.
+        report.batches_joined = events
             .iter()
-            .filter(|e| e.kind == EventKind::IoBatchIssued && tree.contains(&e.span))
-            .map(|e| e.aux)
-            .collect();
-        report.batches_initiated = issued_here.len() as u64;
-        report.batches_joined = report
-            .events
-            .iter()
-            .filter(|e| {
-                e.kind == EventKind::IoCompleted
-                    && tree.contains(&e.span)
-                    && e.aux != 0
-                    && !issued_here.contains(&e.aux)
-            })
+            .filter(|e| e.kind == EventKind::IoCompleted && e.aux != 0 && !issued.contains(&e.aux))
             .map(|e| e.aux)
             .collect::<HashSet<u64>>()
             .len() as u64;
-
-        // Per-chain actuals, grouped straight off the event log.
-        let mut by_chain: BTreeMap<u64, ChainActuals> = BTreeMap::new();
-        for e in &report.events {
-            let a = by_chain.entry(e.chain).or_insert(ChainActuals {
-                chain: e.chain,
-                ..ChainActuals::default()
-            });
-            match e.kind {
-                EventKind::PagePinned => a.pins += 1,
-                EventKind::PageLoaded => a.cold_loads += 1,
-                EventKind::SingleFlightWait => a.waits += 1,
-                EventKind::IoSubmitted => a.io_submitted += 1,
-                EventKind::IoCompleted => a.io_completed += 1,
-                EventKind::LoadRetried => a.retries += 1,
-                _ => {}
-            }
-        }
+        report.events = events;
 
         // Annotate the static plan: every active chain of every column,
         // plus the filter column's chains even when idle (a fully-pruned
@@ -435,8 +447,13 @@ impl Table {
         };
         for (pi, p) in session.partitions().iter().enumerate() {
             let mut chains = Vec::new();
+            let mut kernel_width = 0;
             for (ci, spec) in self.schema().columns().iter().enumerate() {
-                for (role, chain) in p.main_frag().column(ci).chains() {
+                let column = p.main_frag().column(ci);
+                for (role, chain) in column.chains() {
+                    if role == "data" && scanned.contains(&chain) {
+                        kernel_width = BitWidth::for_cardinality(column.cardinality()).bits();
+                    }
                     let actuals = by_chain
                         .get(&chain)
                         .copied()
@@ -446,7 +463,12 @@ impl Table {
                     }
                 }
             }
-            report.partitions.push(PartitionExplain { partition: pi, path: plan[pi], chains });
+            report.partitions.push(PartitionExplain {
+                partition: pi,
+                path: plan[pi],
+                kernel_width,
+                chains,
+            });
         }
 
         Ok((result, report))

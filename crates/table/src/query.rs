@@ -116,32 +116,6 @@ impl RowAddr {
 }
 
 impl Table {
-    /// Executes a query against a fresh snapshot and returns the
-    /// [`payg_obs::ScanProfile`] of the work it caused, measured as the
-    /// registry delta around execution (every layer under this table —
-    /// datavec iterators, buffer pool, columns — reports into the table's
-    /// registry). The profile is exact when no other work drives the same
-    /// registry concurrently.
-    pub fn execute_profiled(
-        &self,
-        q: &Query,
-    ) -> TableResult<(QueryResult, payg_obs::ScanProfile)> {
-        let session = self.session()?;
-        let before = payg_obs::ObsSnapshot::collect(self.registry());
-        let started = std::time::Instant::now();
-        // Flight recorder: the whole execution runs under one query span,
-        // so page-wait / io-batch / chunk-dispatch children parent to it.
-        let span = self.registry().tracer().span(payg_obs::SpanKind::Query, 0);
-        let result = session.execute(q)?;
-        drop(span);
-        let elapsed_ns = started.elapsed().as_nanos() as u64;
-        let after = payg_obs::ObsSnapshot::collect(self.registry());
-        let counters = payg_obs::ObsSnapshot::delta(&after, &before);
-        let mut profile = payg_obs::ScanProfile::from_delta(&counters);
-        profile.elapsed_ns = elapsed_ns;
-        Ok((result, profile))
-    }
-
     /// [`Snapshot::scan_plan`] on a fresh snapshot.
     pub fn scan_plan(&self, q: &Query) -> TableResult<Vec<ScanPath>> {
         self.session()?.scan_plan(q)
@@ -841,25 +815,6 @@ mod tests {
     fn unfiltered_scan_sees_everything_visible() {
         let t = table(LoadPolicy::PageLoadable);
         assert_eq!(t.execute(&Query::full(Projection::Count)).unwrap().count(), 320);
-    }
-
-    #[test]
-    fn execute_profiled_reports_scan_work() {
-        let t = table(LoadPolicy::PageLoadable);
-        let q = Query::filtered(
-            "region",
-            ValuePredicate::Eq(Value::Varchar("region-1".into())),
-            Projection::Count,
-        );
-        let (result, profile) = t.execute_profiled(&q).unwrap();
-        assert_eq!(result.count(), 64);
-        assert!(profile.chunks_scanned > 0, "paged scan evaluated chunks: {profile:?}");
-        assert!(profile.elapsed_ns > 0);
-        // The same result again is warm: no new cold loads.
-        let (result2, profile2) = t.execute_profiled(&q).unwrap();
-        assert_eq!(result2.count(), 64);
-        assert_eq!(profile2.cold_loads, 0, "second run is warm: {profile2:?}");
-        assert!(profile2.warm_hits > 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! Two phases with the same reader workload: **quiesced** (no merge) and
 //! **merge** (a writer thread keeps ingesting and merging). The report is
 //! p50/p99 per phase plus the p99 degradation ratio, written to
-//! `BENCH_concurrent_serve.json` at the workspace root. Targets enforced on
+//! `target/BENCH_concurrent_serve.json`. Targets enforced on
 //! a full run: p99 during merge <= 3x quiesced and **zero failed reads** —
 //! every session must serve exact answers throughout. The latency target
 //! needs real parallelism to mean anything: on a single hardware thread the
@@ -15,7 +15,8 @@
 //! reported but only gated when the box has >= 2 cpus.
 //!
 //! Run with: `cargo run --release --example concurrent_serve`
-//! `PAYG_SMOKE=1` runs reduced sizes and writes the JSON under `target/`.
+//! `PAYG_SMOKE=1` runs reduced sizes and writes
+//! `target/BENCH_concurrent_serve_smoke.json`.
 
 use page_as_you_go::core::{DataType, LoadPolicy, PageConfig, Value, ValuePredicate};
 use page_as_you_go::resman::ResourceManager;
@@ -282,17 +283,18 @@ fn main() {
     let _ = writeln!(json, "  \"failed_reads\": {failed},");
     let _ = writeln!(json, "  \"met\": {met},");
     let snap = payg_obs::ObsSnapshot::collect(table.registry());
-    let _ = writeln!(json, "  \"obs\": {}", payg_bench::obs::obs_json(&snap, None, "  "));
+    let _ = writeln!(json, "  \"obs\": {}", payg_bench::obs::obs_json(&snap, "  "));
     json.push_str("}\n");
 
-    // Smoke runs write under target/ so checked-in numbers are preserved.
-    let path = if params.smoke {
-        let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("target");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join("BENCH_concurrent_serve_smoke.json")
+    // Both modes write under target/: a report is one run's output on the
+    // cpus it names, not a checked-in figure.
+    let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("target");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(if params.smoke {
+        "BENCH_concurrent_serve_smoke.json"
     } else {
-        std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("BENCH_concurrent_serve.json")
-    };
+        "BENCH_concurrent_serve.json"
+    });
     std::fs::write(&path, &json).unwrap();
     println!("wrote {}", path.display());
 

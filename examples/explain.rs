@@ -1,18 +1,31 @@
 //! EXPLAIN ANALYZE walkthrough: run a cold scan over a compressed
-//! page-loadable table, print the flight recorder's report —
-//! the static plan annotated with per-chain actuals, the span tree, and
-//! the page-provenance summary — then re-run warm and check that plan and
-//! actuals stay consistent with the registry. Also writes the span tree as
-//! a Chrome `trace_event` file loadable in `about://tracing`.
+//! page-loadable table, print the flight recorder's report — the static
+//! plan annotated with per-chain actuals, the span tree, and the
+//! page-provenance summary, all folded from the query's own span tree —
+//! then re-run warm, checking every report against the registry delta of
+//! its run. Also writes the span tree as a Chrome `trace_event` file
+//! loadable in `about://tracing`.
 //!
 //! Run with: `cargo run --release --example explain`
 
 use page_as_you_go::core::{DataType, LoadPolicy, PageConfig, ScanPath, Value, ValuePredicate};
-use page_as_you_go::obs::SpanKind;
+use page_as_you_go::obs::{ObsSnapshot, SpanKind};
 use page_as_you_go::resman::ResourceManager;
 use page_as_you_go::storage::{BufferPool, MemStore};
-use page_as_you_go::table::{ColumnSpec, PartitionSpec, Projection, Query, Schema, Table};
+use page_as_you_go::table::{
+    ColumnSpec, ExplainAnalyze, PartitionSpec, Projection, Query, QueryResult, Schema, Table,
+};
 use std::sync::Arc;
+
+/// `explain_analyze`, checked against the registry delta around it — this
+/// example is the pool's only user, so every run is solo.
+fn explain(table: &Table, q: &Query) -> (QueryResult, ExplainAnalyze) {
+    let before = ObsSnapshot::collect(table.registry());
+    let (result, report) = table.explain_analyze(q).unwrap();
+    let delta = ObsSnapshot::delta(&ObsSnapshot::collect(table.registry()), &before);
+    report.check_consistency(&delta).expect("the span tree reconciles with the registry delta");
+    (result, report)
+}
 
 fn main() {
     let schema = Schema::new(vec![
@@ -46,43 +59,42 @@ fn main() {
         ValuePredicate::Eq(Value::Varchar("region-3".into())),
         Projection::Count,
     );
-    let (result, cold) = table.explain_analyze(&scan).unwrap();
+    let (result, cold) = explain(&table, &scan);
     println!("=== cold scan (COUNT = {}) ===", result.count());
     println!("{}", cold.to_text());
-    cold.check_consistency().expect("cold run reconciles with the registry delta");
-    assert!(cold.profile.cold_loads > 0, "first run must load pages");
+    assert!(cold.totals().cold_loads > 0, "first run must load pages");
+    assert!(cold.partitions[0].kernel_width > 0, "the scan kernel ran");
+    assert_eq!(cold.matches, result.count(), "the scan's matches are the count");
     assert!(cold.batches_initiated > 0, "cold scan issues I/O batches");
-    assert!(cold.profile.io_coalesced_pages > 0, "consecutive cold pages share reads");
+    assert!(cold.coalesced_pages > 0, "consecutive cold pages share reads");
     assert!(
         cold.spans.iter().any(|s| s.kind == SpanKind::IoBatch),
         "coalesced reads record batch spans"
     );
 
     // ---- Warm re-run: same plan, no cold loads ---------------------------
-    let (result2, warm) = table.explain_analyze(&scan).unwrap();
+    let (result2, warm) = explain(&table, &scan);
     assert_eq!(result.count(), result2.count(), "warm run returns the same answer");
-    warm.check_consistency().expect("warm run reconciles with the registry delta");
-    assert_eq!(warm.profile.cold_loads, 0, "warm run re-hits resident pages");
-    assert!(warm.profile.warm_hits > 0);
+    assert_eq!(warm.totals().cold_loads, 0, "warm run re-hits resident pages");
+    assert!(warm.totals().warm_pins() > 0);
     println!("=== warm re-run ===");
     println!(
         "cold={} warm={} batches_initiated={} wall={}ns",
-        warm.profile.cold_loads,
-        warm.profile.warm_hits,
+        warm.totals().cold_loads,
+        warm.totals().warm_pins(),
         warm.batches_initiated,
-        warm.profile.elapsed_ns
+        warm.wall_ns
     );
 
     // ---- Compressed-domain point probe -----------------------------------
     let point =
         Query::filtered("id", ValuePredicate::Eq(Value::Integer(1234)), Projection::RowIds);
-    let (_, probe) = table.explain_analyze(&point).unwrap();
+    let (_, probe) = explain(&table, &point);
     assert_eq!(probe.partitions[0].path, ScanPath::CompressedDomain, "PEF point probe");
     assert!(
         probe.spans.iter().any(|s| s.kind == SpanKind::ChunkDispatch && s.detail == 1),
         "dispatch decision recorded as a span"
     );
-    probe.check_consistency().expect("probe reconciles with the registry delta");
     println!("\n=== compressed-domain point probe ===");
     println!("{}", probe.to_text());
 

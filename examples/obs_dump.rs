@@ -1,14 +1,15 @@
 //! Observability dump: drive a small page-loadable table under memory
 //! pressure, then print everything the `payg-obs` layer collected — the
-//! full registry snapshot as Prometheus exposition text and as JSON, a
-//! per-query [`ScanProfile`], and the traced page-lifecycle events.
+//! full registry snapshot as Prometheus exposition text and as JSON, the
+//! last query's EXPLAIN ANALYZE report (its own span tree, folded) as JSON,
+//! and the traced page-lifecycle events.
 //! Finishes with a smoke check that the *disabled* tracing path stays
 //! cheap (it is one relaxed load and a branch per emit).
 //!
 //! Run with: `cargo run --release --example obs_dump`
 
 use page_as_you_go::core::{LoadPolicy, PageConfig};
-use page_as_you_go::obs::{EventKind, ObsSnapshot, ScanProfile};
+use page_as_you_go::obs::{EventKind, ObsSnapshot};
 use page_as_you_go::resman::{PoolLimits, ResourceManager};
 use page_as_you_go::storage::{BufferPool, MemStore};
 use page_as_you_go::table::{PartitionSpec, Table};
@@ -38,23 +39,27 @@ fn main() {
     let tracer = table.registry().tracer().clone();
     tracer.enable();
     let mut qg = QueryGen::new(profile, 11);
-    let mut last_profile = ScanProfile::default();
     for i in 0..300u32 {
         // Mostly point queries, with a predicate count every 10th to
-        // exercise the scan kernels (chunks, dispatch width, matches).
+        // exercise the scan kernels (chunks, kernel width, matches).
         let q = if i % 10 == 0 { qg.q_num_count() } else { qg.q_pk_star() };
-        let (_, p) = table.execute_profiled(&q).unwrap();
-        last_profile = p;
+        table.execute(&q).unwrap();
     }
+    // The last query of the stream runs through explain_analyze: its span
+    // tree leaves the tracer inside the report, the rest stays for the
+    // drain below.
+    let (_, report) = table.explain_analyze(&qg.q_num_count()).unwrap();
     resman.quiesce();
     tracer.disable();
 
-    // ---- Per-scan profile (the last query of the stream) ----------------
-    println!("=== ScanProfile (last query) ===");
-    println!("{}\n", last_profile.to_json());
+    // ---- Per-query report (the last query of the stream) ----------------
+    println!("=== EXPLAIN ANALYZE (last query) ===");
+    println!("{}\n", report.to_json());
 
     // ---- Traced page-lifecycle events -----------------------------------
-    let events = tracer.drain();
+    let mut events = tracer.drain();
+    events.extend_from_slice(&report.events);
+    events.sort_by_key(|e| e.seq);
     let count_of = |k: EventKind| events.iter().filter(|e| e.kind == k).count();
     println!("=== Page-lifecycle events ({} total, {} dropped) ===", events.len(), tracer.dropped());
     for kind in [

@@ -28,7 +28,7 @@ pub use resident::ResidentColumn;
 
 use crate::datavec::ScanOptions;
 use crate::meta::{MetaReader, MetaWriter};
-use crate::{CoreError, CoreResult, DataType, PageConfig, Value, ValuePredicate};
+use crate::{CoreError, CoreResult, DataType, KeyPredicate, PageConfig, Value, ValuePredicate};
 use payg_encoding::dispatch::{CodecKind, ScanPath};
 use payg_encoding::VidSet;
 use payg_resman::Disposition;
@@ -127,7 +127,7 @@ impl Column {
     /// The strategy a row search for `pred` runs with. Resident columns
     /// always decode-then-scan — their image is already decompressed in
     /// memory — so only page-loadable columns ever seek compressed postings.
-    pub fn scan_path(&self, pred: &ValuePredicate) -> ScanPath {
+    pub fn scan_path(&self, pred: &KeyPredicate) -> ScanPath {
         match self {
             Column::Resident(_) => ScanPath::DecodeThenScan,
             Column::Paged(c) => c.scan_path(pred),
@@ -338,17 +338,17 @@ impl ColumnRead for Column {
         }
     }
 
-    fn find_rows(&self, pred: &ValuePredicate, from: u64, to: u64) -> CoreResult<Vec<u64>> {
+    fn find_key_rows(&self, pred: &KeyPredicate, from: u64, to: u64) -> CoreResult<Vec<u64>> {
         match self {
-            Column::Resident(c) => c.find_rows(pred, from, to),
-            Column::Paged(c) => c.find_rows(pred, from, to),
+            Column::Resident(c) => c.find_key_rows(pred, from, to),
+            Column::Paged(c) => c.find_key_rows(pred, from, to),
         }
     }
 
-    fn count_rows(&self, pred: &ValuePredicate, from: u64, to: u64) -> CoreResult<u64> {
+    fn count_key_rows(&self, pred: &KeyPredicate, from: u64, to: u64) -> CoreResult<u64> {
         match self {
-            Column::Resident(c) => c.count_rows(pred, from, to),
-            Column::Paged(c) => c.count_rows(pred, from, to),
+            Column::Resident(c) => c.count_key_rows(pred, from, to),
+            Column::Paged(c) => c.count_key_rows(pred, from, to),
         }
     }
 

@@ -4,22 +4,22 @@ use crate::column::read::ColumnRead;
 use crate::datavec::ScanOptions;
 use crate::dict::{DictLookup, HandleCache};
 use crate::invidx::{for_each_run, PagedInvertedIndex};
-use crate::{CoreError, CoreResult, DataType, PageConfig, Value, ValuePredicate};
+use crate::{CoreError, CoreResult, DataType, KeyPredicate, PageConfig, Value, ValuePredicate};
 use payg_encoding::dispatch::ScanPath;
 use payg_encoding::VidSet;
 use payg_storage::BufferPool;
+use std::ops::Bound;
 use std::sync::Arc;
 
-/// The index traversal for `pred`, picked from its shape alone: point and
-/// set probes (`Eq`, `In`) seek each vid's postings in the compressed
-/// domain — `next_row_pos_geq` leapfrogs every partition below the row
-/// range on its two-varint header — while the ordered predicates
-/// (`Between`, prefix) are one vid range, hence one posting run, decoded
-/// and drained whole.
-fn index_path(pred: &ValuePredicate) -> ScanPath {
+/// The index traversal for `pred`, picked from its shape alone: point keys
+/// (`=`, `IN`) seek each vid's postings in the compressed domain —
+/// `next_row_pos_geq` leapfrogs every partition below the row range on its
+/// two-varint header — while a key interval is one vid range, hence one
+/// posting run, decoded and drained whole.
+fn index_path(pred: &KeyPredicate) -> ScanPath {
     match pred {
-        ValuePredicate::Eq(_) | ValuePredicate::In(_) => ScanPath::CompressedDomain,
-        ValuePredicate::Between(..) | ValuePredicate::StartsWith(_) => ScanPath::DecodeThenScan,
+        KeyPredicate::Points(_) => ScanPath::CompressedDomain,
+        KeyPredicate::Range(_) => ScanPath::DecodeThenScan,
     }
 }
 
@@ -58,58 +58,39 @@ impl ColumnParts {
     }
 
     /// Translates `pred` to the identifiers it selects (order preservation
-    /// keeps ranges contiguous), probing the dictionary through `find` —
-    /// `findByValue` on whichever form of it the caller holds.
+    /// keeps an interval contiguous), probing the dictionary through `find`
+    /// — `findByValue` on whichever form of it the caller holds.
     pub(crate) fn vid_set(
         &self,
-        pred: &ValuePredicate,
+        pred: &KeyPredicate,
         mut find: impl FnMut(&[u8]) -> CoreResult<DictLookup>,
     ) -> CoreResult<VidSet> {
-        // The first identifier whose key is not below the probe.
-        let mut lower = |key: &[u8]| find(key).map(|l| l.unwrap_or_else(|v| v));
-        let half_open = |lo: u64, hi: u64| {
-            if lo < hi {
-                VidSet::range(lo, hi - 1)
-            } else {
-                VidSet::from_vids(Vec::new())
-            }
-        };
         Ok(match pred {
-            ValuePredicate::Eq(v) => {
-                v.check_type(self.data_type)?;
-                match find(&v.to_key())? {
-                    Ok(vid) => VidSet::Single(vid),
-                    Err(_) => VidSet::from_vids(Vec::new()),
+            // The identifiers of the keys present; an `=` collects its one
+            // identifier without allocating.
+            KeyPredicate::Points(keys) => {
+                let mut vids = keys.iter().filter_map(|key| find(key).map(Result::ok).transpose());
+                let first = vids.next().transpose()?;
+                let rest: Vec<u64> = vids.collect::<CoreResult<_>>()?;
+                match first {
+                    Some(vid) if rest.is_empty() => VidSet::Single(vid),
+                    first => VidSet::from_vids(first.into_iter().chain(rest).collect()),
                 }
             }
-            ValuePredicate::Between(lo, hi) => {
-                lo.check_type(self.data_type)?;
-                hi.check_type(self.data_type)?;
-                let lo = lower(&lo.to_key())?;
-                let hi = match find(&hi.to_key())? {
-                    Ok(v) => v + 1,
-                    Err(v) => v,
+            // The first identifier at or past each end, the upper one
+            // stepping over an included key.
+            KeyPredicate::Range(range) => {
+                let lo = find(&range.lo)?.unwrap_or_else(|v| v);
+                let hi = match &range.hi {
+                    Bound::Included(key) => find(key)?.map_or_else(|v| v, |v| v + 1),
+                    Bound::Excluded(key) => find(key)?.unwrap_or_else(|v| v),
+                    Bound::Unbounded => self.cardinality,
                 };
-                half_open(lo, hi)
-            }
-            ValuePredicate::In(vs) => {
-                let mut vids = Vec::new();
-                for v in vs {
-                    v.check_type(self.data_type)?;
-                    if let Ok(vid) = find(&v.to_key())? {
-                        vids.push(vid);
-                    }
+                if lo < hi {
+                    VidSet::range(lo, hi - 1)
+                } else {
+                    VidSet::from_vids(Vec::new())
                 }
-                VidSet::from_vids(vids)
-            }
-            ValuePredicate::StartsWith(prefix) => {
-                Value::Varchar(String::new()).check_type(self.data_type)?;
-                let lo = lower(prefix.as_bytes())?;
-                let hi = match crate::value::prefix_successor(prefix.as_bytes()) {
-                    Some(succ) => lower(&succ)?,
-                    None => self.cardinality,
-                };
-                half_open(lo, hi)
             }
         })
     }
@@ -139,7 +120,7 @@ impl PagedColumn {
     /// its shape selects when an index exists, decode-then-scan (the data
     /// vector kernels) otherwise. (Dictionary probes decide independently:
     /// FSST equality probes always compare compressed bytes inside `find`.)
-    pub fn scan_path(&self, pred: &ValuePredicate) -> ScanPath {
+    pub fn scan_path(&self, pred: &KeyPredicate) -> ScanPath {
         match self.parts.index {
             Some(_) => index_path(pred),
             None => ScanPath::DecodeThenScan,
@@ -148,7 +129,7 @@ impl PagedColumn {
 
     /// Translates `pred` through the paged dictionary; the pages it pins stay
     /// in `cache` for the caller's search.
-    fn vid_set_cached(&self, pred: &ValuePredicate, cache: &mut HandleCache) -> CoreResult<VidSet> {
+    fn vid_set_cached(&self, pred: &KeyPredicate, cache: &mut HandleCache) -> CoreResult<VidSet> {
         self.parts.vid_set(pred, |key| self.parts.dict.find(key, cache))
     }
 
@@ -157,7 +138,7 @@ impl PagedColumn {
     /// scan of the paged data vector otherwise (Alg. 1).
     fn rows_in(
         &self,
-        pred: &ValuePredicate,
+        pred: &KeyPredicate,
         set: &VidSet,
         from: u64,
         to: u64,
@@ -250,24 +231,21 @@ impl ColumnRead for PagedColumn {
     }
 
     fn vid_set_for(&self, pred: &ValuePredicate) -> CoreResult<VidSet> {
-        let mut cache = self.cache();
-        self.vid_set_cached(pred, &mut cache)
+        self.vid_set_cached(&KeyPredicate::compile(pred, self.parts.data_type)?, &mut self.cache())
     }
 
-    fn find_rows(&self, pred: &ValuePredicate, from: u64, to: u64) -> CoreResult<Vec<u64>> {
+    fn find_key_rows(&self, pred: &KeyPredicate, from: u64, to: u64) -> CoreResult<Vec<u64>> {
         self.parts.check_rows(from, to)?;
-        let mut cache = self.cache();
-        let set = self.vid_set_cached(pred, &mut cache)?;
+        let set = self.vid_set_cached(pred, &mut self.cache())?;
         self.rows_in(pred, &set, from, to)
     }
 
     /// COUNT never materializes positions without an index: each page
     /// contributes popcounts of its result bitmaps. With one, a full-range
     /// count comes straight from the directory — no postinglist page loads.
-    fn count_rows(&self, pred: &ValuePredicate, from: u64, to: u64) -> CoreResult<u64> {
+    fn count_key_rows(&self, pred: &KeyPredicate, from: u64, to: u64) -> CoreResult<u64> {
         self.parts.check_rows(from, to)?;
-        let mut cache = self.cache();
-        let set = self.vid_set_cached(pred, &mut cache)?;
+        let set = self.vid_set_cached(pred, &mut self.cache())?;
         match &self.parts.index {
             Some(index) if from == 0 && to == self.parts.len => {
                 let mut it = index.iter();
@@ -293,7 +271,8 @@ impl ColumnRead for PagedColumn {
             return self.count_rows(pred, from, to);
         }
         self.parts.check_rows(from, to)?;
-        let set = self.vid_set_cached(pred, &mut self.cache())?;
+        let pred = KeyPredicate::compile(pred, self.parts.data_type)?;
+        let set = self.vid_set_cached(&pred, &mut self.cache())?;
         self.parts.data.par_count(from, to, &set, opts)
     }
 }

@@ -1,7 +1,7 @@
 //! The uniform read interface over both column kinds.
 
 use crate::datavec::ScanOptions;
-use crate::{CoreResult, DataType, Value, ValuePredicate};
+use crate::{CoreResult, DataType, KeyPredicate, Value, ValuePredicate};
 use payg_encoding::VidSet;
 
 /// Read operations every column supports regardless of load policy. Methods
@@ -58,9 +58,15 @@ pub trait ColumnRead {
     fn vid_set_for(&self, pred: &ValuePredicate) -> CoreResult<VidSet>;
 
     /// Returns the ascending row positions in `from..to` matching `pred`,
-    /// answered from the inverted index when one exists (Alg. 5) and by a
-    /// data-vector scan otherwise (Alg. 1).
-    fn find_rows(&self, pred: &ValuePredicate, from: u64, to: u64) -> CoreResult<Vec<u64>>;
+    /// compiled against this column's type, answered from the inverted
+    /// index when one exists (Alg. 5) and by a data-vector scan otherwise
+    /// (Alg. 1).
+    fn find_key_rows(&self, pred: &KeyPredicate, from: u64, to: u64) -> CoreResult<Vec<u64>>;
+
+    /// [`ColumnRead::find_key_rows`] of `pred` compiled to keys.
+    fn find_rows(&self, pred: &ValuePredicate, from: u64, to: u64) -> CoreResult<Vec<u64>> {
+        self.find_key_rows(&KeyPredicate::compile(pred, self.data_type())?, from, to)
+    }
 
     /// The order-preserving key `vid` encodes: the one-identifier batch of
     /// [`ColumnRead::values_by_vid`], re-keyed — lossless, since every key
@@ -70,9 +76,13 @@ pub trait ColumnRead {
         Ok(self.values_by_vid(&[vid])?.remove(0).to_key())
     }
 
-    /// Counts rows in `from..to` matching `pred`.
+    /// Counts rows in `from..to` matching `pred`, compiled against this
+    /// column's type.
+    fn count_key_rows(&self, pred: &KeyPredicate, from: u64, to: u64) -> CoreResult<u64>;
+
+    /// [`ColumnRead::count_key_rows`] of `pred` compiled to keys.
     fn count_rows(&self, pred: &ValuePredicate, from: u64, to: u64) -> CoreResult<u64> {
-        Ok(self.find_rows(pred, from, to)?.len() as u64)
+        self.count_key_rows(&KeyPredicate::compile(pred, self.data_type())?, from, to)
     }
 
     /// [`ColumnRead::count_rows`] split over up to `opts.workers` threads —

@@ -7,7 +7,7 @@ use crate::column::EncodedRows;
 use crate::dict::InMemoryDict;
 use crate::invidx::{for_each_run, InMemoryInvertedIndex};
 use crate::sync::{LockRank, Mutex};
-use crate::{CoreError, CoreResult, DataType, Value, ValuePredicate};
+use crate::{CoreError, CoreResult, DataType, KeyPredicate, Value, ValuePredicate};
 use payg_encoding::scan;
 use payg_encoding::{BitPackedVec, VidSet};
 use payg_obs::{names, Counter};
@@ -165,7 +165,7 @@ impl ResidentColumn {
             .collect()
     }
 
-    fn vid_set_from_image(&self, image: &Image, pred: &ValuePredicate) -> CoreResult<VidSet> {
+    fn vid_set_from_image(&self, image: &Image, pred: &KeyPredicate) -> CoreResult<VidSet> {
         self.parts.vid_set(pred, |key| Ok(image.dict.find(key)))
     }
 
@@ -241,11 +241,11 @@ impl ColumnRead for ResidentColumn {
     }
 
     fn vid_set_for(&self, pred: &ValuePredicate) -> CoreResult<VidSet> {
-        let image = self.image()?;
-        self.vid_set_from_image(&image, pred)
+        let pred = KeyPredicate::compile(pred, self.parts.data_type)?;
+        self.vid_set_from_image(&*self.image()?, &pred)
     }
 
-    fn find_rows(&self, pred: &ValuePredicate, from: u64, to: u64) -> CoreResult<Vec<u64>> {
+    fn find_key_rows(&self, pred: &KeyPredicate, from: u64, to: u64) -> CoreResult<Vec<u64>> {
         self.parts.check_rows(from, to)?;
         let image = self.image()?;
         let set = self.vid_set_from_image(&image, pred)?;
@@ -255,7 +255,7 @@ impl ColumnRead for ResidentColumn {
     /// A full-range count with an index reads the directory; without one,
     /// COUNT never materializes positions — the scan kernel popcounts
     /// per-chunk result bitmaps in place.
-    fn count_rows(&self, pred: &ValuePredicate, from: u64, to: u64) -> CoreResult<u64> {
+    fn count_key_rows(&self, pred: &KeyPredicate, from: u64, to: u64) -> CoreResult<u64> {
         self.parts.check_rows(from, to)?;
         let image = self.image()?;
         let set = self.vid_set_from_image(&image, pred)?;

@@ -41,15 +41,9 @@ impl UnsortedDict {
             self.grow();
         }
         let hash = self.hasher.hash_one(&self.probe[..]) as u32;
-        let mask = self.slots.len() - 1;
-        let mut i = hash as usize & mask;
-        while self.slots[i] != 0 {
-            let slot = self.slots[i];
-            let id = (slot as u32 - 1) as usize;
-            if (slot >> 32) as u32 == hash && self.keys.key(id) == self.probe {
-                return Ok(id as u32);
-            }
-            i = (i + 1) & mask;
+        let (i, found) = self.slot_of(&self.probe, hash);
+        if let Some(id) = found {
+            return Ok(id);
         }
         // `id + 1` fits 32 bits: 2³² distinct keys need far more than the
         // 2³² bytes the arena holds.
@@ -57,6 +51,30 @@ impl UnsortedDict {
         self.keys.push(&self.probe)?;
         self.slots[i] = (u64::from(hash) << 32) | u64::from(id + 1);
         Ok(id)
+    }
+
+    /// The identifier of `key`, if the dictionary holds it.
+    pub fn find(&self, key: &[u8]) -> Option<u32> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.slot_of(key, self.hasher.hash_one(key) as u32).1
+    }
+
+    /// The slot holding `key` (of hash `hash`) and its identifier, else the
+    /// empty slot that ends its probe sequence.
+    fn slot_of(&self, key: &[u8], hash: u32) -> (usize, Option<u32>) {
+        let mask = self.slots.len() - 1;
+        let mut i = hash as usize & mask;
+        while self.slots[i] != 0 {
+            let slot = self.slots[i];
+            let id = slot as u32 - 1;
+            if (slot >> 32) as u32 == hash && self.keys.key(id as usize) == key {
+                return (i, Some(id));
+            }
+            i = (i + 1) & mask;
+        }
+        (i, None)
     }
 
     /// Doubles the table and re-places every slot by its stored hash.
@@ -121,6 +139,10 @@ mod tests {
         let keys: Vec<&[u8]> = d.keys().collect();
         assert_eq!(keys, [&b"echo"[..], b"alpha", b"", b"bravo"]);
         assert_eq!(d.key(3), b"bravo");
+        assert_eq!(d.find(b"alpha"), Some(1));
+        assert_eq!(d.find(b""), Some(2));
+        assert_eq!(d.find(b"delta"), None);
+        assert_eq!(UnsortedDict::default().find(b""), None);
     }
 
     /// Keys that differ only past the first eight bytes, or only in a
@@ -137,6 +159,10 @@ mod tests {
             }
         }
         assert_eq!(d.cardinality(), values.len() as u64);
+        for (id, v) in values.iter().enumerate() {
+            assert_eq!(d.find(&v.to_key()), Some(id as u32));
+        }
+        assert_eq!(d.find(b"shared-prefix-\0"), None);
         assert!(d.keys().map(<[u8]>::to_vec).eq(values.iter().map(Value::to_key)));
         let key_bytes: usize = values.iter().map(|v| v.to_key().len()).sum();
         assert!(d.heap_bytes() >= key_bytes + 4 * values.len() + 8 * 4 * values.len() / 3);

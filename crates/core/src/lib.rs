@@ -42,4 +42,4 @@ pub use datavec::ScanOptions;
 pub use error::{CoreError, CoreResult};
 pub use payg_encoding::dispatch::{ChainCodec, CodecKind, ScanPath};
 pub use scratch::ChainScratch;
-pub use value::{DataType, Value, ValuePredicate};
+pub use value::{DataType, KeyPoints, KeyPredicate, KeyRange, Value, ValuePredicate};

@@ -2,6 +2,7 @@
 
 use crate::{CoreError, CoreResult};
 use payg_encoding::okey;
+use std::ops::Bound;
 
 /// Column data types (the paper's generator uses INTEGER, DECIMAL, DOUBLE,
 /// CHAR and VARCHAR; CHAR and VARCHAR share the string representation).
@@ -131,9 +132,8 @@ impl std::fmt::Display for Value {
     }
 }
 
-/// A predicate on one column, expressed over values. The dictionary
-/// translates it to a [`payg_encoding::VidSet`] (order preservation makes
-/// value ranges contiguous vid ranges).
+/// A predicate on one column, expressed over values. Readers evaluate it
+/// as the [`KeyPredicate`] it compiles to.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ValuePredicate {
     /// `column = value`.
@@ -149,8 +149,8 @@ pub enum ValuePredicate {
 }
 
 impl ValuePredicate {
-    /// Evaluates the predicate directly against a value (used by delta scans
-    /// and tests as the reference semantics).
+    /// Evaluates the predicate directly against a value: the value-domain
+    /// reference semantics tests check every [`KeyPredicate`] reader against.
     pub fn matches(&self, v: &Value) -> bool {
         match self {
             ValuePredicate::Eq(x) => keys_eq(v, x),
@@ -162,6 +162,123 @@ impl ValuePredicate {
             ValuePredicate::StartsWith(prefix) => {
                 matches!(v, Value::Varchar(s) if s.as_bytes().starts_with(prefix.as_bytes()))
             }
+        }
+    }
+}
+
+/// A [`ValuePredicate`] compiled once, against its column's type, into the
+/// key domain — the one form every reader evaluates: order-preserving keys
+/// make every predicate a set of point keys or one key interval.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum KeyPredicate {
+    /// `=` / `IN`: their keys.
+    Points(KeyPoints),
+    /// `BETWEEN lo AND hi` as `[lo, hi]`; a prefix `p` as
+    /// `[p, prefix_successor(p))`. Empty when `lo` is above `hi`.
+    Range(KeyRange),
+}
+
+impl KeyPredicate {
+    /// Compiles `pred` for a column of type `ty`: a value (or a prefix) the
+    /// column cannot hold is a [`CoreError::TypeMismatch`].
+    pub fn compile(pred: &ValuePredicate, ty: DataType) -> CoreResult<KeyPredicate> {
+        let key = |v: &Value| v.check_type(ty).map(|()| v.to_key());
+        Ok(match pred {
+            ValuePredicate::Eq(v) => {
+                v.check_type(ty)?;
+                KeyPredicate::Points(KeyPoints::one(v))
+            }
+            ValuePredicate::In(vs) => KeyPredicate::Points(KeyPoints::new(vs.iter().map(key))?),
+            ValuePredicate::Between(lo, hi) => {
+                KeyPredicate::Range(KeyRange { lo: key(lo)?, hi: Bound::Included(key(hi)?) })
+            }
+            ValuePredicate::StartsWith(prefix) => {
+                Value::Varchar(String::new()).check_type(ty)?;
+                let p = okey::encode_str(prefix);
+                let hi = prefix_successor(p).map_or(Bound::Unbounded, Bound::Excluded);
+                KeyPredicate::Range(KeyRange { lo: p.to_vec(), hi })
+            }
+        })
+    }
+
+    /// True when a key that satisfies the predicate may lie in `range`.
+    pub fn overlaps(&self, range: &KeyRange) -> bool {
+        match self {
+            KeyPredicate::Points(points) => points.iter().any(|p| range.contains(p)),
+            // The least key two intervals can share is the larger lower end.
+            KeyPredicate::Range(r) => {
+                let lo = r.lo.as_slice().max(range.lo.as_slice());
+                r.below_hi(lo) && range.below_hi(lo)
+            }
+        }
+    }
+}
+
+/// Distinct keys, ascending, in one buffer of (`u32` length, bytes) pairs:
+/// an `=` compiles to one allocation, as its key alone would.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeyPoints(Vec<u8>);
+
+impl KeyPoints {
+    fn one(v: &Value) -> Self {
+        // The capacity is only a hint; the length is what `write_key` wrote.
+        let hint = match v {
+            Value::Varchar(s) => s.len(),
+            _ => v.data_type().key_width().unwrap_or(0),
+        };
+        let mut buf = Vec::with_capacity(4 + hint);
+        buf.extend_from_slice(&[0; 4]);
+        v.write_key(&mut buf);
+        let len = (buf.len() - 4) as u32;
+        buf[..4].copy_from_slice(&len.to_le_bytes());
+        KeyPoints(buf)
+    }
+
+    fn new(keys: impl Iterator<Item = CoreResult<Vec<u8>>>) -> CoreResult<Self> {
+        let mut keys = keys.collect::<CoreResult<Vec<_>>>()?;
+        keys.sort_unstable();
+        keys.dedup();
+        let mut buf = Vec::with_capacity(keys.iter().map(|k| 4 + k.len()).sum());
+        for key in &keys {
+            buf.extend_from_slice(&(key.len() as u32).to_le_bytes());
+            buf.extend_from_slice(key);
+        }
+        Ok(KeyPoints(buf))
+    }
+
+    /// The keys, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = &[u8]> + '_ {
+        let mut rest = self.0.as_slice();
+        std::iter::from_fn(move || {
+            let (len, tail) = rest.split_first_chunk::<4>()?;
+            let (key, tail) = tail.split_at(u32::from_le_bytes(*len) as usize);
+            rest = tail;
+            Some(key)
+        })
+    }
+}
+
+/// One interval of keys (the empty key is below every key).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeyRange {
+    /// The lower end, inclusive.
+    pub lo: Vec<u8>,
+    /// The upper end.
+    pub hi: Bound<Vec<u8>>,
+}
+
+impl KeyRange {
+    /// True when `key` lies in the interval.
+    pub fn contains(&self, key: &[u8]) -> bool {
+        key >= self.lo.as_slice() && self.below_hi(key)
+    }
+
+    /// True when `key` is not past the upper end.
+    fn below_hi(&self, key: &[u8]) -> bool {
+        match &self.hi {
+            Bound::Included(hi) => key <= hi.as_slice(),
+            Bound::Excluded(hi) => key < hi.as_slice(),
+            Bound::Unbounded => true,
         }
     }
 }
@@ -247,6 +364,51 @@ mod tests {
         assert!(!p.matches(&Value::Integer(1)), "non-varchar never matches");
         let empty = ValuePredicate::StartsWith(String::new());
         assert!(empty.matches(&Value::Varchar("anything".into())));
+    }
+
+    #[test]
+    fn predicates_compile_to_points_or_one_interval() {
+        let int = DataType::Integer;
+        let key = |v: i64| Value::Integer(v).to_key();
+        let points = |p: &KeyPredicate| match p {
+            KeyPredicate::Points(keys) => keys.iter().map(<[u8]>::to_vec).collect::<Vec<_>>(),
+            other => panic!("not points: {other:?}"),
+        };
+        let eq = KeyPredicate::compile(&ValuePredicate::Eq(Value::Integer(-3)), int).unwrap();
+        assert_eq!(points(&eq), [key(-3)]);
+        let set = [9, -3, 9, i64::MIN].map(Value::Integer).to_vec();
+        let set = KeyPredicate::compile(&ValuePredicate::In(set), int).unwrap();
+        assert_eq!(points(&set), [key(i64::MIN), key(-3), key(9)], "sorted, distinct");
+        let between = ValuePredicate::Between(Value::Integer(2), Value::Integer(5));
+        let between = KeyPredicate::compile(&between, int).unwrap();
+        let range = KeyRange { lo: key(2), hi: Bound::Included(key(5)) };
+        assert_eq!(between, KeyPredicate::Range(range.clone()));
+        assert!(range.contains(&key(5)) && !range.contains(&key(6)) && !range.contains(&key(1)));
+        let starts_with = |p: &str| ValuePredicate::StartsWith(p.into());
+        let prefix = |p: &str| KeyPredicate::compile(&starts_with(p), DataType::Varchar);
+        let ab = KeyRange { lo: b"ab".to_vec(), hi: Bound::Excluded(b"ac".to_vec()) };
+        assert_eq!(prefix("ab").unwrap(), KeyPredicate::Range(ab));
+        let all = KeyRange { lo: Vec::new(), hi: Bound::Unbounded };
+        assert_eq!(prefix("").unwrap(), KeyPredicate::Range(all.clone()));
+        // Overlap: a point inside, an interval sharing one key, `lo > hi`.
+        assert!(eq.overlaps(&all) && !eq.overlaps(&range) && !set.overlaps(&range));
+        let five = ValuePredicate::In(vec![Value::Integer(5)]);
+        let five = KeyPredicate::compile(&five, int).unwrap();
+        assert!(five.overlaps(&range));
+        let below = KeyRange { lo: Vec::new(), hi: Bound::Excluded(key(2)) };
+        assert!(!between.overlaps(&below));
+        let at_five = KeyRange { lo: key(5), hi: Bound::Unbounded };
+        assert!(between.overlaps(&at_five));
+        let empty = ValuePredicate::Between(Value::Integer(5), Value::Integer(2));
+        assert!(!KeyPredicate::compile(&empty, int).unwrap().overlaps(&all));
+        // Every value is checked against the column's type.
+        let mismatch = |r| matches!(r, Err(CoreError::TypeMismatch { .. }));
+        assert!(mismatch(KeyPredicate::compile(&starts_with("a"), int)));
+        assert!(mismatch(KeyPredicate::compile(&ValuePredicate::Eq(Value::from("x")), int)));
+        let mixed = ValuePredicate::In(vec![Value::Integer(1), Value::Double(1.0)]);
+        assert!(mismatch(KeyPredicate::compile(&mixed, int)));
+        let half = ValuePredicate::Between(Value::Integer(1), Value::Decimal(1));
+        assert!(mismatch(KeyPredicate::compile(&half, int)));
     }
 
     #[test]

@@ -117,14 +117,15 @@ fn equivalence_strings_without_index() {
 /// in memory) always do; the codecs are the ones the data selected.
 #[test]
 fn index_point_probes_run_in_the_compressed_domain() {
-    use payg_core::{CodecKind, ScanPath};
+    use payg_core::{CodecKind, KeyPredicate, ScanPath};
     let pool = pool();
     let values = string_values(900);
     let paged = build(&pool, DataType::Varchar, &values, LoadPolicy::PageLoadable, true);
     assert_eq!(paged.index_codec(), Some(CodecKind::Pef));
     assert_eq!(paged.dict_codec(), CodecKind::Fsst);
-    let point = ValuePredicate::Eq(values[3].clone());
-    let range = ValuePredicate::Between(values[0].clone(), values[8].clone());
+    let compile = |pred| KeyPredicate::compile(&pred, DataType::Varchar).unwrap();
+    let point = compile(ValuePredicate::Eq(values[3].clone()));
+    let range = compile(ValuePredicate::Between(values[0].clone(), values[8].clone()));
     assert_eq!(paged.scan_path(&point), ScanPath::CompressedDomain);
     assert_eq!(paged.scan_path(&range), ScanPath::DecodeThenScan);
 

@@ -93,11 +93,6 @@ impl Histogram {
             sum: self.inner.sum.load(Ordering::Relaxed),
         }
     }
-
-    /// Whether two handles share the same underlying histogram.
-    pub fn same_as(&self, other: &Histogram) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
 }
 
 impl std::fmt::Debug for Histogram {

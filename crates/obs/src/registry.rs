@@ -43,11 +43,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.cell.load(Ordering::Relaxed)
     }
-
-    /// Whether two handles share the same underlying cell.
-    pub fn same_as(&self, other: &Counter) -> bool {
-        Arc::ptr_eq(&self.cell, &other.cell)
-    }
 }
 
 impl std::fmt::Debug for Counter {
@@ -382,24 +377,6 @@ impl ObsSnapshot {
         out
     }
 
-    /// Folds `other` into this snapshot: matching series add (counters,
-    /// histogram buckets, gauges); series only in `other` are appended.
-    /// Use for combining snapshots of *distinct* registries.
-    pub fn merge(&mut self, other: &ObsSnapshot) {
-        for oe in &other.entries {
-            match self.entries.iter_mut().find(|e| e.name == oe.name && e.labels == oe.labels) {
-                Some(e) => match (&mut e.value, &oe.value) {
-                    (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += b,
-                    (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a += b,
-                    (MetricValue::Histogram(a), MetricValue::Histogram(b)) => a.merge(b),
-                    // Kind mismatch across registries: keep self's value.
-                    _ => {}
-                },
-                None => self.entries.push(oe.clone()),
-            }
-        }
-    }
-
     /// The change since `earlier` (a previous snapshot of the same
     /// registry): counters and histograms subtract (saturating), gauges
     /// keep this snapshot's (current) value.
@@ -538,12 +515,13 @@ mod tests {
         let b = reg.counter("c");
         a.inc();
         b.inc();
-        assert!(a.same_as(&b));
+        // One cell behind both handles.
+        assert_eq!((a.get(), b.get()), (2, 2));
         assert_eq!(reg.snapshot().counter("c"), 2);
         // Labeled series are distinct from the unlabeled one.
         let l = reg.counter_labeled("c", &[("shard", "0")]);
         l.add(5);
-        assert!(!l.same_as(&a));
+        assert_eq!((l.get(), a.get()), (5, 2));
         assert_eq!(reg.snapshot().counter("c"), 7, "accessor sums across labels");
     }
 
@@ -608,19 +586,6 @@ mod tests {
         let d = reg.snapshot().delta(&before);
         assert_eq!(d.counter("c"), 5);
         assert_eq!(d.gauge("g"), 70);
-    }
-
-    #[test]
-    fn merge_combines_distinct_registries() {
-        let a = Registry::new();
-        let b = Registry::new();
-        a.counter("shared").add(1);
-        b.counter("shared").add(2);
-        b.counter("only_b").add(3);
-        let mut s = a.snapshot();
-        s.merge(&b.snapshot());
-        assert_eq!(s.counter("shared"), 3);
-        assert_eq!(s.counter("only_b"), 3);
     }
 
     #[test]

@@ -3,16 +3,19 @@
 //! Changes never modify rows in place: inserts append to the delta. Each
 //! delta column keeps an **unsorted** dictionary — identifiers are assigned
 //! in arrival order, because keeping delta dictionaries sorted on every
-//! insert would be too costly — plus the per-row identifier vector. Scans on
-//! the delta therefore first scan the (small) dictionary to find matching
-//! identifiers, then scan the identifier vector. Delta fragments are always
-//! memory resident (the regular delta merge keeps them small).
+//! insert would be too costly — plus the per-row identifier vector. A scan
+//! is a dictionary scan, then an identifier scan, in the encoded domain:
+//! a point of the [`KeyPredicate`] is one hash probe, an interval compares
+//! raw key bytes. Keys are decoded only into output values, read in the
+//! main fragment's batch shape (visible positions, then column-major
+//! values). Delta fragments are always memory resident (the regular delta
+//! merge keeps them small).
 
 use crate::bitmap::RowBitmap;
-use crate::schema::{Row, Schema};
+use crate::schema::{ColumnSpec, Row, Schema};
 use crate::{TableError, TableResult};
 use payg_core::dict::UnsortedDict;
-use payg_core::{CoreError, EncodedRows, Value, ValuePredicate};
+use payg_core::{CoreError, DataType, EncodedRows, KeyPredicate, Value};
 use payg_encoding::VidSet;
 
 /// Key bytes one delta column's dictionary holds at most: what its arena's
@@ -26,8 +29,9 @@ const MAX_KEY_BYTES: u64 = 1 << 20;
 /// One delta column: unsorted dictionary + append-order identifier vector.
 /// An append encodes the value into the dictionary's reused probe buffer
 /// and stores the key only when it is new: no cell allocates.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct DeltaColumn {
+    data_type: DataType,
     dict: UnsortedDict,
     /// Per-row identifiers.
     vids: Vec<u32>,
@@ -39,22 +43,18 @@ impl DeltaColumn {
         Ok(())
     }
 
-    /// The value of row `rpos`.
-    pub fn value(&self, rpos: u64, ty: payg_core::DataType) -> TableResult<Value> {
-        let vid = self.vids[rpos as usize];
-        Value::from_key(ty, self.dict.key(vid)).map_err(TableError::Core)
-    }
-
-    /// Identifiers matching a predicate, found by scanning the dictionary.
-    fn matching_vids(&self, pred: &ValuePredicate, ty: payg_core::DataType) -> TableResult<VidSet> {
-        let mut vids = Vec::new();
-        for (vid, key) in self.dict.keys().enumerate() {
-            let v = Value::from_key(ty, key).map_err(TableError::Core)?;
-            if pred.matches(&v) {
-                vids.push(vid as u64);
+    /// Identifiers matching `pred`, found without decoding a key.
+    fn matching_vids(&self, pred: &KeyPredicate) -> VidSet {
+        let vids = match pred {
+            KeyPredicate::Points(keys) => {
+                keys.iter().filter_map(|key| self.dict.find(key)).map(u64::from).collect()
             }
-        }
-        Ok(VidSet::from_vids(vids))
+            KeyPredicate::Range(range) => (self.dict.keys().enumerate())
+                .filter(|(_, key)| range.contains(key))
+                .map(|(vid, _)| vid as u64)
+                .collect(),
+        };
+        VidSet::from_vids(vids)
     }
 
     /// Heap bytes (delta fragments are always fully resident): what the
@@ -76,8 +76,13 @@ pub struct DeltaFragment {
 impl DeltaFragment {
     /// An empty delta for `schema`.
     pub fn new(schema: &Schema) -> Self {
+        let column = |c: &ColumnSpec| DeltaColumn {
+            data_type: c.data_type,
+            dict: UnsortedDict::default(),
+            vids: Vec::new(),
+        };
         DeltaFragment {
-            columns: (0..schema.arity()).map(|_| DeltaColumn::default()).collect(),
+            columns: schema.columns().iter().map(column).collect(),
             deleted: RowBitmap::new(),
             rows: 0,
         }
@@ -130,63 +135,52 @@ impl DeltaFragment {
         self.rows - self.deleted.count()
     }
 
-    /// True when the fragment holds no rows at all.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
     /// Marks a row deleted (it stays physically present until delta merge).
     pub fn delete(&mut self, rpos: u64) {
         debug_assert!(rpos < self.rows);
         self.deleted.set(rpos);
     }
 
-    /// True when `rpos` is visible.
-    pub fn is_visible(&self, rpos: u64) -> bool {
-        !self.deleted.get(rpos)
+    /// The visible row positions, ascending.
+    pub fn visible_positions(&self) -> impl Iterator<Item = u64> + '_ {
+        (0..self.rows).filter(|&r| !self.deleted.get(r))
     }
 
-    /// The value at (`rpos`, `col`).
-    pub fn value(&self, rpos: u64, col: usize, schema: &Schema) -> TableResult<Value> {
-        self.columns[col].value(rpos, schema.columns()[col].data_type)
+    /// The values of columns `cols` at rows `rposs`, one vector per column
+    /// in `rposs` order — the shape of [`payg_core::column::materialize`].
+    pub fn values_at(&self, cols: &[usize], rposs: &[u64]) -> TableResult<Vec<Vec<Value>>> {
+        let column = |c: &DeltaColumn| -> TableResult<Vec<Value>> {
+            let key = |r: &u64| c.dict.key(c.vids[*r as usize]);
+            Ok(rposs.iter().map(|r| Value::from_key(c.data_type, key(r))).collect::<Result<_, _>>()?)
+        };
+        cols.iter().map(|&c| column(&self.columns[c])).collect()
     }
 
-    /// Materializes a whole visible row.
-    pub fn row(&self, rpos: u64, schema: &Schema) -> TableResult<Row> {
-        (0..schema.arity()).map(|c| self.value(rpos, c, schema)).collect()
+    /// The whole rows at `rposs`, in that order.
+    pub fn rows_at(&self, rposs: &[u64]) -> TableResult<Vec<Row>> {
+        let cols: Vec<usize> = (0..self.columns.len()).collect();
+        Ok(crate::schema::rows_of(self.values_at(&cols, rposs)?, rposs.len()))
     }
 
-    /// Visible row positions matching `pred` on column `col` (ascending).
-    pub fn find_rows(
-        &self,
-        col: usize,
-        pred: &ValuePredicate,
-        schema: &Schema,
-    ) -> TableResult<Vec<u64>> {
-        let ty = schema.columns()[col].data_type;
-        let set = self.columns[col].matching_vids(pred, ty)?;
+    /// Visible row positions whose column `col` matches `pred`, ascending.
+    pub fn find_rows(&self, col: usize, pred: &KeyPredicate) -> Vec<u64> {
+        let set = self.columns[col].matching_vids(pred);
         if set.is_empty() {
-            return Ok(Vec::new());
+            return Vec::new();
         }
-        Ok(self.columns[col]
-            .vids
-            .iter()
-            .enumerate()
-            .filter(|&(rpos, &vid)| set.contains(u64::from(vid)) && !self.deleted.get(rpos as u64))
-            .map(|(rpos, _)| rpos as u64)
-            .collect())
+        (self.columns[col].vids.iter().zip(0..))
+            .filter(|&(&vid, rpos)| set.contains(u64::from(vid)) && !self.deleted.get(rpos))
+            .map(|(_, rpos)| rpos)
+            .collect()
     }
 
     /// Column `col` of every visible row, in row order, in the encoded
     /// domain (the delta-merge input path): the keys those rows use, sorted,
     /// and each row's identifier among them.
     pub fn encoded_rows(&self, col: usize) -> TableResult<EncodedRows> {
-        let column = &self.columns[col];
-        let vids = (0..self.rows)
-            .filter(|&r| !self.deleted.get(r))
-            .map(|r| u64::from(column.vids[r as usize]))
-            .collect();
-        Ok(EncodedRows::sort(&column.dict, vids)?)
+        let vids = &self.columns[col].vids;
+        let vids = self.visible_positions().map(|r| u64::from(vids[r as usize]));
+        Ok(EncodedRows::sort(&self.columns[col].dict, vids.collect())?)
     }
 
     /// Heap bytes.
@@ -198,8 +192,7 @@ impl DeltaFragment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::ColumnSpec;
-    use payg_core::DataType;
+    use payg_core::ValuePredicate;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -220,13 +213,18 @@ mod tests {
 
     #[test]
     fn append_and_read_back() {
-        let (s, d) = populated();
+        let (_, d) = populated();
         assert_eq!(d.rows(), 4);
-        assert_eq!(d.value(0, 1, &s).unwrap(), Value::Varchar("echo".into()));
-        assert_eq!(d.value(3, 0, &s).unwrap(), Value::Integer(2));
         assert_eq!(
-            d.row(1, &s).unwrap(),
-            vec![Value::Integer(1), Value::Varchar("alpha".into())]
+            d.values_at(&[1, 0], &[0, 3]).unwrap(),
+            vec![
+                vec![Value::Varchar("echo".into()), Value::Varchar("bravo".into())],
+                vec![Value::Integer(5), Value::Integer(2)],
+            ]
+        );
+        assert_eq!(
+            d.rows_at(&[1]).unwrap(),
+            vec![vec![Value::Integer(1), Value::Varchar("alpha".into())]]
         );
     }
 
@@ -242,15 +240,18 @@ mod tests {
 
     #[test]
     fn scans_respect_predicates_and_visibility() {
-        let (s, mut d) = populated();
-        let eq = ValuePredicate::Eq(Value::Varchar("alpha".into()));
-        assert_eq!(d.find_rows(1, &eq, &s).unwrap(), vec![1, 2]);
+        let (_, mut d) = populated();
+        let compile = |pred, ty| KeyPredicate::compile(&pred, ty).unwrap();
+        let eq = compile(ValuePredicate::Eq(Value::Varchar("alpha".into())), DataType::Varchar);
+        assert_eq!(d.find_rows(1, &eq), vec![1, 2]);
         let range = ValuePredicate::Between(Value::Integer(2), Value::Integer(5));
-        assert_eq!(d.find_rows(0, &range, &s).unwrap(), vec![0, 2, 3]);
+        assert_eq!(d.find_rows(0, &compile(range, DataType::Integer)), vec![0, 2, 3]);
+        let set = ValuePredicate::In(vec![Value::Integer(9), Value::Integer(1), Value::Integer(1)]);
+        assert_eq!(d.find_rows(0, &compile(set, DataType::Integer)), vec![1]);
         d.delete(2);
-        assert_eq!(d.find_rows(1, &eq, &s).unwrap(), vec![1]);
+        assert_eq!(d.find_rows(1, &eq), vec![1]);
         assert_eq!(d.visible_rows(), 3);
-        assert!(!d.is_visible(2));
+        assert_eq!(d.visible_positions().collect::<Vec<_>>(), vec![0, 1, 3]);
     }
 
     /// The merge input of a column holds the visible rows only, over a

@@ -15,7 +15,7 @@ use crate::bitmap::RowBitmap;
 use crate::schema::{Row, Schema};
 use crate::{TableError, TableResult};
 use payg_core::column::{Column, ColumnRead};
-use payg_core::{ColumnBuilder, EncodedRows, LoadPolicy, PageConfig, ValuePredicate};
+use payg_core::{ColumnBuilder, EncodedRows, KeyPredicate, LoadPolicy, PageConfig};
 use payg_obs::SpanKind;
 use payg_resman::Disposition;
 use payg_storage::{BufferPool, ChainId};
@@ -126,23 +126,12 @@ impl MainFragment {
         }
     }
 
-    /// True when `rpos` is visible.
-    pub fn is_visible(&self, rpos: u64) -> bool {
-        !self.deleted().get(rpos)
-    }
-
     /// Materializes the rows at `rposs` (any order), in that order: one
     /// phased late materialization over every column, a point read being
     /// the one-row case.
     pub fn rows_at(&self, rposs: &[u64]) -> TableResult<Vec<Row>> {
         let columns: Vec<&Column> = self.columns.iter().collect();
-        let mut rows: Vec<Row> = vec![Vec::with_capacity(columns.len()); rposs.len()];
-        for values in payg_core::column::materialize(&columns, rposs)? {
-            for (row, v) in rows.iter_mut().zip(values) {
-                row.push(v);
-            }
-        }
-        Ok(rows)
+        Ok(crate::schema::rows_of(payg_core::column::materialize(&columns, rposs)?, rposs.len()))
     }
 
     /// The visible row positions, ascending.
@@ -152,8 +141,8 @@ impl MainFragment {
     }
 
     /// Visible row positions matching `pred` on `col`, ascending.
-    pub fn find_rows(&self, col: usize, pred: &ValuePredicate) -> TableResult<Vec<u64>> {
-        let mut rows = self.columns[col].find_rows(pred, 0, self.rows)?;
+    pub fn find_rows(&self, col: usize, pred: &KeyPredicate) -> TableResult<Vec<u64>> {
+        let mut rows = self.columns[col].find_key_rows(pred, 0, self.rows)?;
         let deleted = self.deleted();
         if !deleted.is_empty() {
             rows.retain(|&r| !deleted.get(r));
@@ -173,7 +162,7 @@ impl MainFragment {
 mod tests {
     use super::*;
     use crate::schema::ColumnSpec;
-    use payg_core::{DataType, Value};
+    use payg_core::{DataType, Value, ValuePredicate};
     use payg_resman::ResourceManager;
     use payg_storage::{MemStore, PageStore};
     use std::sync::Arc;
@@ -230,6 +219,7 @@ mod tests {
     fn deletes_hide_rows_from_scans() {
         let (_, main) = setup(LoadPolicy::PageLoadable);
         let pred = ValuePredicate::Eq(Value::Varchar("grade-3".into()));
+        let pred = KeyPredicate::compile(&pred, DataType::Varchar).unwrap();
         let before = main.find_rows(1, &pred).unwrap();
         assert!(before.contains(&3));
         main.delete(3);
@@ -237,7 +227,7 @@ mod tests {
         assert!(!after.contains(&3));
         assert_eq!(after.len(), before.len() - 1);
         assert_eq!(main.visible_rows(), 199);
-        assert!(!main.is_visible(3));
+        assert!(!main.visible_positions().contains(&3));
     }
 
     /// A read of a later column that fails, or returns the wrong number of

@@ -3,11 +3,16 @@
 //! Aging-aware tables are range partitioned on the temperature column: one
 //! hot partition (default columns) plus cold partitions added with
 //! `ADD PARTITION` (page-loadable columns, typically a higher unload
-//! priority). Partition ranges compare on the order-preserving byte keys,
-//! so any column type can partition.
+//! priority). A partition's range is encoded once into a key interval
+//! ([`PartitionRange::bounds`]), so any column type can partition: routing
+//! compares one row key against it, and pruning overlaps it with the
+//! query's predicate compiled to keys (`KeyPredicate::overlaps`) — after
+//! that compile has type-checked the predicate; "only the columns of
+//! relevant partitions are touched" (§4.1).
 
-use payg_core::{LoadPolicy, Value, ValuePredicate};
+use payg_core::{KeyRange, LoadPolicy, Value};
 use payg_resman::Disposition;
+use std::ops::Bound;
 
 /// Identifies a partition within its table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -27,42 +32,16 @@ pub enum PartitionRange {
 }
 
 impl PartitionRange {
-    /// True when the partition accepts `value`.
-    pub fn accepts(&self, value: &Value) -> bool {
-        let k = value.to_key();
-        match self {
-            PartitionRange::All => true,
-            PartitionRange::Below(b) => k < b.to_key(),
-            PartitionRange::AtLeast(b) => k >= b.to_key(),
-            PartitionRange::Between(lo, hi) => k >= lo.to_key() && k < hi.to_key(),
-        }
-    }
-
-    /// True when some value matching `pred` could live in this partition —
-    /// used to prune partitions when the filter is on the partition column
-    /// ("only the columns of relevant partitions are touched", §4.1).
-    pub fn may_match(&self, pred: &ValuePredicate) -> bool {
-        match pred {
-            ValuePredicate::Eq(v) => self.accepts(v),
-            ValuePredicate::In(vs) => vs.iter().any(|v| self.accepts(v)),
-            // Prefix predicates on the partition column are rare; stay
-            // conservative (no pruning) rather than reason about key ranges.
-            ValuePredicate::StartsWith(_) => true,
-            ValuePredicate::Between(lo, hi) => {
-                let (plo, phi) = (lo.to_key(), hi.to_key());
-                if plo > phi {
-                    return false;
-                }
-                match self {
-                    PartitionRange::All => true,
-                    PartitionRange::Below(b) => plo < b.to_key(),
-                    PartitionRange::AtLeast(b) => phi >= b.to_key(),
-                    PartitionRange::Between(lo2, hi2) => {
-                        plo < hi2.to_key() && phi >= lo2.to_key()
-                    }
-                }
-            }
-        }
+    /// The range as one key interval: what routing and pruning compare
+    /// against, encoded once per range rather than once per comparison.
+    pub fn bounds(&self) -> KeyRange {
+        let (lo, hi) = match self {
+            PartitionRange::All => (Vec::new(), Bound::Unbounded),
+            PartitionRange::Below(b) => (Vec::new(), Bound::Excluded(b.to_key())),
+            PartitionRange::AtLeast(b) => (b.to_key(), Bound::Unbounded),
+            PartitionRange::Between(lo, hi) => (lo.to_key(), Bound::Excluded(hi.to_key())),
+        };
+        KeyRange { lo, hi }
     }
 }
 
@@ -116,38 +95,75 @@ impl PartitionSpec {
 mod tests {
     use super::*;
 
+    use payg_core::{DataType, KeyPredicate, ValuePredicate};
+
+    fn accepts(range: &PartitionRange, v: Value) -> bool {
+        range.bounds().contains(&v.to_key())
+    }
+
+    fn may_match(range: &PartitionRange, pred: ValuePredicate, ty: DataType) -> bool {
+        KeyPredicate::compile(&pred, ty).unwrap().overlaps(&range.bounds())
+    }
+
     #[test]
     fn ranges_accept_correctly() {
         let below = PartitionRange::Below(Value::Integer(10));
-        assert!(below.accepts(&Value::Integer(9)));
-        assert!(!below.accepts(&Value::Integer(10)));
+        assert!(accepts(&below, Value::Integer(9)));
+        assert!(!accepts(&below, Value::Integer(10)));
+        assert!(accepts(&below, Value::Integer(i64::MIN)));
         let atleast = PartitionRange::AtLeast(Value::Integer(10));
-        assert!(atleast.accepts(&Value::Integer(10)));
-        assert!(!atleast.accepts(&Value::Integer(9)));
+        assert!(accepts(&atleast, Value::Integer(10)));
+        assert!(!accepts(&atleast, Value::Integer(9)));
         let between = PartitionRange::Between(Value::Integer(5), Value::Integer(10));
-        assert!(between.accepts(&Value::Integer(5)));
-        assert!(between.accepts(&Value::Integer(9)));
-        assert!(!between.accepts(&Value::Integer(10)));
-        assert!(PartitionRange::All.accepts(&Value::Varchar("anything".into())));
+        assert!(accepts(&between, Value::Integer(5)));
+        assert!(accepts(&between, Value::Integer(9)));
+        assert!(!accepts(&between, Value::Integer(10)));
+        assert!(accepts(&PartitionRange::All, Value::Varchar("anything".into())));
+        assert!(accepts(&PartitionRange::Below(Value::Varchar("b".into())), Value::from("")));
     }
 
     #[test]
     fn pruning_on_predicates() {
+        let int = DataType::Integer;
         let cold = PartitionRange::Below(Value::Integer(100));
         let hot = PartitionRange::AtLeast(Value::Integer(100));
         let eq_cold = ValuePredicate::Eq(Value::Integer(50));
-        assert!(cold.may_match(&eq_cold));
-        assert!(!hot.may_match(&eq_cold));
+        assert!(may_match(&cold, eq_cold.clone(), int));
+        assert!(!may_match(&hot, eq_cold, int));
         let range_both = ValuePredicate::Between(Value::Integer(90), Value::Integer(110));
-        assert!(cold.may_match(&range_both));
-        assert!(hot.may_match(&range_both));
+        assert!(may_match(&cold, range_both.clone(), int));
+        assert!(may_match(&hot, range_both, int));
         let range_hot = ValuePredicate::Between(Value::Integer(100), Value::Integer(110));
-        assert!(!cold.may_match(&range_hot));
-        assert!(hot.may_match(&range_hot));
+        assert!(!may_match(&cold, range_hot.clone(), int));
+        assert!(may_match(&hot, range_hot, int));
         let empty = ValuePredicate::Between(Value::Integer(10), Value::Integer(5));
-        assert!(!cold.may_match(&empty));
+        assert!(!may_match(&cold, empty.clone(), int));
+        assert!(!may_match(&PartitionRange::All, empty, int));
         let in_pred = ValuePredicate::In(vec![Value::Integer(99), Value::Integer(150)]);
-        assert!(cold.may_match(&in_pred));
-        assert!(hot.may_match(&in_pred));
+        assert!(may_match(&cold, in_pred.clone(), int));
+        assert!(may_match(&hot, in_pred, int));
+        assert!(!may_match(&hot, ValuePredicate::In(Vec::new()), int));
+    }
+
+    /// A prefix is the key interval `[p, successor(p))`, so it prunes a
+    /// partition that interval misses (which the value-domain pruning this
+    /// replaced never did) and keeps one it touches.
+    #[test]
+    fn a_prefix_prunes_the_partitions_its_interval_misses() {
+        let vc = DataType::Varchar;
+        let early = PartitionRange::Below(Value::from("m"));
+        let late = PartitionRange::AtLeast(Value::from("m"));
+        let prefix = |p: &str| ValuePredicate::StartsWith(p.into());
+        assert!(may_match(&early, prefix("ab"), vc));
+        assert!(!may_match(&late, prefix("ab"), vc));
+        assert!(!may_match(&early, prefix("m"), vc));
+        assert!(may_match(&late, prefix("m"), vc));
+        // `[l, m)` ends where `late` starts; the empty prefix matches all.
+        assert!(!may_match(&late, prefix("l"), vc));
+        assert!(may_match(&early, prefix(""), vc) && may_match(&late, prefix(""), vc));
+        let mid = PartitionRange::Between(Value::from("ca"), Value::from("cb"));
+        assert!(may_match(&mid, prefix("c"), vc));
+        assert!(may_match(&mid, prefix("ca\u{10FFFF}"), vc));
+        assert!(!may_match(&mid, prefix("cb"), vc));
     }
 }

@@ -139,11 +139,11 @@ impl Snapshot<'_> {
         let Some((name, pred)) = &q.filter else {
             return Ok(vec![ScanPath::DecodeThenScan; self.partitions().len()]);
         };
-        let col = self.schema().column_index(name)?;
+        let (col, pred) = self.schema().compile(name, pred)?;
         Ok(self
             .partitions()
             .iter()
-            .map(|p| p.main_frag().column(col).scan_path(pred))
+            .map(|p| p.main_frag().column(col).scan_path(&pred))
             .collect())
     }
 
@@ -191,7 +191,7 @@ impl Snapshot<'_> {
                         .value_counts(rposs)?
                         .iter()
                         .try_for_each(|(v, count)| acc.add(v, *count)),
-                    Segment::Delta(v) => acc.add(&v, 1),
+                    Segment::Delta(values) => values.iter().try_for_each(|v| acc.add(v, 1)),
                 })?;
                 Ok(QueryResult::Sum(acc.finish()))
             }
@@ -203,7 +203,7 @@ impl Snapshot<'_> {
                         Segment::Main(column, rposs) => {
                             values.extend(main_distinct(column, rposs)?)
                         }
-                        Segment::Delta(v) => values.push(v),
+                        Segment::Delta(delta) => values.extend(delta),
                     }
                     Ok(())
                 })?;
@@ -215,7 +215,7 @@ impl Snapshot<'_> {
                 self.for_each_segment(&addrs, col, |segment| {
                     match segment {
                         Segment::Main(column, rposs) => best.offer_main(column, rposs)?,
-                        Segment::Delta(v) => best.offer(v),
+                        Segment::Delta(values) => values.into_iter().for_each(|v| best.offer(v)),
                     }
                     Ok(())
                 })?;
@@ -236,17 +236,13 @@ impl Snapshot<'_> {
             // Deleted rows may hide the extreme: fall back to the visible
             // rows' identifiers (rare; only between a delete and its merge).
             if main.visible_rows() != main.rows() {
-                let vis: Vec<u64> = (0..main.rows()).filter(|&r| main.is_visible(r)).collect();
-                best.offer_main(c, &vis)?;
+                best.offer_main(c, &main.visible_positions())?;
             } else if main.rows() > 0 {
                 best.offer_vid(c, if want_max { c.cardinality() - 1 } else { 0 })?;
             }
             let delta = p.delta_view();
-            for rpos in 0..delta.rows() {
-                if delta.is_visible(rpos) {
-                    best.offer(delta.value(rpos, col, self.schema())?);
-                }
-            }
+            let values = delta.values_at(&[col], &delta.visible_positions())?.remove(0);
+            values.into_iter().for_each(|v| best.offer(v));
         }
         Ok(best.finish())
     }
@@ -257,19 +253,19 @@ impl Snapshot<'_> {
         let Some((name, pred)) = filter else {
             return Ok(self.visible_rows());
         };
-        let col = self.schema().column_index(name)?;
+        let (col, key_pred) = self.schema().compile(name, pred)?;
         let mut n = 0u64;
         for p in self.partitions() {
-            if !p.spec().range.may_match_on(col, self.schema().partition_column(), pred) {
+            if self.schema().prunes(col, &key_pred, &p.bounds) {
                 continue;
             }
             let main = p.main_frag();
             if main.visible_rows() == main.rows() {
-                n += main.column(col).count_rows(pred, 0, main.rows())?;
+                n += main.column(col).count_key_rows(&key_pred, 0, main.rows())?;
             } else {
-                n += main.find_rows(col, pred)?.len() as u64;
+                n += main.find_rows(col, &key_pred)?.len() as u64;
             }
-            n += p.delta_view().find_rows(col, pred, self.schema())?.len() as u64;
+            n += p.delta_view().find_rows(col, &key_pred).len() as u64;
         }
         Ok(n)
     }
@@ -286,18 +282,13 @@ impl Snapshot<'_> {
             if main.visible_rows() != main.rows() {
                 // Deleted rows can orphan dictionary entries: take the
                 // visible rows' distinct identifiers.
-                let vis: Vec<u64> = (0..main.rows()).filter(|&r| main.is_visible(r)).collect();
-                values.extend(main_distinct(c, &vis)?);
+                values.extend(main_distinct(c, &main.visible_positions())?);
             } else if main.rows() > 0 {
                 let vids: Vec<u64> = (0..c.cardinality()).collect();
                 values.extend(c.values_by_vid(&vids)?);
             }
             let delta = p.delta_view();
-            for rpos in 0..delta.rows() {
-                if delta.is_visible(rpos) {
-                    values.push(delta.value(rpos, col, self.schema())?);
-                }
-            }
+            values.extend(delta.values_at(&[col], &delta.visible_positions())?.remove(0));
         }
         Ok(distinct_rows(values))
     }
@@ -312,33 +303,22 @@ impl Snapshot<'_> {
         let mut addrs = Vec::new();
         match filter {
             Some((name, pred)) => {
-                let col = self.schema().column_index(name)?;
+                let (col, key_pred) = self.schema().compile(name, pred)?;
                 for (pi, p) in self.partitions().iter().enumerate() {
-                    if !p.spec().range.may_match_on(col, self.schema().partition_column(), pred) {
+                    if self.schema().prunes(col, &key_pred, &p.bounds) {
                         continue;
                     }
-                    for rpos in p.main_frag().find_rows(col, pred)? {
-                        addrs.push(RowAddr { partition: pi, in_delta: false, rpos });
-                    }
-                    for rpos in p.delta_view().find_rows(col, pred, self.schema())? {
-                        addrs.push(RowAddr { partition: pi, in_delta: true, rpos });
-                    }
+                    let at = |in_delta| move |rpos| RowAddr { partition: pi, in_delta, rpos };
+                    let main = p.main_frag().find_rows(col, &key_pred)?;
+                    addrs.extend(main.into_iter().map(at(false)));
+                    addrs.extend(p.delta_view().find_rows(col, &key_pred).into_iter().map(at(true)));
                 }
             }
             None => {
                 for (pi, p) in self.partitions().iter().enumerate() {
-                    let main = p.main_frag();
-                    for rpos in 0..main.rows() {
-                        if main.is_visible(rpos) {
-                            addrs.push(RowAddr { partition: pi, in_delta: false, rpos });
-                        }
-                    }
-                    let delta = p.delta_view();
-                    for rpos in 0..delta.rows() {
-                        if delta.is_visible(rpos) {
-                            addrs.push(RowAddr { partition: pi, in_delta: true, rpos });
-                        }
-                    }
+                    let at = |in_delta| move |rpos| RowAddr { partition: pi, in_delta, rpos };
+                    addrs.extend(p.main_frag().visible_positions().into_iter().map(at(false)));
+                    addrs.extend(p.delta_view().visible_positions().into_iter().map(at(true)));
                 }
             }
         }
@@ -346,46 +326,45 @@ impl Snapshot<'_> {
     }
 
     /// Late materialization of the columns `cols` (schema indices, resolved
-    /// once by the caller): each partition's main-fragment rows go through
-    /// one [`payg_core::column::materialize`] call covering *all* projected
-    /// columns, so their page accesses are planned and pinned phase by phase
-    /// rather than column by column; delta rows are read in place.
+    /// once by the caller): each fragment's rows are read in one batch
+    /// covering *all* projected columns — a main fragment's through one
+    /// [`payg_core::column::materialize`] call, so its page accesses are
+    /// planned and pinned phase by phase rather than column by column, and
+    /// a delta's under one lock per cell.
     fn project(&self, addrs: &[RowAddr], cols: &[usize]) -> TableResult<Vec<Row>> {
         let mut rows: Vec<Row> = vec![Vec::with_capacity(cols.len()); addrs.len()];
-        // One pass: the output slots of every partition's main fragment.
-        let mut main_slots: Vec<Vec<usize>> = vec![Vec::new(); self.partitions().len()];
+        // One pass: the output slots of every fragment, main then delta.
+        let mut slots: Vec<[Vec<usize>; 2]> = vec![Default::default(); self.partitions().len()];
         for (i, addr) in addrs.iter().enumerate() {
-            if addr.in_delta {
-                let delta = self.partitions()[addr.partition].delta_view();
-                for &c in cols {
-                    rows[i].push(delta.value(addr.rpos, c, self.schema())?);
-                }
-            } else {
-                main_slots[addr.partition].push(i);
-            }
+            slots[addr.partition][addr.in_delta as usize].push(i);
         }
-        for (p, slots) in self.partitions().iter().zip(&main_slots) {
-            if slots.is_empty() {
-                continue;
-            }
-            let rposs: Vec<u64> = slots.iter().map(|&i| addrs[i].rpos).collect();
-            let columns: Vec<&payg_core::Column> =
-                cols.iter().map(|&c| p.main_frag().column(c)).collect();
-            for values in payg_core::column::materialize(&columns, &rposs)? {
-                for (&slot, v) in slots.iter().zip(values) {
-                    rows[slot].push(v);
+        for (p, [main, delta]) in self.partitions().iter().zip(&slots) {
+            let rposs =
+                |slots: &[usize]| -> Vec<u64> { slots.iter().map(|&i| addrs[i].rpos).collect() };
+            let mut fill = |slots: &[usize], columns: Vec<Vec<Value>>| {
+                for values in columns {
+                    for (&slot, v) in slots.iter().zip(values) {
+                        rows[slot].push(v);
+                    }
                 }
+            };
+            if !main.is_empty() {
+                let columns: Vec<&payg_core::Column> =
+                    cols.iter().map(|&c| p.main_frag().column(c)).collect();
+                fill(main, payg_core::column::materialize(&columns, &rposs(main))?);
+            }
+            if !delta.is_empty() {
+                fill(delta, p.delta_view().values_at(cols, &rposs(delta))?);
             }
         }
         Ok(rows)
     }
 
     /// Walks `addrs` as what an aggregate over column `col` folds: every run
-    /// of main-fragment rows of one partition (all of them, as
-    /// [`Self::matching_rows`] orders addresses) is one [`Segment::Main`] —
-    /// the column and the run's row positions, to be reduced in the vid
-    /// domain — and every delta row is read in place as a
-    /// [`Segment::Delta`] value.
+    /// of rows of one fragment (all of them, as [`Self::matching_rows`]
+    /// orders addresses) is one segment — a main fragment's column and the
+    /// run's row positions, to be reduced in the vid domain, or a delta's
+    /// values at the run, read in one batch.
     fn for_each_segment(
         &self,
         addrs: &[RowAddr],
@@ -395,14 +374,15 @@ impl Snapshot<'_> {
         let mut rest = addrs;
         while let Some(&a) = rest.first() {
             let p = &self.partitions()[a.partition];
-            if a.in_delta {
-                f(Segment::Delta(p.delta_view().value(a.rpos, col, self.schema())?))?;
-                rest = &rest[1..];
-                continue;
-            }
-            let run = rest.iter().take_while(|b| !b.in_delta && b.partition == a.partition).count();
+            let run = (rest.iter())
+                .take_while(|b| b.in_delta == a.in_delta && b.partition == a.partition)
+                .count();
             let rposs: Vec<u64> = rest[..run].iter().map(|b| b.rpos).collect();
-            f(Segment::Main(p.main_frag().column(col), &rposs))?;
+            f(if a.in_delta {
+                Segment::Delta(p.delta_view().values_at(&[col], &rposs)?.remove(0))
+            } else {
+                Segment::Main(p.main_frag().column(col), &rposs)
+            })?;
             rest = &rest[run..];
         }
         Ok(())
@@ -413,8 +393,8 @@ impl Snapshot<'_> {
 enum Segment<'a> {
     /// Rows of one main fragment's column.
     Main(&'a payg_core::Column, &'a [u64]),
-    /// The value of one delta row.
-    Delta(Value),
+    /// The values of a run of delta rows.
+    Delta(Vec<Value>),
 }
 
 /// The distinct values of `column` at `rposs`, ascending: the rows'

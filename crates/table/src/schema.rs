@@ -1,7 +1,7 @@
 //! Table schemas and rows.
 
 use crate::{TableError, TableResult};
-use payg_core::{DataType, LoadPolicy, Value};
+use payg_core::{DataType, KeyPredicate, KeyRange, LoadPolicy, Value, ValuePredicate};
 
 /// One column definition.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,6 +39,12 @@ impl ColumnSpec {
 
 /// A row is one value per schema column, in schema order.
 pub type Row = Vec<Value>;
+
+/// The `n` rows of column-major `columns` (`n` values per column).
+pub(crate) fn rows_of(columns: Vec<Vec<Value>>, n: usize) -> Vec<Row> {
+    let mut columns: Vec<_> = columns.into_iter().map(Vec::into_iter).collect();
+    (0..n).map(|_| columns.iter_mut().filter_map(Iterator::next).collect()).collect()
+}
 
 /// A table schema: ordered columns, an optional primary key and an optional
 /// partition column (the aging temperature column, §4).
@@ -96,6 +102,23 @@ impl Schema {
             .iter()
             .position(|c| c.name == name)
             .ok_or_else(|| TableError::UnknownColumn(name.to_owned()))
+    }
+
+    /// The index of filter column `name` and `pred` compiled against its
+    /// type: the type check a filter passes before any partition is pruned.
+    pub(crate) fn compile(
+        &self,
+        name: &str,
+        pred: &ValuePredicate,
+    ) -> TableResult<(usize, KeyPredicate)> {
+        let col = self.column_index(name)?;
+        Ok((col, KeyPredicate::compile(pred, self.columns[col].data_type)?))
+    }
+
+    /// True when a partition of key range `bounds` holds no row whose
+    /// column `col` matches `pred`: only the partition column prunes.
+    pub(crate) fn prunes(&self, col: usize, pred: &KeyPredicate, bounds: &KeyRange) -> bool {
+        self.partition_column == Some(col) && !pred.overlaps(bounds)
     }
 
     /// The primary-key column index, if declared.

@@ -131,6 +131,7 @@ impl Table {
             let mut parts: Vec<PartitionVersion> =
                 cur.partitions.iter().map(|p| p.share()).collect();
             parts.push(PartitionVersion {
+                bounds: spec.range.bounds(),
                 spec,
                 main: MainHandle::new(main),
                 frozen: Vec::new(),
@@ -190,10 +191,11 @@ impl Table {
             Some(c) => &row[c],
             None => return Ok(PartitionId(0)),
         };
+        let key = value.to_key();
         version
             .partitions
             .iter()
-            .position(|p| p.spec.range.accepts(value))
+            .position(|p| p.bounds.contains(&key))
             .map(PartitionId)
             .ok_or_else(|| TableError::NoPartitionForRow(value.to_string()))
     }
@@ -301,12 +303,7 @@ impl Table {
             }
             let mut parts: Vec<PartitionVersion> =
                 cur.partitions.iter().map(|p| p.share()).collect();
-            parts[pid.0] = PartitionVersion {
-                spec: pv.spec.clone(),
-                main: Arc::clone(&pv.main),
-                frozen,
-                active,
-            };
+            parts[pid.0] = PartitionVersion { frozen, active, ..pv.share() };
             TableVersion::new(cur.vno + 1, parts, live)
         });
         drop(freeze_span);
@@ -354,12 +351,8 @@ impl Table {
             pv.main.schedule_retire(&pool);
             let mut parts: Vec<PartitionVersion> =
                 cur.partitions.iter().map(|p| p.share()).collect();
-            parts[pid.0] = PartitionVersion {
-                spec: pv.spec.clone(),
-                main: MainHandle::new(new_main),
-                frozen: Vec::new(),
-                active: Arc::clone(&pv.active),
-            };
+            let main = MainHandle::new(new_main);
+            parts[pid.0] = PartitionVersion { main, frozen: Vec::new(), ..pv.share() };
             TableVersion::new(cur.vno + 1, parts, live)
         });
         drop(frozen_version);
@@ -396,7 +389,7 @@ impl Table {
         set_col: &str,
         new_value: &Value,
     ) -> TableResult<u64> {
-        let fcol = self.schema.column_index(filter_col)?;
+        let (fcol, key_pred) = self.schema.compile(filter_col, pred)?;
         let scol = self.schema.column_index(set_col)?;
         new_value
             .check_type(self.schema.columns()[scol].data_type)
@@ -405,21 +398,20 @@ impl Table {
         let version = self.chain.current();
         let mut moves = Moves::default();
         for pv in &version.partitions {
-            if !pv.spec.range.may_match_on(fcol, self.schema.partition_column(), pred) {
+            if self.schema.prunes(fcol, &key_pred, &pv.bounds) {
                 continue;
             }
             // Main fragment matches, read in one go.
             let main = pv.main.frag();
-            let rposs = main.find_rows(fcol, pred)?;
+            let rposs = main.find_rows(fcol, &key_pred)?;
             moves.rows.extend(main.rows_at(&rposs)?);
             moves.main.push((main, rposs));
-            // Delta matches: frozen cells (awaiting merge) and the active cell.
+            // Delta matches, likewise: frozen cells (awaiting merge) and
+            // the active cell.
             for cell in pv.frozen.iter().chain(std::iter::once(&pv.active)) {
                 let st = cell.lock();
-                let rposs = st.frag.find_rows(fcol, pred, &self.schema)?;
-                for &rpos in &rposs {
-                    moves.rows.push(st.frag.row(rpos, &self.schema)?);
-                }
+                let rposs = st.frag.find_rows(fcol, &key_pred);
+                moves.rows.extend(st.frag.rows_at(&rposs)?);
                 moves.delta.push((cell, rposs));
             }
         }
@@ -437,6 +429,7 @@ impl Table {
         self.chain.publish(move |cur| {
             let mut parts: Vec<PartitionVersion> =
                 cur.partitions.iter().map(|p| p.share()).collect();
+            parts[pid.0].bounds = range.bounds();
             parts[pid.0].spec.range = range;
             TableVersion::new(cur.vno + 1, parts, live)
         });
@@ -455,31 +448,26 @@ impl Table {
         let version = self.chain.current();
         let mut moves = Moves::default();
         for pv in &version.partitions {
-            // Main fragment: the partition column of every visible row in
+            // Each fragment: the partition column of every visible row in
             // one read, then the misplaced rows in another.
+            let misplaced = |visible: Vec<u64>, temps: Vec<Value>| -> Vec<u64> {
+                (visible.into_iter().zip(temps))
+                    .filter(|(_, temp)| !pv.bounds.contains(&temp.to_key()))
+                    .map(|(rpos, _)| rpos)
+                    .collect()
+            };
             let main = pv.main.frag();
             let visible = main.visible_positions();
             let temps = main.column(tcol).get_values(&visible)?;
-            let rposs: Vec<u64> = visible
-                .into_iter()
-                .zip(&temps)
-                .filter(|(_, temp)| !pv.spec.range.accepts(temp))
-                .map(|(rpos, _)| rpos)
-                .collect();
+            let rposs = misplaced(visible, temps);
             moves.rows.extend(main.rows_at(&rposs)?);
             moves.main.push((main, rposs));
-            // Delta cells.
             for cell in pv.frozen.iter().chain(std::iter::once(&pv.active)) {
                 let st = cell.lock();
-                let mut rposs = Vec::new();
-                for rpos in 0..st.frag.rows() {
-                    if st.frag.is_visible(rpos)
-                        && !pv.spec.range.accepts(&st.frag.value(rpos, tcol, &self.schema)?)
-                    {
-                        moves.rows.push(st.frag.row(rpos, &self.schema)?);
-                        rposs.push(rpos);
-                    }
-                }
+                let visible: Vec<u64> = st.frag.visible_positions().collect();
+                let temps = st.frag.values_at(&[tcol], &visible)?.remove(0);
+                let rposs = misplaced(visible, temps);
+                moves.rows.extend(st.frag.rows_at(&rposs)?);
                 moves.delta.push((cell, rposs));
             }
         }
@@ -574,22 +562,6 @@ fn pin_parts(version: &TableVersion) -> Vec<Partition> {
     version.partitions.iter().map(|pv| Partition::pin(pv, pv.active.rows())).collect()
 }
 
-impl crate::partition::PartitionRange {
-    /// [`crate::partition::PartitionRange::may_match`] guarded on the filter
-    /// actually being the partition column.
-    pub(crate) fn may_match_on(
-        &self,
-        filter_col: usize,
-        partition_col: Option<usize>,
-        pred: &ValuePredicate,
-    ) -> bool {
-        match partition_col {
-            Some(pc) if pc == filter_col => self.may_match(pred),
-            _ => true,
-        }
-    }
-}
-
 impl Table {
     /// Reassembles a table from restored partitions (catalog restore): each
     /// main fragment with an empty delta.
@@ -605,6 +577,7 @@ impl Table {
         let partitions: Vec<PartitionVersion> = restored
             .into_iter()
             .map(|(spec, main)| PartitionVersion {
+                bounds: spec.range.bounds(),
                 spec,
                 main: MainHandle::new(main),
                 frozen: Vec::new(),
@@ -679,6 +652,36 @@ mod tests {
         t
     }
 
+    /// A filter on the partition column is type-checked before any
+    /// partition is pruned: a mistyped one is the `TypeMismatch` it is on
+    /// any other column, never an empty answer from pruning everything.
+    #[test]
+    fn a_wrongly_typed_filter_on_the_partition_column_is_a_type_mismatch() {
+        let t = Table::create(
+            pool(),
+            PageConfig::tiny(),
+            orders_schema(),
+            vec![PartitionSpec::hot(
+                "only",
+                PartitionRange::Between(Value::Integer(0), Value::Integer(100)),
+            )],
+        )
+        .unwrap();
+        t.insert(vec![Value::Integer(1), Value::Varchar("open".into()), Value::Integer(5)])
+            .unwrap();
+        let zzz = ValuePredicate::Eq(Value::Varchar("zzz".into()));
+        let mismatch = |e| matches!(e, TableError::Core(CoreError::TypeMismatch { .. }));
+        for projection in [Projection::Count, Projection::All] {
+            for col in ["close_date", "id"] {
+                let q = Query::filtered(col, zzz.clone(), projection.clone());
+                assert!(t.execute(&q).is_err_and(mismatch), "{q:?}");
+            }
+        }
+        let status = Value::Varchar("closed".into());
+        assert!(t.update_rows("close_date", &zzz, "status", &status).is_err_and(mismatch));
+        assert_eq!(t.visible_rows(), 1);
+    }
+
     #[test]
     fn insert_routes_by_partition_column() {
         let t = aged_table();
@@ -713,10 +716,8 @@ mod tests {
         // Values survive the merge, and the main dictionary is sorted, so
         // lookups work.
         assert_eq!(t.partitions()[0].main().rows_at(&[0]).unwrap()[0][0], Value::Integer(0));
-        let rows = t.partitions()[0]
-            .main()
-            .find_rows(1, &ValuePredicate::Eq(Value::Varchar("open".into())))
-            .unwrap();
+        let (col, open) = t.schema.compile("status", &ValuePredicate::Eq("open".into())).unwrap();
+        let rows = t.partitions()[0].main().find_rows(col, &open).unwrap();
         assert_eq!(rows.len(), 50);
     }
 

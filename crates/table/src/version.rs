@@ -33,8 +33,8 @@ use crate::delta::DeltaFragment;
 use crate::fragment::MainFragment;
 use crate::partition::PartitionSpec;
 use crate::schema::Schema;
-use crate::TableResult;
-use payg_core::{Value, ValuePredicate};
+use crate::{TableError, TableResult};
+use payg_core::{KeyPredicate, KeyRange, Value};
 use payg_obs::Gauge;
 use payg_storage::{BufferPool, ChainId};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
@@ -132,6 +132,8 @@ impl Drop for MainHandle {
 /// One partition inside one table version.
 pub(crate) struct PartitionVersion {
     pub spec: PartitionSpec,
+    /// `spec.range` as keys, encoded once ([`crate::PartitionRange::bounds`]).
+    pub bounds: KeyRange,
     pub main: Arc<MainHandle>,
     /// Sealed delta cells awaiting (or re-awaiting, after an abort) merge,
     /// oldest first. Their rows are fully visible to every snapshot.
@@ -145,6 +147,7 @@ impl PartitionVersion {
     pub(crate) fn share(&self) -> Self {
         PartitionVersion {
             spec: self.spec.clone(),
+            bounds: self.bounds.clone(),
             main: Arc::clone(&self.main),
             frozen: self.frozen.clone(),
             active: Arc::clone(&self.active),
@@ -242,68 +245,64 @@ impl DeltaView {
         DeltaView { slices }
     }
 
-    fn locate(&self, rpos: u64) -> Option<(&DeltaSlice, u64)> {
-        self.slices
-            .iter()
-            .find(|s| rpos >= s.base && rpos < s.base + s.clip)
-            .map(|s| (s, rpos - s.base))
-    }
-
-    /// Total rows in view (including deleted).
-    pub fn rows(&self) -> u64 {
-        self.slices.iter().map(|s| s.clip).sum()
-    }
-
     /// Visible (non-deleted) rows in view.
     pub fn visible_rows(&self) -> u64 {
-        self.slices
-            .iter()
-            .map(|s| {
-                let st = s.cell.lock();
-                (0..s.clip).filter(|&r| st.frag.is_visible(r)).count() as u64
-            })
-            .sum()
+        let visible = |s: &DeltaSlice| {
+            s.cell.lock().frag.visible_positions().take_while(|&r| r < s.clip).count()
+        };
+        self.slices.iter().map(|s| visible(s) as u64).sum()
     }
 
     /// True when the view holds no rows at all.
     pub fn is_empty(&self) -> bool {
-        self.rows() == 0
+        self.slices.iter().all(|s| s.clip == 0)
     }
 
-    /// True when `rpos` is visible.
-    pub fn is_visible(&self, rpos: u64) -> bool {
-        match self.locate(rpos) {
-            Some((s, local)) => s.cell.lock().frag.is_visible(local),
-            None => false,
-        }
-    }
-
-    /// The value at (`rpos`, `col`).
-    pub fn value(&self, rpos: u64, col: usize, schema: &Schema) -> TableResult<Value> {
-        let (s, local) = self.locate(rpos).ok_or_else(|| {
-            crate::TableError::Invalid(format!("delta row {rpos} out of snapshot range"))
-        })?;
-        s.cell.lock().frag.value(local, col, schema)
-    }
-
-    /// Visible row positions matching `pred` on `col`, ascending in the
-    /// flattened space.
-    pub fn find_rows(
-        &self,
-        col: usize,
-        pred: &ValuePredicate,
-        schema: &Schema,
-    ) -> TableResult<Vec<u64>> {
+    /// The ascending positions `f` yields for each cell, under one lock per
+    /// cell, clipped and moved into the flattened space.
+    fn positions(&self, f: impl Fn(&DeltaFragment) -> Vec<u64>) -> Vec<u64> {
         let mut out = Vec::new();
         for s in &self.slices {
-            let st = s.cell.lock();
-            for local in st.frag.find_rows(col, pred, schema)? {
-                if local < s.clip {
-                    out.push(s.base + local);
-                }
+            let local = f(&s.cell.lock().frag);
+            out.extend(local.into_iter().take_while(|&r| r < s.clip).map(|r| s.base + r));
+        }
+        out
+    }
+
+    /// The visible row positions, ascending in the flattened space.
+    pub fn visible_positions(&self) -> Vec<u64> {
+        self.positions(|frag| frag.visible_positions().collect())
+    }
+
+    /// The values of columns `cols` at the ascending positions `rposs`, one
+    /// vector per column in `rposs` order (the shape of
+    /// [`payg_core::column::materialize`]): one lock per cell.
+    pub fn values_at(&self, cols: &[usize], rposs: &[u64]) -> TableResult<Vec<Vec<Value>>> {
+        debug_assert!(rposs.is_sorted(), "delta positions must ascend");
+        let mut out: Vec<Vec<Value>> = vec![Vec::new(); cols.len()];
+        let mut rest = rposs;
+        for s in &self.slices {
+            let (here, tail) = rest.split_at(rest.partition_point(|&r| r < s.base + s.clip));
+            rest = tail;
+            if here.is_empty() {
+                continue;
+            }
+            let local: Vec<u64> = here.iter().map(|&r| r - s.base).collect();
+            let values = s.cell.lock().frag.values_at(cols, &local)?;
+            for (column, values) in out.iter_mut().zip(values) {
+                column.extend(values);
             }
         }
+        if let Some(rpos) = rest.first() {
+            return Err(TableError::Invalid(format!("delta row {rpos} out of snapshot range")));
+        }
         Ok(out)
+    }
+
+    /// Visible row positions whose column `col` matches `pred`, ascending
+    /// in the flattened space.
+    pub fn find_rows(&self, col: usize, pred: &KeyPredicate) -> Vec<u64> {
+        self.positions(|frag| frag.find_rows(col, pred))
     }
 
     /// Heap bytes of the viewed cells (shared, not exclusively owned).
@@ -318,6 +317,8 @@ impl DeltaView {
 /// now pinned to a version.
 pub struct Partition {
     spec: PartitionSpec,
+    /// The range as keys, for pruning.
+    pub(crate) bounds: KeyRange,
     main: Arc<MainHandle>,
     delta: DeltaView,
 }
@@ -326,6 +327,7 @@ impl Partition {
     pub(crate) fn pin(pv: &PartitionVersion, active_mark: u64) -> Self {
         Partition {
             spec: pv.spec.clone(),
+            bounds: pv.bounds.clone(),
             main: Arc::clone(&pv.main),
             delta: DeltaView::new(pv, active_mark),
         }
@@ -363,5 +365,120 @@ impl Partition {
     /// Crate-internal accessor, as [`Partition::main_frag`].
     pub(crate) fn delta_view(&self) -> &DeltaView {
         &self.delta
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::partition::PartitionRange;
+    use crate::schema::{ColumnSpec, Row};
+    use payg_core::{DataType, LoadPolicy, ValuePredicate};
+    use proptest::prelude::*;
+
+    const TYPES: [DataType; 4] =
+        [DataType::Integer, DataType::Decimal, DataType::Double, DataType::Varchar];
+
+    /// Per column, the values its cells draw from: the type's edges.
+    fn pools() -> [Vec<Value>; 4] {
+        let doubles = [f64::NEG_INFINITY, -1.5, -0.0, 0.0, f64::MIN_POSITIVE, 1.5, f64::INFINITY];
+        let strings = ["", "a", "ab", "abc", "b", "\u{7f}", "a\u{10FFFF}", "\u{10FFFF}"];
+        [
+            [i64::MIN, -1, 0, 1, 42, i64::MAX].map(Value::Integer).to_vec(),
+            [i128::MIN, -1, 0, 1, i128::MAX].map(Value::Decimal).to_vec(),
+            doubles.into_iter().chain([f64::NAN]).map(Value::Double).collect(),
+            strings.map(Value::from).to_vec(),
+        ]
+    }
+
+    fn keyed(v: &Value) -> Vec<u8> {
+        v.to_key()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The delta's key-domain search — dictionary probes and raw key
+        /// comparisons, then an identifier scan — equals a
+        /// `ValuePredicate::matches` fold over the same rows, across two
+        /// frozen cells and an active cell clipped to a snapshot mark,
+        /// with deleted rows in all three; and the batch reads return the
+        /// visible rows themselves.
+        #[test]
+        fn delta_search_over_key_predicates_equals_a_value_fold(
+            cells in prop::collection::vec((0usize..8, 0usize..8, 0usize..8, 0usize..8), 0..40),
+            splits in (0usize..41, 0usize..41, 0usize..41),
+            deletes in prop::collection::vec(0usize..40, 0..12),
+            (col, kind) in (0usize..4, 0u8..4),
+            picks in prop::collection::vec(0usize..8, 0..5),
+        ) {
+            let pools = pools();
+            let pick = |(&i, pool): (&usize, &Vec<Value>)| pool[i % pool.len()].clone();
+            let row = |&(a, b, c, d): &(usize, usize, usize, usize)| {
+                [a, b, c, d].iter().zip(&pools).map(pick).collect()
+            };
+            let rows: Vec<Row> = cells.iter().map(row).collect();
+            let n = rows.len();
+            let deleted: Vec<usize> = deletes.iter().filter_map(|&d| d.checked_rem(n)).collect();
+            let mut ends = [splits.0 % (n + 1), splits.1 % (n + 1)];
+            ends.sort_unstable();
+            let spec = |(c, &ty): (usize, &DataType)| ColumnSpec::new(format!("c{c}"), ty);
+            let schema = Schema::new(TYPES.iter().enumerate().map(spec).collect()).unwrap();
+            let cells: Vec<Arc<DeltaCell>> = [0..ends[0], ends[0]..ends[1], ends[1]..n]
+                .into_iter()
+                .map(|span| {
+                    let cell = Arc::new(DeltaCell::new(&schema));
+                    let mut st = cell.lock();
+                    for row in &rows[span.clone()] {
+                        st.frag.append(row).unwrap();
+                    }
+                    for &d in deleted.iter().filter(|&d| span.contains(d)) {
+                        st.frag.delete((d - span.start) as u64);
+                    }
+                    drop(st);
+                    cell
+                })
+                .collect();
+            // The snapshot sees the frozen cells whole and the active one
+            // up to its mark.
+            let mark = (n - ends[1]) - splits.2 % (n - ends[1] + 1);
+            let pv = PartitionVersion {
+                spec: PartitionSpec::single(LoadPolicy::FullyResident),
+                bounds: PartitionRange::All.bounds(),
+                main: MainHandle::new(MainFragment::from_columns(Vec::new(), 0)),
+                frozen: cells[..2].to_vec(),
+                active: Arc::clone(&cells[2]),
+            };
+            let view = DeltaView::new(&pv, mark as u64);
+            let seen = ends[1] + mark;
+
+            let pool = &pools[col];
+            let at = |i: usize| pool[i % pool.len()].clone();
+            let (first, last) = (picks.first().map_or(0, |&i| i), picks.last().map_or(1, |&i| i));
+            let pred = match (kind, at(first)) {
+                (0, v) => ValuePredicate::Eq(v),
+                (1, _) => ValuePredicate::In(picks.iter().map(|&i| at(i)).collect()),
+                (3, Value::Varchar(s)) => {
+                    ValuePredicate::StartsWith(s.chars().take(last % 3).collect())
+                }
+                (_, v) => ValuePredicate::Between(v, at(last)),
+            };
+            let visible: Vec<u64> =
+                (0..seen).filter(|p| !deleted.contains(p)).map(|p| p as u64).collect();
+            let expect: Vec<u64> =
+                visible.iter().copied().filter(|&p| pred.matches(&rows[p as usize][col])).collect();
+            let compiled = KeyPredicate::compile(&pred, TYPES[col]).unwrap();
+            prop_assert_eq!(view.find_rows(col, &compiled), expect, "{:?} on column {}", pred, col);
+
+            prop_assert_eq!(view.visible_positions(), visible.clone());
+            prop_assert_eq!(view.visible_rows(), visible.len() as u64);
+            let columns = view.values_at(&[3, 0, 2, 1], &visible).unwrap();
+            for (values, c) in columns.iter().zip([3, 0, 2, 1]) {
+                let want: Vec<Vec<u8>> =
+                    visible.iter().map(|&p| keyed(&rows[p as usize][c])).collect();
+                prop_assert_eq!(values.iter().map(keyed).collect::<Vec<_>>(), want);
+            }
+            prop_assert!(view.values_at(&[0], &[seen as u64]).is_err(), "past the snapshot");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the table layer: delta merge and aging moves
 //! preserve the visible row multiset; queries agree with brute force.
 
-use payg_core::{DataType, LoadPolicy, PageConfig, Value, ValuePredicate};
+use payg_core::{DataType, KeyPredicate, LoadPolicy, PageConfig, Value, ValuePredicate};
 use payg_resman::ResourceManager;
 use payg_storage::{BufferPool, MemStore};
 use payg_table::{
@@ -230,6 +230,57 @@ proptest! {
                     distinct,
                     "DISTINCT {} WHERE {}", name, filter_col
                 );
+            }
+        }
+    }
+}
+
+/// A domain for the pruning property: few enough values that ranges,
+/// predicates and rows meet often, with the edges of the type among them.
+fn pruning_domain(strings: bool) -> (DataType, Vec<Value>) {
+    if strings {
+        let words = ["", "a", "ab", "abc", "b", "ba", "\u{10FFFF}", "a\u{10FFFF}"];
+        (DataType::Varchar, words.map(Value::from).to_vec())
+    } else {
+        (DataType::Integer, [i64::MIN, -2, -1, 0, 1, 2, i64::MAX, 7].map(Value::Integer).to_vec())
+    }
+}
+
+proptest! {
+    /// Pruning is sound: whenever `pred` matches a value the range accepts,
+    /// the range may match `pred` — over every range shape and every
+    /// predicate shape, prefixes included.
+    #[test]
+    fn partition_pruning_is_sound(
+        strings in any::<bool>(),
+        range_kind in 0u8..4,
+        ends in (0usize..8, 0usize..8),
+        pred_kind in 0u8..4,
+        picks in prop::collection::vec(0usize..8, 0..4),
+    ) {
+        let (ty, domain) = pruning_domain(strings);
+        let at = |i: usize| domain[i].clone();
+        let range = match range_kind {
+            0 => PartitionRange::All,
+            1 => PartitionRange::Below(at(ends.0)),
+            2 => PartitionRange::AtLeast(at(ends.0)),
+            _ => PartitionRange::Between(at(ends.0), at(ends.1)),
+        };
+        let (first, second) = (picks.first().map_or(0, |&i| i), picks.last().map_or(7, |&i| i));
+        let pred = match (pred_kind, at(first)) {
+            (0, v) => ValuePredicate::Eq(v),
+            (1, v) => ValuePredicate::Between(v, at(second)),
+            (2, _) => ValuePredicate::In(picks.iter().map(|&i| at(i)).collect()),
+            (_, Value::Varchar(s)) => {
+                ValuePredicate::StartsWith(s.chars().take(second % 3).collect())
+            }
+            (_, v) => ValuePredicate::Eq(v),
+        };
+        let bounds = range.bounds();
+        let may_match = KeyPredicate::compile(&pred, ty).unwrap().overlaps(&bounds);
+        for v in &domain {
+            if pred.matches(v) && bounds.contains(&v.to_key()) {
+                prop_assert!(may_match, "{:?} pruned {:?}, which holds {:?}", pred, range, v);
             }
         }
     }

@@ -3,7 +3,9 @@
 //! `FileStore` and reopened; after its first query the resource manager
 //! holds exactly what the loaded column says it holds, and that is the key
 //! bytes plus four bytes a key, the data vector and the index — no per-key
-//! allocation, no growth slack. The answers equal a fold over `Vec<Row>`.
+//! allocation, no growth slack. The answers equal the reference executor's.
+
+mod reference;
 
 use page_as_you_go::core::column::Column;
 use page_as_you_go::core::invidx::InMemoryInvertedIndex;
@@ -101,22 +103,20 @@ fn a_resident_key_column_registers_what_it_holds_and_holds_no_slack() {
         "the key column holds {held} bytes; keys + offsets + data vector + index are {floor}"
     );
 
-    // Q_pk^* and Q_str^count against the row fold; the ledger still closes
-    // once every column is loaded.
-    for i in [0, 1, 4_217, KEYS - 1] {
-        let key = model[i as usize][0].clone();
-        let q = Query::filtered("material", ValuePredicate::Eq(key.clone()), Projection::All);
-        let expect: Vec<Row> = model.iter().filter(|r| r[0] == key).cloned().collect();
-        assert_eq!(session.execute(&q).unwrap().into_rows(), expect, "Q_pk^* {key:?}");
-    }
-    let absent = Value::Varchar("MAT-".into());
-    let q = Query::filtered("material", ValuePredicate::Eq(absent), Projection::All);
-    assert_eq!(session.execute(&q).unwrap().into_rows(), Vec::<Row>::new());
+    // Q_pk^* and Q_str^count against the reference executor; the ledger
+    // still closes once every column is loaded.
+    let mut queries: Vec<Query> = [0, 1, 4_217, KEYS - 1]
+        .map(|i| ValuePredicate::Eq(model[i as usize][0].clone()))
+        .into_iter()
+        .chain([ValuePredicate::Eq(Value::Varchar("MAT-".into()))])
+        .map(|pred| Query::filtered("material", pred, Projection::All))
+        .collect();
     for plant in ["plant-00", "plant-36", "plant-37", ""] {
         let pred = ValuePredicate::Eq(Value::Varchar(plant.into()));
-        let expect = model.iter().filter(|r| pred.matches(&r[1])).count() as u64;
-        let q = Query::filtered("plant", pred, Projection::Count);
-        assert_eq!(session.execute(&q).unwrap(), QueryResult::Count(expect), "Q_str^count {plant:?}");
+        queries.push(Query::filtered("plant", pred, Projection::Count));
+    }
+    for q in &queries {
+        reference::assert_answers(&session, &model, q, "reopened");
     }
     let all: usize = columns.iter().map(|c| loaded_bytes(c).expect("every column was read")).sum();
     assert_eq!(resman.stats().total_bytes, all);

@@ -16,7 +16,6 @@
 //! | 5  | `LoadState.done` (single-flight publish) |
 //! | 6  | I/O stage fetch ticket (completion latch) |
 //! | 10 | pool `Shard.slots` |
-//! | 20 | `Frame.transient` |
 //! | 25 | resman `Inner.limits` |
 //! | 30 | resman `Inner.state` |
 //! | 35 | resman `Inner.proactive` |
@@ -72,8 +71,6 @@ define_ranks! {
     IoTicket = 6,
     /// Buffer pool shard map.
     PoolShard = 10,
-    /// Per-frame transient-object slot.
-    FrameTransient = 20,
     /// Resource manager paged-pool limits.
     ResmanLimits = 25,
     /// Resource manager entry table / accounting.
@@ -144,7 +141,7 @@ mod tests {
     #[test]
     fn increasing_order_is_accepted() {
         let _a = acquire(LockRank::PoolShard);
-        let _b = acquire(LockRank::FrameTransient);
+        let _b = acquire(LockRank::ResmanLimits);
         let _c = acquire(LockRank::ResmanState);
     }
 

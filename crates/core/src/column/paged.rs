@@ -1,5 +1,6 @@
 //! The page-loadable column.
 
+use crate::column::materialize::Source;
 use crate::column::read::ColumnRead;
 use crate::datavec::ScanOptions;
 use crate::dict::{DictLookup, HandleCache};
@@ -211,9 +212,7 @@ impl ColumnRead for PagedColumn {
 
     fn get_values(&self, rposs: &[u64]) -> CoreResult<Vec<Value>> {
         // The one-column case of phased late materialization.
-        let mut columns =
-            super::materialize::materialize_paged(&self.parts.pool, &[&*self.parts], rposs)?;
-        Ok(columns.pop().unwrap_or_default())
+        super::materialize::get_values(Source::Paged(&self.parts), rposs)
     }
 
     fn vid_counts(&self, rposs: &[u64]) -> CoreResult<Vec<(u64, u64)>> {
@@ -221,13 +220,7 @@ impl ColumnRead for PagedColumn {
     }
 
     fn values_by_vid(&self, vids: &[u64]) -> CoreResult<Vec<Value>> {
-        let mut columns = super::materialize::values_by_vid_paged(
-            &self.parts.pool,
-            &[&*self.parts],
-            &[vids],
-            &mut Default::default(),
-        )?;
-        Ok(columns.pop().unwrap_or_default())
+        super::materialize::values_of_paged(&self.parts, vids)
     }
 
     fn vid_set_for(&self, pred: &ValuePredicate) -> CoreResult<VidSet> {

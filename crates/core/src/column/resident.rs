@@ -1,6 +1,6 @@
 //! The fully-resident (default) column.
 
-use crate::column::materialize::{count_runs, distinct_ranks, fan_out};
+use crate::column::materialize::{count_runs, get_values, Source};
 use crate::column::paged::ColumnParts;
 use crate::column::read::ColumnRead;
 use crate::column::EncodedRows;
@@ -15,7 +15,7 @@ use payg_resman::{Disposition, ResourceHandle};
 use std::sync::Arc;
 
 /// The contiguous in-memory image of a loaded column.
-struct Image {
+pub(crate) struct Image {
     data: BitPackedVec,
     dict: InMemoryDict,
     index: Option<InMemoryInvertedIndex>,
@@ -64,7 +64,7 @@ impl ResidentColumn {
     }
 
     /// Loads the column if not loaded; returns the resident image.
-    fn image(&self) -> CoreResult<Arc<Image>> {
+    pub(crate) fn image(&self) -> CoreResult<Arc<Image>> {
         let mut st = self.state.lock();
         if let Some(l) = st.as_ref() {
             l.resource.touch();
@@ -140,29 +140,25 @@ impl ResidentColumn {
         EncodedRows::new(image.dict.clone(), self.vids_at(&image, rposs)?)
     }
 
-    /// The identifier at every row of `rposs`, in that order.
-    fn vids_at(&self, image: &Image, rposs: &[u64]) -> CoreResult<Vec<u64>> {
-        rposs
-            .iter()
-            .map(|&rpos| {
-                if rpos >= self.parts.len {
-                    return Err(CoreError::RowOutOfBounds { rpos, len: self.parts.len });
-                }
-                Ok(image.data.get(rpos))
-            })
-            .collect()
+    /// The identifier at row `rpos` of the image.
+    pub(crate) fn vid_at(&self, image: &Image, rpos: u64) -> CoreResult<u64> {
+        if rpos >= self.parts.len {
+            return Err(CoreError::RowOutOfBounds { rpos, len: self.parts.len });
+        }
+        Ok(image.data.get(rpos))
     }
 
-    /// The value of every identifier of `vids`, in that order.
-    fn values_of(&self, image: &Image, vids: &[u64]) -> CoreResult<Vec<Value>> {
-        vids.iter()
-            .map(|&vid| {
-                if vid >= self.parts.cardinality {
-                    return Err(CoreError::VidOutOfBounds { vid, cardinality: self.parts.cardinality });
-                }
-                Value::from_key(self.parts.data_type, image.dict.key(vid))
-            })
-            .collect()
+    /// The value identifier `vid` encodes in the image.
+    pub(crate) fn value_of(&self, image: &Image, vid: u64) -> CoreResult<Value> {
+        if vid >= self.parts.cardinality {
+            return Err(CoreError::VidOutOfBounds { vid, cardinality: self.parts.cardinality });
+        }
+        Value::from_key(self.parts.data_type, image.dict.key(vid))
+    }
+
+    /// The identifier at every row of `rposs`, in that order.
+    fn vids_at(&self, image: &Image, rposs: &[u64]) -> CoreResult<Vec<u64>> {
+        rposs.iter().map(|&rpos| self.vid_at(image, rpos)).collect()
     }
 
     fn vid_set_from_image(&self, image: &Image, pred: &KeyPredicate) -> CoreResult<VidSet> {
@@ -221,13 +217,8 @@ impl ColumnRead for ResidentColumn {
 
     fn get_values(&self, rposs: &[u64]) -> CoreResult<Vec<Value>> {
         // The paged column's steps over the resident image: rows →
-        // identifiers, distinct identifiers → values, values → rows by rank.
-        let image = self.image()?;
-        let vids = self.vids_at(&image, rposs)?;
-        let (mut distinct, mut rank) = (vec![0u64; vids.len()], vec![0u32; vids.len()]);
-        let len = distinct_ranks(&vids, &mut Vec::new(), &mut distinct, &mut rank);
-        let values = self.values_of(&image, &distinct[..len])?;
-        Ok(fan_out(&values, rank.into_iter()))
+        // identifiers, distinct identifiers → values, each written to its rows.
+        get_values(Source::Resident(self), rposs)
     }
 
     fn vid_counts(&self, rposs: &[u64]) -> CoreResult<Vec<(u64, u64)>> {
@@ -237,7 +228,7 @@ impl ColumnRead for ResidentColumn {
 
     fn values_by_vid(&self, vids: &[u64]) -> CoreResult<Vec<Value>> {
         let image = self.image()?;
-        self.values_of(&image, vids)
+        vids.iter().map(|&vid| self.value_of(&image, vid)).collect()
     }
 
     fn vid_set_for(&self, pred: &ValuePredicate) -> CoreResult<VidSet> {

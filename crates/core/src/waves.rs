@@ -29,6 +29,12 @@ pub(crate) struct Waves {
 }
 
 impl Waves {
+    /// Heap bytes of the two buffers (their capacities).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        std::mem::size_of::<PageKey>() * self.keys.capacity()
+            + std::mem::size_of::<StorageResult<PageGuard>>() * self.guards.capacity()
+    }
+
     /// Pins the pages of `tasks` in near-equal waves of at most
     /// [`WAVE_PAGES`] and hands each pinned page to `step`, in task order. A
     /// wave's guards are released before the next wave is pinned. A page

@@ -874,22 +874,30 @@ proptest! {
         let rows: Vec<u64> = picks.iter().map(|&p| u64::from(p) % n_rows as u64).collect();
         let thrice = vec![rows.last().copied().unwrap_or(0); 3];
 
-        let mixed: Vec<&payg_core::Column> = paged.iter().chain(&resident).collect();
+        let width = sources.len();
+        let mixed: Vec<payg_core::Column> = paged.into_iter().chain(resident).collect();
+        // Resident and paged columns interleaved in the projection.
+        let which: Vec<usize> = (0..width).flat_map(|c| [c, width + c]).collect();
         for rows in [&rows[..], &rows[..rows.len().min(1)], &thrice[..]] {
-            let phased = payg_core::column::materialize(&mixed, rows).unwrap();
-            prop_assert_eq!(phased.len(), 2 * sources.len());
+            let mut phased = vec![Vec::new(); rows.len()];
+            payg_core::column::materialize(&mixed, &which, rows, &mut phased).unwrap();
+            for (i, &r) in rows.iter().enumerate() {
+                let expect: Vec<Value> =
+                    sources.iter().flat_map(|(_, v)| [v[r as usize].clone(), v[r as usize].clone()]).collect();
+                prop_assert_eq!(&phased[i], &expect, "phased row {} (position {})", i, r);
+            }
             for (c, (_, values)) in sources.iter().enumerate() {
                 let expect: Vec<Value> = rows.iter().map(|&r| values[r as usize].clone()).collect();
-                prop_assert_eq!(&phased[c], &expect, "phased, paged column {}", c);
-                prop_assert_eq!(&phased[sources.len() + c], &expect, "phased, resident column {}", c);
-                prop_assert_eq!(&paged[c].get_values(rows).unwrap(), &expect, "get_values, column {}", c);
-                prop_assert_eq!(&resident[c].get_values(rows).unwrap(), &expect);
+                prop_assert_eq!(&mixed[c].get_values(rows).unwrap(), &expect, "get_values, column {}", c);
+                prop_assert_eq!(&mixed[width + c].get_values(rows).unwrap(), &expect);
             }
         }
         // Out-of-range rows are an error, not a panic, wherever they sit.
         let mut bad = rows.clone();
         bad.insert(bad.len() / 2, n_rows as u64);
-        prop_assert!(payg_core::column::materialize(&mixed[..sources.len()], &bad).is_err());
+        let mut out = vec![Vec::new(); bad.len()];
+        let paged_only: Vec<usize> = (0..width).collect();
+        prop_assert!(payg_core::column::materialize(&mixed, &paged_only, &bad, &mut out).is_err());
         pool.assert_no_live_pins("phased projection quiesce");
     }
 }

@@ -3,16 +3,15 @@
 use crate::iostage::{FetchRequest, IoStage, Ticket, DEFAULT_IO_WORKERS};
 use crate::metrics::{MetricCounters, ShardCounters, ShardMetrics};
 use crate::store::{real_sleeper, Sleeper};
-use crate::sync::{Condvar, LockRank, Mutex, MutexGuard, RwLock};
+use crate::sync::{Condvar, LockRank, Mutex, MutexGuard};
 use crate::{ChainId, PageKey, PageMap, PageStore, PoolMetrics, StorageError, StorageResult};
 use payg_check::{PinToken, PinTracker};
 use payg_obs::{EventKind, Registry, SpanKind, Tracer};
 use payg_resman::{Disposition, ResourceHandle, ResourceManager};
 use std::any::Any;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::panic::Location;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
 /// Default number of lock-striped shards (a power of two; plenty for the
@@ -36,10 +35,15 @@ pub struct Frame {
     /// For re-sizing the resource when a transient structure is built; a
     /// guard reaches its manager through the frame, not through the pool.
     resman: ResourceManager,
-    /// Transient data rebuilt on every load and destroyed on eviction
-    /// (paper §3.2.1: the dictionary's block-offset vector).
-    transient: RwLock<Option<Arc<dyn Any + Send + Sync>>>,
-    transient_bytes: AtomicUsize,
+    /// Transient data built on the first read of this load and dropped
+    /// with the frame (paper §3.2.1: the dictionary's block-offset vector).
+    transient: OnceLock<Transient>,
+}
+
+/// A frame's transient structure and the heap bytes charged for it.
+struct Transient {
+    value: Box<dyn Any + Send + Sync>,
+    bytes: usize,
 }
 
 /// How one in-flight single-flight load ended.
@@ -303,14 +307,13 @@ impl PoolInner {
                 data,
                 resource,
                 resman: self.resman.clone(),
-                transient: RwLock::with_rank(None, LockRank::FrameTransient),
-                transient_bytes: AtomicUsize::new(0),
+                transient: OnceLock::new(),
             }
         })
     }
 
     /// The eviction callback of `frame`'s resource: the manager has claimed
-    /// it, so unlink the slot and destroy the transient state.
+    /// it, so unlink the slot (the transient state goes with the frame).
     fn unlink_evicted(&self, frame: &Arc<Frame>) {
         {
             let mut state = self.shard(frame.key).lock();
@@ -322,11 +325,10 @@ impl PoolInner {
             ) {
                 state.slots.remove(&frame.key);
             }
-            *frame.transient.write() = None;
         }
         // Emitted after the shard lock drops; includes transient bytes so
         // the event reflects the full reclaimed size.
-        let bytes = frame.data.len() + frame.transient_bytes.load(Ordering::Relaxed);
+        let bytes = frame.data.len() + frame.transient.get().map_or(0, |t| t.bytes);
         self.tracer
             .emit(EventKind::PageEvicted, frame.key.chain.0, frame.key.page_no, bytes as u64);
     }
@@ -339,7 +341,7 @@ impl PoolInner {
     }
 
     /// Drops every resident frame of `state` that `select`s and nobody
-    /// pins, deregistering its resource and destroying its transient state.
+    /// pins, deregistering its resource (its transient state goes with it).
     /// "Unpinned" is the manager's definition: `deregister` claims the pin
     /// word exactly as an eviction does, so a frame with a live guard — or
     /// one a concurrent eviction already claimed, whose callback will remove
@@ -349,11 +351,7 @@ impl PoolInner {
             let Slot::Resident(frame) = slot else {
                 return true;
             };
-            if !select(key) || !self.resman.deregister(&frame.resource) {
-                return true;
-            }
-            *frame.transient.write() = None;
-            false
+            !select(key) || !self.resman.deregister(&frame.resource)
         });
     }
 }
@@ -865,40 +863,42 @@ impl PageGuard {
         &self.frame.data
     }
 
-    /// Returns the page's transient structure, building it on first access.
+    /// Returns the page's transient structure, building it on the first
+    /// read of this load — borrowed from the pinned frame, so a later read
+    /// is one atomic load and a type check.
     ///
     /// `build` receives the page bytes and returns the structure plus its
     /// heap size in bytes; the size is added to the page resource's
-    /// accounting (transient data is charged to the paged pool, §3.2.1).
-    /// The structure is destroyed when the page is evicted and rebuilt on
-    /// the next load.
-    pub fn transient_or_build<T, F>(&self, build: F) -> StorageResult<Arc<T>>
+    /// accounting once (transient data is charged to the paged pool,
+    /// §3.2.1). Readers racing on a fresh frame may each build, but one
+    /// structure is kept and charged, and every reader gets that one. It is
+    /// dropped with the frame, so the next load of the page builds anew.
+    pub fn transient_or_build<T, F>(&self, build: F) -> StorageResult<&T>
     where
         T: Any + Send + Sync,
         F: FnOnce(&[u8]) -> StorageResult<(T, usize)>,
     {
-        {
-            let read = self.frame.transient.read();
-            if let Some(t) = read.as_ref() {
-                return Ok(Arc::clone(t)
-                    .downcast::<T>()
-                    // lint: allow(unwrap) invariant: one transient type per page structure
-                    .expect("transient type is stable per page"));
+        let frame = &*self.frame;
+        let transient = match frame.transient.get() {
+            Some(t) => t,
+            None => {
+                let (value, bytes) = build(&frame.data)?;
+                let mut kept = false;
+                let t = frame.transient.get_or_init(|| {
+                    kept = true;
+                    Transient { value: Box::new(value), bytes }
+                });
+                if kept {
+                    frame.resman.resize(&frame.resource, frame.data.len() + bytes);
+                }
+                t
             }
-        }
-        let mut write = self.frame.transient.write();
-        if let Some(t) = write.as_ref() {
-            return Ok(Arc::clone(t)
-                .downcast::<T>()
-                // lint: allow(unwrap) invariant: one transient type per page structure
-                .expect("transient type is stable per page"));
-        }
-        let (value, bytes) = build(&self.frame.data)?;
-        let arc: Arc<T> = Arc::new(value);
-        *write = Some(arc.clone());
-        self.frame.transient_bytes.store(bytes, Ordering::Relaxed);
-        self.frame.resman.resize(&self.frame.resource, self.frame.data.len() + bytes);
-        Ok(arc)
+        };
+        Ok(transient
+            .value
+            .downcast_ref::<T>()
+            // lint: allow(unwrap) invariant: one transient type per page structure
+            .expect("transient type is stable per page"))
     }
 
     /// Marks the page as recently used without re-pinning.
@@ -940,6 +940,7 @@ mod tests {
     use super::*;
     use crate::{ChainId, MemStore};
     use payg_resman::PoolLimits;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn pool_with_pages(n: u64, page_size: usize) -> (BufferPool, ChainId) {
         let store = MemStore::new();
@@ -1042,6 +1043,57 @@ mod tests {
         let g = pool.pin(key).unwrap();
         let t = g.transient_or_build(|_| Ok((1usize, 0))).unwrap();
         assert_eq!(*t, 1);
+    }
+
+    #[test]
+    fn racing_first_reads_keep_and_charge_one_transient_rebuilt_after_reload() {
+        use std::sync::Barrier;
+        const READERS: usize = 8;
+        let store = MemStore::new();
+        let chain = store.create_chain(16).unwrap();
+        store.append_page(chain, &[3; 16]).unwrap();
+        let resman = ResourceManager::with_paged_limits(PoolLimits::new(0, usize::MAX));
+        let pool = BufferPool::new(Arc::new(store), resman.clone());
+        let key = PageKey::new(chain, 0);
+        let builds = AtomicUsize::new(0);
+        let race = || {
+            let barrier = Barrier::new(READERS);
+            let seen: Vec<usize> = std::thread::scope(|s| {
+                let readers: Vec<_> = (0..READERS)
+                    .map(|i| {
+                        let (pool, barrier, builds) = (&pool, &barrier, &builds);
+                        s.spawn(move || {
+                            let g = pool.pin(key).unwrap();
+                            barrier.wait();
+                            let t: &Vec<u64> = g
+                                .transient_or_build(|bytes| {
+                                    builds.fetch_add(1, Ordering::Relaxed);
+                                    Ok((vec![bytes[0] as u64, i as u64], 40))
+                                })
+                                .unwrap();
+                            assert_eq!(t[0], 3);
+                            t as *const Vec<u64> as usize
+                        })
+                    })
+                    .collect();
+                readers.into_iter().map(|r| r.join().unwrap()).collect()
+            });
+            assert!(seen.iter().all(|&t| t == seen[0]), "every reader reads the kept structure");
+            // Charged exactly once, on top of the page bytes.
+            assert_eq!(resman.stats().paged_bytes, 16 + 40);
+        };
+        // A freshly loaded page, its transient not yet built.
+        drop(pool.pin(key).unwrap());
+        race();
+        let first = builds.load(Ordering::Relaxed);
+        assert!((1..=READERS).contains(&first), "{first} builds");
+        // Evicted with its frame: nothing stays charged.
+        assert_eq!(resman.reactive_unload(), 16 + 40);
+        assert_eq!(resman.stats().paged_bytes, 0);
+        // The reload builds it again.
+        race();
+        assert!(builds.load(Ordering::Relaxed) > first, "the reload rebuilds the transient");
+        assert_eq!(pool.metrics().loads, 2);
     }
 
     #[test]

@@ -130,8 +130,10 @@ impl MainFragment {
     /// phased late materialization over every column, a point read being
     /// the one-row case.
     pub fn rows_at(&self, rposs: &[u64]) -> TableResult<Vec<Row>> {
-        let columns: Vec<&Column> = self.columns.iter().collect();
-        Ok(crate::schema::rows_of(payg_core::column::materialize(&columns, rposs)?, rposs.len()))
+        let which: Vec<usize> = (0..self.columns.len()).collect();
+        let mut rows: Vec<Row> = vec![Vec::with_capacity(which.len()); rposs.len()];
+        payg_core::column::materialize(&self.columns, &which, rposs, &mut rows)?;
+        Ok(rows)
     }
 
     /// The visible row positions, ascending.

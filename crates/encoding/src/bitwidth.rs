@@ -66,14 +66,6 @@ impl BitWidth {
     pub fn mask(self) -> u64 {
         self.max_value()
     }
-
-    /// True when values at this width never straddle a 64-bit word boundary,
-    /// i.e. the width divides 64. These widths admit the pure SWAR scan fast
-    /// path in [`crate::scan`].
-    #[inline]
-    pub fn is_word_aligned(self) -> bool {
-        self.0 != 0 && 64 % u32::from(self.0) == 0
-    }
 }
 
 impl std::fmt::Display for BitWidth {
@@ -116,13 +108,5 @@ mod tests {
             }
         }
         assert!(BitWidth::new(65).is_err());
-    }
-
-    #[test]
-    fn word_aligned_widths() {
-        let aligned: Vec<u32> = (0..=64)
-            .filter(|&b| BitWidth::new(b).unwrap().is_word_aligned())
-            .collect();
-        assert_eq!(aligned, vec![1, 2, 4, 8, 16, 32, 64]);
     }
 }

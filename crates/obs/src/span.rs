@@ -162,12 +162,6 @@ impl Span {
         self.id
     }
 
-    /// Whether the span will produce a record (i.e. the tracer was
-    /// enabled when it opened).
-    pub fn is_recording(&self) -> bool {
-        self.tracer.is_some()
-    }
-
     pub(crate) fn disabled() -> Span {
         Span {
             tracer: None,
@@ -294,7 +288,6 @@ mod tests {
         let t = Tracer::new();
         let s = t.span(SpanKind::Query, 0);
         assert_eq!(s.id(), 0);
-        assert!(!s.is_recording());
         drop(s);
         assert!(t.drain_spans().is_empty());
         assert_eq!(t.current_span(), 0);

@@ -7,7 +7,7 @@
 //! events tagged with any of them ([`payg_obs::Tracer::take_tree`]) — and
 //! folds every number of the report from it:
 //!
-//! * the **static plan** — [`Table::scan_plan`] as it stood before execution
+//! * the **static plan** — [`crate::Snapshot::scan_plan`] as it stood before execution
 //!   (per-partition [`ScanPath`]), annotated per store chain with the pins,
 //!   cold loads, waits, I/O traffic and retries the chain actually saw, and
 //!   with the bit width the scan kernel ran at;
@@ -100,7 +100,7 @@ pub struct ChainExplain {
 pub struct PartitionExplain {
     /// Partition ordinal.
     pub partition: usize,
-    /// The static scan path [`Table::scan_plan`] chose before execution.
+    /// The static scan path [`crate::Snapshot::scan_plan`] chose before execution.
     pub path: ScanPath,
     /// Bit width the data-vector scan kernel ran at on this partition's
     /// main fragment (0 = no kernel scan).

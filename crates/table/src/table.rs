@@ -180,12 +180,8 @@ impl Table {
         self.partitions().iter().map(|p| p.visible_rows()).sum()
     }
 
-    /// Routes a row to its partition by the partition-column value.
-    pub fn route(&self, row: &Row) -> TableResult<PartitionId> {
-        let version = self.chain.current();
-        self.route_in(&version, row)
-    }
-
+    /// Routes a row to its partition of `version` by the partition-column
+    /// value.
     fn route_in(&self, version: &TableVersion, row: &Row) -> TableResult<PartitionId> {
         let value = match self.schema.partition_column() {
             Some(c) => &row[c],

@@ -160,7 +160,7 @@ fn compressed_domain_plan_shows_chunk_dispatch() {
     // Indexed point probe under PEF postings: the plan says compressed
     // domain, and the execution records the dispatch decision as a span.
     let q = Query::filtered("id", ValuePredicate::Eq(Value::Integer(123)), Projection::RowIds);
-    assert_eq!(t.scan_plan(&q).unwrap(), vec![ScanPath::CompressedDomain]);
+    assert_eq!(t.session().unwrap().scan_plan(&q).unwrap(), vec![ScanPath::CompressedDomain]);
     let (result, ea, _) = explain_solo(&t, &q);
     match result {
         QueryResult::RowIds(ids) => assert_eq!(ids, vec![123]),

@@ -65,6 +65,29 @@ pub fn decode_slot(words: &[u64], w: BitWidth, slot: usize) -> u64 {
     v & w.mask()
 }
 
+/// Decodes one value straight from a chunk's stored bytes — its `n`
+/// little-endian words — reading only the one or two words holding `slot`
+/// (what a point read of a page needs: no word buffer to fill).
+///
+/// `bytes` must hold `bytes_per_chunk(w)` bytes; `slot < 64`.
+#[inline]
+pub fn decode_slot_bytes(bytes: &[u8], w: BitWidth, slot: usize) -> u64 {
+    let n = w.bits() as usize;
+    if n == 0 {
+        return 0;
+    }
+    debug_assert_eq!(bytes.len(), bytes_per_chunk(w));
+    debug_assert!(slot < CHUNK_LEN);
+    let bit = slot * n;
+    let word = |i: usize| crate::unaligned::le_u64_padded(bytes, i * 8);
+    let shift = (bit % 64) as u32;
+    let mut v = word(bit / 64) >> shift;
+    if 64 - (shift as usize) < n {
+        v |= word(bit / 64 + 1) << (64 - shift);
+    }
+    v & w.mask()
+}
+
 /// Decodes a full chunk of 64 values into `out`.
 ///
 /// `words.len()` must equal `words_per_chunk(w)`.
@@ -152,8 +175,10 @@ mod tests {
         let mut out = [0u64; CHUNK_LEN];
         decode_chunk(&words, w, &mut out);
         assert_eq!(&out, values, "chunk roundtrip at {w}");
+        let bytes: Vec<u8> = words.iter().flat_map(|x| x.to_le_bytes()).collect();
         for (slot, &expect) in values.iter().enumerate() {
             assert_eq!(decode_slot(&words, w, slot), expect, "slot {slot} at {w}");
+            assert_eq!(decode_slot_bytes(&bytes, w, slot), expect, "slot {slot} at {w}, from bytes");
         }
     }
 

@@ -17,8 +17,7 @@ use crate::version::{
     VersionChain,
 };
 use crate::{TableError, TableResult};
-use payg_core::column::ColumnRead;
-use payg_core::{EncodedRows, PageConfig, Value, ValuePredicate};
+use payg_core::{EncodedRows, KeyPredicate, PageConfig, Value, ValuePredicate};
 use payg_obs::{names, Gauge, Histogram, SpanKind};
 use payg_storage::BufferPool;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -444,25 +443,21 @@ impl Table {
         let version = self.chain.current();
         let mut moves = Moves::default();
         for pv in &version.partitions {
-            // Each fragment: the partition column of every visible row in
-            // one read, then the misplaced rows in another.
-            let misplaced = |visible: Vec<u64>, temps: Vec<Value>| -> Vec<u64> {
-                (visible.into_iter().zip(temps))
-                    .filter(|(_, temp)| !pv.bounds.contains(&temp.to_key()))
-                    .map(|(rpos, _)| rpos)
-                    .collect()
+            // Each fragment: its visible rows less those whose partition
+            // column lies in the partition's range, found in the key domain.
+            let in_range = KeyPredicate::Range(pv.bounds.clone());
+            let misplaced = |visible: Vec<u64>, placed: Vec<u64>| -> Vec<u64> {
+                let mut placed = placed.into_iter().peekable();
+                visible.into_iter().filter(|r| placed.next_if_eq(r).is_none()).collect()
             };
             let main = pv.main.frag();
-            let visible = main.visible_positions();
-            let temps = main.column(tcol).get_values(&visible)?;
-            let rposs = misplaced(visible, temps);
+            let rposs = misplaced(main.visible_positions(), main.find_rows(tcol, &in_range)?);
             moves.rows.extend(main.rows_at(&rposs)?);
             moves.main.push((main, rposs));
             for cell in pv.frozen.iter().chain(std::iter::once(&pv.active)) {
                 let st = cell.lock();
-                let visible: Vec<u64> = st.frag.visible_positions().collect();
-                let temps = st.frag.values_at(&[tcol], &visible)?.remove(0);
-                let rposs = misplaced(visible, temps);
+                let visible = st.frag.visible_positions().collect();
+                let rposs = misplaced(visible, st.frag.find_rows(tcol, &in_range));
                 moves.rows.extend(st.frag.rows_at(&rposs)?);
                 moves.delta.push((cell, rposs));
             }

@@ -6,10 +6,11 @@
 //! insert would be too costly — plus the per-row identifier vector. A scan
 //! is a dictionary scan, then an identifier scan, in the encoded domain:
 //! a point of the [`KeyPredicate`] is one hash probe, an interval compares
-//! raw key bytes. Keys are decoded only into output values, read in the
-//! main fragment's batch shape (visible positions, then column-major
-//! values). Delta fragments are always memory resident (the regular delta
-//! merge keeps them small).
+//! raw key bytes. Reads take the main fragment's shapes: a projection
+//! writes each row's values straight into the caller's answer row, and an
+//! aggregate sees the distinct keys of its rows with their counts, so keys
+//! are decoded only into the answer. Delta fragments are always memory
+//! resident (the regular delta merge keeps them small).
 
 use crate::bitmap::RowBitmap;
 use crate::schema::{ColumnSpec, Row, Schema};
@@ -146,20 +147,44 @@ impl DeltaFragment {
         (0..self.rows).filter(|&r| !self.deleted.get(r))
     }
 
-    /// The values of columns `cols` at rows `rposs`, one vector per column
-    /// in `rposs` order — the shape of [`payg_core::column::materialize`].
-    pub fn values_at(&self, cols: &[usize], rposs: &[u64]) -> TableResult<Vec<Vec<Value>>> {
-        let column = |c: &DeltaColumn| -> TableResult<Vec<Value>> {
-            let key = |r: &u64| c.dict.key(c.vids[*r as usize]);
-            Ok(rposs.iter().map(|r| Value::from_key(c.data_type, key(r))).collect::<Result<_, _>>()?)
-        };
-        cols.iter().map(|&c| column(&self.columns[c])).collect()
+    /// Extends each row of `rows` by the values of columns `cols` at the
+    /// position `rposs` yields for it — the row writer of
+    /// [`payg_core::column::materialize`], one decoded key per cell.
+    pub fn materialize(
+        &self,
+        cols: &[usize],
+        rposs: impl IntoIterator<Item = u64>,
+        rows: &mut [Row],
+    ) -> TableResult<()> {
+        for (row, rpos) in rows.iter_mut().zip(rposs) {
+            for c in cols.iter().map(|&c| &self.columns[c]) {
+                row.push(Value::from_key(c.data_type, c.dict.key(c.vids[rpos as usize]))?);
+            }
+        }
+        Ok(())
     }
 
     /// The whole rows at `rposs`, in that order.
     pub fn rows_at(&self, rposs: &[u64]) -> TableResult<Vec<Row>> {
         let cols: Vec<usize> = (0..self.columns.len()).collect();
-        Ok(crate::schema::rows_of(self.values_at(&cols, rposs)?, rposs.len()))
+        let mut rows: Vec<Row> = (0..rposs.len()).map(|_| Vec::with_capacity(cols.len())).collect();
+        self.materialize(&cols, rposs.iter().copied(), &mut rows)?;
+        Ok(rows)
+    }
+
+    /// Calls `f` with each distinct key of column `col` at the positions
+    /// `rposs` yields and the number of them holding it, in identifier
+    /// order: what an aggregate folds, no key decoded.
+    pub(crate) fn key_counts(
+        &self,
+        col: usize,
+        rposs: impl IntoIterator<Item = u64>,
+        mut f: impl FnMut(&[u8], u64) -> TableResult<()>,
+    ) -> TableResult<()> {
+        let c = &self.columns[col];
+        let mut vids: Vec<u32> = rposs.into_iter().map(|r| c.vids[r as usize]).collect();
+        vids.sort_unstable();
+        vids.chunk_by(|a, b| a == b).try_for_each(|run| f(c.dict.key(run[0]), run.len() as u64))
     }
 
     /// Visible row positions whose column `col` matches `pred`, ascending.
@@ -215,11 +240,13 @@ mod tests {
     fn append_and_read_back() {
         let (_, d) = populated();
         assert_eq!(d.rows(), 4);
+        let mut rows = vec![Vec::new(); 2];
+        d.materialize(&[1, 0], [0, 3], &mut rows).unwrap();
         assert_eq!(
-            d.values_at(&[1, 0], &[0, 3]).unwrap(),
+            rows,
             vec![
-                vec![Value::Varchar("echo".into()), Value::Varchar("bravo".into())],
-                vec![Value::Integer(5), Value::Integer(2)],
+                vec![Value::Varchar("echo".into()), Value::Integer(5)],
+                vec![Value::Varchar("bravo".into()), Value::Integer(2)],
             ]
         );
         assert_eq!(
@@ -236,6 +263,20 @@ mod tests {
         // Arrival order: echo, alpha, bravo.
         assert_eq!(d.columns[1].dict.key(0), b"echo");
         assert_eq!(d.columns[1].vids, [0, 1, 1, 2]);
+    }
+
+    /// An aggregate's view of a column: each distinct key once, in
+    /// identifier order, with the number of the given rows holding it.
+    #[test]
+    fn key_counts_reduce_rows_to_distinct_keys() {
+        let (_, d) = populated();
+        let mut seen = Vec::new();
+        let mut note = |key: &[u8], n| {
+            seen.push((key.to_vec(), n));
+            Ok(())
+        };
+        d.key_counts(1, [3, 0, 2, 1, 2], &mut note).unwrap();
+        assert_eq!(seen, [(b"echo".to_vec(), 1), (b"alpha".to_vec(), 3), (b"bravo".to_vec(), 1)]);
     }
 
     #[test]

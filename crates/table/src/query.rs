@@ -7,7 +7,10 @@
 //! independently on the main and the delta fragment of every (non-pruned)
 //! partition, unions the results after visibility filtering (§2), and
 //! projects with late materialization — row positions first, then one
-//! dictionary lookup per distinct identifier per projected column.
+//! dictionary lookup per distinct identifier per projected column. An
+//! aggregate folds distinct identifiers with their counts, a main
+//! fragment's through its dictionary and a delta's as keys, and decodes
+//! only the answer.
 //!
 //! The executor runs on a [`Snapshot`]: every query pins one table version
 //! at entry and evaluates entirely against it, so an online delta merge
@@ -19,7 +22,7 @@ use crate::schema::Row;
 use crate::table::{Snapshot, Table};
 use crate::{TableError, TableResult};
 use payg_core::column::ColumnRead;
-use payg_core::{DataType, ScanPath, Value, ValuePredicate};
+use payg_core::{Column, DataType, ScanPath, Value, ValuePredicate};
 
 /// What a query returns.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,14 +35,15 @@ pub enum Projection {
     Count,
     /// `SELECT SUM(col)`.
     Sum(String),
-    /// `SELECT MIN(col)` — O(1) on unfiltered main fragments: the
-    /// order-preserving dictionary's first key is the minimum.
+    /// `SELECT MIN(col)` — O(1) on an unfiltered main fragment with no
+    /// deleted rows: the order-preserving dictionary's first key is the
+    /// minimum.
     Min(String),
-    /// `SELECT MAX(col)` — O(1) on unfiltered main fragments.
+    /// `SELECT MAX(col)` — O(1) as `MIN`.
     Max(String),
-    /// `SELECT DISTINCT col` — on unfiltered main fragments the dictionary
-    /// *is* the distinct set (every vid occurs at least once after a merge),
-    /// so no data-vector page is touched.
+    /// `SELECT DISTINCT col` — on an unfiltered main fragment with no
+    /// deleted rows the dictionary *is* the distinct set (every vid occurs
+    /// at least once after a merge), so no data-vector page is touched.
     Distinct(String),
     /// `SELECT ROWID()`.
     RowIds,
@@ -145,102 +149,39 @@ impl Snapshot<'_> {
 
     /// Executes a query against this snapshot's pinned version.
     pub fn execute(&self, q: &Query) -> TableResult<QueryResult> {
-        // COUNT avoids materializing row positions when the inverted index's
-        // directory can answer directly (Alg. 5's counting shortcut).
-        if matches!(q.projection, Projection::Count) {
-            return Ok(QueryResult::Count(self.count(&q.filter)?));
-        }
-        if q.filter.is_none() {
-            if let Projection::Min(name) | Projection::Max(name) = &q.projection {
-                let want_max = matches!(&q.projection, Projection::Max(_));
-                return Ok(QueryResult::Extreme(self.extreme_unfiltered(name, want_max)?));
-            }
-            if let Projection::Distinct(name) = &q.projection {
-                return Ok(QueryResult::Rows(self.distinct_unfiltered(name)?));
-            }
-        }
-        let runs = self.matching_rows(&q.filter)?;
-        match &q.projection {
-            Projection::Count => unreachable!("handled above"),
+        let cols: Vec<usize> = match &q.projection {
+            // COUNT avoids materializing row positions when the inverted
+            // index's directory can answer directly (Alg. 5's counting
+            // shortcut).
+            Projection::Count => return Ok(QueryResult::Count(self.count(&q.filter)?)),
             Projection::RowIds => {
-                Ok(QueryResult::RowIds(runs.iter().flat_map(Run::row_ids).collect()))
+                let runs = self.matching_rows(&q.filter)?;
+                return Ok(QueryResult::RowIds(runs.iter().flat_map(Run::row_ids).collect()));
             }
-            Projection::All => {
-                let cols: Vec<usize> = (0..self.schema().arity()).collect();
-                Ok(QueryResult::Rows(self.project(&runs, &cols)?))
-            }
+            Projection::All => (0..self.schema().arity()).collect(),
             Projection::Columns(names) => {
-                let cols: Vec<usize> = names
-                    .iter()
-                    .map(|n| self.schema().column_index(n))
-                    .collect::<TableResult<_>>()?;
-                Ok(QueryResult::Rows(self.project(&runs, &cols)?))
+                names.iter().map(|n| self.schema().column_index(n)).collect::<TableResult<_>>()?
             }
-            // Aggregates fold over (value, count) pairs in the vid domain:
-            // each distinct value of a main fragment is decoded once, never
-            // one `Value` per row.
-            Projection::Sum(name) => {
+            Projection::Sum(name)
+            | Projection::Min(name)
+            | Projection::Max(name)
+            | Projection::Distinct(name) => {
                 let col = self.schema().column_index(name)?;
-                let mut acc = SumAcc::new(self.schema().columns()[col].data_type)?;
-                self.for_each_segment(&runs, col, |segment| match segment {
-                    Segment::Main(column, rposs) => column
-                        .value_counts(rposs)?
-                        .iter()
-                        .try_for_each(|(v, count)| acc.add(v, *count)),
-                    Segment::Delta(values) => values.iter().try_for_each(|v| acc.add(v, 1)),
-                })?;
-                Ok(QueryResult::Sum(acc.finish()))
-            }
-            Projection::Distinct(name) => {
-                let col = self.schema().column_index(name)?;
-                let mut values: Vec<Value> = Vec::new();
-                self.for_each_segment(&runs, col, |segment| {
-                    match segment {
-                        Segment::Main(column, rposs) => {
-                            values.extend(main_distinct(column, rposs)?)
+                let ty = self.schema().columns()[col].data_type;
+                let mut fold = Fold::new(&q.projection, ty)?;
+                self.for_each_run(&q.filter, |pi, in_delta, rposs| {
+                    let p = &self.partitions()[pi];
+                    match rposs {
+                        Some(rposs) if in_delta => {
+                            p.delta_view().key_counts(col, &rposs, |key, n| fold.key(ty, key, n))
                         }
-                        Segment::Delta(delta) => values.extend(delta),
+                        rposs => fold.main_rows(p.main_frag().column(col), rposs.as_deref()),
                     }
-                    Ok(())
                 })?;
-                Ok(QueryResult::Rows(distinct_rows(values)))
+                return fold.finish(ty);
             }
-            Projection::Min(name) | Projection::Max(name) => {
-                let col = self.schema().column_index(name)?;
-                let mut best = Extreme::new(matches!(&q.projection, Projection::Max(_)));
-                self.for_each_segment(&runs, col, |segment| {
-                    match segment {
-                        Segment::Main(column, rposs) => best.offer_main(column, rposs)?,
-                        Segment::Delta(values) => values.into_iter().for_each(|v| best.offer(v)),
-                    }
-                    Ok(())
-                })?;
-                Ok(QueryResult::Extreme(best.finish()))
-            }
-        }
-    }
-
-    /// `SELECT MIN/MAX(col)` without a filter: answered from the
-    /// order-preserving dictionaries in O(partitions) — the dictionary's
-    /// first/last key is the fragment's extreme — plus a delta scan.
-    fn extreme_unfiltered(&self, name: &str, want_max: bool) -> TableResult<Option<Value>> {
-        let col = self.schema().column_index(name)?;
-        let mut best = Extreme::new(want_max);
-        for p in self.partitions() {
-            let main = p.main_frag();
-            let c = main.column(col);
-            // Deleted rows may hide the extreme: fall back to the visible
-            // rows' identifiers (rare; only between a delete and its merge).
-            if main.visible_rows() != main.rows() {
-                best.offer_main(c, &main.visible_positions())?;
-            } else if main.rows() > 0 {
-                best.offer_vid(c, if want_max { c.cardinality() - 1 } else { 0 })?;
-            }
-            let delta = p.delta_view();
-            let values = delta.values_at(&[col], &delta.visible_positions())?.remove(0);
-            values.into_iter().for_each(|v| best.offer(v));
-        }
-        Ok(best.finish())
+        };
+        Ok(QueryResult::Rows(self.project(&self.matching_rows(&q.filter)?, &cols)?))
     }
 
     /// Counts visible matching rows, using the index-directory shortcut
@@ -266,58 +207,48 @@ impl Snapshot<'_> {
         Ok(n)
     }
 
-    /// `SELECT DISTINCT col` without a filter: the union of the (merged)
-    /// dictionaries, each read as one batch, plus the delta's values — no
-    /// data-vector pages.
-    fn distinct_unfiltered(&self, name: &str) -> TableResult<Vec<Row>> {
-        let col = self.schema().column_index(name)?;
-        let mut values: Vec<Value> = Vec::new();
-        for p in self.partitions() {
-            let main = p.main_frag();
-            let c = main.column(col);
-            if main.visible_rows() != main.rows() {
-                // Deleted rows can orphan dictionary entries: take the
-                // visible rows' distinct identifiers.
-                values.extend(main_distinct(c, &main.visible_positions())?);
-            } else if main.rows() > 0 {
-                let vids: Vec<u64> = (0..c.cardinality()).collect();
-                values.extend(c.values_by_vid(&vids)?);
+    /// Calls `f(partition, in_delta, rposs)` with the visible rows, ascending,
+    /// the filter matches in each fragment that has any, partition by
+    /// partition (partitions pruned when the filter is on the partition
+    /// column), main fragment before delta within each partition. Without a
+    /// filter, a main fragment with no deleted rows comes whole, as `None`:
+    /// its positions are not materialized.
+    fn for_each_run(
+        &self,
+        filter: &Option<(String, ValuePredicate)>,
+        mut f: impl FnMut(usize, bool, Option<Vec<u64>>) -> TableResult<()>,
+    ) -> TableResult<()> {
+        let filter = filter.as_ref().map(|(name, pred)| self.schema().compile(name, pred));
+        let filter = filter.transpose()?;
+        for (pi, p) in self.partitions().iter().enumerate() {
+            let (main, delta) = (p.main_frag(), p.delta_view());
+            let (main_rows, delta_rows) = match &filter {
+                Some((col, pred)) if self.schema().prunes(*col, pred, &p.bounds) => continue,
+                Some((col, pred)) => {
+                    (Some(main.find_rows(*col, pred)?), delta.find_rows(*col, pred))
+                }
+                None if main.visible_rows() == main.rows() => (None, delta.visible_positions()),
+                None => (Some(main.visible_positions()), delta.visible_positions()),
+            };
+            if main_rows.as_ref().map_or(main.rows() > 0, |r| !r.is_empty()) {
+                f(pi, false, main_rows)?;
             }
-            let delta = p.delta_view();
-            values.extend(delta.values_at(&[col], &delta.visible_positions())?.remove(0));
+            if !delta_rows.is_empty() {
+                f(pi, true, Some(delta_rows))?;
+            }
         }
-        Ok(distinct_rows(values))
+        Ok(())
     }
 
     /// The visible rows matching the filter, one run per fragment that has
-    /// any, partition by partition (partitions pruned when the filter is on
-    /// the partition column), main fragment before delta within each
-    /// partition.
+    /// any, in [`Snapshot::for_each_run`]'s order.
     fn matching_rows(&self, filter: &Option<(String, ValuePredicate)>) -> TableResult<Vec<Run>> {
         let mut runs = Vec::with_capacity(2 * self.partitions().len());
-        let mut push = |partition, in_delta, rposs: Vec<u64>| {
-            if !rposs.is_empty() {
-                runs.push(Run { partition, in_delta, rposs });
-            }
-        };
-        match filter {
-            Some((name, pred)) => {
-                let (col, key_pred) = self.schema().compile(name, pred)?;
-                for (pi, p) in self.partitions().iter().enumerate() {
-                    if self.schema().prunes(col, &key_pred, &p.bounds) {
-                        continue;
-                    }
-                    push(pi, false, p.main_frag().find_rows(col, &key_pred)?);
-                    push(pi, true, p.delta_view().find_rows(col, &key_pred));
-                }
-            }
-            None => {
-                for (pi, p) in self.partitions().iter().enumerate() {
-                    push(pi, false, p.main_frag().visible_positions());
-                    push(pi, true, p.delta_view().visible_positions());
-                }
-            }
-        }
+        self.for_each_run(filter, |partition, in_delta, rposs| {
+            let every = || (0..self.partitions()[partition].main_frag().rows()).collect();
+            runs.push(Run { partition, in_delta, rposs: rposs.unwrap_or_else(every) });
+            Ok(())
+        })?;
         Ok(runs)
     }
 
@@ -326,7 +257,8 @@ impl Snapshot<'_> {
     /// are read in one batch covering *all* projected columns — a main
     /// fragment's through one [`payg_core::column::materialize`] call, so
     /// its page accesses are planned and pinned phase by phase rather than
-    /// column by column, and a delta's under one lock per cell.
+    /// column by column, and a delta's through `DeltaView::materialize`,
+    /// under one lock per cell.
     fn project(&self, runs: &[Run], cols: &[usize]) -> TableResult<Vec<Row>> {
         let n = runs.iter().map(|r| r.rposs.len()).sum();
         let mut rows: Vec<Row> = (0..n).map(|_| Vec::with_capacity(cols.len())).collect();
@@ -336,110 +268,115 @@ impl Snapshot<'_> {
             rest = tail;
             let p = &self.partitions()[run.partition];
             if run.in_delta {
-                for values in p.delta_view().values_at(cols, &run.rposs)? {
-                    for (row, v) in here.iter_mut().zip(values) {
-                        row.push(v);
-                    }
-                }
+                p.delta_view().materialize(cols, &run.rposs, here)?;
             } else {
                 payg_core::column::materialize(p.main_frag().columns(), cols, &run.rposs, here)?;
             }
         }
         Ok(rows)
     }
+}
 
-    /// Walks `runs` as what an aggregate over column `col` folds: every run
-    /// is one segment — a main fragment's column and the run's row
-    /// positions, to be reduced in the vid domain, or a delta's values at
-    /// the run, read in one batch.
-    fn for_each_segment(
-        &self,
-        runs: &[Run],
-        col: usize,
-        mut f: impl FnMut(Segment<'_>) -> TableResult<()>,
-    ) -> TableResult<()> {
-        for run in runs {
-            let p = &self.partitions()[run.partition];
-            f(if run.in_delta {
-                Segment::Delta(p.delta_view().values_at(&[col], &run.rposs)?.remove(0))
-            } else {
-                Segment::Main(p.main_frag().column(col), &run.rposs)
-            })?;
+/// An aggregate's running state. A main fragment's rows fold in the vid
+/// domain and a delta's as distinct keys with their counts; each distinct
+/// main value is keyed at most once to compare across fragments, and only
+/// the answer is decoded.
+enum Fold {
+    /// `SUM`: the running total.
+    Sum(SumAcc),
+    /// `MIN` / `MAX`: the best key so far.
+    Extreme {
+        want_max: bool,
+        best: Option<Vec<u8>>,
+    },
+    /// `DISTINCT`: the keys seen, duplicates included.
+    Distinct(Vec<Vec<u8>>),
+}
+
+impl Fold {
+    /// The fold of the aggregate `projection` over a column of type `ty`.
+    fn new(projection: &Projection, ty: DataType) -> TableResult<Self> {
+        Ok(match projection {
+            Projection::Sum(_) => Fold::Sum(SumAcc::new(ty)?),
+            Projection::Distinct(_) => Fold::Distinct(Vec::new()),
+            p => Fold::Extreme { want_max: matches!(p, Projection::Max(_)), best: None },
+        })
+    }
+
+    /// Folds `column` of a main fragment at `rposs`, or at every row
+    /// (`None`) of a fragment with no deleted rows. Such a fragment's
+    /// distinct identifiers are `0..cardinality`, since every identifier
+    /// occurs after a merge, and its extremes the first and last of them:
+    /// `MIN`, `MAX` and `DISTINCT` read its dictionary alone. `SUM` folds
+    /// (value, count) pairs; `MIN` / `MAX` decode one value, the first /
+    /// last identifier, because the dictionary preserves order.
+    fn main_rows(&mut self, column: &Column, rposs: Option<&[u64]>) -> TableResult<()> {
+        match self {
+            Fold::Sum(acc) => {
+                let every: Vec<u64> =
+                    if rposs.is_none() { (0..column.len()).collect() } else { Vec::new() };
+                let counts = column.value_counts(rposs.unwrap_or(&every))?;
+                counts.iter().try_for_each(|(v, count)| acc.add(v, *count))
+            }
+            Fold::Extreme { want_max, .. } => {
+                let want_max = *want_max;
+                let vid = match rposs {
+                    None => {
+                        column.cardinality().checked_sub(1).map(|n| if want_max { n } else { 0 })
+                    }
+                    Some(rposs) => {
+                        let counts = column.vid_counts(rposs)?;
+                        if want_max { counts.last() } else { counts.first() }.map(|&(vid, _)| vid)
+                    }
+                };
+                let Some(vid) = vid else { return Ok(()) };
+                let key = column.values_by_vid(&[vid])?[0].to_key();
+                self.key(column.data_type(), &key, 1)
+            }
+            Fold::Distinct(keys) => {
+                let vids: Vec<u64> = match rposs {
+                    None => (0..column.cardinality()).collect(),
+                    Some(rposs) => {
+                        column.vid_counts(rposs)?.into_iter().map(|(vid, _)| vid).collect()
+                    }
+                };
+                keys.extend(column.values_by_vid(&vids)?.iter().map(Value::to_key));
+                Ok(())
+            }
+        }
+    }
+
+    /// Folds `count` rows holding `key`, of a column of type `ty`: `SUM`
+    /// decodes it once, `MIN`, `MAX` and `DISTINCT` compare keys.
+    fn key(&mut self, ty: DataType, key: &[u8], count: u64) -> TableResult<()> {
+        match self {
+            Fold::Sum(acc) => acc.add(&Value::from_key(ty, key)?, count)?,
+            Fold::Extreme { want_max, best } => {
+                if best.as_deref().is_none_or(|b| (key > b) == *want_max) {
+                    *best = Some(key.to_vec());
+                }
+            }
+            Fold::Distinct(keys) => keys.push(key.to_vec()),
         }
         Ok(())
     }
-}
 
-/// One piece of an aggregate's input (see [`Snapshot::for_each_segment`]).
-enum Segment<'a> {
-    /// Rows of one main fragment's column.
-    Main(&'a payg_core::Column, &'a [u64]),
-    /// The values of a run of delta rows.
-    Delta(Vec<Value>),
-}
-
-/// The distinct values of `column` at `rposs`, ascending: the rows'
-/// distinct identifiers, each decoded once.
-fn main_distinct(column: &payg_core::Column, rposs: &[u64]) -> TableResult<Vec<Value>> {
-    let vids: Vec<u64> = column.vid_counts(rposs)?.into_iter().map(|(vid, _)| vid).collect();
-    Ok(column.values_by_vid(&vids)?)
-}
-
-/// `DISTINCT`'s answer from values collected across fragments: one row per
-/// distinct value, ascending in key order.
-fn distinct_rows(values: Vec<Value>) -> Vec<Row> {
-    let mut keyed: Vec<(Vec<u8>, Value)> = values.into_iter().map(keyed).collect();
-    keyed.sort_by(|a, b| a.0.cmp(&b.0));
-    keyed.dedup_by(|a, b| a.0 == b.0);
-    keyed.into_iter().map(|(_, v)| vec![v]).collect()
-}
-
-/// A value with its order-preserving key, for comparing across fragments.
-fn keyed(v: Value) -> (Vec<u8>, Value) {
-    (v.to_key(), v)
-}
-
-/// `MIN` / `MAX` accumulator: the best value offered so far, by key order.
-struct Extreme {
-    want_max: bool,
-    best: Option<(Vec<u8>, Value)>,
-}
-
-impl Extreme {
-    fn new(want_max: bool) -> Self {
-        Extreme { want_max, best: None }
-    }
-
-    fn offer(&mut self, v: Value) {
-        let (k, v) = keyed(v);
-        let replace = match &self.best {
-            None => true,
-            Some((bk, _)) => (&k > bk) == self.want_max,
-        };
-        if replace {
-            self.best = Some((k, v));
-        }
-    }
-
-    /// Offers the extreme of `column` over `rposs`: the dictionary preserves
-    /// order, so it is the first / last distinct identifier of the rows, and
-    /// only that one is decoded.
-    fn offer_main(&mut self, column: &payg_core::Column, rposs: &[u64]) -> TableResult<()> {
-        let counts = column.vid_counts(rposs)?;
-        match if self.want_max { counts.last() } else { counts.first() } {
-            Some(&(vid, _)) => self.offer_vid(column, vid),
-            None => Ok(()),
-        }
-    }
-
-    /// Offers the one value `vid` encodes in `column`.
-    fn offer_vid(&mut self, column: &payg_core::Column, vid: u64) -> TableResult<()> {
-        self.offer(column.values_by_vid(&[vid])?.remove(0));
-        Ok(())
-    }
-
-    fn finish(self) -> Option<Value> {
-        self.best.map(|(_, v)| v)
+    /// The answer, its keys decoded: `DISTINCT` is one row per distinct
+    /// key, ascending in key order.
+    fn finish(self, ty: DataType) -> TableResult<QueryResult> {
+        let decode = |key: &[u8]| Value::from_key(ty, key);
+        Ok(match self {
+            Fold::Sum(acc) => QueryResult::Sum(acc.finish()),
+            Fold::Extreme { best, .. } => {
+                QueryResult::Extreme(best.as_deref().map(decode).transpose()?)
+            }
+            Fold::Distinct(mut keys) => {
+                keys.sort_unstable();
+                keys.dedup();
+                let rows = keys.iter().map(|key| Ok(vec![decode(key)?]));
+                QueryResult::Rows(rows.collect::<TableResult<_>>()?)
+            }
+        })
     }
 }
 

@@ -40,12 +40,6 @@ impl ColumnSpec {
 /// A row is one value per schema column, in schema order.
 pub type Row = Vec<Value>;
 
-/// The `n` rows of column-major `columns` (`n` values per column).
-pub(crate) fn rows_of(columns: Vec<Vec<Value>>, n: usize) -> Vec<Row> {
-    let mut columns: Vec<_> = columns.into_iter().map(Vec::into_iter).collect();
-    (0..n).map(|_| columns.iter_mut().filter_map(Iterator::next).collect()).collect()
-}
-
 /// A table schema: ordered columns, an optional primary key and an optional
 /// partition column (the aging temperature column, §4).
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -32,11 +32,12 @@
 use crate::delta::DeltaFragment;
 use crate::fragment::MainFragment;
 use crate::partition::PartitionSpec;
-use crate::schema::Schema;
+use crate::schema::{Row, Schema};
 use crate::{TableError, TableResult};
-use payg_core::{KeyPredicate, KeyRange, Value};
+use payg_core::{KeyPredicate, KeyRange};
 use payg_obs::Gauge;
 use payg_storage::{BufferPool, ChainId};
+use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 
 /// Interior state of one delta cell.
@@ -274,29 +275,52 @@ impl DeltaView {
         self.positions(|frag| frag.visible_positions().collect())
     }
 
-    /// The values of columns `cols` at the ascending positions `rposs`, one
-    /// vector per column in `rposs` order (the shape of
-    /// [`payg_core::column::materialize`]): one lock per cell.
-    pub fn values_at(&self, cols: &[usize], rposs: &[u64]) -> TableResult<Vec<Vec<Value>>> {
+    /// Splits the ascending positions `rposs` over the cells and calls `f`
+    /// for each cell holding any, under its one lock, with its fragment, the
+    /// index range of its positions in `rposs` and its first position.
+    /// Fails when a position lies past the snapshot.
+    fn per_cell(
+        &self,
+        rposs: &[u64],
+        mut f: impl FnMut(&DeltaFragment, Range<usize>, u64) -> TableResult<()>,
+    ) -> TableResult<()> {
         debug_assert!(rposs.is_sorted(), "delta positions must ascend");
-        let mut out: Vec<Vec<Value>> = vec![Vec::new(); cols.len()];
-        let mut rest = rposs;
+        let mut start = 0;
         for s in &self.slices {
-            let (here, tail) = rest.split_at(rest.partition_point(|&r| r < s.base + s.clip));
-            rest = tail;
-            if here.is_empty() {
-                continue;
+            let end = start + rposs[start..].partition_point(|&r| r < s.base + s.clip);
+            if end > start {
+                f(&s.cell.lock().frag, start..end, s.base)?;
             }
-            let local: Vec<u64> = here.iter().map(|&r| r - s.base).collect();
-            let values = s.cell.lock().frag.values_at(cols, &local)?;
-            for (column, values) in out.iter_mut().zip(values) {
-                column.extend(values);
-            }
+            start = end;
         }
-        if let Some(rpos) = rest.first() {
+        if let Some(rpos) = rposs.get(start) {
             return Err(TableError::Invalid(format!("delta row {rpos} out of snapshot range")));
         }
-        Ok(out)
+        Ok(())
+    }
+
+    /// Extends each row of `rows` by the values of columns `cols` at the
+    /// ascending position of `rposs` at the same index, as
+    /// [`payg_core::column::materialize`] does for a main fragment: one lock
+    /// per cell.
+    pub fn materialize(&self, cols: &[usize], rposs: &[u64], rows: &mut [Row]) -> TableResult<()> {
+        self.per_cell(rposs, |frag, at, base| {
+            frag.materialize(cols, rposs[at.clone()].iter().map(|r| r - base), &mut rows[at])
+        })
+    }
+
+    /// Calls `f` with each distinct key of column `col` at the ascending
+    /// positions `rposs` and the number of them holding it, cell by cell
+    /// under one lock each: only keys leave a cell.
+    pub(crate) fn key_counts(
+        &self,
+        col: usize,
+        rposs: &[u64],
+        mut f: impl FnMut(&[u8], u64) -> TableResult<()>,
+    ) -> TableResult<()> {
+        self.per_cell(rposs, |frag, at, base| {
+            frag.key_counts(col, rposs[at].iter().map(|r| r - base), &mut f)
+        })
     }
 
     /// Visible row positions whose column `col` matches `pred`, ascending
@@ -372,8 +396,8 @@ impl Partition {
 mod tests {
     use super::*;
     use crate::partition::PartitionRange;
-    use crate::schema::{ColumnSpec, Row};
-    use payg_core::{DataType, LoadPolicy, ValuePredicate};
+    use crate::schema::ColumnSpec;
+    use payg_core::{DataType, LoadPolicy, Value, ValuePredicate};
     use proptest::prelude::*;
 
     const TYPES: [DataType; 4] =
@@ -389,10 +413,6 @@ mod tests {
             doubles.into_iter().chain([f64::NAN]).map(Value::Double).collect(),
             strings.map(Value::from).to_vec(),
         ]
-    }
-
-    fn keyed(v: &Value) -> Vec<u8> {
-        v.to_key()
     }
 
     proptest! {
@@ -472,13 +492,15 @@ mod tests {
 
             prop_assert_eq!(view.visible_positions(), visible.clone());
             prop_assert_eq!(view.visible_rows(), visible.len() as u64);
-            let columns = view.values_at(&[3, 0, 2, 1], &visible).unwrap();
-            for (values, c) in columns.iter().zip([3, 0, 2, 1]) {
+            let mut read = vec![Vec::new(); visible.len()];
+            view.materialize(&[3, 0, 2, 1], &visible, &mut read).unwrap();
+            for (got, &p) in read.iter().zip(&visible) {
                 let want: Vec<Vec<u8>> =
-                    visible.iter().map(|&p| keyed(&rows[p as usize][c])).collect();
-                prop_assert_eq!(values.iter().map(keyed).collect::<Vec<_>>(), want);
+                    [3, 0, 2, 1].iter().map(|&c| rows[p as usize][c].to_key()).collect();
+                prop_assert_eq!(got.iter().map(Value::to_key).collect::<Vec<_>>(), want);
             }
-            prop_assert!(view.values_at(&[0], &[seen as u64]).is_err(), "past the snapshot");
+            let past = view.materialize(&[0], &[seen as u64], &mut [Vec::new()]);
+            prop_assert!(past.is_err(), "past the snapshot");
         }
     }
 }

@@ -1,15 +1,17 @@
 //! A warm point read allocates for its answer plus a constant: the rows
 //! vector, one vector per row and one string per non-empty VARCHAR cell —
 //! not a vector per projected column, not a plan buffer that grows with
-//! the projection's width.
+//! the projection's width. An aggregate over delta rows decodes each
+//! distinct key once, not one value per row; an unfiltered `MIN` / `MAX`
+//! over a main fragment reads its dictionary, not its data vector.
 //!
-//! Skipped when the pin-leak detector is compiled in (`strict-invariants`,
-//! however enabled): it records every pin in a heap set, an allocation per
-//! page by design.
+//! The point-read test is skipped when the pin-leak detector is compiled in
+//! (`strict-invariants`, however enabled): it records every pin in a heap
+//! set, an allocation per page by design.
 
 use payg_core::{DataType, LoadPolicy, PageConfig, Value, ValuePredicate};
 use payg_resman::ResourceManager;
-use payg_storage::{BufferPool, MemStore, PageKey, PageStore};
+use payg_storage::{BufferPool, ChainId, MemStore, PageKey, PageStore};
 use payg_table::{ColumnSpec, PartitionSpec, Projection, Query, QueryResult, Row, Schema, Table};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -173,6 +175,97 @@ fn a_warm_point_read_allocates_for_its_answer_plus_a_constant() {
                     "{policy:?} row {r}: SELECT c0 {num}, SELECT ROWID {rid}"
                 );
             }
+        }
+    }
+}
+
+/// `rows` rows in the delta alone, over five distinct names.
+fn unmerged(rows: i64) -> Table {
+    let schema = Schema::new(vec![
+        ColumnSpec::new("id", DataType::Integer),
+        ColumnSpec::new("name", DataType::Varchar),
+    ])
+    .unwrap();
+    let pool = BufferPool::new(Arc::new(MemStore::new()), ResourceManager::new());
+    let spec = vec![PartitionSpec::single(LoadPolicy::PageLoadable)];
+    let t = Table::create(pool, PageConfig::tiny(), schema, spec).unwrap();
+    for r in 0..rows {
+        t.insert(vec![Value::Integer(r), Value::Varchar(format!("name-{}", r % 5))]).unwrap();
+    }
+    t
+}
+
+#[test]
+fn a_delta_aggregate_decodes_each_distinct_key_once() {
+    let (small, large) = (unmerged(200), unmerged(2000));
+    let name = |i: i64| Value::Varchar(format!("name-{i}"));
+    let answers = [
+        (Projection::Max("name".into()), QueryResult::Extreme(Some(name(4)))),
+        (Projection::Min("name".into()), QueryResult::Extreme(Some(name(0)))),
+        (
+            Projection::Distinct("name".into()),
+            QueryResult::Rows((0..5).map(|i| vec![name(i)]).collect()),
+        ),
+    ];
+    for (projection, answer) in answers {
+        let q = Query::full(projection);
+        let run = |t: &Table| {
+            assert_eq!(t.session().unwrap().execute(&q).unwrap(), answer);
+            allocations(|| t.session().unwrap().execute(&q).unwrap()).1
+        };
+        let (n200, n2000) = (run(&small), run(&large));
+        assert!(
+            n2000 < n200 + 16,
+            "{:?}: {n200} allocations over 200 delta rows, {n2000} over 2000",
+            q.projection
+        );
+    }
+}
+
+#[test]
+fn unfiltered_min_max_pin_no_data_vector_page() {
+    let schema = Schema::new(vec![
+        ColumnSpec::new("num", DataType::Integer),
+        ColumnSpec::new("name", DataType::Varchar),
+    ])
+    .unwrap();
+    let pool = BufferPool::new(Arc::new(MemStore::new()), ResourceManager::new());
+    let spec = vec![PartitionSpec::single(LoadPolicy::PageLoadable)];
+    let t = Table::create(pool, PageConfig::tiny(), schema, spec).unwrap();
+    let rows: Vec<Row> = (0..6000i64)
+        .map(|r| {
+            let v = (r * 7919) % 1000;
+            vec![Value::Integer(v - 500), Value::Varchar(format!("customer-{v:04}"))]
+        })
+        .collect();
+    t.insert_all(rows).unwrap();
+    t.delta_merge_all().unwrap();
+    let store = t.pool().store();
+    let extremes = [
+        ("num", Value::Integer(-500), Value::Integer(499)),
+        ("name", Value::Varchar("customer-0000".into()), Value::Varchar("customer-0999".into())),
+    ];
+    for (c, (column, min, max)) in extremes.into_iter().enumerate() {
+        let pages = |keep: &dyn Fn(&str) -> bool| -> u64 {
+            let chains = t.partitions()[0].main().column(c).chains();
+            let kept = chains.into_iter().filter(|(role, _)| keep(role));
+            kept.map(|(_, chain)| store.chain_len(ChainId(chain)).unwrap()).sum()
+        };
+        let (data, dict) = (pages(&|role| role == "data"), pages(&|role| role.starts_with("dict")));
+        assert!(data >= 20, "{column}: the data vector spans {data} pages");
+        for (projection, want) in
+            [(Projection::Min(column.into()), min), (Projection::Max(column.into()), max)]
+        {
+            t.unload_all();
+            let before = t.pool().metrics();
+            let answer = t.execute(&Query::full(projection.clone())).unwrap();
+            assert_eq!(answer, QueryResult::Extreme(Some(want)));
+            let after = t.pool().metrics();
+            let pinned = (after.hits + after.misses) - (before.hits + before.misses);
+            assert!(
+                pinned < data && pinned <= dict,
+                "{projection:?}: {pinned} pins; data vector {data} pages, dictionary {dict}"
+            );
         }
     }
 }

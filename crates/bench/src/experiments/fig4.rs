@@ -45,13 +45,13 @@ pub fn run(cfg: &BenchConfig, tables: &TableSet) -> ExperimentReport {
         use payg_core::column::ColumnRead;
         use payg_core::{ColumnBuilder, DataType, LoadPolicy, Value};
         use payg_resman::ResourceManager;
-        use payg_storage::{BufferPool, MemStore, TieredStore};
+        use payg_storage::{BufferPool, LatencyStore, MemStore};
         use std::sync::Arc;
         use std::time::Instant;
         let values: Vec<Value> =
             (0..cfg.rows.min(200_000) as i64).map(|i| Value::Integer(i % 10_000)).collect();
         let pool = BufferPool::new(
-            Arc::new(TieredStore::new(MemStore::new(), cfg.read_latency, cfg.read_latency)),
+            Arc::new(LatencyStore::new(MemStore::new(), cfg.read_latency)),
             ResourceManager::new(),
         );
         let resident = ColumnBuilder::new(DataType::Integer)

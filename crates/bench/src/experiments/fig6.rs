@@ -68,7 +68,7 @@ pub fn run(cfg: &BenchConfig, tables: &TableSet) -> ExperimentReport {
     {
         use payg_core::dict::{HandleCache, PagedDictionary};
         use payg_resman::{PoolLimits, ResourceManager};
-        use payg_storage::{BufferPool, MemStore, TieredStore};
+        use payg_storage::{BufferPool, LatencyStore, MemStore};
         use std::sync::Arc;
         use std::time::Instant;
 
@@ -80,7 +80,7 @@ pub fn run(cfg: &BenchConfig, tables: &TableSet) -> ExperimentReport {
             let resman = ResourceManager::new();
             resman.set_paged_limits(Some(PoolLimits::new(0, usize::MAX)));
             let pool = BufferPool::new(
-                Arc::new(TieredStore::new(MemStore::new(), cfg.read_latency, cfg.read_latency)),
+                Arc::new(LatencyStore::new(MemStore::new(), cfg.read_latency)),
                 resman.clone(),
             );
             let (dict, _) = PagedDictionary::build(&pool, &cfg.page_config(), payg_core::DataType::Varchar, &keys).unwrap();

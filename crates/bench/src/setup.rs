@@ -3,7 +3,7 @@
 use crate::BenchConfig;
 use payg_core::LoadPolicy;
 use payg_resman::ResourceManager;
-use payg_storage::{BufferPool, MemStore, TieredStore};
+use payg_storage::{BufferPool, LatencyStore, MemStore};
 use payg_table::{PartitionSpec, Table};
 use payg_workload::{gen, TableProfile};
 use std::collections::HashMap;
@@ -100,7 +100,7 @@ impl ExperimentTable {
 /// row by row, to keep the build's peak memory flat), delta merge, then
 /// cold-restart so measurements start from an empty memory state.
 pub fn build_table(profile: &TableProfile, variant: Variant, cfg: &BenchConfig) -> ExperimentTable {
-    let store = TieredStore::new(MemStore::new(), cfg.read_latency, cfg.read_latency);
+    let store = LatencyStore::new(MemStore::new(), cfg.read_latency);
     let resman = ResourceManager::new();
     let pool = BufferPool::new(Arc::new(store), resman.clone());
     let mut schema = profile.schema(variant.with_indexes()).expect("valid schema");

@@ -12,7 +12,7 @@
 //! Two [`PageStore`] implementations are provided: a durable [`FileStore`]
 //! (one file per chain, reopenable for cold-restart experiments) and an
 //! in-memory [`MemStore`] for tests. [`FaultyStore`] wraps any store with
-//! fault injection and [`TieredStore`] with a synthetic latency per
+//! fault injection and [`LatencyStore`] with a synthetic latency per
 //! physical read, so experiments can model slower cold storage than this
 //! machine's page-cached files (see DESIGN.md, substitutions).
 
@@ -38,6 +38,6 @@ pub use pool::{
     BufferPool, PageGuard, PoolConfig, RetryPolicy, DEFAULT_SHARD_COUNT,
 };
 pub use store::{
-    real_sleeper, FaultPlan, FaultyStore, FileStore, GateStore, MemStore, PageStore,
-    Sleeper, TieredStore,
+    real_sleeper, FaultPlan, FaultyStore, FileStore, GateStore, LatencyStore, MemStore,
+    PageStore, Sleeper,
 };

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How the latency-simulating store ([`TieredStore`]) spends its
+/// How the latency-simulating store ([`LatencyStore`]) spends its
 /// configured delay. The default performs a real `thread::sleep`;
 /// tests inject a recording sleeper so latency behavior is asserted on the
 /// *requested durations* instead of wall-clock time.
@@ -532,72 +532,41 @@ impl PageStore for FileStore {
 }
 
 // ---------------------------------------------------------------------------
-// Latency injection, in two tiers (cold storage and the SCM simulation)
+// Latency injection (cold storage)
 // ---------------------------------------------------------------------------
 
-/// A [`PageStore`] decorator that adds a latency to every physical read:
-/// chains placed on the *fast* tier read with the fast latency, everything
-/// else with the slow latency.
-///
-/// With nothing on the fast tier (`TieredStore::new(inner, d, d)`) this is
-/// the experiments' model of cold storage — this machine's files sit in the
-/// OS page cache, which would erase the paper's load-cost ≫ memory-access
-/// gap; both piecewise page loads *and* full-column loads pay it, keeping
-/// the comparison fair.
-///
-/// The tiers simulate the paper's §8 Storage Class Memory direction: moving
-/// latency-sensitive, rebuildable structures — the inverted indexes and the
-/// sparse helper dictionaries — onto byte-addressable persistent memory
-/// with near-DRAM read latency, while bulk data stays on slow storage.
-pub struct TieredStore<S> {
+/// A [`PageStore`] decorator that adds one latency to every physical read:
+/// the experiments' model of cold storage — this machine's files sit in
+/// the OS page cache, which would erase the paper's load-cost ≫
+/// memory-access gap; both piecewise page loads *and* full-column loads
+/// pay it, keeping the comparison fair.
+pub struct LatencyStore<S> {
     inner: S,
-    fast_latency: Duration,
-    slow_latency: Duration,
-    fast_chains: Mutex<std::collections::HashSet<u64>>,
+    latency: Duration,
     sleeper: Sleeper,
 }
 
-impl<S: PageStore> TieredStore<S> {
-    /// Wraps `inner` with the two tier latencies. New chains start on the
-    /// slow tier.
-    pub fn new(inner: S, fast_latency: Duration, slow_latency: Duration) -> Self {
-        Self::with_sleeper(inner, fast_latency, slow_latency, real_sleeper())
+impl<S: PageStore> LatencyStore<S> {
+    /// Wraps `inner`, charging `latency` per physical read.
+    pub fn new(inner: S, latency: Duration) -> Self {
+        Self::with_sleeper(inner, latency, real_sleeper())
     }
 
     /// Like [`new`](Self::new) but spending delays through `sleeper` —
     /// tests inject a recording sleeper for deterministic latency checks.
-    pub fn with_sleeper(
-        inner: S,
-        fast_latency: Duration,
-        slow_latency: Duration,
-        sleeper: Sleeper,
-    ) -> Self {
-        TieredStore {
-            inner,
-            fast_latency,
-            slow_latency,
-            fast_chains: Mutex::new(std::collections::HashSet::new()),
-            sleeper,
+    pub fn with_sleeper(inner: S, latency: Duration, sleeper: Sleeper) -> Self {
+        LatencyStore { inner, latency, sleeper }
+    }
+
+    /// Spends the read latency once.
+    fn delay(&self) {
+        if !self.latency.is_zero() {
+            (self.sleeper)(self.latency);
         }
-    }
-
-    /// Places a chain on the fast (SCM) tier.
-    pub fn place_on_fast_tier(&self, chain: ChainId) {
-        self.fast_chains.lock().insert(chain.0);
-    }
-
-    /// Moves a chain back to the slow tier.
-    pub fn place_on_slow_tier(&self, chain: ChainId) {
-        self.fast_chains.lock().remove(&chain.0);
-    }
-
-    /// True when the chain reads at the fast latency.
-    pub fn is_fast(&self, chain: ChainId) -> bool {
-        self.fast_chains.lock().contains(&chain.0)
     }
 }
 
-impl<S: PageStore> PageStore for TieredStore<S> {
+impl<S: PageStore> PageStore for LatencyStore<S> {
     fn create_chain(&self, page_size: usize) -> StorageResult<ChainId> {
         self.inner.create_chain(page_size)
     }
@@ -605,10 +574,7 @@ impl<S: PageStore> PageStore for TieredStore<S> {
         self.inner.append_page(chain, payload)
     }
     fn read_page(&self, key: PageKey) -> StorageResult<Box<[u8]>> {
-        let latency = if self.is_fast(key.chain) { self.fast_latency } else { self.slow_latency };
-        if !latency.is_zero() {
-            (self.sleeper)(latency);
-        }
+        self.delay();
         self.inner.read_page(key)
     }
     fn read_pages(
@@ -617,12 +583,11 @@ impl<S: PageStore> PageStore for TieredStore<S> {
         first_page: u64,
         count: usize,
     ) -> Vec<StorageResult<Box<[u8]>>> {
-        // One tier-latency charge per physical read: adjacent pages ride
-        // the same seek, which is exactly the economy coalescing is meant
-        // to buy.
-        let latency = if self.is_fast(chain) { self.fast_latency } else { self.slow_latency };
-        if count > 0 && !latency.is_zero() {
-            (self.sleeper)(latency);
+        // One latency charge per physical read: adjacent pages ride the
+        // same seek, which is exactly the economy coalescing is meant to
+        // buy.
+        if count > 0 {
+            self.delay();
         }
         self.inner.read_pages(chain, first_page, count)
     }
@@ -633,7 +598,6 @@ impl<S: PageStore> PageStore for TieredStore<S> {
         self.inner.page_size(chain)
     }
     fn drop_chain(&self, chain: ChainId) -> StorageResult<()> {
-        self.fast_chains.lock().remove(&chain.0);
         self.inner.drop_chain(chain)
     }
     fn chains(&self) -> Vec<ChainId> {
@@ -1108,42 +1072,6 @@ mod tests {
     }
 
     #[test]
-    fn tiered_store_places_chains_per_tier() {
-        // Deterministic: a recording sleeper captures the latency each read
-        // *requests* instead of measuring wall-clock time.
-        let slept: Arc<std::sync::Mutex<Vec<Duration>>> = Arc::default();
-        let recorder: Sleeper = {
-            let slept = Arc::clone(&slept);
-            Arc::new(move |d| slept.lock().unwrap().push(d))
-        };
-        let store = TieredStore::with_sleeper(
-            MemStore::new(),
-            Duration::from_micros(1),
-            Duration::from_millis(3),
-            recorder,
-        );
-        let fast = store.create_chain(16).unwrap();
-        let slow = store.create_chain(16).unwrap();
-        store.append_page(fast, b"f").unwrap();
-        store.append_page(slow, b"s").unwrap();
-        store.place_on_fast_tier(fast);
-        assert!(store.is_fast(fast));
-        assert!(!store.is_fast(slow));
-        store.read_page(PageKey::new(fast, 0)).unwrap();
-        store.read_page(PageKey::new(slow, 0)).unwrap();
-        assert_eq!(
-            *slept.lock().unwrap(),
-            vec![Duration::from_micros(1), Duration::from_millis(3)],
-            "each tier pays exactly its configured latency"
-        );
-        // Demote and the latency follows.
-        store.place_on_slow_tier(fast);
-        assert!(!store.is_fast(fast));
-        store.read_page(PageKey::new(fast, 0)).unwrap();
-        assert_eq!(slept.lock().unwrap().last(), Some(&Duration::from_millis(3)));
-    }
-
-    #[test]
     fn file_store_rejects_corrupt_header() {
         let dir = std::env::temp_dir().join(format!("payg-corrupt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1352,7 +1280,7 @@ mod tests {
             Arc::new(move |d| slept.lock().unwrap().push(d))
         };
         let d = Duration::from_micros(150);
-        let store = TieredStore::with_sleeper(MemStore::new(), d, d, recorder);
+        let store = LatencyStore::with_sleeper(MemStore::new(), d, recorder);
         let c = store.create_chain(16).unwrap();
         for i in 0..6u8 {
             store.append_page(c, &[i; 16]).unwrap();

@@ -6,7 +6,7 @@
 
 use page_as_you_go::core::{LoadPolicy, PageConfig};
 use page_as_you_go::resman::ResourceManager;
-use page_as_you_go::storage::{BufferPool, MemStore, TieredStore};
+use page_as_you_go::storage::{BufferPool, LatencyStore, MemStore};
 use page_as_you_go::table::{PartitionSpec, Table};
 use page_as_you_go::workload::{generate_rows, QueryGen, TableProfile};
 use std::sync::Arc;
@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 fn build(profile: &TableProfile, policy: LoadPolicy) -> (Table, ResourceManager) {
     // A 120 µs page-read latency models cold storage (see DESIGN.md).
     let read_latency = Duration::from_micros(120);
-    let store = TieredStore::new(MemStore::new(), read_latency, read_latency);
+    let store = LatencyStore::new(MemStore::new(), read_latency);
     let resman = ResourceManager::new();
     let pool = BufferPool::new(Arc::new(store), resman.clone());
     let table = Table::create(

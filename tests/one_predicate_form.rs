@@ -18,7 +18,7 @@ use page_as_you_go::table::{
 };
 use std::sync::Arc;
 
-const NAMES: [&str; 5] = ["id", "day", "cat", "price", "weight"];
+const NAMES: [&str; 6] = ["id", "day", "cat", "price", "weight", "ratio"];
 
 fn schema() -> Schema {
     Schema::new(vec![
@@ -27,6 +27,7 @@ fn schema() -> Schema {
         ColumnSpec::indexed("cat", DataType::Varchar),
         ColumnSpec::new("price", DataType::Decimal),
         ColumnSpec::new("weight", DataType::Double),
+        ColumnSpec::new("ratio", DataType::Double),
     ])
     .unwrap()
     .with_primary_key("id")
@@ -38,7 +39,13 @@ fn schema() -> Schema {
 /// Row `i`: ids reach both `i64` extremes (so `SUM(id)` widens), strings
 /// include the empty one and the largest character, and every weight is a
 /// multiple of 1/4 — a sum exact in any order — with both zeros among them.
+/// Prices near ±`i128::MAX / 1024` put the extremes in different fragments
+/// (main rows are 0..240, frozen 240..320, active 320..380) and no sum
+/// overflows. Ratios repeat both zeros, both infinities and NaN of both
+/// signs, the least and greatest keys, which only delta rows hold; `SUM`
+/// skips them, since a NaN sum's payload depends on the order of addition.
 fn row(i: i64) -> Row {
+    const BIG: i128 = i128::MAX / 1024;
     let id = match i {
         7 => i64::MAX,
         8 => i64::MIN + 1,
@@ -54,12 +61,29 @@ fn row(i: i64) -> Row {
         1 => 0.0,
         k => (k as f64 - 8.0) * 0.25,
     };
+    let price = match i {
+        5 | 370 => BIG,
+        6 => 1 - BIG,
+        260 => -BIG,
+        360 => BIG - 1,
+        _ => i128::from((i * 37) % 500) - 250,
+    };
+    let ratio = match i % 13 {
+        0 if i >= 320 => f64::NAN,
+        1 if (240..320).contains(&i) => -f64::NAN,
+        0 | 1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -0.0,
+        4 => 0.0,
+        k => (k % 3) as f64 * 0.25,
+    };
     vec![
         Value::Integer(id),
         Value::Integer((i * 7) % 100),
         Value::Varchar(cat),
-        Value::Decimal(i128::from((i * 37) % 500) - 250),
+        Value::Decimal(price),
         Value::Double(weight),
+        Value::Double(ratio),
     ]
 }
 
@@ -103,6 +127,8 @@ fn predicates() -> Vec<(&'static str, ValuePredicate)> {
         ("weight", Between(dbl(-0.0), dbl(1.0))),
         ("weight", Between(dbl(f64::NEG_INFINITY), dbl(-1.0))),
         ("weight", In(vec![dbl(0.5), dbl(f64::NAN), dbl(0.5)])),
+        ("ratio", Eq(dbl(f64::NAN))),
+        ("ratio", Between(dbl(-0.0), dbl(f64::INFINITY))),
     ]
 }
 

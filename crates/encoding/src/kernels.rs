@@ -34,10 +34,19 @@
 //! [`MAX_LINEAR_SET`] decode each slot and look it up. Widths 0 and 33..=64
 //! (cardinality 1 and > 2^32 — both rare) are answered from the row count
 //! and by [`chunk_bitmap_generic`]. [`KernelPredicate`] hides all of it.
+//!
+//! **AVX2 where it wins.** On a host with AVX2, equality, range and small
+//! `IN` at the widths `crate::simd` serves (2..=25) unpack 16 or 32
+//! values per instruction instead: the interior chunks of a run go to the
+//! AVX2 kernels, the run's last chunk (and, for COUNT, its masked first)
+//! to SWAR. The choice is made once per predicate, from the width and the
+//! detected CPU; windowed SWAR remains the portable path and the oracle.
 
 use crate::chunk::{decode_chunk, CHUNK_LEN};
+use crate::simd::{self, Avx2};
 use crate::unaligned::fill_le_words;
 use crate::{BitPackedVec, BitWidth, VidSet};
+use std::ops::Range;
 
 /// Sets up to this size are evaluated as a fused OR of lane equalities
 /// instead of a decode plus per-slot lookup (the cost is linear in the set
@@ -304,11 +313,27 @@ pub enum Packed<'a> {
     Bytes(&'a [u8]),
 }
 
-impl Packed<'_> {
+impl<'a> Packed<'a> {
     fn chunks(&self, bits: usize) -> usize {
         match self {
             Packed::Words(w) => w.len().checked_div(bits).unwrap_or(0),
             Packed::Bytes(b) => b.len().checked_div(8 * bits).unwrap_or(0),
+        }
+    }
+
+    /// Length in bytes.
+    fn byte_len(&self) -> usize {
+        match self {
+            Packed::Words(w) => 8 * w.len(),
+            Packed::Bytes(b) => b.len(),
+        }
+    }
+
+    /// Chunks `range` alone, at `bits` per value.
+    fn sub(self, range: Range<usize>, bits: usize) -> Packed<'a> {
+        match self {
+            Packed::Words(w) => Packed::Words(&w[range.start * bits..range.end * bits]),
+            Packed::Bytes(b) => Packed::Bytes(&b[range.start * 8 * bits..range.end * 8 * bits]),
         }
     }
 }
@@ -424,15 +449,18 @@ fn kernel<const N: u32, S: Sink>(src: Packed<'_>, op: &Op<'_>, sink: &mut S) {
     }
 }
 
-/// A scan predicate compiled against a bit width: picks the windowed kernel
-/// for widths 1..=32 and [`chunk_bitmap_generic`] otherwise,
-/// normalizing degenerate shapes (out-of-domain probes, full-domain ranges)
-/// and replicating the probes up front so the per-chunk path never
-/// re-derives them.
+/// A scan predicate compiled against a bit width: picks the AVX2 kernel
+/// where this host and width take one, the windowed kernel for the rest of
+/// widths 1..=32 and [`chunk_bitmap_generic`] otherwise, normalizing
+/// degenerate shapes (out-of-domain probes, full-domain ranges) and
+/// replicating the probes up front so the per-chunk path never re-derives
+/// them.
 pub struct KernelPredicate<'a> {
     width: BitWidth,
     op: Op<'a>,
     set: &'a VidSet,
+    /// The AVX2 form of `op`, where the host and width take it.
+    simd: Option<(Avx2, simd::Test)>,
 }
 
 impl<'a> KernelPredicate<'a> {
@@ -481,7 +509,8 @@ impl<'a> KernelPredicate<'a> {
                 }
             }
         };
-        KernelPredicate { width, op, set }
+        let simd = Avx2::detect().zip(simd_test(&op, bits));
+        KernelPredicate { width, op, set, simd }
     }
 
     /// True when no slot can ever match.
@@ -507,6 +536,20 @@ impl<'a> KernelPredicate<'a> {
     /// [`Self::never_matches`] or [`Self::always_matches`], which the caller
     /// answers from the row count alone.
     pub fn scan(&self, src: Packed<'_>, out: &mut Vec<u64>) {
+        if let Some((avx2, test)) = &self.simd {
+            let bits = self.width.bits();
+            let chunks = src.chunks(bits as usize);
+            let fast = simd::chunks_in_place(src.byte_len(), bits).min(chunks);
+            avx2.bitmaps(src, bits, 0..fast, test, out);
+            self.swar_scan(src.sub(fast..chunks, bits as usize), out);
+        } else {
+            self.swar_scan(src, out);
+        }
+    }
+
+    /// [`Self::scan`] without the AVX2 kernels: the portable path, and the
+    /// oracle the AVX2 kernels are tested against.
+    pub(crate) fn swar_scan(&self, src: Packed<'_>, out: &mut Vec<u64>) {
         let bits = self.width.bits();
         debug_assert!(bits != 0, "width 0 has no chunks to scan");
         let chunks = src.chunks(bits as usize);
@@ -524,6 +567,24 @@ impl<'a> KernelPredicate<'a> {
     /// chunks are counted without building their bitmaps. Like
     /// [`Self::scan`], not for width 0.
     pub fn count(&self, src: Packed<'_>, head: u64, tail: u64) -> u64 {
+        if let Some((avx2, test)) = &self.simd {
+            // The edge chunks are masked: SWAR counts them, AVX2 the
+            // interior chunks it may read in place.
+            let bits = self.width.bits();
+            let chunks = src.chunks(bits as usize);
+            let end = simd::chunks_in_place(src.byte_len(), bits).min(chunks.saturating_sub(1));
+            if end > 1 {
+                let n = bits as usize;
+                return self.swar_count(src.sub(0..1, n), head, u64::MAX)
+                    + avx2.count(src, bits, 1..end, test)
+                    + self.swar_count(src.sub(end..chunks, n), u64::MAX, tail);
+            }
+        }
+        self.swar_count(src, head, tail)
+    }
+
+    /// [`Self::count`] without the AVX2 kernels, like [`Self::swar_scan`].
+    pub(crate) fn swar_count(&self, src: Packed<'_>, head: u64, tail: u64) -> u64 {
         let bits = self.width.bits();
         debug_assert!(bits != 0, "width 0 has no chunks to count");
         if bits <= 32 && !matches!(self.op, Op::Never | Op::Always) {
@@ -557,6 +618,27 @@ impl<'a> KernelPredicate<'a> {
                 chunk_bitmap_generic(&words[..n], self.width, self.set)
             }
         }
+    }
+}
+
+/// `op` as the AVX2 kernels take it, where they serve width `bits`: the
+/// lane values are the low `bits` bits of the replicated probes.
+fn simd_test(op: &Op<'_>, bits: u32) -> Option<simd::Test> {
+    if simd::LANE_BYTES.get(bits as usize).is_none_or(|&lane| lane == 0) {
+        return None;
+    }
+    let lane = |pattern: u64| (pattern & ((1 << bits) - 1)) as u32;
+    match *op {
+        Op::Eq(p) => Some(simd::Test::Eq(lane(p))),
+        Op::Range(lo, hi) => Some(simd::Test::Range(lane(lo), lane(hi))),
+        Op::AnyOf(ref ps, k) => {
+            let mut members = [0; MAX_LINEAR_SET];
+            for (m, &p) in members.iter_mut().zip(&ps[..k]) {
+                *m = lane(p);
+            }
+            Some(simd::Test::AnyOf(members, k))
+        }
+        Op::Never | Op::Always | Op::Lookup(_) => None,
     }
 }
 
@@ -791,25 +873,167 @@ mod tests {
 
     #[test]
     fn byte_runs_never_read_past_their_slice() {
-        // A run that ends exactly at the end of its allocation (the last
-        // chunk of a page whose payload fills it), and a run followed by
-        // bytes that must not leak into the result.
+        // Runs of 1..=5 chunks that end exactly at the end of their
+        // allocation (the last chunk of a page whose payload fills it), and
+        // runs followed by bytes that must not leak into the result.
         for bits in 1..=32u32 {
             let w = BitWidth::new(bits).unwrap();
-            let (values, words) = packed(bits, 2, u64::from(bits) * 3);
-            let exact = le_bytes(&words).into_boxed_slice();
-            let mut poisoned = exact.to_vec();
-            poisoned.extend([0xFF; 16]);
-            for set in [VidSet::Single(w.max_value()), VidSet::range(0, w.max_value() / 2)] {
+            for chunks in 1..=5 {
+                let (values, words) = packed(bits, chunks, u64::from(bits) * 3 + chunks as u64);
+                let exact = le_bytes(&words).into_boxed_slice();
+                let mut poisoned = exact.to_vec();
+                poisoned.extend([0xFF; 16]);
+                for set in [
+                    VidSet::Single(w.max_value()),
+                    VidSet::range(0, w.max_value() / 2),
+                    VidSet::from_vids(vec![1.min(w.max_value()), w.max_value()]),
+                ] {
+                    let pred = KernelPredicate::new(w, &set);
+                    let naive = naive_bitmaps(&values, &set);
+                    for bytes in [&exact[..], &poisoned[..exact.len()]] {
+                        let mut got = Vec::new();
+                        pred.scan(Packed::Bytes(bytes), &mut got);
+                        assert_eq!(got, naive, "bits={bits} chunks={chunks} {set:?}");
+                        let total: u64 = naive.iter().map(|b| u64::from(b.count_ones())).sum();
+                        assert_eq!(pred.count(Packed::Bytes(bytes), u64::MAX, u64::MAX), total);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Chunk edges for runs of up to 6 chunks: every `from..to` between
+    /// them gives one `boundary_mask` head / tail pair.
+    const EDGES: [u64; 16] =
+        [0, 1, 63, 64, 65, 127, 128, 129, 191, 192, 250, 319, 320, 321, 383, 384];
+
+    #[test]
+    fn simd_swar_generic_and_naive_agree() {
+        for bits in 1..=32u32 {
+            let (w, n) = (BitWidth::new(bits).unwrap(), bits as usize);
+            let (values, words) = packed(bits, 6, u64::from(bits) * 13 + 5);
+            for set in shapes(bits, &values) {
                 let pred = KernelPredicate::new(w, &set);
                 let naive = naive_bitmaps(&values, &set);
-                for bytes in [&exact[..], &poisoned[..exact.len()]] {
-                    let mut got = Vec::new();
-                    pred.scan(Packed::Bytes(bytes), &mut got);
-                    assert_eq!(got, naive, "bits={bits} {set:?}");
-                    let total: u64 = naive.iter().map(|b| u64::from(b.count_ones())).sum();
-                    assert_eq!(pred.count(Packed::Bytes(bytes), u64::MAX, u64::MAX), total);
+                let generic: Vec<u64> =
+                    words.chunks(n).map(|c| chunk_bitmap_generic(c, w, &set)).collect();
+                assert_eq!(generic, naive, "generic: bits={bits} {set:?}");
+                for chunks in 1..=6 {
+                    let words = &words[..chunks * n];
+                    // Bytes ending at their allocation, and bytes at an odd
+                    // address followed by poison.
+                    let exact = le_bytes(words).into_boxed_slice();
+                    let mut shifted = vec![0xFFu8; 3];
+                    shifted.extend_from_slice(&exact);
+                    shifted.extend([0xFF; 32]);
+                    let forms = [
+                        Packed::Words(words),
+                        Packed::Bytes(&exact),
+                        Packed::Bytes(&shifted[3..3 + exact.len()]),
+                    ];
+                    let at = |what: &str, src: &Packed<'_>| {
+                        format!("{what}: bits={bits} chunks={chunks} {set:?} {src:?}")
+                    };
+                    for src in forms {
+                        let (mut fast, mut swar) = (Vec::new(), Vec::new());
+                        pred.scan(src, &mut fast);
+                        pred.swar_scan(src, &mut swar);
+                        assert_eq!(swar, naive[..chunks], "{}", at("swar scan", &src));
+                        assert_eq!(fast, naive[..chunks], "{}", at("scan", &src));
+                        if chunks < 6 {
+                            continue;
+                        }
+                        // Counts over every sub-run of 1..=6 chunks, masked
+                        // by each head / tail pair.
+                        for &from in &EDGES[..EDGES.len() - 1] {
+                            for &to in EDGES.iter().filter(|&&to| to > from) {
+                                let (first, last) = (from / 64, (to - 1) / 64);
+                                let (head, tail) =
+                                    (boundary_mask(first, from, to), boundary_mask(last, from, to));
+                                let expect: u64 = (first..=last)
+                                    .map(|ci| naive[ci as usize] & boundary_mask(ci, from, to))
+                                    .map(|bm| u64::from(bm.count_ones()))
+                                    .sum();
+                                let run = src.sub(first as usize..last as usize + 1, n);
+                                let (swar, fast) =
+                                    (pred.swar_count(run, head, tail), pred.count(run, head, tail));
+                                assert_eq!(swar, expect, "{} {from}..{to}", at("swar count", &src));
+                                assert_eq!(fast, expect, "{} {from}..{to}", at("count", &src));
+                            }
+                        }
+                    }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn avx2_hosts_take_the_simd_kernels() {
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(all(target_arch = "x86_64", not(miri))))]
+        let avx2 = false;
+        if !avx2 {
+            println!("skipped: this host has no AVX2, every width takes SWAR");
+            return;
+        }
+        for bits in 1..=32u32 {
+            let w = BitWidth::new(bits).unwrap();
+            let max = w.max_value();
+            let small: Vec<u64> = (0..MAX_LINEAR_SET as u64).map(|i| i * max / 16 + 1).collect();
+            let lanes = (2..=25).contains(&bits);
+            for set in [
+                VidSet::Single(max / 3),
+                VidSet::range(1, max / 2),
+                VidSet::Sorted(small[..4.min(small.len())].to_vec()),
+                VidSet::Sorted(small.clone()),
+            ] {
+                let pred = KernelPredicate::new(w, &set);
+                if pred.never_matches() || pred.always_matches() {
+                    continue;
+                }
+                assert_eq!(pred.simd.is_some(), lanes, "bits={bits} {set:?}");
+            }
+            // Large sets decode and look up, on every host.
+            let big = VidSet::Sorted((1..=MAX_LINEAR_SET as u64 + 1).collect());
+            if max > MAX_LINEAR_SET as u64 {
+                assert!(KernelPredicate::new(w, &big).simd.is_none(), "bits={bits}");
+            }
+        }
+        let w = BitWidth::new(7).unwrap();
+        let eq = VidSet::Single(9);
+        assert!(matches!(KernelPredicate::new(w, &eq).simd, Some((_, simd::Test::Eq(9)))));
+        let range = VidSet::range(3, 500);
+        assert!(matches!(
+            KernelPredicate::new(w, &range).simd,
+            Some((_, simd::Test::Range(3, 127)))
+        ));
+    }
+
+    #[test]
+    fn long_resident_counts_do_not_wrap_lane_counters() {
+        // 2^22 rows plus a ragged tail: 65 537 chunks, 2^18 hits per 16-bit
+        // lane if nothing were summed on the way.
+        let rows = (1u64 << 22) + 37;
+        let mix = |i: u64| (i ^ 0x5DEE_CE66).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17;
+        for bits in [2u32, 9, 10, 25] {
+            let w = BitWidth::new(bits).unwrap();
+            let (max, top) = (w.max_value(), 1u64 << (bits - 1));
+            // Every row in the upper half of the domain: all match.
+            let all: Vec<u64> = (0..rows).map(|i| top | (mix(i) & (top - 1))).collect();
+            let vec = BitPackedVec::from_values_with_width(&all, w);
+            let upper = VidSet::range(top, max);
+            assert_eq!(count_matches(&vec, 0, rows, &upper), rows, "bits={bits} all");
+            // Random values over the whole domain, against the naive count.
+            let random: Vec<u64> = (0..rows).map(|i| mix(i) & max).collect();
+            let vec = BitPackedVec::from_values_with_width(&random, w);
+            for set in [
+                VidSet::Single(max / 3),
+                VidSet::range(max / 4, max / 2),
+                VidSet::from_vids(vec![1, max / 2, max]),
+            ] {
+                let naive = random.iter().filter(|&&v| set.contains(v)).count() as u64;
+                assert_eq!(count_matches(&vec, 0, rows, &set), naive, "bits={bits} {set:?}");
             }
         }
     }

@@ -10,9 +10,12 @@
 //!   words, so chunks are byte-integral for every `n` and a value never spans
 //!   a chunk boundary. Pages store an integral number of chunks, which makes
 //!   the row-position → page mapping pure arithmetic.
-//! * **Vectorized scan primitives** ([`scan`]): word-parallel (SWAR)
-//!   equality / range / in-set predicates evaluated chunk-at-a-time,
-//!   producing one 64-bit match bitmap per chunk.
+//! * **Vectorized scan primitives** ([`scan`], [`kernels`]): equality /
+//!   range / in-set predicates evaluated chunk-at-a-time in the packed
+//!   domain, producing one 64-bit match bitmap per chunk (or a count) —
+//!   AVX2 unpack-and-compare kernels where the host has AVX2 and the width
+//!   is 2..=25, word-parallel (SWAR) lane compares everywhere else; SWAR
+//!   is the portable path and the AVX2 kernels' oracle.
 //! * **Prefix-encoded string value blocks** ([`prefix`]): groups of up to 16
 //!   consecutive dictionary strings, front-coded against the preceding string
 //!   in the block, with on-page/off-page splitting for large strings.
@@ -23,6 +26,7 @@
 #![deny(missing_docs)]
 // The one crate in the workspace allowed to contain unsafe code, confined
 // to [`unaligned`] (raw unaligned word loads on the decode hot path) and
+// `simd` (the AVX2 scan kernels' loads and `target_feature` calls), and
 // exercised under Miri in CI. Everything else keeps `#![forbid(unsafe_code)]`.
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -37,6 +41,8 @@ pub mod okey;
 pub mod pef;
 pub mod prefix;
 pub mod scan;
+#[allow(unsafe_code)]
+mod simd;
 #[allow(unsafe_code)]
 pub mod unaligned;
 pub mod vidset;

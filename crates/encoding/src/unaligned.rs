@@ -9,11 +9,12 @@
 //! [`core::ptr::read_unaligned`] loads — the compiler lowers each to a
 //! single unaligned move on every target we build for.
 //!
-//! This module is the only unsafe code in the workspace. The invariants
-//! are purely arithmetic (every read stays inside the borrowed slice), the
-//! crate denies `unsafe_op_in_unsafe_fn`, and CI runs the module's tests
-//! under Miri, which checks exactly this kind of raw-pointer arithmetic
-//! for out-of-bounds and misaligned access.
+//! This module and the AVX2 scan kernels (`simd`) are the only unsafe code
+//! in the workspace. The invariants are purely arithmetic (every read
+//! stays inside the borrowed slice), the crate denies
+//! `unsafe_op_in_unsafe_fn`, and CI runs the module's tests under Miri,
+//! which checks exactly this kind of raw-pointer arithmetic for
+//! out-of-bounds and misaligned access.
 
 /// Reads the little-endian `u64` at byte offset `off` of `bytes` without
 /// a bounds check.

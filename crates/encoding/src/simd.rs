@@ -96,7 +96,7 @@ pub(crate) const fn chunks_in_place(len: usize, n: u32) -> usize {
 }
 
 /// A predicate on raw (unreplicated) lane values, as the kernels take it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Test {
     /// `v == p`.
     Eq(u32),
@@ -398,6 +398,7 @@ mod imp {
         sum64(_mm256_add_epi64(_mm256_unpacklo_epi32(acc, zero), _mm256_unpackhi_epi32(acc, zero)))
     }
 
+    /// Sum of the 4 64-bit lanes of `x`.
     #[target_feature(enable = "avx2")]
     #[inline]
     fn sum64(x: __m256i) -> u64 {

@@ -78,6 +78,7 @@ pub(crate) const fn half_offset(n: u32, h: usize) -> usize {
 }
 
 /// Bit offset of value `j` of half `h` inside that half's 16-byte load.
+#[cfg_attr(not(all(target_arch = "x86_64", not(miri))), allow(dead_code))]
 const fn lane_bit(n: u32, h: usize, j: usize) -> usize {
     (h * half_values(n) + j) * n as usize - 8 * half_offset(n, h)
 }
@@ -96,7 +97,9 @@ pub(crate) const fn chunks_in_place(len: usize, n: u32) -> usize {
 }
 
 /// A predicate on raw (unreplicated) lane values, as the kernels take it.
+/// Without the kernels (another ISA, Miri) nothing reads the operands.
 #[derive(Debug, Clone, Copy)]
+#[cfg_attr(not(all(target_arch = "x86_64", not(miri))), allow(dead_code))]
 pub(crate) enum Test {
     /// `v == p`.
     Eq(u32),

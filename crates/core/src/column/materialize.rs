@@ -259,7 +259,8 @@ pub(crate) struct Plan {
     waves: Waves,
     preload: Vec<PageKey>,
     dict_pages: Vec<u64>,
-    /// An entry's stored bytes, and their decompression.
+    /// An entry's stored bytes, and their decompression — or a resident
+    /// column's keys as its dictionary decodes them.
     acc: Vec<u8>,
     raw: Vec<u8>,
     large: Vec<Large>,
@@ -296,8 +297,9 @@ impl Scratch {
                 *vid = c.vid_at(&image, rpos)?;
             }
             ranks.rank(j);
+            let mut keys = image.dict().cursor(&mut plan.raw);
             for k in 0..ranks.lens[j] {
-                ranks.put(out, j, k, c.value_of(&image, ranks.distinct[j * n + k])?);
+                ranks.put(out, j, k, c.value_of(&mut keys, ranks.distinct[j * n + k])?);
             }
         }
         // Paged columns, pool by pool: a batched pin addresses one pool, and

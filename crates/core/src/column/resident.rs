@@ -4,7 +4,7 @@ use crate::column::materialize::{count_runs, get_values, Source};
 use crate::column::paged::ColumnParts;
 use crate::column::read::ColumnRead;
 use crate::column::EncodedRows;
-use crate::dict::InMemoryDict;
+use crate::dict::{FrontCodedDict, KeyCursor};
 use crate::invidx::{for_each_run, InMemoryInvertedIndex};
 use crate::sync::{LockRank, Mutex};
 use crate::{CoreError, CoreResult, DataType, KeyPredicate, Value, ValuePredicate};
@@ -17,11 +17,16 @@ use std::sync::Arc;
 /// The contiguous in-memory image of a loaded column.
 pub(crate) struct Image {
     data: BitPackedVec,
-    dict: InMemoryDict,
+    dict: FrontCodedDict,
     index: Option<InMemoryInvertedIndex>,
 }
 
 impl Image {
+    /// The dictionary, front-coded.
+    pub(crate) fn dict(&self) -> &FrontCodedDict {
+        &self.dict
+    }
+
     fn heap_bytes(&self) -> usize {
         self.data.heap_bytes()
             + self.dict.heap_bytes()
@@ -72,7 +77,7 @@ impl ResidentColumn {
         }
         // Full column load: every structure is read in its entirety.
         let data = self.parts.data.decode_all_direct()?;
-        let dict = self.parts.dict.materialize_all_direct()?;
+        let dict = self.parts.dict.front_coded_all_direct()?;
         let index = if self.parts.index.is_some() {
             // Non-critical data: rebuilt from the critical structures (§8).
             let vids: Vec<u64> = data.iter().collect();
@@ -133,11 +138,11 @@ impl ResidentColumn {
         self.load_count.get()
     }
 
-    /// [`crate::Column::encoded_rows`] over the image: its dictionary and
-    /// the identifier at every row of `rposs`.
+    /// [`crate::Column::encoded_rows`] over the image: its dictionary,
+    /// decoded once, and the identifier at every row of `rposs`.
     pub(crate) fn encoded_rows(&self, rposs: &[u64]) -> CoreResult<EncodedRows> {
         let image = self.image()?;
-        EncodedRows::new(image.dict.clone(), self.vids_at(&image, rposs)?)
+        EncodedRows::new(image.dict.to_in_memory()?, self.vids_at(&image, rposs)?)
     }
 
     /// The identifier at row `rpos` of the image.
@@ -148,12 +153,13 @@ impl ResidentColumn {
         Ok(image.data.get(rpos))
     }
 
-    /// The value identifier `vid` encodes in the image.
-    pub(crate) fn value_of(&self, image: &Image, vid: u64) -> CoreResult<Value> {
+    /// The value identifier `vid` encodes, decoded by `keys`, a cursor over
+    /// the image's dictionary: ascending identifiers walk each block once.
+    pub(crate) fn value_of(&self, keys: &mut KeyCursor<'_>, vid: u64) -> CoreResult<Value> {
         if vid >= self.parts.cardinality {
             return Err(CoreError::VidOutOfBounds { vid, cardinality: self.parts.cardinality });
         }
-        Value::from_key(self.parts.data_type, image.dict.key(vid))
+        Value::from_key(self.parts.data_type, keys.key(vid))
     }
 
     /// The identifier at every row of `rposs`, in that order.
@@ -228,7 +234,9 @@ impl ColumnRead for ResidentColumn {
 
     fn values_by_vid(&self, vids: &[u64]) -> CoreResult<Vec<Value>> {
         let image = self.image()?;
-        vids.iter().map(|&vid| self.value_of(&image, vid)).collect()
+        let mut buf = Vec::new();
+        let mut keys = image.dict.cursor(&mut buf);
+        vids.iter().map(|&vid| self.value_of(&mut keys, vid)).collect()
     }
 
     fn vid_set_for(&self, pred: &ValuePredicate) -> CoreResult<VidSet> {

@@ -10,7 +10,7 @@
 //! key of every page, `width` bytes each) routes to. No overflow chain, no
 //! helper chains, no per-page transient structure.
 
-use super::{DictLookup, InMemoryDict};
+use super::DictLookup;
 use crate::meta::{MetaReader, MetaWriter};
 use crate::{CoreError, CoreResult, PageConfig};
 use payg_encoding::dispatch::{ChainCodec, CodecKind};
@@ -186,13 +186,17 @@ impl ArrayPages {
             .map_err(|slot| first + slot as u64))
     }
 
-    /// Appends every key to `keys`, read straight from the store (the
-    /// resident column's full load).
-    pub(crate) fn read_all(&self, store: &dyn PageStore, keys: &mut InMemoryDict) -> CoreResult<()> {
+    /// Hands every key to `push` in order, read straight from the store
+    /// (the resident column's full load).
+    pub(crate) fn read_all(
+        &self,
+        store: &dyn PageStore,
+        push: &mut dyn FnMut(&[u8]) -> CoreResult<()>,
+    ) -> CoreResult<()> {
         for page in 0..self.chain.pages {
             let bytes = store.read_page(self.page_key(page))?;
             for key in self.slots(&bytes, page)?.chunks_exact(self.width) {
-                keys.push(key)?;
+                push(key)?;
             }
         }
         Ok(())

@@ -23,6 +23,11 @@ fn arena_end(at: usize, len: usize) -> CoreResult<u32> {
 }
 
 impl KeyArena {
+    /// An empty arena with room for `keys` end offsets.
+    pub(crate) fn with_capacity(keys: usize) -> Self {
+        KeyArena { bytes: Vec::new(), ends: Vec::with_capacity(keys) }
+    }
+
     /// Number of keys.
     pub(crate) fn len(&self) -> usize {
         self.ends.len()
@@ -56,6 +61,12 @@ impl KeyArena {
         Ok(())
     }
 
+    /// Gives back both buffers' growth slack.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.bytes.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+
     /// Heap bytes: the two capacities.
     pub(crate) fn heap_bytes(&self) -> usize {
         self.bytes.capacity() + self.ends.capacity() * std::mem::size_of::<u32>()
@@ -77,7 +88,7 @@ pub struct InMemoryDict {
 impl InMemoryDict {
     /// An empty dictionary with room for `keys` keys.
     pub fn with_capacity(keys: usize) -> Self {
-        InMemoryDict { keys: KeyArena { bytes: Vec::new(), ends: Vec::with_capacity(keys) } }
+        InMemoryDict { keys: KeyArena::with_capacity(keys) }
     }
 
     /// Appends the next key in order. Fails, leaving the dictionary as it
@@ -96,8 +107,7 @@ impl InMemoryDict {
     /// Gives back the arena's growth slack: afterwards the dictionary holds
     /// the key bytes and four bytes per key, no more.
     pub fn shrink_to_fit(&mut self) {
-        self.keys.bytes.shrink_to_fit();
-        self.keys.ends.shrink_to_fit();
+        self.keys.shrink_to_fit();
     }
 
     /// Builds from keys that are already sorted and deduplicated.

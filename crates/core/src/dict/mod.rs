@@ -6,8 +6,12 @@
 //! [`crate::value::Value::to_key`]), so one ordering — `memcmp` — serves
 //! all column types.
 //!
-//! * [`InMemoryDict`] is the fully-resident baseline: the sorted keys in
-//!   one byte arena with an end offset per key, binary-searched.
+//! * [`FrontCodedDict`] is a default (fully resident) column's dictionary:
+//!   the sorted keys front-coded in blocks of [`FRONT_CODED_BLOCK`], the
+//!   block heads binary-searched, one block walked.
+//! * [`InMemoryDict`] is the builders' and merges' transient: the sorted
+//!   keys in one byte arena with an end offset per key, binary-searched, so
+//!   every key is a borrowed slice.
 //! * [`UnsortedDict`] assigns identifiers in arrival order — the delta's
 //!   dictionary, and the encoder of a column built from values — over the
 //!   same arena, with a hash table of identifiers.
@@ -21,10 +25,13 @@
 //!   arithmetic.
 
 mod array;
+mod front_coded;
 mod in_memory;
 mod paged;
 mod unsorted;
 
+pub(crate) use front_coded::FrontCodedBuilder;
+pub use front_coded::{FrontCodedDict, KeyCursor, FRONT_CODED_BLOCK};
 pub use in_memory::InMemoryDict;
 pub(crate) use paged::{append_piece, Layout};
 pub use paged::{DictLookup, HandleCache, PagedDictBuildStats, PagedDictionary};

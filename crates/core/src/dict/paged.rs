@@ -42,7 +42,7 @@
 //! separators: the same search runs on them without a table.
 
 use super::array::ArrayPages;
-use super::InMemoryDict;
+use super::{FrontCodedBuilder, FrontCodedDict, InMemoryDict};
 use crate::{CoreError, CoreResult, DataType, PageConfig};
 use payg_encoding::dispatch::{ChainCodec, CodecKind};
 use payg_encoding::fsst::SymbolTable;
@@ -668,9 +668,14 @@ impl Blocks {
         })
     }
 
-    /// Reads the whole dictionary chain directly from `store`, appending
-    /// every key to `keys` — the owning block decoder, entry by entry.
-    fn read_all(&self, store: &dyn PageStore, keys: &mut InMemoryDict) -> CoreResult<()> {
+    /// Reads the whole dictionary chain directly from `store`, handing
+    /// every key to `push` in order — the owning block decoder, entry by
+    /// entry.
+    fn read_all(
+        &self,
+        store: &dyn PageStore,
+        push: &mut dyn FnMut(&[u8]) -> CoreResult<()>,
+    ) -> CoreResult<()> {
         let overflow = self.overflow_chain.chain;
         let mut raw = Vec::new();
         for p in 0..self.dict_pages {
@@ -698,9 +703,9 @@ impl Blocks {
                         Some(table) => {
                             raw.clear();
                             table.decode_into(&stored, &mut raw)?;
-                            keys.push(&raw)?;
+                            push(&raw)?;
                         }
-                        None => keys.push(&stored)?,
+                        None => push(&stored)?,
                     }
                 }
             }
@@ -952,25 +957,44 @@ impl PagedDictionary {
     }
 
     /// Reads the whole dictionary directly from the store — no buffer pool,
-    /// no paged resources — into the resident form, key by key as the chain
-    /// yields them. This is the full-column-load path of default (fully
+    /// no paged resources — handing every key to `push` in order as the
+    /// chain yields it. This is the full-column-load path of default (fully
     /// resident) columns.
-    pub fn materialize_all_direct(&self) -> CoreResult<InMemoryDict> {
+    fn read_all_direct(&self, mut push: impl FnMut(&[u8]) -> CoreResult<()>) -> CoreResult<()> {
         let store = self.pool.store().as_ref();
-        let mut keys = InMemoryDict::with_capacity(self.cardinality() as usize);
+        let mut count = 0u64;
+        let mut push = |key: &[u8]| {
+            count += 1;
+            push(key)
+        };
         match &self.layout {
-            Layout::Blocks(b) => b.read_all(store, &mut keys)?,
-            Layout::Array(a) => a.read_all(store, &mut keys)?,
+            Layout::Blocks(b) => b.read_all(store, &mut push)?,
+            Layout::Array(a) => a.read_all(store, &mut push)?,
         }
-        if keys.cardinality() != self.cardinality() {
+        if count != self.cardinality() {
             return Err(CoreError::Storage(StorageError::corrupt(format!(
-                "dictionary chain materialized {} keys, expected {}",
-                keys.cardinality(),
+                "dictionary chain materialized {count} keys, expected {}",
                 self.cardinality()
             ))));
         }
+        Ok(())
+    }
+
+    /// The whole dictionary read directly from the store into the
+    /// uncompressed arena a merge reads.
+    pub fn materialize_all_direct(&self) -> CoreResult<InMemoryDict> {
+        let mut keys = InMemoryDict::with_capacity(self.cardinality() as usize);
+        self.read_all_direct(|key| keys.push(key))?;
         keys.shrink_to_fit();
         Ok(keys)
+    }
+
+    /// The whole dictionary read directly from the store into the
+    /// front-coded form a default column's image holds, key by key.
+    pub fn front_coded_all_direct(&self) -> CoreResult<FrontCodedDict> {
+        let mut keys = FrontCodedBuilder::with_capacity(self.cardinality() as usize);
+        self.read_all_direct(|key| keys.push(key))?;
+        Ok(keys.finish())
     }
 
     /// Pins every page of both helper chains for the dictionary's lifetime

@@ -3,7 +3,9 @@
 
 use payg_core::column::ColumnRead;
 use payg_core::datavec::PagedDataVector;
-use payg_core::dict::{HandleCache, InMemoryDict, PagedDictionary, UnsortedDict};
+use payg_core::dict::{
+    FrontCodedDict, HandleCache, InMemoryDict, PagedDictionary, UnsortedDict, FRONT_CODED_BLOCK,
+};
 use payg_core::invidx::{InMemoryInvertedIndex, PagedInvertedIndex};
 use payg_core::{
     CodecKind, ColumnBuilder, CoreError, DataType, LoadPolicy, PageConfig, Value, ValuePredicate,
@@ -704,6 +706,46 @@ proptest! {
         grown.shrink_to_fit();
         prop_assert_eq!(grown.heap_bytes(), dict.heap_bytes());
         prop_assert_eq!(grown, dict);
+    }
+
+    /// The front-coded dictionary answers exactly like the sorted
+    /// `Vec<Vec<u8>>` the arena stands in for — hits, insertion points,
+    /// every key back by identifier in order and one at a time, the empty
+    /// dictionary — over key sets spanning many blocks, and holds exactly
+    /// its encoding: per block the head, its end and its start; per other
+    /// key two one-byte varints and the suffix.
+    #[test]
+    fn front_coded_dict_equals_sorted_vec(
+        raw in prop::collection::vec(edgy_key(), 0..400),
+        probes in prop::collection::vec(edgy_key(), 1..60),
+    ) {
+        let mut keys = raw;
+        keys.sort();
+        keys.dedup();
+        let dict = FrontCodedDict::from_sorted_keys(&keys).unwrap();
+        prop_assert_eq!(dict.cardinality(), keys.len() as u64);
+        let (mut buf, mut one) = (Vec::new(), Vec::new());
+        let mut in_order = dict.cursor(&mut buf);
+        for (vid, k) in keys.iter().enumerate() {
+            prop_assert_eq!(in_order.key(vid as u64), k.as_slice());
+            prop_assert_eq!(dict.cursor(&mut one).key(vid as u64), k.as_slice());
+        }
+        for p in probes.iter().chain(&keys).chain([&Vec::new()]) {
+            let expect = keys.binary_search(p).map(|i| i as u64).map_err(|i| i as u64);
+            prop_assert_eq!(dict.find(p), expect);
+        }
+        prop_assert_eq!(dict.to_in_memory().unwrap(), InMemoryDict::from_sorted_keys(&keys).unwrap());
+        let mut expect_bytes = 0;
+        for (i, k) in keys.iter().enumerate() {
+            expect_bytes += if i % FRONT_CODED_BLOCK == 0 {
+                k.len() + 4 + 4
+            } else {
+                let prev = &keys[i - 1];
+                let shared = prev.iter().zip(k).take_while(|(a, b)| a == b).count();
+                2 + k.len() - shared
+            };
+        }
+        prop_assert_eq!(dict.heap_bytes(), expect_bytes);
     }
 
     /// The unsorted dictionary assigns identifiers exactly like the

@@ -1,6 +1,7 @@
 //! A warm `findByValue` on a string dictionary allocates for its one walk
 //! accumulator and nothing else — not per page pinned, not per block probed,
-//! not per comparison, not to encode the probe.
+//! not per comparison, not to encode the probe. A whole-chain read — a
+//! default column's load, a merge's input — allocates per page, not per key.
 //!
 //! Not under `strict-invariants`: its pin tracker records every pin in a
 //! heap set, which is an allocation per page by design.
@@ -102,4 +103,25 @@ fn a_warm_find_allocates_once_however_many_pages_and_blocks_it_probes() {
     }
     assert_eq!(per_dictionary[0], per_dictionary[1], "1 page vs 15 pages: {per_dictionary:?}");
     assert!(per_dictionary[0] <= 1, "allocations per find: {per_dictionary:?}");
+}
+
+#[test]
+fn whole_chain_read_allocates_per_page_not_per_key() {
+    let pool = BufferPool::new(Arc::new(MemStore::new()), ResourceManager::new());
+    let ks = keys(20_000);
+    let (dict, stats) =
+        PagedDictionary::build(&pool, &PageConfig::default(), DataType::Varchar, &ks).unwrap();
+    assert_eq!(dict.codec_kind(), CodecKind::Fsst);
+    assert_eq!(stats.overflow_pages, 0, "no spilled entries");
+    let (arena, in_arena) = allocations(|| dict.materialize_all_direct().unwrap());
+    assert!(ks.iter().enumerate().all(|(vid, k)| arena.key(vid as u64) == k.as_slice()));
+    let (front_coded, front_coded_n) = allocations(|| dict.front_coded_all_direct().unwrap());
+    assert!(ks.iter().enumerate().all(|(vid, k)| front_coded.find(k) == Ok(vid as u64)));
+    assert!(
+        in_arena < ks.len() / 8 && front_coded_n < ks.len() / 8,
+        "allocations reading {} keys ({} pages): materialize_all_direct {in_arena}, \
+         front_coded_all_direct {front_coded_n}",
+        ks.len(),
+        stats.dict_pages
+    );
 }

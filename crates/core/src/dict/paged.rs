@@ -46,7 +46,7 @@ use super::{FrontCodedBuilder, FrontCodedDict, InMemoryDict};
 use crate::{CoreError, CoreResult, DataType, PageConfig};
 use payg_encoding::dispatch::{ChainCodec, CodecKind};
 use payg_encoding::fsst::SymbolTable;
-use payg_encoding::prefix::{OverflowRef, ValueBlock, ValueBlockBuilder, ValueBlockView, BLOCK_CAP};
+use payg_encoding::prefix::{OverflowRef, ValueBlockBuilder, ValueBlockView, BLOCK_CAP};
 use payg_encoding::EncodingError;
 use payg_obs::names;
 use payg_storage::{BufferPool, ChainRef, PageGuard, PageKey, PageMap, PageStore, StorageError};
@@ -669,43 +669,30 @@ impl Blocks {
     }
 
     /// Reads the whole dictionary chain directly from `store`, handing
-    /// every key to `push` in order — the owning block decoder, entry by
-    /// entry.
+    /// every key to `push` in order: one walk per block, off-page pieces
+    /// read from the store as they come, FSST decoded into one buffer.
     fn read_all(
         &self,
         store: &dyn PageStore,
         push: &mut dyn FnMut(&[u8]) -> CoreResult<()>,
     ) -> CoreResult<()> {
-        let overflow = self.overflow_chain.chain;
-        let mut raw = Vec::new();
+        let (mut acc, mut raw) = (Vec::new(), Vec::new());
         for p in 0..self.dict_pages {
             let page = store.read_page(self.dict_page_key(p))?;
             let (t, _) = PageTransient::parse(&page)?;
             for &off in &t.offsets {
-                let (block, _) = ValueBlock::parse(&page[off as usize..])?;
-                for i in 0..block.len() {
-                    let mut io_err: Option<StorageError> = None;
-                    let mut fetch = |r: &OverflowRef| -> payg_encoding::Result<Vec<u8>> {
-                        match store.read_page(PageKey::new(overflow, r.page_no)) {
-                            Ok(bytes) => Ok(bytes[..r.len as usize].to_vec()),
-                            Err(e) => {
-                                io_err = Some(e);
-                                Err(EncodingError::CorruptBlock {
-                                    reason: "i/o fetching overflow piece".into(),
-                                })
-                            }
-                        }
-                    };
-                    let stored = block.materialize(i, &mut fetch).map_err(|e| {
-                        io_err.take().map(CoreError::Storage).unwrap_or(CoreError::Encoding(e))
-                    })?;
+                let mut walk = ValueBlockView::parse(&page[off as usize..])?.walk();
+                while let Some(entry) = walk.next_into(&mut acc)? {
+                    for r in entry.offpage_refs() {
+                        append_piece(&mut acc, &r, &store.read_page(self.overflow_key(&r))?)?;
+                    }
                     match &self.fsst {
                         Some(table) => {
                             raw.clear();
-                            table.decode_into(&stored, &mut raw)?;
+                            table.decode_into(&acc, &mut raw)?;
                             push(&raw)?;
                         }
-                        None => push(&stored)?,
+                        None => push(&acc)?,
                     }
                 }
             }

@@ -1,7 +1,7 @@
 //! Property-based tests for the encoding primitives.
 
 use payg_encoding::fsst::{SymbolTable, ESCAPE};
-use payg_encoding::prefix::{OverflowRef, ValueBlock, ValueBlockBuilder, ValueBlockView};
+use payg_encoding::prefix::{OverflowRef, ValueBlockBuilder, ValueBlockView};
 use payg_encoding::scan::search;
 use payg_encoding::{okey, BitPackedVec, BitWidth, VidSet};
 use proptest::prelude::*;
@@ -144,7 +144,8 @@ proptest! {
     }
 
     /// Value blocks round-trip arbitrary sorted keys, including ones that
-    /// spill to overflow pages, and `find` agrees with direct comparison.
+    /// spill to overflow pages, read entry by entry and by one walk, and
+    /// the block search agrees with binary search of the keys.
     #[test]
     fn value_block_roundtrip(
         mut keys in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..200), 1..16),
@@ -170,16 +171,40 @@ proptest! {
             });
         }
         let bytes = builder.finish();
-        let (block, consumed) = ValueBlock::parse(&bytes).unwrap();
-        prop_assert_eq!(consumed, bytes.len());
+        let view = ValueBlockView::parse(&bytes).unwrap();
+        prop_assert_eq!(view.len(), keys.len());
         let mut fetch = |r: &OverflowRef| Ok(pages[&r.page_no].clone());
+        let mut acc = Vec::new();
         for (i, k) in keys.iter().enumerate() {
-            prop_assert_eq!(&block.materialize(i, &mut fetch).unwrap(), k);
+            let (offpage, total) = view.materialize_onpage_into(i, &mut acc).unwrap();
+            for r in &offpage {
+                acc.extend_from_slice(&fetch(r).unwrap());
+            }
+            prop_assert_eq!(acc.len() as u64, total);
+            prop_assert_eq!(&acc, k);
         }
-        let got = block.find(&probe, &mut fetch).unwrap();
+        prop_assert_eq!(&whole_block(&view, None, &mut fetch), &keys);
+        let got = view.lower_bound(&probe, None, &mut acc, &mut fetch).unwrap();
         let expect = keys.binary_search(&probe);
         prop_assert_eq!(got, expect);
     }
+}
+
+/// Every key of a block, read by one walk: on-page part, off-page pieces,
+/// then decompressed when `table` says the entries are FSST-coded.
+fn whole_block(
+    view: &ValueBlockView<'_>,
+    table: Option<&SymbolTable>,
+    fetch: &mut dyn FnMut(&OverflowRef) -> payg_encoding::Result<Vec<u8>>,
+) -> Vec<Vec<u8>> {
+    let (mut walk, mut acc, mut keys) = (view.walk(), Vec::new(), Vec::new());
+    while let Some(entry) = walk.next_into(&mut acc).unwrap() {
+        for r in entry.offpage_refs() {
+            acc.extend_from_slice(&fetch(&r).unwrap());
+        }
+        keys.push(table.map_or_else(|| acc.clone(), |t| t.decode(&acc).unwrap()));
+    }
+    keys
 }
 
 /// Strings over a small alphabet with shared stems (what a trained table
@@ -265,11 +290,11 @@ proptest! {
         }
     }
 
-    /// The view's one block search ≡ the owning decoder's `find` ≡ binary
-    /// search of the sorted keys, over raw and FSST-compressed blocks, with
-    /// entries inline and spilled.
+    /// The one block search ≡ binary search of the sorted keys, over raw
+    /// and FSST-compressed blocks, with entries inline and spilled; one walk
+    /// over the block reads the keys back.
     #[test]
-    fn block_lower_bound_equals_owning_find(
+    fn block_lower_bound_equals_binary_search(
         keys in prop::collection::vec(texty(), 1..16),
         probes in prop::collection::vec(texty(), 1..8),
         kind in 0u8..4,
@@ -300,8 +325,8 @@ proptest! {
         }
         let bytes = builder.finish();
         let view = ValueBlockView::parse(&bytes).unwrap();
-        let (owned, _) = ValueBlock::parse(&bytes).unwrap();
         let mut fetch = |r: &OverflowRef| Ok(pages[&r.page_no].clone());
+        prop_assert_eq!(&whole_block(&view, table.as_ref(), &mut fetch), &keys);
         let mut acc = Vec::new();
         let mut all = probes;
         for k in &keys {
@@ -311,9 +336,6 @@ proptest! {
             let expect = keys.binary_search(probe);
             let got = view.lower_bound(probe, table.as_ref(), &mut acc, &mut fetch).unwrap();
             prop_assert_eq!(got, expect, "probe {:?}", probe);
-            if table.is_none() {
-                prop_assert_eq!(owned.find(probe, &mut fetch).unwrap(), expect);
-            }
             prop_assert_eq!(
                 view.cmp_first(probe, table.as_ref(), &mut acc, &mut fetch).unwrap(),
                 keys[0].as_slice().cmp(probe)

@@ -3,6 +3,7 @@
 use super::in_memory::KeyArena;
 use super::InMemoryDict;
 use crate::{CoreError, CoreResult};
+use payg_encoding::prefix::common_prefix;
 
 /// Keys per block: the paper's block size. Swept over the benchmark's
 /// 100 000 distinct 14-byte key values: 16 holds them in 522 050 B and 8 in
@@ -59,12 +60,6 @@ fn get_varint(bytes: &[u8], pos: &mut usize) -> usize {
         }
         shift += 7;
     }
-}
-
-/// The number of leading bytes `a` and `b` share.
-#[inline]
-fn common_prefix(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 
 impl FrontCodedDict {

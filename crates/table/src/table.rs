@@ -417,9 +417,13 @@ impl Table {
     }
 
     /// Changes a partition's accepted range (the periodic hot-boundary
-    /// shift of an aging setup). Existing rows are not touched; call
-    /// [`Table::relocate_misplaced`] to move them.
-    pub fn set_partition_range(&mut self, pid: PartitionId, range: crate::PartitionRange) {
+    /// shift of an aging setup) while sessions keep reading. Existing rows
+    /// are not touched; call [`Table::relocate_misplaced`] to move them.
+    /// Publishes under every partition's merge lock, like
+    /// [`Table::relocate_misplaced`], so no merge or aging move works from
+    /// the old range meanwhile.
+    pub fn set_partition_range(&self, pid: PartitionId, range: crate::PartitionRange) {
+        let _guards = self.all_merge_locks();
         let live = self.versions_live.clone();
         self.chain.publish(move |cur| {
             let mut parts: Vec<PartitionVersion> =
@@ -951,7 +955,7 @@ mod tests {
 
     #[test]
     fn boundary_shift_relocates_misplaced_rows() {
-        let mut t = dated_orders();
+        let t = dated_orders();
         // Initially: dates 1990..1999 cold (10 rows), 2000..2089 hot (90).
         assert_eq!(t.partitions()[0].visible_rows(), 90);
         assert_eq!(t.partitions()[1].visible_rows(), 10);

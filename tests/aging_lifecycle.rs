@@ -1,13 +1,16 @@
 //! The complete data-aging lifecycle (paper §4) as an integration test:
 //! inserts → merges → closes → aging runs → boundary shifts → audits.
 
+mod reference;
+
 use page_as_you_go::core::{DataType, LoadPolicy, PageConfig, Value, ValuePredicate};
 use page_as_you_go::resman::ResourceManager;
 use page_as_you_go::storage::{BufferPool, MemStore};
 use page_as_you_go::table::{
-    ColumnSpec, PartitionId, PartitionRange, PartitionSpec, Projection, Query, Schema, Table,
+    ColumnSpec, PartitionId, PartitionRange, PartitionSpec, Projection, Query, Row, Schema, Table,
     TableError,
 };
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 const OPEN: i64 = 99_991_231;
@@ -184,7 +187,7 @@ fn aging_dml_that_cannot_route_a_row_leaves_the_table_unchanged() {
         .with_partition_column("temp")
         .unwrap();
         let between = |lo, hi| PartitionRange::Between(Value::Integer(lo), Value::Integer(hi));
-        let mut t = Table::create(
+        let t = Table::create(
             pool,
             PageConfig::tiny(),
             schema,
@@ -220,5 +223,70 @@ fn aging_dml_that_cannot_route_a_row_leaves_the_table_unchanged() {
         let err = t.relocate_misplaced().unwrap_err();
         assert!(matches!(err, TableError::NoPartitionForRow(_)), "{err}");
         unchanged(&t, "relocate_misplaced");
+    }
+}
+
+/// A hot-boundary shift publishes a new table version while sessions read:
+/// a second thread moves the boundary back and forth while this one serves
+/// `Q_pk` reads (`SELECT *` by key) over main and delta rows, each exact
+/// against the reference executor. Rows stay where they are until an aging
+/// run, which then moves the rows the last boundary misplaced.
+#[test]
+fn boundary_shifts_from_another_thread_leave_point_reads_exact() {
+    let (t, _resman) = orders_table();
+    let rows: Vec<Row> = (0..400i64)
+        .map(|i| {
+            let (status, closed_on) =
+                if i % 2 == 0 { ("open", OPEN) } else { ("closed", 20_230_101 + i) };
+            vec![
+                Value::Integer(i),
+                Value::Varchar(status.into()),
+                Value::Decimal(i as i128 * 99),
+                Value::Integer(closed_on),
+            ]
+        })
+        .collect();
+    for row in &rows[..300] {
+        t.insert(row.clone()).unwrap();
+    }
+    t.delta_merge_all().unwrap();
+    for row in &rows[300..] {
+        t.insert(row.clone()).unwrap();
+    }
+    // Closures from 2023-03-01 on count as hot at the shifted boundary.
+    let boundary = |shifted: bool| Value::Integer(if shifted { 20_230_301 } else { 20_240_101 });
+    let shift = |shifted: bool| {
+        t.set_partition_range(PartitionId(0), PartitionRange::AtLeast(boundary(shifted)));
+        t.set_partition_range(PartitionId(1), PartitionRange::Below(boundary(shifted)));
+    };
+    let (shifts, reading) = (AtomicUsize::new(0), AtomicBool::new(true));
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while reading.load(Ordering::Acquire) {
+                shift(shifts.fetch_add(1, Ordering::AcqRel) % 2 == 0);
+            }
+            shift(true);
+        });
+        while shifts.load(Ordering::Acquire) == 0 {
+            std::thread::yield_now();
+        }
+        for read in 0..rows.len() {
+            let id = (read * 37 % rows.len()) as i64;
+            let q = Query::filtered("id", ValuePredicate::Eq(Value::Integer(id)), Projection::All);
+            let when = format!("read {read}, {} shifts", shifts.load(Ordering::Relaxed));
+            reference::assert_answers(&t.session().unwrap(), &rows, &q, &when);
+        }
+        reading.store(false, Ordering::Release);
+    });
+    assert!(shifts.into_inner() > 1);
+    // Odd keys 201..399 closed on or after 2023-03-01: the aging run moves
+    // those 100 rows to the hot partition, and every read stays exact.
+    assert_eq!(t.relocate_misplaced().unwrap(), 100);
+    t.delta_merge_all().unwrap();
+    assert_eq!(t.partitions()[0].visible_rows(), 300);
+    let session = t.session().unwrap();
+    for id in [0, 199, 201, 300, 399] {
+        let q = Query::filtered("id", ValuePredicate::Eq(Value::Integer(id)), Projection::All);
+        reference::assert_answers(&session, &rows, &q, "after the aging run");
     }
 }

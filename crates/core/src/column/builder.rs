@@ -6,7 +6,7 @@
 //! domain — it sorts each delta's dictionary, merges it with the old main's,
 //! and remaps identifiers (paper §2).
 
-use crate::column::paged::ColumnParts;
+use crate::column::paged::{ColumnParts, StoredRows};
 use crate::column::{Column, LoadPolicy, PagedColumn, ResidentColumn};
 use crate::datavec::PagedDataVector;
 use crate::dict::{InMemoryDict, PagedDictBuildStats, PagedDictionary, UnsortedDict};
@@ -143,9 +143,10 @@ pub struct ColumnBuild {
     pub column: Column,
     /// Dictionary-chain statistics.
     pub dict_stats: PagedDictBuildStats,
-    /// Pages in the data-vector chain.
+    /// Pages in the data-vector chain (0 when rows are their identifiers).
     pub datavec_pages: u64,
-    /// Pages in the inverted-index chain (0 when no index was requested).
+    /// Pages in the inverted-index chain (0 when no index was requested or
+    /// rows are their identifiers).
     pub index_pages: u64,
 }
 
@@ -204,6 +205,12 @@ impl ColumnBuilder {
     /// main-fragment invariants hold when every key is used — as after
     /// [`EncodedRows::encode`], [`EncodedRows::sort`] or
     /// [`EncodedRows::merge`].
+    ///
+    /// When every row's identifier is its position — a unique column whose
+    /// keys ascend with row order — the dictionary is all that is persisted:
+    /// the data vector and the postings would both be the identity. Each
+    /// build decides from its rows, so a merge after DML that broke the
+    /// order writes the plain layout again.
     pub fn build_encoded(
         self,
         pool: &BufferPool,
@@ -211,11 +218,9 @@ impl ColumnBuilder {
         rows: &EncodedRows,
     ) -> CoreResult<ColumnBuild> {
         let cardinality = rows.keys.cardinality();
-        let width = BitWidth::for_cardinality(cardinality);
-        let packed = BitPackedVec::from_values_with_width(&rows.vids, width);
         let keys: Vec<&[u8]> = rows.keys.keys().collect();
 
-        // Persist the three structures (shared by both access modes). Each
+        // Persist the structures (shared by both access modes). Each
         // sub-build cleans up after its own failure; the scratch adopts the
         // ones that succeeded so a *later* failure reclaims them too.
         let mut scratch = crate::scratch::ChainScratch::new(pool);
@@ -223,16 +228,28 @@ impl ColumnBuilder {
         for (_, chain) in dict.chains() {
             scratch.adopt(ChainId(chain));
         }
-        let data = PagedDataVector::build(pool, config, &packed)?;
-        scratch.adopt(ChainId(data.chain_id()));
-        let index = if self.with_index {
-            Some(PagedInvertedIndex::build(pool, config, &rows.vids, cardinality)?)
+        let identity = rows.vids.iter().zip(0..).all(|(&vid, rpos)| vid == rpos);
+        let stored = if identity {
+            StoredRows::Identity { indexed: self.with_index }
         } else {
-            None
+            let width = BitWidth::for_cardinality(cardinality);
+            let packed = BitPackedVec::from_values_with_width(&rows.vids, width);
+            let data = PagedDataVector::build(pool, config, &packed)?;
+            scratch.adopt(ChainId(data.chain_id()));
+            let index = if self.with_index {
+                Some(PagedInvertedIndex::build(pool, config, &rows.vids, cardinality)?)
+            } else {
+                None
+            };
+            StoredRows::Plain { data, index }
         };
         scratch.commit();
-        let datavec_pages = data.pages();
-        let index_pages = index.as_ref().map_or(0, |i| i.pages());
+        let (datavec_pages, index_pages) = match &stored {
+            StoredRows::Identity { .. } => (0, 0),
+            StoredRows::Plain { data, index } => {
+                (data.pages(), index.as_ref().map_or(0, |i| i.pages()))
+            }
+        };
 
         let parts = Arc::new(ColumnParts {
             data_type: self.data_type,
@@ -240,9 +257,8 @@ impl ColumnBuilder {
             cardinality,
             pool: pool.clone(),
             config: *config,
-            data,
             dict,
-            index,
+            rows: stored,
         });
         let column = match self.policy {
             LoadPolicy::PageLoadable => Column::Paged(PagedColumn::new(parts)),

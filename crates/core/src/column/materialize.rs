@@ -45,7 +45,9 @@
 //! so a value serving one row is never cloned. A single row is the same
 //! code with one row per identifier. Resident columns write through the
 //! same sink from their in-memory image: a row is one
-//! `dict.key(data.get(rpos))`.
+//! `dict.key(data.get(rpos))`. A column whose rows are their identifiers
+//! (a unique key stored in key order) has no data vector: phase (a) is a
+//! copy of the rows, in either mode.
 //!
 //! The plan lives in flat buffers — identifiers, distinct lists, the rows
 //! of each identifier and dictionary pages are one `columns × rows` vector
@@ -56,7 +58,7 @@
 //! [`ColumnRead::get_values`] is the one-column case of the same code, and
 //! a point read its one-row case — there is no other value path.
 
-use super::paged::ColumnParts;
+use super::paged::{ColumnParts, StoredRows};
 use super::resident::ResidentColumn;
 use super::{Column, EncodedRows};
 use crate::dict::{append_piece, Layout};
@@ -459,8 +461,9 @@ pub(crate) fn count_runs(mut vids: Vec<u64>) -> Vec<(u64, u64)> {
 
 /// Phase (a): data-vector pages → the identifier at every row of `sorted`
 /// (ascending, non-empty) for each of the `m` columns `part` names: column
-/// `j`'s identifiers go to `vids[j * n..][..n]` for the `n` rows. Width-0
-/// vectors have no pages; their identifiers stay 0.
+/// `j`'s identifiers go to `vids[j * n..][..n]` for the `n` rows. A column
+/// whose rows are their identifiers pins nothing: the rows are copied.
+/// Width-0 vectors have no pages; their identifiers stay 0.
 fn decode_vids<'a>(
     pool: &BufferPool,
     m: usize,
@@ -477,9 +480,15 @@ fn decode_vids<'a>(
         if sorted[n - 1] >= c.len {
             return Err(CoreError::RowOutOfBounds { rpos: sorted[n - 1], len: c.len });
         }
-        let rows_per_page = c.data.rows_per_page();
-        if rows_per_page > 0 {
-            plan_pages(tasks, j, n, |k| sorted[k] / rows_per_page, |page| c.data.page_key(page));
+        match &c.rows {
+            StoredRows::Identity { .. } => vids[j * n..][..n].copy_from_slice(sorted),
+            StoredRows::Plain { data, .. } => {
+                let rows_per_page = data.rows_per_page();
+                if rows_per_page > 0 {
+                    let key_of = |page| data.page_key(page);
+                    plan_pages(tasks, j, n, |k| sorted[k] / rows_per_page, key_of);
+                }
+            }
         }
     }
     waves.for_each_page(
@@ -487,9 +496,9 @@ fn decode_vids<'a>(
         tasks,
         |t| t.key,
         |t, page| {
-            if let Some(c) = part(t.col) {
+            if let Some(StoredRows::Plain { data, .. }) = part(t.col).map(|c| &c.rows) {
                 let out = &mut vids[t.col * n..][t.lo..t.hi];
-                c.data.decode_on_page(page, &sorted[t.lo..t.hi], out);
+                data.decode_on_page(page, &sorted[t.lo..t.hi], out);
             }
             Ok(())
         },

@@ -12,6 +12,11 @@
 //!   footprint is the metadata only.
 //!
 //! Both implement [`ColumnRead`]; the difference is invisible to queries.
+//!
+//! A column whose rows are their value identifiers — a unique key stored in
+//! key order — persists its dictionary alone: the data vector and the
+//! postings would both be the identity ([`ColumnBuilder::build_encoded`]
+//! decides from the data).
 
 mod builder;
 mod materialize;
@@ -29,6 +34,7 @@ pub use resident::ResidentColumn;
 use crate::datavec::ScanOptions;
 use crate::meta::{MetaReader, MetaWriter};
 use crate::{CoreError, CoreResult, DataType, KeyPredicate, PageConfig, Value, ValuePredicate};
+pub(crate) use paged::StoredRows;
 use payg_encoding::dispatch::{CodecKind, ScanPath};
 use payg_encoding::VidSet;
 use payg_resman::Disposition;
@@ -111,10 +117,13 @@ impl Column {
         self.parts().dict.codec_kind()
     }
 
-    /// The codec of the persisted posting chain, if the column has an
-    /// index.
+    /// The codec of the persisted posting chain, if the column stores
+    /// postings.
     pub fn index_codec(&self) -> Option<CodecKind> {
-        self.parts().index.as_ref().map(|i| i.codec_kind())
+        match &self.parts().rows {
+            StoredRows::Plain { index: Some(i), .. } => Some(i.codec_kind()),
+            _ => None,
+        }
     }
 
     /// The store chains backing this column, labeled by role (`data`,
@@ -136,8 +145,10 @@ impl Column {
 
     /// Serializes everything needed to reopen this column over the same
     /// store after a process restart (catalog checkpoint): type, load
-    /// policy, page geometry and the metadata of all three structures. The
-    /// page chains themselves already live in the store.
+    /// policy, page geometry, the dictionary's metadata, then a row-layout
+    /// tag: plain, with the data vector's and the optional index's
+    /// metadata, or identity, with whether an index was asked for.
+    /// The page chains themselves already live in the store.
     pub fn meta_bytes(&self) -> Vec<u8> {
         let parts = self.parts();
         let disposition = match self {
@@ -152,12 +163,21 @@ impl Column {
         w.u64(parts.cardinality);
         parts.config.write_meta(&mut w);
         w.bytes(&parts.dict.meta_bytes());
-        w.bytes(&parts.data.meta_bytes());
-        match &parts.index {
-            None => w.u8(0),
-            Some(i) => {
-                w.u8(1);
-                w.bytes(&i.meta_bytes());
+        match &parts.rows {
+            StoredRows::Identity { indexed } => {
+                w.u8(ROWS_IDENTITY);
+                w.u8(u8::from(*indexed));
+            }
+            StoredRows::Plain { data, index } => {
+                w.u8(ROWS_PLAIN);
+                w.bytes(&data.meta_bytes());
+                match index {
+                    None => w.u8(0),
+                    Some(i) => {
+                        w.u8(1);
+                        w.bytes(&i.meta_bytes());
+                    }
+                }
             }
         }
         w.finish()
@@ -173,21 +193,31 @@ impl Column {
         let cardinality = r.u64()?;
         let config = PageConfig::read_meta(&mut r)?;
         let dict = crate::dict::PagedDictionary::open(pool, data_type, &r.bytes()?)?;
-        let data = crate::datavec::PagedDataVector::open(pool, &r.bytes()?)?;
-        let index = match r.u8()? {
-            0 => None,
-            1 => Some(crate::invidx::PagedInvertedIndex::open(pool, &r.bytes()?)?),
-            t => {
-                return Err(CoreError::Storage(StorageError::corrupt(format!(
-                    "catalog: unknown index tag {t}"
-                ))))
+        let corrupt =
+            |what: String| CoreError::Storage(StorageError::corrupt(format!("catalog: {what}")));
+        let flag = |r: &mut MetaReader, what: &str| match r.u8()? {
+            t @ (0 | 1) => Ok(t == 1),
+            t => Err(corrupt(format!("unknown {what} tag {t}"))),
+        };
+        let rows = match r.u8()? {
+            ROWS_IDENTITY => StoredRows::Identity { indexed: flag(&mut r, "index")? },
+            ROWS_PLAIN => {
+                let data = crate::datavec::PagedDataVector::open(pool, &r.bytes()?)?;
+                let index = match flag(&mut r, "index")? {
+                    false => None,
+                    true => Some(crate::invidx::PagedInvertedIndex::open(pool, &r.bytes()?)?),
+                };
+                StoredRows::Plain { data, index }
             }
+            t => return Err(corrupt(format!("unknown row layout tag {t}"))),
         };
         r.expect_end()?;
-        if data.len() != len || dict.cardinality() != cardinality {
-            return Err(CoreError::Storage(StorageError::corrupt(
-                "catalog: column metadata inconsistent with structures",
-            )));
+        let rows_len = match &rows {
+            StoredRows::Identity { .. } => cardinality,
+            StoredRows::Plain { data, .. } => data.len(),
+        };
+        if rows_len != len || dict.cardinality() != cardinality {
+            return Err(corrupt("column metadata inconsistent with structures".into()));
         }
         let parts = Arc::new(paged::ColumnParts {
             data_type,
@@ -195,9 +225,8 @@ impl Column {
             cardinality,
             pool: pool.clone(),
             config,
-            data,
             dict,
-            index,
+            rows,
         });
         Ok(match policy {
             LoadPolicy::PageLoadable => Column::Paged(PagedColumn::new(parts)),
@@ -205,6 +234,12 @@ impl Column {
         })
     }
 }
+
+/// Row-layout tag of a column that stores a data vector (and optionally an
+/// inverted index).
+const ROWS_PLAIN: u8 = 0;
+/// Row-layout tag of a column whose rows are their value identifiers.
+const ROWS_IDENTITY: u8 = 1;
 
 /// Maps data types to stable catalog tags.
 pub fn data_type_tag(t: DataType) -> u8 {

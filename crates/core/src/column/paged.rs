@@ -2,7 +2,7 @@
 
 use crate::column::materialize::Source;
 use crate::column::read::ColumnRead;
-use crate::datavec::ScanOptions;
+use crate::datavec::{PagedDataVector, ScanOptions};
 use crate::dict::{DictLookup, HandleCache};
 use crate::invidx::{for_each_run, PagedInvertedIndex};
 use crate::{CoreError, CoreResult, DataType, KeyPredicate, PageConfig, Value, ValuePredicate};
@@ -24,6 +24,20 @@ fn index_path(pred: &KeyPredicate) -> ScanPath {
     }
 }
 
+/// How a column's rows map to their identifiers, as the builder persisted
+/// them — decided from the data at every build, never asked for.
+pub(crate) enum StoredRows {
+    /// Row `i` holds identifier `i`: a unique column whose keys ascend with
+    /// row order. Neither a data vector nor postings are stored — the
+    /// identifier at a row is the row, a vid's postings are that one row
+    /// and a vid range is a row range. `indexed` records that the column
+    /// was asked for an index, which the identity answers.
+    Identity { indexed: bool },
+    /// A data vector, and the inverted index the merge built if it was
+    /// asked for one; no read path ever creates one.
+    Plain { data: PagedDataVector, index: Option<PagedInvertedIndex> },
+}
+
 /// The persisted parts shared by both access modes.
 pub(crate) struct ColumnParts {
     pub data_type: DataType,
@@ -31,22 +45,48 @@ pub(crate) struct ColumnParts {
     pub cardinality: u64,
     pub pool: BufferPool,
     pub config: PageConfig,
-    pub data: crate::datavec::PagedDataVector,
     pub dict: crate::dict::PagedDictionary,
-    /// The inverted index the merge built, if it was asked for one; no read
-    /// path ever creates one.
-    pub index: Option<PagedInvertedIndex>,
+    pub rows: StoredRows,
+}
+
+/// The rows in `from..to` whose identifier is in `set`, ascending, when row
+/// `i` holds identifier `i`: a vid range is a row range, any other set its
+/// members.
+pub(crate) fn identity_rows(set: &VidSet, from: u64, to: u64, out: &mut Vec<u64>) {
+    match *set {
+        VidSet::Range { lo, hi } => out.extend(lo.max(from)..(hi + 1).min(to)),
+        _ => out.extend(set.iter().filter(|rpos| (from..to).contains(rpos))),
+    }
+}
+
+/// How many rows [`identity_rows`] finds.
+pub(crate) fn identity_count(set: &VidSet, from: u64, to: u64) -> u64 {
+    match *set {
+        VidSet::Range { lo, hi } => (hi + 1).min(to).saturating_sub(lo.max(from)),
+        _ => set.iter().filter(|rpos| (from..to).contains(rpos)).count() as u64,
+    }
 }
 
 impl ColumnParts {
     /// The store chains backing this column, labeled by role.
     pub(crate) fn chains(&self) -> Vec<(&'static str, u64)> {
-        let mut out = vec![("data", self.data.chain_id())];
-        out.extend(self.dict.chains());
-        if let Some(i) = &self.index {
-            out.push(("index", i.chain_id()));
+        let mut out = self.dict.chains();
+        if let StoredRows::Plain { data, index } = &self.rows {
+            out.insert(0, ("data", data.chain_id()));
+            if let Some(i) = index {
+                out.push(("index", i.chain_id()));
+            }
         }
         out
+    }
+
+    /// True when the column was asked for an inverted index: it stores
+    /// postings, or its identity answers for them.
+    pub(crate) fn has_index(&self) -> bool {
+        match &self.rows {
+            StoredRows::Identity { indexed } => *indexed,
+            StoredRows::Plain { index, .. } => index.is_some(),
+        }
     }
 
     /// A row search's range must lie inside the column — on every path of
@@ -122,9 +162,10 @@ impl PagedColumn {
     /// vector kernels) otherwise. (Dictionary probes decide independently:
     /// FSST equality probes always compare compressed bytes inside `find`.)
     pub fn scan_path(&self, pred: &KeyPredicate) -> ScanPath {
-        match self.parts.index {
-            Some(_) => index_path(pred),
-            None => ScanPath::DecodeThenScan,
+        if self.parts.has_index() {
+            index_path(pred)
+        } else {
+            ScanPath::DecodeThenScan
         }
     }
 
@@ -135,8 +176,9 @@ impl PagedColumn {
     }
 
     /// The rows in `from..to` (already checked) whose identifier is in `set`,
-    /// ascending: from the inverted index when there is one (Alg. 5), by a
-    /// scan of the paged data vector otherwise (Alg. 1).
+    /// ascending: by arithmetic when row and identifier coincide, from the
+    /// inverted index when there is one (Alg. 5), by a scan of the paged
+    /// data vector otherwise (Alg. 1).
     fn rows_in(
         &self,
         pred: &KeyPredicate,
@@ -148,11 +190,18 @@ impl PagedColumn {
         if set.is_empty() {
             return Ok(out);
         }
-        let Some(index) = &self.parts.index else {
-            // Loads only the pages that overlap the row range and survive
-            // page-summary pruning.
-            self.parts.data.iter().search(from, to, set, &mut out)?;
-            return Ok(out);
+        let index = match &self.parts.rows {
+            StoredRows::Identity { .. } => {
+                identity_rows(set, from, to, &mut out);
+                return Ok(out);
+            }
+            StoredRows::Plain { data, index: None } => {
+                // Loads only the pages that overlap the row range and
+                // survive page-summary pruning.
+                data.iter().search(from, to, set, &mut out)?;
+                return Ok(out);
+            }
+            StoredRows::Plain { index: Some(index), .. } => index,
         };
         let path = index_path(pred);
         // Flight recorder: one chunk-dispatch span covers the whole index
@@ -207,7 +256,7 @@ impl ColumnRead for PagedColumn {
     }
 
     fn has_index(&self) -> bool {
-        self.parts.index.is_some()
+        self.parts.has_index()
     }
 
     fn get_values(&self, rposs: &[u64]) -> CoreResult<Vec<Value>> {
@@ -236,23 +285,27 @@ impl ColumnRead for PagedColumn {
     /// COUNT never materializes positions without an index: each page
     /// contributes popcounts of its result bitmaps. With one, a full-range
     /// count comes straight from the directory — no postinglist page loads.
+    /// When row and identifier coincide it is arithmetic.
     fn count_key_rows(&self, pred: &KeyPredicate, from: u64, to: u64) -> CoreResult<u64> {
         self.parts.check_rows(from, to)?;
         let set = self.vid_set_cached(pred, &mut self.cache())?;
-        match &self.parts.index {
-            Some(index) if from == 0 && to == self.parts.len => {
+        match &self.parts.rows {
+            StoredRows::Identity { .. } => Ok(identity_count(&set, from, to)),
+            StoredRows::Plain { index: Some(index), .. } if from == 0 && to == self.parts.len => {
                 let mut it = index.iter();
                 set.iter().map(|vid| it.posting_count(vid)).sum()
             }
-            Some(_) => Ok(self.rows_in(pred, &set, from, to)?.len() as u64),
-            None if set.is_empty() => Ok(0),
-            None => self.parts.data.iter().count(from, to, &set),
+            StoredRows::Plain { index: Some(_), .. } => {
+                Ok(self.rows_in(pred, &set, from, to)?.len() as u64)
+            }
+            StoredRows::Plain { index: None, .. } if set.is_empty() => Ok(0),
+            StoredRows::Plain { data, index: None } => data.iter().count(from, to, &set),
         }
     }
 
-    /// The probe behind `core.scan_ns_per_row_par2`: an index-less count
-    /// split over `opts.workers` threads; anything else is
-    /// [`ColumnRead::count_rows`].
+    /// The probe behind `core.scan_ns_per_row_par2`: a count over a data
+    /// vector without an index, split over `opts.workers` threads; anything
+    /// else is [`ColumnRead::count_rows`].
     fn count_rows_par(
         &self,
         pred: &ValuePredicate,
@@ -260,12 +313,14 @@ impl ColumnRead for PagedColumn {
         to: u64,
         opts: ScanOptions,
     ) -> CoreResult<u64> {
-        if opts.workers <= 1 || self.parts.index.is_some() {
-            return self.count_rows(pred, from, to);
+        match &self.parts.rows {
+            StoredRows::Plain { data, index: None } if opts.workers > 1 => {
+                self.parts.check_rows(from, to)?;
+                let pred = KeyPredicate::compile(pred, self.parts.data_type)?;
+                let set = self.vid_set_cached(&pred, &mut self.cache())?;
+                data.par_count(from, to, &set, opts)
+            }
+            _ => self.count_rows(pred, from, to),
         }
-        self.parts.check_rows(from, to)?;
-        let pred = KeyPredicate::compile(pred, self.parts.data_type)?;
-        let set = self.vid_set_cached(&pred, &mut self.cache())?;
-        self.parts.data.par_count(from, to, &set, opts)
     }
 }

@@ -1,7 +1,7 @@
 //! The fully-resident (default) column.
 
 use crate::column::materialize::{count_runs, get_values, Source};
-use crate::column::paged::ColumnParts;
+use crate::column::paged::{identity_count, identity_rows, ColumnParts, StoredRows};
 use crate::column::read::ColumnRead;
 use crate::column::EncodedRows;
 use crate::dict::{FrontCodedDict, KeyCursor};
@@ -16,9 +16,18 @@ use std::sync::Arc;
 
 /// The contiguous in-memory image of a loaded column.
 pub(crate) struct Image {
-    data: BitPackedVec,
+    rows: ImageRows,
     dict: FrontCodedDict,
-    index: Option<InMemoryInvertedIndex>,
+}
+
+/// How the image maps rows to identifiers: as the column stores them.
+enum ImageRows {
+    /// Row `i` holds identifier `i` ([`StoredRows::Identity`]): the image
+    /// is its dictionary alone.
+    Identity,
+    /// The packed data vector, and the inverted index rebuilt from it when
+    /// the column has one.
+    Plain { data: BitPackedVec, index: Option<InMemoryInvertedIndex> },
 }
 
 impl Image {
@@ -28,9 +37,13 @@ impl Image {
     }
 
     fn heap_bytes(&self) -> usize {
-        self.data.heap_bytes()
-            + self.dict.heap_bytes()
-            + self.index.as_ref().map_or(0, |i| i.heap_bytes())
+        let rows = match &self.rows {
+            ImageRows::Identity => 0,
+            ImageRows::Plain { data, index } => {
+                data.heap_bytes() + index.as_ref().map_or(0, |i| i.heap_bytes())
+            }
+        };
+        rows + self.dict.heap_bytes()
     }
 }
 
@@ -76,16 +89,21 @@ impl ResidentColumn {
             return Ok(Arc::clone(&l.image));
         }
         // Full column load: every structure is read in its entirety.
-        let data = self.parts.data.decode_all_direct()?;
-        let dict = self.parts.dict.front_coded_all_direct()?;
-        let index = if self.parts.index.is_some() {
-            // Non-critical data: rebuilt from the critical structures (§8).
-            let vids: Vec<u64> = data.iter().collect();
-            Some(InMemoryInvertedIndex::build(&vids, self.parts.cardinality))
-        } else {
-            None
+        let rows = match &self.parts.rows {
+            StoredRows::Identity { .. } => ImageRows::Identity,
+            StoredRows::Plain { data, index } => {
+                let data = data.decode_all_direct()?;
+                let index = index.as_ref().map(|_| {
+                    // Non-critical data: rebuilt from the critical
+                    // structures (§8).
+                    let vids: Vec<u64> = data.iter().collect();
+                    InMemoryInvertedIndex::build(&vids, self.parts.cardinality)
+                });
+                ImageRows::Plain { data, index }
+            }
         };
-        let image = Arc::new(Image { data, dict, index });
+        let dict = self.parts.dict.front_coded_all_direct()?;
+        let image = Arc::new(Image { rows, dict });
         let state_weak = Arc::downgrade(&self.state);
         let resman = self.parts.pool.resource_manager();
         let resource = resman.register(image.heap_bytes(), self.disposition, move || {
@@ -117,8 +135,8 @@ impl ResidentColumn {
         self.state.lock().is_some()
     }
 
-    /// Heap bytes of the loaded image, summed now from its three structures
-    /// — the figure the load registered with the resource manager. `None`
+    /// Heap bytes of the loaded image, summed now from its structures — the
+    /// figure the load registered with the resource manager. `None`
     /// while the column is not loaded.
     pub fn loaded_bytes(&self) -> Option<usize> {
         self.state.lock().as_ref().map(|l| l.image.heap_bytes())
@@ -150,7 +168,10 @@ impl ResidentColumn {
         if rpos >= self.parts.len {
             return Err(CoreError::RowOutOfBounds { rpos, len: self.parts.len });
         }
-        Ok(image.data.get(rpos))
+        Ok(match &image.rows {
+            ImageRows::Identity => rpos,
+            ImageRows::Plain { data, .. } => data.get(rpos),
+        })
     }
 
     /// The value identifier `vid` encodes, decoded by `keys`, a cursor over
@@ -172,16 +193,17 @@ impl ResidentColumn {
     }
 
     /// The rows in `from..to` (already checked) whose identifier is in `set`,
-    /// ascending: a vid range is one posting run of the index — one decode
-    /// of the contiguous postinglist slice — else the packed vector is
-    /// scanned.
+    /// ascending: arithmetic when row and identifier coincide; a vid range is
+    /// one posting run of the index — one decode of the contiguous
+    /// postinglist slice — else the packed vector is scanned.
     fn rows_in(image: &Image, set: &VidSet, from: u64, to: u64) -> CoreResult<Vec<u64>> {
         let mut out = Vec::new();
         if set.is_empty() {
             return Ok(out);
         }
-        match &image.index {
-            Some(index) => {
+        match &image.rows {
+            ImageRows::Identity => identity_rows(set, from, to, &mut out),
+            ImageRows::Plain { index: Some(index), .. } => {
                 let mut run = Vec::new();
                 for_each_run(set, |lo, hi| {
                     index.posting_run(lo, hi, &mut run)?;
@@ -190,7 +212,7 @@ impl ResidentColumn {
                 })?;
                 out.sort_unstable();
             }
-            None => scan::search(&image.data, from, to, set, &mut out),
+            ImageRows::Plain { data, index: None } => scan::search(data, from, to, set, &mut out),
         }
         Ok(out)
     }
@@ -218,7 +240,7 @@ impl ColumnRead for ResidentColumn {
     }
 
     fn has_index(&self) -> bool {
-        self.parts.index.is_some()
+        self.parts.has_index()
     }
 
     fn get_values(&self, rposs: &[u64]) -> CoreResult<Vec<Value>> {
@@ -251,19 +273,25 @@ impl ColumnRead for ResidentColumn {
         Self::rows_in(&image, &set, from, to)
     }
 
-    /// A full-range count with an index reads the directory; without one,
-    /// COUNT never materializes positions — the scan kernel popcounts
-    /// per-chunk result bitmaps in place.
+    /// Arithmetic when row and identifier coincide; else a full-range count
+    /// with an index reads the directory, and without one COUNT never
+    /// materializes positions — the scan kernel popcounts per-chunk result
+    /// bitmaps in place.
     fn count_key_rows(&self, pred: &KeyPredicate, from: u64, to: u64) -> CoreResult<u64> {
         self.parts.check_rows(from, to)?;
         let image = self.image()?;
         let set = self.vid_set_from_image(&image, pred)?;
-        match &image.index {
-            Some(index) if from == 0 && to == self.parts.len => {
+        match &image.rows {
+            ImageRows::Identity => Ok(identity_count(&set, from, to)),
+            ImageRows::Plain { index: Some(index), .. } if from == 0 && to == self.parts.len => {
                 set.iter().map(|vid| index.posting_count(vid)).sum()
             }
-            Some(_) => Ok(Self::rows_in(&image, &set, from, to)?.len() as u64),
-            None => Ok(payg_encoding::kernels::count_matches(&image.data, from, to, &set)),
+            ImageRows::Plain { index: Some(_), .. } => {
+                Ok(Self::rows_in(&image, &set, from, to)?.len() as u64)
+            }
+            ImageRows::Plain { data, index: None } => {
+                Ok(payg_encoding::kernels::count_matches(data, from, to, &set))
+            }
         }
     }
 }

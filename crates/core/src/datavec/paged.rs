@@ -582,7 +582,9 @@ mod tests {
         let pool = pool();
         let col = column(&pool, &values);
         let crate::Column::Paged(paged) = &col else { unreachable!("built page loadable") };
-        let data = &paged.parts().data;
+        let crate::column::StoredRows::Plain { data, .. } = &paged.parts().rows else {
+            unreachable!("the sample repeats values")
+        };
         assert!(data.pages() > 5, "tiny pages must force a multi-page chain");
         let data_pages_resident =
             || (0..data.pages()).filter(|&p| pool.is_resident(data.page_key(p))).count();

@@ -54,6 +54,9 @@ impl ArrayPages {
         let store = pool.store();
         let mut scratch = crate::scratch::ChainScratch::new(pool);
         let chain = scratch.create_chain(page_size)?;
+        // Described before the first page: the store sizes the region to it.
+        let codec = ChainCodec { kind: CodecKind::Array, params: vec![width as u8] };
+        store.set_chain_descriptor(chain, &codec.serialize())?;
         let mut page_last = Vec::with_capacity(keys.len().div_ceil(per_page) * width);
         let mut page = Vec::with_capacity(per_page * width);
         for group in keys.chunks(per_page) {
@@ -71,8 +74,6 @@ impl ArrayPages {
             store.append_page(chain, &page)?;
             page_last.extend_from_slice(&page[page.len() - width..]);
         }
-        let codec = ChainCodec { kind: CodecKind::Array, params: vec![width as u8] };
-        store.set_chain_descriptor(chain, &codec.serialize())?;
         let pages = (page_last.len() / width) as u64;
         pool.registry()
             .counter_labeled(

@@ -19,6 +19,10 @@
 //!   dictionary page, stored as prefix-encoded blocks with the same page
 //!   format as the dictionary chain (`first_idx` = separator index).
 //!
+//! Only a dictionary of more than one page persists the two helper chains:
+//! a one-page dictionary's page is page 0, and its one separator stays in
+//! memory.
+//!
 //! A tiny in-memory residue — the last entry of *each helper page* — routes
 //! a lookup to the single helper page it needs; everything else is pinned on
 //! demand through the buffer pool. Helper chains are preloaded on the first
@@ -238,11 +242,13 @@ pub(crate) struct Blocks {
     cardinality: u64,
     dict_chain: ChainRef,
     overflow_chain: ChainRef,
-    vid_helper_chain: ChainRef,
-    value_helper_chain: ChainRef,
-    /// Last vid of each *vid-helper page* (one entry per helper page).
-    vid_helper_page_last: Vec<u64>,
-    /// Last separator of each *value-helper page*.
+    /// The helper chains, persisted only for a dictionary of more than one
+    /// page: a one-page dictionary's page is page 0, so nothing would ever
+    /// read them.
+    helpers: Option<Helpers>,
+    /// Last separator of each *value-helper page* — of a one-page
+    /// dictionary, its one separator: `find` answers a probe past it
+    /// without a page.
     value_helper_page_last: Vec<Vec<u8>>,
     /// Dictionary pages (also the number of separators / helper entries).
     dict_pages: u64,
@@ -254,6 +260,15 @@ pub(crate) struct Blocks {
     /// (§6.2.2's "more effective to have these auxiliary dictionaries
     /// always loaded in memory").
     pinned_helpers: crate::sync::Mutex<Vec<PageGuard>>,
+}
+
+/// The two helper chains of a dictionary of more than one page, with the
+/// residue that routes into the `ipDict_ValueId` one.
+struct Helpers {
+    vid_chain: ChainRef,
+    value_chain: ChainRef,
+    /// Last vid of each *vid-helper page* (one entry per helper page).
+    vid_page_last: Vec<u64>,
 }
 
 /// How a dictionary is persisted — chosen by the column's type.
@@ -300,6 +315,14 @@ impl Blocks {
         // sample and keep it only when it actually pays (the helper chains
         // always stay raw so routing comparisons never decode).
         let (fsst, fsst_per_mille) = train_dict_fsst(keys);
+        // Stamp the dictionary chain with its codec before its first page
+        // (the store sizes the descriptor region to it), so format-2 chain
+        // files are self-describing.
+        let codec = match &fsst {
+            Some(table) => ChainCodec { kind: CodecKind::Fsst, params: table.serialize() },
+            None => ChainCodec::plain(),
+        };
+        store.set_chain_descriptor(dict_chain, &codec.serialize())?;
 
         // Off-page allocator: splits a byte tail into overflow-page-sized
         // pieces, one page each. Errors escape via the side channel because
@@ -369,58 +392,75 @@ impl Blocks {
             separators.push(keys[(first_idx + count - 1) as usize].as_ref().to_vec());
         }
 
-        // ipDict_ValueId: plain little-endian u64 arrays.
-        let vid_helper_chain = scratch.create_chain(config.helper_page)?;
-        let epp = config.helper_page / 8;
-        let mut vid_helper_page_last = Vec::new();
-        let mut vid_helper_pages = 0u64;
-        for page_vids in page_last_vids.chunks(epp.max(1)) {
-            // `chunks` never yields an empty slice, but make that local.
-            let Some(&last) = page_vids.last() else { continue };
-            let mut bytes = Vec::with_capacity(page_vids.len() * 8);
-            for &v in page_vids {
-                bytes.extend_from_slice(&v.to_le_bytes());
+        // The helper chains of a dictionary of more than one page; one page
+        // keeps its one separator in memory alone.
+        let (helpers, value_helper_page_last) = if dict_pages > 1 {
+            // ipDict_ValueId: plain little-endian u64 arrays.
+            let vid_helper_chain = scratch.create_chain(config.helper_page)?;
+            let epp = config.helper_page / 8;
+            let mut vid_helper_page_last = Vec::new();
+            let mut vid_helper_pages = 0u64;
+            for page_vids in page_last_vids.chunks(epp.max(1)) {
+                // `chunks` never yields an empty slice, but make that local.
+                let Some(&last) = page_vids.last() else { continue };
+                let mut bytes = Vec::with_capacity(page_vids.len() * 8);
+                for &v in page_vids {
+                    bytes.extend_from_slice(&v.to_le_bytes());
+                }
+                store.append_page(vid_helper_chain, &bytes)?;
+                vid_helper_pages += 1;
+                vid_helper_page_last.push(last);
             }
-            store.append_page(vid_helper_chain, &bytes)?;
-            vid_helper_pages += 1;
-            vid_helper_page_last.push(last);
-        }
 
-        // ipDict_Value: separator blocks, same page format as the dictionary.
-        let value_helper_chain = scratch.create_chain(config.helper_page)?;
-        let mut sep_writer = PageAssembler::new(config.helper_page);
-        let mut value_helper_page_last: Vec<Vec<u8>> = Vec::new();
-        let mut value_helper_pages = 0u64;
-        let sep_block_budget = config.helper_page - PAGE_HEADER - 4;
-        for group in separators.chunks(BLOCK_CAP) {
-            let mut b = ValueBlockBuilder::new();
-            for s in group {
-                let inline = choose_inline(&b, s, sep_block_budget, config)?;
-                b.push(s, inline, &mut alloc_overflow);
-                if let Some(e) = overflow_err.borrow_mut().take() {
-                    return Err(CoreError::Storage(e));
+            // ipDict_Value: separator blocks, same page format as the dictionary.
+            let value_helper_chain = scratch.create_chain(config.helper_page)?;
+            let mut sep_writer = PageAssembler::new(config.helper_page);
+            let mut value_helper_page_last: Vec<Vec<u8>> = Vec::new();
+            let mut value_helper_pages = 0u64;
+            let sep_block_budget = config.helper_page - PAGE_HEADER - 4;
+            for group in separators.chunks(BLOCK_CAP) {
+                let mut b = ValueBlockBuilder::new();
+                for s in group {
+                    let inline = choose_inline(&b, s, sep_block_budget, config)?;
+                    b.push(s, inline, &mut alloc_overflow);
+                    if let Some(e) = overflow_err.borrow_mut().take() {
+                        return Err(CoreError::Storage(e));
+                    }
+                }
+                let block = b.finish();
+                if let Some((bytes, first_idx, count)) = sep_writer.push_block(&block)? {
+                    store.append_page(value_helper_chain, &bytes)?;
+                    value_helper_pages += 1;
+                    value_helper_page_last
+                        .push(separators[(first_idx + count - 1) as usize].clone());
                 }
             }
-            let block = b.finish();
-            if let Some((bytes, first_idx, count)) = sep_writer.push_block(&block)? {
+            if let Some((bytes, first_idx, count)) = sep_writer.flush()? {
                 store.append_page(value_helper_chain, &bytes)?;
                 value_helper_pages += 1;
                 value_helper_page_last.push(separators[(first_idx + count - 1) as usize].clone());
             }
-        }
-        if let Some((bytes, first_idx, count)) = sep_writer.flush()? {
-            store.append_page(value_helper_chain, &bytes)?;
-            value_helper_pages += 1;
-            value_helper_page_last.push(separators[(first_idx + count - 1) as usize].clone());
-        }
-
-        // Stamp the dictionary chain with its codec so format-2 chain files
-        // are self-describing, and publish per-codec build-size metrics.
-        let codec = match &fsst {
-            Some(table) => ChainCodec { kind: CodecKind::Fsst, params: table.serialize() },
-            None => ChainCodec::plain(),
+            let helpers = Helpers {
+                vid_chain: ChainRef {
+                    chain: vid_helper_chain,
+                    pages: vid_helper_pages,
+                    page_size: config.helper_page,
+                },
+                value_chain: ChainRef {
+                    chain: value_helper_chain,
+                    pages: value_helper_pages,
+                    page_size: config.helper_page,
+                },
+                vid_page_last: vid_helper_page_last,
+            };
+            (Some(helpers), value_helper_page_last)
+        } else {
+            (None, separators)
         };
-        store.set_chain_descriptor(dict_chain, &codec.serialize())?;
+        let (vid_helper_pages, value_helper_pages) =
+            helpers.as_ref().map_or((0, 0), |h| (h.vid_chain.pages, h.value_chain.pages));
+
+        // Per-codec build-size metrics.
         let registry = pool.registry();
         let label = pool.metrics_label();
         registry
@@ -443,17 +483,7 @@ impl Blocks {
                 pages: overflow_pages.get(),
                 page_size: config.overflow_page,
             },
-            vid_helper_chain: ChainRef {
-                chain: vid_helper_chain,
-                pages: vid_helper_pages,
-                page_size: config.helper_page,
-            },
-            value_helper_chain: ChainRef {
-                chain: value_helper_chain,
-                pages: value_helper_pages,
-                page_size: config.helper_page,
-            },
-            vid_helper_page_last,
+            helpers,
             value_helper_page_last,
             dict_pages,
             fsst,
@@ -471,14 +501,21 @@ impl Blocks {
     }
 
     /// Appends the checkpoint encoding (after the dictionary's layout tag):
-    /// the chain references plus the always-resident helper residue.
+    /// the chain references plus the always-resident helper residue, the
+    /// helper chains behind a presence byte.
     fn write_meta(&self, w: &mut crate::meta::MetaWriter) {
         w.u64(self.cardinality);
         crate::meta::write_chain(w, &self.dict_chain);
         crate::meta::write_chain(w, &self.overflow_chain);
-        crate::meta::write_chain(w, &self.vid_helper_chain);
-        crate::meta::write_chain(w, &self.value_helper_chain);
-        w.u64s(&self.vid_helper_page_last);
+        match &self.helpers {
+            None => w.u8(0),
+            Some(h) => {
+                w.u8(1);
+                crate::meta::write_chain(w, &h.vid_chain);
+                crate::meta::write_chain(w, &h.value_chain);
+                w.u64s(&h.vid_page_last);
+            }
+        }
         w.u64(self.value_helper_page_last.len() as u64);
         for k in &self.value_helper_page_last {
             w.bytes(k);
@@ -496,15 +533,33 @@ impl Blocks {
         let cardinality = r.u64()?;
         let dict_chain = crate::meta::read_chain(r)?;
         let overflow_chain = crate::meta::read_chain(r)?;
-        let vid_helper_chain = crate::meta::read_chain(r)?;
-        let value_helper_chain = crate::meta::read_chain(r)?;
-        let vid_helper_page_last = r.u64s()?;
+        let helpers = match r.u8()? {
+            0 => None,
+            1 => Some(Helpers {
+                vid_chain: crate::meta::read_chain(r)?,
+                value_chain: crate::meta::read_chain(r)?,
+                vid_page_last: r.u64s()?,
+            }),
+            t => {
+                return Err(CoreError::Storage(StorageError::corrupt(format!(
+                    "dictionary chain {}: unknown helper tag {t}",
+                    dict_chain.chain.0
+                ))))
+            }
+        };
         let n = r.read_len()?;
         let mut value_helper_page_last = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
             value_helper_page_last.push(r.bytes()?);
         }
         let dict_pages = r.u64()?;
+        if helpers.is_some() != (dict_pages > 1) {
+            return Err(CoreError::Storage(StorageError::corrupt(format!(
+                "dictionary chain {}: {dict_pages} pages {} helper chains",
+                dict_chain.chain.0,
+                if helpers.is_some() { "with" } else { "without" }
+            ))));
+        }
         let fsst_bytes = r.bytes()?;
         if fsst_bytes.is_empty() != (codec == CodecKind::Plain) {
             return Err(CoreError::Storage(StorageError::corrupt(format!(
@@ -521,9 +576,7 @@ impl Blocks {
             cardinality,
             dict_chain,
             overflow_chain,
-            vid_helper_chain,
-            value_helper_chain,
-            vid_helper_page_last,
+            helpers,
             value_helper_page_last,
             dict_pages,
             fsst,
@@ -533,7 +586,7 @@ impl Blocks {
     }
 
     fn heap_bytes(&self) -> usize {
-        self.vid_helper_page_last.len() * 8
+        self.helpers.as_ref().map_or(0, |h| h.vid_page_last.len() * 8)
             + self
                 .value_helper_page_last
                 .iter()
@@ -542,29 +595,37 @@ impl Blocks {
     }
 
     /// True when finding `vid`'s dictionary page takes a look at an
-    /// `ipDict_ValueId` helper page. A one-page dictionary's page is page 0:
-    /// its helper chains hold one entry each and are never read.
+    /// `ipDict_ValueId` helper page: when the dictionary has more than one
+    /// page, and so helper chains. A one-page dictionary's page is page 0.
     pub(crate) fn routes_by_helper(&self) -> bool {
-        self.dict_pages > 1
+        self.helpers.is_some()
+    }
+
+    /// The helper chains of a dictionary that routes by them.
+    fn helpers(&self) -> &Helpers {
+        // lint: allow(unwrap) invariant: callers route by helper only when it exists (`read_meta` refuses pages and helpers that disagree)
+        self.helpers.as_ref().expect("only a dictionary with helper chains routes by them")
     }
 
     /// Routes a (bounds-checked) vid to the `ipDict_ValueId` helper page
-    /// holding its entry, from the in-memory residue alone.
+    /// holding its entry, from the in-memory residue alone. Only for a
+    /// dictionary that [routes by helper](Blocks::routes_by_helper).
     pub(crate) fn vid_helper_page(&self, vid: u64) -> u64 {
-        let hp = self.vid_helper_page_last.partition_point(|&last| last < vid);
-        debug_assert!(hp < self.vid_helper_page_last.len(), "vid bounds checked by caller");
+        let last = &self.helpers().vid_page_last;
+        let hp = last.partition_point(|&last| last < vid);
+        debug_assert!(hp < last.len(), "vid bounds checked by caller");
         hp as u64
     }
 
     /// The store address of `ipDict_ValueId` helper page `hp`.
     pub(crate) fn vid_helper_key(&self, hp: u64) -> PageKey {
-        PageKey::new(self.vid_helper_chain.chain, hp)
+        PageKey::new(self.helpers().vid_chain.chain, hp)
     }
 
     /// Looks `vid` up on its pinned helper page `hp`: the number of the
     /// dictionary page storing it.
     pub(crate) fn dict_page_on_helper(&self, helper: &[u8], hp: u64, vid: u64) -> u64 {
-        let epp = self.vid_helper_chain.page_size / 8;
+        let epp = self.helpers().vid_chain.page_size / 8;
         let start = hp as usize * epp;
         let count = (self.dict_pages as usize - start).min(epp);
         // Binary search the little-endian u64 array for the first last-vid
@@ -643,7 +704,7 @@ impl Blocks {
             self.preload_helpers(cache)?;
             // Find the first separator >= key on that helper page; the
             // separator's global index *is* the dictionary page number.
-            let guard = cache.pin(PageKey::new(self.value_helper_chain.chain, hp as u64))?;
+            let guard = cache.pin(PageKey::new(self.helpers().value_chain.chain, hp as u64))?;
             let t = page_transient(&guard)?;
             // Helper separators are always raw.
             let (block_no, pos) = self.lower_bound_on_page(&guard, t, key, None, cache)?;
@@ -741,9 +802,8 @@ impl Blocks {
     }
 
     fn helper_pages(&self) -> impl Iterator<Item = PageKey> + '_ {
-        [&self.vid_helper_chain, &self.value_helper_chain]
-            .into_iter()
-            .flat_map(|c| (0..c.pages).map(|p| PageKey::new(c.chain, p)))
+        let chains = self.helpers.iter().flat_map(|h| [&h.vid_chain, &h.value_chain]);
+        chains.flat_map(|c| (0..c.pages).map(|p| PageKey::new(c.chain, p)))
     }
 
     /// Pre-loads both helper chains on the first access (§3.2.3) with one
@@ -890,15 +950,21 @@ impl PagedDictionary {
 
     /// The store chain ids backing this dictionary, labeled by role — for
     /// attributing traced page events back to the structure that owns them.
-    /// An array dictionary is its `dict` chain alone.
+    /// An array dictionary is its `dict` chain alone; a one-page string
+    /// dictionary has no helper chains.
     pub fn chains(&self) -> Vec<(&'static str, u64)> {
         match &self.layout {
-            Layout::Blocks(b) => vec![
-                ("dict", b.dict_chain.chain.0),
-                ("dict-overflow", b.overflow_chain.chain.0),
-                ("dict-vid-helper", b.vid_helper_chain.chain.0),
-                ("dict-value-helper", b.value_helper_chain.chain.0),
-            ],
+            Layout::Blocks(b) => {
+                let mut chains = vec![
+                    ("dict", b.dict_chain.chain.0),
+                    ("dict-overflow", b.overflow_chain.chain.0),
+                ];
+                if let Some(h) = &b.helpers {
+                    chains.push(("dict-vid-helper", h.vid_chain.chain.0));
+                    chains.push(("dict-value-helper", h.value_chain.chain.0));
+                }
+                chains
+            }
             Layout::Array(a) => vec![("dict", a.chain().chain.0)],
         }
     }
@@ -1204,12 +1270,17 @@ mod tests {
         assert!(keys.keys().eq(ks.iter().map(Vec::as_slice)), "the chain reads back its keys");
     }
 
-    /// A page-loadable string column with one row per key of `ks`, in key
-    /// order, on tiny pages over a fresh pool that holds none of its pages.
+    /// A page-loadable string column with one row per key of `ks`, in
+    /// descending key order — so it stores a data vector: row `r` holds the
+    /// key of identifier `ks.len() - 1 - r` — on tiny pages over a fresh
+    /// pool that holds none of its pages.
     fn paged_column(ks: &[Vec<u8>]) -> (BufferPool, crate::Column) {
         let pool = pool();
-        let values: Vec<crate::Value> =
-            ks.iter().map(|k| crate::Value::from_key(DataType::Varchar, k).unwrap()).collect();
+        let values: Vec<crate::Value> = ks
+            .iter()
+            .rev()
+            .map(|k| crate::Value::from_key(DataType::Varchar, k).unwrap())
+            .collect();
         let column = crate::ColumnBuilder::new(DataType::Varchar)
             .policy(crate::LoadPolicy::PageLoadable)
             .build(&pool, &PageConfig::tiny(), &values)
@@ -1290,7 +1361,7 @@ mod tests {
         // dictionary page.
         let (pool, column) = paged_column(&ks);
         let row = crate::column::ColumnRead::get_values(&column, &[1500]).unwrap();
-        assert_eq!(row, [crate::Value::Varchar("customer-001500".into())]);
+        assert_eq!(row, [crate::Value::Varchar("customer-000499".into())]);
         let resident_after_one = pool.resident_pages() as u64;
         assert!(
             resident_after_one < stats.dict_pages / 2,
@@ -1602,7 +1673,7 @@ mod tests {
         let ks = keys(12);
         let (pool, dict, stats) = build(&ks, &PageConfig::tiny());
         assert_eq!(stats.dict_pages, 1);
-        assert_eq!((stats.vid_helper_pages, stats.value_helper_pages), (1, 1), "built as ever");
+        assert_eq!((stats.vid_helper_pages, stats.value_helper_pages), (0, 0), "no helper chain");
         let mut cache = HandleCache::new(pool.clone());
         for (vid, k) in ks.iter().enumerate() {
             assert_eq!(dict.find(k, &mut cache).unwrap(), Ok(vid as u64));
@@ -1616,8 +1687,38 @@ mod tests {
         // A point read pins its data page and the dictionary page, no helper.
         let (pool, column) = paged_column(&ks);
         let row = crate::column::ColumnRead::get_values(&column, &[7]).unwrap();
-        assert_eq!(row, [crate::Value::Varchar("customer-000007".into())]);
+        assert_eq!(row, [crate::Value::Varchar("customer-000004".into())]);
         assert_eq!(pool.resident_pages(), 2, "one data page and dictionary page 0");
+    }
+
+    /// A one-page string dictionary persists its dictionary and overflow
+    /// chains alone, and still answers every find — a probe past its last
+    /// key from its one in-memory separator — across a checkpoint reopen.
+    /// A multi-page one persists both helper chains.
+    #[test]
+    fn a_one_page_string_dictionary_persists_no_helper_chain() {
+        let roles = |dict: &PagedDictionary| -> Vec<&str> {
+            dict.chains().into_iter().map(|(role, _)| role).collect()
+        };
+        let ks = keys(12);
+        let (pool, dict, _) = build(&ks, &PageConfig::tiny());
+        assert_eq!(roles(&dict), ["dict", "dict-overflow"]);
+        assert_eq!(pool.store().chains().len(), 2, "no helper chain reached the store");
+        let reopened = PagedDictionary::open(&pool, DataType::Varchar, &dict.meta_bytes()).unwrap();
+        let mut cache = HandleCache::new(pool.clone());
+        for d in [&dict, &reopened] {
+            for (vid, k) in ks.iter().enumerate() {
+                assert_eq!(d.find(k, &mut cache).unwrap(), Ok(vid as u64));
+            }
+            assert_eq!(d.find(b"customer-000011x", &mut cache).unwrap(), Err(12));
+            assert_eq!(d.find(b"z", &mut cache).unwrap(), Err(12));
+            assert_reads_back(d, &ks);
+        }
+        let ks = keys(200);
+        let (pool, dict, stats) = build(&ks, &PageConfig::tiny());
+        assert!(stats.dict_pages > 1);
+        assert_eq!(roles(&dict), ["dict", "dict-overflow", "dict-vid-helper", "dict-value-helper"]);
+        assert_eq!(pool.store().chains().len(), 4);
     }
 
     #[test]

@@ -129,6 +129,13 @@ impl PagedInvertedIndex {
         let store = Arc::clone(pool.store());
         let mut scratch = crate::scratch::ChainScratch::new(pool);
         let chain = scratch.create_chain(page)?;
+        // The chain describes itself before its first page, so the store
+        // sizes its descriptor region to the descriptor. Postings are
+        // Elias-Fano whenever there are any: a fragment of at most one row
+        // has none.
+        let codec = if rows > 1 { CodecKind::Pef } else { CodecKind::Plain };
+        let descriptor = ChainCodec { kind: codec, params: Vec::new() };
+        store.set_chain_descriptor(chain, &descriptor.serialize())?;
 
         // Counting sort: postinglist = row positions grouped by vid.
         let mut offsets = vec![0u64; cardinality as usize + 1];
@@ -189,6 +196,7 @@ impl PagedInvertedIndex {
             }
         }
         let meta = Meta::layout(chain, page, cardinality, rows, post_pages)?;
+        debug_assert_eq!(meta.codec, codec, "the descriptor names the codec the layout wrote");
 
         // Skip table: plain little-endian u64 chain offsets, one per
         // partition, on their own pages after the posting pages.
@@ -218,10 +226,7 @@ impl PagedInvertedIndex {
         }
         assert_eq!(store.chain_len(chain)?, meta.chain.pages, "layout ≠ pages written");
 
-        // Self-describing chain + per-codec build metrics, mirroring the
-        // paged dictionary.
-        let descriptor = ChainCodec { kind: meta.codec, params: Vec::new() };
-        store.set_chain_descriptor(chain, &descriptor.serialize())?;
+        // Per-codec build metrics, mirroring the paged dictionary.
         let registry = pool.registry();
         let label = pool.metrics_label();
         registry

@@ -398,10 +398,11 @@ proptest! {
     /// index: `find_rows` / `count_rows` (and `payg-perf`'s `count_rows_par`)
     /// over `from..to` equal the naive filter when `from ≤ to ≤ len`, and
     /// are `RowOutOfBounds` when `to` runs past the end or `from > to` — on
-    /// the index postings, the directory count and the scan alike.
+    /// the index postings, the directory count, the scan and the arithmetic
+    /// of a column whose rows are their identifiers alike.
     #[test]
     fn row_search_is_one_contract_across_kinds_and_bounds(
-        ints in prop::collection::vec(-60i64..60, 1..400),
+        mut ints in prop::collection::vec(-60i64..60, 1..400),
         probe in -60i64..60,
         lo in -60i64..60,
         span in 0i64..50,
@@ -409,7 +410,13 @@ proptest! {
         at in any::<u64>(),
         k in 1u64..5,
         workers in 2usize..5,
+        unique_ascending in any::<bool>(),
     ) {
+        if unique_ascending {
+            // Every row its own identifier: no data vector, no postings.
+            ints.sort_unstable();
+            ints.dedup();
+        }
         let values: Vec<Value> = ints.iter().map(|&i| Value::Integer(i)).collect();
         let len = values.len() as u64;
         let (from, to) = match bounds {
@@ -473,11 +480,16 @@ proptest! {
     /// without an index.
     #[test]
     fn column_checkpoint_roundtrip(
-        ints in prop::collection::vec(-40i64..40, 1..200),
+        mut ints in prop::collection::vec(-40i64..40, 1..200),
         paged_policy in any::<bool>(),
         with_index in any::<bool>(),
+        unique_ascending in any::<bool>(),
     ) {
         use payg_core::column::Column;
+        if unique_ascending {
+            ints.sort_unstable();
+            ints.dedup();
+        }
         let values: Vec<Value> = ints.iter().map(|&i| Value::Integer(i)).collect();
         let pool = pool();
         let policy = if paged_policy { LoadPolicy::PageLoadable } else { LoadPolicy::FullyResident };
@@ -494,6 +506,13 @@ proptest! {
         prop_assert_eq!(reopened.len(), col.len());
         prop_assert_eq!(reopened.cardinality(), col.cardinality());
         prop_assert_eq!(reopened.has_index(), col.has_index());
+        // Strictly ascending rows are their own identifiers: neither a data
+        // vector nor postings is stored, before or after the reopen.
+        let identity = ints.windows(2).all(|w| w[0] < w[1]);
+        for c in [&col, &reopened] {
+            let stores_rows = c.chains().iter().any(|(role, _)| matches!(*role, "data" | "index"));
+            prop_assert_eq!(stores_rows, !identity);
+        }
         for i in 0..values.len() {
             prop_assert_eq!(reopened.get_values(&[i as u64]).unwrap(), &values[i..=i]);
         }
@@ -507,8 +526,8 @@ proptest! {
             broken[0] ^= 0xFF;
             let _ = Column::open(&pool, &broken);
         }
-        // Index tags are 0 (none) and 1 (the merge's index); any other is
-        // refused.
+        // Index tags (and, for rows that are their identifiers, the asked-for
+        // flag) are 0 and 1; any other is refused.
         if !with_index {
             prop_assert_eq!(bytes.last(), Some(&0));
             for tag in [2, 3, 4] {
@@ -828,7 +847,10 @@ proptest! {
             if spill && tail < 3 {
                 // A stem longer than the inline limit in either form; the
                 // compressible one is the same for every `tail` of an `id`.
-                for i in 0..if compressible { 40 } else { 12 } {
+                // Either is over 192 bytes: a symbol covers at most 8, so no
+                // table the builder trains — not even one that memorizes a
+                // lone key's noise — codes it under the 24-byte limit.
+                for i in 0..if compressible { 40 } else { 24 } {
                     k.extend(if compressible { *b"/segment" } else { noise() });
                     k.push(b'a' + (id as u8 + i) % 23);
                 }
@@ -948,8 +970,10 @@ proptest! {
 /// width-0 data vector, a numeric column of each type (array dictionaries
 /// of 8- and 16-byte keys, negative values included), strings large enough
 /// to spill into overflow pages, a high-cardinality string column (whose
-/// keys FSST compresses) and one of long random strings (which, past some
-/// 150 rows, it declines: the dictionary chain stays plain front-coded).
+/// keys FSST compresses), one of long random strings (which, past some
+/// 150 rows, it declines: the dictionary chain stays plain front-coded) and
+/// a unique key ascending with the rows (stored as its dictionary alone:
+/// every row is its own identifier).
 fn special_shape_columns(n_rows: usize, card: u64, salt: u64) -> Vec<(DataType, Vec<Value>)> {
     let mix = |i: usize, k: u64| {
         (salt ^ k).wrapping_add(i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17
@@ -982,6 +1006,7 @@ fn special_shape_columns(n_rows: usize, card: u64, salt: u64) -> Vec<(DataType, 
             };
             Value::Varchar((0..160).map(printable).collect())
         }).collect()),
+        (DataType::Varchar, (0..n_rows).map(|i| Value::Varchar(format!("key-{salt:x}-{i:05}"))).collect()),
     ]
 }
 

@@ -63,9 +63,11 @@ pub trait PageStore: Send + Sync {
     /// All existing chains (used when reopening a durable store).
     fn chains(&self) -> Vec<ChainId>;
     /// Attaches an opaque descriptor blob (codec metadata) to a chain,
-    /// replacing any previous one. Durable stores persist it in a
-    /// fixed-capacity header region reserved at create, so it can be set
-    /// after pages were appended.
+    /// replacing any previous one. Durable stores persist it in a header
+    /// region in front of the page slots: set on a chain without pages, the
+    /// region is sized to it; once pages exist, a replacement must fit the
+    /// region, since no slot ever moves. Builders set it before their first
+    /// append.
     fn set_chain_descriptor(&self, chain: ChainId, desc: &[u8]) -> StorageResult<()>;
     /// The chain's descriptor: empty for chains that never had one set.
     fn chain_descriptor(&self, chain: ChainId) -> StorageResult<Vec<u8>>;
@@ -180,15 +182,12 @@ const HEADER_LEN: u64 = 24; // magic(8) + page_size(4) + format(4) + desc_cap(4)
 const FORMAT_END: u64 = 16;
 
 /// The one chain-file layout this build reads and writes: checksummed page
-/// slots behind a fixed-capacity chain descriptor region (opaque codec
-/// metadata) that sits between the header and slot 0.
+/// slots behind a chain descriptor region (opaque codec metadata) that sits
+/// between the header and slot 0. The header records the region's capacity:
+/// a new chain's region is empty and is sized to the descriptor set before
+/// its first page, while files that reserved a fixed region read the same
+/// way.
 const FORMAT: u32 = 2;
-
-/// Descriptor capacity reserved in every new chain file. Fixed at create so
-/// the descriptor can be (re)written after pages were appended without
-/// moving any slot. Sized for a serialized FSST symbol table (~2.3 KB worst
-/// case) plus codec framing.
-const DESC_CAP: u32 = 4096;
 
 /// Per-page trailer: CRC-32 of the little-endian page number + padded
 /// payload (4 bytes, LE), then 4 reserved zero bytes.
@@ -383,18 +382,16 @@ impl PageStore for FileStore {
             .write(true)
             .create_new(true)
             .open(self.chain_path(id))?;
-        // Header plus a zeroed descriptor region reserved up front, so a
-        // codec descriptor can be attached after pages exist without moving
-        // any slot.
-        let mut header = vec![0u8; (HEADER_LEN + DESC_CAP as u64) as usize];
+        // The header alone: the descriptor region is empty until a
+        // descriptor sizes it (see `set_chain_descriptor`).
+        let mut header = [0u8; HEADER_LEN as usize];
         header[..8].copy_from_slice(FILE_MAGIC);
         header[8..12].copy_from_slice(&(page_size as u32).to_le_bytes());
         header[12..16].copy_from_slice(&FORMAT.to_le_bytes());
-        header[16..20].copy_from_slice(&DESC_CAP.to_le_bytes());
         file.write_all(&header)?;
         self.chains
             .lock()
-            .insert(id, ChainFile { file, page_size, len: 0, desc_cap: DESC_CAP, desc_len: 0 });
+            .insert(id, ChainFile { file, page_size, len: 0, desc_cap: 0, desc_len: 0 });
         Ok(ChainId(id))
     }
 
@@ -503,18 +500,27 @@ impl PageStore for FileStore {
     fn set_chain_descriptor(&self, chain: ChainId, desc: &[u8]) -> StorageResult<()> {
         let mut chains = self.chains.lock();
         let c = chains.get_mut(&chain.0).ok_or(StorageError::UnknownChain(chain.0))?;
-        if desc.len() > c.desc_cap as usize {
+        let len = u32::try_from(desc.len()).ok().filter(|&len| c.len == 0 || len <= c.desc_cap);
+        let Some(len) = len else {
             return Err(StorageError::corrupt(format!(
-                "chain descriptor of {} bytes exceeds the {}-byte capacity",
+                "chain descriptor of {} bytes exceeds the {}-byte capacity of a chain with pages",
                 desc.len(),
                 c.desc_cap
             )));
-        }
+        };
+        // Without pages the region is the descriptor: nothing lies behind it.
+        let cap = if c.len == 0 {
+            c.file.set_len(HEADER_LEN + u64::from(len))?;
+            len
+        } else {
+            c.desc_cap
+        };
         c.file.seek(SeekFrom::Start(HEADER_LEN))?;
         c.file.write_all(desc)?;
-        c.file.seek(SeekFrom::Start(20))?;
-        c.file.write_all(&(desc.len() as u32).to_le_bytes())?;
-        c.desc_len = desc.len() as u32;
+        c.file.seek(SeekFrom::Start(16))?;
+        c.file.write_all(&cap.to_le_bytes())?;
+        c.file.write_all(&len.to_le_bytes())?;
+        (c.desc_cap, c.desc_len) = (cap, len);
         Ok(())
     }
 
@@ -956,6 +962,10 @@ mod tests {
         let c = store.create_chain(64).unwrap();
         assert_eq!(store.page_size(c).unwrap(), 64);
         assert_eq!(store.chain_len(c).unwrap(), 0);
+        // Chain descriptors: empty until set, set before the first page.
+        assert!(store.chain_descriptor(c).unwrap().is_empty());
+        store.set_chain_descriptor(c, b"codec v1").unwrap();
+        assert_eq!(store.chain_descriptor(c).unwrap(), b"codec v1");
         let p0 = store.append_page(c, b"hello").unwrap();
         let p1 = store.append_page(c, &[0xAB; 64]).unwrap();
         assert_eq!((p0, p1), (0, 1));
@@ -965,11 +975,7 @@ mod tests {
         assert!(page[5..].iter().all(|&b| b == 0), "padded with zeros");
         let page = store.read_page(PageKey::new(c, 1)).unwrap();
         assert!(page.iter().all(|&b| b == 0xAB));
-        // Chain descriptors: empty until set, replaceable, settable with
-        // pages already appended.
-        assert!(store.chain_descriptor(c).unwrap().is_empty());
-        store.set_chain_descriptor(c, b"codec v1").unwrap();
-        assert_eq!(store.chain_descriptor(c).unwrap(), b"codec v1");
+        // Replaceable with pages appended, by one that fits.
         store.set_chain_descriptor(c, b"v2").unwrap();
         assert_eq!(store.chain_descriptor(c).unwrap(), b"v2");
         assert_eq!(&store.read_page(PageKey::new(c, 0)).unwrap()[..5], b"hello");
@@ -1024,32 +1030,87 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Descriptors persist in the chain file's reserved header region: they
-    /// survive reopen, can be written after pages exist, and never disturb
-    /// the page slots around them.
+    /// Descriptors persist in the chain file's header region: a chain
+    /// without pages sizes the region to its descriptor (and a chain that
+    /// never gets one reserves none), a replacement after pages exist must
+    /// fit, and no write disturbs the page slots behind the region.
     #[test]
     fn file_store_chain_descriptors_survive_reopen() {
         let dir = std::env::temp_dir().join(format!("payg-desc-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let c;
+        let slot = 32 + PAGE_TRAILER_LEN as u64;
+        let (c, bare);
         {
             let store = FileStore::open(&dir).unwrap();
             c = store.create_chain(32).unwrap();
-            store.append_page(c, b"page zero").unwrap();
-            // Set with a page already on disk, then shrink it.
+            // Sized, resized while the chain is empty, then a page behind it.
+            store.set_chain_descriptor(c, b"a longer first draft").unwrap();
             store.set_chain_descriptor(c, b"fsst table bytes").unwrap();
+            store.append_page(c, b"page zero").unwrap();
+            assert_eq!(store.chain_layout(c).unwrap(), (HEADER_LEN + 16, slot));
+            // Shrunk in place; a descriptor past the region is refused,
+            // leaving the old one intact.
             store.set_chain_descriptor(c, b"pef").unwrap();
-            // Oversized descriptors are refused, leaving the old one intact.
             assert!(matches!(
-                store.set_chain_descriptor(c, &vec![0u8; DESC_CAP as usize + 1]),
-                Err(StorageError::Corrupt(d)) if d.contains("exceeds")
+                store.set_chain_descriptor(c, &[0u8; 17]),
+                Err(StorageError::Corrupt(d)) if d.contains("exceeds the 16-byte capacity")
             ));
             store.append_page(c, b"page one").unwrap();
+            bare = store.create_chain(32).unwrap();
+            store.append_page(bare, b"no descriptor").unwrap();
         }
+        let len =
+            |chain: ChainId| std::fs::metadata(dir.join(format!("chain_{:016x}.pg", chain.0)));
+        assert_eq!(len(c).unwrap().len(), HEADER_LEN + 16 + 2 * slot);
+        assert_eq!(len(bare).unwrap().len(), HEADER_LEN + slot);
         let store = FileStore::open(&dir).unwrap();
         assert_eq!(store.chain_descriptor(c).unwrap(), b"pef");
         assert_eq!(&store.read_page(PageKey::new(c, 0)).unwrap()[..9], b"page zero");
         assert_eq!(&store.read_page(PageKey::new(c, 1)).unwrap()[..8], b"page one");
+        assert!(store.chain_descriptor(bare).unwrap().is_empty());
+        assert_eq!(&store.read_page(PageKey::new(bare, 0)).unwrap()[..13], b"no descriptor");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A chain file that reserved a fixed 4 096-byte descriptor region —
+    /// what every chain file carried before regions were sized to their
+    /// descriptor — opens, reads and takes a replacement descriptor that
+    /// fits its region, all behind the same format number.
+    #[test]
+    fn file_store_reads_chain_files_with_a_reserved_descriptor_region() {
+        let dir = std::env::temp_dir().join(format!("payg-desc-reserved-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        const RESERVED: u32 = 4096;
+        let page = b"a page behind a reserved region";
+        let mut bytes = Vec::new();
+        bytes.extend_from_slice(FILE_MAGIC);
+        bytes.extend_from_slice(&32u32.to_le_bytes());
+        bytes.extend_from_slice(&FORMAT.to_le_bytes());
+        bytes.extend_from_slice(&RESERVED.to_le_bytes());
+        bytes.extend_from_slice(&3u32.to_le_bytes());
+        let mut region = vec![0u8; RESERVED as usize];
+        region[..3].copy_from_slice(b"pef");
+        bytes.extend_from_slice(&region);
+        let mut slot = vec![0u8; 32 + PAGE_TRAILER_LEN];
+        slot[..page.len()].copy_from_slice(page);
+        let crc = page_checksum(0, &slot[..32]);
+        slot[32..36].copy_from_slice(&crc.to_le_bytes());
+        bytes.extend_from_slice(&slot);
+        std::fs::write(dir.join("chain_0000000000000007.pg"), &bytes).unwrap();
+
+        let store = FileStore::open(&dir).unwrap();
+        let c = ChainId(7);
+        assert_eq!(store.chain_layout(c).unwrap().0, HEADER_LEN + u64::from(RESERVED));
+        assert_eq!(store.chain_descriptor(c).unwrap(), b"pef");
+        assert_eq!(&store.read_page(PageKey::new(c, 0)).unwrap()[..page.len()], page);
+        store.set_chain_descriptor(c, &[7u8; 2_000]).unwrap();
+        store.append_page(c, b"second").unwrap();
+        drop(store);
+        let store = FileStore::open(&dir).unwrap();
+        assert_eq!(store.chain_descriptor(c).unwrap(), vec![7u8; 2_000]);
+        assert_eq!(&store.read_page(PageKey::new(c, 0)).unwrap()[..page.len()], page);
+        assert_eq!(&store.read_page(PageKey::new(c, 1)).unwrap()[..6], b"second");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1153,7 +1214,7 @@ mod tests {
         let path = store.chain_path(c.0);
         let mut bytes = std::fs::read(&path).unwrap();
         let slot = 32 + PAGE_TRAILER_LEN;
-        let data_start = (HEADER_LEN + DESC_CAP as u64) as usize;
+        let data_start = store.chain_layout(c).unwrap().0 as usize;
         bytes[data_start + slot + 3] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
 
@@ -1244,7 +1305,7 @@ mod tests {
         let path = store.chain_path(c.0);
         let mut bytes = std::fs::read(&path).unwrap();
         let slot = 32 + PAGE_TRAILER_LEN;
-        let data_start = (HEADER_LEN + DESC_CAP as u64) as usize;
+        let data_start = store.chain_layout(c).unwrap().0 as usize;
         bytes[data_start + 2 * slot + 7] ^= 0x10;
         std::fs::write(&path, &bytes).unwrap();
 

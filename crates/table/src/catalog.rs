@@ -26,7 +26,7 @@ use payg_core::meta::{MetaReader, MetaWriter};
 use payg_core::{CoreError, PageConfig, Value};
 use payg_storage::{BufferPool, ChainId, PageKey, StorageError};
 
-const CATALOG_MAGIC: &[u8; 8] = b"PAYGCAT3";
+const CATALOG_MAGIC: &[u8; 8] = b"PAYGCAT4";
 
 fn corrupt(what: &str) -> TableError {
     TableError::Core(CoreError::Storage(StorageError::corrupt(format!("catalog: {what}"))))
@@ -329,13 +329,20 @@ mod tests {
         let pool = BufferPool::new(Arc::new(MemStore::new()), ResourceManager::new());
         let catalog = aged_table(&pool).checkpoint().unwrap();
         let store = pool.store();
-        // The previous format (`PAYGCAT2`: dictionary metadata without a
-        // layout tag) is refused by its version byte, never parsed.
+        // The previous formats (`PAYGCAT2`: dictionary metadata without a
+        // layout tag; `PAYGCAT3`: every column with a data vector and both
+        // string helper chains) are refused by their version byte, never
+        // parsed.
         for (header, expected) in [
             (
                 b"PAYGCAT2",
-                "catalog: checkpoint is version 2, this build reads only version 3: open it \
+                "catalog: checkpoint is version 2, this build reads only version 4: open it \
                  with a build that reads version 2",
+            ),
+            (
+                b"PAYGCAT3",
+                "catalog: checkpoint is version 3, this build reads only version 4: open it \
+                 with a build that reads version 3",
             ),
             (b"NOTMAGIC", "catalog: bad magic"),
         ] {

@@ -29,7 +29,10 @@ fn paged_table(indexed: bool, rows: i64) -> Table {
         vec![PartitionSpec::single(LoadPolicy::PageLoadable)],
     )
     .unwrap();
-    for i in 0..rows {
+    // In order but for the last two ids, swapped: a key whose rows ascend
+    // would be stored as its dictionary alone, and these plans read its
+    // data vector and postings.
+    for i in (0..rows - 2).chain([rows - 1, rows - 2]) {
         t.insert(vec![Value::Integer(i), Value::Varchar(format!("region-{}", i % 5))]).unwrap();
     }
     t.delta_merge_all().unwrap();
@@ -68,8 +71,8 @@ fn warm_point_and_scan(t: &Table) -> (Query, Query) {
 fn cold_scan_reports_plan_actuals_and_spans() {
     let t = paged_table(false, 600);
     // Unindexed range filter: a data-vector scan on the query's thread. `id`
-    // is inserted in order, so page summaries prune every non-overlapping
-    // page.
+    // is inserted (nearly) in order, so page summaries prune every
+    // non-overlapping page.
     let q = Query::filtered(
         "id",
         ValuePredicate::Between(Value::Integer(100), Value::Integer(140)),
@@ -292,7 +295,8 @@ fn traced_q_pk_num_attributes_its_two_pins_to_data_and_dict() {
         vec![PartitionSpec::single(LoadPolicy::PageLoadable)],
     )
     .unwrap();
-    for i in 0..600i64 {
+    // The last two ids swapped, so `id` keeps its data vector and index.
+    for i in (0..598i64).chain([599, 598]) {
         t.insert(vec![
             Value::Integer(i),
             Value::Integer(i * 7 % 500),

@@ -139,7 +139,9 @@ fn kill_sweep(
     let row = if cold { cold_order } else { order };
     let (t, store, _resman) = faulty_table();
     let mut rows: i64 = 0;
-    for i in 0..60 {
+    // Descending: no column's rows are their own identifiers, so every
+    // column keeps a data vector for the merge to read and write.
+    for i in (0..60).rev() {
         t.insert(row(i)).unwrap();
         rows += 1;
     }

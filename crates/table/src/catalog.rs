@@ -127,6 +127,7 @@ impl Table {
         for piece in framed.chunks(page_size) {
             store.append_page(chain, piece).map_err(CoreError::Storage)?;
         }
+        self.name_durable_chains(&parts);
         Ok(chain)
     }
 

@@ -111,6 +111,11 @@ impl MainFragment {
         &self.columns
     }
 
+    /// The ids of every page chain the columns own.
+    pub(crate) fn chains(&self) -> Vec<u64> {
+        self.columns.iter().flat_map(|c| c.chains().into_iter().map(|(_, id)| id)).collect()
+    }
+
     /// One column.
     pub fn column(&self, idx: usize) -> &Column {
         &self.columns[idx]

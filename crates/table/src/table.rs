@@ -13,8 +13,8 @@ use crate::fragment::MainFragment;
 use crate::partition::{PartitionId, PartitionSpec};
 use crate::schema::{Row, Schema};
 use crate::version::{
-    DeltaCell, DeltaCellState, MainHandle, Partition, PartitionVersion, TableVersion,
-    VersionChain,
+    DeltaCell, DeltaCellState, DurableChains, MainHandle, Partition, PartitionVersion,
+    TableVersion, VersionChain,
 };
 use crate::{TableError, TableResult};
 use payg_core::{EncodedRows, KeyPredicate, PageConfig, Value, ValuePredicate};
@@ -34,6 +34,9 @@ pub struct Table {
     merge_locks: Vec<Arc<Mutex<()>>>,
     versions_live: Gauge,
     merge_ns: Histogram,
+    /// The chains the newest catalog names, kept past the merges that
+    /// replace their fragments.
+    durable: Arc<DurableChains>,
 }
 
 /// A read session pinned to one table version (`Table::session()`).
@@ -105,6 +108,7 @@ impl Table {
             merge_locks: Vec::new(),
             versions_live,
             merge_ns,
+            durable: Arc::default(),
         };
         for spec in specs {
             table.add_partition(spec)?;
@@ -340,10 +344,10 @@ impl Table {
         // unless a snapshot still pins it).
         let publish_span = self.registry().tracer().span(SpanKind::MergePublish, pid.0 as u64);
         let live = self.versions_live.clone();
-        let pool = self.pool.clone();
+        let (pool, durable) = (self.pool.clone(), Arc::clone(&self.durable));
         self.chain.publish(move |cur| {
             let pv = &cur.partitions[pid.0];
-            pv.main.schedule_retire(&pool);
+            pv.main.schedule_retire(&pool, &durable);
             let mut parts: Vec<PartitionVersion> =
                 cur.partitions.iter().map(|p| p.share()).collect();
             let main = MainHandle::new(new_main);
@@ -579,7 +583,7 @@ impl Table {
                 active: Arc::new(DeltaCell::new(&schema)),
             })
             .collect();
-        Table {
+        let table = Table {
             chain: VersionChain::new(TableVersion::new(0, partitions, versions_live.clone())),
             schema,
             pool,
@@ -587,7 +591,19 @@ impl Table {
             merge_locks,
             versions_live,
             merge_ns,
-        }
+            durable: Arc::default(),
+        };
+        table.name_durable_chains(&table.partitions());
+        table
+    }
+
+    /// Records the chains of `parts`' main fragments as the ones the newest
+    /// catalog names — the one just written from them, or opened — and
+    /// drops the parked chains it no longer names. `parts` pins those
+    /// fragments, so none of them retires before it is named.
+    pub(crate) fn name_durable_chains(&self, parts: &[Partition]) {
+        let named = parts.iter().flat_map(|p| p.main_frag().chains()).collect();
+        self.durable.name(&self.pool, named);
     }
 
     /// The table's page configuration.

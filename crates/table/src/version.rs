@@ -37,6 +37,7 @@ use crate::{TableError, TableResult};
 use payg_core::{KeyPredicate, KeyRange};
 use payg_obs::Gauge;
 use payg_storage::{BufferPool, ChainId};
+use std::collections::HashSet;
 use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock};
 
@@ -79,18 +80,71 @@ impl DeltaCell {
     }
 }
 
+/// The chains named by the newest catalog the table wrote or opened, and
+/// the chains of replaced fragments that catalog still needed. A replaced
+/// fragment's chains are dropped once its last snapshot goes — except the
+/// ones that catalog names: those are parked until a newer checkpoint no
+/// longer names them, so the catalog reopens after any number of merges.
+#[derive(Default)]
+pub(crate) struct DurableChains {
+    state: Mutex<DurableState>,
+}
+
+#[derive(Default)]
+struct DurableState {
+    named: HashSet<u64>,
+    parked: Vec<u64>,
+}
+
+impl DurableChains {
+    fn lock(&self) -> MutexGuard<'_, DurableState> {
+        match self.state.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
+    /// Records `named` as the chains of the newest catalog and drops every
+    /// parked chain it no longer names.
+    pub(crate) fn name(&self, pool: &BufferPool, named: HashSet<u64>) {
+        let mut st = self.lock();
+        let parked = std::mem::take(&mut st.parked);
+        let (keep, drop): (Vec<u64>, Vec<u64>) = parked.into_iter().partition(|c| named.contains(c));
+        st.named = named;
+        st.parked = keep;
+        for chain in drop {
+            pool.discard_chain(ChainId(chain));
+        }
+    }
+
+    /// Retires the chains of a fragment no snapshot can reach any more:
+    /// parks those the newest catalog names and drops the rest.
+    fn retire(&self, pool: &BufferPool, chains: Vec<u64>) {
+        let mut st = self.lock();
+        for chain in chains {
+            if st.named.contains(&chain) {
+                st.parked.push(chain);
+            } else {
+                pool.discard_chain(ChainId(chain));
+            }
+        }
+    }
+}
+
 /// The retirement plan attached to a main fragment once a merge replaces it:
-/// every page chain the fragment owns, to be discarded when the last
-/// snapshot drops.
+/// every page chain the fragment owns, retired through the table's
+/// [`DurableChains`] when the last snapshot drops.
 struct RetirePlan {
     pool: BufferPool,
+    durable: Arc<DurableChains>,
     chains: Vec<u64>,
 }
 
 /// A main fragment plus its deferred retirement. Versions and snapshots
 /// share the handle via `Arc`; the strong count is the epoch — when it
 /// reaches zero no scan can ever pin the fragment's pages again, so `Drop`
-/// discards the chains from the pool and the backing store.
+/// retires the chains: parked while the newest catalog names them,
+/// discarded from the pool and the backing store otherwise.
 pub(crate) struct MainHandle {
     frag: MainFragment,
     retire: OnceLock<RetirePlan>,
@@ -105,27 +159,22 @@ impl MainHandle {
         &self.frag
     }
 
-    /// Flags this fragment's chains for discard-on-last-drop. Called by the
-    /// merge publish step, exactly once, after the replacement version is
-    /// live. Restored (catalog) fragments whose chains outlive the process
-    /// are simply never flagged.
-    pub(crate) fn schedule_retire(&self, pool: &BufferPool) {
-        let chains = self
-            .frag
-            .columns()
-            .iter()
-            .flat_map(|c| c.chains().into_iter().map(|(_, id)| id))
-            .collect();
-        let _ = self.retire.set(RetirePlan { pool: pool.clone(), chains });
+    /// Flags this fragment's chains for retirement on the last drop. Called
+    /// by the merge publish step, exactly once, after the replacement
+    /// version is live — for every replaced fragment, restored (catalog)
+    /// ones included: chains a catalog still names are parked by `durable`
+    /// rather than dropped.
+    pub(crate) fn schedule_retire(&self, pool: &BufferPool, durable: &Arc<DurableChains>) {
+        let chains = self.frag.chains();
+        let plan = RetirePlan { pool: pool.clone(), durable: Arc::clone(durable), chains };
+        let _ = self.retire.set(plan);
     }
 }
 
 impl Drop for MainHandle {
     fn drop(&mut self) {
         if let Some(plan) = self.retire.take() {
-            for chain in plan.chains {
-                plan.pool.discard_chain(ChainId(chain));
-            }
+            plan.durable.retire(&plan.pool, plan.chains);
         }
     }
 }

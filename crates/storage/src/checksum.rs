@@ -9,10 +9,13 @@
 //! [`ChecksumMismatch`](crate::StorageError::ChecksumMismatch) instead of
 //! silently corrupt scan results.
 //!
-//! Page checksums are **keyed by page number**: the digest covers the
-//! little-endian page number followed by the payload. A page written to the
-//! wrong slot (a misdirected write) therefore fails verification even when
-//! its bytes are individually intact.
+//! Page checksums are **keyed by chain and page number**: the digest covers
+//! the little-endian chain id and page number followed by the payload. A
+//! page written to the wrong slot or into another chain's file (a
+//! misdirected write) therefore fails verification even when its bytes are
+//! individually intact.
+
+use crate::page::PageKey;
 
 /// Slicing-by-16 tables: `TABLES[0]` is the bytewise table, and
 /// `TABLES[k][i]` is byte `i`'s remainder advanced by `k` more zero bytes,
@@ -111,12 +114,14 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     c.finish()
 }
 
-/// The checksum persisted with a page: CRC-32 over the little-endian page
-/// number followed by the payload (padded to the slot's full page size by
-/// the store before hashing, so re-verification needs no length metadata).
-pub fn page_checksum(page_no: u64, payload: &[u8]) -> u32 {
+/// The checksum persisted with a page: CRC-32 over the little-endian chain
+/// id and page number of `key` followed by the payload (padded to the
+/// slot's full page size by the store before hashing, so re-verification
+/// needs no length metadata).
+pub fn page_checksum(key: PageKey, payload: &[u8]) -> u32 {
     let mut c = Crc32::new();
-    c.update(&page_no.to_le_bytes());
+    c.update(&key.chain.0.to_le_bytes());
+    c.update(&key.page_no.to_le_bytes());
     c.update(payload);
     c.finish()
 }
@@ -124,6 +129,7 @@ pub fn page_checksum(page_no: u64, payload: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::ChainId;
 
     #[test]
     fn matches_the_ieee_reference_vector() {
@@ -184,20 +190,23 @@ mod tests {
     }
 
     #[test]
-    fn page_checksum_is_keyed_by_page_number() {
+    fn page_checksum_is_keyed_by_chain_and_page_number() {
         let payload = vec![0xAB; 64];
-        assert_ne!(page_checksum(0, &payload), page_checksum(1, &payload));
-        assert_eq!(page_checksum(3, &payload), page_checksum(3, &payload));
+        let key = |chain, page_no| PageKey::new(ChainId(chain), page_no);
+        assert_ne!(page_checksum(key(0, 0), &payload), page_checksum(key(0, 1), &payload));
+        assert_ne!(page_checksum(key(0, 3), &payload), page_checksum(key(1, 3), &payload));
+        assert_eq!(page_checksum(key(2, 3), &payload), page_checksum(key(2, 3), &payload));
     }
 
     #[test]
     fn single_bit_flips_change_the_digest() {
         let payload = vec![0u8; 256];
-        let base = page_checksum(0, &payload);
+        let key = PageKey::new(ChainId(0), 0);
+        let base = page_checksum(key, &payload);
         for bit in [0usize, 7, 1000, 2047] {
             let mut flipped = payload.clone();
             flipped[bit / 8] ^= 1 << (bit % 8);
-            assert_ne!(page_checksum(0, &flipped), base, "bit {bit} went undetected");
+            assert_ne!(page_checksum(key, &flipped), base, "bit {bit} went undetected");
         }
     }
 }

@@ -181,16 +181,17 @@ const HEADER_LEN: u64 = 24; // magic(8) + page_size(4) + format(4) + desc_cap(4)
 /// this magic, read first so a foreign format is named rather than guessed.
 const FORMAT_END: u64 = 16;
 
-/// The one chain-file layout this build reads and writes: checksummed page
-/// slots behind a chain descriptor region (opaque codec metadata) that sits
-/// between the header and slot 0. The header records the region's capacity:
-/// a new chain's region is empty and is sized to the descriptor set before
-/// its first page, while files that reserved a fixed region read the same
-/// way.
-const FORMAT: u32 = 2;
+/// The one chain-file layout this build reads and writes: page slots
+/// checksummed by chain and page number behind a chain descriptor region
+/// (opaque codec metadata) that sits between the header and slot 0. The
+/// header records the region's capacity: a new chain's region is empty and
+/// is sized to the descriptor set before its first page, while files that
+/// reserved a fixed region read the same way. Format 2 had the same layout
+/// with checksums keyed by page number alone.
+const FORMAT: u32 = 3;
 
-/// Per-page trailer: CRC-32 of the little-endian page number + padded
-/// payload (4 bytes, LE), then 4 reserved zero bytes.
+/// Per-page trailer: CRC-32 of the little-endian chain id and page number +
+/// padded payload (4 bytes, LE), then 4 reserved zero bytes.
 const PAGE_TRAILER_LEN: usize = 8;
 
 struct ChainFile {
@@ -281,8 +282,8 @@ impl FileStore {
                     12,
                     format!(
                         "chain file is format {format}, this build reads only format {FORMAT} \
-                         (checksummed page slots behind a descriptor region): rewrite the \
-                         chain with a build that reads format {format}"
+                         (page slots checksummed by chain and page behind a descriptor \
+                         region): rewrite the chain with a build that reads format {format}"
                     ),
                 ));
             }
@@ -346,7 +347,7 @@ impl FileStore {
             slot[c.page_size + 2],
             slot[c.page_size + 3],
         ]);
-        let computed = page_checksum(key.page_no, &slot[..c.page_size]);
+        let computed = page_checksum(key, &slot[..c.page_size]);
         if stored != computed {
             return Err(StorageError::ChecksumMismatch { key, stored, computed });
         }
@@ -406,7 +407,7 @@ impl PageStore for FileStore {
         // on the next read.
         let mut slot = vec![0u8; c.slot_len() as usize];
         slot[..payload.len()].copy_from_slice(payload);
-        let crc = page_checksum(c.len, &slot[..c.page_size]);
+        let crc = page_checksum(PageKey::new(chain, c.len), &slot[..c.page_size]);
         slot[c.page_size..c.page_size + 4].copy_from_slice(&crc.to_le_bytes());
         let offset = c.data_start() + c.len * c.slot_len();
         c.file.seek(SeekFrom::Start(offset))?;
@@ -922,14 +923,14 @@ impl<S: PageStore> PageStore for FaultyStore<S> {
                 // stored digest covers the clean bytes, the recomputed one
                 // covers what "came off the platter".
                 let page = self.inner.read_page(key)?;
-                let stored = page_checksum(key.page_no, &page);
+                let stored = page_checksum(key, &page);
                 let mut rotted = page.into_vec();
                 let bits = (rotted.len() * 8).max(1);
                 let bit = (entropy as usize) % bits;
                 if !rotted.is_empty() {
                     rotted[bit / 8] ^= 1 << (bit % 8);
                 }
-                let computed = page_checksum(key.page_no, &rotted);
+                let computed = page_checksum(key, &rotted);
                 Err(StorageError::ChecksumMismatch { key, stored, computed })
             }
         }
@@ -1094,7 +1095,7 @@ mod tests {
         bytes.extend_from_slice(&region);
         let mut slot = vec![0u8; 32 + PAGE_TRAILER_LEN];
         slot[..page.len()].copy_from_slice(page);
-        let crc = page_checksum(0, &slot[..32]);
+        let crc = page_checksum(PageKey::new(ChainId(7), 0), &slot[..32]);
         slot[32..36].copy_from_slice(&crc.to_le_bytes());
         bytes.extend_from_slice(&slot);
         std::fs::write(dir.join("chain_0000000000000007.pg"), &bytes).unwrap();
@@ -1111,6 +1112,40 @@ mod tests {
         assert_eq!(store.chain_descriptor(c).unwrap(), vec![7u8; 2_000]);
         assert_eq!(&store.read_page(PageKey::new(c, 0)).unwrap()[..page.len()], page);
         assert_eq!(&store.read_page(PageKey::new(c, 1)).unwrap()[..6], b"second");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Page 0 of one chain file copied over page 0 of another, with its own
+    /// valid trailer, is refused as a checksum mismatch: the CRC binds the
+    /// chain as well as the page number.
+    #[test]
+    fn a_page_swapped_in_from_another_chain_fails_its_checksum() {
+        let dir = std::env::temp_dir().join(format!("payg-swap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = FileStore::open(&dir).unwrap();
+        let (a, b) = (store.create_chain(32).unwrap(), store.create_chain(32).unwrap());
+        store.append_page(a, b"page zero of chain a").unwrap();
+        store.append_page(b, b"page zero of chain b").unwrap();
+        let (start, slot) = store.chain_layout(a).unwrap();
+        assert_eq!(store.chain_layout(b).unwrap(), (start, slot));
+        drop(store);
+        let path = |c: ChainId| dir.join(format!("chain_{:016x}.pg", c.0));
+        let (mut fa, mut fb) = (std::fs::read(path(a)).unwrap(), std::fs::read(path(b)).unwrap());
+        let range = start as usize..(start + slot) as usize;
+        let slot_a = fa[range.clone()].to_vec();
+        fa[range.clone()].copy_from_slice(&fb[range.clone()]);
+        fb[range].copy_from_slice(&slot_a);
+        std::fs::write(path(a), &fa).unwrap();
+        std::fs::write(path(b), &fb).unwrap();
+
+        let store = FileStore::open(&dir).unwrap();
+        for c in [a, b] {
+            let key = PageKey::new(c, 0);
+            match store.read_page(key) {
+                Err(StorageError::ChecksumMismatch { key: k, .. }) => assert_eq!(k, key),
+                other => panic!("chain {c:?} read another chain's page as its own: {other:?}"),
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1178,7 +1213,7 @@ mod tests {
         expect(&zero_ps, 8, "zero page size");
         let mut bad_fmt = good.clone();
         bad_fmt[12..16].copy_from_slice(&9u32.to_le_bytes());
-        expect(&bad_fmt, 12, "is format 9, this build reads only format 2");
+        expect(&bad_fmt, 12, "is format 9, this build reads only format 3");
 
         expect(&good, 16, "shorter than"); // missing desc_cap/desc_len
         let mut bad_desc_len = good.clone();
@@ -1237,14 +1272,15 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Chain files of the retired formats — 0 (raw slots) and 1 (checksummed,
-    /// no descriptor region) — are refused at open with the format found and
-    /// the one this build reads: no header field can switch CRC verification
-    /// off, so their bytes are never served.
+    /// Chain files of the retired formats — 0 (raw slots), 1 (checksummed,
+    /// no descriptor region) and 2 (checksums keyed by page number alone) —
+    /// are refused at open with the format found and the one this build
+    /// reads: no header field can switch CRC verification off, so their
+    /// bytes are never served.
     #[test]
     fn file_store_refuses_foreign_format_files() {
         let dir = std::env::temp_dir().join(format!("payg-foreign-{}", std::process::id()));
-        for format in [0u32, 1] {
+        for format in [0u32, 1, 2] {
             let _ = std::fs::remove_dir_all(&dir);
             std::fs::create_dir_all(&dir).unwrap();
             let mut bytes = Vec::new();
@@ -1258,7 +1294,7 @@ mod tests {
                 Err(StorageError::CorruptFile { path: got, offset: 12, detail }) => {
                     assert_eq!(got, path);
                     assert!(detail.contains(&format!("is format {format}")), "{detail}");
-                    assert!(detail.contains("reads only format 2"), "{detail}");
+                    assert!(detail.contains("reads only format 3"), "{detail}");
                 }
                 other => panic!("format {format}: expected CorruptFile at offset 12, got {other:?}"),
             }

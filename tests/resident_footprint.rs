@@ -19,7 +19,7 @@ use page_as_you_go::core::{
 };
 use page_as_you_go::encoding::BitPackedVec;
 use page_as_you_go::resman::ResourceManager;
-use page_as_you_go::storage::{BufferPool, FileStore, MemStore, PageStore};
+use page_as_you_go::storage::{BufferPool, ChainId, FileStore, MemStore, PageStore};
 use page_as_you_go::table::{
     ColumnSpec, PartitionSpec, Projection, Query, QueryResult, Row, Schema, Table,
 };
@@ -143,7 +143,6 @@ fn benchmark_key(i: u64) -> String {
 
 #[test]
 fn resident_dictionary_is_front_coded() {
-    const ROWS: u64 = 100_000;
     // Unique, inserted in scattered order.
     let values: Vec<Value> =
         (0..ROWS).map(|i| Value::Varchar(benchmark_key((i * 7_919) % ROWS))).collect();
@@ -200,6 +199,83 @@ fn resident_dictionary_is_front_coded() {
     }
 }
 
+/// The benchmark's key column: `ROWS` benchmark-shaped keys inserted in
+/// ascending order, beside a plant and a quantity column.
+fn benchmark_rows() -> Vec<Row> {
+    (0..ROWS)
+        .map(|i| {
+            vec![
+                Value::Varchar(benchmark_key(i)),
+                Value::Varchar(format!("plant-{:02}", i * 7 % 37)),
+                Value::Integer((i * 7_919 % 1_000) as i64),
+            ]
+        })
+        .collect()
+}
+
+const ROWS: u64 = 100_000;
+
+/// Inserts `model` into a fully resident table keyed by its first column on
+/// a `FileStore` in `dir`, merges and checkpoints it; returns the catalog.
+fn checkpointed_key_table(dir: &std::path::Path, model: &[Row]) -> ChainId {
+    let _ = std::fs::remove_dir_all(dir);
+    let schema = Schema::new(vec![
+        ColumnSpec::indexed("material", DataType::Varchar),
+        ColumnSpec::new("plant", DataType::Varchar),
+        ColumnSpec::new("quantity", DataType::Integer),
+    ])
+    .unwrap()
+    .with_primary_key("material")
+    .unwrap();
+    let pool = BufferPool::new(Arc::new(FileStore::open(dir).unwrap()), ResourceManager::new());
+    let t = Table::create(
+        pool,
+        PageConfig::default(),
+        schema,
+        vec![PartitionSpec::single(LoadPolicy::FullyResident)],
+    )
+    .unwrap();
+    t.insert_all(model.iter().cloned()).unwrap();
+    t.delta_merge_all().unwrap();
+    t.checkpoint().unwrap()
+}
+
+/// The size gate of the benchmark's key dictionary: 100 000 benchmark-shaped
+/// keys, merged and checkpointed on a `FileStore`, store their `dict` chain
+/// in at most 5.5 bytes a key counting every page whole, and the resident
+/// image of the reopened key column registers at most 522 050 bytes.
+#[test]
+fn the_key_dictionary_fits_its_chain_and_image_bounds() {
+    let dir = std::env::temp_dir().join(format!("payg-key-dict-size-{}", std::process::id()));
+    let model = benchmark_rows();
+    let catalog = checkpointed_key_table(&dir, &model);
+
+    let resman = ResourceManager::new();
+    let store = Arc::new(FileStore::open(&dir).unwrap());
+    let pool = BufferPool::new(store.clone(), resman.clone());
+    let t = Table::open(pool, catalog).unwrap();
+    let session = t.session().unwrap();
+    let key = &session.partitions()[0].main().columns()[0];
+    let (_, dict) = key.chains().into_iter().find(|(role, _)| *role == "dict").unwrap();
+    let dict = ChainId(dict);
+    let chain_bytes = store.chain_len(dict).unwrap() * store.page_size(dict).unwrap() as u64;
+    assert!(
+        chain_bytes * 10 <= 55 * ROWS,
+        "the key's dict chain is {chain_bytes} B for {ROWS} keys: over 5.5 B a key"
+    );
+
+    let probe = ValuePredicate::Eq(model[4_217][0].clone());
+    let q = Query::filtered("material", probe, Projection::Count);
+    assert_eq!(session.execute(&q).unwrap(), QueryResult::Count(1));
+    let held = loaded_bytes(key).expect("the probe loaded the key column");
+    assert_eq!(resman.stats().total_bytes, held);
+    assert!(held <= 522_050, "the key column's image registers {held} B, over 522 050");
+
+    drop(session);
+    drop(t);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// The benchmark's key column after every merge: 100 000 benchmark-shaped
 /// keys inserted in ascending order into a fully resident table on a
 /// `FileStore`, merged, checkpointed and reopened. The first probe loads
@@ -209,42 +285,9 @@ fn resident_dictionary_is_front_coded() {
 /// reference executor's.
 #[test]
 fn a_key_stored_in_row_order_holds_and_stores_its_dictionary_alone() {
-    const ROWS: u64 = 100_000;
     let dir = std::env::temp_dir().join(format!("payg-row-order-key-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let schema = Schema::new(vec![
-        ColumnSpec::indexed("material", DataType::Varchar),
-        ColumnSpec::new("plant", DataType::Varchar),
-        ColumnSpec::new("quantity", DataType::Integer),
-    ])
-    .unwrap()
-    .with_primary_key("material")
-    .unwrap();
-    let model: Vec<Row> = (0..ROWS)
-        .map(|i| {
-            vec![
-                Value::Varchar(benchmark_key(i)),
-                Value::Varchar(format!("plant-{:02}", i * 7 % 37)),
-                Value::Integer((i * 7_919 % 1_000) as i64),
-            ]
-        })
-        .collect();
-
-    // "First process": insert in key order, merge, checkpoint.
-    let catalog = {
-        let pool =
-            BufferPool::new(Arc::new(FileStore::open(&dir).unwrap()), ResourceManager::new());
-        let t = Table::create(
-            pool,
-            PageConfig::default(),
-            schema,
-            vec![PartitionSpec::single(LoadPolicy::FullyResident)],
-        )
-        .unwrap();
-        t.insert_all(model.iter().cloned()).unwrap();
-        t.delta_merge_all().unwrap();
-        t.checkpoint().unwrap()
-    };
+    let model = benchmark_rows();
+    let catalog = checkpointed_key_table(&dir, &model);
 
     // "Second process": the key column stores its dictionary chains alone,
     // and the store holds nothing but the columns' chains and the catalog.

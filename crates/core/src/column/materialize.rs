@@ -299,7 +299,7 @@ impl Scratch {
                 *vid = c.vid_at(&image, rpos)?;
             }
             ranks.rank(j);
-            let mut keys = image.dict().cursor(&mut plan.raw);
+            let mut keys = image.dict().keys(&mut plan.raw);
             for k in 0..ranks.lens[j] {
                 ranks.put(out, j, k, c.value_of(&mut keys, ranks.distinct[j * n + k])?);
             }

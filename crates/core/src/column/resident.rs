@@ -4,7 +4,7 @@ use crate::column::materialize::{count_runs, get_values, Source};
 use crate::column::paged::{identity_count, identity_rows, ColumnParts, StoredRows};
 use crate::column::read::ColumnRead;
 use crate::column::EncodedRows;
-use crate::dict::{FrontCodedDict, KeyCursor};
+use crate::dict::{BlockDict, BlockKeys};
 use crate::invidx::{for_each_run, InMemoryInvertedIndex};
 use crate::sync::{LockRank, Mutex};
 use crate::{CoreError, CoreResult, DataType, KeyPredicate, Value, ValuePredicate};
@@ -17,7 +17,7 @@ use std::sync::Arc;
 /// The contiguous in-memory image of a loaded column.
 pub(crate) struct Image {
     rows: ImageRows,
-    dict: FrontCodedDict,
+    dict: BlockDict,
 }
 
 /// How the image maps rows to identifiers: as the column stores them.
@@ -31,8 +31,8 @@ enum ImageRows {
 }
 
 impl Image {
-    /// The dictionary, front-coded.
-    pub(crate) fn dict(&self) -> &FrontCodedDict {
+    /// The dictionary, as the chain's value blocks.
+    pub(crate) fn dict(&self) -> &BlockDict {
         &self.dict
     }
 
@@ -102,7 +102,7 @@ impl ResidentColumn {
                 ImageRows::Plain { data, index }
             }
         };
-        let dict = self.parts.dict.front_coded_all_direct()?;
+        let dict = self.parts.dict.blocks_all_direct()?;
         let image = Arc::new(Image { rows, dict });
         let state_weak = Arc::downgrade(&self.state);
         let resman = self.parts.pool.resource_manager();
@@ -174,13 +174,13 @@ impl ResidentColumn {
         })
     }
 
-    /// The value identifier `vid` encodes, decoded by `keys`, a cursor over
+    /// The value identifier `vid` encodes, decoded by `keys`, a reader of
     /// the image's dictionary: ascending identifiers walk each block once.
-    pub(crate) fn value_of(&self, keys: &mut KeyCursor<'_>, vid: u64) -> CoreResult<Value> {
+    pub(crate) fn value_of(&self, keys: &mut BlockKeys<'_>, vid: u64) -> CoreResult<Value> {
         if vid >= self.parts.cardinality {
             return Err(CoreError::VidOutOfBounds { vid, cardinality: self.parts.cardinality });
         }
-        Value::from_key(self.parts.data_type, keys.key(vid))
+        Value::from_key(self.parts.data_type, keys.key(vid)?)
     }
 
     /// The identifier at every row of `rposs`, in that order.
@@ -189,7 +189,7 @@ impl ResidentColumn {
     }
 
     fn vid_set_from_image(&self, image: &Image, pred: &KeyPredicate) -> CoreResult<VidSet> {
-        self.parts.vid_set(pred, |key| Ok(image.dict.find(key)))
+        self.parts.vid_set(pred, |key| image.dict.find(key))
     }
 
     /// The rows in `from..to` (already checked) whose identifier is in `set`,
@@ -257,7 +257,7 @@ impl ColumnRead for ResidentColumn {
     fn values_by_vid(&self, vids: &[u64]) -> CoreResult<Vec<Value>> {
         let image = self.image()?;
         let mut buf = Vec::new();
-        let mut keys = image.dict.cursor(&mut buf);
+        let mut keys = image.dict.keys(&mut buf);
         vids.iter().map(|&vid| self.value_of(&mut keys, vid)).collect()
     }
 

@@ -6,9 +6,10 @@
 //! [`crate::value::Value::to_key`]), so one ordering — `memcmp` — serves
 //! all column types.
 //!
-//! * [`FrontCodedDict`] is a default (fully resident) column's dictionary:
-//!   the sorted keys front-coded in blocks of [`FRONT_CODED_BLOCK`], the
-//!   block heads binary-searched, one block walked.
+//! * [`BlockDict`] is a default (fully resident) column's dictionary: the
+//!   sorted keys in the dictionary chain's front-coded value blocks, the
+//!   blocks bisected by their first key, one block walked by the same
+//!   reader the chain's pages use.
 //! * [`InMemoryDict`] is the builders' and merges' transient: the sorted
 //!   keys in one byte arena with an end offset per key, binary-searched, so
 //!   every key is a borrowed slice.
@@ -25,13 +26,13 @@
 //!   arithmetic.
 
 mod array;
-mod front_coded;
+mod blocks;
 mod in_memory;
 mod paged;
 mod unsorted;
 
-pub(crate) use front_coded::FrontCodedBuilder;
-pub use front_coded::{FrontCodedDict, KeyCursor, FRONT_CODED_BLOCK};
+pub(crate) use blocks::BlockDictBuilder;
+pub use blocks::{BlockDict, BlockKeys};
 pub use in_memory::InMemoryDict;
 pub(crate) use paged::{append_piece, Layout};
 pub use paged::{DictLookup, HandleCache, PagedDictBuildStats, PagedDictionary};

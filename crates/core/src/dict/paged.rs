@@ -46,11 +46,11 @@
 //! separators: the same search runs on them without a table.
 
 use super::array::ArrayPages;
-use super::{FrontCodedBuilder, FrontCodedDict, InMemoryDict};
+use super::{BlockDict, BlockDictBuilder, InMemoryDict};
 use crate::{CoreError, CoreResult, DataType, PageConfig};
 use payg_encoding::dispatch::{ChainCodec, CodecKind};
 use payg_encoding::fsst::SymbolTable;
-use payg_encoding::prefix::{OverflowRef, ValueBlockBuilder, ValueBlockView, BLOCK_CAP};
+use payg_encoding::prefix::{entry_len, BlockRun, OverflowRef, ValueBlockBuilder, ValueBlockView, BLOCK_CAP};
 use payg_encoding::EncodingError;
 use payg_obs::names;
 use payg_storage::{BufferPool, ChainRef, PageGuard, PageKey, PageMap, PageStore, StorageError};
@@ -187,7 +187,12 @@ pub(crate) struct DictPageView<'a> {
     dict_page: u64,
 }
 
-impl DictPageView<'_> {
+impl<'a> DictPageView<'a> {
+    /// The page's blocks.
+    fn run(&self) -> BlockRun<'a> {
+        BlockRun::new(self.guard, &self.transient.offsets)
+    }
+
     /// Reads the on-page part of `vid`'s (possibly FSST-compressed) key
     /// into `acc` (cleared first). Returns the pointers to the entry's
     /// off-page pieces — which the caller fetches and appends in order with
@@ -210,7 +215,7 @@ impl DictPageView<'_> {
                 self.dict_page
             ))));
         }
-        let block = ValueBlockView::parse(&self.guard[t.offsets[block_no] as usize..])?;
+        let block = self.run().block(block_no)?;
         if slot >= block.len() {
             return Err(CoreError::Storage(StorageError::corrupt(format!(
                 "vid {vid} maps to slot {slot} of a {}-entry block",
@@ -741,8 +746,9 @@ impl Blocks {
         for p in 0..self.dict_pages {
             let page = store.read_page(self.dict_page_key(p))?;
             let (t, _) = PageTransient::parse(&page)?;
-            for &off in &t.offsets {
-                let mut walk = ValueBlockView::parse(&page[off as usize..])?.walk();
+            let run = BlockRun::new(&page, &t.offsets);
+            for b in 0..run.blocks() {
+                let mut walk = run.block(b)?.walk();
                 while let Some(entry) = walk.next_into(&mut acc)? {
                     for r in entry.offpage_refs() {
                         append_piece(&mut acc, &r, &store.read_page(self.overflow_key(&r))?)?;
@@ -762,11 +768,9 @@ impl Blocks {
     }
 
     /// Finds the block and in-block position of the first entry `>= key` on
-    /// a page — helper page or dictionary page: binary search over blocks by
-    /// their first entry, compared where it lies, then the block's own
-    /// search. Returns `(block_no, Ok(slot))` on an exact hit and
-    /// `(block_no, Err(slot))` for the insertion point. `table` is the
-    /// symbol table when the page's entries are FSST-compressed.
+    /// a page — helper page or dictionary page — by the block run's search
+    /// ([`BlockRun::lower_bound`]). `table` is the symbol table when the
+    /// page's entries are FSST-compressed.
     fn lower_bound_on_page(
         &self,
         page: &PageGuard,
@@ -775,28 +779,10 @@ impl Blocks {
         table: Option<&SymbolTable>,
         cache: &mut HandleCache,
     ) -> CoreResult<(usize, Result<usize, usize>)> {
-        let block_at = |no: usize| ValueBlockView::parse(&page[t.offsets[no] as usize..]);
+        let run = BlockRun::new(page, &t.offsets);
         let mut acc = std::mem::take(&mut cache.acc);
-        let found = self.with_overflow_fetch(cache, |fetch| {
-            // Rightmost block whose first entry is <= key.
-            let mut lo = 0usize;
-            let mut hi = t.offsets.len(); // exclusive
-            while hi - lo > 1 {
-                let mid = (lo + hi) / 2;
-                match block_at(mid)?.cmp_first(key, table, &mut acc, fetch)? {
-                    std::cmp::Ordering::Less => lo = mid,
-                    std::cmp::Ordering::Equal => return Ok((mid, Ok(0))),
-                    std::cmp::Ordering::Greater => hi = mid,
-                }
-            }
-            let block = block_at(lo)?;
-            Ok(match block.lower_bound(key, table, &mut acc, fetch)? {
-                // Key falls past this block: insertion is the next block's
-                // first slot.
-                Err(i) if i == block.len() && lo + 1 < t.offsets.len() => (lo + 1, Err(0)),
-                pos => (lo, pos),
-            })
-        });
+        let found =
+            self.with_overflow_fetch(cache, |fetch| run.lower_bound(key, table, &mut acc, fetch));
         cache.acc = acc;
         found
     }
@@ -1042,10 +1028,10 @@ impl PagedDictionary {
         Ok(keys)
     }
 
-    /// The whole dictionary read directly from the store into the
-    /// front-coded form a default column's image holds, key by key.
-    pub fn front_coded_all_direct(&self) -> CoreResult<FrontCodedDict> {
-        let mut keys = FrontCodedBuilder::with_capacity(self.cardinality() as usize);
+    /// The whole dictionary read directly from the store into the value
+    /// blocks a default column's image holds, key by key.
+    pub fn blocks_all_direct(&self) -> CoreResult<BlockDict> {
+        let mut keys = BlockDictBuilder::with_capacity(self.cardinality() as usize);
         self.read_all_direct(|key| keys.push(key))?;
         Ok(keys.finish())
     }
@@ -1115,34 +1101,31 @@ fn choose_inline(
     block_budget: usize,
     config: &PageConfig,
 ) -> CoreResult<usize> {
-    const FIXED: usize = 7; // prefix_len + onpage_len + flags
-    const SPILL_FIXED: usize = 10; // nptr + total_len
-    const PTR: usize = 12;
-    const MIN_SPILLED: usize = 7 + 10 + 12; // inline-0, one-pointer entry
-    let suffix_len = b.next_suffix_len(key);
-    // Bytes already committed, including any restart-header growth this
-    // entry triggers (projected = committed + FIXED + suffix).
-    let committed = b.projected_len(key) - FIXED - suffix_len;
-    // Reserve one minimal spilled entry (plus a possible restart-offset
-    // slot) for every remaining block slot, so a large value early in the
-    // block can never starve the later ones.
+    // The largest entry with nothing on the page and one pointer: a prefix
+    // varint of up to five bytes.
+    const MAX_STUB: usize = 5 + 1 + 2 + 12 + 8;
+    let shared = b.next_shared(key);
+    let suffix_len = key.len() - shared;
+    // Reserve one stub entry for every remaining block slot, so a large
+    // value early in the block can never starve the later ones.
     let slots_after = BLOCK_CAP - 1 - b.len();
     let remaining = block_budget
-        .saturating_sub(committed)
-        .saturating_sub(slots_after * (MIN_SPILLED + 2));
+        .saturating_sub(b.byte_len())
+        .saturating_sub(slots_after * MAX_STUB);
     // Fully inline when the configured limit allows it and it fits.
-    if suffix_len <= config.inline_limit && FIXED + suffix_len <= remaining {
+    if suffix_len <= config.inline_limit && entry_len(shared, suffix_len, 0) <= remaining {
         return Ok(suffix_len.max(1));
     }
-    // Spill: entry costs FIXED + inline + SPILL_FIXED + PTR * nptr.
+    // Spill: the entry keeps `inline` bytes and points at the rest.
+    let stub = entry_len(shared, 0, 1);
     let mut inline = config
         .inline_limit
         .min(suffix_len.saturating_sub(1))
-        .min(remaining.saturating_sub(FIXED + SPILL_FIXED + PTR));
+        .min(remaining.saturating_sub(stub));
     loop {
         let tail = suffix_len - inline;
         let nptr = tail.div_ceil(config.overflow_page).max(1);
-        let need = FIXED + inline + SPILL_FIXED + PTR * nptr;
+        let need = entry_len(shared, inline, nptr);
         if need <= remaining {
             return Ok(inline);
         }
@@ -1292,7 +1275,7 @@ mod tests {
 
     #[test]
     fn roundtrip_small_pages_many_chains() {
-        let ks = keys(500);
+        let ks = keys(2_000);
         let (pool, dict, stats) = build(&ks, &PageConfig::tiny());
         assert!(stats.dict_pages > 3, "tiny pages must force a multi-page chain");
         assert!(stats.vid_helper_pages >= 1);
@@ -1714,7 +1697,7 @@ mod tests {
             assert_eq!(d.find(b"z", &mut cache).unwrap(), Err(12));
             assert_reads_back(d, &ks);
         }
-        let ks = keys(200);
+        let ks = keys(1_000);
         let (pool, dict, stats) = build(&ks, &PageConfig::tiny());
         assert!(stats.dict_pages > 1);
         assert_eq!(roles(&dict), ["dict", "dict-overflow", "dict-vid-helper", "dict-value-helper"]);

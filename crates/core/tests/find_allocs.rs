@@ -115,12 +115,12 @@ fn whole_chain_read_allocates_per_page_not_per_key() {
     assert_eq!(stats.overflow_pages, 0, "no spilled entries");
     let (arena, in_arena) = allocations(|| dict.materialize_all_direct().unwrap());
     assert!(ks.iter().enumerate().all(|(vid, k)| arena.key(vid as u64) == k.as_slice()));
-    let (front_coded, front_coded_n) = allocations(|| dict.front_coded_all_direct().unwrap());
-    assert!(ks.iter().enumerate().all(|(vid, k)| front_coded.find(k) == Ok(vid as u64)));
+    let (blocks, in_blocks) = allocations(|| dict.blocks_all_direct().unwrap());
+    assert!(ks.iter().enumerate().all(|(vid, k)| blocks.find(k).unwrap() == Ok(vid as u64)));
     assert!(
-        in_arena < ks.len() / 8 && front_coded_n < ks.len() / 8,
+        in_arena < ks.len() / 8 && in_blocks < ks.len() / 8,
         "allocations reading {} keys ({} pages): materialize_all_direct {in_arena}, \
-         front_coded_all_direct {front_coded_n}",
+         blocks_all_direct {in_blocks}",
         ks.len(),
         stats.dict_pages
     );

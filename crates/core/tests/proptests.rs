@@ -3,13 +3,12 @@
 
 use payg_core::column::ColumnRead;
 use payg_core::datavec::PagedDataVector;
-use payg_core::dict::{
-    FrontCodedDict, HandleCache, InMemoryDict, PagedDictionary, UnsortedDict, FRONT_CODED_BLOCK,
-};
+use payg_core::dict::{BlockDict, HandleCache, InMemoryDict, PagedDictionary, UnsortedDict};
 use payg_core::invidx::{InMemoryInvertedIndex, PagedInvertedIndex};
 use payg_core::{
     CodecKind, ColumnBuilder, CoreError, DataType, LoadPolicy, PageConfig, Value, ValuePredicate,
 };
+use payg_encoding::prefix::BLOCK_CAP;
 use payg_encoding::{BitPackedVec, VidSet};
 use payg_resman::{PoolLimits, ResourceManager};
 use payg_storage::{BufferPool, MemStore};
@@ -727,42 +726,54 @@ proptest! {
         prop_assert_eq!(grown, dict);
     }
 
-    /// The front-coded dictionary answers exactly like the sorted
-    /// `Vec<Vec<u8>>` the arena stands in for — hits, insertion points,
-    /// every key back by identifier in order and one at a time, the empty
-    /// dictionary — over key sets spanning many blocks, and holds exactly
-    /// its encoding: per block the head, its end and its start; per other
-    /// key two one-byte varints and the suffix.
+    /// A default column's dictionary image — the chain's value blocks in
+    /// memory — answers exactly like the sorted `Vec<Vec<u8>>` the arena
+    /// stands in for: hits and insertion points like binary search, every
+    /// key back by identifier in one ascending walk, one at a time and
+    /// descending, the empty dictionary. Some keys run past 127 bytes, so
+    /// some lengths take two-byte varints. It holds exactly its encoding,
+    /// counted here from the keys: per block a count byte and a `u32` start;
+    /// per key a varint of the prefix it shares with its predecessor (none
+    /// at a block's start), a varint of twice its suffix length, and the
+    /// suffix.
     #[test]
-    fn front_coded_dict_equals_sorted_vec(
-        raw in prop::collection::vec(edgy_key(), 0..400),
+    fn resident_block_dict_equals_sorted_vec(
+        raw in prop::collection::vec((edgy_key(), 0u8..4), 0..400),
         probes in prop::collection::vec(edgy_key(), 1..60),
     ) {
-        let mut keys = raw;
+        let mut keys: Vec<Vec<u8>> = raw
+            .into_iter()
+            .map(|(k, long)| if long == 3 { [k.as_slice(), &[b'a'; 150]].concat() } else { k })
+            .collect();
         keys.sort();
         keys.dedup();
-        let dict = FrontCodedDict::from_sorted_keys(&keys).unwrap();
+        let dict = BlockDict::from_sorted_keys(&keys).unwrap();
         prop_assert_eq!(dict.cardinality(), keys.len() as u64);
         let (mut buf, mut one) = (Vec::new(), Vec::new());
-        let mut in_order = dict.cursor(&mut buf);
+        let mut in_order = dict.keys(&mut buf);
         for (vid, k) in keys.iter().enumerate() {
-            prop_assert_eq!(in_order.key(vid as u64), k.as_slice());
-            prop_assert_eq!(dict.cursor(&mut one).key(vid as u64), k.as_slice());
+            prop_assert_eq!(in_order.key(vid as u64).unwrap(), k.as_slice());
+            prop_assert_eq!(dict.keys(&mut one).key(vid as u64).unwrap(), k.as_slice());
+        }
+        for (vid, k) in keys.iter().enumerate().rev() {
+            prop_assert_eq!(in_order.key(vid as u64).unwrap(), k.as_slice());
         }
         for p in probes.iter().chain(&keys).chain([&Vec::new()]) {
             let expect = keys.binary_search(p).map(|i| i as u64).map_err(|i| i as u64);
-            prop_assert_eq!(dict.find(p), expect);
+            prop_assert_eq!(dict.find(p).unwrap(), expect);
         }
         prop_assert_eq!(dict.to_in_memory().unwrap(), InMemoryDict::from_sorted_keys(&keys).unwrap());
+        let varint = |v: usize| if v < 1 << 7 { 1 } else if v < 1 << 14 { 2 } else { 3 };
         let mut expect_bytes = 0;
         for (i, k) in keys.iter().enumerate() {
-            expect_bytes += if i % FRONT_CODED_BLOCK == 0 {
-                k.len() + 4 + 4
+            let shared = if i % BLOCK_CAP == 0 {
+                expect_bytes += 1 + 4;
+                0
             } else {
-                let prev = &keys[i - 1];
-                let shared = prev.iter().zip(k).take_while(|(a, b)| a == b).count();
-                2 + k.len() - shared
+                keys[i - 1].iter().zip(k).take_while(|(a, b)| a == b).count()
             };
+            let suffix = k.len() - shared;
+            expect_bytes += varint(shared) + varint(2 * suffix) + suffix;
         }
         prop_assert_eq!(dict.heap_bytes(), expect_bytes);
     }

@@ -14,23 +14,26 @@
 //! pieces of **at most one** value — exactly the property the paper relies
 //! on in `findByValueID`.
 //!
-//! Wire format (all integers little-endian):
+//! Wire format (`varint` is LEB128: seven bits a byte, low group first, at
+//! most five bytes, no redundant trailing zero byte; fixed-width integers
+//! are little-endian):
 //!
 //! ```text
-//! block  := header entry{count}
-//! header := count:u8                                      -- legacy, bit 7 clear
-//!         | (count|0x80):u8 restart:u16{(count-1)/4}      -- restart offsets
-//! entry  := prefix_len:u16 onpage_len:u32 flags:u8 suffix:[u8;onpage_len]
-//!           [ nptr:u16 (page_no:u64 len:u32){nptr} total_len:u64 ]   -- iff flags&1
+//! block  := count:u8 entry{count}                          -- count in 1..=16
+//! entry  := prefix_len:varint  (onpage_len << 1 | spill):varint
+//!           suffix:[u8; onpage_len]
+//!           [ nptr:u16 (page_no:u64 len:u32){nptr} total_len:u64 ]   -- iff spill
 //! ```
 //!
-//! **Restart points.** Every [`RESTART_EVERY`]-th entry is stored with
-//! `prefix_len == 0` and its block-relative byte offset recorded in the
-//! header, so in-block lookup and materialization resume from the nearest
-//! restart instead of replaying the front-coding chain from entry 0. Legacy
-//! blocks (count byte with bit 7 clear, the format-0/1 page layout) parse
-//! unchanged; the old parser rejects restart headers because `count | 0x80`
-//! exceeds [`BLOCK_CAP`].
+//! **Restart points.** A block is one front-coding run: its first entry
+//! shares nothing, and every other entry shares with its predecessor, so a
+//! block's start is its one restart point. A run of blocks — a dictionary
+//! page, or a resident column's dictionary image — records where each block
+//! starts ([`BlockRun`]); an identifier's block is arithmetic, and reading
+//! it replays at most 15 entries of two varints each. Sixteen entries a
+//! restart, against four or eight, is what holds the benchmark's 100 000
+//! keys in 3.8 bytes a key on their FSST-coded pages and in 5.2 bytes a
+//! key in memory, raw (the sweep is in DESIGN.md §5).
 //!
 //! **Compressed blocks.** Blocks may hold FSST-compressed keys (the chain's
 //! codec descriptor says so; the block layout is byte-agnostic). Compressed
@@ -48,25 +51,70 @@ use std::cmp::Ordering;
 /// Maximum number of values per block.
 pub const BLOCK_CAP: usize = 16;
 
-/// Interval between restart points: entries at indices `0, 4, 8, …` are
-/// stored with a zero-length prefix so decoding can start there.
-pub const RESTART_EVERY: usize = 4;
+/// Longest varint a block holds: five 7-bit groups cover every length a
+/// page can hold, shifted left by the spill bit.
+const VARINT_MAX: usize = 5;
 
-/// Count-byte flag: a restart-offset header follows the count byte.
-const FLAG_RESTARTS: u8 = 0x80;
+/// Bytes an entry spends on its spill tail per overflow pointer, and on the
+/// pointer count and total length that frame them.
+const PTR_LEN: usize = 12;
+const SPILL_FRAME_LEN: usize = 2 + 8;
 
-/// Low bits of the count byte carrying the entry count.
-const COUNT_MASK: u8 = 0x7F;
-
-/// Number of restart offsets recorded for a block of `count` entries
-/// (entry 0 needs none: it always sits right after the header).
-fn restart_slots(count: usize) -> usize {
-    count.saturating_sub(1) / RESTART_EVERY
+/// Appends `v` as a varint.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
 }
 
-/// Encoded header length for a restart-format block of `count` entries.
-fn restart_header_len(count: usize) -> usize {
-    1 + 2 * restart_slots(count)
+/// Encoded length of `v` as a varint.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
+/// Encoded length of an entry that shares `prefix_len` bytes and keeps
+/// `onpage` suffix bytes on the page, with `nptr` overflow pointers (zero
+/// for an inline value).
+pub fn entry_len(prefix_len: usize, onpage: usize, nptr: usize) -> usize {
+    let spill = usize::from(nptr > 0);
+    let tail = if nptr > 0 { SPILL_FRAME_LEN + nptr * PTR_LEN } else { 0 };
+    varint_len(prefix_len as u64) + varint_len((onpage << 1 | spill) as u64) + onpage + tail
+}
+
+/// The varint at `*pos` of entry `i`, advancing `*pos` past it.
+#[inline(always)]
+fn get_varint(bytes: &[u8], pos: &mut usize, i: usize) -> Result<usize> {
+    match bytes.get(*pos) {
+        Some(&b) if b < 0x80 => {
+            *pos += 1;
+            Ok(usize::from(b))
+        }
+        _ => get_varint_long(bytes, pos, i),
+    }
+}
+
+/// [`get_varint`] past its one-byte case: checks that the varint ends
+/// within the block, within [`VARINT_MAX`] bytes, and without a redundant
+/// trailing zero group.
+#[cold]
+fn get_varint_long(bytes: &[u8], pos: &mut usize, i: usize) -> Result<usize> {
+    let mut v = 0usize;
+    for k in 0..VARINT_MAX {
+        let Some(&b) = bytes.get(*pos + k) else {
+            return Err(corrupt(format!("entry {i}: varint truncated at the block end")));
+        };
+        v |= usize::from(b & 0x7F) << (7 * k);
+        if b < 0x80 {
+            if b == 0 && k > 0 {
+                return Err(corrupt(format!("entry {i}: over-long varint ({} bytes)", k + 1)));
+            }
+            *pos += k + 1;
+            return Ok(v);
+        }
+    }
+    Err(corrupt(format!("entry {i}: over-long varint (more than {VARINT_MAX} bytes)")))
 }
 
 /// A logical pointer to one off-page piece of a large value.
@@ -79,94 +127,54 @@ pub struct OverflowRef {
     pub len: u32,
 }
 
-/// One entry of a block being built.
-struct BlockEntry {
-    /// Bytes shared with the previous entry's *materializable-on-page* part.
-    prefix_len: u16,
-    /// The on-page piece of the suffix.
-    onpage: Vec<u8>,
-    /// Logical pointers to off-page pieces (empty for small values).
-    offpage: Vec<OverflowRef>,
-    /// Total length of the full value in bytes.
-    total_len: u64,
-}
-
-impl BlockEntry {
-    /// Length of the part of this value reconstructible from the block alone.
-    fn onpage_materializable(&self) -> usize {
-        self.prefix_len as usize + self.onpage.len()
-    }
-}
-
-/// Builds one value block from consecutive sorted keys.
+/// Builds one value block from consecutive sorted keys, encoding each entry
+/// as it is pushed.
 pub struct ValueBlockBuilder {
-    entries: Vec<BlockEntry>,
+    /// The block so far: the count byte (written by the finish), then the
+    /// entries.
+    bytes: Vec<u8>,
+    count: usize,
     /// Previous full key (for prefix computation).
     prev_key: Vec<u8>,
     /// On-page-materializable length of the previous entry.
     prev_onpage: usize,
-    /// Encoded length of the entries serialized so far (header excluded).
-    entries_len: usize,
 }
 
 impl ValueBlockBuilder {
     /// Creates an empty builder.
     pub fn new() -> Self {
-        ValueBlockBuilder {
-            entries: Vec::new(),
-            prev_key: Vec::new(),
-            prev_onpage: 0,
-            entries_len: 0,
-        }
+        ValueBlockBuilder { bytes: vec![0], count: 0, prev_key: Vec::new(), prev_onpage: 0 }
     }
 
     /// Number of entries pushed.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.count
     }
 
     /// True when no entries were pushed.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.count == 0
     }
 
     /// True when the block holds [`BLOCK_CAP`] entries.
     pub fn is_full(&self) -> bool {
-        self.entries.len() >= BLOCK_CAP
+        self.count >= BLOCK_CAP
     }
 
     /// Encoded size in bytes of the block built so far.
     pub fn byte_len(&self) -> usize {
-        restart_header_len(self.entries.len()) + self.entries_len
+        self.bytes.len()
     }
 
-    /// Prefix length the entry at `idx` would share with the predecessor
-    /// materializing `shared` raw bytes: zero at restart points.
-    fn shared_at(&self, idx: usize, key: &[u8]) -> usize {
-        if idx.is_multiple_of(RESTART_EVERY) {
+    /// Prefix length `key` would share with its predecessor if pushed next:
+    /// zero for the block's first entry, and never past the predecessor's
+    /// on-page part.
+    pub fn next_shared(&self, key: &[u8]) -> usize {
+        if self.count == 0 {
             0
         } else {
-            common_prefix(&self.prev_key, key)
-                .min(self.prev_onpage)
-                .min(u16::MAX as usize)
+            common_prefix(&self.prev_key, key).min(self.prev_onpage)
         }
-    }
-
-    /// Encoded size the block would have after pushing `key` (ignoring
-    /// spill: assumes the whole suffix stays on-page). Used by page writers
-    /// to decide when to close a page.
-    pub fn projected_len(&self, key: &[u8]) -> usize {
-        let idx = self.entries.len();
-        let shared = self.shared_at(idx, key);
-        restart_header_len(idx + 1) + self.entries_len + 2 + 4 + 1 + (key.len() - shared)
-    }
-
-    /// Suffix length `key` would store if pushed next (zero shared bytes at
-    /// restart points). Lets page writers budget the entry separately from
-    /// the restart-header growth that [`ValueBlockBuilder::projected_len`]
-    /// folds in.
-    pub fn next_suffix_len(&self, key: &[u8]) -> usize {
-        key.len() - self.shared_at(self.entries.len(), key)
     }
 
     /// Appends a key. `inline_limit` bounds the on-page suffix bytes; the
@@ -184,7 +192,7 @@ impl ValueBlockBuilder {
         alloc_overflow: &mut dyn FnMut(&[u8]) -> Vec<OverflowRef>,
     ) {
         assert!(
-            self.entries.is_empty() || self.prev_key.as_slice() <= key,
+            self.count == 0 || self.prev_key.as_slice() <= key,
             "keys must be pushed in sorted order"
         );
         self.push_unordered(key, inline_limit, alloc_overflow);
@@ -200,71 +208,49 @@ impl ValueBlockBuilder {
         alloc_overflow: &mut dyn FnMut(&[u8]) -> Vec<OverflowRef>,
     ) {
         assert!(!self.is_full(), "value block is full");
-        let shared = self.shared_at(self.entries.len(), key);
+        let shared = self.next_shared(key);
         let suffix = &key[shared..];
-        let (onpage, offpage) = if suffix.len() > inline_limit {
-            (suffix[..inline_limit].to_vec(), alloc_overflow(&suffix[inline_limit..]))
-        } else {
-            (suffix.to_vec(), Vec::new())
-        };
-        let entry = BlockEntry {
-            prefix_len: shared as u16,
-            onpage,
-            offpage,
-            total_len: key.len() as u64,
-        };
-        self.entries_len += entry_encoded_len(&entry);
-        self.prev_onpage = entry.onpage_materializable();
+        let onpage = suffix.len().min(inline_limit);
+        let offpage = if onpage < suffix.len() { alloc_overflow(&suffix[onpage..]) } else { Vec::new() };
+        let out = &mut self.bytes;
+        put_varint(out, shared as u64);
+        put_varint(out, (onpage << 1 | usize::from(!offpage.is_empty())) as u64);
+        out.extend_from_slice(&suffix[..onpage]);
+        if !offpage.is_empty() {
+            out.extend_from_slice(&(offpage.len() as u16).to_le_bytes());
+            for r in &offpage {
+                out.extend_from_slice(&r.page_no.to_le_bytes());
+                out.extend_from_slice(&r.len.to_le_bytes());
+            }
+            out.extend_from_slice(&(key.len() as u64).to_le_bytes());
+        }
+        self.count += 1;
+        self.prev_onpage = shared + onpage;
         self.prev_key.clear();
         self.prev_key.extend_from_slice(key);
-        self.entries.push(entry);
+    }
+
+    /// Appends the block to `out` and empties the builder for the next
+    /// block, keeping its buffers.
+    ///
+    /// # Panics
+    /// Panics on an empty block.
+    pub fn append_to(&mut self, out: &mut Vec<u8>) {
+        assert!(self.count > 0, "cannot encode an empty value block");
+        self.bytes[0] = self.count as u8;
+        out.extend_from_slice(&self.bytes);
+        self.bytes.truncate(1);
+        self.count = 0;
     }
 
     /// Serializes the block.
     ///
     /// # Panics
     /// Panics on an empty block.
-    pub fn finish(self) -> Vec<u8> {
-        assert!(!self.entries.is_empty(), "cannot encode an empty value block");
-        let count = self.entries.len();
-        let header = restart_header_len(count);
-        let mut body = Vec::with_capacity(self.entries_len);
-        let mut offsets = Vec::with_capacity(restart_slots(count));
-        for (i, e) in self.entries.iter().enumerate() {
-            if i > 0 && i % RESTART_EVERY == 0 {
-                offsets.push(header + body.len());
-            }
-            body.extend_from_slice(&e.prefix_len.to_le_bytes());
-            body.extend_from_slice(&(e.onpage.len() as u32).to_le_bytes());
-            body.push(u8::from(!e.offpage.is_empty()));
-            body.extend_from_slice(&e.onpage);
-            if !e.offpage.is_empty() {
-                body.extend_from_slice(&(e.offpage.len() as u16).to_le_bytes());
-                for r in &e.offpage {
-                    body.extend_from_slice(&r.page_no.to_le_bytes());
-                    body.extend_from_slice(&r.len.to_le_bytes());
-                }
-                body.extend_from_slice(&e.total_len.to_le_bytes());
-            }
-        }
-        debug_assert_eq!(body.len(), self.entries_len);
-        if offsets.iter().any(|&o| o > u16::MAX as usize) {
-            // Degenerate giant entries pushed a restart past the u16 offset
-            // range: fall back to the legacy header (no restarts). Readers
-            // handle both; `byte_len()` merely over-reported a few bytes.
-            let mut out = Vec::with_capacity(1 + body.len());
-            out.push(count as u8);
-            out.extend_from_slice(&body);
-            return out;
-        }
-        let mut out = Vec::with_capacity(header + body.len());
-        out.push(count as u8 | FLAG_RESTARTS);
-        for o in &offsets {
-            out.extend_from_slice(&(*o as u16).to_le_bytes());
-        }
-        out.extend_from_slice(&body);
-        debug_assert_eq!(out.len(), header + self.entries_len);
-        out
+    pub fn finish(mut self) -> Vec<u8> {
+        assert!(self.count > 0, "cannot encode an empty value block");
+        self.bytes[0] = self.count as u8;
+        self.bytes
     }
 }
 
@@ -274,14 +260,6 @@ impl Default for ValueBlockBuilder {
     }
 }
 
-fn entry_encoded_len(e: &BlockEntry) -> usize {
-    let mut n = 2 + 4 + 1 + e.onpage.len();
-    if !e.offpage.is_empty() {
-        n += 2 + e.offpage.len() * 12 + 8;
-    }
-    n
-}
-
 /// Longest common prefix length of two byte strings.
 #[inline]
 pub fn common_prefix(a: &[u8], b: &[u8]) -> usize {
@@ -289,17 +267,16 @@ pub fn common_prefix(a: &[u8], b: &[u8]) -> usize {
 }
 
 /// A zero-copy view over an encoded value block — the one block reader.
-/// Entries are decoded from the page bytes where they lie, with no
-/// per-entry allocation, by one forward walk ([`BlockWalk`]) that starts at
-/// a restart point and checks every entry it decodes.
+/// Entries are decoded from the block's bytes where they lie, with no
+/// per-entry allocation, by one forward walk ([`BlockWalk`]) from the
+/// block's start that checks every entry it decodes.
 #[derive(Clone, Copy)]
 pub struct ValueBlockView<'a> {
     bytes: &'a [u8],
     count: usize,
-    has_restarts: bool,
 }
 
-/// One entry of a [`ValueBlockView`], borrowing from the page.
+/// One entry of a [`ValueBlockView`], borrowing from the block.
 pub struct EntryView<'a> {
     /// Bytes shared with the predecessor's on-page-materializable part.
     prefix_len: usize,
@@ -321,33 +298,28 @@ impl EntryView<'_> {
     /// The pointers to the entry's off-page pieces, in value order; none
     /// for an inline value.
     pub fn offpage_refs(&self) -> impl Iterator<Item = OverflowRef> + '_ {
-        self.offpage_raw.chunks_exact(12).map(|b| OverflowRef {
+        self.offpage_raw.chunks_exact(PTR_LEN).map(|b| OverflowRef {
             page_no: u64::from_le_bytes(b[0..8].try_into().unwrap()),
             len: u32::from_le_bytes(b[8..12].try_into().unwrap()),
         })
     }
 }
 
-/// A forward walk over a block's entries from the head of one restart
-/// group, replaying the front coding into one caller buffer — the point
-/// read, the search and the whole-block read are this walk. It checks what
-/// it reads: every prefix within its predecessor's on-page part, flags 0 or
-/// 1, a pointer behind every spill flag, a total length that adds up, a
-/// zero prefix at every restart head, and every restart offset it crosses
-/// where its entry lies — no entry runs past the next one.
+/// A forward walk over a block's entries from its start, replaying the
+/// front coding into one caller buffer — the point read, the search and the
+/// whole-block read are this walk. It checks what it reads: every varint
+/// whole and minimal, every prefix within its predecessor's on-page part (so
+/// a zero prefix at the block's start), every on-page suffix within the
+/// block, a pointer behind every spill bit, and a total length that adds up.
+#[derive(Clone, Copy)]
 pub struct BlockWalk<'a> {
     block: ValueBlockView<'a>,
     /// Index and byte position of the next entry.
     next: usize,
     pos: usize,
-    /// Where the next restart point lies: the end of the group being walked.
-    group_end: usize,
     /// On-page-materializable length of the entry before `next`: the most
     /// that entry may share.
     shared_max: usize,
-    /// Index of the next restart point the walk crosses (none in a legacy
-    /// block).
-    restart_at: usize,
 }
 
 impl<'a> BlockWalk<'a> {
@@ -355,92 +327,40 @@ impl<'a> BlockWalk<'a> {
     /// `acc`, which holds what the previous step left there — plus, if the
     /// caller appended them, that entry's off-page pieces, which the next
     /// entry's prefix never reaches. `None` past the last entry.
+    #[inline]
     pub fn next_into(&mut self, acc: &mut Vec<u8>) -> Result<Option<EntryView<'a>>> {
+        let Some(entry) = self.next_entry()? else { return Ok(None) };
+        acc.truncate(entry.prefix_len);
+        acc.extend_from_slice(entry.onpage);
+        Ok(Some(entry))
+    }
+
+    /// Decodes and checks the next entry without replaying it anywhere.
+    /// `None` past the last entry.
+    #[inline(always)]
+    fn next_entry(&mut self) -> Result<Option<EntryView<'a>>> {
         if self.next == self.block.count {
             return Ok(None);
         }
-        self.step(acc).map(Some)
+        let (entry, pos) = self.block.entry_at(self.pos, self.next, self.shared_max)?;
+        self.shared_max = entry.prefix_len + entry.onpage.len();
+        (self.next, self.pos) = (self.next + 1, pos);
+        Ok(Some(entry))
     }
-
-    /// [`BlockWalk::next_into`] for a walk known not to be past the end.
-    #[inline(always)]
-    fn step(&mut self, acc: &mut Vec<u8>) -> Result<EntryView<'a>> {
-        let (i, block) = (self.next, self.block);
-        if i == self.restart_at {
-            // A restart point: the group before ends here, and the entry
-            // shares nothing.
-            if self.pos != self.group_end {
-                return Err(misplaced_restart(i, self.group_end, self.pos));
-            }
-            self.group_end = block.group_end(i / RESTART_EVERY);
-            self.restart_at += RESTART_EVERY;
-            self.shared_max = 0;
-        }
-        let (entry, pos) = block.entry_at(self.pos, i, self.shared_max, self.group_end)?;
-        acc.truncate(entry.prefix_len);
-        acc.extend_from_slice(entry.onpage);
-        self.shared_max = acc.len();
-        (self.next, self.pos) = (i + 1, pos);
-        Ok(entry)
-    }
-}
-
-#[cold]
-fn misplaced_restart(i: usize, offset: usize, pos: usize) -> EncodingError {
-    corrupt(format!("restart offset {offset} for entry {i} does not match its position {pos}"))
 }
 
 impl<'a> ValueBlockView<'a> {
-    /// Creates a view over a block starting at `bytes[0]`. Only the count
-    /// byte is validated here; entry structure is validated as entries are
-    /// walked.
+    /// Creates a view over a block whose bytes are `bytes` — exactly, or
+    /// followed by bytes the block does not own. Only the count byte is
+    /// validated here; entry structure is validated as entries are walked,
+    /// and no entry reads past `bytes`.
+    #[inline]
     pub fn parse(bytes: &'a [u8]) -> Result<Self> {
-        if bytes.is_empty() {
-            return Err(corrupt("empty block".into()));
-        }
-        let has_restarts = bytes[0] & FLAG_RESTARTS != 0;
-        let count = (bytes[0] & COUNT_MASK) as usize;
-        if count == 0 || count > BLOCK_CAP {
-            return Err(corrupt(format!("value block count {count} outside 1..=16")));
-        }
-        if has_restarts && bytes.len() < restart_header_len(count) {
-            return Err(corrupt("truncated restart header".into()));
-        }
-        Ok(ValueBlockView { bytes, count, has_restarts })
-    }
-
-    /// Number of restart points after entry 0 (groups are `RESTART_EVERY`
-    /// entries wide; group `g > 0` starts at the recorded offset).
-    fn groups(&self) -> usize {
-        if self.has_restarts {
-            restart_slots(self.count)
-        } else {
-            0
-        }
-    }
-
-    /// Byte position where group `g` starts (`g == 0` ⇒ right after the
-    /// header; `g >= 1` ⇒ the recorded restart offset of entry `g·4`).
-    fn group_pos(&self, g: usize) -> usize {
-        if g == 0 {
-            if self.has_restarts {
-                restart_header_len(self.count)
-            } else {
-                1
+        match bytes.first() {
+            Some(&count) if (1..=BLOCK_CAP).contains(&usize::from(count)) => {
+                Ok(ValueBlockView { bytes, count: usize::from(count) })
             }
-        } else {
-            let off = 1 + 2 * (g - 1);
-            u16::from_le_bytes(self.bytes[off..off + 2].try_into().unwrap()) as usize
-        }
-    }
-
-    /// Byte position by which group `g` ends: the next restart offset, or
-    /// the end of the bytes for the last group.
-    fn group_end(&self, g: usize) -> usize {
-        if g < self.groups() {
-            self.group_pos(g + 1)
-        } else {
-            self.bytes.len()
+            count => Err(bad_count(count.copied())),
         }
     }
 
@@ -456,117 +376,97 @@ impl<'a> ValueBlockView<'a> {
 
     /// A walk over every entry of the block, from the first.
     pub fn walk(&self) -> BlockWalk<'a> {
-        self.walk_from(0)
+        BlockWalk { block: *self, next: 0, pos: 1, shared_max: 0 }
     }
 
-    /// A walk from the head of restart group `g`.
-    fn walk_from(&self, g: usize) -> BlockWalk<'a> {
-        BlockWalk {
-            block: *self,
-            next: g * RESTART_EVERY,
-            pos: self.group_pos(g),
-            group_end: self.group_end(g),
-            shared_max: 0,
-            restart_at: if self.has_restarts { (g + 1) * RESTART_EVERY } else { usize::MAX },
-        }
-    }
-
-    /// Decodes entry `i`, which starts at byte `pos`, may share at most
-    /// `shared_max` bytes with its predecessor and must end by byte `end`;
-    /// returns it with the position of entry `i + 1`. (Forced inline: left
-    /// to the heuristic it stays out of line for its cold `format!`s, and an
-    /// entry read off a block — ~16 ns — then costs 31.)
+    /// Decodes entry `i`, which starts at byte `pos` and may share at most
+    /// `shared_max` bytes with its predecessor; returns it with the
+    /// position of entry `i + 1`. (Forced inline, with everything past an
+    /// inline entry of one-byte varints out of line: the hot path is then a
+    /// handful of compares, where left to the heuristic an entry read costs
+    /// several times as much.)
     #[inline(always)]
-    fn entry_at(
-        &self,
-        pos: usize,
-        i: usize,
-        shared_max: usize,
-        end: usize,
-    ) -> Result<(EntryView<'a>, usize)> {
+    fn entry_at(&self, pos: usize, i: usize, shared_max: usize) -> Result<(EntryView<'a>, usize)> {
         let bytes = self.bytes;
-        let truncated = || corrupt(format!("truncated block at entry {i}"));
-        let fixed = bytes.get(pos..pos + 7).ok_or_else(truncated)?;
-        let prefix_len = u16::from_le_bytes([fixed[0], fixed[1]]) as usize;
-        let onpage_len = u32::from_le_bytes([fixed[2], fixed[3], fixed[4], fixed[5]]) as usize;
+        let (prefix_len, len_spill, pos) = match bytes.get(pos..pos + 2) {
+            Some(&[p, l]) if p < 0x80 && l < 0x80 => (usize::from(p), usize::from(l), pos + 2),
+            _ => long_varints(bytes, pos, i)?,
+        };
         if prefix_len > shared_max {
-            return Err(corrupt(format!(
-                "entry {i}: prefix {prefix_len} exceeds the {shared_max} bytes it may share"
-            )));
+            return Err(prefix_past(i, prefix_len, shared_max));
         }
-        if fixed[6] > 1 {
-            return Err(corrupt(format!("entry {i}: unknown flags {:#x}", fixed[6])));
+        let onpage_len = len_spill >> 1;
+        let Some(onpage) = bytes.get(pos..pos + onpage_len) else {
+            return Err(onpage_past(i, onpage_len, pos, bytes.len()));
+        };
+        let end = pos + onpage_len;
+        if len_spill & 1 == 0 {
+            let total_len = (prefix_len + onpage_len) as u64;
+            return Ok((EntryView { prefix_len, onpage, offpage_raw: &[], total_len }, end));
         }
-        let mut pos = pos + 7;
-        let onpage = bytes.get(pos..pos + onpage_len).ok_or_else(truncated)?;
-        pos += onpage_len;
-        let mut total_len = (prefix_len + onpage_len) as u64;
-        let mut offpage_raw = &bytes[0..0];
-        if fixed[6] == 1 {
-            let nptr = bytes.get(pos..pos + 2).ok_or_else(truncated)?;
-            let nptr = u16::from_le_bytes([nptr[0], nptr[1]]) as usize;
-            if nptr == 0 {
-                return Err(corrupt(format!("entry {i}: off-page flag with zero pointers")));
-            }
-            pos += 2;
-            let tail = bytes.get(pos..pos + nptr * 12 + 8).ok_or_else(truncated)?;
-            pos += tail.len();
-            let (raw, stored) = tail.split_at(nptr * 12);
-            let stored = u64::from_le_bytes(stored.try_into().unwrap());
-            let off: u64 = raw
-                .chunks_exact(12)
-                .map(|p| u64::from(u32::from_le_bytes(p[8..12].try_into().unwrap())))
-                .sum();
-            if stored != total_len + off {
-                return Err(corrupt(format!(
-                    "entry {i}: total_len {stored} != prefix {prefix_len} + onpage {onpage_len} + offpage {off}"
-                )));
-            }
-            (offpage_raw, total_len) = (raw, stored);
-        }
-        if pos > end {
-            return Err(corrupt(format!("entry {i} runs past the restart offset {end}")));
-        }
-        Ok((EntryView { prefix_len, onpage, offpage_raw, total_len }, pos))
-    }
-
-    /// The head of restart group `g` — entry `g · RESTART_EVERY`, stored
-    /// with a zero prefix, so its on-page bytes are the value's leading
-    /// bytes where they lie.
-    #[inline(always)]
-    fn head(&self, g: usize) -> Result<EntryView<'a>> {
-        Ok(self.entry_at(self.group_pos(g), g * RESTART_EVERY, 0, self.group_end(g))?.0)
+        spilled_entry(bytes, i, prefix_len, onpage, end)
     }
 
     /// Reconstructs the on-page-materializable part of entry `idx` into
-    /// `acc`, walking from the nearest restart point, and returns the
-    /// entry's off-page pointers + total length, so the caller can fetch
-    /// overflow pieces.
+    /// `acc`, walking from the block's start, and returns the entry's
+    /// off-page pointers + total length, so the caller can fetch overflow
+    /// pieces.
     pub fn materialize_onpage_into(
         &self,
         idx: usize,
         acc: &mut Vec<u8>,
     ) -> Result<(Vec<OverflowRef>, u64)> {
-        assert!(idx < self.count);
-        let g = (idx / RESTART_EVERY).min(self.groups());
-        let mut walk = self.walk_from(g);
-        loop {
-            let entry = walk.step(acc)?;
-            if walk.next > idx {
-                // An empty `collect` is not free (~4 of this read's ~19 ns),
-                // and most entries are inline.
-                let offpage =
-                    if entry.spilled() { entry.offpage_refs().collect() } else { Vec::new() };
-                return Ok((offpage, entry.total_len));
+        let (_, entry) = self.seek(idx, acc)?;
+        // An empty `collect` is not free, and most entries are inline.
+        let offpage = if entry.spilled() { entry.offpage_refs().collect() } else { Vec::new() };
+        Ok((offpage, entry.total_len))
+    }
+
+    /// Decodes entries `0..=idx` and leaves entry `idx`'s on-page part in
+    /// `acc`; returns the walk, positioned after it, and the entry. The
+    /// walk checks every entry but replays none: each byte of the result
+    /// is copied once, from the last entry up to `idx` that wrote it —
+    /// going back from `idx`, an entry supplies the bytes between its
+    /// prefix and the least prefix of the entries after it.
+    ///
+    /// # Panics
+    /// Panics when `idx` is not below the block's count.
+    pub fn seek(&self, idx: usize, acc: &mut Vec<u8>) -> Result<(BlockWalk<'a>, EntryView<'a>)> {
+        assert!(idx < self.count, "entry {idx} of a {}-entry block", self.count);
+        let mut walk = self.walk();
+        // Where each entry up to `idx` starts.
+        let mut at = [0u32; BLOCK_CAP];
+        let mut k = 0;
+        let entry = loop {
+            at[k] = walk.pos as u32;
+            let Some(entry) = walk.next_entry()? else { return Err(no_entry(idx)) };
+            if k == idx {
+                break entry;
+            }
+            k += 1;
+        };
+        let mut hi = entry.prefix_len + entry.onpage.len();
+        acc.clear();
+        acc.resize(hi, 0);
+        // The walk checked these entries: decoding them again cannot fail.
+        for (k, &pos) in at[..=idx].iter().enumerate().rev() {
+            let mut pos = pos as usize;
+            let prefix_len = get_varint(self.bytes, &mut pos, k)?;
+            if prefix_len < hi {
+                get_varint(self.bytes, &mut pos, k)?;
+                acc[prefix_len..hi].copy_from_slice(&self.bytes[pos..pos + hi - prefix_len]);
+                hi = prefix_len;
             }
         }
+        Ok((walk, entry))
     }
 
     /// Orders the block's first value — its routing key — against the raw
-    /// probe `key`, on the page bytes where it lies. `table` says what the
-    /// entry bytes are: raw (`None`) or FSST-compressed. Off-page pieces are
-    /// fetched (into `acc`) only when the on-page part is a proper prefix of
-    /// the probe.
+    /// probe `key`, on the block's bytes where it lies. `table` says what
+    /// the entry bytes are: raw (`None`) or FSST-compressed. Off-page pieces
+    /// are fetched (into `acc`) only when the on-page part is a proper
+    /// prefix of the probe.
+    #[inline]
     pub fn cmp_first(
         &self,
         key: &[u8],
@@ -574,7 +474,10 @@ impl<'a> ValueBlockView<'a> {
         acc: &mut Vec<u8>,
         fetch: Fetch<'_>,
     ) -> Result<Ordering> {
-        let head = self.head(0)?;
+        let (head, _) = self.entry_at(1, 0, 0)?;
+        if table.is_none() && !head.spilled() {
+            return Ok(head.onpage.cmp(key));
+        }
         if let Some(ord) = cmp_onpage(head.onpage, head.spilled(), key, table)? {
             return Ok(ord);
         }
@@ -590,11 +493,11 @@ impl<'a> ValueBlockView<'a> {
     /// (`None`) or FSST-compressed, which [`SymbolTable::cmp_decoded`]
     /// orders without decoding them and without encoding the probe.
     ///
-    /// Restart heads are searched first, in place; the one group left is
-    /// then walked into `acc` (caller scratch), to the block's end if need
-    /// be, and its entries compared one by one. A hit is that comparison
-    /// returning `Equal`. Off-page pieces are fetched only for an entry
-    /// whose on-page part is a proper prefix of the probe.
+    /// Raw entries are ordered by their front coding alone while none
+    /// spills ([`ValueBlockView::lower_bound_inline`]). Otherwise the walk
+    /// replays every entry into `acc` (caller scratch) and compares it
+    /// whole; off-page pieces are fetched only for an entry whose on-page
+    /// part is a proper prefix of the probe.
     pub fn lower_bound(
         &self,
         key: &[u8],
@@ -602,26 +505,15 @@ impl<'a> ValueBlockView<'a> {
         acc: &mut Vec<u8>,
         fetch: Fetch<'_>,
     ) -> Result<std::result::Result<usize, usize>> {
-        // The deepest group whose head is below the probe: everything
-        // before it is below the probe too. A head that only its off-page
-        // tail could order counts as not below.
-        let (mut lo, mut hi) = (0, self.groups() + 1);
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            let head = self.head(mid)?;
-            match cmp_onpage(head.onpage, head.spilled(), key, table)? {
-                Some(Ordering::Less) => lo = mid,
-                Some(Ordering::Equal) => return Ok(Ok(mid * RESTART_EVERY)),
-                Some(Ordering::Greater) | None => hi = mid,
+        if table.is_none() {
+            if let Some(found) = self.lower_bound_inline(key)? {
+                return Ok(found);
             }
         }
-        let first = lo * RESTART_EVERY;
-        let mut walk = self.walk_from(lo);
-        for i in first..self.count {
-            let entry = walk.step(acc)?;
-            if i == first && lo > 0 {
-                continue; // the head search found it below the probe
-            }
+        let mut walk = self.walk();
+        acc.clear();
+        let mut i = 0;
+        while let Some(entry) = walk.next_into(acc)? {
             let ord = match cmp_onpage(acc, entry.spilled(), key, table)? {
                 Some(ord) => ord,
                 None => {
@@ -636,8 +528,116 @@ impl<'a> ValueBlockView<'a> {
                 Ordering::Equal => return Ok(Ok(i)),
                 Ordering::Greater => return Ok(Err(i)),
             }
+            i += 1;
         }
         Ok(Err(self.count))
+    }
+
+    /// [`ValueBlockView::lower_bound`] over raw entries, ordered by their
+    /// front coding without replaying them: `matched` is how many leading
+    /// bytes the previous entry — below the probe — shares with it. An entry
+    /// that shares fewer with its predecessor is above the probe, one that
+    /// shares more is below it, and only one that shares exactly `matched`
+    /// compares its suffix. `None` at the first spilled entry, whose on-page
+    /// bytes may not decide.
+    fn lower_bound_inline(&self, key: &[u8]) -> Result<Option<std::result::Result<usize, usize>>> {
+        let mut walk = self.walk();
+        let mut matched = 0;
+        let mut i = 0;
+        while let Some(entry) = walk.next_entry()? {
+            if entry.spilled() {
+                return Ok(None);
+            }
+            let ord = match entry.prefix_len.cmp(&matched) {
+                Ordering::Less => Ordering::Greater,
+                Ordering::Greater => Ordering::Less,
+                Ordering::Equal => {
+                    let rest = &key[matched..];
+                    let l = common_prefix(entry.onpage, rest);
+                    matched += l;
+                    match (entry.onpage.get(l), rest.get(l)) {
+                        (None, None) => Ordering::Equal,
+                        (None, Some(_)) => Ordering::Less,
+                        (Some(_), None) => Ordering::Greater,
+                        (Some(s), Some(r)) => s.cmp(r),
+                    }
+                }
+            };
+            match ord {
+                Ordering::Less => {}
+                Ordering::Equal => return Ok(Some(Ok(i))),
+                Ordering::Greater => return Ok(Some(Err(i))),
+            }
+            i += 1;
+        }
+        Ok(Some(Err(self.count)))
+    }
+}
+
+/// Value blocks back to back — a dictionary page's, or a resident column's
+/// whole dictionary — with the byte offset each starts at: its restart
+/// point. Every block but the last holds [`BLOCK_CAP`] entries, so entry
+/// `i` is slot `i % 16` of block `i / 16`.
+#[derive(Clone, Copy)]
+pub struct BlockRun<'a> {
+    bytes: &'a [u8],
+    starts: &'a [u32],
+}
+
+impl<'a> BlockRun<'a> {
+    /// The blocks of `bytes` starting at `starts` (ascending). Offsets are
+    /// checked as blocks are read.
+    pub fn new(bytes: &'a [u8], starts: &'a [u32]) -> Self {
+        BlockRun { bytes, starts }
+    }
+
+    /// Number of blocks.
+    pub fn blocks(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// Block `b`: its bytes from its restart offset to the next block's (to
+    /// the end of the bytes for the last block), so no entry of it reads
+    /// into the next block.
+    #[inline]
+    pub fn block(&self, b: usize) -> Result<ValueBlockView<'a>> {
+        let start = self.starts[b] as usize;
+        let end = self.starts.get(b + 1).map_or(self.bytes.len(), |&e| e as usize);
+        match self.bytes.get(start..end) {
+            Some(bytes) => ValueBlockView::parse(bytes),
+            None => Err(block_past(b, start, end, self.bytes.len())),
+        }
+    }
+
+    /// Finds the block and in-block position of the first entry `>= key`:
+    /// a binary search over blocks by their first entry, compared where it
+    /// lies, then the block's own search. Returns `(block, Ok(slot))` on an
+    /// exact hit and `(block, Err(slot))` for the insertion point; an
+    /// insertion point past a block that is not the last is the next
+    /// block's slot 0. `table` is the symbol table when the entries are
+    /// FSST-compressed.
+    pub fn lower_bound(
+        &self,
+        key: &[u8],
+        table: Option<&SymbolTable>,
+        acc: &mut Vec<u8>,
+        fetch: Fetch<'_>,
+    ) -> Result<(usize, std::result::Result<usize, usize>)> {
+        // Rightmost block whose first entry is <= key.
+        let (mut lo, mut hi) = (0usize, self.blocks());
+        while hi - lo > 1 {
+            let mid = (lo + hi) / 2;
+            match self.block(mid)?.cmp_first(key, table, acc, fetch)? {
+                Ordering::Less => lo = mid,
+                Ordering::Equal => return Ok((mid, Ok(0))),
+                Ordering::Greater => hi = mid,
+            }
+        }
+        let block = self.block(lo)?;
+        Ok(match block.lower_bound(key, table, acc, fetch)? {
+            Err(i) if i == block.len() && lo + 1 < self.blocks() => (lo + 1, Err(0)),
+            pos => (lo, pos),
+        })
     }
 }
 
@@ -668,6 +668,7 @@ fn append_pieces(
 }
 
 /// Orders a complete stored value against the raw probe `key`.
+#[inline]
 fn cmp_value(value: &[u8], key: &[u8], table: Option<&SymbolTable>) -> Result<Ordering> {
     match table {
         Some(table) => table.cmp_decoded(value, key),
@@ -678,6 +679,7 @@ fn cmp_value(value: &[u8], key: &[u8], table: Option<&SymbolTable>) -> Result<Or
 /// Orders a value against the raw probe `key` by its on-page part alone.
 /// `None` when the value is `spilled` — it goes on off-page, by at least one
 /// byte — and what is on the page is a proper prefix of `key`.
+#[inline]
 fn cmp_onpage(
     onpage: &[u8],
     spilled: bool,
@@ -700,6 +702,86 @@ fn cmp_onpage(
 
 fn corrupt(reason: String) -> EncodingError {
     EncodingError::CorruptBlock { reason }
+}
+
+/// The two varints of entry `i` at `pos` when either is longer than a byte
+/// (or missing): the prefix length, the on-page length and spill bit, and
+/// the position past them.
+#[cold]
+#[inline(never)]
+fn long_varints(bytes: &[u8], mut pos: usize, i: usize) -> Result<(usize, usize, usize)> {
+    let prefix_len = get_varint(bytes, &mut pos, i)?;
+    let len_spill = get_varint(bytes, &mut pos, i)?;
+    Ok((prefix_len, len_spill, pos))
+}
+
+#[cold]
+#[inline(never)]
+fn no_entry(idx: usize) -> EncodingError {
+    corrupt(format!("no entry {idx}"))
+}
+
+#[cold]
+#[inline(never)]
+fn bad_count(count: Option<u8>) -> EncodingError {
+    match count {
+        None => corrupt("empty block".into()),
+        Some(count) => corrupt(format!("value block count {count} outside 1..=16")),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn block_past(b: usize, start: usize, end: usize, len: usize) -> EncodingError {
+    corrupt(format!("block {b} spans {start}..{end}, past the {len} bytes of its run"))
+}
+
+#[cold]
+#[inline(never)]
+fn prefix_past(i: usize, prefix_len: usize, shared_max: usize) -> EncodingError {
+    corrupt(format!("entry {i}: prefix {prefix_len} exceeds the {shared_max} bytes it may share"))
+}
+
+#[cold]
+#[inline(never)]
+fn onpage_past(i: usize, onpage_len: usize, pos: usize, len: usize) -> EncodingError {
+    corrupt(format!("entry {i}: {onpage_len} on-page bytes at {pos} run past the {len}-byte block"))
+}
+
+/// The rest of entry `i`, whose spill bit is set: its pointers, which
+/// start at `pos`, and the total length they must add up to with its
+/// `prefix_len` shared and `onpage` bytes.
+#[cold]
+#[inline(never)]
+fn spilled_entry<'a>(
+    bytes: &'a [u8],
+    i: usize,
+    prefix_len: usize,
+    onpage: &'a [u8],
+    mut pos: usize,
+) -> Result<(EntryView<'a>, usize)> {
+    let truncated = || corrupt(format!("entry {i}: spill bit without its pointers"));
+    let nptr = bytes.get(pos..pos + 2).ok_or_else(truncated)?;
+    let nptr = u16::from_le_bytes([nptr[0], nptr[1]]) as usize;
+    if nptr == 0 {
+        return Err(corrupt(format!("entry {i}: off-page flag with zero pointers")));
+    }
+    pos += 2;
+    let tail = bytes.get(pos..pos + nptr * PTR_LEN + 8).ok_or_else(truncated)?;
+    pos += tail.len();
+    let (offpage_raw, stored) = tail.split_at(nptr * PTR_LEN);
+    let total_len = u64::from_le_bytes(stored.try_into().unwrap());
+    let off: u64 = offpage_raw
+        .chunks_exact(PTR_LEN)
+        .map(|p| u64::from(u32::from_le_bytes(p[8..12].try_into().unwrap())))
+        .sum();
+    let onpage_len = onpage.len();
+    if total_len != (prefix_len + onpage_len) as u64 + off {
+        return Err(corrupt(format!(
+            "entry {i}: total_len {total_len} != prefix {prefix_len} + onpage {onpage_len} + offpage {off}"
+        )));
+    }
+    Ok((EntryView { prefix_len, onpage, offpage_raw, total_len }, pos))
 }
 
 #[cfg(test)]
@@ -742,30 +824,48 @@ mod tests {
         b.finish()
     }
 
+    /// The varint at `pos`, read independently of the view: its value and
+    /// the position past it.
+    pub(super) fn varint_at(bytes: &[u8], mut pos: usize) -> (usize, usize) {
+        let (mut v, mut shift) = (0, 0);
+        loop {
+            let b = bytes[pos];
+            pos += 1;
+            v |= usize::from(b & 0x7F) << shift;
+            if b < 0x80 {
+                return (v, pos);
+            }
+            shift += 7;
+        }
+    }
+
     /// One entry as the wire format lays it out, read independently of the
-    /// view: its byte position, prefix length and on-page length.
+    /// view: its byte position, where its length varint starts, its
+    /// prefix length, on-page length and spill bit, and where it ends.
     #[derive(Debug)]
     pub(super) struct RawEntry {
         pub(super) pos: usize,
+        pub(super) len_at: usize,
         pub(super) prefix_len: usize,
         pub(super) onpage_len: usize,
+        pub(super) end: usize,
     }
 
     /// Every entry of a well-formed block, and the byte where the block ends.
     pub(super) fn raw_entries(bytes: &[u8]) -> (Vec<RawEntry>, usize) {
-        let count = (bytes[0] & COUNT_MASK) as usize;
-        let mut pos = if bytes[0] & FLAG_RESTARTS != 0 { restart_header_len(count) } else { 1 };
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            let prefix_len = u16::from_le_bytes(bytes[pos..pos + 2].try_into().unwrap()) as usize;
-            let onpage_len = u32::from_le_bytes(bytes[pos + 2..pos + 6].try_into().unwrap()) as usize;
-            out.push(RawEntry { pos, prefix_len, onpage_len });
-            let spilled = bytes[pos + 6] & 1 == 1;
-            pos += 7 + onpage_len;
-            if spilled {
-                let nptr = u16::from_le_bytes(bytes[pos..pos + 2].try_into().unwrap()) as usize;
-                pos += 2 + nptr * 12 + 8;
+        let mut pos = 1;
+        let mut out = Vec::with_capacity(bytes[0] as usize);
+        for _ in 0..bytes[0] {
+            let (prefix_len, len_at) = varint_at(bytes, pos);
+            let (len_spill, body) = varint_at(bytes, len_at);
+            let onpage_len = len_spill >> 1;
+            let mut end = body + onpage_len;
+            if len_spill & 1 == 1 {
+                let nptr = u16::from_le_bytes(bytes[end..end + 2].try_into().unwrap()) as usize;
+                end += 2 + nptr * 12 + 8;
             }
+            out.push(RawEntry { pos, len_at, prefix_len, onpage_len, end });
+            pos = end;
         }
         (out, pos)
     }
@@ -791,6 +891,25 @@ mod tests {
     }
 
     #[test]
+    fn varints_are_leb128_and_their_length_is_exact() {
+        for (v, encoded) in [
+            (0u64, vec![0u8]),
+            (127, vec![0x7F]),
+            (128, vec![0x80, 0x01]),
+            (300, vec![0xAC, 0x02]),
+            (u64::from(u32::MAX) << 1 | 1, vec![0xFF, 0xFF, 0xFF, 0xFF, 0x1F]),
+        ] {
+            let mut out = Vec::new();
+            put_varint(&mut out, v);
+            assert_eq!(out, encoded, "{v}");
+            assert_eq!(varint_len(v), encoded.len(), "{v}");
+            let mut pos = 0;
+            assert_eq!(get_varint(&out, &mut pos, 0).unwrap() as u64, v);
+            assert_eq!(pos, out.len());
+        }
+    }
+
+    #[test]
     fn roundtrip_small_strings() {
         let keys: Vec<&[u8]> = vec![b"apple", b"applesauce", b"apply", b"banana", b"band"];
         let mut sim = OverflowSim::new(8);
@@ -799,8 +918,9 @@ mod tests {
         assert_eq!(end, bytes.len());
         let view = ValueBlockView::parse(&bytes).unwrap();
         assert_eq!(view.len(), 5);
-        // Prefix compression actually happened.
-        assert_eq!(raw[1].prefix_len, 5); // "apple" ∩ "applesauce"
+        // Prefix compression actually happened, in two one-byte varints.
+        assert_eq!((raw[1].prefix_len, raw[1].onpage_len), (5, 5)); // "apple" ∩ "applesauce"
+        assert_eq!(raw[1].end - raw[1].pos, 2 + 5);
         for (i, k) in keys.iter().enumerate() {
             assert_eq!(materialize(&view, i, &mut sim.fetch()).unwrap(), *k);
         }
@@ -896,35 +1016,40 @@ mod tests {
         let view = ValueBlockView::parse(&bytes).unwrap();
         assert_eq!(materialize(&view, 1, &mut sim.fetch()).unwrap(), b"same");
         assert_eq!(walk_all(&view, &mut sim.fetch()).unwrap(), keys);
+        for (probe, expect) in [(&b"same"[..], Ok(0)), (b"samd", Err(0)), (b"samf", Err(2))] {
+            assert_eq!(view.lower_bound(probe, None, &mut Vec::new(), &mut sim.fetch()).unwrap(), expect);
+        }
     }
 
+    /// A page writer budgets the next entry as `entry_len` of what it would
+    /// share and keep on the page; that is exactly what the push adds, inline
+    /// or spilled, with one- and two-byte varints.
     #[test]
-    fn projected_len_matches_actual_growth() {
+    fn entry_len_is_what_a_push_adds() {
         let mut sim = OverflowSim::new(8);
         let mut b = ValueBlockBuilder::new();
-        b.push(b"prefix-one", 1024, &mut |x| sim.alloc(x));
-        let projected = b.projected_len(b"prefix-two");
-        b.push(b"prefix-two", 1024, &mut |x| sim.alloc(x));
-        assert_eq!(b.byte_len(), projected);
-        assert_eq!(b.finish().len(), projected);
-    }
-
-    #[test]
-    fn projected_len_matches_across_restart_boundaries() {
-        let mut sim = OverflowSim::new(8);
-        let mut b = ValueBlockBuilder::new();
-        for i in 0..BLOCK_CAP {
-            let key = format!("restart-growth-{i:02}").into_bytes();
-            let projected = b.projected_len(&key);
-            b.push(&key, 1024, &mut |x| sim.alloc(x));
-            assert_eq!(b.byte_len(), projected, "entry {i}");
+        let mut keys: Vec<Vec<u8>> = (0..BLOCK_CAP - 2).map(|i| format!("growth-{i:02}").into_bytes()).collect();
+        keys.push([b"growth-99".as_slice(), &[b'w'; 200]].concat());
+        keys.push([b"growth-99".as_slice(), &[b'x'; 200]].concat());
+        for (i, key) in keys.iter().enumerate() {
+            let shared = b.next_shared(key);
+            let inline = if i == BLOCK_CAP - 1 { 16 } else { key.len() - shared };
+            let nptr = (key.len() - shared - inline).div_ceil(8);
+            let expect = b.byte_len() + entry_len(shared, inline, nptr);
+            b.push(key, inline, &mut |x| sim.alloc(x));
+            assert_eq!(b.byte_len(), expect, "entry {i}");
         }
         let expected = b.byte_len();
-        assert_eq!(b.finish().len(), expected);
+        let bytes = b.finish();
+        assert_eq!(bytes.len(), expected);
+        let view = ValueBlockView::parse(&bytes).unwrap();
+        assert_eq!(walk_all(&view, &mut sim.fetch()).unwrap(), keys);
     }
 
+    /// A block is one front-coding run: its first entry shares nothing, and
+    /// every other entry front-codes against its predecessor.
     #[test]
-    fn restart_entries_have_zero_prefix_and_recorded_offsets() {
+    fn a_block_is_one_front_coding_run_from_its_start() {
         let keys: Vec<Vec<u8>> =
             (0..BLOCK_CAP).map(|i| format!("shared-prefix-{i:02}").into_bytes()).collect();
         let mut sim = OverflowSim::new(8);
@@ -933,46 +1058,12 @@ mod tests {
             b.push(k, 1024, &mut |x| sim.alloc(x));
         }
         let bytes = b.finish();
-        assert_eq!(bytes[0], BLOCK_CAP as u8 | 0x80);
+        assert_eq!(bytes[0], BLOCK_CAP as u8);
         let (raw, end) = raw_entries(&bytes);
         assert_eq!(end, bytes.len());
-        for (i, e) in raw.iter().enumerate() {
-            if i % RESTART_EVERY == 0 {
-                assert_eq!(e.prefix_len, 0, "entry {i} is a restart");
-            } else {
-                assert!(e.prefix_len > 0, "entry {i} front-codes");
-            }
-        }
-        for g in 1..BLOCK_CAP / RESTART_EVERY {
-            let recorded = u16::from_le_bytes(bytes[2 * g - 1..2 * g + 1].try_into().unwrap());
-            assert_eq!(recorded as usize, raw[g * RESTART_EVERY].pos, "restart offset {g}");
-        }
+        assert_eq!(raw[0].prefix_len, 0);
+        assert!(raw[1..].iter().all(|e| e.prefix_len >= 14), "{raw:?}");
         let view = ValueBlockView::parse(&bytes).unwrap();
-        let mut fetch = sim.fetch();
-        let mut acc = Vec::new();
-        for (i, k) in keys.iter().enumerate() {
-            assert_eq!(&materialize(&view, i, &mut fetch).unwrap(), k);
-            assert_eq!(view.lower_bound(k, None, &mut acc, &mut fetch).unwrap(), Ok(i));
-        }
-        assert_eq!(walk_all(&view, &mut fetch).unwrap(), keys);
-    }
-
-    #[test]
-    fn legacy_blocks_without_restart_header_still_parse() {
-        let keys: Vec<Vec<u8>> =
-            (0..BLOCK_CAP).map(|i| format!("legacy-key-{i:02}").into_bytes()).collect();
-        let mut sim = OverflowSim::new(8);
-        let mut b = ValueBlockBuilder::new();
-        for k in &keys {
-            b.push(k, 1024, &mut |x| sim.alloc(x));
-        }
-        let bytes = b.finish();
-        // Reconstruct the legacy wire form: plain count byte, no offsets.
-        let header = 1 + 2 * ((BLOCK_CAP - 1) / RESTART_EVERY);
-        let mut legacy = vec![BLOCK_CAP as u8];
-        legacy.extend_from_slice(&bytes[header..]);
-        assert_eq!(raw_entries(&legacy).1, legacy.len());
-        let view = ValueBlockView::parse(&legacy).unwrap();
         let mut fetch = sim.fetch();
         let mut acc = Vec::new();
         for (i, k) in keys.iter().enumerate() {
@@ -1010,6 +1101,16 @@ mod view_tests {
             });
         }
         (b.finish(), pages)
+    }
+
+    /// `keys` as a run of blocks: the bytes and each block's start.
+    fn build_run(keys: &[Vec<u8>]) -> (Vec<u8>, Vec<u32>) {
+        let (mut bytes, mut starts) = (Vec::new(), Vec::new());
+        for group in keys.chunks(BLOCK_CAP) {
+            starts.push(bytes.len() as u32);
+            bytes.extend_from_slice(&build_random(group, 1024).0);
+        }
+        (bytes, starts)
     }
 
     #[test]
@@ -1058,88 +1159,176 @@ mod view_tests {
         assert!(ValueBlockView::parse(&[]).is_err());
         assert!(ValueBlockView::parse(&[0]).is_err());
         assert!(ValueBlockView::parse(&[17]).is_err());
-        // Truncated entry payload.
-        let v = ValueBlockView::parse(&[1, 0, 0, 200, 0, 0, 0, 0]).unwrap();
+        assert!(ValueBlockView::parse(&[16 | 0x80, 9]).is_err());
+        // An on-page length (varint 0xC8 0x01 = 200: 100 bytes, inline) past
+        // the block.
+        let v = ValueBlockView::parse(&[1, 0, 0xC8, 0x01, b'k']).unwrap();
         assert!(v.materialize_onpage_into(0, &mut Vec::new()).is_err());
         assert!(v.lower_bound(b"k", None, &mut Vec::new(), &mut |_| Ok(Vec::new())).is_err());
-        // Restart flag with a truncated offset array.
-        assert!(ValueBlockView::parse(&[16 | 0x80, 9]).is_err());
     }
 
+    /// Every structure the block format forbids — in a run of two blocks,
+    /// each cut at the next block's start — is refused by the point read,
+    /// the lookup and the whole-run walk alike. The first five cases are
+    /// the format's standing checks, carried from its fixed-width entry
+    /// header to the varint one: a prefix past what its predecessor keeps
+    /// on the page; a spill whose pointers do not add up to its total length
+    /// (the length varint's spill bit is the entry's one flag, so the old
+    /// unknown-flags case has this check in its place); a spill with no
+    /// pointer; a restart offset pointing into another restart's entries
+    /// (a block start, now that each block is one restart); and a nonzero
+    /// prefix at a restart. The rest are the varint encoding's own: an
+    /// over-long and a truncated varint, an on-page length past the block's
+    /// end, a spill bit with no pointers behind it, and a restart offset
+    /// past the run.
     #[test]
     fn view_rejects_every_corruption_the_block_format_forbids() {
-        let keys: Vec<Vec<u8>> = (0..BLOCK_CAP).map(|i| format!("k-{i:02}").into_bytes()).collect();
-        let (bytes, _) = build_random(&keys, 1024);
-        let pos: Vec<usize> = raw_entries(&bytes).0.iter().map(|e| e.pos).collect();
+        let keys: Vec<Vec<u8>> = (0..2 * BLOCK_CAP).map(|i| format!("k-{i:02}").into_bytes()).collect();
+        let (bytes, starts) = build_run(&keys);
+        let split = starts[1] as usize;
+        let (first, second) = (&bytes[..split], &bytes[split..]);
+        let raw = raw_entries(first).0;
+        let last = &raw[BLOCK_CAP - 1];
+        // Block 0 rewritten by `patch`, then block 1 where it now starts.
         let patched = |patch: &dyn Fn(&mut Vec<u8>)| {
-            let mut b = bytes.clone();
+            let mut b = first.to_vec();
             patch(&mut b);
-            b
+            let starts = vec![0, b.len() as u32];
+            b.extend_from_slice(second);
+            (b, starts)
         };
-        // (what, the corrupted entry, the block)
+        // Sets the spill bit of the last entry of block 0 and appends `tail`.
+        let spill = |tail: Vec<u8>| {
+            patched(&move |b| {
+                b[last.len_at] |= 1;
+                b.extend_from_slice(&tail);
+            })
+        };
+        let tail = |nptr: u16, ptr_len: u32, total: u64| {
+            let mut t = nptr.to_le_bytes().to_vec();
+            t.extend((0..nptr).flat_map(|_| [0u8; 8].into_iter().chain(ptr_len.to_le_bytes())));
+            t.extend_from_slice(&total.to_le_bytes());
+            t
+        };
+        let within = starts[1] + raw_entries(second).0[4].pos as u32;
+        // (what, the corrupted entry, the run)
         let cases = [
             (
                 "prefix beyond the predecessor's on-page part",
                 1,
-                patched(&|b| b[pos[1]..pos[1] + 2].copy_from_slice(&5u16.to_le_bytes())),
+                patched(&|b| b[raw[1].pos] = 5),
             ),
-            ("flags = 2", 1, patched(&|b| b[pos[1] + 6] = 2)),
-            (
-                "spill flag with zero pointers",
-                BLOCK_CAP - 1,
-                patched(&|b| {
-                    b[pos[BLOCK_CAP - 1] + 6] = 1;
-                    b.extend_from_slice(&0u16.to_le_bytes());
-                    b.extend_from_slice(&4u64.to_le_bytes());
-                }),
-            ),
-            ("restart offset 1 pointing at restart 2's entry", 5, patched(&|b| b.copy_within(3..5, 1))),
+            ("spill whose total length does not add up", BLOCK_CAP - 1, spill(tail(1, 7, 12))),
+            ("spill bit with zero pointers", BLOCK_CAP - 1, spill(tail(0, 0, 4))),
+            ("restart offset pointing at another restart's entry", BLOCK_CAP, (bytes.clone(), vec![0, within])),
             (
                 "nonzero prefix at a restart entry",
-                4,
-                patched(&|b| b[pos[4]..pos[4] + 2].copy_from_slice(&3u16.to_le_bytes())),
+                BLOCK_CAP,
+                {
+                    let mut b = bytes.clone();
+                    b[split + 1] = 3;
+                    (b, starts.clone())
+                },
             ),
+            (
+                "over-long varint",
+                1,
+                patched(&|b| {
+                    b[raw[1].pos] |= 0x80;
+                    b.insert(raw[1].pos + 1, 0);
+                }),
+            ),
+            (
+                "varint truncated at the block end",
+                BLOCK_CAP - 1,
+                patched(&|b| {
+                    b.truncate(last.len_at);
+                    b.push(0x88);
+                }),
+            ),
+            (
+                "on-page length past the block end",
+                BLOCK_CAP - 1,
+                patched(&|b| {
+                    b.truncate(last.len_at);
+                    b.extend_from_slice(&[0xC8, 0x01]);
+                    b.extend_from_slice(&first[last.len_at + 1..]);
+                }),
+            ),
+            ("spill bit without a pointer", BLOCK_CAP - 1, spill(Vec::new())),
+            ("restart offset past the run", BLOCK_CAP, (bytes.clone(), vec![0, bytes.len() as u32 + 1])),
         ];
         let mut accepted = Vec::new();
-        for (what, idx, block) in &cases {
-            let view = ValueBlockView::parse(block).unwrap();
-            let mut acc = Vec::new();
-            let mut fetch = |_: &OverflowRef| Ok(Vec::new());
-            if view.materialize_onpage_into(*idx, &mut acc).is_ok() {
-                let got = String::from_utf8_lossy(&acc);
-                accepted.push(format!("{what}: materialize_onpage_into({idx}) = {got:?}"));
+        for (what, idx, (bytes, starts)) in &cases {
+            let run = BlockRun::new(bytes, starts);
+            let (mut acc, mut fetch) = (Vec::new(), |_: &OverflowRef| Ok(Vec::new()));
+            let (b, slot) = (idx / BLOCK_CAP, idx % BLOCK_CAP);
+            if let Ok(view) = run.block(b) {
+                if slot < view.len() && view.materialize_onpage_into(slot, &mut acc).is_ok() {
+                    let got = String::from_utf8_lossy(&acc);
+                    accepted.push(format!("{what}: materialize_onpage_into({idx}) = {got:?}"));
+                }
             }
-            if let Ok(found) = view.lower_bound(&keys[*idx], None, &mut acc, &mut fetch) {
+            if let Ok(found) = run.lower_bound(&keys[*idx], None, &mut acc, &mut fetch) {
                 accepted.push(format!("{what}: lower_bound(keys[{idx}]) = {found:?}"));
             }
-            if let Ok(all) = walk_all(&view, &mut fetch) {
+            let whole: Result<Vec<Vec<u8>>> = (0..run.blocks()).try_fold(Vec::new(), |mut all, b| {
+                all.extend(walk_all(&run.block(b)?, &mut fetch)?);
+                Ok(all)
+            });
+            if let Ok(all) = whole {
                 let all: Vec<_> = all.iter().map(|k| String::from_utf8_lossy(k).into_owned()).collect();
-                accepted.push(format!("{what}: whole-block walk = {all:?}"));
+                accepted.push(format!("{what}: whole-run walk = {all:?}"));
             }
         }
         assert!(accepted.is_empty(), "corruptions read as data:\n{}", accepted.join("\n"));
     }
 
+    /// Reading resumes at the block's start, its restart point: with every
+    /// byte of block 1 destroyed, blocks 0 and 2 of a run still read and
+    /// search exactly, and block 1 is refused.
     #[test]
-    fn materialization_resumes_at_restart_points_not_entry_zero() {
+    fn reads_resume_at_the_restart_point_of_their_block() {
         let keys: Vec<Vec<u8>> =
-            (0..BLOCK_CAP).map(|i| format!("restart-jump-{i:02}").into_bytes()).collect();
-        let (bytes, pages) = build_random(&keys, 1024);
-        // Locate the recorded restart offsets for groups 1 and 2.
-        let g1 = u16::from_le_bytes(bytes[1..3].try_into().unwrap()) as usize;
-        let g2 = u16::from_le_bytes(bytes[3..5].try_into().unwrap()) as usize;
-        // Destroy the bytes of group 1 (entries 4..8). Entries in groups 0,
-        // 2 and 3 must still materialize and probe correctly, proving the
-        // walk starts at the nearest restart instead of entry 0.
-        let mut smashed = bytes.clone();
-        smashed[g1..g2].fill(0);
-        let view = ValueBlockView::parse(&smashed).unwrap();
-        let mut fetch = |r: &OverflowRef| Ok(pages[&r.page_no].clone());
-        for i in (0..4).chain(8..BLOCK_CAP) {
-            assert_eq!(&materialize(&view, i, &mut fetch).unwrap(), &keys[i], "entry {i}");
+            (0..3 * BLOCK_CAP).map(|i| format!("restart-jump-{i:02}").into_bytes()).collect();
+        let (mut bytes, starts) = build_run(&keys);
+        bytes[starts[1] as usize..starts[2] as usize].fill(0);
+        let run = BlockRun::new(&bytes, &starts);
+        let mut fetch = |_: &OverflowRef| Ok(Vec::new());
+        let mut acc = Vec::new();
+        for (i, k) in keys.iter().enumerate() {
+            let (b, slot) = (i / BLOCK_CAP, i % BLOCK_CAP);
+            if b == 1 {
+                assert!(run.block(1).is_err(), "a zeroed block has count 0");
+                continue;
+            }
+            assert_eq!(&materialize(&run.block(b).unwrap(), slot, &mut fetch).unwrap(), k, "entry {i}");
         }
-        let got = materialize(&view, 5, &mut fetch);
-        assert!(got.is_err() || got.unwrap() != keys[5]);
+        for (b, slot) in [(0, 3), (2, 8)] {
+            let key = &keys[b * BLOCK_CAP + slot];
+            let found = run.block(b).unwrap().lower_bound(key, None, &mut acc, &mut fetch).unwrap();
+            assert_eq!(found, Ok(slot));
+        }
+    }
+
+    /// A run's search answers like binary search of its keys, an insertion
+    /// point past a block being the next block's slot 0.
+    #[test]
+    fn a_run_searches_like_binary_search() {
+        let keys: Vec<Vec<u8>> = (0..3 * BLOCK_CAP + 5).map(|i| format!("run-{:03}", 2 * i).into_bytes()).collect();
+        let (bytes, starts) = build_run(&keys);
+        let run = BlockRun::new(&bytes, &starts);
+        let mut fetch = |_: &OverflowRef| Ok(Vec::new());
+        let mut acc = Vec::new();
+        let mut probes: Vec<Vec<u8>> = vec![Vec::new(), b"zzz".to_vec()];
+        for i in 0..2 * keys.len() + 1 {
+            probes.push(format!("run-{i:03}").into_bytes());
+        }
+        for probe in &probes {
+            let (b, pos) = run.lower_bound(probe, None, &mut acc, &mut fetch).unwrap();
+            let got = pos.map(|s| b * BLOCK_CAP + s).map_err(|s| b * BLOCK_CAP + s);
+            assert_eq!(got, keys.binary_search(probe), "probe {:?}", String::from_utf8_lossy(probe));
+        }
     }
 
     #[test]

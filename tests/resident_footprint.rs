@@ -12,7 +12,7 @@
 mod reference;
 
 use page_as_you_go::core::column::Column;
-use page_as_you_go::core::dict::FrontCodedDict;
+use page_as_you_go::core::dict::BlockDict;
 use page_as_you_go::core::invidx::InMemoryInvertedIndex;
 use page_as_you_go::core::{
     ColumnBuilder, ColumnRead, DataType, LoadPolicy, PageConfig, Value, ValuePredicate,
@@ -313,7 +313,7 @@ fn a_key_stored_in_row_order_holds_and_stores_its_dictionary_alone() {
     let stats = resman.stats();
     assert_eq!((stats.total_bytes, stats.resource_count), (held, 1));
     let keys: Vec<Vec<u8>> = model.iter().map(|r| r[0].to_key()).collect();
-    let dict = FrontCodedDict::from_sorted_keys(&keys).unwrap();
+    let dict = BlockDict::from_sorted_keys(&keys).unwrap();
     assert_eq!(held, dict.heap_bytes(), "the image is the dictionary alone");
 
     // Q_pk^* (present and absent keys), PK ranges under every projection

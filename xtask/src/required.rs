@@ -3,8 +3,11 @@
 //!
 //! The manifest holds one test a line in four whitespace-separated columns —
 //! crate, target (`lib` or a test target), the exact name the test harness
-//! prints, and `debug` or `release` — with `#` starting a comment. Tests of
-//! one crate, target and profile run in one `cargo test … -- --exact` call;
+//! prints, and the profile: `debug`, `release`, or `model` (a debug build
+//! with `--cfg payg_check`, in its own target directory, so the model
+//! checker's scheduler drives the synchronization) — with `#` starting a
+//! comment. Tests of one crate, target and profile run in one
+//! `cargo test … -- --exact` call;
 //! a name the harness does not report as `ok` — failed, or never run because
 //! it was renamed or deleted — fails the command, so a required test cannot
 //! drop out of CI silently.
@@ -16,8 +19,27 @@ use std::process::{Command, ExitCode};
 /// Where the manifest lives, relative to the workspace root.
 const MANIFEST: &str = "ci/required-tests.txt";
 
+/// How a group's tests are built.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Profile {
+    Debug,
+    Release,
+    /// Debug, with `--cfg payg_check`.
+    Model,
+}
+
+impl Profile {
+    fn name(self) -> &'static str {
+        match self {
+            Profile::Debug => "debug",
+            Profile::Release => "release",
+            Profile::Model => "model",
+        }
+    }
+}
+
 /// One crate, target and profile: the tests of one `cargo test` call.
-type Group = (String, String, bool);
+type Group = (String, String, Profile);
 
 /// Reads the manifest into groups of test names, in manifest order within
 /// each group.
@@ -32,14 +54,18 @@ fn parse(text: &str) -> Result<BTreeMap<Group, Vec<String>>, String> {
         let [krate, target, name, profile] = cols[..] else {
             return Err(format!("{MANIFEST}:{}: expected 4 columns, found {}", n + 1, cols.len()));
         };
-        let release = match profile {
-            "release" => true,
-            "debug" => false,
+        let profile = match profile {
+            "debug" => Profile::Debug,
+            "release" => Profile::Release,
+            "model" => Profile::Model,
             other => {
-                return Err(format!("{MANIFEST}:{}: profile `{other}` is not debug or release", n + 1))
+                return Err(format!(
+                    "{MANIFEST}:{}: profile `{other}` is not debug, release or model",
+                    n + 1
+                ))
             }
         };
-        groups.entry((krate.into(), target.into(), release)).or_default().push(name.into());
+        groups.entry((krate.into(), target.into(), profile)).or_default().push(name.into());
     }
     Ok(groups)
 }
@@ -72,18 +98,25 @@ pub fn run(root: &Path) -> ExitCode {
     };
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".into());
     let (mut total, mut missing) = (0, Vec::new());
-    for ((krate, target, release), names) in &groups {
+    for ((krate, target, profile), names) in &groups {
         let mut cmd = Command::new(&cargo);
         cmd.current_dir(root).args(["test", "-p", krate]);
-        if *release {
-            cmd.arg("--release");
+        match profile {
+            Profile::Debug => {}
+            Profile::Release => {
+                cmd.arg("--release");
+            }
+            Profile::Model => {
+                cmd.env("RUSTFLAGS", "--cfg payg_check");
+                cmd.env("CARGO_TARGET_DIR", root.join("target").join("payg_check"));
+            }
         }
         match target.as_str() {
             "lib" => cmd.arg("--lib"),
             test => cmd.args(["--test", test]),
         };
         cmd.args(["--", "--exact"]).args(names);
-        let profile = if *release { "release" } else { "debug" };
+        let profile = profile.name();
         eprintln!("required-tests: {krate} {target} ({profile}): {} test(s)", names.len());
         let output = match cmd.output() {
             Ok(output) => output,
@@ -122,13 +155,15 @@ mod tests {
                     payg-core lib a::b debug  # trailing\n\
                     \n\
                     payg-core lib a::c debug\n\
-                    payg-core proptests p release\n";
+                    payg-core proptests p release\n\
+                    payg-core proptests p model\n";
         let groups = parse(text).unwrap();
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups[&("payg-core".into(), "lib".into(), false)], ["a::b", "a::c"]);
-        assert_eq!(groups[&("payg-core".into(), "proptests".into(), true)], ["p"]);
+        assert_eq!(groups.len(), 3);
+        assert_eq!(groups[&("payg-core".into(), "lib".into(), Profile::Debug)], ["a::b", "a::c"]);
+        assert_eq!(groups[&("payg-core".into(), "proptests".into(), Profile::Release)], ["p"]);
+        assert_eq!(groups[&("payg-core".into(), "proptests".into(), Profile::Model)], ["p"]);
         assert!(parse("payg-core lib a::b").unwrap_err().contains("expected 4 columns"));
-        assert!(parse("payg-core lib a::b fast").unwrap_err().contains("not debug or release"));
+        assert!(parse("payg-core lib a::b fast").unwrap_err().contains("not debug, release or model"));
     }
 
     #[test]
@@ -152,6 +187,6 @@ mod tests {
             sorted.dedup();
             assert_eq!(sorted.len(), names.len(), "{krate} {target} lists a test twice");
         }
-        assert!(groups.values().map(Vec::len).sum::<usize>() >= 47);
+        assert!(groups.values().map(Vec::len).sum::<usize>() >= 54);
     }
 }

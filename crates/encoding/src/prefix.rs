@@ -260,10 +260,22 @@ impl Default for ValueBlockBuilder {
     }
 }
 
-/// Longest common prefix length of two byte strings.
+/// Longest common prefix length of two byte strings, compared eight bytes
+/// at a time.
 #[inline]
 pub fn common_prefix(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b.iter()).take_while(|(x, y)| x == y).count()
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
+    let mut i = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let word = |w: &[u8]| u64::from_le_bytes(w.try_into().unwrap());
+        let diff = word(x) ^ word(y);
+        if diff != 0 {
+            return i + diff.trailing_zeros() as usize / 8;
+        }
+        i += 8;
+    }
+    i + a[i..].iter().zip(&b[i..]).take_while(|(x, y)| x == y).count()
 }
 
 /// A zero-copy view over an encoded value block — the one block reader.
@@ -305,9 +317,10 @@ impl EntryView<'_> {
     }
 }
 
-/// A forward walk over a block's entries from its start, replaying the
-/// front coding into one caller buffer — the point read, the search and the
-/// whole-block read are this walk. It checks what it reads: every varint
+/// A forward walk over a block's entries from its start — the search, the
+/// point read ([`ValueBlockView::seek`]) and the whole-block read are this
+/// walk, the last replaying the front coding into one caller buffer
+/// ([`BlockWalk::next_into`]). It checks what it reads: every varint
 /// whole and minimal, every prefix within its predecessor's on-page part (so
 /// a zero prefix at the block's start), every on-page suffix within the
 /// block, a pointer behind every spill bit, and a total length that adds up.
@@ -434,12 +447,14 @@ impl<'a> ValueBlockView<'a> {
     pub fn seek(&self, idx: usize, acc: &mut Vec<u8>) -> Result<(BlockWalk<'a>, EntryView<'a>)> {
         assert!(idx < self.count, "entry {idx} of a {}-entry block", self.count);
         let mut walk = self.walk();
-        // Where each entry up to `idx` starts.
-        let mut at = [0u32; BLOCK_CAP];
+        // Each entry's prefix length and where its on-page bytes start.
+        let mut parts = [(0u32, 0u32); BLOCK_CAP];
         let mut k = 0;
         let entry = loop {
-            at[k] = walk.pos as u32;
             let Some(entry) = walk.next_entry()? else { return Err(no_entry(idx)) };
+            let tail = if entry.spilled() { entry.offpage_raw.len() + SPILL_FRAME_LEN } else { 0 };
+            let start = walk.pos - tail - entry.onpage.len();
+            parts[k] = (entry.prefix_len as u32, start as u32);
             if k == idx {
                 break entry;
             }
@@ -448,13 +463,10 @@ impl<'a> ValueBlockView<'a> {
         let mut hi = entry.prefix_len + entry.onpage.len();
         acc.clear();
         acc.resize(hi, 0);
-        // The walk checked these entries: decoding them again cannot fail.
-        for (k, &pos) in at[..=idx].iter().enumerate().rev() {
-            let mut pos = pos as usize;
-            let prefix_len = get_varint(self.bytes, &mut pos, k)?;
+        for &(prefix_len, start) in parts[..=idx].iter().rev() {
+            let (prefix_len, start) = (prefix_len as usize, start as usize);
             if prefix_len < hi {
-                get_varint(self.bytes, &mut pos, k)?;
-                acc[prefix_len..hi].copy_from_slice(&self.bytes[pos..pos + hi - prefix_len]);
+                acc[prefix_len..hi].copy_from_slice(&self.bytes[start..start + hi - prefix_len]);
                 hi = prefix_len;
             }
         }
@@ -478,13 +490,7 @@ impl<'a> ValueBlockView<'a> {
         if table.is_none() && !head.spilled() {
             return Ok(head.onpage.cmp(key));
         }
-        if let Some(ord) = cmp_onpage(head.onpage, head.spilled(), key, table)? {
-            return Ok(ord);
-        }
-        acc.clear();
-        acc.extend_from_slice(head.onpage);
-        append_pieces(acc, head.offpage_refs(), fetch)?;
-        cmp_value(acc, key, table)
+        cmp_whole(&head, key, table, acc, fetch)
     }
 
     /// Searches the block — sorted by raw value — for the raw probe `key`:
@@ -623,6 +629,11 @@ impl<'a> BlockRun<'a> {
         acc: &mut Vec<u8>,
         fetch: Fetch<'_>,
     ) -> Result<(usize, std::result::Result<usize, usize>)> {
+        if table.is_none() {
+            if let Some(found) = self.lower_bound_inline(key)? {
+                return Ok(found);
+            }
+        }
         // Rightmost block whose first entry is <= key.
         let (mut lo, mut hi) = (0usize, self.blocks());
         while hi - lo > 1 {
@@ -634,10 +645,46 @@ impl<'a> BlockRun<'a> {
             }
         }
         let block = self.block(lo)?;
-        Ok(match block.lower_bound(key, table, acc, fetch)? {
-            Err(i) if i == block.len() && lo + 1 < self.blocks() => (lo + 1, Err(0)),
-            pos => (lo, pos),
-        })
+        Ok(Self::settle(lo, block.len(), self.blocks(), block.lower_bound(key, table, acc, fetch)?))
+    }
+
+    /// [`BlockRun::lower_bound`] over raw entries while every head and every
+    /// entry walked is inline: the same bisection and block search, in a
+    /// function that carries nothing of the compressed and spilled cases.
+    /// `None` at the first entry that spills.
+    #[inline(never)]
+    fn lower_bound_inline(&self, key: &[u8]) -> Result<Option<(usize, std::result::Result<usize, usize>)>> {
+        let (mut lo, mut hi) = (0usize, self.blocks());
+        while hi - lo > 1 {
+            let mid = (lo + hi) / 2;
+            let (head, _) = self.block(mid)?.entry_at(1, 0, 0)?;
+            if head.spilled() {
+                return Ok(None);
+            }
+            match head.onpage.cmp(key) {
+                Ordering::Less => lo = mid,
+                Ordering::Equal => return Ok(Some((mid, Ok(0)))),
+                Ordering::Greater => hi = mid,
+            }
+        }
+        let block = self.block(lo)?;
+        let found = block.lower_bound_inline(key)?;
+        Ok(found.map(|pos| Self::settle(lo, block.len(), self.blocks(), pos)))
+    }
+
+    /// Block `b`'s search result `pos` as the run's: an insertion point past
+    /// a block of `len` entries that is not the last of `blocks` is the next
+    /// block's slot 0.
+    fn settle(
+        b: usize,
+        len: usize,
+        blocks: usize,
+        pos: std::result::Result<usize, usize>,
+    ) -> (usize, std::result::Result<usize, usize>) {
+        match pos {
+            Err(i) if i == len && b + 1 < blocks => (b + 1, Err(0)),
+            pos => (b, pos),
+        }
     }
 }
 
@@ -665,6 +712,27 @@ fn append_pieces(
         acc.extend_from_slice(&piece);
     }
     Ok(())
+}
+
+/// Orders `entry`, the first of its block, against the raw probe `key` when
+/// its bytes are FSST-coded or it spills: by its on-page part where that
+/// decides, else whole, its off-page pieces fetched into `acc`. Out of line,
+/// so a search over raw inline heads carries none of it.
+#[inline(never)]
+fn cmp_whole(
+    entry: &EntryView<'_>,
+    key: &[u8],
+    table: Option<&SymbolTable>,
+    acc: &mut Vec<u8>,
+    fetch: Fetch<'_>,
+) -> Result<Ordering> {
+    if let Some(ord) = cmp_onpage(entry.onpage, entry.spilled(), key, table)? {
+        return Ok(ord);
+    }
+    acc.clear();
+    acc.extend_from_slice(entry.onpage);
+    append_pieces(acc, entry.offpage_refs(), fetch)?;
+    cmp_value(acc, key, table)
 }
 
 /// Orders a complete stored value against the raw probe `key`.
@@ -906,6 +974,24 @@ mod tests {
             let mut pos = 0;
             assert_eq!(get_varint(&out, &mut pos, 0).unwrap() as u64, v);
             assert_eq!(pos, out.len());
+        }
+    }
+
+    #[test]
+    fn common_prefix_equals_the_bytewise_count() {
+        let bytewise = |a: &[u8], b: &[u8]| a.iter().zip(b).take_while(|(x, y)| x == y).count();
+        let base: Vec<u8> = (0..40u8).collect();
+        for len_a in 0..24 {
+            for len_b in 0..24 {
+                for flip in 0..25 {
+                    let a = &base[..len_a];
+                    let mut b = base[..len_b].to_vec();
+                    if let Some(byte) = b.get_mut(flip) {
+                        *byte ^= 0x80;
+                    }
+                    assert_eq!(common_prefix(a, &b), bytewise(a, &b), "{len_a} {len_b} {flip}");
+                }
+            }
         }
     }
 

@@ -260,6 +260,26 @@ impl Default for ValueBlockBuilder {
     }
 }
 
+/// `a.cmp(b)`, compared eight bytes at a time: ordering a short key against
+/// a probe costs no call into `memcmp`.
+#[inline]
+fn cmp_bytes(a: &[u8], b: &[u8]) -> Ordering {
+    let n = a.len().min(b.len());
+    let (a8, b8) = (a[..n].chunks_exact(8), b[..n].chunks_exact(8));
+    let (a_tail, b_tail) = (a8.remainder(), b8.remainder());
+    for (x, y) in a8.zip(b8) {
+        let word = |w: &[u8]| u64::from_be_bytes(w.try_into().unwrap());
+        let (x, y) = (word(x), word(y));
+        if x != y {
+            return x.cmp(&y);
+        }
+    }
+    match a_tail.iter().zip(b_tail).find(|(x, y)| x != y) {
+        Some((x, y)) => x.cmp(y),
+        None => a.len().cmp(&b.len()),
+    }
+}
+
 /// Longest common prefix length of two byte strings, compared eight bytes
 /// at a time.
 #[inline]
@@ -488,7 +508,7 @@ impl<'a> ValueBlockView<'a> {
     ) -> Result<Ordering> {
         let (head, _) = self.entry_at(1, 0, 0)?;
         if table.is_none() && !head.spilled() {
-            return Ok(head.onpage.cmp(key));
+            return Ok(cmp_bytes(head.onpage, key));
         }
         cmp_whole(&head, key, table, acc, fetch)
     }
@@ -661,7 +681,7 @@ impl<'a> BlockRun<'a> {
             if head.spilled() {
                 return Ok(None);
             }
-            match head.onpage.cmp(key) {
+            match cmp_bytes(head.onpage, key) {
                 Ordering::Less => lo = mid,
                 Ordering::Equal => return Ok(Some((mid, Ok(0)))),
                 Ordering::Greater => hi = mid,
@@ -740,7 +760,7 @@ fn cmp_whole(
 fn cmp_value(value: &[u8], key: &[u8], table: Option<&SymbolTable>) -> Result<Ordering> {
     match table {
         Some(table) => table.cmp_decoded(value, key),
-        None => Ok(value.cmp(key)),
+        None => Ok(cmp_bytes(value, key)),
     }
 }
 
@@ -974,6 +994,24 @@ mod tests {
             let mut pos = 0;
             assert_eq!(get_varint(&out, &mut pos, 0).unwrap() as u64, v);
             assert_eq!(pos, out.len());
+        }
+    }
+
+    #[test]
+    fn cmp_bytes_equals_slice_order() {
+        let base: Vec<u8> = (0..40u8).map(|b| b.wrapping_mul(37)).collect();
+        for len_a in 0..24 {
+            for len_b in 0..24 {
+                for flip in 0..25 {
+                    let a = &base[..len_a];
+                    let mut b = base[..len_b].to_vec();
+                    if let Some(byte) = b.get_mut(flip) {
+                        *byte ^= 0x81;
+                    }
+                    assert_eq!(cmp_bytes(a, &b), a.cmp(&b), "{len_a} {len_b} {flip}");
+                    assert_eq!(cmp_bytes(&b, a), b.as_slice().cmp(a), "{len_a} {len_b} {flip}");
+                }
+            }
         }
     }
 

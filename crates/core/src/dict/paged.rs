@@ -187,12 +187,7 @@ pub(crate) struct DictPageView<'a> {
     dict_page: u64,
 }
 
-impl<'a> DictPageView<'a> {
-    /// The page's blocks.
-    fn run(&self) -> BlockRun<'a> {
-        BlockRun::new(self.guard, &self.transient.offsets)
-    }
-
+impl DictPageView<'_> {
     /// Reads the on-page part of `vid`'s (possibly FSST-compressed) key
     /// into `acc` (cleared first). Returns the pointers to the entry's
     /// off-page pieces — which the caller fetches and appends in order with
@@ -215,7 +210,7 @@ impl<'a> DictPageView<'a> {
                 self.dict_page
             ))));
         }
-        let block = self.run().block(block_no)?;
+        let block = BlockRun::new(self.guard, &t.offsets).block(block_no)?;
         if slot >= block.len() {
             return Err(CoreError::Storage(StorageError::corrupt(format!(
                 "vid {vid} maps to slot {slot} of a {}-entry block",

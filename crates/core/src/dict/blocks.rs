@@ -3,8 +3,12 @@
 
 use super::InMemoryDict;
 use crate::{CoreError, CoreResult};
-use payg_encoding::prefix::{BlockRun, BlockWalk, ValueBlockBuilder, BLOCK_CAP};
+use payg_encoding::prefix::{common_prefix, BlockRun, BlockWalk, ValueBlockBuilder, BLOCK_CAP};
 use payg_encoding::EncodingError;
+use std::ops::Range;
+
+/// Blocks between two fences: `find` bisects at most this many block heads.
+const FENCE_EVERY: usize = 64;
 
 /// A sorted, deduplicated, memory-resident dictionary in the value-block
 /// format of the dictionary chain ([`payg_encoding::prefix`]): a default
@@ -12,18 +16,35 @@ use payg_encoding::EncodingError;
 ///
 /// The blocks sit back to back in one buffer with a `u32` start each, every
 /// value inline and raw — FSST is a chain codec, and the image orders
-/// probes by plain byte compares. Key → `vid` bisects the blocks by their
-/// first key and searches one block; `vid` → key replays at most
-/// `BLOCK_CAP - 1` entries of one block into the caller's buffer (a
-/// [`BlockKeys`]). Both read through the one block walk the chain's pages
-/// use.
+/// probes by plain byte compares. Key → `vid` narrows the blocks to one
+/// gap between fences, bisects those by their first key and searches one
+/// block; `vid` → key replays at most `BLOCK_CAP - 1` entries of one block
+/// into the caller's buffer (a [`BlockKeys`]). Both read through the one
+/// block walk the chain's pages use.
 #[derive(Debug)]
 pub struct BlockDict {
     /// Every block, back to back.
     bytes: Vec<u8>,
     /// `starts[b]`: where block `b` begins in `bytes`.
     starts: Vec<u32>,
+    /// The bytes every key begins with.
+    prefix: Vec<u8>,
+    /// For every `FENCE_EVERY`-th block, the eight bytes of its first key
+    /// past `prefix` ([`window`]): a search confined to one gap touches a
+    /// few kilobytes of blocks, not the whole image.
+    fences: Vec<u64>,
     len: usize,
+}
+
+/// The eight bytes of `key` past its first `skip`, big-endian and
+/// zero-padded: windows ordered one way order their keys that way too
+/// (equal windows decide nothing).
+fn window(key: &[u8], skip: usize) -> u64 {
+    let tail = key.get(skip..).unwrap_or_default();
+    let mut w = [0u8; 8];
+    let n = tail.len().min(8);
+    w[..n].copy_from_slice(&tail[..n]);
+    u64::from_be_bytes(w)
 }
 
 impl BlockDict {
@@ -59,9 +80,27 @@ impl BlockDict {
         let mut no_fetch = |_: &_| -> payg_encoding::Result<Vec<u8>> {
             Err(EncodingError::CorruptBlock { reason: "a resident block spills".into() })
         };
-        let (block, pos) = self.run().lower_bound(key, None, &mut Vec::new(), &mut no_fetch)?;
+        let within = self.fenced(key);
+        let (block, pos) =
+            self.run().lower_bound_within(within, key, None, &mut Vec::new(), &mut no_fetch)?;
         let vid = |slot: usize| (block * BLOCK_CAP + slot) as u64;
         Ok(pos.map(vid).map_err(vid))
+    }
+
+    /// The blocks holding `key`'s answer: from the last fence below it to
+    /// the first above it (all blocks for a key without the shared prefix).
+    fn fenced(&self, key: &[u8]) -> Range<usize> {
+        let blocks = self.starts.len();
+        if !key.starts_with(&self.prefix) {
+            return 0..blocks;
+        }
+        let w = window(key, self.prefix.len());
+        let below = self.fences.partition_point(|&f| f < w);
+        let ties = self.fences[below..].iter().take_while(|&&f| f == w).count();
+        let upto = below + ties;
+        let start = below.saturating_sub(1) * FENCE_EVERY;
+        let end = if upto == self.fences.len() { blocks } else { (upto * FENCE_EVERY).max(1) };
+        start..end
     }
 
     /// A reader of keys by identifier that decodes into `buf`.
@@ -82,9 +121,13 @@ impl BlockDict {
     }
 
     /// Heap footprint in bytes (what the resident column registers with the
-    /// resource manager): the capacities of the blocks and their starts.
+    /// resource manager): the capacities of the blocks, their starts, the
+    /// shared prefix and the fences.
     pub fn heap_bytes(&self) -> usize {
-        self.bytes.capacity() + self.starts.capacity() * std::mem::size_of::<u32>()
+        self.bytes.capacity()
+            + self.starts.capacity() * std::mem::size_of::<u32>()
+            + self.prefix.capacity()
+            + self.fences.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -141,6 +184,10 @@ fn short_block(block: usize) -> CoreError {
 pub(crate) struct BlockDictBuilder {
     dict: BlockDict,
     block: ValueBlockBuilder,
+    /// The first key of every fenced block, and how many leading bytes
+    /// every key so far shares with the first.
+    fenced: Vec<Vec<u8>>,
+    shared: usize,
 }
 
 impl BlockDictBuilder {
@@ -150,9 +197,11 @@ impl BlockDictBuilder {
         let dict = BlockDict {
             bytes: Vec::new(),
             starts: Vec::with_capacity(keys.div_ceil(BLOCK_CAP)),
+            prefix: Vec::new(),
+            fences: Vec::new(),
             len: 0,
         };
-        BlockDictBuilder { dict, block: ValueBlockBuilder::new() }
+        BlockDictBuilder { dict, block: ValueBlockBuilder::new(), fenced: Vec::new(), shared: 0 }
     }
 
     /// Appends the next key in order. Fails when its block would start at
@@ -168,8 +217,15 @@ impl BlockDictBuilder {
             let at = self.dict.bytes.len();
             let start = u32::try_from(at)
                 .map_err(|_| CoreError::DictTooLarge { key_bytes: at as u64 })?;
+            if self.dict.starts.len().is_multiple_of(FENCE_EVERY) {
+                self.fenced.push(key.to_vec());
+            }
             self.dict.starts.push(start);
         }
+        self.shared = match self.fenced.first() {
+            Some(first) if self.dict.len > 0 => common_prefix(first, key).min(self.shared),
+            _ => key.len(),
+        };
         self.block.push(key, usize::MAX, &mut |_| Vec::new());
         self.dict.len += 1;
         Ok(())
@@ -180,6 +236,11 @@ impl BlockDictBuilder {
         if !self.block.is_empty() {
             self.block.append_to(&mut self.dict.bytes);
         }
+        let shared = self.shared;
+        if let Some(first) = self.fenced.first() {
+            self.dict.prefix = first[..shared].to_vec();
+        }
+        self.dict.fences = self.fenced.iter().map(|head| window(head, shared)).collect();
         self.dict.bytes.shrink_to_fit();
         self.dict.starts.shrink_to_fit();
         self.dict
@@ -246,6 +307,27 @@ mod tests {
         // bytes), then the second: shared 204 in two bytes, twice 1, "1".
         assert_eq!(dict.bytes.len(), 1 + (1 + 2 + 205) + (2 + 1 + 1));
         assert_eq!(dict.bytes[1 + 3 + 205..], [0x4C | 0x80, 0x01, 2, b'1']);
+    }
+
+    /// Thousands of blocks, so `find` routes through many fences: keys
+    /// sharing a long prefix, runs of keys whose fence windows tie (they
+    /// differ only past the window's eight bytes), and probes that do not
+    /// begin with the shared prefix at all.
+    #[test]
+    fn fences_route_like_binary_search() {
+        let keys: Vec<Vec<u8>> = (0..40 * FENCE_EVERY * BLOCK_CAP / 8)
+            .map(|i| format!("shared/{:03}/window--/{i:06}", i / 3_000).into_bytes())
+            .collect();
+        assert_answers(&keys);
+        let dict = BlockDict::from_sorted_keys(&keys).unwrap();
+        assert_eq!(dict.prefix, b"shared/00");
+        assert_eq!(dict.fences.len(), dict.starts.len().div_ceil(FENCE_EVERY));
+        assert_eq!(dict.fences[0], dict.fences[2], "fence windows tie");
+        for probe in [&b"a"[..], b"shared", b"shared/", b"shared/\xFF", b"z"] {
+            let expect = keys.binary_search_by(|k| k.as_slice().cmp(probe));
+            let expect = expect.map(|i| i as u64).map_err(|i| i as u64);
+            assert_eq!(dict.find(probe).unwrap(), expect, "{probe:?}");
+        }
     }
 
     #[test]

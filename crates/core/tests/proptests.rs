@@ -735,7 +735,8 @@ proptest! {
     /// counted here from the keys: per block a count byte and a `u32` start;
     /// per key a varint of the prefix it shares with its predecessor (none
     /// at a block's start), a varint of twice its suffix length, and the
-    /// suffix.
+    /// suffix; beside them the bytes every key begins with and one `u64`
+    /// fence every 64 blocks.
     #[test]
     fn resident_block_dict_equals_sorted_vec(
         raw in prop::collection::vec((edgy_key(), 0u8..4), 0..400),
@@ -774,6 +775,10 @@ proptest! {
             };
             let suffix = k.len() - shared;
             expect_bytes += varint(shared) + varint(2 * suffix) + suffix;
+        }
+        if let (Some(first), Some(last)) = (keys.first(), keys.last()) {
+            let prefix = first.iter().zip(last).take_while(|(a, b)| a == b).count();
+            expect_bytes += prefix + 8 * keys.len().div_ceil(BLOCK_CAP).div_ceil(64);
         }
         prop_assert_eq!(dict.heap_bytes(), expect_bytes);
     }

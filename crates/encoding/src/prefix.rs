@@ -649,13 +649,28 @@ impl<'a> BlockRun<'a> {
         acc: &mut Vec<u8>,
         fetch: Fetch<'_>,
     ) -> Result<(usize, std::result::Result<usize, usize>)> {
+        self.lower_bound_within(0..self.blocks(), key, table, acc, fetch)
+    }
+
+    /// [`BlockRun::lower_bound`] over the blocks of `within` (not empty),
+    /// for a caller that knows the answer lies there: the first block of
+    /// `within` is block 0 or has its first entry below `key`, and the
+    /// block after it is past the run or has its first entry above `key`.
+    pub fn lower_bound_within(
+        &self,
+        within: std::ops::Range<usize>,
+        key: &[u8],
+        table: Option<&SymbolTable>,
+        acc: &mut Vec<u8>,
+        fetch: Fetch<'_>,
+    ) -> Result<(usize, std::result::Result<usize, usize>)> {
         if table.is_none() {
-            if let Some(found) = self.lower_bound_inline(key)? {
+            if let Some(found) = self.lower_bound_inline(within.clone(), key)? {
                 return Ok(found);
             }
         }
         // Rightmost block whose first entry is <= key.
-        let (mut lo, mut hi) = (0usize, self.blocks());
+        let (mut lo, mut hi) = (within.start, within.end);
         while hi - lo > 1 {
             let mid = (lo + hi) / 2;
             match self.block(mid)?.cmp_first(key, table, acc, fetch)? {
@@ -673,8 +688,12 @@ impl<'a> BlockRun<'a> {
     /// function that carries nothing of the compressed and spilled cases.
     /// `None` at the first entry that spills.
     #[inline(never)]
-    fn lower_bound_inline(&self, key: &[u8]) -> Result<Option<(usize, std::result::Result<usize, usize>)>> {
-        let (mut lo, mut hi) = (0usize, self.blocks());
+    fn lower_bound_inline(
+        &self,
+        within: std::ops::Range<usize>,
+        key: &[u8],
+    ) -> Result<Option<(usize, std::result::Result<usize, usize>)>> {
+        let (mut lo, mut hi) = (within.start, within.end);
         while hi - lo > 1 {
             let mid = (lo + hi) / 2;
             let (head, _) = self.block(mid)?.entry_at(1, 0, 0)?;

@@ -152,7 +152,8 @@ struct PageTransient {
 }
 
 impl PageTransient {
-    fn parse(bytes: &[u8]) -> Result<(PageTransient, usize), StorageError> {
+    /// Parses the header of a page in a run of `ids` identifiers.
+    fn parse(bytes: &[u8], ids: u64) -> Result<(PageTransient, usize), StorageError> {
         if bytes.len() < 12 {
             return Err(StorageError::corrupt("dictionary page shorter than header"));
         }
@@ -165,11 +166,20 @@ impl PageTransient {
                 bytes.len()
             )));
         }
-        let mut offsets = Vec::with_capacity(nblocks);
+        // Every block but the last holds `BLOCK_CAP` identifiers.
+        if first_idx >= ids || ((nblocks - 1) * BLOCK_CAP) as u64 >= ids - first_idx {
+            return Err(StorageError::corrupt(format!(
+                "page of {nblocks} blocks from identifier {first_idx} overruns {ids}"
+            )));
+        }
+        let mut offsets: Vec<u32> = Vec::with_capacity(nblocks);
         for i in 0..nblocks {
             let off = crate::util::le_u32(&bytes[12 + i * 4..16 + i * 4]);
             if (off as usize) < need || off as usize >= bytes.len() {
                 return Err(StorageError::corrupt(format!("block offset {off} out of page")));
+            }
+            if offsets.last().is_some_and(|&prev| prev >= off) {
+                return Err(StorageError::corrupt(format!("block offset {off} out of order")));
             }
             offsets.push(off);
         }
@@ -661,7 +671,7 @@ impl Blocks {
         guard: &'a PageGuard,
         dict_page: u64,
     ) -> CoreResult<DictPageView<'a>> {
-        Ok(DictPageView { guard, transient: page_transient(guard)?, dict_page })
+        Ok(DictPageView { guard, transient: page_transient(guard, self.cardinality)?, dict_page })
     }
 
     /// Turns the fully assembled entry in `bytes` (of length `total`) into
@@ -705,7 +715,7 @@ impl Blocks {
             // Find the first separator >= key on that helper page; the
             // separator's global index *is* the dictionary page number.
             let guard = cache.pin(PageKey::new(self.helpers().value_chain.chain, hp as u64))?;
-            let t = page_transient(&guard)?;
+            let t = page_transient(&guard, self.dict_pages)?;
             // Helper separators are always raw.
             let (block_no, pos) = self.lower_bound_on_page(&guard, t, key, None, cache)?;
             match pos {
@@ -714,19 +724,29 @@ impl Blocks {
         } else {
             0
         };
-        debug_assert!(dict_page < self.dict_pages);
+        if dict_page >= self.dict_pages {
+            return Err(CoreError::Storage(StorageError::corrupt(format!(
+                "value helper routes to dictionary page {dict_page} of {}",
+                self.dict_pages
+            ))));
+        }
         // Search the single dictionary page — the same search, told that the
         // entries it orders the raw probe against are FSST-compressed when
         // the chain carries a symbol table.
         let guard = cache.pin(self.dict_page_key(dict_page))?;
-        let t = page_transient(&guard)?;
+        let t = page_transient(&guard, self.cardinality)?;
         let (block_no, pos) =
             self.lower_bound_on_page(&guard, t, key, self.fsst.as_deref(), cache)?;
         let global = |i: usize| t.first_idx + (block_no * BLOCK_CAP + i) as u64;
-        Ok(match pos {
-            Ok(i) => Ok(global(i)),
-            Err(i) => Err(global(i)),
-        })
+        match pos {
+            Ok(i) if global(i) < self.cardinality => Ok(Ok(global(i))),
+            Err(i) if global(i) <= self.cardinality => Ok(Err(global(i))),
+            Ok(i) | Err(i) => Err(CoreError::Storage(StorageError::corrupt(format!(
+                "dictionary page {dict_page} places a key at identifier {} of {}",
+                global(i),
+                self.cardinality
+            )))),
+        }
     }
 
     /// Reads the whole dictionary chain directly from `store`, handing
@@ -738,13 +758,21 @@ impl Blocks {
         push: &mut dyn FnMut(&[u8]) -> CoreResult<()>,
     ) -> CoreResult<()> {
         let (mut acc, mut raw) = (Vec::new(), Vec::new());
+        let mut next = 0u64;
         for p in 0..self.dict_pages {
             let page = store.read_page(self.dict_page_key(p))?;
-            let (t, _) = PageTransient::parse(&page)?;
+            let (t, _) = PageTransient::parse(&page, self.cardinality)?;
+            if t.first_idx != next {
+                return Err(CoreError::Storage(StorageError::corrupt(format!(
+                    "dictionary page {p} starts at identifier {} after {next} keys",
+                    t.first_idx
+                ))));
+            }
             let run = BlockRun::new(&page, &t.offsets);
             for b in 0..run.blocks() {
                 let mut walk = run.block(b)?.walk();
                 while let Some(entry) = walk.next_into(&mut acc)? {
+                    next += 1;
                     for r in entry.offpage_refs() {
                         append_piece(&mut acc, &r, &store.read_page(self.overflow_key(&r))?)?;
                     }
@@ -1059,8 +1087,8 @@ impl PagedDictionary {
 
 /// The block-offset vector of a pinned dictionary or helper page, built on
 /// the first read of the page's load.
-fn page_transient(guard: &PageGuard) -> CoreResult<&PageTransient> {
-    guard.transient_or_build(PageTransient::parse).map_err(CoreError::Storage)
+fn page_transient(guard: &PageGuard, ids: u64) -> CoreResult<&PageTransient> {
+    guard.transient_or_build(|bytes| PageTransient::parse(bytes, ids)).map_err(CoreError::Storage)
 }
 
 /// Trains an FSST symbol table on a sample of the (sorted) dictionary keys
@@ -1697,6 +1725,133 @@ mod tests {
         assert!(stats.dict_pages > 1);
         assert_eq!(roles(&dict), ["dict", "dict-overflow", "dict-vid-helper", "dict-value-helper"]);
         assert_eq!(pool.store().chains().len(), 4);
+    }
+
+    /// A store that serves one page of the store it wraps patched to
+    /// `bytes`: how the page-header test puts a bad dictionary page before
+    /// the readers.
+    struct PatchedPage {
+        inner: Arc<MemStore>,
+        key: PageKey,
+        bytes: Vec<u8>,
+    }
+
+    impl PageStore for PatchedPage {
+        fn create_chain(&self, page_size: usize) -> payg_storage::StorageResult<ChainId> {
+            self.inner.create_chain(page_size)
+        }
+        fn append_page(&self, chain: ChainId, payload: &[u8]) -> payg_storage::StorageResult<u64> {
+            self.inner.append_page(chain, payload)
+        }
+        fn read_page(&self, key: PageKey) -> payg_storage::StorageResult<Box<[u8]>> {
+            if key == self.key {
+                return Ok(self.bytes.clone().into_boxed_slice());
+            }
+            self.inner.read_page(key)
+        }
+        fn chain_len(&self, chain: ChainId) -> payg_storage::StorageResult<u64> {
+            self.inner.chain_len(chain)
+        }
+        fn page_size(&self, chain: ChainId) -> payg_storage::StorageResult<usize> {
+            self.inner.page_size(chain)
+        }
+        fn drop_chain(&self, chain: ChainId) -> payg_storage::StorageResult<()> {
+            self.inner.drop_chain(chain)
+        }
+        fn chains(&self) -> Vec<ChainId> {
+            self.inner.chains()
+        }
+        fn set_chain_descriptor(&self, chain: ChainId, desc: &[u8]) -> payg_storage::StorageResult<()> {
+            self.inner.set_chain_descriptor(chain, desc)
+        }
+        fn chain_descriptor(&self, chain: ChainId) -> payg_storage::StorageResult<Vec<u8>> {
+            self.inner.chain_descriptor(chain)
+        }
+    }
+
+    /// Every check of a dictionary page's header, on one corrupt page at a
+    /// time: a page shorter than its header, no blocks, an offset array
+    /// past the page, a block start past the page, two block starts out of
+    /// order, and a first identifier above every identifier (so above
+    /// those routed to the page). Each is a typed corruption error through
+    /// `find`, `values_by_vid` and the direct read of the whole chain: a
+    /// probe of another page answers exactly, and one of the bad page
+    /// answers exactly or fails, never wrongly and never by a panic.
+    #[test]
+    fn a_corrupt_dictionary_page_header_is_a_typed_error() {
+        use crate::column::ColumnRead;
+        let ks = keys(2_000);
+        let store = Arc::new(MemStore::new());
+        let pool = BufferPool::new(Arc::clone(&store) as Arc<dyn PageStore>, ResourceManager::new());
+        let values: Vec<crate::Value> =
+            ks.iter().rev().map(|k| crate::Value::from_key(DataType::Varchar, k).unwrap()).collect();
+        let column = crate::ColumnBuilder::new(DataType::Varchar)
+            .policy(crate::LoadPolicy::PageLoadable)
+            .build(&pool, &PageConfig::tiny(), &values)
+            .unwrap()
+            .column;
+        let meta = column.meta_bytes();
+        let (_, dict_chain) = column.chains().into_iter().find(|&(role, _)| role == "dict").unwrap();
+        let key = PageKey::new(ChainId(dict_chain), 2);
+        let page = store.read_page(key).unwrap().to_vec();
+        let next = store.read_page(PageKey::new(ChainId(dict_chain), 3)).unwrap();
+        let on_page = crate::util::le_u64(&page[..8])..crate::util::le_u64(&next[..8]);
+        let nblocks = crate::util::le_u32(&page[8..12]) as usize;
+        assert!(nblocks >= 2 && !on_page.is_empty(), "a middle page of several blocks");
+
+        let patched = |patch: &dyn Fn(&mut Vec<u8>)| {
+            let mut bytes = page.clone();
+            patch(&mut bytes);
+            bytes
+        };
+        let set_u32 = |b: &mut Vec<u8>, at: usize, v: u32| b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        let cases = [
+            ("a page shorter than its header", page[..11].to_vec()),
+            ("no blocks", patched(&|b| set_u32(b, 8, 0))),
+            ("an offset array past the page", patched(&|b| set_u32(b, 8, (b.len() / 4) as u32))),
+            ("a block start past the page", patched(&|b| set_u32(b, 8 + 4 * nblocks, b.len() as u32))),
+            ("two block starts out of order", patched(&|b| b[12..20].rotate_left(4))),
+            (
+                "a first identifier above every identifier",
+                patched(&|b| b[..8].copy_from_slice(&(ks.len() as u64).to_le_bytes())),
+            ),
+        ];
+        let corrupt = |e: &CoreError| {
+            matches!(
+                e,
+                CoreError::Storage(StorageError::Corrupt { .. })
+                    | CoreError::Encoding(EncodingError::CorruptBlock { .. })
+            )
+        };
+        for (what, bytes) in cases {
+            let store = Arc::new(PatchedPage { inner: Arc::clone(&store), key, bytes });
+            let pool = BufferPool::new(store as Arc<dyn PageStore>, ResourceManager::new());
+            let column = crate::Column::open(&pool, &meta).unwrap();
+            let crate::Column::Paged(paged) = &column else { panic!("a page-loadable column") };
+            let dict = &paged.parts().dict;
+            let mut cache = HandleCache::new(pool.clone());
+            let (mut find_errors, mut vid_errors) = (0, 0);
+            for (vid, k) in ks.iter().enumerate() {
+                let vid = vid as u64;
+                let expect = crate::Value::from_key(DataType::Varchar, k).unwrap();
+                match (dict.find(k, &mut cache), on_page.contains(&vid)) {
+                    (Ok(found), _) => assert_eq!(found, Ok(vid), "{what}: find {vid}"),
+                    (Err(e), true) if corrupt(&e) => find_errors += 1,
+                    (Err(e), _) => panic!("{what}: find {vid}: {e:?}"),
+                }
+                match (column.values_by_vid(&[vid]), on_page.contains(&vid)) {
+                    (Ok(found), _) => assert_eq!(found, [expect], "{what}: key of {vid}"),
+                    (Err(e), true) if corrupt(&e) => vid_errors += 1,
+                    (Err(e), _) => panic!("{what}: key of {vid}: {e:?}"),
+                }
+            }
+            assert!(find_errors > 0, "{what}: no find failed");
+            assert!(vid_errors > 0, "{what}: no key by identifier failed");
+            match dict.materialize_all_direct() {
+                Err(e) => assert!(corrupt(&e), "{what}: direct read: {e:?}"),
+                Ok(_) => panic!("{what}: the direct read took the page"),
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Page-size and layout configuration.
 
+use crate::dict::min_block_page;
 use crate::meta::{MetaReader, MetaWriter};
 use crate::CoreResult;
 
@@ -100,16 +101,15 @@ impl PageConfig {
         if self.inline_limit == 0 {
             return Err("inline_limit must be at least 1".into());
         }
-        // A dictionary page must always fit one 16-entry block even when
-        // every entry is fully spilled: header (12) + one offset (4) +
-        // block count (1) + 3 restart offsets (6) +
-        // 16 × (7 fixed + 10 spill header + 12 pointer).
-        const MIN_BLOCK_PAGE: usize = 12 + 4 + 1 + 6 + 16 * (7 + 10 + 12);
-        if self.dict_page < MIN_BLOCK_PAGE {
-            return Err(format!("dict_page must be at least {MIN_BLOCK_PAGE} bytes"));
+        // A dictionary or helper page must always fit one 16-entry block,
+        // even when every entry keeps nothing on the page and spills to one
+        // overflow pointer.
+        let min_block_page = min_block_page();
+        if self.dict_page < min_block_page {
+            return Err(format!("dict_page must be at least {min_block_page} bytes"));
         }
-        if self.helper_page < MIN_BLOCK_PAGE {
-            return Err(format!("helper_page must be at least {MIN_BLOCK_PAGE} bytes"));
+        if self.helper_page < min_block_page {
+            return Err(format!("helper_page must be at least {min_block_page} bytes"));
         }
         if self.inline_limit + 64 > self.dict_page {
             return Err("inline_limit too close to dict_page size".into());
@@ -147,5 +147,13 @@ mod tests {
         assert!(c.validate().is_err());
         let c = PageConfig { dict_page: 100, ..PageConfig::default() };
         assert!(c.validate().is_err());
+        // One block of 16 entries spilled to one pointer each: a count byte
+        // and 16 × 28 bytes, behind a 12-byte header and one block start.
+        assert_eq!(min_block_page(), 12 + 4 + 1 + 16 * 28);
+        let min = min_block_page();
+        let at = PageConfig { dict_page: min, helper_page: min, ..PageConfig::tiny() };
+        assert!(at.validate().is_ok());
+        assert!(PageConfig { dict_page: min - 1, ..at }.validate().is_err());
+        assert!(PageConfig { helper_page: min - 1, ..at }.validate().is_err());
     }
 }

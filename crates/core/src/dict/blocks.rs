@@ -14,8 +14,9 @@ const FENCE_EVERY: usize = 64;
 /// format of the dictionary chain ([`payg_encoding::prefix`]): a default
 /// column's dictionary, as the paper's resident columns keep it.
 ///
-/// The blocks sit back to back in one buffer with a `u32` start each, every
-/// value inline and raw — FSST is a chain codec, and the image orders
+/// The blocks sit back to back in one buffer with a little-endian `u32`
+/// start each — a dictionary page's body and offset array, in memory —
+/// every value inline and raw — FSST is a chain codec, and the image orders
 /// probes by plain byte compares. Key → `vid` narrows the blocks to one
 /// gap between fences, bisects those by their first key and searches one
 /// block; `vid` → key replays at most `BLOCK_CAP - 1` entries of one block
@@ -25,8 +26,8 @@ const FENCE_EVERY: usize = 64;
 pub struct BlockDict {
     /// Every block, back to back.
     bytes: Vec<u8>,
-    /// `starts[b]`: where block `b` begins in `bytes`.
-    starts: Vec<u32>,
+    /// Where each block begins in `bytes`: a little-endian `u32` a block.
+    starts: Vec<u8>,
     /// The bytes every key begins with.
     prefix: Vec<u8>,
     /// For every `FENCE_EVERY`-th block, the eight bytes of its first key
@@ -90,7 +91,7 @@ impl BlockDict {
     /// The blocks holding `key`'s answer: from the last fence below it to
     /// the first above it (all blocks for a key without the shared prefix).
     fn fenced(&self, key: &[u8]) -> Range<usize> {
-        let blocks = self.starts.len();
+        let blocks = self.run().blocks();
         if !key.starts_with(&self.prefix) {
             return 0..blocks;
         }
@@ -125,7 +126,7 @@ impl BlockDict {
     /// shared prefix and the fences.
     pub fn heap_bytes(&self) -> usize {
         self.bytes.capacity()
-            + self.starts.capacity() * std::mem::size_of::<u32>()
+            + self.starts.capacity()
             + self.prefix.capacity()
             + self.fences.capacity() * std::mem::size_of::<u64>()
     }
@@ -196,7 +197,7 @@ impl BlockDictBuilder {
     pub(crate) fn with_capacity(keys: usize) -> Self {
         let dict = BlockDict {
             bytes: Vec::new(),
-            starts: Vec::with_capacity(keys.div_ceil(BLOCK_CAP)),
+            starts: Vec::with_capacity(keys.div_ceil(BLOCK_CAP) * 4),
             prefix: Vec::new(),
             fences: Vec::new(),
             len: 0,
@@ -217,10 +218,10 @@ impl BlockDictBuilder {
             let at = self.dict.bytes.len();
             let start = u32::try_from(at)
                 .map_err(|_| CoreError::DictTooLarge { key_bytes: at as u64 })?;
-            if self.dict.starts.len().is_multiple_of(FENCE_EVERY) {
+            if self.dict.run().blocks().is_multiple_of(FENCE_EVERY) {
                 self.fenced.push(key.to_vec());
             }
-            self.dict.starts.push(start);
+            self.dict.starts.extend_from_slice(&start.to_le_bytes());
         }
         self.shared = match self.fenced.first() {
             Some(first) if self.dict.len > 0 => common_prefix(first, key).min(self.shared),
@@ -321,7 +322,7 @@ mod tests {
         assert_answers(&keys);
         let dict = BlockDict::from_sorted_keys(&keys).unwrap();
         assert_eq!(dict.prefix, b"shared/00");
-        assert_eq!(dict.fences.len(), dict.starts.len().div_ceil(FENCE_EVERY));
+        assert_eq!(dict.fences.len(), dict.run().blocks().div_ceil(FENCE_EVERY));
         assert_eq!(dict.fences[0], dict.fences[2], "fence windows tie");
         for probe in [&b"a"[..], b"shared", b"shared/", b"shared/\xFF", b"z"] {
             let expect = keys.binary_search_by(|k| k.as_slice().cmp(probe));

@@ -35,5 +35,6 @@ pub(crate) use blocks::BlockDictBuilder;
 pub use blocks::{BlockDict, BlockKeys};
 pub use in_memory::InMemoryDict;
 pub(crate) use paged::{append_piece, Layout};
+pub(crate) use paged::min_block_page;
 pub use paged::{DictLookup, HandleCache, PagedDictBuildStats, PagedDictionary};
 pub use unsorted::UnsortedDict;

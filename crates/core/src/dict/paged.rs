@@ -7,8 +7,10 @@
 //!
 //! * **Dictionary chain** — pages of prefix-encoded value blocks (16 values
 //!   per block). Page format:
-//!   `first_idx: u64 | nblocks: u32 | offsets: [u32; nblocks] | blocks…`,
-//!   where `first_idx` is the vid of the first value on the page. Because
+//!   `first_idx: u64 | nblocks: u32 | starts: [u32; nblocks] | blocks…`,
+//!   where `first_idx` is the vid of the first value on the page and each
+//!   start is relative to the first block: the body is one block run, the
+//!   format a resident column's dictionary image holds in memory. Because
 //!   every block except the last holds exactly 16 values, vid → (block,
 //!   slot) is pure arithmetic once the page is pinned.
 //! * **Overflow chain** — off-page pieces of large values; a value block
@@ -30,9 +32,10 @@
 //! dictionary page plus, for large values, the overflow pages of **one**
 //! value.
 //!
-//! The per-page *transient structure* (§3.2.1) — the vector of block offsets
-//! — is built on the first read of a loaded page, charged to the paged pool
-//! once, and lives and dies with the page's frame.
+//! The paper builds a per-page *transient structure* (§3.2.1), the vector
+//! of block offsets, when a page loads. Our pages store that vector in
+//! their header, so a read checks the header and reads it where it lies
+//! ([`DictPage`]): a loaded page is its bytes alone.
 //!
 //! When a sampled compression ratio clears
 //! [`crate::config::FSST_SKIP_RATIO`] — the builder's decision, taken from
@@ -144,56 +147,59 @@ impl HandleCache {
     }
 }
 
-/// The transient structure registered to a dictionary page on load: the
-/// block-offset vector plus the page's first index.
-struct PageTransient {
+/// A dictionary or value-helper page, read where it lies:
+/// `first_idx: u64 | nblocks: u32 | starts: [u32; nblocks] | body`, each
+/// block start relative to the body, so no start reaches the header. The
+/// paper builds this block-offset vector when a page loads (§3.2.1); the
+/// page stores it, so each read checks the header and reads the starts in
+/// place, and a loaded page holds nothing but its bytes.
+#[derive(Clone, Copy)]
+struct DictPage<'a> {
+    /// The identifier of the page's first entry.
     first_idx: u64,
-    offsets: Vec<u32>,
+    /// The page body's blocks.
+    run: BlockRun<'a>,
 }
 
-impl PageTransient {
-    /// Parses the header of a page in a run of `ids` identifiers.
-    fn parse(bytes: &[u8], ids: u64) -> Result<(PageTransient, usize), StorageError> {
-        if bytes.len() < 12 {
-            return Err(StorageError::corrupt("dictionary page shorter than header"));
-        }
-        let first_idx = crate::util::le_u64(&bytes[0..8]);
-        let nblocks = crate::util::le_u32(&bytes[8..12]) as usize;
-        let need = 12 + nblocks * 4;
-        if nblocks == 0 || bytes.len() < need {
-            return Err(StorageError::corrupt(format!(
+impl<'a> DictPage<'a> {
+    /// Checks the header of `bytes`, a page of a chain of `ids`
+    /// identifiers: the page holds its offset array, has a block, and its
+    /// blocks start below `ids` (every block but the last holds
+    /// [`BLOCK_CAP`] entries). The starts themselves are checked as their
+    /// blocks are read ([`BlockRun::block`]).
+    fn parse(bytes: &'a [u8], ids: u64) -> CoreResult<Self> {
+        let Some((header, rest)) = bytes.split_first_chunk::<PAGE_HEADER>() else {
+            return Err(page_corrupt(format!(
+                "dictionary page of {} bytes is shorter than its header",
+                bytes.len()
+            )));
+        };
+        let first_idx = crate::util::le_u64(&header[..8]);
+        let nblocks = crate::util::le_u32(&header[8..]) as usize;
+        if nblocks == 0 || rest.len() < nblocks * 4 {
+            return Err(page_corrupt(format!(
                 "dictionary page header claims {nblocks} blocks but page has {} bytes",
                 bytes.len()
             )));
         }
-        // Every block but the last holds `BLOCK_CAP` identifiers.
         if first_idx >= ids || ((nblocks - 1) * BLOCK_CAP) as u64 >= ids - first_idx {
-            return Err(StorageError::corrupt(format!(
+            return Err(page_corrupt(format!(
                 "page of {nblocks} blocks from identifier {first_idx} overruns {ids}"
             )));
         }
-        let mut offsets: Vec<u32> = Vec::with_capacity(nblocks);
-        for i in 0..nblocks {
-            let off = crate::util::le_u32(&bytes[12 + i * 4..16 + i * 4]);
-            if (off as usize) < need || off as usize >= bytes.len() {
-                return Err(StorageError::corrupt(format!("block offset {off} out of page")));
-            }
-            if offsets.last().is_some_and(|&prev| prev >= off) {
-                return Err(StorageError::corrupt(format!("block offset {off} out of order")));
-            }
-            offsets.push(off);
-        }
-        let heap = offsets.capacity() * 4;
-        Ok((PageTransient { first_idx, offsets }, heap))
+        let (starts, body) = rest.split_at(nblocks * 4);
+        Ok(DictPage { first_idx, run: BlockRun::new(body, starts) })
     }
 }
 
-/// A pinned dictionary page opened for entry reads: the page's transient
-/// block-offset vector, borrowed from the pinned frame, serves however many
-/// entries are then read off the page.
+fn page_corrupt(reason: String) -> CoreError {
+    CoreError::Storage(StorageError::corrupt(reason))
+}
+
+/// A pinned dictionary page opened for entry reads: its header, checked
+/// once, serves however many entries are then read off the page.
 pub(crate) struct DictPageView<'a> {
-    guard: &'a PageGuard,
-    transient: &'a PageTransient,
+    page: DictPage<'a>,
     dict_page: u64,
 }
 
@@ -204,28 +210,28 @@ impl DictPageView<'_> {
     /// [`append_piece`] — and the length of the complete entry, for
     /// [`Blocks::finish_key`].
     pub(crate) fn read(&self, vid: u64, acc: &mut Vec<u8>) -> CoreResult<(Vec<OverflowRef>, u64)> {
-        let t = self.transient;
-        if vid < t.first_idx {
-            return Err(CoreError::Storage(StorageError::corrupt(format!(
-                "vid {vid} routed to dictionary page {} starting at {}",
-                self.dict_page, t.first_idx
-            ))));
-        }
-        let idx = (vid - t.first_idx) as usize;
-        let (block_no, slot) = (idx / BLOCK_CAP, idx % BLOCK_CAP);
-        if block_no >= t.offsets.len() {
-            return Err(CoreError::Storage(StorageError::corrupt(format!(
-                "vid {vid} maps to block {block_no} of {} on page {}",
-                t.offsets.len(),
+        let DictPage { first_idx, run } = self.page;
+        if vid < first_idx {
+            return Err(page_corrupt(format!(
+                "vid {vid} routed to dictionary page {} starting at {first_idx}",
                 self.dict_page
-            ))));
+            )));
         }
-        let block = BlockRun::new(self.guard, &t.offsets).block(block_no)?;
+        let idx = (vid - first_idx) as usize;
+        let (block_no, slot) = (idx / BLOCK_CAP, idx % BLOCK_CAP);
+        if block_no >= run.blocks() {
+            return Err(page_corrupt(format!(
+                "vid {vid} maps to block {block_no} of {} on page {}",
+                run.blocks(),
+                self.dict_page
+            )));
+        }
+        let block = run.block(block_no)?;
         if slot >= block.len() {
-            return Err(CoreError::Storage(StorageError::corrupt(format!(
+            return Err(page_corrupt(format!(
                 "vid {vid} maps to slot {slot} of a {}-entry block",
                 block.len()
-            ))));
+            )));
         }
         Ok(block.materialize_onpage_into(slot, acc)?)
     }
@@ -671,7 +677,7 @@ impl Blocks {
         guard: &'a PageGuard,
         dict_page: u64,
     ) -> CoreResult<DictPageView<'a>> {
-        Ok(DictPageView { guard, transient: page_transient(guard, self.cardinality)?, dict_page })
+        Ok(DictPageView { page: DictPage::parse(guard, self.cardinality)?, dict_page })
     }
 
     /// Turns the fully assembled entry in `bytes` (of length `total`) into
@@ -715,37 +721,36 @@ impl Blocks {
             // Find the first separator >= key on that helper page; the
             // separator's global index *is* the dictionary page number.
             let guard = cache.pin(PageKey::new(self.helpers().value_chain.chain, hp as u64))?;
-            let t = page_transient(&guard, self.dict_pages)?;
+            let page = DictPage::parse(&guard, self.dict_pages)?;
             // Helper separators are always raw.
-            let (block_no, pos) = self.lower_bound_on_page(&guard, t, key, None, cache)?;
+            let (block_no, pos) = self.lower_bound_on_page(page.run, key, None, cache)?;
             match pos {
-                Ok(i) | Err(i) => t.first_idx + (block_no * BLOCK_CAP + i) as u64,
+                Ok(i) | Err(i) => page.first_idx + (block_no * BLOCK_CAP + i) as u64,
             }
         } else {
             0
         };
         if dict_page >= self.dict_pages {
-            return Err(CoreError::Storage(StorageError::corrupt(format!(
+            return Err(page_corrupt(format!(
                 "value helper routes to dictionary page {dict_page} of {}",
                 self.dict_pages
-            ))));
+            )));
         }
         // Search the single dictionary page — the same search, told that the
         // entries it orders the raw probe against are FSST-compressed when
         // the chain carries a symbol table.
         let guard = cache.pin(self.dict_page_key(dict_page))?;
-        let t = page_transient(&guard, self.cardinality)?;
-        let (block_no, pos) =
-            self.lower_bound_on_page(&guard, t, key, self.fsst.as_deref(), cache)?;
-        let global = |i: usize| t.first_idx + (block_no * BLOCK_CAP + i) as u64;
+        let page = DictPage::parse(&guard, self.cardinality)?;
+        let (block_no, pos) = self.lower_bound_on_page(page.run, key, self.fsst.as_deref(), cache)?;
+        let global = |i: usize| page.first_idx + (block_no * BLOCK_CAP + i) as u64;
         match pos {
             Ok(i) if global(i) < self.cardinality => Ok(Ok(global(i))),
             Err(i) if global(i) <= self.cardinality => Ok(Err(global(i))),
-            Ok(i) | Err(i) => Err(CoreError::Storage(StorageError::corrupt(format!(
+            Ok(i) | Err(i) => Err(page_corrupt(format!(
                 "dictionary page {dict_page} places a key at identifier {} of {}",
                 global(i),
                 self.cardinality
-            )))),
+            ))),
         }
     }
 
@@ -761,14 +766,12 @@ impl Blocks {
         let mut next = 0u64;
         for p in 0..self.dict_pages {
             let page = store.read_page(self.dict_page_key(p))?;
-            let (t, _) = PageTransient::parse(&page, self.cardinality)?;
-            if t.first_idx != next {
-                return Err(CoreError::Storage(StorageError::corrupt(format!(
-                    "dictionary page {p} starts at identifier {} after {next} keys",
-                    t.first_idx
-                ))));
+            let DictPage { first_idx, run } = DictPage::parse(&page, self.cardinality)?;
+            if first_idx != next {
+                return Err(page_corrupt(format!(
+                    "dictionary page {p} starts at identifier {first_idx} after {next} keys"
+                )));
             }
-            let run = BlockRun::new(&page, &t.offsets);
             for b in 0..run.blocks() {
                 let mut walk = run.block(b)?.walk();
                 while let Some(entry) = walk.next_into(&mut acc)? {
@@ -796,13 +799,11 @@ impl Blocks {
     /// page's entries are FSST-compressed.
     fn lower_bound_on_page(
         &self,
-        page: &PageGuard,
-        t: &PageTransient,
+        run: BlockRun<'_>,
         key: &[u8],
         table: Option<&SymbolTable>,
         cache: &mut HandleCache,
     ) -> CoreResult<(usize, Result<usize, usize>)> {
-        let run = BlockRun::new(page, &t.offsets);
         let mut acc = std::mem::take(&mut cache.acc);
         let found =
             self.with_overflow_fetch(cache, |fetch| run.lower_bound(key, table, &mut acc, fetch));
@@ -1085,12 +1086,6 @@ impl PagedDictionary {
     }
 }
 
-/// The block-offset vector of a pinned dictionary or helper page, built on
-/// the first read of the page's load.
-fn page_transient(guard: &PageGuard, ids: u64) -> CoreResult<&PageTransient> {
-    guard.transient_or_build(|bytes| PageTransient::parse(bytes, ids)).map_err(CoreError::Storage)
-}
-
 /// Trains an FSST symbol table on a sample of the (sorted) dictionary keys
 /// and keeps it only when the sampled compression ratio clears
 /// [`crate::config::FSST_SKIP_RATIO`]. Returns the table (when kept) and the
@@ -1124,9 +1119,6 @@ fn choose_inline(
     block_budget: usize,
     config: &PageConfig,
 ) -> CoreResult<usize> {
-    // The largest entry with nothing on the page and one pointer: a prefix
-    // varint of up to five bytes.
-    const MAX_STUB: usize = 5 + 1 + 2 + 12 + 8;
     let shared = b.next_shared(key);
     let suffix_len = key.len() - shared;
     // Reserve one stub entry for every remaining block slot, so a large
@@ -1134,7 +1126,7 @@ fn choose_inline(
     let slots_after = BLOCK_CAP - 1 - b.len();
     let remaining = block_budget
         .saturating_sub(b.byte_len())
-        .saturating_sub(slots_after * MAX_STUB);
+        .saturating_sub(slots_after * max_stub());
     // Fully inline when the configured limit allows it and it fits.
     if suffix_len <= config.inline_limit && entry_len(shared, suffix_len, 0) <= remaining {
         return Ok(suffix_len.max(1));
@@ -1178,7 +1170,23 @@ struct PageAssembler {
     next_idx: u64,
 }
 
-const PAGE_HEADER: usize = 12; // first_idx u64 + nblocks u32
+/// Bytes a dictionary page's header spends on `first_idx` and `nblocks`.
+const PAGE_HEADER: usize = 12;
+
+/// The largest entry that keeps nothing on the page and points at one
+/// overflow piece: a shared prefix of 2²⁸ bytes or more takes the longest
+/// varint a block holds.
+fn max_stub() -> usize {
+    entry_len(u32::MAX as usize, 0, 1)
+}
+
+/// The smallest dictionary or helper page that holds, behind its header and
+/// one block start, one block of [`BLOCK_CAP`] entries of
+/// [`max_stub`] bytes: what [`choose_inline`] reserves a slot, so the
+/// builder fits every block on one page of this size or more.
+pub(crate) fn min_block_page() -> usize {
+    PAGE_HEADER + 4 + 1 + BLOCK_CAP * max_stub()
+}
 
 impl PageAssembler {
     fn new(page_size: usize) -> Self {
@@ -1233,7 +1241,8 @@ impl PageAssembler {
         let mut page = Vec::with_capacity(self.bytes_used);
         page.extend_from_slice(&self.first_idx.to_le_bytes());
         page.extend_from_slice(&(nblocks as u32).to_le_bytes());
-        let mut off = (PAGE_HEADER + nblocks * 4) as u32;
+        // Starts are relative to the body, behind the offset array.
+        let mut off = 0u32;
         for b in &self.blocks {
             page.extend_from_slice(&off.to_le_bytes());
             off += b.len() as u32;
@@ -1343,6 +1352,27 @@ mod tests {
         config.dict_page = 2048;
         let (pool, dict, stats) = build(&ks, &config);
         assert!(stats.overflow_pages > 0, "large values must spill off-page");
+        let mut cache = HandleCache::new(pool.clone());
+        for (vid, k) in ks.iter().enumerate() {
+            assert_eq!(dict.find(k, &mut cache).unwrap(), Ok(vid as u64));
+        }
+        assert_reads_back(&dict, &ks);
+    }
+
+    /// On pages of the smallest size the configuration accepts, keys that
+    /// each spill to one overflow pointer still build blocks of 16 that fit
+    /// a page, and read back.
+    #[test]
+    fn spilled_keys_fill_blocks_on_the_smallest_page() {
+        // 40 high-entropy keys of 96 bytes: plain, and 72 bytes past the
+        // 24-byte inline limit each, one 128-byte overflow piece.
+        let mut ks: Vec<Vec<u8>> = incompressible_keys(240).chunks(6).map(|c| c.concat()).collect();
+        ks.sort();
+        let min = min_block_page();
+        let config = PageConfig { dict_page: min, helper_page: min, ..PageConfig::tiny() };
+        config.validate().unwrap();
+        let (pool, dict, stats) = build(&ks, &config);
+        assert!(stats.overflow_pages >= ks.len() as u64, "every key spills");
         let mut cache = HandleCache::new(pool.clone());
         for (vid, k) in ks.iter().enumerate() {
             assert_eq!(dict.find(k, &mut cache).unwrap(), Ok(vid as u64));
@@ -1804,7 +1834,9 @@ mod tests {
             patch(&mut bytes);
             bytes
         };
-        let set_u32 = |b: &mut Vec<u8>, at: usize, v: u32| b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        let set_u32 = |b: &mut Vec<u8>, at: usize, v: u32| {
+            b[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        };
         let cases = [
             ("a page shorter than its header", page[..11].to_vec()),
             ("no blocks", patched(&|b| set_u32(b, 8, 0))),

@@ -1,7 +1,9 @@
 //! A warm `findByValue` on a string dictionary allocates for its one walk
 //! accumulator and nothing else — not per page pinned, not per block probed,
-//! not per comparison, not to encode the probe. A whole-chain read — a
-//! default column's load, a merge's input — allocates per page, not per key.
+//! not per comparison, not to encode the probe — and the first one after
+//! its pages load no more than that, charging nothing past their bytes. A
+//! whole-chain read — a default column's load, a merge's input — allocates
+//! per page, not per key.
 //!
 //! Not under `strict-invariants`: its pin tracker records every pin in a
 //! heap set, which is an allocation per page by design.
@@ -10,7 +12,7 @@
 use payg_core::dict::{HandleCache, PagedDictionary};
 use payg_core::{CodecKind, DataType, PageConfig};
 use payg_resman::ResourceManager;
-use payg_storage::{BufferPool, MemStore};
+use payg_storage::{BufferPool, ChainId, MemStore, PageKey};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -85,8 +87,7 @@ fn a_warm_find_allocates_once_however_many_pages_and_blocks_it_probes() {
         let (pool, dict, ks) = dictionary(pages);
         let mut probes: Vec<Vec<u8>> = ks.iter().step_by(7).cloned().collect();
         probes.extend([b"a".to_vec(), b"customer-000003x".to_vec(), b"zzz".to_vec()]);
-        // Warm: every page resident, its block-offset vector built, the
-        // helper preload landed.
+        // Warm: every page resident, the helper preload landed.
         for (vid, k) in ks.iter().enumerate() {
             assert_eq!(dict.find(k, &mut HandleCache::new(pool.clone())).unwrap(), Ok(vid as u64));
         }
@@ -103,6 +104,40 @@ fn a_warm_find_allocates_once_however_many_pages_and_blocks_it_probes() {
     }
     assert_eq!(per_dictionary[0], per_dictionary[1], "1 page vs 15 pages: {per_dictionary:?}");
     assert!(per_dictionary[0] <= 1, "allocations per find: {per_dictionary:?}");
+}
+
+/// A dictionary page's first read after its load reads the page's block
+/// starts where they lie: it allocates no more than a warm find does, and
+/// the paged pool stays charged the pages' bytes alone.
+#[test]
+fn a_first_read_of_loaded_pages_allocates_and_charges_like_a_warm_one() {
+    let (pool, dict, ks) = dictionary(15);
+    // The helper preload lands; then every page of every chain is loaded
+    // afresh, and none of them read.
+    dict.find(&ks[0], &mut HandleCache::new(pool.clone())).unwrap();
+    pool.clear();
+    let store = Arc::clone(pool.store());
+    let pages: Vec<PageKey> = dict
+        .chains()
+        .into_iter()
+        .flat_map(|(_, chain)| {
+            let len = store.chain_len(ChainId(chain)).unwrap();
+            (0..len).map(move |p| PageKey::new(ChainId(chain), p))
+        })
+        .collect();
+    let page_bytes: usize = pages.iter().map(|&key| pool.pin(key).unwrap().len()).sum();
+    let resman = pool.resource_manager().clone();
+    assert_eq!(resman.stats().paged_bytes, page_bytes);
+    let loads = pool.metrics().loads;
+    let mut worst = 0;
+    for (vid, k) in ks.iter().enumerate().step_by(3) {
+        let (found, n) = allocations(|| dict.find(k, &mut HandleCache::new(pool.clone())).unwrap());
+        assert_eq!(found, Ok(vid as u64));
+        worst = n.max(worst);
+    }
+    assert!(worst <= 1, "allocations of a find on pages read the first time: {worst}");
+    assert_eq!(pool.metrics().loads, loads, "the finds loaded nothing");
+    assert_eq!(resman.stats().paged_bytes, page_bytes, "reads charge nothing");
 }
 
 #[test]

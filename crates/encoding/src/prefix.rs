@@ -28,8 +28,9 @@
 //! **Restart points.** A block is one front-coding run: its first entry
 //! shares nothing, and every other entry shares with its predecessor, so a
 //! block's start is its one restart point. A run of blocks — a dictionary
-//! page, or a resident column's dictionary image — records where each block
-//! starts ([`BlockRun`]); an identifier's block is arithmetic, and reading
+//! page's body, or a resident column's dictionary image — records where
+//! each block starts, a little-endian `u32` a block read where it lies
+//! ([`BlockRun`]); an identifier's block is arithmetic, and reading
 //! it replays at most 15 entries of two varints each. Sixteen entries a
 //! restart, against four or eight, is what holds the benchmark's 100 000
 //! keys in 3.8 bytes a key on their FSST-coded pages and in 5.2 bytes a
@@ -600,38 +601,50 @@ impl<'a> ValueBlockView<'a> {
     }
 }
 
-/// Value blocks back to back — a dictionary page's, or a resident column's
-/// whole dictionary — with the byte offset each starts at: its restart
-/// point. Every block but the last holds [`BLOCK_CAP`] entries, so entry
-/// `i` is slot `i % 16` of block `i / 16`.
+/// Value blocks back to back — a dictionary page's body, or a resident
+/// column's whole dictionary — with the byte offset each starts at: its
+/// restart point. The starts are one little-endian `u32` a block, read
+/// where they lie: a page's header and a resident image hold them alike.
+/// Every block but the last holds [`BLOCK_CAP`] entries, so entry `i` is
+/// slot `i % 16` of block `i / 16`.
 #[derive(Clone, Copy)]
 pub struct BlockRun<'a> {
     bytes: &'a [u8],
-    starts: &'a [u32],
+    starts: &'a [u8],
 }
 
 impl<'a> BlockRun<'a> {
-    /// The blocks of `bytes` starting at `starts` (ascending). Offsets are
-    /// checked as blocks are read.
-    pub fn new(bytes: &'a [u8], starts: &'a [u32]) -> Self {
+    /// The blocks of `bytes` starting where `starts` says: a little-endian
+    /// `u32` a block (`starts.len()` a multiple of 4), the first 0, each
+    /// above the one before. Starts are checked as blocks are read.
+    pub fn new(bytes: &'a [u8], starts: &'a [u8]) -> Self {
+        debug_assert!(starts.len().is_multiple_of(4), "a start is four bytes");
         BlockRun { bytes, starts }
     }
 
     /// Number of blocks.
     pub fn blocks(&self) -> usize {
-        self.starts.len()
+        self.starts.len() / 4
+    }
+
+    /// Where block `b` starts, as recorded.
+    #[inline]
+    fn start(&self, b: usize) -> usize {
+        u32::from_le_bytes(self.starts[4 * b..4 * b + 4].try_into().unwrap()) as usize
     }
 
     /// Block `b`: its bytes from its restart offset to the next block's (to
     /// the end of the bytes for the last block), so no entry of it reads
-    /// into the next block.
+    /// into the next block. Its start must lie past block `b - 1`'s (block
+    /// 0 starts at 0), so a block read lies between two ordered starts.
     #[inline]
     pub fn block(&self, b: usize) -> Result<ValueBlockView<'a>> {
-        let start = self.starts[b] as usize;
-        let end = self.starts.get(b + 1).map_or(self.bytes.len(), |&e| e as usize);
+        let start = self.start(b);
+        let end = if b + 1 < self.blocks() { self.start(b + 1) } else { self.bytes.len() };
+        let ordered = if b == 0 { start == 0 } else { self.start(b - 1) < start };
         match self.bytes.get(start..end) {
-            Some(bytes) => ValueBlockView::parse(bytes),
-            None => Err(block_past(b, start, end, self.bytes.len())),
+            Some(bytes) if ordered => ValueBlockView::parse(bytes),
+            _ => Err(block_past(b, start, end, self.bytes.len())),
         }
     }
 
@@ -840,7 +853,7 @@ fn bad_count(count: Option<u8>) -> EncodingError {
 #[cold]
 #[inline(never)]
 fn block_past(b: usize, start: usize, end: usize, len: usize) -> EncodingError {
-    corrupt(format!("block {b} spans {start}..{end}, past the {len} bytes of its run"))
+    corrupt(format!("block {b} spans {start}..{end}: out of order, or past the {len} bytes of its run"))
 }
 
 #[cold]
@@ -1246,6 +1259,11 @@ mod view_tests {
         (b.finish(), pages)
     }
 
+    /// `starts` as a run records them: little-endian `u32`s.
+    fn le_starts(starts: &[u32]) -> Vec<u8> {
+        starts.iter().flat_map(|s| s.to_le_bytes()).collect()
+    }
+
     /// `keys` as a run of blocks: the bytes and each block's start.
     fn build_run(keys: &[Vec<u8>]) -> (Vec<u8>, Vec<u32>) {
         let (mut bytes, mut starts) = (Vec::new(), Vec::new());
@@ -1323,7 +1341,7 @@ mod view_tests {
     /// prefix at a restart. The rest are the varint encoding's own: an
     /// over-long and a truncated varint, an on-page length past the block's
     /// end, a spill bit with no pointers behind it, and a restart offset
-    /// past the run.
+    /// past the run. Last, two restart offsets out of order.
     #[test]
     fn view_rejects_every_corruption_the_block_format_forbids() {
         let keys: Vec<Vec<u8>> = (0..2 * BLOCK_CAP).map(|i| format!("k-{i:02}").into_bytes()).collect();
@@ -1336,7 +1354,7 @@ mod view_tests {
         let patched = |patch: &dyn Fn(&mut Vec<u8>)| {
             let mut b = first.to_vec();
             patch(&mut b);
-            let starts = vec![0, b.len() as u32];
+            let starts = le_starts(&[0, b.len() as u32]);
             b.extend_from_slice(second);
             (b, starts)
         };
@@ -1363,14 +1381,14 @@ mod view_tests {
             ),
             ("spill whose total length does not add up", BLOCK_CAP - 1, spill(tail(1, 7, 12))),
             ("spill bit with zero pointers", BLOCK_CAP - 1, spill(tail(0, 0, 4))),
-            ("restart offset pointing at another restart's entry", BLOCK_CAP, (bytes.clone(), vec![0, within])),
+            ("restart offset pointing at another restart's entry", BLOCK_CAP, (bytes.clone(), le_starts(&[0, within]))),
             (
                 "nonzero prefix at a restart entry",
                 BLOCK_CAP,
                 {
                     let mut b = bytes.clone();
                     b[split + 1] = 3;
-                    (b, starts.clone())
+                    (b, le_starts(&starts))
                 },
             ),
             (
@@ -1399,7 +1417,8 @@ mod view_tests {
                 }),
             ),
             ("spill bit without a pointer", BLOCK_CAP - 1, spill(Vec::new())),
-            ("restart offset past the run", BLOCK_CAP, (bytes.clone(), vec![0, bytes.len() as u32 + 1])),
+            ("restart offset past the run", BLOCK_CAP, (bytes.clone(), le_starts(&[0, bytes.len() as u32 + 1]))),
+            ("restart offsets out of order", BLOCK_CAP, (bytes.clone(), le_starts(&[split as u32, 0]))),
         ];
         let mut accepted = Vec::new();
         for (what, idx, (bytes, starts)) in &cases {
@@ -1436,6 +1455,7 @@ mod view_tests {
             (0..3 * BLOCK_CAP).map(|i| format!("restart-jump-{i:02}").into_bytes()).collect();
         let (mut bytes, starts) = build_run(&keys);
         bytes[starts[1] as usize..starts[2] as usize].fill(0);
+        let starts = le_starts(&starts);
         let run = BlockRun::new(&bytes, &starts);
         let mut fetch = |_: &OverflowRef| Ok(Vec::new());
         let mut acc = Vec::new();
@@ -1460,6 +1480,7 @@ mod view_tests {
     fn a_run_searches_like_binary_search() {
         let keys: Vec<Vec<u8>> = (0..3 * BLOCK_CAP + 5).map(|i| format!("run-{:03}", 2 * i).into_bytes()).collect();
         let (bytes, starts) = build_run(&keys);
+        let starts = le_starts(&starts);
         let run = BlockRun::new(&bytes, &starts);
         let mut fetch = |_: &OverflowRef| Ok(Vec::new());
         let mut acc = Vec::new();

@@ -17,7 +17,7 @@ pub enum Disposition {
     ShortTerm,
     /// Expected to be unloaded as soon as no longer needed.
     Temporary,
-    /// A piece (page or transient structure) of a page-loadable column.
+    /// A page of a page-loadable column.
     /// Accounted in the dedicated paged pool; evicted by the reactive and
     /// proactive mechanisms, where the weight plays no role (plain LRU).
     PagedAttribute,

@@ -257,24 +257,6 @@ impl ResourceManager {
         removed
     }
 
-    /// Adjusts a resource's accounted size (e.g. a transient structure grew).
-    pub fn resize(&self, handle: &ResourceHandle, new_size: usize) {
-        {
-            let mut st = self.inner.state.lock();
-            let Some(e) = st.entries.get_mut(&handle.id) else { return };
-            let old = e.size;
-            let paged = e.disposition.is_paged();
-            e.size = new_size;
-            st.total_bytes = st.total_bytes - old + new_size;
-            if paged {
-                st.paged_bytes = st.paged_bytes - old + new_size;
-            }
-            assert_accounting(&st);
-            self.inner.obs.sync(&st);
-        }
-        self.maybe_wake_proactive();
-    }
-
     /// Charges `bytes` of store reads about to be issued by the I/O stage.
     /// The bytes count toward the memory footprint from the moment the read
     /// is committed, not only once the frame is registered — a burst of
@@ -538,13 +520,12 @@ mod tests {
         assert_eq!(s.paged_bytes, 50);
         assert_eq!(s.resource_count, 2);
         assert_eq!(s.paged_count, 1);
-        m.resize(&b, 80);
-        assert_eq!(m.stats().paged_bytes, 80);
-        assert_eq!(m.stats().total_bytes, 180);
         assert!(m.deregister(&a));
         assert!(!m.deregister(&a));
         assert!(!a.pin(), "a deregistered resource cannot be pinned");
-        assert_eq!(m.stats().total_bytes, 80);
+        assert_eq!(m.stats().total_bytes, 50);
+        assert!(m.deregister(&b));
+        assert_eq!((m.stats().total_bytes, m.stats().paged_bytes), (0, 0));
     }
 
     #[test]

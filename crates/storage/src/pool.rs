@@ -8,10 +8,9 @@ use crate::{ChainId, PageKey, PageMap, PageStore, PoolMetrics, StorageError, Sto
 use payg_check::{PinToken, PinTracker};
 use payg_obs::{EventKind, Registry, SpanKind, Tracer};
 use payg_resman::{Disposition, ResourceHandle, ResourceManager};
-use std::any::Any;
 use std::ops::Deref;
 use std::panic::Location;
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 /// Default number of lock-striped shards (a power of two; plenty for the
@@ -32,18 +31,6 @@ pub struct Frame {
     /// The frame's resource: its pin word is what guards pin and unpin, and
     /// what eviction claims — no manager lock on either side of a hit.
     pub(crate) resource: ResourceHandle,
-    /// For re-sizing the resource when a transient structure is built; a
-    /// guard reaches its manager through the frame, not through the pool.
-    resman: ResourceManager,
-    /// Transient data built on the first read of this load and dropped
-    /// with the frame (paper §3.2.1: the dictionary's block-offset vector).
-    transient: OnceLock<Transient>,
-}
-
-/// A frame's transient structure and the heap bytes charged for it.
-struct Transient {
-    value: Box<dyn Any + Send + Sync>,
-    bytes: usize,
 }
 
 /// How one in-flight single-flight load ended.
@@ -302,18 +289,12 @@ impl PoolInner {
                         pool.unlink_evicted(&frame);
                     }
                 });
-            Frame {
-                key,
-                data,
-                resource,
-                resman: self.resman.clone(),
-                transient: OnceLock::new(),
-            }
+            Frame { key, data, resource }
         })
     }
 
     /// The eviction callback of `frame`'s resource: the manager has claimed
-    /// it, so unlink the slot (the transient state goes with the frame).
+    /// it, so unlink the slot.
     fn unlink_evicted(&self, frame: &Arc<Frame>) {
         {
             let mut state = self.shard(frame.key).lock();
@@ -326,11 +307,9 @@ impl PoolInner {
                 state.slots.remove(&frame.key);
             }
         }
-        // Emitted after the shard lock drops; includes transient bytes so
-        // the event reflects the full reclaimed size.
-        let bytes = frame.data.len() + frame.transient.get().map_or(0, |t| t.bytes);
-        self.tracer
-            .emit(EventKind::PageEvicted, frame.key.chain.0, frame.key.page_no, bytes as u64);
+        // Emitted after the shard lock drops.
+        let bytes = frame.data.len() as u64;
+        self.tracer.emit(EventKind::PageEvicted, frame.key.chain.0, frame.key.page_no, bytes);
     }
 
     /// The guard for a frame whose pin the caller already holds (a hit's
@@ -341,7 +320,7 @@ impl PoolInner {
     }
 
     /// Drops every resident frame of `state` that `select`s and nobody
-    /// pins, deregistering its resource (its transient state goes with it).
+    /// pins, deregistering its resource.
     /// "Unpinned" is the manager's definition: `deregister` claims the pin
     /// word exactly as an eviction does, so a frame with a live guard — or
     /// one a concurrent eviction already claimed, whose callback will remove
@@ -373,7 +352,7 @@ enum PinAction {
 ///
 /// Every loaded page is registered with the resource manager as a separate
 /// resource with [`Disposition::PagedAttribute`]; eviction (reactive or
-/// proactive) drops the frame and its transient data. Pinned pages (live
+/// proactive) drops the frame and its bytes. Pinned pages (live
 /// [`PageGuard`]s) are never evicted.
 ///
 /// Concurrency: the frame map is **lock-striped** over
@@ -764,7 +743,7 @@ impl BufferPool {
     }
 
     /// Discards one chain wholesale: every unpinned resident frame of the
-    /// chain is dropped (resource deregistered, transient state destroyed),
+    /// chain is dropped (resource deregistered),
     /// its quarantine entries are forgotten, and the chain is deleted from
     /// the backing store. This is the table layer's version-retirement hook:
     /// it runs only once the last snapshot holding the owning fragment has
@@ -863,44 +842,6 @@ impl PageGuard {
         &self.frame.data
     }
 
-    /// Returns the page's transient structure, building it on the first
-    /// read of this load — borrowed from the pinned frame, so a later read
-    /// is one atomic load and a type check.
-    ///
-    /// `build` receives the page bytes and returns the structure plus its
-    /// heap size in bytes; the size is added to the page resource's
-    /// accounting once (transient data is charged to the paged pool,
-    /// §3.2.1). Readers racing on a fresh frame may each build, but one
-    /// structure is kept and charged, and every reader gets that one. It is
-    /// dropped with the frame, so the next load of the page builds anew.
-    pub fn transient_or_build<T, F>(&self, build: F) -> StorageResult<&T>
-    where
-        T: Any + Send + Sync,
-        F: FnOnce(&[u8]) -> StorageResult<(T, usize)>,
-    {
-        let frame = &*self.frame;
-        let transient = match frame.transient.get() {
-            Some(t) => t,
-            None => {
-                let (value, bytes) = build(&frame.data)?;
-                let mut kept = false;
-                let t = frame.transient.get_or_init(|| {
-                    kept = true;
-                    Transient { value: Box::new(value), bytes }
-                });
-                if kept {
-                    frame.resman.resize(&frame.resource, frame.data.len() + bytes);
-                }
-                t
-            }
-        };
-        Ok(transient
-            .value
-            .downcast_ref::<T>()
-            // lint: allow(unwrap) invariant: one transient type per page structure
-            .expect("transient type is stable per page"))
-    }
-
     /// Marks the page as recently used without re-pinning.
     pub fn touch(&self) {
         self.frame.resource.touch();
@@ -940,7 +881,7 @@ mod tests {
     use super::*;
     use crate::{ChainId, MemStore};
     use payg_resman::PoolLimits;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::Ordering;
 
     fn pool_with_pages(n: u64, page_size: usize) -> (BufferPool, ChainId) {
         let store = MemStore::new();
@@ -1006,94 +947,6 @@ mod tests {
         let g = pool.pin(PageKey::new(chain, 0)).unwrap();
         assert_eq!(g[0], 0);
         assert_eq!(pool.metrics().loads, 5);
-    }
-
-    #[test]
-    fn transient_built_once_charged_and_dropped_on_evict() {
-        let store = MemStore::new();
-        let chain = store.create_chain(16).unwrap();
-        store.append_page(chain, &[7; 16]).unwrap();
-        let resman = ResourceManager::new();
-        resman.set_paged_limits(Some(PoolLimits::new(0, usize::MAX)));
-        let pool = BufferPool::new(Arc::new(store), resman.clone());
-        let key = PageKey::new(chain, 0);
-        let mut builds = 0;
-        {
-            let g = pool.pin(key).unwrap();
-            let t = g
-                .transient_or_build(|bytes| {
-                    builds += 1;
-                    Ok((bytes.iter().map(|&b| b as usize).sum::<usize>(), 100))
-                })
-                .unwrap();
-            assert_eq!(*t, 7 * 16);
-            // Transient bytes charged on top of the page bytes.
-            assert_eq!(resman.stats().paged_bytes, 16 + 100);
-            let t2 = g
-                .transient_or_build(|_| -> StorageResult<(usize, usize)> {
-                    panic!("must not rebuild while loaded")
-                })
-                .unwrap();
-            assert_eq!(*t2, *t);
-        }
-        assert_eq!(builds, 1);
-        resman.reactive_unload();
-        assert_eq!(resman.stats().paged_bytes, 0);
-        // Reload: the transient is rebuilt.
-        let g = pool.pin(key).unwrap();
-        let t = g.transient_or_build(|_| Ok((1usize, 0))).unwrap();
-        assert_eq!(*t, 1);
-    }
-
-    #[test]
-    fn racing_first_reads_keep_and_charge_one_transient_rebuilt_after_reload() {
-        use std::sync::Barrier;
-        const READERS: usize = 8;
-        let store = MemStore::new();
-        let chain = store.create_chain(16).unwrap();
-        store.append_page(chain, &[3; 16]).unwrap();
-        let resman = ResourceManager::with_paged_limits(PoolLimits::new(0, usize::MAX));
-        let pool = BufferPool::new(Arc::new(store), resman.clone());
-        let key = PageKey::new(chain, 0);
-        let builds = AtomicUsize::new(0);
-        let race = || {
-            let barrier = Barrier::new(READERS);
-            let seen: Vec<usize> = std::thread::scope(|s| {
-                let readers: Vec<_> = (0..READERS)
-                    .map(|i| {
-                        let (pool, barrier, builds) = (&pool, &barrier, &builds);
-                        s.spawn(move || {
-                            let g = pool.pin(key).unwrap();
-                            barrier.wait();
-                            let t: &Vec<u64> = g
-                                .transient_or_build(|bytes| {
-                                    builds.fetch_add(1, Ordering::Relaxed);
-                                    Ok((vec![bytes[0] as u64, i as u64], 40))
-                                })
-                                .unwrap();
-                            assert_eq!(t[0], 3);
-                            t as *const Vec<u64> as usize
-                        })
-                    })
-                    .collect();
-                readers.into_iter().map(|r| r.join().unwrap()).collect()
-            });
-            assert!(seen.iter().all(|&t| t == seen[0]), "every reader reads the kept structure");
-            // Charged exactly once, on top of the page bytes.
-            assert_eq!(resman.stats().paged_bytes, 16 + 40);
-        };
-        // A freshly loaded page, its transient not yet built.
-        drop(pool.pin(key).unwrap());
-        race();
-        let first = builds.load(Ordering::Relaxed);
-        assert!((1..=READERS).contains(&first), "{first} builds");
-        // Evicted with its frame: nothing stays charged.
-        assert_eq!(resman.reactive_unload(), 16 + 40);
-        assert_eq!(resman.stats().paged_bytes, 0);
-        // The reload builds it again.
-        race();
-        assert!(builds.load(Ordering::Relaxed) > first, "the reload rebuilds the transient");
-        assert_eq!(pool.metrics().loads, 2);
     }
 
     #[test]

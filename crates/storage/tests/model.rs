@@ -212,50 +212,6 @@ fn lock_free_pin_drop_repin_races_unload_on_one_key() {
 }
 
 #[test]
-fn racing_transient_builds_charge_one_structure_per_load_under_an_unload() {
-    // Two threads pin one loaded page and read its transient structure —
-    // built on the first read of the load, kept once, charged to the page's
-    // resource once — while a third runs the reactive unload (limits 0/MAX).
-    // Keeping the structure takes no modelled step; charging it is a resman
-    // resize, which is. However they interleave, a resident frame is charged
-    // its page plus one structure, never two, and an evicted one nothing.
-    explore(|| {
-        let (pool, chain) = pool_with_pages(1);
-        let pool = Arc::new(pool);
-        let resman = pool.resource_manager().clone();
-        resman.set_paged_limits_manual(Some(PoolLimits::new(0, usize::MAX)));
-        let key = PageKey::new(chain, 0);
-        drop(pool.pin(key).expect("warm-up pin"));
-        let readers: Vec<_> = (0..2u64)
-            .map(|i| {
-                let p = Arc::clone(&pool);
-                thread::spawn(move || {
-                    let g = p.pin(key).expect("pin");
-                    let t: &(u8, u64) = g
-                        .transient_or_build(|bytes| Ok(((bytes[0], i), 40)))
-                        .expect("transient");
-                    assert_eq!(t.0, 0, "the structure is built from the page's bytes");
-                })
-            })
-            .collect();
-        let r = resman.clone();
-        let evictor = thread::spawn(move || {
-            r.reactive_unload();
-        });
-        for t in readers {
-            t.join().expect("model thread");
-        }
-        evictor.join().expect("model thread");
-        pool.assert_no_live_pins("model quiesce");
-        let paged = resman.stats().paged_bytes;
-        match pool.resident_pages() {
-            0 => assert_eq!(paged, 0, "an evicted frame keeps no charge"),
-            _ => assert_eq!(paged, 32 + 40, "one structure charged per resident load"),
-        }
-    });
-}
-
-#[test]
 fn caller_drained_wave_with_a_corrupt_member_resolves_the_rest_and_leaks_no_pin() {
     // `batched_pin_is_never_stranded…` of payg-check's iostage model, on
     // the real pool: one batched pin over [good, corrupt, good] races a

@@ -182,13 +182,13 @@ fn pressure_eviction_sequence_is_reconstructable_from_events() {
             ],
             "page {p}: exact load → pin → evict sequence, twice"
         );
-        // Loads and pins carry the page size; evictions at least that (plus
-        // any transient bytes).
+        // Loads, pins and evictions carry the page size: a frame holds its
+        // page's bytes and nothing else.
         for e in events
             .iter()
             .filter(|e| e.chain == chain.0 && e.page_no == p && lifecycle.contains(&e.kind))
         {
-            assert!(e.bytes >= page_size as u64, "{e:?}");
+            assert_eq!(e.bytes, page_size as u64, "{e:?}");
         }
         // Stage events bracket each cold load — submitted, then the
         // physical read it rode, then completed — every time, in that order

@@ -26,7 +26,7 @@ use payg_core::meta::{MetaReader, MetaWriter};
 use payg_core::{CoreError, PageConfig, Value};
 use payg_storage::{BufferPool, ChainId, PageKey, StorageError};
 
-const CATALOG_MAGIC: &[u8; 8] = b"PAYGCAT5";
+const CATALOG_MAGIC: &[u8; 8] = b"PAYGCAT6";
 
 fn corrupt(what: &str) -> TableError {
     TableError::Core(CoreError::Storage(StorageError::corrupt(format!("catalog: {what}"))))
@@ -333,23 +333,30 @@ mod tests {
         // The previous formats (`PAYGCAT2`: dictionary metadata without a
         // layout tag; `PAYGCAT3`: every column with a data vector and both
         // string helper chains; `PAYGCAT4`: value blocks with fixed-width
-        // entry headers and a restart every four entries) are refused by
-        // their version byte, never parsed.
+        // entry headers and a restart every four entries; `PAYGCAT5`:
+        // dictionary pages whose block starts count from the page's first
+        // byte, not from its body) are refused by their version byte, never
+        // parsed.
         for (header, expected) in [
             (
                 b"PAYGCAT2",
-                "catalog: checkpoint is version 2, this build reads only version 5: open it \
+                "catalog: checkpoint is version 2, this build reads only version 6: open it \
                  with a build that reads version 2",
             ),
             (
                 b"PAYGCAT3",
-                "catalog: checkpoint is version 3, this build reads only version 5: open it \
+                "catalog: checkpoint is version 3, this build reads only version 6: open it \
                  with a build that reads version 3",
             ),
             (
                 b"PAYGCAT4",
-                "catalog: checkpoint is version 4, this build reads only version 5: open it \
+                "catalog: checkpoint is version 4, this build reads only version 6: open it \
                  with a build that reads version 4",
+            ),
+            (
+                b"PAYGCAT5",
+                "catalog: checkpoint is version 5, this build reads only version 6: open it \
+                 with a build that reads version 5",
             ),
             (b"NOTMAGIC", "catalog: bad magic"),
         ] {

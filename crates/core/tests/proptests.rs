@@ -952,7 +952,7 @@ proptest! {
             note_codec(&PROJECTION_CODECS, col.dict_codec());
         }
         let rows: Vec<u64> = picks.iter().map(|&p| u64::from(p) % n_rows as u64).collect();
-        let thrice = vec![rows.last().copied().unwrap_or(0); 3];
+        let thrice = [rows.last().copied().unwrap_or(0); 3];
 
         let width = sources.len();
         let mixed: Vec<payg_core::Column> = paged.into_iter().chain(resident).collect();
@@ -1069,7 +1069,7 @@ proptest! {
             for policy in [LoadPolicy::PageLoadable, LoadPolicy::FullyResident] {
                 let col = ColumnBuilder::new(*ty).policy(policy).build(&pool, &config, values).unwrap().column;
                 note_codec(&COUNTS_CODECS, col.dict_codec());
-                let thrice = vec![rows.last().copied().unwrap_or(0); 3];
+                let thrice = [rows.last().copied().unwrap_or(0); 3];
                 for rows in [&rows[..], &rows[..rows.len().min(1)], &thrice[..], &[]] {
                     let expect = histogram(rows.iter().map(|&r| values[r as usize].clone()).collect());
                     prop_assert_eq!(&col.value_counts(rows).unwrap(), &expect, "{:?} {:?}", ty, policy);

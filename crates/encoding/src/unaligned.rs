@@ -139,10 +139,7 @@ mod tests {
     fn unaligned_source_offsets_round_trip() {
         // Start reads at offset 1 of an 8-aligned Vec so every load is
         // genuinely misaligned — the case Miri checks the pointer math on.
-        let mut backing = vec![0u8; 65];
-        for (i, b) in backing.iter_mut().enumerate() {
-            *b = (i as u8).wrapping_mul(101).wrapping_add(7);
-        }
+        let backing: Vec<u8> = (0..65u8).map(|i| i.wrapping_mul(101).wrapping_add(7)).collect();
         let bytes = &backing[1..];
         let mut words = vec![0u64; bytes.len() / 8];
         fill_le_words(bytes, &mut words);

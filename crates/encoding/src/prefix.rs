@@ -610,7 +610,7 @@ impl<'a> ValueBlockView<'a> {
 #[derive(Clone, Copy)]
 pub struct BlockRun<'a> {
     bytes: &'a [u8],
-    starts: &'a [u8],
+    starts: &'a [[u8; 4]],
 }
 
 impl<'a> BlockRun<'a> {
@@ -618,19 +618,20 @@ impl<'a> BlockRun<'a> {
     /// `u32` a block (`starts.len()` a multiple of 4), the first 0, each
     /// above the one before. Starts are checked as blocks are read.
     pub fn new(bytes: &'a [u8], starts: &'a [u8]) -> Self {
-        debug_assert!(starts.len().is_multiple_of(4), "a start is four bytes");
+        let (starts, rest) = starts.as_chunks();
+        debug_assert!(rest.is_empty(), "a start is four bytes");
         BlockRun { bytes, starts }
     }
 
     /// Number of blocks.
     pub fn blocks(&self) -> usize {
-        self.starts.len() / 4
+        self.starts.len()
     }
 
     /// Where block `b` starts, as recorded.
     #[inline]
     fn start(&self, b: usize) -> usize {
-        u32::from_le_bytes(self.starts[4 * b..4 * b + 4].try_into().unwrap()) as usize
+        u32::from_le_bytes(self.starts[b]) as usize
     }
 
     /// Block `b`: its bytes from its restart offset to the next block's (to

@@ -114,7 +114,7 @@ fn a_first_read_of_loaded_pages_allocates_and_charges_like_a_warm_one() {
     let (pool, dict, ks) = dictionary(15);
     // The helper preload lands; then every page of every chain is loaded
     // afresh, and none of them read.
-    dict.find(&ks[0], &mut HandleCache::new(pool.clone())).unwrap();
+    assert_eq!(dict.find(&ks[0], &mut HandleCache::new(pool.clone())).unwrap(), Ok(0));
     pool.clear();
     let store = Arc::clone(pool.store());
     let pages: Vec<PageKey> = dict

@@ -15,9 +15,9 @@ const FENCE_EVERY: usize = 64;
 /// column's dictionary, as the paper's resident columns keep it.
 ///
 /// The blocks sit back to back in one buffer with a little-endian `u32`
-/// start each — a dictionary page's body and offset array, in memory —
-/// every value inline and raw — FSST is a chain codec, and the image orders
-/// probes by plain byte compares. Key → `vid` narrows the blocks to one
+/// start each, the run a dictionary page's body and offset array hold.
+/// Every value is inline and raw: FSST is a chain codec, and the image
+/// orders probes by plain byte compares. Key → `vid` narrows the blocks to one
 /// gap between fences, bisects those by their first key and searches one
 /// block; `vid` → key replays at most `BLOCK_CAP - 1` entries of one block
 /// into the caller's buffer (a [`BlockKeys`]). Both read through the one

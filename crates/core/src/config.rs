@@ -104,12 +104,12 @@ impl PageConfig {
         // A dictionary or helper page must always fit one 16-entry block,
         // even when every entry keeps nothing on the page and spills to one
         // overflow pointer.
-        let min_block_page = min_block_page();
-        if self.dict_page < min_block_page {
-            return Err(format!("dict_page must be at least {min_block_page} bytes"));
+        let min = min_block_page();
+        if self.dict_page < min {
+            return Err(format!("dict_page must be at least {min} bytes"));
         }
-        if self.helper_page < min_block_page {
-            return Err(format!("helper_page must be at least {min_block_page} bytes"));
+        if self.helper_page < min {
+            return Err(format!("helper_page must be at least {min} bytes"));
         }
         if self.inline_limit + 64 > self.dict_page {
             return Err("inline_limit too close to dict_page size".into());

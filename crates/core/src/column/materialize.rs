@@ -15,8 +15,9 @@
 //!   more than one page only: a numeric dictionary's page is arithmetic on
 //!   the identifier, a one-page dictionary's is page 0,
 //! * **(c)** dictionary pages → values: a numeric dictionary's slot is the
-//!   key; a string entry is decoded from its value block, then the overflow
-//!   pages of the large ones are appended.
+//!   key; the string entries of a page are read by one walk through each
+//!   block they touch, stepped through the block's sorted slots, then the
+//!   overflow pages of the large ones are appended.
 //!
 //! Each phase plans its pages, pins them with
 //! [`BufferPool::pin_many_into`] — the misses of a phase load as overlapped,
@@ -28,35 +29,44 @@
 //! waves so the pins a projection holds at once stay bounded whatever its
 //! width — the wave driver the data-vector scan shares.
 //!
-//! The work is cut at its natural joint, and each half is an operation of
-//! its own:
+//! Between the phases, each column's identifiers are **ranked**: one
+//! counting pass over the identifiers' range yields the distinct
+//! identifiers ascending, each one's number of uses, and each row's rank
+//! among them. Identifiers that already ascend — a key stored in row order,
+//! a sorted run — are ranked run by run as they are read, and a column
+//! whose range is wider than [`DENSE_RANGE`] identifiers a row sorts a
+//! copy instead. The work is so cut at its natural joint, and each half is
+//! an operation of its own:
 //!
-//! * **rows → identifiers** (phase (a)), reduced either to *(identifier,
-//!   count)* pairs ascending ([`ColumnRead::vid_counts`] — all an aggregate
-//!   needs: `SUM` is Σ value × count, `MIN` / `MAX` are the first / last
-//!   identifier because the dictionary preserves order) or to the distinct
-//!   identifiers plus, for each, the rows that hold it (for a projection);
+//! * **rows → identifiers** (phase (a) and the ranking), reduced either to
+//!   *(identifier, count)* pairs ascending ([`ColumnRead::vid_counts`] —
+//!   all an aggregate needs: `SUM` is Σ value × count, `MIN` / `MAX` are
+//!   the first / last identifier because the dictionary preserves order) or
+//!   to ranks (for a projection);
 //! * **sorted distinct identifiers → values** (phases (b) and (c),
-//!   [`ColumnRead::values_by_vid`]) — every distinct value is decoded once.
+//!   [`ColumnRead::values_by_vid`]) — every distinct value is decoded once,
+//!   into a **values table** the size of the column's distinct identifiers.
 //!
-//! A projection has one output, the caller's rows. Phase (c) hands each
-//! decoded value to a **sink** that writes it into the rows holding its
-//! identifier — cloned for all but the last of them, moved into the last,
-//! so a value serving one row is never cloned. A single row is the same
-//! code with one row per identifier. Resident columns write through the
-//! same sink from their in-memory image: a row is one
-//! `dict.key(data.get(rpos))`. A column whose rows are their identifiers
-//! (a unique key stored in key order) has no data vector: phase (a) is a
-//! copy of the rows, in either mode.
+//! A projection then fills its answer **row by row** in one pass: each cell
+//! is its column's table entry at the row's rank — cloned, or moved on the
+//! value's last use, so a value serving one row is never cloned. A single
+//! row is the same code with one identifier a column. Resident columns rank
+//! and fill their table from their in-memory image through the same
+//! buffers: a row's identifier is `data.get(rpos)`, a value a key of the
+//! image's dictionary. A column whose rows are their identifiers (a unique
+//! key stored in key order) has no data vector: phase (a) is a copy of the
+//! rows, in either mode, and its identifiers ascend.
 //!
-//! The plan lives in flat buffers — identifiers, distinct lists, the rows
-//! of each identifier and dictionary pages are one `columns × rows` vector
-//! each, beside one task list, one key vector and one guard vector for
-//! every phase and wave, and the entry and FSST buffers of phase (c). They
-//! are the thread's [`Scratch`], reused by the next materialization on that
-//! thread, so a warm point read allocates for its answer alone.
-//! [`ColumnRead::get_values`] is the one-column case of the same code, and
-//! a point read its one-row case — there is no other value path.
+//! The plan lives in flat buffers — the identifiers (then ranks) of every
+//! column, one `columns × rows` vector; the distinct identifiers, their
+//! uses and the values table, one entry per distinct identifier of each
+//! column; the counting pass's tally and its marks — beside one task list,
+//! one key vector and one guard vector for every phase and wave, and the
+//! entry and FSST buffers of phase (c). They are the thread's [`Scratch`],
+//! reused by the next materialization on that thread, so a warm point read
+//! allocates for its answer alone. [`ColumnRead::get_values`] is the
+//! one-column case of the same code, and a point read its one-row case —
+//! there is no other value path.
 
 use super::paged::{ColumnParts, StoredRows};
 use super::resident::ResidentColumn;
@@ -72,9 +82,9 @@ use std::cell::RefCell;
 /// the columns of one fragment, which share the row positions — at `rposs`
 /// (any order, duplicates allowed) into `rows`, one row per position: row
 /// `i` is extended by one value per column of `which`, in that order, the
-/// value at `rposs[i]`. Every row must have the same length on entry. Paged
-/// columns are resolved together, phase by phase (see the module docs);
-/// resident columns answer from memory.
+/// value at `rposs[i]`. Paged columns are resolved together, phase by phase
+/// (see the module docs); resident columns answer from memory. Nothing is
+/// pushed unless every value was read.
 ///
 /// # Panics
 /// When `rows` and `rposs` differ in length.
@@ -85,14 +95,7 @@ pub fn materialize(
     rows: &mut [Vec<Value>],
 ) -> CoreResult<()> {
     assert_eq!(rows.len(), rposs.len(), "one row per position");
-    let base = rows.first().map_or(0, Vec::len);
-    for row in rows.iter_mut() {
-        debug_assert_eq!(row.len(), base, "rows extend from one width");
-        // Every slot is overwritten below: the fill allocates nothing.
-        row.resize(base + which.len(), Value::Integer(0));
-    }
-    let source = |j: usize| Source::of(&columns[which[j]]);
-    materialize_into(which.len(), source, rposs, &mut Rows { rows, base })
+    materialize_into(which.len(), |j| Source::of(&columns[which[j]]), rposs, rows)
 }
 
 /// A projected column as late materialization reads it.
@@ -111,40 +114,42 @@ impl<'a> Source<'a> {
             Column::Paged(c) => Source::Paged(c.parts()),
         }
     }
-}
 
-/// Where materialized values land: one slot per (row, column).
-pub(crate) trait Slots {
-    /// The slot of projected column `col` in the caller's row `row`.
-    fn slot(&mut self, row: usize, col: usize) -> &mut Value;
-}
-
-/// The caller's rows, extended from `base` by the projected columns.
-struct Rows<'a> {
-    rows: &'a mut [Vec<Value>],
-    base: usize,
-}
-
-impl Slots for Rows<'_> {
-    fn slot(&mut self, row: usize, col: usize) -> &mut Value {
-        &mut self.rows[row][self.base + col]
+    fn parts(self) -> &'a ColumnParts {
+        match self {
+            Source::Resident(c) => c.parts(),
+            Source::Paged(c) => c,
+        }
     }
 }
 
-/// One column's values, one per row.
-impl Slots for [Value] {
-    fn slot(&mut self, row: usize, _col: usize) -> &mut Value {
-        &mut self[row]
+/// Where an answer's cells land, row by row.
+pub(crate) trait Cells {
+    /// Appends `value` as the next cell of the caller's row `row`.
+    fn push(&mut self, row: usize, value: Value);
+}
+
+/// The caller's rows, each extended by the projected columns.
+impl Cells for [Vec<Value>] {
+    fn push(&mut self, row: usize, value: Value) {
+        self[row].push(value);
+    }
+}
+
+/// One column's values, one per row: a row's one cell is its slot.
+impl Cells for [Value] {
+    fn push(&mut self, row: usize, value: Value) {
+        self[row] = value;
     }
 }
 
 /// The materialization every value read runs: the `m` columns `source`
 /// names, at `rposs` (any order, duplicates allowed), into `out`.
-pub(crate) fn materialize_into<'a, S: Slots + ?Sized>(
+pub(crate) fn materialize_into<'a, C: Cells + ?Sized>(
     m: usize,
     source: impl Fn(usize) -> Source<'a>,
     rposs: &[u64],
-    out: &mut S,
+    out: &mut C,
 ) -> CoreResult<()> {
     if rposs.is_empty() || m == 0 {
         return Ok(());
@@ -160,8 +165,13 @@ pub(crate) fn get_values(column: Source<'_>, rposs: &[u64]) -> CoreResult<Vec<Va
     Ok(out)
 }
 
-/// The rows' side of one materialization, in flat buffers with one stride
-/// of `n` entries per column: column `j`'s entries are `[j * n..][..n]`.
+/// Most identifiers a row a column's range may span for the counting pass:
+/// a sparser column sorts a copy of its identifiers instead. The tally is
+/// then at most this many `u32`s a row.
+const DENSE_RANGE: u64 = 16;
+
+/// The rows' side of one materialization: the rows in page order, and each
+/// column's identifiers ranked among its distinct ones.
 #[derive(Default)]
 struct Ranks {
     n: usize,
@@ -170,83 +180,171 @@ struct Ranks {
     /// `order[k]`: the caller's index of the k-th smallest row; empty when
     /// the caller's rows ascend.
     order: Vec<u32>,
-    /// Each column's identifier at every row of `sorted`.
+    /// Each column's identifier at every row of `sorted`, a stride of `n`
+    /// a column (column `j`'s are `[j * n..][..n]`) — overwritten by its
+    /// rank among the column's distinct identifiers once the column is
+    /// ranked.
     vids: Vec<u64>,
-    /// Each column's distinct identifiers, ascending (the first `lens[j]`
-    /// of its stride).
+    /// Each column's distinct identifiers, ascending, back to back.
     distinct: Vec<u64>,
-    /// Each column's rows (caller indices) grouped by identifier.
-    by_vid: Vec<u32>,
-    /// `ends[k]`: where the rows of the column's k-th distinct identifier
-    /// end in its stride of `by_vid` (they start at `ends[k - 1]`, or 0).
-    ends: Vec<u32>,
-    lens: Vec<usize>,
+    /// How many rows hold each identifier of `distinct`.
+    uses: Vec<u32>,
+    /// Where each column's identifiers lie in `distinct`, and its values in
+    /// the values table, from the first index to the second: columns lie in
+    /// the order they were ranked.
+    spans: Vec<(usize, usize)>,
+    /// The counting pass's tally, a slot per identifier of a column's
+    /// range, and a bit a slot for the slots it counted.
+    tally: Vec<u32>,
+    marks: Vec<u64>,
 }
 
 impl Ranks {
-    /// Sizes every buffer once for `m` columns over the rows `rposs`.
-    fn start(&mut self, m: usize, rposs: &[u64]) {
+    /// Sizes the buffers for `m` columns over the rows `rposs`, with room
+    /// for `distinct` identifiers in all.
+    fn start(&mut self, m: usize, rposs: &[u64], distinct: usize) {
         let n = rposs.len();
         self.n = n;
         ascending(rposs, &mut self.sorted, &mut self.order);
-        for buf in [&mut self.vids, &mut self.distinct] {
-            buf.clear();
-            buf.resize(m * n, 0);
-        }
-        for buf in [&mut self.by_vid, &mut self.ends] {
-            buf.clear();
-            buf.resize(m * n, 0);
-        }
-        self.lens.clear();
-        self.lens.resize(m, 0);
+        self.vids.clear();
+        self.vids.resize(m * n, 0);
+        self.distinct.clear();
+        self.distinct.reserve(distinct);
+        self.uses.clear();
+        self.uses.reserve(distinct);
+        self.spans.clear();
+        self.spans.resize(m, (0, 0));
     }
 
-    /// Groups column `j`'s rows by identifier: its distinct identifiers,
-    /// ascending, and the caller's rows of each — recorded while the
-    /// distinct list is built, so writing a value to its rows is a slice,
-    /// not a search.
-    fn rank(&mut self, j: usize) {
-        let n = self.n;
-        let vids = &self.vids[j * n..][..n];
-        let by_vid = &mut self.by_vid[j * n..][..n];
-        let (distinct, ends) = (&mut self.distinct[j * n..][..n], &mut self.ends[j * n..][..n]);
-        for (k, slot) in by_vid.iter_mut().enumerate() {
-            *slot = k as u32;
-        }
-        by_vid.sort_unstable_by_key(|&k| vids[k as usize]);
-        let mut len = 0;
-        for (i, &k) in by_vid.iter().enumerate() {
-            let vid = vids[k as usize];
-            if len == 0 || distinct[len - 1] != vid {
-                distinct[len] = vid;
-                len += 1;
-            }
-            ends[len - 1] = i as u32 + 1;
-        }
-        if !self.order.is_empty() {
-            for k in by_vid.iter_mut() {
-                *k = self.order[*k as usize];
-            }
-        }
-        self.lens[j] = len;
+    /// Counts column `j`'s distinct identifiers and, when `ranked`, ranks
+    /// its rows (see [`rank`]).
+    fn rank(&mut self, j: usize, ranked: bool) {
+        let start = self.distinct.len();
+        let Ranks { n, vids, distinct, uses, tally, marks, .. } = self;
+        rank(&mut vids[j * *n..][..*n], ranked, distinct, uses, tally, marks);
+        self.spans[j] = (start, self.distinct.len());
     }
 
     /// Column `j`'s distinct identifiers, ascending.
     fn distinct(&self, j: usize) -> &[u64] {
-        &self.distinct[j * self.n..][..self.lens[j]]
+        let (lo, hi) = self.spans[j];
+        &self.distinct[lo..hi]
     }
 
-    /// The sink: writes `value`, column `j`'s `k`-th distinct value, into
-    /// every row holding it — moved into the last of them.
-    fn put<S: Slots + ?Sized>(&self, out: &mut S, j: usize, k: usize, value: Value) {
-        let ends = &self.ends[j * self.n..];
-        let lo = if k == 0 { 0 } else { ends[k - 1] as usize };
-        let rows = &self.by_vid[j * self.n..][lo..ends[k] as usize];
-        if let Some((&last, rest)) = rows.split_last() {
-            for &row in rest {
-                *out.slot(row as usize, j) = value.clone();
+    /// Fills the answer row by row from the values table of the ranked
+    /// columns: a row's cell of column `j` is the table's entry at the
+    /// row's rank, cloned — or moved, on the value's last use.
+    fn assemble<C: Cells + ?Sized>(&mut self, table: &mut [Value], out: &mut C) {
+        let Ranks { n, order, vids, uses, spans, .. } = self;
+        for k in 0..*n {
+            let row = order.get(k).map_or(k, |&i| i as usize);
+            for (j, &(lo, _)) in spans.iter().enumerate() {
+                let at = lo + vids[j * *n + k] as usize;
+                uses[at] -= 1;
+                let value = if uses[at] == 0 {
+                    std::mem::replace(&mut table[at], Value::Integer(0))
+                } else {
+                    table[at].clone()
+                };
+                out.push(row, value);
             }
-            *out.slot(last as usize, j) = value;
+        }
+    }
+}
+
+/// Ranks the identifiers `vids` of one column: appends their distinct
+/// values, ascending, to `distinct` and how many of `vids` hold each to
+/// `uses` (one count per entry of `distinct`), and, when `ranked`,
+/// overwrites each identifier by its rank — its index among the distinct
+/// identifiers appended. Identifiers that ascend are counted run by run in
+/// the pass that finds so; a range of at most [`DENSE_RANGE`] identifiers a
+/// row is counted in `tally`; anything sparser sorts a copy in `distinct`
+/// and finds each rank by bisection.
+fn rank(
+    vids: &mut [u64],
+    ranked: bool,
+    distinct: &mut Vec<u64>,
+    uses: &mut Vec<u32>,
+    tally: &mut Vec<u32>,
+    marks: &mut Vec<u64>,
+) {
+    let (start, Some(&first)) = (distinct.len(), vids.first()) else { return };
+    let (mut lo, mut hi, mut prev, mut ascend) = (u64::MAX, 0, 0, true);
+    for &vid in vids.iter() {
+        (lo, hi) = (lo.min(vid), hi.max(vid));
+        ascend &= prev <= vid;
+        prev = vid;
+    }
+    if ascend {
+        let (mut last, mut run, mut r) = (first, 0, 0);
+        distinct.push(first);
+        for vid in vids.iter_mut() {
+            if *vid != last {
+                (last, r) = (*vid, r + 1);
+                distinct.push(last);
+                uses.push(run);
+                run = 0;
+            }
+            run += 1;
+            if ranked {
+                *vid = r;
+            }
+        }
+        uses.push(run);
+    } else if hi - lo < DENSE_RANGE * vids.len() as u64 {
+        // A range wider than the rows leaves most slots of the tally
+        // empty: a bit marks each slot counted, and the sweep visits those
+        // alone, not one unpredictable branch a slot. A narrower range marks
+        // every slot.
+        let range = (hi - lo + 1) as usize;
+        let wide = range > vids.len();
+        tally.clear();
+        tally.resize(range, 0);
+        marks.clear();
+        marks.resize(range.div_ceil(64), if wide { 0 } else { u64::MAX });
+        for &vid in vids.iter() {
+            let i = (vid - lo) as usize;
+            tally[i] += 1;
+            if wide {
+                marks[i / 64] |= 1 << (i % 64);
+            }
+        }
+        for (w, &word) in marks.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                if let Some(slot) = tally.get_mut(i).filter(|count| **count > 0) {
+                    uses.push(*slot);
+                    *slot = (distinct.len() - start) as u32;
+                    distinct.push(lo + i as u64);
+                }
+            }
+        }
+        if ranked {
+            for vid in vids.iter_mut() {
+                *vid = u64::from(tally[(*vid - lo) as usize]);
+            }
+        }
+    } else {
+        distinct.extend_from_slice(vids);
+        distinct[start..].sort_unstable();
+        let mut len = start;
+        for i in start..distinct.len() {
+            if len > start && distinct[len - 1] == distinct[i] {
+                uses[len - 1] += 1;
+            } else {
+                distinct[len] = distinct[i];
+                len += 1;
+                uses.push(1);
+            }
+        }
+        distinct.truncate(len);
+        if ranked {
+            let sorted = &distinct[start..];
+            for vid in vids.iter_mut() {
+                *vid = sorted.partition_point(|&d| d < *vid) as u64;
+            }
         }
     }
 }
@@ -274,34 +372,42 @@ pub(crate) struct Plan {
 struct Scratch {
     plan: Plan,
     ranks: Ranks,
+    /// The values table: each column's value of each of its distinct
+    /// identifiers, aligned with [`Ranks::distinct`].
+    table: Vec<Value>,
 }
 
 impl Scratch {
     /// [`materialize_into`] on these buffers.
-    fn run<'a, S: Slots + ?Sized>(
+    fn run<'a, C: Cells + ?Sized>(
         &mut self,
         m: usize,
         source: impl Fn(usize) -> Source<'a>,
         rposs: &[u64],
-        out: &mut S,
+        out: &mut C,
     ) -> CoreResult<()> {
-        let Scratch { plan, ranks } = self;
-        ranks.start(m, rposs);
-        let n = ranks.n;
+        let Scratch { plan, ranks, table } = self;
+        // A column has at most as many distinct identifiers as rows, and
+        // as its dictionary: the buffers of the distinct ones are sized once.
+        let most = |j: usize| source(j).parts().cardinality.min(rposs.len() as u64) as usize;
+        let distinct = (0..m).map(most).sum();
+        ranks.start(m, rposs, distinct);
+        table.clear();
+        table.reserve(distinct);
         // Resident columns: both halves over the image, one column at a time.
         for j in 0..m {
             let Source::Resident(c) = source(j) else {
                 continue;
             };
             let image = c.image()?;
-            let vids = &mut ranks.vids[j * n..][..n];
-            for (vid, &rpos) in vids.iter_mut().zip(&ranks.sorted) {
+            let Ranks { sorted, vids, n, .. } = ranks;
+            for (vid, &rpos) in vids[j * *n..][..*n].iter_mut().zip(sorted.iter()) {
                 *vid = c.vid_at(&image, rpos)?;
             }
-            ranks.rank(j);
+            ranks.rank(j, true);
             let mut keys = image.dict().keys(&mut plan.raw);
-            for k in 0..ranks.lens[j] {
-                ranks.put(out, j, k, c.value_of(&mut keys, ranks.distinct[j * n + k])?);
+            for &vid in ranks.distinct(j) {
+                table.push(c.value_of(&mut keys, vid)?);
             }
         }
         // Paged columns, pool by pool: a batched pin addresses one pool, and
@@ -320,8 +426,10 @@ impl Scratch {
             }
             decode_vids(pool, m, &part, &ranks.sorted, &mut ranks.vids, plan)?;
             for j in (0..m).filter(|&j| part(j).is_some()) {
-                ranks.rank(j);
+                ranks.rank(j, true);
             }
+            // Every slot is overwritten by phase (c).
+            table.resize(ranks.distinct.len(), Value::Integer(0));
             let ranks = &*ranks;
             values_by_vid_paged(
                 pool,
@@ -329,22 +437,24 @@ impl Scratch {
                 &part,
                 |j| ranks.distinct(j),
                 plan,
-                |j, k, value| ranks.put(out, j, k, value),
+                |j, k, value| table[ranks.spans[j].0 + k] = value,
             )?;
         }
+        ranks.assemble(table, out);
         Ok(())
     }
 
     /// Heap bytes the buffers hold (their capacities). Every buffer is
-    /// named: a field added to [`Plan`] or [`Ranks`] does not compile until
-    /// it is counted here.
+    /// named: a field added to [`Plan`], [`Ranks`] or the scratch does not
+    /// compile until it is counted here.
     fn heap_bytes(&self) -> usize {
         fn bytes<T>(v: &Vec<T>) -> usize {
             std::mem::size_of::<T>() * v.capacity()
         }
         let Scratch {
             plan: Plan { tasks, waves, preload, dict_pages, acc, raw, large, pieces },
-            ranks: Ranks { n: _, sorted, order, vids, distinct, by_vid, ends, lens },
+            ranks: Ranks { n: _, sorted, order, vids, distinct, uses, spans, tally, marks },
+            table,
         } = self;
         bytes(tasks)
             + waves.heap_bytes()
@@ -358,17 +468,20 @@ impl Scratch {
             + bytes(order)
             + bytes(vids)
             + bytes(distinct)
-            + bytes(by_vid)
-            + bytes(ends)
-            + bytes(lens)
+            + bytes(uses)
+            + bytes(spans)
+            + bytes(tally)
+            + bytes(marks)
+            + bytes(table)
     }
 
     /// Ends a materialization, however it ended: drops the large entries
-    /// (an error leaves their bytes behind), then frees every buffer when
-    /// they hold more than [`SCRATCH_KEEP`].
+    /// and the values table (an error leaves them behind), then frees
+    /// every buffer when they hold more than [`SCRATCH_KEEP`].
     fn settle(&mut self) {
         self.plan.large.clear();
         self.plan.pieces.clear();
+        self.table.clear();
         if self.heap_bytes() > SCRATCH_KEEP {
             *self = Scratch::default();
         }
@@ -446,17 +559,24 @@ fn ascending(rposs: &[u64], sorted: &mut Vec<u64>, order: &mut Vec<u32>) {
     }
 }
 
-/// Identifiers → `(identifier, count)` pairs, ascending by identifier.
-pub(crate) fn count_runs(mut vids: Vec<u64>) -> Vec<(u64, u64)> {
-    vids.sort_unstable();
-    let mut runs: Vec<(u64, u64)> = Vec::new();
-    for vid in vids {
-        match runs.last_mut() {
-            Some((last, count)) if *last == vid => *count += 1,
-            _ => runs.push((vid, 1)),
-        }
+/// [`ColumnRead::vid_counts`] of the column `c`: the identifiers `fill`
+/// writes — one at each of the ascending rows it is handed, the rows of
+/// `rposs` — counted, unranked (see [`rank`]), into `(identifier, count)`
+/// pairs, ascending by identifier.
+pub(crate) fn vid_counts(
+    c: &ColumnParts,
+    rposs: &[u64],
+    fill: impl FnOnce(&[u64], &mut [u64], &mut Plan) -> CoreResult<()>,
+) -> CoreResult<Vec<(u64, u64)>> {
+    if rposs.is_empty() {
+        return Ok(Vec::new());
     }
-    runs
+    with_scratch(|Scratch { plan, ranks, .. }| {
+        ranks.start(1, rposs, c.cardinality.min(rposs.len() as u64) as usize);
+        fill(&ranks.sorted, &mut ranks.vids, plan)?;
+        ranks.rank(0, false);
+        Ok(ranks.distinct.iter().zip(&ranks.uses).map(|(&vid, &n)| (vid, u64::from(n))).collect())
+    })
 }
 
 /// Phase (a): data-vector pages → the identifier at every row of `sorted`
@@ -505,44 +625,28 @@ fn decode_vids<'a>(
     )
 }
 
-/// Phase (a) of one paged column over rows in any order: its identifiers
-/// at the rows in ascending order, handed to `f` with the caller's index of
-/// each (see [`ascending`]).
-fn with_vids_paged<R>(
-    c: &ColumnParts,
-    rposs: &[u64],
-    f: impl FnOnce(Vec<u64>, &[u32]) -> R,
-) -> CoreResult<R> {
-    with_scratch(|Scratch { plan, ranks }| {
-        ascending(rposs, &mut ranks.sorted, &mut ranks.order);
-        let mut vids = vec![0; rposs.len()];
-        decode_vids(&c.pool, 1, &|_| Some(c), &ranks.sorted, &mut vids, plan)?;
-        Ok(f(vids, &ranks.order))
-    })
-}
-
 /// [`ColumnRead::vid_counts`] of a paged column: phase (a), then the
-/// identifiers sorted and run-length counted.
+/// counting pass.
 pub(crate) fn vid_counts_paged(c: &ColumnParts, rposs: &[u64]) -> CoreResult<Vec<(u64, u64)>> {
-    if rposs.is_empty() {
-        return Ok(Vec::new());
-    }
-    with_vids_paged(c, rposs, |vids, _| count_runs(vids))
+    vid_counts(c, rposs, |sorted, vids, plan| decode_vids(&c.pool, 1, &|_| Some(c), sorted, vids, plan))
 }
 
 /// [`Column::encoded_rows`] of a paged column: phase (a) in waves, back in
 /// the caller's row order, over the dictionary read in key order straight
 /// from the store (`rposs` is not empty).
 pub(crate) fn encoded_rows_paged(c: &ColumnParts, rposs: &[u64]) -> CoreResult<EncodedRows> {
-    let vids = with_vids_paged(c, rposs, |vids, order| {
-        if order.is_empty() {
-            return vids;
+    let vids = with_scratch(|Scratch { plan, ranks, .. }| {
+        ascending(rposs, &mut ranks.sorted, &mut ranks.order);
+        let mut vids = vec![0; rposs.len()];
+        decode_vids(&c.pool, 1, &|_| Some(c), &ranks.sorted, &mut vids, plan)?;
+        if ranks.order.is_empty() {
+            return Ok(vids);
         }
         let mut out = vec![0; vids.len()];
-        for (&i, vid) in order.iter().zip(vids) {
+        for (&i, vid) in ranks.order.iter().zip(vids) {
             out[i as usize] = vid;
         }
-        out
+        CoreResult::Ok(out)
     })?;
     EncodedRows::new(c.dict.materialize_all_direct()?, vids)
 }
@@ -652,11 +756,13 @@ pub(crate) fn values_by_vid_paged<'a, 'd>(
     }
 
     // Phase (c): dictionary pages → values. An array slot is the key,
-    // decoded where it lies. A value-block entry that is whole on its page
-    // is decoded to its value straight from two scratch buffers (the
-    // entry's bytes, and their decompression when the chain is FSST-coded);
-    // a large one keeps its bytes until its off-page pieces are appended, in
-    // order. Each value goes to `put` as soon as it is whole.
+    // decoded where it lies. The value-block entries of a page are read by
+    // one walk through each block they touch, stepped from slot to sorted
+    // slot in one buffer; an entry that is whole on its page is decoded to
+    // its value from that buffer (through one FSST buffer when the chain is
+    // coded), a large one keeps a copy of its bytes until its off-page
+    // pieces are appended, in order. Each value goes to `put` as soon as it
+    // is whole.
     large.clear();
     pieces.clear();
     tasks.clear();
@@ -695,19 +801,20 @@ pub(crate) fn values_by_vid_paged<'a, 'd>(
                 }
                 Layout::Blocks(b) => b,
             };
-            let view = b.page_view(page, t.key.page_no)?;
+            let mut view = b.page_view(page, t.key.page_no)?;
             for (k, &vid) in (t.lo..t.hi).zip(vids) {
-                let (overflow, total) = view.read(vid, acc)?;
-                if overflow.is_empty() {
-                    b.finish_key(acc, total, raw)?;
-                    put(t.col, k, Value::from_key(c.data_type, acc)?);
-                } else {
-                    pieces.extend(overflow.into_iter().map(|at| Piece {
+                let entry = view.entry(vid, acc)?;
+                if entry.spilled() {
+                    pieces.extend(entry.offpage_refs().map(|at| Piece {
                         large: large.len(),
                         key: b.overflow_key(&at),
                         at,
                     }));
+                    let total = entry.total_len();
                     large.push(Large { col: t.col, entry: k, bytes: acc.clone(), total });
+                } else {
+                    let key = b.decode_key(acc, entry.total_len(), raw)?;
+                    put(t.col, k, Value::from_key(c.data_type, key)?);
                 }
             }
             Ok(())
@@ -720,12 +827,11 @@ pub(crate) fn values_by_vid_paged<'a, 'd>(
         |p, page| append_piece(&mut large[p.large].bytes, &p.at, page),
     )?;
     pieces.clear();
-    for mut l in large.drain(..) {
+    for l in large.drain(..) {
         let Some(c) = part(l.col) else { continue };
         if let Layout::Blocks(b) = c.dict.layout() {
-            b.finish_key(&mut l.bytes, l.total, raw)?;
+            put(l.col, l.entry, Value::from_key(c.data_type, b.decode_key(&l.bytes, l.total, raw)?)?);
         }
-        put(l.col, l.entry, Value::from_key(c.data_type, &l.bytes)?);
     }
     Ok(())
 }
@@ -752,12 +858,58 @@ mod tests {
         (0..n).map(|_| Value::Varchar((0..40).map(|_| printable()).collect())).collect()
     }
 
+    /// `rank` on each of its paths — identifiers that ascend, a range of
+    /// at most `DENSE_RANGE` identifiers a row (narrower and wider than the
+    /// rows), and a wider one — against a sorted, deduplicated copy: the
+    /// distinct identifiers ascend, the uses count each one's rows, and
+    /// each rank points back at the row's identifier. Each column appends
+    /// behind the one before; unranked, the identifiers are left as they
+    /// are and the counts are the same.
+    #[test]
+    fn ranks_by_counting_by_order_and_by_sorting_agree_with_a_sort() {
+        let n = 40u64;
+        let cases: [(&str, Vec<u64>); 4] = [
+            ("ascending", (0..n).map(|i| i / 3 + 7).collect()),
+            ("dense", (0..n).map(|i| (i * 17) % 23 + 1000).collect()),
+            ("dense at its widest", (0..n).map(|i| [5, 5 + DENSE_RANGE * n - 1][i as usize % 2]).collect()),
+            ("sparse", (0..n).map(|i| (i * 7919) % 13 * 1_000_003).collect()),
+        ];
+        let (mut distinct, mut uses) = (vec![3, 9], vec![1, 1]);
+        let (mut tally, mut marks) = (Vec::new(), Vec::new());
+        for (what, vids) in cases {
+            let mut want = vids.clone();
+            want.sort_unstable();
+            want.dedup();
+            let start = distinct.len();
+            let mut unranked = vids.clone();
+            rank(&mut unranked, false, &mut distinct, &mut uses, &mut tally, &mut marks);
+            assert_eq!(unranked, vids, "{what}: unranked");
+            let counted = (distinct.split_off(start), uses.split_off(start));
+            let mut ranked = vids.clone();
+            tally.clear();
+            rank(&mut ranked, true, &mut distinct, &mut uses, &mut tally, &mut marks);
+            assert_eq!(!tally.is_empty(), what.starts_with("dense"), "{what}: counted");
+            assert_eq!((distinct[start..].to_vec(), uses[start..].to_vec()), counted, "{what}: counts");
+            assert_eq!(distinct[start..], want, "{what}: distinct");
+            assert_eq!(uses.len(), distinct.len(), "{what}: a use count per identifier");
+            for (k, &d) in want.iter().enumerate() {
+                let rows = vids.iter().filter(|&&v| v == d).count() as u32;
+                assert_eq!(uses[start + k], rows, "{what}: uses of {d}");
+            }
+            for (vid, r) in vids.iter().zip(&ranked) {
+                assert_eq!(distinct[start + *r as usize], *vid, "{what}: rank of {vid}");
+            }
+            assert!(tally.len() as u64 <= DENSE_RANGE * n, "{what}: the tally is bounded by the rows");
+        }
+    }
+
     /// Every buffer of `scratch` with its capacity. Names each field, so a
     /// buffer added to [`Plan`] or [`Ranks`] must be added here too.
-    fn capacities(scratch: &Scratch) -> [(&'static str, usize); 15] {
+    fn capacities(scratch: &Scratch) -> [(&'static str, usize); 17] {
         let Scratch {
             plan: Plan { tasks, waves, preload, dict_pages, acc, raw, large, pieces },
-            ranks: Ranks { n: _, sorted, order, vids, distinct, by_vid, ends, lens },
+            ranks: Ranks { n: _, sorted, order, vids, distinct, uses, spans, tally, marks },
+            table,
         } = scratch;
         [
             ("tasks", tasks.capacity()),
@@ -772,9 +924,11 @@ mod tests {
             ("order", order.capacity()),
             ("vids", vids.capacity()),
             ("distinct", distinct.capacity()),
-            ("by_vid", by_vid.capacity()),
-            ("ends", ends.capacity()),
-            ("lens", lens.capacity()),
+            ("uses", uses.capacity()),
+            ("spans", spans.capacity()),
+            ("tally", tally.capacity()),
+            ("marks", marks.capacity()),
+            ("table", table.capacity()),
         ]
     }
 
@@ -815,9 +969,9 @@ mod tests {
         };
 
         let mut scratch = Scratch::default();
-        let mut rows = vec![vec![Value::Integer(0); which.len()]; rposs.len()];
+        let mut rows = vec![Vec::new(); rposs.len()];
         let source = |j: usize| Source::of(&columns[which[j]]);
-        scratch.run(which.len(), source, &rposs, &mut Rows { rows: &mut rows, base: 0 }).unwrap();
+        scratch.run(which.len(), source, &rposs, &mut rows[..]).unwrap();
         expect(&rows);
         for (name, capacity) in capacities(&scratch) {
             assert!(capacity > 0, "{name} did not grow");

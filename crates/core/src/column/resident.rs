@@ -1,6 +1,6 @@
 //! The fully-resident (default) column.
 
-use crate::column::materialize::{count_runs, get_values, Source};
+use crate::column::materialize::{get_values, vid_counts, Source};
 use crate::column::paged::{identity_count, identity_rows, ColumnParts, StoredRows};
 use crate::column::read::ColumnRead;
 use crate::column::EncodedRows;
@@ -251,7 +251,12 @@ impl ColumnRead for ResidentColumn {
 
     fn vid_counts(&self, rposs: &[u64]) -> CoreResult<Vec<(u64, u64)>> {
         let image = self.image()?;
-        Ok(count_runs(self.vids_at(&image, rposs)?))
+        vid_counts(&self.parts, rposs, |sorted, vids, _| {
+            for (vid, &rpos) in vids.iter_mut().zip(sorted) {
+                *vid = self.vid_at(&image, rpos)?;
+            }
+            Ok(())
+        })
     }
 
     fn values_by_vid(&self, vids: &[u64]) -> CoreResult<Vec<Value>> {

@@ -3,7 +3,9 @@
 
 use super::InMemoryDict;
 use crate::{CoreError, CoreResult};
-use payg_encoding::prefix::{common_prefix, BlockRun, BlockWalk, ValueBlockBuilder, BLOCK_CAP};
+use payg_encoding::prefix::{
+    common_prefix, BlockRun, BlockWalk, EntryView, ValueBlockBuilder, BLOCK_CAP,
+};
 use payg_encoding::EncodingError;
 use std::ops::Range;
 
@@ -106,7 +108,7 @@ impl BlockDict {
 
     /// A reader of keys by identifier that decodes into `buf`.
     pub fn keys<'a>(&'a self, buf: &'a mut Vec<u8>) -> BlockKeys<'a> {
-        BlockKeys { dict: self, key: buf, walk: None, block: 0, next: 0 }
+        BlockKeys { len: self.len, key: buf, cursor: RunCursor::new(self.run()) }
     }
 
     /// The same keys in the uncompressed arena, built to size.
@@ -133,17 +135,12 @@ impl BlockDict {
 }
 
 /// Decodes keys of one [`BlockDict`] by identifier into the caller's
-/// buffer. After key `vid`, a key further on in the same block continues
-/// the walk from there: ascending identifiers decode each block they touch
-/// once.
+/// buffer, through a [`RunCursor`]: ascending identifiers decode each block
+/// they touch once.
 pub struct BlockKeys<'a> {
-    dict: &'a BlockDict,
+    len: usize,
     key: &'a mut Vec<u8>,
-    /// The walk over block `block`, which decodes identifier `next` next;
-    /// `None` before the first key.
-    walk: Option<BlockWalk<'a>>,
-    block: usize,
-    next: usize,
+    cursor: RunCursor<'a>,
 }
 
 impl BlockKeys<'_> {
@@ -152,32 +149,72 @@ impl BlockKeys<'_> {
     /// # Panics
     /// Panics when `vid` is out of bounds.
     pub fn key(&mut self, vid: u64) -> CoreResult<&[u8]> {
-        let dict = self.dict;
-        let vid = vid as usize;
-        assert!(vid < dict.len, "vid {vid} out of bounds for {} keys", dict.len);
-        let block = vid / BLOCK_CAP;
-        // Unless `vid` is the key in the buffer or further on in the block
-        // being walked, seek it in its block.
-        if self.walk.is_none() || self.block != block || vid + 1 < self.next {
-            let (walk, _) = dict.run().block(block)?.seek(vid % BLOCK_CAP, self.key)?;
-            self.walk = Some(walk);
-            (self.block, self.next) = (block, vid + 1);
-        }
-        if let Some(walk) = &mut self.walk {
-            while self.next <= vid {
-                walk.next_into(self.key)?.ok_or_else(|| short_block(block))?;
-                self.next += 1;
-            }
-        }
+        assert!((vid as usize) < self.len, "vid {vid} out of bounds for {} keys", self.len);
+        self.cursor.entry(vid as usize, self.key)?;
         Ok(self.key)
     }
 }
 
+/// Reads the entries of one block run by index. An entry further on in the
+/// block read last continues that block's walk; any other seeks its slot,
+/// checking every entry up to it. Ascending indices thus decode each block
+/// they touch once — a dictionary page's batch of identifiers and a
+/// resident dictionary's keys alike.
+#[derive(Clone, Copy)]
+pub(crate) struct RunCursor<'a> {
+    run: BlockRun<'a>,
+    /// The walk over block `block`, which decodes entry `next` next;
+    /// `None` before the first entry.
+    walk: Option<BlockWalk<'a>>,
+    block: usize,
+    next: usize,
+}
+
+impl<'a> RunCursor<'a> {
+    pub(crate) fn new(run: BlockRun<'a>) -> Self {
+        RunCursor { run, walk: None, block: 0, next: 0 }
+    }
+
+    /// Entry `idx` of the run, its on-page part left in `acc` — the buffer
+    /// the cursor's previous entry was read into, which a continued walk
+    /// replays from. An index past the run's blocks, or past its block's
+    /// entries, is a corrupt run.
+    pub(crate) fn entry(&mut self, idx: usize, acc: &mut Vec<u8>) -> CoreResult<EntryView<'a>> {
+        let (block, slot) = (idx / BLOCK_CAP, idx % BLOCK_CAP);
+        match &mut self.walk {
+            Some(walk) if self.block == block && self.next <= idx => loop {
+                let entry = walk.next_into(acc)?.ok_or_else(|| short_block(block, slot))?;
+                self.next += 1;
+                if self.next > idx {
+                    return Ok(entry);
+                }
+            },
+            _ => {
+                if block >= self.run.blocks() {
+                    return Err(corrupt_run(format!(
+                        "entry {idx} lies past the run's {} blocks",
+                        self.run.blocks()
+                    )));
+                }
+                let view = self.run.block(block)?;
+                if slot >= view.len() {
+                    return Err(short_block(block, slot));
+                }
+                let (walk, entry) = view.seek(slot, acc)?;
+                (self.walk, self.block, self.next) = (Some(walk), block, idx + 1);
+                Ok(entry)
+            }
+        }
+    }
+}
+
 #[cold]
-fn short_block(block: usize) -> CoreError {
-    CoreError::Encoding(EncodingError::CorruptBlock {
-        reason: format!("resident block {block} ends before its entries"),
-    })
+fn short_block(block: usize, slot: usize) -> CoreError {
+    corrupt_run(format!("block {block} ends before its slot {slot}"))
+}
+
+fn corrupt_run(reason: String) -> CoreError {
+    CoreError::Encoding(EncodingError::CorruptBlock { reason })
 }
 
 /// Streams sorted keys into a [`BlockDict`]; [`BlockDictBuilder::finish`]

@@ -49,11 +49,14 @@
 //! separators: the same search runs on them without a table.
 
 use super::array::ArrayPages;
+use super::blocks::RunCursor;
 use super::{BlockDict, BlockDictBuilder, InMemoryDict};
 use crate::{CoreError, CoreResult, DataType, PageConfig};
 use payg_encoding::dispatch::{ChainCodec, CodecKind};
 use payg_encoding::fsst::SymbolTable;
-use payg_encoding::prefix::{entry_len, BlockRun, OverflowRef, ValueBlockBuilder, ValueBlockView, BLOCK_CAP};
+use payg_encoding::prefix::{
+    entry_len, BlockRun, EntryView, OverflowRef, ValueBlockBuilder, ValueBlockView, BLOCK_CAP,
+};
 use payg_encoding::EncodingError;
 use payg_obs::names;
 use payg_storage::{BufferPool, ChainRef, PageGuard, PageKey, PageMap, PageStore, StorageError};
@@ -65,8 +68,9 @@ use std::sync::Arc;
 pub type DictLookup = Result<u64, u64>;
 
 /// Handles a [`HandleCache`] keeps without a heap allocation: a
-/// `findByValue` pins a value-helper page and a dictionary page (and, for a
-/// large entry, its overflow pages).
+/// `findByValue` pins a value-helper page, a dictionary page and the
+/// identifier-helper page that says where the dictionary page starts (and,
+/// for a large entry, its overflow pages).
 const INLINE_HANDLES: usize = 4;
 
 /// Per-iterator page-handle cache (paper §3.2.3) of `findByValue`: pinned
@@ -197,43 +201,30 @@ fn page_corrupt(reason: String) -> CoreError {
 }
 
 /// A pinned dictionary page opened for entry reads: its header, checked
-/// once, serves however many entries are then read off the page.
+/// once, serves however many entries are then read off the page, and
+/// ascending identifiers step one walk through each block they touch.
 pub(crate) struct DictPageView<'a> {
-    page: DictPage<'a>,
+    first_idx: u64,
+    cursor: RunCursor<'a>,
     dict_page: u64,
 }
 
-impl DictPageView<'_> {
-    /// Reads the on-page part of `vid`'s (possibly FSST-compressed) key
-    /// into `acc` (cleared first). Returns the pointers to the entry's
-    /// off-page pieces — which the caller fetches and appends in order with
-    /// [`append_piece`] — and the length of the complete entry, for
-    /// [`Blocks::finish_key`].
-    pub(crate) fn read(&self, vid: u64, acc: &mut Vec<u8>) -> CoreResult<(Vec<OverflowRef>, u64)> {
-        let DictPage { first_idx, run } = self.page;
-        if vid < first_idx {
+impl<'a> DictPageView<'a> {
+    /// Reads the on-page part of `vid`'s (possibly FSST-compressed) entry
+    /// into `acc`, which must be the buffer the view's previous entry was
+    /// read into: a later identifier of the same block continues that
+    /// walk. Returns the entry — the pointers to its off-page pieces, which
+    /// the caller fetches and appends in order with [`append_piece`] (to a
+    /// copy: the walk replays from `acc`), and the length of the whole
+    /// entry, for [`Blocks::decode_key`].
+    pub(crate) fn entry(&mut self, vid: u64, acc: &mut Vec<u8>) -> CoreResult<EntryView<'a>> {
+        if vid < self.first_idx {
             return Err(page_corrupt(format!(
-                "vid {vid} routed to dictionary page {} starting at {first_idx}",
-                self.dict_page
+                "vid {vid} routed to dictionary page {} starting at {}",
+                self.dict_page, self.first_idx
             )));
         }
-        let idx = (vid - first_idx) as usize;
-        let (block_no, slot) = (idx / BLOCK_CAP, idx % BLOCK_CAP);
-        if block_no >= run.blocks() {
-            return Err(page_corrupt(format!(
-                "vid {vid} maps to block {block_no} of {} on page {}",
-                run.blocks(),
-                self.dict_page
-            )));
-        }
-        let block = run.block(block_no)?;
-        if slot >= block.len() {
-            return Err(page_corrupt(format!(
-                "vid {vid} maps to slot {slot} of a {}-entry block",
-                block.len()
-            )));
-        }
-        Ok(block.materialize_onpage_into(slot, acc)?)
+        self.cursor.entry((vid - self.first_idx) as usize, acc)
     }
 }
 
@@ -677,31 +668,35 @@ impl Blocks {
         guard: &'a PageGuard,
         dict_page: u64,
     ) -> CoreResult<DictPageView<'a>> {
-        Ok(DictPageView { page: DictPage::parse(guard, self.cardinality)?, dict_page })
+        let DictPage { first_idx, run } = DictPage::parse(guard, self.cardinality)?;
+        Ok(DictPageView { first_idx, cursor: RunCursor::new(run), dict_page })
     }
 
-    /// Turns the fully assembled entry in `bytes` (of length `total`) into
-    /// the raw key, in place: checks the length, and when the chain is
-    /// FSST-coded decompresses into `scratch` and swaps the buffers — a
-    /// caller that reuses both allocates for neither codec.
-    pub(crate) fn finish_key(
+    /// The raw key of an entry whose bytes — its on-page part, then its
+    /// off-page pieces in order — are `bytes`, `total` long: checks the
+    /// length, and when the chain is FSST-coded decompresses into `raw`.
+    /// `bytes` are left as they are, so a walk can step on from them, and a
+    /// caller that reuses `raw` allocates for neither codec.
+    pub(crate) fn decode_key<'b>(
         &self,
-        bytes: &mut Vec<u8>,
+        bytes: &'b [u8],
         total: u64,
-        scratch: &mut Vec<u8>,
-    ) -> CoreResult<()> {
+        raw: &'b mut Vec<u8>,
+    ) -> CoreResult<&'b [u8]> {
         if bytes.len() as u64 != total {
             return Err(CoreError::Storage(StorageError::corrupt(format!(
                 "materialized {} bytes, expected {total}",
                 bytes.len()
             ))));
         }
-        if let Some(table) = &self.fsst {
-            scratch.clear();
-            table.decode_into(bytes, scratch)?;
-            std::mem::swap(bytes, scratch);
+        match &self.fsst {
+            Some(table) => {
+                raw.clear();
+                table.decode_into(bytes, raw)?;
+                Ok(raw)
+            }
+            None => Ok(bytes),
         }
-        Ok(())
     }
 
     /// `findByValue` (Alg. 2).
@@ -741,6 +736,14 @@ impl Blocks {
         // the chain carries a symbol table.
         let guard = cache.pin(self.dict_page_key(dict_page))?;
         let page = DictPage::parse(&guard, self.cardinality)?;
+        let first = self.first_vid(dict_page, cache)?;
+        if page.first_idx != first {
+            return Err(page_corrupt(format!(
+                "dictionary page {dict_page} claims to start at identifier {} where its helper \
+                 starts it at {first}",
+                page.first_idx
+            )));
+        }
         let (block_no, pos) = self.lower_bound_on_page(page.run, key, self.fsst.as_deref(), cache)?;
         let global = |i: usize| page.first_idx + (block_no * BLOCK_CAP + i) as u64;
         match pos {
@@ -752,6 +755,22 @@ impl Blocks {
                 self.cardinality
             ))),
         }
+    }
+
+    /// The first identifier of dictionary page `dict_page`, from the
+    /// `ipDict_ValueId` helper (preloaded with the first lookup): one past
+    /// the last identifier of the page before it — 0 for page 0, so for a
+    /// one-page dictionary. A page's own `first_idx` places the keys `find`
+    /// answers, and must agree.
+    fn first_vid(&self, dict_page: u64, cache: &mut HandleCache) -> CoreResult<u64> {
+        let Some(before) = dict_page.checked_sub(1) else { return Ok(0) };
+        let epp = (self.helpers().vid_chain.page_size / 8) as u64;
+        let (hp, slot) = (before / epp, (before % epp) as usize);
+        let guard = cache.pin(self.vid_helper_key(hp))?;
+        let last = guard.get(slot * 8..slot * 8 + 8).ok_or_else(|| {
+            page_corrupt(format!("identifier helper page {hp} ends before entry {slot}"))
+        })?;
+        Ok(crate::util::le_u64(last) + 1)
     }
 
     /// Reads the whole dictionary chain directly from `store`, handing
@@ -1802,10 +1821,13 @@ mod tests {
     /// Every check of a dictionary page's header, on one corrupt page at a
     /// time: a page shorter than its header, no blocks, an offset array
     /// past the page, a block start past the page, two block starts out of
-    /// order, and a first identifier above every identifier (so above
-    /// those routed to the page). Each is a typed corruption error through
-    /// `find`, `values_by_vid` and the direct read of the whole chain: a
-    /// probe of another page answers exactly, and one of the bad page
+    /// order, a first identifier above every identifier (so above those
+    /// routed to the page), and one shifted to the next page's first
+    /// identifier, which `find` must not trust to place its keys: the
+    /// `ipDict_ValueId` helper says where the page starts. Each is a typed
+    /// corruption error through `find`, `values_by_vid` and the direct read
+    /// of the whole chain: a probe of another page answers exactly, and one
+    /// of the bad page
     /// answers exactly or fails, never wrongly and never by a panic.
     #[test]
     fn a_corrupt_dictionary_page_header_is_a_typed_error() {
@@ -1846,6 +1868,10 @@ mod tests {
             (
                 "a first identifier above every identifier",
                 patched(&|b| b[..8].copy_from_slice(&(ks.len() as u64).to_le_bytes())),
+            ),
+            (
+                "a first identifier shifted within the identifiers",
+                patched(&|b| b[..8].copy_from_slice(&on_page.end.to_le_bytes())),
             ),
         ];
         let corrupt = |e: &CoreError| {
@@ -1895,11 +1921,14 @@ mod tests {
             ResourceManager::new(),
             PoolConfig { retry: RetryPolicy::NONE, ..PoolConfig::default() },
         );
-        let ks = keys(1000);
-        let (dict, _) =
+        let ks = keys(20_000);
+        let (dict, stats) =
             PagedDictionary::build(&pool, &PageConfig::tiny(), DataType::Varchar, &ks).unwrap();
-        // `find` reads no `ipDict_ValueId` page: only the preload pins it.
-        let vid_helper = PageKey::new(ChainId(dict.chains()[2].1), 0);
+        // `find` of an early key reads the first `ipDict_ValueId` page, to
+        // check where its dictionary page starts, and never the last: only
+        // the preload pins that one.
+        assert!(stats.vid_helper_pages > 1, "{stats:?}");
+        let vid_helper = PageKey::new(ChainId(dict.chains()[2].1), stats.vid_helper_pages - 1);
         store.set_plan(FaultPlan::Pages(vec![vid_helper]));
         let find = || dict.find(&ks[500], &mut HandleCache::new(pool.clone()));
         assert!(matches!(find(), Err(CoreError::Storage(_))));

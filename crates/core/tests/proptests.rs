@@ -11,7 +11,7 @@ use payg_core::{
 use payg_encoding::prefix::BLOCK_CAP;
 use payg_encoding::{BitPackedVec, VidSet};
 use payg_resman::{PoolLimits, ResourceManager};
-use payg_storage::{BufferPool, MemStore};
+use payg_storage::{BufferPool, MemStore, PageStore};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -1024,6 +1024,127 @@ fn special_shape_columns(n_rows: usize, card: u64, salt: u64) -> Vec<(DataType, 
         }).collect()),
         (DataType::Varchar, (0..n_rows).map(|i| Value::Varchar(format!("key-{salt:x}-{i:05}"))).collect()),
     ]
+}
+
+static ORACLE_CODECS: AtomicU8 = AtomicU8::new(0);
+static ORACLE_SHAPES: AtomicU8 = AtomicU8::new(0);
+
+/// Shapes a materialization oracle case records, one bit each: string
+/// dictionaries of one page, of several (routed by helper), with spilled
+/// entries; a key stored as its rows' identifiers; identifiers at the
+/// sorted rows that ascend, that span at most 16 identifiers a row (the
+/// counting pass), and that span more (the sorted fallback).
+const ONE_PAGE: u8 = 1;
+const MULTI_PAGE: u8 = 2;
+const SPILLED: u8 = 4;
+const IDENTITY: u8 = 8;
+const ASCENDING: u8 = 16;
+const DENSE: u8 = 32;
+const SPARSE: u8 = 64;
+
+#[test]
+fn materialization_oracle_covers_every_shape() {
+    materialize_equals_per_cell_values_by_vid();
+    assert_every_dict_codec(&ORACLE_CODECS);
+    let all = ONE_PAGE | MULTI_PAGE | SPILLED | IDENTITY | ASCENDING | DENSE | SPARSE;
+    let seen = ORACLE_SHAPES.load(Ordering::Relaxed);
+    assert_eq!(seen & all, all, "shapes seen {seen:#b}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `materialize` over a random mix of resident and paged columns — the
+    /// special shapes plus a one-page string dictionary, picked with
+    /// repeats in any order — equals, cell by cell, the value of the
+    /// cell's identifier read alone: `values_by_vid(&[vid])` of the one
+    /// pair `vid_counts(&[rpos])` returns. Rows come ascending, shuffled,
+    /// duplicated and as a short spread-out list, so identifiers are
+    /// ranked ascending, by counting and by the sorted fallback; a value
+    /// used by several rows must reach each of them.
+    fn materialize_equals_per_cell_values_by_vid(
+        n_rows in 1usize..300,
+        card in 1u64..400,
+        salt in any::<u64>(),
+        picks in prop::collection::vec(any::<u32>(), 1..200),
+        mix in prop::collection::vec(any::<u8>(), 1..12),
+    ) {
+        let mut sources = special_shape_columns(n_rows, card, salt);
+        sources.push((DataType::Varchar, (0..n_rows).map(|i| {
+            Value::Varchar(format!("ch{:02}", (i as u64 ^ salt) % 3))
+        }).collect()));
+        let config = PageConfig { dict_page: 2048, overflow_page: 256, ..PageConfig::tiny() };
+        let store = Arc::new(MemStore::new());
+        let pool = BufferPool::new(Arc::clone(&store) as Arc<dyn PageStore>, ResourceManager::new());
+        let mut columns = Vec::new();
+        for policy in [LoadPolicy::PageLoadable, LoadPolicy::FullyResident] {
+            for (ty, values) in &sources {
+                columns.push(ColumnBuilder::new(*ty).policy(policy).build(&pool, &config, values).unwrap().column);
+            }
+        }
+        for col in &columns {
+            note_codec(&ORACLE_CODECS, col.dict_codec());
+            let chains = col.chains();
+            let role = |r: &str| chains.iter().find(|c| c.0 == r).map(|c| c.1);
+            let mut shape = 0;
+            if role("data").is_none() {
+                shape |= IDENTITY;
+            }
+            if let Some(overflow) = role("dict-overflow") {
+                shape |= if role("dict-vid-helper").is_some() { MULTI_PAGE } else { ONE_PAGE };
+                if store.chain_len(payg_storage::ChainId(overflow)).unwrap() > 0 {
+                    shape |= SPILLED;
+                }
+            }
+            ORACLE_SHAPES.fetch_or(shape, Ordering::Relaxed);
+        }
+        let which: Vec<usize> = mix.iter().map(|&p| usize::from(p) % columns.len()).collect();
+
+        let mut ascending: Vec<u64> = picks.iter().map(|&p| u64::from(p) % n_rows as u64).collect();
+        let duplicated = ascending.clone();
+        ascending.sort_unstable();
+        ascending.dedup();
+        let mut shuffled = ascending.clone();
+        let mut x = salt | 1;
+        for i in (1..shuffled.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            shuffled.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        let spread: Vec<u64> = ascending.iter().step_by(ascending.len().div_ceil(3)).copied().collect();
+
+        // The oracle: every cell's identifier and its value, read alone.
+        let cell = |c: usize, rpos: u64| -> (u64, Value) {
+            let pairs = columns[c].vid_counts(&[rpos]).unwrap();
+            assert_eq!(pairs.len(), 1);
+            let vid = pairs[0].0;
+            (vid, columns[c].values_by_vid(&[vid]).unwrap().remove(0))
+        };
+        for rows in [&ascending, &shuffled, &duplicated, &spread] {
+            let mut got = vec![Vec::new(); rows.len()];
+            payg_core::column::materialize(&columns, &which, rows, &mut got).unwrap();
+            for (i, &rpos) in rows.iter().enumerate() {
+                let expect: Vec<Value> = which.iter().map(|&c| cell(c, rpos).1).collect();
+                prop_assert_eq!(&got[i], &expect, "row {} (position {})", i, rpos);
+            }
+            for &c in &which {
+                let mut sorted = rows.to_vec();
+                sorted.sort_unstable();
+                let vids: Vec<u64> = sorted.iter().map(|&r| cell(c, r).0).collect();
+                let (lo, hi) = (vids.iter().min().unwrap(), vids.iter().max().unwrap());
+                let path = if vids.is_sorted() {
+                    ASCENDING
+                } else if hi - lo < 16 * vids.len() as u64 {
+                    DENSE
+                } else {
+                    SPARSE
+                };
+                ORACLE_SHAPES.fetch_or(path, Ordering::Relaxed);
+            }
+        }
+        pool.assert_no_live_pins("materialization oracle quiesce");
+    }
 }
 
 static COUNTS_CODECS: AtomicU8 = AtomicU8::new(0);

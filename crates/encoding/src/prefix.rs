@@ -324,8 +324,13 @@ pub struct EntryView<'a> {
 
 impl EntryView<'_> {
     /// True when the value goes on off-page.
-    fn spilled(&self) -> bool {
+    pub fn spilled(&self) -> bool {
         !self.offpage_raw.is_empty()
+    }
+
+    /// Length of the whole value, its off-page pieces included.
+    pub fn total_len(&self) -> u64 {
+        self.total_len
     }
 
     /// The pointers to the entry's off-page pieces, in value order; none
@@ -439,21 +444,6 @@ impl<'a> ValueBlockView<'a> {
             return Ok((EntryView { prefix_len, onpage, offpage_raw: &[], total_len }, end));
         }
         spilled_entry(bytes, i, prefix_len, onpage, end)
-    }
-
-    /// Reconstructs the on-page-materializable part of entry `idx` into
-    /// `acc`, walking from the block's start, and returns the entry's
-    /// off-page pointers + total length, so the caller can fetch overflow
-    /// pieces.
-    pub fn materialize_onpage_into(
-        &self,
-        idx: usize,
-        acc: &mut Vec<u8>,
-    ) -> Result<(Vec<OverflowRef>, u64)> {
-        let (_, entry) = self.seek(idx, acc)?;
-        // An empty `collect` is not free, and most entries are inline.
-        let offpage = if entry.spilled() { entry.offpage_refs().collect() } else { Vec::new() };
-        Ok((offpage, entry.total_len))
     }
 
     /// Decodes entries `0..=idx` and leaves entry `idx`'s on-page part in
@@ -995,9 +985,9 @@ mod tests {
     /// pieces.
     pub(super) fn materialize(view: &ValueBlockView<'_>, idx: usize, fetch: Fetch<'_>) -> Result<Vec<u8>> {
         let mut acc = Vec::new();
-        let (offpage, total) = view.materialize_onpage_into(idx, &mut acc)?;
-        append_pieces(&mut acc, offpage.into_iter(), fetch)?;
-        assert_eq!(acc.len() as u64, total, "entry {idx}");
+        let (_, entry) = view.seek(idx, &mut acc)?;
+        append_pieces(&mut acc, entry.offpage_refs(), fetch)?;
+        assert_eq!(acc.len() as u64, entry.total_len(), "entry {idx}");
         Ok(acc)
     }
 
@@ -1160,7 +1150,7 @@ mod tests {
         let mut p = bytes.clone();
         p[1] = 3;
         assert!(walk(&p).is_err());
-        assert!(ValueBlockView::parse(&p).unwrap().materialize_onpage_into(0, &mut Vec::new()).is_err());
+        assert!(ValueBlockView::parse(&p).unwrap().seek(0, &mut Vec::new()).is_err());
     }
 
     #[test]
@@ -1325,7 +1315,7 @@ mod view_tests {
         // An on-page length (varint 0xC8 0x01 = 200: 100 bytes, inline) past
         // the block.
         let v = ValueBlockView::parse(&[1, 0, 0xC8, 0x01, b'k']).unwrap();
-        assert!(v.materialize_onpage_into(0, &mut Vec::new()).is_err());
+        assert!(v.seek(0, &mut Vec::new()).is_err());
         assert!(v.lower_bound(b"k", None, &mut Vec::new(), &mut |_| Ok(Vec::new())).is_err());
     }
 
@@ -1427,9 +1417,9 @@ mod view_tests {
             let (mut acc, mut fetch) = (Vec::new(), |_: &OverflowRef| Ok(Vec::new()));
             let (b, slot) = (idx / BLOCK_CAP, idx % BLOCK_CAP);
             if let Ok(view) = run.block(b) {
-                if slot < view.len() && view.materialize_onpage_into(slot, &mut acc).is_ok() {
+                if slot < view.len() && view.seek(slot, &mut acc).is_ok() {
                     let got = String::from_utf8_lossy(&acc);
-                    accepted.push(format!("{what}: materialize_onpage_into({idx}) = {got:?}"));
+                    accepted.push(format!("{what}: seek({idx}) = {got:?}"));
                 }
             }
             if let Ok(found) = run.lower_bound(&keys[*idx], None, &mut acc, &mut fetch) {

@@ -176,9 +176,10 @@ proptest! {
         let mut fetch = |r: &OverflowRef| Ok(pages[&r.page_no].clone());
         let mut acc = Vec::new();
         for (i, k) in keys.iter().enumerate() {
-            let (offpage, total) = view.materialize_onpage_into(i, &mut acc).unwrap();
-            for r in &offpage {
-                acc.extend_from_slice(&fetch(r).unwrap());
+            let (_, entry) = view.seek(i, &mut acc).unwrap();
+            let total = entry.total_len();
+            for r in entry.offpage_refs() {
+                acc.extend_from_slice(&fetch(&r).unwrap());
             }
             prop_assert_eq!(acc.len() as u64, total);
             prop_assert_eq!(&acc, k);

@@ -1,7 +1,8 @@
 //! A warm point read allocates for its answer plus a constant: the rows
 //! vector, one vector per row and one string per non-empty VARCHAR cell —
 //! not a vector per projected column, not a plan buffer that grows with
-//! the projection's width. An aggregate over delta rows decodes each
+//! the projection's width. A warm 1 000-row range projection does the same
+//! plus a stated constant for its plan. An aggregate over delta rows decodes each
 //! distinct key once, not one value per row; an unfiltered `MIN` / `MAX`
 //! over a main fragment reads its dictionary, not its data vector.
 //!
@@ -175,6 +176,45 @@ fn a_warm_point_read_allocates_for_its_answer_plus_a_constant() {
                     "{policy:?} row {r}: SELECT c0 {num}, SELECT ROWID {rid}"
                 );
             }
+        }
+    }
+}
+
+/// Allocations a warm range projection may make beyond its answer: the
+/// plan's buffers (a projection this large grows and frees its thread's
+/// scratch), the row list, the index run, the query's own vectors — 21 to
+/// 29 when this was written, at either width.
+const RANGE_PLAN_ALLOCS: usize = 32;
+
+/// A warm 1 000-row `SELECT *` over a primary-key range allocates for its
+/// answer plus a constant: the rows vector, one vector a row and one string
+/// a non-empty VARCHAR cell — a value shared by many rows is cloned for
+/// each, and never decoded twice — plus at most [`RANGE_PLAN_ALLOCS`] for
+/// the plan, however wide the table.
+#[test]
+fn a_warm_range_projection_allocates_per_row_and_string_plus_a_constant() {
+    if pins_are_tracked() {
+        return;
+    }
+    let q = Query::filtered(
+        "pk",
+        ValuePredicate::Between(pk(1000), pk(1999)),
+        Projection::All,
+    );
+    for policy in [LoadPolicy::PageLoadable, LoadPolicy::FullyResident] {
+        for width in [9, 33] {
+            let t = table(width, policy);
+            t.session().unwrap().execute(&q).unwrap();
+            let (answer, n) = allocations(|| t.session().unwrap().execute(&q).unwrap());
+            let QueryResult::Rows(rows) = &answer else {
+                panic!("rows expected")
+            };
+            assert_eq!(rows.len(), 1000);
+            let answer_allocs = 1 + rows.len() + strings(&answer);
+            assert!(
+                n <= answer_allocs + RANGE_PLAN_ALLOCS,
+                "{policy:?} at {width} columns: {n} allocations for an answer of {answer_allocs}",
+            );
         }
     }
 }

@@ -93,13 +93,14 @@ pub fn run(cfg: &BenchConfig) -> ExperimentReport {
         report.line(format!("{:>6} {:>12.3} {:>12.3}", p.bits, p.mget_ns, p.search_ns));
     }
     // Paper shapes, with one documented deviation: `search` here compares
-    // in the packed domain at *every* width up to 32 (AVX2 lanes at widths
-    // 2..=25 on an AVX2 host, windowed SWAR lanes otherwise, DESIGN §5d) —
-    // there is no decode-path family for it any more — so it sits well
-    // below the paper's decode-based scan and is not one monotone curve:
-    // AVX2 cost steps with the lane size (16-bit lanes up to 9 bits, 32-bit
-    // up to 25), and under SWAR a width that divides 64 wastes no window
-    // bits and needs no shift, so 8 bits scans cheaper per symbol than 6.
+    // in the packed domain at *every* width up to 32 (AVX-512 VBMI lanes on
+    // a VBMI host at every width whose values fit one, windowed SWAR lanes
+    // otherwise, DESIGN §5d) — there is no decode-path family for it any
+    // more — so it sits well below the paper's decode-based scan and is not
+    // one monotone curve: VBMI cost steps with the lane size (8-bit lanes up
+    // to 8 bits, 16-bit up to 16, 32-bit above), and under SWAR a width that
+    // divides 64 wastes no window bits and needs no shift, so 8 bits scans
+    // cheaper per symbol than 6.
     // The paper's growth with n holds within each geometry, where cost
     // tracks bytes per symbol. `mget` still decodes, as in the paper.
     report.line(

@@ -358,7 +358,9 @@ pub(crate) struct Plan {
     tasks: Vec<PageTask>,
     waves: Waves,
     preload: Vec<PageKey>,
-    dict_pages: Vec<u64>,
+    /// Each routed identifier's dictionary page and that page's first
+    /// identifier.
+    dict_pages: Vec<(u64, u64)>,
     /// An entry's stored bytes, and their decompression — or a resident
     /// column's keys as its dictionary decodes them.
     acc: Vec<u8>,
@@ -710,8 +712,9 @@ pub(crate) fn values_by_vid_paged<'a, 'd>(
     let Plan { tasks, waves, preload, dict_pages, acc, raw, large, pieces } = plan;
 
     // Phase (b): helper pages → dictionary page of every distinct
-    // identifier, for the dictionaries that route by helper — an array
-    // dictionary's page is arithmetic, a one-page dictionary's is page 0.
+    // identifier, and where that page starts, for the dictionaries that
+    // route by helper — an array dictionary's page is arithmetic, a
+    // one-page dictionary's is page 0, starting at identifier 0.
     // First touch of a dictionary preloads its helper chains (§3.2.3) —
     // except the pages the phase is about to pin anyway.
     tasks.clear();
@@ -731,7 +734,7 @@ pub(crate) fn values_by_vid_paged<'a, 'd>(
     }
     // Column `j`'s dictionary pages are `[j * stride..][..distinct(j).len()]`.
     dict_pages.clear();
-    dict_pages.resize(m * stride, 0);
+    dict_pages.resize(m * stride, (0, 0));
     preload.retain(|key| !tasks.iter().any(|t| t.key == *key));
     waves.for_each_page(pool, preload, |key| *key, |_, _| Ok(()))?;
     waves.for_each_page(
@@ -776,7 +779,7 @@ pub(crate) fn values_by_vid_paged<'a, 'd>(
             Layout::Blocks(b) => {
                 let page_of = |k: usize| {
                     if b.routes_by_helper() {
-                        dict_pages[j * stride + k]
+                        dict_pages[j * stride + k].0
                     } else {
                         0
                     }
@@ -801,7 +804,8 @@ pub(crate) fn values_by_vid_paged<'a, 'd>(
                 }
                 Layout::Blocks(b) => b,
             };
-            let mut view = b.page_view(page, t.key.page_no)?;
+            let first = if b.routes_by_helper() { dict_pages[t.col * stride + t.lo].1 } else { 0 };
+            let mut view = b.page_view(page, t.key.page_no, first)?;
             for (k, &vid) in (t.lo..t.hi).zip(vids) {
                 let entry = view.entry(vid, acc)?;
                 if entry.spilled() {

@@ -200,6 +200,18 @@ fn page_corrupt(reason: String) -> CoreError {
     CoreError::Storage(StorageError::corrupt(reason))
 }
 
+/// The error for dictionary page `dict_page` claiming to start at
+/// identifier `claimed` where its helper starts it at `first`, for `find`
+/// and late materialization alike; only a corrupt page reaches it.
+#[cold]
+#[inline(never)]
+fn misplaced_page(dict_page: u64, claimed: u64, first: u64) -> CoreError {
+    page_corrupt(format!(
+        "dictionary page {dict_page} claims to start at identifier {claimed} where its helper \
+         starts it at {first}"
+    ))
+}
+
 /// A pinned dictionary page opened for entry reads: its header, checked
 /// once, serves however many entries are then read off the page, and
 /// ascending identifiers step one walk through each block they touch.
@@ -630,8 +642,12 @@ impl Blocks {
     }
 
     /// Looks `vid` up on its pinned helper page `hp`: the number of the
-    /// dictionary page storing it.
-    pub(crate) fn dict_page_on_helper(&self, helper: &[u8], hp: u64, vid: u64) -> u64 {
+    /// dictionary page storing it, and that page's first identifier — one
+    /// past the last identifier of the page before it, read from the entry
+    /// before on the helper page or, for a helper page's first entry, from
+    /// the in-memory last identifier of the helper page before (0 for page
+    /// 0).
+    pub(crate) fn dict_page_on_helper(&self, helper: &[u8], hp: u64, vid: u64) -> (u64, u64) {
         let epp = self.helpers().vid_chain.page_size / 8;
         let start = hp as usize * epp;
         let count = (self.dict_pages as usize - start).min(epp);
@@ -649,7 +665,12 @@ impl Blocks {
             }
         }
         debug_assert!(lo < count, "vid {vid} beyond the last dictionary page");
-        (start + lo) as u64
+        let first = match (lo, hp) {
+            (0, 0) => 0,
+            (0, hp) => self.helpers().vid_page_last[hp as usize - 1] + 1,
+            (lo, _) => read(lo - 1) + 1,
+        };
+        ((start + lo) as u64, first)
     }
 
     /// The store address of dictionary page `dict_page`.
@@ -662,13 +683,21 @@ impl Blocks {
         PageKey::new(self.overflow_chain.chain, r.page_no)
     }
 
-    /// Opens the pinned dictionary page `dict_page` for entry reads.
+    /// Opens the pinned dictionary page `dict_page`, whose first identifier
+    /// its routing says is `first` ([`Blocks::dict_page_on_helper`]; 0 for
+    /// a one-page dictionary), for entry reads. A page whose header places
+    /// its entries elsewhere is corrupt: trusting it would hand an
+    /// identifier its neighbour's key.
     pub(crate) fn page_view<'a>(
         &self,
         guard: &'a PageGuard,
         dict_page: u64,
+        first: u64,
     ) -> CoreResult<DictPageView<'a>> {
         let DictPage { first_idx, run } = DictPage::parse(guard, self.cardinality)?;
+        if first_idx != first {
+            return Err(misplaced_page(dict_page, first_idx, first));
+        }
         Ok(DictPageView { first_idx, cursor: RunCursor::new(run), dict_page })
     }
 
@@ -738,11 +767,7 @@ impl Blocks {
         let page = DictPage::parse(&guard, self.cardinality)?;
         let first = self.first_vid(dict_page, cache)?;
         if page.first_idx != first {
-            return Err(page_corrupt(format!(
-                "dictionary page {dict_page} claims to start at identifier {} where its helper \
-                 starts it at {first}",
-                page.first_idx
-            )));
+            return Err(misplaced_page(dict_page, page.first_idx, first));
         }
         let (block_no, pos) = self.lower_bound_on_page(page.run, key, self.fsst.as_deref(), cache)?;
         let global = |i: usize| page.first_idx + (block_no * BLOCK_CAP + i) as u64;
@@ -1822,8 +1847,10 @@ mod tests {
     /// time: a page shorter than its header, no blocks, an offset array
     /// past the page, a block start past the page, two block starts out of
     /// order, a first identifier above every identifier (so above those
-    /// routed to the page), and one shifted to the next page's first
-    /// identifier, which `find` must not trust to place its keys: the
+    /// routed to the page), one shifted to the next page's first
+    /// identifier, which `find` must not trust to place its keys, and one
+    /// a single identifier above the page's own, which late
+    /// materialization must not trust to pick an identifier's entry: the
     /// `ipDict_ValueId` helper says where the page starts. Each is a typed
     /// corruption error through `find`, `values_by_vid` and the direct read
     /// of the whole chain: a probe of another page answers exactly, and one
@@ -1872,6 +1899,10 @@ mod tests {
             (
                 "a first identifier shifted within the identifiers",
                 patched(&|b| b[..8].copy_from_slice(&on_page.end.to_le_bytes())),
+            ),
+            (
+                "a first identifier one above the page's own",
+                patched(&|b| b[..8].copy_from_slice(&(on_page.start + 1).to_le_bytes())),
             ),
         ];
         let corrupt = |e: &CoreError| {

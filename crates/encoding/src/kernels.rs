@@ -35,18 +35,17 @@
 //! (cardinality 1 and > 2^32 — both rare) are answered from the row count
 //! and by [`chunk_bitmap_generic`]. [`KernelPredicate`] hides all of it.
 //!
-//! **AVX2 where it wins.** On a host with AVX2, equality, range and small
-//! `IN` at the widths `crate::simd` serves (2..=25) unpack 16 or 32
-//! values per instruction instead: the interior chunks of a run go to the
-//! AVX2 kernels, the run's last chunk (and, for COUNT, its masked first)
-//! to SWAR. The choice is made once per predicate, from the width and the
-//! detected CPU; windowed SWAR remains the portable path and the oracle.
+//! **AVX-512 VBMI where the host has it.** On such a host, equality, range
+//! and small `IN` at the widths `crate::simd` serves (all but 1, 27, 29,
+//! 30 and 31) unpack 16 to 64 values per instruction instead: the whole run,
+//! edge chunks included, goes to its kernel in one call. The choice is made
+//! once per predicate, from the width and the detected CPU; windowed SWAR
+//! remains the portable path and the oracle.
 
 use crate::chunk::{decode_chunk, CHUNK_LEN};
-use crate::simd::{self, Avx2};
+use crate::simd::{self, Vbmi};
 use crate::unaligned::fill_le_words;
 use crate::{BitPackedVec, BitWidth, VidSet};
-use std::ops::Range;
 
 /// Sets up to this size are evaluated as a fused OR of lane equalities
 /// instead of a decode plus per-slot lookup (the cost is linear in the set
@@ -313,27 +312,11 @@ pub enum Packed<'a> {
     Bytes(&'a [u8]),
 }
 
-impl<'a> Packed<'a> {
+impl Packed<'_> {
     fn chunks(&self, bits: usize) -> usize {
         match self {
             Packed::Words(w) => w.len().checked_div(bits).unwrap_or(0),
             Packed::Bytes(b) => b.len().checked_div(8 * bits).unwrap_or(0),
-        }
-    }
-
-    /// Length in bytes.
-    fn byte_len(&self) -> usize {
-        match self {
-            Packed::Words(w) => 8 * w.len(),
-            Packed::Bytes(b) => b.len(),
-        }
-    }
-
-    /// Chunks `range` alone, at `bits` per value.
-    fn sub(self, range: Range<usize>, bits: usize) -> Packed<'a> {
-        match self {
-            Packed::Words(w) => Packed::Words(&w[range.start * bits..range.end * bits]),
-            Packed::Bytes(b) => Packed::Bytes(&b[range.start * 8 * bits..range.end * 8 * bits]),
         }
     }
 }
@@ -449,7 +432,7 @@ fn kernel<const N: u32, S: Sink>(src: Packed<'_>, op: &Op<'_>, sink: &mut S) {
     }
 }
 
-/// A scan predicate compiled against a bit width: picks the AVX2 kernel
+/// A scan predicate compiled against a bit width: picks the VBMI kernel
 /// where this host and width take one, the windowed kernel for the rest of
 /// widths 1..=32 and [`chunk_bitmap_generic`] otherwise, normalizing
 /// degenerate shapes (out-of-domain probes, full-domain ranges) and
@@ -459,8 +442,8 @@ pub struct KernelPredicate<'a> {
     width: BitWidth,
     op: Op<'a>,
     set: &'a VidSet,
-    /// The AVX2 form of `op`, where the host and width take it.
-    simd: Option<(Avx2, simd::Test)>,
+    /// The VBMI form of `op`, where the host and width take it.
+    simd: Option<(Vbmi, simd::Test)>,
 }
 
 impl<'a> KernelPredicate<'a> {
@@ -509,7 +492,7 @@ impl<'a> KernelPredicate<'a> {
                 }
             }
         };
-        let simd = Avx2::detect().zip(simd_test(&op, bits));
+        let simd = Vbmi::detect().zip(simd_test(&op, bits));
         KernelPredicate { width, op, set, simd }
     }
 
@@ -536,19 +519,14 @@ impl<'a> KernelPredicate<'a> {
     /// [`Self::never_matches`] or [`Self::always_matches`], which the caller
     /// answers from the row count alone.
     pub fn scan(&self, src: Packed<'_>, out: &mut Vec<u64>) {
-        if let Some((avx2, test)) = &self.simd {
-            let bits = self.width.bits();
-            let chunks = src.chunks(bits as usize);
-            let fast = simd::chunks_in_place(src.byte_len(), bits).min(chunks);
-            avx2.bitmaps(src, bits, 0..fast, test, out);
-            self.swar_scan(src.sub(fast..chunks, bits as usize), out);
-        } else {
-            self.swar_scan(src, out);
+        match &self.simd {
+            Some((vbmi, test)) => vbmi.bitmaps(src, self.width.bits(), test, out),
+            None => self.swar_scan(src, out),
         }
     }
 
-    /// [`Self::scan`] without the AVX2 kernels: the portable path, and the
-    /// oracle the AVX2 kernels are tested against.
+    /// [`Self::scan`] without the VBMI kernels: the portable path, and the
+    /// oracle the VBMI kernels are tested against.
     pub(crate) fn swar_scan(&self, src: Packed<'_>, out: &mut Vec<u64>) {
         let bits = self.width.bits();
         debug_assert!(bits != 0, "width 0 has no chunks to scan");
@@ -567,23 +545,13 @@ impl<'a> KernelPredicate<'a> {
     /// chunks are counted without building their bitmaps. Like
     /// [`Self::scan`], not for width 0.
     pub fn count(&self, src: Packed<'_>, head: u64, tail: u64) -> u64 {
-        if let Some((avx2, test)) = &self.simd {
-            // The edge chunks are masked: SWAR counts them, AVX2 the
-            // interior chunks it may read in place.
-            let bits = self.width.bits();
-            let chunks = src.chunks(bits as usize);
-            let end = simd::chunks_in_place(src.byte_len(), bits).min(chunks.saturating_sub(1));
-            if end > 1 {
-                let n = bits as usize;
-                return self.swar_count(src.sub(0..1, n), head, u64::MAX)
-                    + avx2.count(src, bits, 1..end, test)
-                    + self.swar_count(src.sub(end..chunks, n), u64::MAX, tail);
-            }
+        match &self.simd {
+            Some((vbmi, test)) => vbmi.count(src, self.width.bits(), test, head, tail),
+            None => self.swar_count(src, head, tail),
         }
-        self.swar_count(src, head, tail)
     }
 
-    /// [`Self::count`] without the AVX2 kernels, like [`Self::swar_scan`].
+    /// [`Self::count`] without the VBMI kernels, like [`Self::swar_scan`].
     pub(crate) fn swar_count(&self, src: Packed<'_>, head: u64, tail: u64) -> u64 {
         let bits = self.width.bits();
         debug_assert!(bits != 0, "width 0 has no chunks to count");
@@ -621,7 +589,7 @@ impl<'a> KernelPredicate<'a> {
     }
 }
 
-/// `op` as the AVX2 kernels take it, where they serve width `bits`: the
+/// `op` as the VBMI kernels take it, where they serve width `bits`: the
 /// lane values are the low `bits` bits of the replicated probes.
 fn simd_test(op: &Op<'_>, bits: u32) -> Option<simd::Test> {
     if simd::LANE_BYTES.get(bits as usize).is_none_or(|&lane| lane == 0) {
@@ -907,11 +875,83 @@ mod tests {
     const EDGES: [u64; 16] =
         [0, 1, 63, 64, 65, 127, 128, 129, 191, 192, 250, 319, 320, 321, 383, 384];
 
+    /// Chunks `range` of `src` alone, at `n` bits per value.
+    fn sub(src: Packed<'_>, range: std::ops::Range<usize>, n: usize) -> Packed<'_> {
+        match src {
+            Packed::Words(w) => Packed::Words(&w[range.start * n..range.end * n]),
+            Packed::Bytes(b) => Packed::Bytes(&b[range.start * 8 * n..range.end * 8 * n]),
+        }
+    }
+
+    /// True when the last load of a `chunks`-chunk run at width `bits` is
+    /// masked at the run's end: the tier serves the width and the load
+    /// would reach past the run.
+    fn last_load_masked(bits: u32, chunks: usize) -> bool {
+        let lane = simd::LANE_BYTES[bits as usize];
+        let len = chunks * 8 * bits as usize;
+        lane != 0
+            && simd::load_mask(len, len - 8 * bits as usize + simd::vector_offset(bits, lane - 1))
+                != u64::MAX
+    }
+
+    /// The byte forms of `words`: their little-endian bytes ending at their
+    /// allocation, and the same bytes at offset 3 (an odd address) of a
+    /// buffer with poison before and after them.
+    fn byte_forms(words: &[u64]) -> (Box<[u8]>, Vec<u8>) {
+        let exact = le_bytes(words).into_boxed_slice();
+        let mut shifted = vec![0xFFu8; 3];
+        shifted.extend_from_slice(&exact);
+        shifted.extend([0xFF; 64]);
+        (exact, shifted)
+    }
+
+    /// `pred`'s scan and count of the run `src` against the naive bitmaps
+    /// of its chunks, and SWAR's: the whole scan, and a count of every row
+    /// range `from..to` of `ranges` (rows from the run's first), each masked
+    /// by its `boundary_mask` head / tail pair.
+    fn agree(
+        pred: &KernelPredicate<'_>,
+        naive: &[u64],
+        src: Packed<'_>,
+        ranges: impl Iterator<Item = (u64, u64)>,
+        at: &dyn Fn(&str) -> String,
+    ) {
+        let n = pred.width.bits() as usize;
+        let (mut fast, mut swar) = (Vec::new(), Vec::new());
+        pred.scan(src, &mut fast);
+        pred.swar_scan(src, &mut swar);
+        assert_eq!(swar, naive, "{}", at("swar scan"));
+        assert_eq!(fast, naive, "{}", at("scan"));
+        for (from, to) in ranges {
+            let (first, last) = (from / 64, (to - 1) / 64);
+            let (head, tail) = (boundary_mask(first, from, to), boundary_mask(last, from, to));
+            let expect: u64 = (first..=last)
+                .map(|ci| naive[ci as usize] & boundary_mask(ci, from, to))
+                .map(|bm| u64::from(bm.count_ones()))
+                .sum();
+            let run = sub(src, first as usize..last as usize + 1, n);
+            let (swar, fast) = (pred.swar_count(run, head, tail), pred.count(run, head, tail));
+            assert_eq!(swar, expect, "{} {from}..{to}", at("swar count"));
+            assert_eq!(fast, expect, "{} {from}..{to}", at("count"));
+        }
+    }
+
     #[test]
     fn simd_swar_generic_and_naive_agree() {
         for bits in 1..=32u32 {
             let (w, n) = (BitWidth::new(bits).unwrap(), bits as usize);
             let (values, words) = packed(bits, 6, u64::from(bits) * 13 + 5);
+            // A whole 4 KiB page of chunks: at n = 2, 256 of them, more
+            // than an 8-bit lane counter holds before it is widened.
+            let page_chunks = 4096 / (8 * n);
+            let (page_values, page_words) = packed(bits, page_chunks, u64::from(bits) * 17 + 3);
+            let (page_exact, page_shifted) = byte_forms(&page_words);
+            let rows = 64 * page_chunks as u64;
+            let page_ranges: Vec<(u64, u64)> = [0, 1, 65]
+                .into_iter()
+                .flat_map(|from| [rows - 65, rows - 1, rows].map(|to| (from, to)))
+                .collect();
+            let mut masked_runs = 0;
             for set in shapes(bits, &values) {
                 let pred = KernelPredicate::new(w, &set);
                 let naive = naive_bitmaps(&values, &set);
@@ -920,68 +960,68 @@ mod tests {
                 assert_eq!(generic, naive, "generic: bits={bits} {set:?}");
                 for chunks in 1..=6 {
                     let words = &words[..chunks * n];
-                    // Bytes ending at their allocation, and bytes at an odd
-                    // address followed by poison.
-                    let exact = le_bytes(words).into_boxed_slice();
-                    let mut shifted = vec![0xFFu8; 3];
-                    shifted.extend_from_slice(&exact);
-                    shifted.extend([0xFF; 32]);
+                    let (exact, shifted) = byte_forms(words);
                     let forms = [
                         Packed::Words(words),
                         Packed::Bytes(&exact),
                         Packed::Bytes(&shifted[3..3 + exact.len()]),
                     ];
-                    let at = |what: &str, src: &Packed<'_>| {
-                        format!("{what}: bits={bits} chunks={chunks} {set:?} {src:?}")
+                    // At six chunks, counts over every sub-run of 1..=6
+                    // chunks, masked by each head / tail pair: a sub-run's
+                    // last load is masked where its byte length leaves the
+                    // tier a short load.
+                    let rows = if chunks == 6 { 64 * chunks as u64 } else { 0 };
+                    let ranges = || {
+                        EDGES.iter().flat_map(move |&from| {
+                            let ends = EDGES.iter().filter(move |&&to| from < to && to <= rows);
+                            ends.map(move |&to| (from, to))
+                        })
                     };
+                    let run_chunks = |(from, to): (u64, u64)| to.div_ceil(64) - from / 64;
+                    masked_runs += ranges()
+                        .filter(|&r| last_load_masked(bits, run_chunks(r) as usize))
+                        .count();
                     for src in forms {
-                        let (mut fast, mut swar) = (Vec::new(), Vec::new());
-                        pred.scan(src, &mut fast);
-                        pred.swar_scan(src, &mut swar);
-                        assert_eq!(swar, naive[..chunks], "{}", at("swar scan", &src));
-                        assert_eq!(fast, naive[..chunks], "{}", at("scan", &src));
-                        if chunks < 6 {
-                            continue;
-                        }
-                        // Counts over every sub-run of 1..=6 chunks, masked
-                        // by each head / tail pair.
-                        for &from in &EDGES[..EDGES.len() - 1] {
-                            for &to in EDGES.iter().filter(|&&to| to > from) {
-                                let (first, last) = (from / 64, (to - 1) / 64);
-                                let (head, tail) =
-                                    (boundary_mask(first, from, to), boundary_mask(last, from, to));
-                                let expect: u64 = (first..=last)
-                                    .map(|ci| naive[ci as usize] & boundary_mask(ci, from, to))
-                                    .map(|bm| u64::from(bm.count_ones()))
-                                    .sum();
-                                let run = src.sub(first as usize..last as usize + 1, n);
-                                let (swar, fast) =
-                                    (pred.swar_count(run, head, tail), pred.count(run, head, tail));
-                                assert_eq!(swar, expect, "{} {from}..{to}", at("swar count", &src));
-                                assert_eq!(fast, expect, "{} {from}..{to}", at("count", &src));
-                            }
-                        }
+                        let at = |what: &str| {
+                            format!("{what}: bits={bits} chunks={chunks} {set:?} {src:?}")
+                        };
+                        agree(&pred, &naive[..chunks], src, ranges(), &at);
                     }
                 }
+                let naive = naive_bitmaps(&page_values, &set);
+                let forms = [
+                    Packed::Words(&page_words),
+                    Packed::Bytes(&page_exact),
+                    Packed::Bytes(&page_shifted[3..3 + page_exact.len()]),
+                ];
+                for src in forms {
+                    let at = |what: &str| format!("{what}: bits={bits} page {set:?}");
+                    agree(&pred, &naive, src, page_ranges.iter().copied(), &at);
+                }
+            }
+            if ![8, 16, 32].contains(&bits) && simd::LANE_BYTES[n] != 0 {
+                assert!(masked_runs > 0, "bits={bits}: no run ends in a masked load");
             }
         }
     }
 
     #[test]
-    fn avx2_hosts_take_the_simd_kernels() {
+    fn vbmi_hosts_take_the_simd_kernels() {
         #[cfg(all(target_arch = "x86_64", not(miri)))]
-        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        let vbmi = std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512bw")
+            && std::arch::is_x86_feature_detected!("avx512vbmi");
         #[cfg(not(all(target_arch = "x86_64", not(miri))))]
-        let avx2 = false;
-        if !avx2 {
-            println!("skipped: this host has no AVX2, every width takes SWAR");
+        let vbmi = false;
+        if !vbmi {
+            println!("skipped: this host has no AVX-512 VBMI, every width takes SWAR");
             return;
         }
         for bits in 1..=32u32 {
             let w = BitWidth::new(bits).unwrap();
             let max = w.max_value();
             let small: Vec<u64> = (0..MAX_LINEAR_SET as u64).map(|i| i * max / 16 + 1).collect();
-            let lanes = (2..=25).contains(&bits);
+            let lanes = ![1, 27, 29, 30, 31].contains(&bits);
             for set in [
                 VidSet::Single(max / 3),
                 VidSet::range(1, max / 2),
@@ -1012,11 +1052,13 @@ mod tests {
 
     #[test]
     fn long_resident_counts_do_not_wrap_lane_counters() {
-        // 2^22 rows plus a ragged tail: 65 537 chunks, 2^18 hits per 16-bit
-        // lane if nothing were summed on the way.
+        // 2^22 rows plus a ragged tail: 65 537 chunks. Counting all of them
+        // as matches puts 65 537 hits in every 8-bit lane counter and
+        // 131 074 in every 16-bit one if nothing were widened on the way.
+        // One width at each end of each lane size.
         let rows = (1u64 << 22) + 37;
         let mix = |i: u64| (i ^ 0x5DEE_CE66).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 17;
-        for bits in [2u32, 9, 10, 25] {
+        for bits in [2u32, 8, 9, 16, 17, 32] {
             let w = BitWidth::new(bits).unwrap();
             let (max, top) = (w.max_value(), 1u64 << (bits - 1));
             // Every row in the upper half of the domain: all match.

@@ -13,9 +13,10 @@
 //! * **Vectorized scan primitives** ([`scan`], [`kernels`]): equality /
 //!   range / in-set predicates evaluated chunk-at-a-time in the packed
 //!   domain, producing one 64-bit match bitmap per chunk (or a count) —
-//!   AVX2 unpack-and-compare kernels where the host has AVX2 and the width
-//!   is 2..=25, word-parallel (SWAR) lane compares everywhere else; SWAR
-//!   is the portable path and the AVX2 kernels' oracle.
+//!   AVX-512 VBMI unpack-and-compare kernels where the host has VBMI and
+//!   the width's values fit a lane (every width but 1, 27, 29, 30 and 31),
+//!   word-parallel (SWAR) lane compares everywhere else; SWAR is the
+//!   portable path and the VBMI kernels' oracle.
 //! * **Prefix-encoded string value blocks** ([`prefix`]): groups of up to 16
 //!   consecutive dictionary strings, front-coded against the preceding string
 //!   in the block, with on-page/off-page splitting for large strings.
@@ -26,7 +27,7 @@
 #![deny(missing_docs)]
 // The one crate in the workspace allowed to contain unsafe code, confined
 // to [`unaligned`] (raw unaligned word loads on the decode hot path) and
-// `simd` (the AVX2 scan kernels' loads and `target_feature` calls), and
+// `simd` (the VBMI scan kernels' loads and `target_feature` calls), and
 // exercised under Miri in CI. Everything else keeps `#![forbid(unsafe_code)]`.
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]

@@ -9,7 +9,7 @@
 //! [`core::ptr::read_unaligned`] loads — the compiler lowers each to a
 //! single unaligned move on every target we build for.
 //!
-//! This module and the AVX2 scan kernels (`simd`) are the only unsafe code
+//! This module and the VBMI scan kernels (`simd`) are the only unsafe code
 //! in the workspace. The invariants are purely arithmetic (every read
 //! stays inside the borrowed slice), the crate denies
 //! `unsafe_op_in_unsafe_fn`, and CI runs the module's tests under Miri,

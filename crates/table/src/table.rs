@@ -17,7 +17,7 @@ use crate::version::{
     TableVersion, VersionChain,
 };
 use crate::{TableError, TableResult};
-use payg_core::{EncodedRows, KeyPredicate, PageConfig, Value, ValuePredicate};
+use payg_core::{EncodedRows, KeyPredicate, KeyRange, PageConfig, Value, ValuePredicate};
 use payg_obs::{names, Gauge, Histogram, SpanKind};
 use payg_storage::BufferPool;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -134,8 +134,8 @@ impl Table {
             let mut parts: Vec<PartitionVersion> =
                 cur.partitions.iter().map(|p| p.share()).collect();
             parts.push(PartitionVersion {
-                bounds: spec.range.bounds(),
-                spec,
+                bounds: Arc::new(spec.range.bounds()),
+                spec: Arc::new(spec),
                 main: MainHandle::new(main),
                 frozen: Vec::new(),
                 active: Arc::new(DeltaCell::new(schema)),
@@ -432,8 +432,8 @@ impl Table {
         self.chain.publish(move |cur| {
             let mut parts: Vec<PartitionVersion> =
                 cur.partitions.iter().map(|p| p.share()).collect();
-            parts[pid.0].bounds = range.bounds();
-            parts[pid.0].spec.range = range;
+            parts[pid.0].bounds = Arc::new(range.bounds());
+            Arc::make_mut(&mut parts[pid.0].spec).range = range;
             TableVersion::new(cur.vno + 1, parts, live)
         });
     }
@@ -453,7 +453,7 @@ impl Table {
         for pv in &version.partitions {
             // Each fragment: its visible rows less those whose partition
             // column lies in the partition's range, found in the key domain.
-            let in_range = KeyPredicate::Range(pv.bounds.clone());
+            let in_range = KeyPredicate::Range(KeyRange::clone(&pv.bounds));
             let misplaced = |visible: Vec<u64>, placed: Vec<u64>| -> Vec<u64> {
                 let mut placed = placed.into_iter().peekable();
                 visible.into_iter().filter(|r| placed.next_if_eq(r).is_none()).collect()
@@ -576,8 +576,8 @@ impl Table {
         let partitions: Vec<PartitionVersion> = restored
             .into_iter()
             .map(|(spec, main)| PartitionVersion {
-                bounds: spec.range.bounds(),
-                spec,
+                bounds: Arc::new(spec.range.bounds()),
+                spec: Arc::new(spec),
                 main: MainHandle::new(main),
                 frozen: Vec::new(),
                 active: Arc::new(DeltaCell::new(&schema)),

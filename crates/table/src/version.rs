@@ -181,9 +181,11 @@ impl Drop for MainHandle {
 
 /// One partition inside one table version.
 pub(crate) struct PartitionVersion {
-    pub spec: PartitionSpec,
+    /// Shared with every [`Partition`] a session pins: opening a session
+    /// copies neither the name nor the bounds.
+    pub spec: Arc<PartitionSpec>,
     /// `spec.range` as keys, encoded once ([`crate::PartitionRange::bounds`]).
-    pub bounds: KeyRange,
+    pub bounds: Arc<KeyRange>,
     pub main: Arc<MainHandle>,
     /// Sealed delta cells awaiting (or re-awaiting, after an abort) merge,
     /// oldest first. Their rows are fully visible to every snapshot.
@@ -196,8 +198,8 @@ impl PartitionVersion {
     /// A shallow copy sharing every fragment (the publish-step clone).
     pub(crate) fn share(&self) -> Self {
         PartitionVersion {
-            spec: self.spec.clone(),
-            bounds: self.bounds.clone(),
+            spec: Arc::clone(&self.spec),
+            bounds: Arc::clone(&self.bounds),
             main: Arc::clone(&self.main),
             frozen: self.frozen.clone(),
             active: Arc::clone(&self.active),
@@ -389,9 +391,9 @@ impl DeltaView {
 /// partition — the direct `{main, delta}` pair of the single-caller era,
 /// now pinned to a version.
 pub struct Partition {
-    spec: PartitionSpec,
+    spec: Arc<PartitionSpec>,
     /// The range as keys, for pruning.
-    pub(crate) bounds: KeyRange,
+    pub(crate) bounds: Arc<KeyRange>,
     main: Arc<MainHandle>,
     delta: DeltaView,
 }
@@ -399,8 +401,8 @@ pub struct Partition {
 impl Partition {
     pub(crate) fn pin(pv: &PartitionVersion, active_mark: u64) -> Self {
         Partition {
-            spec: pv.spec.clone(),
-            bounds: pv.bounds.clone(),
+            spec: Arc::clone(&pv.spec),
+            bounds: Arc::clone(&pv.bounds),
             main: Arc::clone(&pv.main),
             delta: DeltaView::new(pv, active_mark),
         }
@@ -512,8 +514,8 @@ mod tests {
             // up to its mark.
             let mark = (n - ends[1]) - splits.2 % (n - ends[1] + 1);
             let pv = PartitionVersion {
-                spec: PartitionSpec::single(LoadPolicy::FullyResident),
-                bounds: PartitionRange::All.bounds(),
+                spec: Arc::new(PartitionSpec::single(LoadPolicy::FullyResident)),
+                bounds: Arc::new(PartitionRange::All.bounds()),
                 main: MainHandle::new(MainFragment::from_columns(Vec::new(), 0)),
                 frozen: cells[..2].to_vec(),
                 active: Arc::clone(&cells[2]),

@@ -8,18 +8,22 @@
 //! page in turn, one blocking read at a time — the projection runs each of
 //! those steps as a **phase across all columns**:
 //!
-//! * **(a)** data-vector pages of the row set → value identifiers,
+//! * **(a)** data-vector pages of the row set → value identifiers (a whole
+//!   chunk of consecutive rows unpacked straight into the identifiers),
 //! * **(b)** `ipDict_ValueId` helper pages of the distinct identifiers →
 //!   dictionary page numbers (the helper chains of a dictionary touched for
 //!   the first time are preloaded here, §3.2.3) — for string dictionaries of
 //!   more than one page only: a numeric dictionary's page is arithmetic on
 //!   the identifier, a one-page dictionary's is page 0,
-//! * **(c)** dictionary pages → values: a numeric dictionary's slot is the
-//!   key; the string entries of a page are read by one walk through each
-//!   block they touch, stepped through the block's sorted slots, then the
-//!   overflow pages of the large ones are appended.
+//! * **(c)** dictionary pages → values: a numeric dictionary's page decodes
+//!   its values in one tight loop; the string entries of a page are read by
+//!   one walk through each block they touch, stepped through the block's
+//!   sorted slots, then the overflow pages of the large ones are appended.
 //!
-//! Each phase plans its pages, pins them with
+//! Each phase plans its pages — one task a page, not a row or an
+//! identifier: the page of the first item not yet planned, and a bisection
+//! for the last item on it; the task carries the page's first row or
+//! identifier, so no step derives it again — pins them with
 //! [`BufferPool::pin_many_into`] — the misses of a phase load as overlapped,
 //! coalesced reads instead of serially — decodes straight from the returned
 //! guards, and releases them before the next phase. This is the paper's
@@ -32,22 +36,25 @@
 //! Between the phases, each column's identifiers are **ranked**: one
 //! counting pass over the identifiers' range yields the distinct
 //! identifiers ascending, each one's number of uses, and each row's rank
-//! among them. Identifiers that already ascend — a key stored in row order,
-//! a sorted run — are ranked run by run as they are read, and a column
-//! whose range is wider than [`DENSE_RANGE`] identifiers a row sorts a
-//! copy instead. The work is so cut at its natural joint, and each half is
+//! among them (a narrow range counts into striped copies of its tally, so
+//! no increment waits on the one before). Identifiers that already ascend
+//! — a key stored in row order, a sorted run — are ranked run by run as
+//! they are read, and a column whose range is wider than [`DENSE_RANGE`]
+//! identifiers a row sorts a copy instead. The work is so cut at its natural joint, and each half is
 //! an operation of its own:
 //!
 //! * **rows → identifiers** (phase (a) and the ranking), reduced either to
 //!   *(identifier, count)* pairs ascending ([`ColumnRead::vid_counts`] —
-//!   all an aggregate needs: `SUM` is Σ value × count, `MIN` / `MAX` are
-//!   the first / last identifier because the dictionary preserves order) or
-//!   to ranks (for a projection);
+//!   all an aggregate needs: `SUM` is Σ value × count, folded pair by pair
+//!   off these buffers by [`ColumnRead::fold_value_counts`], `MIN` / `MAX`
+//!   are the first / last identifier because the dictionary preserves
+//!   order) or to ranks (for a projection);
 //! * **sorted distinct identifiers → values** (phases (b) and (c),
 //!   [`ColumnRead::values_by_vid`]) — every distinct value is decoded once,
 //!   into a **values table** the size of the column's distinct identifiers.
 //!
-//! A projection then fills its answer **row by row** in one pass: each cell
+//! A projection then fills its answer **row by row**, in the caller's order,
+//! in one pass: each cell
 //! is its column's table entry at the row's rank — cloned, or moved on the
 //! value's last use, so a value serving one row is never cloned. A single
 //! row is the same code with one identifier a column. Resident columns rank
@@ -123,7 +130,7 @@ impl<'a> Source<'a> {
     }
 }
 
-/// Where an answer's cells land, row by row.
+/// Where an answer's cells land, row by row in the caller's order.
 pub(crate) trait Cells {
     /// Appends `value` as the next cell of the caller's row `row`.
     fn push(&mut self, row: usize, value: Value);
@@ -136,10 +143,11 @@ impl Cells for [Vec<Value>] {
     }
 }
 
-/// One column's values, one per row: a row's one cell is its slot.
-impl Cells for [Value] {
+/// One column's values, one per row, appended as the rows come.
+impl Cells for Vec<Value> {
     fn push(&mut self, row: usize, value: Value) {
-        self[row] = value;
+        debug_assert_eq!(row, self.len(), "rows come in order");
+        self.push(value);
     }
 }
 
@@ -160,15 +168,41 @@ pub(crate) fn materialize_into<'a, C: Cells + ?Sized>(
 /// [`ColumnRead::get_values`] of one column: its values at `rposs`, in
 /// that order.
 pub(crate) fn get_values(column: Source<'_>, rposs: &[u64]) -> CoreResult<Vec<Value>> {
-    let mut out = vec![Value::Integer(0); rposs.len()];
-    materialize_into(1, |_| column, rposs, &mut out[..])?;
+    let mut out = Vec::with_capacity(rposs.len());
+    materialize_into(1, |_| column, rposs, &mut out)?;
     Ok(out)
+}
+
+/// [`ColumnRead::fold_value_counts`] of one column: its identifiers at
+/// `rposs` counted, unranked, and the values table filled from the
+/// distinct ones, then each value handed to `f` with its count.
+pub(crate) fn fold_value_counts(
+    column: Source<'_>,
+    rposs: &[u64],
+    mut f: impl FnMut(Value, u64),
+) -> CoreResult<()> {
+    if rposs.is_empty() {
+        return Ok(());
+    }
+    with_scratch(|scratch| {
+        scratch.resolve(1, |_| column, rposs, false)?;
+        let Scratch { ranks, table, .. } = scratch;
+        for (value, &n) in table.drain(..).zip(&ranks.uses) {
+            f(value, u64::from(n));
+        }
+        Ok(())
+    })
 }
 
 /// Most identifiers a row a column's range may span for the counting pass:
 /// a sparser column sorts a copy of its identifiers instead. The tally is
 /// then at most this many `u32`s a row.
 const DENSE_RANGE: u64 = 16;
+
+/// Copies of each tally slot a narrow range — at most one identifier for
+/// this many rows — counts into: consecutive rows land in different copies,
+/// so an increment never waits for the one before it to the same few slots.
+const STRIPES: usize = 4;
 
 /// The rows' side of one materialization: the rows in page order, and each
 /// column's identifiers ranked among its distinct ones.
@@ -177,8 +211,8 @@ struct Ranks {
     n: usize,
     /// The rows in ascending order — page order within each chain.
     sorted: Vec<u64>,
-    /// `order[k]`: the caller's index of the k-th smallest row; empty when
-    /// the caller's rows ascend.
+    /// `order[i]`: the index in `sorted` of the caller's `i`-th row; empty
+    /// when the caller's rows ascend.
     order: Vec<u32>,
     /// Each column's identifier at every row of `sorted`, a stride of `n`
     /// a column (column `j`'s are `[j * n..][..n]`) — overwritten by its
@@ -193,8 +227,10 @@ struct Ranks {
     /// the values table, from the first index to the second: columns lie in
     /// the order they were ranked.
     spans: Vec<(usize, usize)>,
-    /// The counting pass's tally, a slot per identifier of a column's
-    /// range, and a bit a slot for the slots it counted.
+    /// The counting pass's tally, a slot (or [`STRIPES`] copies of one)
+    /// per identifier of a column's range, and a bit a slot for the slots
+    /// it counted. Both are all zero between passes: a pass resets the
+    /// slots it counted, not the whole range.
     tally: Vec<u32>,
     marks: Vec<u64>,
 }
@@ -231,13 +267,14 @@ impl Ranks {
         &self.distinct[lo..hi]
     }
 
-    /// Fills the answer row by row from the values table of the ranked
-    /// columns: a row's cell of column `j` is the table's entry at the
-    /// row's rank, cloned — or moved, on the value's last use.
+    /// Fills the answer row by row, in the caller's order, from the values
+    /// table of the ranked columns: a row's cell of column `j` is the
+    /// table's entry at the row's rank, cloned — or moved, on the value's
+    /// last use.
     fn assemble<C: Cells + ?Sized>(&mut self, table: &mut [Value], out: &mut C) {
         let Ranks { n, order, vids, uses, spans, .. } = self;
-        for k in 0..*n {
-            let row = order.get(k).map_or(k, |&i| i as usize);
+        for row in 0..*n {
+            let k = order.get(row).map_or(row, |&k| k as usize);
             for (j, &(lo, _)) in spans.iter().enumerate() {
                 let at = lo + vids[j * *n + k] as usize;
                 uses[at] -= 1;
@@ -256,10 +293,14 @@ impl Ranks {
 /// values, ascending, to `distinct` and how many of `vids` hold each to
 /// `uses` (one count per entry of `distinct`), and, when `ranked`,
 /// overwrites each identifier by its rank — its index among the distinct
-/// identifiers appended. Identifiers that ascend are counted run by run in
-/// the pass that finds so; a range of at most [`DENSE_RANGE`] identifiers a
-/// row is counted in `tally`; anything sparser sorts a copy in `distinct`
-/// and finds each rank by bisection.
+/// identifiers appended. Identifiers that ascend are counted run by run (a
+/// single run, a width-0 column's, at once); a range of at most
+/// [`DENSE_RANGE`] identifiers a row is counted in `tally` (see [`count`]);
+/// anything sparser sorts a copy in `distinct` and finds each rank by
+/// bisection. Every identifier lies between the bitwise and and the
+/// bitwise or of them all, which one vectorized pass finds: when that span
+/// fits the counting pass, their own least and greatest are not looked
+/// for.
 fn rank(
     vids: &mut [u64],
     ranked: bool,
@@ -268,20 +309,23 @@ fn rank(
     tally: &mut Vec<u32>,
     marks: &mut Vec<u64>,
 ) {
-    let (start, Some(&first)) = (distinct.len(), vids.first()) else { return };
-    let (mut lo, mut hi, mut prev, mut ascend) = (u64::MAX, 0, 0, true);
-    for &vid in vids.iter() {
-        (lo, hi) = (lo.min(vid), hi.max(vid));
-        ascend &= prev <= vid;
-        prev = vid;
-    }
-    if ascend {
-        let (mut last, mut run, mut r) = (first, 0, 0);
+    let start = distinct.len();
+    let (Some(&first), Some(&last)) = (vids.first(), vids.last()) else { return };
+    if vids.is_sorted() {
+        if first == last {
+            distinct.push(first);
+            uses.push(vids.len() as u32);
+            if ranked {
+                vids.fill(0);
+            }
+            return;
+        }
+        let (mut prev, mut run, mut r) = (first, 0, 0);
         distinct.push(first);
         for vid in vids.iter_mut() {
-            if *vid != last {
-                (last, r) = (*vid, r + 1);
-                distinct.push(last);
+            if *vid != prev {
+                (prev, r) = (*vid, r + 1);
+                distinct.push(prev);
                 uses.push(run);
                 run = 0;
             }
@@ -291,60 +335,119 @@ fn rank(
             }
         }
         uses.push(run);
-    } else if hi - lo < DENSE_RANGE * vids.len() as u64 {
-        // A range wider than the rows leaves most slots of the tally
-        // empty: a bit marks each slot counted, and the sweep visits those
-        // alone, not one unpredictable branch a slot. A narrower range marks
-        // every slot.
-        let range = (hi - lo + 1) as usize;
-        let wide = range > vids.len();
-        tally.clear();
-        tally.resize(range, 0);
-        marks.clear();
-        marks.resize(range.div_ceil(64), if wide { 0 } else { u64::MAX });
-        for &vid in vids.iter() {
-            let i = (vid - lo) as usize;
-            tally[i] += 1;
-            if wide {
-                marks[i / 64] |= 1 << (i % 64);
+        return;
+    }
+    let dense = DENSE_RANGE * vids.len() as u64;
+    let (all, any) = vids.iter().fold((u64::MAX, 0), |(all, any), &vid| (all & vid, any | vid));
+    if any - all < dense {
+        count(vids, all..any + 1, ranked, distinct, uses, tally, marks);
+        return;
+    }
+    let (lo, hi) = vids.iter().fold((u64::MAX, 0), |(lo, hi), &vid| (lo.min(vid), hi.max(vid)));
+    if hi - lo < dense {
+        count(vids, lo..hi + 1, ranked, distinct, uses, tally, marks);
+        return;
+    }
+    distinct.extend_from_slice(vids);
+    distinct[start..].sort_unstable();
+    let mut len = start;
+    for i in start..distinct.len() {
+        if len > start && distinct[len - 1] == distinct[i] {
+            uses[len - 1] += 1;
+        } else {
+            distinct[len] = distinct[i];
+            len += 1;
+            uses.push(1);
+        }
+    }
+    distinct.truncate(len);
+    if ranked {
+        let sorted = &distinct[start..];
+        for vid in vids.iter_mut() {
+            *vid = sorted.partition_point(|&d| d < *vid) as u64;
+        }
+    }
+}
+
+/// The counting pass of [`rank`] over identifiers in `span`.
+/// `tally` and `marks` are all zero on entry and are left so: each slot
+/// counted is reset, not the whole range. A narrow range counts into
+/// [`STRIPES`] copies of each slot — row `i` into copy `i % STRIPES` — and
+/// the sweep adds the copies of every slot of the range. A wider one may
+/// leave most slots empty: one copy a slot, a bit marks each slot counted,
+/// and the sweep visits those alone, writing each identifier and its count
+/// in place. The sweep resets each slot — or, when `ranked`, leaves the
+/// identifier's rank there until the ranking pass has read it.
+fn count(
+    vids: &mut [u64],
+    span: std::ops::Range<u64>,
+    ranked: bool,
+    distinct: &mut Vec<u64>,
+    uses: &mut Vec<u32>,
+    tally: &mut Vec<u32>,
+    marks: &mut Vec<u64>,
+) {
+    let (start, lo, range) = (distinct.len(), span.start, (span.end - span.start) as usize);
+    let stripes = if range * STRIPES <= vids.len() { STRIPES } else { 1 };
+    let slots = range * stripes;
+    if tally.len() < slots {
+        tally.resize(slots, 0);
+    }
+    let t = &mut tally[..slots];
+    let at = |vid: u64| (vid - lo) as usize * stripes;
+    if stripes > 1 {
+        let mut rows = vids.chunks_exact(STRIPES);
+        for group in &mut rows {
+            for (copy, &vid) in group.iter().enumerate() {
+                t[at(vid) + copy] += 1;
             }
         }
-        for (w, &word) in marks.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let i = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if let Some(slot) = tally.get_mut(i).filter(|count| **count > 0) {
-                    uses.push(*slot);
-                    *slot = (distinct.len() - start) as u32;
-                    distinct.push(lo + i as u64);
+        for &vid in rows.remainder() {
+            t[at(vid)] += 1;
+        }
+        for (i, copies) in t.chunks_exact_mut(STRIPES).enumerate() {
+            let n: u32 = copies.iter().sum();
+            copies.fill(0);
+            if n > 0 {
+                if ranked {
+                    copies[0] = (distinct.len() - start) as u32;
                 }
-            }
-        }
-        if ranked {
-            for vid in vids.iter_mut() {
-                *vid = u64::from(tally[(*vid - lo) as usize]);
+                distinct.push(lo + i as u64);
+                uses.push(n);
             }
         }
     } else {
-        distinct.extend_from_slice(vids);
-        distinct[start..].sort_unstable();
-        let mut len = start;
-        for i in start..distinct.len() {
-            if len > start && distinct[len - 1] == distinct[i] {
-                uses[len - 1] += 1;
-            } else {
-                distinct[len] = distinct[i];
-                len += 1;
-                uses.push(1);
+        let words = range.div_ceil(64);
+        if marks.len() < words {
+            marks.resize(words, 0);
+        }
+        for &vid in vids.iter() {
+            let i = at(vid);
+            t[i] += 1;
+            marks[i / 64] |= 1 << (i % 64);
+        }
+        let found: usize = marks[..words].iter().map(|word| word.count_ones() as usize).sum();
+        distinct.resize(start + found, 0);
+        uses.resize(start + found, 0);
+        let (ids, counts) = (&mut distinct[start..], &mut uses[start..]);
+        let mut d = 0;
+        for (w, word) in marks[..words].iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let i = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                (ids[d], counts[d]) = (lo + i as u64, t[i]);
+                t[i] = if ranked { d as u32 } else { 0 };
+                d += 1;
             }
         }
-        distinct.truncate(len);
-        if ranked {
-            let sorted = &distinct[start..];
-            for vid in vids.iter_mut() {
-                *vid = sorted.partition_point(|&d| d < *vid) as u64;
-            }
+    }
+    if ranked {
+        for vid in vids.iter_mut() {
+            *vid = u64::from(t[at(*vid)]);
+        }
+        for &vid in &distinct[start..] {
+            t[at(vid)] = 0;
         }
     }
 }
@@ -388,6 +491,22 @@ impl Scratch {
         rposs: &[u64],
         out: &mut C,
     ) -> CoreResult<()> {
+        self.resolve(m, source, rposs, true)?;
+        self.ranks.assemble(&mut self.table, out);
+        Ok(())
+    }
+
+    /// Both halves of late materialization for the `m` columns `source`
+    /// names at `rposs`: each column's distinct identifiers and their uses
+    /// — each row's rank among them, when `ranked` — and the values table,
+    /// filled in the order the columns were ranked.
+    fn resolve<'a>(
+        &mut self,
+        m: usize,
+        source: impl Fn(usize) -> Source<'a>,
+        rposs: &[u64],
+        ranked: bool,
+    ) -> CoreResult<()> {
         let Scratch { plan, ranks, table } = self;
         // A column has at most as many distinct identifiers as rows, and
         // as its dictionary: the buffers of the distinct ones are sized once.
@@ -406,7 +525,7 @@ impl Scratch {
             for (vid, &rpos) in vids[j * *n..][..*n].iter_mut().zip(sorted.iter()) {
                 *vid = c.vid_at(&image, rpos)?;
             }
-            ranks.rank(j, true);
+            ranks.rank(j, ranked);
             let mut keys = image.dict().keys(&mut plan.raw);
             for &vid in ranks.distinct(j) {
                 table.push(c.value_of(&mut keys, vid)?);
@@ -428,21 +547,12 @@ impl Scratch {
             }
             decode_vids(pool, m, &part, &ranks.sorted, &mut ranks.vids, plan)?;
             for j in (0..m).filter(|&j| part(j).is_some()) {
-                ranks.rank(j, true);
+                ranks.rank(j, ranked);
             }
-            // Every slot is overwritten by phase (c).
-            table.resize(ranks.distinct.len(), Value::Integer(0));
             let ranks = &*ranks;
-            values_by_vid_paged(
-                pool,
-                m,
-                &part,
-                |j| ranks.distinct(j),
-                plan,
-                |j, k, value| table[ranks.spans[j].0 + k] = value,
-            )?;
+            values_by_vid_paged(pool, m, &part, |j| ranks.distinct(j), plan, table)?;
         }
-        ranks.assemble(table, out);
+        debug_assert_eq!(table.len(), ranks.distinct.len(), "a value per distinct identifier");
         Ok(())
     }
 
@@ -491,11 +601,12 @@ impl Scratch {
 }
 
 /// Most heap bytes a thread keeps in its [`Scratch`] between
-/// materializations: a point read's or a short range's plan stays, while a
+/// materializations: a point read's or a short range's plan stays — a
+/// 1 000-row aggregate's too, values table and tally included — while a
 /// large projection's is freed when it ends. The kept bytes are the
 /// thread's, not a resource of the pool: resman does not charge them, so a
 /// footprint leaves out up to this much per thread that has materialized.
-const SCRATCH_KEEP: usize = 64 << 10;
+const SCRATCH_KEEP: usize = 128 << 10;
 
 thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::default();
@@ -515,49 +626,83 @@ fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
 }
 
 /// One page of a phase's plan: items `lo..hi` of column `col`'s work list
-/// (rows in phase (a), distinct identifiers after) live on page `key`.
+/// (rows in phase (a), distinct identifiers after) live on page `key`,
+/// whose first row or identifier is `first`.
 struct PageTask {
     col: usize,
     key: PageKey,
     lo: usize,
     hi: usize,
+    first: u64,
 }
 
-/// Plans `col`'s pages for a phase: splits its `n` work items — whose page
-/// numbers `page_of` yields in nondecreasing order — into one task per page,
-/// addressed by `key_of`.
+/// Plans `col`'s pages for a phase: splits its `n` work items, which lie
+/// on pages in nondecreasing order, into one task per page. `page_at(lo)`
+/// names the page of item `lo` — the first not yet planned — by its key,
+/// its first row or identifier and the end of its items, so a page costs
+/// one call however many items it holds.
 fn plan_pages(
     tasks: &mut Vec<PageTask>,
     col: usize,
     n: usize,
-    page_of: impl Fn(usize) -> u64,
-    key_of: impl Fn(u64) -> PageKey,
+    mut page_at: impl FnMut(usize) -> (PageKey, u64, usize),
 ) {
     let mut lo = 0;
     while lo < n {
-        let page = page_of(lo);
-        let mut hi = lo + 1;
-        while hi < n && page_of(hi) == page {
-            hi += 1;
-        }
-        tasks.push(PageTask { col, key: key_of(page), lo, hi });
+        let (key, first, hi) = page_at(lo);
+        debug_assert!(hi > lo, "a page holds the item that names it");
+        tasks.push(PageTask { col, key, lo, hi, first });
         lo = hi;
     }
 }
 
+/// The page of `items[lo]` — `items` ascending, `per_page` of them to a
+/// page, page `p` starting at `p * per_page` — as its number, its first
+/// item and the end of the items on it: one division and one bisection a
+/// page.
+fn page_of_run(items: &[u64], lo: usize, per_page: u64) -> (u64, u64, usize) {
+    let page = items[lo] / per_page;
+    let first = page * per_page;
+    (page, first, lo + items[lo..].partition_point(|&item| item < first + per_page))
+}
+
 /// Fills `sorted` with the rows in ascending order — page order within
-/// each chain — and, when that is not the caller's order, `order` with the
-/// caller's index of each (`order[k]` for the k-th smallest row); `order`
-/// stays empty when the rows ascend.
+/// each chain — and, when that is not the caller's order, `order` with
+/// where each of the caller's rows went (`order[i]` for the caller's
+/// `i`-th row); `order` stays empty when the rows ascend.
 fn ascending(rposs: &[u64], sorted: &mut Vec<u64>, order: &mut Vec<u32>) {
     sorted.clear();
     order.clear();
     if rposs.is_sorted() {
         sorted.extend_from_slice(rposs);
-    } else {
-        order.extend(0..rposs.len() as u32);
-        order.sort_unstable_by_key(|&i| rposs[i as usize]);
-        sorted.extend(order.iter().map(|&i| rposs[i as usize]));
+        return;
+    }
+    debug_assert!(rposs.len() < 1 << 31, "row indices leave the top bit free");
+    order.extend(0..rposs.len() as u32);
+    order.sort_unstable_by_key(|&i| rposs[i as usize]);
+    sorted.extend(order.iter().map(|&i| rposs[i as usize]));
+    invert(order);
+}
+
+/// Inverts the permutation `order` in place — `order[k] = i` becomes
+/// `order[i] = k` — cycle by cycle, the top bit marking the entries
+/// already inverted.
+fn invert(order: &mut [u32]) {
+    const DONE: u32 = 1 << 31;
+    for start in 0..order.len() {
+        if order[start] & DONE != 0 {
+            continue;
+        }
+        let (mut k, mut i) = (start as u32, order[start]);
+        while i as usize != start {
+            let next = order[i as usize];
+            order[i as usize] = k | DONE;
+            (k, i) = (i, next);
+        }
+        order[start] = k | DONE;
+    }
+    for k in order.iter_mut() {
+        *k &= !DONE;
     }
 }
 
@@ -607,8 +752,10 @@ fn decode_vids<'a>(
             StoredRows::Plain { data, .. } => {
                 let rows_per_page = data.rows_per_page();
                 if rows_per_page > 0 {
-                    let key_of = |page| data.page_key(page);
-                    plan_pages(tasks, j, n, |k| sorted[k] / rows_per_page, key_of);
+                    plan_pages(tasks, j, n, |lo| {
+                        let (page, first, hi) = page_of_run(sorted, lo, rows_per_page);
+                        (data.page_key(page), first, hi)
+                    });
                 }
             }
         }
@@ -620,7 +767,7 @@ fn decode_vids<'a>(
         |t, page| {
             if let Some(StoredRows::Plain { data, .. }) = part(t.col).map(|c| &c.rows) {
                 let out = &mut vids[t.col * n..][t.lo..t.hi];
-                data.decode_on_page(page, &sorted[t.lo..t.hi], out);
+                data.decode_on_page(page, t.first, &sorted[t.lo..t.hi], out);
             }
             Ok(())
         },
@@ -644,37 +791,24 @@ pub(crate) fn encoded_rows_paged(c: &ColumnParts, rposs: &[u64]) -> CoreResult<E
         if ranks.order.is_empty() {
             return Ok(vids);
         }
-        let mut out = vec![0; vids.len()];
-        for (&i, vid) in ranks.order.iter().zip(vids) {
-            out[i as usize] = vid;
-        }
-        CoreResult::Ok(out)
+        CoreResult::Ok(ranks.order.iter().map(|&k| vids[k as usize]).collect())
     })?;
     EncodedRows::new(c.dict.materialize_all_direct()?, vids)
 }
 
 /// [`ColumnRead::values_by_vid`] of a paged column: phases (b) and (c) of
-/// the one column, each value written to its identifier's slot.
+/// the one column, the values appended in the identifiers' order.
 pub(crate) fn values_of_paged(c: &ColumnParts, vids: &[u64]) -> CoreResult<Vec<Value>> {
-    let mut out = vec![Value::Integer(0); vids.len()];
-    with_scratch(|s| {
-        values_by_vid_paged(
-            &c.pool,
-            1,
-            &|_| Some(c),
-            |_| vids,
-            &mut s.plan,
-            |_, k, value| out[k] = value,
-        )
-    })?;
+    let mut out = Vec::with_capacity(vids.len());
+    with_scratch(|s| values_by_vid_paged(&c.pool, 1, &|_| Some(c), |_| vids, &mut s.plan, &mut out))?;
     Ok(out)
 }
 
 /// A large dictionary entry whose off-page pieces are still to be appended.
 struct Large {
     col: usize,
-    /// Index of the entry among the column's distinct identifiers.
-    entry: usize,
+    /// Where the entry's value goes in the values table.
+    at: usize,
     bytes: Vec<u8>,
     /// Length of the complete entry.
     total: u64,
@@ -690,16 +824,15 @@ struct Piece {
 
 /// Phases (b) and (c): the values of each of the `m` columns `part` names
 /// at its `distinct` identifiers — ascending and duplicate-free, which is
-/// helper-page and dictionary-page order. Each value is decoded once and
-/// handed to `put` with its column and its index among the column's
-/// identifiers.
+/// helper-page and dictionary-page order — appended to `table`, column by
+/// column in identifier order. Each value is decoded once.
 pub(crate) fn values_by_vid_paged<'a, 'd>(
     pool: &BufferPool,
     m: usize,
     part: &impl Fn(usize) -> Option<&'a ColumnParts>,
     distinct: impl Fn(usize) -> &'d [u64],
     plan: &mut Plan,
-    mut put: impl FnMut(usize, usize, Value),
+    table: &mut Vec<Value>,
 ) -> CoreResult<()> {
     for j in 0..m {
         let Some(c) = part(j) else { continue };
@@ -725,8 +858,11 @@ pub(crate) fn values_by_vid_paged<'a, 'd>(
         let d = distinct(j);
         if let Layout::Blocks(b) = c.dict.layout() {
             if b.routes_by_helper() && !d.is_empty() {
-                let (page_of, key_of) = (|k| b.vid_helper_page(d[k]), |hp| b.vid_helper_key(hp));
-                plan_pages(tasks, j, d.len(), page_of, key_of);
+                plan_pages(tasks, j, d.len(), |lo| {
+                    let (hp, last) = b.vid_helper_page(d[lo]);
+                    let hi = lo + d[lo..].partition_point(|&vid| vid <= last);
+                    (b.vid_helper_key(hp), 0, hi)
+                });
                 preload.extend(b.preload_pages());
                 stride = stride.max(d.len());
             }
@@ -758,14 +894,15 @@ pub(crate) fn values_by_vid_paged<'a, 'd>(
         }
     }
 
-    // Phase (c): dictionary pages → values. An array slot is the key,
-    // decoded where it lies. The value-block entries of a page are read by
-    // one walk through each block they touch, stepped from slot to sorted
-    // slot in one buffer; an entry that is whole on its page is decoded to
-    // its value from that buffer (through one FSST buffer when the chain is
-    // coded), a large one keeps a copy of its bytes until its off-page
-    // pieces are appended, in order. Each value goes to `put` as soon as it
-    // is whole.
+    // Phase (c): dictionary pages → values. An array page's values are
+    // decoded where they lie, one tight loop a page. The value-block
+    // entries of a page are read by one walk through each block they
+    // touch, stepped from slot to sorted slot in one buffer; an entry that
+    // is whole on its page is decoded to its value from that buffer
+    // (through one FSST buffer when the chain is coded), a large one takes
+    // its place in the table and keeps a copy of its bytes until its
+    // off-page pieces are appended, in order. Each task carries its page's
+    // first identifier, which the page's header must repeat.
     large.clear();
     pieces.clear();
     tasks.clear();
@@ -773,19 +910,19 @@ pub(crate) fn values_by_vid_paged<'a, 'd>(
         let Some(c) = part(j) else { continue };
         let d = distinct(j);
         match c.dict.layout() {
-            Layout::Array(a) => {
-                plan_pages(tasks, j, d.len(), |k| a.page_of(d[k]), |page| a.page_key(page))
+            Layout::Array(a) => plan_pages(tasks, j, d.len(), |lo| {
+                let (page, first, hi) = page_of_run(d, lo, a.per_page());
+                (a.page_key(page), first, hi)
+            }),
+            Layout::Blocks(b) if b.routes_by_helper() => {
+                let routed = &dict_pages[j * stride..][..d.len()];
+                plan_pages(tasks, j, d.len(), |lo| {
+                    let (page, first) = routed[lo];
+                    let hi = lo + routed[lo..].partition_point(|&(p, _)| p == page);
+                    (b.dict_page_key(page), first, hi)
+                })
             }
-            Layout::Blocks(b) => {
-                let page_of = |k: usize| {
-                    if b.routes_by_helper() {
-                        dict_pages[j * stride + k].0
-                    } else {
-                        0
-                    }
-                };
-                plan_pages(tasks, j, d.len(), page_of, |page| b.dict_page_key(page))
-            }
+            Layout::Blocks(b) => plan_pages(tasks, j, d.len(), |_| (b.dict_page_key(0), 0, d.len())),
         }
     }
     waves.for_each_page(
@@ -796,17 +933,11 @@ pub(crate) fn values_by_vid_paged<'a, 'd>(
             let Some(c) = part(t.col) else { return Ok(()) };
             let vids = &distinct(t.col)[t.lo..t.hi];
             let b = match c.dict.layout() {
-                Layout::Array(a) => {
-                    for (k, &vid) in (t.lo..t.hi).zip(vids) {
-                        put(t.col, k, Value::from_key(c.data_type, a.slot(page, vid)?)?);
-                    }
-                    return Ok(());
-                }
+                Layout::Array(a) => return a.values_on(page, t.first, vids, c.data_type, table),
                 Layout::Blocks(b) => b,
             };
-            let first = if b.routes_by_helper() { dict_pages[t.col * stride + t.lo].1 } else { 0 };
-            let mut view = b.page_view(page, t.key.page_no, first)?;
-            for (k, &vid) in (t.lo..t.hi).zip(vids) {
+            let mut view = b.page_view(page, t.key.page_no, t.first)?;
+            for &vid in vids {
                 let entry = view.entry(vid, acc)?;
                 if entry.spilled() {
                     pieces.extend(entry.offpage_refs().map(|at| Piece {
@@ -815,10 +946,11 @@ pub(crate) fn values_by_vid_paged<'a, 'd>(
                         at,
                     }));
                     let total = entry.total_len();
-                    large.push(Large { col: t.col, entry: k, bytes: acc.clone(), total });
+                    large.push(Large { col: t.col, at: table.len(), bytes: acc.clone(), total });
+                    table.push(Value::Integer(0));
                 } else {
                     let key = b.decode_key(acc, entry.total_len(), raw)?;
-                    put(t.col, k, Value::from_key(c.data_type, key)?);
+                    table.push(Value::from_key(c.data_type, key)?);
                 }
             }
             Ok(())
@@ -834,7 +966,7 @@ pub(crate) fn values_by_vid_paged<'a, 'd>(
     for l in large.drain(..) {
         let Some(c) = part(l.col) else { continue };
         if let Layout::Blocks(b) = c.dict.layout() {
-            put(l.col, l.entry, Value::from_key(c.data_type, b.decode_key(&l.bytes, l.total, raw)?)?);
+            table[l.at] = Value::from_key(c.data_type, b.decode_key(&l.bytes, l.total, raw)?)?;
         }
     }
     Ok(())

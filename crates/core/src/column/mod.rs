@@ -366,6 +366,13 @@ impl ColumnRead for Column {
         }
     }
 
+    fn fold_value_counts(&self, rposs: &[u64], f: impl FnMut(Value, u64)) -> CoreResult<()> {
+        match self {
+            Column::Resident(c) => c.fold_value_counts(rposs, f),
+            Column::Paged(c) => c.fold_value_counts(rposs, f),
+        }
+    }
+
     fn vid_set_for(&self, pred: &ValuePredicate) -> CoreResult<VidSet> {
         match self {
             Column::Resident(c) => c.vid_set_for(pred),

@@ -272,6 +272,10 @@ impl ColumnRead for PagedColumn {
         super::materialize::values_of_paged(&self.parts, vids)
     }
 
+    fn fold_value_counts(&self, rposs: &[u64], f: impl FnMut(Value, u64)) -> CoreResult<()> {
+        super::materialize::fold_value_counts(Source::Paged(&self.parts), rposs, f)
+    }
+
     fn vid_set_for(&self, pred: &ValuePredicate) -> CoreResult<VidSet> {
         self.vid_set_cached(&KeyPredicate::compile(pred, self.parts.data_type)?, &mut self.cache())
     }

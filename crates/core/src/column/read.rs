@@ -44,13 +44,23 @@ pub trait ColumnRead {
     fn values_by_vid(&self, vids: &[u64]) -> CoreResult<Vec<Value>>;
 
     /// The distinct values at the given rows with their multiplicities,
-    /// ascending by value: [`ColumnRead::vid_counts`], then
-    /// [`ColumnRead::values_by_vid`] of the identifiers. What an aggregate
-    /// folds over — one decoded value per distinct identifier, never one
-    /// per row.
-    fn value_counts(&self, rposs: &[u64]) -> CoreResult<Vec<(Value, u64)>> {
-        let (vids, counts): (Vec<u64>, Vec<u64>) = self.vid_counts(rposs)?.into_iter().unzip();
-        Ok(self.values_by_vid(&vids)?.into_iter().zip(counts).collect())
+    /// ascending by value, handed to `f` pair by pair:
+    /// [`ColumnRead::vid_counts`], then [`ColumnRead::values_by_vid`] of
+    /// the identifiers, in one pass over the thread's materialization
+    /// buffers. What an aggregate folds over — one decoded value per
+    /// distinct identifier, never one per row, and no list of them.
+    fn fold_value_counts(&self, rposs: &[u64], f: impl FnMut(Value, u64)) -> CoreResult<()>
+    where
+        Self: Sized;
+
+    /// [`ColumnRead::fold_value_counts`] collected.
+    fn value_counts(&self, rposs: &[u64]) -> CoreResult<Vec<(Value, u64)>>
+    where
+        Self: Sized,
+    {
+        let mut pairs = Vec::new();
+        self.fold_value_counts(rposs, |value, n| pairs.push((value, n)))?;
+        Ok(pairs)
     }
 
     /// Translates a value predicate to the matching identifier set via the

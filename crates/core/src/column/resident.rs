@@ -1,6 +1,6 @@
 //! The fully-resident (default) column.
 
-use crate::column::materialize::{get_values, vid_counts, Source};
+use crate::column::materialize::{fold_value_counts, get_values, vid_counts, Source};
 use crate::column::paged::{identity_count, identity_rows, ColumnParts, StoredRows};
 use crate::column::read::ColumnRead;
 use crate::column::EncodedRows;
@@ -264,6 +264,10 @@ impl ColumnRead for ResidentColumn {
         let mut buf = Vec::new();
         let mut keys = image.dict.keys(&mut buf);
         vids.iter().map(|&vid| self.value_of(&mut keys, vid)).collect()
+    }
+
+    fn fold_value_counts(&self, rposs: &[u64], f: impl FnMut(Value, u64)) -> CoreResult<()> {
+        fold_value_counts(Source::Resident(self), rposs, f)
     }
 
     fn vid_set_for(&self, pred: &ValuePredicate) -> CoreResult<VidSet> {

@@ -252,42 +252,37 @@ impl PagedDataVector {
         Ok(BitPackedVec::from_words(self.meta.width, self.meta.len, words)?)
     }
 
-    /// Batch point-decode against one pinned page: writes the identifier
-    /// at every position of `rows` — ascending, all on the logical page
-    /// whose bytes are `page` — into `out` (same length). Each chunk is
-    /// unpacked once; a chunk holding a single requested row decodes just
-    /// that slot, straight from the one or two words holding it. This is the data-vector step of phased late
+    /// Batch decode against one pinned page: writes the identifier at
+    /// every position of `rows` — ascending, all on the logical page whose
+    /// bytes are `page` and whose first row is `first` — into `out` (same
+    /// length). A whole chunk of consecutive rows (§3.1.3's `mget`) is
+    /// unpacked straight into `out`; any other row — the edges of a run, a
+    /// scattered or repeated row — decodes just its slot, from the one or
+    /// two words holding it. This is the data-vector step of phased late
     /// materialization ([`crate::column::materialize`]): the caller plans
     /// which pages the rows touch, pins them as a batch, and decodes from
     /// the returned guards. Width-0 vectors have no pages and never get here.
-    pub(crate) fn decode_on_page(&self, page: &[u8], rows: &[u64], out: &mut [u64]) {
+    pub(crate) fn decode_on_page(&self, page: &[u8], first: u64, rows: &[u64], out: &mut [u64]) {
         debug_assert_eq!(rows.len(), out.len());
         let width = self.meta.width;
         let n = width.bits() as usize;
         let per_chunk = bytes_per_chunk(width);
-        // Word and value buffers of a whole-chunk decode, set up by the
-        // first chunk holding more than one requested row.
-        let mut buffers: Option<([u64; 64], [u64; CHUNK_LEN])> = None;
         let mut k = 0;
         while k < rows.len() {
-            let ci = chunk::chunk_of(rows[k]);
-            let run = rows[k..].iter().take_while(|&&r| chunk::chunk_of(r) == ci).count();
-            let base = (ci % self.meta.chunks_per_page) as usize * per_chunk;
-            let bytes = &page[base..base + per_chunk];
-            if run == 1 {
-                out[k] = chunk::decode_slot_bytes(bytes, width, chunk::slot_of(rows[k]));
-            } else {
-                let (words, decoded) = match buffers {
-                    Some(ref mut b) => b,
-                    None => buffers.insert(([0; 64], [0; CHUNK_LEN])),
-                };
-                payg_encoding::unaligned::fill_le_words(bytes, &mut words[..n]);
-                chunk::decode_chunk(&words[..n], width, decoded);
-                for j in k..k + run {
-                    out[j] = decoded[chunk::slot_of(rows[j])];
+            let at = rows[k] - first;
+            let bytes = &page[(at / CHUNK_LEN as u64) as usize * per_chunk..][..per_chunk];
+            let slot = (at % CHUNK_LEN as u64) as usize;
+            if slot == 0 && rows[k..].first_chunk().is_some_and(consecutive) {
+                if let Some(dst) = out[k..].first_chunk_mut() {
+                    let mut words = [0u64; 64];
+                    payg_encoding::unaligned::fill_le_words(bytes, &mut words[..n]);
+                    chunk::decode_chunk(&words[..n], width, dst);
+                    k += CHUNK_LEN;
+                    continue;
                 }
             }
-            k += run;
+            out[k] = chunk::decode_slot_bytes(bytes, width, slot);
+            k += 1;
         }
     }
 
@@ -308,6 +303,12 @@ impl PagedDataVector {
             tracer.emit_tagged(EventKind::DataScan, self.chain_id(), pruned, chunks, span, matches);
         }
     }
+}
+
+/// True when `rows` are `rows[0], rows[0] + 1, …` — one pass without an
+/// early exit, so it vectorizes.
+fn consecutive(rows: &[u64; CHUNK_LEN]) -> bool {
+    rows.iter().zip(rows[0]..).fold(0, |diff, (&row, want)| diff | (row ^ want)) == 0
 }
 
 /// Scan iterator over a [`PagedDataVector`]: `search` and `count` over row
@@ -509,7 +510,7 @@ mod tests {
             let page = rows[lo] / rpp;
             let hi = lo + rows[lo..].iter().take_while(|&&r| r / rpp == page).count();
             let guard = paged.pool().pin(paged.page_key(page)).unwrap();
-            paged.decode_on_page(&guard, &rows[lo..hi], &mut out[lo..hi]);
+            paged.decode_on_page(&guard, page * rpp, &rows[lo..hi], &mut out[lo..hi]);
             lo = hi;
         }
         out

@@ -12,8 +12,9 @@
 
 use super::DictLookup;
 use crate::meta::{MetaReader, MetaWriter};
-use crate::{CoreError, CoreResult, PageConfig};
+use crate::{CoreError, CoreResult, DataType, PageConfig, Value};
 use payg_encoding::dispatch::{ChainCodec, CodecKind};
+use payg_encoding::okey;
 use payg_obs::names;
 use payg_storage::{BufferPool, ChainRef, PageKey, PageStore, StorageError};
 
@@ -140,9 +141,9 @@ impl ArrayPages {
         self.page_last.capacity()
     }
 
-    /// The page holding `vid`'s key.
-    pub(crate) fn page_of(&self, vid: u64) -> u64 {
-        vid / self.per_page
+    /// Keys on a full page: page `p` holds identifiers `p * per_page..`.
+    pub(crate) fn per_page(&self) -> u64 {
+        self.per_page
     }
 
     /// The store address of page `page`.
@@ -155,12 +156,45 @@ impl ArrayPages {
         (self.cardinality - page * self.per_page).min(self.per_page) as usize
     }
 
-    /// `vid`'s key on the bytes of its page ([`ArrayPages::page_of`]).
-    pub(crate) fn slot<'a>(&self, page: &'a [u8], vid: u64) -> CoreResult<&'a [u8]> {
-        let at = (vid % self.per_page) as usize * self.width;
-        page.get(at..at + self.width).ok_or_else(|| {
-            corrupt(&self.chain, format!("page of {} bytes has no slot for vid {vid}", page.len()))
-        })
+    /// Appends the values of `vids` — ascending, all on the page whose
+    /// bytes are `page` and whose first identifier is `first` — to `out`,
+    /// decoded as `ty`, whose keys are this dictionary's width (checked when
+    /// it was built or opened): the page is checked once to hold the last
+    /// of them, and each type's keys decode in one tight loop, a slot being
+    /// the identifier's offset from `first`.
+    pub(crate) fn values_on(
+        &self,
+        page: &[u8],
+        first: u64,
+        vids: &[u64],
+        ty: DataType,
+        out: &mut Vec<Value>,
+    ) -> CoreResult<()> {
+        let Some(&last) = vids.last() else { return Ok(()) };
+        let end = (last - first + 1) as usize * self.width;
+        let keys = page.get(..end).ok_or_else(|| {
+            corrupt(&self.chain, format!("page of {} bytes has no slot for vid {last}", page.len()))
+        })?;
+        let slot = |vid: u64| (vid - first) as usize;
+        out.reserve(vids.len());
+        match ty {
+            DataType::Integer => {
+                let keys = keys.as_chunks::<8>().0;
+                out.extend(vids.iter().map(|&vid| Value::Integer(okey::i64_of(keys[slot(vid)]))));
+            }
+            DataType::Double => {
+                let keys = keys.as_chunks::<8>().0;
+                out.extend(vids.iter().map(|&vid| Value::Double(okey::f64_of(keys[slot(vid)]))));
+            }
+            DataType::Decimal => {
+                let keys = keys.as_chunks::<16>().0;
+                out.extend(vids.iter().map(|&vid| Value::Decimal(okey::i128_of(keys[slot(vid)]))));
+            }
+            DataType::Varchar => {
+                return Err(corrupt(&self.chain, "a VARCHAR column has no array dictionary"))
+            }
+        }
+        Ok(())
     }
 
     /// The keys stored on page `page`, off the page's bytes.

@@ -627,13 +627,14 @@ impl Blocks {
     }
 
     /// Routes a (bounds-checked) vid to the `ipDict_ValueId` helper page
-    /// holding its entry, from the in-memory residue alone. Only for a
-    /// dictionary that [routes by helper](Blocks::routes_by_helper).
-    pub(crate) fn vid_helper_page(&self, vid: u64) -> u64 {
+    /// holding its entry, from the in-memory residue alone: the page, and
+    /// the last identifier it routes. Only for a dictionary that [routes by
+    /// helper](Blocks::routes_by_helper).
+    pub(crate) fn vid_helper_page(&self, vid: u64) -> (u64, u64) {
         let last = &self.helpers().vid_page_last;
         let hp = last.partition_point(|&last| last < vid);
         debug_assert!(hp < last.len(), "vid bounds checked by caller");
-        hp as u64
+        (hp as u64, last.get(hp).copied().unwrap_or(u64::MAX))
     }
 
     /// The store address of `ipDict_ValueId` helper page `hp`.

@@ -9,7 +9,7 @@ use payg_core::{
     CodecKind, ColumnBuilder, CoreError, DataType, LoadPolicy, PageConfig, Value, ValuePredicate,
 };
 use payg_encoding::prefix::BLOCK_CAP;
-use payg_encoding::{BitPackedVec, VidSet};
+use payg_encoding::{BitPackedVec, BitWidth, VidSet};
 use payg_resman::{PoolLimits, ResourceManager};
 use payg_storage::{BufferPool, MemStore, PageStore};
 use proptest::prelude::*;
@@ -1144,6 +1144,169 @@ proptest! {
             }
         }
         pool.assert_no_live_pins("materialization oracle quiesce");
+    }
+}
+
+static RUN_CODECS: AtomicU8 = AtomicU8::new(0);
+static RUN_SHAPES: AtomicU8 = AtomicU8::new(0);
+
+/// Shapes a row-run case records, one bit each: a width-0 data vector, a
+/// key stored as its rows' identifiers, array dictionaries of one page and
+/// of several, string dictionaries of one page and of several (routed by
+/// helper), entries spilled to overflow pages, and a run that ends at the
+/// column's last row.
+const RUN_WIDTH0: u8 = 1;
+const RUN_IDENTITY: u8 = 2;
+const RUN_ARRAY_ONE: u8 = 4;
+const RUN_ARRAY_MULTI: u8 = 8;
+const RUN_BLOCK_ONE: u8 = 16;
+const RUN_BLOCK_MULTI: u8 = 32;
+const RUN_SPILLED: u8 = 64;
+const RUN_LAST_ROW: u8 = 128;
+
+#[test]
+fn row_runs_cover_every_shape() {
+    row_runs_equal_per_row_reads();
+    assert_every_dict_codec(&RUN_CODECS);
+    let seen = RUN_SHAPES.load(Ordering::Relaxed);
+    assert_eq!(seen, u8::MAX, "shapes seen {seen:#b}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// Row runs — the rows of a range predicate — read through every value
+    /// path equal each row read alone: `vid_counts`, `value_counts`,
+    /// `get_values` and `materialize` over contiguous runs that start and
+    /// end at chunk and data-vector page edges ±1 (one of them at the
+    /// column's last row), over the runs' rows shuffled, over them
+    /// duplicated, and over them with each chunk's first row twice and its
+    /// second left out, on paged and resident columns of the special shapes plus
+    /// a one-page string dictionary and two power-of-two cardinalities,
+    /// their numeric dictionaries of one page or several. The oracle is each row's `values_by_vid(&[vid])` of its
+    /// `vid_counts(&[rpos])`.
+    fn row_runs_equal_per_row_reads(
+        n_rows in 300usize..1600,
+        card in 1u64..1100,
+        salt in any::<u64>(),
+        picks in prop::collection::vec(any::<u32>(), 2..7),
+    ) {
+        let mut sources = special_shape_columns(n_rows, card, salt);
+        sources.push((DataType::Varchar, (0..n_rows).map(|i| {
+            Value::Varchar(format!("ch{:02}", (i as u64 ^ salt) % 3))
+        }).collect()));
+        // Power-of-two cardinalities: the greatest identifier is every
+        // identifier's bitwise or, the span the counting pass may take.
+        let spread = |i: usize| (i as u64 ^ salt).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+        sources.push((DataType::Decimal, (0..n_rows).map(|i| Value::Decimal(i128::from(spread(i) % 4))).collect()));
+        sources.push((DataType::Double, (0..n_rows).map(|i| Value::Double((spread(i) % 256) as f64)).collect()));
+        let config = PageConfig { dict_page: 2048, overflow_page: 256, ..PageConfig::tiny() };
+        let store = Arc::new(MemStore::new());
+        let pool = BufferPool::new(Arc::clone(&store) as Arc<dyn PageStore>, ResourceManager::new());
+        let mut columns = Vec::new();
+        for policy in [LoadPolicy::PageLoadable, LoadPolicy::FullyResident] {
+            for (ty, values) in &sources {
+                columns.push(ColumnBuilder::new(*ty).policy(policy).build(&pool, &config, values).unwrap().column);
+            }
+        }
+        // Chunk edges, and the page edges of every data-vector width.
+        let mut edges = vec![0, n_rows as u64];
+        for col in &columns[..sources.len()] {
+            note_codec(&RUN_CODECS, col.dict_codec());
+            let chains = col.chains();
+            let role = |r: &str| chains.iter().find(|c| c.0 == r).map(|c| c.1);
+            let pages = |chain: u64| store.chain_len(payg_storage::ChainId(chain)).unwrap();
+            let mut shape = 0;
+            match (role("data"), col.cardinality()) {
+                (None, _) => shape |= RUN_IDENTITY,
+                (Some(_), 1) => shape |= RUN_WIDTH0,
+                (Some(_), card) => {
+                    let bits = u64::from(BitWidth::for_cardinality(card).bits());
+                    let rows_per_page = config.datavec_page as u64 / (bits * 8) * 64;
+                    edges.extend((1..=n_rows as u64 / rows_per_page).map(|p| p * rows_per_page));
+                }
+            }
+            match (col.dict_codec(), role("dict-vid-helper"), role("dict-overflow")) {
+                (CodecKind::Array, ..) if pages(role("dict").unwrap()) > 1 => shape |= RUN_ARRAY_MULTI,
+                (CodecKind::Array, ..) => shape |= RUN_ARRAY_ONE,
+                (_, helper, overflow) => {
+                    shape |= if helper.is_some() { RUN_BLOCK_MULTI } else { RUN_BLOCK_ONE };
+                    if overflow.is_some_and(|chain| pages(chain) > 0) {
+                        shape |= RUN_SPILLED;
+                    }
+                }
+            }
+            RUN_SHAPES.fetch_or(shape, Ordering::Relaxed);
+        }
+        edges.extend((64..n_rows as u64).step_by(64 * 7));
+        let mut around: Vec<u64> = edges.iter().flat_map(|&e| [e.saturating_sub(1), e, e + 1]).collect();
+        around.retain(|&e| e <= n_rows as u64);
+        around.sort_unstable();
+        around.dedup();
+        // Runs between picked edges, and one through the last row.
+        let mut bounds: Vec<u64> = picks.iter().map(|&p| around[p as usize % around.len()]).collect();
+        bounds.sort_unstable();
+        let mut runs: Vec<Vec<u64>> = bounds.chunks_exact(2).map(|b| (b[0]..b[1]).collect()).collect();
+        runs.push((bounds[0]..n_rows as u64).collect());
+        RUN_SHAPES.fetch_or(RUN_LAST_ROW, Ordering::Relaxed);
+        let union: Vec<u64> = runs.concat();
+        let mut shuffled = union.clone();
+        let mut x = salt | 1;
+        for i in (1..shuffled.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            shuffled.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        let duplicated: Vec<u64> = union.iter().flat_map(|&r| [r, r]).collect();
+        // Ascending, a chunk's first row twice and its second not at all: 64
+        // rows from a chunk's first to its last that are not its rows.
+        let mut skewed = union.clone();
+        skewed.sort_unstable();
+        skewed.dedup();
+        let skewed: Vec<u64> = skewed
+            .into_iter()
+            .filter(|r| r % 64 != 1)
+            .flat_map(|r| std::iter::repeat_n(r, if r % 64 == 0 { 2 } else { 1 }))
+            .collect();
+
+        // The oracle: every cell's identifier and value, read alone, once.
+        let mut cells: Vec<Vec<Option<(u64, Value)>>> = vec![vec![None; n_rows]; columns.len()];
+        let mut cell = |c: usize, rpos: u64| -> (u64, Value) {
+            cells[c][rpos as usize].get_or_insert_with(|| {
+                let pairs = columns[c].vid_counts(&[rpos]).unwrap();
+                assert_eq!(pairs.len(), 1);
+                (pairs[0].0, columns[c].values_by_vid(&[pairs[0].0]).unwrap().remove(0))
+            }).clone()
+        };
+        let which: Vec<usize> = (0..columns.len()).collect();
+        let lists = runs.iter().map(|r| &r[..]).chain([&shuffled[..], &duplicated[..], &skewed[..]]);
+        for rows in lists.filter(|rows| !rows.is_empty()) {
+            let mut got = vec![Vec::new(); rows.len()];
+            payg_core::column::materialize(&columns, &which, rows, &mut got).unwrap();
+            for (c, col) in columns.iter().enumerate() {
+                let expect: Vec<(u64, Value)> = rows.iter().map(|&r| cell(c, r)).collect();
+                let values: Vec<Value> = expect.iter().map(|e| e.1.clone()).collect();
+                prop_assert_eq!(&col.get_values(rows).unwrap(), &values, "get_values, column {}", c);
+                for (i, row) in got.iter().enumerate() {
+                    prop_assert_eq!(&row[c], &values[i], "materialize, column {} row {}", c, rows[i]);
+                }
+                let mut counted: Vec<(u64, Value, u64)> = Vec::new();
+                let mut sorted = expect.clone();
+                sorted.sort_by_key(|e| e.0);
+                for (vid, value) in sorted {
+                    match counted.last_mut() {
+                        Some(last) if last.0 == vid => last.2 += 1,
+                        _ => counted.push((vid, value, 1)),
+                    }
+                }
+                let vid_counts: Vec<(u64, u64)> = counted.iter().map(|e| (e.0, e.2)).collect();
+                prop_assert_eq!(&col.vid_counts(rows).unwrap(), &vid_counts, "vid_counts, column {}", c);
+                let value_counts: Vec<(Value, u64)> = counted.into_iter().map(|e| (e.1, e.2)).collect();
+                prop_assert_eq!(&col.value_counts(rows).unwrap(), &value_counts, "value_counts, column {}", c);
+            }
+        }
+        pool.assert_no_live_pins("row runs quiesce");
     }
 }
 

@@ -21,7 +21,14 @@ pub fn decode_i64(b: &[u8]) -> crate::Result<i64> {
     let arr: [u8; 8] = b.try_into().map_err(|_| crate::EncodingError::CorruptBlock {
         reason: format!("i64 key must be 8 bytes, got {}", b.len()),
     })?;
-    Ok((u64::from_be_bytes(arr) ^ (1u64 << 63)) as i64)
+    Ok(i64_of(arr))
+}
+
+/// [`decode_i64`] of a key already known to be 8 bytes — a numeric
+/// dictionary's slot: nothing to check, nothing to fail.
+#[inline]
+pub fn i64_of(key: [u8; 8]) -> i64 {
+    (u64::from_be_bytes(key) ^ (1u64 << 63)) as i64
 }
 
 /// Encodes a signed 128-bit fixed-point decimal (the value scaled to an
@@ -35,7 +42,13 @@ pub fn decode_i128(b: &[u8]) -> crate::Result<i128> {
     let arr: [u8; 16] = b.try_into().map_err(|_| crate::EncodingError::CorruptBlock {
         reason: format!("i128 key must be 16 bytes, got {}", b.len()),
     })?;
-    Ok((u128::from_be_bytes(arr) ^ (1u128 << 127)) as i128)
+    Ok(i128_of(arr))
+}
+
+/// [`decode_i128`] of a key already known to be 16 bytes.
+#[inline]
+pub fn i128_of(key: [u8; 16]) -> i128 {
+    (u128::from_be_bytes(key) ^ (1u128 << 127)) as i128
 }
 
 /// Encodes an `f64` in IEEE-754 total order (negative values reversed by
@@ -52,9 +65,15 @@ pub fn decode_f64(b: &[u8]) -> crate::Result<f64> {
     let arr: [u8; 8] = b.try_into().map_err(|_| crate::EncodingError::CorruptBlock {
         reason: format!("f64 key must be 8 bytes, got {}", b.len()),
     })?;
-    let flipped = u64::from_be_bytes(arr);
+    Ok(f64_of(arr))
+}
+
+/// [`decode_f64`] of a key already known to be 8 bytes.
+#[inline]
+pub fn f64_of(key: [u8; 8]) -> f64 {
+    let flipped = u64::from_be_bytes(key);
     let bits = if flipped & (1u64 << 63) != 0 { flipped & !(1u64 << 63) } else { !flipped };
-    Ok(f64::from_bits(bits))
+    f64::from_bits(bits)
 }
 
 /// Strings encode as their UTF-8 bytes; byte order is the canonical string

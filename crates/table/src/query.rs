@@ -315,8 +315,13 @@ impl Fold {
             Fold::Sum(acc) => {
                 let every: Vec<u64> =
                     if rposs.is_none() { (0..column.len()).collect() } else { Vec::new() };
-                let counts = column.value_counts(rposs.unwrap_or(&every))?;
-                counts.iter().try_for_each(|(v, count)| acc.add(v, *count))
+                let mut sum = Ok(());
+                column.fold_value_counts(rposs.unwrap_or(&every), |value, count| {
+                    if sum.is_ok() {
+                        sum = acc.add(&value, count);
+                    }
+                })?;
+                sum
             }
             Fold::Extreme { want_max, .. } => {
                 let want_max = *want_max;

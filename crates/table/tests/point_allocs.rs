@@ -219,6 +219,45 @@ fn a_warm_range_projection_allocates_per_row_and_string_plus_a_constant() {
     }
 }
 
+/// Allocations a warm 1 000-row `SUM` over a primary-key range may make:
+/// the session, the index run, the row list and the query's own vectors —
+/// 5 when this was written — and none for the distinct values summed: the
+/// (value, count) pairs fold straight off the thread's materialization
+/// buffers, which a range this short keeps. (Collecting the pairs, their
+/// identifiers and their values into vectors of their own took 10.)
+const RANGE_SUM_ALLOCS: usize = 6;
+
+/// A warm `SUM` over 1 000 rows of a high-cardinality page-loadable column
+/// (about 1 000 distinct values at those rows) allocates at most
+/// [`RANGE_SUM_ALLOCS`], and sums exactly.
+#[test]
+fn a_warm_range_sum_allocates_a_constant() {
+    if pins_are_tracked() {
+        return;
+    }
+    let t = table(33, LoadPolicy::PageLoadable);
+    for (i, col) in [(7, "c7"), (15, "c15"), (31, "c31")] {
+        let q = Query::filtered(
+            "pk",
+            ValuePredicate::Between(pk(1000), pk(1999)),
+            Projection::Sum(col.into()),
+        );
+        t.session().unwrap().execute(&q).unwrap();
+        let (answer, n) = allocations(|| t.session().unwrap().execute(&q).unwrap());
+        let want: i64 = (1000..2000).map(|r| (r * 7 + i) % 1000).sum();
+        let want = match TYPES[i as usize % TYPES.len()] {
+            DataType::Integer => Value::Integer(want),
+            DataType::Decimal => Value::Decimal(i128::from(want) * 125),
+            _ => Value::Double(want as f64 / 8.0),
+        };
+        assert_eq!(answer, QueryResult::Sum(want), "SUM({col})");
+        assert!(
+            n <= RANGE_SUM_ALLOCS,
+            "SUM({col}) over 1 000 rows: {n} allocations"
+        );
+    }
+}
+
 /// `rows` rows in the delta alone, over five distinct names.
 fn unmerged(rows: i64) -> Table {
     let schema = Schema::new(vec![

@@ -7,9 +7,9 @@
 
 mod reference;
 
-use page_as_you_go::core::{DataType, PageConfig, Value, ValuePredicate};
+use page_as_you_go::core::{DataType, LoadPolicy, PageConfig, Value, ValuePredicate};
 use page_as_you_go::resman::{PoolLimits, ResourceManager};
-use page_as_you_go::storage::{BufferPool, FileStore};
+use page_as_you_go::storage::{BufferPool, FileStore, MemStore};
 use page_as_you_go::table::{
     ColumnSpec, PartitionRange, PartitionSpec, Projection, Query, Row, Schema, Table,
 };
@@ -100,4 +100,68 @@ fn filtered_aggregates_equal_a_row_fold_on_a_reopened_file_store() {
     drop(session);
     drop(t);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `SUM` / `MIN` / `MAX` over primary-key ranges of random length — one
+/// row to a fifth of the table, some from its first row, some through its
+/// last — on high-cardinality page-loadable numeric columns (data vectors
+/// of many small pages at widths that are no power of two, array
+/// dictionaries of many pages, of 8- and 16-byte keys) equal the reference
+/// executor's fold over the same rows. Every `DOUBLE` is a multiple of 1/8
+/// small enough that its sums are exact in any order.
+#[test]
+fn range_aggregates_on_high_cardinality_paged_columns_equal_a_row_fold() {
+    let schema = Schema::new(vec![
+        ColumnSpec::indexed("id", DataType::Integer),
+        ColumnSpec::new("price", DataType::Integer),
+        ColumnSpec::new("amount", DataType::Decimal),
+        ColumnSpec::new("ratio", DataType::Double),
+    ])
+    .unwrap()
+    .with_primary_key("id")
+    .unwrap();
+    let rows = 12_000i64;
+    let model: Vec<Row> = (0..rows)
+        .map(|id| {
+            vec![
+                Value::Integer(id),
+                Value::Integer((id * 7919 + 13) % 3001 - 1500),
+                Value::Decimal(i128::from((id * 104_729) % 2503) * 25 - 9_000),
+                Value::Double(((id * 31) % 1997) as f64 / 8.0 - 100.0),
+            ]
+        })
+        .collect();
+    let pool = BufferPool::new(Arc::new(MemStore::new()), ResourceManager::new());
+    let config = PageConfig { dict_page: 2048, ..PageConfig::tiny() };
+    let spec = vec![PartitionSpec::single(LoadPolicy::PageLoadable)];
+    let t = Table::create(pool, config, schema, spec).unwrap();
+    t.insert_all(model.iter().cloned()).unwrap();
+    t.delta_merge_all().unwrap();
+    let session = t.session().unwrap();
+    let mut x = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move |below: i64| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x % below as u64) as i64
+    };
+    for i in 0..60 {
+        let len = 1 + next(rows / 5);
+        let from = match i % 6 {
+            0 => 0,
+            1 => rows - len,
+            _ => next(rows - len + 1),
+        };
+        let pred = ValuePredicate::Between(Value::Integer(from), Value::Integer(from + len - 1));
+        for col in ["price", "amount", "ratio"] {
+            for projection in [
+                Projection::Sum(col.into()),
+                Projection::Min(col.into()),
+                Projection::Max(col.into()),
+            ] {
+                let q = Query::filtered("id", pred.clone(), projection);
+                reference::assert_answers(&session, &model, &q, "a primary-key range");
+            }
+        }
+    }
 }

@@ -297,10 +297,11 @@ impl Ranks {
 /// single run, a width-0 column's, at once); a range of at most
 /// [`DENSE_RANGE`] identifiers a row is counted in `tally` (see [`count`]);
 /// anything sparser sorts a copy in `distinct` and finds each rank by
-/// bisection. Every identifier lies between the bitwise and and the
-/// bitwise or of them all, which one vectorized pass finds: when that span
-/// fits the counting pass, their own least and greatest are not looked
-/// for.
+/// bisection. Identifiers that do not ascend are bounded first by their
+/// bitwise and and bitwise or — every one lies between the two — in one
+/// vectorized pass (a fifth of the time of a pass for their least and
+/// greatest, which does not vectorize); only when that span is too wide to
+/// count are their least and greatest looked for.
 fn rank(
     vids: &mut [u64],
     ranked: bool,
@@ -391,6 +392,9 @@ fn count(
     let stripes = if range * STRIPES <= vids.len() { STRIPES } else { 1 };
     let slots = range * stripes;
     if tally.len() < slots {
+        // Grown to the range, not doubled: the tally is the largest part
+        // of the scratch a thread keeps.
+        tally.reserve_exact(slots - tally.len());
         tally.resize(slots, 0);
     }
     let t = &mut tally[..slots];
@@ -798,7 +802,16 @@ pub(crate) fn encoded_rows_paged(c: &ColumnParts, rposs: &[u64]) -> CoreResult<E
 
 /// [`ColumnRead::values_by_vid`] of a paged column: phases (b) and (c) of
 /// the one column, the values appended in the identifiers' order.
+/// Identifiers that do not ascend strictly are looked up as a sorted,
+/// duplicate-free copy, each then finding its value by bisection.
 pub(crate) fn values_of_paged(c: &ColumnParts, vids: &[u64]) -> CoreResult<Vec<Value>> {
+    if !vids.is_sorted_by(|a, b| a < b) {
+        let mut sorted = vids.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let values = values_of_paged(c, &sorted)?;
+        return Ok(vids.iter().map(|vid| values[sorted.partition_point(|d| d < vid)].clone()).collect());
+    }
     let mut out = Vec::with_capacity(vids.len());
     with_scratch(|s| values_by_vid_paged(&c.pool, 1, &|_| Some(c), |_| vids, &mut s.plan, &mut out))?;
     Ok(out)

@@ -38,9 +38,10 @@ pub trait ColumnRead {
     /// pair is the minimum / maximum and the pairs are the distinct set.
     fn vid_counts(&self, rposs: &[u64]) -> CoreResult<Vec<(u64, u64)>>;
 
-    /// The values of `vids` — strictly ascending identifiers — in that
-    /// order: the second half of late materialization, each dictionary
-    /// entry decoded once.
+    /// The values of `vids`, in that order: the second half of late
+    /// materialization, each dictionary entry decoded once. Identifiers in
+    /// any order, duplicates included, are answered; strictly ascending
+    /// ones — what the first half yields — are the fast path.
     fn values_by_vid(&self, vids: &[u64]) -> CoreResult<Vec<Value>>;
 
     /// The distinct values at the given rows with their multiplicities,
@@ -52,16 +53,6 @@ pub trait ColumnRead {
     fn fold_value_counts(&self, rposs: &[u64], f: impl FnMut(Value, u64)) -> CoreResult<()>
     where
         Self: Sized;
-
-    /// [`ColumnRead::fold_value_counts`] collected.
-    fn value_counts(&self, rposs: &[u64]) -> CoreResult<Vec<(Value, u64)>>
-    where
-        Self: Sized,
-    {
-        let mut pairs = Vec::new();
-        self.fold_value_counts(rposs, |value, n| pairs.push((value, n)))?;
-        Ok(pairs)
-    }
 
     /// Translates a value predicate to the matching identifier set via the
     /// dictionary (order preservation keeps ranges contiguous).

@@ -256,30 +256,47 @@ impl PagedDataVector {
     /// every position of `rows` — ascending, all on the logical page whose
     /// bytes are `page` and whose first row is `first` — into `out` (same
     /// length). A whole chunk of consecutive rows (§3.1.3's `mget`) is
-    /// unpacked straight into `out`; any other row — the edges of a run, a
-    /// scattered or repeated row — decodes just its slot, from the one or
-    /// two words holding it. This is the data-vector step of phased late
+    /// unpacked straight into `out`; a chunk holding at least
+    /// [`dense_chunk`] of the rows — every other row, all but a few, each
+    /// row twice — is unpacked once into a buffer and its rows read from
+    /// there; any other row decodes just its slot, from the one or two
+    /// words holding it. This is the data-vector step of phased late
     /// materialization ([`crate::column::materialize`]): the caller plans
     /// which pages the rows touch, pins them as a batch, and decodes from
     /// the returned guards. Width-0 vectors have no pages and never get here.
     pub(crate) fn decode_on_page(&self, page: &[u8], first: u64, rows: &[u64], out: &mut [u64]) {
         debug_assert_eq!(rows.len(), out.len());
+        debug_assert_eq!(first % CHUNK_LEN as u64, 0, "a page starts on a chunk");
         let width = self.meta.width;
         let n = width.bits() as usize;
         let per_chunk = bytes_per_chunk(width);
+        let dense = dense_chunk(width);
+        // Word and value buffers of a whole-chunk unpack, set up by the
+        // first chunk unpacked.
+        let mut buffers: Option<([u64; 64], [u64; CHUNK_LEN])> = None;
         let mut k = 0;
         while k < rows.len() {
             let at = rows[k] - first;
             let bytes = &page[(at / CHUNK_LEN as u64) as usize * per_chunk..][..per_chunk];
             let slot = (at % CHUNK_LEN as u64) as usize;
-            if slot == 0 && rows[k..].first_chunk().is_some_and(consecutive) {
-                if let Some(dst) = out[k..].first_chunk_mut() {
-                    let mut words = [0u64; 64];
-                    payg_encoding::unaligned::fill_le_words(bytes, &mut words[..n]);
-                    chunk::decode_chunk(&words[..n], width, dst);
-                    k += CHUNK_LEN;
-                    continue;
+            let end = rows[k] - slot as u64 + CHUNK_LEN as u64;
+            if rows.get(k + dense - 1).is_some_and(|&row| row < end) {
+                let (words, decoded) = buffers.get_or_insert(([0; 64], [0; CHUNK_LEN]));
+                payg_encoding::unaligned::fill_le_words(bytes, &mut words[..n]);
+                if slot == 0 && rows[k..].first_chunk().is_some_and(consecutive) {
+                    if let Some(dst) = out[k..].first_chunk_mut() {
+                        chunk::decode_chunk(&words[..n], width, dst);
+                        k += CHUNK_LEN;
+                        continue;
+                    }
                 }
+                let run = dense + rows[k + dense..].iter().take_while(|&&row| row < end).count();
+                chunk::decode_chunk(&words[..n], width, decoded);
+                for (id, &row) in out[k..k + run].iter_mut().zip(&rows[k..k + run]) {
+                    *id = decoded[chunk::slot_of(row)];
+                }
+                k += run;
+                continue;
             }
             out[k] = chunk::decode_slot_bytes(bytes, width, slot);
             k += 1;
@@ -302,6 +319,19 @@ impl PagedDataVector {
             let span = tracer.current_span();
             tracer.emit_tagged(EventKind::DataScan, self.chain_id(), pruned, chunks, span, matches);
         }
+    }
+}
+
+/// Fewest rows of one chunk that [`PagedDataVector::decode_on_page`]
+/// unpacks the chunk whole for: a quarter of it at a power-of-two width,
+/// whose chunks unpack word-parallel, three quarters at any other, whose
+/// chunks unpack a slot at a time (about the cost of decoding each slot on
+/// its own, less the reads of the words holding it).
+fn dense_chunk(width: BitWidth) -> usize {
+    if width.bits().is_power_of_two() {
+        CHUNK_LEN / 4
+    } else {
+        CHUNK_LEN * 3 / 4
     }
 }
 

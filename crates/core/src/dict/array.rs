@@ -36,6 +36,30 @@ fn corrupt(chain: &ChainRef, what: impl std::fmt::Display) -> CoreError {
     )))
 }
 
+/// Appends to `out` the value of each of `vids` off `keys`, the `W`-byte
+/// keys of the identifiers from `first` on; the first identifier outside
+/// them is the error.
+fn values_each<const W: usize>(
+    keys: &[u8],
+    first: u64,
+    vids: &[u64],
+    out: &mut Vec<Value>,
+    value: impl Fn(&[u8; W]) -> Value,
+) -> Result<(), u64> {
+    let keys = keys.as_chunks::<W>().0;
+    let mut stray = None;
+    // One `extend`, which reserves once; a stray identifier's place is
+    // held by a stand-in the caller never sees, since it gets the error.
+    out.extend(vids.iter().map(|&vid| match keys.get(vid.wrapping_sub(first) as usize) {
+        Some(key) => value(key),
+        None => {
+            stray = stray.or(Some(vid));
+            Value::Integer(0)
+        }
+    }));
+    stray.map_or(Ok(()), Err)
+}
+
 impl ArrayPages {
     /// Persists `keys` (sorted, strictly increasing, each `width` bytes).
     pub(crate) fn build<K: AsRef<[u8]>>(
@@ -156,12 +180,12 @@ impl ArrayPages {
         (self.cardinality - page * self.per_page).min(self.per_page) as usize
     }
 
-    /// Appends the values of `vids` — ascending, all on the page whose
-    /// bytes are `page` and whose first identifier is `first` — to `out`,
-    /// decoded as `ty`, whose keys are this dictionary's width (checked when
-    /// it was built or opened): the page is checked once to hold the last
-    /// of them, and each type's keys decode in one tight loop, a slot being
-    /// the identifier's offset from `first`.
+    /// Appends the values of `vids` — all on the page whose bytes are
+    /// `page` and whose first identifier is `first` — to `out`, decoded as
+    /// `ty`, whose keys are this dictionary's width (checked when it was
+    /// built or opened): each type's keys decode in one tight loop, a slot
+    /// being the identifier's offset from `first`. An identifier the page
+    /// does not hold is a `Corrupt` error.
     pub(crate) fn values_on(
         &self,
         page: &[u8],
@@ -170,31 +194,19 @@ impl ArrayPages {
         ty: DataType,
         out: &mut Vec<Value>,
     ) -> CoreResult<()> {
-        let Some(&last) = vids.last() else { return Ok(()) };
-        let end = (last - first + 1) as usize * self.width;
-        let keys = page.get(..end).ok_or_else(|| {
-            corrupt(&self.chain, format!("page of {} bytes has no slot for vid {last}", page.len()))
+        let held = self.cardinality.saturating_sub(first).min(self.per_page) as usize;
+        let keys = page.get(..held * self.width).ok_or_else(|| {
+            corrupt(&self.chain, format!("page of {} bytes holds no {held} keys", page.len()))
         })?;
-        let slot = |vid: u64| (vid - first) as usize;
-        out.reserve(vids.len());
-        match ty {
-            DataType::Integer => {
-                let keys = keys.as_chunks::<8>().0;
-                out.extend(vids.iter().map(|&vid| Value::Integer(okey::i64_of(keys[slot(vid)]))));
-            }
-            DataType::Double => {
-                let keys = keys.as_chunks::<8>().0;
-                out.extend(vids.iter().map(|&vid| Value::Double(okey::f64_of(keys[slot(vid)]))));
-            }
-            DataType::Decimal => {
-                let keys = keys.as_chunks::<16>().0;
-                out.extend(vids.iter().map(|&vid| Value::Decimal(okey::i128_of(keys[slot(vid)]))));
-            }
+        let pushed = match ty {
+            DataType::Integer => values_each(keys, first, vids, out, |k| Value::Integer(okey::i64_of(*k))),
+            DataType::Double => values_each(keys, first, vids, out, |k| Value::Double(okey::f64_of(*k))),
+            DataType::Decimal => values_each(keys, first, vids, out, |k| Value::Decimal(okey::i128_of(*k))),
             DataType::Varchar => {
                 return Err(corrupt(&self.chain, "a VARCHAR column has no array dictionary"))
             }
-        }
-        Ok(())
+        };
+        pushed.map_err(|vid| corrupt(&self.chain, format!("page from vid {first} has no slot for vid {vid}")))
     }
 
     /// The keys stored on page `page`, off the page's bytes.
@@ -251,4 +263,43 @@ fn search(slots: &[u8], width: usize, key: &[u8]) -> Result<usize, usize> {
         }
     }
     Err(lo)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use payg_resman::ResourceManager;
+    use payg_storage::MemStore;
+    use std::sync::Arc;
+
+    /// `values_on` reads each identifier at its offset from its page's
+    /// first, in the order asked, and refuses one the page does not hold —
+    /// below its first, past its last key, past the dictionary's last — as
+    /// `Corrupt`, wherever it stands among the identifiers.
+    #[test]
+    fn values_on_refuses_an_identifier_its_page_does_not_hold() {
+        let pool = BufferPool::new(Arc::new(MemStore::new()), ResourceManager::new());
+        let value = |vid: u64| Value::Integer(vid as i64 * 3 - 100);
+        let keys: Vec<Vec<u8>> = (0..200).map(|vid| value(vid).to_key()).collect();
+        let a = ArrayPages::build(&pool, &PageConfig::tiny(), 8, &keys).unwrap();
+        let per = a.per_page();
+        assert_eq!(a.chain.pages, 3, "two full pages and a short one");
+        for (p, held) in [(1, per), (2, 200 - 2 * per)] {
+            let (first, last) = (p * per, p * per + held - 1);
+            let page = pool.pin(a.page_key(p)).unwrap();
+            let vids = [last, first, first + 1, last];
+            let mut out = Vec::new();
+            a.values_on(&page, first, &vids, DataType::Integer, &mut out).unwrap();
+            assert_eq!(out, vids.map(value), "page {p}");
+            for stray in [first - 1, last + 1, u64::MAX] {
+                for vids in [[stray, first], [first, stray]] {
+                    let got = a.values_on(&page, first, &vids, DataType::Integer, &mut out);
+                    assert!(
+                        matches!(got, Err(CoreError::Storage(StorageError::Corrupt(_)))),
+                        "page {p}, vids {vids:?}: {got:?}"
+                    );
+                }
+            }
+        }
+    }
 }

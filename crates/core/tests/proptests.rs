@@ -1176,12 +1176,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Row runs — the rows of a range predicate — read through every value
-    /// path equal each row read alone: `vid_counts`, `value_counts`,
-    /// `get_values` and `materialize` over contiguous runs that start and
+    /// path equal each row read alone: `vid_counts`, `fold_value_counts`,
+    /// `get_values`, `materialize` and `values_by_vid` of the rows'
+    /// identifiers over contiguous runs that start and
     /// end at chunk and data-vector page edges ±1 (one of them at the
     /// column's last row), over the runs' rows shuffled, over them
-    /// duplicated, and over them with each chunk's first row twice and its
-    /// second left out, on paged and resident columns of the special shapes plus
+    /// duplicated, over them with each chunk's first row twice and its
+    /// second left out, and over each chunk's first 15, 16, 47 or 48 of
+    /// them, on paged and resident columns of the special shapes plus
     /// a one-page string dictionary and two power-of-two cardinalities,
     /// their numeric dictionaries of one page or several. The oracle is each row's `values_by_vid(&[vid])` of its
     /// `vid_counts(&[rpos])`.
@@ -1280,7 +1282,14 @@ proptest! {
             }).clone()
         };
         let which: Vec<usize> = (0..columns.len()).collect();
-        let lists = runs.iter().map(|r| &r[..]).chain([&shuffled[..], &duplicated[..], &skewed[..]]);
+        // Ascending, each chunk's first 15, 16, 47 or 48 rows in turn: one
+        // row short of, and at, the most a chunk's rows are decoded slot by
+        // slot, at power-of-two widths and at the others.
+        let mut thinned = union.clone();
+        thinned.sort_unstable();
+        thinned.dedup();
+        thinned.retain(|r| r % 64 < [15, 16, 47, 48][(r / 64 % 4) as usize]);
+        let lists = runs.iter().map(|r| &r[..]).chain([&shuffled[..], &duplicated[..], &skewed[..], &thinned[..]]);
         for rows in lists.filter(|rows| !rows.is_empty()) {
             let mut got = vec![Vec::new(); rows.len()];
             payg_core::column::materialize(&columns, &which, rows, &mut got).unwrap();
@@ -1303,7 +1312,11 @@ proptest! {
                 let vid_counts: Vec<(u64, u64)> = counted.iter().map(|e| (e.0, e.2)).collect();
                 prop_assert_eq!(&col.vid_counts(rows).unwrap(), &vid_counts, "vid_counts, column {}", c);
                 let value_counts: Vec<(Value, u64)> = counted.into_iter().map(|e| (e.1, e.2)).collect();
-                prop_assert_eq!(&col.value_counts(rows).unwrap(), &value_counts, "value_counts, column {}", c);
+                prop_assert_eq!(&value_counts_of(col, rows), &value_counts, "fold_value_counts, column {}", c);
+                // The rows' own identifiers: unsorted and repeated but for
+                // the ascending runs.
+                let vids: Vec<u64> = expect.iter().map(|e| e.0).collect();
+                prop_assert_eq!(&col.values_by_vid(&vids).unwrap(), &values, "values_by_vid, column {}", c);
             }
         }
         pool.assert_no_live_pins("row runs quiesce");
@@ -1311,6 +1324,13 @@ proptest! {
 }
 
 static COUNTS_CODECS: AtomicU8 = AtomicU8::new(0);
+
+/// The (value, count) pairs `fold_value_counts` hands out, collected.
+fn value_counts_of(col: &payg_core::column::Column, rows: &[u64]) -> Vec<(Value, u64)> {
+    let mut pairs = Vec::new();
+    col.fold_value_counts(rows, |value, n| pairs.push((value, n))).unwrap();
+    pairs
+}
 
 #[test]
 fn value_counts_under_both_codecs() {
@@ -1321,7 +1341,7 @@ fn value_counts_under_both_codecs() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The aggregate half of late materialization: `value_counts` ≡ the
+    /// The aggregate half of late materialization: `fold_value_counts` ≡ the
     /// histogram of the source values at the rows ≡ the histogram of
     /// `get_values`, ascending by value, for arbitrary row lists (unsorted,
     /// duplicates, a single row, one row several times over, none) on paged
@@ -1356,7 +1376,7 @@ proptest! {
                 let thrice = [rows.last().copied().unwrap_or(0); 3];
                 for rows in [&rows[..], &rows[..rows.len().min(1)], &thrice[..], &[]] {
                     let expect = histogram(rows.iter().map(|&r| values[r as usize].clone()).collect());
-                    prop_assert_eq!(&col.value_counts(rows).unwrap(), &expect, "{:?} {:?}", ty, policy);
+                    prop_assert_eq!(&value_counts_of(&col, rows), &expect, "{:?} {:?}", ty, policy);
                     prop_assert_eq!(&histogram(col.get_values(rows).unwrap()), &expect);
                     let vid_counts = col.vid_counts(rows).unwrap();
                     prop_assert!(vid_counts.windows(2).all(|w| w[0].0 < w[1].0));
@@ -1364,6 +1384,10 @@ proptest! {
                     let vids: Vec<u64> = vid_counts.iter().map(|p| p.0).collect();
                     let distinct: Vec<Value> = expect.iter().map(|p| p.0.clone()).collect();
                     prop_assert_eq!(&col.values_by_vid(&vids).unwrap(), &distinct);
+                    // Descending, the first one again at the end.
+                    let unsorted: Vec<u64> = vids.iter().rev().chain(vids.first()).copied().collect();
+                    let values: Vec<Value> = distinct.iter().rev().chain(distinct.first()).cloned().collect();
+                    prop_assert_eq!(&col.values_by_vid(&unsorted).unwrap(), &values, "unsorted identifiers");
                 }
                 // Out-of-range rows and identifiers are errors, not panics.
                 prop_assert!(col.vid_counts(&[0, n_rows as u64]).is_err());

@@ -59,10 +59,12 @@
 //! value's last use, so a value serving one row is never cloned. A single
 //! row is the same code with one identifier a column. Resident columns rank
 //! and fill their table from their in-memory image through the same
-//! buffers: a row's identifier is `data.get(rpos)`, a value a key of the
-//! image's dictionary. A column whose rows are their identifiers (a unique
-//! key stored in key order) has no data vector: phase (a) is a copy of the
-//! rows, in either mode, and its identifiers ascend.
+//! buffers: phase (a) is the one row-list decoder,
+//! [`payg_encoding::chunk::decode_rows`], called once over the image's
+//! words where a paged column calls it once a pinned page, and a value is a
+//! key of the image's dictionary. A column whose rows are their identifiers
+//! (a unique key stored in key order) has no data vector: phase (a) is a
+//! copy of the rows, in either mode, and its identifiers ascend.
 //!
 //! The plan lives in flat buffers — the identifiers (then ranks) of every
 //! column, one `columns × rows` vector; the distinct identifiers, their
@@ -81,7 +83,9 @@ use super::{Column, EncodedRows};
 use crate::dict::{append_piece, Layout};
 use crate::waves::Waves;
 use crate::{CoreError, CoreResult, Value};
+use payg_encoding::chunk::decode_rows;
 use payg_encoding::prefix::OverflowRef;
+use payg_encoding::Packed;
 use payg_storage::{BufferPool, PageKey};
 use std::cell::RefCell;
 
@@ -115,7 +119,7 @@ pub(crate) enum Source<'a> {
 }
 
 impl<'a> Source<'a> {
-    fn of(column: &'a Column) -> Self {
+    pub(crate) fn of(column: &'a Column) -> Self {
         match column {
             Column::Resident(c) => Source::Resident(c),
             Column::Paged(c) => Source::Paged(c.parts()),
@@ -519,42 +523,36 @@ impl Scratch {
         ranks.start(m, rposs, distinct);
         table.clear();
         table.reserve(distinct);
-        // Resident columns: both halves over the image, one column at a time.
-        for j in 0..m {
-            let Source::Resident(c) = source(j) else {
-                continue;
-            };
-            let image = c.image()?;
-            let Ranks { sorted, vids, n, .. } = ranks;
-            for (vid, &rpos) in vids[j * *n..][..*n].iter_mut().zip(sorted.iter()) {
-                *vid = c.vid_at(&image, rpos)?;
-            }
-            ranks.rank(j, ranked);
-            let mut keys = image.dict().keys(&mut plan.raw);
-            for &vid in ranks.distinct(j) {
-                table.push(c.value_of(&mut keys, vid)?);
-            }
-        }
-        // Paged columns, pool by pool: a batched pin addresses one pool, and
-        // columns of a fragment share theirs.
+        // Resident columns one at a time, paged columns pool by pool: a
+        // batched pin addresses one pool, and columns of a fragment share
+        // theirs. Only the dictionary half differs between the two.
         for lead in 0..m {
-            let Source::Paged(first) = source(lead) else {
-                continue;
-            };
-            let pool = &first.pool;
-            let part = |j: usize| match source(j) {
-                Source::Paged(c) if c.pool.same_pool(pool) => Some(c),
+            let part = |j: usize| match (source(lead), source(j)) {
+                (Source::Resident(_), column) if j == lead => Some(column),
+                (Source::Paged(first), column @ Source::Paged(c)) if c.pool.same_pool(&first.pool) => Some(column),
                 _ => None,
             };
             if (0..lead).any(|j| part(j).is_some()) {
                 continue; // resolved with an earlier column of its pool
             }
-            decode_vids(pool, m, &part, &ranks.sorted, &mut ranks.vids, plan)?;
+            decode_vids(m, &part, &ranks.sorted, &mut ranks.vids, plan)?;
             for j in (0..m).filter(|&j| part(j).is_some()) {
                 ranks.rank(j, ranked);
             }
-            let ranks = &*ranks;
-            values_by_vid_paged(pool, m, &part, |j| ranks.distinct(j), plan, table)?;
+            match source(lead) {
+                Source::Resident(c) => {
+                    let image = c.image()?;
+                    let mut keys = image.dict().keys(&mut plan.raw);
+                    for &vid in ranks.distinct(lead) {
+                        table.push(c.value_of(&mut keys, vid)?);
+                    }
+                }
+                Source::Paged(first) => {
+                    let ranks = &*ranks;
+                    let part = |j: usize| part(j).map(Source::parts);
+                    values_by_vid_paged(&first.pool, m, &part, |j| ranks.distinct(j), plan, table)?;
+                }
+            }
         }
         debug_assert_eq!(table.len(), ranks.distinct.len(), "a value per distinct identifier");
         Ok(())
@@ -710,94 +708,100 @@ fn invert(order: &mut [u32]) {
     }
 }
 
-/// [`ColumnRead::vid_counts`] of the column `c`: the identifiers `fill`
-/// writes — one at each of the ascending rows it is handed, the rows of
-/// `rposs` — counted, unranked (see [`rank`]), into `(identifier, count)`
-/// pairs, ascending by identifier.
-pub(crate) fn vid_counts(
-    c: &ColumnParts,
-    rposs: &[u64],
-    fill: impl FnOnce(&[u64], &mut [u64], &mut Plan) -> CoreResult<()>,
-) -> CoreResult<Vec<(u64, u64)>> {
+/// [`ColumnRead::vid_counts`] of one column: phase (a), then the counting
+/// pass, unranked (see [`rank`]), into `(identifier, count)` pairs,
+/// ascending by identifier.
+pub(crate) fn vid_counts(column: Source<'_>, rposs: &[u64]) -> CoreResult<Vec<(u64, u64)>> {
     if rposs.is_empty() {
         return Ok(Vec::new());
     }
     with_scratch(|Scratch { plan, ranks, .. }| {
-        ranks.start(1, rposs, c.cardinality.min(rposs.len() as u64) as usize);
-        fill(&ranks.sorted, &mut ranks.vids, plan)?;
+        ranks.start(1, rposs, column.parts().cardinality.min(rposs.len() as u64) as usize);
+        decode_vids(1, &|_| Some(column), &ranks.sorted, &mut ranks.vids, plan)?;
         ranks.rank(0, false);
         Ok(ranks.distinct.iter().zip(&ranks.uses).map(|(&vid, &n)| (vid, u64::from(n))).collect())
     })
 }
 
-/// Phase (a): data-vector pages → the identifier at every row of `sorted`
-/// (ascending, non-empty) for each of the `m` columns `part` names: column
-/// `j`'s identifiers go to `vids[j * n..][..n]` for the `n` rows. A column
-/// whose rows are their identifiers pins nothing: the rows are copied.
-/// Width-0 vectors have no pages; their identifiers stay 0.
-fn decode_vids<'a>(
-    pool: &BufferPool,
-    m: usize,
-    part: &impl Fn(usize) -> Option<&'a ColumnParts>,
-    sorted: &[u64],
-    vids: &mut [u64],
-    plan: &mut Plan,
-) -> CoreResult<()> {
-    let n = sorted.len();
-    let Plan { tasks, waves, .. } = plan;
-    tasks.clear();
-    for j in 0..m {
-        let Some(c) = part(j) else { continue };
-        if sorted[n - 1] >= c.len {
-            return Err(CoreError::RowOutOfBounds { rpos: sorted[n - 1], len: c.len });
-        }
-        match &c.rows {
-            StoredRows::Identity { .. } => vids[j * n..][..n].copy_from_slice(sorted),
-            StoredRows::Plain { data, .. } => {
-                let rows_per_page = data.rows_per_page();
-                if rows_per_page > 0 {
-                    plan_pages(tasks, j, n, |lo| {
-                        let (page, first, hi) = page_of_run(sorted, lo, rows_per_page);
-                        (data.page_key(page), first, hi)
-                    });
-                }
-            }
-        }
-    }
-    waves.for_each_page(
-        pool,
-        tasks,
-        |t| t.key,
-        |t, page| {
-            if let Some(StoredRows::Plain { data, .. }) = part(t.col).map(|c| &c.rows) {
-                let out = &mut vids[t.col * n..][t.lo..t.hi];
-                data.decode_on_page(page, t.first, &sorted[t.lo..t.hi], out);
-            }
-            Ok(())
-        },
-    )
-}
-
-/// [`ColumnRead::vid_counts`] of a paged column: phase (a), then the
-/// counting pass.
-pub(crate) fn vid_counts_paged(c: &ColumnParts, rposs: &[u64]) -> CoreResult<Vec<(u64, u64)>> {
-    vid_counts(c, rposs, |sorted, vids, plan| decode_vids(&c.pool, 1, &|_| Some(c), sorted, vids, plan))
-}
-
-/// [`Column::encoded_rows`] of a paged column: phase (a) in waves, back in
-/// the caller's row order, over the dictionary read in key order straight
-/// from the store (`rposs` is not empty).
-pub(crate) fn encoded_rows_paged(c: &ColumnParts, rposs: &[u64]) -> CoreResult<EncodedRows> {
+/// [`Column::encoded_rows`] of one column (`rposs` not empty): phase (a),
+/// back in the caller's row order, over the whole dictionary — a resident
+/// column's image, or a paged one's chain read in key order straight from
+/// the store.
+pub(crate) fn encoded_rows(column: Source<'_>, rposs: &[u64]) -> CoreResult<EncodedRows> {
     let vids = with_scratch(|Scratch { plan, ranks, .. }| {
         ascending(rposs, &mut ranks.sorted, &mut ranks.order);
         let mut vids = vec![0; rposs.len()];
-        decode_vids(&c.pool, 1, &|_| Some(c), &ranks.sorted, &mut vids, plan)?;
+        decode_vids(1, &|_| Some(column), &ranks.sorted, &mut vids, plan)?;
         if ranks.order.is_empty() {
             return Ok(vids);
         }
         CoreResult::Ok(ranks.order.iter().map(|&k| vids[k as usize]).collect())
     })?;
-    EncodedRows::new(c.dict.materialize_all_direct()?, vids)
+    let dict = match column {
+        Source::Resident(c) => c.image()?.dict().to_in_memory()?,
+        Source::Paged(c) => c.dict.materialize_all_direct()?,
+    };
+    EncodedRows::new(dict, vids)
+}
+
+/// Phase (a): the identifier at every row of `sorted` (ascending, not
+/// empty) for each of the `m` columns `part` names — resident ones, or
+/// paged ones of one pool — column `j`'s to `vids[j * n..][..n]` for the
+/// `n` rows. One bounds check of the greatest row a column. A column whose
+/// rows are their identifiers copies the rows; a resident column decodes
+/// them in one [`decode_rows`] over its image; a paged column's pages are
+/// pinned in waves, one [`decode_rows`] a page. A width-0 column has no
+/// pages: its identifiers are all 0.
+fn decode_vids<'a>(
+    m: usize,
+    part: &impl Fn(usize) -> Option<Source<'a>>,
+    sorted: &[u64],
+    vids: &mut [u64],
+    plan: &mut Plan,
+) -> CoreResult<()> {
+    let (n, last) = (sorted.len(), sorted[sorted.len() - 1]);
+    let Plan { tasks, waves, .. } = plan;
+    tasks.clear();
+    let mut pool = None;
+    for j in 0..m {
+        let Some(column) = part(j) else { continue };
+        let len = column.parts().len;
+        if last >= len {
+            return Err(CoreError::RowOutOfBounds { rpos: last, len });
+        }
+        let out = &mut vids[j * n..][..n];
+        match column {
+            Source::Resident(c) => match c.image()?.data() {
+                Some(data) => decode_rows(Packed::Words(data.words()), data.width(), 0, sorted, out),
+                None => out.copy_from_slice(sorted),
+            },
+            Source::Paged(c) => match &c.rows {
+                StoredRows::Identity { .. } => out.copy_from_slice(sorted),
+                StoredRows::Plain { data, .. } if data.rows_per_page() == 0 => out.fill(0),
+                StoredRows::Plain { data, .. } => {
+                    let rows_per_page = data.rows_per_page();
+                    plan_pages(tasks, j, n, |lo| {
+                        let (page, first, hi) = page_of_run(sorted, lo, rows_per_page);
+                        (data.page_key(page), first, hi)
+                    });
+                    pool = Some(&c.pool);
+                }
+            },
+        }
+    }
+    let Some(pool) = pool else { return Ok(()) };
+    waves.for_each_page(
+        pool,
+        tasks,
+        |t| t.key,
+        |t, page| {
+            if let Some(Source::Paged(ColumnParts { rows: StoredRows::Plain { data, .. }, .. })) = part(t.col) {
+                let out = &mut vids[t.col * n..][t.lo..t.hi];
+                decode_rows(Packed::Bytes(page), data.width(), t.first, &sorted[t.lo..t.hi], out);
+            }
+            Ok(())
+        },
+    )
 }
 
 /// [`ColumnRead::values_by_vid`] of a paged column: phases (b) and (c) of

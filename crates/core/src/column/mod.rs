@@ -104,10 +104,7 @@ impl Column {
         if rposs.is_empty() {
             return Ok(EncodedRows::default());
         }
-        match self {
-            Column::Resident(c) => c.encoded_rows(rposs),
-            Column::Paged(c) => materialize::encoded_rows_paged(c.parts(), rposs),
-        }
+        materialize::encoded_rows(materialize::Source::of(self), rposs)
     }
 
     /// The codec of the dictionary's persisted chain. Both load

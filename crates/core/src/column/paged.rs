@@ -265,7 +265,7 @@ impl ColumnRead for PagedColumn {
     }
 
     fn vid_counts(&self, rposs: &[u64]) -> CoreResult<Vec<(u64, u64)>> {
-        super::materialize::vid_counts_paged(&self.parts, rposs)
+        super::materialize::vid_counts(Source::Paged(&self.parts), rposs)
     }
 
     fn values_by_vid(&self, vids: &[u64]) -> CoreResult<Vec<Value>> {

@@ -3,7 +3,6 @@
 use crate::column::materialize::{fold_value_counts, get_values, vid_counts, Source};
 use crate::column::paged::{identity_count, identity_rows, ColumnParts, StoredRows};
 use crate::column::read::ColumnRead;
-use crate::column::EncodedRows;
 use crate::dict::{BlockDict, BlockKeys};
 use crate::invidx::{for_each_run, InMemoryInvertedIndex};
 use crate::sync::{LockRank, Mutex};
@@ -34,6 +33,14 @@ impl Image {
     /// The dictionary, as the chain's value blocks.
     pub(crate) fn dict(&self) -> &BlockDict {
         &self.dict
+    }
+
+    /// The packed data vector; `None` when row `i` holds identifier `i`.
+    pub(crate) fn data(&self) -> Option<&BitPackedVec> {
+        match &self.rows {
+            ImageRows::Identity => None,
+            ImageRows::Plain { data, .. } => Some(data),
+        }
     }
 
     fn heap_bytes(&self) -> usize {
@@ -156,24 +163,6 @@ impl ResidentColumn {
         self.load_count.get()
     }
 
-    /// [`crate::Column::encoded_rows`] over the image: its dictionary,
-    /// decoded once, and the identifier at every row of `rposs`.
-    pub(crate) fn encoded_rows(&self, rposs: &[u64]) -> CoreResult<EncodedRows> {
-        let image = self.image()?;
-        EncodedRows::new(image.dict.to_in_memory()?, self.vids_at(&image, rposs)?)
-    }
-
-    /// The identifier at row `rpos` of the image.
-    pub(crate) fn vid_at(&self, image: &Image, rpos: u64) -> CoreResult<u64> {
-        if rpos >= self.parts.len {
-            return Err(CoreError::RowOutOfBounds { rpos, len: self.parts.len });
-        }
-        Ok(match &image.rows {
-            ImageRows::Identity => rpos,
-            ImageRows::Plain { data, .. } => data.get(rpos),
-        })
-    }
-
     /// The value identifier `vid` encodes, decoded by `keys`, a reader of
     /// the image's dictionary: ascending identifiers walk each block once.
     pub(crate) fn value_of(&self, keys: &mut BlockKeys<'_>, vid: u64) -> CoreResult<Value> {
@@ -181,11 +170,6 @@ impl ResidentColumn {
             return Err(CoreError::VidOutOfBounds { vid, cardinality: self.parts.cardinality });
         }
         Value::from_key(self.parts.data_type, keys.key(vid)?)
-    }
-
-    /// The identifier at every row of `rposs`, in that order.
-    fn vids_at(&self, image: &Image, rposs: &[u64]) -> CoreResult<Vec<u64>> {
-        rposs.iter().map(|&rpos| self.vid_at(image, rpos)).collect()
     }
 
     fn vid_set_from_image(&self, image: &Image, pred: &KeyPredicate) -> CoreResult<VidSet> {
@@ -250,13 +234,7 @@ impl ColumnRead for ResidentColumn {
     }
 
     fn vid_counts(&self, rposs: &[u64]) -> CoreResult<Vec<(u64, u64)>> {
-        let image = self.image()?;
-        vid_counts(&self.parts, rposs, |sorted, vids, _| {
-            for (vid, &rpos) in vids.iter_mut().zip(sorted) {
-                *vid = self.vid_at(&image, rpos)?;
-            }
-            Ok(())
-        })
+        vid_counts(Source::Resident(self), rposs)
     }
 
     fn values_by_vid(&self, vids: &[u64]) -> CoreResult<Vec<Value>> {

@@ -7,7 +7,8 @@
 //! row position to a logical page number is pure arithmetic. That mapping is
 //! what lets a scan load *only* the pages overlapping a requested row range
 //! (§3.1.2), and a point or list decode only the pages holding its rows
-//! ([`PagedDataVector::decode_on_page`], phase (a) of late materialization).
+//! (phase (a) of late materialization, one [`chunk::decode_rows`] a pinned
+//! page).
 
 use crate::waves::{Waves, WAVE_PAGES};
 use crate::{CoreError, CoreResult, PageConfig};
@@ -129,15 +130,6 @@ impl PagedDataVector {
         self.meta.chain.chain.0
     }
 
-    /// The logical page number holding `rpos` (`None` at width 0, where no
-    /// pages exist).
-    pub fn page_of(&self, rpos: u64) -> Option<u64> {
-        if self.meta.chunks_per_page == 0 {
-            return None;
-        }
-        Some(chunk::chunk_of(rpos) / self.meta.chunks_per_page)
-    }
-
     /// Rows covered by one full page (0 at width 0, where no pages exist).
     pub fn rows_per_page(&self) -> u64 {
         self.meta.chunks_per_page * CHUNK_LEN as u64
@@ -252,57 +244,6 @@ impl PagedDataVector {
         Ok(BitPackedVec::from_words(self.meta.width, self.meta.len, words)?)
     }
 
-    /// Batch decode against one pinned page: writes the identifier at
-    /// every position of `rows` — ascending, all on the logical page whose
-    /// bytes are `page` and whose first row is `first` — into `out` (same
-    /// length). A whole chunk of consecutive rows (§3.1.3's `mget`) is
-    /// unpacked straight into `out`; a chunk holding at least
-    /// [`dense_chunk`] of the rows — every other row, all but a few, each
-    /// row twice — is unpacked once into a buffer and its rows read from
-    /// there; any other row decodes just its slot, from the one or two
-    /// words holding it. This is the data-vector step of phased late
-    /// materialization ([`crate::column::materialize`]): the caller plans
-    /// which pages the rows touch, pins them as a batch, and decodes from
-    /// the returned guards. Width-0 vectors have no pages and never get here.
-    pub(crate) fn decode_on_page(&self, page: &[u8], first: u64, rows: &[u64], out: &mut [u64]) {
-        debug_assert_eq!(rows.len(), out.len());
-        debug_assert_eq!(first % CHUNK_LEN as u64, 0, "a page starts on a chunk");
-        let width = self.meta.width;
-        let n = width.bits() as usize;
-        let per_chunk = bytes_per_chunk(width);
-        let dense = dense_chunk(width);
-        // Word and value buffers of a whole-chunk unpack, set up by the
-        // first chunk unpacked.
-        let mut buffers: Option<([u64; 64], [u64; CHUNK_LEN])> = None;
-        let mut k = 0;
-        while k < rows.len() {
-            let at = rows[k] - first;
-            let bytes = &page[(at / CHUNK_LEN as u64) as usize * per_chunk..][..per_chunk];
-            let slot = (at % CHUNK_LEN as u64) as usize;
-            let end = rows[k] - slot as u64 + CHUNK_LEN as u64;
-            if rows.get(k + dense - 1).is_some_and(|&row| row < end) {
-                let (words, decoded) = buffers.get_or_insert(([0; 64], [0; CHUNK_LEN]));
-                payg_encoding::unaligned::fill_le_words(bytes, &mut words[..n]);
-                if slot == 0 && rows[k..].first_chunk().is_some_and(consecutive) {
-                    if let Some(dst) = out[k..].first_chunk_mut() {
-                        chunk::decode_chunk(&words[..n], width, dst);
-                        k += CHUNK_LEN;
-                        continue;
-                    }
-                }
-                let run = dense + rows[k + dense..].iter().take_while(|&&row| row < end).count();
-                chunk::decode_chunk(&words[..n], width, decoded);
-                for (id, &row) in out[k..k + run].iter_mut().zip(&rows[k..k + run]) {
-                    *id = decoded[chunk::slot_of(row)];
-                }
-                k += run;
-                continue;
-            }
-            out[k] = chunk::decode_slot_bytes(bytes, width, slot);
-            k += 1;
-        }
-    }
-
     pub(super) fn check_range(&self, from: u64, to: u64) -> CoreResult<()> {
         if from > to || to > self.meta.len {
             return Err(CoreError::RowOutOfBounds { rpos: to, len: self.meta.len });
@@ -320,25 +261,6 @@ impl PagedDataVector {
             tracer.emit_tagged(EventKind::DataScan, self.chain_id(), pruned, chunks, span, matches);
         }
     }
-}
-
-/// Fewest rows of one chunk that [`PagedDataVector::decode_on_page`]
-/// unpacks the chunk whole for: a quarter of it at a power-of-two width,
-/// whose chunks unpack word-parallel, three quarters at any other, whose
-/// chunks unpack a slot at a time (about the cost of decoding each slot on
-/// its own, less the reads of the words holding it).
-fn dense_chunk(width: BitWidth) -> usize {
-    if width.bits().is_power_of_two() {
-        CHUNK_LEN / 4
-    } else {
-        CHUNK_LEN * 3 / 4
-    }
-}
-
-/// True when `rows` are `rows[0], rows[0] + 1, …` — one pass without an
-/// early exit, so it vectorizes.
-fn consecutive(rows: &[u64; CHUNK_LEN]) -> bool {
-    rows.iter().zip(rows[0]..).fold(0, |diff, (&row, want)| diff | (row ^ want)) == 0
 }
 
 /// Scan iterator over a [`PagedDataVector`]: `search` and `count` over row
@@ -540,7 +462,8 @@ mod tests {
             let page = rows[lo] / rpp;
             let hi = lo + rows[lo..].iter().take_while(|&&r| r / rpp == page).count();
             let guard = paged.pool().pin(paged.page_key(page)).unwrap();
-            paged.decode_on_page(&guard, page * rpp, &rows[lo..hi], &mut out[lo..hi]);
+            let page_rows = &rows[lo..hi];
+            chunk::decode_rows(Packed::Bytes(&guard), paged.width(), page * rpp, page_rows, &mut out[lo..hi]);
             lo = hi;
         }
         out
@@ -557,7 +480,7 @@ mod tests {
     }
 
     #[test]
-    fn decode_on_page_matches_packed_across_pages() {
+    fn decode_rows_matches_packed_across_pages() {
         let values = sample(3000, 1000, 1);
         let (_pool, paged, packed) = build(&values);
         assert!(paged.pages() > 5, "tiny pages must force a multi-page chain");
@@ -751,12 +674,14 @@ mod tests {
 
     #[test]
     fn page_of_arithmetic() {
-        let values = sample(3000, 256, 8); // 8-bit → 512 bytes/chunk? no: 8 bit = 8 words = 64 B
+        let values = sample(3000, 256, 8); // 8 bits: 8 words, 64 B a chunk
         let (_pool, paged, _) = build(&values);
         // tiny page = 256 B; 8-bit chunks are 64 B → 4 chunks (256 rows) per page.
-        assert_eq!(paged.page_of(0), Some(0));
-        assert_eq!(paged.page_of(255), Some(0));
-        assert_eq!(paged.page_of(256), Some(1));
+        assert_eq!(paged.rows_per_page(), 256);
+        let page = |rpos: u64| rpos / paged.rows_per_page();
+        assert_eq!(page(0), 0);
+        assert_eq!(page(255), 0);
+        assert_eq!(page(256), 1);
         assert_eq!(paged.pages(), 3000u64.div_ceil(256));
     }
 }

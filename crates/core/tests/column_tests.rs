@@ -397,6 +397,50 @@ fn empty_and_single_row_columns() {
     }
 }
 
+/// Every read of values at rows refuses a row at or past the column's end
+/// with `RowOutOfBounds` — the row alone and among valid rows, under both
+/// load policies, on a plain column, a key stored in row order (no data
+/// vector) and a column of one value (width 0, no data-vector page) — and
+/// panics on none; the valid rows alone read the values.
+#[test]
+fn every_value_read_refuses_a_row_past_the_end() {
+    use payg_core::column::materialize;
+    use payg_core::{CoreError, CoreResult};
+    let pool = pool();
+    let n = 100;
+    let shapes = [
+        ("plain", int_values(n)),
+        ("row order", (0..n as i64).map(Value::Integer).collect()),
+        ("one value", vec![Value::Integer(42); n]),
+    ];
+    let n = n as u64;
+    for (shape, values) in &shapes {
+        for policy in [LoadPolicy::FullyResident, LoadPolicy::PageLoadable] {
+            let col = build(&pool, DataType::Integer, values, policy, false);
+            let has_data = col.chains().iter().any(|&(role, _)| role == "data");
+            assert_eq!(has_data, *shape != "row order", "{shape}: stored rows");
+            assert_eq!(col.cardinality() == 1, *shape == "one value", "{shape}: width 0");
+            let valid = [0, 63, 64, n - 1];
+            let want: Vec<Value> = valid.iter().map(|&r| values[r as usize].clone()).collect();
+            assert_eq!(col.get_values(&valid).unwrap(), want, "{shape} {policy:?}");
+            for rows in [vec![n], vec![3, n + 5, 50], vec![n - 1, 0, u64::MAX]] {
+                let what = format!("{shape} {policy:?} rows {rows:?}");
+                fn refused<T>(r: CoreResult<T>) -> bool {
+                    matches!(r, Err(CoreError::RowOutOfBounds { .. }))
+                }
+                assert!(refused(col.get_values(&rows)), "get_values {what}");
+                assert!(refused(col.vid_counts(&rows)), "vid_counts {what}");
+                assert!(refused(col.fold_value_counts(&rows, |_, _| {})), "fold_value_counts {what}");
+                let mut out = vec![Vec::new(); rows.len()];
+                let projected = materialize(std::slice::from_ref(&col), &[0], &rows, &mut out);
+                assert!(refused(projected), "materialize {what}");
+                assert!(out.iter().all(Vec::is_empty), "materialize pushed a value: {what}");
+                assert!(refused(col.encoded_rows(&rows)), "encoded_rows {what}");
+            }
+        }
+    }
+}
+
 /// A [`MemStore`] that counts the read calls reaching it and samples, at
 /// each, how many page guards the pool it serves has live (the pin-leak
 /// detector's count: 0 unless built with `strict-invariants`).

@@ -7,6 +7,8 @@
 //! number of chunks, which is what makes mapping a row position to a logical
 //! page number pure arithmetic.
 
+use crate::kernels::Packed;
+use crate::unaligned::fill_le_words;
 use crate::BitWidth;
 
 /// Number of values per chunk. Fixed by the on-page format.
@@ -141,6 +143,98 @@ fn decode_chunk_generic(words: &[u64], n: usize, out: &mut [u64; CHUNK_LEN]) {
     }
 }
 
+/// Decodes the value at every position of `rows` into `out` (same length):
+/// the data vector's `mget` over a row list (§3.1.3), the one decoder both
+/// forms of a data vector share — a resident vector's words (`first` 0)
+/// and a pinned page's bytes (`first` the page's first row). `rows` ascend
+/// and all lie in `packed`, whose first position is `first`, a chunk
+/// boundary. A whole chunk of consecutive rows is unpacked straight into
+/// `out`; a chunk holding at least [`dense_chunk`] of the rows — every other
+/// row, all but a few, each row twice — is unpacked once into a buffer and
+/// its rows read from there; any other row decodes just its slot, from the
+/// one or two words holding it. Width 0 writes zeroes and reads nothing.
+pub fn decode_rows(packed: Packed<'_>, w: BitWidth, first: u64, rows: &[u64], out: &mut [u64]) {
+    debug_assert_eq!(rows.len(), out.len());
+    debug_assert_eq!(first % CHUNK_LEN as u64, 0, "a run starts on a chunk");
+    let n = w.bits() as usize;
+    match packed {
+        _ if n == 0 => out.fill(0),
+        Packed::Words(words) => {
+            let chunk = |ci: usize| &words[ci * n..][..n];
+            let fill = |ci: usize, buf: &mut [u64]| buf.copy_from_slice(chunk(ci));
+            decode_rows_in(w, first, rows, out, fill, |ci, slot| decode_slot(chunk(ci), w, slot));
+        }
+        Packed::Bytes(bytes) => {
+            let chunk = |ci: usize| &bytes[ci * n * 8..][..n * 8];
+            let fill = |ci: usize, buf: &mut [u64]| fill_le_words(chunk(ci), buf);
+            decode_rows_in(w, first, rows, out, fill, |ci, slot| decode_slot_bytes(chunk(ci), w, slot));
+        }
+    }
+}
+
+/// [`decode_rows`] over one form of a run, compiled once per form: `fill`
+/// reads chunk `ci`'s words into a buffer, `slot(ci, slot)` decodes one
+/// value of it.
+fn decode_rows_in(
+    w: BitWidth,
+    first: u64,
+    rows: &[u64],
+    out: &mut [u64],
+    fill: impl Fn(usize, &mut [u64]),
+    slot: impl Fn(usize, usize) -> u64,
+) {
+    let n = w.bits() as usize;
+    let dense = dense_chunk(w);
+    // Word and value buffers of a whole-chunk unpack, set up by the first
+    // chunk unpacked.
+    let mut buffers: Option<([u64; 64], [u64; CHUNK_LEN])> = None;
+    let mut k = 0;
+    while k < rows.len() {
+        let at = rows[k] - first;
+        let (ci, at_slot) = ((at / CHUNK_LEN as u64) as usize, (at % CHUNK_LEN as u64) as usize);
+        let end = rows[k] - at_slot as u64 + CHUNK_LEN as u64;
+        if rows.get(k + dense - 1).is_some_and(|&row| row < end) {
+            let (words, decoded) = buffers.get_or_insert(([0; 64], [0; CHUNK_LEN]));
+            fill(ci, &mut words[..n]);
+            if at_slot == 0 && rows[k..].first_chunk().is_some_and(consecutive) {
+                if let Some(dst) = out[k..].first_chunk_mut() {
+                    decode_chunk(&words[..n], w, dst);
+                    k += CHUNK_LEN;
+                    continue;
+                }
+            }
+            let run = dense + rows[k + dense..].iter().take_while(|&&row| row < end).count();
+            decode_chunk(&words[..n], w, decoded);
+            for (id, &row) in out[k..k + run].iter_mut().zip(&rows[k..k + run]) {
+                *id = decoded[slot_of(row)];
+            }
+            k += run;
+            continue;
+        }
+        out[k] = slot(ci, at_slot);
+        k += 1;
+    }
+}
+
+/// Fewest rows of one chunk that [`decode_rows`] unpacks the chunk whole
+/// for: a quarter of it at a power-of-two width, whose chunks unpack
+/// word-parallel, three quarters at any other, whose chunks unpack a slot
+/// at a time (about the cost of decoding each slot on its own, less the
+/// reads of the words holding it).
+fn dense_chunk(w: BitWidth) -> usize {
+    if w.bits().is_power_of_two() {
+        CHUNK_LEN / 4
+    } else {
+        CHUNK_LEN * 3 / 4
+    }
+}
+
+/// True when `rows` are `rows[0], rows[0] + 1, …` — one pass without an
+/// early exit, so it vectorizes.
+fn consecutive(rows: &[u64; CHUNK_LEN]) -> bool {
+    rows.iter().zip(rows[0]..).fold(0, |diff, (&row, want)| diff | (row ^ want)) == 0
+}
+
 /// Encodes 64 values into a chunk of `words_per_chunk(w)` words.
 ///
 /// Values must fit in `w` bits; `out` must be zeroed (or will be fully
@@ -228,5 +322,59 @@ mod tests {
         assert_eq!(chunk_count(1), 1);
         assert_eq!(chunk_count(64), 1);
         assert_eq!(chunk_count(65), 2);
+    }
+
+    /// `decode_rows` against `BitPackedVec::get`, row by row, at every
+    /// width 0..=32, over a vector's words and over its bytes (read from an
+    /// odd address), from its first chunk and from a later one (a page
+    /// starting mid-vector). The row lists take each path of the decoder:
+    /// whole consecutive chunks, runs from chunk edges ±1, each chunk's
+    /// first 15, 16, 47 and 48 rows (both whole-chunk thresholds, on either
+    /// side), every row twice, 64 rows of one chunk that are not its 64
+    /// rows (its first twice, its second missing), single and sparse rows.
+    #[test]
+    fn decode_rows_equals_get_at_every_width_in_both_forms() {
+        use crate::{BitPackedVec, Packed};
+        let len = 4 * CHUNK_LEN as u64 + 21;
+        let mut lists: Vec<Vec<u64>> =
+            vec![(0..len).collect(), (64..192).collect(), (0..len).step_by(7).collect()];
+        for from in [63, 64, 65] {
+            for to in [127, 128, 129, 191, 192, 193] {
+                lists.push((from..to).collect());
+            }
+        }
+        for k in [15, 16, 47, 48] {
+            lists.push((0..len).filter(|row| row % 64 < k).collect());
+        }
+        lists.push((0..len).flat_map(|row| [row, row]).collect());
+        lists.push([64, 64].into_iter().chain(66..192).collect());
+        lists.extend([0, 63, 64, len - 1].map(|row| vec![row]));
+        for bits in 0..=32u32 {
+            let w = BitWidth::new(bits).unwrap();
+            let values: Vec<u64> = (0..len)
+                .map(|i| 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(i + 1).rotate_left(i as u32) & w.mask())
+                .collect();
+            let vec = BitPackedVec::from_values_with_width(&values, w);
+            let n = bits as usize;
+            let mut odd = vec![0xA5u8];
+            odd.extend(vec.words().iter().flat_map(|word| word.to_le_bytes()));
+            let bytes = &odd[1..];
+            for chunk in [0, 2] {
+                let first = chunk as u64 * CHUNK_LEN as u64;
+                let forms = [
+                    ("words", Packed::Words(&vec.words()[chunk * n..])),
+                    ("bytes", Packed::Bytes(&bytes[chunk * n * 8..])),
+                ];
+                for (form, packed) in forms {
+                    for (i, list) in lists.iter().enumerate() {
+                        let rows: Vec<u64> = list.iter().copied().filter(|&row| row >= first).collect();
+                        let mut out = vec![u64::MAX; rows.len()];
+                        decode_rows(packed, w, first, &rows, &mut out);
+                        let want: Vec<u64> = rows.iter().map(|&row| vec.get(row)).collect();
+                        assert_eq!(out, want, "{w}, {form} from row {first}, row list {i}");
+                    }
+                }
+            }
+        }
     }
 }

@@ -527,9 +527,10 @@ impl Scratch {
         // batched pin addresses one pool, and columns of a fragment share
         // theirs. Only the dictionary half differs between the two.
         for lead in 0..m {
-            let part = |j: usize| match (source(lead), source(j)) {
+            let first = source(lead);
+            let part = |j: usize| match (first, source(j)) {
                 (Source::Resident(_), column) if j == lead => Some(column),
-                (Source::Paged(first), column @ Source::Paged(c)) if c.pool.same_pool(&first.pool) => Some(column),
+                (Source::Paged(a), column @ Source::Paged(c)) if c.pool.same_pool(&a.pool) => Some(column),
                 _ => None,
             };
             if (0..lead).any(|j| part(j).is_some()) {
@@ -539,7 +540,7 @@ impl Scratch {
             for j in (0..m).filter(|&j| part(j).is_some()) {
                 ranks.rank(j, ranked);
             }
-            match source(lead) {
+            match first {
                 Source::Resident(c) => {
                     let image = c.image()?;
                     let mut keys = image.dict().keys(&mut plan.raw);
@@ -547,10 +548,10 @@ impl Scratch {
                         table.push(c.value_of(&mut keys, vid)?);
                     }
                 }
-                Source::Paged(first) => {
+                Source::Paged(c) => {
                     let ranks = &*ranks;
                     let part = |j: usize| part(j).map(Source::parts);
-                    values_by_vid_paged(&first.pool, m, &part, |j| ranks.distinct(j), plan, table)?;
+                    values_by_vid_paged(&c.pool, m, &part, |j| ranks.distinct(j), plan, table)?;
                 }
             }
         }

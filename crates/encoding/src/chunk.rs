@@ -153,6 +153,7 @@ fn decode_chunk_generic(words: &[u64], n: usize, out: &mut [u64; CHUNK_LEN]) {
 /// row, all but a few, each row twice — is unpacked once into a buffer and
 /// its rows read from there; any other row decodes just its slot, from the
 /// one or two words holding it. Width 0 writes zeroes and reads nothing.
+#[inline]
 pub fn decode_rows(packed: Packed<'_>, w: BitWidth, first: u64, rows: &[u64], out: &mut [u64]) {
     debug_assert_eq!(rows.len(), out.len());
     debug_assert_eq!(first % CHUNK_LEN as u64, 0, "a run starts on a chunk");

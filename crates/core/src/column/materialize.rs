@@ -59,12 +59,11 @@
 //! value's last use, so a value serving one row is never cloned. A single
 //! row is the same code with one identifier a column. Resident columns rank
 //! and fill their table from their in-memory image through the same
-//! buffers: phase (a) is the one row-list decoder,
-//! [`payg_encoding::chunk::decode_rows`], called once over the image's
-//! words where a paged column calls it once a pinned page, and a value is a
-//! key of the image's dictionary. A column whose rows are their identifiers
-//! (a unique key stored in key order) has no data vector: phase (a) is a
-//! copy of the rows, in either mode, and its identifiers ascend.
+//! buffers: phase (a) is one [`payg_encoding::chunk::decode_rows`] over the
+//! image's words (a paged column makes one a pinned page), a value a key of
+//! the image's dictionary. A column whose rows are their identifiers (a
+//! unique key stored in key order) has no data vector: phase (a) is a copy
+//! of the rows, in either mode, and its identifiers ascend.
 //!
 //! The plan lives in flat buffers — the identifiers (then ranks) of every
 //! column, one `columns × rows` vector; the distinct identifiers, their
@@ -78,7 +77,7 @@
 //! there is no other value path.
 
 use super::paged::{ColumnParts, StoredRows};
-use super::resident::ResidentColumn;
+use super::resident::{Image, ResidentColumn};
 use super::{Column, EncodedRows};
 use crate::dict::{append_piece, Layout};
 use crate::waves::Waves;
@@ -523,32 +522,31 @@ impl Scratch {
         ranks.start(m, rposs, distinct);
         table.clear();
         table.reserve(distinct);
-        // Resident columns one at a time, paged columns pool by pool: a
-        // batched pin addresses one pool, and columns of a fragment share
-        // theirs. Only the dictionary half differs between the two.
+        // Resident columns one at a time, paged ones pool by pool: a batched
+        // pin addresses one pool, and columns of a fragment share theirs.
         for lead in 0..m {
             let first = source(lead);
             let part = |j: usize| match (first, source(j)) {
-                (Source::Resident(_), column) if j == lead => Some(column),
                 (Source::Paged(a), column @ Source::Paged(c)) if c.pool.same_pool(&a.pool) => Some(column),
                 _ => None,
             };
-            if (0..lead).any(|j| part(j).is_some()) {
-                continue; // resolved with an earlier column of its pool
-            }
-            decode_vids(m, &part, &ranks.sorted, &mut ranks.vids, plan)?;
-            for j in (0..m).filter(|&j| part(j).is_some()) {
-                ranks.rank(j, ranked);
-            }
             match first {
                 Source::Resident(c) => {
                     let image = c.image()?;
+                    let vids = &mut ranks.vids[lead * rposs.len()..][..rposs.len()];
+                    decode_vids(1, &|_| Some(first), Some(&image), &ranks.sorted, vids, plan)?;
+                    ranks.rank(lead, ranked);
                     let mut keys = image.dict().keys(&mut plan.raw);
                     for &vid in ranks.distinct(lead) {
                         table.push(c.value_of(&mut keys, vid)?);
                     }
                 }
+                Source::Paged(_) if (0..lead).any(|j| part(j).is_some()) => {} // resolved with an earlier column of its pool
                 Source::Paged(c) => {
+                    decode_vids(m, &part, None, &ranks.sorted, &mut ranks.vids, plan)?;
+                    for j in (0..m).filter(|&j| part(j).is_some()) {
+                        ranks.rank(j, ranked);
+                    }
                     let ranks = &*ranks;
                     let part = |j: usize| part(j).map(Source::parts);
                     values_by_vid_paged(&c.pool, m, &part, |j| ranks.distinct(j), plan, table)?;
@@ -718,7 +716,7 @@ pub(crate) fn vid_counts(column: Source<'_>, rposs: &[u64]) -> CoreResult<Vec<(u
     }
     with_scratch(|Scratch { plan, ranks, .. }| {
         ranks.start(1, rposs, column.parts().cardinality.min(rposs.len() as u64) as usize);
-        decode_vids(1, &|_| Some(column), &ranks.sorted, &mut ranks.vids, plan)?;
+        decode_vids(1, &|_| Some(column), None, &ranks.sorted, &mut ranks.vids, plan)?;
         ranks.rank(0, false);
         Ok(ranks.distinct.iter().zip(&ranks.uses).map(|(&vid, &n)| (vid, u64::from(n))).collect())
     })
@@ -732,7 +730,7 @@ pub(crate) fn encoded_rows(column: Source<'_>, rposs: &[u64]) -> CoreResult<Enco
     let vids = with_scratch(|Scratch { plan, ranks, .. }| {
         ascending(rposs, &mut ranks.sorted, &mut ranks.order);
         let mut vids = vec![0; rposs.len()];
-        decode_vids(1, &|_| Some(column), &ranks.sorted, &mut vids, plan)?;
+        decode_vids(1, &|_| Some(column), None, &ranks.sorted, &mut vids, plan)?;
         if ranks.order.is_empty() {
             return Ok(vids);
         }
@@ -746,16 +744,16 @@ pub(crate) fn encoded_rows(column: Source<'_>, rposs: &[u64]) -> CoreResult<Enco
 }
 
 /// Phase (a): the identifier at every row of `sorted` (ascending, not
-/// empty) for each of the `m` columns `part` names — resident ones, or
-/// paged ones of one pool — column `j`'s to `vids[j * n..][..n]` for the
-/// `n` rows. One bounds check of the greatest row a column. A column whose
-/// rows are their identifiers copies the rows; a resident column decodes
-/// them in one [`decode_rows`] over its image; a paged column's pages are
-/// pinned in waves, one [`decode_rows`] a page. A width-0 column has no
-/// pages: its identifiers are all 0.
+/// empty) for each of the `m` columns `part` names (paged ones share a
+/// pool), column `j`'s to `vids[j * n..][..n]`, after one bounds check of
+/// the greatest row. A resident column decodes its image (`image`, if the
+/// caller holds it) in one [`decode_rows`]; a paged column pins its pages in
+/// waves, one [`decode_rows`] a page, and copies its rows where they are
+/// its identifiers. A width-0 column has no pages: its identifiers are 0.
 fn decode_vids<'a>(
     m: usize,
     part: &impl Fn(usize) -> Option<Source<'a>>,
+    image: Option<&Image>,
     sorted: &[u64],
     vids: &mut [u64],
     plan: &mut Plan,
@@ -772,17 +770,16 @@ fn decode_vids<'a>(
         }
         let out = &mut vids[j * n..][..n];
         match column {
-            Source::Resident(c) => match c.image()?.data() {
-                Some(data) => decode_rows(Packed::Words(data.words()), data.width(), 0, sorted, out),
-                None => out.copy_from_slice(sorted),
+            Source::Resident(c) => match image {
+                Some(image) => image.decode_rows(sorted, out),
+                None => c.image()?.decode_rows(sorted, out),
             },
             Source::Paged(c) => match &c.rows {
                 StoredRows::Identity { .. } => out.copy_from_slice(sorted),
                 StoredRows::Plain { data, .. } if data.rows_per_page() == 0 => out.fill(0),
                 StoredRows::Plain { data, .. } => {
-                    let rows_per_page = data.rows_per_page();
                     plan_pages(tasks, j, n, |lo| {
-                        let (page, first, hi) = page_of_run(sorted, lo, rows_per_page);
+                        let (page, first, hi) = page_of_run(sorted, lo, data.rows_per_page());
                         (data.page_key(page), first, hi)
                     });
                     pool = Some(&c.pool);

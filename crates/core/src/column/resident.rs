@@ -7,8 +7,9 @@ use crate::dict::{BlockDict, BlockKeys};
 use crate::invidx::{for_each_run, InMemoryInvertedIndex};
 use crate::sync::{LockRank, Mutex};
 use crate::{CoreError, CoreResult, DataType, KeyPredicate, Value, ValuePredicate};
+use payg_encoding::chunk::decode_rows;
 use payg_encoding::scan;
-use payg_encoding::{BitPackedVec, VidSet};
+use payg_encoding::{BitPackedVec, Packed, VidSet};
 use payg_obs::{names, Counter};
 use payg_resman::{Disposition, ResourceHandle};
 use std::sync::Arc;
@@ -35,11 +36,13 @@ impl Image {
         &self.dict
     }
 
-    /// The packed data vector; `None` when row `i` holds identifier `i`.
-    pub(crate) fn data(&self) -> Option<&BitPackedVec> {
+    /// Phase (a) over the image: the identifier at every row of `sorted`
+    /// (ascending, in bounds) into `out` — one [`decode_rows`] over the
+    /// packed words, or a copy of the rows where row `i` holds identifier `i`.
+    pub(crate) fn decode_rows(&self, sorted: &[u64], out: &mut [u64]) {
         match &self.rows {
-            ImageRows::Identity => None,
-            ImageRows::Plain { data, .. } => Some(data),
+            ImageRows::Identity => out.copy_from_slice(sorted),
+            ImageRows::Plain { data, .. } => decode_rows(Packed::Words(data.words()), data.width(), 0, sorted, out),
         }
     }
 

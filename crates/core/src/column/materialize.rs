@@ -525,31 +525,32 @@ impl Scratch {
         // Resident columns one at a time, paged ones pool by pool: a batched
         // pin addresses one pool, and columns of a fragment share theirs.
         for lead in 0..m {
-            let first = source(lead);
-            let part = |j: usize| match (first, source(j)) {
-                (Source::Paged(a), column @ Source::Paged(c)) if c.pool.same_pool(&a.pool) => Some(column),
-                _ => None,
-            };
-            match first {
+            match source(lead) {
                 Source::Resident(c) => {
                     let image = c.image()?;
                     let vids = &mut ranks.vids[lead * rposs.len()..][..rposs.len()];
-                    decode_vids(1, &|_| Some(first), Some(&image), &ranks.sorted, vids, plan)?;
+                    decode_vids(1, &|_| Some(Source::Resident(c)), Some(&image), &ranks.sorted, vids, plan)?;
                     ranks.rank(lead, ranked);
                     let mut keys = image.dict().keys(&mut plan.raw);
                     for &vid in ranks.distinct(lead) {
                         table.push(c.value_of(&mut keys, vid)?);
                     }
                 }
-                Source::Paged(_) if (0..lead).any(|j| part(j).is_some()) => {} // resolved with an earlier column of its pool
-                Source::Paged(c) => {
-                    decode_vids(m, &part, None, &ranks.sorted, &mut ranks.vids, plan)?;
+                Source::Paged(first) => {
+                    let part = |j: usize| match source(j) {
+                        Source::Paged(c) if c.pool.same_pool(&first.pool) => Some(c),
+                        _ => None,
+                    };
+                    if (0..lead).any(|j| part(j).is_some()) {
+                        continue; // resolved with an earlier column of its pool
+                    }
+                    let paged = |j: usize| part(j).map(Source::Paged);
+                    decode_vids(m, &paged, None, &ranks.sorted, &mut ranks.vids, plan)?;
                     for j in (0..m).filter(|&j| part(j).is_some()) {
                         ranks.rank(j, ranked);
                     }
                     let ranks = &*ranks;
-                    let part = |j: usize| part(j).map(Source::parts);
-                    values_by_vid_paged(&c.pool, m, &part, |j| ranks.distinct(j), plan, table)?;
+                    values_by_vid_paged(&first.pool, m, &part, |j| ranks.distinct(j), plan, table)?;
                 }
             }
         }

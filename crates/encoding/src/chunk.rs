@@ -149,9 +149,9 @@ fn decode_chunk_generic(words: &[u64], n: usize, out: &mut [u64; CHUNK_LEN]) {
 /// and a pinned page's bytes (`first` the page's first row). `rows` ascend
 /// and all lie in `packed`, whose first position is `first`, a chunk
 /// boundary. A whole chunk of consecutive rows is unpacked straight into
-/// `out`; a chunk holding at least [`dense_chunk`] of the rows — every other
-/// row, all but a few, each row twice — is unpacked once into a buffer and
-/// its rows read from there; any other row decodes just its slot, from the
+/// `out`; a chunk holding at least `dense_chunk(w)` of the rows — every
+/// other row, all but a few, each row twice — is unpacked once into a buffer
+/// and its rows read from there; any other row decodes just its slot, from the
 /// one or two words holding it. Width 0 writes zeroes and reads nothing.
 #[inline]
 pub fn decode_rows(packed: Packed<'_>, w: BitWidth, first: u64, rows: &[u64], out: &mut [u64]) {

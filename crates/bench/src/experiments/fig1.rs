@@ -13,8 +13,9 @@ use payg_encoding::scan::search_bitmap;
 use payg_encoding::{BitPackedVec, BitWidth, VidSet};
 use std::time::Instant;
 
-/// Widths plotted in the figure.
-pub const WIDTHS: [u32; 10] = [1, 2, 4, 6, 8, 12, 16, 20, 24, 32];
+/// Widths plotted in the figure: the paper's, plus 3, 5, 7 and 13, where
+/// a chunk's values straddle words.
+pub const WIDTHS: [u32; 14] = [1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 16, 20, 24, 32];
 
 /// One measured width.
 #[derive(Debug, Clone, Copy)]
@@ -102,7 +103,9 @@ pub fn run(cfg: &BenchConfig) -> ExperimentReport {
     // divides 64 wastes no window bits and needs no shift, so 8 bits scans
     // cheaper per symbol than 6.
     // The paper's growth with n holds within each geometry, where cost
-    // tracks bytes per symbol. `mget` still decodes, as in the paper.
+    // tracks bytes per symbol. `mget` still decodes, as in the paper: on a
+    // VBMI host through the same lane gather, widened and stored, at every
+    // width the tier serves.
     report.line(
         "note: search never decodes; its growth with n is checked within the \
          non-dividing (6/12/20/24) and the word-aligned (2..32) widths",

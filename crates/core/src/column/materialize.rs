@@ -45,10 +45,11 @@
 //!
 //! * **rows → identifiers** (phase (a) and the ranking), reduced either to
 //!   *(identifier, count)* pairs ascending ([`ColumnRead::vid_counts`] —
-//!   all an aggregate needs: `SUM` is Σ value × count, folded pair by pair
-//!   off these buffers by [`ColumnRead::fold_value_counts`], `MIN` / `MAX`
-//!   are the first / last identifier because the dictionary preserves
-//!   order) or to ranks (for a projection);
+//!   all an aggregate needs: `SUM` is Σ key × count, added by
+//!   [`ColumnRead::sum`] straight off the dictionary's pages or image into
+//!   a typed number, with no values table; `MIN` / `MAX` are the first /
+//!   last identifier because the dictionary preserves order) or to ranks
+//!   (for a projection);
 //! * **sorted distinct identifiers → values** (phases (b) and (c),
 //!   [`ColumnRead::values_by_vid`]) — every distinct value is decoded once,
 //!   into a **values table** the size of the column's distinct identifiers.
@@ -79,13 +80,13 @@
 use super::paged::{ColumnParts, StoredRows};
 use super::resident::{Image, ResidentColumn};
 use super::{Column, EncodedRows};
-use crate::dict::{append_piece, Layout};
+use crate::dict::{append_piece, Layout, Values};
 use crate::waves::Waves;
-use crate::{CoreError, CoreResult, Value};
+use crate::{CoreError, CoreResult, Sum, Value};
 use payg_encoding::chunk::decode_rows;
 use payg_encoding::prefix::OverflowRef;
 use payg_encoding::Packed;
-use payg_storage::{BufferPool, PageKey};
+use payg_storage::{BufferPool, PageKey, StorageError};
 use std::cell::RefCell;
 
 /// Materializes the values of the columns `which` — indices into `columns`,
@@ -176,24 +177,38 @@ pub(crate) fn get_values(column: Source<'_>, rposs: &[u64]) -> CoreResult<Vec<Va
     Ok(out)
 }
 
-/// [`ColumnRead::fold_value_counts`] of one column: its identifiers at
-/// `rposs` counted, unranked, and the values table filled from the
-/// distinct ones, then each value handed to `f` with its count.
-pub(crate) fn fold_value_counts(
-    column: Source<'_>,
-    rposs: &[u64],
-    mut f: impl FnMut(Value, u64),
-) -> CoreResult<()> {
+/// [`ColumnRead::sum`] of one column: its identifiers at `rposs` counted,
+/// unranked, then each distinct one's key times its count added to `sum`
+/// straight off the dictionary — a paged column's array pages in phase
+/// (c)'s loop, a resident column's image key by key — with no values table.
+pub(crate) fn sum(column: Source<'_>, rposs: &[u64], sum: &mut Sum) -> CoreResult<()> {
+    let parts = column.parts();
+    if sum.data_type() != parts.data_type {
+        return Err(CoreError::TypeMismatch { expected: parts.data_type, got: sum.data_type() });
+    }
     if rposs.is_empty() {
         return Ok(());
     }
-    with_scratch(|scratch| {
-        scratch.resolve(1, |_| column, rposs, false)?;
-        let Scratch { ranks, table, .. } = scratch;
-        for (value, &n) in table.drain(..).zip(&ranks.uses) {
-            f(value, u64::from(n));
+    with_scratch(|Scratch { plan, ranks, .. }| {
+        ranks.start(1, rposs, parts.cardinality.min(rposs.len() as u64) as usize);
+        match column {
+            Source::Resident(c) => {
+                let image = c.image()?;
+                decode_vids(1, &|_| Some(column), Some(&image), &ranks.sorted, &mut ranks.vids, plan)?;
+                ranks.rank(0, false);
+                let mut keys = image.dict().keys(&mut plan.raw);
+                for (&vid, &n) in ranks.distinct.iter().zip(&ranks.uses) {
+                    sum.add_key(c.key_of(&mut keys, vid)?, u64::from(n))?;
+                }
+                Ok(())
+            }
+            Source::Paged(c) => {
+                decode_vids(1, &|_| Some(column), None, &ranks.sorted, &mut ranks.vids, plan)?;
+                ranks.rank(0, false);
+                let Ranks { distinct, uses, .. } = &*ranks;
+                values_by_vid_paged(&c.pool, 1, &|_| Some(c), |_| distinct, plan, Values::Sum { uses, sum })
+            }
         }
-        Ok(())
     })
 }
 
@@ -550,7 +565,7 @@ impl Scratch {
                         ranks.rank(j, ranked);
                     }
                     let ranks = &*ranks;
-                    values_by_vid_paged(&first.pool, m, &part, |j| ranks.distinct(j), plan, table)?;
+                    values_by_vid_paged(&first.pool, m, &part, |j| ranks.distinct(j), plan, Values::Table(table))?;
                 }
             }
         }
@@ -816,7 +831,7 @@ pub(crate) fn values_of_paged(c: &ColumnParts, vids: &[u64]) -> CoreResult<Vec<V
         return Ok(vids.iter().map(|vid| values[sorted.partition_point(|d| d < vid)].clone()).collect());
     }
     let mut out = Vec::with_capacity(vids.len());
-    with_scratch(|s| values_by_vid_paged(&c.pool, 1, &|_| Some(c), |_| vids, &mut s.plan, &mut out))?;
+    with_scratch(|s| values_by_vid_paged(&c.pool, 1, &|_| Some(c), |_| vids, &mut s.plan, Values::Table(&mut out)))?;
     Ok(out)
 }
 
@@ -840,15 +855,17 @@ struct Piece {
 
 /// Phases (b) and (c): the values of each of the `m` columns `part` names
 /// at its `distinct` identifiers — ascending and duplicate-free, which is
-/// helper-page and dictionary-page order — appended to `table`, column by
-/// column in identifier order. Each value is decoded once.
+/// helper-page and dictionary-page order — handed to `values`, column by
+/// column in identifier order: appended to the values table, or added to
+/// a one-column sum straight off its array pages. Each value is decoded
+/// once.
 pub(crate) fn values_by_vid_paged<'a, 'd>(
     pool: &BufferPool,
     m: usize,
     part: &impl Fn(usize) -> Option<&'a ColumnParts>,
     distinct: impl Fn(usize) -> &'d [u64],
     plan: &mut Plan,
-    table: &mut Vec<Value>,
+    mut values: Values<'_>,
 ) -> CoreResult<()> {
     for j in 0..m {
         let Some(c) = part(j) else { continue };
@@ -948,9 +965,20 @@ pub(crate) fn values_by_vid_paged<'a, 'd>(
         |t, page| {
             let Some(c) = part(t.col) else { return Ok(()) };
             let vids = &distinct(t.col)[t.lo..t.hi];
-            let b = match c.dict.layout() {
-                Layout::Array(a) => return a.values_on(page, t.first, vids, c.data_type, table),
-                Layout::Blocks(b) => b,
+            let (b, table) = match (c.dict.layout(), &mut values) {
+                (Layout::Array(a), Values::Table(table)) => {
+                    return a.values_on(page, t.first, vids, c.data_type, Values::Table(table))
+                }
+                (Layout::Array(a), Values::Sum { uses, sum }) => {
+                    let sink = Values::Sum { uses: &uses[t.lo..t.hi], sum };
+                    return a.values_on(page, t.first, vids, c.data_type, sink);
+                }
+                (Layout::Blocks(b), Values::Table(table)) => (b, table),
+                (Layout::Blocks(_), Values::Sum { .. }) => {
+                    return Err(CoreError::Storage(StorageError::corrupt(
+                        "a numeric column's dictionary is stored as value blocks",
+                    )))
+                }
             };
             let mut view = b.page_view(page, t.key.page_no, t.first)?;
             for &vid in vids {
@@ -981,7 +1009,7 @@ pub(crate) fn values_by_vid_paged<'a, 'd>(
     pieces.clear();
     for l in large.drain(..) {
         let Some(c) = part(l.col) else { continue };
-        if let Layout::Blocks(b) = c.dict.layout() {
+        if let (Layout::Blocks(b), Values::Table(table)) = (c.dict.layout(), &mut values) {
             table[l.at] = Value::from_key(c.data_type, b.decode_key(&l.bytes, l.total, raw)?)?;
         }
     }

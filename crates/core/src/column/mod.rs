@@ -33,7 +33,7 @@ pub use resident::ResidentColumn;
 
 use crate::datavec::ScanOptions;
 use crate::meta::{MetaReader, MetaWriter};
-use crate::{CoreError, CoreResult, DataType, KeyPredicate, PageConfig, Value, ValuePredicate};
+use crate::{CoreError, CoreResult, DataType, KeyPredicate, PageConfig, Sum, Value, ValuePredicate};
 pub(crate) use paged::StoredRows;
 use payg_encoding::dispatch::{CodecKind, ScanPath};
 use payg_encoding::VidSet;
@@ -363,10 +363,10 @@ impl ColumnRead for Column {
         }
     }
 
-    fn fold_value_counts(&self, rposs: &[u64], f: impl FnMut(Value, u64)) -> CoreResult<()> {
+    fn sum(&self, rposs: &[u64], sum: &mut Sum) -> CoreResult<()> {
         match self {
-            Column::Resident(c) => c.fold_value_counts(rposs, f),
-            Column::Paged(c) => c.fold_value_counts(rposs, f),
+            Column::Resident(c) => c.sum(rposs, sum),
+            Column::Paged(c) => c.sum(rposs, sum),
         }
     }
 

@@ -5,7 +5,7 @@ use crate::column::read::ColumnRead;
 use crate::datavec::{PagedDataVector, ScanOptions};
 use crate::dict::{DictLookup, HandleCache};
 use crate::invidx::{for_each_run, PagedInvertedIndex};
-use crate::{CoreError, CoreResult, DataType, KeyPredicate, PageConfig, Value, ValuePredicate};
+use crate::{CoreError, CoreResult, DataType, KeyPredicate, PageConfig, Sum, Value, ValuePredicate};
 use payg_encoding::dispatch::ScanPath;
 use payg_encoding::VidSet;
 use payg_storage::BufferPool;
@@ -272,8 +272,8 @@ impl ColumnRead for PagedColumn {
         super::materialize::values_of_paged(&self.parts, vids)
     }
 
-    fn fold_value_counts(&self, rposs: &[u64], f: impl FnMut(Value, u64)) -> CoreResult<()> {
-        super::materialize::fold_value_counts(Source::Paged(&self.parts), rposs, f)
+    fn sum(&self, rposs: &[u64], sum: &mut Sum) -> CoreResult<()> {
+        super::materialize::sum(Source::Paged(&self.parts), rposs, sum)
     }
 
     fn vid_set_for(&self, pred: &ValuePredicate) -> CoreResult<VidSet> {

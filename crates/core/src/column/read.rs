@@ -1,7 +1,7 @@
 //! The uniform read interface over both column kinds.
 
 use crate::datavec::ScanOptions;
-use crate::{CoreResult, DataType, KeyPredicate, Value, ValuePredicate};
+use crate::{CoreResult, DataType, KeyPredicate, Sum, Value, ValuePredicate};
 use payg_encoding::VidSet;
 
 /// Read operations every column supports regardless of load policy. Methods
@@ -44,15 +44,15 @@ pub trait ColumnRead {
     /// ones — what the first half yields — are the fast path.
     fn values_by_vid(&self, vids: &[u64]) -> CoreResult<Vec<Value>>;
 
-    /// The distinct values at the given rows with their multiplicities,
-    /// ascending by value, handed to `f` pair by pair:
-    /// [`ColumnRead::vid_counts`], then [`ColumnRead::values_by_vid`] of
-    /// the identifiers, in one pass over the thread's materialization
-    /// buffers. What an aggregate folds over — one decoded value per
-    /// distinct identifier, never one per row, and no list of them.
-    fn fold_value_counts(&self, rposs: &[u64], f: impl FnMut(Value, u64)) -> CoreResult<()>
-    where
-        Self: Sized;
+    /// Adds the values at the given rows (any order, duplicates allowed)
+    /// to `sum`: [`ColumnRead::vid_counts`], then each distinct
+    /// identifier's key times its count, read straight off the dictionary
+    /// — a numeric page, or the resident image — into the sum's number, in
+    /// identifier order. What `SUM` folds a main fragment with: no value,
+    /// values-table entry or list is made per distinct identifier. A sum
+    /// of another type than the column's is a `TypeMismatch`; a DECIMAL sum
+    /// past 128 bits is [`crate::CoreError::SumOverflow`].
+    fn sum(&self, rposs: &[u64], sum: &mut Sum) -> CoreResult<()>;
 
     /// Translates a value predicate to the matching identifier set via the
     /// dictionary (order preservation keeps ranges contiguous).

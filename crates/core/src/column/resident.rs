@@ -1,12 +1,12 @@
 //! The fully-resident (default) column.
 
-use crate::column::materialize::{fold_value_counts, get_values, vid_counts, Source};
+use crate::column::materialize::{self, get_values, vid_counts, Source};
 use crate::column::paged::{identity_count, identity_rows, ColumnParts, StoredRows};
 use crate::column::read::ColumnRead;
 use crate::dict::{BlockDict, BlockKeys};
 use crate::invidx::{for_each_run, InMemoryInvertedIndex};
 use crate::sync::{LockRank, Mutex};
-use crate::{CoreError, CoreResult, DataType, KeyPredicate, Value, ValuePredicate};
+use crate::{CoreError, CoreResult, DataType, KeyPredicate, Sum, Value, ValuePredicate};
 use payg_encoding::chunk::decode_rows;
 use payg_encoding::scan;
 use payg_encoding::{BitPackedVec, Packed, VidSet};
@@ -169,10 +169,15 @@ impl ResidentColumn {
     /// The value identifier `vid` encodes, decoded by `keys`, a reader of
     /// the image's dictionary: ascending identifiers walk each block once.
     pub(crate) fn value_of(&self, keys: &mut BlockKeys<'_>, vid: u64) -> CoreResult<Value> {
+        Value::from_key(self.parts.data_type, self.key_of(keys, vid)?)
+    }
+
+    /// The key `vid` encodes, read by `keys` as [`Self::value_of`] reads it.
+    pub(crate) fn key_of<'k>(&self, keys: &'k mut BlockKeys<'_>, vid: u64) -> CoreResult<&'k [u8]> {
         if vid >= self.parts.cardinality {
             return Err(CoreError::VidOutOfBounds { vid, cardinality: self.parts.cardinality });
         }
-        Value::from_key(self.parts.data_type, keys.key(vid)?)
+        keys.key(vid)
     }
 
     fn vid_set_from_image(&self, image: &Image, pred: &KeyPredicate) -> CoreResult<VidSet> {
@@ -247,8 +252,8 @@ impl ColumnRead for ResidentColumn {
         vids.iter().map(|&vid| self.value_of(&mut keys, vid)).collect()
     }
 
-    fn fold_value_counts(&self, rposs: &[u64], f: impl FnMut(Value, u64)) -> CoreResult<()> {
-        fold_value_counts(Source::Resident(self), rposs, f)
+    fn sum(&self, rposs: &[u64], sum: &mut Sum) -> CoreResult<()> {
+        materialize::sum(Source::Resident(self), rposs, sum)
     }
 
     fn vid_set_for(&self, pred: &ValuePredicate) -> CoreResult<VidSet> {

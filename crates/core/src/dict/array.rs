@@ -12,7 +12,8 @@
 
 use super::DictLookup;
 use crate::meta::{MetaReader, MetaWriter};
-use crate::{CoreError, CoreResult, DataType, PageConfig, Value};
+use crate::value::exact;
+use crate::{CoreError, CoreResult, DataType, PageConfig, Sum, Value};
 use payg_encoding::dispatch::{ChainCodec, CodecKind};
 use payg_encoding::okey;
 use payg_obs::names;
@@ -36,28 +37,31 @@ fn corrupt(chain: &ChainRef, what: impl std::fmt::Display) -> CoreError {
     )))
 }
 
-/// Appends to `out` the value of each of `vids` off `keys`, the `W`-byte
-/// keys of the identifiers from `first` on; the first identifier outside
-/// them is the error.
-fn values_each<const W: usize>(
+/// Where [`ArrayPages::values_on`] puts the values of the identifiers it is
+/// handed — phase (c)'s two sinks.
+pub(crate) enum Values<'a> {
+    /// Appended to the values table, in the identifiers' order.
+    Table(&'a mut Vec<Value>),
+    /// Added to a sum: the `i`-th identifier's value `uses[i]` times.
+    Sum { uses: &'a [u32], sum: &'a mut Sum },
+}
+
+/// Hands `f` each of `vids` in order — its index among them and its
+/// `W`-byte key off `keys`, the keys of the identifiers from `first` on —
+/// the one loop both sinks of [`ArrayPages::values_on`] run. The first
+/// identifier outside `keys` is the error.
+#[inline(always)]
+fn each_key<const W: usize>(
     keys: &[u8],
     first: u64,
     vids: &[u64],
-    out: &mut Vec<Value>,
-    value: impl Fn(&[u8; W]) -> Value,
+    mut f: impl FnMut(usize, &[u8; W]),
 ) -> Result<(), u64> {
     let keys = keys.as_chunks::<W>().0;
-    let mut stray = None;
-    // One `extend`, which reserves once; a stray identifier's place is
-    // held by a stand-in the caller never sees, since it gets the error.
-    out.extend(vids.iter().map(|&vid| match keys.get(vid.wrapping_sub(first) as usize) {
-        Some(key) => value(key),
-        None => {
-            stray = stray.or(Some(vid));
-            Value::Integer(0)
-        }
-    }));
-    stray.map_or(Ok(()), Err)
+    for (i, &vid) in vids.iter().enumerate() {
+        f(i, keys.get(vid.wrapping_sub(first) as usize).ok_or(vid)?);
+    }
+    Ok(())
 }
 
 impl ArrayPages {
@@ -180,33 +184,68 @@ impl ArrayPages {
         (self.cardinality - page * self.per_page).min(self.per_page) as usize
     }
 
-    /// Appends the values of `vids` — all on the page whose bytes are
-    /// `page` and whose first identifier is `first` — to `out`, decoded as
-    /// `ty`, whose keys are this dictionary's width (checked when it was
-    /// built or opened): each type's keys decode in one tight loop, a slot
-    /// being the identifier's offset from `first`. An identifier the page
-    /// does not hold is a `Corrupt` error.
+    /// Hands the values of `vids` — all on the page whose bytes are `page`
+    /// and whose first identifier is `first` — to `sink`, decoded as `ty`,
+    /// whose keys are this dictionary's width (checked when it was built or
+    /// opened): each type's keys are read in one tight loop, a slot being
+    /// the identifier's offset from `first`, and either appended to the
+    /// values table as values or added to a sum as numbers, with no value
+    /// made. An identifier the page does not hold is a `Corrupt` error; a
+    /// sum of another type than `ty` is a `TypeMismatch`.
     pub(crate) fn values_on(
         &self,
         page: &[u8],
         first: u64,
         vids: &[u64],
         ty: DataType,
-        out: &mut Vec<Value>,
+        sink: Values<'_>,
     ) -> CoreResult<()> {
         let held = self.cardinality.saturating_sub(first).min(self.per_page) as usize;
         let keys = page.get(..held * self.width).ok_or_else(|| {
             corrupt(&self.chain, format!("page of {} bytes holds no {held} keys", page.len()))
         })?;
-        let pushed = match ty {
-            DataType::Integer => values_each(keys, first, vids, out, |k| Value::Integer(okey::i64_of(*k))),
-            DataType::Double => values_each(keys, first, vids, out, |k| Value::Double(okey::f64_of(*k))),
-            DataType::Decimal => values_each(keys, first, vids, out, |k| Value::Decimal(okey::i128_of(*k))),
-            DataType::Varchar => {
+        // A DECIMAL sum past 128 bits stops adding and is reported after
+        // the loop, which thus never builds an error.
+        let mut overflow = false;
+        let each = match (ty, sink) {
+            (DataType::Varchar, _) => {
                 return Err(corrupt(&self.chain, "a VARCHAR column has no array dictionary"))
             }
+            (ty, Values::Table(out)) => {
+                out.reserve(vids.len());
+                match ty {
+                    DataType::Integer => {
+                        each_key(keys, first, vids, |_, k| out.push(Value::Integer(okey::i64_of(*k))))
+                    }
+                    DataType::Double => {
+                        each_key(keys, first, vids, |_, k| out.push(Value::Double(okey::f64_of(*k))))
+                    }
+                    _ => each_key(keys, first, vids, |_, k| out.push(Value::Decimal(okey::i128_of(*k)))),
+                }
+            }
+            (DataType::Integer, Values::Sum { uses, sum: Sum::Integer(a) }) => {
+                each_key(keys, first, vids, |i, k: &[u8; 8]| {
+                    *a += i128::from(okey::i64_of(*k)) * i128::from(uses[i]);
+                })
+            }
+            (DataType::Decimal, Values::Sum { uses, sum: Sum::Decimal(a) }) => {
+                each_key(keys, first, vids, |i, k| match exact(*a, okey::i128_of(*k), u64::from(uses[i])) {
+                    Some(total) if !overflow => *a = total,
+                    _ => overflow = true,
+                })
+            }
+            (DataType::Double, Values::Sum { uses, sum: Sum::Double(a) }) => {
+                each_key(keys, first, vids, |i, k| *a += okey::f64_of(*k) * u64::from(uses[i]) as f64)
+            }
+            (expected, Values::Sum { sum, .. }) => {
+                return Err(CoreError::TypeMismatch { expected, got: sum.data_type() })
+            }
         };
-        pushed.map_err(|vid| corrupt(&self.chain, format!("page from vid {first} has no slot for vid {vid}")))
+        each.map_err(|vid| corrupt(&self.chain, format!("page from vid {first} has no slot for vid {vid}")))?;
+        if overflow {
+            return Err(CoreError::SumOverflow);
+        }
+        Ok(())
     }
 
     /// The keys stored on page `page`, off the page's bytes.
@@ -289,11 +328,11 @@ mod tests {
             let page = pool.pin(a.page_key(p)).unwrap();
             let vids = [last, first, first + 1, last];
             let mut out = Vec::new();
-            a.values_on(&page, first, &vids, DataType::Integer, &mut out).unwrap();
+            a.values_on(&page, first, &vids, DataType::Integer, Values::Table(&mut out)).unwrap();
             assert_eq!(out, vids.map(value), "page {p}");
             for stray in [first - 1, last + 1, u64::MAX] {
                 for vids in [[stray, first], [first, stray]] {
-                    let got = a.values_on(&page, first, &vids, DataType::Integer, &mut out);
+                    let got = a.values_on(&page, first, &vids, DataType::Integer, Values::Table(&mut out));
                     assert!(
                         matches!(got, Err(CoreError::Storage(StorageError::Corrupt(_)))),
                         "page {p}, vids {vids:?}: {got:?}"

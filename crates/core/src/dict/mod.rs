@@ -31,6 +31,7 @@ mod in_memory;
 mod paged;
 mod unsorted;
 
+pub(crate) use array::Values;
 pub(crate) use blocks::BlockDictBuilder;
 pub use blocks::{BlockDict, BlockKeys};
 pub use in_memory::InMemoryDict;

@@ -37,6 +37,9 @@ pub enum CoreError {
         /// Key bytes the load had reached when it gave up.
         key_bytes: u64,
     },
+    /// A DECIMAL `SUM` whose exact value does not fit its 128-bit
+    /// accumulator.
+    SumOverflow,
     /// A data-vector scan stopped on its first failing page. The address
     /// names the page whose load or read failed; the remaining workers of a
     /// `par_count` observed the shared cancellation flag and quit without
@@ -68,6 +71,7 @@ impl std::fmt::Display for CoreError {
             CoreError::DictTooLarge { key_bytes } => {
                 write!(f, "dictionary of {key_bytes} key bytes exceeds the 4 GiB a resident image holds")
             }
+            CoreError::SumOverflow => write!(f, "SUM overflows its 128-bit accumulator"),
             CoreError::ScanAborted { chain, page_no, source } => {
                 write!(f, "scan aborted at chain {chain} page {page_no}: {source}")
             }

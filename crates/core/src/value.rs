@@ -132,6 +132,67 @@ impl std::fmt::Display for Value {
     }
 }
 
+/// A running `SUM` over a numeric column, as the number its values add
+/// into: an `i128` for INTEGER and DECIMAL, an `f64` for DOUBLE. An INTEGER
+/// sum cannot overflow (|x| < 2⁶³ over fewer than 2⁶³ rows); a DECIMAL one
+/// adds with checked arithmetic, and a DOUBLE one adds `x * count` in the
+/// order it is handed the values.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Sum {
+    /// The exact sum of INTEGER values.
+    Integer(i128),
+    /// The exact sum of DECIMAL values, scale 2.
+    Decimal(i128),
+    /// The sum of DOUBLE values.
+    Double(f64),
+}
+
+impl Sum {
+    /// The empty sum over a column of type `ty`; `None` for VARCHAR.
+    pub fn zero(ty: DataType) -> Option<Sum> {
+        match ty {
+            DataType::Integer => Some(Sum::Integer(0)),
+            DataType::Decimal => Some(Sum::Decimal(0)),
+            DataType::Double => Some(Sum::Double(0.0)),
+            DataType::Varchar => None,
+        }
+    }
+
+    /// The type of the column the sum is over.
+    pub fn data_type(&self) -> DataType {
+        match self {
+            Sum::Integer(_) => DataType::Integer,
+            Sum::Decimal(_) => DataType::Decimal,
+            Sum::Double(_) => DataType::Double,
+        }
+    }
+
+    /// Adds `count` rows holding the value whose order-preserving key is
+    /// `key` ([`Value::to_key`] of the sum's type).
+    pub fn add_key(&mut self, key: &[u8], count: u64) -> CoreResult<()> {
+        match self {
+            Sum::Integer(a) => *a += i128::from(okey::decode_i64(key)?) * i128::from(count),
+            Sum::Decimal(a) => {
+                *a = exact(*a, okey::decode_i128(key)?, count).ok_or(CoreError::SumOverflow)?
+            }
+            Sum::Double(a) => *a += okey::decode_f64(key)? * count as f64,
+        }
+        Ok(())
+    }
+}
+
+/// `acc + x * count`, or `None` past 128 bits. A value that fits 64 bits
+/// times a count cannot leave 128 bits: it takes one plain multiply, not
+/// the checked 128-bit one (a library call).
+#[inline]
+pub(crate) fn exact(acc: i128, x: i128, count: u64) -> Option<i128> {
+    let product = match i64::try_from(x) {
+        Ok(x) => Some(i128::from(x) * i128::from(count)),
+        Err(_) => x.checked_mul(i128::from(count)),
+    };
+    product.and_then(|product| acc.checked_add(product))
+}
+
 /// A predicate on one column, expressed over values. Readers evaluate it
 /// as the [`KeyPredicate`] it compiles to.
 #[derive(Debug, Clone, PartialEq)]

@@ -2,7 +2,7 @@
 
 use payg_core::column::{Column, ColumnRead, WAVE_PAGES};
 use payg_core::{
-    ColumnBuilder, DataType, LoadPolicy, PageConfig, ScanOptions, Value, ValuePredicate,
+    ColumnBuilder, DataType, LoadPolicy, PageConfig, ScanOptions, Sum, Value, ValuePredicate,
 };
 use payg_encoding::VidSet;
 use payg_resman::{Disposition, PoolLimits, ResourceManager};
@@ -430,7 +430,7 @@ fn every_value_read_refuses_a_row_past_the_end() {
                 }
                 assert!(refused(col.get_values(&rows)), "get_values {what}");
                 assert!(refused(col.vid_counts(&rows)), "vid_counts {what}");
-                assert!(refused(col.fold_value_counts(&rows, |_, _| {})), "fold_value_counts {what}");
+                assert!(refused(col.sum(&rows, &mut Sum::Integer(0))), "sum {what}");
                 let mut out = vec![Vec::new(); rows.len()];
                 let projected = materialize(std::slice::from_ref(&col), &[0], &rows, &mut out);
                 assert!(refused(projected), "materialize {what}");

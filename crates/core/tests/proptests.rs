@@ -6,7 +6,7 @@ use payg_core::datavec::PagedDataVector;
 use payg_core::dict::{BlockDict, HandleCache, InMemoryDict, PagedDictionary, UnsortedDict};
 use payg_core::invidx::{InMemoryInvertedIndex, PagedInvertedIndex};
 use payg_core::{
-    CodecKind, ColumnBuilder, CoreError, DataType, LoadPolicy, PageConfig, Value, ValuePredicate,
+    CodecKind, ColumnBuilder, CoreError, DataType, LoadPolicy, PageConfig, Sum, Value, ValuePredicate,
 };
 use payg_encoding::prefix::BLOCK_CAP;
 use payg_encoding::{BitPackedVec, BitWidth, VidSet};
@@ -1176,7 +1176,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Row runs — the rows of a range predicate — read through every value
-    /// path equal each row read alone: `vid_counts`, `fold_value_counts`,
+    /// path equal each row read alone: `vid_counts`, the typed `sum`,
     /// `get_values`, `materialize` and `values_by_vid` of the rows'
     /// identifiers over contiguous runs that start and
     /// end at chunk and data-vector page edges ±1 (one of them at the
@@ -1312,7 +1312,7 @@ proptest! {
                 let vid_counts: Vec<(u64, u64)> = counted.iter().map(|e| (e.0, e.2)).collect();
                 prop_assert_eq!(&col.vid_counts(rows).unwrap(), &vid_counts, "vid_counts, column {}", c);
                 let value_counts: Vec<(Value, u64)> = counted.into_iter().map(|e| (e.1, e.2)).collect();
-                prop_assert_eq!(&value_counts_of(col, rows), &value_counts, "fold_value_counts, column {}", c);
+                prop_assert_eq!(sum_of(col, rows), sum_of_pairs(col.data_type(), &value_counts), "sum, column {}", c);
                 // The rows' own identifiers: unsorted and repeated but for
                 // the ascending runs.
                 let vids: Vec<u64> = expect.iter().map(|e| e.0).collect();
@@ -1325,11 +1325,36 @@ proptest! {
 
 static COUNTS_CODECS: AtomicU8 = AtomicU8::new(0);
 
-/// The (value, count) pairs `fold_value_counts` hands out, collected.
-fn value_counts_of(col: &payg_core::column::Column, rows: &[u64]) -> Vec<(Value, u64)> {
-    let mut pairs = Vec::new();
-    col.fold_value_counts(rows, |value, n| pairs.push((value, n))).unwrap();
-    pairs
+/// `col`'s typed sum at `rows` as its type and bits (so NaN equals itself
+/// and -0.0 differs from 0.0); `None` for a VARCHAR column.
+fn sum_of(col: &payg_core::column::Column, rows: &[u64]) -> Option<(DataType, u128)> {
+    let mut sum = Sum::zero(col.data_type())?;
+    col.sum(rows, &mut sum).unwrap();
+    Some(sum_bits(sum))
+}
+
+/// The sum of `(value, count)` pairs ascending by identifier, folded pair
+/// by pair: exact for INTEGER and DECIMAL, `x * count` added in that order
+/// for DOUBLE — what a `SUM` over (value, count) pairs has always added.
+fn sum_of_pairs(ty: DataType, pairs: &[(Value, u64)]) -> Option<(DataType, u128)> {
+    let mut sum = Sum::zero(ty)?;
+    for (value, n) in pairs {
+        match (&mut sum, value) {
+            (Sum::Integer(a), Value::Integer(x)) => *a += i128::from(*x) * i128::from(*n),
+            (Sum::Decimal(a), Value::Decimal(x)) => *a += x * i128::from(*n),
+            (Sum::Double(a), Value::Double(x)) => *a += x * *n as f64,
+            other => panic!("a {ty:?} pair {other:?}"),
+        }
+    }
+    Some(sum_bits(sum))
+}
+
+fn sum_bits(sum: Sum) -> (DataType, u128) {
+    let bits = match sum {
+        Sum::Integer(a) | Sum::Decimal(a) => a as u128,
+        Sum::Double(a) => u128::from(a.to_bits()),
+    };
+    (sum.data_type(), bits)
 }
 
 #[test]
@@ -1341,12 +1366,13 @@ fn value_counts_under_both_codecs() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The aggregate half of late materialization: `fold_value_counts` ≡ the
-    /// histogram of the source values at the rows ≡ the histogram of
-    /// `get_values`, ascending by value, for arbitrary row lists (unsorted,
-    /// duplicates, a single row, one row several times over, none) on paged
-    /// and resident columns of every special shape; `vid_counts` /
-    /// `values_by_vid` are its two steps.
+    /// The aggregate half of late materialization: `vid_counts` with
+    /// `values_by_vid` of its identifiers ≡ the histogram of the source
+    /// values at the rows ≡ the histogram of `get_values`, ascending by
+    /// value, and the typed `sum` ≡ that histogram folded pair by pair, for
+    /// arbitrary row lists (unsorted, duplicates, a single row, one row
+    /// several times over, none) on paged and resident columns of every
+    /// special shape.
     fn value_counts_equal_histogram_of_get_values(
         n_rows in 1usize..260,
         card in 1u64..200,
@@ -1376,7 +1402,7 @@ proptest! {
                 let thrice = [rows.last().copied().unwrap_or(0); 3];
                 for rows in [&rows[..], &rows[..rows.len().min(1)], &thrice[..], &[]] {
                     let expect = histogram(rows.iter().map(|&r| values[r as usize].clone()).collect());
-                    prop_assert_eq!(&value_counts_of(&col, rows), &expect, "{:?} {:?}", ty, policy);
+                    prop_assert_eq!(sum_of(&col, rows), sum_of_pairs(*ty, &expect), "{:?} {:?}", ty, policy);
                     prop_assert_eq!(&histogram(col.get_values(rows).unwrap()), &expect);
                     let vid_counts = col.vid_counts(rows).unwrap();
                     prop_assert!(vid_counts.windows(2).all(|w| w[0].0 < w[1].0));

@@ -9,7 +9,7 @@
 use crate::chunk::{
     self, chunk_count, decode_chunk, decode_slot, encode_chunk, words_per_chunk, CHUNK_LEN,
 };
-use crate::BitWidth;
+use crate::{BitWidth, Packed};
 
 /// An immutable vector of `len` values packed at a uniform bit width.
 ///
@@ -119,30 +119,34 @@ impl BitPackedVec {
 
     /// Decodes positions `from..to` into `out` (cleared first).
     ///
-    /// This is the resident-column `mget`: whole chunks decode
-    /// chunk-at-a-time; on the (at most two) chunks the range covers only in
-    /// part, just the requested slots are decoded — a one-value read costs
-    /// one slot, not a chunk.
+    /// This is the resident-column `mget`: the whole chunks the range
+    /// covers unpack straight into `out` in one
+    /// [`chunk::unpack_chunks`]; on the (at most two) chunks it covers only
+    /// in part, just the requested slots are decoded — a one-value read
+    /// costs one slot, not a chunk. `out` keeps its length across calls of
+    /// one length, so a reused buffer is written once.
     pub fn mget(&self, from: u64, to: u64, out: &mut Vec<u64>) {
         assert!(from <= to && to <= self.len, "mget range {from}..{to} out of bounds");
-        out.clear();
-        out.reserve((to - from) as usize);
-        if from == to {
+        out.resize((to - from) as usize, 0);
+        if from == to || self.width.bits() == 0 {
+            out.fill(0);
             return;
         }
-        let mut buf = [0u64; CHUNK_LEN];
-        let first = chunk::chunk_of(from);
-        let last = chunk::chunk_of(to - 1);
-        for ci in first..=last {
-            let words = self.chunk_words(ci);
-            let lo = if ci == first { chunk::slot_of(from) } else { 0 };
-            let hi = if ci == last { chunk::slot_of(to - 1) + 1 } else { CHUNK_LEN };
-            if hi - lo == CHUNK_LEN {
-                decode_chunk(words, self.width, &mut buf);
-                out.extend_from_slice(&buf);
-            } else {
-                out.extend((lo..hi).map(|slot| decode_slot(words, self.width, slot)));
-            }
+        let chunk = CHUNK_LEN as u64;
+        // The whole chunks `lo..hi` (as positions), if any.
+        let (lo, hi) = (from.next_multiple_of(chunk), to / chunk * chunk);
+        let (lo, hi) = if lo < hi { (lo, hi) } else { (to, to) };
+        let slot = |pos: u64| {
+            decode_slot(self.chunk_words(chunk::chunk_of(pos)), self.width, chunk::slot_of(pos))
+        };
+        let (head, rest) = out.split_at_mut((lo - from) as usize);
+        let (whole, tail) = rest.split_at_mut((hi - lo) as usize);
+        for (v, pos) in head.iter_mut().zip(from..) {
+            *v = slot(pos);
+        }
+        chunk::unpack_chunks(Packed::Words(&self.words), self.width, (lo / chunk) as usize, whole);
+        for (v, pos) in tail.iter_mut().zip(hi..) {
+            *v = slot(pos);
         }
     }
 

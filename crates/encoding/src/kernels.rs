@@ -42,7 +42,7 @@
 //! once per predicate, from the width and the detected CPU; windowed SWAR
 //! remains the portable path and the oracle.
 
-use crate::chunk::{decode_chunk, CHUNK_LEN};
+use crate::chunk::{decode_chunk_portable, CHUNK_LEN};
 use crate::simd::{self, Vbmi};
 use crate::unaligned::fill_le_words;
 use crate::{BitPackedVec, BitWidth, VidSet};
@@ -619,7 +619,7 @@ pub fn chunk_bitmap_generic(chunk_words: &[u64], w: BitWidth, set: &VidSet) -> u
         return if set.contains(0) { u64::MAX } else { 0 };
     }
     let mut buf = [0u64; CHUNK_LEN];
-    decode_chunk(chunk_words, w, &mut buf);
+    decode_chunk_portable(chunk_words, w, &mut buf);
     let mut bm = 0u64;
     match set {
         VidSet::Single(v) => {
@@ -680,7 +680,7 @@ pub fn boundary_mask(ci: u64, from: u64, to: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::encode_chunk;
+    use crate::chunk::{decode_chunk_generic, encode_chunk, unpack_chunks};
 
     /// `chunks` chunks of pseudo-random values at `bits`, with 0 and the
     /// width's maximum forced in, packed; returns (values, words).
@@ -951,6 +951,43 @@ mod tests {
                 .into_iter()
                 .flat_map(|from| [rows - 65, rows - 1, rows].map(|to| (from, to)))
                 .collect();
+            // The unpack: chunks `from..` of every run of 1..=6 chunks and
+            // the whole page, in each form, against the generic decode.
+            let generic = |words: &[u64]| -> Vec<u64> {
+                let mut out = vec![0; words.len() / n * CHUNK_LEN];
+                for (c, dst) in words.chunks(n).zip(out.as_chunks_mut::<CHUNK_LEN>().0) {
+                    decode_chunk_generic(c, n, dst);
+                }
+                out
+            };
+            for chunks in 1..=6 {
+                let words = &words[..chunks * n];
+                let (exact, shifted) = byte_forms(words);
+                let forms = [
+                    Packed::Words(words),
+                    Packed::Bytes(&exact),
+                    Packed::Bytes(&shifted[3..3 + exact.len()]),
+                ];
+                let want = generic(words);
+                assert_eq!(want, values[..chunks * CHUNK_LEN], "generic decode: bits={bits}");
+                for src in forms {
+                    for from in 0..chunks {
+                        let mut out = vec![u64::MAX; (chunks - from) * CHUNK_LEN];
+                        unpack_chunks(src, w, from, &mut out);
+                        assert_eq!(out, want[from * CHUNK_LEN..], "unpack: bits={bits} chunks {from}..{chunks} {src:?}");
+                    }
+                }
+            }
+            let want = generic(&page_words);
+            for src in [
+                Packed::Words(&page_words),
+                Packed::Bytes(&page_exact),
+                Packed::Bytes(&page_shifted[3..3 + page_exact.len()]),
+            ] {
+                let mut out = vec![u64::MAX; want.len()];
+                unpack_chunks(src, w, 0, &mut out);
+                assert_eq!(out, want, "unpack: bits={bits} page {src:?}");
+            }
             let mut masked_runs = 0;
             for set in shapes(bits, &values) {
                 let pred = KernelPredicate::new(w, &set);

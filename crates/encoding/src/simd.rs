@@ -1,11 +1,13 @@
-//! AVX-512 VBMI unpack-and-compare scan kernels.
+//! AVX-512 VBMI unpack kernels: scans and `mget`.
 //!
 //! The paper's `search` (§3.1.3, Fig. 1) is a vector compare over n-bit
-//! packed identifiers. Where the host has AVX-512 VBMI and the width is in
-//! [`LANE_BYTES`]'s rule, [`crate::kernels`] hands a whole run — a pinned
-//! page's chunks or a resident word run, edge chunks included — to these
-//! kernels in one call; windowed SWAR evaluates every other width and host,
-//! and is the oracle these kernels are tested against.
+//! packed identifiers, and its `mget` a vector unpack. Where the host has
+//! AVX-512 VBMI and the width is in [`LANE_BYTES`]'s rule, [`crate::kernels`]
+//! hands a whole run — a pinned page's chunks or a resident word run, edge
+//! chunks included — to these kernels in one call, and [`crate::chunk`]
+//! unpacks chunks through them; windowed SWAR evaluates every other width
+//! and host, the word-parallel or slot-by-slot chunk decode unpacks them,
+//! and both are the oracles these kernels are tested against.
 //!
 //! * **Unpack.** A 512-bit vector holds 64 lanes of 8 bits (`n <= 8`, one
 //!   vector per chunk), 32 of 16 bits (`n <= 16`, two) or 16 of 32 bits
@@ -25,7 +27,8 @@
 //! * **Sinks.** A bitmap is the chunk's k-masks side by side — exactly the
 //!   chunk bitmap SWAR produces (bit `i` set ⇔ slot `i` matches). COUNT adds
 //!   1 under the k-mask into lane counters, widened into 64-bit sums before
-//!   a counter can wrap.
+//!   a counter can wrap. `mget` widens every lane to 64 bits with a zeroing
+//!   `vpermb` ([`widen_lanes`]) and stores the chunk's 64 values.
 //!
 //! Both forms of [`crate::Packed`] are read as bytes: a resident word slice
 //! is viewed as its little-endian bytes. A load that would end past the run
@@ -33,11 +36,12 @@
 //! read, so no load reaches past the slice.
 //!
 //! This module and [`crate::unaligned`] hold the crate's unsafe code: the
-//! raw 64-byte loads, the word-to-byte view, and the calls into
+//! raw 64-byte loads and stores, the word-to-byte view, and the calls into
 //! `#[target_feature]` functions (AVX-512 F, BW and VBMI), which are
 //! reached only through a [`Vbmi`] token that runtime detection hands out. Under
-//! Miri detection always fails, so the interpreted tests run the SWAR path;
-//! the load offsets and masks are safe functions they check.
+//! Miri detection always fails, so the interpreted tests run the SWAR path
+//! and the portable decode; the load offsets, masks and gathers are safe
+//! functions they check.
 
 use crate::kernels::MAX_LINEAR_SET;
 
@@ -168,6 +172,27 @@ pub(crate) const fn shift(n: u32) -> [u8; 64] {
     c
 }
 
+/// The zeroing `vpermb` control that widens lanes `8k..8k + 8` of a vector
+/// of `lane`-byte lanes to 64 bits: qword `j` takes lane `8k + j`'s bytes
+/// in its low bytes; [`widen_lanes_mask`] zeroes the rest.
+#[cfg_attr(not(all(target_arch = "x86_64", not(miri))), allow(dead_code))]
+pub(crate) const fn widen_lanes(lane: usize, k: usize) -> [u8; 64] {
+    let mut c = [0u8; 64];
+    let mut i = 0;
+    while i < 64 {
+        let (j, b) = (i / 8, i % 8);
+        c[i] = ((8 * k + j) * lane + if b < lane { b } else { 0 }) as u8;
+        i += 1;
+    }
+    c
+}
+
+/// The bytes of each qword a [`widen_lanes`] of `lane`-byte lanes keeps.
+#[cfg_attr(not(all(target_arch = "x86_64", not(miri))), allow(dead_code))]
+pub(crate) const fn widen_lanes_mask(lane: usize) -> u64 {
+    ((1u64 << lane) - 1) * 0x0101_0101_0101_0101
+}
+
 /// A predicate on raw (unreplicated) lane values, as the kernels take it.
 /// Without the kernels (another ISA, Miri) nothing reads the operands.
 #[derive(Debug, Clone, Copy)]
@@ -185,7 +210,10 @@ pub(crate) use imp::Vbmi;
 
 #[cfg(all(target_arch = "x86_64", not(miri)))]
 mod imp {
-    use super::{load_mask, permute, shift, vector_offset, Test, LANE_BYTES, MAX_LINEAR_SET};
+    use super::{
+        load_mask, permute, shift, vector_offset, widen_lanes, widen_lanes_mask, Test, LANE_BYTES,
+        MAX_LINEAR_SET,
+    };
     use crate::kernels::Packed;
     use std::arch::x86_64::*;
 
@@ -233,6 +261,24 @@ mod imp {
             // SAFETY: as in `bitmaps`.
             unsafe { kernel(bytes_of(src), test, head, tail) }
         }
+
+        /// Unpacks chunks `first..` of `src` at width `bits` into `out`, 64
+        /// values a chunk, as many chunks as `out` holds.
+        ///
+        /// # Panics
+        ///
+        /// If `bits` has no kernel, `out` is not whole chunks, or they are
+        /// not all in `src`.
+        pub(crate) fn unpack(self, src: Packed<'_>, bits: u32, first: usize, out: &mut [u64]) {
+            let kernel = UNPACKS[bits as usize].expect("width without a VBMI kernel");
+            let (bytes, per) = (bytes_of(src), 8 * bits as usize);
+            assert!(
+                out.len().is_multiple_of(64) && (first + out.len() / 64) * per <= bytes.len(),
+                "unpack past the run"
+            );
+            // SAFETY: as in `bitmaps`; every chunk unpacked lies in `bytes`.
+            unsafe { kernel(bytes, first * per, out) }
+        }
     }
 
     /// The packed bytes of `src`: a word slice is read as its bytes, which
@@ -264,6 +310,12 @@ mod imp {
     ///
     /// As for [`BitmapKernel`].
     type CountKernel = unsafe fn(&[u8], &Test, u64, u64) -> u64;
+    /// A width's unpack kernel ([`unpack_chunks`]).
+    ///
+    /// # Safety
+    ///
+    /// As for [`BitmapKernel`], and the chunks unpacked lie in the bytes.
+    type UnpackKernel = unsafe fn(&[u8], usize, &mut [u64]);
 
     /// A kernel table with an entry at every width [`LANE_BYTES`] serves.
     macro_rules! by_width {
@@ -280,6 +332,7 @@ mod imp {
 
     const BITMAPS: [Option<BitmapKernel>; 33] = by_width!(BitmapKernel, bitmaps);
     const COUNTS: [Option<CountKernel>; 33] = by_width!(CountKernel, count);
+    const UNPACKS: [Option<UnpackKernel>; 33] = by_width!(UnpackKernel, unpack_chunks);
 
     /// 64 bytes as a vector constant (`_mm512_set_epi64` of constant
     /// operands folds to one constant load).
@@ -305,6 +358,16 @@ mod imp {
         const VALUES: usize = 64 / Self::LANE;
         const PERMUTE: [u8; 64] = permute(N);
         const SHIFT: [u8; 64] = shift(N);
+        /// The widening controls of a vector's lanes, 8 lanes a control.
+        const WIDEN: [[u8; 64]; 8] = {
+            let mut t = [[0; 64]; 8];
+            let mut k = 0;
+            while k < 8 {
+                t[k] = widen_lanes(Self::LANE, k);
+                k += 1;
+            }
+            t
+        };
         /// Chunks a run of lane counters takes before it is widened: each
         /// chunk adds at most `VECTORS` to a lane.
         const FLUSH: usize = ((1u64 << (8 * Self::LANE)) - 1) as usize / Self::VECTORS;
@@ -344,8 +407,8 @@ mod imp {
     unsafe fn unpack<const N: u32>(bytes: &[u8], at: usize, g: usize) -> __m512i {
         // SAFETY: the caller's bound.
         let raw = unsafe { load(bytes, at + vector_offset(N, g)) };
-        if N == 8 {
-            // Bytes are the values.
+        if N as usize == 8 * Unpack::<N>::LANE {
+            // The lanes are the bytes as stored.
             return raw;
         }
         let gathered = _mm512_permutexvar_epi8(constant(Unpack::<N>::PERMUTE), raw);
@@ -551,6 +614,35 @@ mod imp {
         }
         _mm512_reduce_add_epi64(total) as u64
     }
+
+    /// Unpack kernel of width `N`: every chunk from byte `at` of `bytes`
+    /// into 64 values of `out`, each lane of its vectors widened to 64 bits
+    /// and stored.
+    ///
+    /// # Safety
+    ///
+    /// As for [`bitmaps`]; the `out.len() / 64` chunks from `at` lie in
+    /// `bytes`.
+    #[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+    unsafe fn unpack_chunks<const N: u32>(bytes: &[u8], at: usize, out: &mut [u64]) {
+        let per = 8 * N as usize;
+        let keep = widen_lanes_mask(Unpack::<N>::LANE);
+        for (ci, dst) in out.as_chunks_mut::<64>().0.iter_mut().enumerate() {
+            for g in 0..Unpack::<N>::VECTORS {
+                // SAFETY: chunk `ci` from `at` lies in `bytes` (the
+                // caller's bound), and vector `g` starts inside it.
+                let v = unsafe { unpack::<N>(bytes, at + ci * per, g) };
+                for k in 0..Unpack::<N>::VALUES / 8 {
+                    let wide = _mm512_maskz_permutexvar_epi8(keep, constant(Unpack::<N>::WIDEN[k]), v);
+                    let i = g * Unpack::<N>::VALUES + 8 * k;
+                    // SAFETY: the chunk's vectors hold 64 lanes in all, so
+                    // `i + 8 <= 64`: the 8 values stored lie in `dst`, and
+                    // `storeu` has no alignment requirement.
+                    unsafe { _mm512_storeu_si512(dst.as_mut_ptr().add(i).cast(), wide) }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(not(all(target_arch = "x86_64", not(miri))))]
@@ -575,13 +667,84 @@ mod imp {
         pub(crate) fn count(self, _: Packed<'_>, _: u32, _: &Test, _: u64, _: u64) -> u64 {
             match self {}
         }
+
+        pub(crate) fn unpack(self, _: Packed<'_>, _: u32, _: usize, _: &mut [u64]) {
+            match self {}
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::{decode_chunk_generic, encode_chunk, CHUNK_LEN};
+    use crate::BitWidth;
 
+    /// Chunk `ci` of the run `run` at width `n`, unpacked the way the
+    /// kernels unpack it, in scalar code: each vector's load through its
+    /// mask (a byte the mask leaves out reads as 0), gathered by the
+    /// permute control, shifted and masked, and each lane widened to 64
+    /// bits by the widening controls. Every load must start in the run and
+    /// admit no byte past it and no hole.
+    fn emulate(n: u32, run: &[u8], ci: usize) -> [u64; CHUNK_LEN] {
+        let (lane, per) = (LANE_BYTES[n as usize], 8 * n as usize);
+        let (control, shifts) = (permute(n), shift(n));
+        let (keep, value) = (widen_lanes_mask(lane), (1u64 << n) - 1);
+        let mut out = [0u64; CHUNK_LEN];
+        for g in 0..lane {
+            let at = ci * per + vector_offset(n, g);
+            let what = format!("n={n} len={} chunk {ci} vector {g}", run.len());
+            assert!(at < run.len(), "{what} starts past the run");
+            let mask = load_mask(run.len(), at);
+            let reach = 64 - mask.leading_zeros() as usize;
+            assert!(at + reach <= run.len(), "{what} reads past the run");
+            assert_eq!(mask.count_ones() as usize, reach, "{what}: mask has holes");
+            let raw: [u8; 64] = std::array::from_fn(|b| if mask >> b & 1 == 1 { run[at + b] } else { 0 });
+            let v = if n as usize == 8 * lane {
+                raw
+            } else {
+                let gathered: [u8; 64] = std::array::from_fn(|i| raw[control[i] as usize]);
+                let mut v = [0u8; 64];
+                if lane == 4 {
+                    for (q, lanes) in gathered.chunks_exact(4).enumerate() {
+                        let x = u32::from_le_bytes(lanes.try_into().unwrap()) >> shifts[4 * q];
+                        v[4 * q..4 * q + 4].copy_from_slice(&(x & value as u32).to_le_bytes());
+                    }
+                } else {
+                    // `vpmultishiftqb`: byte `i` of a qword takes the 8
+                    // bits from bit `shifts[i]` of it on, wrapping around.
+                    for (q, word) in gathered.chunks_exact(8).enumerate() {
+                        let word = u64::from_le_bytes(word.try_into().unwrap());
+                        for b in 0..8 {
+                            v[8 * q + b] = word.rotate_right(u32::from(shifts[8 * q + b])) as u8;
+                        }
+                    }
+                    for lanes in v.chunks_exact_mut(lane) {
+                        let x = lanes.iter().rev().fold(0u64, |x, &b| x << 8 | u64::from(b)) & value;
+                        lanes.copy_from_slice(&x.to_le_bytes()[..lane]);
+                    }
+                }
+                v
+            };
+            for k in 0..64 / lane / 8 {
+                let control = widen_lanes(lane, k);
+                for j in 0..8 {
+                    let bytes = (0..8).filter(|&b| keep >> (8 * j + b) & 1 == 1);
+                    let x = bytes.fold(0, |x, b| x | u64::from(v[control[8 * j + b] as usize]) << (8 * b));
+                    out[g * 64 / lane + 8 * k + j] = x;
+                }
+            }
+        }
+        out
+    }
+
+    /// The VBMI geometry of every served width, checked in safe code: every
+    /// value's bits are gathered whole into its group and shifted from
+    /// where they lie; the loads the scans and the unpack share start
+    /// inside their run, admit no byte past it and every byte their vector
+    /// needs; and the emulated unpack — loads, gather, shift, widening —
+    /// equals the generic decode on the last chunk of runs followed by
+    /// 0..8n − 1 bytes of slack, whose loads are masked at the run's end.
     #[test]
     fn vbmi_loads_stay_inside_the_run() {
         let served: Vec<u32> = (1..=32u32).filter(|&n| LANE_BYTES[n as usize] != 0).collect();
@@ -613,12 +776,24 @@ mod tests {
                 }
                 assert!((v * n as usize + n as usize).div_ceil(8) <= values * n as usize / 8);
             }
+            let w = BitWidth::new(n).unwrap();
+            let chunk = |ci: usize| -> [u64; CHUNK_LEN] {
+                std::array::from_fn(|i| {
+                    (0x9E37_79B9_7F4A_7C15u64.wrapping_mul((ci * 64 + i) as u64 + 1) >> 7) & w.mask()
+                })
+            };
+            let mut words = vec![0u64; 10 * n as usize];
+            for ci in 0..10 {
+                encode_chunk(&chunk(ci), w, &mut words[ci * n as usize..][..n as usize]);
+            }
+            let le: Vec<u8> = words.iter().flat_map(|word| word.to_le_bytes()).collect();
             // Runs of 1..=9 whole chunks followed by 0..=8n − 1 bytes of
-            // slack: every load starts inside the run, no byte its mask
-            // admits lies past the run, and it admits every byte its vector
-            // needs.
+            // slack (the next chunk's): every load starts inside the run,
+            // no byte its mask admits lies past the run, and it admits
+            // every byte its vector needs; the last chunk, at every third
+            // slack, unpacks to its values.
             for chunks in 1..=9 {
-                for len in (chunks * per..(chunks + 1) * per).step_by(7) {
+                for (s, len) in (chunks * per..(chunks + 1) * per).step_by(7).enumerate() {
                     for (ci, g) in (0..chunks).flat_map(|ci| (0..lane).map(move |g| (ci, g))) {
                         let at = ci * per + vector_offset(n, g);
                         let what = format!("n={n} len={len} chunk {ci} vector {g}");
@@ -628,6 +803,13 @@ mod tests {
                         assert!(at + reach <= len, "{what} reads past the run");
                         assert_eq!(mask.count_ones() as usize, reach, "{what}: mask has holes");
                         assert!(reach >= values * n as usize / 8, "{what} masks out its own bytes");
+                    }
+                    if s % 3 == 0 {
+                        let last = chunks - 1;
+                        let mut want = [0; CHUNK_LEN];
+                        decode_chunk_generic(&words[last * n as usize..][..n as usize], n as usize, &mut want);
+                        assert_eq!(want, chunk(last));
+                        assert_eq!(emulate(n, &le[..len], last), want, "n={n} len={len}: unpack");
                     }
                 }
             }

@@ -579,7 +579,6 @@ impl BufferPool {
             out.extend(keys.iter().map(|&key| self.pin_at(key, caller)));
             return;
         }
-        let started = Instant::now();
         let base = out.len();
         out.reserve(keys.len());
         // A slot of `out` this call fills in after the pass — the caller
@@ -593,18 +592,26 @@ impl BufferPool {
         let mut joins: Vec<usize> = Vec::new();
         let mut hits = 0u64;
         // The warm pass is sampled like single pins: when one of its hits
-        // is a shard's 1st, 65th, … the whole pass records.
+        // is a shard's 1st, 65th, … the pass records. The clock is read
+        // only for what records — from the first sampled hit or the first
+        // miss on, with the number of keys classified before it — so an
+        // unsampled warm pass reads none.
         let mut sampled = false;
-        for &key in keys {
+        let mut started: Option<(Instant, usize)> = None;
+        for (i, &key) in keys.iter().enumerate() {
             let shard = self.inner.shard(key);
             // A hit's guard goes straight to its slot.
             out.push(match self.classify(shard, key) {
                 PinAction::Hit(frame) => {
-                    sampled |= (shard.counters.hits.add(1) - 1).is_multiple_of(PIN_SAMPLE_EVERY);
+                    if (shard.counters.hits.add(1) - 1).is_multiple_of(PIN_SAMPLE_EVERY) {
+                        sampled = true;
+                        started.get_or_insert_with(|| (Instant::now(), i));
+                    }
                     hits += 1;
                     Ok(self.pinned(key, self.inner.guard(frame, caller)))
                 }
                 PinAction::Load(ls) => {
+                    started.get_or_insert_with(|| (Instant::now(), i));
                     shard.counters.misses.inc();
                     wave.push((key, ls));
                     wave_at.push(out.len());
@@ -621,14 +628,15 @@ impl BufferPool {
                 }
             });
         }
-        if sampled {
-            // One clock read for the pass: each hit records its share.
-            let per_hit = started.elapsed().as_nanos() as u64 / keys.len() as u64;
+        if let (true, Some((since, from))) = (sampled, started) {
+            // One clock read for the keys from the first timed on: each hit
+            // records their share.
+            let per_hit = since.elapsed().as_nanos() as u64 / (keys.len() - from) as u64;
             self.inner.metrics.pin_ns.record_n(per_hit, hits);
         }
-        if !wave.is_empty() {
+        if let (false, Some((since, _))) = (wave.is_empty(), started) {
             let frames = self.load_wave(wave);
-            let waited = started.elapsed().as_nanos() as u64;
+            let waited = since.elapsed().as_nanos() as u64;
             for (at, frame) in wave_at.into_iter().zip(frames) {
                 self.inner.metrics.load_ns.record(waited);
                 let key = keys[at - base];

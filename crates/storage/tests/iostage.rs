@@ -152,3 +152,30 @@ fn cold_pins_record_load_latency_warm_pins_sample_pin_latency() {
     let sampled = snap.histogram("pool_pin_ns").count();
     assert!(0 < sampled && sampled <= 4, "samples never outnumber hits: {sampled}");
 }
+
+#[test]
+fn an_unsampled_warm_pin_many_records_no_pin_latency() {
+    // One page pinned twice a pass, so every hit counts on one shard: the
+    // pass holding the shard's 1st hit records into `pool_pin_ns`, the 31
+    // passes after it (hits 2..=63) record nothing, and the pass holding
+    // its 65th records again. No pass loads anything.
+    let store = MemStore::new();
+    let chain = store.create_chain(32).unwrap();
+    store.append_page(chain, &[7; 8]).unwrap();
+    let pool = BufferPool::new(Arc::new(store), ResourceManager::new());
+    let key = PageKey::new(chain, 0);
+    drop(pool.pin(key).unwrap()); // cold
+    let pin_ns = || ObsSnapshot::collect(pool.registry()).histogram("pool_pin_ns").count();
+    let loads = || ObsSnapshot::collect(pool.registry()).histogram("pool_load_ns").count();
+    drop(pool.pin_many(&[key, key]));
+    let first = pin_ns();
+    assert!(first > 0, "the pass with the shard's first hit records");
+    for pass in 1..32 {
+        drop(pool.pin_many(&[key, key]));
+        assert_eq!(pin_ns(), first, "unsampled warm pass {pass} recorded");
+    }
+    drop(pool.pin_many(&[key, key]));
+    assert!(pin_ns() > first, "the pass with the shard's 65th hit records");
+    assert_eq!(pool.metrics().hits, 66);
+    assert_eq!(loads(), 1, "one cold pin, no loads from the passes");
+}

@@ -22,7 +22,7 @@ use crate::schema::Row;
 use crate::table::{Snapshot, Table};
 use crate::{TableError, TableResult};
 use payg_core::column::ColumnRead;
-use payg_core::{Column, DataType, ScanPath, Value, ValuePredicate};
+use payg_core::{Column, CoreError, DataType, ScanPath, Sum, Value, ValuePredicate};
 
 /// What a query returns.
 #[derive(Debug, Clone, PartialEq)]
@@ -173,7 +173,7 @@ impl Snapshot<'_> {
                     let p = &self.partitions()[pi];
                     match rposs {
                         Some(rposs) if in_delta => {
-                            p.delta_view().key_counts(col, &rposs, |key, n| fold.key(ty, key, n))
+                            p.delta_view().key_counts(col, &rposs, |key, n| fold.key(key, n))
                         }
                         rposs => fold.main_rows(p.main_frag().column(col), rposs.as_deref()),
                     }
@@ -307,21 +307,16 @@ impl Fold {
     /// (`None`) of a fragment with no deleted rows. Such a fragment's
     /// distinct identifiers are `0..cardinality`, since every identifier
     /// occurs after a merge, and its extremes the first and last of them:
-    /// `MIN`, `MAX` and `DISTINCT` read its dictionary alone. `SUM` folds
-    /// (value, count) pairs; `MIN` / `MAX` decode one value, the first /
-    /// last identifier, because the dictionary preserves order.
+    /// `MIN`, `MAX` and `DISTINCT` read its dictionary alone. `SUM` adds
+    /// each distinct key times its count as a typed number; `MIN` / `MAX`
+    /// decode one value, the first / last identifier, because the
+    /// dictionary preserves order.
     fn main_rows(&mut self, column: &Column, rposs: Option<&[u64]>) -> TableResult<()> {
         match self {
             Fold::Sum(acc) => {
                 let every: Vec<u64> =
                     if rposs.is_none() { (0..column.len()).collect() } else { Vec::new() };
-                let mut sum = Ok(());
-                column.fold_value_counts(rposs.unwrap_or(&every), |value, count| {
-                    if sum.is_ok() {
-                        sum = acc.add(&value, count);
-                    }
-                })?;
-                sum
+                column.sum(rposs.unwrap_or(&every), &mut acc.0).map_err(overflow)
             }
             Fold::Extreme { want_max, .. } => {
                 let want_max = *want_max;
@@ -336,7 +331,7 @@ impl Fold {
                 };
                 let Some(vid) = vid else { return Ok(()) };
                 let key = column.values_by_vid(&[vid])?[0].to_key();
-                self.key(column.data_type(), &key, 1)
+                self.key(&key, 1)
             }
             Fold::Distinct(keys) => {
                 let vids: Vec<u64> = match rposs {
@@ -351,11 +346,11 @@ impl Fold {
         }
     }
 
-    /// Folds `count` rows holding `key`, of a column of type `ty`: `SUM`
-    /// decodes it once, `MIN`, `MAX` and `DISTINCT` compare keys.
-    fn key(&mut self, ty: DataType, key: &[u8], count: u64) -> TableResult<()> {
+    /// Folds `count` rows holding `key`: `SUM` adds it as a number once,
+    /// `MIN`, `MAX` and `DISTINCT` compare keys.
+    fn key(&mut self, key: &[u8], count: u64) -> TableResult<()> {
         match self {
-            Fold::Sum(acc) => acc.add(&Value::from_key(ty, key)?, count)?,
+            Fold::Sum(acc) => acc.0.add_key(key, count).map_err(overflow)?,
             Fold::Extreme { want_max, best } => {
                 if best.as_deref().is_none_or(|b| (key > b) == *want_max) {
                     *best = Some(key.to_vec());
@@ -385,50 +380,35 @@ impl Fold {
     }
 }
 
-/// Typed sum accumulator.
-enum SumAcc {
-    Int(i128),
-    Dec(i128),
-    Dbl(f64),
-}
+/// Typed sum accumulator: the running [`Sum`] a main fragment's rows add
+/// into ([`ColumnRead::sum`]) and a delta's keys add to, and the answer's
+/// type.
+struct SumAcc(Sum);
 
 impl SumAcc {
     fn new(ty: DataType) -> TableResult<Self> {
-        Ok(match ty {
-            DataType::Integer => SumAcc::Int(0),
-            DataType::Decimal => SumAcc::Dec(0),
-            DataType::Double => SumAcc::Dbl(0.0),
-            DataType::Varchar => {
-                return Err(TableError::Invalid("SUM over a VARCHAR column".into()))
-            }
-        })
-    }
-
-    /// Adds `count` occurrences of `v`.
-    fn add(&mut self, v: &Value, count: u64) -> TableResult<()> {
-        let exact = |acc: &i128, x: i128| {
-            x.checked_mul(i128::from(count))
-                .and_then(|product| acc.checked_add(product))
-                .ok_or_else(|| TableError::Invalid("SUM overflows its 128-bit accumulator".into()))
-        };
-        match (self, v) {
-            (SumAcc::Int(a), Value::Integer(x)) => *a = exact(a, i128::from(*x))?,
-            (SumAcc::Dec(a), Value::Decimal(x)) => *a = exact(a, *x)?,
-            (SumAcc::Dbl(a), Value::Double(x)) => *a += x * count as f64,
-            _ => unreachable!("sum accumulator type checked at construction"),
-        }
-        Ok(())
+        Sum::zero(ty)
+            .map(SumAcc)
+            .ok_or_else(|| TableError::Invalid("SUM over a VARCHAR column".into()))
     }
 
     fn finish(self) -> Value {
-        match self {
-            SumAcc::Int(a) => i64::try_from(a)
+        match self.0 {
+            Sum::Integer(a) => i64::try_from(a)
                 .map(Value::Integer)
                 // An integer sum beyond i64 widens to DECIMAL (scale 2).
                 .unwrap_or(Value::Decimal(a.saturating_mul(100))),
-            SumAcc::Dec(a) => Value::Decimal(a),
-            SumAcc::Dbl(a) => Value::Double(a),
+            Sum::Decimal(a) => Value::Decimal(a),
+            Sum::Double(a) => Value::Double(a),
         }
+    }
+}
+
+/// A sum's overflow as the query error it is; any other failure as is.
+fn overflow(e: CoreError) -> TableError {
+    match e {
+        CoreError::SumOverflow => TableError::Invalid(e.to_string()),
+        e => TableError::Core(e),
     }
 }
 
@@ -712,6 +692,27 @@ mod tests {
             assert!(overflows(t.execute(&sum)), "{policy:?}: product fits, sum does not");
             t.delta_merge_all().unwrap();
             assert!(overflows(t.execute(&sum)), "{policy:?}: value × 3 does not fit");
+
+            // A dictionary of three pages (48 16-byte keys a page) whose
+            // sum overflows at identifier 103 of 130, in the middle of its
+            // last page: the first 100 values are small, the rest a quarter
+            // of the range each.
+            let pool = BufferPool::new(Arc::new(MemStore::new()), ResourceManager::new());
+            let t = Table::create(pool, PageConfig::tiny(), schema.clone(), vec![PartitionSpec::single(policy)])
+                .unwrap();
+            let amount = |i: i64| if i < 100 { i128::from(i) } else { i128::MAX / 4 + i128::from(i) };
+            for i in 0..130 {
+                t.insert(vec![Value::Integer(i), Value::Decimal(amount(i))]).unwrap();
+            }
+            t.delta_merge_all().unwrap();
+            assert!(overflows(t.execute(&sum)), "{policy:?}: overflow mid-page");
+            let three = Query::filtered(
+                "id",
+                ValuePredicate::Between(Value::Integer(0), Value::Integer(102)),
+                Projection::Sum("amount".into()),
+            );
+            let want = (0..103).map(amount).sum();
+            assert_eq!(t.execute(&three).unwrap(), QueryResult::Sum(Value::Decimal(want)), "{policy:?}");
         }
     }
 

@@ -220,12 +220,13 @@ fn a_warm_range_projection_allocates_per_row_and_string_plus_a_constant() {
 }
 
 /// Allocations a warm 1 000-row `SUM` over a primary-key range may make:
-/// the session, the index run, the row list and the query's own vectors —
-/// 5 when this was written — and none for the distinct values summed: the
-/// (value, count) pairs fold straight off the thread's materialization
-/// buffers, which a range this short keeps. (Collecting the pairs, their
-/// identifiers and their values into vectors of their own took 10.)
-const RANGE_SUM_ALLOCS: usize = 6;
+/// the session, the index run, the row list and the query's own vectors,
+/// and none for the distinct values summed: each distinct key times its
+/// count is added as a number straight off the dictionary pages, through
+/// the thread's materialization buffers, which a range this short keeps.
+/// (Collecting the pairs, their identifiers and their values into vectors
+/// of their own took 10.)
+const RANGE_SUM_ALLOCS: usize = 5;
 
 /// A warm `SUM` over 1 000 rows of a high-cardinality page-loadable column
 /// (about 1 000 distinct values at those rows) allocates at most

@@ -6,8 +6,7 @@
 //! domain — it sorts each delta's dictionary, merges it with the old main's,
 //! and remaps identifiers (paper §2).
 
-use crate::column::paged::{ColumnParts, StoredRows};
-use crate::column::{Column, LoadPolicy, PagedColumn, ResidentColumn};
+use crate::column::{Column, ColumnParts, LoadPolicy, StoredRows};
 use crate::datavec::PagedDataVector;
 use crate::dict::{InMemoryDict, PagedDictBuildStats, PagedDictionary, UnsortedDict};
 use crate::invidx::PagedInvertedIndex;
@@ -260,12 +259,7 @@ impl ColumnBuilder {
             dict,
             rows: stored,
         });
-        let column = match self.policy {
-            LoadPolicy::PageLoadable => Column::Paged(PagedColumn::new(parts)),
-            LoadPolicy::FullyResident => {
-                Column::Resident(ResidentColumn::new(parts, self.resident_disposition))
-            }
-        };
+        let column = Column::new(parts, self.policy, self.resident_disposition);
         Ok(ColumnBuild { column, dict_stats, datavec_pages, index_pages })
     }
 }

@@ -77,8 +77,8 @@
 //! one-column case of the same code, and a point read its one-row case —
 //! there is no other value path.
 
-use super::paged::{ColumnParts, StoredRows};
-use super::resident::{Image, ResidentColumn};
+use super::parts::{ColumnParts, StoredRows};
+use super::resident::Image;
 use super::{Column, EncodedRows};
 use crate::dict::{append_piece, Layout, Values};
 use crate::waves::Waves;
@@ -106,32 +106,7 @@ pub fn materialize(
     rows: &mut [Vec<Value>],
 ) -> CoreResult<()> {
     assert_eq!(rows.len(), rposs.len(), "one row per position");
-    materialize_into(which.len(), |j| Source::of(&columns[which[j]]), rposs, rows)
-}
-
-/// A projected column as late materialization reads it.
-#[derive(Clone, Copy)]
-pub(crate) enum Source<'a> {
-    /// Answered from its in-memory image.
-    Resident(&'a ResidentColumn),
-    /// Pinned page by page.
-    Paged(&'a ColumnParts),
-}
-
-impl<'a> Source<'a> {
-    pub(crate) fn of(column: &'a Column) -> Self {
-        match column {
-            Column::Resident(c) => Source::Resident(c),
-            Column::Paged(c) => Source::Paged(c.parts()),
-        }
-    }
-
-    fn parts(self) -> &'a ColumnParts {
-        match self {
-            Source::Resident(c) => c.parts(),
-            Source::Paged(c) => c,
-        }
-    }
+    materialize_into(which.len(), |j| &columns[which[j]], rposs, rows)
 }
 
 /// Where an answer's cells land, row by row in the caller's order.
@@ -159,7 +134,7 @@ impl Cells for Vec<Value> {
 /// names, at `rposs` (any order, duplicates allowed), into `out`.
 pub(crate) fn materialize_into<'a, C: Cells + ?Sized>(
     m: usize,
-    source: impl Fn(usize) -> Source<'a>,
+    source: impl Fn(usize) -> &'a Column,
     rposs: &[u64],
     out: &mut C,
 ) -> CoreResult<()> {
@@ -171,7 +146,7 @@ pub(crate) fn materialize_into<'a, C: Cells + ?Sized>(
 
 /// [`ColumnRead::get_values`] of one column: its values at `rposs`, in
 /// that order.
-pub(crate) fn get_values(column: Source<'_>, rposs: &[u64]) -> CoreResult<Vec<Value>> {
+pub(crate) fn get_values(column: &Column, rposs: &[u64]) -> CoreResult<Vec<Value>> {
     let mut out = Vec::with_capacity(rposs.len());
     materialize_into(1, |_| column, rposs, &mut out)?;
     Ok(out)
@@ -181,8 +156,8 @@ pub(crate) fn get_values(column: Source<'_>, rposs: &[u64]) -> CoreResult<Vec<Va
 /// unranked, then each distinct one's key times its count added to `sum`
 /// straight off the dictionary — a paged column's array pages in phase
 /// (c)'s loop, a resident column's image key by key — with no values table.
-pub(crate) fn sum(column: Source<'_>, rposs: &[u64], sum: &mut Sum) -> CoreResult<()> {
-    let parts = column.parts();
+pub(crate) fn sum(column: &Column, rposs: &[u64], sum: &mut Sum) -> CoreResult<()> {
+    let parts = &*column.parts;
     if sum.data_type() != parts.data_type {
         return Err(CoreError::TypeMismatch { expected: parts.data_type, got: sum.data_type() });
     }
@@ -191,24 +166,19 @@ pub(crate) fn sum(column: Source<'_>, rposs: &[u64], sum: &mut Sum) -> CoreResul
     }
     with_scratch(|Scratch { plan, ranks, .. }| {
         ranks.start(1, rposs, parts.cardinality.min(rposs.len() as u64) as usize);
-        match column {
-            Source::Resident(c) => {
-                let image = c.image()?;
-                decode_vids(1, &|_| Some(column), Some(&image), &ranks.sorted, &mut ranks.vids, plan)?;
-                ranks.rank(0, false);
-                let mut keys = image.dict().keys(&mut plan.raw);
-                for (&vid, &n) in ranks.distinct.iter().zip(&ranks.uses) {
-                    sum.add_key(c.key_of(&mut keys, vid)?, u64::from(n))?;
-                }
-                Ok(())
-            }
-            Source::Paged(c) => {
-                decode_vids(1, &|_| Some(column), None, &ranks.sorted, &mut ranks.vids, plan)?;
-                ranks.rank(0, false);
-                let Ranks { distinct, uses, .. } = &*ranks;
-                values_by_vid_paged(&c.pool, 1, &|_| Some(c), |_| distinct, plan, Values::Sum { uses, sum })
-            }
+        let image = column.image()?;
+        decode_vids(1, &|_| Some(parts), image.as_deref(), &ranks.sorted, &mut ranks.vids, plan)?;
+        ranks.rank(0, false);
+        let Ranks { distinct, uses, .. } = &*ranks;
+        let Some(image) = image else {
+            let sink = Values::Sum { uses, sum };
+            return values_by_vid_paged(&parts.pool, 1, &|_| Some(parts), |_| distinct, plan, sink);
+        };
+        let mut keys = image.dict.keys(&mut plan.raw);
+        for (&vid, &n) in distinct.iter().zip(uses) {
+            sum.add_key(parts.key_of(&mut keys, vid)?, u64::from(n))?;
         }
+        Ok(())
     })
 }
 
@@ -509,7 +479,7 @@ impl Scratch {
     fn run<'a, C: Cells + ?Sized>(
         &mut self,
         m: usize,
-        source: impl Fn(usize) -> Source<'a>,
+        source: impl Fn(usize) -> &'a Column,
         rposs: &[u64],
         out: &mut C,
     ) -> CoreResult<()> {
@@ -525,14 +495,14 @@ impl Scratch {
     fn resolve<'a>(
         &mut self,
         m: usize,
-        source: impl Fn(usize) -> Source<'a>,
+        source: impl Fn(usize) -> &'a Column,
         rposs: &[u64],
         ranked: bool,
     ) -> CoreResult<()> {
         let Scratch { plan, ranks, table } = self;
         // A column has at most as many distinct identifiers as rows, and
         // as its dictionary: the buffers of the distinct ones are sized once.
-        let most = |j: usize| source(j).parts().cardinality.min(rposs.len() as u64) as usize;
+        let most = |j: usize| source(j).parts.cardinality.min(rposs.len() as u64) as usize;
         let distinct = (0..m).map(most).sum();
         ranks.start(m, rposs, distinct);
         table.clear();
@@ -540,34 +510,28 @@ impl Scratch {
         // Resident columns one at a time, paged ones pool by pool: a batched
         // pin addresses one pool, and columns of a fragment share theirs.
         for lead in 0..m {
-            match source(lead) {
-                Source::Resident(c) => {
-                    let image = c.image()?;
-                    let vids = &mut ranks.vids[lead * rposs.len()..][..rposs.len()];
-                    decode_vids(1, &|_| Some(Source::Resident(c)), Some(&image), &ranks.sorted, vids, plan)?;
-                    ranks.rank(lead, ranked);
-                    let mut keys = image.dict().keys(&mut plan.raw);
-                    for &vid in ranks.distinct(lead) {
-                        table.push(c.value_of(&mut keys, vid)?);
-                    }
+            let column = source(lead);
+            let first = &*column.parts;
+            if let Some(image) = column.image()? {
+                let vids = &mut ranks.vids[lead * rposs.len()..][..rposs.len()];
+                decode_vids(1, &|_| Some(first), Some(&image), &ranks.sorted, vids, plan)?;
+                ranks.rank(lead, ranked);
+                let mut keys = image.dict.keys(&mut plan.raw);
+                for &vid in ranks.distinct(lead) {
+                    table.push(first.value_of(&mut keys, vid)?);
                 }
-                Source::Paged(first) => {
-                    let part = |j: usize| match source(j) {
-                        Source::Paged(c) if c.pool.same_pool(&first.pool) => Some(c),
-                        _ => None,
-                    };
-                    if (0..lead).any(|j| part(j).is_some()) {
-                        continue; // resolved with an earlier column of its pool
-                    }
-                    let paged = |j: usize| part(j).map(Source::Paged);
-                    decode_vids(m, &paged, None, &ranks.sorted, &mut ranks.vids, plan)?;
-                    for j in (0..m).filter(|&j| part(j).is_some()) {
-                        ranks.rank(j, ranked);
-                    }
-                    let ranks = &*ranks;
-                    values_by_vid_paged(&first.pool, m, &part, |j| ranks.distinct(j), plan, Values::Table(table))?;
-                }
+                continue;
             }
+            let part = |j: usize| source(j).paged().filter(|c| c.pool.same_pool(&first.pool));
+            if (0..lead).any(|j| part(j).is_some()) {
+                continue; // resolved with an earlier column of its pool
+            }
+            decode_vids(m, &part, None, &ranks.sorted, &mut ranks.vids, plan)?;
+            for j in (0..m).filter(|&j| part(j).is_some()) {
+                ranks.rank(j, ranked);
+            }
+            let ranks = &*ranks;
+            values_by_vid_paged(&first.pool, m, &part, |j| ranks.distinct(j), plan, Values::Table(table))?;
         }
         debug_assert_eq!(table.len(), ranks.distinct.len(), "a value per distinct identifier");
         Ok(())
@@ -726,13 +690,15 @@ fn invert(order: &mut [u32]) {
 /// [`ColumnRead::vid_counts`] of one column: phase (a), then the counting
 /// pass, unranked (see [`rank`]), into `(identifier, count)` pairs,
 /// ascending by identifier.
-pub(crate) fn vid_counts(column: Source<'_>, rposs: &[u64]) -> CoreResult<Vec<(u64, u64)>> {
+pub(crate) fn vid_counts(column: &Column, rposs: &[u64]) -> CoreResult<Vec<(u64, u64)>> {
     if rposs.is_empty() {
         return Ok(Vec::new());
     }
+    let parts = &*column.parts;
     with_scratch(|Scratch { plan, ranks, .. }| {
-        ranks.start(1, rposs, column.parts().cardinality.min(rposs.len() as u64) as usize);
-        decode_vids(1, &|_| Some(column), None, &ranks.sorted, &mut ranks.vids, plan)?;
+        ranks.start(1, rposs, parts.cardinality.min(rposs.len() as u64) as usize);
+        let image = column.image()?;
+        decode_vids(1, &|_| Some(parts), image.as_deref(), &ranks.sorted, &mut ranks.vids, plan)?;
         ranks.rank(0, false);
         Ok(ranks.distinct.iter().zip(&ranks.uses).map(|(&vid, &n)| (vid, u64::from(n))).collect())
     })
@@ -742,19 +708,21 @@ pub(crate) fn vid_counts(column: Source<'_>, rposs: &[u64]) -> CoreResult<Vec<(u
 /// back in the caller's row order, over the whole dictionary — a resident
 /// column's image, or a paged one's chain read in key order straight from
 /// the store.
-pub(crate) fn encoded_rows(column: Source<'_>, rposs: &[u64]) -> CoreResult<EncodedRows> {
+pub(crate) fn encoded_rows(column: &Column, rposs: &[u64]) -> CoreResult<EncodedRows> {
+    let parts = &*column.parts;
+    let image = column.image()?;
     let vids = with_scratch(|Scratch { plan, ranks, .. }| {
         ascending(rposs, &mut ranks.sorted, &mut ranks.order);
         let mut vids = vec![0; rposs.len()];
-        decode_vids(1, &|_| Some(column), None, &ranks.sorted, &mut vids, plan)?;
+        decode_vids(1, &|_| Some(parts), image.as_deref(), &ranks.sorted, &mut vids, plan)?;
         if ranks.order.is_empty() {
             return Ok(vids);
         }
         CoreResult::Ok(ranks.order.iter().map(|&k| vids[k as usize]).collect())
     })?;
-    let dict = match column {
-        Source::Resident(c) => c.image()?.dict().to_in_memory()?,
-        Source::Paged(c) => c.dict.materialize_all_direct()?,
+    let dict = match image {
+        Some(image) => image.dict.to_in_memory()?,
+        None => parts.dict.materialize_all_direct()?,
     };
     EncodedRows::new(dict, vids)
 }
@@ -762,13 +730,14 @@ pub(crate) fn encoded_rows(column: Source<'_>, rposs: &[u64]) -> CoreResult<Enco
 /// Phase (a): the identifier at every row of `sorted` (ascending, not
 /// empty) for each of the `m` columns `part` names (paged ones share a
 /// pool), column `j`'s to `vids[j * n..][..n]`, after one bounds check of
-/// the greatest row. A resident column decodes its image (`image`, if the
-/// caller holds it) in one [`decode_rows`]; a paged column pins its pages in
-/// waves, one [`decode_rows`] a page, and copies its rows where they are
-/// its identifiers. A width-0 column has no pages: its identifiers are 0.
+/// the greatest row. A column copies its rows where they are its
+/// identifiers; else a resident one (`m` is 1) decodes its `image` in one
+/// [`decode_rows`], and a paged column pins its pages in waves, one
+/// [`decode_rows`] a page. A width-0 column has no pages: its identifiers
+/// are 0.
 fn decode_vids<'a>(
     m: usize,
-    part: &impl Fn(usize) -> Option<Source<'a>>,
+    part: &impl Fn(usize) -> Option<&'a ColumnParts>,
     image: Option<&Image>,
     sorted: &[u64],
     vids: &mut [u64],
@@ -778,29 +747,24 @@ fn decode_vids<'a>(
     let Plan { tasks, waves, .. } = plan;
     tasks.clear();
     let mut pool = None;
+    debug_assert!(image.is_none() || m == 1, "an image is one column's");
     for j in 0..m {
-        let Some(column) = part(j) else { continue };
-        let len = column.parts().len;
-        if last >= len {
-            return Err(CoreError::RowOutOfBounds { rpos: last, len });
+        let Some(c) = part(j) else { continue };
+        if last >= c.len {
+            return Err(CoreError::RowOutOfBounds { rpos: last, len: c.len });
         }
         let out = &mut vids[j * n..][..n];
-        match column {
-            Source::Resident(c) => match image {
-                Some(image) => image.decode_rows(sorted, out),
-                None => c.image()?.decode_rows(sorted, out),
-            },
-            Source::Paged(c) => match &c.rows {
-                StoredRows::Identity { .. } => out.copy_from_slice(sorted),
-                StoredRows::Plain { data, .. } if data.rows_per_page() == 0 => out.fill(0),
-                StoredRows::Plain { data, .. } => {
-                    plan_pages(tasks, j, n, |lo| {
-                        let (page, first, hi) = page_of_run(sorted, lo, data.rows_per_page());
-                        (data.page_key(page), first, hi)
-                    });
-                    pool = Some(&c.pool);
-                }
-            },
+        match (&c.rows, image) {
+            (StoredRows::Identity { .. }, _) => out.copy_from_slice(sorted),
+            (StoredRows::Plain { .. }, Some(image)) => image.decode_rows(sorted, out),
+            (StoredRows::Plain { data, .. }, None) if data.rows_per_page() == 0 => out.fill(0),
+            (StoredRows::Plain { data, .. }, None) => {
+                plan_pages(tasks, j, n, |lo| {
+                    let (page, first, hi) = page_of_run(sorted, lo, data.rows_per_page());
+                    (data.page_key(page), first, hi)
+                });
+                pool = Some(&c.pool);
+            }
         }
     }
     let Some(pool) = pool else { return Ok(()) };
@@ -809,7 +773,7 @@ fn decode_vids<'a>(
         tasks,
         |t| t.key,
         |t, page| {
-            if let Some(Source::Paged(ColumnParts { rows: StoredRows::Plain { data, .. }, .. })) = part(t.col) {
+            if let Some(ColumnParts { rows: StoredRows::Plain { data, .. }, .. }) = part(t.col) {
                 let out = &mut vids[t.col * n..][t.lo..t.hi];
                 decode_rows(Packed::Bytes(page), data.width(), t.first, &sorted[t.lo..t.hi], out);
             }
@@ -1150,7 +1114,7 @@ mod tests {
 
         let mut scratch = Scratch::default();
         let mut rows = vec![Vec::new(); rposs.len()];
-        let source = |j: usize| Source::of(&columns[which[j]]);
+        let source = |j: usize| &columns[which[j]];
         scratch.run(which.len(), source, &rposs, &mut rows[..]).unwrap();
         expect(&rows);
         for (name, capacity) in capacities(&scratch) {

@@ -1,17 +1,20 @@
 //! Column assembly: data vector + dictionary + optional inverted index.
 //!
-//! Every column is persisted once (page chains for all three structures) and
-//! accessed in one of two modes chosen at build time ([`LoadPolicy`]):
+//! Every column is persisted once (page chains for all three structures)
+//! and read in one of two modes chosen at build time ([`LoadPolicy`]), a
+//! field of the one [`Column`] type:
 //!
-//! * [`ResidentColumn`] — the paper's *default column*: on first access the
-//!   whole column is loaded into contiguous memory (direct store reads, no
-//!   buffer pool) and registered with the resource manager as a **single**
-//!   resource; under pressure it is evicted whole.
-//! * [`PagedColumn`] — the paper's *page loadable column*: reads pin
+//! * **fully resident** — the paper's *default column*: on first access
+//!   the whole column is loaded into contiguous memory (direct store reads,
+//!   no buffer pool) and registered with the resource manager as a
+//!   **single** resource; under pressure it is evicted whole.
+//! * **page loadable** — the paper's *page loadable column*: reads pin
 //!   individual pages through the buffer pool; the mandatory memory
 //!   footprint is the metadata only.
 //!
-//! Both implement [`ColumnRead`]; the difference is invisible to queries.
+//! Each [`ColumnRead`] operation is written once: only its innermost step
+//! differs, reading the resident image or pinned pages. The difference is
+//! invisible to queries.
 //!
 //! A column whose rows are their value identifiers — a unique key stored in
 //! key order — persists its dictionary alone: the data vector and the
@@ -20,25 +23,22 @@
 
 mod builder;
 mod materialize;
-mod paged;
+mod parts;
 mod read;
 mod resident;
 
 pub use builder::{ColumnBuild, ColumnBuilder, EncodedRows};
 pub use crate::waves::WAVE_PAGES;
 pub use materialize::materialize;
-pub use paged::PagedColumn;
 pub use read::ColumnRead;
-pub use resident::ResidentColumn;
 
-use crate::datavec::ScanOptions;
 use crate::meta::{MetaReader, MetaWriter};
-use crate::{CoreError, CoreResult, DataType, KeyPredicate, PageConfig, Sum, Value, ValuePredicate};
-pub(crate) use paged::StoredRows;
+use crate::{CoreError, CoreResult, DataType, KeyPredicate, PageConfig};
+pub(crate) use parts::{ColumnParts, StoredRows};
 use payg_encoding::dispatch::{CodecKind, ScanPath};
-use payg_encoding::VidSet;
 use payg_resman::Disposition;
 use payg_storage::{BufferPool, StorageError};
+use resident::{Image, Resident};
 use std::sync::Arc;
 
 /// Load behaviour chosen at column creation (paper §1: "the preferred
@@ -51,47 +51,77 @@ pub enum LoadPolicy {
     PageLoadable,
 }
 
-/// A column in either load mode.
-pub enum Column {
-    /// A fully-resident (default) column.
-    Resident(ResidentColumn),
-    /// A page-loadable column.
-    Paged(PagedColumn),
+/// A column in either load mode: its persisted parts, and its load policy
+/// — the load state of a fully resident column, or nothing for a page
+/// loadable one, whose pages the pool holds.
+pub struct Column {
+    pub(crate) parts: Arc<ColumnParts>,
+    /// `Some` exactly when the policy is [`LoadPolicy::FullyResident`].
+    resident: Option<Resident>,
 }
 
 impl Column {
-    /// The persisted parts, whichever mode reads them.
-    fn parts(&self) -> &paged::ColumnParts {
-        match self {
-            Column::Resident(c) => c.parts(),
-            Column::Paged(c) => c.parts(),
-        }
+    pub(crate) fn new(parts: Arc<ColumnParts>, policy: LoadPolicy, disposition: Disposition) -> Self {
+        let resident = match policy {
+            LoadPolicy::FullyResident => Some(Resident::new(&parts, disposition)),
+            LoadPolicy::PageLoadable => None,
+        };
+        Column { parts, resident }
+    }
+
+    /// The parts of a page-loadable column, read page by page; `None` for
+    /// a resident one.
+    fn paged(&self) -> Option<&ColumnParts> {
+        self.resident.is_none().then_some(&*self.parts)
+    }
+
+    /// The image of a resident column, loaded on first access; `None` for
+    /// a page-loadable one.
+    fn image(&self) -> CoreResult<Option<Arc<Image>>> {
+        self.resident.as_ref().map(|r| r.image(&self.parts)).transpose()
     }
 
     /// The column's load policy.
     pub fn policy(&self) -> LoadPolicy {
-        match self {
-            Column::Resident(_) => LoadPolicy::FullyResident,
-            Column::Paged(_) => LoadPolicy::PageLoadable,
+        match self.resident {
+            Some(_) => LoadPolicy::FullyResident,
+            None => LoadPolicy::PageLoadable,
         }
     }
 
     /// For resident columns: force the full load now (otherwise it happens
     /// on first access). No-op for paged columns.
     pub fn ensure_loaded(&self) -> CoreResult<()> {
-        if let Column::Resident(c) = self {
-            c.load()?;
-        }
-        Ok(())
+        self.image().map(|_| ())
     }
 
     /// For resident columns: drop the loaded image (it reloads on next
     /// access). No-op for paged columns, whose pages the resource manager
     /// evicts piecewise.
     pub fn unload(&self) {
-        if let Column::Resident(c) = self {
-            c.unload();
+        if let Some(r) = &self.resident {
+            r.unload(&self.parts);
         }
+    }
+
+    /// True when a resident column's image is in memory; false for a paged
+    /// column.
+    pub fn is_loaded(&self) -> bool {
+        self.resident.as_ref().is_some_and(Resident::is_loaded)
+    }
+
+    /// Heap bytes of a resident column's loaded image, summed now from its
+    /// structures — the figure the load registered with the resource
+    /// manager. `None` while the column is not loaded, and for a paged
+    /// column.
+    pub fn loaded_bytes(&self) -> Option<usize> {
+        self.resident.as_ref().and_then(Resident::loaded_bytes)
+    }
+
+    /// How many times a resident column has been (re)loaded — each one is
+    /// the paper's expensive whole-column load; 0 for a paged column.
+    pub fn load_count(&self) -> u64 {
+        self.resident.as_ref().map_or(0, Resident::load_count)
     }
 
     /// The rows at `rposs` (any order) in the encoded domain — the column's
@@ -104,20 +134,20 @@ impl Column {
         if rposs.is_empty() {
             return Ok(EncodedRows::default());
         }
-        materialize::encoded_rows(materialize::Source::of(self), rposs)
+        materialize::encoded_rows(self, rposs)
     }
 
     /// The codec of the dictionary's persisted chain. Both load
     /// modes share one persisted format, so this reports the on-disk codec
     /// even for resident columns (whose in-memory image is decoded).
     pub fn dict_codec(&self) -> CodecKind {
-        self.parts().dict.codec_kind()
+        self.parts.dict.codec_kind()
     }
 
     /// The codec of the persisted posting chain, if the column stores
     /// postings.
     pub fn index_codec(&self) -> Option<CodecKind> {
-        match &self.parts().rows {
+        match &self.parts.rows {
             StoredRows::Plain { index: Some(i), .. } => Some(i.codec_kind()),
             _ => None,
         }
@@ -127,16 +157,25 @@ impl Column {
     /// `dict*`, `index`). Both load modes persist the same chains, so
     /// EXPLAIN ANALYZE can attribute traced page events either way.
     pub fn chains(&self) -> Vec<(&'static str, u64)> {
-        self.parts().chains()
+        self.parts.chains()
     }
 
     /// The strategy a row search for `pred` runs with. Resident columns
     /// always decode-then-scan — their image is already decompressed in
-    /// memory — so only page-loadable columns ever seek compressed postings.
+    /// memory — and so do paged ones without an index, over the data
+    /// vector's kernels. A paged index traversal is picked from the
+    /// predicate's shape alone: point keys (`=`, `IN`) seek each vid's
+    /// postings in the compressed domain — `next_row_pos_geq` leapfrogs
+    /// every partition below the row range on its two-varint header —
+    /// while a key interval is one vid range, hence one posting run,
+    /// decoded and drained whole. (Dictionary probes decide independently:
+    /// FSST equality probes always compare compressed bytes inside `find`.)
     pub fn scan_path(&self, pred: &KeyPredicate) -> ScanPath {
-        match self {
-            Column::Resident(_) => ScanPath::DecodeThenScan,
-            Column::Paged(c) => c.scan_path(pred),
+        match pred {
+            KeyPredicate::Points(_) if self.resident.is_none() && self.parts.has_index() => {
+                ScanPath::CompressedDomain
+            }
+            _ => ScanPath::DecodeThenScan,
         }
     }
 
@@ -147,11 +186,8 @@ impl Column {
     /// metadata, or identity, with whether an index was asked for.
     /// The page chains themselves already live in the store.
     pub fn meta_bytes(&self) -> Vec<u8> {
-        let parts = self.parts();
-        let disposition = match self {
-            Column::Resident(c) => c.disposition(),
-            Column::Paged(_) => Disposition::MidTerm,
-        };
+        let parts = &self.parts;
+        let disposition = self.resident.as_ref().map_or(Disposition::MidTerm, Resident::disposition);
         let mut w = MetaWriter::new();
         w.u8(data_type_tag(parts.data_type));
         w.u8(policy_tag(self.policy()));
@@ -216,7 +252,7 @@ impl Column {
         if rows_len != len || dict.cardinality() != cardinality {
             return Err(corrupt("column metadata inconsistent with structures".into()));
         }
-        let parts = Arc::new(paged::ColumnParts {
+        let parts = Arc::new(ColumnParts {
             data_type,
             len,
             cardinality,
@@ -225,10 +261,15 @@ impl Column {
             dict,
             rows,
         });
-        Ok(match policy {
-            LoadPolicy::PageLoadable => Column::Paged(PagedColumn::new(parts)),
-            LoadPolicy::FullyResident => Column::Resident(ResidentColumn::new(parts, disposition)),
-        })
+        Ok(Column::new(parts, policy, disposition))
+    }
+}
+
+impl Drop for Column {
+    /// Deregisters a resident image's budget when the column is dropped
+    /// while loaded — retired main fragments must not strand resman bytes.
+    fn drop(&mut self) {
+        self.unload();
     }
 }
 
@@ -311,96 +352,4 @@ pub fn disposition_from(t: u8) -> CoreResult<Disposition> {
             ))))
         }
     })
-}
-
-impl ColumnRead for Column {
-    fn len(&self) -> u64 {
-        match self {
-            Column::Resident(c) => c.len(),
-            Column::Paged(c) => c.len(),
-        }
-    }
-
-    fn data_type(&self) -> DataType {
-        match self {
-            Column::Resident(c) => c.data_type(),
-            Column::Paged(c) => c.data_type(),
-        }
-    }
-
-    fn cardinality(&self) -> u64 {
-        match self {
-            Column::Resident(c) => c.cardinality(),
-            Column::Paged(c) => c.cardinality(),
-        }
-    }
-
-    fn has_index(&self) -> bool {
-        match self {
-            Column::Resident(c) => c.has_index(),
-            Column::Paged(c) => c.has_index(),
-        }
-    }
-
-    fn get_values(&self, rposs: &[u64]) -> CoreResult<Vec<Value>> {
-        match self {
-            Column::Resident(c) => c.get_values(rposs),
-            Column::Paged(c) => c.get_values(rposs),
-        }
-    }
-
-    fn vid_counts(&self, rposs: &[u64]) -> CoreResult<Vec<(u64, u64)>> {
-        match self {
-            Column::Resident(c) => c.vid_counts(rposs),
-            Column::Paged(c) => c.vid_counts(rposs),
-        }
-    }
-
-    fn values_by_vid(&self, vids: &[u64]) -> CoreResult<Vec<Value>> {
-        match self {
-            Column::Resident(c) => c.values_by_vid(vids),
-            Column::Paged(c) => c.values_by_vid(vids),
-        }
-    }
-
-    fn sum(&self, rposs: &[u64], sum: &mut Sum) -> CoreResult<()> {
-        match self {
-            Column::Resident(c) => c.sum(rposs, sum),
-            Column::Paged(c) => c.sum(rposs, sum),
-        }
-    }
-
-    fn vid_set_for(&self, pred: &ValuePredicate) -> CoreResult<VidSet> {
-        match self {
-            Column::Resident(c) => c.vid_set_for(pred),
-            Column::Paged(c) => c.vid_set_for(pred),
-        }
-    }
-
-    fn find_key_rows(&self, pred: &KeyPredicate, from: u64, to: u64) -> CoreResult<Vec<u64>> {
-        match self {
-            Column::Resident(c) => c.find_key_rows(pred, from, to),
-            Column::Paged(c) => c.find_key_rows(pred, from, to),
-        }
-    }
-
-    fn count_key_rows(&self, pred: &KeyPredicate, from: u64, to: u64) -> CoreResult<u64> {
-        match self {
-            Column::Resident(c) => c.count_key_rows(pred, from, to),
-            Column::Paged(c) => c.count_key_rows(pred, from, to),
-        }
-    }
-
-    fn count_rows_par(
-        &self,
-        pred: &ValuePredicate,
-        from: u64,
-        to: u64,
-        opts: ScanOptions,
-    ) -> CoreResult<u64> {
-        match self {
-            Column::Resident(c) => c.count_rows(pred, from, to),
-            Column::Paged(c) => c.count_rows_par(pred, from, to, opts),
-        }
-    }
 }

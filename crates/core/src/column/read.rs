@@ -1,8 +1,17 @@
-//! The uniform read interface over both column kinds.
+//! The read interface, and its one implementation: each operation is
+//! written once for both load policies, and only its innermost step reads
+//! the resident image or pinned pages.
 
+use super::materialize::{self, values_of_paged};
+use super::parts::{identity_count, identity_rows, StoredRows};
+use super::resident::Image;
+use super::Column;
 use crate::datavec::ScanOptions;
+use crate::dict::HandleCache;
+use crate::invidx::{for_each_run, PagedInvertedIndex};
 use crate::{CoreResult, DataType, KeyPredicate, Sum, Value, ValuePredicate};
-use payg_encoding::VidSet;
+use payg_encoding::dispatch::ScanPath;
+use payg_encoding::{kernels, scan, VidSet};
 
 /// Read operations every column supports regardless of load policy. Methods
 /// mirror the paper's logical accesses: value decode (late materialization,
@@ -96,8 +105,206 @@ pub trait ColumnRead {
         from: u64,
         to: u64,
         opts: ScanOptions,
+    ) -> CoreResult<u64>;
+}
+
+impl Column {
+    /// Translates `pred` to the identifiers it selects through the
+    /// dictionary: the image's value blocks, or the paged dictionary's
+    /// pages, released when the set is made.
+    fn vid_set(&self, image: Option<&Image>, pred: &KeyPredicate) -> CoreResult<VidSet> {
+        match image {
+            Some(image) => self.parts.vid_set(pred, |key| image.dict.find(key)),
+            None => {
+                let mut cache = HandleCache::new(self.parts.pool.clone());
+                self.parts.vid_set(pred, |key| self.parts.dict.find(key, &mut cache))
+            }
+        }
+    }
+
+    /// The rows in `from..to` (already checked) whose identifier is in `set`,
+    /// ascending: by arithmetic when row and identifier coincide, from the
+    /// inverted index when there is one (Alg. 5) — a vid range is one
+    /// posting run — and by a scan of the data vector otherwise (Alg. 1),
+    /// which a paged column reads only on the pages that overlap the row
+    /// range and survive page-summary pruning.
+    fn rows_in(
+        &self,
+        image: Option<&Image>,
+        pred: &KeyPredicate,
+        set: &VidSet,
+        from: u64,
+        to: u64,
+    ) -> CoreResult<Vec<u64>> {
+        let mut out = Vec::new();
+        if set.is_empty() {
+            return Ok(out);
+        }
+        match (&self.parts.rows, image) {
+            (StoredRows::Identity { .. }, _) => identity_rows(set, from, to, &mut out),
+            (StoredRows::Plain { index: Some(index), .. }, _) => {
+                match image.and_then(|i| i.index.as_ref()) {
+                    Some(index) => {
+                        let mut run = Vec::new();
+                        for_each_run(set, |lo, hi| {
+                            index.posting_run(lo, hi, &mut run)?;
+                            out.extend(run.iter().copied().filter(|&rpos| rpos >= from && rpos < to));
+                            Ok(())
+                        })?
+                    }
+                    None => self.paged_postings(index, pred, set, from, to, &mut out)?,
+                }
+                out.sort_unstable();
+            }
+            (StoredRows::Plain { .. }, Some(image)) => scan::search(&image.data, from, to, set, &mut out),
+            (StoredRows::Plain { data, .. }, None) => data.iter().search(from, to, set, &mut out)?,
+        }
+        Ok(out)
+    }
+
+    /// The rows in `from..to` of `set`'s postings, read from a paged
+    /// index along [`Column::scan_path`].
+    fn paged_postings(
+        &self,
+        index: &PagedInvertedIndex,
+        pred: &KeyPredicate,
+        set: &VidSet,
+        from: u64,
+        to: u64,
+        out: &mut Vec<u64>,
+    ) -> CoreResult<()> {
+        let path = self.scan_path(pred);
+        // Flight recorder: one chunk-dispatch span covers the whole index
+        // traversal; `detail` records which path it took (1 =
+        // compressed-domain, 0 = decode-then-scan).
+        let _span = self.parts.pool.registry().tracer().span(
+            payg_obs::SpanKind::ChunkDispatch,
+            matches!(path, ScanPath::CompressedDomain) as u64,
+        );
+        let mut it = index.iter();
+        match path {
+            ScanPath::CompressedDomain => {
+                for vid in set.iter() {
+                    let mut cur = it.next_row_pos_geq(vid, from)?;
+                    while let Some(rpos) = cur {
+                        if rpos >= to {
+                            break;
+                        }
+                        out.push(rpos);
+                        cur = it.get_next_row_pos()?;
+                    }
+                }
+                Ok(())
+            }
+            // A vid range is one posting run: two directory reads, then one
+            // drain of the contiguous postinglist slice.
+            ScanPath::DecodeThenScan => for_each_run(set, |lo, hi| {
+                it.position_run(lo, hi)?;
+                while let Some(rpos) = it.get_next_row_pos()? {
+                    if rpos >= from && rpos < to {
+                        out.push(rpos);
+                    }
+                }
+                Ok(())
+            }),
+        }
+    }
+}
+
+impl ColumnRead for Column {
+    fn len(&self) -> u64 {
+        self.parts.len
+    }
+
+    fn data_type(&self) -> DataType {
+        self.parts.data_type
+    }
+
+    fn cardinality(&self) -> u64 {
+        self.parts.cardinality
+    }
+
+    fn has_index(&self) -> bool {
+        self.parts.has_index()
+    }
+
+    fn get_values(&self, rposs: &[u64]) -> CoreResult<Vec<Value>> {
+        materialize::get_values(self, rposs)
+    }
+
+    fn vid_counts(&self, rposs: &[u64]) -> CoreResult<Vec<(u64, u64)>> {
+        materialize::vid_counts(self, rposs)
+    }
+
+    fn values_by_vid(&self, vids: &[u64]) -> CoreResult<Vec<Value>> {
+        let Some(image) = self.image()? else { return values_of_paged(&self.parts, vids) };
+        let mut buf = Vec::new();
+        let mut keys = image.dict.keys(&mut buf);
+        vids.iter().map(|&vid| self.parts.value_of(&mut keys, vid)).collect()
+    }
+
+    fn sum(&self, rposs: &[u64], sum: &mut Sum) -> CoreResult<()> {
+        materialize::sum(self, rposs, sum)
+    }
+
+    fn vid_set_for(&self, pred: &ValuePredicate) -> CoreResult<VidSet> {
+        let pred = KeyPredicate::compile(pred, self.parts.data_type)?;
+        self.vid_set(self.image()?.as_deref(), &pred)
+    }
+
+    fn find_key_rows(&self, pred: &KeyPredicate, from: u64, to: u64) -> CoreResult<Vec<u64>> {
+        self.parts.check_rows(from, to)?;
+        let image = self.image()?;
+        let set = self.vid_set(image.as_deref(), pred)?;
+        self.rows_in(image.as_deref(), pred, &set, from, to)
+    }
+
+    /// Arithmetic when row and identifier coincide. With an index, a
+    /// full-range count comes straight from the directory — no postinglist
+    /// page loads. Without one, COUNT never materializes positions: the
+    /// scan kernel popcounts per-chunk result bitmaps in place, a page
+    /// at a time on a paged column.
+    fn count_key_rows(&self, pred: &KeyPredicate, from: u64, to: u64) -> CoreResult<u64> {
+        self.parts.check_rows(from, to)?;
+        let image = self.image()?;
+        let image = image.as_deref();
+        let set = self.vid_set(image, pred)?;
+        match (&self.parts.rows, image) {
+            (StoredRows::Identity { .. }, _) => Ok(identity_count(&set, from, to)),
+            (StoredRows::Plain { index: Some(index), .. }, _) if from == 0 && to == self.parts.len => {
+                match image.and_then(|i| i.index.as_ref()) {
+                    Some(index) => set.iter().map(|vid| index.posting_count(vid)).sum(),
+                    None => {
+                        let mut it = index.iter();
+                        set.iter().map(|vid| it.posting_count(vid)).sum()
+                    }
+                }
+            }
+            (StoredRows::Plain { index: Some(_), .. }, _) => {
+                Ok(self.rows_in(image, pred, &set, from, to)?.len() as u64)
+            }
+            (StoredRows::Plain { .. }, _) if set.is_empty() => Ok(0),
+            (StoredRows::Plain { .. }, Some(image)) => {
+                Ok(kernels::count_matches(&image.data, from, to, &set))
+            }
+            (StoredRows::Plain { data, .. }, None) => data.iter().count(from, to, &set),
+        }
+    }
+
+    fn count_rows_par(
+        &self,
+        pred: &ValuePredicate,
+        from: u64,
+        to: u64,
+        opts: ScanOptions,
     ) -> CoreResult<u64> {
-        let _ = opts;
-        self.count_rows(pred, from, to)
+        match (&self.parts.rows, self.paged()) {
+            (StoredRows::Plain { data, index: None }, Some(_)) if opts.workers > 1 => {
+                self.parts.check_rows(from, to)?;
+                let pred = KeyPredicate::compile(pred, self.parts.data_type)?;
+                data.par_count(from, to, &self.vid_set(None, &pred)?, opts)
+            }
+            _ => self.count_rows(pred, from, to),
+        }
     }
 }

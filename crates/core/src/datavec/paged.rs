@@ -535,8 +535,8 @@ mod tests {
         let values = sample(3000, 1000, 6);
         let pool = pool();
         let col = column(&pool, &values);
-        let crate::Column::Paged(paged) = &col else { unreachable!("built page loadable") };
-        let crate::column::StoredRows::Plain { data, .. } = &paged.parts().rows else {
+        assert_eq!(col.policy(), crate::LoadPolicy::PageLoadable);
+        let crate::column::StoredRows::Plain { data, .. } = &col.parts.rows else {
             unreachable!("the sample repeats values")
         };
         assert!(data.pages() > 5, "tiny pages must force a multi-page chain");

@@ -1917,8 +1917,8 @@ mod tests {
             let store = Arc::new(PatchedPage { inner: Arc::clone(&store), key, bytes });
             let pool = BufferPool::new(store as Arc<dyn PageStore>, ResourceManager::new());
             let column = crate::Column::open(&pool, &meta).unwrap();
-            let crate::Column::Paged(paged) = &column else { panic!("a page-loadable column") };
-            let dict = &paged.parts().dict;
+            assert_eq!(column.policy(), crate::LoadPolicy::PageLoadable);
+            let dict = &column.parts.dict;
             let mut cache = HandleCache::new(pool.clone());
             let (mut find_errors, mut vid_errors) = (0, 0);
             for (vid, k) in ks.iter().enumerate() {

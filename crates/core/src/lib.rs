@@ -7,18 +7,20 @@
 //!    sort order of the values, and
 //! 3. an optional **inverted index** — value identifier → row positions.
 //!
-//! Every structure exists in two access modes over one persisted format:
+//! Every column is one [`column::Column`] over one persisted format, read in
+//! one of two modes — its load policy, a field of the column:
 //!
-//! * **Fully resident** ([`column::ResidentColumn`]): loaded entirely into
-//!   contiguous memory on first access and registered with the resource
-//!   manager as a *single* resource — HANA's default column behaviour.
-//! * **Page loadable** ([`column::PagedColumn`]): accessed piecewise through
-//!   the buffer pool; every loaded page is its own resource with the paged
-//!   attribute disposition. This is the paper's page loadable column.
+//! * **Fully resident**: loaded entirely into contiguous memory on first
+//!   access and registered with the resource manager as a *single*
+//!   resource — HANA's default column behaviour.
+//! * **Page loadable**: accessed piecewise through the buffer pool; every
+//!   loaded page is its own resource with the paged attribute disposition.
+//!   This is the paper's page loadable column.
 //!
 //! The choice is made at build time via [`column::LoadPolicy`] and is
-//! invisible to readers: both modes implement the same [`column::ColumnRead`]
-//! operations.
+//! invisible to readers: each [`column::ColumnRead`] operation is written
+//! once, and only its innermost step reads the resident image or pinned
+//! pages.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -213,11 +213,13 @@ fn resident_column_loads_once_and_registers_one_resource() {
     assert!(stats.total_bytes > 0);
     // Further reads don't reload.
     let _ = col.get_values(&[400]).unwrap();
-    if let Column::Resident(r) = &col {
-        assert_eq!(r.load_count(), 1);
-    } else {
-        panic!("expected resident");
-    }
+    assert_eq!(col.policy(), LoadPolicy::FullyResident);
+    assert_eq!(col.load_count(), 1);
+    // Dropping the loaded column hands its one resource back.
+    drop(col);
+    let stats = resman.stats();
+    assert_eq!(stats.resource_count, 0, "a dropped column deregisters its image");
+    assert_eq!(stats.total_bytes, 0, "a dropped column strands no bytes");
 }
 
 #[test]
@@ -252,14 +254,10 @@ fn resident_eviction_and_reload() {
     let freed = resman.handle_low_memory(1);
     assert!(freed > 0);
     assert_eq!(resman.stats().resource_count, 0);
-    if let Column::Resident(r) = &col {
-        assert!(!r.is_loaded());
-    }
+    assert!(!col.is_loaded());
     // Next access reloads (load_count == 2) and returns correct data.
     assert_eq!(col.get_values(&[5]).unwrap(), &values[5..6]);
-    if let Column::Resident(r) = &col {
-        assert_eq!(r.load_count(), 2);
-    }
+    assert_eq!(col.load_count(), 2);
 }
 
 #[test]
@@ -304,10 +302,8 @@ fn resident_disposition_orders_eviction() {
     // temporary-disposition column scores far higher (t / 0.25 vs t / 16)
     // and must be the victim.
     let _ = resman.handle_low_memory(1);
-    if let (Column::Resident(c), Column::Resident(h)) = (&cold, &hot) {
-        assert!(!c.is_loaded(), "cold (temporary) column evicted first");
-        assert!(h.is_loaded(), "hot (long-term) column survives");
-    }
+    assert!(!cold.is_loaded(), "cold (temporary) column evicted first");
+    assert!(hot.is_loaded(), "hot (long-term) column survives");
 }
 
 #[test]

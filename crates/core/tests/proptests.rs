@@ -10,7 +10,7 @@ use payg_core::{
 };
 use payg_encoding::prefix::BLOCK_CAP;
 use payg_encoding::{BitPackedVec, BitWidth, VidSet};
-use payg_resman::{PoolLimits, ResourceManager};
+use payg_resman::{Disposition, PoolLimits, ResourceManager};
 use payg_storage::{BufferPool, MemStore, PageStore};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -475,14 +475,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Checkpoint round-trip: a column reopened from its serialized
-    /// metadata is observationally identical, for both policies, with and
-    /// without an index.
+    /// metadata is observationally identical and serializes to the same
+    /// bytes, for both policies, both row layouts, with and without an
+    /// index, and with the default or a temporary resident disposition
+    /// (which a page-loadable column does not record).
     #[test]
     fn column_checkpoint_roundtrip(
         mut ints in prop::collection::vec(-40i64..40, 1..200),
         paged_policy in any::<bool>(),
         with_index in any::<bool>(),
         unique_ascending in any::<bool>(),
+        temporary in any::<bool>(),
     ) {
         use payg_core::column::Column;
         if unique_ascending {
@@ -492,15 +495,18 @@ proptest! {
         let values: Vec<Value> = ints.iter().map(|&i| Value::Integer(i)).collect();
         let pool = pool();
         let policy = if paged_policy { LoadPolicy::PageLoadable } else { LoadPolicy::FullyResident };
+        let disposition = if temporary { Disposition::Temporary } else { Disposition::MidTerm };
         let col = ColumnBuilder::new(DataType::Integer)
             .policy(policy)
             .with_index(with_index)
+            .resident_disposition(disposition)
             .build(&pool, &PageConfig::tiny(), &values)
             .unwrap()
             .column;
         let pred = ValuePredicate::Eq(Value::Integer(ints[0]));
         let bytes = col.meta_bytes();
         let reopened = Column::open(&pool, &bytes).unwrap();
+        prop_assert_eq!(reopened.meta_bytes(), bytes.clone());
         prop_assert_eq!(reopened.policy(), col.policy());
         prop_assert_eq!(reopened.len(), col.len());
         prop_assert_eq!(reopened.cardinality(), col.cardinality());

@@ -17,6 +17,10 @@ use std::time::{Duration, Instant};
 /// worker counts the scan experiments use).
 pub const DEFAULT_SHARD_COUNT: usize = 16;
 
+/// Most quarantined pages a shard holds; inserting beyond it evicts the
+/// entry closest to expiry.
+const QUARANTINE_CAP: usize = 32;
+
 /// Warm hits are timed one in this many per shard (the shard's 1st, 65th,
 /// … hit): an unsampled hit reads no clock, because a clock pair costs as
 /// much as the rest of the hit. `pool_pin_ns` is that sample; the `hits`
@@ -164,19 +168,15 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Construction-time pool tuning: shard count, fault tolerance, I/O depth.
-/// [`Default`] matches `BufferPool::new`.
+/// Construction-time pool tuning: fault tolerance and I/O depth. The pool
+/// always has [`DEFAULT_SHARD_COUNT`] lock stripes. [`Default`] matches
+/// `BufferPool::new`.
 #[derive(Clone)]
 pub struct PoolConfig {
-    /// Number of lock stripes (clamped to at least 1).
-    pub shards: usize,
     /// Bounded retry for transient load faults.
     pub retry: RetryPolicy,
     /// Fail-fast pins a quarantined page serves before the store is retried.
     pub quarantine_ttl: u32,
-    /// Maximum quarantined pages per shard; inserting beyond it evicts the
-    /// entry closest to expiry.
-    pub quarantine_cap: usize,
     /// Where retry backoff is spent; tests inject a recording sleeper.
     pub sleeper: Sleeper,
     /// Worker threads of the cold-path I/O stage every miss goes through —
@@ -189,10 +189,8 @@ pub struct PoolConfig {
 impl Default for PoolConfig {
     fn default() -> Self {
         PoolConfig {
-            shards: DEFAULT_SHARD_COUNT,
             retry: RetryPolicy::default(),
             quarantine_ttl: 8,
-            quarantine_cap: 32,
             sleeper: real_sleeper(),
             io_workers: DEFAULT_IO_WORKERS,
         }
@@ -204,7 +202,6 @@ pub(crate) struct PoolInner {
     pub(crate) resman: ResourceManager,
     pub(crate) retry: RetryPolicy,
     quarantine_ttl: u32,
-    quarantine_cap: usize,
     pub(crate) sleeper: Sleeper,
     shards: Box<[Shard]>,
     pub(crate) metrics: MetricCounters,
@@ -243,7 +240,7 @@ impl PoolInner {
         span: u64,
         error: Arc<StorageError>,
     ) {
-        if state.quarantine.len() >= self.quarantine_cap && !state.quarantine.contains_key(&key) {
+        if state.quarantine.len() >= QUARANTINE_CAP && !state.quarantine.contains_key(&key) {
             // Capped: drop the entry closest to expiry (fewest pins left).
             if let Some(evict) = state
                 .quarantine
@@ -376,7 +373,6 @@ impl BufferPool {
     /// tests use this to inject deterministic retry backoff and small
     /// quarantine TTLs.
     pub fn with_config(store: Arc<dyn PageStore>, resman: ResourceManager, config: PoolConfig) -> Self {
-        let shards = config.shards.max(1);
         // Report into the resman's registry so pool and resman series land
         // in one snapshot. Each pool instance gets its own label: metrics()
         // reads this pool's handles only, never another instance's.
@@ -389,9 +385,8 @@ impl BufferPool {
             resman,
             retry: config.retry,
             quarantine_ttl: config.quarantine_ttl.max(1),
-            quarantine_cap: config.quarantine_cap.max(1),
             sleeper: config.sleeper,
-            shards: (0..shards)
+            shards: (0..DEFAULT_SHARD_COUNT)
                 .map(|i| Shard::new(&registry, &pool_label, i))
                 .collect(),
             metrics: MetricCounters::register(&registry, &pool_label),
@@ -1006,11 +1001,7 @@ mod tests {
         }
         let resman = ResourceManager::new();
         resman.set_paged_limits_manual(Some(PoolLimits::new(0, usize::MAX)));
-        let pool = BufferPool::with_config(
-            Arc::new(store),
-            resman.clone(),
-            PoolConfig { shards: 2, ..PoolConfig::default() },
-        );
+        let pool = BufferPool::new(Arc::new(store), resman.clone());
         let done = std::sync::atomic::AtomicBool::new(false);
         std::thread::scope(|s| {
             let pinners: Vec<_> = (0..8u64)
@@ -1246,26 +1237,29 @@ mod tests {
     fn quarantine_cap_evicts_the_entry_closest_to_expiry() {
         let store = Arc::new(crate::FaultyStore::new(MemStore::new(), crate::FaultPlan::None));
         let chain = store.create_chain(16).unwrap();
-        for i in 0..3u8 {
-            store.append_page(chain, &[i; 4]).unwrap();
+        let pages = (QUARANTINE_CAP * DEFAULT_SHARD_COUNT * 4) as u64;
+        for i in 0..pages {
+            store.append_page(chain, &[i as u8; 4]).unwrap();
         }
-        let keys: Vec<_> = (0..3).map(|p| PageKey::new(chain, p)).collect();
-        store.set_plan(crate::FaultPlan::CorruptPages(keys.clone()));
         let pool = BufferPool::with_config(
             Arc::clone(&store) as Arc<dyn crate::PageStore>,
             ResourceManager::new(),
-            PoolConfig {
-                retry: RetryPolicy::NONE,
-                quarantine_cap: 2,
-                shards: 1, // all keys share one quarantine set
-                ..PoolConfig::default()
-            },
+            PoolConfig { retry: RetryPolicy::NONE, ..PoolConfig::default() },
         );
+        // One more page than the cap, all on one shard's quarantine set.
+        let first = pool.inner.shard(PageKey::new(chain, 0));
+        let keys: Vec<_> = (0..pages)
+            .map(|p| PageKey::new(chain, p))
+            .filter(|&k| std::ptr::eq(pool.inner.shard(k), first))
+            .take(QUARANTINE_CAP + 1)
+            .collect();
+        assert_eq!(keys.len(), QUARANTINE_CAP + 1, "enough pages share a shard");
+        store.set_plan(crate::FaultPlan::CorruptPages(keys.clone()));
         for &k in &keys {
             assert!(pool.pin(k).is_err());
         }
-        assert_eq!(pool.quarantined_pages(), 2, "cap bounds the set");
-        assert!(pool.is_quarantined(keys[2]), "newest entry always present");
+        assert_eq!(pool.quarantined_pages(), QUARANTINE_CAP, "cap bounds the set");
+        assert!(pool.is_quarantined(keys[QUARANTINE_CAP]), "newest entry always present");
     }
 
     /// Satellite regression: a waiter parked on a single-flight load whose
@@ -1334,17 +1328,13 @@ mod tests {
         for i in 0..16 {
             store.append_page(chain, &[i as u8]).unwrap();
         }
-        let pool = BufferPool::with_config(
-            Arc::new(store),
-            ResourceManager::new(),
-            PoolConfig { shards: 4, ..PoolConfig::default() },
-        );
+        let pool = BufferPool::new(Arc::new(store), ResourceManager::new());
         for i in 0..16 {
             drop(pool.pin(PageKey::new(chain, i)).unwrap());
             drop(pool.pin(PageKey::new(chain, i)).unwrap());
         }
         let shards = pool.shard_metrics();
-        assert_eq!(shards.len(), 4);
+        assert_eq!(shards.len(), DEFAULT_SHARD_COUNT);
         let m = pool.metrics();
         assert_eq!(shards.iter().map(|s| s.hits).sum::<u64>(), m.hits);
         assert_eq!(shards.iter().map(|s| s.misses).sum::<u64>(), 16);

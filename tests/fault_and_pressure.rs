@@ -136,14 +136,8 @@ fn weighted_lru_spares_hot_resident_columns() {
     // Demand about half the memory back: the temporary-disposition columns
     // must go first.
     resman.handle_low_memory(loaded / 3);
-    let hot_loaded = hot.partitions()[0].main().columns().iter().all(|c| match c {
-        page_as_you_go::core::column::Column::Resident(r) => r.is_loaded(),
-        _ => unreachable!(),
-    });
-    let cold_evicted = cold.partitions()[0].main().columns().iter().any(|c| match c {
-        page_as_you_go::core::column::Column::Resident(r) => !r.is_loaded(),
-        _ => unreachable!(),
-    });
+    let hot_loaded = hot.partitions()[0].main().columns().iter().all(|c| c.is_loaded());
+    let cold_evicted = cold.partitions()[0].main().columns().iter().any(|c| !c.is_loaded());
     assert!(cold_evicted, "temporary-disposition columns evicted first");
     assert!(hot_loaded, "long-term columns survive moderate pressure");
 }

@@ -37,10 +37,8 @@ fn row(i: i64) -> Row {
 }
 
 fn loaded_bytes(column: &Column) -> Option<usize> {
-    match column {
-        Column::Resident(c) => c.loaded_bytes(),
-        Column::Paged(_) => panic!("the table is fully resident"),
-    }
+    assert_eq!(column.policy(), LoadPolicy::FullyResident, "the table is fully resident");
+    column.loaded_bytes()
 }
 
 #[test]

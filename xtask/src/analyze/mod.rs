@@ -355,7 +355,7 @@ mod tests {
         assert_eq!(v[0].rule, "pin-in-loop");
         assert_eq!(v[0].line, 3);
         // Outside the datavec scan code the rule does not apply.
-        assert!(analyze_str("crates/core/src/column/paged.rs", bad).is_empty());
+        assert!(analyze_str("crates/core/src/column/read.rs", bad).is_empty());
         // A pin hoisted above the loop is the intended shape.
         let ok = "fn f() {\n    let g = pool.pin(key);\n    for c in g.chunks() {\n        use_chunk(c);\n    }\n}\n";
         assert!(analyze_str("crates/core/src/datavec/paged.rs", ok).is_empty());

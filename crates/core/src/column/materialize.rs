@@ -55,14 +55,16 @@
 //!   into a **values table** the size of the column's distinct identifiers.
 //!
 //! A projection then fills its answer **row by row**, in the caller's order,
-//! in one pass: each cell
-//! is its column's table entry at the row's rank — cloned, or moved on the
-//! value's last use, so a value serving one row is never cloned. A single
-//! row is the same code with one identifier a column. Resident columns rank
-//! and fill their table from their in-memory image through the same
-//! buffers: phase (a) is one [`payg_encoding::chunk::decode_rows`] over the
-//! image's words (a paged column makes one a pinned page), a value a key of
-//! the image's dictionary. A column whose rows are their identifiers (a
+//! in one pass: each cell is its column's table entry at the row's rank,
+//! moved out when the row is the value's one use, else cloned. A string
+//! value is shared ([`Value::Varchar`] holds an `Arc<str>`), so a clone is
+//! a reference-count increment, not an allocation: a string column's answer
+//! allocates once per distinct value, however many rows repeat it. A
+//! single row is the same code with one identifier a column. Resident
+//! columns rank and fill their table from their in-memory image through
+//! the same buffers: phase (a) is one [`payg_encoding::chunk::decode_rows`]
+//! over the image's words (a paged column makes one a pinned page), a
+//! value a key of the image's dictionary. A column whose rows are their identifiers (a
 //! unique key stored in key order) has no data vector: phase (a) is a copy
 //! of the rows, in either mode, and its identifiers ascend.
 //!
@@ -257,19 +259,18 @@ impl Ranks {
 
     /// Fills the answer row by row, in the caller's order, from the values
     /// table of the ranked columns: a row's cell of column `j` is the
-    /// table's entry at the row's rank, cloned — or moved, on the value's
-    /// last use.
-    fn assemble<C: Cells + ?Sized>(&mut self, table: &mut [Value], out: &mut C) {
+    /// table's entry at the row's rank — moved when that row is the value's
+    /// one use (a point read, a unique key), else cloned: a copy of a
+    /// number, a reference-count increment of a string.
+    fn assemble<C: Cells + ?Sized>(&self, table: &mut [Value], out: &mut C) {
         let Ranks { n, order, vids, uses, spans, .. } = self;
         for row in 0..*n {
             let k = order.get(row).map_or(row, |&k| k as usize);
             for (j, &(lo, _)) in spans.iter().enumerate() {
                 let at = lo + vids[j * *n + k] as usize;
-                uses[at] -= 1;
-                let value = if uses[at] == 0 {
-                    std::mem::replace(&mut table[at], Value::Integer(0))
-                } else {
-                    table[at].clone()
+                let value = match uses[at] {
+                    1 => std::mem::replace(&mut table[at], Value::Integer(0)),
+                    _ => table[at].clone(),
                 };
                 out.push(row, value);
             }
@@ -782,20 +783,33 @@ fn decode_vids<'a>(
     )
 }
 
-/// [`ColumnRead::values_by_vid`] of a paged column: phases (b) and (c) of
-/// the one column, the values appended in the identifiers' order.
-/// Identifiers that do not ascend strictly are looked up as a sorted,
-/// duplicate-free copy, each then finding its value by bisection.
-pub(crate) fn values_of_paged(c: &ColumnParts, vids: &[u64]) -> CoreResult<Vec<Value>> {
+/// [`ColumnRead::values_by_vid`] of one column, the values appended in the
+/// identifiers' order: a paged column's phases (b) and (c), a resident
+/// column's keys read off its image. Identifiers that do not ascend
+/// strictly are looked up as a sorted, duplicate-free copy, each then
+/// finding its value by bisection — so each distinct value is decoded once
+/// and a repeated identifier shares it.
+pub(crate) fn values_by_vid(column: &Column, vids: &[u64]) -> CoreResult<Vec<Value>> {
     if !vids.is_sorted_by(|a, b| a < b) {
         let mut sorted = vids.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        let values = values_of_paged(c, &sorted)?;
+        let values = values_by_vid(column, &sorted)?;
         return Ok(vids.iter().map(|vid| values[sorted.partition_point(|d| d < vid)].clone()).collect());
     }
+    let (c, image) = (&*column.parts, column.image()?);
     let mut out = Vec::with_capacity(vids.len());
-    with_scratch(|s| values_by_vid_paged(&c.pool, 1, &|_| Some(c), |_| vids, &mut s.plan, Values::Table(&mut out)))?;
+    with_scratch(|Scratch { plan, .. }| {
+        let Some(image) = image else {
+            let table = Values::Table(&mut out);
+            return values_by_vid_paged(&c.pool, 1, &|_| Some(c), |_| vids, plan, table);
+        };
+        let mut keys = image.dict.keys(&mut plan.raw);
+        for &vid in vids {
+            out.push(c.value_of(&mut keys, vid)?);
+        }
+        Ok(())
+    })?;
     Ok(out)
 }
 
@@ -999,7 +1013,8 @@ mod tests {
             x ^= x << 17;
             char::from(b' ' + ((x >> 33) % 95) as u8)
         };
-        (0..n).map(|_| Value::Varchar((0..40).map(|_| printable()).collect())).collect()
+        let mut string = || (0..40).map(|_| printable()).collect::<String>().into();
+        (0..n).map(|_| Value::Varchar(string())).collect()
     }
 
     /// `rank` on each of its paths — identifiers that ascend, a range of
@@ -1087,7 +1102,7 @@ mod tests {
         let n = 1500;
         let spilled = random_strings(n);
         let coded: Vec<Value> =
-            (0..n).map(|i| Value::Varchar(format!("material-{:05}", i * 7 % 331))).collect();
+            (0..n).map(|i| Value::Varchar(format!("material-{:05}", i * 7 % 331).into())).collect();
         let numbers: Vec<Value> = (0..n as i64).map(|i| Value::Integer(i % 97)).collect();
         let build = |ty, values: &[Value]| {
             ColumnBuilder::new(ty)

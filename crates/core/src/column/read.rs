@@ -2,7 +2,7 @@
 //! written once for both load policies, and only its innermost step reads
 //! the resident image or pinned pages.
 
-use super::materialize::{self, values_of_paged};
+use super::materialize;
 use super::parts::{identity_count, identity_rows, StoredRows};
 use super::resident::Image;
 use super::Column;
@@ -48,9 +48,10 @@ pub trait ColumnRead {
     fn vid_counts(&self, rposs: &[u64]) -> CoreResult<Vec<(u64, u64)>>;
 
     /// The values of `vids`, in that order: the second half of late
-    /// materialization, each dictionary entry decoded once. Identifiers in
-    /// any order, duplicates included, are answered; strictly ascending
-    /// ones — what the first half yields — are the fast path.
+    /// materialization, each dictionary entry decoded once — a repeated
+    /// identifier's values share one string. Identifiers in any order,
+    /// duplicates included, are answered; strictly ascending ones — what
+    /// the first half yields — are the fast path.
     fn values_by_vid(&self, vids: &[u64]) -> CoreResult<Vec<Value>>;
 
     /// Adds the values at the given rows (any order, duplicates allowed)
@@ -237,10 +238,7 @@ impl ColumnRead for Column {
     }
 
     fn values_by_vid(&self, vids: &[u64]) -> CoreResult<Vec<Value>> {
-        let Some(image) = self.image()? else { return values_of_paged(&self.parts, vids) };
-        let mut buf = Vec::new();
-        let mut keys = image.dict.keys(&mut buf);
-        vids.iter().map(|&vid| self.parts.value_of(&mut keys, vid)).collect()
+        materialize::values_by_vid(self, vids)
     }
 
     fn sum(&self, rposs: &[u64], sum: &mut Sum) -> CoreResult<()> {

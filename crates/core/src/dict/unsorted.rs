@@ -151,7 +151,7 @@ mod tests {
     fn long_and_nul_padded_keys_stay_distinct_across_growth() {
         let mut d = UnsortedDict::default();
         let values: Vec<Value> = (0..5000usize)
-            .map(|i| Value::Varchar(format!("shared-prefix-{}{}", "\0".repeat(i % 9), i / 9)))
+            .map(|i| Value::Varchar(format!("shared-prefix-{}{}", "\0".repeat(i % 9), i / 9).into()))
             .collect();
         for round in 0..2 {
             for (id, v) in values.iter().enumerate() {

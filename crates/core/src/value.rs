@@ -3,6 +3,7 @@
 use crate::{CoreError, CoreResult};
 use payg_encoding::okey;
 use std::ops::Bound;
+use std::sync::Arc;
 
 /// Column data types (the paper's generator uses INTEGER, DECIMAL, DOUBLE,
 /// CHAR and VARCHAR; CHAR and VARCHAR share the string representation).
@@ -33,7 +34,9 @@ impl DataType {
     }
 }
 
-/// A typed value.
+/// A typed value. A string is shared, not owned: a value decoded once from
+/// a dictionary serves every row that holds it, and cloning it is a
+/// reference-count increment.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// INTEGER.
@@ -43,7 +46,7 @@ pub enum Value {
     /// DOUBLE.
     Double(f64),
     /// CHAR / VARCHAR.
-    Varchar(String),
+    Varchar(Arc<str>),
 }
 
 impl Value {
@@ -77,13 +80,14 @@ impl Value {
     }
 
     /// Decodes a key produced by [`Value::to_key`] back into a value of type
-    /// `ty`.
+    /// `ty`. A string is checked where the key lies and copied once, into
+    /// its shared allocation.
     pub fn from_key(ty: DataType, key: &[u8]) -> CoreResult<Value> {
         Ok(match ty {
             DataType::Integer => Value::Integer(okey::decode_i64(key)?),
             DataType::Decimal => Value::Decimal(okey::decode_i128(key)?),
             DataType::Double => Value::Double(okey::decode_f64(key)?),
-            DataType::Varchar => Value::Varchar(okey::decode_str(key)?),
+            DataType::Varchar => Value::Varchar(okey::decode_str(key)?.into()),
         })
     }
 
@@ -111,13 +115,13 @@ impl From<f64> for Value {
 
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Varchar(v.to_owned())
+        Value::Varchar(v.into())
     }
 }
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Varchar(v)
+        Value::Varchar(v.into())
     }
 }
 
@@ -254,7 +258,9 @@ impl KeyPredicate {
                 KeyPredicate::Range(KeyRange { lo: key(lo)?, hi: Bound::Included(key(hi)?) })
             }
             ValuePredicate::StartsWith(prefix) => {
-                Value::Varchar(String::new()).check_type(ty)?;
+                if ty != DataType::Varchar {
+                    return Err(CoreError::TypeMismatch { expected: ty, got: DataType::Varchar });
+                }
                 let p = okey::encode_str(prefix);
                 let hi = prefix_successor(p).map_or(Bound::Unbounded, Bound::Excluded);
                 KeyPredicate::Range(KeyRange { lo: p.to_vec(), hi })

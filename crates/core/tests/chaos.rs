@@ -223,7 +223,7 @@ fn compressed_page_rot_is_a_corrupt_class_fault() {
     let pool =
         BufferPool::new(Arc::clone(&store) as Arc<dyn PageStore>, ResourceManager::new());
     let values: Vec<Value> = (0..2000)
-        .map(|i| Value::Varchar(format!("customer-{:04}-region-{}", i % 250, i % 7)))
+        .map(|i| Value::Varchar(format!("customer-{:04}-region-{}", i % 250, i % 7).into()))
         .collect();
     let col = ColumnBuilder::new(DataType::Varchar)
         .policy(LoadPolicy::PageLoadable)

@@ -16,7 +16,7 @@ fn pool() -> BufferPool {
 
 fn string_values(n: usize) -> Vec<Value> {
     (0..n)
-        .map(|i| Value::Varchar(format!("material-{:03}", i % 57)))
+        .map(|i| Value::Varchar(format!("material-{:03}", i % 57).into()))
         .collect()
 }
 
@@ -30,7 +30,8 @@ fn random_string_values(n: usize) -> Vec<Value> {
         x ^= x << 17;
         char::from(b' ' + ((x >> 33) % 95) as u8)
     };
-    (0..n).map(|_| Value::Varchar((0..40).map(|_| printable()).collect())).collect()
+    let mut string = || (0..40).map(|_| printable()).collect::<String>().into();
+    (0..n).map(|_| Value::Varchar(string())).collect()
 }
 
 fn int_values(n: usize) -> Vec<Value> {
@@ -183,7 +184,7 @@ fn equivalence_doubles_and_decimals() {
 fn between_translates_to_one_vid_range() {
     let pool = pool();
     let values: Vec<Value> =
-        (0..100).map(|i| Value::Varchar(format!("customer-{i:06}"))).collect();
+        (0..100).map(|i| Value::Varchar(format!("customer-{i:06}").into())).collect();
     let between = |lo: &str, hi: &str| {
         ValuePredicate::Between(Value::Varchar(lo.into()), Value::Varchar(hi.into()))
     };
@@ -334,7 +335,7 @@ fn key_by_vid_is_the_one_vid_batch_for_every_dictionary_shape() {
     // Whole 40-byte entries: inline on a roomier page than tiny()'s.
     let roomy = PageConfig { dict_page: 2048, helper_page: 2048, inline_limit: 48, ..tiny };
     let material: Vec<Value> =
-        (0..400).map(|i| Value::Varchar(format!("material-{:05}", i * 7 % 331))).collect();
+        (0..400).map(|i| Value::Varchar(format!("material-{:05}", i * 7 % 331).into())).collect();
     let shapes: [(&str, DataType, Vec<Value>, PageConfig, CodecKind); 5] = [
         ("plain", DataType::Varchar, random_string_values(900), roomy, CodecKind::Plain),
         ("fsst", DataType::Varchar, material, tiny, CodecKind::Fsst),

@@ -803,7 +803,7 @@ proptest! {
         ),
     ) {
         let values = cells.into_iter().map(|(parts, i, kind)| match kind {
-            0 => Value::Varchar(parts.concat()),
+            0 => Value::Varchar(parts.concat().into()),
             1 => Value::Integer(i),
             _ => Value::Decimal(i128::from(i)),
         });
@@ -1015,9 +1015,9 @@ fn special_shape_columns(n_rows: usize, card: u64, salt: u64) -> Vec<(DataType, 
         (DataType::Varchar, (0..n_rows).map(|i| {
             let v = mix(i, 2) % card;
             let tail = if v.is_multiple_of(5) { "/segment".repeat(30 + v as usize % 40) } else { String::new() };
-            Value::Varchar(format!("order-{v:05}{tail}"))
+            Value::Varchar(format!("order-{v:05}{tail}").into())
         }).collect()),
-        (DataType::Varchar, (0..n_rows).map(|i| Value::Varchar(format!("customer-{:06}", mix(i, 3) % 100_000))).collect()),
+        (DataType::Varchar, (0..n_rows).map(|i| Value::Varchar(format!("customer-{:06}", mix(i, 3) % 100_000).into())).collect()),
         (DataType::Varchar, (0..n_rows).map(|i| {
             let mut x = mix(i, 4) << 1 | 1; // xorshift, one stream per row
             let printable = |_| {
@@ -1026,9 +1026,9 @@ fn special_shape_columns(n_rows: usize, card: u64, salt: u64) -> Vec<(DataType, 
                 x ^= x << 17;
                 char::from(b' ' + ((x >> 33) % 95) as u8)
             };
-            Value::Varchar((0..160).map(printable).collect())
+            Value::Varchar((0..160).map(printable).collect::<String>().into())
         }).collect()),
-        (DataType::Varchar, (0..n_rows).map(|i| Value::Varchar(format!("key-{salt:x}-{i:05}"))).collect()),
+        (DataType::Varchar, (0..n_rows).map(|i| Value::Varchar(format!("key-{salt:x}-{i:05}").into())).collect()),
     ]
 }
 
@@ -1077,7 +1077,7 @@ proptest! {
     ) {
         let mut sources = special_shape_columns(n_rows, card, salt);
         sources.push((DataType::Varchar, (0..n_rows).map(|i| {
-            Value::Varchar(format!("ch{:02}", (i as u64 ^ salt) % 3))
+            Value::Varchar(format!("ch{:02}", (i as u64 ^ salt) % 3).into())
         }).collect()));
         let config = PageConfig { dict_page: 2048, overflow_page: 256, ..PageConfig::tiny() };
         let store = Arc::new(MemStore::new());
@@ -1201,7 +1201,7 @@ proptest! {
     ) {
         let mut sources = special_shape_columns(n_rows, card, salt);
         sources.push((DataType::Varchar, (0..n_rows).map(|i| {
-            Value::Varchar(format!("ch{:02}", (i as u64 ^ salt) % 3))
+            Value::Varchar(format!("ch{:02}", (i as u64 ^ salt) % 3).into())
         }).collect()));
         // Power-of-two cardinalities: the greatest identifier is every
         // identifier's bitwise or, the span the counting pass may take.

@@ -82,9 +82,10 @@ pub fn encode_str(s: &str) -> &[u8] {
     s.as_bytes()
 }
 
-/// Inverse of [`encode_str`].
-pub fn decode_str(b: &[u8]) -> crate::Result<String> {
-    String::from_utf8(b.to_vec()).map_err(|e| crate::EncodingError::CorruptBlock {
+/// Inverse of [`encode_str`]: the key's bytes, checked as UTF-8 where they
+/// lie — the caller copies them once, into whatever holds the value.
+pub fn decode_str(b: &[u8]) -> crate::Result<&str> {
+    std::str::from_utf8(b).map_err(|e| crate::EncodingError::CorruptBlock {
         reason: format!("invalid utf-8 in string key: {e}"),
     })
 }

@@ -251,7 +251,7 @@ mod tests {
         for i in 0..400i64 {
             t.insert(vec![
                 Value::Integer(i),
-                Value::Varchar(format!("name-{:03}", i % 61)),
+                Value::Varchar(format!("name-{:03}", i % 61).into()),
                 Value::Integer(if i % 3 == 0 { 50 } else { 150 }),
             ])
             .unwrap();

@@ -184,7 +184,7 @@ mod tests {
             .map(|i| {
                 vec![
                     Value::Integer(i),
-                    Value::Varchar(format!("grade-{}", i % 7)),
+                    Value::Varchar(format!("grade-{}", i % 7).into()),
                 ]
             })
             .collect();

@@ -443,7 +443,7 @@ mod tests {
         for i in 0..300i64 {
             t.insert(vec![
                 Value::Integer(i),
-                Value::Varchar(format!("region-{}", i % 5)),
+                Value::Varchar(format!("region-{}", i % 5).into()),
                 Value::Decimal(i as i128 * 100),
                 Value::Double(i as f64 / 2.0),
             ])
@@ -454,7 +454,7 @@ mod tests {
         for i in 300..320i64 {
             t.insert(vec![
                 Value::Integer(i),
-                Value::Varchar(format!("region-{}", i % 5)),
+                Value::Varchar(format!("region-{}", i % 5).into()),
                 Value::Decimal(i as i128 * 100),
                 Value::Double(i as f64 / 2.0),
             ])
@@ -559,7 +559,7 @@ mod tests {
         )
         .unwrap();
         for i in 0..500i64 {
-            t.insert(vec![Value::Integer(i), Value::Varchar(format!("r-{}", i % 7))]).unwrap();
+            t.insert(vec![Value::Integer(i), Value::Varchar(format!("r-{}", i % 7).into())]).unwrap();
         }
         t.delta_merge_all().unwrap();
         let session = t.session().unwrap();
@@ -609,7 +609,7 @@ mod tests {
             )
             .unwrap();
             for i in 0..400i64 {
-                t.insert(vec![Value::Integer(i % 50), Value::Varchar(format!("r-{}", i % 3))])
+                t.insert(vec![Value::Integer(i % 50), Value::Varchar(format!("r-{}", i % 3).into())])
                     .unwrap();
             }
             t.delta_merge_all().unwrap();
@@ -759,7 +759,7 @@ mod minmax_tests {
         for i in 0..200i64 {
             t.insert(vec![
                 Value::Integer((i * 37) % 199 - 50),
-                Value::Varchar(format!("n-{:03}", (i * 13) % 97)),
+                Value::Varchar(format!("n-{:03}", (i * 13) % 97).into()),
             ])
             .unwrap();
         }
@@ -892,7 +892,7 @@ mod minmax_tests {
                 row[1] = Value::Varchar("zz-moved".into());
             }
             for i in 400..410i64 {
-                let row = vec![Value::Integer(i), Value::Varchar(format!("a-fresh-{i}"))];
+                let row = vec![Value::Integer(i), Value::Varchar(format!("a-fresh-{i}").into())];
                 t.insert(row.clone()).unwrap();
                 rows.push(row);
             }
@@ -918,7 +918,7 @@ mod minmax_tests {
                 .unwrap();
         let rows: Vec<Row> = (0..400i64)
             .map(|i| {
-                vec![Value::Integer(i), Value::Varchar(format!("customer-{:05}", i * 7 % 300))]
+                vec![Value::Integer(i), Value::Varchar(format!("customer-{:05}", i * 7 % 300).into())]
             })
             .collect();
         t.insert_all(rows.clone()).unwrap();

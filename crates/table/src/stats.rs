@@ -207,7 +207,7 @@ mod tests {
         )
         .unwrap();
         for i in 0..1_000 {
-            t.insert(vec![Value::Varchar(format!("{i:01000}"))]).unwrap();
+            t.insert(vec![Value::Varchar(format!("{i:01000}").into())]).unwrap();
         }
         let delta_bytes = t.table_stats().partitions[0].delta_bytes;
         assert!((1_000_000..1_500_000).contains(&delta_bytes), "delta_bytes {delta_bytes}");

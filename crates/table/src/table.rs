@@ -772,13 +772,13 @@ mod tests {
             let t = aged_table();
             // The cold delta's status column: 1 000 keys of 1 000 bytes.
             for i in 0..1_000 {
-                let status = Value::Varchar(format!("{i:01000}"));
+                let status = Value::Varchar(format!("{i:01000}").into());
                 t.insert(vec![Value::Integer(1_000 + i), status, Value::Integer(5)]).unwrap();
             }
             // 600 hot rows whose statuses, 60 000 bytes, are more than the
             // cold status column has left.
             for i in 0..600 {
-                let status = Value::Varchar(format!("{i:0100}"));
+                let status = Value::Varchar(format!("{i:0100}").into());
                 t.insert(vec![Value::Integer(100 + i), status, Value::Integer(200)]).unwrap();
             }
             if merged {
@@ -930,7 +930,7 @@ mod tests {
         for i in 0..100i64 {
             t.insert(vec![
                 Value::Integer(i),
-                Value::Varchar(format!("item-{}", i % 11)),
+                Value::Varchar(format!("item-{}", i % 11).into()),
                 Value::Integer(1990 + i),
             ])
             .unwrap();

@@ -42,7 +42,7 @@ fn random_row(rng: &mut StdRng, id: i64) -> Row {
     vec![
         Value::Integer(id),
         Value::Integer(rng.random_range(0..8i64)),
-        Value::Varchar(note),
+        Value::Varchar(note.into()),
         Value::Decimal(rng.random_range(-500..500i64) as i128),
         Value::Double(rng.random_range(0..1_000i64) as f64 / 8.0),
     ]
@@ -330,7 +330,7 @@ fn edge_row(id: i64, part: i64, k: usize) -> Row {
         Value::Integer(id),
         Value::Integer(part),
         Value::Integer(grp),
-        Value::Varchar(note),
+        Value::Varchar(note.into()),
         Value::Decimal(amount),
         Value::Double(ratio),
         Value::Integer(7),
@@ -468,7 +468,7 @@ fn edge_values_merge_into_chains_equal_to_column_builds() {
 
         // A frozen backlog over a main with deletes.
         insert(&mut m, 25, 0);
-        m.update(&t, &eq(0), NOTE, Value::Varchar(String::new()));
+        m.update(&t, &eq(0), NOTE, Value::Varchar("".into()));
         m.abort_merge(&t, &store, 0);
         insert(&mut m, 25, 0);
         m.update(&t, &eq(i64::MIN), PART, Value::Integer(1));
@@ -565,7 +565,7 @@ fn random_schedules_merge_into_chains_equal_to_column_builds() {
                         next_id += 1;
                     }
                 }
-                Op::SetNote { grp, note } => m.update(&t, &eq(grp), NOTE, Value::Varchar(note)),
+                Op::SetNote { grp, note } => m.update(&t, &eq(grp), NOTE, Value::Varchar(note.into())),
                 Op::Delete { grp } => m.update(&t, &eq(grp), PART, Value::Integer(1)),
                 Op::Merge { pid } => m.merge(&t, &store, pid, &what),
                 Op::AbortMerge { pid } => m.abort_merge(&t, &store, pid),

@@ -33,7 +33,7 @@ fn paged_table(indexed: bool, rows: i64) -> Table {
     // would be stored as its dictionary alone, and these plans read its
     // data vector and postings.
     for i in (0..rows - 2).chain([rows - 1, rows - 2]) {
-        t.insert(vec![Value::Integer(i), Value::Varchar(format!("region-{}", i % 5))]).unwrap();
+        t.insert(vec![Value::Integer(i), Value::Varchar(format!("region-{}", i % 5).into())]).unwrap();
     }
     t.delta_merge_all().unwrap();
     t
@@ -234,7 +234,7 @@ fn cold_select_star_batches_its_page_loads() {
     .unwrap();
     for i in 0..2000i64 {
         let mut row = vec![Value::Integer(i)];
-        row.extend((0..5).map(|c| Value::Varchar(format!("v{c}-{:04}", (i * (c + 3)) % 700))));
+        row.extend((0..5).map(|c| Value::Varchar(format!("v{c}-{:04}", (i * (c + 3)) % 700).into())));
         t.insert(row).unwrap();
     }
     t.delta_merge_all().unwrap();
@@ -300,7 +300,7 @@ fn traced_q_pk_num_attributes_its_two_pins_to_data_and_dict() {
         t.insert(vec![
             Value::Integer(i),
             Value::Integer(i * 7 % 500),
-            Value::Varchar(format!("region-{}", i % 5)),
+            Value::Varchar(format!("region-{}", i % 5).into()),
         ])
         .unwrap();
     }

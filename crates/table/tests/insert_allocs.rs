@@ -56,7 +56,7 @@ const ROWS: i64 = 4096;
 fn row(i: i64) -> Row {
     vec![
         Value::Integer(i),
-        Value::Varchar(format!("customer-{i:06}")),
+        Value::Varchar(format!("customer-{i:06}").into()),
         Value::Decimal(i128::from(i) * 7),
         Value::Double(i as f64 / 4.0),
     ]

@@ -43,11 +43,11 @@ fn table(policy: LoadPolicy) -> Table {
 }
 
 fn row(id: i64, tag: u8, temp: i64) -> Row {
-    vec![Value::Integer(id), Value::Varchar(format!("tag-{tag}")), Value::Integer(temp)]
+    vec![Value::Integer(id), Value::Varchar(format!("tag-{tag}").into()), Value::Integer(temp)]
 }
 
 /// Canonical multiset of visible rows, keyed by id.
-fn visible(t: &Table) -> BTreeMap<i64, (String, i64)> {
+fn visible(t: &Table) -> BTreeMap<i64, (Arc<str>, i64)> {
     let rows = t.execute(&Query::full(Projection::All)).unwrap().into_rows();
     rows.into_iter()
         .map(|r| match (&r[0], &r[1], &r[2]) {
@@ -72,13 +72,13 @@ proptest! {
     ) {
         let policy = if policy_paged { LoadPolicy::PageLoadable } else { LoadPolicy::FullyResident };
         let t = table(policy);
-        let mut expected: BTreeMap<i64, (String, i64)> = BTreeMap::new();
+        let mut expected: BTreeMap<i64, (Arc<str>, i64)> = BTreeMap::new();
         for (i, &(id, tag, temp)) in rows.iter().enumerate() {
             // Make ids unique so the multiset is a map: disjoint per-row
             // ranges of width 5000.
             let id = i as i64 * 5_000 + id;
             t.insert(row(id, tag, temp)).unwrap();
-            expected.insert(id, (format!("tag-{tag}"), temp));
+            expected.insert(id, (format!("tag-{tag}").into(), temp));
             if merge_points.get(i).copied().unwrap_or(false) {
                 t.delta_merge_all().unwrap();
             }
@@ -143,7 +143,7 @@ proptest! {
         }
         t.delta_merge_all().unwrap();
         for pred in [
-            ValuePredicate::Eq(Value::Varchar(format!("tag-{probe_tag}"))),
+            ValuePredicate::Eq(Value::Varchar(format!("tag-{probe_tag}").into())),
             ValuePredicate::StartsWith("tag-".into()),
             ValuePredicate::StartsWith(format!("tag-{probe_tag}")),
         ] {

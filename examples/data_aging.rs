@@ -48,7 +48,7 @@ fn main() {
         table
             .insert(vec![
                 Value::Integer(i),
-                Value::Varchar(format!("cust-{:04}", i % 2_500)),
+                Value::Varchar(format!("cust-{:04}", i % 2_500).into()),
                 Value::Decimal((i as i128 * 37) % 500_000),
                 Value::Integer(OPEN),
             ])

@@ -46,7 +46,7 @@ fn main() {
         table
             .insert(vec![
                 Value::Integer(i),
-                Value::Varchar(format!("region-{}", i % 17)),
+                Value::Varchar(format!("region-{}", i % 17).into()),
                 Value::Decimal(i as i128 * 100),
             ])
             .unwrap();

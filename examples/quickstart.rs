@@ -44,7 +44,7 @@ fn main() {
         table
             .insert(vec![
                 Value::Integer(i),
-                Value::Varchar(format!("customer-{:05}", i % 9_000)),
+                Value::Varchar(format!("customer-{:05}", i % 9_000).into()),
                 Value::Decimal(i as i128 * 17 % 100_000),
             ])
             .unwrap();

@@ -53,7 +53,7 @@
 //! for i in 0..10_000i64 {
 //!     orders.insert(vec![
 //!         Value::Integer(i),
-//!         Value::Varchar(format!("customer-{:04}", i % 500)),
+//!         Value::Varchar(format!("customer-{:04}", i % 500).into()),
 //!     ])?;
 //! }
 //! orders.delta_merge_all()?;

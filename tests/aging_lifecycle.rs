@@ -141,7 +141,7 @@ fn aging_footprint_shifts_from_resident_to_paged() {
     for i in 0..2_000i64 {
         t.insert(vec![
             Value::Integer(i),
-            Value::Varchar(format!("state-{}", i % 5)),
+            Value::Varchar(format!("state-{}", i % 5).into()),
             Value::Decimal(i as i128),
             Value::Integer(OPEN),
         ])

@@ -29,8 +29,8 @@ fn schema() -> Schema {
 fn row(i: u64) -> Row {
     vec![
         // Scattered, so the key column keeps a data vector and postings.
-        Value::Varchar(format!("MAT-{:07}", (i * 7_919) % 1_000_003)),
-        Value::Varchar(format!("plant-{:02}", i % 37)),
+        Value::Varchar(format!("MAT-{:07}", (i * 7_919) % 1_000_003).into()),
+        Value::Varchar(format!("plant-{:02}", i % 37).into()),
         Value::Integer((i * 31 % 1_000) as i64),
     ]
 }

@@ -19,7 +19,7 @@ fn row(id: i64) -> Row {
     vec![
         Value::Integer(id),
         Value::Integer((id * 37) % 400), // day: the partition column
-        Value::Varchar(format!("customer-{:03}", (id * 13) % 97)),
+        Value::Varchar(format!("customer-{:03}", (id * 13) % 97).into()),
         Value::Decimal(i128::from((id * 7919) % 1_000) * 25),
     ]
 }

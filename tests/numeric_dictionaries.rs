@@ -32,7 +32,7 @@ fn row(id: i64) -> Row {
         Value::Integer((id * 37) % 211 - 100),
         Value::Decimal(i128::from((id * 7_919) % 1_000) * 25 - 9_999),
         Value::Double(((id * 31) % 257) as f64 * 0.125 - 8.0),
-        Value::Varchar(format!("customer-{:05}", (id * 13) % 1_777)),
+        Value::Varchar(format!("customer-{:05}", (id * 13) % 1_777).into()),
         Value::Varchar(["open", "paid", "void"][(id % 3) as usize].into()),
     ]
 }

@@ -80,7 +80,7 @@ fn row(i: i64) -> Row {
     vec![
         Value::Integer(id),
         Value::Integer((i * 7) % 100),
-        Value::Varchar(cat),
+        Value::Varchar(cat.into()),
         Value::Decimal(price),
         Value::Double(weight),
         Value::Double(ratio),

@@ -67,9 +67,9 @@ fn row(i: i64) -> Row {
         Value::Decimal(i128::from((i * 37) % 500) - 250),
         Value::Varchar("only".into()),
         Value::Double(0.5),
-        Value::Varchar(format!("tag-{}", i % 5)),
-        Value::Varchar(format!("customer-name-{i:06}")),
-        Value::Varchar(blob),
+        Value::Varchar(format!("tag-{}", i % 5).into()),
+        Value::Varchar(format!("customer-name-{i:06}").into()),
+        Value::Varchar(blob.into()),
     ]
 }
 

@@ -30,8 +30,8 @@ const KEYS: i64 = 20_000;
 fn row(i: i64) -> Row {
     vec![
         // Scattered, so identifier order is not insertion order.
-        Value::Varchar(format!("MAT-{:09}", (i * 7_919) % 1_000_003)),
-        Value::Varchar(format!("plant-{:02}", i % 37)),
+        Value::Varchar(format!("MAT-{:09}", (i * 7_919) % 1_000_003).into()),
+        Value::Varchar(format!("plant-{:02}", i % 37).into()),
         Value::Integer(i % 1_000),
     ]
 }
@@ -143,7 +143,7 @@ fn benchmark_key(i: u64) -> String {
 fn resident_dictionary_is_front_coded() {
     // Unique, inserted in scattered order.
     let values: Vec<Value> =
-        (0..ROWS).map(|i| Value::Varchar(benchmark_key((i * 7_919) % ROWS))).collect();
+        (0..ROWS).map(|i| Value::Varchar(benchmark_key((i * 7_919) % ROWS).into())).collect();
     let resman = ResourceManager::new();
     let pool = BufferPool::new(Arc::new(MemStore::new()), resman.clone());
     let build = |policy| {
@@ -190,7 +190,7 @@ fn resident_dictionary_is_front_coded() {
     }
     // A hit or an empty set, then the insertion point as a range's start.
     let top = Value::Varchar("D".into());
-    for p in probes.into_iter().map(Value::Varchar) {
+    for p in probes.into_iter().map(Value::from) {
         for pred in [ValuePredicate::Eq(p.clone()), ValuePredicate::Between(p, top.clone())] {
             assert_eq!(resident.vid_set_for(&pred).unwrap(), paged.vid_set_for(&pred).unwrap());
         }
@@ -203,8 +203,8 @@ fn benchmark_rows() -> Vec<Row> {
     (0..ROWS)
         .map(|i| {
             vec![
-                Value::Varchar(benchmark_key(i)),
-                Value::Varchar(format!("plant-{:02}", i * 7 % 37)),
+                Value::Varchar(benchmark_key(i).into()),
+                Value::Varchar(format!("plant-{:02}", i * 7 % 37).into()),
                 Value::Integer((i * 7_919 % 1_000) as i64),
             ]
         })
@@ -321,7 +321,7 @@ fn a_key_stored_in_row_order_holds_and_stores_its_dictionary_alone() {
     let mut queries: Vec<Query> = [0, 1, 4_217, ROWS / 2, ROWS - 1]
         .map(key)
         .into_iter()
-        .chain(absent.into_iter().map(Value::Varchar))
+        .chain(absent.into_iter().map(Value::from))
         .map(|k| Query::filtered("material", ValuePredicate::Eq(k), Projection::All))
         .collect();
     let ranges = [

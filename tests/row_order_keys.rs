@@ -26,13 +26,13 @@ const NEW: PartitionId = PartitionId(1);
 /// The benchmark's key shape: `C00-` and a zero-padded number, padded with
 /// one letter to 14 bytes.
 fn key(i: u64) -> Value {
-    Value::Varchar(format!("C00-{i:09}{}", char::from(b'a' + ((i + 13) % 26) as u8)))
+    Value::Varchar(format!("C00-{i:09}{}", char::from(b'a' + ((i + 13) % 26) as u8)).into())
 }
 
 /// A key between `key(i)` and `key(i + 1)`.
 fn key_after(i: u64) -> Value {
     match key(i) {
-        Value::Varchar(k) => Value::Varchar(format!("{k}~")),
+        Value::Varchar(k) => Value::Varchar(format!("{k}~").into()),
         _ => unreachable!(),
     }
 }

@@ -33,9 +33,9 @@ pub use materialize::materialize;
 pub use read::ColumnRead;
 
 use crate::meta::{MetaReader, MetaWriter};
-use crate::{CoreError, CoreResult, DataType, KeyPredicate, PageConfig};
+use crate::{CoreError, CoreResult, DataType, PageConfig};
 pub(crate) use parts::{ColumnParts, StoredRows};
-use payg_encoding::dispatch::{CodecKind, ScanPath};
+use payg_encoding::dispatch::CodecKind;
 use payg_resman::Disposition;
 use payg_storage::{BufferPool, StorageError};
 use resident::{Image, Resident};
@@ -158,25 +158,6 @@ impl Column {
     /// EXPLAIN ANALYZE can attribute traced page events either way.
     pub fn chains(&self) -> Vec<(&'static str, u64)> {
         self.parts.chains()
-    }
-
-    /// The strategy a row search for `pred` runs with. Resident columns
-    /// always decode-then-scan — their image is already decompressed in
-    /// memory — and so do paged ones without an index, over the data
-    /// vector's kernels. A paged index traversal is picked from the
-    /// predicate's shape alone: point keys (`=`, `IN`) seek each vid's
-    /// postings in the compressed domain — `next_row_pos_geq` leapfrogs
-    /// every partition below the row range on its two-varint header —
-    /// while a key interval is one vid range, hence one posting run,
-    /// decoded and drained whole. (Dictionary probes decide independently:
-    /// FSST equality probes always compare compressed bytes inside `find`.)
-    pub fn scan_path(&self, pred: &KeyPredicate) -> ScanPath {
-        match pred {
-            KeyPredicate::Points(_) if self.resident.is_none() && self.parts.has_index() => {
-                ScanPath::CompressedDomain
-            }
-            _ => ScanPath::DecodeThenScan,
-        }
     }
 
     /// Serializes everything needed to reopen this column over the same

@@ -8,9 +8,8 @@ use super::resident::Image;
 use super::Column;
 use crate::datavec::ScanOptions;
 use crate::dict::HandleCache;
-use crate::invidx::{for_each_run, PagedInvertedIndex};
+use crate::invidx::for_each_run;
 use crate::{CoreResult, DataType, KeyPredicate, Sum, Value, ValuePredicate};
-use payg_encoding::dispatch::ScanPath;
 use payg_encoding::{kernels, scan, VidSet};
 
 /// Read operations every column supports regardless of load policy. Methods
@@ -129,14 +128,7 @@ impl Column {
     /// posting run — and by a scan of the data vector otherwise (Alg. 1),
     /// which a paged column reads only on the pages that overlap the row
     /// range and survive page-summary pruning.
-    fn rows_in(
-        &self,
-        image: Option<&Image>,
-        pred: &KeyPredicate,
-        set: &VidSet,
-        from: u64,
-        to: u64,
-    ) -> CoreResult<Vec<u64>> {
+    fn rows_in(&self, image: Option<&Image>, set: &VidSet, from: u64, to: u64) -> CoreResult<Vec<u64>> {
         let mut out = Vec::new();
         if set.is_empty() {
             return Ok(out);
@@ -144,71 +136,29 @@ impl Column {
         match (&self.parts.rows, image) {
             (StoredRows::Identity { .. }, _) => identity_rows(set, from, to, &mut out),
             (StoredRows::Plain { index: Some(index), .. }, _) => {
-                match image.and_then(|i| i.index.as_ref()) {
-                    Some(index) => {
-                        let mut run = Vec::new();
-                        for_each_run(set, |lo, hi| {
-                            index.posting_run(lo, hi, &mut run)?;
-                            out.extend(run.iter().copied().filter(|&rpos| rpos >= from && rpos < to));
-                            Ok(())
-                        })?
+                let resident = image.and_then(|i| i.index.as_ref());
+                // Flight recorder: one chunk-dispatch span covers a paged
+                // index traversal.
+                let tracer = self.parts.pool.registry().tracer();
+                let _span = resident.is_none().then(|| tracer.span(payg_obs::SpanKind::ChunkDispatch, 0));
+                // One iterator for every run: the runs of an `IN` probe
+                // re-pin nothing they share.
+                let mut it = index.iter();
+                let mut run = Vec::new();
+                for_each_run(set, |lo, hi| {
+                    match resident {
+                        Some(index) => index.posting_run(lo, hi, &mut run)?,
+                        None => it.posting_run(lo, hi, &mut run)?,
                     }
-                    None => self.paged_postings(index, pred, set, from, to, &mut out)?,
-                }
+                    out.extend(run.iter().copied().filter(|rpos| (from..to).contains(rpos)));
+                    Ok(())
+                })?;
                 out.sort_unstable();
             }
             (StoredRows::Plain { .. }, Some(image)) => scan::search(&image.data, from, to, set, &mut out),
             (StoredRows::Plain { data, .. }, None) => data.iter().search(from, to, set, &mut out)?,
         }
         Ok(out)
-    }
-
-    /// The rows in `from..to` of `set`'s postings, read from a paged
-    /// index along [`Column::scan_path`].
-    fn paged_postings(
-        &self,
-        index: &PagedInvertedIndex,
-        pred: &KeyPredicate,
-        set: &VidSet,
-        from: u64,
-        to: u64,
-        out: &mut Vec<u64>,
-    ) -> CoreResult<()> {
-        let path = self.scan_path(pred);
-        // Flight recorder: one chunk-dispatch span covers the whole index
-        // traversal; `detail` records which path it took (1 =
-        // compressed-domain, 0 = decode-then-scan).
-        let _span = self.parts.pool.registry().tracer().span(
-            payg_obs::SpanKind::ChunkDispatch,
-            matches!(path, ScanPath::CompressedDomain) as u64,
-        );
-        let mut it = index.iter();
-        match path {
-            ScanPath::CompressedDomain => {
-                for vid in set.iter() {
-                    let mut cur = it.next_row_pos_geq(vid, from)?;
-                    while let Some(rpos) = cur {
-                        if rpos >= to {
-                            break;
-                        }
-                        out.push(rpos);
-                        cur = it.get_next_row_pos()?;
-                    }
-                }
-                Ok(())
-            }
-            // A vid range is one posting run: two directory reads, then one
-            // drain of the contiguous postinglist slice.
-            ScanPath::DecodeThenScan => for_each_run(set, |lo, hi| {
-                it.position_run(lo, hi)?;
-                while let Some(rpos) = it.get_next_row_pos()? {
-                    if rpos >= from && rpos < to {
-                        out.push(rpos);
-                    }
-                }
-                Ok(())
-            }),
-        }
     }
 }
 
@@ -254,7 +204,7 @@ impl ColumnRead for Column {
         self.parts.check_rows(from, to)?;
         let image = self.image()?;
         let set = self.vid_set(image.as_deref(), pred)?;
-        self.rows_in(image.as_deref(), pred, &set, from, to)
+        self.rows_in(image.as_deref(), &set, from, to)
     }
 
     /// Arithmetic when row and identifier coincide. With an index, a
@@ -279,7 +229,7 @@ impl ColumnRead for Column {
                 }
             }
             (StoredRows::Plain { index: Some(_), .. }, _) => {
-                Ok(self.rows_in(image, pred, &set, from, to)?.len() as u64)
+                Ok(self.rows_in(image, &set, from, to)?.len() as u64)
             }
             (StoredRows::Plain { .. }, _) if set.is_empty() => Ok(0),
             (StoredRows::Plain { .. }, Some(image)) => {

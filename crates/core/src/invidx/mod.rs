@@ -18,8 +18,11 @@
 //!
 //! Because postings are grouped by vid and the dictionary is order
 //! preserving, a value range is one vid range is one contiguous postinglist
-//! slice — a **posting run**. Both indexes read runs (`posting_run`,
-//! [`PagedIndexIterator::position_run`]); a single vid is the run `v..=v`.
+//! slice — a **posting run**. Every index read is a run: both indexes
+//! have `posting_run`, the paged one on its iterator too
+//! ([`PagedIndexIterator::position_run`], then a drain), and a single vid
+//! is the run `v..=v`. A row search walks `for_each_run` of its vid set
+//! and reads each run whole — there is no seek within a posting list.
 
 mod in_memory;
 mod paged;

@@ -8,10 +8,9 @@
 //! `vid · rows + rpos`, encoded 64 values per partition, and packed into
 //! pages without straddling. Partitions are variable-sized, so a
 //! plain-`u64` **skip table** (one chain offset per partition) follows the
-//! posting pages. Seeks run in the compressed domain via
-//! [`PagedIndexIterator::next_row_pos_geq`] — partition headers bound-skip
-//! and at most one Elias-Fano bucket is scanned. A fragment of at most one
-//! row has no posting pages: its only row position is 0.
+//! posting pages. A read positions on a posting run and drains it, one
+//! 64-posting partition decoded whole per chunk it enters. A fragment of at
+//! most one row has no posting pages: its only row position is 0.
 //!
 //! The directory is n-bit packed in 64-value chunks (it is random-accessed,
 //! not scanned), so the page number and in-page offset of any entry are
@@ -354,17 +353,9 @@ impl PagedInvertedIndex {
     }
 
     /// Reads the posting run of the vids `lo..=hi` into `out` (cleared
-    /// first) via a fresh iterator: [`PagedIndexIterator::position_run`],
-    /// then a drain.
+    /// first) via a fresh iterator ([`PagedIndexIterator::posting_run`]).
     pub fn posting_run(&self, lo: u64, hi: u64, out: &mut Vec<u64>) -> CoreResult<()> {
-        out.clear();
-        let mut it = self.iter();
-        it.position_run(lo, hi)?;
-        out.reserve(it.remaining() as usize);
-        while let Some(rpos) = it.get_next_row_pos()? {
-            out.push(rpos);
-        }
-        Ok(())
+        self.iter().posting_run(lo, hi, out)
     }
 
     /// Page number and byte offset of directory entry `e` — the paper's
@@ -473,9 +464,14 @@ impl PagedIndexIterator<'_> {
         let n = (meta.rows - chunk_no * CHUNK_LEN as u64).min(CHUNK_LEN as u64) as usize;
         let part = PartitionRef::parse(&guard[..], (loc % page_size) as usize, n)?;
         part.read_into(&mut buf)?;
-        // Undo the vid·rows+rpos transform once per cached chunk.
+        // Undo the vid·rows+rpos transform once per cached chunk. The values
+        // ascend, so a division is needed only where the vid changes.
+        let mut vid_base = 0;
         for v in &mut buf[..n] {
-            *v %= meta.rows;
+            if v.wrapping_sub(vid_base) >= meta.rows {
+                vid_base = *v - *v % meta.rows;
+            }
+            *v -= vid_base;
         }
         self.post_chunk = Some((chunk_no, buf));
         Ok(buf[slot])
@@ -527,62 +523,18 @@ impl PagedIndexIterator<'_> {
         Ok(Some(rpos))
     }
 
-    /// Seeks within `vid`'s postinglist: returns the smallest row position
-    /// `>= rpos`, or `None` when the list has no such posting, positioning
-    /// the iterator so `get_next_row_pos` continues after the match.
-    ///
-    /// This is a compressed-domain seek: partitions whose header bound lies
-    /// below the target are skipped for the price of two varints, and at
-    /// most one Elias-Fano bucket of the landing partition is scanned —
-    /// nothing is bulk-decoded.
-    pub fn next_row_pos_geq(&mut self, vid: u64, rpos: u64) -> CoreResult<Option<u64>> {
-        let meta = &self.idx.meta;
-        if vid >= meta.cardinality {
-            return Err(CoreError::VidOutOfBounds { vid, cardinality: meta.cardinality });
+    /// Reads the posting run of the vids `lo..=hi` into `out` (cleared
+    /// first): [`PagedIndexIterator::position_run`], then a drain. The
+    /// iterator keeps its pins and decoded chunks, so the runs of one
+    /// traversal re-pin nothing they share.
+    pub fn posting_run(&mut self, lo: u64, hi: u64, out: &mut Vec<u64>) -> CoreResult<()> {
+        out.clear();
+        self.position_run(lo, hi)?;
+        out.reserve(self.remaining() as usize);
+        while let Some(rpos) = self.get_next_row_pos()? {
+            out.push(rpos);
         }
-        self.state = None;
-        if rpos >= meta.rows {
-            return Ok(None);
-        }
-        let (start, end) = if meta.unique {
-            (vid, vid + 1)
-        } else {
-            (self.read_dir(vid)?, self.read_dir(vid + 1)?)
-        };
-        if start >= end {
-            return Ok(None);
-        }
-        if meta.post_pages == 0 {
-            // One row: `rpos < rows` made the target row 0, its only posting.
-            self.state = Some(IterState { cur: start + 1, end });
-            return Ok(Some(0));
-        }
-        let target = vid * meta.rows + rpos;
-        let vid_end = (vid + 1) * meta.rows;
-        let page_size = meta.chain.page_size as u64;
-        let first_p = start / PARTITION_LEN as u64;
-        let last_p = (end - 1) / PARTITION_LEN as u64;
-        for p in first_p..=last_p {
-            let loc = self.read_skip(p)?;
-            let meta = &self.idx.meta;
-            Self::pin(&self.idx.pool, &meta.chain, &mut self.post_guard, loc / page_size)?;
-            let Some((_, guard)) = self.post_guard.as_ref() else {
-                unreachable!("pin above populated the guard slot")
-            };
-            let n = (meta.rows - p * PARTITION_LEN as u64).min(PARTITION_LEN as u64) as usize;
-            let part = PartitionRef::parse(&guard[..], (loc % page_size) as usize, n)?;
-            if part.last() < target {
-                continue; // header-only skip: no value here can match
-            }
-            let Some((slot, v)) = part.next_geq(target)? else { continue };
-            let g = p * PARTITION_LEN as u64 + slot as u64;
-            if g >= end || v >= vid_end {
-                return Ok(None); // first match belongs to a later vid
-            }
-            self.state = Some(IterState { cur: g + 1, end });
-            return Ok(Some(v - vid * meta.rows));
-        }
-        Ok(None)
+        Ok(())
     }
 
     /// Number of postings of the positioned run that remain unread.
@@ -814,26 +766,6 @@ mod tests {
     }
 
     #[test]
-    fn next_row_pos_geq_matches_naive() {
-        let values = sample(3000, 80, 13);
-        let (_pool, idx) = build(&values, 80);
-        let mut it = idx.iter();
-        for vid in (0..80).step_by(9) {
-            let posts = run(&idx, vid, vid);
-            for target in [0, 1, posts[0], posts[posts.len() / 2], *posts.last().unwrap(), 2999, 5000] {
-                let naive = posts.iter().copied().find(|&p| p >= target);
-                let got = it.next_row_pos_geq(vid, target).unwrap();
-                assert_eq!(got, naive, "vid {vid} target {target}");
-                // The seek positions the iterator for continuation.
-                if let Some(hit) = naive {
-                    let after = posts.iter().copied().find(|&p| p > hit);
-                    assert_eq!(it.get_next_row_pos().unwrap(), after);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn lookup_pins_at_most_three_pages() {
         let values = sample(5000, 500, 4);
         let (pool, idx) = build(&values, 500);
@@ -858,9 +790,8 @@ mod tests {
         assert_eq!((idx.pages(), idx.codec_kind()), (0, CodecKind::Plain));
         assert_eq!(run(&idx, 0, 0), vec![0]);
         let mut it = idx.iter();
-        assert_eq!(it.next_row_pos_geq(0, 0).unwrap(), Some(0));
+        assert_eq!(it.get_first_row_pos(0).unwrap(), Some(0));
         assert_eq!(it.get_next_row_pos().unwrap(), None);
-        assert_eq!(it.next_row_pos_geq(0, 1).unwrap(), None);
         // No rows at all.
         let (_p, idx) = build(&[], 0);
         assert_eq!(idx.pages(), 0);

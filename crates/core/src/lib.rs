@@ -42,6 +42,6 @@ pub use column::{Column, ColumnBuilder, ColumnRead, EncodedRows, LoadPolicy};
 pub use config::PageConfig;
 pub use datavec::ScanOptions;
 pub use error::{CoreError, CoreResult};
-pub use payg_encoding::dispatch::{ChainCodec, CodecKind, ScanPath};
+pub use payg_encoding::dispatch::{ChainCodec, CodecKind};
 pub use scratch::ChainScratch;
 pub use value::{DataType, KeyPoints, KeyPredicate, KeyRange, Sum, Value, ValuePredicate};

@@ -113,37 +113,26 @@ fn equivalence_strings_without_index() {
     assert_equivalent(DataType::Varchar, &string_values(900), false);
 }
 
-/// Point/set probes on an index seek in the compressed domain, ranges and
-/// index-less columns decode-then-scan, resident columns (already decoded
-/// in memory) always do; the codecs are the ones the data selected.
+/// An indexed column stores Elias-Fano postings whatever codec the data
+/// picked for its dictionary; an index-less column stores none.
 #[test]
-fn index_point_probes_run_in_the_compressed_domain() {
-    use payg_core::{CodecKind, KeyPredicate, ScanPath};
+fn an_indexed_column_stores_pef_postings_whatever_its_dictionary_codec() {
+    use payg_core::CodecKind;
     let pool = pool();
     let values = string_values(900);
     let paged = build(&pool, DataType::Varchar, &values, LoadPolicy::PageLoadable, true);
     assert_eq!(paged.index_codec(), Some(CodecKind::Pef));
     assert_eq!(paged.dict_codec(), CodecKind::Fsst);
-    let compile = |pred| KeyPredicate::compile(&pred, DataType::Varchar).unwrap();
-    let point = compile(ValuePredicate::Eq(values[3].clone()));
-    let range = compile(ValuePredicate::Between(values[0].clone(), values[8].clone()));
-    assert_eq!(paged.scan_path(&point), ScanPath::CompressedDomain);
-    assert_eq!(paged.scan_path(&range), ScanPath::DecodeThenScan);
-
-    let resident = build(&pool, DataType::Varchar, &values, LoadPolicy::FullyResident, true);
-    assert_eq!(resident.scan_path(&point), ScanPath::DecodeThenScan);
 
     let no_index = build(&pool, DataType::Varchar, &values, LoadPolicy::PageLoadable, false);
     assert_eq!(no_index.index_codec(), None);
-    assert_eq!(no_index.scan_path(&point), ScanPath::DecodeThenScan);
 
-    // Incompressible keys keep the dictionary chain plain; the index and
-    // its traversal do not depend on that.
+    // Incompressible keys keep the dictionary chain plain; the postings
+    // do not depend on that.
     let random = random_string_values(900);
     let plain_dict = build(&pool, DataType::Varchar, &random, LoadPolicy::PageLoadable, true);
     assert_eq!(plain_dict.dict_codec(), CodecKind::Plain);
     assert_eq!(plain_dict.index_codec(), Some(CodecKind::Pef));
-    assert_eq!(plain_dict.scan_path(&point), ScanPath::CompressedDomain);
 }
 
 #[test]

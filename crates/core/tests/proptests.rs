@@ -1431,47 +1431,6 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// `next_row_pos_geq` plus the continuing drain agree with a naive
-    /// filter at arbitrary row targets, one past the last row included.
-    #[test]
-    fn index_seek_and_drain_equal_naive(
-        raw in prop::collection::vec(0u64..30, 1..300),
-        targets in prop::collection::vec(0u64..320, 1..6),
-    ) {
-        let mut distinct: Vec<u64> = raw.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let values: Vec<u64> = raw
-            .iter()
-            .map(|v| distinct.binary_search(v).unwrap() as u64)
-            .collect();
-        let card = distinct.len() as u64;
-        let pool = pool();
-        let index = PagedInvertedIndex::build(&pool, &PageConfig::tiny(), &values, card).unwrap();
-        let mut it = index.iter();
-        for &t in &targets {
-            for vid in 0..card {
-                let mut got = Vec::new();
-                let mut cur = it.next_row_pos_geq(vid, t).unwrap();
-                while let Some(rpos) = cur {
-                    got.push(rpos);
-                    cur = it.get_next_row_pos().unwrap();
-                }
-                let expect: Vec<u64> = values
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, &v)| v == vid && i as u64 >= t)
-                    .map(|(i, _)| i as u64)
-                    .collect();
-                prop_assert_eq!(got, expect);
-            }
-        }
-    }
-}
-
-proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
     /// Paged `search` / `count` — pages scanned in place, a wave at a time,

@@ -1,12 +1,9 @@
-//! Chain codec descriptors and the scan-path report.
+//! Chain codec descriptors.
 //!
 //! Every persisted chain carries a [`ChainCodec`] descriptor (the chain
 //! file's descriptor region in `payg-storage`; a chain that never had one
 //! set reads as [`CodecKind::Plain`]): the codec is what the builder wrote,
-//! chosen from the data, never something a reader is asked for. [`ScanPath`]
-//! is how a reader reports which way it ran a probe — **in the compressed
-//! domain** (compare FSST-compressed bytes, leapfrog Elias-Fano partitions)
-//! or **decode-then-scan**.
+//! chosen from the data, never something a reader is asked for.
 
 use crate::{EncodingError, Result};
 
@@ -34,16 +31,6 @@ impl CodecKind {
             CodecKind::Array => "array",
         }
     }
-}
-
-/// The strategy a reader runs one probe with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanPath {
-    /// Evaluate directly on compressed bytes (FSST equality compare,
-    /// Elias-Fano `next_geq`), decompressing only emitted values.
-    CompressedDomain,
-    /// Decode the chunk/block, then run the plain kernel.
-    DecodeThenScan,
 }
 
 /// A persisted per-chain codec descriptor: the codec kind plus its

@@ -15,14 +15,11 @@
 //! The high halves are the classic Elias-Fano unary bucket array: bit
 //! `((vᵢ − base) ≫ l) + i` is set for each value `i`.
 //!
-//! [`PartitionRef::next_geq`] never fully decodes a partition: it first
-//! compares the target against the header bounds (two varints — a whole
-//! partition is skipped for the price of a dozen byte reads), then finds the
-//! target's high bucket by counting zero bits bytewise and scans at most one
-//! bucket's values. The only full decode is [`PartitionRef::read_into`]:
-//! readers outside this module have the partition-aware accessors and
-//! nothing else. The paged inverted index stores a posting list as
-//! consecutive partitions spread across pages, with a bit-packed skip table.
+//! [`PartitionRef::parse`] reads a partition's header and frames its body;
+//! [`PartitionRef::read_into`] decodes it whole. Readers outside this
+//! module have these two accessors and nothing else. The paged inverted
+//! index stores a posting list as consecutive partitions spread across
+//! pages, with a bit-packed skip table.
 
 use crate::unaligned::le_u64_padded;
 use crate::{EncodingError, Result};
@@ -150,9 +147,9 @@ fn decode_partition(bytes: &[u8], pos: usize, n: usize, out: &mut [u64]) -> Resu
 /// arrays still compressed.
 pub struct PartitionRef<'a> {
     /// First value of the partition.
-    pub base: u64,
+    base: u64,
     /// `last − base`.
-    pub universe: u64,
+    universe: u64,
     n: usize,
     l: u32,
     low: &'a [u8],
@@ -190,12 +187,6 @@ impl<'a> PartitionRef<'a> {
     /// Always false: partitions hold at least one value.
     pub fn is_empty(&self) -> bool {
         false
-    }
-
-    /// The largest value in the partition.
-    #[inline]
-    pub fn last(&self) -> u64 {
-        self.base + self.universe
     }
 
     /// Decodes every value into `out[..self.len()]`.
@@ -237,65 +228,6 @@ impl<'a> PartitionRef<'a> {
             return Err(corrupt("fewer high bits than values"));
         }
         Ok(())
-    }
-
-    /// Smallest `(slot, value)` with `value >= target`, or `None` when every
-    /// value is smaller. Operates on the compressed form: the header bound
-    /// check rejects whole partitions, and only the target's high bucket
-    /// onward is scanned.
-    pub fn next_geq(&self, target: u64) -> Result<Option<(usize, u64)>> {
-        if target <= self.base {
-            // First value is base itself (rel 0 ⇒ low 0, bucket 0).
-            let low = low_field(self.low, 0, self.l);
-            debug_assert_eq!(low, 0);
-            return Ok(Some((0, self.base)));
-        }
-        if target > self.last() {
-            return Ok(None);
-        }
-        let t_rel = target - self.base;
-        let t_bucket = t_rel >> self.l;
-        // Skip whole bytes while every one-bit in them must belong to a
-        // bucket strictly below the target's (a one after `k` in-byte zeros
-        // has bucket `bucket + k`, so `bucket + zeros(byte) < t_bucket`
-        // bounds them all away from the target).
-        let mut i = 0usize;
-        let mut bucket = 0u64;
-        let mut byte_no = 0usize;
-        while byte_no < self.high.len()
-            && bucket + u64::from(8 - self.high[byte_no].count_ones()) < t_bucket
-        {
-            bucket += u64::from(8 - self.high[byte_no].count_ones());
-            i += self.high[byte_no].count_ones() as usize;
-            byte_no += 1;
-        }
-        // Bit-scan from here: emit values whose bucket ≥ t_bucket.
-        while byte_no < self.high.len() {
-            let b = self.high[byte_no];
-            for bit in 0..8 {
-                if b & (1 << bit) == 0 {
-                    bucket += 1;
-                } else {
-                    if i >= self.n {
-                        return Err(corrupt("extra high bits after last value"));
-                    }
-                    if bucket >= t_bucket {
-                        let low = low_field(self.low, i * self.l as usize, self.l);
-                        let rel = (bucket << self.l) | low;
-                        if rel > self.universe {
-                            return Err(corrupt("value exceeds declared universe"));
-                        }
-                        if rel >= t_rel {
-                            return Ok(Some((i, self.base + rel)));
-                        }
-                    }
-                    i += 1;
-                }
-            }
-            byte_no += 1;
-        }
-        // target ≤ last ⇒ the scan must have found a value.
-        Err(corrupt("high bits exhausted before reaching declared last value"))
     }
 }
 
@@ -378,38 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn next_geq_matches_naive() {
-        let values = clustered(700, 5);
-        let buf = partitions(&values);
-        let mut pos = 0;
-        for part_values in values.chunks(PARTITION_LEN) {
-            let part = PartitionRef::parse(&buf, pos, part_values.len()).unwrap();
-            assert_eq!((part.base, part.last()), (part_values[0], *part_values.last().unwrap()));
-            for target in (0..=part.last() + 2).step_by(7) {
-                let naive = part_values.iter().enumerate().find(|&(_, &v)| v >= target);
-                let got = part.next_geq(target).unwrap();
-                assert_eq!(got, naive.map(|(i, &v)| (i, v)), "target {target}");
-            }
-            pos = part.end;
-        }
-        assert_eq!(pos, buf.len());
-    }
-
-    #[test]
-    fn partition_next_geq_scans_one_bucket() {
-        let values: Vec<u64> = (0..64u64).map(|i| 100 + i * 9).collect();
-        let mut buf = Vec::new();
-        encode_partition(&values, &mut buf);
-        let part = PartitionRef::parse(&buf, 0, 64).unwrap();
-        for target in [0, 100, 101, 109, 350, 100 + 63 * 9] {
-            let naive = values.iter().enumerate().find(|&(_, &v)| v >= target);
-            let got = part.next_geq(target).unwrap();
-            assert_eq!(got, naive.map(|(i, &v)| (i, v)), "target {target}");
-        }
-        assert_eq!(part.next_geq(100 + 63 * 9 + 1).unwrap(), None);
-    }
-
-    #[test]
     fn parse_rejects_malformed() {
         assert!(PartitionRef::parse(&[], 0, 1).is_err()); // truncated varint
         assert!(PartitionRef::parse(&[0x80], 0, 1).is_err());
@@ -438,9 +338,6 @@ mod tests {
             let mut bad = buf.clone();
             bad[i] ^= 0xA5;
             let _ = decode_partition(&bad, 0, 64, &mut out);
-            if let Ok(part) = PartitionRef::parse(&bad, 0, 64) {
-                let _ = part.next_geq(values[30]);
-            }
         }
     }
 

@@ -18,8 +18,8 @@
 //!   is one relaxed load. Enabled, events carry a global sequence number so
 //!   a drain can reconstruct the exact system-wide order of loads, pins,
 //!   and evictions.
-//! - [`Span`]: hierarchical query spans (query → scan-partition →
-//!   page-wait/io-batch → chunk-dispatch) recorded by the same tracer into
+//! - [`Span`]: hierarchical query spans (query → chunk-dispatch around a
+//!   paged index traversal → page-wait/io-batch) recorded by the same tracer into
 //!   a separate bounded side store, with a [`QueryCtx`] for carrying the
 //!   parent across worker threads. Events emitted under an open span are
 //!   tagged with its id, which is how page provenance (who caused this

@@ -45,8 +45,8 @@ pub enum SpanKind {
     /// covered). The span's id doubles as the batch id that
     /// `IoBatchIssued`/`IoCompleted` events carry in their `aux` field.
     IoBatch,
-    /// One inverted-index traversal in a paged reader (`detail` = 1 for
-    /// compressed-domain seeks, 0 for a decoded posting run).
+    /// One paged inverted-index traversal: every posting run of one
+    /// probe, read through one iterator (`detail` is 0, as for `Query`).
     ChunkDispatch,
     /// One online delta merge of a partition (`detail` = partition index).
     Merge,

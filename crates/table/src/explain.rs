@@ -1,5 +1,5 @@
-//! EXPLAIN ANALYZE: the static scan plan annotated with what actually
-//! happened, folded from the query's own span tree.
+//! EXPLAIN ANALYZE: each partition's store chains annotated with what
+//! actually happened, folded from the query's own span tree.
 //!
 //! [`Table::explain_analyze`] runs a query under a fresh `query` span while
 //! it holds a [`payg_obs::Recording`] on the pool's tracer. Afterwards it
@@ -7,10 +7,9 @@
 //! events tagged with any of them ([`payg_obs::Tracer::take_tree`]) — and
 //! folds every number of the report from it:
 //!
-//! * the **static plan** — [`crate::Snapshot::scan_plan`] as it stood before execution
-//!   (per-partition [`ScanPath`]), annotated per store chain with the pins,
-//!   cold loads, waits, I/O traffic and retries the chain actually saw, and
-//!   with the bit width the scan kernel ran at;
+//! * the **plan rows** — one per partition, listing its store chains with
+//!   the pins, cold loads, waits, I/O traffic and retries each actually
+//!   saw, and the bit width the scan kernel ran at;
 //! * the **scan work** — pages pruned by their summaries, chunks scanned
 //!   and matches, from the data-vector scans' `DataScan` events;
 //! * the **span tree** — query → page-wait / io-batch / chunk-dispatch, each
@@ -34,7 +33,6 @@ use crate::query::{Query, QueryResult};
 use crate::table::Table;
 use crate::TableResult;
 use payg_core::column::ColumnRead;
-use payg_core::ScanPath;
 use payg_encoding::BitWidth;
 use payg_obs::{names, EventKind, ObsSnapshot, PageEvent, SpanKind, SpanRecord};
 use std::collections::{BTreeMap, HashSet};
@@ -100,8 +98,6 @@ pub struct ChainExplain {
 pub struct PartitionExplain {
     /// Partition ordinal.
     pub partition: usize,
-    /// The static scan path [`crate::Snapshot::scan_plan`] chose before execution.
-    pub path: ScanPath,
     /// Bit width the data-vector scan kernel ran at on this partition's
     /// main fragment (0 = no kernel scan).
     pub kernel_width: u32,
@@ -113,7 +109,7 @@ pub struct PartitionExplain {
 /// The full EXPLAIN ANALYZE report. See the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct ExplainAnalyze {
-    /// Static plan, one entry per partition, annotated with actuals.
+    /// The plan rows, one per partition, annotated with actuals.
     pub partitions: Vec<PartitionExplain>,
     /// The query's spans — the root and every span under it — sorted by id.
     pub spans: Vec<SpanRecord>,
@@ -195,8 +191,8 @@ impl ExplainAnalyze {
         ));
         for part in &self.partitions {
             out.push_str(&format!(
-                "├─ partition {}: path={:?} kernel_width={}\n",
-                part.partition, part.path, part.kernel_width
+                "├─ partition {}: kernel_width={}\n",
+                part.partition, part.kernel_width
             ));
             for (i, c) in part.chains.iter().enumerate() {
                 let branch = if i + 1 == part.chains.len() { "└─" } else { "├─" };
@@ -262,9 +258,8 @@ impl ExplainAnalyze {
                 })
                 .collect();
             parts.push(format!(
-                "{{\"partition\": {}, \"path\": \"{:?}\", \"kernel_width\": {}, \"chains\": [{}]}}",
+                "{{\"partition\": {}, \"kernel_width\": {}, \"chains\": [{}]}}",
                 part.partition,
-                part.path,
                 part.kernel_width,
                 chains.join(", ")
             ));
@@ -372,12 +367,10 @@ impl Table {
     /// from the query's span tree. Exact under concurrency: other sessions'
     /// work never enters the report, and their trace stays in the tracer.
     pub fn explain_analyze(&self, q: &Query) -> TableResult<(QueryResult, ExplainAnalyze)> {
-        // One snapshot for the whole report: the plan, the execution and
-        // the annotation all see the same pinned version even when a merge
+        // One snapshot for the whole report: the execution and the
+        // annotation see the same pinned version even when a merge
         // publishes mid-run.
         let session = self.session()?;
-        // The plan as it stands *before* execution.
-        let plan = session.scan_plan(q)?;
         let tracer = self.registry().tracer();
         let _recording = tracer.record();
         let root_span = tracer.span(SpanKind::Query, 0);
@@ -438,7 +431,7 @@ impl Table {
             .len() as u64;
         report.events = events;
 
-        // Annotate the static plan: every active chain of every column,
+        // Annotate each partition: every active chain of every column,
         // plus the filter column's chains even when idle (a fully-pruned
         // or quarantine-skipped partition should still show its plan row).
         let filter_col = match &q.filter {
@@ -463,12 +456,7 @@ impl Table {
                     }
                 }
             }
-            report.partitions.push(PartitionExplain {
-                partition: pi,
-                path: plan[pi],
-                kernel_width,
-                chains,
-            });
+            report.partitions.push(PartitionExplain { partition: pi, kernel_width, chains });
         }
 
         Ok((result, report))

@@ -22,7 +22,7 @@ use crate::schema::Row;
 use crate::table::{Snapshot, Table};
 use crate::{TableError, TableResult};
 use payg_core::column::ColumnRead;
-use payg_core::{Column, CoreError, DataType, ScanPath, Sum, Value, ValuePredicate};
+use payg_core::{Column, CoreError, DataType, Sum, Value, ValuePredicate};
 
 /// What a query returns.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,25 +128,6 @@ impl Table {
 }
 
 impl Snapshot<'_> {
-    /// The scan strategy `q`'s filter resolves to on each partition's main
-    /// fragment: [`ScanPath::CompressedDomain`] where the index
-    /// probe seeks compressed postings (`next_geq` over Elias-Fano
-    /// partitions), [`ScanPath::DecodeThenScan`] otherwise (resident
-    /// columns, unindexed columns, range shapes, no filter). Purely
-    /// informational — [`Snapshot::execute`] takes the same path; this
-    /// surfaces it for tests and benches.
-    pub fn scan_plan(&self, q: &Query) -> TableResult<Vec<ScanPath>> {
-        let Some((name, pred)) = &q.filter else {
-            return Ok(vec![ScanPath::DecodeThenScan; self.partitions().len()]);
-        };
-        let (col, pred) = self.schema().compile(name, pred)?;
-        Ok(self
-            .partitions()
-            .iter()
-            .map(|p| p.main_frag().column(col).scan_path(&pred))
-            .collect())
-    }
-
     /// Executes a query against this snapshot's pinned version.
     pub fn execute(&self, q: &Query) -> TableResult<QueryResult> {
         let cols: Vec<usize> = match &q.projection {
@@ -542,57 +523,9 @@ mod tests {
     }
 
     #[test]
-    fn scan_plan_reports_compressed_domain_per_codec() {
-        // An indexed column under the default config carries PEF postings:
-        // point and set probes run in the compressed domain, ranges decode.
-        let schema = Schema::new(vec![
-            ColumnSpec::indexed("id", DataType::Integer),
-            ColumnSpec::new("region", DataType::Varchar),
-        ])
-        .unwrap();
-        let pool = BufferPool::new(Arc::new(MemStore::new()), ResourceManager::new());
-        let t = Table::create(
-            pool,
-            PageConfig::tiny(),
-            schema,
-            vec![PartitionSpec::single(LoadPolicy::PageLoadable)],
-        )
-        .unwrap();
-        for i in 0..500i64 {
-            t.insert(vec![Value::Integer(i), Value::Varchar(format!("r-{}", i % 7).into())]).unwrap();
-        }
-        t.delta_merge_all().unwrap();
-        let session = t.session().unwrap();
-        let point = Query::filtered("id", ValuePredicate::Eq(Value::Integer(7)), Projection::Count);
-        assert_eq!(session.scan_plan(&point).unwrap(), vec![ScanPath::CompressedDomain]);
-        let set = Query::filtered(
-            "id",
-            ValuePredicate::In(vec![Value::Integer(3), Value::Integer(11)]),
-            Projection::Count,
-        );
-        assert_eq!(session.scan_plan(&set).unwrap(), vec![ScanPath::CompressedDomain]);
-        let range = Query::filtered(
-            "id",
-            ValuePredicate::Between(Value::Integer(3), Value::Integer(9)),
-            Projection::Count,
-        );
-        assert_eq!(session.scan_plan(&range).unwrap(), vec![ScanPath::DecodeThenScan]);
-        // Unindexed columns and missing filters always decode-then-scan.
-        let unindexed = Query::filtered(
-            "region",
-            ValuePredicate::Eq(Value::Varchar("r-1".into())),
-            Projection::Count,
-        );
-        assert_eq!(session.scan_plan(&unindexed).unwrap(), vec![ScanPath::DecodeThenScan]);
-        let full = Query::full(Projection::Count);
-        assert_eq!(session.scan_plan(&full).unwrap(), vec![ScanPath::DecodeThenScan]);
-    }
-
-    #[test]
-    fn compressed_domain_execution_matches_decode_then_scan() {
+    fn indexed_and_scanned_columns_answer_alike() {
         // Same rows through an indexed table and one that scans its data
-        // vector: every query shape returns identical results, while the
-        // plans differ on point probes.
+        // vector: every query shape returns identical results.
         let build = |indexed: bool| {
             let id = if indexed { ColumnSpec::indexed } else { ColumnSpec::new };
             let schema = Schema::new(vec![
@@ -615,7 +548,7 @@ mod tests {
             t.delta_merge_all().unwrap();
             t
         };
-        let (seek, scan) = (build(true), build(false));
+        let (indexed, scan) = (build(true), build(false));
         let queries = [
             Query::filtered("id", ValuePredicate::Eq(Value::Integer(17)), Projection::All),
             Query::filtered(
@@ -629,15 +562,9 @@ mod tests {
                 Projection::Count,
             ),
         ];
-        assert_eq!(t_plan(&seek, &queries[0]), ScanPath::CompressedDomain);
-        assert_eq!(t_plan(&scan, &queries[0]), ScanPath::DecodeThenScan);
         for q in &queries {
-            assert_eq!(seek.execute(q).unwrap(), scan.execute(q).unwrap());
+            assert_eq!(indexed.execute(q).unwrap(), scan.execute(q).unwrap());
         }
-    }
-
-    fn t_plan(t: &Table, q: &Query) -> ScanPath {
-        t.session().unwrap().scan_plan(q).unwrap()[0]
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! EXPLAIN ANALYZE walkthrough: run a cold scan over a compressed
-//! page-loadable table, print the flight recorder's report — the static
-//! plan annotated with per-chain actuals, the span tree, and the
+//! page-loadable table, print the flight recorder's report — each
+//! partition's chains annotated with their actuals, the span tree, and the
 //! page-provenance summary, all folded from the query's own span tree —
-//! then re-run warm, checking every report against the registry delta of
-//! its run. Also writes the span tree as a Chrome `trace_event` file
-//! loadable in `about://tracing`.
+//! then re-run warm and probe the index, checking every report against the
+//! registry delta of its run. Also writes the span tree as a Chrome
+//! `trace_event` file loadable in `about://tracing`.
 //!
 //! Run with: `cargo run --release --example explain`
 
-use page_as_you_go::core::{DataType, LoadPolicy, PageConfig, ScanPath, Value, ValuePredicate};
+use page_as_you_go::core::{DataType, LoadPolicy, PageConfig, Value, ValuePredicate};
 use page_as_you_go::obs::{ObsSnapshot, SpanKind};
 use page_as_you_go::resman::ResourceManager;
 use page_as_you_go::storage::{BufferPool, MemStore};
@@ -42,7 +42,10 @@ fn main() {
         vec![PartitionSpec::single(LoadPolicy::PageLoadable)],
     )
     .unwrap();
-    for i in 0..4_000i64 {
+    // Ids in order but for the last two, swapped: a key whose rows ascend
+    // is stored as its dictionary alone, and the point probe below reads
+    // the id column's postings.
+    for i in (0..3_998i64).chain([3_999, 3_998]) {
         table
             .insert(vec![
                 Value::Integer(i),
@@ -72,7 +75,7 @@ fn main() {
         "coalesced reads record batch spans"
     );
 
-    // ---- Warm re-run: same plan, no cold loads ---------------------------
+    // ---- Warm re-run: same answer, no cold loads -------------------------
     let (result2, warm) = explain(&table, &scan);
     assert_eq!(result.count(), result2.count(), "warm run returns the same answer");
     assert_eq!(warm.totals().cold_loads, 0, "warm run re-hits resident pages");
@@ -86,16 +89,17 @@ fn main() {
         warm.wall_ns
     );
 
-    // ---- Compressed-domain point probe -----------------------------------
+    // ---- Index point probe -----------------------------------------------
     let point =
         Query::filtered("id", ValuePredicate::Eq(Value::Integer(1234)), Projection::RowIds);
-    let (_, probe) = explain(&table, &point);
-    assert_eq!(probe.partitions[0].path, ScanPath::CompressedDomain, "PEF point probe");
-    assert!(
-        probe.spans.iter().any(|s| s.kind == SpanKind::ChunkDispatch && s.detail == 1),
-        "dispatch decision recorded as a span"
+    let (found, probe) = explain(&table, &point);
+    assert_eq!(found, QueryResult::RowIds(vec![1234]), "the probe finds its row");
+    assert_eq!(
+        probe.spans.iter().filter(|s| s.kind == SpanKind::ChunkDispatch).count(),
+        1,
+        "the index traversal records its span"
     );
-    println!("\n=== compressed-domain point probe ===");
+    println!("\n=== index point probe ===");
     println!("{}", probe.to_text());
 
     // ---- Exporters --------------------------------------------------------

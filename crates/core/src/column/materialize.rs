@@ -54,14 +54,14 @@
 //!   [`ColumnRead::values_by_vid`]) — every distinct value is decoded once,
 //!   into a **values table** the size of the column's distinct identifiers.
 //!
-//! A projection then fills its answer **row by row**, in the caller's order,
-//! in one pass: each cell is its column's table entry at the row's rank,
-//! moved out when the row is the value's one use, else cloned. A string
-//! value is shared ([`Value::Varchar`] holds an `Arc<str>`), so a clone is
-//! a reference-count increment, not an allocation: a string column's answer
-//! allocates once per distinct value, however many rows repeat it. A
-//! single row is the same code with one identifier a column. Resident
-//! columns rank and fill their table from their in-memory image through
+//! A projection's answer is those **values tables and ranks** ([`Rows`]):
+//! phase (c) decodes each column's values straight into the answer's
+//! tables, and one pass a column writes each row's rank, in the caller's
+//! order, as an index into them. No cell is copied and no row is built: a
+//! string column's answer allocates once per distinct value, however many
+//! rows repeat it, and a row is read in place, its cells references into
+//! the tables. A single row is the same code with one identifier a column.
+//! Resident columns rank and fill their table from their in-memory image through
 //! the same buffers: phase (a) is one [`payg_encoding::chunk::decode_rows`]
 //! over the image's words (a paged column makes one a pinned page), a
 //! value a key of the image's dictionary. A column whose rows are their identifiers (a
@@ -69,89 +69,68 @@
 //! of the rows, in either mode, and its identifiers ascend.
 //!
 //! The plan lives in flat buffers — the identifiers (then ranks) of every
-//! column, one `columns × rows` vector; the distinct identifiers, their
-//! uses and the values table, one entry per distinct identifier of each
-//! column; the counting pass's tally and its marks — beside one task list,
+//! column, one `columns × rows` vector; the distinct identifiers and their
+//! uses, one entry per distinct identifier of each column; the counting
+//! pass's tally and its marks — beside one task list,
 //! one key vector and one guard vector for every phase and wave, and the
 //! entry and FSST buffers of phase (c). They are the thread's [`Scratch`],
 //! reused by the next materialization on that thread, so a warm point read
 //! allocates for its answer alone. [`ColumnRead::get_values`] is the
-//! one-column case of the same code, and a point read its one-row case —
-//! there is no other value path.
+//! one-column case of the same code, read out row by row, and a point read
+//! its one-row case — there is no other value path.
 
 use super::parts::{ColumnParts, StoredRows};
 use super::resident::Image;
 use super::{Column, EncodedRows};
 use crate::dict::{append_piece, Layout, Values};
 use crate::waves::Waves;
-use crate::{CoreError, CoreResult, Sum, Value};
+use crate::{CoreError, CoreResult, Rows, Sum, Value};
 use payg_encoding::chunk::decode_rows;
 use payg_encoding::prefix::OverflowRef;
 use payg_encoding::Packed;
 use payg_storage::{BufferPool, PageKey, StorageError};
 use std::cell::RefCell;
 
-/// Materializes the values of the columns `which` — indices into `columns`,
-/// the columns of one fragment, which share the row positions — at `rposs`
-/// (any order, duplicates allowed) into `rows`, one row per position: row
-/// `i` is extended by one value per column of `which`, in that order, the
-/// value at `rposs[i]`. Paged columns are resolved together, phase by phase
+/// Appends to `rows` the rows at `rposs` (any order, duplicates allowed),
+/// in that order, of the columns `which` — indices into `columns`, the
+/// columns of one fragment, which share the row positions: each column's
+/// values table, a value per distinct identifier at those rows, and each
+/// row's rank in it. Paged columns are resolved together, phase by phase
 /// (see the module docs); resident columns answer from memory. Nothing is
-/// pushed unless every value was read.
+/// appended unless every value was read.
 ///
 /// # Panics
-/// When `rows` and `rposs` differ in length.
+/// When `rows` is not as wide as `which`, or has no room for the rows.
 pub fn materialize(
     columns: &[Column],
     which: &[usize],
     rposs: &[u64],
-    rows: &mut [Vec<Value>],
+    rows: &mut Rows,
 ) -> CoreResult<()> {
-    assert_eq!(rows.len(), rposs.len(), "one row per position");
+    assert_eq!(rows.width(), which.len(), "an answer column per projected column");
     materialize_into(which.len(), |j| &columns[which[j]], rposs, rows)
 }
 
-/// Where an answer's cells land, row by row in the caller's order.
-pub(crate) trait Cells {
-    /// Appends `value` as the next cell of the caller's row `row`.
-    fn push(&mut self, row: usize, value: Value);
-}
-
-/// The caller's rows, each extended by the projected columns.
-impl Cells for [Vec<Value>] {
-    fn push(&mut self, row: usize, value: Value) {
-        self[row].push(value);
-    }
-}
-
-/// One column's values, one per row, appended as the rows come.
-impl Cells for Vec<Value> {
-    fn push(&mut self, row: usize, value: Value) {
-        debug_assert_eq!(row, self.len(), "rows come in order");
-        self.push(value);
-    }
-}
-
 /// The materialization every value read runs: the `m` columns `source`
-/// names, at `rposs` (any order, duplicates allowed), into `out`.
-pub(crate) fn materialize_into<'a, C: Cells + ?Sized>(
+/// names, at `rposs` (any order, duplicates allowed), appended to `rows`.
+fn materialize_into<'a>(
     m: usize,
     source: impl Fn(usize) -> &'a Column,
     rposs: &[u64],
-    out: &mut C,
+    rows: &mut Rows,
 ) -> CoreResult<()> {
-    if rposs.is_empty() || m == 0 {
+    if rposs.is_empty() {
         return Ok(());
     }
-    with_scratch(|scratch| scratch.run(m, source, rposs, out))
+    with_scratch(|scratch| scratch.run(m, source, rposs, rows))
 }
 
 /// [`ColumnRead::get_values`] of one column: its values at `rposs`, in
-/// that order.
+/// that order — its one-column answer read out row by row.
 pub(crate) fn get_values(column: &Column, rposs: &[u64]) -> CoreResult<Vec<Value>> {
-    let mut out = Vec::with_capacity(rposs.len());
-    materialize_into(1, |_| column, rposs, &mut out)?;
-    Ok(out)
+    let mut rows = Rows::new(1, rposs.len());
+    materialize_into(1, |_| column, rposs, &mut rows)?;
+    Ok(rows.iter().map(|row| row[0].clone()).collect())
 }
 
 /// [`ColumnRead::sum`] of one column: its identifiers at `rposs` counted,
@@ -257,22 +236,20 @@ impl Ranks {
         &self.distinct[lo..hi]
     }
 
-    /// Fills the answer row by row, in the caller's order, from the values
-    /// table of the ranked columns: a row's cell of column `j` is the
-    /// table's entry at the row's rank — moved when that row is the value's
-    /// one use (a point read, a unique key), else cloned: a copy of a
-    /// number, a reference-count increment of a string.
-    fn assemble<C: Cells + ?Sized>(&self, table: &mut [Value], out: &mut C) {
-        let Ranks { n, order, vids, uses, spans, .. } = self;
-        for row in 0..*n {
-            let k = order.get(row).map_or(row, |&k| k as usize);
-            for (j, &(lo, _)) in spans.iter().enumerate() {
-                let at = lo + vids[j * *n + k] as usize;
-                let value = match uses[at] {
-                    1 => std::mem::replace(&mut table[at], Value::Integer(0)),
-                    _ => table[at].clone(),
-                };
-                out.push(row, value);
+    /// Writes column `j`'s rank of every row, in the caller's order, to
+    /// `out`: the index of the row's value in the answer's values tables,
+    /// whose entries of the ranked columns begin at `base`.
+    fn write(&self, j: usize, base: usize, out: &mut [u32]) {
+        let Ranks { n, order, vids, spans, .. } = self;
+        let (first, ranks) = (base + spans[j].0, &vids[j * n..][..*n]);
+        // Wrapping casts: an answer past `u32` ranks is refused by `Rows`.
+        if order.is_empty() {
+            for (out, &rank) in out.iter_mut().zip(ranks) {
+                *out = (first + rank as usize) as u32;
+            }
+        } else {
+            for (out, &k) in out.iter_mut().zip(order) {
+                *out = (first + ranks[k as usize] as usize) as u32;
             }
         }
     }
@@ -470,43 +447,49 @@ pub(crate) struct Plan {
 struct Scratch {
     plan: Plan,
     ranks: Ranks,
-    /// The values table: each column's value of each of its distinct
-    /// identifiers, aligned with [`Ranks::distinct`].
-    table: Vec<Value>,
 }
 
 impl Scratch {
-    /// [`materialize_into`] on these buffers.
-    fn run<'a, C: Cells + ?Sized>(
+    /// [`materialize_into`] on these buffers: column 0 of the appended rows
+    /// resolves every column, its values decoded into the answer's tables,
+    /// and each column then writes its ranks.
+    fn run<'a>(
         &mut self,
         m: usize,
         source: impl Fn(usize) -> &'a Column,
         rposs: &[u64],
-        out: &mut C,
+        rows: &mut Rows,
     ) -> CoreResult<()> {
-        self.resolve(m, source, rposs, true)?;
-        self.ranks.assemble(&mut self.table, out);
-        Ok(())
+        let mut base = 0;
+        rows.append(rposs.len(), |j, values, ranks| {
+            if j == 0 {
+                base = values.len();
+                self.resolve(m, &source, rposs, values)?;
+            }
+            self.ranks.write(j, base, ranks);
+            Ok(())
+        })
     }
 
     /// Both halves of late materialization for the `m` columns `source`
-    /// names at `rposs`: each column's distinct identifiers and their uses
-    /// — each row's rank among them, when `ranked` — and the values table,
-    /// filled in the order the columns were ranked.
+    /// names at `rposs`: each column's distinct identifiers, their uses and
+    /// each row's rank among them, and the column's values appended to
+    /// `table`, a value per distinct identifier, in the order the columns
+    /// were ranked.
     fn resolve<'a>(
         &mut self,
         m: usize,
         source: impl Fn(usize) -> &'a Column,
         rposs: &[u64],
-        ranked: bool,
+        table: &mut Vec<Value>,
     ) -> CoreResult<()> {
-        let Scratch { plan, ranks, table } = self;
+        let Scratch { plan, ranks } = self;
+        let base = table.len();
         // A column has at most as many distinct identifiers as rows, and
         // as its dictionary: the buffers of the distinct ones are sized once.
         let most = |j: usize| source(j).parts.cardinality.min(rposs.len() as u64) as usize;
         let distinct = (0..m).map(most).sum();
         ranks.start(m, rposs, distinct);
-        table.clear();
         table.reserve(distinct);
         // Resident columns one at a time, paged ones pool by pool: a batched
         // pin addresses one pool, and columns of a fragment share theirs.
@@ -516,7 +499,7 @@ impl Scratch {
             if let Some(image) = column.image()? {
                 let vids = &mut ranks.vids[lead * rposs.len()..][..rposs.len()];
                 decode_vids(1, &|_| Some(first), Some(&image), &ranks.sorted, vids, plan)?;
-                ranks.rank(lead, ranked);
+                ranks.rank(lead, true);
                 let mut keys = image.dict.keys(&mut plan.raw);
                 for &vid in ranks.distinct(lead) {
                     table.push(first.value_of(&mut keys, vid)?);
@@ -529,12 +512,12 @@ impl Scratch {
             }
             decode_vids(m, &part, None, &ranks.sorted, &mut ranks.vids, plan)?;
             for j in (0..m).filter(|&j| part(j).is_some()) {
-                ranks.rank(j, ranked);
+                ranks.rank(j, true);
             }
             let ranks = &*ranks;
             values_by_vid_paged(&first.pool, m, &part, |j| ranks.distinct(j), plan, Values::Table(table))?;
         }
-        debug_assert_eq!(table.len(), ranks.distinct.len(), "a value per distinct identifier");
+        debug_assert_eq!(table.len() - base, ranks.distinct.len(), "a value per distinct identifier");
         Ok(())
     }
 
@@ -548,7 +531,6 @@ impl Scratch {
         let Scratch {
             plan: Plan { tasks, waves, preload, dict_pages, acc, raw, large, pieces },
             ranks: Ranks { n: _, sorted, order, vids, distinct, uses, spans, tally, marks },
-            table,
         } = self;
         bytes(tasks)
             + waves.heap_bytes()
@@ -566,16 +548,14 @@ impl Scratch {
             + bytes(spans)
             + bytes(tally)
             + bytes(marks)
-            + bytes(table)
     }
 
     /// Ends a materialization, however it ended: drops the large entries
-    /// and the values table (an error leaves them behind), then frees
-    /// every buffer when they hold more than [`SCRATCH_KEEP`].
+    /// (an error leaves them behind), then frees every buffer when they
+    /// hold more than [`SCRATCH_KEEP`].
     fn settle(&mut self) {
         self.plan.large.clear();
         self.plan.pieces.clear();
-        self.table.clear();
         if self.heap_bytes() > SCRATCH_KEEP {
             *self = Scratch::default();
         }
@@ -584,7 +564,7 @@ impl Scratch {
 
 /// Most heap bytes a thread keeps in its [`Scratch`] between
 /// materializations: a point read's or a short range's plan stays — a
-/// 1 000-row aggregate's too, values table and tally included — while a
+/// 1 000-row aggregate's too, tally included — while a
 /// large projection's is freed when it ends. The kept bytes are the
 /// thread's, not a resource of the pool: resman does not charge them, so a
 /// footprint leaves out up to this much per thread that has materialized.
@@ -1064,11 +1044,10 @@ mod tests {
 
     /// Every buffer of `scratch` with its capacity. Names each field, so a
     /// buffer added to [`Plan`] or [`Ranks`] must be added here too.
-    fn capacities(scratch: &Scratch) -> [(&'static str, usize); 17] {
+    fn capacities(scratch: &Scratch) -> [(&'static str, usize); 16] {
         let Scratch {
             plan: Plan { tasks, waves, preload, dict_pages, acc, raw, large, pieces },
             ranks: Ranks { n: _, sorted, order, vids, distinct, uses, spans, tally, marks },
-            table,
         } = scratch;
         [
             ("tasks", tasks.capacity()),
@@ -1087,7 +1066,6 @@ mod tests {
             ("spans", spans.capacity()),
             ("tally", tally.capacity()),
             ("marks", marks.capacity()),
-            ("table", table.capacity()),
         ]
     }
 
@@ -1120,18 +1098,19 @@ mod tests {
         let which = [0, 1, 2, 0];
         // Descending, each row twice.
         let rposs: Vec<u64> = (0..2 * n as u64).map(|i| n as u64 - 1 - i / 2).collect();
-        let expect = |rows: &[Vec<Value>]| {
-            for (row, &rpos) in rows.iter().zip(&rposs) {
+        let expect = |rows: Rows| {
+            assert_eq!(rows.len(), rposs.len());
+            for (row, &rpos) in rows.into_rows().iter().zip(&rposs) {
                 let want: Vec<Value> = which.iter().map(|&c| values[c][rpos as usize].clone()).collect();
                 assert_eq!(row, &want, "row {rpos}");
             }
         };
 
         let mut scratch = Scratch::default();
-        let mut rows = vec![Vec::new(); rposs.len()];
+        let mut rows = Rows::new(which.len(), rposs.len());
         let source = |j: usize| &columns[which[j]];
-        scratch.run(which.len(), source, &rposs, &mut rows[..]).unwrap();
-        expect(&rows);
+        scratch.run(which.len(), source, &rposs, &mut rows).unwrap();
+        expect(rows);
         for (name, capacity) in capacities(&scratch) {
             assert!(capacity > 0, "{name} did not grow");
         }
@@ -1143,13 +1122,13 @@ mod tests {
         }
 
         let kept = || SCRATCH.with(|cell| cell.borrow().heap_bytes());
-        let mut rows = vec![Vec::new(); rposs.len()];
+        let mut rows = Rows::new(which.len(), rposs.len());
         materialize(&columns, &which, &rposs, &mut rows).unwrap();
-        expect(&rows);
+        expect(rows);
         assert_eq!(kept(), 0, "a large projection's scratch is freed");
-        let mut row = vec![Vec::new()];
+        let mut row = Rows::new(which.len(), 1);
         materialize(&columns, &which, &[700], &mut row).unwrap();
-        assert_eq!(row[0][0], spilled[700]);
+        assert_eq!(row.get(0).unwrap()[0], spilled[700]);
         assert!((1..=SCRATCH_KEEP).contains(&kept()), "a point read's plan stays");
         pool.assert_no_live_pins("large projection");
     }

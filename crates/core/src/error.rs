@@ -40,6 +40,12 @@ pub enum CoreError {
     /// A DECIMAL `SUM` whose exact value does not fit its 128-bit
     /// accumulator.
     SumOverflow,
+    /// An answer whose values tables together hold more values than its
+    /// `u32` ranks address.
+    AnswerTooLarge {
+        /// Values the tables had reached.
+        values: u64,
+    },
     /// A data-vector scan stopped on its first failing page. The address
     /// names the page whose load or read failed; the remaining workers of a
     /// `par_count` observed the shared cancellation flag and quit without
@@ -72,6 +78,9 @@ impl std::fmt::Display for CoreError {
                 write!(f, "dictionary of {key_bytes} key bytes exceeds the 4 GiB a resident image holds")
             }
             CoreError::SumOverflow => write!(f, "SUM overflows its 128-bit accumulator"),
+            CoreError::AnswerTooLarge { values } => {
+                write!(f, "an answer of {values} values exceeds the 2^32 its ranks address")
+            }
             CoreError::ScanAborted { chain, page_no, source } => {
                 write!(f, "scan aborted at chain {chain} page {page_no}: {source}")
             }

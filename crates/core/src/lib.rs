@@ -32,6 +32,7 @@ pub mod dict;
 pub mod error;
 pub mod invidx;
 pub mod meta;
+pub mod rows;
 pub mod scratch;
 pub mod sync;
 mod util;
@@ -43,5 +44,6 @@ pub use config::PageConfig;
 pub use datavec::ScanOptions;
 pub use error::{CoreError, CoreResult};
 pub use payg_encoding::dispatch::{ChainCodec, CodecKind};
+pub use rows::{RowRef, Rows};
 pub use scratch::ChainScratch;
 pub use value::{DataType, KeyPoints, KeyPredicate, KeyRange, Sum, Value, ValuePredicate};

@@ -2,7 +2,7 @@
 
 use payg_core::column::{Column, ColumnRead, WAVE_PAGES};
 use payg_core::{
-    ColumnBuilder, DataType, LoadPolicy, PageConfig, ScanOptions, Sum, Value, ValuePredicate,
+    ColumnBuilder, DataType, LoadPolicy, PageConfig, Rows, ScanOptions, Sum, Value, ValuePredicate,
 };
 use payg_encoding::VidSet;
 use payg_resman::{Disposition, PoolLimits, ResourceManager};
@@ -417,10 +417,10 @@ fn every_value_read_refuses_a_row_past_the_end() {
                 assert!(refused(col.get_values(&rows)), "get_values {what}");
                 assert!(refused(col.vid_counts(&rows)), "vid_counts {what}");
                 assert!(refused(col.sum(&rows, &mut Sum::Integer(0))), "sum {what}");
-                let mut out = vec![Vec::new(); rows.len()];
+                let mut out = Rows::new(1, rows.len());
                 let projected = materialize(std::slice::from_ref(&col), &[0], &rows, &mut out);
                 assert!(refused(projected), "materialize {what}");
-                assert!(out.iter().all(Vec::is_empty), "materialize pushed a value: {what}");
+                assert!(out.is_empty(), "materialize appended a row: {what}");
                 assert!(refused(col.encoded_rows(&rows)), "encoded_rows {what}");
             }
         }

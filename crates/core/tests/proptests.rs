@@ -6,7 +6,7 @@ use payg_core::datavec::PagedDataVector;
 use payg_core::dict::{BlockDict, HandleCache, InMemoryDict, PagedDictionary, UnsortedDict};
 use payg_core::invidx::{InMemoryInvertedIndex, PagedInvertedIndex};
 use payg_core::{
-    CodecKind, ColumnBuilder, CoreError, DataType, LoadPolicy, PageConfig, Sum, Value, ValuePredicate,
+    CodecKind, ColumnBuilder, CoreError, DataType, LoadPolicy, PageConfig, Rows, Sum, Value, ValuePredicate,
 };
 use payg_encoding::prefix::BLOCK_CAP;
 use payg_encoding::{BitPackedVec, BitWidth, VidSet};
@@ -965,8 +965,9 @@ proptest! {
         // Resident and paged columns interleaved in the projection.
         let which: Vec<usize> = (0..width).flat_map(|c| [c, width + c]).collect();
         for rows in [&rows[..], &rows[..rows.len().min(1)], &thrice[..]] {
-            let mut phased = vec![Vec::new(); rows.len()];
+            let mut phased = Rows::new(which.len(), rows.len());
             payg_core::column::materialize(&mixed, &which, rows, &mut phased).unwrap();
+            let phased = phased.into_rows();
             for (i, &r) in rows.iter().enumerate() {
                 let expect: Vec<Value> =
                     sources.iter().flat_map(|(_, v)| [v[r as usize].clone(), v[r as usize].clone()]).collect();
@@ -981,8 +982,8 @@ proptest! {
         // Out-of-range rows are an error, not a panic, wherever they sit.
         let mut bad = rows.clone();
         bad.insert(bad.len() / 2, n_rows as u64);
-        let mut out = vec![Vec::new(); bad.len()];
         let paged_only: Vec<usize> = (0..width).collect();
+        let mut out = Rows::new(width, bad.len());
         prop_assert!(payg_core::column::materialize(&mixed, &paged_only, &bad, &mut out).is_err());
         pool.assert_no_live_pins("phased projection quiesce");
     }
@@ -1128,8 +1129,9 @@ proptest! {
             (vid, columns[c].values_by_vid(&[vid]).unwrap().remove(0))
         };
         for rows in [&ascending, &shuffled, &duplicated, &spread] {
-            let mut got = vec![Vec::new(); rows.len()];
+            let mut got = Rows::new(which.len(), rows.len());
             payg_core::column::materialize(&columns, &which, rows, &mut got).unwrap();
+            let got = got.into_rows();
             for (i, &rpos) in rows.iter().enumerate() {
                 let expect: Vec<Value> = which.iter().map(|&c| cell(c, rpos).1).collect();
                 prop_assert_eq!(&got[i], &expect, "row {} (position {})", i, rpos);
@@ -1297,8 +1299,9 @@ proptest! {
         thinned.retain(|r| r % 64 < [15, 16, 47, 48][(r / 64 % 4) as usize]);
         let lists = runs.iter().map(|r| &r[..]).chain([&shuffled[..], &duplicated[..], &skewed[..], &thinned[..]]);
         for rows in lists.filter(|rows| !rows.is_empty()) {
-            let mut got = vec![Vec::new(); rows.len()];
+            let mut got = Rows::new(which.len(), rows.len());
             payg_core::column::materialize(&columns, &which, rows, &mut got).unwrap();
+            let got = got.into_rows();
             for (c, col) in columns.iter().enumerate() {
                 let expect: Vec<(u64, Value)> = rows.iter().map(|&r| cell(c, r)).collect();
                 let values: Vec<Value> = expect.iter().map(|e| e.1.clone()).collect();

@@ -189,42 +189,36 @@ impl<'a> PartitionRef<'a> {
         false
     }
 
-    /// Decodes every value into `out[..self.len()]`.
+    /// Decodes every value into `out[..self.len()]`, walking the high bits
+    /// a word at a time: each set bit is found by `trailing_zeros` and
+    /// cleared by `x & (x - 1)`, one step a value. The bytes are checked as
+    /// they are read: a value past the declared universe, fewer set high
+    /// bits than values, or a set bit after the last value's is corrupt.
     pub fn read_into(&self, out: &mut [u64]) -> Result<()> {
         if out.len() < self.n {
             return Err(corrupt("output buffer too small"));
         }
-        let mut i = 0usize; // values emitted (ones seen)
-        let mut bucket = 0u64; // zeros seen = current high half
-        for (byte_no, &b) in self.high.iter().enumerate() {
-            if i == self.n {
-                break;
-            }
-            if b == 0 {
-                bucket += 8;
-                continue;
-            }
-            for bit in 0..8 {
-                if b & (1 << bit) == 0 {
-                    bucket += 1;
-                } else {
-                    if i == self.n {
-                        return Err(corrupt("extra high bits after last value"));
-                    }
-                    let low = low_field(self.low, i * self.l as usize, self.l);
-                    let rel = (bucket << self.l) | low;
-                    if rel > self.universe {
-                        return Err(corrupt("value exceeds declared universe"));
-                    }
-                    out[i] = self.base + rel;
-                    i += 1;
+        let (n, l) = (self.n, self.l);
+        let mut i = 0usize; // values emitted (set bits seen)
+        for w in 0..self.high.len().div_ceil(8) {
+            let mut word = le_u64_padded(self.high, w * 8);
+            while word != 0 {
+                if i == n {
+                    return Err(corrupt("extra high bits after last value"));
                 }
-                if i == self.n && byte_no == self.high.len() - 1 {
-                    break;
+                // The bits before this one: `i` set, the rest the zeros
+                // that count the high half.
+                let bucket = (w * 64 + word.trailing_zeros() as usize - i) as u64;
+                let rel = (bucket << l) | low_field(self.low, i * l as usize, l);
+                if rel > self.universe {
+                    return Err(corrupt("value exceeds declared universe"));
                 }
+                out[i] = self.base + rel;
+                i += 1;
+                word &= word - 1;
             }
         }
-        if i < self.n {
+        if i < n {
             return Err(corrupt("fewer high bits than values"));
         }
         Ok(())
@@ -339,6 +333,132 @@ mod tests {
             bad[i] ^= 0xA5;
             let _ = decode_partition(&bad, 0, 64, &mut out);
         }
+    }
+
+    /// The oracle: the high bits read one at a time — a clear bit counts
+    /// the high half up, a set bit is the next value — with the refusals of
+    /// [`PartitionRef::read_into`].
+    fn naive_read(part: &PartitionRef<'_>) -> Result<Vec<u64>> {
+        let mut out = Vec::new();
+        let mut bucket = 0u64;
+        for bit in 0..part.high.len() * 8 {
+            if part.high[bit / 8] & (1 << (bit % 8)) == 0 {
+                bucket += 1;
+                continue;
+            }
+            if out.len() == part.n {
+                return Err(corrupt("extra high bits after last value"));
+            }
+            let low = low_field(part.low, out.len() * part.l as usize, part.l);
+            let rel = (bucket << part.l) | low;
+            if rel > part.universe {
+                return Err(corrupt("value exceeds declared universe"));
+            }
+            out.push(part.base + rel);
+        }
+        if out.len() < part.n {
+            return Err(corrupt("fewer high bits than values"));
+        }
+        Ok(out)
+    }
+
+    /// The word-at-a-time decoder's answer — its values or its refusal.
+    fn word_read(part: &PartitionRef<'_>) -> Result<Vec<u64>> {
+        let mut out = vec![0; part.n];
+        part.read_into(&mut out).map(|()| out)
+    }
+
+    /// Random partitions at every low-bit width (0..=57) and at densities
+    /// from one value to a full partition — values spread evenly, bunched
+    /// at the ends, or repeated — decode to their values, the same as the
+    /// bit-by-bit oracle; every byte flipped, and every high bit set or
+    /// cleared, gives both decoders the same values or the same refusal.
+    #[test]
+    fn word_walk_equals_the_bit_by_bit_oracle_at_every_width_and_density() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut widths = [0usize; MAX_LOW_BITS as usize + 1];
+        for l in 0..=MAX_LOW_BITS {
+            for n in [1, 2, 3, 7, 31, 32, 33, 63, 64] {
+                for shape in 0..3 {
+                    // universe / n in [2^l, 2^(l+1)): this `l` low bits.
+                    let per = (1u64 << l) + next() % (1u64 << l);
+                    let universe = per.saturating_mul(n as u64);
+                    let base = next() % (u64::MAX - universe).min(1 << 40);
+                    let mut values: Vec<u64> = (0..n)
+                        .map(|k| match shape {
+                            0 => next() % (universe + 1),
+                            1 if k < n / 2 => next() % (universe / 64 + 1),
+                            1 => universe - next() % (universe / 64 + 1),
+                            _ => universe / 2,
+                        })
+                        .map(|rel| base + rel)
+                        .collect();
+                    values[0] = base;
+                    values[n - 1] = base + universe;
+                    values.sort_unstable();
+                    let mut buf = Vec::new();
+                    encode_partition(&values, &mut buf);
+                    let part = PartitionRef::parse(&buf, 0, n).unwrap();
+                    widths[part.l as usize] += 1;
+                    assert_eq!(word_read(&part).unwrap(), values, "l={l} n={n} shape {shape}");
+                    assert_eq!(naive_read(&part).unwrap(), values, "l={l} n={n} shape {shape}");
+
+                    let body = buf.len() - part.low.len() - part.high.len();
+                    for byte in body..buf.len() {
+                        for flip in [0xA5, 1 << (next() % 8)] {
+                            let mut bad = buf.clone();
+                            bad[byte] ^= flip;
+                            let part = PartitionRef::parse(&bad, 0, n).unwrap();
+                            let what = format!("l={l} n={n} byte {byte} ^ {flip:#x}");
+                            assert_eq!(word_read(&part), naive_read(&part), "{what}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(widths.iter().all(|&w| w > 0), "every low-bit width decoded: {widths:?}");
+    }
+
+    /// The refusals, each on a partition built to trip it: a high bit
+    /// past the last value's, a value past the universe, a missing value.
+    #[test]
+    fn corrupt_high_bits_are_refused_by_both_decoders() {
+        let values: Vec<u64> = (0..10u64).map(|i| i * 3).collect();
+        let mut buf = Vec::new();
+        encode_partition(&values, &mut buf);
+        let part = PartitionRef::parse(&buf, 0, values.len()).unwrap();
+        let high = buf.len() - part.high.len();
+        let last = (0..part.high.len() * 8).rev().find(|&b| part.high[b / 8] & (1 << (b % 8)) != 0);
+        let last = high * 8 + last.unwrap();
+        let refused = |bad: &[u8], reason: &str| {
+            let part = PartitionRef::parse(bad, 0, values.len()).unwrap();
+            let want = Err(corrupt(reason));
+            assert_eq!(word_read(&part), want, "{reason}");
+            assert_eq!(naive_read(&part), want, "{reason}");
+        };
+        // Another value's bit, past the last one (the same byte or later).
+        for extra in [last + 1, (buf.len() * 8 - 1)] {
+            let mut bad = buf.clone();
+            bad[extra / 8] |= 1 << (extra % 8);
+            refused(&bad, "extra high bits after last value");
+        }
+        // The last value's bit cleared: one value short.
+        let mut bad = buf.clone();
+        bad[last / 8] &= !(1 << (last % 8));
+        refused(&bad, "fewer high bits than values");
+        // The last value's bit moved up one: its high half past the universe.
+        let mut bad = buf.clone();
+        bad[last / 8] &= !(1 << (last % 8));
+        bad[(last + 1) / 8] |= 1 << ((last + 1) % 8);
+        refused(&bad, "value exceeds declared universe");
+        let mut short = [0u64; 9];
+        assert!(part.read_into(&mut short).is_err(), "an output buffer too small");
     }
 
     #[test]

@@ -103,7 +103,6 @@ struct ThreadRing {
 
 struct SpanStore {
     recs: Vec<SpanRecord>,
-    dropped: u64,
 }
 
 /// Who has the tracer on (see the module docs).
@@ -176,7 +175,7 @@ impl Tracer {
                 origin: Instant::now(),
                 capacity: capacity.max(1),
                 rings: Mutex::new(Vec::new()),
-                spans: Mutex::new(SpanStore { recs: Vec::new(), dropped: 0 }),
+                spans: Mutex::new(SpanStore { recs: Vec::new() }),
             }),
         }
     }
@@ -323,11 +322,6 @@ impl Tracer {
         out
     }
 
-    /// Spans discarded because the side store was at capacity.
-    pub fn spans_dropped(&self) -> u64 {
-        self.inner.spans.lock().unwrap_or_else(|e| e.into_inner()).dropped
-    }
-
     /// Takes out the closed spans of the tree rooted at `root` — the root
     /// and every span under it — and the events tagged with any of them,
     /// leaving every other span and event buffered. Spans come back sorted
@@ -391,14 +385,12 @@ impl Tracer {
     }
 
     /// Appends a closed span to the side store (bounded: beyond
-    /// [`SPAN_STORE_CAPACITY`] new spans are dropped and counted).
+    /// [`SPAN_STORE_CAPACITY`] new spans are dropped).
     pub(crate) fn push_span(&self, rec: SpanRecord) {
         let mut store = self.inner.spans.lock().unwrap_or_else(|e| e.into_inner());
-        if store.recs.len() >= SPAN_STORE_CAPACITY {
-            store.dropped += 1;
-            return;
+        if store.recs.len() < SPAN_STORE_CAPACITY {
+            store.recs.push(rec);
         }
-        store.recs.push(rec);
     }
 }
 

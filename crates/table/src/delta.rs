@@ -7,16 +7,17 @@
 //! is a dictionary scan, then an identifier scan, in the encoded domain:
 //! a point of the [`KeyPredicate`] is one hash probe, an interval compares
 //! raw key bytes. Reads take the main fragment's shapes: a projection
-//! writes each row's values straight into the caller's answer row, and an
-//! aggregate sees the distinct keys of its rows with their counts, so keys
-//! are decoded only into the answer. Delta fragments are always memory
+//! appends a values table a column — each distinct key of its rows decoded
+//! once — and each row's rank in it to the answer, and an aggregate sees
+//! the distinct keys of its rows with their counts, so keys are decoded
+//! only into the answer. Delta fragments are always memory
 //! resident (the regular delta merge keeps them small).
 
 use crate::bitmap::RowBitmap;
 use crate::schema::{ColumnSpec, Row, Schema};
 use crate::{TableError, TableResult};
 use payg_core::dict::UnsortedDict;
-use payg_core::{CoreError, DataType, EncodedRows, KeyPredicate, Value};
+use payg_core::{CoreError, DataType, EncodedRows, KeyPredicate, Rows, Value};
 use payg_encoding::VidSet;
 
 /// Key bytes one delta column's dictionary holds at most: what its arena's
@@ -147,29 +148,44 @@ impl DeltaFragment {
         (0..self.rows).filter(|&r| !self.deleted.get(r))
     }
 
-    /// Extends each row of `rows` by the values of columns `cols` at the
-    /// position `rposs` yields for it — the row writer of
-    /// [`payg_core::column::materialize`], one decoded key per cell.
+    /// Appends to `rows` the rows at the positions `rposs` yields, of the
+    /// columns `cols`, as [`payg_core::column::materialize`] does for a
+    /// main fragment: a column's values table holds each distinct
+    /// identifier of those rows once, its key decoded once, and each row's
+    /// rank is its identifier's place there.
     pub fn materialize(
         &self,
         cols: &[usize],
-        rposs: impl IntoIterator<Item = u64>,
-        rows: &mut [Row],
+        rposs: impl ExactSizeIterator<Item = u64> + Clone,
+        rows: &mut Rows,
     ) -> TableResult<()> {
-        for (row, rpos) in rows.iter_mut().zip(rposs) {
-            for c in cols.iter().map(|&c| &self.columns[c]) {
-                row.push(Value::from_key(c.data_type, c.dict.key(c.vids[rpos as usize]))?);
+        let mut distinct: Vec<u32> = Vec::new();
+        rows.append(rposs.len(), |j, values, ranks| {
+            let c = &self.columns[cols[j]];
+            let vid = |rpos: u64| c.vids[rpos as usize];
+            distinct.clear();
+            distinct.extend(rposs.clone().map(vid));
+            distinct.sort_unstable();
+            distinct.dedup();
+            let first = values.len();
+            for &d in &distinct {
+                values.push(Value::from_key(c.data_type, c.dict.key(d))?);
             }
-        }
+            for (rank, rpos) in ranks.iter_mut().zip(rposs.clone()) {
+                let at = distinct.partition_point(|&d| d < vid(rpos));
+                *rank = (first + at) as u32;
+            }
+            Ok(())
+        })?;
         Ok(())
     }
 
     /// The whole rows at `rposs`, in that order.
     pub fn rows_at(&self, rposs: &[u64]) -> TableResult<Vec<Row>> {
         let cols: Vec<usize> = (0..self.columns.len()).collect();
-        let mut rows: Vec<Row> = (0..rposs.len()).map(|_| Vec::with_capacity(cols.len())).collect();
+        let mut rows = Rows::new(cols.len(), rposs.len());
         self.materialize(&cols, rposs.iter().copied(), &mut rows)?;
-        Ok(rows)
+        Ok(rows.into_rows())
     }
 
     /// Calls `f` with each distinct key of column `col` at the positions
@@ -240,10 +256,10 @@ mod tests {
     fn append_and_read_back() {
         let (_, d) = populated();
         assert_eq!(d.rows(), 4);
-        let mut rows = vec![Vec::new(); 2];
-        d.materialize(&[1, 0], [0, 3], &mut rows).unwrap();
+        let mut rows = Rows::new(2, 2);
+        d.materialize(&[1, 0], [0, 3].into_iter(), &mut rows).unwrap();
         assert_eq!(
-            rows,
+            rows.into_rows(),
             vec![
                 vec![Value::Varchar("echo".into()), Value::Integer(5)],
                 vec![Value::Varchar("bravo".into()), Value::Integer(2)],

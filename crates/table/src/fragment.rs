@@ -15,7 +15,7 @@ use crate::bitmap::RowBitmap;
 use crate::schema::{Row, Schema};
 use crate::{TableError, TableResult};
 use payg_core::column::{Column, ColumnRead};
-use payg_core::{ColumnBuilder, EncodedRows, KeyPredicate, LoadPolicy, PageConfig};
+use payg_core::{ColumnBuilder, EncodedRows, KeyPredicate, LoadPolicy, PageConfig, Rows};
 use payg_obs::SpanKind;
 use payg_resman::Disposition;
 use payg_storage::{BufferPool, ChainId};
@@ -136,9 +136,9 @@ impl MainFragment {
     /// the one-row case.
     pub fn rows_at(&self, rposs: &[u64]) -> TableResult<Vec<Row>> {
         let which: Vec<usize> = (0..self.columns.len()).collect();
-        let mut rows: Vec<Row> = vec![Vec::with_capacity(which.len()); rposs.len()];
+        let mut rows = Rows::new(which.len(), rposs.len());
         payg_core::column::materialize(&self.columns, &which, rposs, &mut rows)?;
-        Ok(rows)
+        Ok(rows.into_rows())
     }
 
     /// The visible row positions, ascending.

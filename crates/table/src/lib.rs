@@ -33,7 +33,7 @@ pub mod version;
 pub use error::{TableError, TableResult};
 pub use explain::{ChainActuals, ChainExplain, ExplainAnalyze, PartitionExplain};
 pub use partition::{PartitionId, PartitionRange, PartitionSpec};
-pub use query::{Projection, Query, QueryResult};
+pub use query::{Projection, Query, QueryResult, RowRef, Rows};
 pub use schema::{ColumnSpec, Row, Schema};
 pub use stats::{ColumnStats, PartitionStats, TableStats};
 pub use table::{Snapshot, Table};

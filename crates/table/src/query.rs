@@ -7,10 +7,11 @@
 //! independently on the main and the delta fragment of every (non-pruned)
 //! partition, unions the results after visibility filtering (§2), and
 //! projects with late materialization — row positions first, then one
-//! dictionary lookup per distinct identifier per projected column. An
-//! aggregate folds distinct identifiers with their counts, a main
-//! fragment's through its dictionary and a delta's as keys, and decodes
-//! only the answer.
+//! dictionary lookup per distinct identifier per projected column. The
+//! answer stays in that form ([`Rows`]): per column, the values tables of
+//! the distinct identifiers and each row's rank in them. An aggregate folds
+//! distinct identifiers with their counts, a main fragment's through its
+//! dictionary and a delta's as keys, and decodes only the answer.
 //!
 //! The executor runs on a [`Snapshot`]: every query pins one table version
 //! at entry and evaluates entirely against it, so an online delta merge
@@ -23,6 +24,7 @@ use crate::table::{Snapshot, Table};
 use crate::{TableError, TableResult};
 use payg_core::column::ColumnRead;
 use payg_core::{Column, CoreError, DataType, Sum, Value, ValuePredicate};
+pub use payg_core::{RowRef, Rows};
 
 /// What a query returns.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,8 +75,9 @@ impl Query {
 /// A query's result.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryResult {
-    /// Materialized rows (for [`Projection::All`] / [`Projection::Columns`]).
-    Rows(Vec<Row>),
+    /// Materialized rows (for [`Projection::All`], [`Projection::Columns`]
+    /// and [`Projection::Distinct`]), in columns: values tables and ranks.
+    Rows(Rows),
     /// A count.
     Count(u64),
     /// A sum (type follows the summed column; integer sums widen to
@@ -87,10 +90,11 @@ pub enum QueryResult {
 }
 
 impl QueryResult {
-    /// The rows, panicking on other variants (test convenience).
+    /// The rows, a `Vec` a row ([`Rows::into_rows`]), panicking on other
+    /// variants.
     pub fn into_rows(self) -> Vec<Row> {
         match self {
-            QueryResult::Rows(r) => r,
+            QueryResult::Rows(r) => r.into_rows(),
             other => panic!("expected rows, got {other:?}"),
         }
     }
@@ -234,24 +238,21 @@ impl Snapshot<'_> {
     }
 
     /// Late materialization of the columns `cols` (schema indices, resolved
-    /// once by the caller) straight into the answer's rows: each run's rows
-    /// are read in one batch covering *all* projected columns — a main
-    /// fragment's through one [`payg_core::column::materialize`] call, so
-    /// its page accesses are planned and pinned phase by phase rather than
-    /// column by column, and a delta's through `DeltaView::materialize`,
-    /// under one lock per cell.
-    fn project(&self, runs: &[Run], cols: &[usize]) -> TableResult<Vec<Row>> {
+    /// once by the caller) into one answer: each run's rows are read in one
+    /// batch covering *all* projected columns and appended to the same
+    /// values tables and ranks — a main fragment's through one
+    /// [`payg_core::column::materialize`] call, so its page accesses are
+    /// planned and pinned phase by phase rather than column by column, and
+    /// a delta's through `DeltaView::materialize`, under one lock per cell.
+    fn project(&self, runs: &[Run], cols: &[usize]) -> TableResult<Rows> {
         let n = runs.iter().map(|r| r.rposs.len()).sum();
-        let mut rows: Vec<Row> = (0..n).map(|_| Vec::with_capacity(cols.len())).collect();
-        let mut rest = &mut rows[..];
+        let mut rows = Rows::new(cols.len(), n);
         for run in runs {
-            let (here, tail) = std::mem::take(&mut rest).split_at_mut(run.rposs.len());
-            rest = tail;
             let p = &self.partitions()[run.partition];
             if run.in_delta {
-                p.delta_view().materialize(cols, &run.rposs, here)?;
+                p.delta_view().materialize(cols, &run.rposs, &mut rows)?;
             } else {
-                payg_core::column::materialize(p.main_frag().columns(), cols, &run.rposs, here)?;
+                payg_core::column::materialize(p.main_frag().columns(), cols, &run.rposs, &mut rows)?;
             }
         }
         Ok(rows)
@@ -342,8 +343,9 @@ impl Fold {
         Ok(())
     }
 
-    /// The answer, its keys decoded: `DISTINCT` is one row per distinct
-    /// key, ascending in key order.
+    /// The answer, its keys decoded: `DISTINCT` is one column whose values
+    /// table is the distinct keys, ascending in key order, each decoded
+    /// once, and whose ranks are `0..n`.
     fn finish(self, ty: DataType) -> TableResult<QueryResult> {
         let decode = |key: &[u8]| Value::from_key(ty, key);
         Ok(match self {
@@ -354,8 +356,15 @@ impl Fold {
             Fold::Distinct(mut keys) => {
                 keys.sort_unstable();
                 keys.dedup();
-                let rows = keys.iter().map(|key| Ok(vec![decode(key)?]));
-                QueryResult::Rows(rows.collect::<TableResult<_>>()?)
+                let mut rows = Rows::new(1, keys.len());
+                rows.append(keys.len(), |_, values, ranks| {
+                    for (rank, key) in ranks.iter_mut().zip(&keys) {
+                        *rank = values.len() as u32;
+                        values.push(decode(key)?);
+                    }
+                    Ok(())
+                })?;
+                QueryResult::Rows(rows)
             }
         })
     }

@@ -32,9 +32,9 @@
 use crate::delta::DeltaFragment;
 use crate::fragment::MainFragment;
 use crate::partition::PartitionSpec;
-use crate::schema::{Row, Schema};
+use crate::schema::Schema;
 use crate::{TableError, TableResult};
-use payg_core::{KeyPredicate, KeyRange};
+use payg_core::{KeyPredicate, KeyRange, Rows};
 use payg_obs::Gauge;
 use payg_storage::{BufferPool, ChainId};
 use std::collections::HashSet;
@@ -350,13 +350,13 @@ impl DeltaView {
         Ok(())
     }
 
-    /// Extends each row of `rows` by the values of columns `cols` at the
-    /// ascending position of `rposs` at the same index, as
-    /// [`payg_core::column::materialize`] does for a main fragment: one lock
-    /// per cell.
-    pub fn materialize(&self, cols: &[usize], rposs: &[u64], rows: &mut [Row]) -> TableResult<()> {
+    /// Appends to `rows` the rows at the ascending positions `rposs`, of
+    /// the columns `cols`, as [`payg_core::column::materialize`] does for a
+    /// main fragment: cell by cell, under one lock each, each cell's rows
+    /// with values tables of their own.
+    pub fn materialize(&self, cols: &[usize], rposs: &[u64], rows: &mut Rows) -> TableResult<()> {
         self.per_cell(rposs, |frag, at, base| {
-            frag.materialize(cols, rposs[at.clone()].iter().map(|r| r - base), &mut rows[at])
+            frag.materialize(cols, rposs[at].iter().map(move |r| r - base), rows)
         })
     }
 
@@ -447,7 +447,7 @@ impl Partition {
 mod tests {
     use super::*;
     use crate::partition::PartitionRange;
-    use crate::schema::ColumnSpec;
+    use crate::schema::{ColumnSpec, Row};
     use payg_core::{DataType, LoadPolicy, Value, ValuePredicate};
     use proptest::prelude::*;
 
@@ -543,14 +543,15 @@ mod tests {
 
             prop_assert_eq!(view.visible_positions(), visible.clone());
             prop_assert_eq!(view.visible_rows(), visible.len() as u64);
-            let mut read = vec![Vec::new(); visible.len()];
+            let mut read = Rows::new(4, visible.len());
             view.materialize(&[3, 0, 2, 1], &visible, &mut read).unwrap();
-            for (got, &p) in read.iter().zip(&visible) {
+            prop_assert_eq!(read.len(), visible.len());
+            for (got, &p) in read.into_rows().iter().zip(&visible) {
                 let want: Vec<Vec<u8>> =
                     [3, 0, 2, 1].iter().map(|&c| rows[p as usize][c].to_key()).collect();
                 prop_assert_eq!(got.iter().map(Value::to_key).collect::<Vec<_>>(), want);
             }
-            let past = view.materialize(&[0], &[seen as u64], &mut [Vec::new()]);
+            let past = view.materialize(&[0], &[seen as u64], &mut Rows::new(1, 1));
             prop_assert!(past.is_err(), "past the snapshot");
         }
     }

@@ -1,10 +1,10 @@
-//! A warm point read allocates for its answer plus a constant: the rows
-//! vector, one vector per row and one string per VARCHAR cell — not a
+//! A warm point read allocates for its answer plus a constant: the
+//! answer's values tables and ranks and one string per VARCHAR cell — not a
 //! vector per projected column, not a plan buffer that grows with the
-//! projection's width. A warm 1 000-row range projection allocates the rows
-//! vector, one vector per row and one string per distinct VARCHAR value of
-//! each column — the rows that repeat a value share it — plus a stated
-//! constant for its plan. An aggregate over delta rows decodes each
+//! projection's width. A warm 1 000-row range projection allocates at most
+//! one vector per column and one string per distinct VARCHAR value of each
+//! column — the rows that repeat a value share it, and no row is a vector
+//! of its own — plus a stated constant for its plan. An aggregate over delta rows decodes each
 //! distinct key once, not one value per row; an unfiltered `MIN` / `MAX`
 //! over a main fragment reads its dictionary, not its data vector.
 //!
@@ -15,7 +15,9 @@
 use payg_core::{DataType, LoadPolicy, PageConfig, Value, ValuePredicate};
 use payg_resman::ResourceManager;
 use payg_storage::{BufferPool, ChainId, MemStore, PageKey, PageStore};
-use payg_table::{ColumnSpec, PartitionSpec, Projection, Query, QueryResult, Row, Schema, Table};
+use payg_table::{
+    ColumnSpec, PartitionSpec, Projection, Query, QueryResult, Row, Rows, Schema, Table,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::HashSet;
@@ -148,19 +150,18 @@ fn strings(result: &QueryResult) -> usize {
         panic!("rows expected")
     };
     rows.iter()
-        .flatten()
+        .flat_map(|row| row.iter())
         .filter(|v| matches!(v, Value::Varchar(_)))
         .count()
 }
 
 /// Distinct VARCHAR values of each column of a `SELECT *` answer, summed:
 /// one string each, however many rows hold it.
-fn distinct_strings(rows: &[Row]) -> usize {
-    let width = rows.first().map_or(0, Vec::len);
-    (0..width)
+fn distinct_strings(rows: &Rows) -> usize {
+    (0..rows.width())
         .map(|c| {
-            let column = rows.iter().filter_map(|row| match &row[c] {
-                Value::Varchar(s) => Some(&**s),
+            let column = rows.iter().filter_map(|row| match row.get(c) {
+                Some(Value::Varchar(s)) => Some(&**s),
                 _ => None,
             });
             column.collect::<HashSet<&str>>().len()
@@ -185,8 +186,8 @@ fn a_warm_point_read_allocates_for_its_answer_plus_a_constant() {
                 n9 - strings(&star9),
                 "{policy:?} row {r}: SELECT * allocates {n9} at 9 columns and {n33} at 33",
             );
-            // SELECT c_num: the rows vector and the row on top of ROWID's
-            // one vector of identifiers — no plan buffer.
+            // SELECT c_num: the values table and the ranks on top of
+            // ROWID's one vector of identifiers — no plan buffer.
             for t in [&narrow, &wide] {
                 let (_, rid) = point(t, r, Projection::RowIds);
                 let (_, num) = point(t, r, Projection::Columns(vec!["c0".into()]));
@@ -206,12 +207,13 @@ fn a_warm_point_read_allocates_for_its_answer_plus_a_constant() {
 const RANGE_PLAN_ALLOCS: usize = 32;
 
 /// A warm 1 000-row `SELECT *` over a primary-key range allocates for its
-/// answer plus a constant: the rows vector, one vector a row and one string
-/// a distinct VARCHAR value of each column — decoded once, and shared by
+/// answer plus a constant: at most one vector a column and one string a
+/// distinct VARCHAR value of each column — decoded once, and shared by
 /// every row that holds it — plus at most [`RANGE_PLAN_ALLOCS`] for the
-/// plan, however wide the table.
+/// plan, however wide the table. No row is a vector of its own: the answer
+/// is values tables and ranks.
 #[test]
-fn a_warm_range_projection_allocates_per_row_and_string_plus_a_constant() {
+fn a_warm_range_projection_allocates_per_column_and_string_plus_a_constant() {
     if pins_are_tracked() {
         return;
     }
@@ -228,8 +230,8 @@ fn a_warm_range_projection_allocates_per_row_and_string_plus_a_constant() {
             let QueryResult::Rows(rows) = &answer else {
                 panic!("rows expected")
             };
-            assert_eq!(rows.len(), 1000);
-            let answer_allocs = 1 + rows.len() + distinct_strings(rows);
+            assert_eq!((rows.len(), rows.width()), (1000, width));
+            let answer_allocs = rows.width() + distinct_strings(rows);
             assert!(
                 n <= answer_allocs + RANGE_PLAN_ALLOCS,
                 "{policy:?} at {width} columns: {n} allocations for an answer of {answer_allocs}",
@@ -303,7 +305,7 @@ fn a_delta_aggregate_decodes_each_distinct_key_once() {
         (Projection::Min("name".into()), QueryResult::Extreme(Some(name(0)))),
         (
             Projection::Distinct("name".into()),
-            QueryResult::Rows((0..5).map(|i| vec![name(i)]).collect()),
+            QueryResult::Rows(Rows::from((0..5).map(|i| vec![name(i)]).collect::<Vec<_>>())),
         ),
     ];
     for (projection, answer) in answers {

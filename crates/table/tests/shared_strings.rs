@@ -7,7 +7,7 @@
 use payg_core::{ColumnRead, DataType, LoadPolicy, PageConfig, Value, ValuePredicate};
 use payg_resman::ResourceManager;
 use payg_storage::{BufferPool, MemStore};
-use payg_table::{ColumnSpec, PartitionSpec, Projection, Query, QueryResult, Row, Schema, Table};
+use payg_table::{ColumnSpec, PartitionSpec, Projection, Query, Row, Schema, Table};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -85,7 +85,7 @@ fn equal_string_cells_share_one_allocation() {
 
         let range = ValuePredicate::Between(Value::Integer(500), Value::Integer(1_499));
         let q = Query::filtered("pk", range, Projection::All);
-        let QueryResult::Rows(mut rows) = t.execute(&q).unwrap() else { panic!("rows expected") };
+        let mut rows = t.execute(&q).unwrap().into_rows();
         rows.sort_by_key(|r| r[0].to_key());
         assert_eq!(rows, (500..1_500).map(row).collect::<Vec<_>>(), "{policy:?}");
         assert_columns_shared(&what("range"), &rows);

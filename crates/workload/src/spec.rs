@@ -102,11 +102,6 @@ impl TableProfile {
             .collect();
         Schema::new(specs)?.with_primary_key(&self.columns[0].name)
     }
-
-    /// Names of columns of a given type (excluding the PK).
-    pub fn columns_of_type(&self, ty: DataType) -> Vec<&GenColumnSpec> {
-        self.columns[1..].iter().filter(|c| c.data_type == ty).collect()
-    }
 }
 
 fn type_tag(ty: DataType) -> &'static str {

@@ -22,7 +22,7 @@ use page_as_you_go::core::{DataType, LoadPolicy, PageConfig, Value, ValuePredica
 use page_as_you_go::resman::ResourceManager;
 use page_as_you_go::storage::{BufferPool, MemStore};
 use page_as_you_go::table::{
-    ColumnSpec, PartitionSpec, Projection, Query, QueryResult, Schema, Table,
+    ColumnSpec, PartitionSpec, Projection, Query, QueryResult, Rows, Schema, Table,
 };
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -106,7 +106,7 @@ fn workload(rows: i64) -> Vec<(Query, QueryResult)> {
                 ValuePredicate::Eq(Value::Integer(1_234)),
                 Projection::All,
             ),
-            QueryResult::Rows(vec![order(1_234, status_of(1_234))]),
+            QueryResult::Rows(Rows::from(vec![order(1_234, status_of(1_234))])),
         ),
     ]
 }

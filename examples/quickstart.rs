@@ -59,10 +59,7 @@ fn main() {
         ValuePredicate::Eq(Value::Integer(41_417)),
         Projection::All,
     );
-    let rows = match table.execute(&q).unwrap() {
-        page_as_you_go::table::QueryResult::Rows(r) => r,
-        other => panic!("{other:?}"),
-    };
+    let rows = table.execute(&q).unwrap().into_rows();
     println!("point query -> {:?}", rows[0]);
     let after_point = resman.stats();
     println!(

@@ -65,14 +65,16 @@
 //!     ValuePredicate::Eq(Value::Integer(4_217)),
 //!     Projection::All,
 //! );
+//! // The answer is in columns: each row is read in place.
 //! let QueryResult::Rows(rows) = orders.execute(&q)? else { unreachable!() };
-//! assert_eq!(rows[0][1], Value::Varchar("customer-0217".into()));
+//! let row = rows.get(0).expect("one row");
+//! assert_eq!(row[1], Value::Varchar("customer-0217".into()));
 //! assert!(resman.stats().paged_count > 0, "pages were loaded piecewise");
 //!
 //! // Under pressure, pages are evicted piecewise; answers never change.
 //! resman.handle_low_memory(usize::MAX / 2);
-//! let QueryResult::Rows(rows) = orders.execute(&q)? else { unreachable!() };
-//! assert_eq!(rows[0][0], Value::Integer(4_217));
+//! let rows = orders.execute(&q)?.into_rows(); // a `Vec` a row
+//! assert_eq!(rows, [[Value::Integer(4_217), Value::Varchar("customer-0217".into())]]);
 //! # Ok::<(), page_as_you_go::table::TableError>(())
 //! ```
 //!

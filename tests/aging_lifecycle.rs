@@ -104,10 +104,7 @@ fn lifecycle_preserves_every_row_and_moves_storage() {
         ValuePredicate::Eq(Value::Integer(123)),
         Projection::Columns(vec!["closed_on".into()]),
     );
-    assert_eq!(
-        t.execute(&q).unwrap(),
-        page_as_you_go::table::QueryResult::Rows(vec![vec![Value::Integer(20_230_301)]])
-    );
+    assert_eq!(t.execute(&q).unwrap().into_rows(), vec![vec![Value::Integer(20_230_301)]]);
 
     // Deep-cold split: add a partition for pre-September closures and shift
     // the cold boundary — relocation is an aging run, no data loss.
@@ -129,10 +126,7 @@ fn lifecycle_preserves_every_row_and_moves_storage() {
     // A cold restart changes nothing observable.
     t.unload_all();
     assert_eq!(count(&t, &Query::full(Projection::Count)), 600);
-    assert_eq!(
-        t.execute(&q).unwrap(),
-        page_as_you_go::table::QueryResult::Rows(vec![vec![Value::Integer(20_230_301)]])
-    );
+    assert_eq!(t.execute(&q).unwrap().into_rows(), vec![vec![Value::Integer(20_230_301)]]);
 }
 
 #[test]

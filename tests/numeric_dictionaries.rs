@@ -20,7 +20,7 @@ use page_as_you_go::storage::{
     StorageError,
 };
 use page_as_you_go::table::{
-    ColumnSpec, PartitionSpec, Projection, Query, QueryResult, Row, Schema, Table, TableError,
+    ColumnSpec, PartitionSpec, Projection, Query, Row, Schema, Table, TableError,
 };
 use std::sync::Arc;
 
@@ -239,5 +239,5 @@ fn a_corrupt_array_page_is_a_typed_error_not_a_panic() {
     // The other columns are untouched.
     let q = Query::filtered("id", key, Projection::Columns(vec!["qty".into(), "weight".into()]));
     let expect = vec![vec![row(42)[1].clone(), row(42)[3].clone()]];
-    assert_eq!(session.execute(&q).unwrap(), QueryResult::Rows(expect));
+    assert_eq!(session.execute(&q).unwrap().into_rows(), expect);
 }

@@ -11,7 +11,7 @@
 mod reference;
 
 use page_as_you_go::core::column::{materialize, ColumnRead};
-use page_as_you_go::core::{CodecKind, DataType, LoadPolicy, PageConfig, Value, ValuePredicate};
+use page_as_you_go::core::{CodecKind, DataType, LoadPolicy, PageConfig, Rows, Value, ValuePredicate};
 use page_as_you_go::resman::ResourceManager;
 use page_as_you_go::storage::{BufferPool, ChainId, MemStore};
 use page_as_you_go::table::{
@@ -208,13 +208,13 @@ fn assert_positions(session: &Snapshot<'_>, model: &[Row], when: &str) {
             expect,
             "{when}: rows at {rposs:?}"
         );
-        let mut rows: Vec<Row> = vec![Vec::new(); rposs.len()];
+        let mut rows = Rows::new(which.len(), rposs.len());
         materialize(main.columns(), &which, rposs, &mut rows).unwrap();
         let expect: Vec<Row> = expect
             .iter()
             .map(|r| which.iter().map(|&c| r[c].clone()).collect())
             .collect();
-        assert_eq!(rows, expect, "{when}: columns {which:?} at {rposs:?}");
+        assert_eq!(rows.into_rows(), expect, "{when}: columns {which:?} at {rposs:?}");
     }
 }
 

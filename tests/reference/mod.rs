@@ -5,7 +5,7 @@
 //! through [`assert_answers`].
 
 use page_as_you_go::core::{DataType, Value};
-use page_as_you_go::table::{Projection, Query, QueryResult, Row, Schema, Snapshot};
+use page_as_you_go::table::{Projection, Query, QueryResult, Row, Rows, Schema, Snapshot};
 
 /// The answer to `q` over `rows`, a table of `schema`. `DISTINCT` answers
 /// in ascending key order, as the engine does; other rows are in the
@@ -30,11 +30,11 @@ pub fn execute(schema: &Schema, rows: &[Row], q: &Query) -> QueryResult {
     };
     let by_key = |a: &&Value, b: &&Value| a.to_key().cmp(&b.to_key());
     match &q.projection {
-        Projection::All => QueryResult::Rows(matching.into_iter().cloned().collect()),
+        Projection::All => QueryResult::Rows(Rows::from(matching.into_iter().cloned().collect::<Vec<_>>())),
         Projection::Columns(names) => {
             let cols: Vec<usize> = names.iter().map(|n| col(n)).collect();
             let project = |r: &&Row| cols.iter().map(|&c| r[c].clone()).collect();
-            QueryResult::Rows(matching.iter().map(project).collect())
+            QueryResult::Rows(Rows::from(matching.iter().map(project).collect::<Vec<_>>()))
         }
         Projection::Count => QueryResult::Count(matching.len() as u64),
         Projection::RowIds => QueryResult::RowIds((0..matching.len() as u64).collect()),
@@ -51,7 +51,7 @@ pub fn execute(schema: &Schema, rows: &[Row], q: &Query) -> QueryResult {
             let mut distinct = values(name);
             distinct.sort_by(by_key);
             distinct.dedup_by(|a, b| a.to_key() == b.to_key());
-            QueryResult::Rows(distinct.into_iter().map(|v| vec![v.clone()]).collect())
+            QueryResult::Rows(Rows::from(distinct.into_iter().map(|v| vec![v.clone()]).collect::<Vec<_>>()))
         }
     }
 }
@@ -94,19 +94,19 @@ enum Canonical {
     RowIds(usize),
 }
 
-fn canonical(projection: &Projection, result: &QueryResult) -> Canonical {
+fn canonical(projection: &Projection, result: QueryResult) -> Canonical {
     let keyed = |v: &Value| (v.data_type(), v.to_key());
     match result {
         QueryResult::Rows(rows) => {
             let mut rows: Vec<Vec<_>> =
-                rows.iter().map(|r| r.iter().map(keyed).collect()).collect();
+                rows.into_rows().iter().map(|r| r.iter().map(keyed).collect()).collect();
             if !matches!(projection, Projection::Distinct(_)) {
                 rows.sort_by(|a, b| a.iter().map(|(_, k)| k).cmp(b.iter().map(|(_, k)| k)));
             }
             Canonical::Rows(rows)
         }
-        QueryResult::Count(n) => Canonical::Count(*n),
-        QueryResult::Sum(v) => Canonical::Value(Some(keyed(v))),
+        QueryResult::Count(n) => Canonical::Count(n),
+        QueryResult::Sum(v) => Canonical::Value(Some(keyed(&v))),
         QueryResult::Extreme(v) => Canonical::Value(v.as_ref().map(keyed)),
         QueryResult::RowIds(ids) => {
             let mut distinct = ids.clone();
@@ -123,5 +123,5 @@ pub fn assert_answers(session: &Snapshot<'_>, rows: &[Row], q: &Query, when: &st
     let actual = session.execute(q).unwrap_or_else(|e| panic!("{when}: {q:?}: {e}"));
     let expected = execute(session.schema(), rows, q);
     let p = &q.projection;
-    assert_eq!(canonical(p, &actual), canonical(p, &expected), "{when}: {q:?}");
+    assert_eq!(canonical(p, actual), canonical(p, expected), "{when}: {q:?}");
 }
